@@ -100,7 +100,7 @@ RoundResult TimeSchedulingRound(int num_jobs, int num_nodes, bool cached) {
     result.tasks += a.num_ps + a.num_workers;
   }
   PlacementResult placed =
-      PlaceJobs(PlacementPolicy::kOptimusPack, inputs, std::move(servers));
+      PlaceJobs(PlacementPolicy::kOptimusPack, inputs, &servers);
   const auto end = std::chrono::steady_clock::now();
   (void)placed;
 

@@ -188,7 +188,7 @@ void BM_OptimusPlacement(benchmark::State& state) {
     std::vector<Server> servers =
         BuildUniformCluster(2 * n, Resources(16, 80, 0, 1));
     benchmark::DoNotOptimize(
-        PlaceJobs(PlacementPolicy::kOptimusPack, inputs, std::move(servers)));
+        PlaceJobs(PlacementPolicy::kOptimusPack, inputs, &servers));
   }
 }
 BENCHMARK(BM_OptimusPlacement)->Arg(10)->Arg(100)->Arg(1000);

@@ -111,13 +111,6 @@ class Job {
   int num_workers() const { return num_workers_; }
   int num_ps() const { return num_ps_; }
   const JobPlacement& placement() const { return placement_; }
-  // Buffer-recycling escape hatch for the placement engine: the scheduler
-  // hands this to PlaceJobs (PlacementJobInput::recycle) so each round's
-  // fresh placement reuses the previous round's dense vectors instead of
-  // allocating server-sized buffers per job. The pointee may be left
-  // moved-from; the caller must reassign it (SetAllocation) before anyone
-  // reads the placement again.
-  JobPlacement* mutable_placement() { return &placement_; }
   // Applies a new allocation; if the (p, w) pair changed while the job had
   // been running, a checkpoint-restart scaling event is counted and the
   // caller is expected to add the corresponding stall.

@@ -4,9 +4,9 @@
 // whose boundaries coincide with rack boundaries (the scenario DSL's
 // `cluster.rack_size` layout) whenever a rack partition exists. The sharded
 // scheduling round (src/sched/sharded_round.h) runs its phase-1 local passes
-// over these ranges and the sharded placement fast path keeps one server
-// pool per range; both reduce to the unsharded behavior when the plan has a
-// single shard.
+// over these ranges and the packing placement (src/sched/placement.h) keeps
+// one server heap per range; both reduce to the unsharded behavior when the
+// plan has a single shard.
 //
 // The plan is a pure function of (num_shards, n_servers, rack_size) — no
 // randomness, no dependence on server state — so every (shards, threads)
@@ -23,7 +23,8 @@ namespace optimus {
 
 class ShardPlan {
  public:
-  // Single-shard plan covering [0, n_servers) — the unsharded default.
+  // Empty plan: no shards and no servers (num_shards() == 0). PlaceJobs
+  // reads it as one shard covering whatever server list it is given.
   ShardPlan() = default;
 
   // Splits [0, n_servers) into `num_shards` contiguous ranges. With a rack

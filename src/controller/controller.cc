@@ -163,7 +163,8 @@ ScheduleDecision OptimusController::Schedule(const std::vector<Server>& servers)
     }
     inputs.push_back({job->spec.id, a, job->spec.worker_demand, job->spec.ps_demand});
   }
-  PlacementResult placed = PlaceJobs(options_.placement, inputs, servers);
+  std::vector<Server> free_servers = servers;
+  PlacementResult placed = PlaceJobs(options_.placement, inputs, &free_servers);
 
   for (auto& [id, job] : jobs_) {
     Allocation a;

@@ -13,7 +13,7 @@
 // entirely when no samples arrived since the last Fit(), and the epoch-walk
 // prediction (PredictTotalEpochs) is memoized per fit. All three shortcuts
 // reproduce the from-scratch fit bit for bit; set_caching(false) forces the
-// from-scratch path (reference/baseline mode).
+// from-scratch path, the test-side reference (tests/perfmodel_test.cc).
 //
 // The fitted curve answers the scheduler's question: how many more epochs
 // until the per-epoch loss decrease stays below the job's threshold?

@@ -15,7 +15,7 @@
 // samples the job has collected, and a Fit() with no new samples returns the
 // cached coefficients without solving at all. Both shortcuts reproduce the
 // from-scratch fit bit for bit; set_caching(false) forces the from-scratch
-// dense path (reference/baseline mode).
+// dense path, the test-side reference (tests/perfmodel_test.cc).
 
 #ifndef SRC_PERFMODEL_SPEED_MODEL_H_
 #define SRC_PERFMODEL_SPEED_MODEL_H_

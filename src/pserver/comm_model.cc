@@ -9,31 +9,11 @@
 namespace optimus {
 
 int JobPlacement::TotalWorkers() const {
-  if (compact()) {
-    return std::accumulate(used_workers.begin(), used_workers.end(), 0);
-  }
-  if (!used_servers.empty()) {
-    int total = 0;
-    for (int s : used_servers) {
-      total += workers_per_server[static_cast<size_t>(s)];
-    }
-    return total;
-  }
-  return std::accumulate(workers_per_server.begin(), workers_per_server.end(), 0);
+  return std::accumulate(used_workers.begin(), used_workers.end(), 0);
 }
 
 int JobPlacement::TotalPs() const {
-  if (compact()) {
-    return std::accumulate(used_ps.begin(), used_ps.end(), 0);
-  }
-  if (!used_servers.empty()) {
-    int total = 0;
-    for (int s : used_servers) {
-      total += ps_per_server[static_cast<size_t>(s)];
-    }
-    return total;
-  }
-  return std::accumulate(ps_per_server.begin(), ps_per_server.end(), 0);
+  return std::accumulate(used_ps.begin(), used_ps.end(), 0);
 }
 
 namespace {
@@ -60,8 +40,6 @@ double CrossServerTransferTime(const StepTimeInputs& in, const CommConfig& confi
     return 2.0 * std::max(ps_side, worker_side);
   }
 
-  OPTIMUS_CHECK_EQ(placement.workers_per_server.size(),
-                   placement.ps_per_server.size());
   // Servers without any task of this job contribute nothing to the max, so
   // only the occupied ones need visiting.
   double worst = 0.0;

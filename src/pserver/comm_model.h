@@ -39,59 +39,26 @@ struct CommConfig {
   double async_concurrency = 0.7;
 };
 
-// Per-server task counts for one job. Index i is a physical server; both
-// vectors have the same length. An empty placement means "assume every
-// transfer crosses the network" (the pure Eqn-2 regime).
+// Where one job's tasks run, as three parallel arrays over the servers
+// hosting at least one of its tasks: used_servers (ascending server ids),
+// used_workers and used_ps (the task counts on each). O(tasks) memory, never
+// O(n_servers). An empty placement means "assume every transfer crosses the
+// network" (the pure Eqn-2 regime).
 struct JobPlacement {
-  std::vector<int> workers_per_server;
-  std::vector<int> ps_per_server;
-  // Sorted indices of the servers hosting at least one task of this job.
-  // Filled by the placement engine so consumers iterate O(tasks) instead of
-  // O(servers); when empty (hand-built placements), consumers fall back to
-  // scanning the dense vectors. When non-empty it MUST cover every nonzero
-  // entry.
   std::vector<int> used_servers;
-  // Compact (structure-of-arrays) form: per-used-server task counts parallel
-  // to used_servers. When the dense vectors are empty but used_servers is
-  // not, these carry the placement at O(tasks) memory instead of
-  // O(n_servers) — the representation the sharded scale path emits so a
-  // million-job run never holds million × n_servers dense vectors.
   std::vector<int> used_workers;
   std::vector<int> used_ps;
 
   int TotalWorkers() const;
   int TotalPs() const;
-  bool compact() const {
-    return workers_per_server.empty() && !used_servers.empty();
-  }
-  bool empty() const {
-    return workers_per_server.empty() && ps_per_server.empty() &&
-           used_servers.empty();
-  }
+  bool empty() const { return used_servers.empty(); }
 
   // Calls fn(server_index, workers, ps) for every server hosting at least
   // one task, in ascending server order.
   template <typename Fn>
   void ForEachUsed(Fn&& fn) const {
-    if (compact()) {
-      for (size_t i = 0; i < used_servers.size(); ++i) {
-        fn(static_cast<size_t>(used_servers[i]), used_workers[i], used_ps[i]);
-      }
-      return;
-    }
-    if (!used_servers.empty()) {
-      for (int s : used_servers) {
-        fn(static_cast<size_t>(s), workers_per_server[static_cast<size_t>(s)],
-           ps_per_server[static_cast<size_t>(s)]);
-      }
-      return;
-    }
-    for (size_t s = 0; s < workers_per_server.size(); ++s) {
-      const int w = workers_per_server[s];
-      const int p = ps_per_server[s];
-      if (w != 0 || p != 0) {
-        fn(s, w, p);
-      }
+    for (size_t i = 0; i < used_servers.size(); ++i) {
+      fn(static_cast<size_t>(used_servers[i]), used_workers[i], used_ps[i]);
     }
   }
 };
@@ -117,7 +84,7 @@ struct StepTimeInputs {
   // Optional placement (see JobPlacement); empty = all cross-server.
   JobPlacement placement;
   // Borrowed alternative to `placement` for hot paths that already own a
-  // JobPlacement: avoids copying two server-sized vectors per call. Takes
+  // JobPlacement: avoids copying its vectors per call. Takes
   // precedence over `placement` when set; the pointee must outlive the call.
   const JobPlacement* placement_ref = nullptr;
   // Speed factor of the slowest worker (1.0 = healthy; 0.5 = half speed).

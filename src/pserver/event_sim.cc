@@ -214,9 +214,7 @@ TaskLayout BuildLayout(const StepTimeInputs& in) {
   }
   int w = 0;
   int p = 0;
-  // ForEachUsed visits servers in ascending order filling workers then PS per
-  // server — the same task ordering the dense scan produced — and also covers
-  // the compact (used_servers-only) representation.
+  // Servers in ascending order, workers then PS on each.
   placement.ForEachUsed([&](size_t s, int w_k, int p_k) {
     for (int i = 0; i < w_k; ++i) {
       layout.worker_server[w++] = static_cast<int>(s);

@@ -24,296 +24,14 @@ const char* PlacementPolicyName(PlacementPolicy policy) {
 
 namespace {
 
-// Attempts to place a job across the first k entries of `server_order`,
-// spreading parameter servers and workers as evenly as the servers' free
-// capacities allow (Theorem 1 wants equal counts per server; on heterogeneous
-// servers we approximate it by always extending the least-loaded server that
-// still fits). PS and worker assignments are interleaved proportionally so
-// both types end up spread. Commits resources and fills `placement` on
-// success; servers are untouched on failure.
-bool TryEvenPlacement(const PlacementJobInput& job, const std::vector<size_t>& server_order,
-                      int k, std::vector<Server>* servers, JobPlacement* placement) {
-  const int w = job.alloc.num_workers;
-  const int p = job.alloc.num_ps;
-  const int total = w + p;
-
-  std::vector<Resources> tentative_used(k);
-  std::vector<int> tentative_w(k, 0);
-  std::vector<int> tentative_p(k, 0);
-
-  int assigned_ps = 0;
-  for (int t = 0; t < total; ++t) {
-    // Bresenham-style interleaving keeps the PS:worker mix even as we go.
-    const bool is_ps = (t + 1) * p / total > assigned_ps;
-    const Resources& demand = is_ps ? job.ps_demand : job.worker_demand;
-
-    // Pick, among the k servers that can still fit this task, the one with
-    // the fewest tasks of this *type* (Theorem 1 balances PS and worker
-    // counts independently), breaking ties by total tasks, then by most free
-    // capacity.
-    int best = -1;
-    for (int i = 0; i < k; ++i) {
-      const Server& server = (*servers)[server_order[i]];
-      if (!server.available() ||
-          !(server.Free() - tentative_used[i]).Fits(demand)) {
-        continue;
-      }
-      if (best < 0) {
-        best = i;
-        continue;
-      }
-      const int type_i = is_ps ? tentative_p[i] : tentative_w[i];
-      const int type_b = is_ps ? tentative_p[best] : tentative_w[best];
-      const int tasks_i = tentative_w[i] + tentative_p[i];
-      const int tasks_b = tentative_w[best] + tentative_p[best];
-      const double free_i =
-          ((*servers)[server_order[i]].Free() - tentative_used[i]).cpu();
-      const double free_b =
-          ((*servers)[server_order[best]].Free() - tentative_used[best]).cpu();
-      if (type_i < type_b ||
-          (type_i == type_b &&
-           (tasks_i < tasks_b || (tasks_i == tasks_b && free_i > free_b)))) {
-        best = i;
-      }
-    }
-    if (best < 0) {
-      return false;  // this task fits on none of the k servers
-    }
-    tentative_used[best] += demand;
-    if (is_ps) {
-      ++tentative_p[best];
-      ++assigned_ps;
-    } else {
-      ++tentative_w[best];
-    }
-  }
-
-  for (int i = 0; i < k; ++i) {
-    if (tentative_w[i] == 0 && tentative_p[i] == 0) {
-      continue;
-    }
-    Server& server = (*servers)[server_order[i]];
-    server.Allocate(tentative_used[i]);
-    placement->workers_per_server[server_order[i]] += tentative_w[i];
-    placement->ps_per_server[server_order[i]] += tentative_p[i];
-    placement->used_servers.push_back(static_cast<int>(server_order[i]));
-  }
-  std::sort(placement->used_servers.begin(), placement->used_servers.end());
-  return true;
-}
-
-// Keeps servers ordered by free CPU (descending) across many job placements
-// with a lazily-invalidated max-heap, so placing J jobs on N servers costs
-// O((J * k + updates) log N) instead of re-sorting N servers per job. This is
-// what lets the scheduler handle the paper's Fig-12 scale (thousands of jobs
-// on 16k nodes in seconds).
-class ServerPool {
- public:
-  explicit ServerPool(std::vector<Server>* servers) : servers_(servers) {
-    // Bulk make_heap is O(n) versus O(n log n) for element-wise pushes; the
-    // keys (free_cpu, server index) form a strict total order, so the pop
-    // sequence — and therefore every placement decision — is identical either
-    // way.
-    heap_.reserve(servers_->size());
-    for (size_t s = 0; s < servers_->size(); ++s) {
-      // Crashed servers never enter the pool; availability does not change
-      // within one PlaceJobs call.
-      if ((*servers_)[s].available()) {
-        heap_.push_back({(*servers_)[s].Free().cpu(), s});
-      }
-    }
-    std::make_heap(heap_.begin(), heap_.end());
-  }
-
-  // Pops up to `count` distinct servers in descending free-CPU order.
-  std::vector<size_t> PopMostFree(size_t count) {
-    std::vector<size_t> out;
-    while (out.size() < count && !heap_.empty()) {
-      std::pop_heap(heap_.begin(), heap_.end());
-      const auto [free_cpu, s] = heap_.back();
-      heap_.pop_back();
-      if (free_cpu != (*servers_)[s].Free().cpu()) {
-        // Stale; reinsert fresh.
-        heap_.push_back({(*servers_)[s].Free().cpu(), s});
-        std::push_heap(heap_.begin(), heap_.end());
-        continue;
-      }
-      out.push_back(s);
-    }
-    return out;
-  }
-
-  // Returns servers to the pool (with their current free values).
-  void Push(const std::vector<size_t>& servers) {
-    for (size_t s : servers) {
-      heap_.push_back({(*servers_)[s].Free().cpu(), s});
-      std::push_heap(heap_.begin(), heap_.end());
-    }
-  }
-
- private:
-  std::vector<Server>* servers_;
-  std::vector<std::pair<double, size_t>> heap_;
-};
-
-// Places one job under the Optimus scheme; returns false when no k works.
-bool PlaceOptimus(const PlacementJobInput& job, std::vector<Server>* servers,
-                  ServerPool* pool, JobPlacement* placement) {
-  const int max_k =
-      std::min<int>(static_cast<int>(servers->size()),
-                    job.alloc.num_workers + job.alloc.num_ps);
-
-  // Draw candidates in descending-availability order (the paper's sort) and
-  // try packing onto the first k of them for growing k.
-  std::vector<size_t> candidates = pool->PopMostFree(static_cast<size_t>(max_k));
-  bool placed = false;
-  for (int k = 1; k <= static_cast<int>(candidates.size()); ++k) {
-    if (TryEvenPlacement(job, candidates, k, servers, placement)) {
-      placed = true;
-      break;
-    }
-  }
-  pool->Push(candidates);
-  return placed;
-}
-
-// Rack-aware Theorem-1 variant: tries to pack the whole job under one edge
-// switch so its traffic never crosses a rack uplink. Racks are tried in
-// descending free-CPU order (ties: lower rack id first); within a rack,
-// candidates are its available servers in descending (free_cpu, lower index
-// first) order, packed onto the smallest k that fits. When no single rack
-// can hold the job, falls back to the global Optimus scheme.
-bool PlaceRackAware(const PlacementJobInput& job, int rack_size,
-                    std::vector<Server>* servers, ServerPool* pool,
-                    JobPlacement* placement) {
-  if (rack_size <= 0) {
-    return PlaceOptimus(job, servers, pool, placement);
-  }
-  const int n = static_cast<int>(servers->size());
-  const int num_racks = (n + rack_size - 1) / rack_size;
-
-  std::vector<std::pair<double, int>> rack_order;  // (free cpu sum, rack)
-  rack_order.reserve(static_cast<size_t>(num_racks));
-  for (int r = 0; r < num_racks; ++r) {
-    double free_sum = 0.0;
-    const int begin = r * rack_size;
-    const int end = std::min(n, begin + rack_size);
-    for (int s = begin; s < end; ++s) {
-      if ((*servers)[static_cast<size_t>(s)].available()) {
-        free_sum += (*servers)[static_cast<size_t>(s)].Free().cpu();
-      }
-    }
-    rack_order.push_back({free_sum, r});
-  }
-  std::stable_sort(rack_order.begin(), rack_order.end(),
-                   [](const auto& a, const auto& b) { return a.first > b.first; });
-
-  const int tasks = job.alloc.num_workers + job.alloc.num_ps;
-  std::vector<size_t> candidates;
-  for (const auto& [free_sum, r] : rack_order) {
-    candidates.clear();
-    const int begin = r * rack_size;
-    const int end = std::min(n, begin + rack_size);
-    for (int s = begin; s < end; ++s) {
-      if ((*servers)[static_cast<size_t>(s)].available()) {
-        candidates.push_back(static_cast<size_t>(s));
-      }
-    }
-    std::stable_sort(candidates.begin(), candidates.end(), [&](size_t a, size_t b) {
-      return (*servers)[a].Free().cpu() > (*servers)[b].Free().cpu();
-    });
-    const int max_k = std::min<int>(static_cast<int>(candidates.size()), tasks);
-    for (int k = 1; k <= max_k; ++k) {
-      if (TryEvenPlacement(job, candidates, k, servers, placement)) {
-        return true;
-      }
-    }
-  }
-  // No rack can hold the job alone: spill across racks the Theorem-1 way.
-  return PlaceOptimus(job, servers, pool, placement);
-}
-
-enum class PickRule { kMostFree, kTightestFit };
-
-// Places a job one task at a time using a server-picking rule; rolls back on
-// failure so the servers are unchanged when false is returned.
-bool PlacePerTask(const PlacementJobInput& job, PickRule rule,
-                  std::vector<Server>* servers, JobPlacement* placement) {
-  struct Step {
-    size_t server;
-    Resources demand;
-  };
-  std::vector<Step> committed;
-
-  auto pick = [&](const Resources& demand) -> int {
-    int best = -1;
-    double best_key = rule == PickRule::kMostFree
-                          ? -std::numeric_limits<double>::infinity()
-                          : std::numeric_limits<double>::infinity();
-    for (size_t s = 0; s < servers->size(); ++s) {
-      const Server& server = (*servers)[s];
-      if (!server.CanFit(demand)) {
-        continue;
-      }
-      // Key on free CPU: most-free spreads load (Kubernetes default);
-      // tightest-fit packs to minimize fragmentation (Tetris).
-      const double key = server.Free().cpu();
-      const bool better =
-          rule == PickRule::kMostFree ? key > best_key : key < best_key;
-      if (better) {
-        best_key = key;
-        best = static_cast<int>(s);
-      }
-    }
-    return best;
-  };
-
-  auto place_tasks = [&](int count, const Resources& demand,
-                         std::vector<int>* per_server) {
-    for (int t = 0; t < count; ++t) {
-      const int s = pick(demand);
-      if (s < 0) {
-        return false;
-      }
-      (*servers)[static_cast<size_t>(s)].Allocate(demand);
-      committed.push_back({static_cast<size_t>(s), demand});
-      ++(*per_server)[static_cast<size_t>(s)];
-    }
-    return true;
-  };
-
-  // Interleave PS and worker placement so colocations arise naturally.
-  if (place_tasks(job.alloc.num_ps, job.ps_demand, &placement->ps_per_server) &&
-      place_tasks(job.alloc.num_workers, job.worker_demand,
-                  &placement->workers_per_server)) {
-    for (const Step& step : committed) {
-      placement->used_servers.push_back(static_cast<int>(step.server));
-    }
-    std::sort(placement->used_servers.begin(), placement->used_servers.end());
-    placement->used_servers.erase(
-        std::unique(placement->used_servers.begin(), placement->used_servers.end()),
-        placement->used_servers.end());
-    return true;
-  }
-  // Roll back — only the entries this attempt touched, so the vectors stay
-  // all-zero without an O(servers) sweep.
-  for (const Step& step : committed) {
-    (*servers)[step.server].Release(step.demand);
-    placement->ps_per_server[step.server] = 0;
-    placement->workers_per_server[step.server] = 0;
-  }
-  return false;
-}
-
-// ---------------------------------------------------------------------------
-// Sharded fast path (see placement.h). Every decision point below mirrors the
-// legacy kOptimusPack code exactly; only the data layout and the amount of
-// redundant work differ.
-
-// One lazy max-heap of (free_cpu, server index) per shard. The pop sequence
-// is identical to the single global heap's: the candidate set is the same,
-// the key order is the same strict total order, and the tournament below
-// always pops the globally largest valid key.
+// Keeps servers ordered by free CPU (descending) across many job placements:
+// one lazily-invalidated max-heap of (free_cpu, server index) per shard, so
+// placing J jobs on N servers costs O((J * k + updates) log N) instead of
+// re-sorting N servers per job. Pops run a tournament over the shard tops.
+// The keys form a strict total order and placement only ever lowers a
+// server's free CPU (so a stale key over-estimates), hence the tournament
+// always pops the globally largest fresh key: the pop sequence is the same
+// for every shard count.
 class ShardedServerPool {
  public:
   ShardedServerPool(std::vector<Server>* servers, const ShardPlan& plan)
@@ -324,6 +42,8 @@ class ShardedServerPool {
       auto& heap = heaps_[static_cast<size_t>(sh)];
       heap.reserve(static_cast<size_t>(end - begin));
       for (int s = begin; s < end; ++s) {
+        // Crashed servers never enter the pool; availability does not change
+        // within one PlaceJobs call.
         if ((*servers_)[static_cast<size_t>(s)].available()) {
           heap.push_back(
               {(*servers_)[static_cast<size_t>(s)].Free().cpu(), static_cast<size_t>(s)});
@@ -369,8 +89,8 @@ class ShardedServerPool {
   }
 
  private:
-  // Refreshes stale entries until the shard's top is valid; false when the
-  // shard is drained. Mirrors the legacy pop-stale-reinsert loop.
+  // Re-keys stale entries until the shard's top is fresh; false when the
+  // shard is drained.
   bool EnsureValidTop(size_t sh) {
     auto& heap = heaps_[sh];
     while (!heap.empty()) {
@@ -393,7 +113,7 @@ class ShardedServerPool {
 // Reusable per-job working buffers so steady-state placement allocates
 // nothing per job.
 struct PackScratch {
-  std::vector<size_t> candidates;
+  std::vector<size_t> candidates;         // servers to pack onto, in order
   std::vector<Resources> free;            // cached Free() per candidate
   std::vector<Resources> prefix_free;     // prefix sums of `free`
   std::vector<Resources> tentative_used;  // per-candidate committed demand
@@ -401,16 +121,20 @@ struct PackScratch {
   std::vector<int> tentative_p;
 };
 
-// TryEvenPlacement with cached per-candidate free vectors and a compact
-// result. The pick loop, tie-breaks, and commit arithmetic are the legacy
-// code's, so decisions and server mutations are bitwise identical.
-bool TryEvenPlacementFast(const PlacementJobInput& job, int k,
-                          std::vector<Server>* servers, PackScratch* scratch,
-                          JobPlacement* placement) {
+// Attempts to place a job across the first k candidates, spreading parameter
+// servers and workers as evenly as the servers' free capacities allow
+// (Theorem 1 wants equal counts per server; on heterogeneous servers we
+// approximate it by always extending the least-loaded server that still
+// fits). PS and worker assignments are interleaved proportionally so both
+// types end up spread. Commits resources and appends the compact triples
+// (ascending server id) on success; servers are untouched on failure.
+bool TryEvenPlacement(const PlacementJobInput& job, int k, std::vector<Server>* servers,
+                      PackScratch* scratch, JobPlacement* placement) {
   const int w = job.alloc.num_workers;
   const int p = job.alloc.num_ps;
   const int total = w + p;
   const std::vector<size_t>& order = scratch->candidates;
+  const std::vector<Resources>& free = scratch->free;
 
   scratch->tentative_used.assign(static_cast<size_t>(k), Resources());
   scratch->tentative_w.assign(static_cast<size_t>(k), 0);
@@ -421,36 +145,32 @@ bool TryEvenPlacementFast(const PlacementJobInput& job, int k,
 
   int assigned_ps = 0;
   for (int t = 0; t < total; ++t) {
+    // Bresenham-style interleaving keeps the PS:worker mix even as we go.
     const bool is_ps = (t + 1) * p / total > assigned_ps;
     const Resources& demand = is_ps ? job.ps_demand : job.worker_demand;
 
+    // Pick, among the k servers that can still fit this task, the one with
+    // the fewest tasks of this *type* (Theorem 1 balances PS and worker
+    // counts independently), breaking ties by total tasks, then by most free
+    // capacity. Servers are not mutated before the commit below, so the
+    // cached free vectors are exact.
     int best = -1;
     for (int i = 0; i < k; ++i) {
-      // scratch->free[i] is the same value the legacy code recomputes as
-      // servers[order[i]].Free(): servers are not mutated between candidate
-      // draw and commit, so caching it cannot change any comparison.
-      if (!(scratch->free[static_cast<size_t>(i)] - tentative_used[static_cast<size_t>(i)])
-               .Fits(demand)) {
+      const size_t ui = static_cast<size_t>(i);
+      if (!(free[ui] - tentative_used[ui]).Fits(demand)) {
         continue;
       }
       if (best < 0) {
         best = i;
         continue;
       }
-      const int type_i = is_ps ? tentative_p[static_cast<size_t>(i)]
-                               : tentative_w[static_cast<size_t>(i)];
-      const int type_b = is_ps ? tentative_p[static_cast<size_t>(best)]
-                               : tentative_w[static_cast<size_t>(best)];
-      const int tasks_i =
-          tentative_w[static_cast<size_t>(i)] + tentative_p[static_cast<size_t>(i)];
-      const int tasks_b =
-          tentative_w[static_cast<size_t>(best)] + tentative_p[static_cast<size_t>(best)];
-      const double free_i = (scratch->free[static_cast<size_t>(i)] -
-                             tentative_used[static_cast<size_t>(i)])
-                                .cpu();
-      const double free_b = (scratch->free[static_cast<size_t>(best)] -
-                             tentative_used[static_cast<size_t>(best)])
-                                .cpu();
+      const size_t ub = static_cast<size_t>(best);
+      const int type_i = is_ps ? tentative_p[ui] : tentative_w[ui];
+      const int type_b = is_ps ? tentative_p[ub] : tentative_w[ub];
+      const int tasks_i = tentative_w[ui] + tentative_p[ui];
+      const int tasks_b = tentative_w[ub] + tentative_p[ub];
+      const double free_i = (free[ui] - tentative_used[ui]).cpu();
+      const double free_b = (free[ub] - tentative_used[ub]).cpu();
       if (type_i < type_b ||
           (type_i == type_b &&
            (tasks_i < tasks_b || (tasks_i == tasks_b && free_i > free_b)))) {
@@ -458,19 +178,20 @@ bool TryEvenPlacementFast(const PlacementJobInput& job, int k,
       }
     }
     if (best < 0) {
-      return false;
+      return false;  // this task fits on none of the k servers
     }
-    tentative_used[static_cast<size_t>(best)] += demand;
+    const size_t ub = static_cast<size_t>(best);
+    tentative_used[ub] += demand;
     if (is_ps) {
-      ++tentative_p[static_cast<size_t>(best)];
+      ++tentative_p[ub];
       ++assigned_ps;
     } else {
-      ++tentative_w[static_cast<size_t>(best)];
+      ++tentative_w[ub];
     }
   }
 
-  // Commit (same Allocate sequence as the legacy code) and emit the compact
-  // triples sorted by server id — the order ForEachUsed promises.
+  // Commit in candidate order, then emit the triples sorted by server id —
+  // the order ForEachUsed promises.
   struct Used {
     int server;
     int w;
@@ -478,14 +199,12 @@ bool TryEvenPlacementFast(const PlacementJobInput& job, int k,
   };
   std::vector<Used> used;
   used.reserve(static_cast<size_t>(k));
-  for (int i = 0; i < k; ++i) {
-    if (tentative_w[static_cast<size_t>(i)] == 0 && tentative_p[static_cast<size_t>(i)] == 0) {
+  for (size_t i = 0; i < static_cast<size_t>(k); ++i) {
+    if (tentative_w[i] == 0 && tentative_p[i] == 0) {
       continue;
     }
-    Server& server = (*servers)[order[static_cast<size_t>(i)]];
-    server.Allocate(tentative_used[static_cast<size_t>(i)]);
-    used.push_back({static_cast<int>(order[static_cast<size_t>(i)]),
-                    tentative_w[static_cast<size_t>(i)], tentative_p[static_cast<size_t>(i)]});
+    (*servers)[order[i]].Allocate(tentative_used[i]);
+    used.push_back({static_cast<int>(order[i]), tentative_w[i], tentative_p[i]});
   }
   std::sort(used.begin(), used.end(),
             [](const Used& a, const Used& b) { return a.server < b.server; });
@@ -497,25 +216,19 @@ bool TryEvenPlacementFast(const PlacementJobInput& job, int k,
   return true;
 }
 
-// PlaceOptimus over the sharded pool with the capacity lower-bound jump.
-bool PlaceOptimusSharded(const PlacementJobInput& job, std::vector<Server>* servers,
-                         ShardedServerPool* pool, PackScratch* scratch,
-                         JobPlacement* placement) {
-  const int max_k =
-      std::min<int>(static_cast<int>(servers->size()),
-                    job.alloc.num_workers + job.alloc.num_ps);
-  scratch->candidates.clear();
-  pool->PopMostFree(static_cast<size_t>(max_k), &scratch->candidates);
-  const int n_cand = static_cast<int>(scratch->candidates.size());
-
-  scratch->free.resize(static_cast<size_t>(n_cand));
-  scratch->prefix_free.resize(static_cast<size_t>(n_cand));
+// Packs the job onto the smallest k for which the first k of
+// scratch->candidates can host it; returns false when no k works.
+bool PackOntoCandidates(const PlacementJobInput& job, std::vector<Server>* servers,
+                        PackScratch* scratch, JobPlacement* placement) {
+  const int tasks = job.alloc.num_workers + job.alloc.num_ps;
+  const int max_k = std::min<int>(static_cast<int>(scratch->candidates.size()), tasks);
+  scratch->free.resize(static_cast<size_t>(max_k));
+  scratch->prefix_free.resize(static_cast<size_t>(max_k));
   Resources running;
-  for (int i = 0; i < n_cand; ++i) {
-    scratch->free[static_cast<size_t>(i)] =
-        (*servers)[scratch->candidates[static_cast<size_t>(i)]].Free();
-    running += scratch->free[static_cast<size_t>(i)];
-    scratch->prefix_free[static_cast<size_t>(i)] = running;
+  for (size_t i = 0; i < static_cast<size_t>(max_k); ++i) {
+    scratch->free[i] = (*servers)[scratch->candidates[i]].Free();
+    running += scratch->free[i];
+    scratch->prefix_free[i] = running;
   }
 
   // Sound lower bound: if the total free capacity of the first k candidates
@@ -528,101 +241,166 @@ bool PlaceOptimusSharded(const PlacementJobInput& job, std::vector<Server>* serv
   const Resources total_demand =
       job.worker_demand * job.alloc.num_workers + job.ps_demand * job.alloc.num_ps;
   const Resources demand_floor = total_demand * (1.0 - 1e-6);
-
-  bool placed = false;
-  for (int k = 1; k <= n_cand; ++k) {
-    if (!scratch->prefix_free[static_cast<size_t>(k - 1)].Fits(demand_floor)) {
-      continue;
-    }
-    if (TryEvenPlacementFast(job, k, servers, scratch, placement)) {
-      placed = true;
-      break;
+  for (int k = 1; k <= max_k; ++k) {
+    if (scratch->prefix_free[static_cast<size_t>(k - 1)].Fits(demand_floor) &&
+        TryEvenPlacement(job, k, servers, scratch, placement)) {
+      return true;
     }
   }
+  return false;
+}
+
+// Places one job under the Optimus scheme: candidates are drawn in
+// descending-availability order (the paper's sort) and the job is packed
+// onto the first k of them for growing k.
+bool PlaceOptimus(const PlacementJobInput& job, std::vector<Server>* servers,
+                  ShardedServerPool* pool, PackScratch* scratch,
+                  JobPlacement* placement) {
+  const size_t max_k = std::min<size_t>(
+      servers->size(), static_cast<size_t>(job.alloc.num_workers + job.alloc.num_ps));
+  scratch->candidates.clear();
+  pool->PopMostFree(max_k, &scratch->candidates);
+  const bool placed = PackOntoCandidates(job, servers, scratch, placement);
   pool->Push(scratch->candidates);
   return placed;
+}
+
+// Rack-aware Theorem-1 variant: tries to pack the whole job under one edge
+// switch so its traffic never crosses a rack uplink. Racks are tried in
+// descending free-CPU order (ties: lower rack id first); within a rack,
+// candidates are its available servers in descending (free_cpu, lower index
+// first) order, packed onto the smallest k that fits. When no single rack
+// can hold the job, falls back to the global Optimus scheme.
+bool PlaceRackAware(const PlacementJobInput& job, int rack_size,
+                    std::vector<Server>* servers, ShardedServerPool* pool,
+                    PackScratch* scratch, JobPlacement* placement) {
+  if (rack_size <= 0) {
+    return PlaceOptimus(job, servers, pool, scratch, placement);
+  }
+  const int n = static_cast<int>(servers->size());
+  const int num_racks = (n + rack_size - 1) / rack_size;
+
+  std::vector<std::pair<double, int>> rack_order;  // (free cpu sum, rack)
+  rack_order.reserve(static_cast<size_t>(num_racks));
+  for (int r = 0; r < num_racks; ++r) {
+    double free_sum = 0.0;
+    const int begin = r * rack_size;
+    const int end = std::min(n, begin + rack_size);
+    for (int s = begin; s < end; ++s) {
+      if ((*servers)[static_cast<size_t>(s)].available()) {
+        free_sum += (*servers)[static_cast<size_t>(s)].Free().cpu();
+      }
+    }
+    rack_order.push_back({free_sum, r});
+  }
+  std::stable_sort(rack_order.begin(), rack_order.end(),
+                   [](const auto& a, const auto& b) { return a.first > b.first; });
+
+  std::vector<size_t>& candidates = scratch->candidates;
+  for (const auto& [free_sum, r] : rack_order) {
+    candidates.clear();
+    const int begin = r * rack_size;
+    const int end = std::min(n, begin + rack_size);
+    for (int s = begin; s < end; ++s) {
+      if ((*servers)[static_cast<size_t>(s)].available()) {
+        candidates.push_back(static_cast<size_t>(s));
+      }
+    }
+    std::stable_sort(candidates.begin(), candidates.end(), [&](size_t a, size_t b) {
+      return (*servers)[a].Free().cpu() > (*servers)[b].Free().cpu();
+    });
+    if (PackOntoCandidates(job, servers, scratch, placement)) {
+      return true;
+    }
+  }
+  // No rack can hold the job alone: spill across racks the Theorem-1 way.
+  return PlaceOptimus(job, servers, pool, scratch, placement);
+}
+
+enum class PickRule { kMostFree, kTightestFit };
+
+// Places a job one task at a time using a server-picking rule; rolls back on
+// failure so the servers are unchanged when false is returned.
+bool PlacePerTask(const PlacementJobInput& job, PickRule rule,
+                  std::vector<Server>* servers, JobPlacement* placement) {
+  struct Step {
+    size_t server;
+    Resources demand;
+    bool is_ps;
+  };
+  std::vector<Step> committed;
+
+  auto pick = [&](const Resources& demand) -> int {
+    int best = -1;
+    double best_key = rule == PickRule::kMostFree
+                          ? -std::numeric_limits<double>::infinity()
+                          : std::numeric_limits<double>::infinity();
+    for (size_t s = 0; s < servers->size(); ++s) {
+      const Server& server = (*servers)[s];
+      if (!server.CanFit(demand)) {
+        continue;
+      }
+      // Key on free CPU: most-free spreads load (Kubernetes default);
+      // tightest-fit packs to minimize fragmentation (Tetris).
+      const double key = server.Free().cpu();
+      const bool better =
+          rule == PickRule::kMostFree ? key > best_key : key < best_key;
+      if (better) {
+        best_key = key;
+        best = static_cast<int>(s);
+      }
+    }
+    return best;
+  };
+
+  auto place_tasks = [&](int count, const Resources& demand, bool is_ps) {
+    for (int t = 0; t < count; ++t) {
+      const int s = pick(demand);
+      if (s < 0) {
+        return false;
+      }
+      (*servers)[static_cast<size_t>(s)].Allocate(demand);
+      committed.push_back({static_cast<size_t>(s), demand, is_ps});
+    }
+    return true;
+  };
+
+  // Interleave PS and worker placement so colocations arise naturally.
+  if (place_tasks(job.alloc.num_ps, job.ps_demand, /*is_ps=*/true) &&
+      place_tasks(job.alloc.num_workers, job.worker_demand, /*is_ps=*/false)) {
+    std::sort(committed.begin(), committed.end(),
+              [](const Step& a, const Step& b) { return a.server < b.server; });
+    for (const Step& step : committed) {
+      const int s = static_cast<int>(step.server);
+      if (placement->used_servers.empty() || placement->used_servers.back() != s) {
+        placement->used_servers.push_back(s);
+        placement->used_workers.push_back(0);
+        placement->used_ps.push_back(0);
+      }
+      ++(step.is_ps ? placement->used_ps : placement->used_workers).back();
+    }
+    return true;
+  }
+  for (const Step& step : committed) {
+    (*servers)[step.server].Release(step.demand);
+  }
+  return false;
 }
 
 }  // namespace
 
 PlacementResult PlaceJobs(PlacementPolicy policy,
                           const std::vector<PlacementJobInput>& jobs,
-                          std::vector<Server> servers, bool shrink_to_fit,
-                          int rack_size) {
-  return PlaceJobs(policy, jobs, &servers, shrink_to_fit, rack_size);
-}
-
-PlacementResult PlaceJobsSharded(const ShardPlan& plan,
-                                 const std::vector<PlacementJobInput>& jobs,
-                                 std::vector<Server>* servers_in,
-                                 bool shrink_to_fit) {
-  PlacementResult result;
-  std::vector<Server>& servers = *servers_in;
-
-  // Identical job order to the legacy path: smallest dominant footprint
-  // first, stable within ties.
-  const Resources capacity = TotalCapacity(servers);
-  std::vector<size_t> job_order(jobs.size());
-  std::iota(job_order.begin(), job_order.end(), 0);
-  auto footprint = [&](const PlacementJobInput& job) {
-    const Resources total = job.worker_demand * job.alloc.num_workers +
-                            job.ps_demand * job.alloc.num_ps;
-    return total.DominantShare(capacity);
-  };
-  std::stable_sort(job_order.begin(), job_order.end(), [&](size_t a, size_t b) {
-    return footprint(jobs[a]) < footprint(jobs[b]);
-  });
-
-  ShardedServerPool pool(&servers, plan);
-  PackScratch scratch;
-  for (size_t idx : job_order) {
-    PlacementJobInput job = jobs[idx];
-    if (!ActiveAllocation(job.alloc, job.comm)) {
-      continue;
-    }
-
-    JobPlacement placement;
-    if (job.recycle != nullptr) {
-      // Adopt the donor's buffers for their capacity. Dense vectors (from a
-      // legacy-shaped donor) are dropped to size 0 so the result is
-      // unambiguously compact; the triple vectors are cleared in place.
-      placement = std::move(*job.recycle);
-      placement.workers_per_server.clear();
-      placement.ps_per_server.clear();
-      placement.used_servers.clear();
-      placement.used_workers.clear();
-      placement.used_ps.clear();
-    }
-    bool placed = false;
-    while (true) {
-      placed = PlaceOptimusSharded(job, &servers, &pool, &scratch, &placement);
-      if (placed || !shrink_to_fit ||
-          (job.alloc.num_ps <= 1 && job.alloc.num_workers == 1)) {
-        break;
-      }
-      job.alloc.num_ps =
-          job.alloc.num_ps > 0 ? std::max(1, job.alloc.num_ps / 2) : 0;
-      job.alloc.num_workers = std::max(1, job.alloc.num_workers / 2);
-    }
-
-    if (placed) {
-      result.placements[job.job_id] = std::move(placement);
-      result.effective_alloc[job.job_id] = job.alloc;
-    } else {
-      result.unplaced.push_back(job.job_id);
-    }
-  }
-  std::sort(result.unplaced.begin(), result.unplaced.end());
-  return result;
-}
-
-PlacementResult PlaceJobs(PlacementPolicy policy,
-                          const std::vector<PlacementJobInput>& jobs,
                           std::vector<Server>* servers_in, bool shrink_to_fit,
-                          int rack_size) {
+                          int rack_size, const ShardPlan& plan) {
   PlacementResult result;
   std::vector<Server>& servers = *servers_in;
-  const size_t n_servers = servers.size();
+  const int n_servers = static_cast<int>(servers.size());
+  OPTIMUS_CHECK(plan.num_shards() == 0 || plan.n_servers() == n_servers)
+      << "shard plan covers " << plan.n_servers() << " servers, placing onto "
+      << n_servers;
+  const ShardPlan one_shard =
+      plan.num_shards() > 0 ? ShardPlan() : ShardPlan::Build(1, n_servers, 0);
 
   // Smallest jobs first (total dominant footprint) to avoid starving them.
   const Resources capacity = TotalCapacity(servers);
@@ -637,45 +415,22 @@ PlacementResult PlaceJobs(PlacementPolicy policy,
     return footprint(jobs[a]) < footprint(jobs[b]);
   });
 
-  ServerPool pool(&servers);
+  ShardedServerPool pool(&servers, plan.num_shards() > 0 ? plan : one_shard);
+  PackScratch scratch;
   for (size_t idx : job_order) {
     PlacementJobInput job = jobs[idx];
     if (!ActiveAllocation(job.alloc, job.comm)) {
       continue;  // job got no resources this interval; nothing to place
     }
 
-    bool placed = false;
+    // Failed attempts leave the placement empty, so one object serves every
+    // shrink retry.
     JobPlacement placement;
-    // Failed attempts leave the dense vectors all-zero (TryEvenPlacement only
-    // commits on success; PlacePerTask rolls back), so one allocation serves
-    // every shrink retry.
-    if (job.recycle != nullptr &&
-        job.recycle->workers_per_server.size() == n_servers &&
-        job.recycle->ps_per_server.size() == n_servers) {
-      // Adopt the donor's buffers and re-zero only its occupied entries
-      // (used_servers covers every nonzero slot by contract). A donor without
-      // the sparse index still saves the allocation: zero it in place.
-      placement = std::move(*job.recycle);
-      if (placement.used_servers.empty()) {
-        std::fill(placement.workers_per_server.begin(),
-                  placement.workers_per_server.end(), 0);
-        std::fill(placement.ps_per_server.begin(), placement.ps_per_server.end(),
-                  0);
-      } else {
-        for (int s : placement.used_servers) {
-          placement.workers_per_server[static_cast<size_t>(s)] = 0;
-          placement.ps_per_server[static_cast<size_t>(s)] = 0;
-        }
-        placement.used_servers.clear();
-      }
-    } else {
-      placement.workers_per_server.assign(n_servers, 0);
-      placement.ps_per_server.assign(n_servers, 0);
-    }
+    bool placed = false;
     while (true) {
       switch (policy) {
         case PlacementPolicy::kOptimusPack:
-          placed = PlaceOptimus(job, &servers, &pool, &placement);
+          placed = PlaceOptimus(job, &servers, &pool, &scratch, &placement);
           break;
         case PlacementPolicy::kLoadBalance:
           placed = PlacePerTask(job, PickRule::kMostFree, &servers, &placement);
@@ -684,7 +439,7 @@ PlacementResult PlaceJobs(PlacementPolicy policy,
           placed = PlacePerTask(job, PickRule::kTightestFit, &servers, &placement);
           break;
         case PlacementPolicy::kRackPack:
-          placed = PlaceRackAware(job, rack_size, &servers, &pool, &placement);
+          placed = PlaceRackAware(job, rack_size, &servers, &pool, &scratch, &placement);
           break;
       }
       if (placed || !shrink_to_fit ||

@@ -1,6 +1,6 @@
 // Task placement onto physical servers (§4.2).
 //
-// Three policies:
+// Four policies:
 //  - kOptimusPack: the paper's scheme. Servers are sorted by available
 //    capacity (descending), jobs by resource demand (ascending, smallest job
 //    first to avoid starvation). Each job is packed onto the smallest number
@@ -15,6 +15,13 @@
 //    one edge switch — racks tried in descending free-capacity order — so
 //    its traffic never crosses an oversubscribed uplink; jobs no single rack
 //    can hold fall back to the global kOptimusPack scheme.
+//
+// There is one packing path. The Theorem-1 packer keeps one lazy max-heap of
+// (free CPU, server id) per shard of a ShardPlan and pops through a
+// tournament over the shard tops, which reproduces the global most-free order
+// exactly, so the shard count never changes a decision (docs/ALGORITHMS.md
+// §18). Every policy emits the compact JobPlacement form: a job's placement
+// costs O(tasks) memory whatever the cluster size.
 //
 // Jobs that cannot be placed under a policy are reported back; the simulator
 // pauses them until the next interval (§4.2).
@@ -46,19 +53,12 @@ struct PlacementJobInput {
   Allocation alloc;
   Resources worker_demand;
   Resources ps_demand;
-  // Optional donor for the result's dense per-server vectors: when set (and
-  // sized to the server list), PlaceJobs moves the buffers out of the pointee
-  // and sparsely re-zeroes them via used_servers instead of allocating and
-  // zero-filling two server-sized vectors per job — the dominant placement
-  // cost on large clusters. The pointee is left moved-from; callers must not
-  // read it again before reassigning it. Placement decisions are unaffected.
-  JobPlacement* recycle = nullptr;
   // All-reduce jobs (num_ps == 0) are placeable with workers alone.
   CommMode comm = CommMode::kParameterServer;
 };
 
 struct PlacementResult {
-  // job_id -> per-server task counts (vectors sized to the server list).
+  // job_id -> where the job's tasks run.
   std::map<int, JobPlacement> placements;
   // job_id -> the allocation actually placed. Differs from the requested
   // allocation only when shrink-to-fit reduced an unplaceable job.
@@ -67,8 +67,8 @@ struct PlacementResult {
   std::vector<int> unplaced;
 };
 
-// Places all jobs onto `servers` (consumed by value: placement starts from
-// the servers' current free state and mutates the copies).
+// Places all jobs onto `*servers`, committing each placed task's demand to
+// its server (so `*servers` ends in the post-placement free state).
 //
 // The cluster-level capacity check of the allocators (Eqn 7) ignores
 // per-server fragmentation, so an allocation can be infeasible to place. With
@@ -77,43 +77,13 @@ struct PlacementResult {
 // deterministic allocator can pause the same job forever.
 // `rack_size` feeds the kRackPack policy's rack layout (0 = no racks: the
 // policy degrades to kOptimusPack); other policies ignore it.
-PlacementResult PlaceJobs(PlacementPolicy policy,
-                          const std::vector<PlacementJobInput>& jobs,
-                          std::vector<Server> servers, bool shrink_to_fit = true,
-                          int rack_size = 0);
-
-// In-place variant: mutates `*servers` directly instead of consuming a copy.
-// Lets a caller that reschedules every round keep one scratch server vector
-// (refreshed by element-wise assignment, which reuses its capacity) instead
-// of copy-constructing a fresh one per call. Decisions are identical to the
-// by-value overload.
+// `plan` partitions the servers for the packer's heaps; it must cover exactly
+// `servers->size()` servers, or be empty (the default), which means one
+// shard. Decisions are the same for every plan.
 PlacementResult PlaceJobs(PlacementPolicy policy,
                           const std::vector<PlacementJobInput>& jobs,
                           std::vector<Server>* servers, bool shrink_to_fit = true,
-                          int rack_size = 0);
-
-// Sharded fast path for the Optimus packing policy. Placement DECISIONS are
-// identical to PlaceJobs(kOptimusPack, ...) — it differs only in how they
-// are computed and represented:
-//  - one lazy max-heap per shard of the plan instead of a global heap; pops
-//    run a deterministic tournament over the shard tops that reproduces the
-//    global (free_cpu, server index) order exactly,
-//  - a sound capacity lower bound skips k values whose first-k candidate
-//    prefix provably cannot hold the job's total demand (failed
-//    TryEvenPlacement attempts have no side effects, so skipping them cannot
-//    change any decision),
-//  - per-candidate free vectors are computed once per job instead of once
-//    per (task, candidate) probe, and the tentative buffers are reused
-//    across jobs,
-//  - result placements use the compact JobPlacement form (used_servers /
-//    used_workers / used_ps), so a round's placements cost O(tasks) memory
-//    instead of O(n_servers) per job — the dominant cost at 100k servers.
-// A donor in PlacementJobInput::recycle is adopted for its vector capacity
-// whatever its shape (dense donors are dropped to the compact form).
-PlacementResult PlaceJobsSharded(const ShardPlan& plan,
-                                 const std::vector<PlacementJobInput>& jobs,
-                                 std::vector<Server>* servers,
-                                 bool shrink_to_fit = true);
+                          int rack_size = 0, const ShardPlan& plan = ShardPlan());
 
 }  // namespace optimus
 

@@ -124,6 +124,7 @@ bool ServiceSession::Rebuild(const std::string& text, const std::string& source,
   genesis_text_ = text;
   journal_.clear();
   next_job_id_ = next_id;
+  advanced_to_s_ = 0.0;
   return true;
 }
 
@@ -391,16 +392,16 @@ bool ServiceSession::HandleAdvance(const ServiceRequest& req, JsonObject* resp,
                                            : "\"dt_s\" must be a number");
     return false;
   }
-  const double target = to != nullptr ? to->AsDouble()
-                                      : sim_->now_s() + dt->AsDouble();
-  if (target < sim_->now_s()) {
+  const double now = std::max(sim_->now_s(), advanced_to_s_);
+  const double target = to != nullptr ? to->AsDouble() : now + dt->AsDouble();
+  if (target < now) {
     std::ostringstream os;
-    os << "target time " << target << " is in the past (now " << sim_->now_s()
-       << ")";
+    os << "target time " << target << " is in the past (now " << now << ")";
     *error = PositionedError(source_, *given, os.str());
     return false;
   }
   sim_->AdvanceTo(target);
+  advanced_to_s_ = target;
   resp->Set("now_s", sim_->now_s());
   resp->Set("completed_jobs", sim_->metrics().completed_jobs);
   resp->Set("total_jobs", sim_->metrics().total_jobs);

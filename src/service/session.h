@@ -115,6 +115,10 @@ class ServiceSession {
   std::unique_ptr<Simulator> sim_;
   std::vector<std::string> journal_;  // mutating request lines since genesis
   int next_job_id_ = 0;               // smallest id above every known job id
+  // Furthest time an advance has targeted since genesis. The event engine
+  // stops at its last event, so now_s can trail the requested time; relative
+  // advances build on this instead of on now_s.
+  double advanced_to_s_ = 0.0;
   int64_t sequence_ = 0;              // requests seen (1-based ids)
 
   MetricsRegistry registry_;

@@ -127,16 +127,12 @@ void InvariantAuditor::Check(double now_s, const std::vector<Server>& servers,
       continue;
     }
     const JobPlacement& placement = *job.placement;
-    if (placement.compact()
-            ? (placement.used_workers.size() != placement.used_servers.size() ||
-               placement.used_ps.size() != placement.used_servers.size())
-            : (placement.workers_per_server.size() != n_servers ||
-               placement.ps_per_server.size() != n_servers)) {
+    if (placement.used_workers.size() != placement.used_servers.size() ||
+        placement.used_ps.size() != placement.used_servers.size()) {
       std::ostringstream os;
       os << "job " << job.job_id << " placement sized "
-         << placement.workers_per_server.size() << "/"
-         << placement.ps_per_server.size() << "/" << placement.used_servers.size()
-         << " for " << n_servers << " servers";
+         << placement.used_servers.size() << "/" << placement.used_workers.size()
+         << "/" << placement.used_ps.size() << " (servers/workers/ps)";
       Report(now_s, "capacity", os.str());
       continue;
     }

@@ -311,7 +311,6 @@ void Simulator::RetireJob(size_t idx) {
   }
   ++retired_count_;
   auditor_.NoteRetired(jr->job.id());
-  HarvestPlacement(&jr->job);
   jobs_[idx].reset();
 }
 
@@ -575,12 +574,6 @@ void Simulator::InitSpeedModel(JobRuntime* jr) {
   }
   jr->speed =
       std::make_unique<SpeedModel>(spec.mode, spec.GlobalBatch());
-  if (!config_.model_caching) {
-    // Baseline mode: from-scratch dense refits and un-memoized predictions
-    // (bit-identical outputs, used to benchmark the cached paths).
-    jr->conv->set_caching(false);
-    jr->speed->set_caching(false);
-  }
   if (config_.oracle_estimates) {
     return;  // oracle mode never consults the fitted models
   }
@@ -918,22 +911,11 @@ double Simulator::BackgroundShare(double t) const {
          (0.5 + 0.5 * std::sin(kTwoPi * t / config_.background_period_s));
 }
 
-void Simulator::HarvestPlacement(Job* job) {
-  JobPlacement* p = job->mutable_placement();
-  const bool dense_full = p->workers_per_server.size() == servers_.size() &&
-                          p->ps_per_server.size() == servers_.size();
-  if (dense_full || p->compact()) {
-    placement_spares_.push_back(std::move(*p));
-    *p = JobPlacement{};
-  }
-}
-
 void Simulator::EvictJob(JobRuntime* jr, const std::string& reason) {
   Job& job = jr->job;
   const double lost = job.RollbackToCheckpoint();
   metrics_.rolled_back_steps += lost;
   job.AddStall(CheckpointStallSeconds(*job.spec().model, config_.checkpoint));
-  HarvestPlacement(&job);
   job.SetAllocation(0, 0, {});
   job.set_state(job.steps_done() > 0 ? JobState::kPaused : JobState::kPending);
   jr->load_valid = false;
@@ -1088,16 +1070,14 @@ void Simulator::RunAudit() {
   counts.retired = retired_count_;
   const double check_time = now_s_ + config_.interval_s;
   // Most intervals run the O(changed) incremental check; every
-  // full_audit_period-th check (and always, when incremental auditing is
-  // off) re-derives everything from the views and cross-checks the tracker
-  // against them, so incremental-state drift cannot go unnoticed.
-  const bool full = !config_.incremental_audit || config_.full_audit_period <= 1 ||
+  // full_audit_period-th check re-derives everything from the views and
+  // cross-checks the tracker against them, so incremental-state drift cannot
+  // go unnoticed.
+  const bool full = config_.full_audit_period <= 1 ||
                     auditor_.checks_run() % config_.full_audit_period == 0;
   if (full) {
     auditor_.Check(check_time, servers_, views, counts);
-    if (config_.incremental_audit) {
-      auditor_.CheckTrackerAgainstViews(check_time, views);
-    }
+    auditor_.CheckTrackerAgainstViews(check_time, views);
   } else {
     auditor_.CheckIncremental(check_time, servers_, views, counts);
   }
@@ -1260,26 +1240,12 @@ void Simulator::ScheduleActiveJobs() {
 
   // Placement covers frozen jobs (at their existing counts) plus newly
   // allocated ones.
-  // Each job donates last round's placement buffers for reuse (recycle): the
-  // apply loop below unconditionally reassigns every active job's placement,
-  // so nothing reads the moved-from state. Jobs without sized buffers (first
-  // placement, or buffers harvested on pause/eviction) draw from the spare
-  // pool first so steady-state rounds allocate no server-sized vectors.
-  auto donor = [this](JobRuntime* jr) {
-    JobPlacement* p = jr->job.mutable_placement();
-    if (p->empty() && !placement_spares_.empty()) {
-      *p = std::move(placement_spares_.back());
-      placement_spares_.pop_back();
-    }
-    return p;
-  };
   std::vector<PlacementJobInput> inputs;
   for (JobRuntime* jr : frozen) {
     inputs.push_back({jr->job.id(),
                       {jr->job.num_ps(), jr->job.num_workers()},
                       jr->job.spec().worker_demand,
                       jr->job.spec().ps_demand,
-                      donor(jr),
                       jr->job.spec().comm});
   }
   for (JobRuntime* jr : schedulable) {
@@ -1288,21 +1254,11 @@ void Simulator::ScheduleActiveJobs() {
       a = it->second;
     }
     inputs.push_back({jr->job.id(), a, jr->job.spec().worker_demand,
-                      jr->job.spec().ps_demand, donor(jr),
-                      jr->job.spec().comm});
+                      jr->job.spec().ps_demand, jr->job.spec().comm});
   }
-  // Sharded placement keeps one lazy heap per shard and pops via a
-  // tournament reproducing the global most-free order, with compact
-  // (occupied-servers-only) output vectors; it is decision-identical to the
-  // legacy kOptimusPack path. Other placement policies take the legacy path.
-  const bool sharded_placement =
-      shard_plan_.num_shards() > 1 &&
-      config_.placement == PlacementPolicy::kOptimusPack;
-  PlacementResult placed =
-      sharded_placement
-          ? PlaceJobsSharded(shard_plan_, inputs, &servers)
-          : PlaceJobs(config_.placement, inputs, &servers,
-                      /*shrink_to_fit=*/true, config_.rack_size);
+  PlacementResult placed = PlaceJobs(config_.placement, inputs, &servers,
+                                     /*shrink_to_fit=*/true, config_.rack_size,
+                                     shard_plan_);
 
   // Index the placement result once instead of two map lookups per job: the
   // two maps carry identical key sets (both filled on successful placement),
@@ -1353,16 +1309,8 @@ void Simulator::ScheduleActiveJobs() {
     bool scaled = false;
     if (placeable) {
       const bool first_schedule = old_state == JobState::kPending;
-      if (!config_.sparse_placement && !placement->compact()) {
-        // Baseline mode: drop the sparse index so every placement walk falls
-        // back to the dense O(n_servers) scan. ForEachUsed visits the same
-        // nonzero entries either way, so outputs are bit-identical. Compact
-        // placements (sharded fast path) have no dense vectors to fall back
-        // to, so they keep their index.
-        placement->used_servers.clear();
-      }
-      // `placed` is dead after this loop, so the placement's server vectors
-      // can move into the job instead of being copied.
+      // `placed` is dead after this loop, so the placement's vectors can
+      // move into the job instead of being copied.
       scaled = jr->job.SetAllocation(a.num_ps, a.num_workers, std::move(*placement));
       if (batch_by_index[job_idx] >= 0) {
         // 0 resets to the configured batch (non-adaptive policies and
@@ -1388,7 +1336,6 @@ void Simulator::ScheduleActiveJobs() {
                        a.num_workers);
       }
     } else {
-      HarvestPlacement(&jr->job);
       jr->job.SetAllocation(0, 0, {});
       jr->job.set_batch_override(0);
       auditor_.ClearPlacement(id);
@@ -1624,7 +1571,6 @@ void Simulator::AdvanceInterval() {
       ++completed_;
       ++metrics_.completed_jobs;
       auditor_.ClearPlacement(jr->job.id());
-      HarvestPlacement(&jr->job);
       done.push_back(i);
     }
     if (!out.ran) {
@@ -1926,7 +1872,6 @@ bool Simulator::KillJob(int job_id, std::string* error) {
   const int event_ps = job.num_ps();
   const int event_workers = job.num_workers();
   if (job.num_workers() > 0 || job.num_ps() > 0) {
-    HarvestPlacement(&job);
     job.SetAllocation(0, 0, {});
   }
   auditor_.ClearPlacement(job.id());

@@ -177,36 +177,22 @@ struct SimulatorConfig {
   // audit_fatal, any violation aborts the run loudly instead.
   bool audit = true;
   bool audit_fatal = false;
-  // Incremental auditing: per-server load is maintained by deltas at
-  // placement/eviction/completion time and checked in O(changed); every
-  // full_audit_period-th check re-derives everything from first principles
-  // and cross-checks the incremental tracker against it. Both paths enforce
-  // the same invariants; incremental_audit = false re-derives every interval
-  // (the pre-optimization behavior).
-  bool incremental_audit = true;
+  // Per-server load is maintained by deltas at placement/eviction/completion
+  // time and checked in O(changed); every full_audit_period-th check (every
+  // check at a period <= 1) re-derives everything from first principles and
+  // cross-checks the incremental tracker against it.
   int full_audit_period = 16;
-  // Model-fitting caches (Gram-cached NNLS refits, dirty-flag fit skipping,
-  // memoized epoch walks). The cached paths are bit-identical to the
-  // from-scratch ones; false forces the from-scratch paths (baseline mode
-  // for benchmarks).
-  bool model_caching = true;
   // Observability: metrics registry, flight recorder, series sampling.
   ObservabilityConfig obs;
-  // Sparse placement iteration: jobs carry the sorted list of servers they
-  // occupy (JobPlacement::used_servers), so speed evaluation, eviction scans
-  // and audit updates walk O(tasks) entries instead of the dense O(servers)
-  // vectors. Outputs are bit-identical either way; false restores the dense
-  // scans (baseline mode for benchmarks).
-  bool sparse_placement = true;
   // Two-phase sharded scheduling rounds (docs/ALGORITHMS.md §18): servers are
   // partitioned into `shards` rack-aligned contiguous pools. Allocation first
   // runs locally per shard — in parallel on the job thread pool, each shard
   // against its proportional capacity slice — to warm the speed-surface memo
   // tables; a serial cross-shard fixup pass then allocates over the full
   // cluster on the warmed tables, migrating grants across shard boundaries
-  // until no cross-shard marginal gain remains. Placement (kOptimusPack only)
-  // keeps one lazy server heap per shard and merges them with a tournament
-  // pop that reproduces the global most-free order. Decisions, RunMetrics,
+  // until no cross-shard marginal gain remains. The packing placement keeps
+  // one lazy server heap per shard and merges them with a tournament pop
+  // that reproduces the global most-free order. Decisions, RunMetrics,
   // event traces, and the deterministic metric catalog are bitwise identical
   // for every (shards, threads) combination; 1 = the unsharded round.
   int shards = 1;
@@ -216,9 +202,8 @@ struct SimulatorConfig {
   int rack_size = 0;
   // Streaming job admission: arrival specs are held in a pending queue and
   // each Job record is materialized only when the simulation clock reaches
-  // its arrival, then retired (heavy state freed, placement buffers recycled
-  // through the spare pool, a compact RetiredJob record kept for the final
-  // aggregation) once it completes — peak memory tracks the ACTIVE job set
+  // its arrival, then retired (heavy state freed, a compact RetiredJob record
+  // kept for the final aggregation) once it completes — peak memory tracks the ACTIVE job set
   // instead of the full trace length. Requires the spec list to be sorted by
   // arrival time (workload generators emit time-ordered traces); outputs are
   // bitwise identical to the batch-materialized run.
@@ -460,9 +445,8 @@ class Simulator {
   }
   // Retires the completed runtime in jobs_[idx]: folds the state the final
   // aggregation and the metrics walks need into the retired records, hands
-  // the auditor its NoteRetired, recycles placement buffers through the
-  // spare pool, and frees the runtime (jobs_[idx] becomes null; every loop
-  // over jobs_ skips null slots).
+  // the auditor its NoteRetired, and frees the runtime (jobs_[idx] becomes
+  // null; every loop over jobs_ skips null slots).
   void RetireJob(size_t idx);
   // Retires every completed, not-yet-retired runtime. No-op unless
   // config_.streaming. The interval engine sweeps at the end of each step;
@@ -497,13 +481,6 @@ class Simulator {
   // last checkpoint, charges the restore stall, releases the allocation, and
   // applies the relaunch backoff policy.
   void EvictJob(JobRuntime* jr, const std::string& reason);
-  // Reclaims a job's dense placement vectors into the spare pool when the job
-  // leaves the cluster (completion, eviction, pause). Paired with the donor
-  // path in ScheduleActiveJobs, steady-state rounds then recirculate a small
-  // working set of server-sized buffers instead of allocating (and
-  // page-faulting) fresh ones per first placement. No-op if the buffers were
-  // already moved out or never sized.
-  void HarvestPlacement(Job* job);
   void RunAudit();
   // Re-solves the network model over the current placements and refreshes
   // each running job's net_bw_bps. Serial (runs after scheduling and after
@@ -524,10 +501,6 @@ class Simulator {
 
   SimulatorConfig config_;
   std::vector<Server> servers_;
-  // Spare dense placement buffers (see HarvestPlacement); order is
-  // deterministic because harvest and donation both happen in serial,
-  // job-ordered code, and buffer identity never affects decisions.
-  std::vector<JobPlacement> placement_spares_;
   // Scratch copy of servers_ for each scheduling round's placement pass;
   // element-wise refreshed so its heap allocation is made once.
   std::vector<Server> servers_scratch_;
@@ -569,9 +542,9 @@ class Simulator {
   // declared before allocator_, which captures a pointer to it.
   OptimusAllocRoundStats alloc_stats_;
   std::unique_ptr<Allocator> allocator_;
-  // Rack-aligned server partition for the two-phase sharded round
-  // (config_.shards; a single-shard plan routes every call through the
-  // unsharded code paths) and the round's profiling counters.
+  // Rack-aligned server partition for the two-phase sharded round and the
+  // placement heaps (config_.shards; a single-shard plan routes allocation
+  // through the unsharded allocator) and the round's profiling counters.
   ShardPlan shard_plan_;
   ShardedRoundStats sharded_stats_;
   // Network fabric model; null under the flat (exact-compat) model.

@@ -207,7 +207,6 @@ void Simulator::ProcessEpochBatch(const std::vector<SimKernelEvent>& batch) {
         ++completed_;
         ++metrics_.completed_jobs;
         auditor_.ClearPlacement(jr->job.id());
-        HarvestPlacement(&jr->job);
         trace_.RecordEpochs(t, SimEventType::kCompleted, jr->job.id(),
                             out.event_ps, out.event_workers, out.completed_epoch);
         flight_.Record(t, FlightEventKind::kCompleted, jr->job.id(), out.event_ps,

@@ -49,8 +49,7 @@ TEST(EventSimTest, SingleWorkerSinglePsHandComputed) {
 TEST(EventSimTest, ColocatedPairHasNoNetworkTime) {
   const ModelSpec model = TinyModel();
   StepTimeInputs in = Inputs(&model, TrainingMode::kSync, 1, 1);
-  in.placement.workers_per_server = {1};
-  in.placement.ps_per_server = {1};
+  in.placement = {.used_servers = {0}, .used_workers = {1}, .used_ps = {1}};
   EventSimResult r = SimulateStep(in, CommConfig{});
   // Local transfers at 12.5 GB/s: 100 MB in 8 ms each way.
   EXPECT_NEAR(r.step_time_s, 2.0, 0.05);
@@ -150,11 +149,10 @@ TEST(EventSimTest, AgreesWithClosedFormAcrossConfigs) {
 TEST(EventSimTest, PackedPlacementFasterThanSpread) {
   const ModelSpec& model = FindModel("ResNet-50");
   StepTimeInputs packed = Inputs(&model, TrainingMode::kSync, 2, 2);
-  packed.placement.workers_per_server = {1, 1};
-  packed.placement.ps_per_server = {1, 1};
+  packed.placement = {.used_servers = {0, 1}, .used_workers = {1, 1}, .used_ps = {1, 1}};
   StepTimeInputs spread = Inputs(&model, TrainingMode::kSync, 2, 2);
-  spread.placement.workers_per_server = {1, 1, 0, 0};
-  spread.placement.ps_per_server = {0, 0, 1, 1};
+  spread.placement = {
+      .used_servers = {0, 1, 2, 3}, .used_workers = {1, 1, 0, 0}, .used_ps = {0, 0, 1, 1}};
   EXPECT_LT(SimulateStep(packed, CommConfig{}).step_time_s,
             SimulateStep(spread, CommConfig{}).step_time_s);
 }

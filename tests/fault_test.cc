@@ -438,8 +438,7 @@ struct AuditFixture {
   AuditFixture() {
     servers.push_back(Server(0, Resources(16, 64, 0, 1)));
     servers.push_back(Server(1, Resources(16, 64, 0, 1)));
-    placement.workers_per_server = {2, 0};
-    placement.ps_per_server = {1, 0};
+    placement = {.used_servers = {0}, .used_workers = {2}, .used_ps = {1}};
     view.job_id = 0;
     view.state = JobState::kRunning;
     view.steps_done = 10.0;
@@ -464,7 +463,7 @@ TEST(AuditorNegativeTest, ConsistentSnapshotPasses) {
 TEST(AuditorNegativeTest, CatchesOvercommittedServer) {
   AuditFixture f;
   // 8 workers at 10 GB each overflow the server's 64 GB.
-  f.placement.workers_per_server = {8, 0};
+  f.placement.used_workers = {8};
   f.view.num_workers = 8;
   InvariantAuditor auditor;
   auditor.Check(600.0, f.servers, {f.view}, f.counts);

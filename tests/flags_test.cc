@@ -11,9 +11,9 @@ FlagParser Parse(std::vector<const char*> args) {
 }
 
 TEST(FlagParserTest, KeyEqualsValue) {
-  FlagParser flags = Parse({"--jobs=12", "--scheduler=drf"});
+  FlagParser flags = Parse({"--jobs=12", "--policy=drf"});
   EXPECT_EQ(flags.GetInt("jobs", 0), 12);
-  EXPECT_EQ(flags.GetString("scheduler", ""), "drf");
+  EXPECT_EQ(flags.GetString("policy", ""), "drf");
 }
 
 TEST(FlagParserTest, KeySpaceValue) {
@@ -30,7 +30,7 @@ TEST(FlagParserTest, BareBooleanAndNegation) {
 TEST(FlagParserTest, DefaultsWhenAbsent) {
   FlagParser flags = Parse({});
   EXPECT_EQ(flags.GetInt("jobs", 9), 9);
-  EXPECT_EQ(flags.GetString("scheduler", "optimus"), "optimus");
+  EXPECT_EQ(flags.GetString("policy", "optimus"), "optimus");
   EXPECT_DOUBLE_EQ(flags.GetDouble("interval", 600.0), 600.0);
   EXPECT_TRUE(flags.GetBool("paa", true));
   EXPECT_FALSE(flags.Has("jobs"));

@@ -105,17 +105,21 @@ TEST(PlacementFuzzTest, ServerCapacityAndCountsInvariant) {
           PlacementPolicy::kTetrisPack}) {
       SCOPED_TRACE(std::string(PlacementPolicyName(policy)) + " trial " +
                    std::to_string(trial));
-      const PlacementResult result = PlaceJobs(policy, jobs, servers);
+      std::vector<Server> scratch = servers;
+      const PlacementResult result = PlaceJobs(policy, jobs, &scratch);
 
       // Per-server usage within capacity.
       std::vector<Resources> used(servers.size());
       for (const auto& [id, placement] : result.placements) {
         const PlacementJobInput& job = jobs[static_cast<size_t>(id)];
-        ASSERT_EQ(placement.workers_per_server.size(), servers.size());
-        for (size_t s = 0; s < servers.size(); ++s) {
-          used[s] += job.worker_demand * placement.workers_per_server[s] +
-                     job.ps_demand * placement.ps_per_server[s];
-        }
+        ASSERT_EQ(placement.used_workers.size(), placement.used_servers.size());
+        ASSERT_EQ(placement.used_ps.size(), placement.used_servers.size());
+        ASSERT_TRUE(std::is_sorted(placement.used_servers.begin(),
+                                   placement.used_servers.end()));
+        placement.ForEachUsed([&](size_t s, int w, int p) {
+          ASSERT_LT(s, servers.size());
+          used[s] += job.worker_demand * w + job.ps_demand * p;
+        });
         // Task counts match the effective allocation.
         const Allocation eff = result.effective_alloc.at(id);
         EXPECT_EQ(placement.TotalWorkers(), eff.num_workers);
@@ -154,13 +158,16 @@ TEST(PlacementFuzzTest, DeterministicAcrossCalls) {
                  static_cast<int>(rng.UniformInt(1, 6))};
     jobs.push_back(job);
   }
-  const PlacementResult a = PlaceJobs(PlacementPolicy::kOptimusPack, jobs, servers);
-  const PlacementResult b = PlaceJobs(PlacementPolicy::kOptimusPack, jobs, servers);
+  std::vector<Server> servers_a = servers;
+  std::vector<Server> servers_b = servers;
+  const PlacementResult a = PlaceJobs(PlacementPolicy::kOptimusPack, jobs, &servers_a);
+  const PlacementResult b = PlaceJobs(PlacementPolicy::kOptimusPack, jobs, &servers_b);
   ASSERT_EQ(a.placements.size(), b.placements.size());
   for (const auto& [id, pa] : a.placements) {
     const JobPlacement& pb = b.placements.at(id);
-    EXPECT_EQ(pa.workers_per_server, pb.workers_per_server);
-    EXPECT_EQ(pa.ps_per_server, pb.ps_per_server);
+    EXPECT_EQ(pa.used_servers, pb.used_servers);
+    EXPECT_EQ(pa.used_workers, pb.used_workers);
+    EXPECT_EQ(pa.used_ps, pb.used_ps);
   }
 }
 

@@ -26,8 +26,7 @@ struct Fixture {
   Fixture() {
     servers.push_back(Server(0, Resources(16, 64, 0, 1)));
     servers.push_back(Server(1, Resources(16, 64, 0, 1)));
-    placement.workers_per_server = {2, 0};
-    placement.ps_per_server = {1, 0};
+    placement = {.used_servers = {0}, .used_workers = {2}, .used_ps = {1}};
     view.job_id = 0;
     view.state = JobState::kRunning;
     view.steps_done = 10.0;
@@ -77,7 +76,7 @@ TEST(IncrementalAuditorTest, CatchesDeadServerIncrementally) {
 TEST(IncrementalAuditorTest, CatchesOvercommitIncrementally) {
   Fixture f;
   // 8 workers at 10 GB each overflow the server's 64 GB.
-  f.placement.workers_per_server = {8, 0};
+  f.placement.used_workers = {8};
   f.view.num_workers = 8;
   InvariantAuditor auditor;
   f.Track(&auditor);
@@ -116,9 +115,8 @@ TEST(IncrementalAuditorTest, FullCrossCheckCatchesCorruptedTracker) {
   // Corrupt the incremental state: track a placement with the same totals as
   // the truth but different servers. The cheap incremental check only
   // compares totals, so it passes...
-  JobPlacement corrupted;
-  corrupted.workers_per_server = {1, 1};
-  corrupted.ps_per_server = {0, 1};
+  const JobPlacement corrupted = {
+      .used_servers = {0, 1}, .used_workers = {1, 1}, .used_ps = {0, 1}};
   auditor.SetPlacement(f.view.job_id, f.view.worker_demand, f.view.ps_demand,
                        corrupted);
   auditor.CheckIncremental(600.0, f.servers, {f.view}, f.counts);
@@ -160,17 +158,16 @@ TEST(IncrementalAuditorTest, ClearPlacementRemovesContribution) {
 }
 
 // ---------------------------------------------------------------------------
-// Simulator-level equivalence: incremental vs. full-every-interval auditing
-// must observe the identical simulation (auditing is read-only) and both
-// find a healthy faulted run clean.
+// Simulator-level equivalence: mostly-incremental vs. full-every-interval
+// auditing must observe the identical simulation (auditing is read-only) and
+// both find a healthy faulted run clean.
 // ---------------------------------------------------------------------------
 
-RunMetrics RunFaultedSimulator(bool incremental_audit, int full_audit_period) {
+RunMetrics RunFaultedSimulator(int full_audit_period) {
   SimulatorConfig sim;
   sim.seed = 11;
   sim.max_sim_time_s = 2e5;
   sim.audit = true;
-  sim.incremental_audit = incremental_audit;
   sim.full_audit_period = full_audit_period;
   std::string error;
   EXPECT_TRUE(ParseFaultPlan(
@@ -191,25 +188,22 @@ RunMetrics RunFaultedSimulator(bool incremental_audit, int full_audit_period) {
 }
 
 TEST(IncrementalAuditorTest, SimulationIsIdenticalUnderAllAuditModes) {
-  const RunMetrics full = RunFaultedSimulator(/*incremental_audit=*/false, 16);
-  const RunMetrics incremental = RunFaultedSimulator(/*incremental_audit=*/true, 16);
-  // Forced cross-check every interval (the strictest mode): every check is a
+  // Full cross-check every interval (the strictest mode): every check is a
   // full re-derivation plus a tracker-divergence pass.
-  const RunMetrics forced = RunFaultedSimulator(/*incremental_audit=*/true, 1);
+  const RunMetrics full = RunFaultedSimulator(/*full_audit_period=*/1);
+  const RunMetrics incremental = RunFaultedSimulator(/*full_audit_period=*/16);
 
-  for (const RunMetrics* m : {&full, &incremental, &forced}) {
+  for (const RunMetrics* m : {&full, &incremental}) {
     EXPECT_GT(m->audit_checks, 0);
     EXPECT_EQ(m->audit_violations, 0);
   }
-  for (const RunMetrics* m : {&incremental, &forced}) {
-    EXPECT_EQ(full.completed_jobs, m->completed_jobs);
-    EXPECT_EQ(full.avg_jct_s, m->avg_jct_s);          // bitwise
-    EXPECT_EQ(full.makespan_s, m->makespan_s);        // bitwise
-    EXPECT_EQ(full.rolled_back_steps, m->rolled_back_steps);
-    EXPECT_EQ(full.job_evictions, m->job_evictions);
-    EXPECT_EQ(full.task_failures, m->task_failures);
-    EXPECT_EQ(full.audit_checks, m->audit_checks);
-  }
+  EXPECT_EQ(full.completed_jobs, incremental.completed_jobs);
+  EXPECT_EQ(full.avg_jct_s, incremental.avg_jct_s);    // bitwise
+  EXPECT_EQ(full.makespan_s, incremental.makespan_s);  // bitwise
+  EXPECT_EQ(full.rolled_back_steps, incremental.rolled_back_steps);
+  EXPECT_EQ(full.job_evictions, incremental.job_evictions);
+  EXPECT_EQ(full.task_failures, incremental.task_failures);
+  EXPECT_EQ(full.audit_checks, incremental.audit_checks);
 }
 
 }  // namespace

@@ -20,12 +20,16 @@ NetworkConfig FabricConfig(NetworkConfig::Model model, double oversubscription) 
   return config;
 }
 
-JobPlacement WorkersOn(const std::vector<int>& servers, int n_servers = 8) {
+// One worker per listed server id; ids must be ascending (repeats stack).
+JobPlacement WorkersOn(const std::vector<int>& servers) {
   JobPlacement placement;
-  placement.workers_per_server.assign(static_cast<size_t>(n_servers), 0);
-  placement.ps_per_server.assign(static_cast<size_t>(n_servers), 0);
   for (int s : servers) {
-    placement.workers_per_server[static_cast<size_t>(s)] += 1;
+    if (placement.used_servers.empty() || placement.used_servers.back() != s) {
+      placement.used_servers.push_back(s);
+      placement.used_workers.push_back(0);
+      placement.used_ps.push_back(0);
+    }
+    ++placement.used_workers.back();
   }
   return placement;
 }
@@ -237,8 +241,7 @@ TEST_F(AllReduceStepTimeTest, SingleWorkerRingNeverTransfers) {
 
 TEST_F(AllReduceStepTimeTest, SingleServerRingNeverTransfers) {
   StepTimeInputs in = Inputs(4);
-  in.placement.workers_per_server = {4};
-  in.placement.ps_per_server = {0};
+  in.placement = {.used_servers = {0}, .used_workers = {4}, .used_ps = {0}};
   EXPECT_DOUBLE_EQ(ComputeStepTime(in, config_).transfer_s, 0.0);
 }
 

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -198,6 +199,47 @@ TEST_F(ConvergenceModelTest, TooFewSamplesDoesNotFit) {
   EXPECT_FALSE(model.fitted());
 }
 
+TEST_F(ConvergenceModelTest, CachedFitsMatchFromScratchBitwise) {
+  // Dense loss feed (300 samples per epoch) fitted at full fidelity: the
+  // shared-Gram solves, dirty-flag skips and memoized epoch walks must
+  // reproduce the from-scratch fit exactly, refit after refit.
+  const ModelSpec& spec = FindModel("ResNet-50");
+  const int64_t spe = spec.StepsPerEpoch(spec.default_sync_batch);
+  LossCurve curve(spec.loss, spe);
+  ConvergenceModelOptions options;
+  options.max_fit_points = 16384;
+  ConvergenceModel cached(options);
+  ConvergenceModel scratch(options);
+  scratch.set_caching(false);
+  Rng rng(71);
+  const int per_epoch = 300;
+  for (int e = 0; e < 24; ++e) {
+    for (int i = 1; i <= per_epoch; ++i) {
+      const int64_t step = e * spe + i * spe / per_epoch;
+      const double loss = curve.SampleLossAtStep(step, &rng);
+      cached.AddSample(static_cast<double>(step), loss);
+      scratch.AddSample(static_cast<double>(step), loss);
+    }
+    // The second round refits with no new samples (the dirty-flag path).
+    for (int round = 0; round < 2; ++round) {
+      SCOPED_TRACE("epoch " + std::to_string(e) + " round " + std::to_string(round));
+      ASSERT_EQ(cached.Fit(), scratch.Fit());
+      if (!scratch.fitted()) {
+        continue;
+      }
+      EXPECT_EQ(cached.beta0(), scratch.beta0());
+      EXPECT_EQ(cached.beta1(), scratch.beta1());
+      EXPECT_EQ(cached.beta2(), scratch.beta2());
+      EXPECT_EQ(cached.residual(), scratch.residual());
+      for (const double delta : {0.01, 0.02, 0.05}) {
+        EXPECT_EQ(cached.PredictTotalEpochs(delta, 3, spe),
+                  scratch.PredictTotalEpochs(delta, 3, spe));
+      }
+    }
+  }
+  EXPECT_TRUE(scratch.fitted());
+}
+
 // ---------------------------------------------------------------------------
 // Speed model
 // ---------------------------------------------------------------------------
@@ -317,6 +359,36 @@ TEST_F(SpeedModelTest, MoreSamplesReduceError) {
   ASSERT_TRUE(many.fitted());
   EXPECT_LE(MeanAbsRelError(many, truth, 20, 20),
             MeanAbsRelError(few, truth, 20, 20) + 0.03);
+}
+
+TEST_F(SpeedModelTest, CachedFitsMatchFromScratchBitwise) {
+  // Incremental Gram refits must reproduce the dense refit exactly after
+  // every new (noisy) sample, in both training modes.
+  const ModelSpec& spec = FindModel("Seq2Seq");
+  for (const TrainingMode mode : {TrainingMode::kSync, TrainingMode::kAsync}) {
+    SCOPED_TRACE(mode == TrainingMode::kSync ? "sync" : "async");
+    Rng noise(73);
+    const SpeedOracle oracle = MakeOracle(spec, mode, 0.05, &noise);
+    SpeedModel cached(mode, spec.default_sync_batch);
+    SpeedModel scratch(mode, spec.default_sync_batch);
+    scratch.set_caching(false);
+    Rng pick(79);
+    for (int i = 0; i < 40; ++i) {
+      const int p = static_cast<int>(pick.UniformInt(1, 16));
+      const int w = static_cast<int>(pick.UniformInt(1, 16));
+      const double speed = oracle(p, w);
+      cached.AddSample(p, w, speed);
+      scratch.AddSample(p, w, speed);
+      ASSERT_EQ(cached.Fit(), scratch.Fit()) << "sample " << i;
+      if (!scratch.fitted()) {
+        continue;
+      }
+      EXPECT_EQ(cached.theta(), scratch.theta()) << "sample " << i;
+      EXPECT_EQ(cached.residual(), scratch.residual()) << "sample " << i;
+      EXPECT_EQ(cached.Estimate(p, w), scratch.Estimate(p, w)) << "sample " << i;
+    }
+    EXPECT_TRUE(scratch.fitted());
+  }
 }
 
 TEST_F(SpeedModelTest, RejectsInvalidSamples) {

@@ -158,44 +158,12 @@ TEST(PaaAssignerTest, BalanceImprovesOrMatchesMxnetAcrossZoo) {
   }
 }
 
-TEST(JobPlacementTest, ForEachUsedHonorsDenseVectorsWithUsedServerIndex) {
-  // Dense vectors plus a used_servers index: iteration must follow the index
-  // (O(tasks)) yet read counts from the dense vectors.
-  JobPlacement placement;
-  placement.workers_per_server = {1, 0, 2, 0};
-  placement.ps_per_server = {0, 0, 1, 0};
-  placement.used_servers = {0, 2};
-  std::vector<std::tuple<size_t, int, int>> visited;
-  placement.ForEachUsed([&](size_t s, int w, int p) {
-    visited.emplace_back(s, w, p);
-  });
-  const std::vector<std::tuple<size_t, int, int>> expected = {{0, 1, 0},
-                                                              {2, 2, 1}};
-  EXPECT_EQ(visited, expected);
-  EXPECT_FALSE(placement.compact());
-  EXPECT_EQ(placement.TotalWorkers(), 3);
-  EXPECT_EQ(placement.TotalPs(), 1);
-}
-
-TEST(JobPlacementTest, ForEachUsedScansDenseVectorsWithoutIndex) {
-  // Hand-built placements (no used_servers) fall back to the dense scan and
-  // must skip servers with no tasks.
-  JobPlacement placement;
-  placement.workers_per_server = {0, 2, 0, 1};
-  placement.ps_per_server = {0, 0, 0, 1};
-  std::vector<size_t> servers;
-  placement.ForEachUsed([&](size_t s, int, int) { servers.push_back(s); });
-  EXPECT_EQ(servers, (std::vector<size_t>{1, 3}));
-}
-
 TEST(JobPlacementTest, CompactFormCountsAndIterates) {
-  // Structure-of-arrays form: no dense vectors at all; totals and iteration
-  // come from the parallel used_* arrays.
+  // Totals and iteration come from the parallel used_* arrays.
   JobPlacement placement;
   placement.used_servers = {3, 7};
   placement.used_workers = {2, 1};
   placement.used_ps = {0, 1};
-  EXPECT_TRUE(placement.compact());
   EXPECT_FALSE(placement.empty());
   EXPECT_EQ(placement.TotalWorkers(), 3);
   EXPECT_EQ(placement.TotalPs(), 1);
@@ -211,7 +179,6 @@ TEST(JobPlacementTest, CompactFormCountsAndIterates) {
 TEST(JobPlacementTest, EmptyPlacementHasZeroTotals) {
   const JobPlacement placement;
   EXPECT_TRUE(placement.empty());
-  EXPECT_FALSE(placement.compact());
   EXPECT_EQ(placement.TotalWorkers(), 0);
   EXPECT_EQ(placement.TotalPs(), 0);
   int visits = 0;
@@ -301,12 +268,11 @@ TEST_F(CommModelTest, SlicingInflatesOverhead) {
 TEST_F(CommModelTest, ColocationReducesTransferTime) {
   // Fig 10: packing workers with their PSes on few servers beats spreading.
   StepTimeInputs spread = BaseInputs(TrainingMode::kSync, 2, 4);
-  spread.placement.workers_per_server = {0, 2, 2};
-  spread.placement.ps_per_server = {2, 0, 0};
+  spread.placement = {
+      .used_servers = {0, 1, 2}, .used_workers = {0, 2, 2}, .used_ps = {2, 0, 0}};
 
   StepTimeInputs packed = BaseInputs(TrainingMode::kSync, 2, 4);
-  packed.placement.workers_per_server = {2, 2};
-  packed.placement.ps_per_server = {1, 1};
+  packed.placement = {.used_servers = {0, 1}, .used_workers = {2, 2}, .used_ps = {1, 1}};
 
   EXPECT_LT(ComputeStepTime(packed, config_).transfer_s,
             ComputeStepTime(spread, config_).transfer_s);
@@ -314,8 +280,7 @@ TEST_F(CommModelTest, ColocationReducesTransferTime) {
 
 TEST_F(CommModelTest, SingleServerPlacementHasZeroTransfer) {
   StepTimeInputs in = BaseInputs(TrainingMode::kSync, 2, 2);
-  in.placement.workers_per_server = {2};
-  in.placement.ps_per_server = {2};
+  in.placement = {.used_servers = {0}, .used_workers = {2}, .used_ps = {2}};
   EXPECT_DOUBLE_EQ(ComputeStepTime(in, config_).transfer_s, 0.0);
 }
 
@@ -333,15 +298,17 @@ TEST_F(CommModelTest, StragglerSlowsComputeTerms) {
 TEST_F(CommModelTest, Fig10PlacementExampleOrdering) {
   // The three placements of Fig 10 (2 PS, 4 workers, 3 servers): (c) packs
   // onto 2 servers with equal PS/worker counts and must beat (a) and (b).
-  auto transfer = [&](std::vector<int> wps, std::vector<int> pps) {
+  auto transfer = [&](std::vector<int> servers, std::vector<int> workers,
+                      std::vector<int> ps) {
     StepTimeInputs in = BaseInputs(TrainingMode::kSync, 2, 4);
-    in.placement.workers_per_server = std::move(wps);
-    in.placement.ps_per_server = std::move(pps);
+    in.placement = {.used_servers = std::move(servers),
+                    .used_workers = std::move(workers),
+                    .used_ps = std::move(ps)};
     return ComputeStepTime(in, config_).transfer_s;
   };
-  const double a = transfer({1, 2, 1}, {1, 0, 1});   // ps1+w1 | ps2? (spread variant)
-  const double b = transfer({2, 1, 1}, {0, 1, 1});   // another 3-server spread
-  const double c = transfer({2, 2}, {1, 1});         // packed, even split
+  const double a = transfer({0, 1, 2}, {1, 2, 1}, {1, 0, 1});  // 3-server spread
+  const double b = transfer({0, 1, 2}, {2, 1, 1}, {0, 1, 1});  // another spread
+  const double c = transfer({0, 1}, {2, 2}, {1, 1});           // packed, even split
   EXPECT_LE(c, a);
   EXPECT_LE(c, b);
 }

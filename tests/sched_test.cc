@@ -300,36 +300,32 @@ PlacementJobInput PJob(int id, int p, int w, double cpu = 5.0) {
   return job;
 }
 
+// PlaceJobs on a scratch copy of `servers`.
+PlacementResult Place(PlacementPolicy policy, const std::vector<PlacementJobInput>& jobs,
+                      std::vector<Server> servers, bool shrink_to_fit = true) {
+  return PlaceJobs(policy, jobs, &servers, shrink_to_fit);
+}
+
 TEST(PlacementTest, OptimusPacksOntoFewestServers) {
   // 2 PS + 2 workers at 5 cpu each fit on a single 20-cpu server.
   PlacementResult result =
-      PlaceJobs(PlacementPolicy::kOptimusPack, {PJob(0, 2, 2)}, Uniform(4, 20));
+      Place(PlacementPolicy::kOptimusPack, {PJob(0, 2, 2)}, Uniform(4, 20));
   ASSERT_TRUE(result.placements.count(0));
-  const JobPlacement& p = result.placements[0];
-  int servers_used = 0;
-  for (size_t s = 0; s < p.workers_per_server.size(); ++s) {
-    if (p.workers_per_server[s] + p.ps_per_server[s] > 0) {
-      ++servers_used;
-    }
-  }
-  EXPECT_EQ(servers_used, 1);
+  EXPECT_EQ(result.placements[0].used_servers.size(), 1u);
 }
 
 TEST(PlacementTest, OptimusSpreadsEvenlyWhenMultipleServersNeeded) {
   // 4 PS + 4 workers at 5 cpu = 40 cpu; servers hold 20 cpu each => 2 servers
   // with 2 PS + 2 workers each (Theorem 1).
   PlacementResult result =
-      PlaceJobs(PlacementPolicy::kOptimusPack, {PJob(0, 4, 4)}, Uniform(4, 20));
+      Place(PlacementPolicy::kOptimusPack, {PJob(0, 4, 4)}, Uniform(4, 20));
   ASSERT_TRUE(result.placements.count(0));
   const JobPlacement& p = result.placements[0];
-  for (size_t s = 0; s < p.workers_per_server.size(); ++s) {
-    const int total = p.workers_per_server[s] + p.ps_per_server[s];
-    EXPECT_TRUE(total == 0 || total == 4) << "server " << s;
-    if (total == 4) {
-      EXPECT_EQ(p.workers_per_server[s], 2);
-      EXPECT_EQ(p.ps_per_server[s], 2);
-    }
-  }
+  EXPECT_EQ(p.used_servers.size(), 2u);
+  p.ForEachUsed([](size_t s, int w, int ps) {
+    EXPECT_EQ(w, 2) << "server " << s;
+    EXPECT_EQ(ps, 2) << "server " << s;
+  });
 }
 
 TEST(PlacementTest, CountsMatchAllocation) {
@@ -338,7 +334,7 @@ TEST(PlacementTest, CountsMatchAllocation) {
         PlacementPolicy::kTetrisPack}) {
     SCOPED_TRACE(PlacementPolicyName(policy));
     PlacementResult result =
-        PlaceJobs(policy, {PJob(0, 3, 5), PJob(1, 2, 2)}, Uniform(6, 20));
+        Place(policy, {PJob(0, 3, 5), PJob(1, 2, 2)}, Uniform(6, 20));
     for (int id : {0, 1}) {
       ASSERT_TRUE(result.placements.count(id));
       const JobPlacement& p = result.placements[id];
@@ -359,14 +355,12 @@ TEST(PlacementTest, RespectsServerCapacity) {
     for (int i = 0; i < 4; ++i) {
       jobs.push_back(PJob(i, 2, 2));
     }
-    PlacementResult result = PlaceJobs(policy, jobs, Uniform(4, 20));
+    PlacementResult result = Place(policy, jobs, Uniform(4, 20));
     // 4 jobs x 4 tasks x 5 cpu = 80 cpu = total capacity: per-server loads
     // must never exceed 4 tasks.
     std::vector<int> per_server(4, 0);
     for (const auto& [id, p] : result.placements) {
-      for (size_t s = 0; s < p.workers_per_server.size(); ++s) {
-        per_server[s] += p.workers_per_server[s] + p.ps_per_server[s];
-      }
+      p.ForEachUsed([&](size_t s, int w, int ps) { per_server[s] += w + ps; });
     }
     for (int c : per_server) {
       EXPECT_LE(c, 4);
@@ -378,7 +372,7 @@ TEST(PlacementTest, ShrinkToFitReducesOversizedJob) {
   // 8+8 tasks cannot fit on 2 small servers; shrink-to-fit should find a
   // smaller allocation rather than pausing the job.
   PlacementResult result =
-      PlaceJobs(PlacementPolicy::kOptimusPack, {PJob(0, 8, 8)}, Uniform(2, 20));
+      Place(PlacementPolicy::kOptimusPack, {PJob(0, 8, 8)}, Uniform(2, 20));
   ASSERT_TRUE(result.placements.count(0));
   const Allocation eff = result.effective_alloc[0];
   EXPECT_LT(eff.num_workers, 8);
@@ -387,8 +381,8 @@ TEST(PlacementTest, ShrinkToFitReducesOversizedJob) {
 }
 
 TEST(PlacementTest, WithoutShrinkOversizedJobIsUnplaced) {
-  PlacementResult result = PlaceJobs(PlacementPolicy::kOptimusPack, {PJob(0, 8, 8)},
-                                     Uniform(2, 20), /*shrink_to_fit=*/false);
+  PlacementResult result = Place(PlacementPolicy::kOptimusPack, {PJob(0, 8, 8)},
+                                 Uniform(2, 20), /*shrink_to_fit=*/false);
   EXPECT_EQ(result.placements.size(), 0u);
   ASSERT_EQ(result.unplaced.size(), 1u);
   EXPECT_EQ(result.unplaced[0], 0);
@@ -396,16 +390,9 @@ TEST(PlacementTest, WithoutShrinkOversizedJobIsUnplaced) {
 
 TEST(PlacementTest, LoadBalanceSpreadsTasks) {
   PlacementResult result =
-      PlaceJobs(PlacementPolicy::kLoadBalance, {PJob(0, 2, 2)}, Uniform(4, 20));
+      Place(PlacementPolicy::kLoadBalance, {PJob(0, 2, 2)}, Uniform(4, 20));
   ASSERT_TRUE(result.placements.count(0));
-  const JobPlacement& p = result.placements[0];
-  int servers_used = 0;
-  for (size_t s = 0; s < p.workers_per_server.size(); ++s) {
-    if (p.workers_per_server[s] + p.ps_per_server[s] > 0) {
-      ++servers_used;
-    }
-  }
-  EXPECT_EQ(servers_used, 4);  // one task per server
+  EXPECT_EQ(result.placements[0].used_servers.size(), 4u);  // one task per server
 }
 
 TEST(PlacementTest, TetrisPacksTightly) {
@@ -414,17 +401,18 @@ TEST(PlacementTest, TetrisPacksTightly) {
   std::vector<Server> servers = Uniform(3, 20);
   servers[1].Allocate(Resources(10, 100, 0, 1));
   PlacementResult result =
-      PlaceJobs(PlacementPolicy::kTetrisPack, {PJob(0, 1, 1)}, servers);
+      Place(PlacementPolicy::kTetrisPack, {PJob(0, 1, 1)}, servers);
   ASSERT_TRUE(result.placements.count(0));
   const JobPlacement& p = result.placements[0];
-  EXPECT_EQ(p.workers_per_server[1] + p.ps_per_server[1], 2);
+  EXPECT_EQ(p.used_servers, std::vector<int>{1});
+  EXPECT_EQ(p.used_workers[0] + p.used_ps[0], 2);
 }
 
 TEST(PlacementTest, SmallestJobPlacedFirstAvoidsStarvation) {
   // One huge job and one tiny job compete for a small cluster; the tiny job
   // must be placed.
-  PlacementResult result = PlaceJobs(PlacementPolicy::kOptimusPack,
-                                     {PJob(0, 6, 6), PJob(1, 1, 1)}, Uniform(2, 20));
+  PlacementResult result = Place(PlacementPolicy::kOptimusPack,
+                                 {PJob(0, 6, 6), PJob(1, 1, 1)}, Uniform(2, 20));
   EXPECT_TRUE(result.placements.count(1));
 }
 
@@ -437,14 +425,14 @@ TEST(PlacementTest, HeterogeneousServersHandled) {
   servers.emplace_back(2, Resources(8, 48, 0, 1));
   servers.emplace_back(3, Resources(8, 48, 0, 1));
   PlacementResult result =
-      PlaceJobs(PlacementPolicy::kOptimusPack, {PJob(0, 4, 4)}, servers);
+      Place(PlacementPolicy::kOptimusPack, {PJob(0, 4, 4)}, servers);
   ASSERT_TRUE(result.placements.count(0));
   EXPECT_TRUE(result.effective_alloc[0] == (Allocation{4, 4}));
 }
 
 TEST(PlacementTest, InactiveJobsSkipped) {
-  PlacementResult result = PlaceJobs(PlacementPolicy::kOptimusPack,
-                                     {PJob(0, 0, 0), PJob(1, 1, 1)}, Uniform(2, 20));
+  PlacementResult result = Place(PlacementPolicy::kOptimusPack,
+                                 {PJob(0, 0, 0), PJob(1, 1, 1)}, Uniform(2, 20));
   EXPECT_FALSE(result.placements.count(0));
   EXPECT_TRUE(result.placements.count(1));
   EXPECT_TRUE(result.unplaced.empty());

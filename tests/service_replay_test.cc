@@ -283,6 +283,48 @@ TEST(ServiceReplayTest, SnapshotRestoreBitwiseRemainderOfRun) {
   EXPECT_EQ(SimReport(&a->simulator()), SimReport(&b->simulator()));
 }
 
+TEST(ServiceReplayTest, RelativeAdvancesAccumulateOnEventsEngine) {
+  // The event engine stops at its last event, so now_s can trail the time an
+  // advance asked for. dt_s builds on the furthest time already advanced to,
+  // so n 30 s steps land where one advance to n * 30 s does — including past
+  // the first scheduling round at 600 s, which steps from now_s never reach.
+  for (const int steps : {3, 40}) {
+    SCOPED_TRACE("steps=" + std::to_string(steps));
+    SessionOverrides overrides;
+    overrides.engine = SimEngine::kEvents;
+    std::unique_ptr<ServiceSession> stepped = MakeSession(overrides);
+    std::unique_ptr<ServiceSession> direct = MakeSession(overrides);
+    ASSERT_NE(stepped, nullptr);
+    ASSERT_NE(direct, nullptr);
+    // Explicit ids on the compared tail so its response bytes can match.
+    const std::string tail = R"({"op": "metrics_snapshot", "id": 1000})" "\n";
+    std::string log;
+    for (int i = 0; i < steps; ++i) {
+      log += R"({"op": "advance", "id": )" + std::to_string(i + 1) +
+             R"(, "dt_s": 30})" "\n";
+    }
+    const std::string direct_log = R"({"op": "advance", "id": )" +
+                                   std::to_string(steps) + R"(, "to_s": )" +
+                                   std::to_string(30 * steps) + "}\n";
+    const ReplayOutput a = Replay(stepped.get(), log + tail);
+    const ReplayOutput b = Replay(direct.get(), direct_log + tail);
+    EXPECT_EQ(a.result.errors, 0);
+    EXPECT_EQ(b.result.errors, 0);
+    const std::string last = R"({"id":)" + std::to_string(steps) + ",";
+    const size_t a_tail = a.responses.find(last);
+    const size_t b_tail = b.responses.find(last);
+    ASSERT_NE(a_tail, std::string::npos) << a.responses;
+    ASSERT_NE(b_tail, std::string::npos) << b.responses;
+    EXPECT_EQ(a.responses.substr(a_tail), b.responses.substr(b_tail));
+    EXPECT_EQ(SimReport(&stepped->simulator()), SimReport(&direct->simulator()));
+
+    // A target behind the furthest one already reached is in the past.
+    const ReplayOutput back = Replay(
+        stepped.get(), R"({"op": "advance", "to_s": )" + std::to_string(15 * steps) + "}\n");
+    EXPECT_EQ(back.result.errors, 1) << back.responses;
+  }
+}
+
 TEST(ServiceReplayTest, ReplayedRunMatchesBatchSimulatorRun) {
   // A session that only advances and runs — no online mutations — must land
   // on the exact report a direct batch Simulator over the same scenario

@@ -1,12 +1,11 @@
-// Shard invariance: the two-phase sharded scheduling round, the sharded
-// placement fast path, streaming admission, and the hash-only trace must all
-// be output-invariant — bitwise — against their unsharded / batch / storage
+// Shard invariance: the two-phase sharded scheduling round, the per-shard
+// placement heaps, streaming admission, and the hash-only trace must all be
+// output-invariant — bitwise — against their unsharded / batch / storage
 // counterparts, for every (shards, threads) combination, on the golden
 // scenarios (including the committed fault plans).
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -128,88 +127,69 @@ TEST(ShardPlanTest, ClampsShardCountToServers) {
 }
 
 // ---------------------------------------------------------------------------
-// Compact JobPlacement
+// Packing placement: the shard count never changes a decision
 // ---------------------------------------------------------------------------
 
-TEST(CompactPlacementTest, CompactAndDenseFormsAgree) {
-  JobPlacement dense;
-  dense.workers_per_server = {0, 2, 0, 1};
-  dense.ps_per_server = {1, 0, 0, 2};
-
-  JobPlacement compact;
-  compact.used_servers = {0, 1, 3};
-  compact.used_workers = {0, 2, 1};
-  compact.used_ps = {1, 0, 2};
-
-  EXPECT_FALSE(dense.compact());
-  EXPECT_TRUE(compact.compact());
-  EXPECT_FALSE(compact.empty());
-  EXPECT_EQ(dense.TotalWorkers(), compact.TotalWorkers());
-  EXPECT_EQ(dense.TotalPs(), compact.TotalPs());
-
-  std::map<size_t, std::pair<int, int>> from_dense, from_compact;
-  dense.ForEachUsed(
-      [&](size_t s, int w, int p) { from_dense[s] = {w, p}; });
-  compact.ForEachUsed(
-      [&](size_t s, int w, int p) { from_compact[s] = {w, p}; });
-  EXPECT_EQ(from_dense, from_compact);
-}
-
-// ---------------------------------------------------------------------------
-// Sharded placement fast path vs. the legacy global heap
-// ---------------------------------------------------------------------------
-
-TEST(ShardedPlacementTest, DecisionsMatchLegacyPlacement) {
+TEST(ShardedPlacementTest, DecisionsInvariantAcrossShardCounts) {
   Rng rng(17);
-  for (const int shards : {1, 2, 4}) {
+  const int n_servers = 64;
+  const int rack_size = 8;
+  for (const PlacementPolicy policy :
+       {PlacementPolicy::kOptimusPack, PlacementPolicy::kRackPack}) {
     for (int trial = 0; trial < 3; ++trial) {
-      const int n_servers = 32;
-      std::vector<Server> legacy_servers =
+      // Uneven starting load and one dead server, so the heaps hold distinct
+      // keys and the pops cross shard boundaries.
+      std::vector<Server> servers =
           BuildUniformCluster(n_servers, Resources(16, 80, 0, 1));
-      std::vector<Server> sharded_servers = legacy_servers;
+      for (Server& server : servers) {
+        server.Allocate(Resources(2.5, 10, 0, 0.15) *
+                        static_cast<double>(rng.UniformInt(0, 3)));
+      }
+      servers[static_cast<size_t>(rng.UniformInt(0, n_servers - 1))].SetAvailable(false);
 
       std::vector<PlacementJobInput> jobs;
-      const int n_jobs = 12;
-      for (int j = 0; j < n_jobs; ++j) {
+      for (int j = 0; j < 48; ++j) {
         PlacementJobInput in;
         in.job_id = j;
         in.alloc.num_ps = static_cast<int>(rng.UniformInt(1, 4));
-        in.alloc.num_workers = static_cast<int>(rng.UniformInt(1, 6));
+        in.alloc.num_workers = static_cast<int>(rng.UniformInt(1, 8));
         in.worker_demand = Resources(2.5, 10, 0, 0.15);
         in.ps_demand = Resources(2.5, 10, 0, 0.15);
         jobs.push_back(in);
       }
 
-      const PlacementResult legacy =
-          PlaceJobs(PlacementPolicy::kOptimusPack, jobs, &legacy_servers);
-      const ShardPlan plan = ShardPlan::Build(shards, n_servers, 8);
-      const PlacementResult sharded =
-          PlaceJobsSharded(plan, jobs, &sharded_servers);
-
-      EXPECT_EQ(legacy.unplaced, sharded.unplaced);
-      ASSERT_EQ(legacy.placements.size(), sharded.placements.size());
-      for (const auto& [id, placement] : legacy.placements) {
-        const auto it = sharded.placements.find(id);
-        ASSERT_NE(it, sharded.placements.end()) << "job " << id;
-        std::map<size_t, std::pair<int, int>> a, b;
-        placement.ForEachUsed(
-            [&](size_t s, int w, int p) { a[s] = {w, p}; });
-        it->second.ForEachUsed(
-            [&](size_t s, int w, int p) { b[s] = {w, p}; });
-        EXPECT_EQ(a, b) << "job " << id << " shards=" << shards;
-        EXPECT_TRUE(it->second.compact());
-      }
-      ASSERT_EQ(legacy.effective_alloc.size(), sharded.effective_alloc.size());
-      for (const auto& [id, alloc] : legacy.effective_alloc) {
-        const auto it = sharded.effective_alloc.find(id);
-        ASSERT_NE(it, sharded.effective_alloc.end());
-        EXPECT_EQ(alloc.num_ps, it->second.num_ps);
-        EXPECT_EQ(alloc.num_workers, it->second.num_workers);
-      }
-      // The servers end in the same free state either way.
-      for (int s = 0; s < n_servers; ++s) {
-        EXPECT_TRUE(legacy_servers[s].Free() == sharded_servers[s].Free())
-            << "server " << s << " shards=" << shards;
+      // Reference: the default (empty) plan, i.e. one shard.
+      std::vector<Server> ref_servers = servers;
+      const PlacementResult ref =
+          PlaceJobs(policy, jobs, &ref_servers, /*shrink_to_fit=*/true, rack_size);
+      for (const int shards : {1, 2, 4, 8}) {
+        const std::string label = std::string(PlacementPolicyName(policy)) +
+                                  " trial " + std::to_string(trial) +
+                                  " shards=" + std::to_string(shards);
+        std::vector<Server> got_servers = servers;
+        const PlacementResult got =
+            PlaceJobs(policy, jobs, &got_servers, /*shrink_to_fit=*/true, rack_size,
+                      ShardPlan::Build(shards, n_servers, rack_size));
+        EXPECT_EQ(ref.unplaced, got.unplaced) << label;
+        ASSERT_EQ(ref.placements.size(), got.placements.size()) << label;
+        for (const auto& [id, placement] : ref.placements) {
+          const auto it = got.placements.find(id);
+          ASSERT_NE(it, got.placements.end()) << label << " job " << id;
+          EXPECT_EQ(placement.used_servers, it->second.used_servers) << label;
+          EXPECT_EQ(placement.used_workers, it->second.used_workers) << label;
+          EXPECT_EQ(placement.used_ps, it->second.used_ps) << label;
+        }
+        ASSERT_EQ(ref.effective_alloc.size(), got.effective_alloc.size()) << label;
+        for (const auto& [id, alloc] : ref.effective_alloc) {
+          const auto it = got.effective_alloc.find(id);
+          ASSERT_NE(it, got.effective_alloc.end()) << label;
+          EXPECT_TRUE(alloc == it->second) << label << " job " << id;
+        }
+        // The servers end in the same free state either way.
+        for (int s = 0; s < n_servers; ++s) {
+          EXPECT_TRUE(ref_servers[s].Free() == got_servers[s].Free())
+              << label << " server " << s;
+        }
       }
     }
   }

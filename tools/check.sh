@@ -24,8 +24,8 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 # surface; writes/updates BENCH_sched.json in the working directory.
 "${build_dir}/bench/bench_fig12_scalability" --smoke
 
-# Interval-engine smoke: baseline vs parallel incremental engine; exits
-# nonzero if any row's metrics diverge from the baseline's. Under
+# Interval-engine smoke: the same run at 1, 2, 4 and 8 threads; exits 3
+# if any row's metrics diverge from the 1-thread row's. Under
 # OPTIMUS_SANITIZE this runs the parallel stepping + incremental auditing
 # paths under the sanitizer on top of the ctest determinism arms.
 # (--json routed away from the committed full-scale BENCH_*.json files.)

@@ -51,8 +51,6 @@ std::string Usage() {
       "                                        `list` prints the catalog\n"
       "  --format=table|json                   output format for `--policy list`\n"
       "                                        (default table)\n"
-      "  --scheduler=NAME                      deprecated alias for --policy (warns\n"
-      "                                        on stderr; scheduled for removal)\n"
       "  --scenario=FILE                       run a scenario-v1 JSON experiment\n"
       "                                        (docs/SCENARIOS.md); --policy, --seed,\n"
       "                                        --repeats, --threads override the file\n"
@@ -321,14 +319,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // --policy is canonical; --scheduler remains as a deprecated alias with the
-  // same semantics and exit codes (removal documented in docs/POLICIES.md).
-  const bool scheduler_alias_used = flags.Has("scheduler");
-  std::string policy_flag = flags.GetString("policy", flags.GetString("scheduler", ""));
-  if (scheduler_alias_used && !flags.Has("policy")) {
-    std::cerr << "warning: --scheduler is deprecated; use --policy (same "
-                 "values). --scheduler will be removed in a future release.\n";
-  }
+  std::string policy_flag = flags.GetString("policy", "");
   if (policy_flag.empty() && !flags.positional().empty() &&
       flags.positional()[0] == "list") {
     policy_flag = "list";  // accept `--policy list` (space-separated form)
