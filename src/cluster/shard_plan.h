@@ -2,11 +2,9 @@
 //
 // A ShardPlan splits server ids [0, n) into `num_shards` contiguous ranges
 // whose boundaries coincide with rack boundaries (the scenario DSL's
-// `cluster.rack_size` layout) whenever a rack partition exists. The sharded
-// scheduling round (src/sched/sharded_round.h) runs its phase-1 local passes
-// over these ranges and the packing placement (src/sched/placement.h) keeps
-// one server heap per range; both reduce to the unsharded behavior when the
-// plan has a single shard.
+// `cluster.rack_size` layout) whenever a rack partition exists. The packing
+// placement (src/sched/placement.h) keeps one server heap per range, which
+// reduces to a single global heap when the plan has one shard.
 //
 // The plan is a pure function of (num_shards, n_servers, rack_size) — no
 // randomness, no dependence on server state — so every (shards, threads)

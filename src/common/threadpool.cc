@@ -10,6 +10,13 @@
 
 namespace optimus {
 
+namespace {
+
+// The pool whose worker is running on this thread; null off-pool.
+thread_local const ThreadPool* current_pool = nullptr;
+
+}  // namespace
+
 int DefaultThreadCount() {
   const char* env = std::getenv("OPTIMUS_THREADS");
   if (env == nullptr || *env == '\0') {
@@ -76,7 +83,9 @@ void ThreadPool::ParallelFor(int64_t n, const std::function<void(int64_t)>& fn) 
   if (n <= 0) {
     return;
   }
-  if (workers_.empty() || n == 1) {
+  // A call from one of this pool's own workers runs inline: waiting for the
+  // pool to drain would count the caller's own task and never return.
+  if (workers_.empty() || n == 1 || current_pool == this) {
     for (int64_t i = 0; i < n; ++i) {
       fn(i);
     }
@@ -99,6 +108,7 @@ void ThreadPool::ParallelFor(int64_t n, const std::function<void(int64_t)>& fn) 
 }
 
 void ThreadPool::WorkerLoop() {
+  current_pool = this;
   for (;;) {
     std::function<void()> task;
     {

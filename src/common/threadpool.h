@@ -54,7 +54,8 @@ class ThreadPool {
   // Runs fn(0) .. fn(n - 1), distributing indices over the workers via a
   // shared counter, and blocks until all have finished. Result commits must
   // go to index-owned slots; under that contract the outcome is identical to
-  // the serial loop regardless of thread count.
+  // the serial loop regardless of thread count. Called from a task already
+  // running on this pool, it runs the loop inline on the calling worker.
   void ParallelFor(int64_t n, const std::function<void(int64_t)>& fn);
 
  private:

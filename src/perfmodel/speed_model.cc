@@ -30,7 +30,9 @@ void SpeedModel::AddSample(int num_ps, int num_workers, double speed) {
     return;
   }
   samples_.push_back({num_ps, num_workers, speed});
-  gram_.Add(Features(num_ps, num_workers), InverseSpeedTarget(samples_.back()));
+  const std::array<double, 5> feat = Features(num_ps, num_workers);
+  gram_.Add(Vector(feat.begin(), feat.begin() + dims()),
+            InverseSpeedTarget(samples_.back()));
   dirty_ = true;
 }
 
@@ -43,12 +45,12 @@ void SpeedModel::Reset() {
   residual_ = 0.0;
 }
 
-std::vector<double> SpeedModel::Features(int num_ps, int num_workers) const {
+std::array<double, 5> SpeedModel::Features(int num_ps, int num_workers) const {
   const double p = static_cast<double>(num_ps);
   const double w = static_cast<double>(num_workers);
   if (mode_ == TrainingMode::kAsync) {
     // T = theta0 + theta1*(w/p) + theta2*w + theta3*p.
-    return {1.0, w / p, w, p};
+    return {1.0, w / p, w, p, 0.0};
   }
   // T = theta0*(M/w) + theta1 + theta2*(w/p) + theta3*w + theta4*p.
   return {global_batch_ / w, 1.0, w / p, w, p};
@@ -73,7 +75,7 @@ bool SpeedModel::Fit() {
     Vector b(samples_.size());
     for (size_t i = 0; i < samples_.size(); ++i) {
       const SpeedSample& s = samples_[i];
-      const std::vector<double> feat = Features(s.num_ps, s.num_workers);
+      const std::array<double, 5> feat = Features(s.num_ps, s.num_workers);
       for (size_t c = 0; c < d; ++c) {
         a(i, c) = feat[c];
       }
@@ -96,9 +98,9 @@ bool SpeedModel::Fit() {
   // dense ResidualSumOfSquares, so both code paths report identical values).
   double rss = 0.0;
   for (const SpeedSample& s : samples_) {
-    const std::vector<double> feat = Features(s.num_ps, s.num_workers);
+    const std::array<double, 5> feat = Features(s.num_ps, s.num_workers);
     double pred = 0.0;
-    for (size_t c = 0; c < feat.size(); ++c) {
+    for (size_t c = 0; c < dims(); ++c) {
       pred += feat[c] * theta_[c];
     }
     const double e = pred - InverseSpeedTarget(s);
@@ -113,9 +115,9 @@ double SpeedModel::Estimate(int num_ps, int num_workers) const {
   OPTIMUS_CHECK(fitted_);
   OPTIMUS_CHECK_GE(num_ps, 1);
   OPTIMUS_CHECK_GE(num_workers, 1);
-  const std::vector<double> feat = Features(num_ps, num_workers);
+  const std::array<double, 5> feat = Features(num_ps, num_workers);
   double t = 0.0;
-  for (size_t c = 0; c < feat.size(); ++c) {
+  for (size_t c = 0; c < dims(); ++c) {
     t += theta_[c] * feat[c];
   }
   if (t <= 1e-12) {

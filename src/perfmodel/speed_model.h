@@ -20,6 +20,7 @@
 #ifndef SRC_PERFMODEL_SPEED_MODEL_H_
 #define SRC_PERFMODEL_SPEED_MODEL_H_
 
+#include <array>
 #include <vector>
 
 #include "src/models/model_zoo.h"
@@ -73,7 +74,8 @@ class SpeedModel {
   double Estimate(int num_ps, int num_workers) const;
 
  private:
-  std::vector<double> Features(int num_ps, int num_workers) const;
+  // The first dims() entries are the model's features; the rest are unused.
+  std::array<double, 5> Features(int num_ps, int num_workers) const;
   double InverseSpeedTarget(const SpeedSample& s) const;
   size_t dims() const { return mode_ == TrainingMode::kAsync ? 4 : 5; }
 

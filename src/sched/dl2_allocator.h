@@ -84,7 +84,8 @@ class Dl2PolicyFactory : public PolicyFactory {
  public:
   explicit Dl2PolicyFactory(Dl2Weights weights) : weights_(weights) {}
 
-  std::unique_ptr<Allocator> Create(OptimusAllocRoundStats* stats) const override {
+  std::unique_ptr<Allocator> Create(OptimusAllocRoundStats* stats,
+                                    ThreadPool* /*pool*/) const override {
     Dl2AllocatorOptions options;
     options.weights = weights_;
     options.stats = stats;

@@ -32,6 +32,7 @@ GoodputAllocator::GoodputAllocator(GoodputAllocatorOptions options)
   OptimusAllocatorOptions inner;
   inner.min_gain = options_.min_gain;
   inner.stats = options_.stats;
+  inner.pool = options_.pool;
   inner_ = OptimusAllocator(inner);
 }
 
@@ -69,10 +70,10 @@ AllocationMap GoodputAllocator::Allocate(const std::vector<SchedJob>& jobs,
     SchedJob& sj = inner_jobs[i];
     // Composite jobs get a *distinct* identity: a derived negative job id and
     // a mixed signature. The derived id keeps the composite surface out of
-    // the per-job memo slot of the real job, so the sharded round's warm
-    // donors never mix composite values into a plain surface (which would
-    // break the shards-invariance contract); the mixed signature still lets
-    // jobs with identical models and batch ranges share one composite grid.
+    // the per-job memo slot of the real job, so a surface set shared with
+    // plain probes of the same job never mixes the two; the mixed signature
+    // still lets jobs with identical models and batch ranges share one
+    // composite grid.
     sj.job_id = -jobs[i].job_id - 1;
     if (sj.speed_signature != 0) {
       uint64_t h = MixBits(sj.speed_signature, 0x600dbadceULL);

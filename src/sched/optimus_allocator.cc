@@ -2,9 +2,11 @@
 
 #include <cmath>
 #include <limits>
+#include <unordered_map>
 
 #include "src/common/logging.h"
 #include "src/common/min_heap.h"
+#include "src/common/threadpool.h"
 #include "src/sched/speed_surface.h"
 
 namespace optimus {
@@ -31,14 +33,14 @@ double CompletionTime(const SchedJob& job, SpeedSurface* surface, int p, int w) 
 
 enum class AddKind { kWorker, kPs };
 
+// Dead-kind bits of a job within one round.
+constexpr uint8_t kWorkerDead = 1;
+constexpr uint8_t kPsDead = 2;
+
 struct Candidate {
   double gain = 0.0;
   int job_index = 0;
   AddKind kind = AddKind::kWorker;
-  // Allocation snapshot the gain was computed at; entries whose snapshot no
-  // longer matches are stale and get recomputed when popped.
-  int at_ps = 0;
-  int at_workers = 0;
 
   bool operator<(const Candidate& other) const {
     if (gain != other.gain) {
@@ -97,9 +99,45 @@ bool KindCandidate(const SchedJob& job, SpeedSurface* surface, const Allocation&
   }
   out->gain = gain;
   out->kind = kind;
-  out->at_ps = alloc.num_ps;
-  out->at_workers = alloc.num_workers;
   return true;
+}
+
+// Job i's better live candidate at `alloc` under the Candidate order; `other`
+// receives the losing kind when both qualify. Kinds whose bit is set in
+// `dead` never qualify, but are still evaluated: every grant then probes
+// both kinds, exactly as a lazy heap re-pushing both kinds does. Returns how
+// many candidates qualified (0, 1 or 2).
+int BestCandidate(const SchedJob& job, size_t i, SpeedSurface* surface,
+                  const Allocation& alloc, const Resources& capacity,
+                  double min_gain, uint8_t dead, Candidate* best,
+                  Candidate* other) {
+  Candidate w;
+  Candidate p;
+  w.job_index = p.job_index = static_cast<int>(i);
+  const bool has_w = KindCandidate(job, surface, alloc, capacity, AddKind::kWorker,
+                                   min_gain, &w) &&
+                     (dead & kWorkerDead) == 0;
+  const bool has_p = KindCandidate(job, surface, alloc, capacity, AddKind::kPs,
+                                   min_gain, &p) &&
+                     (dead & kPsDead) == 0;
+  if (has_w && has_p) {
+    *best = w < p ? p : w;
+    *other = w < p ? w : p;
+    return 2;
+  }
+  if (has_w || has_p) {
+    *best = has_w ? w : p;
+    return 1;
+  }
+  return 0;
+}
+
+void Grant(AddKind kind, Allocation* alloc) {
+  if (kind == AddKind::kWorker) {
+    ++alloc->num_workers;
+  } else {
+    ++alloc->num_ps;
+  }
 }
 
 }  // namespace
@@ -108,7 +146,6 @@ AllocationMap OptimusAllocator::Allocate(const std::vector<SchedJob>& jobs,
                                          const Resources& capacity,
                                          SpeedSurfaceSet* surfaces) const {
   OPTIMUS_CHECK(surfaces != nullptr);
-  AllocationMap result;
   std::vector<Allocation> alloc(jobs.size());
   Resources used;
 
@@ -118,9 +155,12 @@ AllocationMap OptimusAllocator::Allocate(const std::vector<SchedJob>& jobs,
 
   // Seed every job with (1 PS, 1 worker) — or a single worker for all-reduce
   // jobs, which run no PS tasks — while capacity lasts, in input (arrival)
-  // order; jobs that do not fit stay pending this interval.
+  // order; jobs that do not fit stay pending this interval. Seeded jobs that
+  // share a speed surface form one walk group, in input order.
   std::vector<bool> active(jobs.size(), false);
   std::vector<SpeedSurface*> surf(jobs.size(), nullptr);
+  std::vector<std::vector<size_t>> groups;
+  std::unordered_map<const SpeedSurface*, size_t> group_of;
   for (size_t i = 0; i < jobs.size(); ++i) {
     const int seed_ps = jobs[i].max_ps > 0 ? 1 : 0;
     const Resources seed =
@@ -130,70 +170,113 @@ AllocationMap OptimusAllocator::Allocate(const std::vector<SchedJob>& jobs,
       alloc[i] = {seed_ps, 1};
       active[i] = true;
       surf[i] = surfaces->Surface(jobs[i]);
+      const auto [it, added] = group_of.try_emplace(surf[i], groups.size());
+      if (added) {
+        groups.emplace_back();
+        surf[i]->BeginSpeculation();
+      }
+      groups[it->second].push_back(i);
     }
   }
 
-  // Greedy marginal-gain filling with a lazily-validated max-heap holding one
-  // fresh candidate per (job, kind). Whenever a job's allocation moves, both
-  // of its kinds are re-pushed with gains recomputed at the new allocation;
-  // the superseded entries are detected by their snapshot and discarded when
-  // popped, so the heap top is always an exact maximum over current gains. A
-  // kind is dropped once its task no longer fits the remaining capacity
-  // (capacity only shrinks within a round).
+  // Walk every seeded job's solo greedy path: grant its better kind until
+  // the caps or a gain <= min_gain stop it. While capacity does not bind,
+  // a job's grants depend only on its own speed surface, so the walks run
+  // one task per surface on the pool, speculatively.
+  std::vector<Allocation> end = alloc;
+  const auto walk_group = [&](int64_t g) {
+    for (const size_t i : groups[static_cast<size_t>(g)]) {
+      Candidate best;
+      Candidate other;
+      while (BestCandidate(jobs[i], i, surf[i], end[i], capacity, options_.min_gain,
+                           0, &best, &other) > 0) {
+        Grant(best.kind, &end[i]);
+      }
+    }
+  };
+  if (options_.pool != nullptr) {
+    options_.pool->ParallelFor(static_cast<int64_t>(groups.size()), walk_group);
+  } else {
+    for (size_t g = 0; g < groups.size(); ++g) {
+      walk_group(static_cast<int64_t>(g));
+    }
+  }
+
+  // Slack round: the seeds plus every path fit with a 1e-6 relative margin,
+  // far above the rounding of any summation order. Every grant the serial
+  // greedy makes is then a prefix of some path and fits, so no kind ever
+  // pops unfittable and the greedy ends exactly at the path ends, having
+  // probed exactly the walks' points. Otherwise the walks are rolled back.
+  Resources total = used;
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    total += jobs[i].worker_demand * (end[i].num_workers - alloc[i].num_workers) +
+             jobs[i].ps_demand * (end[i].num_ps - alloc[i].num_ps);
+  }
+  const bool slack = capacity.Fits(total * (1.0 + 1e-6));
+  for (const std::vector<size_t>& members : groups) {
+    surf[members.front()]->EndSpeculation(slack);
+  }
+  if (slack) {
+    AllocationMap result;
+    for (size_t i = 0; i < jobs.size(); ++i) {
+      if (active[i]) {
+        const int64_t grants = end[i].num_workers - alloc[i].num_workers +
+                               end[i].num_ps - alloc[i].num_ps;
+        stats->pops += grants;
+        stats->grants += grants;
+        result[jobs[i].job_id] = end[i];
+      }
+    }
+    return result;
+  }
+
+  // Binding round: the exact serial greedy from the seeds, with one heap
+  // entry per job, its better kind. The other kind waits in the job's slot
+  // and enters the heap only if the better one pops unfittable. A kind that
+  // pops unfittable is dead for the round: capacity only shrinks and the
+  // per-task demand is fixed. Every entry is current when it pops, so the
+  // grant sequence is that of a lazy heap holding both kinds.
   MinHeap<Candidate, CandidateBefore> heap;
-  auto push_kind = [&](size_t i, AddKind kind) {
-    Candidate c;
-    c.job_index = static_cast<int>(i);
-    if (KindCandidate(jobs[i], surf[i], alloc[i], capacity, kind, options_.min_gain,
-                      &c)) {
-      heap.push(c);
+  std::vector<Candidate> waiting(jobs.size());
+  std::vector<uint8_t> has_waiting(jobs.size(), 0);
+  std::vector<uint8_t> dead(jobs.size(), 0);
+  const auto push_best = [&](size_t i) {
+    Candidate best;
+    const int found = BestCandidate(jobs[i], i, surf[i], alloc[i], capacity,
+                                    options_.min_gain, dead[i], &best, &waiting[i]);
+    has_waiting[i] = found == 2;
+    if (found > 0) {
+      heap.push(best);
     }
   };
   for (size_t i = 0; i < jobs.size(); ++i) {
-    if (!active[i]) {
-      continue;
+    if (active[i]) {
+      push_best(i);
     }
-    push_kind(i, AddKind::kWorker);
-    push_kind(i, AddKind::kPs);
   }
-
   while (!heap.empty()) {
     const Candidate c = heap.top();
     heap.pop();
     ++stats->pops;
     const size_t i = static_cast<size_t>(c.job_index);
-    // Stale: the job's allocation moved since this entry was pushed. Both
-    // kinds were re-pushed with fresh gains at grant time, so this superseded
-    // snapshot is simply discarded.
-    if (c.at_ps != alloc[i].num_ps || c.at_workers != alloc[i].num_workers) {
-      ++stats->stale_drops;
-      continue;
-    }
-
-    const Resources demand =
+    const Resources& demand =
         c.kind == AddKind::kWorker ? jobs[i].worker_demand : jobs[i].ps_demand;
     if (!capacity.Fits(used + demand)) {
-      // Capacity only shrinks within a round and the per-task demand is
-      // fixed, so this kind can never fit again: drop it. The job's other
-      // kind keeps its own heap entry.
       ++stats->unfittable_drops;
+      dead[i] |= c.kind == AddKind::kWorker ? kWorkerDead : kPsDead;
+      if (has_waiting[i] != 0) {
+        has_waiting[i] = 0;
+        heap.push(waiting[i]);
+      }
       continue;
     }
-
     used += demand;
-    if (c.kind == AddKind::kWorker) {
-      ++alloc[i].num_workers;
-    } else {
-      ++alloc[i].num_ps;
-    }
+    Grant(c.kind, &alloc[i]);
     ++stats->grants;
-    // The allocation moved: re-push BOTH kinds with fresh gains (any older
-    // entries of this job are now stale and will be discarded on pop). Note a
-    // kind dropped as unfittable can re-enter here; it pops and drops again.
-    push_kind(i, AddKind::kWorker);
-    push_kind(i, AddKind::kPs);
+    push_best(i);
   }
 
+  AllocationMap result;
   for (size_t i = 0; i < jobs.size(); ++i) {
     if (active[i]) {
       result[jobs[i].job_id] = alloc[i];

@@ -8,6 +8,13 @@
 //
 // The estimated completion time of job j is t_j = Q_j / f(p_j, w_j), where
 // Q_j comes from the convergence model and f from the speed model.
+//
+// After the serial seeding, each job's solo greedy path (its own better kind,
+// grant after grant) is walked in parallel, one task per speed surface. When
+// the seeds plus all paths fit the capacity, those path ends ARE the greedy's
+// answer; otherwise the walks are rolled back and an exact serial merge with
+// one heap entry per job decides (docs/ALGORITHMS.md §3). Neither the result
+// nor the speed-surface counters depend on the pool.
 
 #ifndef SRC_SCHED_OPTIMUS_ALLOCATOR_H_
 #define SRC_SCHED_OPTIMUS_ALLOCATOR_H_
@@ -16,17 +23,17 @@
 
 namespace optimus {
 
-// Observable counters for one greedy round; useful for tests (the lazy-heap
-// stale/unfittable paths) and for the scalability benches.
+class ThreadPool;
+
+// Observable counters for one greedy round; useful for tests and for the
+// scalability benches. pops == grants + unfittable_drops always.
 struct OptimusAllocRoundStats {
+  // Candidates taken as some job's best next task: one per grant, plus one
+  // per unfittable drop in a binding round.
   int64_t pops = 0;
   int64_t grants = 0;
-  // Candidates whose snapshot no longer matched the job's allocation when
-  // popped: the job moved since the push, and both kinds were already
-  // re-pushed with fresh gains at grant time, so the entry is discarded.
-  int64_t stale_drops = 0;
-  // Candidates whose task kind no longer fits the remaining capacity;
-  // dropped for good (capacity only shrinks within a round).
+  // Candidates whose task kind no longer fits the remaining capacity; that
+  // kind is dead for the rest of the round (capacity only shrinks).
   int64_t unfittable_drops = 0;
 };
 
@@ -36,6 +43,8 @@ struct OptimusAllocatorOptions {
   double min_gain = 0.0;
   // When non-null, the allocator accumulates per-round counters here.
   OptimusAllocRoundStats* stats = nullptr;
+  // When non-null, the per-job path walks fan out over this pool.
+  ThreadPool* pool = nullptr;
 };
 
 class OptimusAllocator : public Allocator {

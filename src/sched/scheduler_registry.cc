@@ -48,9 +48,11 @@ void RegisterBuiltins(SchedulerRegistry* registry) {
     info.allocator_family = AllocatorPolicy::kOptimus;
     info.placement = PlacementPolicy::kOptimusPack;
     info.traits = OptimusTraits();
-    info.SetFactory([](OptimusAllocRoundStats* stats) -> std::unique_ptr<Allocator> {
+    info.SetFactory([](OptimusAllocRoundStats* stats,
+                        ThreadPool* pool) -> std::unique_ptr<Allocator> {
       OptimusAllocatorOptions options;
       options.stats = stats;  // greedy-round counters for the metrics registry
+      options.pool = pool;
       return std::make_unique<OptimusAllocator>(options);
     });
     registry->Register(std::move(info));
@@ -66,9 +68,11 @@ void RegisterBuiltins(SchedulerRegistry* registry) {
     info.allocator_family = AllocatorPolicy::kOptimus;
     info.placement = PlacementPolicy::kRackPack;
     info.traits = OptimusTraits();
-    info.SetFactory([](OptimusAllocRoundStats* stats) -> std::unique_ptr<Allocator> {
+    info.SetFactory([](OptimusAllocRoundStats* stats,
+                        ThreadPool* pool) -> std::unique_ptr<Allocator> {
       OptimusAllocatorOptions options;
       options.stats = stats;
+      options.pool = pool;
       return std::make_unique<OptimusAllocator>(options);
     });
     registry->Register(std::move(info));
@@ -82,7 +86,7 @@ void RegisterBuiltins(SchedulerRegistry* registry) {
         "load-balanced placement, stock MXNet block assignment";
     info.allocator_family = AllocatorPolicy::kDrf;
     info.placement = PlacementPolicy::kLoadBalance;
-    info.SetFactory([](OptimusAllocRoundStats*) -> std::unique_ptr<Allocator> {
+    info.SetFactory([](OptimusAllocRoundStats*, ThreadPool*) -> std::unique_ptr<Allocator> {
       return std::make_unique<DrfAllocator>();
     });
     registry->Register(std::move(info));
@@ -95,7 +99,7 @@ void RegisterBuiltins(SchedulerRegistry* registry) {
         "Tetris-like: SRTF + packing-friendliness score, best-fit placement";
     info.allocator_family = AllocatorPolicy::kTetris;
     info.placement = PlacementPolicy::kTetrisPack;
-    info.SetFactory([](OptimusAllocRoundStats*) -> std::unique_ptr<Allocator> {
+    info.SetFactory([](OptimusAllocRoundStats*, ThreadPool*) -> std::unique_ptr<Allocator> {
       return std::make_unique<TetrisAllocator>();
     });
     registry->Register(std::move(info));
@@ -109,7 +113,7 @@ void RegisterBuiltins(SchedulerRegistry* registry) {
         "next (Sec 2.3's head-of-line baseline), load-balanced placement";
     info.allocator_family = AllocatorPolicy::kFifo;
     info.placement = PlacementPolicy::kLoadBalance;
-    info.SetFactory([](OptimusAllocRoundStats*) -> std::unique_ptr<Allocator> {
+    info.SetFactory([](OptimusAllocRoundStats*, ThreadPool*) -> std::unique_ptr<Allocator> {
       return std::make_unique<FifoAllocator>();
     });
     registry->Register(std::move(info));
@@ -123,7 +127,7 @@ void RegisterBuiltins(SchedulerRegistry* registry) {
         "term zeroed), load-balanced placement";
     info.allocator_family = AllocatorPolicy::kTetris;
     info.placement = PlacementPolicy::kLoadBalance;
-    info.SetFactory([](OptimusAllocRoundStats*) -> std::unique_ptr<Allocator> {
+    info.SetFactory([](OptimusAllocRoundStats*, ThreadPool*) -> std::unique_ptr<Allocator> {
       TetrisAllocatorOptions options;
       options.srtf_weight = 1.0;
       return std::make_unique<TetrisAllocator>(options);
@@ -142,9 +146,11 @@ void RegisterBuiltins(SchedulerRegistry* registry) {
     info.placement = PlacementPolicy::kOptimusPack;
     info.traits = OptimusTraits();
     info.traits.adapts_batch = true;
-    info.SetFactory([](OptimusAllocRoundStats* stats) -> std::unique_ptr<Allocator> {
+    info.SetFactory([](OptimusAllocRoundStats* stats,
+                        ThreadPool* pool) -> std::unique_ptr<Allocator> {
       GoodputAllocatorOptions options;
       options.stats = stats;
+      options.pool = pool;
       return std::make_unique<GoodputAllocator>(options);
     });
     registry->Register(std::move(info));
@@ -161,9 +167,11 @@ void RegisterBuiltins(SchedulerRegistry* registry) {
     info.placement = PlacementPolicy::kOptimusPack;
     info.traits = OptimusTraits();
     info.traits.uses_sensitivity = true;
-    info.SetFactory([](OptimusAllocRoundStats* stats) -> std::unique_ptr<Allocator> {
+    info.SetFactory([](OptimusAllocRoundStats* stats,
+                        ThreadPool* pool) -> std::unique_ptr<Allocator> {
       SynergyAllocatorOptions options;
       options.stats = stats;
+      options.pool = pool;
       return std::make_unique<SynergyAllocator>(options);
     });
     registry->Register(std::move(info));
@@ -251,12 +259,12 @@ std::vector<std::string> SchedulerRegistry::Names() const {
 }
 
 std::unique_ptr<Allocator> SchedulerRegistry::Create(
-    const std::string& name, OptimusAllocRoundStats* stats) const {
+    const std::string& name, OptimusAllocRoundStats* stats, ThreadPool* pool) const {
   const SchedulerPolicyInfo* info = Find(name);
   if (info == nullptr) {
     return nullptr;
   }
-  return info->factory->Create(stats);
+  return info->factory->Create(stats, pool);
 }
 
 std::string SchedulerRegistry::UnknownPolicyMessage(const std::string& name) const {

@@ -36,104 +36,64 @@ double SpeedSurface::Speed(int p, int w) {
   if (std::isnan(cell)) {
     ++evals_;
     cell = speed_(p, w);
-  } else if (!warm_unprobed_.empty() && warm_unprobed_[idx] != 0) {
-    // First probe of a pre-warmed point: charge the eval the canonical
-    // (cold) round would have paid here, so counters match bitwise.
-    warm_unprobed_[idx] = 0;
-    ++evals_;
+    if (speculating_ && journal_) {
+      speculated_.push_back(idx);
+    }
   }
   return cell;
 }
 
-int64_t SpeedSurface::AbsorbFrom(const SpeedSurface& other) {
-  if (!cache_enabled_ || other.grid_.empty() || max_ps_ != other.max_ps_ ||
-      max_workers_ != other.max_workers_) {
-    return 0;
-  }
-  if (grid_.empty()) {
+void SpeedSurface::BeginSpeculation() {
+  OPTIMUS_CHECK(!speculating_);
+  speculating_ = true;
+  probes_before_ = probes_;
+  evals_before_ = evals_;
+  // A surface with no point evaluated yet rolls back by emptying its grid,
+  // so only one that already holds points journals the new ones.
+  journal_ = !grid_.empty();
+  if (cache_enabled_ && grid_.empty()) {
     grid_.assign(GridSize(), std::numeric_limits<double>::quiet_NaN());
   }
-  int64_t copied = 0;
-  for (size_t i = 0; i < grid_.size(); ++i) {
-    if (!std::isnan(grid_[i]) || std::isnan(other.grid_[i])) {
-      continue;
+}
+
+void SpeedSurface::EndSpeculation(bool keep) {
+  OPTIMUS_CHECK(speculating_);
+  speculating_ = false;
+  if (!keep) {
+    if (!journal_) {
+      grid_.clear();
     }
-    if (warm_unprobed_.empty()) {
-      warm_unprobed_.assign(grid_.size(), 0);
+    for (const size_t idx : speculated_) {
+      grid_[idx] = std::numeric_limits<double>::quiet_NaN();
     }
-    grid_[i] = other.grid_[i];
-    warm_unprobed_[i] = 1;
-    ++copied;
+    probes_ = probes_before_;
+    evals_ = evals_before_;
   }
-  return copied;
+  speculated_.clear();
 }
 
 SpeedSurface* SpeedSurfaceSet::Surface(const SchedJob& job) {
   if (auto it = by_job_.find(job.job_id); it != by_job_.end()) {
-    return it->second.get();
-  }
-  std::shared_ptr<SpeedSurface> surface;
-  if (job.speed_signature != 0) {
-    const auto key =
-        std::make_tuple(job.speed_signature, job.max_ps, job.max_workers);
-    if (auto it = by_signature_.find(key); it != by_signature_.end()) {
-      surface = it->second;
-    } else {
-      surface = std::make_shared<SpeedSurface>(job.speed, job.max_ps,
-                                               job.max_workers, cache_enabled_);
-      by_signature_[key] = surface;
-      surfaces_.push_back(surface);
-      if (auto warm = warm_by_signature_.find(key);
-          warm != warm_by_signature_.end()) {
-        for (const auto& donor : warm->second) {
-          warmed_points_ += surface->AbsorbFrom(*donor);
-        }
-        warm_by_signature_.erase(warm);
-      }
-    }
-  } else {
-    surface = std::make_shared<SpeedSurface>(job.speed, job.max_ps,
-                                             job.max_workers, cache_enabled_);
-    surfaces_.push_back(surface);
-    if (auto warm = warm_by_job_.find(job.job_id); warm != warm_by_job_.end()) {
-      for (const auto& donor : warm->second) {
-        warmed_points_ += surface->AbsorbFrom(*donor);
-      }
-      warm_by_job_.erase(warm);
-    }
-  }
-  by_job_[job.job_id] = surface;
-  return surface.get();
-}
-
-std::shared_ptr<SpeedSurface> SpeedSurfaceSet::Find(int job_id) const {
-  if (auto it = by_job_.find(job_id); it != by_job_.end()) {
     return it->second;
   }
-  return nullptr;
-}
-
-void SpeedSurfaceSet::WarmFrom(const SchedJob& job,
-                               std::shared_ptr<SpeedSurface> donor) {
-  if (donor == nullptr || !cache_enabled_) {
-    return;
-  }
-  if (auto it = by_job_.find(job.job_id); it != by_job_.end()) {
-    // The surface already exists (registration raced creation): absorb now.
-    warmed_points_ += it->second->AbsorbFrom(*donor);
-    return;
-  }
+  const auto create = [&] {
+    surfaces_.push_back(std::make_unique<SpeedSurface>(job.speed, job.max_ps,
+                                                       job.max_workers, cache_enabled_));
+    return surfaces_.back().get();
+  };
+  SpeedSurface* surface = nullptr;
   if (job.speed_signature != 0) {
-    const auto key =
-        std::make_tuple(job.speed_signature, job.max_ps, job.max_workers);
-    if (auto it = by_signature_.find(key); it != by_signature_.end()) {
-      warmed_points_ += it->second->AbsorbFrom(*donor);
-      return;
+    SpeedSurface*& shared =
+        by_signature_[std::make_tuple(job.speed_signature, job.max_ps, job.max_workers)];
+    if (shared == nullptr) {
+      shared = create();
     }
-    warm_by_signature_[key].push_back(std::move(donor));
-    return;
+    surface = shared;
+  } else {
+    surface = create();
   }
-  warm_by_job_[job.job_id].push_back(std::move(donor));
+  by_job_[job.job_id] = surface;
+  return surface;
 }
 
 int64_t SpeedSurfaceSet::probes() const {

@@ -14,7 +14,9 @@
 // identical speed functions (SchedJob::speed_signature).
 //
 // Thread-safety: a SpeedSurface / SpeedSurfaceSet is NOT thread-safe; each
-// scheduling round (each allocator call chain) must own its own set. The
+// scheduling round (each allocator call chain) must own its own set, and
+// distinct surfaces may be probed concurrently only once Surface() has
+// created them (the Optimus allocator's per-surface path walks). The
 // parallel experiment runner satisfies this by construction: every simulator
 // instance builds its rounds' surfaces privately.
 
@@ -46,20 +48,18 @@ class SpeedSurface {
   int max_ps() const { return max_ps_; }
   int max_workers() const { return max_workers_; }
 
-  // Copies every point `other` has evaluated (and this surface has not) into
-  // a warm side-cache; returns how many points were copied. The caller
-  // guarantees the two surfaces memoize pointwise-identical functions (same
-  // signature contract as SpeedSurfaceSet sharing), so a warm value is
-  // bitwise what evaluating here would produce. Warm points do NOT touch the
-  // probe/eval counters at absorb time: the first Speed() probe of a warm
-  // point counts as one eval (served from the cache, no function call), so
-  // the counters a round reports are identical whether its surfaces were
-  // pre-warmed by shard-local passes or evaluated cold.
-  int64_t AbsorbFrom(const SpeedSurface& other);
-
   // Total Speed() calls vs underlying speed-function evaluations.
   int64_t probes() const { return probes_; }
   int64_t evals() const { return evals_; }
+
+  // Speculative probing. Probes between BeginSpeculation() and
+  // EndSpeculation() memoize and count as usual; EndSpeculation(false) then
+  // forgets the points first evaluated since BeginSpeculation() and restores
+  // both counters, as if those probes never happened. EndSpeculation(true)
+  // keeps everything. BeginSpeculation() allocates the grid, so a caller
+  // that probes from pool workers allocates on its own thread.
+  void BeginSpeculation();
+  void EndSpeculation(bool keep);
 
  private:
   // Grid rows: [1..max_ps] for PS jobs, the single p == 0 row for all-reduce
@@ -75,12 +75,16 @@ class SpeedSurface {
   // NaN = not yet evaluated. Allocated lazily on the first in-grid probe so
   // jobs that are never probed (e.g. DRF rounds) cost nothing.
   std::vector<double> grid_;
-  // Nonzero marks a grid cell filled by AbsorbFrom but not yet probed; the
-  // first probe charges the eval the canonical (unwarmed) round would have
-  // paid. Allocated only when AbsorbFrom copies at least one point.
-  std::vector<uint8_t> warm_unprobed_;
   int64_t probes_ = 0;
   int64_t evals_ = 0;
+  // Speculation state: whether the grid held points at BeginSpeculation()
+  // (only then are new points journaled; otherwise a rollback empties the
+  // grid), the journaled cells, and the counters at BeginSpeculation().
+  bool speculating_ = false;
+  bool journal_ = false;
+  std::vector<size_t> speculated_;
+  int64_t probes_before_ = 0;
+  int64_t evals_before_ = 0;
 };
 
 // The surfaces of one scheduling round, keyed by job id. Jobs carrying the
@@ -96,22 +100,6 @@ class SpeedSurfaceSet {
   // first use. The returned pointer stays valid for the set's lifetime.
   SpeedSurface* Surface(const SchedJob& job);
 
-  // Shared handle to `job`'s surface, or null when none exists yet. Never
-  // creates a surface (so it cannot perturb num_surfaces()).
-  std::shared_ptr<SpeedSurface> Find(int job_id) const;
-
-  // Registers `donor` as a warm source for `job`'s surface: when (and only
-  // when) a later Surface() call creates that surface, it absorbs the
-  // donor's already-evaluated points first (see SpeedSurface::AbsorbFrom).
-  // Surfaces are still created purely on demand, so a warmed round reports
-  // the same surface count, probe count, and eval count as a cold one. Used
-  // by the sharded round to hand shard-local phase-1 surfaces to the serial
-  // fixup pass.
-  void WarmFrom(const SchedJob& job, std::shared_ptr<SpeedSurface> donor);
-
-  // Points served from warm donors so far (profiling only).
-  int64_t warmed_points() const { return warmed_points_; }
-
   bool cache_enabled() const { return cache_enabled_; }
   size_t num_surfaces() const { return surfaces_.size(); }
 
@@ -124,17 +112,9 @@ class SpeedSurfaceSet {
 
  private:
   bool cache_enabled_;
-  std::vector<std::shared_ptr<SpeedSurface>> surfaces_;
-  std::map<int, std::shared_ptr<SpeedSurface>> by_job_;
-  std::map<std::tuple<uint64_t, int, int>, std::shared_ptr<SpeedSurface>>
-      by_signature_;
-  // Pending warm donors, applied when the matching surface is created.
-  // Signature-carrying jobs key by (signature, caps) so one absorption
-  // covers every job sharing the surface; signature-0 jobs key by job id.
-  std::map<std::tuple<uint64_t, int, int>, std::vector<std::shared_ptr<SpeedSurface>>>
-      warm_by_signature_;
-  std::map<int, std::vector<std::shared_ptr<SpeedSurface>>> warm_by_job_;
-  int64_t warmed_points_ = 0;
+  std::vector<std::unique_ptr<SpeedSurface>> surfaces_;
+  std::map<int, SpeedSurface*> by_job_;
+  std::map<std::tuple<uint64_t, int, int>, SpeedSurface*> by_signature_;
 };
 
 }  // namespace optimus

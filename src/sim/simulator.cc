@@ -31,7 +31,8 @@ uint64_t MixSignature(uint64_t h, uint64_t v) {
 // so the enum's builtin name wins. Configs that never set a policy resolve to
 // the family's builtin name too.
 std::unique_ptr<Allocator> MakeAllocator(const SimulatorConfig& config,
-                                         OptimusAllocRoundStats* stats) {
+                                         OptimusAllocRoundStats* stats,
+                                         ThreadPool* pool) {
   std::string name = AllocatorPolicyName(config.allocator);
   if (!config.policy.empty()) {
     const SchedulerPolicyInfo* info =
@@ -41,7 +42,7 @@ std::unique_ptr<Allocator> MakeAllocator(const SimulatorConfig& config,
     }
   }
   std::unique_ptr<Allocator> allocator =
-      SchedulerRegistry::Global().Create(name, stats);
+      SchedulerRegistry::Global().Create(name, stats, pool);
   OPTIMUS_CHECK(allocator != nullptr)
       << SchedulerRegistry::Global().UnknownPolicyMessage(name);
   return allocator;
@@ -214,7 +215,6 @@ Simulator::Simulator(SimulatorConfig config, std::vector<Server> servers,
                      std::vector<JobSpec> specs)
     : config_(config.CheckValid()),
       servers_(std::move(servers)),
-      allocator_(MakeAllocator(config, &alloc_stats_)),
       straggler_(config.straggler),
       rng_(config.seed),
       flight_(config.obs.enabled ? config.obs.flight_recorder_depth : 0) {
@@ -242,6 +242,7 @@ Simulator::Simulator(SimulatorConfig config, std::vector<Server> servers,
   if (threads > 1) {
     pool_ = std::make_unique<ThreadPool>(threads);
   }
+  allocator_ = MakeAllocator(config_, &alloc_stats_, pool_.get());
   shard_plan_ = ShardPlan::Build(config_.shards,
                                  static_cast<int>(servers_.size()),
                                  config_.rack_size);
@@ -371,8 +372,6 @@ void Simulator::SetupObservability() {
         c("optimus_alloc_pops_total", "Greedy-heap candidates popped (Optimus).");
     m_.alloc_grants =
         c("optimus_alloc_grants_total", "Tasks granted by the greedy allocator.");
-    m_.alloc_stale_drops = c("optimus_alloc_stale_drops_total",
-                             "Heap candidates discarded as stale snapshots.");
     m_.alloc_unfittable_drops =
         c("optimus_alloc_unfittable_drops_total",
           "Heap candidates dropped because their task kind no longer fits.");
@@ -430,29 +429,6 @@ void Simulator::SetupObservability() {
           "optimus_net_mean_link_utilization",
           "Mean utilization over all fabric links after the last solve (0-1).");
     }
-    // Sharded-round counters describe HOW the round computed its
-    // (bitwise-invariant) answer, so they vary with config_.shards. They are
-    // quarantined here, between the deterministic catalog prefix and the
-    // wall_* gauges, with the other profile-only metrics: the deterministic
-    // catalog stays a stable prefix of the export for every (shards,
-    // threads) combination.
-    m_.shard_rounds = c("optimus_shard_rounds_total",
-                        "Two-phase sharded scheduling rounds executed.");
-    m_.shard_local_grants =
-        c("optimus_shard_local_grants_total",
-          "Phase-1 provisional grants across all shards (profile only).");
-    m_.shard_local_evals =
-        c("optimus_shard_local_evals_total",
-          "Phase-1 speed-function evaluations across all shards.");
-    m_.shard_warmed_points =
-        c("optimus_shard_warmed_points_total",
-          "Memoized speed points handed from shard surfaces to fixup passes.");
-    m_.shard_migrated_jobs =
-        c("optimus_shard_migrated_jobs_total",
-          "Jobs whose fixup-pass grant differs from their shard-local grant.");
-    m_.shard_migrated_tasks =
-        c("optimus_shard_migrated_tasks_total",
-          "Task-count delta between shard-local and fixup-pass grants.");
     // Profiling gauges (optimus_wall_*_seconds) register last so the
     // deterministic catalog is a stable prefix of the export.
     profiler_.AttachRegistry(&registry_, "optimus_wall_");
@@ -515,7 +491,6 @@ void Simulator::SampleObservability() {
   m_.speed_surfaces->Set(static_cast<double>(surface_count_));
   m_.alloc_pops->Set(static_cast<double>(alloc_stats_.pops));
   m_.alloc_grants->Set(static_cast<double>(alloc_stats_.grants));
-  m_.alloc_stale_drops->Set(static_cast<double>(alloc_stats_.stale_drops));
   m_.alloc_unfittable_drops->Set(static_cast<double>(alloc_stats_.unfittable_drops));
   m_.conv_fits->Set(static_cast<double>(conv.fits));
   m_.conv_fit_cache_hits->Set(static_cast<double>(conv.fit_cache_hits));
@@ -528,13 +503,6 @@ void Simulator::SampleObservability() {
     m_.events_by_kind[k]->Set(
         static_cast<double>(event_counts_.counts[static_cast<size_t>(k)]));
   }
-  m_.shard_rounds->Set(static_cast<double>(sharded_stats_.rounds));
-  m_.shard_local_grants->Set(static_cast<double>(sharded_stats_.local_grants));
-  m_.shard_local_evals->Set(static_cast<double>(sharded_stats_.local_evals));
-  m_.shard_warmed_points->Set(static_cast<double>(sharded_stats_.warmed_points));
-  m_.shard_migrated_jobs->Set(static_cast<double>(sharded_stats_.migrated_jobs));
-  m_.shard_migrated_tasks->Set(
-      static_cast<double>(sharded_stats_.migrated_tasks));
   if (net_ != nullptr && m_.net_solves != nullptr) {
     const NetworkStats& ns = net_->stats();
     m_.net_solves->Set(static_cast<double>(ns.solves));
@@ -1168,39 +1136,18 @@ void Simulator::ScheduleActiveJobs() {
     }
   }
 
-  // Scheduler-input construction is per-job-pure (model predictions read and
-  // memoize only job-owned state), so it fans out over the pool; slot i is
-  // owned by job i, keeping the result order-independent of thread count.
-  std::vector<SchedJob> sched_jobs(schedulable.size());
-  if (pool_ != nullptr && schedulable.size() > 1) {
-    pool_->ParallelFor(static_cast<int64_t>(schedulable.size()),
-                       [&](int64_t i) { sched_jobs[i] = MakeSchedJob(schedulable[i]); });
-  } else {
-    for (size_t i = 0; i < schedulable.size(); ++i) {
-      sched_jobs[i] = MakeSchedJob(schedulable[i]);
-    }
+  // Serial: a scheduler view is a few closures and a memoized estimate, too
+  // little work per job for a pool fan-out to pay for its dispatch.
+  std::vector<SchedJob> sched_jobs;
+  sched_jobs.reserve(schedulable.size());
+  for (JobRuntime* jr : schedulable) {
+    sched_jobs.push_back(MakeSchedJob(jr));
   }
   // One memoized-surface set per round, owned here (instead of the 2-arg
   // Allocate convenience overload building a hidden one) so its probe/eval
   // counters can feed the metrics registry. Decisions are identical.
   SpeedSurfaceSet surfaces;
-  AllocationMap alloc;
-  if (shard_plan_.num_shards() > 1) {
-    // Two-phase sharded round (docs/ALGORITHMS.md §18): parallel per-shard
-    // local passes warm the speed-surface memo tables, then the canonical
-    // allocator runs the serial cross-shard fixup over the full capacity on
-    // the warmed tables. Decisions, the live alloc_stats_ counters, and the
-    // surface counters harvested below are bitwise identical to the
-    // unsharded call (phase 1 writes its counters into sharded_stats_ only).
-    const auto local_factory = [this](OptimusAllocRoundStats* stats) {
-      return MakeAllocator(config_, stats);
-    };
-    alloc = ShardedAllocate(shard_plan_, sched_jobs, capacity, *allocator_,
-                            local_factory, &surfaces, pool_.get(),
-                            &sharded_stats_);
-  } else {
-    alloc = allocator_->Allocate(sched_jobs, capacity, &surfaces);
-  }
+  AllocationMap alloc = allocator_->Allocate(sched_jobs, capacity, &surfaces);
   surface_probes_ += surfaces.probes();
   surface_evals_ += surfaces.evals();
   surface_count_ += static_cast<int64_t>(surfaces.num_surfaces());
@@ -1946,7 +1893,8 @@ WhatIfResult Simulator::WhatIf(const JobSpec& candidate) {
   // A fresh allocator instance so the query does not advance the round-stats
   // counters the live allocator shares with the metrics registry.
   OptimusAllocRoundStats scratch_stats;
-  std::unique_ptr<Allocator> allocator = MakeAllocator(config_, &scratch_stats);
+  std::unique_ptr<Allocator> allocator =
+      MakeAllocator(config_, &scratch_stats, pool_.get());
   return EvaluateAdmission(*allocator, existing, cand, capacity);
 }
 

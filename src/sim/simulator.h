@@ -38,7 +38,6 @@
 #include "src/sched/placement.h"
 #include "src/sched/scheduler.h"
 #include "src/sched/scheduler_registry.h"
-#include "src/sched/sharded_round.h"
 #include "src/sched/what_if.h"
 #include "src/sim/event_kernel.h"
 #include "src/sim/fault_injector.h"
@@ -184,17 +183,12 @@ struct SimulatorConfig {
   int full_audit_period = 16;
   // Observability: metrics registry, flight recorder, series sampling.
   ObservabilityConfig obs;
-  // Two-phase sharded scheduling rounds (docs/ALGORITHMS.md §18): servers are
-  // partitioned into `shards` rack-aligned contiguous pools. Allocation first
-  // runs locally per shard — in parallel on the job thread pool, each shard
-  // against its proportional capacity slice — to warm the speed-surface memo
-  // tables; a serial cross-shard fixup pass then allocates over the full
-  // cluster on the warmed tables, migrating grants across shard boundaries
-  // until no cross-shard marginal gain remains. The packing placement keeps
-  // one lazy server heap per shard and merges them with a tournament pop
-  // that reproduces the global most-free order. Decisions, RunMetrics,
-  // event traces, and the deterministic metric catalog are bitwise identical
-  // for every (shards, threads) combination; 1 = the unsharded round.
+  // Placement partition (docs/ALGORITHMS.md §18): servers are split into
+  // `shards` rack-aligned contiguous pools, and the packing placement keeps
+  // one lazy server heap per shard, merged with a tournament pop that
+  // reproduces the global most-free order. Decisions, RunMetrics, event
+  // traces, and the deterministic metric catalog are bitwise identical for
+  // every (shards, threads) combination; 1 = one heap.
   int shards = 1;
   // Rack width in contiguous server ids (the scenario DSL's
   // `cluster.rack_size`) used to align shard boundaries; 0 = one rack spans
@@ -289,8 +283,6 @@ class Simulator {
   const RunMetrics& metrics() const { return metrics_; }
   // Lifecycle event log of the run so far.
   const EventTrace& trace() const { return trace_; }
-  // Two-phase sharded-round counters (all zero when knobs.shards <= 1).
-  const ShardedRoundStats& sharded_stats() const { return sharded_stats_; }
   // Network fabric model driving per-job bandwidths; null under the flat
   // (exact-compat) model. Stats are cumulative over the run's solves.
   const NetworkModel* network() const { return net_.get(); }
@@ -539,14 +531,11 @@ class Simulator {
   ModelFitStats retired_speed_stats_;
   std::unique_ptr<ThreadPool> pool_;  // per-job parallelism (see threads)
   // Greedy-round counters the Optimus allocator accumulates across rounds;
-  // declared before allocator_, which captures a pointer to it.
+  // allocator_ captures pointers to it and to pool_.
   OptimusAllocRoundStats alloc_stats_;
   std::unique_ptr<Allocator> allocator_;
-  // Rack-aligned server partition for the two-phase sharded round and the
-  // placement heaps (config_.shards; a single-shard plan routes allocation
-  // through the unsharded allocator) and the round's profiling counters.
+  // Rack-aligned server partition for the placement heaps (config_.shards).
   ShardPlan shard_plan_;
-  ShardedRoundStats sharded_stats_;
   // Network fabric model; null under the flat (exact-compat) model.
   std::unique_ptr<NetworkModel> net_;
   StragglerModel straggler_;
@@ -610,7 +599,6 @@ class Simulator {
     Counter* speed_surfaces = nullptr;
     Counter* alloc_pops = nullptr;
     Counter* alloc_grants = nullptr;
-    Counter* alloc_stale_drops = nullptr;
     Counter* alloc_unfittable_drops = nullptr;
     Counter* conv_fits = nullptr;
     Counter* conv_fit_cache_hits = nullptr;
@@ -626,13 +614,6 @@ class Simulator {
     Counter* net_contended_flows = nullptr;
     Gauge* net_max_link_util = nullptr;
     Gauge* net_mean_link_util = nullptr;
-    // Sharded-round profile (quarantined: registered with the wall_* tail).
-    Counter* shard_rounds = nullptr;
-    Counter* shard_local_grants = nullptr;
-    Counter* shard_local_evals = nullptr;
-    Counter* shard_warmed_points = nullptr;
-    Counter* shard_migrated_jobs = nullptr;
-    Counter* shard_migrated_tasks = nullptr;
     Gauge* sim_time = nullptr;
     Gauge* running_tasks = nullptr;
     Histogram* jct_seconds = nullptr;

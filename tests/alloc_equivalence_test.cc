@@ -1,0 +1,372 @@
+// OptimusAllocator against a reference copy of the classic serial greedy: a
+// lazily-validated max-heap holding one candidate per (job, kind), re-pushing
+// both kinds after every grant and discarding superseded entries on pop. On
+// seeded random instances — slack and binding capacity, min_gain > 0,
+// all-reduce jobs, shared-signature surfaces, kinds that stop fitting — the
+// parallel path walk plus one-entry merge must make the same decisions and
+// probe the same speed points, for every pool size.
+
+#include <cmath>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "src/common/min_heap.h"
+#include "src/common/rng.h"
+#include "src/common/threadpool.h"
+#include "src/sched/optimus_allocator.h"
+#include "src/sched/speed_surface.h"
+
+namespace optimus {
+namespace {
+
+// ---------------------------------------------------------------------------
+// Reference: the two-entry lazy-heap greedy, kept verbatim in behaviour.
+// ---------------------------------------------------------------------------
+
+struct RefStats {
+  int64_t pops = 0;
+  int64_t grants = 0;
+  int64_t stale_drops = 0;
+  int64_t unfittable_drops = 0;
+};
+
+enum class Kind { kWorker, kPs };
+
+struct RefCandidate {
+  double gain = 0.0;
+  int job_index = 0;
+  Kind kind = Kind::kWorker;
+  int at_ps = 0;
+  int at_workers = 0;
+
+  bool operator<(const RefCandidate& other) const {
+    if (gain != other.gain) {
+      return gain < other.gain;
+    }
+    if (job_index != other.job_index) {
+      return job_index > other.job_index;
+    }
+    return kind == Kind::kPs && other.kind == Kind::kWorker;
+  }
+};
+
+struct RefBefore {
+  bool operator()(const RefCandidate& a, const RefCandidate& b) const { return b < a; }
+};
+
+double RefCompletionTime(const SchedJob& job, SpeedSurface* surface, int p, int w) {
+  const int min_ps = job.max_ps > 0 ? 1 : 0;
+  if (p < min_ps || w < 1) {
+    return std::numeric_limits<double>::infinity();
+  }
+  const double f = surface->Speed(p, w);
+  if (f <= 0.0) {
+    return std::numeric_limits<double>::infinity();
+  }
+  return job.remaining_epochs / f;
+}
+
+bool RefKindCandidate(const SchedJob& job, SpeedSurface* surface, const Allocation& alloc,
+                      const Resources& capacity, Kind kind, double min_gain,
+                      RefCandidate* out) {
+  if (job.remaining_epochs <= 0.0) {
+    return false;
+  }
+  const double t_now = RefCompletionTime(job, surface, alloc.num_ps, alloc.num_workers);
+  if (!std::isfinite(t_now)) {
+    return false;
+  }
+  double t_next = std::numeric_limits<double>::infinity();
+  double dom = 0.0;
+  if (kind == Kind::kWorker) {
+    if (alloc.num_workers >= job.max_workers) {
+      return false;
+    }
+    t_next = RefCompletionTime(job, surface, alloc.num_ps, alloc.num_workers + 1);
+    dom = job.worker_demand.Get(job.worker_demand.DominantResource(capacity));
+  } else {
+    if (alloc.num_ps >= job.max_ps) {
+      return false;
+    }
+    t_next = RefCompletionTime(job, surface, alloc.num_ps + 1, alloc.num_workers);
+    dom = job.ps_demand.Get(job.ps_demand.DominantResource(capacity));
+  }
+  if (dom <= 0.0 || !std::isfinite(t_next)) {
+    return false;
+  }
+  const double gain = (t_now - t_next) / dom * job.priority_factor;
+  if (gain <= min_gain) {
+    return false;
+  }
+  out->gain = gain;
+  out->kind = kind;
+  out->at_ps = alloc.num_ps;
+  out->at_workers = alloc.num_workers;
+  return true;
+}
+
+AllocationMap ReferenceAllocate(const std::vector<SchedJob>& jobs,
+                                const Resources& capacity, double min_gain,
+                                SpeedSurfaceSet* surfaces, RefStats* stats) {
+  std::vector<Allocation> alloc(jobs.size());
+  Resources used;
+  std::vector<bool> active(jobs.size(), false);
+  std::vector<SpeedSurface*> surf(jobs.size(), nullptr);
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    const int seed_ps = jobs[i].max_ps > 0 ? 1 : 0;
+    const Resources seed = jobs[i].worker_demand + jobs[i].ps_demand * seed_ps;
+    if (capacity.Fits(used + seed)) {
+      used += seed;
+      alloc[i] = {seed_ps, 1};
+      active[i] = true;
+      surf[i] = surfaces->Surface(jobs[i]);
+    }
+  }
+  MinHeap<RefCandidate, RefBefore> heap;
+  const auto push_kind = [&](size_t i, Kind kind) {
+    RefCandidate c;
+    c.job_index = static_cast<int>(i);
+    if (RefKindCandidate(jobs[i], surf[i], alloc[i], capacity, kind, min_gain, &c)) {
+      heap.push(c);
+    }
+  };
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    if (active[i]) {
+      push_kind(i, Kind::kWorker);
+      push_kind(i, Kind::kPs);
+    }
+  }
+  while (!heap.empty()) {
+    const RefCandidate c = heap.top();
+    heap.pop();
+    ++stats->pops;
+    const size_t i = static_cast<size_t>(c.job_index);
+    if (c.at_ps != alloc[i].num_ps || c.at_workers != alloc[i].num_workers) {
+      ++stats->stale_drops;
+      continue;
+    }
+    const Resources demand =
+        c.kind == Kind::kWorker ? jobs[i].worker_demand : jobs[i].ps_demand;
+    if (!capacity.Fits(used + demand)) {
+      ++stats->unfittable_drops;
+      continue;
+    }
+    used += demand;
+    if (c.kind == Kind::kWorker) {
+      ++alloc[i].num_workers;
+    } else {
+      ++alloc[i].num_ps;
+    }
+    ++stats->grants;
+    push_kind(i, Kind::kWorker);
+    push_kind(i, Kind::kPs);
+  }
+  AllocationMap result;
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    if (active[i]) {
+      result[jobs[i].job_id] = alloc[i];
+    }
+  }
+  return result;
+}
+
+// ---------------------------------------------------------------------------
+// Seeded random instances
+// ---------------------------------------------------------------------------
+
+enum class Capacity { kSlack, kBinding };
+
+struct Instance {
+  std::vector<SchedJob> jobs;
+  Resources capacity;
+  double min_gain = 0.0;
+};
+
+Resources RandomDemand(Rng* rng) {
+  return Resources(rng->Uniform(1.0, 6.0), rng->Uniform(2.0, 20.0), 0.0,
+                   rng->Uniform(0.05, 0.5));
+}
+
+Instance MakeInstance(uint64_t seed, Capacity capacity, bool positive_min_gain) {
+  Rng rng(seed);
+  // A few speed "models"; jobs of a model with a nonzero signature share one
+  // surface (same function, same caps).
+  struct Model {
+    double a, b, c, d, e, scale;
+    bool allreduce;
+    int max_ps, max_workers;
+    uint64_t signature;
+  };
+  std::vector<Model> models(static_cast<size_t>(rng.UniformInt(1, 6)));
+  for (size_t m = 0; m < models.size(); ++m) {
+    Model& model = models[m];
+    model.a = rng.Uniform(1.0, 8.0);
+    model.b = rng.Uniform(0.2, 2.0);
+    model.c = rng.Uniform(0.1, 1.5);
+    model.d = rng.Uniform(0.01, 0.2);
+    model.e = rng.Uniform(0.01, 0.2);
+    model.scale = rng.Uniform(0.5, 3.0);
+    model.allreduce = rng.Bernoulli(0.3);
+    model.max_ps = model.allreduce ? 0 : static_cast<int>(rng.UniformInt(1, 12));
+    model.max_workers = static_cast<int>(rng.UniformInt(1, 16));
+    model.signature = rng.Bernoulli(0.6) ? m + 1 : 0;
+  }
+
+  Instance in;
+  const int num_jobs = static_cast<int>(rng.UniformInt(1, 40));
+  Resources seeds;
+  for (int j = 0; j < num_jobs; ++j) {
+    const Model& model =
+        models[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(models.size()) - 1))];
+    SchedJob job;
+    job.job_id = 3 * j + 7;
+    job.comm = model.allreduce ? CommMode::kAllReduce : CommMode::kParameterServer;
+    job.max_ps = model.max_ps;
+    job.max_workers = model.max_workers;
+    job.worker_demand = RandomDemand(&rng);
+    job.ps_demand = model.allreduce ? Resources() : RandomDemand(&rng);
+    job.remaining_epochs = rng.Bernoulli(0.1) ? 0.0 : rng.Uniform(0.5, 50.0);
+    job.priority_factor = rng.Bernoulli(0.3) ? 0.95 : 1.0;
+    job.speed_signature = model.signature;
+    job.speed = [model](int p, int w) {
+      const double t = model.allreduce
+                           ? model.a / w + model.b + model.c * (w - 1.0) / w + model.d * w
+                           : model.a / w + model.b + model.c * w / p + model.d * w +
+                                 model.e * p;
+      return model.scale / t;
+    };
+    seeds += job.worker_demand + job.ps_demand * (job.max_ps > 0 ? 1 : 0);
+    in.jobs.push_back(std::move(job));
+  }
+  in.capacity = capacity == Capacity::kSlack
+                    ? Resources(1e7, 1e8, 0.0, 1e6)
+                    : seeds * rng.Uniform(0.6, 3.0);
+  in.min_gain = positive_min_gain ? rng.Uniform(0.01, 1.0) : 0.0;
+  return in;
+}
+
+// Workers cost 5 CPUs and PSes 3, and the speed gains favour PSes, so the
+// worker kind stops fitting while the PS side keeps filling.
+Instance UnfittableWorkerInstance() {
+  Instance in;
+  for (int j = 0; j < 2; ++j) {
+    SchedJob job;
+    job.job_id = j;
+    job.worker_demand = Resources(5, 10, 0, 0.2);
+    job.ps_demand = Resources(3, 10, 0, 0.2);
+    job.remaining_epochs = 10.0 + j;
+    job.speed = [](int p, int w) {
+      return 1.0 / (4.0 / p + 0.2 / w + 0.05 * p + 0.05 * w);
+    };
+    job.max_ps = 16;
+    job.max_workers = 16;
+    in.jobs.push_back(std::move(job));
+  }
+  in.capacity = Resources(30, 10000, 0, 1000);
+  return in;
+}
+
+// ---------------------------------------------------------------------------
+// Comparison
+// ---------------------------------------------------------------------------
+
+struct Outcome {
+  AllocationMap result;
+  OptimusAllocRoundStats stats;
+  int64_t probes = 0;
+  int64_t evals = 0;
+  size_t surfaces = 0;
+};
+
+Outcome RunAllocator(const Instance& in, ThreadPool* pool) {
+  Outcome out;
+  OptimusAllocatorOptions options;
+  options.min_gain = in.min_gain;
+  options.stats = &out.stats;
+  options.pool = pool;
+  SpeedSurfaceSet surfaces;
+  out.result = OptimusAllocator(options).Allocate(in.jobs, in.capacity, &surfaces);
+  out.probes = surfaces.probes();
+  out.evals = surfaces.evals();
+  out.surfaces = surfaces.num_surfaces();
+  return out;
+}
+
+// Checks one instance against the reference for an inline pool and for 2 and
+// 8 threads; returns the reference's unfittable-drop count.
+int64_t ExpectEquivalent(const Instance& in, bool slack, const std::string& label) {
+  RefStats ref_stats;
+  SpeedSurfaceSet ref_surfaces;
+  const AllocationMap want =
+      ReferenceAllocate(in.jobs, in.capacity, in.min_gain, &ref_surfaces, &ref_stats);
+  for (const int threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    const Outcome got = RunAllocator(in, &pool);
+    const std::string where = label + " threads=" + std::to_string(threads);
+    EXPECT_EQ(got.result.size(), want.size()) << where;
+    for (const auto& [id, alloc] : want) {
+      const auto it = got.result.find(id);
+      if (it == got.result.end()) {
+        ADD_FAILURE() << where << " job " << id << " missing";
+        continue;
+      }
+      EXPECT_EQ(it->second.num_ps, alloc.num_ps) << where << " job " << id;
+      EXPECT_EQ(it->second.num_workers, alloc.num_workers) << where << " job " << id;
+    }
+    EXPECT_EQ(got.stats.grants, ref_stats.grants) << where;
+    EXPECT_EQ(got.stats.pops, got.stats.grants + got.stats.unfittable_drops) << where;
+    EXPECT_EQ(got.surfaces, ref_surfaces.num_surfaces()) << where;
+    // A binding round rolls its walks back, so the speed work is the serial
+    // greedy's either way.
+    EXPECT_EQ(got.evals, ref_surfaces.evals()) << where;
+    EXPECT_EQ(got.probes, ref_surfaces.probes()) << where;
+    if (slack) {
+      EXPECT_EQ(got.stats.unfittable_drops, 0) << where;
+    }
+  }
+  return ref_stats.unfittable_drops;
+}
+
+TEST(AllocEquivalenceTest, SlackRoundsMatchDecisionsAndSpeedWork) {
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    ExpectEquivalent(MakeInstance(seed, Capacity::kSlack, seed % 3 == 0), true,
+                     "slack seed " + std::to_string(seed));
+  }
+}
+
+TEST(AllocEquivalenceTest, BindingRoundsMatchDecisionsAndSpeedWork) {
+  int64_t unfittable = 0;
+  for (uint64_t seed = 1; seed <= 120; ++seed) {
+    unfittable += ExpectEquivalent(MakeInstance(1000 + seed, Capacity::kBinding,
+                                                seed % 3 == 0),
+                                   false, "binding seed " + std::to_string(seed));
+  }
+  // The binding instances must actually exercise the unfittable path.
+  EXPECT_GT(unfittable, 0);
+}
+
+TEST(AllocEquivalenceTest, KindThatStopsFittingMatches) {
+  const Instance in = UnfittableWorkerInstance();
+  EXPECT_GT(ExpectEquivalent(in, false, "unfittable worker"), 0);
+  // Without a pool the walk runs inline, with the same answer.
+  RefStats ref_stats;
+  SpeedSurfaceSet ref_surfaces;
+  const AllocationMap want =
+      ReferenceAllocate(in.jobs, in.capacity, in.min_gain, &ref_surfaces, &ref_stats);
+  const Outcome got = RunAllocator(in, nullptr);
+  ASSERT_EQ(got.result.size(), want.size());
+  for (const auto& [id, alloc] : want) {
+    EXPECT_TRUE(got.result.at(id) == alloc) << "job " << id;
+  }
+  // Each dead kind pops once, where the two-entry heap re-drops it after
+  // every grant of the job's other kind.
+  EXPECT_LE(got.stats.unfittable_drops, ref_stats.unfittable_drops);
+  EXPECT_GT(got.stats.unfittable_drops, 0);
+}
+
+}  // namespace
+}  // namespace optimus

@@ -265,7 +265,7 @@ TEST(Dl2AllocatorTest, DeterministicAndWithinCapacity) {
 SchedulerPolicyInfo ValidInfo(const std::string& name) {
   SchedulerPolicyInfo info;
   info.name = name;
-  info.SetFactory([](OptimusAllocRoundStats*) -> std::unique_ptr<Allocator> {
+  info.SetFactory([](OptimusAllocRoundStats*, ThreadPool*) -> std::unique_ptr<Allocator> {
     return std::make_unique<OptimusAllocator>();
   });
   return info;

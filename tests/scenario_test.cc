@@ -552,12 +552,12 @@ TEST(SchedulerRegistryTest, UnknownPolicyNamesTheRegisteredSet) {
 TEST(SchedulerRegistryTest, RegisterRejectsDuplicatesAndIncompleteInfos) {
   SchedulerPolicyInfo dup;
   dup.name = "optimus";
-  dup.SetFactory([](OptimusAllocRoundStats*) -> std::unique_ptr<Allocator> {
+  dup.SetFactory([](OptimusAllocRoundStats*, ThreadPool*) -> std::unique_ptr<Allocator> {
     return nullptr;
   });
   EXPECT_FALSE(SchedulerRegistry::Global().Register(std::move(dup)));
   SchedulerPolicyInfo unnamed;
-  unnamed.SetFactory([](OptimusAllocRoundStats*) -> std::unique_ptr<Allocator> {
+  unnamed.SetFactory([](OptimusAllocRoundStats*, ThreadPool*) -> std::unique_ptr<Allocator> {
     return nullptr;
   });
   EXPECT_FALSE(SchedulerRegistry::Global().Register(std::move(unnamed)));

@@ -1,8 +1,7 @@
-// Shard invariance: the two-phase sharded scheduling round, the per-shard
-// placement heaps, streaming admission, and the hash-only trace must all be
-// output-invariant — bitwise — against their unsharded / batch / storage
-// counterparts, for every (shards, threads) combination, on the golden
-// scenarios (including the committed fault plans).
+// Shard invariance: the per-shard placement heaps, streaming admission, and
+// the hash-only trace must all be output-invariant — bitwise — against their
+// unsharded / batch / storage counterparts, for every (shards, threads)
+// combination, on the golden scenarios (including the committed fault plans).
 
 #include <gtest/gtest.h>
 
@@ -12,10 +11,7 @@
 #include "src/cluster/server.h"
 #include "src/cluster/shard_plan.h"
 #include "src/common/rng.h"
-#include "src/sched/optimus_allocator.h"
 #include "src/sched/placement.h"
-#include "src/sched/sharded_round.h"
-#include "src/sched/speed_surface.h"
 #include "src/sim/simulator.h"
 #include "src/sim/workload.h"
 #include "src/workload/scenario.h"
@@ -190,83 +186,6 @@ TEST(ShardedPlacementTest, DecisionsInvariantAcrossShardCounts) {
           EXPECT_TRUE(ref_servers[s].Free() == got_servers[s].Free())
               << label << " server " << s;
         }
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Two-phase sharded allocation vs. the canonical allocator
-// ---------------------------------------------------------------------------
-
-TEST(ShardedAllocateTest, BitwiseMatchesUnshardedAllocator) {
-  const int n_servers = 24;
-  const Resources capacity =
-      TotalCapacity(BuildUniformCluster(n_servers, Resources(16, 80, 0, 1)));
-
-  std::vector<SchedJob> jobs;
-  for (int j = 0; j < 10; ++j) {
-    SchedJob job;
-    job.job_id = j;
-    job.worker_demand = Resources(2.5, 10, 0, 0.15);
-    job.ps_demand = Resources(2.5, 10, 0, 0.15);
-    job.max_ps = 8;
-    job.max_workers = 8;
-    job.remaining_epochs = 5.0 + j;
-    // Deterministic synthetic speed with diminishing returns; jobs sharing
-    // (j % 3) share a surface signature.
-    const double scale = 1.0 + (j % 3);
-    job.speed = [scale](int p, int w) {
-      return scale * (1.0 - 1.0 / (1.0 + p)) * (1.0 - 1.0 / (1.0 + w));
-    };
-    job.speed_signature = static_cast<uint64_t>(j % 3) + 1;
-    jobs.push_back(std::move(job));
-  }
-
-  OptimusAllocRoundStats baseline_stats;
-  OptimusAllocatorOptions baseline_opts;
-  baseline_opts.stats = &baseline_stats;
-  OptimusAllocator baseline(baseline_opts);
-  SpeedSurfaceSet baseline_surfaces;
-  const AllocationMap want = baseline.Allocate(jobs, capacity, &baseline_surfaces);
-
-  ThreadPool pool(2);
-  for (const int shards : {1, 2, 4}) {
-    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-      const ShardPlan plan = ShardPlan::Build(shards, n_servers, 0);
-      OptimusAllocRoundStats fixup_stats;
-      OptimusAllocatorOptions fixup_opts;
-      fixup_opts.stats = &fixup_stats;
-      OptimusAllocator fixup(fixup_opts);
-      SpeedSurfaceSet surfaces;
-      ShardedRoundStats stats;
-      const AllocationMap got = ShardedAllocate(
-          plan, jobs, capacity, fixup,
-          [](OptimusAllocRoundStats* s) -> std::unique_ptr<Allocator> {
-            OptimusAllocatorOptions o;
-            o.stats = s;
-            return std::make_unique<OptimusAllocator>(o);
-          },
-          &surfaces, p, &stats);
-      ASSERT_EQ(want.size(), got.size()) << "shards=" << shards;
-      for (const auto& [id, alloc] : want) {
-        const auto it = got.find(id);
-        ASSERT_NE(it, got.end()) << "job " << id;
-        EXPECT_EQ(alloc.num_ps, it->second.num_ps)
-            << "job " << id << " shards=" << shards;
-        EXPECT_EQ(alloc.num_workers, it->second.num_workers)
-            << "job " << id << " shards=" << shards;
-      }
-      // The fixup pass must consume exactly the baseline's round effort and
-      // surface counters (warm memo points count as evals when first
-      // consumed, making the counters shard-invariant by construction).
-      EXPECT_EQ(fixup_stats.pops, baseline_stats.pops) << "shards=" << shards;
-      EXPECT_EQ(fixup_stats.grants, baseline_stats.grants);
-      EXPECT_EQ(surfaces.probes(), baseline_surfaces.probes());
-      EXPECT_EQ(surfaces.evals(), baseline_surfaces.evals());
-      EXPECT_EQ(surfaces.num_surfaces(), baseline_surfaces.num_surfaces());
-      if (shards > 1) {
-        EXPECT_GT(stats.local_grants, 0);
       }
     }
   }

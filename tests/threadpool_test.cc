@@ -69,6 +69,29 @@ TEST(ThreadPoolTest, PoolIsReusableAcrossWaves) {
   EXPECT_EQ(count.load(), 150);
 }
 
+TEST(ThreadPoolTest, NestedParallelForFromAWorkerRunsInline) {
+  // An outer loop's tasks call the same pool's ParallelFor. Waiting for the
+  // pool to drain from inside one of its own tasks would never return; the
+  // nested call must run inline on the calling worker instead.
+  ThreadPool pool(2);
+  std::vector<std::atomic<int>> hits(8 * 5);
+  pool.ParallelFor(8, [&](int64_t outer) {
+    pool.ParallelFor(5, [&](int64_t inner) {
+      ++hits[static_cast<size_t>(outer * 5 + inner)];
+    });
+  });
+  for (size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+  // A different pool's workers still fan out to this one normally.
+  ThreadPool other(2);
+  std::atomic<int> count{0};
+  other.ParallelFor(4, [&](int64_t) {
+    pool.ParallelFor(3, [&count](int64_t) { ++count; });
+  });
+  EXPECT_EQ(count.load(), 12);
+}
+
 TEST(DefaultThreadCountTest, ParsesEnvironment) {
   ASSERT_EQ(setenv("OPTIMUS_THREADS", "6", 1), 0);
   EXPECT_EQ(DefaultThreadCount(), 6);

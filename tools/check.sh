@@ -37,7 +37,7 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 # (docs/ALGORITHMS.md section 16).
 "${build_dir}/bench/bench_events" --smoke --json=BENCH_events_smoke.json
 
-# Scale smoke: two-phase sharded rounds + streaming admission. Sweeps
+# Scale smoke: sharded placement + streaming admission. Sweeps
 # (engine, shards, threads) cells on the committed scale_smoke scenario and
 # exits 3 if any cell's metrics or trace digest diverge from the per-engine
 # reference; also measures the shards=8 vs shards=1 round speedup
