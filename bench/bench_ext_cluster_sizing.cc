@@ -20,9 +20,9 @@ int main() {
   TablePrinter table({"# servers", "Optimus JCT (s)", "DRF JCT (s)", "DRF/Optimus"});
   for (int servers : {6, 10, 16, 24, 36}) {
     std::vector<double> jcts;
-    for (SchedulerPreset preset : {SchedulerPreset::kOptimus, SchedulerPreset::kDrf}) {
+    for (const char* policy : {"optimus", "drf"}) {
       ExperimentConfig config;
-      ApplySchedulerPreset(preset, &config.sim);
+      ApplySchedulerPolicy(policy, &config.sim);
       ApplyTestbedConditions(&config.sim);
       config.workload.num_jobs = 12;
       config.workload.arrival_window_s = 6000.0;

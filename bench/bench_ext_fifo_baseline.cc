@@ -8,6 +8,7 @@
 #include "bench/bench_util.h"
 #include "src/common/stats.h"
 #include "src/cluster/server.h"
+#include "src/sched/scheduler_registry.h"
 
 int main() {
   using namespace optimus;
@@ -18,34 +19,14 @@ int main() {
       "(\u00a72.3) shows up in the JCT tail: short jobs occasionally queue "
       "behind a long head job, inflating the p90 JCT relative to its mean");
 
-  struct Row {
-    const char* name;
-    AllocatorPolicy alloc;
-    PlacementPolicy place;
-    bool paa;
-    bool handle_stragglers;
-  };
-  const std::vector<Row> rows = {
-      {"Optimus", AllocatorPolicy::kOptimus, PlacementPolicy::kOptimusPack, true, true},
-      {"DRF", AllocatorPolicy::kDrf, PlacementPolicy::kLoadBalance, false, false},
-      {"Tetris", AllocatorPolicy::kTetris, PlacementPolicy::kTetrisPack, false, false},
-      {"FIFO", AllocatorPolicy::kFifo, PlacementPolicy::kLoadBalance, false, false},
-  };
-
   TablePrinter table({"scheduler", "avg JCT (s)", "JCT (norm)", "p90 JCT (s)",
                       "makespan (s)", "makespan (norm)"});
   double base_jct = 0.0;
   double base_mk = 0.0;
-  for (const Row& row : rows) {
+  for (const char* policy : {"optimus", "drf", "tetris", "fifo"}) {
     ExperimentConfig config;
     ApplyTestbedConditions(&config.sim);
-    config.sim.allocator = row.alloc;
-    config.sim.placement = row.place;
-    config.sim.use_paa = row.paa;
-    config.sim.straggler.handling_enabled = row.handle_stragglers;
-    config.sim.young_job_priority_factor = row.alloc == AllocatorPolicy::kOptimus
-                                               ? 0.95
-                                               : 1.0;
+    ApplySchedulerPolicy(policy, &config.sim);
     config.workload.num_jobs = 9;
     config.workload.target_steps_per_epoch = 80;
     config.repeats = 5;
@@ -58,7 +39,8 @@ int main() {
     for (const RunMetrics& m : r.runs) {
       all_jcts.insert(all_jcts.end(), m.jcts.begin(), m.jcts.end());
     }
-    table.AddRow({row.name, TablePrinter::FormatDouble(r.avg_jct_mean, 0),
+    const std::string name = SchedulerRegistry::Global().Find(policy)->display_name;
+    table.AddRow({name, TablePrinter::FormatDouble(r.avg_jct_mean, 0),
                   TablePrinter::FormatDouble(r.avg_jct_mean / base_jct, 2),
                   TablePrinter::FormatDouble(Percentile(all_jcts, 90.0), 0),
                   TablePrinter::FormatDouble(r.makespan_mean, 0),

@@ -24,7 +24,7 @@ int main() {
   double base_mk = 0.0;
   for (bool naive : {false, true}) {
     ExperimentConfig config;
-    ApplySchedulerPreset(SchedulerPreset::kOptimus, &config.sim);
+    ApplySchedulerPolicy("optimus", &config.sim);
     ApplyTestbedConditions(&config.sim);
     config.sim.naive_linear_speed = naive;
     config.workload.num_jobs = 12;

@@ -13,6 +13,7 @@
 #include "bench/bench_util.h"
 #include "src/cluster/server.h"
 #include "src/common/logging.h"
+#include "src/sched/scheduler_registry.h"
 #include "src/sim/fault_injector.h"
 
 int main() {
@@ -33,34 +34,16 @@ int main() {
       "rack@12000:servers=7-9,recover=21600;"
       "slow@6000:factor=0.6,duration=3600";
 
-  struct Row {
-    const char* name;
-    AllocatorPolicy alloc;
-    PlacementPolicy place;
-    bool paa;
-    bool handle_stragglers;
-  };
-  const std::vector<Row> rows = {
-      {"Optimus", AllocatorPolicy::kOptimus, PlacementPolicy::kOptimusPack, true, true},
-      {"DRF", AllocatorPolicy::kDrf, PlacementPolicy::kLoadBalance, false, false},
-      {"Tetris", AllocatorPolicy::kTetris, PlacementPolicy::kTetrisPack, false, false},
-      {"FIFO", AllocatorPolicy::kFifo, PlacementPolicy::kLoadBalance, false, false},
-  };
-
   TablePrinter table({"scheduler", "avg JCT (s)", "JCT (norm)", "makespan (s)",
                       "evictions/run", "task fails/run", "audit violations"});
   std::vector<JsonObject> json_rows;
   double base_jct = 0.0;
   int64_t total_violations = 0;
-  for (const Row& row : rows) {
+  for (const char* policy : {"optimus", "drf", "tetris", "fifo"}) {
+    const std::string name = SchedulerRegistry::Global().Find(policy)->display_name;
     ExperimentConfig config;
     ApplyTestbedConditions(&config.sim);
-    config.sim.allocator = row.alloc;
-    config.sim.placement = row.place;
-    config.sim.use_paa = row.paa;
-    config.sim.straggler.handling_enabled = row.handle_stragglers;
-    config.sim.young_job_priority_factor =
-        row.alloc == AllocatorPolicy::kOptimus ? 0.95 : 1.0;
+    ApplySchedulerPolicy(policy, &config.sim);
     std::string parse_error;
     OPTIMUS_CHECK(ParseFaultPlan(kPlan, &config.sim.fault.plan, &parse_error))
         << parse_error;
@@ -70,20 +53,20 @@ int main() {
     config.workload.num_jobs = 9;
     config.workload.target_steps_per_epoch = 80;
     config.repeats = 3;
-    config.label = row.name;
+    config.label = name;
     ExperimentResult r = RunExperiment(config, [] { return BuildTestbed(); });
     if (base_jct == 0.0) {
       base_jct = r.avg_jct_mean;
     }
     total_violations += r.audit_violations_total;
-    table.AddRow({row.name, TablePrinter::FormatDouble(r.avg_jct_mean, 0),
+    table.AddRow({name, TablePrinter::FormatDouble(r.avg_jct_mean, 0),
                   TablePrinter::FormatDouble(r.avg_jct_mean / base_jct, 2),
                   TablePrinter::FormatDouble(r.makespan_mean, 0),
                   TablePrinter::FormatDouble(r.job_evictions_mean, 1),
                   TablePrinter::FormatDouble(r.task_failures_mean, 1),
                   std::to_string(r.audit_violations_total)});
     JsonObject jr;
-    jr.Set("scheduler", row.name);
+    jr.Set("scheduler", name);
     jr.Set("avg_jct_s", r.avg_jct_mean);
     jr.Set("makespan_s", r.makespan_mean);
     jr.Set("evictions_per_run", r.job_evictions_mean);

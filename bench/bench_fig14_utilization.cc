@@ -7,6 +7,7 @@
 #include "src/cluster/server.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
+#include "src/sched/scheduler_registry.h"
 #include "src/sim/simulator.h"
 #include "src/sim/workload.h"
 
@@ -26,15 +27,14 @@ int main() {
     RunMetrics metrics;
   };
   std::vector<SchedulerRun> runs;
-  for (SchedulerPreset preset :
-       {SchedulerPreset::kOptimus, SchedulerPreset::kDrf, SchedulerPreset::kTetris}) {
+  for (const char* policy : {"optimus", "drf", "tetris"}) {
     SimulatorConfig config;
-    ApplySchedulerPreset(preset, &config);
+    ApplySchedulerPolicy(policy, &config);
     ApplyTestbedConditions(&config);
     config.seed = 5;
     Rng rng(config.seed ^ 0x5eedULL);
     Simulator sim(config, BuildTestbed(), GenerateWorkload(workload, &rng));
-    runs.push_back({SchedulerPresetName(preset), sim.Run()});
+    runs.push_back({SchedulerRegistry::Global().Find(policy)->display_name, sim.Run()});
   }
 
   PrintBanner(std::cout, "(a) running tasks per scheduling interval");

@@ -19,7 +19,7 @@ struct Point {
 
 Point RunWithError(double conv_err, double speed_err, double priority, int repeats) {
   ExperimentConfig config;
-  ApplySchedulerPreset(SchedulerPreset::kOptimus, &config.sim);
+  ApplySchedulerPolicy("optimus", &config.sim);
   config.sim.oracle_estimates = true;
   config.sim.error.convergence_error = conv_err;
   config.sim.error.speed_error = speed_err;

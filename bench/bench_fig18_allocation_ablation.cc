@@ -18,12 +18,11 @@ int main() {
                       "makespan (norm)"});
   double base_jct = 0.0;
   double base_mk = 0.0;
-  for (AllocatorPolicy alloc :
-       {AllocatorPolicy::kOptimus, AllocatorPolicy::kDrf, AllocatorPolicy::kTetris}) {
+  for (const char* allocation : {"optimus", "drf", "tetris"}) {
     ExperimentConfig config;
-    ApplySchedulerPreset(SchedulerPreset::kOptimus, &config.sim);
+    ApplySchedulerPolicy("optimus", &config.sim);
     ApplyTestbedConditions(&config.sim);
-    config.sim.allocator = alloc;  // the only knob that changes
+    config.sim.policy = allocation;  // the only knob that changes
     config.workload.num_jobs = 9;
     config.workload.target_steps_per_epoch = 80;
     config.repeats = 5;
@@ -32,7 +31,7 @@ int main() {
       base_jct = r.avg_jct_mean;
       base_mk = r.makespan_mean;
     }
-    table.AddRow({AllocatorPolicyName(alloc),
+    table.AddRow({allocation,
                   TablePrinter::FormatDouble(r.avg_jct_mean, 0),
                   TablePrinter::FormatDouble(r.avg_jct_mean / base_jct, 2),
                   TablePrinter::FormatDouble(r.makespan_mean, 0),

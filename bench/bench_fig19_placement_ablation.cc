@@ -22,7 +22,7 @@ int main() {
        {PlacementPolicy::kOptimusPack, PlacementPolicy::kLoadBalance,
         PlacementPolicy::kTetrisPack}) {
     ExperimentConfig config;
-    ApplySchedulerPreset(SchedulerPreset::kOptimus, &config.sim);
+    ApplySchedulerPolicy("optimus", &config.sim);
     ApplyTestbedConditions(&config.sim);
     config.sim.placement = place;  // the only knob that changes
     config.workload.num_jobs = 9;

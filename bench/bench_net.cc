@@ -23,12 +23,12 @@
 #include <cstdio>
 #include <chrono>
 #include <iostream>
-#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/determinism.h"
 #include "src/cluster/server.h"
 #include "src/common/flags.h"
 #include "src/common/logging.h"
@@ -41,104 +41,6 @@
 namespace {
 
 using namespace optimus;
-
-std::string DigestHex(uint64_t digest) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(digest));
-  return std::string(buf);
-}
-
-double MeanJct(const std::vector<double>& jcts) {
-  if (jcts.empty()) return 0.0;
-  return std::accumulate(jcts.begin(), jcts.end(), 0.0) / jcts.size();
-}
-
-// Everything the simulation computes, fingerprinted for bitwise comparison
-// across (shards, threads, engine-invariant) configurations. On top of the
-// scheduler-side outputs this adds the network solve's counters: a fabric
-// solve that drifted with thread count would show up here even if the JCTs
-// happened to agree.
-struct RunFingerprint {
-  std::vector<double> jcts;
-  int completed = 0;
-  int64_t events_processed = 0;
-  int total_scalings = 0;
-  int job_evictions = 0;
-  int task_failures = 0;
-  double rolled_back_steps = 0.0;
-  int64_t audit_violations = 0;
-  uint64_t trace_digest = 0;
-  int64_t trace_records = 0;
-  int64_t net_solves = 0;
-  int64_t net_flows = 0;
-  int64_t net_contended_flows = 0;
-
-  bool Matches(const RunFingerprint& other, std::string* why) const {
-    auto fail = [&](const std::string& what) {
-      *why = what;
-      return false;
-    };
-    if (jcts != other.jcts) return fail("jcts");
-    if (completed != other.completed) return fail("completed_jobs");
-    if (events_processed != other.events_processed) {
-      return fail("events_processed");
-    }
-    if (total_scalings != other.total_scalings) return fail("total_scalings");
-    if (job_evictions != other.job_evictions) return fail("job_evictions");
-    if (task_failures != other.task_failures) return fail("task_failures");
-    if (rolled_back_steps != other.rolled_back_steps) {
-      return fail("rolled_back_steps");
-    }
-    if (audit_violations != other.audit_violations) {
-      return fail("audit_violations");
-    }
-    if (trace_digest != other.trace_digest) return fail("trace_digest");
-    if (trace_records != other.trace_records) return fail("trace_records");
-    if (net_solves != other.net_solves) return fail("net_solves");
-    if (net_flows != other.net_flows) return fail("net_flows");
-    if (net_contended_flows != other.net_contended_flows) {
-      return fail("net_contended_flows");
-    }
-    return true;
-  }
-};
-
-struct CellRun {
-  RunFingerprint fp;
-  RunMetrics metrics;
-  NetworkStats net;
-  double wall_s = 0.0;
-  double sim_s = 0.0;
-};
-
-CellRun RunSim(const SimulatorConfig& config, std::vector<Server> servers,
-               std::vector<JobSpec> specs) {
-  Simulator sim(config, std::move(servers), std::move(specs));
-  CellRun run;
-  const auto start = std::chrono::steady_clock::now();
-  run.metrics = sim.Run();
-  const auto end = std::chrono::steady_clock::now();
-  run.wall_s = std::chrono::duration<double>(end - start).count();
-  run.sim_s = sim.now_s();
-  if (sim.network() != nullptr) {
-    run.net = sim.network()->stats();
-  }
-  run.fp.jcts = run.metrics.jcts;
-  run.fp.completed = run.metrics.completed_jobs;
-  run.fp.events_processed = run.metrics.events_processed;
-  run.fp.total_scalings = run.metrics.total_scalings;
-  run.fp.job_evictions = run.metrics.job_evictions;
-  run.fp.task_failures = run.metrics.task_failures;
-  run.fp.rolled_back_steps = run.metrics.rolled_back_steps;
-  run.fp.audit_violations = run.metrics.audit_violations;
-  run.fp.trace_digest = sim.trace().digest();
-  run.fp.trace_records = static_cast<int64_t>(sim.trace().size());
-  run.fp.net_solves = run.net.solves;
-  run.fp.net_flows = run.net.flows;
-  run.fp.net_contended_flows = run.net.contended_flows;
-  return run;
-}
 
 // ---------------------------------------------------------------------------
 // Section 1: fabric-model cells (child process per cell).
@@ -187,7 +89,7 @@ int RunModelCell(const std::string& model_name) {
   // Single machine-readable line the parent scrapes into BENCH_net.json.
   std::cout << "CELL model=" << model_name << " jobs=" << kNumJobs
             << " servers=" << kNumServers << " completed="
-            << metrics.completed_jobs << " avg_jct_s=" << MeanJct(metrics.jcts)
+            << metrics.completed_jobs << " avg_jct_s=" << metrics.avg_jct_s
             << " wall_s=" << wall_s << " sim_s=" << sim.now_s()
             << " peak_rss_mib=" << PeakRssMib()
             << " trace_digest=" << DigestHex(sim.trace().digest())
@@ -280,7 +182,7 @@ bool RunRackComparison(const std::string& scenario_path, JsonObject* section,
     const SimulatorConfig config = scenario.MakeSimConfig(policy);
     const CellRun run =
         RunSim(config, scenario.cluster.Build(), scenario.JobsForRepeat());
-    const double avg_jct = MeanJct(run.metrics.jcts);
+    const double avg_jct = run.metrics.avg_jct_s;
     if (policy == "optimus") {
       baseline_jct = avg_jct;
     } else {
@@ -319,84 +221,6 @@ bool RunRackComparison(const std::string& scenario_path, JsonObject* section,
            scenario_path;
   }
   return rack_aware_wins;
-}
-
-// ---------------------------------------------------------------------------
-// Section 3: determinism sweep over the network scenarios.
-// ---------------------------------------------------------------------------
-
-bool RunDeterminismSweep(const std::string& scenario_path,
-                         const std::string& policy, bool smoke,
-                         std::vector<JsonObject>* rows, std::string* why) {
-  ScenarioSpec scenario;
-  std::string error;
-  if (!LoadScenarioFile(scenario_path, &scenario, &error)) {
-    *why = "scenario load failed: " + error;
-    return false;
-  }
-  const std::vector<int> shard_counts =
-      smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};
-  const std::vector<int> thread_counts =
-      smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 8};
-  const std::vector<SimEngine> engines = {SimEngine::kInterval,
-                                          SimEngine::kEvents};
-
-  TablePrinter table({"engine", "shards", "threads", "wall (s)", "completed",
-                      "trace digest", "net solves", "contended", "match"});
-  bool ok = true;
-  for (const SimEngine engine : engines) {
-    // The two engines legitimately differ from each other (different RNG
-    // cadences); the bitwise contract is per engine, across shards/threads.
-    bool have_reference = false;
-    RunFingerprint reference;
-    for (const int shards : shard_counts) {
-      for (const int threads : thread_counts) {
-        SimulatorConfig config = scenario.MakeSimConfig(policy);
-        config.engine = engine;
-        config.shards = shards;
-        config.threads = threads;
-        const CellRun run = RunSim(config, scenario.cluster.Build(),
-                                   scenario.JobsForRepeat());
-        std::string mismatch;
-        bool match = true;
-        if (!have_reference) {
-          reference = run.fp;
-          have_reference = true;
-        } else if (!run.fp.Matches(reference, &mismatch)) {
-          match = false;
-          ok = false;
-          *why = scenario_path + ": " + SimEngineName(engine) + " shards=" +
-                 std::to_string(shards) + " threads=" +
-                 std::to_string(threads) + " diverged on " + mismatch;
-        }
-        table.AddRow({SimEngineName(engine), std::to_string(shards),
-                      std::to_string(threads),
-                      TablePrinter::FormatDouble(run.wall_s, 3),
-                      std::to_string(run.fp.completed),
-                      DigestHex(run.fp.trace_digest),
-                      std::to_string(run.fp.net_solves),
-                      std::to_string(run.fp.net_contended_flows),
-                      match ? "ok" : "DIVERGED"});
-        JsonObject row;
-        row.Set("scenario", scenario_path);
-        row.Set("policy", policy);
-        row.Set("engine", SimEngineName(engine));
-        row.Set("shards", shards);
-        row.Set("threads", threads);
-        row.Set("completed_jobs", run.fp.completed);
-        row.Set("trace_digest", DigestHex(run.fp.trace_digest));
-        row.Set("trace_records", run.fp.trace_records);
-        row.Set("net_solves", run.fp.net_solves);
-        row.Set("net_flows", run.fp.net_flows);
-        row.Set("net_contended_flows", run.fp.net_contended_flows);
-        row.Set("match", match);
-        SetPerfColumns(&row, run.wall_s, run.sim_s);
-        rows->push_back(row);
-      }
-    }
-  }
-  table.Print(std::cout);
-  return ok;
 }
 
 }  // namespace
@@ -453,19 +277,37 @@ int main(int argc, char** argv) {
   }
   section.Set("rack", rack_section);
 
+  SweepGrid grid;
+  grid.shards = smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};
+  grid.threads = smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 8};
+  grid.net_counters = true;
   std::vector<JsonObject> determinism_rows;
   bool determinism_ok = true;
-  std::cout << "\nDeterminism sweep over " << allreduce_scenario
-            << " (topology + all-reduce mix):\n";
-  if (!RunDeterminismSweep(allreduce_scenario, "optimus", smoke,
-                           &determinism_rows, &divergence)) {
-    determinism_ok = false;
-  }
-  std::cout << "\nDeterminism sweep over " << fabric_scenario
-            << " (contention + rack-aware placement):\n";
-  if (!RunDeterminismSweep(fabric_scenario, "optimus_rack", smoke,
-                           &determinism_rows, &divergence)) {
-    determinism_ok = false;
+  const struct {
+    const std::string& path;
+    const char* policy;
+    const char* what;
+  } sweeps[] = {
+      {allreduce_scenario, "optimus", "topology + all-reduce mix"},
+      {fabric_scenario, "optimus_rack", "contention + rack-aware placement"},
+  };
+  for (const auto& sweep : sweeps) {
+    std::cout << "\nDeterminism sweep over " << sweep.path << " (" << sweep.what
+              << "):\n";
+    ScenarioSpec scenario;
+    std::string error;
+    if (!LoadScenarioFile(sweep.path, &scenario, &error)) {
+      determinism_ok = false;
+      divergence = "scenario load failed: " + error;
+      continue;
+    }
+    JsonObject prefix;
+    prefix.Set("scenario", sweep.path);
+    prefix.Set("policy", sweep.policy);
+    if (!RunDeterminismSweep(scenario, sweep.policy, grid, prefix,
+                             &determinism_rows, &divergence)) {
+      determinism_ok = false;
+    }
   }
   ok = ok && determinism_ok;
   section.Set("determinism", determinism_rows);

@@ -6,8 +6,9 @@
 //   determinism — shards x threads x engines over a scenario file (default
 //       scenarios/scale_smoke.json, which carries a fault plan): every cell
 //       must reproduce the reference cell's metrics and event-trace digest
-//       bitwise. Any divergence exits 3. This is the only section that runs
-//       under --smoke (tools/check.sh and CI).
+//       bitwise (the shared harness in bench/determinism.h). Any divergence
+//       exits 3. This section and `shard speedup` run under --smoke
+//       (tools/check.sh and CI).
 //
 //   scale — {10k, 100k, 1M} jobs x {16k, 100k} servers, one child process
 //       per cell (re-exec with --cell): streaming admission + hash-only
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/determinism.h"
 #include "src/cluster/server.h"
 #include "src/common/flags.h"
 #include "src/common/logging.h"
@@ -42,152 +44,6 @@
 namespace {
 
 using namespace optimus;
-
-std::string DigestHex(uint64_t digest) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(digest));
-  return std::string(buf);
-}
-
-// Everything the simulation computes, fingerprinted for bitwise comparison
-// across (shards, threads, engine-invariant) configurations. JCT vectors are
-// compared exactly; the trace via its running digest + record count.
-struct RunFingerprint {
-  std::vector<double> jcts;
-  int completed = 0;
-  int64_t events_processed = 0;
-  int total_scalings = 0;
-  int job_evictions = 0;
-  int task_failures = 0;
-  double rolled_back_steps = 0.0;
-  int64_t audit_violations = 0;
-  uint64_t trace_digest = 0;
-  int64_t trace_records = 0;
-
-  bool Matches(const RunFingerprint& other, std::string* why) const {
-    auto fail = [&](const std::string& what) {
-      *why = what;
-      return false;
-    };
-    if (jcts != other.jcts) return fail("jcts");
-    if (completed != other.completed) return fail("completed_jobs");
-    if (events_processed != other.events_processed) {
-      return fail("events_processed");
-    }
-    if (total_scalings != other.total_scalings) return fail("total_scalings");
-    if (job_evictions != other.job_evictions) return fail("job_evictions");
-    if (task_failures != other.task_failures) return fail("task_failures");
-    if (rolled_back_steps != other.rolled_back_steps) {
-      return fail("rolled_back_steps");
-    }
-    if (audit_violations != other.audit_violations) {
-      return fail("audit_violations");
-    }
-    if (trace_digest != other.trace_digest) return fail("trace_digest");
-    if (trace_records != other.trace_records) return fail("trace_records");
-    return true;
-  }
-};
-
-struct CellRun {
-  RunFingerprint fp;
-  RunMetrics metrics;
-  double wall_s = 0.0;
-  double sim_s = 0.0;
-};
-
-CellRun RunSim(const SimulatorConfig& config, std::vector<Server> servers,
-               std::vector<JobSpec> specs) {
-  Simulator sim(config, std::move(servers), std::move(specs));
-  CellRun run;
-  const auto start = std::chrono::steady_clock::now();
-  run.metrics = sim.Run();
-  const auto end = std::chrono::steady_clock::now();
-  run.wall_s = std::chrono::duration<double>(end - start).count();
-  run.sim_s = sim.now_s();
-  run.fp.jcts = run.metrics.jcts;
-  run.fp.completed = run.metrics.completed_jobs;
-  run.fp.events_processed = run.metrics.events_processed;
-  run.fp.total_scalings = run.metrics.total_scalings;
-  run.fp.job_evictions = run.metrics.job_evictions;
-  run.fp.task_failures = run.metrics.task_failures;
-  run.fp.rolled_back_steps = run.metrics.rolled_back_steps;
-  run.fp.audit_violations = run.metrics.audit_violations;
-  run.fp.trace_digest = sim.trace().digest();
-  run.fp.trace_records = static_cast<int64_t>(sim.trace().size());
-  return run;
-}
-
-// ---------------------------------------------------------------------------
-// Section 1: determinism sweep over the scenario file.
-// ---------------------------------------------------------------------------
-
-bool RunDeterminismSweep(const std::string& scenario_path, bool smoke,
-                         std::vector<JsonObject>* rows, std::string* why) {
-  ScenarioSpec scenario;
-  std::string error;
-  if (!LoadScenarioFile(scenario_path, &scenario, &error)) {
-    *why = "scenario load failed: " + error;
-    return false;
-  }
-  const std::vector<int> shard_counts =
-      smoke ? std::vector<int>{1, 2, 4} : std::vector<int>{1, 2, 4, 8};
-  const std::vector<int> thread_counts =
-      smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 8};
-  const std::vector<SimEngine> engines = {SimEngine::kInterval,
-                                          SimEngine::kEvents};
-
-  TablePrinter table({"engine", "shards", "threads", "wall (s)", "completed",
-                      "trace digest", "match"});
-  bool ok = true;
-  for (const SimEngine engine : engines) {
-    // The two engines legitimately differ from each other (different RNG
-    // cadences); the bitwise contract is per engine, across shards/threads.
-    bool have_reference = false;
-    RunFingerprint reference;
-    for (const int shards : shard_counts) {
-      for (const int threads : thread_counts) {
-        SimulatorConfig config = scenario.MakeSimConfig("optimus");
-        config.engine = engine;
-        config.shards = shards;
-        config.threads = threads;
-        const CellRun run = RunSim(config, scenario.cluster.Build(),
-                                   scenario.JobsForRepeat());
-        std::string mismatch;
-        bool match = true;
-        if (!have_reference) {
-          reference = run.fp;
-          have_reference = true;
-        } else if (!run.fp.Matches(reference, &mismatch)) {
-          match = false;
-          ok = false;
-          *why = std::string(SimEngineName(engine)) + " shards=" +
-                 std::to_string(shards) + " threads=" +
-                 std::to_string(threads) + " diverged on " + mismatch;
-        }
-        table.AddRow({SimEngineName(engine), std::to_string(shards),
-                      std::to_string(threads),
-                      TablePrinter::FormatDouble(run.wall_s, 3),
-                      std::to_string(run.fp.completed),
-                      DigestHex(run.fp.trace_digest),
-                      match ? "ok" : "DIVERGED"});
-        JsonObject row;
-        row.Set("engine", SimEngineName(engine));
-        row.Set("shards", shards);
-        row.Set("threads", threads);
-        row.Set("completed_jobs", run.fp.completed);
-        row.Set("trace_digest", DigestHex(run.fp.trace_digest));
-        row.Set("trace_records", run.fp.trace_records);
-        row.Set("match", match);
-        SetPerfColumns(&row, run.wall_s, run.sim_s);
-        rows->push_back(row);
-      }
-    }
-  }
-  table.Print(std::cout);
-  return ok;
-}
 
 // ---------------------------------------------------------------------------
 // Section 2: scale cells (child process per cell).
@@ -401,13 +257,23 @@ int main(int argc, char** argv) {
       "All (shards, threads) cells bitwise identical; the 1M-job run's peak "
       "RSS is bounded by the active-job set, not the total job count");
 
+  ScenarioSpec scenario;
+  std::string error;
+  if (!LoadScenarioFile(scenario_path, &scenario, &error)) {
+    std::cerr << "bad scenario: " << error << "\n";
+    return 1;
+  }
+
   bool ok = true;
   std::string divergence;
 
   std::cout << "\nDeterminism sweep over " << scenario_path << ":\n";
+  SweepGrid grid;
+  grid.shards = smoke ? std::vector<int>{1, 2, 4} : std::vector<int>{1, 2, 4, 8};
+  grid.threads = smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 8};
   std::vector<JsonObject> determinism_rows;
-  const bool determinism_ok =
-      RunDeterminismSweep(scenario_path, smoke, &determinism_rows, &divergence);
+  const bool determinism_ok = RunDeterminismSweep(
+      scenario, "optimus", grid, JsonObject(), &determinism_rows, &divergence);
   if (!determinism_ok) {
     ok = false;
   }

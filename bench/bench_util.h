@@ -38,8 +38,8 @@ void SetPerfColumns(JsonObject* row, double wall_s, double sim_s);
 
 // Runs the canonical three-scheduler comparison (Optimus, DRF, Tetris) under
 // the given base config and prints absolute + normalized JCT / makespan.
-// Returns the three results in preset order. Policies are constructed through
-// the SchedulerRegistry (src/sched/scheduler_registry.h).
+// Returns the three results in that order: the registry policies "optimus",
+// "drf" and "tetris" (src/sched/scheduler_registry.h).
 std::vector<ExperimentResult> RunSchedulerComparison(const ExperimentConfig& base,
                                                      const std::string& caption);
 

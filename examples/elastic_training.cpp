@@ -53,7 +53,6 @@ int main() {
   }
 
   SimulatorConfig config;
-  config.allocator = AllocatorPolicy::kOptimus;
   config.placement = PlacementPolicy::kOptimusPack;
   config.use_paa = true;
   config.seed = 3;

@@ -24,7 +24,6 @@ int main() {
   std::vector<JobSpec> jobs = GenerateWorkload(workload, &rng);
 
   SimulatorConfig config;
-  config.allocator = AllocatorPolicy::kOptimus;
   config.placement = PlacementPolicy::kOptimusPack;
   config.use_paa = true;
   // Background workload takes up to 50% of every server, oscillating with a

@@ -37,7 +37,6 @@ int main(int argc, char** argv) {
 
   // 2. The Optimus scheduler on the paper's testbed.
   SimulatorConfig config;
-  config.allocator = AllocatorPolicy::kOptimus;
   config.placement = PlacementPolicy::kOptimusPack;
   config.use_paa = true;
   config.young_job_priority_factor = 0.95;

@@ -8,6 +8,7 @@
 
 #include "src/cluster/server.h"
 #include "src/common/table.h"
+#include "src/sched/scheduler_registry.h"
 #include "src/sim/experiment.h"
 
 int main(int argc, char** argv) {
@@ -31,10 +32,9 @@ int main(int argc, char** argv) {
                       "makespan (norm)", "completed"});
   double base_jct = 0.0;
   double base_mk = 0.0;
-  for (SchedulerPreset preset :
-       {SchedulerPreset::kOptimus, SchedulerPreset::kDrf, SchedulerPreset::kTetris}) {
+  for (const char* policy : {"optimus", "drf", "tetris"}) {
     ExperimentConfig config = base;
-    ApplySchedulerPreset(preset, &config.sim);
+    ApplySchedulerPolicy(policy, &config.sim);
     ExperimentResult r = RunExperiment(config, [num_servers] {
       return BuildUniformCluster(num_servers, Resources(16, 80, 0, 1));
     });
@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
       base_jct = r.avg_jct_mean;
       base_mk = r.makespan_mean;
     }
-    table.AddRow({SchedulerPresetName(preset),
+    table.AddRow({SchedulerRegistry::Global().Find(policy)->display_name,
                   TablePrinter::FormatDouble(r.avg_jct_mean, 0),
                   TablePrinter::FormatDouble(r.makespan_mean, 0),
                   TablePrinter::FormatDouble(r.avg_jct_mean / base_jct, 2),

@@ -7,26 +7,6 @@
 
 namespace optimus {
 
-const char* AllocatorPolicyName(AllocatorPolicy policy) {
-  switch (policy) {
-    case AllocatorPolicy::kOptimus:
-      return "optimus";
-    case AllocatorPolicy::kDrf:
-      return "drf";
-    case AllocatorPolicy::kTetris:
-      return "tetris";
-    case AllocatorPolicy::kFifo:
-      return "fifo";
-    case AllocatorPolicy::kGoodput:
-      return "goodput";
-    case AllocatorPolicy::kSynergy:
-      return "synergy";
-    case AllocatorPolicy::kLearned:
-      return "dl2";
-  }
-  return "unknown";
-}
-
 namespace {
 
 PolicyTraits OptimusTraits() {
@@ -45,7 +25,6 @@ void RegisterBuiltins(SchedulerRegistry* registry) {
     info.description =
         "marginal-gain allocation (Sec 4.1), packed placement, PAA, "
         "straggler handling, 0.95 young-job damping";
-    info.allocator_family = AllocatorPolicy::kOptimus;
     info.placement = PlacementPolicy::kOptimusPack;
     info.traits = OptimusTraits();
     info.SetFactory([](OptimusAllocRoundStats* stats,
@@ -65,7 +44,6 @@ void RegisterBuiltins(SchedulerRegistry* registry) {
         "Optimus allocation with rack-aware Theorem-1 placement: each job is "
         "packed under one edge switch when any rack fits it, so its traffic "
         "avoids oversubscribed uplinks";
-    info.allocator_family = AllocatorPolicy::kOptimus;
     info.placement = PlacementPolicy::kRackPack;
     info.traits = OptimusTraits();
     info.SetFactory([](OptimusAllocRoundStats* stats,
@@ -84,8 +62,9 @@ void RegisterBuiltins(SchedulerRegistry* registry) {
     info.description =
         "Dominant Resource Fairness (Mesos/YARN-style progressive filling), "
         "load-balanced placement, stock MXNet block assignment";
-    info.allocator_family = AllocatorPolicy::kDrf;
     info.placement = PlacementPolicy::kLoadBalance;
+    // The oblivious work-conserving baseline the paper compares against.
+    info.traits.scaling_hysteresis = false;
     info.SetFactory([](OptimusAllocRoundStats*, ThreadPool*) -> std::unique_ptr<Allocator> {
       return std::make_unique<DrfAllocator>();
     });
@@ -97,7 +76,6 @@ void RegisterBuiltins(SchedulerRegistry* registry) {
     info.display_name = "Tetris";
     info.description =
         "Tetris-like: SRTF + packing-friendliness score, best-fit placement";
-    info.allocator_family = AllocatorPolicy::kTetris;
     info.placement = PlacementPolicy::kTetrisPack;
     info.SetFactory([](OptimusAllocRoundStats*, ThreadPool*) -> std::unique_ptr<Allocator> {
       return std::make_unique<TetrisAllocator>();
@@ -111,7 +89,6 @@ void RegisterBuiltins(SchedulerRegistry* registry) {
     info.description =
         "strict arrival order, each job filled to its speed knee before the "
         "next (Sec 2.3's head-of-line baseline), load-balanced placement";
-    info.allocator_family = AllocatorPolicy::kFifo;
     info.placement = PlacementPolicy::kLoadBalance;
     info.SetFactory([](OptimusAllocRoundStats*, ThreadPool*) -> std::unique_ptr<Allocator> {
       return std::make_unique<FifoAllocator>();
@@ -125,7 +102,6 @@ void RegisterBuiltins(SchedulerRegistry* registry) {
     info.description =
         "pure shortest-remaining-time-first (Tetris score with the packing "
         "term zeroed), load-balanced placement";
-    info.allocator_family = AllocatorPolicy::kTetris;
     info.placement = PlacementPolicy::kLoadBalance;
     info.SetFactory([](OptimusAllocRoundStats*, ThreadPool*) -> std::unique_ptr<Allocator> {
       TetrisAllocatorOptions options;
@@ -142,7 +118,6 @@ void RegisterBuiltins(SchedulerRegistry* registry) {
         "Pollux-style goodput ascent: co-adapts global batch with (p, w) "
         "using the statistical-efficiency model, Optimus greedy over the "
         "composite surfaces (docs/POLICIES.md)";
-    info.allocator_family = AllocatorPolicy::kGoodput;
     info.placement = PlacementPolicy::kOptimusPack;
     info.traits = OptimusTraits();
     info.traits.adapts_batch = true;
@@ -163,7 +138,6 @@ void RegisterBuiltins(SchedulerRegistry* registry) {
         "Synergy-style resource-sensitive packing: CPU/mem demands are "
         "deflated where the job's sensitivity slope is flat, Optimus greedy "
         "on the deflated vectors (docs/POLICIES.md)";
-    info.allocator_family = AllocatorPolicy::kSynergy;
     info.placement = PlacementPolicy::kOptimusPack;
     info.traits = OptimusTraits();
     info.traits.uses_sensitivity = true;
@@ -184,7 +158,6 @@ void RegisterBuiltins(SchedulerRegistry* registry) {
         "DL2-style learned policy: linear scorer over per-job features, "
         "weights trained offline by tools/optimus_train_policy "
         "(docs/POLICIES.md)";
-    info.allocator_family = AllocatorPolicy::kLearned;
     info.placement = PlacementPolicy::kOptimusPack;
     info.traits = OptimusTraits();
     // The learned scorer replaces Eqn 9 outright; the young-job damping is an

@@ -1,15 +1,16 @@
 // SchedulerRegistry: the single catalog of scheduling policies.
 //
-// Every place that used to hard-code a policy switch — the optimus_sim CLI,
-// the experiment presets, the comparison benches — resolves a policy *name*
-// here instead. A policy bundles everything a SimulatorConfig needs to run
-// it: the allocator factory (over the common Allocator interface in
-// scheduler.h), the placement scheme, and a PolicyTraits block with the
-// behavioral toggles (PAA block assignment, straggler handling, young-job
-// damping, batch adaptivity, sensitivity awareness) that the paper's §6.1
-// comparisons switch off for the baselines. One path —
-// ApplySchedulerPolicy in src/sim/experiment.h — copies the traits onto a
-// SimulatorConfig; nothing else reads the toggles field by field.
+// A policy's registry name (SimulatorConfig::policy) is its only identity:
+// the optimus_sim CLI, the scenario DSL and the comparison benches all
+// resolve a policy *name* here. A policy bundles everything a
+// SimulatorConfig needs to run it: the allocator factory (over the common
+// Allocator interface in scheduler.h), the placement scheme, and a
+// PolicyTraits block with the behavioral toggles (PAA block assignment,
+// straggler handling, young-job damping, batch adaptivity, sensitivity
+// awareness, scaling hysteresis) that the paper's §6.1 comparisons switch off
+// for the baselines. One path — ApplySchedulerPolicy in src/sim/experiment.h
+// — copies the traits onto a SimulatorConfig; nothing else reads the toggles
+// field by field.
 //
 // Built-in policies (registered in scheduler_registry.cc):
 //   optimus       marginal-gain allocation (§4.1), packed placement, PAA,
@@ -47,24 +48,10 @@
 
 namespace optimus {
 
-// Allocator families the simulator branches on for baseline-faithful
-// behavior (e.g. DRF stays work-conserving and skips scaling hysteresis).
-// Policies map onto the nearest family; the factory below decides the actual
-// allocator instance.
-enum class AllocatorPolicy {
-  kOptimus,
-  kDrf,
-  kTetris,
-  kFifo,
-  kGoodput,
-  kSynergy,
-  kLearned,
-};
-
-const char* AllocatorPolicyName(AllocatorPolicy policy);
-
 // The behavioral toggles a policy carries beyond its allocator + placement.
-// ApplySchedulerPolicy copies these onto the SimulatorConfig in one place.
+// ApplySchedulerPolicy copies the per-run toggles onto the SimulatorConfig in
+// one place; scaling_hysteresis is read by the Simulator from the registry
+// entry of SimulatorConfig::policy.
 struct PolicyTraits {
   // Parameter-assignment-aware block placement (§5.2). Only meaningful — and
   // only valid — with a packed placement (kOptimusPack / kRackPack).
@@ -78,6 +65,10 @@ struct PolicyTraits {
   bool adapts_batch = false;
   // Policy reads SchedJob::{cpu,mem}_sensitivity (Synergy-style).
   bool uses_sensitivity = false;
+  // Keep a job's old (p, w) when the estimated completion-time saving of the
+  // new one does not cover the checkpoint-restart stall (§7 "Scaling
+  // overhead"). Off only for DRF, the oblivious work-conserving baseline.
+  bool scaling_hysteresis = true;
 };
 
 // Constructs a policy's allocator instances. An interface (not a raw
@@ -117,8 +108,6 @@ struct SchedulerPolicyInfo {
   std::string display_name;
   // One-line summary for `--policy list` / --help.
   std::string description;
-  // Family for the simulator's behavioral branches.
-  AllocatorPolicy allocator_family = AllocatorPolicy::kOptimus;
   PlacementPolicy placement = PlacementPolicy::kLoadBalance;
   PolicyTraits traits;
   // Shared so SchedulerPolicyInfo stays copyable; the factory itself is

@@ -80,42 +80,11 @@ bool ApplySchedulerPolicy(const std::string& policy, SimulatorConfig* config,
   // The ONE place a policy's traits land on a SimulatorConfig; nothing else
   // copies the toggles field by field.
   config->policy = info->name;
-  config->allocator = info->allocator_family;
   config->placement = info->placement;
   config->use_paa = info->traits.use_paa;
   config->straggler.handling_enabled = info->traits.straggler_handling;
   config->young_job_priority_factor = info->traits.young_job_priority_factor;
   return true;
-}
-
-const char* SchedulerPresetName(SchedulerPreset preset) {
-  switch (preset) {
-    case SchedulerPreset::kOptimus:
-      return "Optimus";
-    case SchedulerPreset::kDrf:
-      return "DRF";
-    case SchedulerPreset::kTetris:
-      return "Tetris";
-  }
-  return "unknown";
-}
-
-void ApplySchedulerPreset(SchedulerPreset preset, SimulatorConfig* config) {
-  OPTIMUS_CHECK(config != nullptr);
-  const char* name = "optimus";
-  switch (preset) {
-    case SchedulerPreset::kOptimus:
-      name = "optimus";
-      break;
-    case SchedulerPreset::kDrf:
-      name = "drf";
-      break;
-    case SchedulerPreset::kTetris:
-      name = "tetris";
-      break;
-  }
-  std::string error;
-  OPTIMUS_CHECK(ApplySchedulerPolicy(name, config, &error)) << error;
 }
 
 void ApplyTestbedConditions(SimulatorConfig* config) {

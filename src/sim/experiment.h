@@ -54,31 +54,12 @@ ExperimentResult RunExperiment(const ExperimentConfig& config,
 double NormalizedTo(double value, double baseline);
 
 // Applies a SchedulerRegistry policy onto `config`: sets the policy name,
-// allocator family, placement scheme, PAA / straggler-handling toggles, and
-// the young-job damping factor; leaves unrelated fields untouched. Returns
-// false (and, when `error` is non-null, the canonical unknown-policy message
-// naming the registered set) for an unregistered name.
+// placement scheme, PAA / straggler-handling toggles, and the young-job
+// damping factor; leaves unrelated fields untouched. Returns false (and, when
+// `error` is non-null, the canonical unknown-policy message naming the
+// registered set) for an unregistered name.
 bool ApplySchedulerPolicy(const std::string& policy, SimulatorConfig* config,
                           std::string* error = nullptr);
-
-// Canonical scheduler configurations for the §6 comparisons: Optimus
-// (marginal-gain allocation, packed placement, PAA, straggler handling,
-// young-job damping) vs the DRF fairness scheduler (equal dominant shares,
-// Kubernetes load-balancing placement, stock MXNet block assignment, no
-// straggler handling) vs Tetris (SRTF + packing, fragmentation-minimizing
-// placement, stock MXNet, no straggler handling). Thin enum wrapper over
-// ApplySchedulerPolicy for the benches that predate the registry.
-enum class SchedulerPreset {
-  kOptimus,
-  kDrf,
-  kTetris,
-};
-
-const char* SchedulerPresetName(SchedulerPreset preset);
-
-// Applies the preset onto `config` via the SchedulerRegistry entry of the
-// same name (leaves unrelated fields untouched).
-void ApplySchedulerPreset(SchedulerPreset preset, SimulatorConfig* config);
 
 // The §6.1 testbed environment knobs shared by the comparison benches:
 // straggler injection that Optimus handles and the baselines ride out.

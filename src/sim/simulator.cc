@@ -24,27 +24,15 @@ uint64_t MixSignature(uint64_t h, uint64_t v) {
   return h ^ (h >> 27);
 }
 
-// All policy construction goes through the SchedulerRegistry. The `policy`
-// name is authoritative as long as its registered family still matches the
-// `allocator` enum; a caller that sets `allocator` directly after applying a
-// policy (the pre-registry override idiom) has explicitly changed families,
-// so the enum's builtin name wins. Configs that never set a policy resolve to
-// the family's builtin name too.
+// All policy construction goes through the SchedulerRegistry, keyed by the
+// config's policy name (CheckValid has already rejected unknown names).
 std::unique_ptr<Allocator> MakeAllocator(const SimulatorConfig& config,
                                          OptimusAllocRoundStats* stats,
                                          ThreadPool* pool) {
-  std::string name = AllocatorPolicyName(config.allocator);
-  if (!config.policy.empty()) {
-    const SchedulerPolicyInfo* info =
-        SchedulerRegistry::Global().Find(config.policy);
-    if (info != nullptr && info->allocator_family == config.allocator) {
-      name = config.policy;
-    }
-  }
   std::unique_ptr<Allocator> allocator =
-      SchedulerRegistry::Global().Create(name, stats, pool);
+      SchedulerRegistry::Global().Create(config.policy, stats, pool);
   OPTIMUS_CHECK(allocator != nullptr)
-      << SchedulerRegistry::Global().UnknownPolicyMessage(name);
+      << SchedulerRegistry::Global().UnknownPolicyMessage(config.policy);
   return allocator;
 }
 
@@ -89,7 +77,7 @@ bool SimulatorConfig::Validate(std::vector<std::string>* errors) const {
     }
   };
 
-  if (!policy.empty() && !SchedulerRegistry::Global().Has(policy)) {
+  if (!SchedulerRegistry::Global().Has(policy)) {
     bad("policy", SchedulerRegistry::Global().UnknownPolicyMessage(policy));
   }
   if (!(std::isfinite(interval_s) && interval_s > 0.0)) {
@@ -243,6 +231,9 @@ Simulator::Simulator(SimulatorConfig config, std::vector<Server> servers,
     pool_ = std::make_unique<ThreadPool>(threads);
   }
   allocator_ = MakeAllocator(config_, &alloc_stats_, pool_.get());
+  scaling_hysteresis_ = SchedulerRegistry::Global()
+                            .Find(config_.policy)
+                            ->traits.scaling_hysteresis;
   shard_plan_ = ShardPlan::Build(config_.shards,
                                  static_cast<int>(servers_.size()),
                                  config_.rack_size);
@@ -1154,9 +1145,10 @@ void Simulator::ScheduleActiveJobs() {
 
   // Scaling hysteresis: switching (p, w) costs a checkpoint-restart, so keep
   // the old allocation when the estimated completion-time saving does not
-  // cover that stall (§7 "Scaling overhead"). DRF is left as the oblivious
-  // work-conserving baseline the paper compares against.
-  if (config_.allocator != AllocatorPolicy::kDrf) {
+  // cover that stall (§7 "Scaling overhead"). Policies whose traits turn
+  // scaling_hysteresis off (DRF, the oblivious work-conserving baseline the
+  // paper compares against) take the allocator's output as is.
+  if (scaling_hysteresis_) {
     for (size_t i = 0; i < schedulable.size(); ++i) {
       JobRuntime* jr = schedulable[i];
       auto it = alloc.find(jr->job.id());

@@ -87,13 +87,14 @@ const char* SimEngineName(SimEngine engine);
 bool ParseSimEngine(const std::string& name, SimEngine* out);
 
 struct SimulatorConfig {
-  AllocatorPolicy allocator = AllocatorPolicy::kOptimus;
   SimEngine engine = SimEngine::kInterval;
-  // SchedulerRegistry policy name constructing the allocator. Empty (the
-  // default) derives the name from the `allocator` family, so configs that
-  // only set the enum keep working; ApplySchedulerPolicy (experiment.h) sets
-  // both. Must name a registered policy when nonempty.
-  std::string policy;
+  // SchedulerRegistry policy name: the policy's only identity. It constructs
+  // the allocator and supplies the scaling_hysteresis trait; the per-run
+  // toggles below (placement, use_paa, straggler handling, young-job damping)
+  // are copied from its traits by ApplySchedulerPolicy (experiment.h), so an
+  // ablation can set `policy` alone to swap only the allocator. Must name a
+  // registered policy.
+  std::string policy = "optimus";
   PlacementPolicy placement = PlacementPolicy::kOptimusPack;
   double interval_s = 600.0;
   CommConfig comm;
@@ -147,12 +148,14 @@ struct SimulatorConfig {
   // estimates with `error` injected instead of online fitting.
   bool oracle_estimates = false;
   ErrorInjection error;
-  // Worker threads for the per-job phases of an interval: arrival-time
-  // speed-model pre-run sampling, scheduler-input construction, and interval
-  // advancement all fan out over jobs. Each job owns its RNG streams and all
-  // cross-job effects (trace events, aggregate stats) are buffered per job
-  // and merged in job order, so results are bitwise identical for any thread
-  // count. 0 defers to the OPTIMUS_THREADS environment variable (1 = serial).
+  // Worker threads for the per-job phases: arrival-time speed-model pre-run
+  // sampling and interval advancement (interval engine); epoch-event
+  // handling, model refits and segment rebuilds (events engine); and
+  // Algorithm 1's per-surface greedy walks in the policies built on
+  // OptimusAllocator. Scheduler-input construction is serial. Each job owns its RNG streams and all cross-job
+  // effects (trace events, aggregate stats) are buffered per job and merged
+  // in job order, so results are bitwise identical for any thread count.
+  // 0 defers to the OPTIMUS_THREADS environment variable (1 = serial).
   int threads = 1;
   // Data serving (§5.1): seconds to hand one 128 MB chunk to a new owner
   // when elastic scaling rebalances the per-worker data assignment. The
@@ -534,6 +537,8 @@ class Simulator {
   // allocator_ captures pointers to it and to pool_.
   OptimusAllocRoundStats alloc_stats_;
   std::unique_ptr<Allocator> allocator_;
+  // The policy's PolicyTraits::scaling_hysteresis, read once at construction.
+  bool scaling_hysteresis_ = true;
   // Rack-aligned server partition for the placement heaps (config_.shards).
   ShardPlan shard_plan_;
   // Network fabric model; null under the flat (exact-compat) model.

@@ -14,6 +14,7 @@
 #include "src/cluster/straggler.h"
 #include "src/common/rng.h"
 #include "src/models/model_zoo.h"
+#include "src/sim/experiment.h"
 #include "src/sim/fault_injector.h"
 #include "src/sim/invariant_auditor.h"
 #include "src/sim/simulator.h"
@@ -319,20 +320,9 @@ TEST(SimulatorFaultTest, StragglerHandlingDoesNotResurrectDeadServers) {
 }
 
 TEST(SimulatorFaultTest, AllAllocatorPoliciesAuditCleanUnderFaults) {
-  struct Policy {
-    AllocatorPolicy alloc;
-    PlacementPolicy place;
-  };
-  const Policy policies[] = {
-      {AllocatorPolicy::kOptimus, PlacementPolicy::kOptimusPack},
-      {AllocatorPolicy::kDrf, PlacementPolicy::kLoadBalance},
-      {AllocatorPolicy::kTetris, PlacementPolicy::kTetrisPack},
-      {AllocatorPolicy::kFifo, PlacementPolicy::kLoadBalance},
-  };
-  for (const Policy& policy : policies) {
+  for (const char* policy : {"optimus", "drf", "tetris", "fifo"}) {
     SimulatorConfig config;
-    config.allocator = policy.alloc;
-    config.placement = policy.place;
+    ApplySchedulerPolicy(policy, &config);
     config.seed = 11;
     config.max_sim_time_s = 2e5;
     std::string error;
@@ -346,11 +336,11 @@ TEST(SimulatorFaultTest, AllAllocatorPoliciesAuditCleanUnderFaults) {
     config.fault.checkpoint_period_s = 3600.0;
     Simulator sim(config, BuildTestbed(), SmallWorkload(6, config.seed));
     RunMetrics metrics = sim.Run();
-    EXPECT_GT(metrics.audit_checks, 0) << AllocatorPolicyName(policy.alloc);
+    EXPECT_GT(metrics.audit_checks, 0) << policy;
     EXPECT_EQ(metrics.audit_violations, 0)
-        << AllocatorPolicyName(policy.alloc) << ": " << sim.auditor().Summary();
-    EXPECT_EQ(metrics.server_crashes, 4) << AllocatorPolicyName(policy.alloc);
-    EXPECT_EQ(metrics.server_recoveries, 4) << AllocatorPolicyName(policy.alloc);
+        << policy << ": " << sim.auditor().Summary();
+    EXPECT_EQ(metrics.server_crashes, 4) << policy;
+    EXPECT_EQ(metrics.server_recoveries, 4) << policy;
   }
 }
 

@@ -185,7 +185,7 @@ std::vector<JobSpec> SmallWorkload(int n, uint64_t seed) {
 
 TEST(SimIntegrationTest, TraceCoversEveryJobLifecycle) {
   SimulatorConfig config;
-  ApplySchedulerPreset(SchedulerPreset::kOptimus, &config);
+  ApplySchedulerPolicy("optimus", &config);
   config.seed = 41;
   Simulator sim(config, BuildTestbed(), SmallWorkload(6, 41));
   RunMetrics metrics = sim.Run();
@@ -214,7 +214,7 @@ TEST(SimIntegrationTest, LearningRateDropEventRecorded) {
   spec.lr_drop = LearningRateDrop{.epoch = 3.0, .c0 = 1.0,
                                   .c2 = spec.model->loss.c2 * 0.5};
   SimulatorConfig config;
-  ApplySchedulerPreset(SchedulerPreset::kOptimus, &config);
+  ApplySchedulerPolicy("optimus", &config);
   config.seed = 43;
   Simulator sim(config, BuildTestbed(), {spec});
   sim.Run();
@@ -233,7 +233,7 @@ TEST(SimIntegrationTest, LearningRateDropEventRecorded) {
 TEST(SimIntegrationTest, BackgroundShareReducesRunningTasks) {
   auto peak_tasks = [](double share) {
     SimulatorConfig config;
-    ApplySchedulerPreset(SchedulerPreset::kDrf, &config);  // work-conserving
+    ApplySchedulerPolicy("drf", &config);  // work-conserving
     config.background_share = share;
     config.seed = 47;
     Simulator sim(config, BuildTestbed(), SmallWorkload(8, 47));
@@ -248,12 +248,12 @@ TEST(SimIntegrationTest, BackgroundShareReducesRunningTasks) {
 }
 
 TEST(SimIntegrationTest, FifoCompletesButUnderperformsOptimus) {
-  auto run = [](AllocatorPolicy alloc) {
+  auto run = [](const char* allocation) {
     double sum = 0.0;
     for (uint64_t seed = 1; seed <= 4; ++seed) {
       SimulatorConfig config;
-      ApplySchedulerPreset(SchedulerPreset::kOptimus, &config);
-      config.allocator = alloc;
+      ApplySchedulerPolicy("optimus", &config);
+      config.policy = allocation;  // swap only the allocator
       config.seed = seed;
       WorkloadConfig workload;
       workload.num_jobs = 9;
@@ -266,7 +266,7 @@ TEST(SimIntegrationTest, FifoCompletesButUnderperformsOptimus) {
     }
     return sum / 4.0;
   };
-  EXPECT_LT(run(AllocatorPolicy::kOptimus), run(AllocatorPolicy::kFifo));
+  EXPECT_LT(run("optimus"), run("fifo"));
 }
 
 TEST(SimIntegrationTest, ChunkRebalancingChargesBoundedStalls) {
@@ -274,7 +274,7 @@ TEST(SimIntegrationTest, ChunkRebalancingChargesBoundedStalls) {
   // finish; with zero cost, data rebalancing is free.
   auto total_stall = [](double chunk_move_s) {
     SimulatorConfig config;
-    ApplySchedulerPreset(SchedulerPreset::kOptimus, &config);
+    ApplySchedulerPolicy("optimus", &config);
     config.chunk_move_s = chunk_move_s;
     config.seed = 53;
     std::vector<JobSpec> jobs = SmallWorkload(6, 53);
@@ -294,7 +294,7 @@ TEST(SimIntegrationTest, IntervalLengthAffectsGranularityNotCorrectness) {
   for (double interval : {300.0, 600.0, 1200.0}) {
     SCOPED_TRACE(interval);
     SimulatorConfig config;
-    ApplySchedulerPreset(SchedulerPreset::kOptimus, &config);
+    ApplySchedulerPolicy("optimus", &config);
     config.interval_s = interval;
     config.seed = 59;
     Simulator sim(config, BuildTestbed(), SmallWorkload(5, 59));
@@ -305,7 +305,7 @@ TEST(SimIntegrationTest, IntervalLengthAffectsGranularityNotCorrectness) {
 
 TEST(SimIntegrationTest, UniformClusterSupportedEndToEnd) {
   SimulatorConfig config;
-  ApplySchedulerPreset(SchedulerPreset::kOptimus, &config);
+  ApplySchedulerPolicy("optimus", &config);
   config.seed = 61;
   Simulator sim(config, BuildUniformCluster(20, Resources(16, 80, 0, 1)),
                 SmallWorkload(10, 61));

@@ -9,12 +9,16 @@
 #include <string>
 #include <vector>
 
+#include "src/cluster/server.h"
+#include "src/common/rng.h"
 #include "src/sched/dl2_allocator.h"
 #include "src/sched/goodput_allocator.h"
 #include "src/sched/optimus_allocator.h"
 #include "src/sched/scheduler_registry.h"
 #include "src/sched/synergy_allocator.h"
+#include "src/sim/experiment.h"
 #include "src/sim/simulator.h"
+#include "src/sim/workload.h"
 #include "src/workload/scenario.h"
 
 namespace optimus {
@@ -328,6 +332,75 @@ TEST(RegistryTraitsTest, NewPolicyTraitsMatchTheirFamilies) {
     const SchedulerPolicyInfo* info = SchedulerRegistry::Global().Find(name);
     ASSERT_NE(info, nullptr) << name;
     EXPECT_FALSE(info->traits.adapts_batch) << name;
+  }
+}
+
+TEST(RegistryTraitsTest, OnlyDrfSkipsScalingHysteresis) {
+  for (const char* name : {"optimus", "optimus_rack", "drf", "tetris", "fifo",
+                           "srtf", "goodput", "synergy", "dl2"}) {
+    const SchedulerPolicyInfo* info = SchedulerRegistry::Global().Find(name);
+    ASSERT_NE(info, nullptr) << name;
+    EXPECT_EQ(info->traits.scaling_hysteresis, std::string(name) != "drf")
+        << name;
+  }
+}
+
+// Registers (once per process) a copy of `base` that differs only in the
+// scaling_hysteresis trait: same allocator, placement and toggles, so any
+// difference in the run comes from the hysteresis.
+std::string HysteresisVariant(const std::string& base, bool hysteresis) {
+  const std::string name =
+      base + (hysteresis ? "_with_hysteresis" : "_without_hysteresis");
+  if (!SchedulerRegistry::Global().Has(name)) {
+    SchedulerPolicyInfo copy = *SchedulerRegistry::Global().Find(base);
+    copy.name = name;
+    copy.traits.scaling_hysteresis = hysteresis;
+    std::string error;
+    EXPECT_TRUE(SchedulerRegistry::Global().Register(std::move(copy), &error))
+        << error;
+  }
+  return name;
+}
+
+// Seed 7, 8 jobs on the testbed.
+int TotalScalings(const std::string& policy) {
+  SimulatorConfig config;
+  EXPECT_TRUE(ApplySchedulerPolicy(policy, &config));
+  config.seed = 7;
+  WorkloadConfig workload;
+  workload.num_jobs = 8;
+  workload.arrival_window_s = 3000.0;
+  Rng rng(config.seed);
+  Simulator sim(config, BuildTestbed(), GenerateWorkload(workload, &rng));
+  const RunMetrics metrics = sim.Run();
+  EXPECT_EQ(metrics.completed_jobs, 8) << policy;
+  return metrics.total_scalings;
+}
+
+TEST(RegistryTraitsTest, TraitNotNameGatesScalingHysteresis) {
+  // Built-in drf records 6 scalings at seed 7 and its hysteresis copy 3: the
+  // hysteresis keeps jobs on their old (p, w).
+  EXPECT_LT(TotalScalings(HysteresisVariant("drf", true)), TotalScalings("drf"));
+  // The converse, so a gate keyed on the name "drf" fails too: optimus
+  // records 2 scalings and its copy without hysteresis 11.
+  EXPECT_GT(TotalScalings(HysteresisVariant("optimus", false)),
+            TotalScalings("optimus"));
+}
+
+TEST(RegistryTraitsTest, SimulatorConfigPolicyMustBeRegistered) {
+  const SimulatorConfig defaults;
+  EXPECT_EQ(defaults.policy, "optimus");
+  std::vector<std::string> errors;
+  EXPECT_TRUE(defaults.Validate(&errors));
+  EXPECT_TRUE(errors.empty());
+  for (const char* bad : {"", "nope"}) {
+    SimulatorConfig config;
+    config.policy = bad;
+    errors.clear();
+    EXPECT_FALSE(config.Validate(&errors)) << "'" << bad << "'";
+    ASSERT_EQ(errors.size(), 1u) << "'" << bad << "'";
+    EXPECT_EQ(errors[0],
+              "policy: " + SchedulerRegistry::Global().UnknownPolicyMessage(bad));
   }
 }
 

@@ -494,7 +494,6 @@ TEST(ScenarioTest, MakeSimConfigAppliesPolicyPerCell) {
   EXPECT_EQ(optimus.seed, 9u);
   const SimulatorConfig drf = spec.MakeSimConfig("drf", 1);
   EXPECT_EQ(drf.policy, "drf");
-  EXPECT_EQ(drf.allocator, AllocatorPolicy::kDrf);
   EXPECT_FALSE(drf.use_paa);
   EXPECT_EQ(drf.seed, 10u);
   // Shared knobs survive the policy application.
@@ -528,7 +527,6 @@ TEST(SchedulerRegistryTest, EveryRegisteredPolicyConstructs) {
     std::string error;
     ASSERT_TRUE(ApplySchedulerPolicy(name, &config, &error)) << error;
     EXPECT_EQ(config.policy, name);
-    EXPECT_EQ(config.allocator, info->allocator_family);
     EXPECT_EQ(config.placement, info->placement);
   }
 }

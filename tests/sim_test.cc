@@ -135,11 +135,10 @@ class SimulatorTest : public ::testing::Test {
 };
 
 TEST_F(SimulatorTest, AllJobsCompleteUnderEveryScheduler) {
-  for (SchedulerPreset preset :
-       {SchedulerPreset::kOptimus, SchedulerPreset::kDrf, SchedulerPreset::kTetris}) {
-    SCOPED_TRACE(SchedulerPresetName(preset));
+  for (const char* policy : {"optimus", "drf", "tetris"}) {
+    SCOPED_TRACE(policy);
     SimulatorConfig config;
-    ApplySchedulerPreset(preset, &config);
+    ApplySchedulerPolicy(policy, &config);
     config.seed = 11;
     Simulator sim(config, BuildTestbed(), SmallWorkload(6, 11));
     RunMetrics metrics = sim.Run();
@@ -153,7 +152,7 @@ TEST_F(SimulatorTest, AllJobsCompleteUnderEveryScheduler) {
 TEST_F(SimulatorTest, DeterministicForSameSeed) {
   auto run = [this] {
     SimulatorConfig config;
-    ApplySchedulerPreset(SchedulerPreset::kOptimus, &config);
+    ApplySchedulerPolicy("optimus", &config);
     config.seed = 13;
     Simulator sim(config, BuildTestbed(), SmallWorkload(5, 13));
     return sim.Run();
@@ -170,7 +169,7 @@ TEST_F(SimulatorTest, DeterministicForSameSeed) {
 
 TEST_F(SimulatorTest, JctsArePositiveAndBoundedByMakespan) {
   SimulatorConfig config;
-  ApplySchedulerPreset(SchedulerPreset::kOptimus, &config);
+  ApplySchedulerPolicy("optimus", &config);
   config.seed = 17;
   Simulator sim(config, BuildTestbed(), SmallWorkload(5, 17));
   RunMetrics metrics = sim.Run();
@@ -182,7 +181,7 @@ TEST_F(SimulatorTest, JctsArePositiveAndBoundedByMakespan) {
 
 TEST_F(SimulatorTest, TimelineRecordsRunningTasks) {
   SimulatorConfig config;
-  ApplySchedulerPreset(SchedulerPreset::kOptimus, &config);
+  ApplySchedulerPolicy("optimus", &config);
   config.seed = 19;
   Simulator sim(config, BuildTestbed(), SmallWorkload(5, 19));
   RunMetrics metrics = sim.Run();
@@ -198,7 +197,7 @@ TEST_F(SimulatorTest, TimelineRecordsRunningTasks) {
 
 TEST_F(SimulatorTest, StepIntervalAdvancesTime) {
   SimulatorConfig config;
-  ApplySchedulerPreset(SchedulerPreset::kOptimus, &config);
+  ApplySchedulerPolicy("optimus", &config);
   config.seed = 23;
   Simulator sim(config, BuildTestbed(), SmallWorkload(3, 23));
   const double t0 = sim.now_s();
@@ -208,7 +207,7 @@ TEST_F(SimulatorTest, StepIntervalAdvancesTime) {
 
 TEST_F(SimulatorTest, ScalingEventsChargeStalls) {
   SimulatorConfig config;
-  ApplySchedulerPreset(SchedulerPreset::kOptimus, &config);
+  ApplySchedulerPolicy("optimus", &config);
   config.seed = 29;
   Simulator sim(config, BuildTestbed(), SmallWorkload(6, 29));
   RunMetrics metrics = sim.Run();
@@ -219,7 +218,7 @@ TEST_F(SimulatorTest, ScalingEventsChargeStalls) {
 
 TEST_F(SimulatorTest, CheckpointBudgetFreezesAllocation) {
   SimulatorConfig config;
-  ApplySchedulerPreset(SchedulerPreset::kOptimus, &config);
+  ApplySchedulerPolicy("optimus", &config);
   config.checkpoint.max_scalings_per_job = 1;
   config.seed = 31;
   Simulator sim(config, BuildTestbed(), SmallWorkload(6, 31));
@@ -234,7 +233,7 @@ TEST_F(SimulatorTest, OracleModeCompletesFaster) {
   // Perfect estimates should not be materially worse than fitted ones.
   auto run = [this](bool oracle) {
     SimulatorConfig config;
-    ApplySchedulerPreset(SchedulerPreset::kOptimus, &config);
+    ApplySchedulerPolicy("optimus", &config);
     config.oracle_estimates = oracle;
     config.seed = 37;
     Simulator sim(config, BuildTestbed(), SmallWorkload(6, 37));
@@ -252,7 +251,7 @@ TEST_F(SimulatorTest, InjectedErrorDegradesPerformance) {
     double sum = 0.0;
     for (uint64_t seed = 1; seed <= 6; ++seed) {
       SimulatorConfig config;
-      ApplySchedulerPreset(SchedulerPreset::kOptimus, &config);
+      ApplySchedulerPolicy("optimus", &config);
       config.oracle_estimates = true;
       config.error.convergence_error = err;
       config.error.speed_error = err;
@@ -270,7 +269,7 @@ TEST_F(SimulatorTest, StragglersSlowDownUnhandledJobs) {
     double sum = 0.0;
     for (uint64_t seed = 1; seed <= 5; ++seed) {
       SimulatorConfig config;
-      ApplySchedulerPreset(SchedulerPreset::kOptimus, &config);
+      ApplySchedulerPolicy("optimus", &config);
       config.straggler.injection_prob_per_interval = inject;
       config.straggler.handling_enabled = handle;
       config.seed = seed;
@@ -292,7 +291,7 @@ TEST_F(SimulatorTest, StragglersSlowDownUnhandledJobs) {
 
 TEST(ExperimentTest, AggregatesRepeats) {
   ExperimentConfig config;
-  ApplySchedulerPreset(SchedulerPreset::kOptimus, &config.sim);
+  ApplySchedulerPolicy("optimus", &config.sim);
   config.workload.num_jobs = 5;
   config.workload.arrival_window_s = 3000.0;
   config.repeats = 3;
@@ -308,18 +307,18 @@ TEST(ExperimentTest, AggregatesRepeats) {
 TEST(ExperimentTest, OptimusBeatsBaselinesOnTestbedWorkload) {
   // The headline Fig-11 property: Optimus achieves lower average JCT and
   // makespan than both DRF and Tetris under the paper's testbed conditions.
-  auto run = [](SchedulerPreset preset) {
+  auto run = [](const char* policy) {
     ExperimentConfig config;
-    ApplySchedulerPreset(preset, &config.sim);
+    ApplySchedulerPolicy(policy, &config.sim);
     ApplyTestbedConditions(&config.sim);
     config.workload.num_jobs = 9;
     config.workload.target_steps_per_epoch = 60;
     config.repeats = 4;
     return RunExperiment(config, [] { return BuildTestbed(); });
   };
-  ExperimentResult optimus = run(SchedulerPreset::kOptimus);
-  ExperimentResult drf = run(SchedulerPreset::kDrf);
-  ExperimentResult tetris = run(SchedulerPreset::kTetris);
+  ExperimentResult optimus = run("optimus");
+  ExperimentResult drf = run("drf");
+  ExperimentResult tetris = run("tetris");
   EXPECT_LT(optimus.avg_jct_mean, drf.avg_jct_mean);
   EXPECT_LT(optimus.avg_jct_mean, tetris.avg_jct_mean);
   EXPECT_LT(optimus.makespan_mean, drf.makespan_mean);
@@ -329,7 +328,7 @@ TEST(ExperimentTest, OptimusBeatsBaselinesOnTestbedWorkload) {
 TEST_F(SimulatorTest, MultiFamilyFittingCompletesComparably) {
   auto run = [this](bool multi) {
     SimulatorConfig config;
-    ApplySchedulerPreset(SchedulerPreset::kOptimus, &config);
+    ApplySchedulerPolicy("optimus", &config);
     config.multi_family_fitting = multi;
     config.seed = 67;
     Simulator sim(config, BuildTestbed(), SmallWorkload(6, 67));

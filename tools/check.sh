@@ -59,8 +59,8 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 # Policy-catalog smoke: every registered policy (goodput / synergy / dl2
 # included) on the batch-adaptive scenario, plus a per-policy determinism
 # sweep over engines x shards x threads. Exits 3 if any cell diverges from
-# its (policy, engine) reference or if no non-Optimus-family policy beats
-# plain optimus on average JCT (docs/POLICIES.md).
+# its (policy, engine) reference or if no policy other than optimus /
+# optimus_rack beats plain optimus on average JCT (docs/POLICIES.md).
 "${build_dir}/bench/bench_policies" --smoke \
   --scenario="${repo_root}/scenarios/batch_adaptive.json" \
   --json=BENCH_policies_smoke.json

@@ -117,8 +117,8 @@ std::string JsonEscape(const std::string& s) {
 }
 
 // Machine-readable policy catalog (`--policy list --format=json`): one object
-// per registered policy with its family, placement, and trait set, so
-// harnesses can discover capabilities without parsing the human table.
+// per registered policy with its placement and trait set, so harnesses can
+// discover capabilities without parsing the human table.
 int PrintPolicyListJson() {
   std::cout << "[\n";
   bool first = true;
@@ -131,8 +131,6 @@ int PrintPolicyListJson() {
     std::cout << "  {\"name\": \"" << JsonEscape(info.name) << "\", "
               << "\"display_name\": \"" << JsonEscape(info.display_name) << "\", "
               << "\"description\": \"" << JsonEscape(info.description) << "\", "
-              << "\"family\": \"" << AllocatorPolicyName(info.allocator_family)
-              << "\", "
               << "\"placement\": \"" << PlacementPolicyName(info.placement)
               << "\", "
               << "\"traits\": {"
@@ -144,7 +142,9 @@ int PrintPolicyListJson() {
               << "\"adapts_batch\": " << (t.adapts_batch ? "true" : "false")
               << ", "
               << "\"uses_sensitivity\": "
-              << (t.uses_sensitivity ? "true" : "false") << "}}";
+              << (t.uses_sensitivity ? "true" : "false") << ", "
+              << "\"scaling_hysteresis\": "
+              << (t.scaling_hysteresis ? "true" : "false") << "}}";
   }
   std::cout << "\n]\n";
   return 0;
@@ -158,12 +158,11 @@ int PrintPolicyList(const std::string& format) {
     std::cerr << "unknown --format '" << format << "' (expected table|json)\n";
     return 2;
   }
-  TablePrinter table({"policy", "display", "family", "description"});
-  for (const std::string& name : SchedulerRegistry::Global().Names()) {
-    const SchedulerPolicyInfo* info = SchedulerRegistry::Global().Find(name);
-    table.AddRow({info->name, info->display_name,
-                  AllocatorPolicyName(info->allocator_family),
-                  info->description});
+  TablePrinter table({"policy", "display", "hysteresis", "description"});
+  for (const SchedulerPolicyInfo& info : SchedulerRegistry::Global().Policies()) {
+    table.AddRow({info.name, info.display_name,
+                  info.traits.scaling_hysteresis ? "on" : "off",
+                  info.description});
   }
   table.Print(std::cout);
   return 0;
