@@ -7,38 +7,6 @@
 
 namespace optimus {
 
-const char* FlightEventKindName(FlightEventKind kind) {
-  switch (kind) {
-    case FlightEventKind::kScheduled:
-      return "scheduled";
-    case FlightEventKind::kScaled:
-      return "scaled";
-    case FlightEventKind::kPaused:
-      return "paused";
-    case FlightEventKind::kResumed:
-      return "resumed";
-    case FlightEventKind::kEvicted:
-      return "evicted";
-    case FlightEventKind::kCheckpoint:
-      return "checkpoint";
-    case FlightEventKind::kTaskFailed:
-      return "task-failed";
-    case FlightEventKind::kServerCrash:
-      return "server-crash";
-    case FlightEventKind::kServerRecovered:
-      return "server-recovered";
-    case FlightEventKind::kSlowdown:
-      return "slowdown";
-    case FlightEventKind::kCompleted:
-      return "completed";
-    case FlightEventKind::kAuditCheck:
-      return "audit-check";
-    case FlightEventKind::kAuditViolation:
-      return "audit-violation";
-  }
-  return "unknown";
-}
-
 FlightRecorder::FlightRecorder(int depth)
     : capacity_(depth > 0 ? static_cast<size_t>(depth) : 0) {
   if (capacity_ > 0) {
@@ -50,7 +18,7 @@ size_t FlightRecorder::size() const {
   return std::min<uint64_t>(next_seq_, capacity_);
 }
 
-void FlightRecorder::Record(double time_s, FlightEventKind kind, int job_id,
+void FlightRecorder::Record(double time_s, SimEventType kind, int job_id,
                             int num_ps, int num_workers, double value,
                             std::string detail) {
   if (capacity_ == 0) {
@@ -89,7 +57,7 @@ void FlightRecorder::Dump(std::ostream& os) const {
      << " event(s) retained (depth " << capacity_ << ")\n";
   for (const FlightEvent& e : Events()) {
     os << "  [" << e.seq << "] t=" << obs_internal::FormatDouble17(e.time_s)
-       << " " << FlightEventKindName(e.kind) << " job=" << e.job_id;
+       << " " << SimEventTypeName(e.kind) << " job=" << e.job_id;
     if (e.num_ps != 0 || e.num_workers != 0) {
       os << " ps=" << e.num_ps << " workers=" << e.num_workers;
     }
@@ -110,7 +78,7 @@ void FlightRecorder::WriteJson(std::ostream& os, int indent) const {
   for (const FlightEvent& e : Events()) {
     os << (first ? "\n" : ",\n") << pad << "  {\"seq\": " << e.seq
        << ", \"time_s\": " << obs_internal::FormatDouble17(e.time_s)
-       << ", \"kind\": \"" << FlightEventKindName(e.kind) << "\""
+       << ", \"kind\": \"" << SimEventTypeName(e.kind) << "\""
        << ", \"job\": " << e.job_id << ", \"ps\": " << e.num_ps
        << ", \"workers\": " << e.num_workers
        << ", \"value\": " << obs_internal::FormatDouble17(e.value)

@@ -5,7 +5,8 @@
 // evicted, which servers flapped, what the auditor saw. The flight recorder
 // keeps the last `depth` structured events (allocation decisions, evictions,
 // checkpoints, fault transitions, audit results) at O(1) cost per event and
-// dumps them on demand for post-mortem debugging.
+// dumps them on demand for post-mortem debugging. Kinds and their spelling
+// are the simulator's one lifecycle vocabulary (src/obs/event_types.h).
 //
 // Determinism: events carry simulated time and simulated state only, and all
 // record sites sit in the simulator's serial phases, so the full event
@@ -20,34 +21,19 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/event_types.h"
+
 namespace optimus {
-
-enum class FlightEventKind {
-  kScheduled,       // first allocation decision for a job
-  kScaled,          // (p, w) changed for a running job
-  kPaused,          // active job received no placeable resources
-  kResumed,         // previously paused job running again
-  kEvicted,         // job lost its tasks to a crashed server
-  kCheckpoint,      // durable checkpoint taken (periodic or on scaling)
-  kTaskFailed,      // container death; restored from checkpoint in place
-  kServerCrash,
-  kServerRecovered,
-  kSlowdown,        // cluster-wide speed factor changed
-  kCompleted,
-  kAuditCheck,      // one auditor pass (value = violations so far)
-  kAuditViolation,  // one reported violation (detail = invariant: ...)
-};
-
-const char* FlightEventKindName(FlightEventKind kind);
 
 struct FlightEvent {
   uint64_t seq = 0;      // monotone record index since construction
   double time_s = 0.0;   // simulated time
-  FlightEventKind kind = FlightEventKind::kScheduled;
+  SimEventType kind = SimEventType::kScheduled;  // an in-flight kind
   int job_id = 0;        // -1 for cluster-scoped events
-  int num_ps = 0;        // kind-specific integer args (allocation, server id)
+  int num_ps = 0;        // allocation after the event
   int num_workers = 0;
-  double value = 0.0;    // kind-specific scalar (factor, violation count)
+  double value = 0.0;    // kind-specific scalar (epochs, server id, factor,
+                         // violation count)
   std::string detail;
 };
 
@@ -63,7 +49,7 @@ class FlightRecorder {
   // Total events ever recorded (size() + overwritten).
   uint64_t total_recorded() const { return next_seq_; }
 
-  void Record(double time_s, FlightEventKind kind, int job_id, int num_ps = 0,
+  void Record(double time_s, SimEventType kind, int job_id, int num_ps = 0,
               int num_workers = 0, double value = 0.0, std::string detail = "");
 
   // Retained events, oldest first.

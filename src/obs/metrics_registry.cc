@@ -19,10 +19,19 @@ const char* MetricKindName(MetricKind kind) {
   return "unknown";
 }
 
+void Counter::Add(double v) {
+  OPTIMUS_CHECK(!source_) << "counter " << name() << " is a view";
+  value_ += v;
+}
+
+void Gauge::Set(double v) {
+  OPTIMUS_CHECK(!source_) << "gauge " << name() << " is a view";
+  value_ = v;
+}
+
 Histogram::Histogram(std::string name, std::string help, std::vector<double> bounds,
-                     bool profiling, size_t index)
+                     bool profiling)
     : Metric(MetricKind::kHistogram, std::move(name), std::move(help), profiling),
-      index_(index),
       bounds_(std::move(bounds)),
       buckets_(bounds_.size() + 1, 0) {
   OPTIMUS_CHECK(!bounds_.empty()) << "histogram needs at least one bucket bound";
@@ -46,128 +55,46 @@ double Histogram::Quantile(double q) const {
   return HistogramQuantile(bounds_, buckets_, q);
 }
 
+template <typename M>
+M* MetricsRegistry::Register(M* metric) {
+  const bool inserted = by_name_.emplace(metric->name(), metrics_.size()).second;
+  OPTIMUS_CHECK(inserted) << "duplicate metric name " << metric->name();
+  metrics_.emplace_back(metric);
+  return metric;
+}
+
 Counter* MetricsRegistry::AddCounter(std::string name, std::string help,
                                      bool profiling) {
-  const bool inserted = by_name_.emplace(name, metrics_.size()).second;
-  OPTIMUS_CHECK(inserted) << "duplicate metric name " << name;
-  auto* c = new Counter(std::move(name), std::move(help), profiling, counters_.size());
-  metrics_.emplace_back(c);
-  counters_.push_back(c);
-  return c;
+  return Register(new Counter(std::move(name), std::move(help), profiling, nullptr));
 }
 
 Gauge* MetricsRegistry::AddGauge(std::string name, std::string help, bool profiling) {
-  const bool inserted = by_name_.emplace(name, metrics_.size()).second;
-  OPTIMUS_CHECK(inserted) << "duplicate metric name " << name;
-  auto* g = new Gauge(std::move(name), std::move(help), profiling, gauges_.size());
-  metrics_.emplace_back(g);
-  gauges_.push_back(g);
-  return g;
+  return Register(new Gauge(std::move(name), std::move(help), profiling, nullptr));
+}
+
+Counter* MetricsRegistry::AddCounterView(std::string name, std::string help,
+                                         MetricSource source) {
+  OPTIMUS_CHECK(source != nullptr) << "view " << name << " needs a source";
+  return Register(new Counter(std::move(name), std::move(help), false,
+                              std::move(source)));
+}
+
+Gauge* MetricsRegistry::AddGaugeView(std::string name, std::string help,
+                                     MetricSource source, bool profiling) {
+  OPTIMUS_CHECK(source != nullptr) << "view " << name << " needs a source";
+  return Register(new Gauge(std::move(name), std::move(help), profiling,
+                            std::move(source)));
 }
 
 Histogram* MetricsRegistry::AddHistogram(std::string name, std::string help,
                                          std::vector<double> bounds, bool profiling) {
-  const bool inserted = by_name_.emplace(name, metrics_.size()).second;
-  OPTIMUS_CHECK(inserted) << "duplicate metric name " << name;
-  auto* h = new Histogram(std::move(name), std::move(help), std::move(bounds),
-                          profiling, histograms_.size());
-  metrics_.emplace_back(h);
-  histograms_.push_back(h);
-  return h;
+  return Register(new Histogram(std::move(name), std::move(help), std::move(bounds),
+                                profiling));
 }
 
 const Metric* MetricsRegistry::Find(const std::string& name) const {
   const auto it = by_name_.find(name);
   return it == by_name_.end() ? nullptr : metrics_[it->second].get();
-}
-
-void MetricsRegistry::Merge(const MetricsShard& shard) {
-  OPTIMUS_CHECK_EQ(shard.counter_adds_.size(), counters_.size())
-      << "shard layout does not match the registry (register before sharding)";
-  OPTIMUS_CHECK_EQ(shard.gauge_sets_.size(), gauges_.size());
-  OPTIMUS_CHECK_EQ(shard.histograms_.size(), histograms_.size());
-  for (size_t i = 0; i < counters_.size(); ++i) {
-    if (shard.counter_adds_[i] != 0.0) {
-      counters_[i]->value_ += shard.counter_adds_[i];
-    }
-  }
-  for (size_t i = 0; i < gauges_.size(); ++i) {
-    if (shard.gauge_sets_[i].first) {
-      gauges_[i]->value_ = shard.gauge_sets_[i].second;
-    }
-  }
-  for (size_t i = 0; i < histograms_.size(); ++i) {
-    const MetricsShard::HistogramDelta& d = shard.histograms_[i];
-    if (d.count == 0) {
-      continue;
-    }
-    Histogram* h = histograms_[i];
-    for (size_t b = 0; b < d.buckets.size(); ++b) {
-      h->buckets_[b] += d.buckets[b];
-    }
-    h->count_ += d.count;
-    h->sum_ += d.sum;
-  }
-}
-
-MetricsShard::MetricsShard(const MetricsRegistry& registry)
-    : counter_adds_(registry.counters_.size(), 0.0),
-      gauge_sets_(registry.gauges_.size(), {false, 0.0}),
-      histograms_(registry.histograms_.size()) {
-  for (size_t i = 0; i < registry.histograms_.size(); ++i) {
-    histograms_[i].buckets.assign(registry.histograms_[i]->buckets().size(), 0);
-  }
-}
-
-void MetricsShard::Add(const Counter* counter, double v) {
-  counter_adds_[counter->index_] += v;
-}
-
-void MetricsShard::Set(const Gauge* gauge, double v) {
-  gauge_sets_[gauge->index_] = {true, v};
-}
-
-void MetricsShard::Record(const Histogram* histogram, double v) {
-  size_t b = 0;
-  const std::vector<double>& bounds = histogram->bounds();
-  while (b < bounds.size() && v > bounds[b]) {
-    ++b;
-  }
-  HistogramDelta& d = histograms_[histogram->index_];
-  ++d.buckets[b];
-  ++d.count;
-  d.sum += v;
-}
-
-void MetricsShard::MergeFrom(const MetricsShard& other) {
-  OPTIMUS_CHECK_EQ(other.counter_adds_.size(), counter_adds_.size());
-  for (size_t i = 0; i < counter_adds_.size(); ++i) {
-    counter_adds_[i] += other.counter_adds_[i];
-  }
-  for (size_t i = 0; i < gauge_sets_.size(); ++i) {
-    if (other.gauge_sets_[i].first) {
-      gauge_sets_[i] = other.gauge_sets_[i];
-    }
-  }
-  for (size_t i = 0; i < histograms_.size(); ++i) {
-    const HistogramDelta& o = other.histograms_[i];
-    HistogramDelta& d = histograms_[i];
-    for (size_t b = 0; b < d.buckets.size(); ++b) {
-      d.buckets[b] += o.buckets[b];
-    }
-    d.count += o.count;
-    d.sum += o.sum;
-  }
-}
-
-void MetricsShard::Reset() {
-  std::fill(counter_adds_.begin(), counter_adds_.end(), 0.0);
-  std::fill(gauge_sets_.begin(), gauge_sets_.end(), std::make_pair(false, 0.0));
-  for (HistogramDelta& d : histograms_) {
-    std::fill(d.buckets.begin(), d.buckets.end(), 0);
-    d.count = 0;
-    d.sum = 0.0;
-  }
 }
 
 }  // namespace optimus

@@ -5,10 +5,14 @@
 // speeds §3.2, utilization and scaling overhead §6), so telemetry must not be
 // an afterthought — but it also must not perturb the simulation or break the
 // repo's determinism contract. The registry therefore follows the same rule
-// as every other cross-thread structure in this codebase: shared state is
-// only ever mutated serially, and parallel sections record into per-work-item
-// shards that are merged in a caller-fixed (job/index) order. Under that
-// contract every exported value is bitwise identical for any thread count.
+// as every other cross-thread structure in this codebase: it is only ever
+// mutated and read serially, so every exported value is bitwise identical for
+// any thread count.
+//
+// A metric either owns its value (Counter::Add, Gauge::Set,
+// Histogram::Record) or is a view: it reads a live source — a total the
+// program maintains anyway — whenever it is sampled or exported, so there is
+// no second copy to keep in step.
 //
 // Determinism classes:
 //   - deterministic metrics (default): derived from simulated state only;
@@ -17,15 +21,14 @@
 //     (PhaseProfiler); exported for humans, excluded from determinism
 //     comparisons and golden files (ExportOptions::include_profiling).
 //
-// Thread-safety: registration and direct mutation (Counter::Add, Gauge::Set,
-// Histogram::Record) are serial-context operations. Parallel call sites must
-// record into a MetricsShard per work item and merge the shards serially in
-// index order (MetricsRegistry::Merge). The registry never takes locks.
+// Thread-safety: registration, direct mutation and reads (which call view
+// sources) are serial-context operations. The registry never takes locks.
 
 #ifndef SRC_OBS_METRICS_REGISTRY_H_
 #define SRC_OBS_METRICS_REGISTRY_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -33,8 +36,8 @@
 
 namespace optimus {
 
-class MetricsRegistry;
-class MetricsShard;
+// Live source of a view metric.
+using MetricSource = std::function<double()>;
 
 enum class MetricKind { kCounter, kGauge, kHistogram };
 
@@ -68,38 +71,34 @@ class Metric {
 // is a double so step counts such as rolled-back steps fit too).
 class Counter : public Metric {
  public:
-  // Direct increment; serial contexts only.
-  void Add(double v = 1.0) { value_ += v; }
-  // Mirrors a cumulative total maintained elsewhere (e.g. a RunMetrics field
-  // or a per-job sum walked in job order); the caller guarantees monotonicity.
-  void Set(double total) { value_ = total; }
-  double value() const { return value_; }
+  // Direct increment; serial contexts only. Fatal on a view.
+  void Add(double v = 1.0);
+  double value() const { return source_ ? source_() : value_; }
 
  private:
   friend class MetricsRegistry;
-  friend class MetricsShard;
-  Counter(std::string name, std::string help, bool profiling, size_t index)
+  Counter(std::string name, std::string help, bool profiling, MetricSource source)
       : Metric(MetricKind::kCounter, std::move(name), std::move(help), profiling),
-        index_(index) {}
+        source_(std::move(source)) {}
 
-  size_t index_;  // position among the registry's counters
+  MetricSource source_;  // set for views
   double value_ = 0.0;
 };
 
 // Point-in-time value (last write wins).
 class Gauge : public Metric {
  public:
-  void Set(double v) { value_ = v; }
-  double value() const { return value_; }
+  // Fatal on a view.
+  void Set(double v);
+  double value() const { return source_ ? source_() : value_; }
 
  private:
   friend class MetricsRegistry;
-  friend class MetricsShard;
-  Gauge(std::string name, std::string help, bool profiling, size_t index)
+  Gauge(std::string name, std::string help, bool profiling, MetricSource source)
       : Metric(MetricKind::kGauge, std::move(name), std::move(help), profiling),
-        index_(index) {}
+        source_(std::move(source)) {}
 
-  size_t index_;
+  MetricSource source_;  // set for views
   double value_ = 0.0;
 };
 
@@ -126,53 +125,13 @@ class Histogram : public Metric {
 
  private:
   friend class MetricsRegistry;
-  friend class MetricsShard;
   Histogram(std::string name, std::string help, std::vector<double> bounds,
-            bool profiling, size_t index);
+            bool profiling);
 
-  size_t index_;
   std::vector<double> bounds_;
   std::vector<int64_t> buckets_;
   int64_t count_ = 0;
   double sum_ = 0.0;
-};
-
-// Per-work-item recording buffer for parallel sections. A shard is sized to
-// the registry's layout at construction; recording into it touches only the
-// shard. Merging shards back serially, in a caller-fixed order, reproduces
-// the serial recording bit for bit:
-//   - counter adds and histogram bucket counts are order-independent sums of
-//     integers / exact doubles per shard;
-//   - double accumulations (counter values, histogram sums) are applied in
-//     the merge order the caller fixes, so one order -> one bit pattern;
-//   - gauge sets apply last-merged-wins, again fixed by the merge order.
-class MetricsShard {
- public:
-  explicit MetricsShard(const MetricsRegistry& registry);
-
-  void Add(const Counter* counter, double v = 1.0);
-  void Set(const Gauge* gauge, double v);
-  void Record(const Histogram* histogram, double v);
-
-  // Folds `other` into this shard (hierarchical merges; same ordering caveat
-  // as MetricsRegistry::Merge). Counter adds and histogram bucket counts are
-  // exactly associative; double sums associate only along a fixed order.
-  void MergeFrom(const MetricsShard& other);
-
-  void Reset();
-
- private:
-  friend class MetricsRegistry;
-
-  struct HistogramDelta {
-    std::vector<int64_t> buckets;
-    int64_t count = 0;
-    double sum = 0.0;
-  };
-
-  std::vector<double> counter_adds_;
-  std::vector<std::pair<bool, double>> gauge_sets_;  // (written, value)
-  std::vector<HistogramDelta> histograms_;
 };
 
 // Registry of named metrics. Registration order is the export order, so the
@@ -184,9 +143,14 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  // Registration (serial, up-front — before any shard is constructed).
+  // Registration (serial, up-front).
   Counter* AddCounter(std::string name, std::string help, bool profiling = false);
   Gauge* AddGauge(std::string name, std::string help, bool profiling = false);
+  // Views: the value is `source()` at every read. The caller guarantees a
+  // counter source never decreases and outlives the registry's readers.
+  Counter* AddCounterView(std::string name, std::string help, MetricSource source);
+  Gauge* AddGaugeView(std::string name, std::string help, MetricSource source,
+                      bool profiling = false);
   Histogram* AddHistogram(std::string name, std::string help,
                           std::vector<double> bounds, bool profiling = false);
 
@@ -197,19 +161,12 @@ class MetricsRegistry {
   // nullptr when no metric has that name.
   const Metric* Find(const std::string& name) const;
 
-  // Applies one shard's recorded deltas. Callers with several shards must
-  // merge them in a fixed order (index/job order) — that order is what makes
-  // double accumulation deterministic.
-  void Merge(const MetricsShard& shard);
-
  private:
-  friend class MetricsShard;
+  template <typename M>
+  M* Register(M* metric);
 
   std::vector<std::unique_ptr<Metric>> metrics_;  // registration order
   std::map<std::string, size_t> by_name_;
-  std::vector<Counter*> counters_;
-  std::vector<Gauge*> gauges_;
-  std::vector<Histogram*> histograms_;
 };
 
 }  // namespace optimus

@@ -12,25 +12,16 @@ void PhaseProfiler::AttachRegistry(MetricsRegistry* registry,
 }
 
 int PhaseProfiler::RegisterPhase(const std::string& name) {
-  Phase phase;
-  phase.name = name;
+  const int index = num_phases();
+  phases_.push_back({name, 0.0});
   if (registry_ != nullptr) {
-    phase.gauge = registry_->AddGauge(
+    registry_->AddGaugeView(
         prefix_ + name + "_seconds",
         "Accumulated host wall-clock seconds in the " + name +
             " phase (profiling only; nondeterministic).",
-        /*profiling=*/true);
+        [this, index] { return seconds(index); }, /*profiling=*/true);
   }
-  phases_.push_back(std::move(phase));
-  return static_cast<int>(phases_.size()) - 1;
-}
-
-void PhaseProfiler::Add(int phase, double seconds) {
-  Phase& p = phases_[static_cast<size_t>(phase)];
-  p.seconds += seconds;
-  if (p.gauge != nullptr) {
-    p.gauge->Set(p.seconds);
-  }
+  return index;
 }
 
 }  // namespace optimus

@@ -4,8 +4,8 @@
 // each phase is registered once, timed with ScopedTimer around the phase
 // body, and read back as accumulated host seconds. Wall times are profiling
 // data only — they never feed back into simulated time or decisions, and
-// when mirrored into a MetricsRegistry the gauges are flagged `profiling` so
-// determinism comparisons and golden snapshots exclude them.
+// when exposed through a MetricsRegistry the gauges are flagged `profiling`
+// so determinism comparisons and golden snapshots exclude them.
 
 #ifndef SRC_OBS_PHASE_PROFILER_H_
 #define SRC_OBS_PHASE_PROFILER_H_
@@ -20,17 +20,23 @@ namespace optimus {
 
 class PhaseProfiler {
  public:
+  PhaseProfiler() = default;
+  // The registry's gauge views hold this profiler's address.
+  PhaseProfiler(const PhaseProfiler&) = delete;
+  PhaseProfiler& operator=(const PhaseProfiler&) = delete;
+
   // Registers a phase and returns its index (registration order). When a
   // registry is attached, also registers a profiling gauge named
-  // `<prefix><name>_seconds` that mirrors the accumulated total.
+  // `<prefix><name>_seconds` that views the accumulated total.
   int RegisterPhase(const std::string& name);
 
-  // Mirrors phase totals into `registry` as profiling gauges. Call before
+  // Exposes phase totals in `registry` as profiling gauge views. Call before
   // RegisterPhase; pass nullptr (default state) for a standalone profiler.
+  // The profiler must outlive the registry's readers.
   void AttachRegistry(MetricsRegistry* registry, const std::string& prefix);
 
   // Adds `seconds` to the phase total (ScopedTimer calls this on scope exit).
-  void Add(int phase, double seconds);
+  void Add(int phase, double seconds) { phases_[phase].seconds += seconds; }
 
   double seconds(int phase) const { return phases_[phase].seconds; }
   const std::string& name(int phase) const { return phases_[phase].name; }
@@ -40,7 +46,6 @@ class PhaseProfiler {
   struct Phase {
     std::string name;
     double seconds = 0.0;
-    Gauge* gauge = nullptr;  // profiling mirror; null without a registry
   };
 
   std::vector<Phase> phases_;

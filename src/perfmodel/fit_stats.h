@@ -2,8 +2,8 @@
 //
 // Each model instance is job-owned, so the counters are incremented without
 // synchronization even when jobs fit in parallel; the simulator sums them
-// over jobs in job order when it samples the metrics registry, which keeps
-// the exported totals bitwise deterministic for any thread count.
+// over jobs in job order when the metrics registry is read, which keeps the
+// exported totals bitwise deterministic for any thread count.
 
 #ifndef SRC_PERFMODEL_FIT_STATS_H_
 #define SRC_PERFMODEL_FIT_STATS_H_
@@ -21,6 +21,13 @@ struct ModelFitStats {
   // NNLS active-set iterations summed over every solve (all beta2 candidates
   // for the convergence model).
   int64_t nnls_iterations = 0;
+
+  ModelFitStats& operator+=(const ModelFitStats& o) {
+    fits += o.fits;
+    fit_cache_hits += o.fit_cache_hits;
+    nnls_iterations += o.nnls_iterations;
+    return *this;
+  }
 };
 
 }  // namespace optimus

@@ -23,8 +23,8 @@ void InvariantAuditor::NoteRetired(int job_id) {
 void InvariantAuditor::Report(double now_s, const char* invariant,
                               std::string detail) {
   if (flight_ != nullptr) {
-    flight_->Record(now_s, FlightEventKind::kAuditViolation, -1, 0, 0, 0.0,
-                    std::string(invariant) + ": " + detail);
+    flight_->Record(now_s, SimEventType::kAuditViolation, kClusterEventJobId, 0,
+                    0, 0.0, std::string(invariant) + ": " + detail);
   }
   violations_.push_back({now_s, invariant, std::move(detail)});
 }

@@ -290,16 +290,10 @@ void Simulator::RetireJob(size_t idx) {
   r.jct_s = jr->job.Jct();
   r.total_stall_s = jr->job.total_stall_s();
   if (jr->conv != nullptr) {
-    const ModelFitStats& s = jr->conv->fit_stats();
-    retired_conv_stats_.fits += s.fits;
-    retired_conv_stats_.fit_cache_hits += s.fit_cache_hits;
-    retired_conv_stats_.nnls_iterations += s.nnls_iterations;
+    retired_conv_stats_ += jr->conv->fit_stats();
   }
   if (jr->speed != nullptr) {
-    const ModelFitStats& s = jr->speed->fit_stats();
-    retired_speed_stats_.fits += s.fits;
-    retired_speed_stats_.fit_cache_hits += s.fit_cache_hits;
-    retired_speed_stats_.nnls_iterations += s.nnls_iterations;
+    retired_speed_stats_ += jr->speed->fit_stats();
   }
   ++retired_count_;
   auditor_.NoteRetired(jr->job.id());
@@ -323,81 +317,97 @@ void Simulator::SetupObservability() {
   // so the post-mortem dump interleaves them with the decisions around them.
   auditor_.set_flight_recorder(&flight_);
   if (config_.obs.enabled) {
-    auto c = [this](const char* name, const char* help) {
-      return registry_.AddCounter(name, help);
+    auto view = [this](const char* name, const char* help, auto read) {
+      registry_.AddCounterView(name, help,
+                               [read] { return static_cast<double>(read()); });
     };
-    m_.intervals = c("optimus_intervals_total", "Scheduling intervals simulated.");
-    m_.jobs_submitted = c("optimus_jobs_submitted_total", "Jobs that have arrived.");
-    m_.jobs_completed =
-        c("optimus_jobs_completed_total", "Jobs converged and completed.");
-    m_.jobs_killed = c("optimus_jobs_killed_total",
-                       "Jobs cancelled by an online kill request.");
-    m_.scalings = c("optimus_scalings_total",
-                    "Checkpoint-restart resource adjustments applied.");
-    m_.straggler_replacements = c("optimus_straggler_replacements_total",
-                                  "Straggling workers detected and replaced.");
-    m_.checkpoints = c("optimus_checkpoints_total",
-                       "Periodic durable checkpoints taken (fault plan).");
-    m_.evictions = c("optimus_job_evictions_total",
-                     "Jobs evicted after losing tasks to a down server.");
-    m_.task_failures = c("optimus_task_failures_total",
-                         "Container deaths restored from checkpoint in place.");
-    m_.server_crashes = c("optimus_server_crashes_total", "Scripted server crashes.");
-    m_.server_recoveries =
-        c("optimus_server_recoveries_total", "Crashed servers brought back up.");
-    m_.backoff_deferrals = c("optimus_backoff_deferrals_total",
-                             "Relaunch-backoff deferrals after repeated evictions.");
-    m_.rolled_back_steps = c("optimus_rolled_back_steps_total",
-                             "Training steps lost to checkpoint rollbacks.");
-    m_.audit_checks = c("optimus_audit_checks_total", "Invariant-auditor passes.");
-    m_.audit_violations =
-        c("optimus_audit_violations_total", "Invariant violations reported.");
-    m_.speed_probes = c("optimus_speed_probes_total",
-                        "Speed-surface probes across scheduling rounds.");
-    m_.speed_evals = c("optimus_speed_evals_total",
-                       "Underlying speed-function evaluations (probes minus "
-                       "memo hits).");
-    m_.speed_surfaces = c("optimus_speed_surfaces_total",
-                          "Distinct speed surfaces built across rounds.");
-    m_.alloc_pops =
-        c("optimus_alloc_pops_total", "Greedy-heap candidates popped (Optimus).");
-    m_.alloc_grants =
-        c("optimus_alloc_grants_total", "Tasks granted by the greedy allocator.");
-    m_.alloc_unfittable_drops =
-        c("optimus_alloc_unfittable_drops_total",
-          "Heap candidates dropped because their task kind no longer fits.");
-    m_.conv_fits =
-        c("optimus_conv_fits_total", "Convergence-model solve attempts.");
-    m_.conv_fit_cache_hits = c("optimus_conv_fit_cache_hits_total",
-                               "Convergence fits answered by the dirty-flag cache.");
-    m_.conv_nnls_iterations = c("optimus_conv_nnls_iterations_total",
-                                "NNLS iterations spent in convergence fits.");
-    m_.speedmodel_fits =
-        c("optimus_speedmodel_fits_total", "Speed-model solve attempts.");
-    m_.speedmodel_fit_cache_hits =
-        c("optimus_speedmodel_fit_cache_hits_total",
-          "Speed-model fits answered by the dirty-flag cache.");
-    m_.speedmodel_nnls_iterations = c("optimus_speedmodel_nnls_iterations_total",
-                                      "NNLS iterations spent in speed-model fits.");
-    m_.events_processed = c("optimus_events_processed_total",
-                            "Discrete events handled by the event kernel "
-                            "(stale-dropped entries excluded).");
+    intervals_ = registry_.AddCounter("optimus_intervals_total",
+                                      "Scheduling intervals simulated.");
+    view("optimus_jobs_submitted_total", "Jobs that have arrived.",
+         [this] { return job_totals().submitted; });
+    view("optimus_jobs_completed_total", "Jobs converged and completed.",
+         [this] { return metrics_.completed_jobs; });
+    view("optimus_jobs_killed_total", "Jobs cancelled by an online kill request.",
+         [this] { return metrics_.jobs_killed; });
+    view("optimus_scalings_total", "Checkpoint-restart resource adjustments applied.",
+         [this] { return metrics_.total_scalings; });
+    view("optimus_straggler_replacements_total",
+         "Straggling workers detected and replaced.",
+         [this] { return straggler_.replacements(); });
+    view("optimus_checkpoints_total",
+         "Periodic durable checkpoints taken (fault plan).",
+         [this] { return metrics_.checkpoints_taken; });
+    view("optimus_job_evictions_total",
+         "Jobs evicted after losing tasks to a down server.",
+         [this] { return metrics_.job_evictions; });
+    view("optimus_task_failures_total",
+         "Container deaths restored from checkpoint in place.",
+         [this] { return metrics_.task_failures; });
+    view("optimus_server_crashes_total", "Scripted server crashes.",
+         [this] { return metrics_.server_crashes; });
+    view("optimus_server_recoveries_total", "Crashed servers brought back up.",
+         [this] { return metrics_.server_recoveries; });
+    view("optimus_backoff_deferrals_total",
+         "Relaunch-backoff deferrals after repeated evictions.",
+         [this] { return metrics_.backoff_deferrals; });
+    view("optimus_rolled_back_steps_total",
+         "Training steps lost to checkpoint rollbacks.",
+         [this] { return metrics_.rolled_back_steps; });
+    view("optimus_audit_checks_total", "Invariant-auditor passes.",
+         [this] { return metrics_.audit_checks; });
+    view("optimus_audit_violations_total", "Invariant violations reported.",
+         [this] { return metrics_.audit_violations; });
+    view("optimus_speed_probes_total", "Speed-surface probes across scheduling rounds.",
+         [this] { return surface_probes_; });
+    view("optimus_speed_evals_total",
+         "Underlying speed-function evaluations (probes minus memo hits).",
+         [this] { return surface_evals_; });
+    view("optimus_speed_surfaces_total", "Distinct speed surfaces built across rounds.",
+         [this] { return surface_count_; });
+    view("optimus_alloc_pops_total", "Greedy-heap candidates popped (Optimus).",
+         [this] { return alloc_stats_.pops; });
+    view("optimus_alloc_grants_total", "Tasks granted by the greedy allocator.",
+         [this] { return alloc_stats_.grants; });
+    view("optimus_alloc_unfittable_drops_total",
+         "Heap candidates dropped because their task kind no longer fits.",
+         [this] { return alloc_stats_.unfittable_drops; });
+    view("optimus_conv_fits_total", "Convergence-model solve attempts.",
+         [this] { return job_totals().conv.fits; });
+    view("optimus_conv_fit_cache_hits_total",
+         "Convergence fits answered by the dirty-flag cache.",
+         [this] { return job_totals().conv.fit_cache_hits; });
+    view("optimus_conv_nnls_iterations_total",
+         "NNLS iterations spent in convergence fits.",
+         [this] { return job_totals().conv.nnls_iterations; });
+    view("optimus_speedmodel_fits_total", "Speed-model solve attempts.",
+         [this] { return job_totals().speed.fits; });
+    view("optimus_speedmodel_fit_cache_hits_total",
+         "Speed-model fits answered by the dirty-flag cache.",
+         [this] { return job_totals().speed.fit_cache_hits; });
+    view("optimus_speedmodel_nnls_iterations_total",
+         "NNLS iterations spent in speed-model fits.",
+         [this] { return job_totals().speed.nnls_iterations; });
+    view("optimus_events_processed_total",
+         "Discrete events handled by the event kernel "
+         "(stale-dropped entries excluded).",
+         [this] { return event_counts_.total(); });
     for (int k = 0; k < kNumSimEventKinds; ++k) {
-      const std::string name = std::string("optimus_events_") +
-                               SimEventKindName(static_cast<SimEventKind>(k)) +
-                               "_total";
-      const std::string help = std::string("Event-kernel events of kind ") +
-                               SimEventKindName(static_cast<SimEventKind>(k)) +
-                               " handled.";
-      m_.events_by_kind[k] = registry_.AddCounter(name, help);
+      const std::string kind = SimEventKindName(static_cast<SimEventKind>(k));
+      registry_.AddCounterView(
+          "optimus_events_" + kind + "_total",
+          "Event-kernel events of kind " + kind + " handled.", [this, k] {
+            return static_cast<double>(event_counts_.counts[static_cast<size_t>(k)]);
+          });
     }
-    m_.sim_time = registry_.AddGauge("optimus_sim_time_seconds", "Simulated time.");
-    m_.running_tasks = registry_.AddGauge(
-        "optimus_running_tasks", "Tasks (workers + PS) running last interval.");
-    m_.jct_seconds = registry_.AddHistogram(
+    registry_.AddGaugeView("optimus_sim_time_seconds", "Simulated time.",
+                           [this] { return now_s_; });
+    registry_.AddGaugeView("optimus_running_tasks",
+                           "Tasks (workers + PS) running last interval.",
+                           [this] { return static_cast<double>(running_tasks_); });
+    jct_hist_ = registry_.AddHistogram(
         "optimus_jct_seconds", "Job completion times (arrival to convergence).",
         {1800.0, 3600.0, 7200.0, 14400.0, 28800.0, 57600.0, 115200.0, 230400.0});
-    m_.completed_epochs = registry_.AddHistogram(
+    epochs_hist_ = registry_.AddHistogram(
         "optimus_completed_epochs", "Epochs at convergence for completed jobs.",
         {5.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0});
     // Network-fabric metrics register only when a non-flat model is live:
@@ -406,19 +416,22 @@ void Simulator::SetupObservability() {
     // (placement-driven serial solves), so within a fabric config the
     // catalog remains a stable prefix across threads/shards/engines.
     if (net_ != nullptr) {
-      m_.net_solves = c("optimus_net_solves_total",
-                        "Network fair-share solves (one per round).");
-      m_.net_flows = c("optimus_net_flows_total",
-                       "Flows registered with the network model, cumulative.");
-      m_.net_contended_flows =
-          c("optimus_net_contended_flows_total",
-            "Flows held below their isolated rate by link sharing.");
-      m_.net_max_link_util = registry_.AddGauge(
-          "optimus_net_max_link_utilization",
-          "Most utilized fabric link after the last solve (0-1).");
-      m_.net_mean_link_util = registry_.AddGauge(
+      const NetworkModel* net = net_.get();
+      view("optimus_net_solves_total", "Network fair-share solves (one per round).",
+           [net] { return net->stats().solves; });
+      view("optimus_net_flows_total",
+           "Flows registered with the network model, cumulative.",
+           [net] { return net->stats().flows; });
+      view("optimus_net_contended_flows_total",
+           "Flows held below their isolated rate by link sharing.",
+           [net] { return net->stats().contended_flows; });
+      registry_.AddGaugeView("optimus_net_max_link_utilization",
+                             "Most utilized fabric link after the last solve (0-1).",
+                             [net] { return net->stats().max_link_utilization; });
+      registry_.AddGaugeView(
           "optimus_net_mean_link_utilization",
-          "Mean utilization over all fabric links after the last solve (0-1).");
+          "Mean utilization over all fabric links after the last solve (0-1).",
+          [net] { return net->stats().mean_link_utilization; });
     }
     // Profiling gauges (optimus_wall_*_seconds) register last so the
     // deterministic catalog is a stable prefix of the export.
@@ -435,78 +448,45 @@ void Simulator::SampleObservability() {
   if (!config_.obs.enabled) {
     return;
   }
-  m_.intervals->Add(1.0);
+  intervals_->Add();
+  if (config_.obs.per_interval_series) {
+    series_.Sample(now_s_, registry_);
+  }
+}
 
-  // Cumulative per-job model-fit totals, summed in job order (integer sums,
-  // so the order matters only for consistency, not correctness).
-  // Retired runtimes (streaming) contribute through the folded aggregates;
-  // integer sums, so the totals match the batch walk bitwise.
-  int submitted = retired_count_;
-  ModelFitStats conv = retired_conv_stats_;
-  ModelFitStats speedm = retired_speed_stats_;
+void Simulator::SyncRunMetrics() {
+  metrics_.wall_faults_s = profiler_.seconds(phase_faults_);
+  metrics_.wall_schedule_s = profiler_.seconds(phase_schedule_);
+  metrics_.wall_advance_s = profiler_.seconds(phase_advance_);
+  metrics_.wall_audit_s = profiler_.seconds(phase_audit_);
+  metrics_.wall_events_s = profiler_.seconds(phase_events_);
+  metrics_.events_processed = event_counts_.total();
+}
+
+const Simulator::JobTotals& Simulator::job_totals() const {
+  if (!job_totals_stale_) {
+    return job_totals_;
+  }
+  // Integer sums, so the order matters only for consistency, not value.
+  JobTotals t;
+  t.submitted = retired_count_;
+  t.conv = retired_conv_stats_;
+  t.speed = retired_speed_stats_;
   for (const auto& jr : jobs_) {
     if (jr == nullptr || !jr->arrived) {
       continue;
     }
-    ++submitted;
+    ++t.submitted;
     if (jr->conv != nullptr) {
-      const ModelFitStats& s = jr->conv->fit_stats();
-      conv.fits += s.fits;
-      conv.fit_cache_hits += s.fit_cache_hits;
-      conv.nnls_iterations += s.nnls_iterations;
+      t.conv += jr->conv->fit_stats();
     }
     if (jr->speed != nullptr) {
-      const ModelFitStats& s = jr->speed->fit_stats();
-      speedm.fits += s.fits;
-      speedm.fit_cache_hits += s.fit_cache_hits;
-      speedm.nnls_iterations += s.nnls_iterations;
+      t.speed += jr->speed->fit_stats();
     }
   }
-
-  m_.jobs_submitted->Set(static_cast<double>(submitted));
-  m_.jobs_completed->Set(static_cast<double>(metrics_.completed_jobs));
-  m_.jobs_killed->Set(static_cast<double>(metrics_.jobs_killed));
-  m_.scalings->Set(static_cast<double>(metrics_.total_scalings));
-  m_.straggler_replacements->Set(static_cast<double>(straggler_.replacements()));
-  m_.checkpoints->Set(static_cast<double>(metrics_.checkpoints_taken));
-  m_.evictions->Set(static_cast<double>(metrics_.job_evictions));
-  m_.task_failures->Set(static_cast<double>(metrics_.task_failures));
-  m_.server_crashes->Set(static_cast<double>(metrics_.server_crashes));
-  m_.server_recoveries->Set(static_cast<double>(metrics_.server_recoveries));
-  m_.backoff_deferrals->Set(static_cast<double>(metrics_.backoff_deferrals));
-  m_.rolled_back_steps->Set(metrics_.rolled_back_steps);
-  m_.audit_checks->Set(static_cast<double>(metrics_.audit_checks));
-  m_.audit_violations->Set(static_cast<double>(metrics_.audit_violations));
-  m_.speed_probes->Set(static_cast<double>(surface_probes_));
-  m_.speed_evals->Set(static_cast<double>(surface_evals_));
-  m_.speed_surfaces->Set(static_cast<double>(surface_count_));
-  m_.alloc_pops->Set(static_cast<double>(alloc_stats_.pops));
-  m_.alloc_grants->Set(static_cast<double>(alloc_stats_.grants));
-  m_.alloc_unfittable_drops->Set(static_cast<double>(alloc_stats_.unfittable_drops));
-  m_.conv_fits->Set(static_cast<double>(conv.fits));
-  m_.conv_fit_cache_hits->Set(static_cast<double>(conv.fit_cache_hits));
-  m_.conv_nnls_iterations->Set(static_cast<double>(conv.nnls_iterations));
-  m_.speedmodel_fits->Set(static_cast<double>(speedm.fits));
-  m_.speedmodel_fit_cache_hits->Set(static_cast<double>(speedm.fit_cache_hits));
-  m_.speedmodel_nnls_iterations->Set(static_cast<double>(speedm.nnls_iterations));
-  m_.events_processed->Set(static_cast<double>(event_counts_.total()));
-  for (int k = 0; k < kNumSimEventKinds; ++k) {
-    m_.events_by_kind[k]->Set(
-        static_cast<double>(event_counts_.counts[static_cast<size_t>(k)]));
-  }
-  if (net_ != nullptr && m_.net_solves != nullptr) {
-    const NetworkStats& ns = net_->stats();
-    m_.net_solves->Set(static_cast<double>(ns.solves));
-    m_.net_flows->Set(static_cast<double>(ns.flows));
-    m_.net_contended_flows->Set(static_cast<double>(ns.contended_flows));
-    m_.net_max_link_util->Set(ns.max_link_utilization);
-    m_.net_mean_link_util->Set(ns.mean_link_utilization);
-  }
-  m_.sim_time->Set(now_s_);
-
-  if (config_.obs.per_interval_series) {
-    series_.Sample(now_s_, registry_);
-  }
+  job_totals_ = t;
+  job_totals_stale_ = false;
+  return job_totals_;
 }
 
 const Job& Simulator::job(int id) const {
@@ -588,9 +568,10 @@ void Simulator::ActivateArrivals() {
     }
   }
   for (JobRuntime* jr : arriving) {
-    trace_.Record(now_s_, SimEventType::kArrival, jr->job.id(), 0, 0,
-                  jr->job.spec().model->name);
+    Emit(now_s_, SimEventType::kArrival, jr->job.id(), 0, 0, 0.0,
+         jr->job.spec().model->name);
   }
+  job_totals_stale_ = true;
 }
 
 double Simulator::ErrorFactor(const JobRuntime& jr, double error_magnitude) const {
@@ -884,7 +865,6 @@ void Simulator::EvictJob(JobRuntime* jr, const std::string& reason) {
   ++jr->gen;
   auditor_.NoteRollback(job.id());
   auditor_.ClearPlacement(job.id());
-  ++metrics_.job_evictions;
   ++jr->consecutive_evictions;
   const FaultConfig& fc = config_.fault;
   if (jr->consecutive_evictions >= fc.evictions_before_backoff &&
@@ -895,8 +875,112 @@ void Simulator::EvictJob(JobRuntime* jr, const std::string& reason) {
     jr->backoff_until_s = now_s_ + backoff;
     ++metrics_.backoff_deferrals;
   }
-  trace_.Record(now_s_, SimEventType::kEvicted, job.id(), 0, 0, reason);
-  flight_.Record(now_s_, FlightEventKind::kEvicted, job.id(), 0, 0, 0.0, reason);
+  Emit(now_s_, SimEventType::kEvicted, job.id(), 0, 0, 0.0, reason);
+}
+
+void Simulator::CompleteJob(JobRuntime* jr, int num_ps, int num_workers,
+                            int64_t epochs) {
+  auditor_.ClearPlacement(jr->job.id());
+  Emit(jr->job.completion_time_s(), SimEventType::kCompleted, jr->job.id(), num_ps,
+       num_workers, static_cast<double>(epochs));
+}
+
+void Simulator::Emit(double time_s, SimEventType type, int job_id, int num_ps,
+                     int num_workers, double value, std::string text) {
+  switch (type) {
+    case SimEventType::kCompleted:
+      ++metrics_.completed_jobs;
+      if (jct_hist_ != nullptr) {
+        jct_hist_->Record(jobs_[job_index_.at(job_id)]->job.Jct());
+        epochs_hist_->Record(value);
+      }
+      break;
+    case SimEventType::kKilled:
+      // A completion for the accounting invariants (see KillJob), but the
+      // job did not converge: no JCT.
+      ++metrics_.completed_jobs;
+      ++metrics_.jobs_killed;
+      break;
+    case SimEventType::kServerCrash:
+      ++metrics_.server_crashes;
+      break;
+    case SimEventType::kServerRecovered:
+      ++metrics_.server_recoveries;
+      break;
+    case SimEventType::kTaskFailed:
+      ++metrics_.task_failures;
+      break;
+    case SimEventType::kEvicted:
+      ++metrics_.job_evictions;
+      break;
+    default:
+      break;
+  }
+  const SimEventTypeInfo& info = EventTypeInfo(type);
+  if (info.in_flight && flight_.enabled()) {
+    flight_.Record(time_s, type, job_id, num_ps, num_workers, value, text);
+  }
+  if (info.in_trace) {
+    trace_.Record(time_s, type, job_id, num_ps, num_workers,
+                  EventDetail(info.detail, value, std::move(text)));
+  }
+}
+
+bool Simulator::ApplyServerEdges(bool* slow_changed) {
+  const FaultInjector::IntervalFaults faults = faults_->Advance(now_s_);
+  if (!faults.recovered.empty() || !faults.crashed.empty()) {
+    placeable_cap_valid_ = false;  // availability changed
+  }
+  *slow_changed = faults.slow_factor != cluster_slow_factor_;
+  if (*slow_changed) {
+    cluster_slow_factor_ = faults.slow_factor;
+    Emit(now_s_, SimEventType::kSlowdown, kClusterEventJobId, 0, 0,
+         cluster_slow_factor_);
+  }
+  for (int sid : faults.recovered) {
+    servers_[static_cast<size_t>(sid)].SetAvailable(true);
+    Emit(now_s_, SimEventType::kServerRecovered, kClusterEventJobId, 0, 0, sid);
+  }
+  for (int sid : faults.crashed) {
+    servers_[static_cast<size_t>(sid)].SetAvailable(false);
+    Emit(now_s_, SimEventType::kServerCrash, kClusterEventJobId, 0, 0, sid);
+  }
+
+  // Evict every job with a task on a currently-down server (not just the
+  // newly crashed ones: an arrival placed while a server flapped must still
+  // be caught). The next scheduling round reallocates survivors onto the
+  // remaining capacity.
+  bool evicted_any = false;
+  if (faults_->servers_down() > 0) {
+    for (auto& jr : jobs_) {
+      if (jr == nullptr || !jr->arrived ||
+          jr->job.state() == JobState::kCompleted ||
+          jr->job.placement().empty()) {
+        continue;
+      }
+      bool hit = false;
+      std::string detail;
+      // Visit only the servers this job occupies (ascending, same order as
+      // the dense scan) — O(tasks) instead of O(servers) per job.
+      jr->job.placement().ForEachUsed([&](size_t s, int w_k, int p_k) {
+        if (hit || (w_k <= 0 && p_k <= 0)) {
+          return;
+        }
+        if (!servers_[s].available()) {
+          hit = true;
+          detail = "server=" + std::to_string(servers_[s].id());
+        }
+      });
+      if (hit) {
+        // Keep the progress made up to the crash instant for jobs whose
+        // checkpoint is fresher than their segment anchor (event engine).
+        SettleJob(jr.get(), now_s_);
+        EvictJob(jr.get(), detail);
+        evicted_any = true;
+      }
+    }
+  }
+  return evicted_any;
 }
 
 void Simulator::ApplyFaults() {
@@ -916,68 +1000,14 @@ void Simulator::ApplyFaults() {
             fc.checkpoint_save_fraction *
             CheckpointStallSeconds(*jr->job.spec().model, config_.checkpoint));
         ++metrics_.checkpoints_taken;
-        flight_.Record(now_s_, FlightEventKind::kCheckpoint, jr->job.id(),
-                       jr->job.num_ps(), jr->job.num_workers(), 0.0, "periodic");
+        Emit(now_s_, SimEventType::kCheckpoint, jr->job.id(), jr->job.num_ps(),
+             jr->job.num_workers(), 0.0, "periodic");
       }
     }
   }
 
-  const FaultInjector::IntervalFaults faults = faults_->Advance(now_s_);
-  if (!faults.recovered.empty() || !faults.crashed.empty()) {
-    placeable_cap_valid_ = false;  // availability changed
-  }
-  if (faults.slow_factor != cluster_slow_factor_) {
-    cluster_slow_factor_ = faults.slow_factor;
-    trace_.RecordFactor(now_s_, SimEventType::kSlowdown, kClusterEventJobId,
-                        cluster_slow_factor_);
-    flight_.Record(now_s_, FlightEventKind::kSlowdown, -1, 0, 0,
-                   cluster_slow_factor_);
-  }
-  for (int sid : faults.recovered) {
-    servers_[static_cast<size_t>(sid)].SetAvailable(true);
-    ++metrics_.server_recoveries;
-    trace_.RecordServer(now_s_, SimEventType::kServerRecovered,
-                        kClusterEventJobId, sid);
-    flight_.Record(now_s_, FlightEventKind::kServerRecovered, -1, sid);
-  }
-  for (int sid : faults.crashed) {
-    servers_[static_cast<size_t>(sid)].SetAvailable(false);
-    ++metrics_.server_crashes;
-    trace_.RecordServer(now_s_, SimEventType::kServerCrash, kClusterEventJobId,
-                        sid);
-    flight_.Record(now_s_, FlightEventKind::kServerCrash, -1, sid);
-  }
-
-  // Evict every job with a task on a currently-down server (not just the
-  // newly crashed ones: an arrival placed while a server flapped must still
-  // be caught). The next scheduling round reallocates survivors onto the
-  // remaining capacity.
-  if (faults_->servers_down() > 0) {
-    for (auto& jr : jobs_) {
-      if (jr == nullptr || !jr->arrived ||
-          jr->job.state() == JobState::kCompleted ||
-          jr->job.placement().empty()) {
-        continue;
-      }
-      const JobPlacement& placement = jr->job.placement();
-      bool hit = false;
-      std::string detail;
-      // Visit only the servers this job occupies (ascending, same order as
-      // the dense scan) — O(tasks) instead of O(servers) per job.
-      placement.ForEachUsed([&](size_t s, int w_k, int p_k) {
-        if (hit || (w_k <= 0 && p_k <= 0)) {
-          return;
-        }
-        if (!servers_[s].available()) {
-          hit = true;
-          detail = "server=" + std::to_string(servers_[s].id());
-        }
-      });
-      if (hit) {
-        EvictJob(jr.get(), detail);
-      }
-    }
-  }
+  bool slow_changed = false;
+  ApplyServerEdges(&slow_changed);
 
   // Unscripted container deaths: the job restores from its last checkpoint
   // in place (placement survives; only un-checkpointed progress is lost).
@@ -994,11 +1024,8 @@ void Simulator::ApplyFaults() {
         jr->job.AddStall(
             CheckpointStallSeconds(*jr->job.spec().model, config_.checkpoint));
         auditor_.NoteRollback(jr->job.id());
-        ++metrics_.task_failures;
-        trace_.Record(now_s_, SimEventType::kTaskFailed, jr->job.id(),
-                      jr->job.num_ps(), jr->job.num_workers());
-        flight_.Record(now_s_, FlightEventKind::kTaskFailed, jr->job.id(),
-                       jr->job.num_ps(), jr->job.num_workers());
+        Emit(now_s_, SimEventType::kTaskFailed, jr->job.id(), jr->job.num_ps(),
+             jr->job.num_workers());
       }
     }
   }
@@ -1042,9 +1069,8 @@ void Simulator::RunAudit() {
   }
   metrics_.audit_checks = auditor_.checks_run();
   metrics_.audit_violations = static_cast<int64_t>(auditor_.violations().size());
-  flight_.Record(check_time, FlightEventKind::kAuditCheck, -1, 0, 0,
-                 static_cast<double>(metrics_.audit_violations),
-                 full ? "full" : "incremental");
+  Emit(check_time, SimEventType::kAuditCheck, kClusterEventJobId, 0, 0,
+       static_cast<double>(metrics_.audit_violations), full ? "full" : "incremental");
   if (metrics_.audit_violations > 0 && flight_.enabled() && !flight_dumped_) {
     // Post-mortem: dump the recent-event tail once, at the first violation,
     // while the decisions that led up to it are still in the ring.
@@ -1262,17 +1288,11 @@ void Simulator::ScheduleActiveJobs() {
                             jr->job.spec().ps_demand, jr->job.placement());
       jr->job.set_state(JobState::kRunning);
       if (first_schedule) {
-        trace_.Record(now_s_, SimEventType::kScheduled, id, a.num_ps, a.num_workers);
-        flight_.Record(now_s_, FlightEventKind::kScheduled, id, a.num_ps,
-                       a.num_workers);
+        Emit(now_s_, SimEventType::kScheduled, id, a.num_ps, a.num_workers);
       } else if (old_state == JobState::kPaused) {
-        trace_.Record(now_s_, SimEventType::kResumed, id, a.num_ps, a.num_workers);
-        flight_.Record(now_s_, FlightEventKind::kResumed, id, a.num_ps,
-                       a.num_workers);
+        Emit(now_s_, SimEventType::kResumed, id, a.num_ps, a.num_workers);
       } else if (scaled) {
-        trace_.Record(now_s_, SimEventType::kScaled, id, a.num_ps, a.num_workers);
-        flight_.Record(now_s_, FlightEventKind::kScaled, id, a.num_ps,
-                       a.num_workers);
+        Emit(now_s_, SimEventType::kScaled, id, a.num_ps, a.num_workers);
       }
     } else {
       jr->job.SetAllocation(0, 0, {});
@@ -1281,8 +1301,7 @@ void Simulator::ScheduleActiveJobs() {
       jr->job.set_state(jr->job.steps_done() > 0 ? JobState::kPaused
                                                  : JobState::kPending);
       if (old_state == JobState::kRunning) {
-        trace_.Record(now_s_, SimEventType::kPaused, id);
-        flight_.Record(now_s_, FlightEventKind::kPaused, id);
+        Emit(now_s_, SimEventType::kPaused, id);
       }
     }
     if (scaled) {
@@ -1292,8 +1311,8 @@ void Simulator::ScheduleActiveJobs() {
       jr->job.TakeCheckpoint();
       jr->last_checkpoint_time_s = now_s_;
       ++metrics_.total_scalings;
-      flight_.Record(now_s_, FlightEventKind::kCheckpoint, id, jr->job.num_ps(),
-                     jr->job.num_workers(), 0.0, "scaling");
+      Emit(now_s_, SimEventType::kCheckpoint, id, jr->job.num_ps(),
+           jr->job.num_workers(), 0.0, "scaling");
     }
     // Data serving (§5.1): rebalance training chunks whenever the worker
     // count changes; moved chunks stall the job briefly.
@@ -1309,8 +1328,8 @@ void Simulator::ScheduleActiveJobs() {
     }
     if (jr->job.state() == JobState::kRunning &&
         straggler_.Step(&jr->job, &jr->rng)) {
-      trace_.Record(now_s_, SimEventType::kStragglerReplaced, id, jr->job.num_ps(),
-                    jr->job.num_workers());
+      Emit(now_s_, SimEventType::kStragglerReplaced, id, jr->job.num_ps(),
+           jr->job.num_workers());
     }
   }
 }
@@ -1505,11 +1524,7 @@ void Simulator::AdvanceInterval() {
   std::vector<size_t> done;
   for (size_t i = 0; i < running.size(); ++i) {
     const AdvanceOutcome& out = outcomes[i];
-    JobRuntime* jr = running[i];
     if (out.completed) {
-      ++completed_;
-      ++metrics_.completed_jobs;
-      auditor_.ClearPlacement(jr->job.id());
       done.push_back(i);
     }
     if (!out.ran) {
@@ -1538,23 +1553,12 @@ void Simulator::AdvanceInterval() {
   });
   for (size_t i : done) {
     const AdvanceOutcome& out = outcomes[i];
-    JobRuntime* jr = running[i];
-    const double done_s = jr->job.completion_time_s();
-    trace_.RecordEpochs(done_s, SimEventType::kCompleted, jr->job.id(),
-                        out.event_ps, out.event_workers, out.completed_epoch);
-    flight_.Record(done_s, FlightEventKind::kCompleted, jr->job.id(),
-                   out.event_ps, out.event_workers,
-                   static_cast<double>(out.completed_epoch));
-    if (m_.jct_seconds != nullptr) {
-      m_.jct_seconds->Record(jr->job.Jct());
-      m_.completed_epochs->Record(static_cast<double>(out.completed_epoch));
-    }
+    CompleteJob(running[i], out.event_ps, out.event_workers, out.completed_epoch);
   }
   for (size_t i = 0; i < running.size(); ++i) {
     if (outcomes[i].lr_drop) {
-      trace_.Record(now_s_ + dt, SimEventType::kLearningRateDrop,
-                    running[i]->job.id(), outcomes[i].event_ps,
-                    outcomes[i].event_workers);
+      Emit(now_s_ + dt, SimEventType::kLearningRateDrop, running[i]->job.id(),
+           outcomes[i].event_ps, outcomes[i].event_workers);
     }
   }
 
@@ -1563,13 +1567,13 @@ void Simulator::AdvanceInterval() {
                                  worker_util.count() > 0 ? worker_util.mean() : 0.0,
                                  ps_util.count() > 0 ? ps_util.mean() : 0.0});
   }
-  if (m_.running_tasks != nullptr) {
-    m_.running_tasks->Set(static_cast<double>(running_tasks));
-  }
+  running_tasks_ = running_tasks;
+  job_totals_stale_ = true;  // AdvanceJob fits the models
 }
 
 bool Simulator::StepInterval() {
-  if (completed_ >= static_cast<int>(jobs_.size()) && pending_remaining() == 0) {
+  if (metrics_.completed_jobs >= static_cast<int>(jobs_.size()) &&
+      pending_remaining() == 0) {
     return false;
   }
   if (now_s_ >= config_.max_sim_time_s) {
@@ -1612,8 +1616,9 @@ bool Simulator::StepInterval() {
 
   // Per-phase wall-clock accounting via the profiler (profiling only; never
   // feeds back into simulated time or decisions, so determinism is
-  // unaffected). The RunMetrics wall_* fields mirror the accumulated phase
-  // totals so interval-stepping callers keep seeing cumulative values.
+  // unaffected). SyncRunMetrics copies the accumulated phase totals into the
+  // RunMetrics wall_* fields so interval-stepping callers see cumulative
+  // values.
   {
     ScopedTimer timer(&profiler_, phase_faults_);
     ApplyFaults();
@@ -1633,14 +1638,11 @@ bool Simulator::StepInterval() {
     ScopedTimer timer(&profiler_, phase_audit_);
     RunAudit();
   }
-  metrics_.wall_faults_s = profiler_.seconds(phase_faults_);
-  metrics_.wall_schedule_s = profiler_.seconds(phase_schedule_);
-  metrics_.wall_advance_s = profiler_.seconds(phase_advance_);
-  metrics_.wall_audit_s = profiler_.seconds(phase_audit_);
+  SyncRunMetrics();
   now_s_ += config_.interval_s;
   SampleObservability();
   RetireCompleted();
-  return (completed_ < static_cast<int>(jobs_.size()) ||
+  return (metrics_.completed_jobs < static_cast<int>(jobs_.size()) ||
           pending_remaining() > 0) &&
          now_s_ < config_.max_sim_time_s;
 }
@@ -1756,20 +1758,10 @@ bool Simulator::SubmitJob(const JobSpec& spec, std::string* error) {
     return fail(os.str());
   }
 
-  // Mirror the constructor's per-job initialization exactly: the RNG streams
-  // are split from the run seed by job id, so a job submitted online draws
-  // the same streams it would have drawn as a constructor spec.
-  auto jr = std::make_unique<JobRuntime>(spec);
-  jr->rng = rng_.Split(static_cast<uint64_t>(spec.id) + 1000);
-  jr->fault_rng = rng_.Split(static_cast<uint64_t>(spec.id) + 500000);
-  jr->error_sign = jr->rng.Bernoulli(0.5) ? 1 : -1;
-  jr->blocks = GenerateParamBlocks(*spec.model);
-  jr->data = std::make_unique<DataServing>(
-      EstimateDatasetBytes(*spec.model, spec.dataset_scale));
-  jr->true_total_epochs = static_cast<double>(
-      jr->curve.EpochsToConverge(spec.convergence_delta, spec.patience));
-  job_index_.emplace(spec.id, jobs_.size());
-  jobs_.push_back(std::move(jr));
+  // The constructor's per-job initialization: the RNG streams are split from
+  // the run seed by job id, so a job submitted online draws the same streams
+  // it would have drawn as a constructor spec.
+  MaterializeSpec(spec);
   ++metrics_.total_jobs;
 
   if (config_.engine == SimEngine::kEvents && events_seeded_) {
@@ -1824,13 +1816,9 @@ bool Simulator::KillJob(int job_id, std::string* error) {
   // before its arrival is marked arrived so it never activates later.
   jr->arrived = true;
   jr->killed = true;
-  ++metrics_.completed_jobs;
   job.MarkCompleted(now_s_);
-  ++completed_;
-  ++metrics_.jobs_killed;
-  trace_.Record(now_s_, SimEventType::kKilled, job.id(), event_ps, event_workers);
-  flight_.Record(now_s_, FlightEventKind::kEvicted, job.id(), event_ps,
-                 event_workers, 0.0, "killed");
+  job_totals_stale_ = true;
+  Emit(now_s_, SimEventType::kKilled, job.id(), event_ps, event_workers);
   return true;
 }
 

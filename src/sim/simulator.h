@@ -472,10 +472,27 @@ class Simulator {
   // scripted server crashes/recoveries (evicting affected jobs), task
   // failures, and the cluster-wide slowdown factor for this interval.
   void ApplyFaults();
+  // Fault-injector edges due at now_s_, shared by both engines: the slowdown
+  // factor, server recoveries and crashes, then an eviction of every job with
+  // a task on a down server (settled to now_s_ first, which is a no-op unless
+  // the job has an active event-engine segment). Sets *slow_changed when the
+  // slowdown factor moved; returns whether any job was evicted.
+  bool ApplyServerEdges(bool* slow_changed);
   // Evicts a job whose tasks died with a server: rolls progress back to the
   // last checkpoint, charges the restore stall, releases the allocation, and
   // applies the relaunch backoff policy.
   void EvictJob(JobRuntime* jr, const std::string& reason);
+  // Serial merge of one converged job, shared by both engines: releases its
+  // audited placement and emits kCompleted at the analytic completion time.
+  void CompleteJob(JobRuntime* jr, int num_ps, int num_workers, int64_t epochs);
+  // The one record of a lifecycle edge (src/obs/event_types.h): appends it to
+  // the trace (in-trace kinds) and the flight ring (in-flight kinds), keeps
+  // the RunMetrics tallies the edge implies, and on kCompleted feeds the JCT
+  // and epoch histograms. `value` is the kind's numeric argument (epochs,
+  // server id, factor, violation count) and `text` its string argument.
+  // Serial contexts only.
+  void Emit(double time_s, SimEventType type, int job_id, int num_ps = 0,
+            int num_workers = 0, double value = 0.0, std::string text = "");
   void RunAudit();
   // Re-solves the network model over the current placements and refreshes
   // each running job's net_bw_bps. Serial (runs after scheduling and after
@@ -487,12 +504,27 @@ class Simulator {
   void RecomputeLoad(JobRuntime* jr);
   void InitSpeedModel(JobRuntime* jr);
   // Registers the metric catalog and profiler phases (constructor tail).
+  // Counters and gauges are views of the live totals, read when the registry
+  // is sampled or exported.
   void SetupObservability();
-  // End-of-interval registry refresh: mirrors the cumulative totals (the
-  // RunMetrics fields, the per-job model-fit stats walked in job order, the
-  // speed-surface and allocator counters) into the named metrics, and samples
-  // the per-interval series. Serial; runs after the interval's phases.
+  // End-of-interval tick: counts the interval and samples the per-interval
+  // series. Serial; runs after the interval's phases.
   void SampleObservability();
+  // Copies the profiler's phase totals and the event-kernel count into the
+  // RunMetrics fields that mirror them; runs at the end of every stepping call.
+  void SyncRunMetrics();
+
+  // Totals over every arrived job, retired runtimes included through their
+  // folded aggregates: arrivals and per-job model-fit stats, summed in job
+  // order. Walked at most once per change, however many views read it:
+  // ActivateArrivals, AdvanceInterval, RefreshModels and KillJob (the only
+  // code that arrives jobs or fits models) mark it stale.
+  struct JobTotals {
+    int64_t submitted = 0;
+    ModelFitStats conv;
+    ModelFitStats speed;
+  };
+  const JobTotals& job_totals() const;
 
   SimulatorConfig config_;
   std::vector<Server> servers_;
@@ -527,9 +559,9 @@ class Simulator {
   };
   std::vector<RetiredJob> retired_;
   int retired_count_ = 0;
-  // Fit-stat totals of retired runtimes, folded into SampleObservability's
-  // live-job walk so the exported counters match the batch run (integer
-  // sums, so folding an aggregate preserves the totals bitwise).
+  // Fit-stat totals of retired runtimes, folded into job_totals()'s live-job
+  // walk so the exported counters match the batch run (integer sums, so
+  // folding an aggregate preserves the totals bitwise).
   ModelFitStats retired_conv_stats_;
   ModelFitStats retired_speed_stats_;
   std::unique_ptr<ThreadPool> pool_;  // per-job parallelism (see threads)
@@ -549,7 +581,6 @@ class Simulator {
   double cluster_slow_factor_ = 1.0;
   Rng rng_;
   double now_s_ = 0.0;
-  int completed_ = 0;
   RunMetrics metrics_;
   EventTrace trace_;
 
@@ -581,50 +612,14 @@ class Simulator {
   int64_t surface_evals_ = 0;
   int64_t surface_count_ = 0;
   bool flight_dumped_ = false;  // post-mortem dump emitted once per run
-
-  // Handles into registry_ (null when observability is off).
-  struct ObsHandles {
-    Counter* intervals = nullptr;
-    Counter* jobs_submitted = nullptr;
-    Counter* jobs_completed = nullptr;
-    Counter* jobs_killed = nullptr;
-    Counter* scalings = nullptr;
-    Counter* straggler_replacements = nullptr;
-    Counter* checkpoints = nullptr;
-    Counter* evictions = nullptr;
-    Counter* task_failures = nullptr;
-    Counter* server_crashes = nullptr;
-    Counter* server_recoveries = nullptr;
-    Counter* backoff_deferrals = nullptr;
-    Counter* rolled_back_steps = nullptr;
-    Counter* audit_checks = nullptr;
-    Counter* audit_violations = nullptr;
-    Counter* speed_probes = nullptr;
-    Counter* speed_evals = nullptr;
-    Counter* speed_surfaces = nullptr;
-    Counter* alloc_pops = nullptr;
-    Counter* alloc_grants = nullptr;
-    Counter* alloc_unfittable_drops = nullptr;
-    Counter* conv_fits = nullptr;
-    Counter* conv_fit_cache_hits = nullptr;
-    Counter* conv_nnls_iterations = nullptr;
-    Counter* speedmodel_fits = nullptr;
-    Counter* speedmodel_fit_cache_hits = nullptr;
-    Counter* speedmodel_nnls_iterations = nullptr;
-    Counter* events_processed = nullptr;
-    Counter* events_by_kind[kNumSimEventKinds] = {};
-    // Network fabric (src/net): all zero under the flat model.
-    Counter* net_solves = nullptr;
-    Counter* net_flows = nullptr;
-    Counter* net_contended_flows = nullptr;
-    Gauge* net_max_link_util = nullptr;
-    Gauge* net_mean_link_util = nullptr;
-    Gauge* sim_time = nullptr;
-    Gauge* running_tasks = nullptr;
-    Histogram* jct_seconds = nullptr;
-    Histogram* completed_epochs = nullptr;
-  };
-  ObsHandles m_;
+  int running_tasks_ = 0;       // tasks running over the last interval
+  mutable JobTotals job_totals_;
+  mutable bool job_totals_stale_ = true;
+  // The registry metrics the simulator writes itself (null when observability
+  // is off); every other metric is a view.
+  Counter* intervals_ = nullptr;
+  Histogram* jct_hist_ = nullptr;
+  Histogram* epochs_hist_ = nullptr;
 };
 
 }  // namespace optimus

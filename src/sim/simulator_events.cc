@@ -204,22 +204,11 @@ void Simulator::ProcessEpochBatch(const std::vector<SimKernelEvent>& batch) {
       const EpochOutcome& out = outcomes[i];
       event_counts_.Note(SimEventKind::kEpoch);
       if (out.completed) {
-        ++completed_;
-        ++metrics_.completed_jobs;
-        auditor_.ClearPlacement(jr->job.id());
-        trace_.RecordEpochs(t, SimEventType::kCompleted, jr->job.id(),
-                            out.event_ps, out.event_workers, out.completed_epoch);
-        flight_.Record(t, FlightEventKind::kCompleted, jr->job.id(), out.event_ps,
-                       out.event_workers,
-                       static_cast<double>(out.completed_epoch));
-        if (m_.jct_seconds != nullptr) {
-          m_.jct_seconds->Record(jr->job.Jct());
-          m_.completed_epochs->Record(static_cast<double>(out.completed_epoch));
-        }
+        CompleteJob(jr, out.event_ps, out.event_workers, out.completed_epoch);
       }
       if (out.lr_drop) {
-        trace_.Record(t, SimEventType::kLearningRateDrop, jr->job.id(),
-                      out.event_ps, out.event_workers);
+        Emit(t, SimEventType::kLearningRateDrop, jr->job.id(), out.event_ps,
+             out.event_workers);
       }
       if (out.push_next) {
         events_.Push({out.next_time_s, SimEventKind::kEpoch, jr->job.id(),
@@ -230,65 +219,11 @@ void Simulator::ProcessEpochBatch(const std::vector<SimKernelEvent>& batch) {
 }
 
 void Simulator::HandleFaultPlanEvent(double t) {
-  const FaultInjector::IntervalFaults faults = faults_->Advance(t);
-  if (!faults.recovered.empty() || !faults.crashed.empty()) {
-    placeable_cap_valid_ = false;  // availability changed
-  }
-  const bool slow_changed = faults.slow_factor != cluster_slow_factor_;
-  if (slow_changed) {
-    cluster_slow_factor_ = faults.slow_factor;
-    trace_.RecordFactor(t, SimEventType::kSlowdown, kClusterEventJobId,
-                        cluster_slow_factor_);
-    flight_.Record(t, FlightEventKind::kSlowdown, -1, 0, 0,
-                   cluster_slow_factor_);
-  }
-  for (int sid : faults.recovered) {
-    servers_[static_cast<size_t>(sid)].SetAvailable(true);
-    ++metrics_.server_recoveries;
-    trace_.RecordServer(t, SimEventType::kServerRecovered, kClusterEventJobId,
-                        sid);
-    flight_.Record(t, FlightEventKind::kServerRecovered, -1, sid);
-  }
-  for (int sid : faults.crashed) {
-    servers_[static_cast<size_t>(sid)].SetAvailable(false);
-    ++metrics_.server_crashes;
-    trace_.RecordServer(t, SimEventType::kServerCrash, kClusterEventJobId, sid);
-    flight_.Record(t, FlightEventKind::kServerCrash, -1, sid);
-  }
-
-  // Evict at the exact crash instant: a job that loses tasks mid-round stops
-  // training then, not at the next boundary (EvictJob settles nothing — the
-  // rollback discards the un-checkpointed span anyway — and deactivates the
-  // job's segment, invalidating its pending epoch event).
-  bool evicted_any = false;
-  if (faults_->servers_down() > 0) {
-    for (auto& jr : jobs_) {
-      if (jr == nullptr || !jr->arrived ||
-          jr->job.state() == JobState::kCompleted ||
-          jr->job.placement().empty()) {
-        continue;
-      }
-      const JobPlacement& placement = jr->job.placement();
-      bool hit = false;
-      std::string detail;
-      placement.ForEachUsed([&](size_t s, int w_k, int p_k) {
-        if (hit || (w_k <= 0 && p_k <= 0)) {
-          return;
-        }
-        if (!servers_[s].available()) {
-          hit = true;
-          detail = "server=" + std::to_string(servers_[s].id());
-        }
-      });
-      if (hit) {
-        // Settle to the crash instant first so progress up to t is kept for
-        // jobs whose checkpoint is fresher than their anchor.
-        SettleJob(jr.get(), t);
-        EvictJob(jr.get(), detail);
-        evicted_any = true;
-      }
-    }
-  }
+  // Evictions happen at the exact crash instant: a job that loses tasks
+  // mid-round stops training then, not at the next boundary (EvictJob
+  // deactivates the job's segment, invalidating its pending epoch event).
+  bool slow_changed = false;
+  const bool evicted_any = ApplyServerEdges(&slow_changed);
 
   // Evicted jobs released their flows: re-solve the fabric so survivors run
   // at the freed-link bandwidths from the crash instant onward, re-anchoring
@@ -320,6 +255,7 @@ void Simulator::HandleFaultPlanEvent(double t) {
 }
 
 void Simulator::RefreshModels() {
+  job_totals_stale_ = true;
   if (config_.oracle_estimates) {
     for (auto& jr : jobs_) {
       if (jr != nullptr) {
@@ -460,9 +396,7 @@ void Simulator::RebuildSegments() {
                                  worker_util.count() > 0 ? worker_util.mean() : 0.0,
                                  ps_util.count() > 0 ? ps_util.mean() : 0.0});
   }
-  if (m_.running_tasks != nullptr) {
-    m_.running_tasks->Set(static_cast<double>(running_tasks));
-  }
+  running_tasks_ = running_tasks;
 }
 
 void Simulator::HandleRoundEvent(double t) {
@@ -545,12 +479,6 @@ void Simulator::HandleRoundEvent(double t) {
     RunAudit();
   }
 
-  metrics_.wall_faults_s = profiler_.seconds(phase_faults_);
-  metrics_.wall_schedule_s = profiler_.seconds(phase_schedule_);
-  metrics_.wall_advance_s = profiler_.seconds(phase_advance_);
-  metrics_.wall_audit_s = profiler_.seconds(phase_audit_);
-  metrics_.wall_events_s = profiler_.seconds(phase_events_);
-  metrics_.events_processed = event_counts_.total();
   SampleObservability();
 
   events_.Push({t + config_.interval_s, SimEventKind::kRound, -1, 0});
@@ -570,7 +498,7 @@ void Simulator::StepEventsUntil(double horizon) {
   }
 
   std::vector<SimKernelEvent> batch;
-  while ((completed_ < static_cast<int>(jobs_.size()) ||
+  while ((metrics_.completed_jobs < static_cast<int>(jobs_.size()) ||
           pending_remaining() > 0) &&
          !events_.empty() && events_.Top().time_s <= horizon &&
          events_.Top().time_s < config_.max_sim_time_s) {
@@ -604,13 +532,7 @@ void Simulator::StepEventsUntil(double horizon) {
         break;
     }
   }
-
-  metrics_.events_processed = event_counts_.total();
-  metrics_.wall_faults_s = profiler_.seconds(phase_faults_);
-  metrics_.wall_schedule_s = profiler_.seconds(phase_schedule_);
-  metrics_.wall_advance_s = profiler_.seconds(phase_advance_);
-  metrics_.wall_audit_s = profiler_.seconds(phase_audit_);
-  metrics_.wall_events_s = profiler_.seconds(phase_events_);
+  SyncRunMetrics();
 }
 
 }  // namespace optimus

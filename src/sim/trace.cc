@@ -7,65 +7,13 @@
 
 namespace optimus {
 
-const char* SimEventTypeName(SimEventType type) {
-  switch (type) {
-    case SimEventType::kArrival:
-      return "arrival";
-    case SimEventType::kScheduled:
-      return "scheduled";
-    case SimEventType::kScaled:
-      return "scaled";
-    case SimEventType::kPaused:
-      return "paused";
-    case SimEventType::kResumed:
-      return "resumed";
-    case SimEventType::kStragglerReplaced:
-      return "straggler_replaced";
-    case SimEventType::kLearningRateDrop:
-      return "lr_drop";
-    case SimEventType::kCompleted:
-      return "completed";
-    case SimEventType::kServerCrash:
-      return "server_crash";
-    case SimEventType::kServerRecovered:
-      return "server_recovered";
-    case SimEventType::kTaskFailed:
-      return "task_failed";
-    case SimEventType::kEvicted:
-      return "evicted";
-    case SimEventType::kSlowdown:
-      return "slowdown";
-    case SimEventType::kKilled:
-      return "killed";
-  }
-  return "unknown";
-}
-
 void EventTrace::Reserve(size_t n) {
   if (!hash_only_) {
     records_.reserve(records_.size() + n);
   }
 }
 
-EventTrace::RawRecord& EventTrace::Push(double time_s, SimEventType type,
-                                        int job_id, int num_ps, int num_workers) {
-  OPTIMUS_CHECK(recorded_ == 0 || time_s >= last_time_s_ - 1e-9)
-      << "events must be recorded in time order: new "
-      << SimEventTypeName(type) << "@" << time_s << " job=" << job_id
-      << " after " << SimEventTypeName(last_type_) << "@" << last_time_s_
-      << " job=" << last_job_id_;
-  last_time_s_ = time_s;
-  last_type_ = type;
-  last_job_id_ = job_id;
-  if (hash_only_) {
-    scratch_ = {time_s, type, job_id, num_ps, num_workers};
-    return scratch_;
-  }
-  records_.push_back({time_s, type, job_id, num_ps, num_workers});
-  return records_.back();
-}
-
-void EventTrace::Seal(const RawRecord& r, const std::string* detail) {
+void EventTrace::Seal(const RawRecord& r, const std::string& text) {
   constexpr uint64_t kFnvPrime = 1099511628211ULL;
   const auto mix_byte = [this](uint8_t b) {
     digest_ = (digest_ ^ b) * kFnvPrime;
@@ -83,12 +31,12 @@ void EventTrace::Seal(const RawRecord& r, const std::string* detail) {
   mix(static_cast<uint64_t>(static_cast<int64_t>(r.num_ps)));
   mix(static_cast<uint64_t>(static_cast<int64_t>(r.num_workers)));
   mix(static_cast<uint64_t>(r.detail_kind));
-  if (detail != nullptr) {
-    mix(static_cast<uint64_t>(detail->size()));
-    for (char c : *detail) {
+  if (r.detail_kind == EventDetailKind::kString) {
+    mix(static_cast<uint64_t>(text.size()));
+    for (char c : text) {
       mix_byte(static_cast<uint8_t>(c));
     }
-  } else if (r.detail_kind == DetailKind::kFactor) {
+  } else if (r.detail_kind == EventDetailKind::kFactor) {
     uint64_t factor_bits = 0;
     std::memcpy(&factor_bits, &r.num_arg, sizeof(factor_bits));
     mix(factor_bits);
@@ -96,45 +44,35 @@ void EventTrace::Seal(const RawRecord& r, const std::string* detail) {
     mix(static_cast<uint64_t>(r.int_arg));
   }
   ++recorded_;
+  ++type_counts_[static_cast<size_t>(r.type)];
 }
 
 void EventTrace::Record(double time_s, SimEventType type, int job_id, int num_ps,
-                        int num_workers, std::string detail) {
-  RawRecord& r = Push(time_s, type, job_id, num_ps, num_workers);
-  if (detail.empty()) {
-    Seal(r, nullptr);
+                        int num_workers, EventDetail detail) {
+  OPTIMUS_CHECK(recorded_ == 0 || time_s >= last_time_s_ - 1e-9)
+      << "events must be recorded in time order: new "
+      << SimEventTypeName(type) << "@" << time_s << " job=" << job_id
+      << " after " << SimEventTypeName(last_type_) << "@" << last_time_s_
+      << " job=" << last_job_id_;
+  last_time_s_ = time_s;
+  last_type_ = type;
+  last_job_id_ = job_id;
+  RawRecord r{time_s, type, job_id, num_ps, num_workers, detail.kind};
+  if (detail.kind == EventDetailKind::kFactor) {
+    r.num_arg = detail.value;
+  } else if (detail.kind == EventDetailKind::kEpochs ||
+             detail.kind == EventDetailKind::kServer) {
+    r.int_arg = static_cast<int64_t>(detail.value);
+  }
+  Seal(r, detail.text);
+  if (hash_only_) {
     return;
   }
-  r.detail_kind = DetailKind::kString;
-  Seal(r, &detail);
-  if (!hash_only_) {
+  if (detail.kind == EventDetailKind::kString) {
     r.int_arg = static_cast<int64_t>(strings_.size());
-    strings_.push_back(std::move(detail));
+    strings_.push_back(std::move(detail.text));
   }
-}
-
-void EventTrace::RecordEpochs(double time_s, SimEventType type, int job_id,
-                              int num_ps, int num_workers, int64_t epochs) {
-  RawRecord& r = Push(time_s, type, job_id, num_ps, num_workers);
-  r.detail_kind = DetailKind::kEpochs;
-  r.int_arg = epochs;
-  Seal(r, nullptr);
-}
-
-void EventTrace::RecordServer(double time_s, SimEventType type, int job_id,
-                              int server_id) {
-  RawRecord& r = Push(time_s, type, job_id, 0, 0);
-  r.detail_kind = DetailKind::kServer;
-  r.int_arg = server_id;
-  Seal(r, nullptr);
-}
-
-void EventTrace::RecordFactor(double time_s, SimEventType type, int job_id,
-                              double factor) {
-  RawRecord& r = Push(time_s, type, job_id, 0, 0);
-  r.detail_kind = DetailKind::kFactor;
-  r.num_arg = factor;
-  Seal(r, nullptr);
+  records_.push_back(r);
 }
 
 void EventTrace::Materialize() const {
@@ -142,18 +80,18 @@ void EventTrace::Materialize() const {
     const RawRecord& r = records_[materialized_];
     SimEvent e{r.time_s, r.type, r.job_id, r.num_ps, r.num_workers, ""};
     switch (r.detail_kind) {
-      case DetailKind::kNone:
+      case EventDetailKind::kNone:
         break;
-      case DetailKind::kString:
+      case EventDetailKind::kString:
         e.detail = strings_[static_cast<size_t>(r.int_arg)];
         break;
-      case DetailKind::kEpochs:
+      case EventDetailKind::kEpochs:
         e.detail = "epochs=" + std::to_string(r.int_arg);
         break;
-      case DetailKind::kServer:
+      case EventDetailKind::kServer:
         e.detail = "server=" + std::to_string(r.int_arg);
         break;
-      case DetailKind::kFactor:
+      case EventDetailKind::kFactor:
         e.detail = "factor=" + std::to_string(r.num_arg);
         break;
     }
@@ -178,10 +116,11 @@ std::vector<SimEvent> EventTrace::ForJob(int job_id) const {
 }
 
 std::map<SimEventType, int64_t> EventTrace::CountByType() const {
-  // Counting needs no detail strings; read the raw records directly.
   std::map<SimEventType, int64_t> counts;
-  for (const RawRecord& r : records_) {
-    ++counts[r.type];
+  for (size_t t = 0; t < type_counts_.size(); ++t) {
+    if (type_counts_[t] > 0) {
+      counts[static_cast<SimEventType>(t)] = type_counts_[t];
+    }
   }
   return counts;
 }

@@ -7,45 +7,46 @@
 //
 // Recording is a hot path (the simulator emits several events per job per
 // interval at cluster scale), so events are buffered as compact raw records:
-// the typed Record* overloads store a numeric argument instead of building a
-// "key=value" string per event, and free-form detail strings are pooled. The
+// typed details store a numeric argument instead of building a "key=value"
+// string per event, and free-form detail strings are pooled. The
 // familiar SimEvent view (with its detail string) is materialized lazily, on
 // first read, in one pass.
 
 #ifndef SRC_SIM_TRACE_H_
 #define SRC_SIM_TRACE_H_
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "src/obs/event_types.h"
+
 namespace optimus {
 
-enum class SimEventType {
-  kArrival,
-  kScheduled,       // first time a job receives resources
-  kScaled,          // (p, w) changed for a running job
-  kPaused,          // active job received no placeable resources
-  kResumed,         // previously paused job running again
-  kStragglerReplaced,
-  kLearningRateDrop,
-  kCompleted,
-  // Fault-injection events (src/sim/fault_injector.h). Cluster-scoped events
-  // (server crash/recovery, slowdown changes) carry kClusterEventJobId.
-  kServerCrash,
-  kServerRecovered,
-  kTaskFailed,      // container death; job restored from checkpoint in place
-  kEvicted,         // job lost its tasks to a server crash; rolled back
-  kSlowdown,        // cluster-wide speed factor changed (detail: factor=F)
-  kKilled,          // job cancelled by an online kill request (service mode)
+// Detail argument of a trace record: nothing, a free-form string, or a typed
+// number stored raw and materialized on first read ("epochs=<n>",
+// "server=<n>", "factor=<std::to_string(f)>"). A string converts implicitly;
+// an empty string is no detail.
+struct EventDetail {
+  EventDetail() = default;
+  EventDetail(std::string text)
+      : EventDetail(EventDetailKind::kString, 0.0, std::move(text)) {}
+  EventDetail(const char* text) : EventDetail(std::string(text)) {}
+  // `value` is the payload of the numeric kinds (kEpochs / kServer take its
+  // integer part); `text` the payload of kString.
+  EventDetail(EventDetailKind kind, double value, std::string text = "")
+      : kind(kind == EventDetailKind::kString && text.empty() ? EventDetailKind::kNone
+                                                              : kind),
+        value(value),
+        text(std::move(text)) {}
+
+  EventDetailKind kind = EventDetailKind::kNone;
+  double value = 0.0;
+  std::string text;
 };
-
-// job_id used for events that concern the cluster rather than one job.
-inline constexpr int kClusterEventJobId = -1;
-
-const char* SimEventTypeName(SimEventType type);
 
 struct SimEvent {
   double time_s = 0.0;
@@ -78,15 +79,7 @@ class EventTrace {
   uint64_t digest() const { return digest_; }
 
   void Record(double time_s, SimEventType type, int job_id, int num_ps = 0,
-              int num_workers = 0, std::string detail = "");
-  // Hot-path variants: defer the detail-string construction to read time.
-  // Materialized details are "epochs=<n>", "server=<n>" and
-  // "factor=<std::to_string(factor)>" respectively — byte-identical to what
-  // the equivalent Record(..., string) call would have produced.
-  void RecordEpochs(double time_s, SimEventType type, int job_id, int num_ps,
-                    int num_workers, int64_t epochs);
-  void RecordServer(double time_s, SimEventType type, int job_id, int server_id);
-  void RecordFactor(double time_s, SimEventType type, int job_id, double factor);
+              int num_workers = 0, EventDetail detail = {});
 
   const std::vector<SimEvent>& events() const;
   // Records ever recorded (counted in hash-only mode too).
@@ -95,33 +88,30 @@ class EventTrace {
   // Events of one job, in time order.
   std::vector<SimEvent> ForJob(int job_id) const;
 
-  // Number of events per type.
+  // Number of events per type (types never recorded are absent). Counted as
+  // records arrive, so hash-only mode reports the same counts.
   std::map<SimEventType, int64_t> CountByType() const;
 
   // CSV export: time_s,event,job,ps,workers,detail.
   void WriteCsv(std::ostream& os) const;
 
  private:
-  enum class DetailKind : uint8_t { kNone, kString, kEpochs, kServer, kFactor };
-
   struct RawRecord {
     double time_s = 0.0;
     SimEventType type = SimEventType::kArrival;
     int job_id = 0;
     int num_ps = 0;
     int num_workers = 0;
-    DetailKind detail_kind = DetailKind::kNone;
+    EventDetailKind detail_kind = EventDetailKind::kNone;
     // kString: index into strings_. kEpochs/kServer: the integer argument.
     int64_t int_arg = 0;
     double num_arg = 0.0;  // kFactor
   };
 
-  RawRecord& Push(double time_s, SimEventType type, int job_id, int num_ps,
-                  int num_workers);
   // Folds the record's canonical fields into the digest and counts it. For
-  // kString details the bytes of `detail` are folded (never the pool index,
-  // which is a storage artifact); `detail` is null for every other kind.
-  void Seal(const RawRecord& r, const std::string* detail);
+  // kString details the bytes of `text` are folded (never the pool index,
+  // which is a storage artifact).
+  void Seal(const RawRecord& r, const std::string& text);
   // Converts raw records [materialized_, records_.size()) into SimEvents.
   void Materialize() const;
 
@@ -132,12 +122,11 @@ class EventTrace {
   bool hash_only_ = false;
   uint64_t digest_ = 14695981039346656037ULL;  // FNV-1a offset basis
   size_t recorded_ = 0;
+  std::array<int64_t, kNumSimEventTypes> type_counts_ = {};
   // Time-order check state (records_ is empty in hash-only mode).
   double last_time_s_ = 0.0;
   SimEventType last_type_ = SimEventType::kArrival;
   int last_job_id_ = 0;
-  // Scratch slot Push hands out in hash-only mode instead of growing records_.
-  RawRecord scratch_;
 };
 
 }  // namespace optimus

@@ -1,9 +1,10 @@
-// Observability subsystem tests: registry semantics, shard-merge determinism
-// across thread counts, histogram bucket edges, flight-recorder wraparound and
-// dump-on-violation, exporter golden files, and the end-to-end acceptance
-// criterion — the exported registry contents and flight-recorder sequence of
-// a simulator run are bitwise identical for --threads {1, 2, 8}, with and
-// without a fault plan.
+// Observability subsystem tests: registry semantics and view metrics,
+// histogram bucket edges, flight-recorder wraparound and dump-on-violation,
+// exporter golden files, and the end-to-end acceptance criteria — the
+// exported registry contents and flight-recorder sequence of a simulator run
+// are bitwise identical for --threads {1, 2, 8}, with and without a fault
+// plan; exported counters agree with RunMetrics after Run() on both engines;
+// and the flight ring and the trace spell every shared edge the same way.
 //
 // Regenerating the exporter goldens after an INTENDED format change:
 //
@@ -14,8 +15,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,11 +26,11 @@
 #include "src/cluster/server.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
-#include "src/common/threadpool.h"
 #include "src/obs/exporters.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/phase_profiler.h"
+#include "src/sim/experiment.h"
 #include "src/sim/fault_injector.h"
 #include "src/sim/invariant_auditor.h"
 #include "src/sim/simulator.h"
@@ -62,8 +65,6 @@ TEST(MetricsRegistryTest, RegistersAndFindsMetrics) {
   c->Add();
   c->Add(2.5);
   EXPECT_DOUBLE_EQ(c->value(), 3.5);
-  c->Set(10.0);
-  EXPECT_DOUBLE_EQ(c->value(), 10.0);
   g->Set(-4.0);
   EXPECT_DOUBLE_EQ(g->value(), -4.0);
 }
@@ -130,99 +131,24 @@ TEST(HistogramQuantileTest, MatchesHandComputedValues) {
   EXPECT_DOUBLE_EQ(HistogramQuantile({}, {0}, 0.5), 0.0);
 }
 
-// ---------------------------------------------------------------------------
-// Shard merges: determinism across thread counts, associativity
-// ---------------------------------------------------------------------------
-
-struct ShardFixture {
+// Views read their source at every read, so an export never lags the value
+// it reports.
+TEST(MetricsRegistryTest, ViewsReadTheirSourceLive) {
   MetricsRegistry registry;
-  Counter* work = nullptr;
-  Counter* frac = nullptr;
-  Gauge* last = nullptr;
-  Histogram* h = nullptr;
-
-  ShardFixture() {
-    work = registry.AddCounter("work_total", "Items processed.");
-    frac = registry.AddCounter("frac_total", "Fractional sums.");
-    last = registry.AddGauge("last_item", "Last item value.");
-    h = registry.AddHistogram("item_hist", "Item values.", {8.0, 64.0, 512.0});
-  }
-
-  // What work item i records (deliberately non-associative double values).
-  void RecordItem(MetricsShard* shard, int64_t i) const {
-    shard->Add(work);
-    shard->Add(frac, 0.1 * static_cast<double>(i + 1) / 3.0);
-    shard->Set(last, static_cast<double>(i));
-    shard->Record(h, static_cast<double>(i * i) / 7.0);
-  }
-};
-
-std::string ExportAfterShardedRun(int threads, int64_t items) {
-  ShardFixture f;
-  std::vector<MetricsShard> shards;
-  shards.reserve(static_cast<size_t>(items));
-  for (int64_t i = 0; i < items; ++i) {
-    shards.emplace_back(f.registry);
-  }
-  ThreadPool pool(threads);
-  pool.ParallelFor(items,
-                   [&](int64_t i) { f.RecordItem(&shards[static_cast<size_t>(i)], i); });
-  // Serial merge in index order — the determinism contract.
-  for (const MetricsShard& s : shards) {
-    f.registry.Merge(s);
-  }
-  return ExportPrometheusString(f.registry);
-}
-
-TEST(MetricsShardTest, MergeInIndexOrderIsThreadCountInvariant) {
-  const std::string serial = ExportAfterShardedRun(1, 97);
-  EXPECT_EQ(ExportAfterShardedRun(2, 97), serial);
-  EXPECT_EQ(ExportAfterShardedRun(8, 97), serial);
-}
-
-TEST(MetricsShardTest, ShardedRunMatchesDirectSerialRecording) {
-  // Direct serial recording into the registry.
-  ShardFixture direct;
-  for (int64_t i = 0; i < 41; ++i) {
-    direct.work->Add();
-    direct.frac->Add(0.1 * static_cast<double>(i + 1) / 3.0);
-    direct.last->Set(static_cast<double>(i));
-    direct.h->Record(static_cast<double>(i * i) / 7.0);
-  }
-  EXPECT_EQ(ExportAfterShardedRun(4, 41), ExportPrometheusString(direct.registry));
-}
-
-TEST(MetricsShardTest, IntegerMergesAreAssociative) {
-  // Integer counter adds and histogram bucket counts are exactly associative:
-  // a pairwise merge tree gives the same result as the flat index-order merge.
-  ShardFixture flat;
-  ShardFixture tree;
-  constexpr int64_t kItems = 16;
-  std::vector<MetricsShard> flat_shards;
-  std::vector<MetricsShard> tree_shards;
-  for (int64_t i = 0; i < kItems; ++i) {
-    flat_shards.emplace_back(flat.registry);
-    tree_shards.emplace_back(tree.registry);
-  }
-  for (int64_t i = 0; i < kItems; ++i) {
-    // Integer-valued doubles only, so even the double sums are exact.
-    flat_shards[static_cast<size_t>(i)].Add(flat.work, static_cast<double>(i));
-    flat_shards[static_cast<size_t>(i)].Record(flat.h, static_cast<double>(i));
-    tree_shards[static_cast<size_t>(i)].Add(tree.work, static_cast<double>(i));
-    tree_shards[static_cast<size_t>(i)].Record(tree.h, static_cast<double>(i));
-  }
-  for (const MetricsShard& s : flat_shards) {
-    flat.registry.Merge(s);
-  }
-  // Pairwise tree: fold shard 2k+1 into 2k, then merge survivors in order.
-  for (size_t k = 0; k + 1 < tree_shards.size(); k += 2) {
-    tree_shards[k].MergeFrom(tree_shards[k + 1]);
-  }
-  for (size_t k = 0; k < tree_shards.size(); k += 2) {
-    tree.registry.Merge(tree_shards[k]);
-  }
-  EXPECT_EQ(ExportPrometheusString(tree.registry),
-            ExportPrometheusString(flat.registry));
+  int64_t total = 0;
+  double clock_s = 0.0;
+  const Counter* c = registry.AddCounterView(
+      "live_total", "Live.", [&total] { return static_cast<double>(total); });
+  const Gauge* g = registry.AddGaugeView("live_clock_s", "Live clock.",
+                                         [&clock_s] { return clock_s; });
+  EXPECT_DOUBLE_EQ(c->value(), 0.0);
+  total = 7;
+  clock_s = 1.5;
+  EXPECT_DOUBLE_EQ(c->value(), 7.0);
+  EXPECT_DOUBLE_EQ(g->value(), 1.5);
+  const std::string prom = ExportPrometheusString(registry);
+  EXPECT_NE(prom.find("live_total 7\n"), std::string::npos) << prom;
+  EXPECT_NE(prom.find("live_clock_s 1.5\n"), std::string::npos) << prom;
 }
 
 // ---------------------------------------------------------------------------
@@ -261,7 +187,7 @@ TEST(FlightRecorderTest, WrapsAroundKeepingTheNewestEvents) {
   FlightRecorder recorder(4);
   ASSERT_TRUE(recorder.enabled());
   for (int i = 0; i < 10; ++i) {
-    recorder.Record(100.0 * i, FlightEventKind::kScheduled, i, i + 1, 2 * i);
+    recorder.Record(100.0 * i, SimEventType::kScheduled, i, i + 1, 2 * i);
   }
   EXPECT_EQ(recorder.total_recorded(), 10u);
   EXPECT_EQ(recorder.size(), 4u);
@@ -278,7 +204,7 @@ TEST(FlightRecorderTest, WrapsAroundKeepingTheNewestEvents) {
 TEST(FlightRecorderTest, DepthZeroIsDisabledNoOp) {
   FlightRecorder recorder(0);
   EXPECT_FALSE(recorder.enabled());
-  recorder.Record(1.0, FlightEventKind::kEvicted, 3);
+  recorder.Record(1.0, SimEventType::kEvicted, 3);
   EXPECT_EQ(recorder.size(), 0u);
   EXPECT_EQ(recorder.total_recorded(), 0u);
   EXPECT_TRUE(recorder.Events().empty());
@@ -286,8 +212,8 @@ TEST(FlightRecorderTest, DepthZeroIsDisabledNoOp) {
 
 TEST(FlightRecorderTest, DumpAndJsonCarryTheEventFields) {
   FlightRecorder recorder(8);
-  recorder.Record(600.0, FlightEventKind::kScaled, 4, 2, 6);
-  recorder.Record(1200.0, FlightEventKind::kSlowdown, -1, 0, 0, 0.7);
+  recorder.Record(600.0, SimEventType::kScaled, 4, 2, 6);
+  recorder.Record(1200.0, SimEventType::kSlowdown, -1, 0, 0, 0.7);
   std::ostringstream dump;
   recorder.Dump(dump);
   EXPECT_NE(dump.str().find("scaled"), std::string::npos);
@@ -321,7 +247,7 @@ TEST(FlightRecorderTest, AuditorRecordsViolationsIntoTheRecorder) {
   ASSERT_FALSE(events.empty());
   bool found = false;
   for (const FlightEvent& e : events) {
-    if (e.kind == FlightEventKind::kAuditViolation &&
+    if (e.kind == SimEventType::kAuditViolation &&
         e.detail.find("state:") != std::string::npos &&
         e.detail.find("42") != std::string::npos) {
       found = true;
@@ -358,10 +284,10 @@ struct GoldenFixture {
     jobs->Add(1.0);
     temp->Set(2.25);
     series.Sample(1200.0, registry);
-    flight.Record(600.0, FlightEventKind::kScheduled, 1, 2, 4);
-    flight.Record(900.0, FlightEventKind::kEvicted, 1, 0, 0, 0.0,
+    flight.Record(600.0, SimEventType::kScheduled, 1, 2, 4);
+    flight.Record(900.0, SimEventType::kEvicted, 1, 0, 0, 0.0,
                   "server=3 \"down\"");
-    flight.Record(1200.0, FlightEventKind::kAuditCheck, -1, 0, 0, 0.0, "full");
+    flight.Record(1200.0, SimEventType::kAuditCheck, -1, 0, 0, 0.0, "full");
   }
 };
 
@@ -436,13 +362,15 @@ TEST(MetricsSeriesTest, ColumnsFreezeAtFirstSampleAndRowsAccumulate) {
 // ---------------------------------------------------------------------------
 
 // The golden-trace pinned scenario, parameterized over threads / faults / obs.
-std::unique_ptr<Simulator> MakeScenario(int threads, bool faulted, bool obs_on) {
+std::unique_ptr<Simulator> MakeScenario(int threads, bool faulted, bool obs_on,
+                                        int flight_depth = 256) {
   SimulatorConfig config;
   config.seed = 7;
   config.max_sim_time_s = 2e5;
   config.threads = threads;
   config.obs.enabled = obs_on;
   config.obs.per_interval_series = obs_on;
+  config.obs.flight_recorder_depth = flight_depth;
   if (faulted) {
     std::string error;
     const bool ok = ParseFaultPlan(
@@ -562,11 +490,110 @@ TEST(SimObservabilityTest, RegistryMirrorsRunMetricsAndWallPhases) {
   bool saw_crash = false;
   bool saw_audit = false;
   for (const FlightEvent& e : sim->flight_recorder().Events()) {
-    saw_crash |= e.kind == FlightEventKind::kServerCrash;
-    saw_audit |= e.kind == FlightEventKind::kAuditCheck;
+    saw_crash |= e.kind == SimEventType::kServerCrash;
+    saw_audit |= e.kind == SimEventType::kAuditCheck;
   }
   EXPECT_TRUE(saw_audit);
   (void)saw_crash;  // the tail may have rotated past the early crashes
+}
+
+// `optimus_sim --jobs=30 --seed=7 --engine=E`: the CLI's single instrumented
+// run.
+std::unique_ptr<Simulator> MakeCliRun(SimEngine engine) {
+  SimulatorConfig config;
+  std::string error;
+  EXPECT_TRUE(ApplySchedulerPolicy("optimus", &config, &error)) << error;
+  config.engine = engine;
+  config.seed = 7;
+  config.straggler.injection_prob_per_interval = 0.12;
+  WorkloadConfig workload;
+  workload.num_jobs = 30;
+  workload.target_steps_per_epoch = 80;
+  Rng rng(config.seed ^ 0x5eedULL);
+  return std::make_unique<Simulator>(config, BuildTestbed(),
+                                     GenerateWorkload(workload, &rng));
+}
+
+// The registry's counters are views of the live totals, so an export after
+// Run() agrees with RunMetrics on both engines — including the event
+// engine's epoch completions after its last scheduling round.
+TEST(SimObservabilityTest, ExportedCountersMatchRunMetricsOnBothEngines) {
+  for (const SimEngine engine : {SimEngine::kInterval, SimEngine::kEvents}) {
+    std::unique_ptr<Simulator> sim = MakeCliRun(engine);
+    const RunMetrics m = sim->Run();
+    const MetricsRegistry& reg = sim->registry();
+    auto counter = [&reg](const char* name) {
+      const Metric* metric = reg.Find(name);
+      EXPECT_NE(metric, nullptr) << name;
+      return static_cast<const Counter*>(metric)->value();
+    };
+    const char* label = SimEngineName(engine);
+    EXPECT_EQ(m.completed_jobs, 30) << label;
+    EXPECT_EQ(counter("optimus_jobs_completed_total"), m.completed_jobs) << label;
+    const auto* jct = static_cast<const Histogram*>(reg.Find("optimus_jct_seconds"));
+    ASSERT_NE(jct, nullptr);
+    EXPECT_EQ(jct->count(), m.completed_jobs - m.jobs_killed) << label;
+    EXPECT_EQ(counter("optimus_events_processed_total"), m.events_processed)
+        << label;
+    EXPECT_EQ(counter("optimus_audit_checks_total"), m.audit_checks) << label;
+  }
+}
+
+// The flight ring and the trace are two views of one event stream: every
+// flight event of a kind the trace also keeps has a trace record with the
+// same kind, time, job and allocation, and vice versa. A kill is `killed` in
+// both.
+TEST(SimObservabilityTest, FlightAndTraceShareOneVocabulary) {
+  std::unique_ptr<Simulator> sim =
+      MakeScenario(1, /*faulted=*/true, /*obs_on=*/true, /*flight_depth=*/1 << 16);
+  sim->AdvanceTo(3000.0);
+  int killed = -1;
+  for (int id = 0; id < 6 && killed < 0; ++id) {
+    if (sim->KillJob(id)) {
+      killed = id;
+    }
+  }
+  ASSERT_GE(killed, 0) << "every job completed before the kill";
+  sim->Run();
+
+  const FlightRecorder& flight = sim->flight_recorder();
+  ASSERT_EQ(flight.size(), flight.total_recorded()) << "ring wrapped";
+  // The ring kept everything, so the shared kinds match record for record.
+  using Key = std::tuple<SimEventType, double, int, int, int>;
+  std::multiset<Key> from_trace;
+  for (const SimEvent& e : sim->trace().events()) {
+    if (EventTypeInfo(e.type).in_flight) {
+      from_trace.insert({e.type, e.time_s, e.job_id, e.num_ps, e.num_workers});
+    }
+  }
+  std::multiset<Key> from_flight;
+  for (const FlightEvent& e : flight.Events()) {
+    if (EventTypeInfo(e.kind).in_trace) {
+      from_flight.insert({e.kind, e.time_s, e.job_id, e.num_ps, e.num_workers});
+    }
+  }
+  EXPECT_EQ(from_flight, from_trace);
+  std::set<SimEventType> kinds;
+  for (const Key& k : from_flight) {
+    kinds.insert(std::get<0>(k));
+  }
+  EXPECT_EQ(kinds.count(SimEventType::kServerCrash), 1u);
+  EXPECT_EQ(kinds.count(SimEventType::kCompleted), 1u);
+
+  int flight_kills = 0;
+  for (const FlightEvent& e : flight.Events()) {
+    if (e.job_id == killed && e.kind == SimEventType::kKilled) {
+      ++flight_kills;
+      EXPECT_EQ(e.detail, "");
+    }
+    EXPECT_FALSE(e.job_id == killed && e.kind == SimEventType::kEvicted &&
+                 e.detail == "killed");
+  }
+  EXPECT_EQ(flight_kills, 1);
+  EXPECT_EQ(sim->trace().CountByType().at(SimEventType::kKilled), 1);
+  std::ostringstream json;
+  flight.WriteJson(json);
+  EXPECT_NE(json.str().find("\"kind\": \"killed\""), std::string::npos);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,7 @@ struct RunOutputs {
   RunMetrics metrics;
   uint64_t trace_digest = 0;
   size_t trace_records = 0;
+  std::map<SimEventType, int64_t> trace_counts;
   int64_t audit_checks = 0;
   int64_t audit_violations = 0;
 };
@@ -47,6 +49,7 @@ RunOutputs RunScenario(const ScenarioSpec& scenario, int shards, int threads,
   out.metrics = sim.Run();
   out.trace_digest = sim.trace().digest();
   out.trace_records = sim.trace().size();
+  out.trace_counts = sim.trace().CountByType();
   out.audit_checks = out.metrics.audit_checks;
   out.audit_violations = out.metrics.audit_violations;
   return out;
@@ -317,18 +320,41 @@ TEST(TraceHashOnlyTest, DigestMatchesStorageMode) {
   EXPECT_EQ(stored.trace_records, hashed.trace_records);
 }
 
+// Per-type counts are kept as records arrive, so a hash-only trace reports
+// the same CountByType() as a stored one — faults, evictions and all.
+TEST(TraceHashOnlyTest, CountByTypeMatchesStorageMode) {
+  ScenarioSpec scenario;
+  std::string error;
+  ASSERT_TRUE(LoadScenarioFile(ScenarioPath("rack_outage.json"), &scenario,
+                               &error))
+      << error;
+  for (const SimEngine engine : {SimEngine::kInterval, SimEngine::kEvents}) {
+    const RunOutputs stored = RunScenario(scenario, 1, 1, engine,
+                                          /*streaming=*/false,
+                                          /*hash_only=*/false);
+    const RunOutputs hashed = RunScenario(scenario, 1, 1, engine,
+                                          /*streaming=*/false,
+                                          /*hash_only=*/true);
+    EXPECT_GT(stored.trace_counts.count(SimEventType::kServerCrash), 0u)
+        << SimEngineName(engine);
+    EXPECT_EQ(stored.trace_counts, hashed.trace_counts) << SimEngineName(engine);
+  }
+}
+
 TEST(TraceHashOnlyTest, HashModeStoresNothing) {
   EventTrace trace;
   trace.set_hash_only(true);
   trace.Record(1.0, SimEventType::kArrival, 7);
-  trace.RecordEpochs(2.0, SimEventType::kCompleted, 7, 1, 2, 11);
+  trace.Record(2.0, SimEventType::kCompleted, 7, 1, 2,
+               EventDetail(EventDetailKind::kEpochs, 11));
   EXPECT_EQ(trace.size(), 2u);
   EXPECT_TRUE(trace.events().empty());
   EXPECT_NE(trace.digest(), 14695981039346656037ULL);  // moved off the basis
 
   EventTrace stored;
   stored.Record(1.0, SimEventType::kArrival, 7);
-  stored.RecordEpochs(2.0, SimEventType::kCompleted, 7, 1, 2, 11);
+  stored.Record(2.0, SimEventType::kCompleted, 7, 1, 2,
+                EventDetail(EventDetailKind::kEpochs, 11));
   EXPECT_EQ(stored.digest(), trace.digest());
   EXPECT_EQ(stored.events().size(), 2u);
 }

@@ -52,14 +52,10 @@ TEST(EventTraceTest, CsvFormat) {
 
 TEST(EventTraceTest, AllTypeNamesDistinct) {
   std::set<std::string> names;
-  for (SimEventType type :
-       {SimEventType::kArrival, SimEventType::kScheduled, SimEventType::kScaled,
-        SimEventType::kPaused, SimEventType::kResumed,
-        SimEventType::kStragglerReplaced, SimEventType::kLearningRateDrop,
-        SimEventType::kCompleted}) {
-    names.insert(SimEventTypeName(type));
+  for (int t = 0; t < kNumSimEventTypes; ++t) {
+    names.insert(SimEventTypeName(static_cast<SimEventType>(t)));
   }
-  EXPECT_EQ(names.size(), 8u);
+  EXPECT_EQ(names.size(), static_cast<size_t>(kNumSimEventTypes));
 }
 
 }  // namespace
