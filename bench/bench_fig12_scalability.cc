@@ -99,7 +99,7 @@ RoundResult TimeSchedulingRound(int num_jobs, int num_nodes, bool cached) {
     inputs.push_back({id, a, jobs[id].worker_demand, jobs[id].ps_demand});
     result.tasks += a.num_ps + a.num_workers;
   }
-  PlacementResult placed =
+  const std::vector<PlacedJob> placed =
       PlaceJobs(PlacementPolicy::kOptimusPack, inputs, &servers);
   const auto end = std::chrono::steady_clock::now();
   (void)placed;

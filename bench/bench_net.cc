@@ -178,7 +178,8 @@ bool RunRackComparison(const std::string& scenario_path, JsonObject* section,
                       "contended flows"});
   double baseline_jct = 0.0;
   double rack_jct = 0.0;
-  for (const std::string& policy : {"optimus", "optimus_rack"}) {
+  const std::string kPolicies[] = {"optimus", "optimus_rack"};
+  for (const std::string& policy : kPolicies) {
     const SimulatorConfig config = scenario.MakeSimConfig(policy);
     const CellRun run =
         RunSim(config, scenario.cluster.Build(), scenario.JobsForRepeat());

@@ -131,9 +131,9 @@ ScheduleDecision OptimusController::Schedule(const std::vector<Server>& servers)
   Resources capacity = PlaceableCapacity(servers, reference);
 
   // Jobs whose checkpoint budget is spent keep their allocation (frozen).
-  std::vector<const ManagedJob*> frozen;
-  std::vector<const ManagedJob*> schedulable;
-  for (const auto& [id, job] : jobs_) {
+  std::vector<ManagedJob*> frozen;
+  std::vector<ManagedJob*> schedulable;
+  for (auto& [id, job] : jobs_) {
     if (ActiveAllocation(job.current, job.spec.comm) &&
         !ScalingAllowed(job.rescalings, options_.checkpoint)) {
       frozen.push_back(&job);
@@ -151,7 +151,12 @@ ScheduleDecision OptimusController::Schedule(const std::vector<Server>& servers)
   }
   AllocationMap alloc = OptimusAllocator().Allocate(sched_jobs, capacity);
 
+  // Placement inputs: frozen jobs first, then schedulable ones; `order`
+  // names the job at each input position.
+  std::vector<ManagedJob*> order = frozen;
+  order.insert(order.end(), schedulable.begin(), schedulable.end());
   std::vector<PlacementJobInput> inputs;
+  inputs.reserve(order.size());
   for (const ManagedJob* job : frozen) {
     inputs.push_back(
         {job->spec.id, job->current, job->spec.worker_demand, job->spec.ps_demand});
@@ -164,20 +169,19 @@ ScheduleDecision OptimusController::Schedule(const std::vector<Server>& servers)
     inputs.push_back({job->spec.id, a, job->spec.worker_demand, job->spec.ps_demand});
   }
   std::vector<Server> free_servers = servers;
-  PlacementResult placed = PlaceJobs(options_.placement, inputs, &free_servers);
+  std::vector<PlacedJob> placed = PlaceJobs(options_.placement, inputs, &free_servers);
 
-  for (auto& [id, job] : jobs_) {
-    Allocation a;
-    if (auto it = placed.effective_alloc.find(id); it != placed.effective_alloc.end()) {
-      a = it->second;
-    }
+  for (size_t i = 0; i < order.size(); ++i) {
+    ManagedJob& job = *order[i];
+    const int id = job.spec.id;
+    const Allocation a = placed[i].alloc;  // zero when not placed
     if (ActiveAllocation(a, job.spec.comm)) {
       if (ActiveAllocation(job.current, job.spec.comm) && !(a == job.current)) {
         ++job.rescalings;
       }
       job.current = a;
       decision.allocations[id] = a;
-      decision.placements[id] = placed.placements.at(id);
+      decision.placements[id] = std::move(placed[i].placement);
     } else {
       job.current = Allocation{};
       decision.paused.push_back(id);

@@ -94,7 +94,7 @@ ConvGram AccumulateConvGram(const std::vector<LossSample>& samples) {
   for (const LossSample& s : samples) {
     g.step_one += s.step * 1.0;
   }
-  for (const LossSample& s : samples) {
+  for (size_t i = 0; i < samples.size(); ++i) {
     g.one_one += 1.0 * 1.0;
   }
   return g;

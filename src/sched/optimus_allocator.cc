@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <unordered_map>
 
 #include "src/common/logging.h"
 #include "src/common/min_heap.h"
@@ -61,11 +60,23 @@ struct CandidateBefore {
   bool operator()(const Candidate& a, const Candidate& b) const { return b < a; }
 };
 
+// Dominant-resource footprint of one added task of each kind: the demand's
+// share on the resource that dominates it against the round's capacity.
+struct TaskFootprint {
+  double worker = 0.0;
+  double ps = 0.0;
+};
+
+TaskFootprint FootprintOf(const SchedJob& job, const Resources& capacity) {
+  return {job.worker_demand.Get(job.worker_demand.DominantResource(capacity)),
+          job.ps_demand.Get(job.ps_demand.DominantResource(capacity))};
+}
+
 // Marginal gain of adding one task of `kind` to the job per Eqn 9, normalized
 // by the dominant-resource footprint of the added task. Returns false when
 // the addition is impossible (cap reached) or the gain is not above min_gain.
 bool KindCandidate(const SchedJob& job, SpeedSurface* surface, const Allocation& alloc,
-                   const Resources& capacity, AddKind kind, double min_gain,
+                   const TaskFootprint& footprint, AddKind kind, double min_gain,
                    Candidate* out) {
   if (job.remaining_epochs <= 0.0) {
     return false;
@@ -82,13 +93,13 @@ bool KindCandidate(const SchedJob& job, SpeedSurface* surface, const Allocation&
       return false;
     }
     t_next = CompletionTime(job, surface, alloc.num_ps, alloc.num_workers + 1);
-    dom = job.worker_demand.Get(job.worker_demand.DominantResource(capacity));
+    dom = footprint.worker;
   } else {
     if (alloc.num_ps >= job.max_ps) {
       return false;
     }
     t_next = CompletionTime(job, surface, alloc.num_ps + 1, alloc.num_workers);
-    dom = job.ps_demand.Get(job.ps_demand.DominantResource(capacity));
+    dom = footprint.ps;
   }
   if (dom <= 0.0 || !std::isfinite(t_next)) {
     return false;
@@ -108,16 +119,16 @@ bool KindCandidate(const SchedJob& job, SpeedSurface* surface, const Allocation&
 // both kinds, exactly as a lazy heap re-pushing both kinds does. Returns how
 // many candidates qualified (0, 1 or 2).
 int BestCandidate(const SchedJob& job, size_t i, SpeedSurface* surface,
-                  const Allocation& alloc, const Resources& capacity,
+                  const Allocation& alloc, const TaskFootprint& footprint,
                   double min_gain, uint8_t dead, Candidate* best,
                   Candidate* other) {
   Candidate w;
   Candidate p;
   w.job_index = p.job_index = static_cast<int>(i);
-  const bool has_w = KindCandidate(job, surface, alloc, capacity, AddKind::kWorker,
+  const bool has_w = KindCandidate(job, surface, alloc, footprint, AddKind::kWorker,
                                    min_gain, &w) &&
                      (dead & kWorkerDead) == 0;
-  const bool has_p = KindCandidate(job, surface, alloc, capacity, AddKind::kPs,
+  const bool has_p = KindCandidate(job, surface, alloc, footprint, AddKind::kPs,
                                    min_gain, &p) &&
                      (dead & kPsDead) == 0;
   if (has_w && has_p) {
@@ -155,12 +166,11 @@ AllocationMap OptimusAllocator::Allocate(const std::vector<SchedJob>& jobs,
 
   // Seed every job with (1 PS, 1 worker) — or a single worker for all-reduce
   // jobs, which run no PS tasks — while capacity lasts, in input (arrival)
-  // order; jobs that do not fit stay pending this interval. Seeded jobs that
-  // share a speed surface form one walk group, in input order.
+  // order; jobs that do not fit stay pending this interval. A seeded job's
+  // per-task footprints are computed once here, not once per greedy step.
   std::vector<bool> active(jobs.size(), false);
   std::vector<SpeedSurface*> surf(jobs.size(), nullptr);
-  std::vector<std::vector<size_t>> groups;
-  std::unordered_map<const SpeedSurface*, size_t> group_of;
+  std::vector<TaskFootprint> footprint(jobs.size());
   for (size_t i = 0; i < jobs.size(); ++i) {
     const int seed_ps = jobs[i].max_ps > 0 ? 1 : 0;
     const Resources seed =
@@ -170,12 +180,39 @@ AllocationMap OptimusAllocator::Allocate(const std::vector<SchedJob>& jobs,
       alloc[i] = {seed_ps, 1};
       active[i] = true;
       surf[i] = surfaces->Surface(jobs[i]);
-      const auto [it, added] = group_of.try_emplace(surf[i], groups.size());
-      if (added) {
-        groups.emplace_back();
-        surf[i]->BeginSpeculation();
+      footprint[i] = FootprintOf(jobs[i], capacity);
+    }
+  }
+
+  // Seeded jobs that share a speed surface form one walk group. Groups are
+  // keyed by surface creation order and laid out flat: group g's members,
+  // in input order, are members[group_start[g] .. group_start[g + 1]).
+  const size_t num_groups = surfaces->num_surfaces();
+  std::vector<size_t> group_start(num_groups + 1, 0);
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    if (active[i]) {
+      ++group_start[surf[i]->index() + 1];
+    }
+  }
+  for (size_t g = 0; g < num_groups; ++g) {
+    group_start[g + 1] += group_start[g];
+  }
+  std::vector<size_t> members(group_start[num_groups]);
+  {
+    std::vector<size_t> fill(group_start.begin(), group_start.end() - 1);
+    for (size_t i = 0; i < jobs.size(); ++i) {
+      if (active[i]) {
+        members[fill[surf[i]->index()]++] = i;
       }
-      groups[it->second].push_back(i);
+    }
+  }
+  const auto group_surface = [&](size_t g) -> SpeedSurface* {
+    return group_start[g] == group_start[g + 1] ? nullptr
+                                                 : surf[members[group_start[g]]];
+  };
+  for (size_t g = 0; g < num_groups; ++g) {
+    if (SpeedSurface* surface = group_surface(g); surface != nullptr) {
+      surface->BeginSpeculation();
     }
   }
 
@@ -185,19 +222,21 @@ AllocationMap OptimusAllocator::Allocate(const std::vector<SchedJob>& jobs,
   // one task per surface on the pool, speculatively.
   std::vector<Allocation> end = alloc;
   const auto walk_group = [&](int64_t g) {
-    for (const size_t i : groups[static_cast<size_t>(g)]) {
+    for (size_t m = group_start[static_cast<size_t>(g)];
+         m < group_start[static_cast<size_t>(g) + 1]; ++m) {
+      const size_t i = members[m];
       Candidate best;
       Candidate other;
-      while (BestCandidate(jobs[i], i, surf[i], end[i], capacity, options_.min_gain,
+      while (BestCandidate(jobs[i], i, surf[i], end[i], footprint[i], options_.min_gain,
                            0, &best, &other) > 0) {
         Grant(best.kind, &end[i]);
       }
     }
   };
   if (options_.pool != nullptr) {
-    options_.pool->ParallelFor(static_cast<int64_t>(groups.size()), walk_group);
+    options_.pool->ParallelFor(static_cast<int64_t>(num_groups), walk_group);
   } else {
-    for (size_t g = 0; g < groups.size(); ++g) {
+    for (size_t g = 0; g < num_groups; ++g) {
       walk_group(static_cast<int64_t>(g));
     }
   }
@@ -213,8 +252,10 @@ AllocationMap OptimusAllocator::Allocate(const std::vector<SchedJob>& jobs,
              jobs[i].ps_demand * (end[i].num_ps - alloc[i].num_ps);
   }
   const bool slack = capacity.Fits(total * (1.0 + 1e-6));
-  for (const std::vector<size_t>& members : groups) {
-    surf[members.front()]->EndSpeculation(slack);
+  for (size_t g = 0; g < num_groups; ++g) {
+    if (SpeedSurface* surface = group_surface(g); surface != nullptr) {
+      surface->EndSpeculation(slack);
+    }
   }
   if (slack) {
     AllocationMap result;
@@ -242,7 +283,7 @@ AllocationMap OptimusAllocator::Allocate(const std::vector<SchedJob>& jobs,
   std::vector<uint8_t> dead(jobs.size(), 0);
   const auto push_best = [&](size_t i) {
     Candidate best;
-    const int found = BestCandidate(jobs[i], i, surf[i], alloc[i], capacity,
+    const int found = BestCandidate(jobs[i], i, surf[i], alloc[i], footprint[i],
                                     options_.min_gain, dead[i], &best, &waiting[i]);
     has_waiting[i] = found == 2;
     if (found > 0) {

@@ -119,6 +119,13 @@ struct PackScratch {
   std::vector<Resources> tentative_used;  // per-candidate committed demand
   std::vector<int> tentative_w;
   std::vector<int> tentative_p;
+  // (server, workers, ps) of a successful attempt, sorted by server id.
+  struct Used {
+    int server;
+    int w;
+    int p;
+  };
+  std::vector<Used> used;
 };
 
 // Attempts to place a job across the first k candidates, spreading parameter
@@ -192,13 +199,9 @@ bool TryEvenPlacement(const PlacementJobInput& job, int k, std::vector<Server>* 
 
   // Commit in candidate order, then emit the triples sorted by server id —
   // the order ForEachUsed promises.
-  struct Used {
-    int server;
-    int w;
-    int p;
-  };
-  std::vector<Used> used;
-  used.reserve(static_cast<size_t>(k));
+  using Used = PackScratch::Used;
+  std::vector<Used>& used = scratch->used;
+  used.clear();
   for (size_t i = 0; i < static_cast<size_t>(k); ++i) {
     if (tentative_w[i] == 0 && tentative_p[i] == 0) {
       continue;
@@ -208,6 +211,9 @@ bool TryEvenPlacement(const PlacementJobInput& job, int k, std::vector<Server>* 
   }
   std::sort(used.begin(), used.end(),
             [](const Used& a, const Used& b) { return a.server < b.server; });
+  placement->used_servers.reserve(used.size());
+  placement->used_workers.reserve(used.size());
+  placement->used_ps.reserve(used.size());
   for (const Used& u : used) {
     placement->used_servers.push_back(u.server);
     placement->used_workers.push_back(u.w);
@@ -389,11 +395,11 @@ bool PlacePerTask(const PlacementJobInput& job, PickRule rule,
 
 }  // namespace
 
-PlacementResult PlaceJobs(PlacementPolicy policy,
-                          const std::vector<PlacementJobInput>& jobs,
-                          std::vector<Server>* servers_in, bool shrink_to_fit,
-                          int rack_size, const ShardPlan& plan) {
-  PlacementResult result;
+std::vector<PlacedJob> PlaceJobs(PlacementPolicy policy,
+                                 const std::vector<PlacementJobInput>& jobs,
+                                 std::vector<Server>* servers_in, bool shrink_to_fit,
+                                 int rack_size, const ShardPlan& plan) {
+  std::vector<PlacedJob> result(jobs.size());
   std::vector<Server>& servers = *servers_in;
   const int n_servers = static_cast<int>(servers.size());
   OPTIMUS_CHECK(plan.num_shards() == 0 || plan.n_servers() == n_servers)
@@ -403,17 +409,19 @@ PlacementResult PlaceJobs(PlacementPolicy policy,
       plan.num_shards() > 0 ? ShardPlan() : ShardPlan::Build(1, n_servers, 0);
 
   // Smallest jobs first (total dominant footprint) to avoid starving them.
+  // Each footprint is computed once, before the sort.
   const Resources capacity = TotalCapacity(servers);
-  std::vector<size_t> job_order(jobs.size());
-  std::iota(job_order.begin(), job_order.end(), 0);
-  auto footprint = [&](const PlacementJobInput& job) {
+  std::vector<double> footprint(jobs.size());
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    const PlacementJobInput& job = jobs[i];
     const Resources total = job.worker_demand * job.alloc.num_workers +
                             job.ps_demand * job.alloc.num_ps;
-    return total.DominantShare(capacity);
-  };
-  std::stable_sort(job_order.begin(), job_order.end(), [&](size_t a, size_t b) {
-    return footprint(jobs[a]) < footprint(jobs[b]);
-  });
+    footprint[i] = total.DominantShare(capacity);
+  }
+  std::vector<size_t> job_order(jobs.size());
+  std::iota(job_order.begin(), job_order.end(), 0);
+  std::stable_sort(job_order.begin(), job_order.end(),
+                   [&](size_t a, size_t b) { return footprint[a] < footprint[b]; });
 
   ShardedServerPool pool(&servers, plan.num_shards() > 0 ? plan : one_shard);
   PackScratch scratch;
@@ -425,21 +433,22 @@ PlacementResult PlaceJobs(PlacementPolicy policy,
 
     // Failed attempts leave the placement empty, so one object serves every
     // shrink retry.
-    JobPlacement placement;
+    PlacedJob& out = result[idx];
+    JobPlacement* placement = &out.placement;
     bool placed = false;
     while (true) {
       switch (policy) {
         case PlacementPolicy::kOptimusPack:
-          placed = PlaceOptimus(job, &servers, &pool, &scratch, &placement);
+          placed = PlaceOptimus(job, &servers, &pool, &scratch, placement);
           break;
         case PlacementPolicy::kLoadBalance:
-          placed = PlacePerTask(job, PickRule::kMostFree, &servers, &placement);
+          placed = PlacePerTask(job, PickRule::kMostFree, &servers, placement);
           break;
         case PlacementPolicy::kTetrisPack:
-          placed = PlacePerTask(job, PickRule::kTightestFit, &servers, &placement);
+          placed = PlacePerTask(job, PickRule::kTightestFit, &servers, placement);
           break;
         case PlacementPolicy::kRackPack:
-          placed = PlaceRackAware(job, rack_size, &servers, &pool, &scratch, &placement);
+          placed = PlaceRackAware(job, rack_size, &servers, &pool, &scratch, placement);
           break;
       }
       if (placed || !shrink_to_fit ||
@@ -452,13 +461,10 @@ PlacementResult PlaceJobs(PlacementPolicy policy,
     }
 
     if (placed) {
-      result.placements[job.job_id] = std::move(placement);
-      result.effective_alloc[job.job_id] = job.alloc;
-    } else {
-      result.unplaced.push_back(job.job_id);
+      out.placed = true;
+      out.alloc = job.alloc;
     }
   }
-  std::sort(result.unplaced.begin(), result.unplaced.end());
   return result;
 }
 

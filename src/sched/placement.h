@@ -25,11 +25,16 @@
 //
 // Jobs that cannot be placed under a policy are reported back; the simulator
 // pauses them until the next interval (§4.2).
+//
+// The result is one flat entry per input job, read by position. Under
+// kOptimusPack a call allocates only each placed job's three placement
+// vectors (each reserved once at its final size) plus a fixed number of
+// per-call buffers: footprints are computed once before the sort, and every
+// per-job working buffer lives in one reused scratch.
 
 #ifndef SRC_SCHED_PLACEMENT_H_
 #define SRC_SCHED_PLACEMENT_H_
 
-#include <map>
 #include <vector>
 
 #include "src/cluster/server.h"
@@ -57,18 +62,23 @@ struct PlacementJobInput {
   CommMode comm = CommMode::kParameterServer;
 };
 
-struct PlacementResult {
-  // job_id -> where the job's tasks run.
-  std::map<int, JobPlacement> placements;
-  // job_id -> the allocation actually placed. Differs from the requested
-  // allocation only when shrink-to-fit reduced an unplaceable job.
-  std::map<int, Allocation> effective_alloc;
-  // Jobs that could not be placed at all (to be paused this interval).
-  std::vector<int> unplaced;
+// One job's placement outcome. PlaceJobs returns one per input job, at the
+// job's input position.
+struct PlacedJob {
+  // Whether the job's tasks were placed. False for a job whose requested
+  // allocation is not active (nothing to place) and for one that could not
+  // be placed at all (to be paused this interval).
+  bool placed = false;
+  // The allocation actually placed (zero when not placed). Differs from the
+  // requested allocation only when shrink-to-fit reduced an unplaceable job.
+  Allocation alloc;
+  // Where the job's tasks run (empty when not placed).
+  JobPlacement placement;
 };
 
 // Places all jobs onto `*servers`, committing each placed task's demand to
-// its server (so `*servers` ends in the post-placement free state).
+// its server (so `*servers` ends in the post-placement free state). Returns
+// one PlacedJob per entry of `jobs`, in the same order.
 //
 // The cluster-level capacity check of the allocators (Eqn 7) ignores
 // per-server fragmentation, so an allocation can be infeasible to place. With
@@ -80,10 +90,10 @@ struct PlacementResult {
 // `plan` partitions the servers for the packer's heaps; it must cover exactly
 // `servers->size()` servers, or be empty (the default), which means one
 // shard. Decisions are the same for every plan.
-PlacementResult PlaceJobs(PlacementPolicy policy,
-                          const std::vector<PlacementJobInput>& jobs,
-                          std::vector<Server>* servers, bool shrink_to_fit = true,
-                          int rack_size = 0, const ShardPlan& plan = ShardPlan());
+std::vector<PlacedJob> PlaceJobs(PlacementPolicy policy,
+                                 const std::vector<PlacementJobInput>& jobs,
+                                 std::vector<Server>* servers, bool shrink_to_fit = true,
+                                 int rack_size = 0, const ShardPlan& plan = ShardPlan());
 
 }  // namespace optimus
 

@@ -72,19 +72,28 @@ void SpeedSurface::EndSpeculation(bool keep) {
   speculated_.clear();
 }
 
+size_t SpeedSurfaceSet::SignatureHash::operator()(const SignatureKey& key) const {
+  uint64_t h = key.signature * 0x9e3779b97f4a7c15ULL;
+  h ^= (static_cast<uint64_t>(static_cast<uint32_t>(key.max_ps)) << 32) |
+       static_cast<uint32_t>(key.max_workers);
+  return static_cast<size_t>(h ^ (h >> 29));
+}
+
 SpeedSurface* SpeedSurfaceSet::Surface(const SchedJob& job) {
-  if (auto it = by_job_.find(job.job_id); it != by_job_.end()) {
+  const auto [it, added] = by_job_.try_emplace(job.job_id, nullptr);
+  if (!added) {
     return it->second;
   }
   const auto create = [&] {
-    surfaces_.push_back(std::make_unique<SpeedSurface>(job.speed, job.max_ps,
-                                                       job.max_workers, cache_enabled_));
-    return surfaces_.back().get();
+    SpeedSurface& surface = surfaces_.emplace_back(job.speed, job.max_ps,
+                                                   job.max_workers, cache_enabled_);
+    surface.index_ = surfaces_.size() - 1;
+    return &surface;
   };
   SpeedSurface* surface = nullptr;
   if (job.speed_signature != 0) {
     SpeedSurface*& shared =
-        by_signature_[std::make_tuple(job.speed_signature, job.max_ps, job.max_workers)];
+        by_signature_[SignatureKey{job.speed_signature, job.max_ps, job.max_workers}];
     if (shared == nullptr) {
       shared = create();
     }
@@ -92,22 +101,22 @@ SpeedSurface* SpeedSurfaceSet::Surface(const SchedJob& job) {
   } else {
     surface = create();
   }
-  by_job_[job.job_id] = surface;
+  it->second = surface;
   return surface;
 }
 
 int64_t SpeedSurfaceSet::probes() const {
   int64_t total = 0;
-  for (const auto& s : surfaces_) {
-    total += s->probes();
+  for (const SpeedSurface& s : surfaces_) {
+    total += s.probes();
   }
   return total;
 }
 
 int64_t SpeedSurfaceSet::evals() const {
   int64_t total = 0;
-  for (const auto& s : surfaces_) {
-    total += s->evals();
+  for (const SpeedSurface& s : surfaces_) {
+    total += s.evals();
   }
   return total;
 }

@@ -24,9 +24,8 @@
 #define SRC_SCHED_SPEED_SURFACE_H_
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <tuple>
+#include <deque>
+#include <unordered_map>
 #include <vector>
 
 #include "src/sched/scheduler.h"
@@ -47,6 +46,9 @@ class SpeedSurface {
 
   int max_ps() const { return max_ps_; }
   int max_workers() const { return max_workers_; }
+  // Creation order within the owning SpeedSurfaceSet (0 for a surface built
+  // outside a set).
+  size_t index() const { return index_; }
 
   // Total Speed() calls vs underlying speed-function evaluations.
   int64_t probes() const { return probes_; }
@@ -62,6 +64,8 @@ class SpeedSurface {
   void EndSpeculation(bool keep);
 
  private:
+  friend class SpeedSurfaceSet;
+
   // Grid rows: [1..max_ps] for PS jobs, the single p == 0 row for all-reduce
   // jobs (max_ps == 0).
   size_t GridSize() const {
@@ -72,6 +76,7 @@ class SpeedSurface {
   int max_ps_;
   int max_workers_;
   bool cache_enabled_;
+  size_t index_ = 0;
   // NaN = not yet evaluated. Allocated lazily on the first in-grid probe so
   // jobs that are never probed (e.g. DRF rounds) cost nothing.
   std::vector<double> grid_;
@@ -91,6 +96,10 @@ class SpeedSurface {
 // same nonzero `speed_signature` (and identical caps) share one surface: the
 // caller guarantees their speed functions are identical, so a point evaluated
 // for one job is valid for all of them.
+//
+// The surfaces live in one stable-address container, numbered in creation
+// order (SpeedSurface::index()), so callers can key flat per-surface arrays
+// by that number; the job and signature indexes are hash maps.
 class SpeedSurfaceSet {
  public:
   explicit SpeedSurfaceSet(bool cache_enabled = true)
@@ -111,10 +120,23 @@ class SpeedSurfaceSet {
   double hit_rate() const;
 
  private:
+  struct SignatureKey {
+    uint64_t signature;
+    int max_ps;
+    int max_workers;
+    bool operator==(const SignatureKey& other) const {
+      return signature == other.signature && max_ps == other.max_ps &&
+             max_workers == other.max_workers;
+    }
+  };
+  struct SignatureHash {
+    size_t operator()(const SignatureKey& key) const;
+  };
+
   bool cache_enabled_;
-  std::vector<std::unique_ptr<SpeedSurface>> surfaces_;
-  std::map<int, SpeedSurface*> by_job_;
-  std::map<std::tuple<uint64_t, int, int>, SpeedSurface*> by_signature_;
+  std::deque<SpeedSurface> surfaces_;
+  std::unordered_map<int, SpeedSurface*> by_job_;
+  std::unordered_map<SignatureKey, SpeedSurface*, SignatureHash> by_signature_;
 };
 
 }  // namespace optimus

@@ -1,5 +1,7 @@
 #include "src/sim/invariant_auditor.h"
 
+#include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "src/common/logging.h"
@@ -10,6 +12,13 @@ namespace {
 
 // Slack for floating-point accumulation of placed demands.
 constexpr double kEps = 1e-6;
+
+// First entry of a server's job-id-sorted list whose job id is >= `job_id`.
+template <typename Entries>
+auto EntryAtOrAfter(Entries& entries, int job_id) {
+  return std::lower_bound(entries.begin(), entries.end(), job_id,
+                          [](const auto& e, int id) { return e.job_id < id; });
+}
 
 }  // namespace
 
@@ -74,7 +83,8 @@ InvariantAuditor::Census InvariantAuditor::CheckJobScalars(
     }
 
     // Progress monotonicity (modulo announced rollbacks).
-    if (const auto it = last_steps_.find(job.job_id); it != last_steps_.end()) {
+    const auto [it, first_seen] = last_steps_.try_emplace(job.job_id, job.steps_done);
+    if (!first_seen) {
       if (job.steps_done < it->second - kEps &&
           rollback_ok_.find(job.job_id) == rollback_ok_.end()) {
         std::ostringstream os;
@@ -82,8 +92,8 @@ InvariantAuditor::Census InvariantAuditor::CheckJobScalars(
            << "rollback: " << it->second << " -> " << job.steps_done << " steps";
         Report(now_s, "progress", os.str());
       }
+      it->second = job.steps_done;
     }
-    last_steps_[job.job_id] = job.steps_done;
   }
   return census;
 }
@@ -193,31 +203,75 @@ void InvariantAuditor::Check(double now_s, const std::vector<Server>& servers,
 }
 
 void InvariantAuditor::SetClusterSize(size_t n_servers) {
-  server_load_.resize(n_servers);
+  server_jobs_.resize(n_servers);
+  occupied_.resize((n_servers + 63) / 64, 0);
+  dirty_.resize(n_servers, 0);
+}
+
+void InvariantAuditor::SetOccupied(size_t server, bool occupied) {
+  const uint64_t bit = uint64_t{1} << (server % 64);
+  if (occupied) {
+    occupied_[server / 64] |= bit;
+  } else {
+    occupied_[server / 64] &= ~bit;
+  }
+}
+
+void InvariantAuditor::MarkDirty(int server) {
+  uint8_t& flag = dirty_[static_cast<size_t>(server)];
+  if (flag == 0) {
+    flag = 1;
+    dirty_list_.push_back(server);
+  }
+}
+
+void InvariantAuditor::RemoveFromServers(int job_id, const TrackedJob& tracked) {
+  for (const TrackedTask& task : tracked.tasks) {
+    std::vector<ServerEntry>& entries = server_jobs_[static_cast<size_t>(task.server)];
+    const auto it = EntryAtOrAfter(entries, job_id);
+    if (it != entries.end() && it->job_id == job_id) {
+      entries.erase(it);
+      if (entries.empty()) {
+        SetOccupied(static_cast<size_t>(task.server), false);
+      }
+    }
+    MarkDirty(task.server);
+  }
 }
 
 void InvariantAuditor::SetPlacement(int job_id, const Resources& worker_demand,
                                     const Resources& ps_demand,
                                     const JobPlacement& placement) {
-  ClearPlacement(job_id);
   if (placement.empty()) {
+    ClearPlacement(job_id);
     return;
   }
-  TrackedJob tracked;
+  const auto [it, added] = tracked_.try_emplace(job_id);
+  TrackedJob& tracked = it->second;
+  if (!added) {
+    RemoveFromServers(job_id, tracked);
+  }
+  tracked.tasks.clear();
   tracked.worker_demand = worker_demand;
   tracked.ps_demand = ps_demand;
+  tracked.num_workers = 0;
+  tracked.num_ps = 0;
   placement.ForEachUsed([&](size_t s, int w, int p) {
     tracked.tasks.push_back({static_cast<int>(s), w, p});
     tracked.num_workers += w;
     tracked.num_ps += p;
-    OPTIMUS_CHECK_LT(s, server_load_.size())
+    OPTIMUS_CHECK_LT(s, server_jobs_.size())
         << "SetClusterSize was not called (or placement outgrew the cluster)";
-    ServerLoad& load = server_load_[s];
-    load.jobs[job_id] = {w, p};
-    occupied_.insert(static_cast<int>(s));
+    std::vector<ServerEntry>& entries = server_jobs_[s];
+    const auto pos = EntryAtOrAfter(entries, job_id);
+    if (pos != entries.end() && pos->job_id == job_id) {
+      *pos = {job_id, w, p};
+    } else {
+      entries.insert(pos, {job_id, w, p});
+    }
+    SetOccupied(s, true);
     MarkDirty(static_cast<int>(s));
   });
-  tracked_[job_id] = std::move(tracked);
 }
 
 void InvariantAuditor::ClearPlacement(int job_id) {
@@ -225,23 +279,16 @@ void InvariantAuditor::ClearPlacement(int job_id) {
   if (it == tracked_.end()) {
     return;
   }
-  for (const TrackedTask& task : it->second.tasks) {
-    ServerLoad& load = server_load_[static_cast<size_t>(task.server)];
-    load.jobs.erase(job_id);
-    if (load.jobs.empty()) {
-      occupied_.erase(task.server);
-    }
-    MarkDirty(task.server);
-  }
+  RemoveFromServers(job_id, it->second);
   tracked_.erase(it);
 }
 
 Resources InvariantAuditor::DeriveServerLoad(size_t s) const {
   Resources load;
-  for (const auto& [job_id, wp] : server_load_[s].jobs) {
-    const auto it = tracked_.find(job_id);
+  for (const ServerEntry& entry : server_jobs_[s]) {
+    const auto it = tracked_.find(entry.job_id);
     OPTIMUS_CHECK(it != tracked_.end());
-    load += it->second.worker_demand * wp.first + it->second.ps_demand * wp.second;
+    load += it->second.worker_demand * entry.workers + it->second.ps_demand * entry.ps;
   }
   return load;
 }
@@ -278,24 +325,28 @@ void InvariantAuditor::CheckIncremental(double now_s,
   }
 
   // Dead-server: any occupied server must be available.
-  for (const int s : occupied_) {
-    if (servers[static_cast<size_t>(s)].available()) {
-      continue;
-    }
-    for (const auto& [job_id, wp] : server_load_[static_cast<size_t>(s)].jobs) {
-      std::ostringstream os;
-      os << "job " << job_id << " has " << wp.first << " worker(s) and "
-         << wp.second << " ps on dead server "
-         << servers[static_cast<size_t>(s)].id();
-      Report(now_s, "dead-server", os.str());
+  for (size_t word = 0; word < occupied_.size(); ++word) {
+    for (uint64_t bits = occupied_[word]; bits != 0; bits &= bits - 1) {
+      const size_t s = word * 64 + static_cast<size_t>(std::countr_zero(bits));
+      if (servers[s].available()) {
+        continue;
+      }
+      for (const ServerEntry& entry : server_jobs_[s]) {
+        std::ostringstream os;
+        os << "job " << entry.job_id << " has " << entry.workers << " worker(s) and "
+           << entry.ps << " ps on dead server " << servers[s].id();
+        Report(now_s, "dead-server", os.str());
+      }
     }
   }
 
   // Capacity conservation on servers whose occupancy changed since the last
   // check — unchanged servers were already verified and cannot have regressed.
-  for (const int s : dirty_servers_) {
+  std::sort(dirty_list_.begin(), dirty_list_.end());
+  for (const int s : dirty_list_) {
     const size_t idx = static_cast<size_t>(s);
-    if (server_load_[idx].jobs.empty()) {
+    dirty_[idx] = 0;
+    if (server_jobs_[idx].empty()) {
       continue;
     }
     const Resources load = DeriveServerLoad(idx);
@@ -306,7 +357,7 @@ void InvariantAuditor::CheckIncremental(double now_s,
       Report(now_s, "capacity", os.str());
     }
   }
-  dirty_servers_.clear();
+  dirty_list_.clear();
 
   CheckAccounting(now_s, census, counts);
 
@@ -337,20 +388,18 @@ void InvariantAuditor::CheckTrackerAgainstViews(double now_s,
       continue;
     }
     ++tracked_seen;
+    // Compare the view's placement with the tracked contribution in place.
     const TrackedJob& tracked = it->second;
-    // Re-derive the expected contribution from the view and compare.
-    std::vector<TrackedTask> expected;
-    job.placement->ForEachUsed([&](size_t s, int w, int p) {
-      expected.push_back({static_cast<int>(s), w, p});
-    });
-    bool same = expected.size() == tracked.tasks.size() &&
-                tracked.worker_demand == job.worker_demand &&
+    bool same = tracked.worker_demand == job.worker_demand &&
                 tracked.ps_demand == job.ps_demand;
-    for (size_t i = 0; same && i < expected.size(); ++i) {
-      same = expected[i].server == tracked.tasks[i].server &&
-             expected[i].workers == tracked.tasks[i].workers &&
-             expected[i].ps == tracked.tasks[i].ps;
-    }
+    size_t t = 0;
+    job.placement->ForEachUsed([&](size_t s, int w, int p) {
+      same = same && t < tracked.tasks.size() &&
+             tracked.tasks[t].server == static_cast<int>(s) &&
+             tracked.tasks[t].workers == w && tracked.tasks[t].ps == p;
+      ++t;
+    });
+    same = same && t == tracked.tasks.size();
     if (!same) {
       std::ostringstream os;
       os << "tracker diverges from the true placement of job " << job.job_id;

@@ -27,6 +27,13 @@
 //                      CheckTrackerAgainstViews() so any drift between the
 //                      tracker and the true state is itself a violation.
 //
+// The tracker is flat and reused across rounds: a hash map of tracked jobs
+// whose task buffers are overwritten on re-placement, one job-id-sorted entry
+// vector per server, an occupancy bitmap, and a dirty flag per server plus a
+// list of the flagged ones. Re-placing a job onto servers that have hosted tasks before allocates
+// nothing. Both check modes report violations in ascending (server, job id)
+// order.
+//
 // Violations are collected with timestamps; the simulator reports them
 // loudly at the end of the run (fatally when audit_fatal is set). The checks
 // are pure over the passed-in views, so tests can feed deliberately corrupted
@@ -36,9 +43,9 @@
 #define SRC_SIM_INVARIANT_AUDITOR_H_
 
 #include <cstdint>
-#include <map>
-#include <set>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "src/cluster/job.h"
@@ -153,6 +160,8 @@ class InvariantAuditor {
     int workers = 0;
     int ps = 0;
   };
+  // A tracked job. Re-placing it overwrites `tasks` in place, so a job whose
+  // new placement spans no more servers than before allocates nothing.
   struct TrackedJob {
     std::vector<TrackedTask> tasks;  // ascending server order
     Resources worker_demand;
@@ -160,10 +169,11 @@ class InvariantAuditor {
     int num_workers = 0;
     int num_ps = 0;
   };
-  struct ServerLoad {
-    // job id -> (workers, ps) on this server; summed in job-id order when the
-    // load is re-derived, so the result is deterministic.
-    std::map<int, std::pair<int, int>> jobs;
+  // One job's (workers, ps) on a server.
+  struct ServerEntry {
+    int job_id = 0;
+    int workers = 0;
+    int ps = 0;
   };
 
   void Report(double now_s, const char* invariant, std::string detail);
@@ -173,19 +183,31 @@ class InvariantAuditor {
   Census CheckJobScalars(double now_s, const std::vector<JobView>& jobs);
   void CheckAccounting(double now_s, const Census& census, const Counts& counts);
   Resources DeriveServerLoad(size_t s) const;
-  void MarkDirty(int server) { dirty_servers_.insert(server); }
+  // Removes `job_id`'s entries from the lists of the servers its `tracked`
+  // tasks occupy and marks those servers dirty.
+  void RemoveFromServers(int job_id, const TrackedJob& tracked);
+  void MarkDirty(int server);
+  void SetOccupied(size_t server, bool occupied);
 
-  std::map<int, double> last_steps_;
-  std::set<int> rollback_ok_;
+  std::unordered_map<int, double> last_steps_;
+  std::unordered_set<int> rollback_ok_;
   std::vector<AuditViolation> violations_;
   int64_t checks_run_ = 0;
   FlightRecorder* flight_ = nullptr;
 
-  // Incremental tracker state.
-  std::map<int, TrackedJob> tracked_;
-  std::vector<ServerLoad> server_load_;
-  std::set<int> occupied_;       // servers with at least one tracked task
-  std::set<int> dirty_servers_;  // occupancy changed since the last check
+  // Incremental tracker state, all reused across rounds.
+  std::unordered_map<int, TrackedJob> tracked_;
+  // Per server: the jobs with tasks on it, sorted by job id, so a re-derived
+  // load sums in job-id order and is deterministic.
+  std::vector<std::vector<ServerEntry>> server_jobs_;
+  // Bit s is set exactly when server s's list is non-empty; the dead-server
+  // pass walks the set bits in ascending order, so it costs O(servers / 64 +
+  // occupied) instead of a scan of every server.
+  std::vector<uint64_t> occupied_;
+  // Servers whose occupancy changed since the last check: a flag per server
+  // plus the list of flagged servers, sorted before the check reads it.
+  std::vector<uint8_t> dirty_;
+  std::vector<int> dirty_list_;
 };
 
 }  // namespace optimus

@@ -1206,6 +1206,7 @@ void Simulator::ScheduleActiveJobs() {
   // Placement covers frozen jobs (at their existing counts) plus newly
   // allocated ones.
   std::vector<PlacementJobInput> inputs;
+  inputs.reserve(frozen.size() + schedulable.size());
   for (JobRuntime* jr : frozen) {
     inputs.push_back({jr->job.id(),
                       {jr->job.num_ps(), jr->job.num_workers()},
@@ -1221,53 +1222,40 @@ void Simulator::ScheduleActiveJobs() {
     inputs.push_back({jr->job.id(), a, jr->job.spec().worker_demand,
                       jr->job.spec().ps_demand, jr->job.spec().comm});
   }
-  PlacementResult placed = PlaceJobs(config_.placement, inputs, &servers,
-                                     /*shrink_to_fit=*/true, config_.rack_size,
-                                     shard_plan_);
+  std::vector<PlacedJob> placed = PlaceJobs(config_.placement, inputs, &servers,
+                                            /*shrink_to_fit=*/true, config_.rack_size,
+                                            shard_plan_);
 
-  // Index the placement result once instead of two map lookups per job: the
-  // two maps carry identical key sets (both filled on successful placement),
-  // so one synchronized walk scatters them into job-index-addressed slots.
-  std::vector<JobPlacement*> placement_by_index(jobs_.size(), nullptr);
-  std::vector<Allocation> alloc_by_index(jobs_.size());
-  {
-    auto pit = placed.placements.begin();
-    auto ait = placed.effective_alloc.begin();
-    for (; pit != placed.placements.end(); ++pit, ++ait) {
-      OPTIMUS_CHECK(ait != placed.effective_alloc.end());
-      OPTIMUS_CHECK_EQ(pit->first, ait->first);
-      const auto idx = job_index_.find(pit->first);
-      OPTIMUS_CHECK(idx != job_index_.end());
-      placement_by_index[idx->second] = &pit->second;
-      alloc_by_index[idx->second] = ait->second;  // may be shrunk by placement
-    }
-    OPTIMUS_CHECK(ait == placed.effective_alloc.end());
-  }
-
-  // Batch decisions ride on the allocator's own output (placement may
-  // rebuild Allocation structs and is not required to preserve the advisory
-  // global_batch). -1 = not schedulable this round: frozen jobs keep their
-  // current override.
-  std::vector<int> batch_by_index(jobs_.size(), -1);
-  for (JobRuntime* jr : schedulable) {
-    const auto idx = job_index_.find(jr->job.id());
-    OPTIMUS_CHECK(idx != job_index_.end());
-    const auto it = alloc.find(jr->job.id());
-    batch_by_index[idx->second] = it != alloc.end() ? it->second.global_batch : 0;
-  }
-
-  // Apply decisions.
+  // Apply decisions in job order. `frozen` and `schedulable` are each in job
+  // order too (CollectRoundInputs walks jobs_), so two cursors find each
+  // job's input slot: frozen jobs fill the first slots, schedulable ones the
+  // rest.
+  size_t next_frozen = 0;
+  size_t next_schedulable = 0;
   for (size_t job_idx = 0; job_idx < jobs_.size(); ++job_idx) {
     auto& jr = jobs_[job_idx];
     if (jr == nullptr || !jr->arrived ||
         jr->job.state() == JobState::kCompleted) {
       continue;
     }
+    // Batch decisions ride on the allocator's own output, which the inputs
+    // carry (placement is not required to preserve the advisory
+    // global_batch). -1 = not schedulable this round: frozen jobs keep their
+    // current override.
+    PlacedJob* result = nullptr;
+    int batch = -1;
+    if (next_frozen < frozen.size() && frozen[next_frozen] == jr.get()) {
+      result = &placed[next_frozen++];
+    } else if (next_schedulable < schedulable.size() &&
+               schedulable[next_schedulable] == jr.get()) {
+      const size_t slot = frozen.size() + next_schedulable++;
+      result = &placed[slot];
+      batch = inputs[slot].alloc.global_batch;
+    }
     const int id = jr->job.id();
-    JobPlacement* placement = placement_by_index[job_idx];
-    const Allocation a = alloc_by_index[job_idx];
-    const bool placeable =
-        placement != nullptr && ActiveAllocation(a, jr->job.spec().comm);
+    const bool placeable = result != nullptr && result->placed &&
+                           ActiveAllocation(result->alloc, jr->job.spec().comm);
+    const Allocation a = placeable ? result->alloc : Allocation{};
 
     const int old_ps = jr->job.num_ps();
     const JobState old_state = jr->job.state();
@@ -1276,13 +1264,14 @@ void Simulator::ScheduleActiveJobs() {
       const bool first_schedule = old_state == JobState::kPending;
       // `placed` is dead after this loop, so the placement's vectors can
       // move into the job instead of being copied.
-      scaled = jr->job.SetAllocation(a.num_ps, a.num_workers, std::move(*placement));
-      if (batch_by_index[job_idx] >= 0) {
+      scaled = jr->job.SetAllocation(a.num_ps, a.num_workers,
+                                     std::move(result->placement));
+      if (batch >= 0) {
         // 0 resets to the configured batch (non-adaptive policies and
         // non-adaptive jobs); >0 is a batch-adaptive policy's choice. A
         // batch-only change is not a scaling event: same (p, w), no
         // checkpoint stall — the framework just feeds larger mini-batches.
-        jr->job.set_batch_override(batch_by_index[job_idx]);
+        jr->job.set_batch_override(batch);
       }
       auditor_.SetPlacement(id, jr->job.spec().worker_demand,
                             jr->job.spec().ps_demand, jr->job.placement());
@@ -1332,6 +1321,8 @@ void Simulator::ScheduleActiveJobs() {
            jr->job.num_workers());
     }
   }
+  OPTIMUS_CHECK(next_frozen == frozen.size() &&
+                next_schedulable == schedulable.size());
 }
 
 void Simulator::AdvanceJob(JobRuntime* jr, AdvanceOutcome* out) {

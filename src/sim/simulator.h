@@ -11,7 +11,7 @@
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
-#include <map>
+#include <unordered_map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -538,7 +538,9 @@ class Simulator {
   Resources placeable_cap_demand_;
   bool placeable_cap_valid_ = false;
   std::vector<std::unique_ptr<JobRuntime>> jobs_;
-  std::map<int, size_t> job_index_;  // job id -> index in jobs_
+  // job id -> index in jobs_; looked up (once per epoch event on the events
+  // engine), never iterated.
+  std::unordered_map<int, size_t> job_index_;
 
   // --- Streaming admission (config_.streaming) ------------------------------
   // Specs not yet materialized, in non-decreasing arrival order;

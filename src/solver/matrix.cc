@@ -1,5 +1,6 @@
 #include "src/solver/matrix.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/common/logging.h"
@@ -56,13 +57,10 @@ Matrix Matrix::SelectColumns(const std::vector<size_t>& columns) const {
   return out;
 }
 
-bool SolveSpd(const Matrix& m, const Vector& b, Vector* x) {
-  const size_t n = m.rows();
-  OPTIMUS_CHECK_EQ(m.cols(), n);
-  OPTIMUS_CHECK_EQ(b.size(), n);
-  OPTIMUS_CHECK(x != nullptr);
+bool SolveSpd(const double* m, const double* b, size_t n, double* x) {
+  OPTIMUS_CHECK_LE(n, kMaxSolveDims)
+      << "SolveSpd supports at most " << kMaxSolveDims << " unknowns, got " << n;
   if (n == 0) {
-    x->clear();
     return true;
   }
 
@@ -70,62 +68,65 @@ bool SolveSpd(const Matrix& m, const Vector& b, Vector* x) {
   // fitting features are nearly collinear (common early in online fitting).
   double max_diag = 0.0;
   for (size_t i = 0; i < n; ++i) {
-    max_diag = std::max(max_diag, std::abs(m(i, i)));
+    max_diag = std::max(max_diag, std::abs(m[i * n + i]));
   }
   const double ridge = max_diag * 1e-12 + 1e-300;
 
-  // Cholesky: m = L L^T. The factor and intermediate vector are per-thread
-  // scratch: these solves sit inside per-candidate fitting loops, and reusing
-  // the buffers avoids an allocation storm without changing a single
-  // arithmetic operation.
-  static thread_local Matrix l;
-  l.Assign(n, n);
+  // Cholesky: m = L L^T, with L row-major in stack storage.
+  double l[kMaxSolveDims * kMaxSolveDims];
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = 0; j <= i; ++j) {
-      double sum = m(i, j);
+      double sum = m[i * n + j];
       if (i == j) {
         sum += ridge;
       }
       for (size_t k = 0; k < j; ++k) {
-        sum -= l(i, k) * l(j, k);
+        sum -= l[i * n + k] * l[j * n + k];
       }
       if (i == j) {
         if (sum <= 0.0 || !std::isfinite(sum)) {
           return false;
         }
-        l(i, i) = std::sqrt(sum);
+        l[i * n + i] = std::sqrt(sum);
       } else {
-        l(i, j) = sum / l(j, j);
+        l[i * n + j] = sum / l[j * n + j];
       }
     }
   }
 
   // Forward solve L y = b.
-  static thread_local Vector y;
-  y.assign(n, 0.0);
+  double y[kMaxSolveDims];
   for (size_t i = 0; i < n; ++i) {
     double sum = b[i];
     for (size_t k = 0; k < i; ++k) {
-      sum -= l(i, k) * y[k];
+      sum -= l[i * n + k] * y[k];
     }
-    y[i] = sum / l(i, i);
+    y[i] = sum / l[i * n + i];
   }
 
   // Back solve L^T x = y.
-  x->assign(n, 0.0);
   for (size_t ii = n; ii-- > 0;) {
     double sum = y[ii];
     for (size_t k = ii + 1; k < n; ++k) {
-      sum -= l(k, ii) * (*x)[k];
+      sum -= l[k * n + ii] * x[k];
     }
-    (*x)[ii] = sum / l(ii, ii);
+    x[ii] = sum / l[ii * n + ii];
   }
-  for (double v : *x) {
-    if (!std::isfinite(v)) {
+  for (size_t i = 0; i < n; ++i) {
+    if (!std::isfinite(x[i])) {
       return false;
     }
   }
   return true;
+}
+
+bool SolveSpd(const Matrix& m, const Vector& b, Vector* x) {
+  const size_t n = m.rows();
+  OPTIMUS_CHECK_EQ(m.cols(), n);
+  OPTIMUS_CHECK_EQ(b.size(), n);
+  OPTIMUS_CHECK(x != nullptr);
+  x->resize(n);
+  return SolveSpd(m.data(), b.data(), n, x->data());
 }
 
 bool SolveLeastSquares(const Matrix& a, const Vector& b, Vector* x) {

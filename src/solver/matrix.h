@@ -1,8 +1,10 @@
 // Minimal dense matrix/vector math used by the least-squares solvers.
 //
 // The fitting problems in Optimus are tiny (tens-to-thousands of rows, at most
-// five columns), so a straightforward row-major dense matrix with
-// normal-equation / QR solves is both sufficient and easy to audit.
+// six columns), so a straightforward row-major dense matrix with
+// normal-equation solves is both sufficient and easy to audit. The Cholesky
+// solve works in fixed-capacity stack storage (kMaxSolveDims unknowns), so a
+// refit allocates nothing per solve.
 
 #ifndef SRC_SOLVER_MATRIX_H_
 #define SRC_SOLVER_MATRIX_H_
@@ -20,17 +22,10 @@ class Matrix {
   Matrix(size_t rows, size_t cols, double fill = 0.0)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-  // Re-shapes in place to rows x cols filled with `fill`, reusing the existing
-  // allocation when capacity allows. Lets hot solver loops keep one scratch
-  // matrix alive instead of constructing a fresh one per call.
-  void Assign(size_t rows, size_t cols, double fill = 0.0) {
-    rows_ = rows;
-    cols_ = cols;
-    data_.assign(rows * cols, fill);
-  }
-
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
+  // Row-major storage, rows() * cols() entries.
+  const double* data() const { return data_.data(); }
 
   double& operator()(size_t r, size_t c) { return data_[r * cols_ + c]; }
   double operator()(size_t r, size_t c) const { return data_[r * cols_ + c]; }
@@ -53,9 +48,20 @@ class Matrix {
   std::vector<double> data_;
 };
 
+// Largest system SolveSpd and the NNLS solvers accept. Every caller solves at
+// most six unknowns (convergence 2, speed 4 or 5, DL2 6); a larger system
+// fails an OPTIMUS_CHECK.
+inline constexpr size_t kMaxSolveDims = 8;
+
 // Solves the square symmetric positive-(semi)definite system M x = b by
 // Cholesky factorization with a small diagonal ridge for numerical safety.
-// Returns false if the system is too ill-conditioned to factor.
+// `m` is n x n row-major; `b` and `x` have n entries, and `x` is written only
+// once the factorization succeeds. Returns false if the system is too
+// ill-conditioned to factor or the solution is not finite. Requires
+// n <= kMaxSolveDims.
+bool SolveSpd(const double* m, const double* b, size_t n, double* x);
+
+// The same solve on a Matrix and Vector.
 bool SolveSpd(const Matrix& m, const Vector& b, Vector* x);
 
 // Ordinary least squares: minimizes ||A x - b||_2 via the normal equations.

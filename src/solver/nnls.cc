@@ -32,32 +32,26 @@ void GramSystem::Reset() {
 namespace {
 
 // Least squares on the passive subset of the normal equations; entries outside
-// the subset are zero in the returned full-length vector. The subset system is
+// the subset are zero in the returned full-length `full`. The subset system is
 // exactly what SelectColumns + Gram of a dense A would produce (same sums in
 // the same order), so solutions match the dense path bit for bit.
-bool SolveOnGramSubset(const Matrix& ata, const Vector& atb,
-                       const std::vector<size_t>& passive, Vector* full) {
-  const size_t k = passive.size();
-  // Per-thread scratch: this sits inside the active-set inner loop, itself
-  // inside per-candidate fitting grids; reusing buffers avoids ~5 allocations
-  // per call with bit-identical arithmetic.
-  static thread_local Matrix sub;
-  static thread_local Vector rhs;
-  static thread_local Vector z;
-  sub.Assign(k, k);
-  rhs.assign(k, 0.0);
+bool SolveOnGramSubset(const double* ata, const double* atb, size_t n,
+                       const size_t* passive, size_t k, double* full) {
+  double sub[kMaxSolveDims * kMaxSolveDims];
+  double rhs[kMaxSolveDims];
+  double z[kMaxSolveDims];
   for (size_t i = 0; i < k; ++i) {
     rhs[i] = atb[passive[i]];
     for (size_t j = 0; j < k; ++j) {
-      sub(i, j) = ata(passive[i], passive[j]);
+      sub[i * k + j] = ata[passive[i] * n + passive[j]];
     }
   }
-  if (!SolveSpd(sub, rhs, &z)) {
+  if (!SolveSpd(sub, rhs, k, z)) {
     return false;
   }
-  full->assign(atb.size(), 0.0);
+  std::fill(full, full + n, 0.0);
   for (size_t i = 0; i < k; ++i) {
-    (*full)[passive[i]] = z[i];
+    full[passive[i]] = z[i];
   }
   return true;
 }
@@ -68,37 +62,39 @@ NnlsResult SolveNnlsGram(const GramSystem& gram, const NnlsOptions& options) {
   return SolveNnlsGram(gram.ata(), gram.atb(), gram.btb(), options);
 }
 
-NnlsResult SolveNnlsGram(const Matrix& ata, const Vector& atb, double btb,
+NnlsResult SolveNnlsGram(const Matrix& ata_m, const Vector& atb_v, double btb,
                          const NnlsOptions& options) {
-  const size_t n = atb.size();
+  const size_t n = atb_v.size();
+  OPTIMUS_CHECK_LE(n, kMaxSolveDims)
+      << "NNLS supports at most " << kMaxSolveDims << " unknowns, got " << n;
+  OPTIMUS_CHECK(ata_m.rows() == n && ata_m.cols() == n)
+      << "A^T A is " << ata_m.rows() << "x" << ata_m.cols() << ", A^T b has " << n;
+  const double* ata = ata_m.data();
+  const double* atb = atb_v.data();
 
-  NnlsResult result;
-  result.x.assign(n, 0.0);
-
-  static thread_local std::vector<bool> in_passive;
-  static thread_local std::vector<size_t> passive;
-  in_passive.assign(n, false);
-  passive.clear();
+  // The whole active-set iteration runs in fixed-capacity stack storage.
+  bool in_passive[kMaxSolveDims] = {};
+  size_t passive[kMaxSolveDims];
+  size_t num_passive = 0;
 
   // Gradient scale for the relative dual tolerance (the gradient at x = 0 is
   // A^T b).
   double grad_scale = 0.0;
-  for (double g : atb) {
-    grad_scale = std::max(grad_scale, std::abs(g));
+  for (size_t i = 0; i < n; ++i) {
+    grad_scale = std::max(grad_scale, std::abs(atb[i]));
   }
   const double tol = options.tolerance * std::max(grad_scale, 1.0);
 
-  static thread_local Vector x;
-  static thread_local Vector w;
-  x.assign(n, 0.0);
-  w.assign(n, 0.0);
+  double x[kMaxSolveDims] = {};
+  double w[kMaxSolveDims];
+  double z[kMaxSolveDims];
   int iter = 0;
   while (iter < options.max_iterations) {
     // Dual vector w = A^T b - A^T A x (== A^T (b - A x)).
     for (size_t i = 0; i < n; ++i) {
       double dot = 0.0;
       for (size_t j = 0; j < n; ++j) {
-        dot += ata(i, j) * x[j];
+        dot += ata[i * n + j] * x[j];
       }
       w[i] = atb[i] - dot;
     }
@@ -117,34 +113,33 @@ NnlsResult SolveNnlsGram(const Matrix& ata, const Vector& atb, double btb,
     }
 
     in_passive[best_idx] = true;
-    passive.push_back(best_idx);
+    passive[num_passive++] = best_idx;
 
     // Inner loop: ensure the passive-set least-squares solution is feasible.
     while (true) {
       ++iter;
-      static thread_local Vector z;
-      if (!SolveOnGramSubset(ata, atb, passive, &z)) {
+      if (!SolveOnGramSubset(ata, atb, n, passive, num_passive, z)) {
         // Numerically singular subset: drop the most recently added column.
-        in_passive[passive.back()] = false;
-        passive.pop_back();
+        in_passive[passive[--num_passive]] = false;
         break;
       }
 
       bool feasible = true;
-      for (size_t j : passive) {
-        if (z[j] <= 0.0) {
+      for (size_t q = 0; q < num_passive; ++q) {
+        if (z[passive[q]] <= 0.0) {
           feasible = false;
           break;
         }
       }
       if (feasible) {
-        x = z;
+        std::copy(z, z + n, x);
         break;
       }
 
       // Step from x toward z as far as feasibility allows.
       double alpha = std::numeric_limits<double>::infinity();
-      for (size_t j : passive) {
+      for (size_t q = 0; q < num_passive; ++q) {
+        const size_t j = passive[q];
         if (z[j] <= 0.0) {
           const double denom = x[j] - z[j];
           if (denom > 0.0) {
@@ -159,19 +154,20 @@ NnlsResult SolveNnlsGram(const Matrix& ata, const Vector& atb, double btb,
         x[j] += alpha * (z[j] - x[j]);
       }
 
-      // Move variables that hit zero back to the active set.
-      static thread_local std::vector<size_t> next_passive;
-      next_passive.clear();
-      for (size_t j : passive) {
+      // Move variables that hit zero back to the active set, keeping the
+      // passive order of the rest.
+      size_t kept = 0;
+      for (size_t q = 0; q < num_passive; ++q) {
+        const size_t j = passive[q];
         if (x[j] > tol * 1e-4 && x[j] > 0.0) {
-          next_passive.push_back(j);
+          passive[kept++] = j;
         } else {
           x[j] = 0.0;
           in_passive[j] = false;
         }
       }
-      std::swap(passive, next_passive);
-      if (passive.empty()) {
+      num_passive = kept;
+      if (num_passive == 0) {
         break;
       }
       if (iter >= options.max_iterations) {
@@ -183,24 +179,29 @@ NnlsResult SolveNnlsGram(const Matrix& ata, const Vector& atb, double btb,
     }
   }
 
+  NnlsResult result;
   result.converged = iter < options.max_iterations;
-  for (double& v : x) {
-    v = std::max(v, 0.0);
+  result.x.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    result.x[i] = std::max(x[i], 0.0);
   }
-  result.x = x;
   result.iterations = iter;
   // ||Ax - b||^2 = b^T b - 2 x^T A^T b + x^T A^T A x; the Gram identity can
   // dip below zero by rounding on near-perfect fits, so clamp.
+  const double* xs = result.x.data();
   double quad = 0.0;
   for (size_t i = 0; i < n; ++i) {
     double row = 0.0;
     for (size_t j = 0; j < n; ++j) {
-      row += ata(i, j) * x[j];
+      row += ata[i * n + j] * xs[j];
     }
-    quad += x[i] * row;
+    quad += xs[i] * row;
   }
-  result.residual_sum_of_squares =
-      std::max(0.0, btb - 2.0 * Dot(atb, x) + quad);
+  double xtb = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    xtb += atb[i] * xs[i];
+  }
+  result.residual_sum_of_squares = std::max(0.0, btb - 2.0 * xtb + quad);
   return result;
 }
 

@@ -11,6 +11,11 @@
 // Gram form produces bit-identical solutions while letting callers accumulate
 // A^T A / A^T b incrementally as samples arrive (GramSystem) — a refit is then
 // O(k^2 * iterations) instead of O(n * k^2) in the sample count n.
+//
+// Every caller solves a handful of unknowns (convergence 2, speed 4 or 5,
+// DL2 6), so the active-set loop and its subset Cholesky run in stack arrays
+// of fixed capacity kMaxSolveDims (matrix.h): a solve allocates only its
+// result vector. A system with more unknowns fails an OPTIMUS_CHECK.
 
 #ifndef SRC_SOLVER_NNLS_H_
 #define SRC_SOLVER_NNLS_H_

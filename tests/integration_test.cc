@@ -106,12 +106,20 @@ TEST(PlacementFuzzTest, ServerCapacityAndCountsInvariant) {
       SCOPED_TRACE(std::string(PlacementPolicyName(policy)) + " trial " +
                    std::to_string(trial));
       std::vector<Server> scratch = servers;
-      const PlacementResult result = PlaceJobs(policy, jobs, &scratch);
+      const std::vector<PlacedJob> result = PlaceJobs(policy, jobs, &scratch);
+      ASSERT_EQ(result.size(), jobs.size());
 
       // Per-server usage within capacity.
       std::vector<Resources> used(servers.size());
-      for (const auto& [id, placement] : result.placements) {
-        const PlacementJobInput& job = jobs[static_cast<size_t>(id)];
+      for (size_t i = 0; i < jobs.size(); ++i) {
+        const PlacementJobInput& job = jobs[i];
+        const JobPlacement& placement = result[i].placement;
+        // Every job with an active request is either placed with a
+        // non-empty placement or unplaced with an empty one.
+        EXPECT_EQ(result[i].placed, !placement.empty()) << "job " << job.job_id;
+        if (!result[i].placed) {
+          continue;
+        }
         ASSERT_EQ(placement.used_workers.size(), placement.used_servers.size());
         ASSERT_EQ(placement.used_ps.size(), placement.used_servers.size());
         ASSERT_TRUE(std::is_sorted(placement.used_servers.begin(),
@@ -121,7 +129,7 @@ TEST(PlacementFuzzTest, ServerCapacityAndCountsInvariant) {
           used[s] += job.worker_demand * w + job.ps_demand * p;
         });
         // Task counts match the effective allocation.
-        const Allocation eff = result.effective_alloc.at(id);
+        const Allocation eff = result[i].alloc;
         EXPECT_EQ(placement.TotalWorkers(), eff.num_workers);
         EXPECT_EQ(placement.TotalPs(), eff.num_ps);
         // Effective allocation never exceeds the request.
@@ -131,15 +139,6 @@ TEST(PlacementFuzzTest, ServerCapacityAndCountsInvariant) {
       for (size_t s = 0; s < servers.size(); ++s) {
         EXPECT_TRUE(servers[s].capacity().Fits(used[s]))
             << "server " << s << " used " << used[s].ToString();
-      }
-
-      // Every job is either placed or reported unplaced, never both.
-      for (const PlacementJobInput& job : jobs) {
-        const bool placed = result.placements.count(job.job_id) > 0;
-        const bool unplaced =
-            std::find(result.unplaced.begin(), result.unplaced.end(), job.job_id) !=
-            result.unplaced.end();
-        EXPECT_NE(placed, unplaced) << "job " << job.job_id;
       }
     }
   }
@@ -160,11 +159,15 @@ TEST(PlacementFuzzTest, DeterministicAcrossCalls) {
   }
   std::vector<Server> servers_a = servers;
   std::vector<Server> servers_b = servers;
-  const PlacementResult a = PlaceJobs(PlacementPolicy::kOptimusPack, jobs, &servers_a);
-  const PlacementResult b = PlaceJobs(PlacementPolicy::kOptimusPack, jobs, &servers_b);
-  ASSERT_EQ(a.placements.size(), b.placements.size());
-  for (const auto& [id, pa] : a.placements) {
-    const JobPlacement& pb = b.placements.at(id);
+  const std::vector<PlacedJob> a =
+      PlaceJobs(PlacementPolicy::kOptimusPack, jobs, &servers_a);
+  const std::vector<PlacedJob> b =
+      PlaceJobs(PlacementPolicy::kOptimusPack, jobs, &servers_b);
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].placed, b[i].placed);
+    const JobPlacement& pa = a[i].placement;
+    const JobPlacement& pb = b[i].placement;
     EXPECT_EQ(pa.used_servers, pb.used_servers);
     EXPECT_EQ(pa.used_workers, pb.used_workers);
     EXPECT_EQ(pa.used_ps, pb.used_ps);

@@ -3,6 +3,7 @@
 // corrupted incremental state that the cheap path cannot see, and switching
 // audit modes must never perturb the simulation itself.
 
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -155,6 +156,136 @@ TEST(IncrementalAuditorTest, ClearPlacementRemovesContribution) {
   auditor.CheckIncremental(600.0, f.servers, {f.view}, f.counts);
   auditor.CheckTrackerAgainstViews(600.0, {f.view});
   EXPECT_TRUE(auditor.ok()) << auditor.Summary();
+}
+
+// Three jobs tracked in descending id order on two crashed servers, plus an
+// overcommitted live server: the incremental check must report exactly what
+// the full re-derivation reports, in the same ascending (server, job id)
+// order.
+TEST(IncrementalAuditorTest, ModesReportViolationsInTheSameOrder) {
+  std::vector<Server> servers;
+  for (int s = 0; s < 4; ++s) {
+    servers.push_back(Server(s, Resources(16, 64, 0, 1)));
+  }
+  const Resources demand(2.5, 10, 0, 0.15);
+  // Server 1 hosts jobs 3 and 5, server 2 hosts job 7; job 7 also overloads
+  // server 3 with 7 workers (70 GB on a 64 GB server).
+  std::vector<JobPlacement> placements = {
+      {.used_servers = {1}, .used_workers = {1}, .used_ps = {1}},
+      {.used_servers = {1}, .used_workers = {2}, .used_ps = {1}},
+      {.used_servers = {2, 3}, .used_workers = {1, 7}, .used_ps = {1, 0}},
+  };
+  const int ids[] = {3, 5, 7};
+  std::vector<InvariantAuditor::JobView> views;
+  for (size_t j = 0; j < 3; ++j) {
+    InvariantAuditor::JobView view;
+    view.job_id = ids[j];
+    view.state = JobState::kRunning;
+    view.steps_done = 1.0;
+    view.worker_demand = demand;
+    view.ps_demand = demand;
+    view.placement = &placements[j];
+    placements[j].ForEachUsed([&](size_t, int w, int p) {
+      view.num_workers += w;
+      view.num_ps += p;
+    });
+    views.push_back(view);
+  }
+  InvariantAuditor::Counts counts;
+  counts.submitted = 3;
+
+  InvariantAuditor incremental;
+  incremental.SetClusterSize(servers.size());
+  for (size_t j = 3; j-- > 0;) {
+    incremental.SetPlacement(ids[j], demand, demand, placements[j]);
+  }
+  servers[1].SetAvailable(false);
+  servers[2].SetAvailable(false);
+  incremental.CheckIncremental(600.0, servers, views, counts);
+  InvariantAuditor full;
+  full.Check(600.0, servers, views, counts);
+
+  const std::vector<std::string> want = {
+      "dead-server: job 3 has 1 worker(s) and 1 ps on dead server 1",
+      "dead-server: job 5 has 2 worker(s) and 1 ps on dead server 1",
+      "dead-server: job 7 has 1 worker(s) and 1 ps on dead server 2",
+      "capacity: server 3 overcommitted: placed " + (demand * 7).ToString() +
+          " on capacity " + servers[3].capacity().ToString(),
+  };
+  for (const InvariantAuditor* auditor : {&incremental, &full}) {
+    std::vector<std::string> got;
+    for (const AuditViolation& v : auditor->violations()) {
+      got.push_back(v.invariant + ": " + v.detail);
+    }
+    EXPECT_EQ(got, want) << (auditor == &full ? "full" : "incremental");
+  }
+  incremental.CheckTrackerAgainstViews(600.0, views);
+  EXPECT_EQ(incremental.violations().size(), want.size());
+}
+
+// Re-placement churn: jobs move between servers, grow and shrink, pause and
+// resume every round; the tracker must always match the true placements, and
+// the incremental check must agree with the full one.
+TEST(IncrementalAuditorTest, ReplacementChurnKeepsTrackerExact) {
+  constexpr int kServers = 12;
+  constexpr int kJobs = 9;
+  std::vector<Server> servers;
+  for (int s = 0; s < kServers; ++s) {
+    servers.push_back(Server(s, Resources(64, 256, 0, 10)));
+  }
+  const Resources demand(1, 4, 0, 0.1);
+  std::vector<JobPlacement> placements(kJobs);
+  std::vector<InvariantAuditor::JobView> views(kJobs);
+  InvariantAuditor auditor;
+  auditor.SetClusterSize(servers.size());
+  InvariantAuditor::Counts counts;
+  counts.submitted = kJobs;
+  Rng rng(5);
+  for (int round = 0; round < 50; ++round) {
+    for (int j = 0; j < kJobs; ++j) {
+      InvariantAuditor::JobView& view = views[static_cast<size_t>(j)];
+      JobPlacement& placement = placements[static_cast<size_t>(j)];
+      view.job_id = 100 - 7 * j;  // descending ids, as arrivals need not be
+      view.steps_done = round;
+      view.worker_demand = demand;
+      view.ps_demand = demand;
+      placement = {};
+      view.num_ps = 0;
+      view.num_workers = 0;
+      if (rng.Bernoulli(0.2)) {
+        view.state = JobState::kPaused;
+        view.placement = nullptr;
+        auditor.ClearPlacement(view.job_id);
+        continue;
+      }
+      for (int s = 0; s < kServers; ++s) {
+        if (rng.Bernoulli(0.3)) {
+          const int w = static_cast<int>(rng.UniformInt(1, 3));
+          const int p = static_cast<int>(rng.UniformInt(0, 1));
+          placement.used_servers.push_back(s);
+          placement.used_workers.push_back(w);
+          placement.used_ps.push_back(p);
+          view.num_workers += w;
+          view.num_ps += p;
+        }
+      }
+      if (view.num_ps == 0 || view.num_workers == 0) {
+        view.state = JobState::kPaused;
+        view.placement = nullptr;
+        view.num_ps = 0;
+        view.num_workers = 0;
+        auditor.ClearPlacement(view.job_id);
+        continue;
+      }
+      view.state = JobState::kRunning;
+      view.placement = &placement;
+      auditor.SetPlacement(view.job_id, demand, demand, placement);
+    }
+    auditor.CheckIncremental(600.0 * (round + 1), servers, views, counts);
+    auditor.CheckTrackerAgainstViews(600.0 * (round + 1), views);
+    auditor.Check(600.0 * (round + 1), servers, views, counts);
+    ASSERT_TRUE(auditor.ok()) << "round " << round << ": " << auditor.Summary();
+  }
 }
 
 // ---------------------------------------------------------------------------

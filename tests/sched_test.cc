@@ -301,26 +301,27 @@ PlacementJobInput PJob(int id, int p, int w, double cpu = 5.0) {
 }
 
 // PlaceJobs on a scratch copy of `servers`.
-PlacementResult Place(PlacementPolicy policy, const std::vector<PlacementJobInput>& jobs,
-                      std::vector<Server> servers, bool shrink_to_fit = true) {
+std::vector<PlacedJob> Place(PlacementPolicy policy,
+                             const std::vector<PlacementJobInput>& jobs,
+                             std::vector<Server> servers, bool shrink_to_fit = true) {
   return PlaceJobs(policy, jobs, &servers, shrink_to_fit);
 }
 
 TEST(PlacementTest, OptimusPacksOntoFewestServers) {
   // 2 PS + 2 workers at 5 cpu each fit on a single 20-cpu server.
-  PlacementResult result =
+  std::vector<PlacedJob> result =
       Place(PlacementPolicy::kOptimusPack, {PJob(0, 2, 2)}, Uniform(4, 20));
-  ASSERT_TRUE(result.placements.count(0));
-  EXPECT_EQ(result.placements[0].used_servers.size(), 1u);
+  ASSERT_TRUE(result[0].placed);
+  EXPECT_EQ(result[0].placement.used_servers.size(), 1u);
 }
 
 TEST(PlacementTest, OptimusSpreadsEvenlyWhenMultipleServersNeeded) {
   // 4 PS + 4 workers at 5 cpu = 40 cpu; servers hold 20 cpu each => 2 servers
   // with 2 PS + 2 workers each (Theorem 1).
-  PlacementResult result =
+  std::vector<PlacedJob> result =
       Place(PlacementPolicy::kOptimusPack, {PJob(0, 4, 4)}, Uniform(4, 20));
-  ASSERT_TRUE(result.placements.count(0));
-  const JobPlacement& p = result.placements[0];
+  ASSERT_TRUE(result[0].placed);
+  const JobPlacement& p = result[0].placement;
   EXPECT_EQ(p.used_servers.size(), 2u);
   p.ForEachUsed([](size_t s, int w, int ps) {
     EXPECT_EQ(w, 2) << "server " << s;
@@ -333,15 +334,15 @@ TEST(PlacementTest, CountsMatchAllocation) {
        {PlacementPolicy::kOptimusPack, PlacementPolicy::kLoadBalance,
         PlacementPolicy::kTetrisPack}) {
     SCOPED_TRACE(PlacementPolicyName(policy));
-    PlacementResult result =
+    std::vector<PlacedJob> result =
         Place(policy, {PJob(0, 3, 5), PJob(1, 2, 2)}, Uniform(6, 20));
     for (int id : {0, 1}) {
-      ASSERT_TRUE(result.placements.count(id));
-      const JobPlacement& p = result.placements[id];
+      ASSERT_TRUE(result[id].placed);
+      const JobPlacement& p = result[id].placement;
       const Allocation want = id == 0 ? Allocation{3, 5} : Allocation{2, 2};
       EXPECT_EQ(p.TotalPs(), want.num_ps);
       EXPECT_EQ(p.TotalWorkers(), want.num_workers);
-      EXPECT_TRUE(result.effective_alloc[id] == want);
+      EXPECT_TRUE(result[id].alloc == want);
     }
   }
 }
@@ -355,12 +356,12 @@ TEST(PlacementTest, RespectsServerCapacity) {
     for (int i = 0; i < 4; ++i) {
       jobs.push_back(PJob(i, 2, 2));
     }
-    PlacementResult result = Place(policy, jobs, Uniform(4, 20));
+    std::vector<PlacedJob> result = Place(policy, jobs, Uniform(4, 20));
     // 4 jobs x 4 tasks x 5 cpu = 80 cpu = total capacity: per-server loads
     // must never exceed 4 tasks.
     std::vector<int> per_server(4, 0);
-    for (const auto& [id, p] : result.placements) {
-      p.ForEachUsed([&](size_t s, int w, int ps) { per_server[s] += w + ps; });
+    for (const PlacedJob& r : result) {
+      r.placement.ForEachUsed([&](size_t s, int w, int ps) { per_server[s] += w + ps; });
     }
     for (int c : per_server) {
       EXPECT_LE(c, 4);
@@ -371,28 +372,28 @@ TEST(PlacementTest, RespectsServerCapacity) {
 TEST(PlacementTest, ShrinkToFitReducesOversizedJob) {
   // 8+8 tasks cannot fit on 2 small servers; shrink-to-fit should find a
   // smaller allocation rather than pausing the job.
-  PlacementResult result =
+  std::vector<PlacedJob> result =
       Place(PlacementPolicy::kOptimusPack, {PJob(0, 8, 8)}, Uniform(2, 20));
-  ASSERT_TRUE(result.placements.count(0));
-  const Allocation eff = result.effective_alloc[0];
+  ASSERT_TRUE(result[0].placed);
+  const Allocation eff = result[0].alloc;
   EXPECT_LT(eff.num_workers, 8);
   EXPECT_GE(eff.num_workers, 1);
-  EXPECT_EQ(result.unplaced.size(), 0u);
 }
 
 TEST(PlacementTest, WithoutShrinkOversizedJobIsUnplaced) {
-  PlacementResult result = Place(PlacementPolicy::kOptimusPack, {PJob(0, 8, 8)},
+  std::vector<PlacedJob> result = Place(PlacementPolicy::kOptimusPack, {PJob(0, 8, 8)},
                                  Uniform(2, 20), /*shrink_to_fit=*/false);
-  EXPECT_EQ(result.placements.size(), 0u);
-  ASSERT_EQ(result.unplaced.size(), 1u);
-  EXPECT_EQ(result.unplaced[0], 0);
+  ASSERT_EQ(result.size(), 1u);
+  EXPECT_FALSE(result[0].placed);
+  EXPECT_TRUE(result[0].placement.empty());
+  EXPECT_TRUE(result[0].alloc == Allocation{});
 }
 
 TEST(PlacementTest, LoadBalanceSpreadsTasks) {
-  PlacementResult result =
+  std::vector<PlacedJob> result =
       Place(PlacementPolicy::kLoadBalance, {PJob(0, 2, 2)}, Uniform(4, 20));
-  ASSERT_TRUE(result.placements.count(0));
-  EXPECT_EQ(result.placements[0].used_servers.size(), 4u);  // one task per server
+  ASSERT_TRUE(result[0].placed);
+  EXPECT_EQ(result[0].placement.used_servers.size(), 4u);  // one task per server
 }
 
 TEST(PlacementTest, TetrisPacksTightly) {
@@ -400,10 +401,10 @@ TEST(PlacementTest, TetrisPacksTightly) {
   // should use it instead of opening empty servers.
   std::vector<Server> servers = Uniform(3, 20);
   servers[1].Allocate(Resources(10, 100, 0, 1));
-  PlacementResult result =
+  std::vector<PlacedJob> result =
       Place(PlacementPolicy::kTetrisPack, {PJob(0, 1, 1)}, servers);
-  ASSERT_TRUE(result.placements.count(0));
-  const JobPlacement& p = result.placements[0];
+  ASSERT_TRUE(result[0].placed);
+  const JobPlacement& p = result[0].placement;
   EXPECT_EQ(p.used_servers, std::vector<int>{1});
   EXPECT_EQ(p.used_workers[0] + p.used_ps[0], 2);
 }
@@ -411,9 +412,9 @@ TEST(PlacementTest, TetrisPacksTightly) {
 TEST(PlacementTest, SmallestJobPlacedFirstAvoidsStarvation) {
   // One huge job and one tiny job compete for a small cluster; the tiny job
   // must be placed.
-  PlacementResult result = Place(PlacementPolicy::kOptimusPack,
+  std::vector<PlacedJob> result = Place(PlacementPolicy::kOptimusPack,
                                  {PJob(0, 6, 6), PJob(1, 1, 1)}, Uniform(2, 20));
-  EXPECT_TRUE(result.placements.count(1));
+  EXPECT_TRUE(result[1].placed);
 }
 
 TEST(PlacementTest, HeterogeneousServersHandled) {
@@ -424,18 +425,19 @@ TEST(PlacementTest, HeterogeneousServersHandled) {
   servers.emplace_back(1, Resources(16, 80, 0, 1));
   servers.emplace_back(2, Resources(8, 48, 0, 1));
   servers.emplace_back(3, Resources(8, 48, 0, 1));
-  PlacementResult result =
+  std::vector<PlacedJob> result =
       Place(PlacementPolicy::kOptimusPack, {PJob(0, 4, 4)}, servers);
-  ASSERT_TRUE(result.placements.count(0));
-  EXPECT_TRUE(result.effective_alloc[0] == (Allocation{4, 4}));
+  ASSERT_TRUE(result[0].placed);
+  EXPECT_TRUE(result[0].alloc == (Allocation{4, 4}));
 }
 
 TEST(PlacementTest, InactiveJobsSkipped) {
-  PlacementResult result = Place(PlacementPolicy::kOptimusPack,
+  std::vector<PlacedJob> result = Place(PlacementPolicy::kOptimusPack,
                                  {PJob(0, 0, 0), PJob(1, 1, 1)}, Uniform(2, 20));
-  EXPECT_FALSE(result.placements.count(0));
-  EXPECT_TRUE(result.placements.count(1));
-  EXPECT_TRUE(result.unplaced.empty());
+  ASSERT_EQ(result.size(), 2u);
+  EXPECT_FALSE(result[0].placed);
+  EXPECT_TRUE(result[0].placement.empty());
+  EXPECT_TRUE(result[1].placed);
 }
 
 }  // namespace

@@ -159,30 +159,23 @@ TEST(ShardedPlacementTest, DecisionsInvariantAcrossShardCounts) {
 
       // Reference: the default (empty) plan, i.e. one shard.
       std::vector<Server> ref_servers = servers;
-      const PlacementResult ref =
+      const std::vector<PlacedJob> ref =
           PlaceJobs(policy, jobs, &ref_servers, /*shrink_to_fit=*/true, rack_size);
       for (const int shards : {1, 2, 4, 8}) {
         const std::string label = std::string(PlacementPolicyName(policy)) +
                                   " trial " + std::to_string(trial) +
                                   " shards=" + std::to_string(shards);
         std::vector<Server> got_servers = servers;
-        const PlacementResult got =
+        const std::vector<PlacedJob> got =
             PlaceJobs(policy, jobs, &got_servers, /*shrink_to_fit=*/true, rack_size,
                       ShardPlan::Build(shards, n_servers, rack_size));
-        EXPECT_EQ(ref.unplaced, got.unplaced) << label;
-        ASSERT_EQ(ref.placements.size(), got.placements.size()) << label;
-        for (const auto& [id, placement] : ref.placements) {
-          const auto it = got.placements.find(id);
-          ASSERT_NE(it, got.placements.end()) << label << " job " << id;
-          EXPECT_EQ(placement.used_servers, it->second.used_servers) << label;
-          EXPECT_EQ(placement.used_workers, it->second.used_workers) << label;
-          EXPECT_EQ(placement.used_ps, it->second.used_ps) << label;
-        }
-        ASSERT_EQ(ref.effective_alloc.size(), got.effective_alloc.size()) << label;
-        for (const auto& [id, alloc] : ref.effective_alloc) {
-          const auto it = got.effective_alloc.find(id);
-          ASSERT_NE(it, got.effective_alloc.end()) << label;
-          EXPECT_TRUE(alloc == it->second) << label << " job " << id;
+        ASSERT_EQ(ref.size(), got.size()) << label;
+        for (size_t i = 0; i < ref.size(); ++i) {
+          EXPECT_EQ(ref[i].placed, got[i].placed) << label << " job " << i;
+          EXPECT_TRUE(ref[i].alloc == got[i].alloc) << label << " job " << i;
+          EXPECT_EQ(ref[i].placement.used_servers, got[i].placement.used_servers) << label;
+          EXPECT_EQ(ref[i].placement.used_workers, got[i].placement.used_workers) << label;
+          EXPECT_EQ(ref[i].placement.used_ps, got[i].placement.used_ps) << label;
         }
         // The servers end in the same free state either way.
         for (int s = 0; s < n_servers; ++s) {

@@ -185,6 +185,102 @@ TEST(NnlsTest, RecoversNonNegativeGroundTruth) {
   }
 }
 
+// A seeded Gram system over 40 correlated samples: every feature is a shared
+// base plus a small per-feature offset, so the active set has real work to do.
+GramSystem SeededGram(size_t dims, uint64_t seed, const Vector& truth) {
+  Rng rng(seed);
+  GramSystem gram(dims);
+  Vector f(dims);
+  for (int r = 0; r < 40; ++r) {
+    const double base = rng.Uniform(0.1, 2.0);
+    double y = 0.0;
+    for (size_t c = 0; c < dims; ++c) {
+      f[c] = base + rng.Uniform(0.0, 0.3);
+      y += f[c] * truth[c];
+    }
+    y += rng.Normal(0.0, 0.05);
+    gram.Add(f, y);
+  }
+  return gram;
+}
+
+struct PinnedNnls {
+  Vector x;
+  int iterations;
+  bool converged;
+  double rss;
+};
+
+void ExpectPinned(const NnlsResult& got, const PinnedNnls& want) {
+  ASSERT_EQ(got.x.size(), want.x.size());
+  for (size_t i = 0; i < want.x.size(); ++i) {
+    EXPECT_EQ(got.x[i], want.x[i]) << "x[" << i << "]";
+  }
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.converged, want.converged);
+  EXPECT_EQ(got.residual_sum_of_squares, want.rss);
+}
+
+// Bit-for-bit outputs of the active-set solver at the sizes its callers use
+// (convergence 2, speed 4 and 5, DL2 6). Any change to the order of the
+// solver's floating-point operations shows up here.
+TEST(NnlsPinTest, TwoUnknowns) {
+  ExpectPinned(SolveNnlsGram(SeededGram(2, 11, {0.8, 0.3})),
+               {{0x1.a401883281cb9p-1, 0x1.1d370078e8c5fp-2}, 2, true,
+                0x1.186f1e395b4p-3});
+}
+
+TEST(NnlsPinTest, FourUnknownsZeroesANegativeCoefficient) {
+  ExpectPinned(SolveNnlsGram(SeededGram(4, 12, {1.0, -0.5, 2.0, 0.3})),
+               {{0x1.d025a16f3e7a9p-1, 0.0, 0x1.c29cdb3ddff16p+0, 0x1.29494b0f62421p-3},
+                3,
+                true,
+                0x1.229bfcfad5p-2});
+}
+
+TEST(NnlsPinTest, FiveUnknowns) {
+  ExpectPinned(SolveNnlsGram(SeededGram(5, 13, {1.0, 2.8, 4.9, 0.0, 0.02})),
+               {{0x1.f7c9f4c6f7aafp-1, 0x1.559174df7a692p+1, 0x1.43a277e148bcfp+2, 0.0,
+                 0.0},
+                3,
+                true,
+                0x1.c54e232ecp-4});
+}
+
+TEST(NnlsPinTest, SixUnknownsStepsBackToTheActiveSet) {
+  // Six iterations for four positive coefficients: two inner steps moved a
+  // passive variable back to zero.
+  ExpectPinned(SolveNnlsGram(SeededGram(6, 14, {0.5, 1.5, -1.0, 0.7, 0.0, 2.2})),
+               {{0x1.3dcaca57475ddp-3, 0x1.155e8a677dedap+0, 0.0, 0x1.5b40381c6136ap-1,
+                 0.0, 0x1.f8c98e5756819p+0},
+                6,
+                true,
+                0x1.45fb02640c8p-1});
+}
+
+TEST(NnlsPinTest, NumericallySingularSubsetIsDropped) {
+  // The 2x2 subset is indefinite by 1e-9, below the Cholesky ridge: every
+  // attempt to add the second variable fails, drops it, and re-picks it until
+  // the iteration cap.
+  Matrix ata(2, 2);
+  ata(0, 0) = 1.0;
+  ata(0, 1) = -1.0;
+  ata(1, 0) = -1.0;
+  ata(1, 1) = 1.0 - 1e-9;
+  ExpectPinned(SolveNnlsGram(ata, {1.0, 1.0}, 1.0),
+               {{0x1.fffffffffdcdp-1, 0.0}, 300, false, 0.0});
+}
+
+TEST(NnlsPinTest, AboveFixedCapacityFailsTheCheck) {
+  const size_t dims = kMaxSolveDims + 1;
+  const GramSystem gram(dims);
+  EXPECT_DEATH(SolveNnlsGram(gram), "NNLS supports at most 8 unknowns, got 9");
+  const Matrix m(dims, dims);
+  const Vector b(dims, 0.0);
+  Vector x;
+  EXPECT_DEATH(SolveSpd(m, b, &x), "SolveSpd supports at most 8 unknowns, got 9");
+}
+
 TEST(DotTest, Basic) {
   EXPECT_DOUBLE_EQ(Dot({1, 2, 3}, {4, 5, 6}), 32.0);
 }

@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Counter gate over the ledger's smoke runs.
+
+    python3 tools/ledger_gate.py            # check against the committed file
+    python3 tools/ledger_gate.py --update   # rewrite the committed file
+
+For each ledger workload it runs
+
+    python3 bench/ledger/run.py --smoke --workload W --trace 1 --seed 7
+
+and compares the run's `output_digest` and every per-layer metric whose unit
+is `count` with tests/golden/ledger_smoke.json. These values are deterministic
+for a given seed, so any difference is a behaviour change. Wall times are not
+gated. Exit codes: 0 = all equal, 1 = a value differs or a run failed (each
+difference is printed with its workload and metric name), 2 = bad usage.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN = os.path.join(ROOT, "tests", "golden", "ledger_smoke.json")
+WORKLOADS = ["interval-steady", "events-fabric", "sched-steady", "stream-1m",
+             "serve"]
+SEED = 7
+
+
+def run_workload(name):
+    """Returns {key: value} for one smoke run: output_digest plus counts."""
+    cmd = [sys.executable, os.path.join(ROOT, "bench", "ledger", "run.py"),
+           "--smoke", "--workload", name, "--trace", "1", "--seed", str(SEED)]
+    proc = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise RuntimeError(f"{name}: ledger exited {proc.returncode}")
+    lines = proc.stdout.splitlines()
+    digest = None
+    for line in lines:
+        if line.startswith("output_digest"):
+            digest = line.split()[1]
+    if digest is None or not lines:
+        raise RuntimeError(f"{name}: ledger printed no output_digest")
+    result = json.loads(lines[-1])
+    if result.get("failed", 0) != 0:
+        raise RuntimeError(f"{name}: {result['failed']} failed call(s)")
+    values = {"output_digest": digest}
+    for metric, entry in sorted(result["metrics"].items()):
+        if entry["unit"] == "count":
+            values[metric] = entry["value"]
+    return values
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--update", action="store_true",
+                        help="rewrite tests/golden/ledger_smoke.json")
+    args = parser.parse_args()
+
+    got = {}
+    for name in WORKLOADS:
+        try:
+            got[name] = run_workload(name)
+        except RuntimeError as err:
+            print(f"ledger_gate: {err}", file=sys.stderr)
+            return 1
+
+    if args.update:
+        with open(GOLDEN, "w") as out:
+            json.dump({"seed": SEED, "workloads": got}, out, indent=2,
+                      sort_keys=True)
+            out.write("\n")
+        print(f"ledger_gate: wrote {os.path.relpath(GOLDEN, ROOT)}")
+        return 0
+
+    with open(GOLDEN) as f:
+        want = json.load(f)["workloads"]
+    diffs = []
+    for name in WORKLOADS:
+        expected = want.get(name, {})
+        for key in sorted(set(expected) | set(got[name])):
+            a = expected.get(key)
+            b = got[name].get(key)
+            if a != b:
+                diffs.append(f"{name} {key}: committed {a}, got {b}")
+    for d in diffs:
+        print(f"ledger_gate: {d}", file=sys.stderr)
+    if diffs:
+        return 1
+    print(f"ledger_gate: OK ({len(WORKLOADS)} workloads match "
+          f"{os.path.relpath(GOLDEN, ROOT)})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
