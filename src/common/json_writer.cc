@@ -1,6 +1,7 @@
 #include "src/common/json_writer.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -40,13 +41,21 @@ std::string EncodeJsonString(const std::string& s) {
   return out;
 }
 
+void AppendDouble17(double value, std::string* out) {
+  // "-" + 17 digits + "." + "e-308" fits in 24 chars; 32 leaves headroom.
+  char buf[32];
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof(buf), value, std::chars_format::general, 17);
+  out->append(buf, r.ptr);
+}
+
 std::string EncodeJsonDouble(double value) {
   if (!std::isfinite(value)) {
     return "null";  // JSON has no NaN/Inf
   }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
+  std::string out;
+  AppendDouble17(value, &out);
+  return out;
 }
 
 std::string CompactJson(const std::string& encoded) {

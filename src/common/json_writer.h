@@ -19,8 +19,15 @@ namespace optimus {
 // JSON-escapes `s` and wraps it in double quotes.
 std::string EncodeJsonString(const std::string& s);
 
-// Shortest-round-trip 17-significant-digit encoding; non-finite values are
-// emitted as null (JSON has no NaN/Inf).
+// Appends `value` exactly as printf("%.17g") prints it in the C locale, via
+// std::to_chars, so the bytes never depend on the process's global locale.
+// 17 significant digits round-trip every double; integral values print
+// without a trailing ".0" ("42"); non-finite values print nan, -nan, inf or
+// -inf. The one double formatter behind every JSON and metrics export.
+void AppendDouble17(double value, std::string* out);
+
+// AppendDouble17 as a JSON value: non-finite values are emitted as null
+// (JSON has no NaN/Inf).
 std::string EncodeJsonDouble(double value);
 
 // Strips insignificant whitespace from already-encoded JSON text (string

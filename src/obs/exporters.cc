@@ -1,18 +1,16 @@
 #include "src/obs/exporters.h"
 
 #include <ostream>
-#include <sstream>
 
 #include "src/common/logging.h"
 #include "src/obs/text_format.h"
 
 namespace optimus {
 
-using obs_internal::EscapeJson;
-using obs_internal::FormatDouble17;
+using obs_internal::AppendInt;
 
 void MetricsSeries::Sample(double time_s, const MetricsRegistry& registry) {
-  if (columns_.empty()) {
+  if (times_.empty()) {
     for (size_t i = 0; i < registry.size(); ++i) {
       const Metric& m = registry.metric(i);
       if (m.profiling()) {
@@ -26,8 +24,14 @@ void MetricsSeries::Sample(double time_s, const MetricsRegistry& registry) {
       }
     }
   }
-  std::vector<double> row;
-  row.reserve(columns_.size());
+  encoded_rows_ += times_.empty() ? "\n      [" : ",\n      [";
+  AppendDouble17(time_s, &encoded_rows_);
+  size_t values = 0;
+  const auto append = [&](double v) {
+    encoded_rows_ += ", ";
+    AppendDouble17(v, &encoded_rows_);
+    ++values;
+  };
   for (size_t i = 0; i < registry.size(); ++i) {
     const Metric& m = registry.metric(i);
     if (m.profiling()) {
@@ -35,154 +39,164 @@ void MetricsSeries::Sample(double time_s, const MetricsRegistry& registry) {
     }
     switch (m.kind()) {
       case MetricKind::kCounter:
-        row.push_back(static_cast<const Counter&>(m).value());
+        append(static_cast<const Counter&>(m).value());
         break;
       case MetricKind::kGauge:
-        row.push_back(static_cast<const Gauge&>(m).value());
+        append(static_cast<const Gauge&>(m).value());
         break;
       case MetricKind::kHistogram: {
         const auto& h = static_cast<const Histogram&>(m);
-        row.push_back(static_cast<double>(h.count()));
-        row.push_back(h.sum());
+        append(static_cast<double>(h.count()));
+        append(h.sum());
         break;
       }
     }
   }
-  OPTIMUS_CHECK_EQ(row.size(), columns_.size())
+  OPTIMUS_CHECK_EQ(values, columns_.size())
       << "metrics were registered after the first Sample()";
+  encoded_rows_ += ']';
   times_.push_back(time_s);
-  rows_.push_back(std::move(row));
 }
 
-void ExportPrometheus(const MetricsRegistry& registry, std::ostream& os,
-                      const ExportOptions& options) {
+std::string ExportPrometheusString(const MetricsRegistry& registry,
+                                   const ExportOptions& options) {
+  std::string out;
   for (size_t i = 0; i < registry.size(); ++i) {
     const Metric& m = registry.metric(i);
     if (m.profiling() && !options.include_profiling) {
       continue;
     }
-    os << "# HELP " << m.name() << " " << m.help() << "\n";
-    os << "# TYPE " << m.name() << " " << MetricKindName(m.kind()) << "\n";
+    out += "# HELP " + m.name() + " " + m.help() + "\n";
+    out += "# TYPE " + m.name() + " " + MetricKindName(m.kind()) + "\n";
     switch (m.kind()) {
       case MetricKind::kCounter:
-        os << m.name() << " " << FormatDouble17(static_cast<const Counter&>(m).value())
-           << "\n";
+        out += m.name() + " ";
+        AppendDouble17(static_cast<const Counter&>(m).value(), &out);
+        out += '\n';
         break;
       case MetricKind::kGauge:
-        os << m.name() << " " << FormatDouble17(static_cast<const Gauge&>(m).value())
-           << "\n";
+        out += m.name() + " ";
+        AppendDouble17(static_cast<const Gauge&>(m).value(), &out);
+        out += '\n';
         break;
       case MetricKind::kHistogram: {
         const auto& h = static_cast<const Histogram&>(m);
         int64_t cumulative = 0;
         for (size_t b = 0; b < h.bounds().size(); ++b) {
           cumulative += h.buckets()[b];
-          os << m.name() << "_bucket{le=\"" << FormatDouble17(h.bounds()[b]) << "\"} "
-             << cumulative << "\n";
+          out += m.name() + "_bucket{le=\"";
+          AppendDouble17(h.bounds()[b], &out);
+          out += "\"} ";
+          AppendInt(cumulative, &out);
+          out += '\n';
         }
-        os << m.name() << "_bucket{le=\"+Inf\"} " << h.count() << "\n";
-        os << m.name() << "_sum " << FormatDouble17(h.sum()) << "\n";
-        os << m.name() << "_count " << h.count() << "\n";
+        out += m.name() + "_bucket{le=\"+Inf\"} ";
+        AppendInt(h.count(), &out);
+        out += "\n" + m.name() + "_sum ";
+        AppendDouble17(h.sum(), &out);
+        out += "\n" + m.name() + "_count ";
+        AppendInt(h.count(), &out);
+        out += '\n';
         break;
       }
     }
   }
+  return out;
 }
 
-std::string ExportPrometheusString(const MetricsRegistry& registry,
-                                   const ExportOptions& options) {
-  std::ostringstream os;
-  ExportPrometheus(registry, os, options);
-  return os.str();
-}
-
-void ExportJsonReport(const MetricsRegistry& registry, const MetricsSeries* series,
-                      const FlightRecorder* flight, std::ostream& os,
+void ExportPrometheus(const MetricsRegistry& registry, std::ostream& os,
                       const ExportOptions& options) {
-  os << "{\n";
-  os << "  \"format\": \"optimus-run-report-v1\",\n";
-
-  // Final registry snapshot.
-  os << "  \"metrics\": {";
-  bool first = true;
-  for (size_t i = 0; i < registry.size(); ++i) {
-    const Metric& m = registry.metric(i);
-    if (m.profiling() && !options.include_profiling) {
-      continue;
-    }
-    os << (first ? "\n" : ",\n");
-    first = false;
-    os << "    \"" << m.name() << "\": {\"type\": \"" << MetricKindName(m.kind())
-       << "\"";
-    if (m.profiling()) {
-      os << ", \"profiling\": true";
-    }
-    switch (m.kind()) {
-      case MetricKind::kCounter:
-        os << ", \"value\": " << FormatDouble17(static_cast<const Counter&>(m).value());
-        break;
-      case MetricKind::kGauge:
-        os << ", \"value\": " << FormatDouble17(static_cast<const Gauge&>(m).value());
-        break;
-      case MetricKind::kHistogram: {
-        const auto& h = static_cast<const Histogram&>(m);
-        os << ", \"count\": " << h.count() << ", \"sum\": " << FormatDouble17(h.sum());
-        os << ", \"bounds\": [";
-        for (size_t b = 0; b < h.bounds().size(); ++b) {
-          os << (b == 0 ? "" : ", ") << FormatDouble17(h.bounds()[b]);
-        }
-        os << "], \"buckets\": [";
-        for (size_t b = 0; b < h.buckets().size(); ++b) {
-          os << (b == 0 ? "" : ", ") << h.buckets()[b];
-        }
-        os << "]";
-        os << ", \"p50\": " << FormatDouble17(h.Quantile(0.50));
-        os << ", \"p95\": " << FormatDouble17(h.Quantile(0.95));
-        os << ", \"p99\": " << FormatDouble17(h.Quantile(0.99));
-        break;
-      }
-    }
-    os << "}";
-  }
-  os << (first ? "" : "\n  ") << "},\n";
-
-  // Per-interval time series.
-  os << "  \"series\": {";
-  if (series != nullptr && series->num_rows() > 0) {
-    os << "\n    \"columns\": [\"time_s\"";
-    for (const std::string& c : series->columns()) {
-      os << ", \"" << c << "\"";
-    }
-    os << "],\n    \"rows\": [";
-    for (size_t r = 0; r < series->num_rows(); ++r) {
-      os << (r == 0 ? "\n" : ",\n") << "      ["
-         << FormatDouble17(series->times()[r]);
-      for (double v : series->row(r)) {
-        os << ", " << FormatDouble17(v);
-      }
-      os << "]";
-    }
-    os << "\n    ]\n  ";
-  }
-  os << "},\n";
-
-  // Flight-recorder tail.
-  os << "  \"flight_recorder\": ";
-  if (flight != nullptr && flight->enabled()) {
-    flight->WriteJson(os, 1);
-  } else {
-    os << "[]";
-  }
-  os << "\n}\n";
+  os << ExportPrometheusString(registry, options);
 }
 
 std::string ExportJsonReportString(const MetricsRegistry& registry,
                                    const MetricsSeries* series,
                                    const FlightRecorder* flight,
                                    const ExportOptions& options) {
-  std::ostringstream os;
-  ExportJsonReport(registry, series, flight, os, options);
-  return os.str();
+  std::string out = "{\n";
+  out += "  \"format\": \"optimus-run-report-v1\",\n";
+
+  // Final registry snapshot.
+  out += "  \"metrics\": {";
+  bool first = true;
+  for (size_t i = 0; i < registry.size(); ++i) {
+    const Metric& m = registry.metric(i);
+    if (m.profiling() && !options.include_profiling) {
+      continue;
+    }
+    out += first ? "\n" : ",\n";
+    first = false;
+    out += "    \"" + m.name() + "\": {\"type\": \"" + MetricKindName(m.kind()) + "\"";
+    if (m.profiling()) {
+      out += ", \"profiling\": true";
+    }
+    switch (m.kind()) {
+      case MetricKind::kCounter:
+        out += ", \"value\": ";
+        AppendDouble17(static_cast<const Counter&>(m).value(), &out);
+        break;
+      case MetricKind::kGauge:
+        out += ", \"value\": ";
+        AppendDouble17(static_cast<const Gauge&>(m).value(), &out);
+        break;
+      case MetricKind::kHistogram: {
+        const auto& h = static_cast<const Histogram&>(m);
+        out += ", \"count\": ";
+        AppendInt(h.count(), &out);
+        out += ", \"sum\": ";
+        AppendDouble17(h.sum(), &out);
+        out += ", \"bounds\": [";
+        for (size_t b = 0; b < h.bounds().size(); ++b) {
+          out += b == 0 ? "" : ", ";
+          AppendDouble17(h.bounds()[b], &out);
+        }
+        out += "], \"buckets\": [";
+        for (size_t b = 0; b < h.buckets().size(); ++b) {
+          out += b == 0 ? "" : ", ";
+          AppendInt(h.buckets()[b], &out);
+        }
+        out += "], \"p50\": ";
+        AppendDouble17(h.Quantile(0.50), &out);
+        out += ", \"p95\": ";
+        AppendDouble17(h.Quantile(0.95), &out);
+        out += ", \"p99\": ";
+        AppendDouble17(h.Quantile(0.99), &out);
+        break;
+      }
+    }
+    out += '}';
+  }
+  out += first ? "" : "\n  ";
+  out += "},\n";
+
+  // Per-interval time series, encoded row by row at sample time.
+  out += "  \"series\": {";
+  if (series != nullptr && series->num_rows() > 0) {
+    out += "\n    \"columns\": [\"time_s\"";
+    for (const std::string& c : series->columns()) {
+      out += ", \"" + c + "\"";
+    }
+    out += "],\n    \"rows\": [";
+    out += series->encoded_rows();
+    out += "\n    ]\n  ";
+  }
+  out += "},\n";
+
+  // Flight-recorder tail.
+  out += "  \"flight_recorder\": ";
+  if (flight != nullptr && flight->enabled()) {
+    flight->AppendJson(&out, 1);
+  } else {
+    out += "[]";
+  }
+  out += "\n}\n";
+  return out;
+}
+
+void ExportJsonReport(const MetricsRegistry& registry, const MetricsSeries* series,
+                      const FlightRecorder* flight, std::ostream& os,
+                      const ExportOptions& options) {
+  os << ExportJsonReportString(registry, series, flight, options);
 }
 
 }  // namespace optimus

@@ -1,11 +1,14 @@
 // Exporters: Prometheus text format and a JSON time-series run report.
 //
-// Both exporters walk the registry in registration order and format numbers
-// with 17 significant digits, so for a fixed simulation outcome the exported
-// bytes are fixed too — the determinism tests compare exports bitwise across
-// thread counts. Profiling metrics (host wall-clock) are included for human
-// consumption by default and excluded (include_profiling = false) wherever
-// bitwise stability matters: determinism comparisons and golden files.
+// Both exporters walk the registry in registration order and build their
+// output in one string. Every number is printed as printf("%.17g") in the C
+// locale (AppendDouble17, src/common/json_writer.h; integers via
+// std::to_chars), independent of the process's locale, so for a fixed
+// simulation outcome the exported bytes are fixed too — the determinism tests
+// compare exports bitwise across thread counts. Profiling metrics (host
+// wall-clock) are included for human consumption by default and excluded
+// (include_profiling = false) wherever bitwise stability matters: determinism
+// comparisons and golden files.
 //
 // Formats:
 //   Prometheus — standard text exposition: # HELP / # TYPE lines, counters
@@ -13,7 +16,9 @@
 //     samples plus `_sum` / `_count`.
 //   JSON run report — one self-contained object: the final registry snapshot
 //     (histograms with buckets and p50/p95/p99), the per-interval time series
-//     sampled by MetricsSeries, and the flight-recorder tail.
+//     sampled by MetricsSeries, and the flight-recorder tail. The series rows
+//     are encoded once, when sampled, so a report's cost does not grow with
+//     the number of rows.
 
 #ifndef SRC_OBS_EXPORTERS_H_
 #define SRC_OBS_EXPORTERS_H_
@@ -37,6 +42,9 @@ struct ExportOptions {
 // every non-profiling counter and gauge, plus `_count` / `_sum` per
 // non-profiling histogram. The column set is frozen at the first Sample()
 // call (register all metrics first); every row carries one value per column.
+//
+// Each row is encoded as JSON text once, at sample time, and appended to one
+// string; the run report writes that string in a single call.
 class MetricsSeries {
  public:
   void Sample(double time_s, const MetricsRegistry& registry);
@@ -44,12 +52,14 @@ class MetricsSeries {
   size_t num_rows() const { return times_.size(); }
   const std::vector<std::string>& columns() const { return columns_; }
   const std::vector<double>& times() const { return times_; }
-  const std::vector<double>& row(size_t i) const { return rows_[i]; }
+  // The elements of the report's "rows" array, each on its own indented
+  // line: `[time_s, v1, v2, ...]`, comma-separated.
+  const std::string& encoded_rows() const { return encoded_rows_; }
 
  private:
   std::vector<std::string> columns_;
   std::vector<double> times_;
-  std::vector<std::vector<double>> rows_;
+  std::string encoded_rows_;
 };
 
 // Prometheus text exposition of the registry.

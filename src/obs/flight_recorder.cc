@@ -7,6 +7,8 @@
 
 namespace optimus {
 
+using obs_internal::AppendInt;
+
 FlightRecorder::FlightRecorder(int depth)
     : capacity_(depth > 0 ? static_cast<size_t>(depth) : 0) {
   if (capacity_ > 0) {
@@ -71,24 +73,43 @@ void FlightRecorder::Dump(std::ostream& os) const {
   }
 }
 
-void FlightRecorder::WriteJson(std::ostream& os, int indent) const {
+void FlightRecorder::AppendJson(std::string* out, int indent) const {
   const std::string pad(static_cast<size_t>(indent) * 2, ' ');
-  os << "[";
-  bool first = true;
-  for (const FlightEvent& e : Events()) {
-    os << (first ? "\n" : ",\n") << pad << "  {\"seq\": " << e.seq
-       << ", \"time_s\": " << obs_internal::FormatDouble17(e.time_s)
-       << ", \"kind\": \"" << SimEventTypeName(e.kind) << "\""
-       << ", \"job\": " << e.job_id << ", \"ps\": " << e.num_ps
-       << ", \"workers\": " << e.num_workers
-       << ", \"value\": " << obs_internal::FormatDouble17(e.value)
-       << ", \"detail\": \"" << obs_internal::EscapeJson(e.detail) << "\"}";
-    first = false;
+  *out += '[';
+  const uint64_t first = next_seq_ - size();  // oldest retained sequence number
+  for (uint64_t s = first; s < next_seq_; ++s) {
+    const FlightEvent& e = ring_[static_cast<size_t>(s % capacity_)];
+    *out += s == first ? "\n" : ",\n";
+    *out += pad;
+    *out += "  {\"seq\": ";
+    AppendInt(e.seq, out);
+    *out += ", \"time_s\": ";
+    AppendDouble17(e.time_s, out);
+    *out += ", \"kind\": \"";
+    *out += SimEventTypeName(e.kind);
+    *out += "\", \"job\": ";
+    AppendInt(e.job_id, out);
+    *out += ", \"ps\": ";
+    AppendInt(e.num_ps, out);
+    *out += ", \"workers\": ";
+    AppendInt(e.num_workers, out);
+    *out += ", \"value\": ";
+    AppendDouble17(e.value, out);
+    *out += ", \"detail\": \"";
+    obs_internal::AppendEscapedJson(e.detail, out);
+    *out += "\"}";
   }
-  if (!first) {
-    os << "\n" << pad;
+  if (first < next_seq_) {
+    *out += '\n';
+    *out += pad;
   }
-  os << "]";
+  *out += ']';
+}
+
+void FlightRecorder::WriteJson(std::ostream& os, int indent) const {
+  std::string out;
+  AppendJson(&out, indent);
+  os << out;
 }
 
 }  // namespace optimus

@@ -59,8 +59,11 @@ class FlightRecorder {
   // on-violation post-mortem.
   void Dump(std::ostream& os) const;
 
-  // JSON array of events, oldest first (deterministic field order).
+  // JSON array of events, oldest first (deterministic field order). Numbers
+  // are locale-independent (see src/obs/text_format.h).
   void WriteJson(std::ostream& os, int indent = 0) const;
+  // The same array appended to `out`, for exporters that build one string.
+  void AppendJson(std::string* out, int indent = 0) const;
 
  private:
   size_t capacity_;

@@ -1,59 +1,72 @@
 // Shared text-formatting helpers for the observability exporters.
 //
-// All exported numbers go through FormatDouble17 (up to 17 significant
-// digits, default float format), which round-trips doubles exactly — the
-// property the bitwise-determinism tests and golden files rely on. Integral
-// values print without a trailing ".0" ("42", not "42.0").
+// The exporters build their output in one std::string. Every number goes
+// through AppendDouble17 (src/common/json_writer.h: printf("%.17g") in the C
+// locale, via std::to_chars) or AppendInt (std::to_chars). Neither reads the
+// process's global locale nor a caller stream's format flags, so for a fixed
+// simulation outcome the exported bytes are fixed — the property the
+// bitwise-determinism tests and golden files rely on. 17 significant digits
+// round-trip every double, and integral values print without a trailing ".0"
+// ("42", not "42.0").
 
 #ifndef SRC_OBS_TEXT_FORMAT_H_
 #define SRC_OBS_TEXT_FORMAT_H_
 
-#include <cmath>
-#include <iomanip>
-#include <sstream>
+#include <charconv>
+#include <cstdio>
 #include <string>
+
+#include "src/common/json_writer.h"
 
 namespace optimus {
 namespace obs_internal {
 
+// AppendDouble17 into a new string, for writers that stream (the
+// flight-recorder dump).
 inline std::string FormatDouble17(double v) {
-  std::ostringstream os;
-  os << std::setprecision(17) << v;
-  return os.str();
+  std::string out;
+  AppendDouble17(v, &out);
+  return out;
 }
 
-// Minimal JSON string escaping (quotes, backslashes, control characters).
-inline std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
+// Appends the decimal spelling of an integer (no locale grouping).
+template <typename Int>
+void AppendInt(Int v, std::string* out) {
+  char buf[24];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, r.ptr);
+}
+
+// Appends `s` with minimal JSON string escaping (quotes, backslashes, control
+// characters); the caller writes the surrounding quotes.
+inline void AppendEscapedJson(const std::string& s, std::string* out) {
   for (char c : s) {
     switch (c) {
       case '"':
-        out += "\\\"";
+        *out += "\\\"";
         break;
       case '\\':
-        out += "\\\\";
+        *out += "\\\\";
         break;
       case '\n':
-        out += "\\n";
+        *out += "\\n";
         break;
       case '\t':
-        out += "\\t";
+        *out += "\\t";
         break;
       case '\r':
-        out += "\\r";
+        *out += "\\r";
         break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
           std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
+          *out += buf;
         } else {
-          out += c;
+          *out += c;
         }
     }
   }
-  return out;
 }
 
 }  // namespace obs_internal

@@ -11,8 +11,8 @@
 //
 // The same harness doubles as the load generator: GenerateSyntheticRequests
 // emits a seeded, deterministic op mix (what-if queries, metric snapshots,
-// advances, submit/kill pairs) that bench_serve drives through a session by
-// the million to measure service latency percentiles.
+// advances, submit/kill pairs); the replay tests drive it through sessions at
+// several thread counts and compare every output byte.
 
 #ifndef SRC_SERVICE_REPLAY_H_
 #define SRC_SERVICE_REPLAY_H_

@@ -1,9 +1,13 @@
 #include <cmath>
+#include <cstdio>
+#include <limits>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "src/common/json_writer.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/common/table.h"
@@ -157,6 +161,42 @@ TEST(TablePrinterTest, CsvOutput) {
 TEST(TablePrinterTest, FormatDouble) {
   EXPECT_EQ(TablePrinter::FormatDouble(1.23456, 2), "1.23");
   EXPECT_EQ(TablePrinter::FormatDouble(2.0, 3), "2.000");
+}
+
+// AppendDouble17 is specified as printf("%.17g") in the C locale; pin it byte
+// for byte on the edges of the double format. EncodeJsonDouble shares it and
+// spells non-finite values as JSON null.
+TEST(JsonWriterTest, AppendDouble17MatchesPrintfG17) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double inputs[] = {
+      0x0p+0,                   // 0
+      -0x0p+0,                  // -0.0
+      0x1p+0,                   // 1
+      0x1.5p+5,                 // 42
+      0x1.999999999999ap-4,     // 0.1
+      0x1.5555555555555p-2,     // 1.0 / 3
+      0x1p+53,                  // 2^53 (2^53 + 1 rounds to it)
+      0x1.0000000000001p+53,    // 2^53 + 2, the next double up
+      0x1.b1ae4d6e2ef5p+69,     // 1e21
+      0x1.ad7f29abcaf48p-24,    // 1e-7
+      0x1p-1074,                // minimum subnormal
+      0x1.fffffffffffffp+1023,  // DBL_MAX
+      -0x1.1eb2d66005835p+997,  // -1.5e300
+      kNaN,
+      -kNaN,
+      kInf,
+      -kInf,
+  };
+  for (const double v : inputs) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    std::string got = "prefix:";
+    AppendDouble17(v, &got);
+    EXPECT_EQ(got, std::string("prefix:") + buf);
+    EXPECT_EQ(EncodeJsonDouble(v), std::isfinite(v) ? std::string(buf) : "null")
+        << buf;
+  }
 }
 
 }  // namespace

@@ -12,8 +12,11 @@
 //
 // then commit tests/golden/metrics.prom and tests/golden/run_report.json.
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iomanip>
+#include <locale>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -355,6 +358,145 @@ TEST(MetricsSeriesTest, ColumnsFreezeAtFirstSampleAndRowsAccumulate) {
   EXPECT_TRUE(has_hist_count);
   EXPECT_DOUBLE_EQ(f.series.times()[0], 600.0);
   EXPECT_DOUBLE_EQ(f.series.times()[1], 1200.0);
+}
+
+TEST(MetricsSeriesDeathTest, RegisteringAfterTheFirstSampleIsFatal) {
+  MetricsRegistry registry;
+  registry.AddCounter("early_total", "Registered before sampling.");
+  MetricsSeries series;
+  series.Sample(0.0, registry);
+  registry.AddGauge("late", "Registered after the first Sample().");
+  EXPECT_DEATH(series.Sample(600.0, registry),
+               "metrics were registered after the first Sample");
+}
+
+// The report's "rows" array body: everything between `"rows": [` and the
+// closing bracket's line.
+std::string RowsSection(const std::string& report) {
+  const std::string open = "\"rows\": [";
+  const size_t begin = report.find(open);
+  EXPECT_NE(begin, std::string::npos) << report;
+  const size_t end = report.find("\n    ]\n", begin);
+  EXPECT_NE(end, std::string::npos) << report;
+  return report.substr(begin + open.size(), end - begin - open.size());
+}
+
+std::string PrintfG17(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+// Rows are encoded once, at Sample() time. The encoded text must equal a
+// reference rendered here with printf("%.17g") from the sampled values, at
+// every series length, and re-exporting without a new sample must not change
+// a byte.
+TEST(MetricsSeriesTest, EncodedRowsMatchPrintfReferenceAtEveryLength) {
+  MetricsRegistry registry;
+  Counter* counter = registry.AddCounter("enc_total", "Counter.");
+  Gauge* gauge = registry.AddGauge("enc_gauge", "Gauge.");
+  Histogram* hist = registry.AddHistogram("enc_hist", "Histogram.", {0.0, 1.0});
+  registry.AddGauge("enc_wall_seconds", "Profiling; not a column.",
+                    /*profiling=*/true)
+      ->Set(0.125);
+  // Negative, non-integral, huge, subnormal and negative-zero values.
+  const double values[] = {-2.75, 0.1, 1e300, 0x1p-1074, -0.0, 1.0 / 3, -4e-310};
+  constexpr size_t kNumValues = sizeof(values) / sizeof(values[0]);
+
+  MetricsSeries series;
+  std::string expected;
+  ExportOptions options;
+  options.include_profiling = false;
+  for (int r = 1; r <= 500; ++r) {
+    counter->Add(0.1);
+    gauge->Set(values[static_cast<size_t>(r) % kNumValues]);
+    if (r <= 40) {  // before 1e300 lands, the sum moves through small values
+      hist->Record(values[static_cast<size_t>(3 * r) % kNumValues]);
+    }
+    const double time_s = 37.5 * r;
+    series.Sample(time_s, registry);
+
+    expected += r == 1 ? "\n      [" : ",\n      [";
+    expected += PrintfG17(time_s);
+    for (const double v : {counter->value(), gauge->value(),
+                           static_cast<double>(hist->count()), hist->sum()}) {
+      expected += ", " + PrintfG17(v);
+    }
+    expected += "]";
+
+    if (r == 1 || r == 2 || r == 250 || r == 500) {
+      SCOPED_TRACE("rows=" + std::to_string(r));
+      ASSERT_EQ(series.num_rows(), static_cast<size_t>(r));
+      const std::string report =
+          ExportJsonReportString(registry, &series, nullptr, options);
+      EXPECT_EQ(RowsSection(report), expected);
+      EXPECT_NE(report.find("\"columns\": [\"time_s\", \"enc_total\", "
+                            "\"enc_gauge\", \"enc_hist_count\", \"enc_hist_sum\"]"),
+                std::string::npos)
+          << report;
+      EXPECT_EQ(ExportJsonReportString(registry, &series, nullptr, options), report);
+    }
+  }
+}
+
+// Spells numbers the way many European locales do: comma decimal point, dot
+// thousands separator, groups of three.
+class CommaDecimalNumpunct : public std::numpunct<char> {
+ protected:
+  char do_decimal_point() const override { return ','; }
+  char do_thousands_sep() const override { return '.'; }
+  std::string do_grouping() const override { return "\3"; }
+};
+
+// Installs a global C++ locale for its scope and restores the previous one,
+// even when an assertion fails.
+class ScopedGlobalLocale {
+ public:
+  explicit ScopedGlobalLocale(const std::locale& locale)
+      : previous_(std::locale::global(locale)) {}
+  ~ScopedGlobalLocale() { std::locale::global(previous_); }
+
+ private:
+  std::locale previous_;
+};
+
+// Every exporter's bytes, from a fixture whose numbers a grouping locale
+// would rewrite: large doubles and integers >= 1000 in every section.
+std::string AllExports() {
+  MetricsRegistry registry;
+  MetricsSeries series;
+  FlightRecorder flight(4);
+  Counter* jobs = registry.AddCounter("big_jobs_total", "Jobs.");
+  Gauge* level = registry.AddGauge("big_level", "Signed gauge.");
+  Histogram* lat = registry.AddHistogram("big_latency_seconds", "Latency.",
+                                         {1000.0, 5000.5});
+  jobs->Add(1234567.5);
+  level->Set(-98765.25);
+  for (int i = 0; i < 1500; ++i) {
+    lat->Record(i % 2 == 0 ? 2500.75 : 123456.0);
+  }
+  series.Sample(3600.5, registry);
+  jobs->Add(1000.0);
+  series.Sample(7200.25, registry);
+  for (int i = 0; i < 1200; ++i) {
+    flight.Record(1000.5 * i, SimEventType::kScaled, 12345, 1000, 2000, 4321.5);
+  }
+  std::ostringstream flight_json;
+  flight.WriteJson(flight_json);
+  return ExportPrometheusString(registry) +
+         ExportJsonReportString(registry, &series, &flight) + flight_json.str();
+}
+
+TEST(ExporterTest, ExportsIgnoreTheGlobalLocale) {
+  const std::string classic = AllExports();
+  ASSERT_NE(classic.find("1234567.5"), std::string::npos);
+  ScopedGlobalLocale comma(
+      std::locale(std::locale::classic(), new CommaDecimalNumpunct));
+  // The facet is live: a default stream now groups and uses a comma.
+  std::ostringstream probe;
+  probe << std::setprecision(17) << 1234567.5 << " " << 1500;
+  ASSERT_EQ(probe.str(), "1.234.567,5 1.500");
+  EXPECT_EQ(AllExports(), classic);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@
 //   1. A committed golden session (tests/golden/serve/) replays byte for
 //      byte across --threads {1, 2, 8}, including its error responses.
 //   2. The events engine is exact across thread counts; interval vs events
-//      agree on average JCT within the ALGORITHMS.md §16 tolerance.
+//      agree on average JCT within the ALGORITHMS.md §16 tolerance; a
+//      2,000-request synthetic load replays bitwise across threads.
 //   3. snapshot/restore round-trips: a session restored from a snapshot
 //      produces a bitwise-identical remainder-of-run.
 //   4. Batch equivalence: a replayed session's final run report matches an
@@ -187,6 +188,41 @@ TEST(ServiceReplayTest, SyntheticSmokeLogMatchesCommittedFixture) {
   EXPECT_EQ(out.result.errors, 0);
   EXPECT_TRUE(out.result.shutdown);
   EXPECT_EQ(out.result.exit_code, 0);
+}
+
+TEST(ServiceReplayTest, SyntheticLoadBitwiseIdenticalAcrossThreads) {
+  // The load generator's default read-heavy mix (metric snapshots in both
+  // formats, what-if queries, advances, submit/kill pairs) at 2,000
+  // requests: the responses, the deterministic service counters and the
+  // run-to-completion report must not depend on --threads.
+  std::ostringstream log;
+  GenerateSyntheticRequests(2000, /*seed=*/17, SyntheticMixOptions{}, log);
+  ExportOptions options;
+  options.include_profiling = false;
+  std::string base_responses, base_service, base_report;
+  for (const int threads : {1, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SessionOverrides overrides;
+    overrides.threads = threads;
+    std::unique_ptr<ServiceSession> session = MakeSession(overrides);
+    ASSERT_NE(session, nullptr);
+    const ReplayOutput out = Replay(session.get(), log.str());
+    EXPECT_EQ(out.result.requests, 2000);
+    EXPECT_EQ(out.result.exit_code, 0);
+    const std::string service =
+        ExportPrometheusString(session->service_registry(), options);
+    session->simulator().Run();
+    const std::string report = SimReport(&session->simulator());
+    if (threads == 1) {
+      base_responses = out.responses;
+      base_service = service;
+      base_report = report;
+    } else {
+      EXPECT_EQ(out.responses, base_responses);
+      EXPECT_EQ(service, base_service);
+      EXPECT_EQ(report, base_report);
+    }
+  }
 }
 
 TEST(ServiceReplayTest, EventsEngineExactAcrossThreads) {
