@@ -222,6 +222,7 @@ Simulator::Simulator(SimulatorConfig config, std::vector<Server> servers,
     pending_specs_ = std::move(specs);
   } else {
     jobs_.reserve(specs.size());
+    arrival_queue_.reserve(specs.size());
     for (const JobSpec& spec : specs) {
       MaterializeSpec(spec);
     }
@@ -264,6 +265,7 @@ void Simulator::MaterializeSpec(const JobSpec& spec) {
       jr->curve.EpochsToConverge(spec.convergence_delta, spec.patience));
   const bool inserted = job_index_.emplace(spec.id, jobs_.size()).second;
   OPTIMUS_CHECK(inserted) << "duplicate job id " << spec.id;
+  arrival_queue_.push({spec.arrival_time_s, jobs_.size()});
   jobs_.push_back(std::move(jr));
 }
 
@@ -547,31 +549,53 @@ void Simulator::ActivateArrivals() {
   // models — possibly in parallel. Initialization only touches per-job state
   // (the job's own RNG streams included), so the parallel path is bitwise
   // identical to the serial one; trace events are recorded afterwards, in
-  // arrival (input) order, to keep the event log deterministic too.
+  // jobs_ index order, to keep the event log deterministic too.
   MaterializeArrivals(now_s_);
-  std::vector<JobRuntime*> arriving;
-  for (auto& jr : jobs_) {
-    if (jr == nullptr) {
-      continue;
+  std::vector<size_t> arriving;
+  while (!arrival_queue_.empty() && arrival_queue_.top().time_s <= now_s_) {
+    const size_t idx = arrival_queue_.top().index;
+    arrival_queue_.pop();
+    JobRuntime* jr = jobs_[idx].get();
+    if (jr == nullptr || jr->arrived) {
+      continue;  // stale: killed before its arrival
     }
-    if (!jr->arrived && jr->job.spec().arrival_time_s <= now_s_) {
-      jr->arrived = true;
-      arriving.push_back(jr.get());
-    }
+    jr->arrived = true;
+    arriving.push_back(idx);
   }
+  std::sort(arriving.begin(), arriving.end());
   if (pool_ != nullptr && arriving.size() > 1) {
-    pool_->ParallelFor(static_cast<int64_t>(arriving.size()),
-                       [&](int64_t i) { InitSpeedModel(arriving[i]); });
+    pool_->ParallelFor(static_cast<int64_t>(arriving.size()), [&](int64_t i) {
+      InitSpeedModel(jobs_[arriving[i]].get());
+    });
   } else {
-    for (JobRuntime* jr : arriving) {
-      InitSpeedModel(jr);
+    for (size_t idx : arriving) {
+      InitSpeedModel(jobs_[idx].get());
     }
   }
-  for (JobRuntime* jr : arriving) {
+  for (size_t idx : arriving) {
+    const JobRuntime* jr = jobs_[idx].get();
     Emit(now_s_, SimEventType::kArrival, jr->job.id(), 0, 0, 0.0,
          jr->job.spec().model->name);
   }
   job_totals_stale_ = true;
+}
+
+double Simulator::NextArrival() {
+  double next = std::numeric_limits<double>::infinity();
+  while (!arrival_queue_.empty()) {
+    const JobRuntime* jr = jobs_[arrival_queue_.top().index].get();
+    if (jr != nullptr && !jr->arrived) {
+      next = arrival_queue_.top().time_s;
+      break;
+    }
+    arrival_queue_.pop();
+  }
+  if (pending_remaining() > 0) {
+    // Streaming: the head of the pending queue is the earliest
+    // unmaterialized arrival (specs are arrival-sorted).
+    next = std::min(next, pending_specs_[pending_next_].arrival_time_s);
+  }
+  return next;
 }
 
 double Simulator::ErrorFactor(const JobRuntime& jr, double error_magnitude) const {
@@ -1583,18 +1607,7 @@ bool Simulator::StepInterval() {
     }
   }
   if (!any_active) {
-    double next_arrival = std::numeric_limits<double>::infinity();
-    for (const auto& jr : jobs_) {
-      if (jr != nullptr && !jr->arrived) {
-        next_arrival = std::min(next_arrival, jr->job.spec().arrival_time_s);
-      }
-    }
-    if (pending_remaining() > 0) {
-      // Streaming: the head of the pending queue is the earliest
-      // unmaterialized arrival (specs are arrival-sorted).
-      next_arrival = std::min(next_arrival,
-                              pending_specs_[pending_next_].arrival_time_s);
-    }
+    const double next_arrival = NextArrival();
     if (!std::isfinite(next_arrival)) {
       return false;  // nothing left anywhere
     }
@@ -1689,8 +1702,11 @@ RunMetrics Simulator::Run() {
   }
   // Pending specs that never materialized (simulation-time cap) still mark
   // the workload's start, exactly as unarrived constructor jobs do in batch.
-  for (size_t i = pending_next_; i < pending_specs_.size(); ++i) {
-    first_arrival = std::min(first_arrival, pending_specs_[i].arrival_time_s);
+  // The queue is arrival-sorted (checked at construction), so its head is
+  // the earliest.
+  if (pending_remaining() > 0) {
+    first_arrival = std::min(first_arrival,
+                             pending_specs_[pending_next_].arrival_time_s);
   }
   metrics_.avg_jct_s = Mean(metrics_.jcts);
   // Guard the empty-jobs case too: with no jobs, first_arrival stays +inf and
@@ -1804,7 +1820,8 @@ bool Simulator::KillJob(int job_id, std::string* error) {
   ++jr->gen;
   // Kills count as completions in the accounting invariants (the auditor
   // checks completed states against the completion metric). A job killed
-  // before its arrival is marked arrived so it never activates later.
+  // before its arrival is marked arrived so it never activates later (its
+  // arrival-queue entry goes stale and is dropped when popped).
   jr->arrived = true;
   jr->killed = true;
   job.MarkCompleted(now_s_);

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/min_heap.h"
 #include "src/common/threadpool.h"
 
 #include "src/cluster/checkpoint.h"
@@ -425,12 +426,18 @@ class Simulator {
   // and enqueues its next epoch event.
   void RebuildSegments();
 
+  // Activates every materialized job whose arrival time is <= now_s_, in
+  // ascending jobs_ index, by popping the arrival queue.
   void ActivateArrivals();
+  // Earliest arrival time of a job that has not arrived yet, materialized or
+  // still a pending spec (+inf if none). Drops stale arrival-queue entries
+  // from the head first.
+  double NextArrival();
   // Constructor-identical per-job initialization (RNG streams split from the
   // run seed by job id, param blocks, data serving, ground-truth epoch
-  // count); appends the runtime to jobs_. Shared by the constructor,
-  // SubmitJob, and streaming materialization, so a job is bitwise the same
-  // object no matter which path created it.
+  // count); appends the runtime to jobs_ and its arrival to arrival_queue_.
+  // Shared by the constructor, SubmitJob, and streaming materialization, so
+  // a job is bitwise the same object no matter which path created it.
   void MaterializeSpec(const JobSpec& spec);
   // Streaming admission: materializes every pending spec whose arrival time
   // is <= t, in queue (spec) order. No-op when the queue head is later.
@@ -541,6 +548,23 @@ class Simulator {
   // job id -> index in jobs_; looked up (once per epoch event on the events
   // engine), never iterated.
   std::unordered_map<int, size_t> job_index_;
+  // One (arrival_time_s, jobs_ index) entry per materialized job that has
+  // not been activated yet, earliest first (ties by index). An entry goes
+  // stale when its job is marked arrived some other way (KillJob before the
+  // arrival); readers drop stale entries when they reach the head.
+  struct QueuedArrival {
+    double time_s;
+    size_t index;
+  };
+  struct QueuedArrivalBefore {
+    bool operator()(const QueuedArrival& a, const QueuedArrival& b) const {
+      if (a.time_s != b.time_s) {
+        return a.time_s < b.time_s;
+      }
+      return a.index < b.index;
+    }
+  };
+  MinHeap<QueuedArrival, QueuedArrivalBefore> arrival_queue_;
 
   // --- Streaming admission (config_.streaming) ------------------------------
   // Specs not yet materialized, in non-decreasing arrival order;

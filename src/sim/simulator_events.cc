@@ -414,16 +414,7 @@ void Simulator::HandleRoundEvent(double t) {
     }
   }
   if (!any_active) {
-    double next_arrival = std::numeric_limits<double>::infinity();
-    for (const auto& jr : jobs_) {
-      if (jr != nullptr && !jr->arrived) {
-        next_arrival = std::min(next_arrival, jr->job.spec().arrival_time_s);
-      }
-    }
-    if (pending_remaining() > 0) {
-      next_arrival = std::min(next_arrival,
-                              pending_specs_[pending_next_].arrival_time_s);
-    }
+    const double next_arrival = NextArrival();
     if (!std::isfinite(next_arrival)) {
       return;  // nothing left anywhere: no further rounds
     }

@@ -1,5 +1,8 @@
 #include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -164,6 +167,66 @@ TEST_F(SimulatorTest, DeterministicForSameSeed) {
   ASSERT_EQ(a.jcts.size(), b.jcts.size());
   for (size_t i = 0; i < a.jcts.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.jcts[i], b.jcts[i]);
+  }
+}
+
+// Arrival order on both engines. The constructor specs are unsorted with
+// tied arrival times, a job submitted online arrives before constructor jobs
+// that are still queued (and, on the interval engine, activates in the same
+// round as two of them), and a queued job is killed before it arrives. Jobs
+// activate in (activation time, jobs_ index) order, the killed job never
+// arrives, and the sequences are pinned.
+TEST_F(SimulatorTest, ArrivalOrderPinnedOnBothEngines) {
+  using Arrival = std::pair<double, int>;  // (activation time, job id)
+  const std::vector<double> arrivals = {900, 0, 900, 1500, 0, 300, 1500, 2400};
+  const int kSubmitted = 100;
+  const int kKilled = 7;
+  // jobs_ index of each job id: constructor specs in order, then the submit.
+  auto index_of = [&](int id) {
+    return id == kSubmitted ? static_cast<int>(arrivals.size()) : id;
+  };
+  const std::vector<Arrival> want_interval = {
+      {0, 1}, {0, 4}, {600, 5}, {1200, 0}, {1200, 2},
+      {1800, 3}, {1800, 6}, {1800, kSubmitted}};
+  const std::vector<Arrival> want_events = {
+      {0, 1}, {0, 4}, {300, 5}, {900, 0}, {900, 2},
+      {1300, kSubmitted}, {1500, 3}, {1500, 6}};
+  for (const SimEngine engine : {SimEngine::kInterval, SimEngine::kEvents}) {
+    SCOPED_TRACE(SimEngineName(engine));
+    std::vector<JobSpec> specs = SmallWorkload(8, 23);
+    for (size_t i = 0; i < specs.size(); ++i) {
+      specs[i].arrival_time_s = arrivals[i];
+    }
+    JobSpec late = specs[1];
+    late.id = kSubmitted;
+    late.arrival_time_s = 1300.0;
+    SimulatorConfig config;
+    ApplySchedulerPolicy("optimus", &config);
+    config.seed = 23;
+    config.engine = engine;
+    Simulator sim(config, BuildTestbed(), specs);
+    sim.AdvanceTo(1000.0);
+    std::string why;
+    ASSERT_TRUE(sim.SubmitJob(late, &why)) << why;
+    ASSERT_TRUE(sim.KillJob(kKilled, &why)) << why;
+    sim.Run();
+
+    std::vector<Arrival> got;
+    for (const SimEvent& e : sim.trace().events()) {
+      if (e.type == SimEventType::kArrival) {
+        got.push_back({e.time_s, e.job_id});
+      }
+    }
+    ASSERT_EQ(got.size(), arrivals.size()) << "every job but the killed one";
+    for (size_t i = 1; i < got.size(); ++i) {
+      EXPECT_LT(std::make_pair(got[i - 1].first, index_of(got[i - 1].second)),
+                std::make_pair(got[i].first, index_of(got[i].second)))
+          << "arrival " << i;
+    }
+    for (const Arrival& a : got) {
+      EXPECT_NE(a.second, kKilled);
+    }
+    EXPECT_EQ(got, engine == SimEngine::kInterval ? want_interval : want_events);
   }
 }
 

@@ -12,7 +12,13 @@ and compares the run's `output_digest` and every per-layer metric whose unit
 is `count` with tests/golden/ledger_smoke.json. These values are deterministic
 for a given seed, so any difference is a behaviour change. Wall times are not
 gated. Exit codes: 0 = all equal, 1 = a value differs or a run failed (each
-difference is printed with its workload and metric name), 2 = bad usage.
+difference is printed with its workload and metric name), 2 = bad usage or a
+ledger build directory configured for another tree.
+
+run.py reuses .bench_build/ledger once it is configured. In a checkout copied
+together with that directory, the cached build still points at the tree it
+was copied from, so the gate would build and check that tree; the gate
+refuses to run instead. Delete .bench_build/ to rebuild from this tree.
 """
 
 import argparse
@@ -26,6 +32,24 @@ GOLDEN = os.path.join(ROOT, "tests", "golden", "ledger_smoke.json")
 WORKLOADS = ["interval-steady", "events-fabric", "sched-steady", "stream-1m",
              "serve"]
 SEED = 7
+LEDGER_SOURCE = os.path.join(ROOT, "bench", "ledger")
+LEDGER_CACHE = os.path.join(ROOT, ".bench_build", "ledger", "CMakeCache.txt")
+
+
+def foreign_build_source():
+    """Returns the source dir the cached ledger build was configured for, if
+    it is not this tree's bench/ledger; None when there is no cache or it
+    matches."""
+    if not os.path.exists(LEDGER_CACHE):
+        return None
+    with open(LEDGER_CACHE) as f:
+        for line in f:
+            if line.startswith("CMAKE_HOME_DIRECTORY:"):
+                source = line.split("=", 1)[1].strip()
+                if os.path.realpath(source) != os.path.realpath(LEDGER_SOURCE):
+                    return source
+                return None
+    return None
 
 
 def run_workload(name):
@@ -59,6 +83,13 @@ def main():
     parser.add_argument("--update", action="store_true",
                         help="rewrite tests/golden/ledger_smoke.json")
     args = parser.parse_args()
+
+    foreign = foreign_build_source()
+    if foreign is not None:
+        print(f"ledger_gate: {os.path.relpath(LEDGER_CACHE, ROOT)} builds "
+              f"{foreign}, not {LEDGER_SOURCE}; delete .bench_build/ and "
+              f"rerun", file=sys.stderr)
+        return 2
 
     got = {}
     for name in WORKLOADS:
