@@ -3,11 +3,10 @@
 //
 // Two arrival regimes at 1,000 jobs on 16,000 nodes, plus a 10,000-job row:
 //
-//   burst  — every job arrives inside the first five intervals
-//            (bench_interval's regime): hundreds of jobs run concurrently,
-//            so per-interval advance work and per-round event work are both
-//            large and the scheduling rounds — identical in both engines —
-//            are a sizable shared floor.
+//   burst  — every job arrives inside the first five intervals: hundreds of
+//            jobs run concurrently, so per-interval advance work and
+//            per-round event work are both large and the scheduling rounds —
+//            identical in both engines — are a sizable shared floor.
 //   steady — arrivals spread across the horizon, and jobs train at realistic
 //            dataset scale (the generator's default caps steps-per-epoch at
 //            ~20 so toy experiments finish in simulated minutes; the headline
@@ -20,9 +19,11 @@
 //            own epoch events. This is the regime the event kernel targets
 //            (and the headline speedup row).
 //
-// Both engines run the identical workload from the identical seed. Event
-// rows across --threads must be bitwise identical (determinism contract);
-// interval vs events is compared under the documented tolerance
+// Both engines run the identical workload from the identical seed, one
+// thread each; every row runs twice and the repeat must reproduce its
+// fingerprint bitwise (bench/determinism.h; the per-engine thread contract is
+// tier-1's EventKernelTest and ParallelDeterminismTest). Interval vs events
+// is compared under the documented tolerance
 // (docs/ALGORITHMS.md section 16): completed-job counts within
 // max(3, 1% of submissions), average JCT within 15% — the engines consume
 // per-job RNG streams at different cadences, so trajectories differ in the
@@ -31,13 +32,14 @@
 // Any violation exits 3: speed that changes the answer is a bug.
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/determinism.h"
 #include "src/cluster/server.h"
 #include "src/common/flags.h"
 #include "src/common/logging.h"
@@ -64,19 +66,6 @@ struct RegimeSpec {
   bool headline = false;
 };
 
-struct RowSpec {
-  std::string label;
-  SimEngine engine = SimEngine::kInterval;
-  int threads = 1;
-};
-
-struct RowResult {
-  RunMetrics metrics;
-  double wall_s = 0.0;
-  double sim_s_per_wall_s = 0.0;
-  double sim_s = 0.0;
-};
-
 constexpr uint64_t kSeed = 7;
 constexpr double kIntervalS = 600.0;
 // Cross-engine tolerances (documented in docs/ALGORITHMS.md section 16).
@@ -92,15 +81,14 @@ int CompletedTolerance(int total_jobs) {
   return std::max(kCompletedTolerance, total_jobs / 100);
 }
 
-RowResult RunRowOnce(const RegimeSpec& regime, const RowSpec& row) {
+SimulatorConfig RegimeConfig(const RegimeSpec& regime, SimEngine engine) {
   SimulatorConfig sim;
   sim.seed = kSeed;
-  sim.threads = row.threads;
-  sim.engine = row.engine;
+  sim.engine = engine;
   sim.audit = true;
   sim.max_sim_time_s = regime.horizon_intervals * kIntervalS;
-  // Same fault load as bench_interval: scripted crash + slowdown, stochastic
-  // container deaths, periodic checkpoints — both fault paths exercised.
+  // A light fault load: scripted crash + slowdown, stochastic container
+  // deaths, periodic checkpoints — both fault paths exercised.
   std::string error;
   OPTIMUS_CHECK(ParseFaultPlan(
       "crash@1800:server=2,recover=9000;slow@2400:factor=0.8,duration=1800",
@@ -113,81 +101,32 @@ RowResult RunRowOnce(const RegimeSpec& regime, const RowSpec& row) {
   // at its own cadence (conv_samples_per_epoch, default 2).
   sim.conv_samples_per_interval = 300;
   sim.conv_fit_points = 16384;
+  return sim;
+}
 
+// Best-of-two timing: wall clock on a shared host is noisy, the simulation
+// is not — the repeat must reproduce the run's fingerprint bitwise, trace
+// digest included. Returns false, naming the field, when it does not.
+bool RunRow(const RegimeSpec& regime, SimEngine engine, CellRun* best,
+            std::string* why) {
+  const SimulatorConfig config = RegimeConfig(regime, engine);
   WorkloadConfig workload;
   workload.num_jobs = regime.jobs;
   workload.arrival_window_s = regime.arrival_intervals * kIntervalS;
   workload.target_steps_per_epoch = regime.target_steps_per_epoch;
-
-  Rng workload_rng(sim.seed ^ 0x5eedULL);
-  std::vector<JobSpec> specs = GenerateWorkload(workload, &workload_rng);
-  Simulator simulator(
-      sim, BuildUniformCluster(regime.nodes, Resources(16, 80, 0, 1)),
-      std::move(specs));
-
-  RowResult result;
-  const auto start = std::chrono::steady_clock::now();
-  result.metrics = simulator.Run();
-  const auto end = std::chrono::steady_clock::now();
-  result.wall_s = std::chrono::duration<double>(end - start).count();
-  result.sim_s = simulator.now_s();
-  result.sim_s_per_wall_s =
-      result.wall_s > 0.0 ? result.sim_s / result.wall_s : 0.0;
-  return result;
-}
-
-bool MetricsIdentical(const RunMetrics& a, const RunMetrics& b, std::string* why);
-
-// Best-of-two timing: wall clock on a shared host is noisy, the simulation
-// is not — the repeat must reproduce the metrics bitwise.
-RowResult RunRow(const RegimeSpec& regime, const RowSpec& row) {
-  RowResult best = RunRowOnce(regime, row);
-  RowResult again = RunRowOnce(regime, row);
-  std::string why;
-  OPTIMUS_CHECK(MetricsIdentical(best.metrics, again.metrics, &why))
-      << regime.name << "/" << row.label
-      << " not deterministic across repeats: " << why;
-  if (again.wall_s < best.wall_s) {
-    best = again;
-  }
-  return best;
-}
-
-// Bitwise equality of everything the simulation computes; wall_* phase
-// timers are host measurements and intentionally excluded.
-bool MetricsIdentical(const RunMetrics& a, const RunMetrics& b,
-                      std::string* why) {
-  auto fail = [&](const std::string& what) {
-    *why = what;
-    return false;
+  auto run_once = [&] {
+    Rng workload_rng(config.seed ^ 0x5eedULL);
+    return RunSim(config,
+                  BuildUniformCluster(regime.nodes, Resources(16, 80, 0, 1)),
+                  GenerateWorkload(workload, &workload_rng));
   };
-  if (a.completed_jobs != b.completed_jobs) return fail("completed_jobs");
-  if (a.jcts != b.jcts) return fail("jcts");
-  if (a.events_processed != b.events_processed) return fail("events_processed");
-  if (a.scaling_overhead_fraction != b.scaling_overhead_fraction) {
-    return fail("scaling_overhead_fraction");
+  *best = run_once();
+  CellRun again = run_once();
+  if (!again.fp.Matches(best->fp, why)) {
+    return false;
   }
-  if (a.straggler_replacements != b.straggler_replacements) {
-    return fail("straggler_replacements");
-  }
-  if (a.total_scalings != b.total_scalings) return fail("total_scalings");
-  if (a.server_crashes != b.server_crashes) return fail("server_crashes");
-  if (a.server_recoveries != b.server_recoveries) return fail("server_recoveries");
-  if (a.task_failures != b.task_failures) return fail("task_failures");
-  if (a.job_evictions != b.job_evictions) return fail("job_evictions");
-  if (a.backoff_deferrals != b.backoff_deferrals) return fail("backoff_deferrals");
-  if (a.checkpoints_taken != b.checkpoints_taken) return fail("checkpoints_taken");
-  if (a.rolled_back_steps != b.rolled_back_steps) return fail("rolled_back_steps");
-  if (a.audit_checks != b.audit_checks) return fail("audit_checks");
-  if (a.audit_violations != b.audit_violations) return fail("audit_violations");
-  if (a.timeline.size() != b.timeline.size()) return fail("timeline size");
-  for (size_t i = 0; i < a.timeline.size(); ++i) {
-    if (a.timeline[i].time_s != b.timeline[i].time_s ||
-        a.timeline[i].running_tasks != b.timeline[i].running_tasks ||
-        a.timeline[i].worker_cpu_util_pct != b.timeline[i].worker_cpu_util_pct ||
-        a.timeline[i].ps_cpu_util_pct != b.timeline[i].ps_cpu_util_pct) {
-      return fail("timeline point " + std::to_string(i));
-    }
+  if (again.wall_s < best->wall_s) {
+    *best = std::move(again);
   }
   return true;
 }
@@ -236,8 +175,7 @@ int main(int argc, char** argv) {
       "Event-driven advancement (lazy per-job epochs, analytic completion "
       "times) vs fixed-interval polling over the same horizon",
       "The event engine advances the steady-state 1k-job/16k-node simulation "
-      ">= 10x faster, with bitwise-identical event rows across threads and "
-      "interval parity within the documented tolerance");
+      ">= 10x faster, with interval parity within the documented tolerance");
 
   std::vector<RegimeSpec> regimes;
   if (smoke) {
@@ -250,59 +188,40 @@ int main(int argc, char** argv) {
   }
 
   TablePrinter table({"regime", "configuration", "wall (s)", "sim s / wall s",
-                      "events", "faults (s)", "schedule (s)", "advance (s)",
-                      "audit (s)", "events (s)"});
+                      "events"});
   std::vector<JsonObject> json_rows;
   bool ok = true;
   std::string divergence;
   double headline_speedup = 0.0;
   std::vector<JsonObject> regime_sections;
   for (const RegimeSpec& regime : regimes) {
-    std::vector<RowSpec> rows;
-    rows.push_back({"interval @ 1t", SimEngine::kInterval, 1});
-    for (const int threads : {1, 2, 8}) {
-      rows.push_back({"events @ " + std::to_string(threads) + "t",
-                      SimEngine::kEvents, threads});
-    }
-    std::vector<RowResult> results;
-    for (const RowSpec& row : rows) {
-      const RowResult r = RunRow(regime, row);
-      // Event rows must be bitwise identical to each other for any thread
-      // count; the first event row is the reference.
-      if (row.engine == SimEngine::kEvents && results.size() > 1) {
-        std::string why;
-        if (!MetricsIdentical(results[1].metrics, r.metrics, &why)) {
-          ok = false;
-          divergence = regime.name + "/" + row.label + ": " + why;
-        }
+    std::vector<CellRun> results;
+    for (const SimEngine engine : {SimEngine::kInterval, SimEngine::kEvents}) {
+      const std::string label = std::string(SimEngineName(engine)) + " @ 1t";
+      CellRun r;
+      std::string why;
+      if (!RunRow(regime, engine, &r, &why)) {
+        ok = false;
+        divergence = regime.name + "/" + label +
+                     " not deterministic across repeats: " + why;
       }
-      table.AddRow({regime.name, row.label,
-                    TablePrinter::FormatDouble(r.wall_s, 3),
-                    TablePrinter::FormatDouble(r.sim_s_per_wall_s, 0),
-                    std::to_string(r.metrics.events_processed),
-                    TablePrinter::FormatDouble(r.metrics.wall_faults_s, 3),
-                    TablePrinter::FormatDouble(r.metrics.wall_schedule_s, 3),
-                    TablePrinter::FormatDouble(r.metrics.wall_advance_s, 3),
-                    TablePrinter::FormatDouble(r.metrics.wall_audit_s, 3),
-                    TablePrinter::FormatDouble(r.metrics.wall_events_s, 3)});
+      table.AddRow({regime.name, label, TablePrinter::FormatDouble(r.wall_s, 3),
+                    TablePrinter::FormatDouble(
+                        r.wall_s > 0.0 ? r.sim_s / r.wall_s : 0.0, 0),
+                    std::to_string(r.metrics.events_processed)});
       JsonObject jr;
       jr.Set("regime", regime.name);
-      jr.Set("label", row.label);
-      jr.Set("engine", SimEngineName(row.engine));
-      jr.Set("threads", row.threads);
+      jr.Set("label", label);
+      jr.Set("engine", SimEngineName(engine));
+      jr.Set("threads", 1);
       SetPerfColumns(&jr, r.wall_s, r.sim_s);
       jr.Set("events_processed", r.metrics.events_processed);
       jr.Set("completed_jobs", r.metrics.completed_jobs);
       jr.Set("avg_jct_s", r.metrics.avg_jct_s);
-      jr.Set("wall_faults_s", r.metrics.wall_faults_s);
-      jr.Set("wall_schedule_s", r.metrics.wall_schedule_s);
-      jr.Set("wall_advance_s", r.metrics.wall_advance_s);
-      jr.Set("wall_audit_s", r.metrics.wall_audit_s);
-      jr.Set("wall_events_s", r.metrics.wall_events_s);
       jr.Set("audit_checks", r.metrics.audit_checks);
       jr.Set("audit_violations", r.metrics.audit_violations);
       json_rows.push_back(jr);
-      results.push_back(r);
+      results.push_back(std::move(r));
     }
 
     // Cross-engine parity under the documented tolerance.
@@ -339,7 +258,7 @@ int main(int argc, char** argv) {
             << TablePrinter::FormatDouble(headline_speedup, 2)
             << "x (target >= 10x)\n";
   if (ok) {
-    std::cout << "event rows bitwise identical across threads; engines agree "
+    std::cout << "every row reproduced bitwise on repeat; engines agree "
                  "within tolerance\n";
   } else {
     std::cerr << "METRICS DIVERGED: " << divergence << "\n";

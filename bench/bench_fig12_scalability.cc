@@ -16,7 +16,6 @@
 #include "bench/bench_util.h"
 #include "src/cluster/server.h"
 #include "src/common/flags.h"
-#include "src/common/rng.h"
 #include "src/models/model_zoo.h"
 #include "src/models/param_blocks.h"
 #include "src/pserver/block_assignment.h"
@@ -24,8 +23,6 @@
 #include "src/sched/optimus_allocator.h"
 #include "src/sched/placement.h"
 #include "src/sched/speed_surface.h"
-#include "src/sim/simulator.h"
-#include "src/sim/workload.h"
 
 namespace {
 
@@ -113,43 +110,6 @@ RoundResult TimeSchedulingRound(int num_jobs, int num_nodes, bool cached) {
   return result;
 }
 
-// End-to-end per-round scheduling time under one simulation engine: run a
-// burst workload (every job active from the first interval) for a fixed
-// number of rounds and report the mean wall time of the scheduling phase.
-// Both engines share the scheduler verbatim, so this measures what the figure
-// is about — round cost — while the engine drives the rest of the loop.
-struct EngineRoundResult {
-  double rounds = 0.0;
-  double schedule_s_per_round = 0.0;
-  double wall_s = 0.0;
-  double sim_s = 0.0;
-};
-
-EngineRoundResult TimeEngineRounds(SimEngine engine, int num_jobs,
-                                   int num_nodes, int rounds) {
-  SimulatorConfig sim;
-  sim.seed = 7;
-  sim.engine = engine;
-  sim.interval_s = 600.0;
-  sim.max_sim_time_s = rounds * sim.interval_s;
-  WorkloadConfig workload;
-  workload.num_jobs = num_jobs;
-  workload.arrival_window_s = sim.interval_s;  // burst: all jobs active early
-  Rng workload_rng(sim.seed ^ 0x5eedULL);
-  Simulator simulator(sim,
-                      BuildUniformCluster(num_nodes, Resources(16, 80, 0, 1)),
-                      GenerateWorkload(workload, &workload_rng));
-  const auto start = std::chrono::steady_clock::now();
-  const RunMetrics metrics = simulator.Run();
-  const auto end = std::chrono::steady_clock::now();
-  EngineRoundResult result;
-  result.rounds = static_cast<double>(rounds);
-  result.schedule_s_per_round = metrics.wall_schedule_s / rounds;
-  result.wall_s = std::chrono::duration<double>(end - start).count();
-  result.sim_s = simulator.now_s();
-  return result;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -157,24 +117,9 @@ int main(int argc, char** argv) {
   // --smoke: a seconds-scale subset for tools/check.sh and CI.
   const bool smoke = flags.GetBool("smoke", false);
   const std::string json_path = flags.GetString("json", "BENCH_sched.json");
-  // --engine=interval|events|both restricts the end-to-end sweep; the figure
-  // covers both engines by default.
-  const std::string engine_flag = flags.GetString("engine", "both");
   for (const std::string& key : flags.UnconsumedKeys()) {
     std::cerr << "unknown flag --" << key << "\n";
     return 1;
-  }
-  std::vector<SimEngine> engines;
-  if (engine_flag == "both") {
-    engines = {SimEngine::kInterval, SimEngine::kEvents};
-  } else {
-    SimEngine parsed;
-    if (!ParseSimEngine(engine_flag, &parsed)) {
-      std::cerr << "unknown --engine \"" << engine_flag
-                << "\" (expected interval, events, or both)\n";
-      return 1;
-    }
-    engines = {parsed};
   }
 
   PrintExperimentHeader(
@@ -238,38 +183,6 @@ int main(int argc, char** argv) {
             << "x, allocation speedup: " << TablePrinter::FormatDouble(alloc_speedup, 2)
             << "x\n";
 
-  // End-to-end round cost under each simulation engine (the engines share
-  // the scheduler; this confirms the figure holds when the event kernel
-  // drives the loop).
-  const int e2e_jobs = smoke ? 100 : 1000;
-  const int e2e_nodes = smoke ? 500 : 16000;
-  const int e2e_rounds = smoke ? 4 : 10;
-  std::cout << "\nEnd-to-end per-round scheduling time (" << e2e_jobs
-            << " jobs, " << e2e_nodes << " nodes, " << e2e_rounds
-            << " rounds):\n";
-  TablePrinter engine_table(
-      {"engine", "schedule (s/round)", "wall (s)", "sim s / wall s"});
-  std::vector<JsonObject> engine_rows;
-  for (const SimEngine engine : engines) {
-    const EngineRoundResult r =
-        TimeEngineRounds(engine, e2e_jobs, e2e_nodes, e2e_rounds);
-    engine_table.AddRow(
-        {SimEngineName(engine),
-         TablePrinter::FormatDouble(r.schedule_s_per_round, 3),
-         TablePrinter::FormatDouble(r.wall_s, 3),
-         TablePrinter::FormatDouble(r.wall_s > 0.0 ? r.sim_s / r.wall_s : 0.0,
-                                    0)});
-    JsonObject row;
-    row.Set("engine", SimEngineName(engine));
-    row.Set("jobs", e2e_jobs);
-    row.Set("nodes", e2e_nodes);
-    row.Set("rounds", e2e_rounds);
-    row.Set("schedule_s_per_round", r.schedule_s_per_round);
-    SetPerfColumns(&row, r.wall_s, r.sim_s);
-    engine_rows.push_back(row);
-  }
-  engine_table.Print(std::cout);
-
   JsonObject section;
   section.Set("smoke", smoke);
   section.Set("jobs", cmp_jobs);
@@ -287,7 +200,6 @@ int main(int argc, char** argv) {
   section.Set("cache_hit_rate", cached.hit_rate);
   section.Set("surfaces", cached.surfaces);
   section.Set("largest_round_s_cached", t_largest);
-  section.Set("engine_rounds", engine_rows);
   if (WriteBenchJsonSection(json_path, "fig12_scalability", section)) {
     std::cout << "wrote section fig12_scalability to " << json_path << "\n";
   }

@@ -39,7 +39,6 @@ void SetPerfColumns(JsonObject* row, double wall_s, double sim_s) {
   row->Set("wall_s", wall_s);
   row->Set("sim_s", sim_s);
   row->Set("sim_s_per_wall_s", wall_s > 0.0 ? sim_s / wall_s : 0.0);
-  row->Set("peak_rss_mib", PeakRssMib());
 }
 
 std::vector<ExperimentResult> RunPolicyComparison(

@@ -31,9 +31,11 @@ void PrintExperimentHeader(const std::string& id, const std::string& title,
 // itself for exactly this reason).
 double PeakRssMib();
 
-// Stamps the shared performance columns on a bench JSON row: wall_s, sim_s,
-// sim_s_per_wall_s (0 when wall_s is 0), and peak_rss_mib. Every harness that
-// reports run performance uses this so BENCH_*.json files agree on names.
+// Stamps the shared performance columns on a bench JSON row: wall_s, sim_s
+// and sim_s_per_wall_s (0 when wall_s is 0). Every harness that reports run
+// performance uses this so BENCH_*.json files agree on names. Peak RSS is not
+// among them: an in-process row would report the high-water mark of every
+// run before it, so only re-exec'd per-cell rows carry PeakRssMib().
 void SetPerfColumns(JsonObject* row, double wall_s, double sim_s);
 
 // Runs the canonical three-scheduler comparison (Optimus, DRF, Tetris) under

@@ -1,5 +1,5 @@
-// Determinism-sweep harness shared by bench_scale, bench_net and
-// bench_policies: one fingerprint of everything a run computes, one timed
+// Determinism-sweep harness shared by bench_scale, bench_net, bench_policies
+// and bench_events: one fingerprint of everything a run computes, one timed
 // run, and one engines x shards x threads sweep that checks every cell
 // bitwise against the first cell of its engine.
 

@@ -8,6 +8,7 @@
 // Wall-time profiling fields (RunMetrics::wall_*) are intentionally excluded
 // from the comparisons — they are host measurements, not simulation outputs.
 
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -149,7 +150,8 @@ TEST(ParallelDeterminismTest, ParallelPreRunSamplingMatchesSerialBitForBit) {
 
 // ---------------------------------------------------------------------------
 // Parallel interval engine: a faulted + audited run must be bitwise identical
-// — metrics and the full event trace — across thread counts.
+// — metrics and the full event trace — across thread counts, both on the
+// testbed with the default loss feed and under a dense loss feed.
 // ---------------------------------------------------------------------------
 
 struct SimRunOutput {
@@ -157,29 +159,52 @@ struct SimRunOutput {
   std::vector<SimEvent> events;
 };
 
-SimRunOutput RunFaultedAuditedSimulator(int threads) {
+enum class LossFeed {
+  // The testbed run to completion with the default loss feed.
+  kDefault,
+  // One loss sample every ~6 simulated seconds, fitted at full fidelity (no
+  // 512-point downsampling cap), on 60 jobs over 200 nodes for 8 intervals:
+  // every running job's Gram-cached refit fans out across the pool.
+  kDense,
+};
+
+SimRunOutput RunFaultedAuditedSimulator(LossFeed feed, int threads) {
   SimulatorConfig sim;
-  sim.seed = 11;
-  sim.max_sim_time_s = 2e5;
   sim.threads = threads;
   sim.audit = true;
-  std::string error;
-  EXPECT_TRUE(ParseFaultPlan(
-      "crash@1800:server=2,recover=9000;"
-      "rack@4200:servers=6-8,recover=12000;"
-      "slow@2400:factor=0.7,duration=1800",
-      &sim.fault.plan, &error))
-      << error;
-  sim.fault.task_failure_prob = 0.03;
-  sim.fault.checkpoint_period_s = 1800.0;
-
   WorkloadConfig workload;
-  workload.num_jobs = 8;
-  workload.arrival_window_s = 1200.0;
+  std::vector<Server> servers;
+  std::string plan;
+  if (feed == LossFeed::kDense) {
+    sim.seed = 7;
+    sim.max_sim_time_s = 8 * sim.interval_s;
+    plan = "crash@1800:server=2,recover=9000;slow@2400:factor=0.8,duration=1800";
+    sim.fault.task_failure_prob = 0.005;
+    sim.fault.checkpoint_period_s = 3600.0;
+    sim.conv_samples_per_interval = 300;
+    sim.conv_fit_points = 16384;
+    workload.num_jobs = 60;
+    workload.arrival_window_s = 5 * sim.interval_s;
+    servers = BuildUniformCluster(200, Resources(16, 80, 0, 1));
+  } else {
+    sim.seed = 11;
+    sim.max_sim_time_s = 2e5;
+    plan =
+        "crash@1800:server=2,recover=9000;"
+        "rack@4200:servers=6-8,recover=12000;"
+        "slow@2400:factor=0.7,duration=1800";
+    sim.fault.task_failure_prob = 0.03;
+    sim.fault.checkpoint_period_s = 1800.0;
+    workload.num_jobs = 8;
+    workload.arrival_window_s = 1200.0;
+    servers = BuildTestbed();
+  }
+  std::string error;
+  EXPECT_TRUE(ParseFaultPlan(plan, &sim.fault.plan, &error)) << error;
 
   Rng workload_rng(sim.seed ^ 0x5eedULL);
   std::vector<JobSpec> specs = GenerateWorkload(workload, &workload_rng);
-  Simulator simulator(sim, BuildTestbed(), std::move(specs));
+  Simulator simulator(sim, std::move(servers), std::move(specs));
   SimRunOutput out;
   out.metrics = simulator.Run();
   out.events = simulator.trace().events();
@@ -187,25 +212,28 @@ SimRunOutput RunFaultedAuditedSimulator(int threads) {
 }
 
 TEST(ParallelDeterminismTest, FaultedAuditedIntervalEngineMatchesAcrossThreads) {
-  const SimRunOutput base = RunFaultedAuditedSimulator(1);
-  // The run must actually exercise faults and auditing, or this pins nothing.
-  EXPECT_GT(base.metrics.server_crashes + base.metrics.task_failures, 0);
-  EXPECT_GT(base.metrics.audit_checks, 0);
-  EXPECT_EQ(base.metrics.audit_violations, 0);
-  ASSERT_FALSE(base.events.empty());
+  for (const LossFeed feed : {LossFeed::kDefault, LossFeed::kDense}) {
+    SCOPED_TRACE(feed == LossFeed::kDense ? "dense loss feed" : "default loss feed");
+    const SimRunOutput base = RunFaultedAuditedSimulator(feed, 1);
+    // The run must actually exercise faults and auditing, or this pins nothing.
+    EXPECT_GT(base.metrics.server_crashes + base.metrics.task_failures, 0);
+    EXPECT_GT(base.metrics.audit_checks, 0);
+    EXPECT_EQ(base.metrics.audit_violations, 0);
+    ASSERT_FALSE(base.events.empty());
 
-  for (const int threads : {2, 8}) {
-    const SimRunOutput other = RunFaultedAuditedSimulator(threads);
-    ExpectIdenticalMetrics(base.metrics, other.metrics);
-    ASSERT_EQ(base.events.size(), other.events.size()) << threads << " threads";
-    for (size_t i = 0; i < base.events.size(); ++i) {
-      EXPECT_EQ(base.events[i].time_s, other.events[i].time_s) << "event " << i;
-      EXPECT_EQ(base.events[i].type, other.events[i].type) << "event " << i;
-      EXPECT_EQ(base.events[i].job_id, other.events[i].job_id) << "event " << i;
-      EXPECT_EQ(base.events[i].num_ps, other.events[i].num_ps) << "event " << i;
-      EXPECT_EQ(base.events[i].num_workers, other.events[i].num_workers)
-          << "event " << i;
-      EXPECT_EQ(base.events[i].detail, other.events[i].detail) << "event " << i;
+    for (const int threads : {2, 4, 8}) {
+      const SimRunOutput other = RunFaultedAuditedSimulator(feed, threads);
+      ExpectIdenticalMetrics(base.metrics, other.metrics);
+      ASSERT_EQ(base.events.size(), other.events.size()) << threads << " threads";
+      for (size_t i = 0; i < base.events.size(); ++i) {
+        EXPECT_EQ(base.events[i].time_s, other.events[i].time_s) << "event " << i;
+        EXPECT_EQ(base.events[i].type, other.events[i].type) << "event " << i;
+        EXPECT_EQ(base.events[i].job_id, other.events[i].job_id) << "event " << i;
+        EXPECT_EQ(base.events[i].num_ps, other.events[i].num_ps) << "event " << i;
+        EXPECT_EQ(base.events[i].num_workers, other.events[i].num_workers)
+            << "event " << i;
+        EXPECT_EQ(base.events[i].detail, other.events[i].detail) << "event " << i;
+      }
     }
   }
 }

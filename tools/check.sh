@@ -24,17 +24,9 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 # surface; writes/updates BENCH_sched.json in the working directory.
 "${build_dir}/bench/bench_fig12_scalability" --smoke
 
-# Interval-engine smoke: the same run at 1, 2, 4 and 8 threads; exits 3
-# if any row's metrics diverge from the 1-thread row's. Under
-# OPTIMUS_SANITIZE this runs the parallel stepping + incremental auditing
-# paths under the sanitizer on top of the ctest determinism arms.
-# (--json routed away from the committed full-scale BENCH_*.json files.)
-"${build_dir}/bench/bench_interval" --smoke --json=BENCH_interval_smoke.json
-
 # Event-kernel smoke: discrete-event engine vs interval engine on small
-# regimes; exits nonzero if event rows are not bitwise identical across
-# thread counts or the engines diverge beyond the documented tolerance
-# (docs/ALGORITHMS.md section 16).
+# regimes; exits 3 if the engines diverge beyond the documented tolerance
+# (docs/ALGORITHMS.md section 16) or a row does not reproduce on repeat.
 "${build_dir}/bench/bench_events" --smoke --json=BENCH_events_smoke.json
 
 # Scale smoke: sharded placement + streaming admission. Sweeps
