@@ -40,21 +40,30 @@ namespace {
 
 // Loss-space residual of the (beta0, beta1, beta2) candidate. Predictions
 // with beta1 == 0 at step 0 diverge, so guard the denominator.
+//
+// Returns as soon as the running sum exceeds `bound`, with that partial sum.
+// Every term is non-negative, and under round-to-nearest adding a
+// non-negative term never lowers a sum, so the full sum would exceed `bound`
+// too. A sum that never exceeds `bound` is the full sum, bit for bit.
 double LossSpaceRss(const std::vector<LossSample>& samples, double beta0,
-                    double beta1, double beta2) {
+                    double beta1, double beta2, double bound) {
   double rss = 0.0;
   for (const LossSample& s : samples) {
     const double denom = beta0 * s.step + beta1;
     const double pred = denom > 1e-12 ? 1.0 / denom + beta2 : 1e12;
     const double e = pred - s.loss;
     rss += e * e;
+    if (rss > bound) {
+      return rss;
+    }
   }
   return rss;
 }
 
 // NNLS fit of (beta0, beta1) for a fixed beta2 on normalized samples; returns
 // the residual in loss space (infinity when the transform is infeasible).
-// From-scratch reference path: builds the dense system per candidate.
+// From-scratch reference path: builds the dense system per candidate and sums
+// every residual in full.
 double FitForBeta2(const std::vector<LossSample>& samples, double beta2, double* beta0,
                    double* beta1, int64_t* nnls_iterations) {
   Matrix a(samples.size(), 2);
@@ -72,7 +81,8 @@ double FitForBeta2(const std::vector<LossSample>& samples, double beta2, double*
   *nnls_iterations += fit.iterations;
   *beta0 = fit.x[0];
   *beta1 = fit.x[1];
-  return LossSpaceRss(samples, *beta0, *beta1, beta2);
+  return LossSpaceRss(samples, *beta0, *beta1, beta2,
+                      std::numeric_limits<double>::infinity());
 }
 
 // Same fit from a shared A^T A: A = [step, 1] does not depend on beta2, so
@@ -100,10 +110,11 @@ ConvGram AccumulateConvGram(const std::vector<LossSample>& samples) {
   return g;
 }
 
-// `ata` is the shared A^T A of `g` (built once per Fit; it does not depend on
-// beta2), so each candidate only rebuilds the right-hand side.
-double FitForBeta2Gram(const std::vector<LossSample>& samples, const Matrix& ata,
-                       double beta2, double* beta0, double* beta1,
+// `solver` holds the shared A^T A (built once per Fit; it does not depend on
+// beta2), so each candidate only rebuilds the right-hand side. The residual
+// stops early once it exceeds `bound` (see LossSpaceRss).
+double FitForBeta2Gram(const std::vector<LossSample>& samples, NnlsGramSolver* solver,
+                       double beta2, double bound, double* beta0, double* beta1,
                        int64_t* nnls_iterations) {
   double atb0 = 0.0;
   double atb1 = 0.0;
@@ -118,15 +129,12 @@ double FitForBeta2Gram(const std::vector<LossSample>& samples, const Matrix& ata
     atb1 += 1.0 * y;
     btb += y * y;
   }
-  static thread_local Vector atb;
-  atb.assign(2, 0.0);
-  atb[0] = atb0;
-  atb[1] = atb1;
-  const NnlsResult fit = SolveNnlsGram(ata, atb, btb);
-  *nnls_iterations += fit.iterations;
-  *beta0 = fit.x[0];
-  *beta1 = fit.x[1];
-  return LossSpaceRss(samples, *beta0, *beta1, beta2);
+  const double atb[2] = {atb0, atb1};
+  double x[2];
+  *nnls_iterations += solver->Solve(atb, btb, x).iterations;
+  *beta0 = x[0];
+  *beta1 = x[1];
+  return LossSpaceRss(samples, *beta0, *beta1, beta2, bound);
 }
 
 }  // namespace
@@ -145,10 +153,13 @@ bool ConvergenceModel::Fit() {
   // Preprocess: outliers -> normalize -> downsample. The normalization factor
   // applies immediately (even if this attempt ends up degenerate and keeps
   // the previous betas) — PredictLoss always denormalizes with the latest
-  // factor.
-  std::vector<LossSample> pts = RemoveOutliers(samples_, options_.outlier_window);
+  // factor. The points live in one buffer per thread that every refit on the
+  // thread rewrites: a buffer per model would keep a second copy of every
+  // live job's sample history.
+  static thread_local std::vector<LossSample> pts;
+  RemoveOutliers(samples_, options_.outlier_window, &pts);
   norm_factor_ = NormalizeLosses(&pts);
-  pts = Downsample(pts, options_.max_fit_points);
+  DownsampleInPlace(&pts, options_.max_fit_points);
 
   double min_loss = std::numeric_limits<double>::infinity();
   for (const LossSample& s : pts) {
@@ -156,43 +167,61 @@ bool ConvergenceModel::Fit() {
   }
 
   const ConvGram gram = AccumulateConvGram(pts);
-  Matrix ata(2, 2);
-  ata(0, 0) = gram.step_step;
-  ata(0, 1) = gram.step_one;
-  ata(1, 0) = gram.step_one;
-  ata(1, 1) = gram.one_one;
+  const double ata[4] = {gram.step_step, gram.step_one, gram.step_one, gram.one_one};
+  NnlsGramSolver solver(ata, 2);
 
-  // Refining grid over beta2 in [0, min_loss).
+  // Refining grid over beta2 in [0, min_loss). Each pass keeps the candidate
+  // with the smallest residual, the lowest grid index among equals, of those
+  // that beat the best of the earlier passes; NaN and infinity never win.
+  // The reference path (caching off) sweeps g = 0..grid in order, which
+  // yields that minimum with a plain `rss < best_rss`. The cached path
+  // evaluates a guess first (the grid point nearest the previous fit's beta2
+  // in pass 0, the centre of the narrowed window after that), then the other
+  // points, and stops summing a candidate's residual once it exceeds the
+  // best so far: such a candidate cannot win, and a winner is always summed
+  // in full, so both paths pick the same candidate with the same residual.
+  const int grid = options_.beta2_grid;
+  const double top = std::max(min_loss * 0.999, 0.0);
   double lo = 0.0;
-  double hi = std::max(min_loss * 0.999, 0.0);
+  double hi = top;
   double best_rss = std::numeric_limits<double>::infinity();
   double best_b0 = 0.0;
   double best_b1 = 0.0;
   double best_b2 = 0.0;
   for (int pass = 0; pass < options_.refine_passes; ++pass) {
-    const int grid = options_.beta2_grid;
+    int first = 0;
+    if (caching_) {
+      first = grid / 2;
+      if (pass == 0 && fitted_ && hi > 0.0) {
+        first = static_cast<int>(std::lround(std::clamp(beta2_ / hi, 0.0, 1.0) * grid));
+      }
+    }
     double pass_best = best_b2;
-    for (int g = 0; g <= grid; ++g) {
+    int pass_best_g = -1;  // no candidate of this pass has won yet
+    for (int i = 0; i <= grid; ++i) {
+      // Visit `first`, then 0..grid without it.
+      const int g = i == 0 ? first : (i <= first ? i - 1 : i);
       const double beta2 = lo + (hi - lo) * g / grid;
       double b0 = 0.0;
       double b1 = 0.0;
       const double rss =
           caching_
-              ? FitForBeta2Gram(pts, ata, beta2, &b0, &b1,
+              ? FitForBeta2Gram(pts, &solver, beta2, best_rss, &b0, &b1,
                                 &fit_stats_.nnls_iterations)
               : FitForBeta2(pts, beta2, &b0, &b1, &fit_stats_.nnls_iterations);
-      if (rss < best_rss) {
+      if (rss < best_rss || (rss == best_rss && g < pass_best_g)) {
         best_rss = rss;
         best_b0 = b0;
         best_b1 = b1;
         best_b2 = beta2;
         pass_best = beta2;
+        pass_best_g = g;
       }
     }
     // Narrow the window around the best candidate for the next pass.
     const double width = (hi - lo) / grid;
     lo = std::max(0.0, pass_best - width);
-    hi = std::min(std::max(min_loss * 0.999, 0.0), pass_best + width);
+    hi = std::min(top, pass_best + width);
   }
 
   if (!std::isfinite(best_rss) || (best_b0 <= 0.0 && best_b1 <= 0.0)) {

@@ -8,12 +8,16 @@
 // normalization, downsampling) exactly as the paper describes.
 //
 // The design matrix A = [step, 1] is the same for every beta2 candidate, so
-// one Fit() accumulates A^T A once and solves each candidate from the shared
-// Gram in O(n) instead of O(n * iterations); a dirty flag skips the refit
+// one Fit() accumulates A^T A once and factors each of its passive subsets
+// once for all candidates. Each candidate still makes two O(n) passes with
+// one divide per point (A^T b and the loss-space residual), so the cached
+// sweep evaluates a warm-start guess first and stops summing a candidate's
+// residual once it exceeds the best so far. A dirty flag skips the refit
 // entirely when no samples arrived since the last Fit(), and the epoch-walk
-// prediction (PredictTotalEpochs) is memoized per fit. All three shortcuts
-// reproduce the from-scratch fit bit for bit; set_caching(false) forces the
-// from-scratch path, the test-side reference (tests/perfmodel_test.cc).
+// prediction (PredictTotalEpochs) is memoized per fit. Every shortcut
+// reproduces the from-scratch fit bit for bit (docs/ALGORITHMS.md §13 gives
+// the argument); set_caching(false) forces the from-scratch, in-order path,
+// the test-side reference (tests/perfmodel_test.cc).
 //
 // The fitted curve answers the scheduler's question: how many more epochs
 // until the per-epoch loss decrease stays below the job's threshold?
@@ -57,8 +61,9 @@ class ConvergenceModel {
   // them reproduces the model exactly).
   const std::vector<LossSample>& samples() const { return samples_; }
 
-  // Shared-Gram solves, dirty-flag refits, and prediction memoization on by
-  // default; off re-derives everything from scratch on every call.
+  // Shared-Gram solves, the bounded warm-started sweep, dirty-flag refits,
+  // and prediction memoization on by default; off re-derives everything from
+  // scratch on every call.
   void set_caching(bool enabled) { caching_ = enabled; }
 
   // Refits the curve on all samples collected so far. Returns true when a

@@ -220,9 +220,12 @@ bool MultiFamilyConvergenceModel::Fit() {
   if (static_cast<int>(samples_.size()) < min_samples_) {
     return best_.valid;
   }
-  std::vector<LossSample> pts = RemoveOutliers(samples_);
+  // One buffer per thread, reused by every refit on it (see
+  // ConvergenceModel::Fit).
+  static thread_local std::vector<LossSample> pts;
+  RemoveOutliers(samples_, 5, &pts);
   norm_factor_ = NormalizeLosses(&pts);
-  pts = Downsample(pts, 512);
+  DownsampleInPlace(&pts, 512);
 
   CurveFit best;
   for (CurveFamily family : {CurveFamily::kInversePolynomial, CurveFamily::kExponential,

@@ -7,13 +7,16 @@
 
 namespace optimus {
 
-std::vector<LossSample> RemoveOutliers(std::vector<LossSample> samples, int window) {
+void RemoveOutliers(const std::vector<LossSample>& samples, int window,
+                    std::vector<LossSample>* out_buffer) {
   OPTIMUS_CHECK_GE(window, 1);
+  OPTIMUS_CHECK(out_buffer != nullptr && out_buffer != &samples);
+  std::vector<LossSample>& out = *out_buffer;
+  out.assign(samples.begin(), samples.end());
   const int n = static_cast<int>(samples.size());
   if (n < 3) {
-    return samples;
+    return;
   }
-  std::vector<LossSample> out = samples;
   for (int i = 0; i < n; ++i) {
     // Band: [min of next `window` samples, max of previous `window` samples].
     double next_min = std::numeric_limits<double>::infinity();
@@ -47,6 +50,12 @@ std::vector<LossSample> RemoveOutliers(std::vector<LossSample> samples, int wind
       }
     }
   }
+}
+
+std::vector<LossSample> RemoveOutliers(const std::vector<LossSample>& samples,
+                                       int window) {
+  std::vector<LossSample> out;
+  RemoveOutliers(samples, window, &out);
   return out;
 }
 
@@ -65,15 +74,17 @@ double NormalizeLosses(std::vector<LossSample>* samples) {
   return max_loss;
 }
 
-std::vector<LossSample> Downsample(const std::vector<LossSample>& samples,
-                                   int max_points) {
+void DownsampleInPlace(std::vector<LossSample>* samples, int max_points) {
+  OPTIMUS_CHECK(samples != nullptr);
   OPTIMUS_CHECK_GE(max_points, 1);
-  const int n = static_cast<int>(samples.size());
+  std::vector<LossSample>& s = *samples;
+  const int n = static_cast<int>(s.size());
   if (n <= max_points) {
-    return samples;
+    return;
   }
-  std::vector<LossSample> out;
-  out.reserve(max_points);
+  // Bucket b starts at index >= b (buckets are wider than one sample), so the
+  // write cursor never passes the bucket being read.
+  size_t written = 0;
   const double bucket = static_cast<double>(n) / max_points;
   for (int b = 0; b < max_points; ++b) {
     const int lo = static_cast<int>(b * bucket);
@@ -84,13 +95,18 @@ std::vector<LossSample> Downsample(const std::vector<LossSample>& samples,
     double step_sum = 0.0;
     double loss_sum = 0.0;
     for (int i = lo; i < hi; ++i) {
-      step_sum += samples[i].step;
-      loss_sum += samples[i].loss;
+      step_sum += s[i].step;
+      loss_sum += s[i].loss;
     }
     const double count = static_cast<double>(hi - lo);
-    out.push_back({step_sum / count, loss_sum / count});
+    s[written++] = {step_sum / count, loss_sum / count};
   }
-  return out;
+  s.resize(written);
+}
+
+std::vector<LossSample> Downsample(std::vector<LossSample> samples, int max_points) {
+  DownsampleInPlace(&samples, max_points);
+  return samples;
 }
 
 }  // namespace optimus

@@ -18,19 +18,29 @@ struct LossSample {
   double loss = 0.0;
 };
 
-// Replaces out-of-band samples with their neighbour average. `window` is the
-// number of neighbours considered on each side (the paper uses 5 epochs).
-std::vector<LossSample> RemoveOutliers(std::vector<LossSample> samples, int window = 5);
+// Writes `samples` into `*out` with out-of-band samples replaced by their
+// neighbour average. `window` is the number of neighbours considered on each
+// side (the paper uses 5 epochs). `*out` keeps its capacity, so a caller that
+// refits repeatedly reuses one buffer; it must not alias `samples`.
+void RemoveOutliers(const std::vector<LossSample>& samples, int window,
+                    std::vector<LossSample>* out);
+
+// The same, returning a new vector.
+std::vector<LossSample> RemoveOutliers(const std::vector<LossSample>& samples,
+                                       int window = 5);
 
 // Divides every loss by the maximum loss in `samples`; no-op on empty input.
 // Returns the normalization factor used (max loss; 1.0 if empty/degenerate).
 double NormalizeLosses(std::vector<LossSample>* samples);
 
-// Reduces the sample count to at most `max_points` by averaging consecutive
-// buckets (both step and loss), preserving curve shape (§3.1 suggests
-// sampling/averaging when hundreds of thousands of steps accumulate).
-std::vector<LossSample> Downsample(const std::vector<LossSample>& samples,
-                                   int max_points);
+// Reduces the sample count to at most `max_points` in place by averaging
+// consecutive buckets (both step and loss), preserving curve shape (§3.1
+// suggests sampling/averaging when hundreds of thousands of steps
+// accumulate). Leaves `*samples` untouched when it already fits.
+void DownsampleInPlace(std::vector<LossSample>* samples, int max_points);
+
+// The same, returning a new vector.
+std::vector<LossSample> Downsample(std::vector<LossSample> samples, int max_points);
 
 }  // namespace optimus
 

@@ -1436,9 +1436,14 @@ void Simulator::AdvanceJob(JobRuntime* jr, AdvanceOutcome* out) {
         jr->multi_conv->AddSample(step, sample);
       }
     }
-    jr->conv->Fit();
-    if (jr->multi_conv != nullptr) {
-      jr->multi_conv->Fit();
+    // A job that completed this interval keeps its samples (the draws above
+    // advance its RNG either way) but is not refit: nothing reads a finished
+    // job's estimates.
+    if (!completed) {
+      jr->conv->Fit();
+      if (jr->multi_conv != nullptr) {
+        jr->multi_conv->Fit();
+      }
     }
     // All-reduce measurements land on the model's p = 1 row (the grid its
     // estimates are read from; the job itself runs zero PS tasks).
@@ -1476,7 +1481,9 @@ void Simulator::AdvanceJob(JobRuntime* jr, AdvanceOutcome* out) {
       }
     }
     jr->speed->AddSample(sample_ps, job.num_workers(), sample_speed);
-    jr->speed->Fit();
+    if (!completed) {
+      jr->speed->Fit();
+    }
   }
 
   // Utilization snapshot (Fig 14): compute-busy share of a step on workers;

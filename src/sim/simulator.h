@@ -420,7 +420,8 @@ class Simulator {
   // The periodic Algorithm-1 round: settle everyone, refresh models, run the
   // shared fault pipeline + scheduling + audit, rebuild segments, sample.
   void HandleRoundEvent(double t);
-  // Per-dirty-job model refresh at a round (speed sample + lazy fits).
+  // Per-dirty-job model refresh at a round: speed sample, then the lazy fits
+  // unless the job completed in the span.
   void RefreshModels();
   // Draws the round's speed noise, recomputes each running job's segment,
   // and enqueues its next epoch event.
@@ -453,8 +454,8 @@ class Simulator {
   // Retires every completed, not-yet-retired runtime. No-op unless
   // config_.streaming. The interval engine sweeps at the end of each step;
   // the event engine sweeps at rounds after RefreshModels, so a completed
-  // job's final trained span still feeds its models exactly as in the batch
-  // run before the runtime is freed.
+  // job's final trained span still records its speed sample exactly as in
+  // the batch run before the runtime is freed.
   void RetireCompleted();
   // Scheduler view of a job (estimates only).
   SchedJob MakeSchedJob(JobRuntime* jr) const;

@@ -272,10 +272,15 @@ void Simulator::RefreshModels() {
     }
   }
   // One speed-model measurement per trained span (the interval engine's
-  // cadence) plus the deferred convergence fits. All per-job-owned state.
+  // cadence) plus the deferred fits. All per-job-owned state. A job that
+  // completed during the span is not refit, as on the interval engine:
+  // nothing reads a finished job's estimates.
   auto refresh = [&](JobRuntime* jr) {
     jr->speed->AddSample(jr->seg_sample_ps, jr->seg_sample_workers,
                          jr->seg_sample_speed);
+    if (jr->job.state() == JobState::kCompleted) {
+      return;
+    }
     jr->speed->Fit();
     jr->conv->Fit();
     if (jr->multi_conv != nullptr) {
@@ -442,9 +447,9 @@ void Simulator::HandleRoundEvent(double t) {
     RefreshModels();
   }
   // Retire only after the refresh: a job that completed since the last round
-  // still carries its final trained span, which the refresh above folds into
-  // its models exactly as the batch engine does. Retiring earlier would skip
-  // that fit and diverge the model counters from the batch run.
+  // still carries its final trained span, whose speed sample the refresh
+  // above records exactly as the interval engine does (neither engine refits
+  // a completed job).
   RetireCompleted();
 
   // The shared policy path, verbatim: fault pipeline (periodic checkpoints,

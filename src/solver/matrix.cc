@@ -57,12 +57,9 @@ Matrix Matrix::SelectColumns(const std::vector<size_t>& columns) const {
   return out;
 }
 
-bool SolveSpd(const double* m, const double* b, size_t n, double* x) {
+bool CholeskyFactor(const double* m, size_t n, double* l) {
   OPTIMUS_CHECK_LE(n, kMaxSolveDims)
       << "SolveSpd supports at most " << kMaxSolveDims << " unknowns, got " << n;
-  if (n == 0) {
-    return true;
-  }
 
   // Ridge scaled to the matrix magnitude keeps the Cholesky stable when the
   // fitting features are nearly collinear (common early in online fitting).
@@ -72,8 +69,7 @@ bool SolveSpd(const double* m, const double* b, size_t n, double* x) {
   }
   const double ridge = max_diag * 1e-12 + 1e-300;
 
-  // Cholesky: m = L L^T, with L row-major in stack storage.
-  double l[kMaxSolveDims * kMaxSolveDims];
+  // m = L L^T, with L row-major.
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = 0; j <= i; ++j) {
       double sum = m[i * n + j];
@@ -93,7 +89,11 @@ bool SolveSpd(const double* m, const double* b, size_t n, double* x) {
       }
     }
   }
+  return true;
+}
 
+bool CholeskySolve(const double* l, const double* b, size_t n, double* x) {
+  OPTIMUS_CHECK_LE(n, kMaxSolveDims);
   // Forward solve L y = b.
   double y[kMaxSolveDims];
   for (size_t i = 0; i < n; ++i) {
@@ -118,6 +118,11 @@ bool SolveSpd(const double* m, const double* b, size_t n, double* x) {
     }
   }
   return true;
+}
+
+bool SolveSpd(const double* m, const double* b, size_t n, double* x) {
+  double l[kMaxSolveDims * kMaxSolveDims];
+  return CholeskyFactor(m, n, l) && CholeskySolve(l, b, n, x);
 }
 
 bool SolveSpd(const Matrix& m, const Vector& b, Vector* x) {

@@ -53,12 +53,19 @@ class Matrix {
 // fails an OPTIMUS_CHECK.
 inline constexpr size_t kMaxSolveDims = 8;
 
-// Solves the square symmetric positive-(semi)definite system M x = b by
-// Cholesky factorization with a small diagonal ridge for numerical safety.
-// `m` is n x n row-major; `b` and `x` have n entries, and `x` is written only
-// once the factorization succeeds. Returns false if the system is too
-// ill-conditioned to factor or the solution is not finite. Requires
-// n <= kMaxSolveDims.
+// Cholesky factorization M + ridge*I = L L^T of the square symmetric
+// positive-(semi)definite `m` (n x n row-major), with a small diagonal ridge
+// scaled to M's largest diagonal for numerical safety. Writes the lower
+// triangle of `l` (n x n row-major). Returns false if the system is too
+// ill-conditioned to factor. Requires n <= kMaxSolveDims.
+bool CholeskyFactor(const double* m, size_t n, double* l);
+
+// Solves L L^T x = b for a CholeskyFactor output `l`; `b` and `x` have n
+// entries. Returns false if the solution is not finite.
+bool CholeskySolve(const double* l, const double* b, size_t n, double* x);
+
+// CholeskyFactor followed by CholeskySolve: solves M x = b, writing `x` only
+// once the factorization succeeds. Returns false if either step fails.
 bool SolveSpd(const double* m, const double* b, size_t n, double* x);
 
 // The same solve on a Matrix and Vector.

@@ -29,50 +29,75 @@ void GramSystem::Reset() {
   rows_ = 0;
 }
 
-namespace {
+NnlsGramSolver::NnlsGramSolver(const double* ata, size_t n, const NnlsOptions& options)
+    : n_(n), options_(options) {
+  OPTIMUS_CHECK_LE(n, kMaxSolveDims)
+      << "NNLS supports at most " << kMaxSolveDims << " unknowns, got " << n;
+  std::copy(ata, ata + n * n, ata_);
+}
 
-// Least squares on the passive subset of the normal equations; entries outside
-// the subset are zero in the returned full-length `full`. The subset system is
-// exactly what SelectColumns + Gram of a dense A would produce (same sums in
-// the same order), so solutions match the dense path bit for bit.
-bool SolveOnGramSubset(const double* ata, const double* atb, size_t n,
-                       const size_t* passive, size_t k, double* full) {
+const NnlsGramSolver::SubsetFactor& NnlsGramSolver::FactorFor(const size_t* passive,
+                                                             size_t k) {
+  // Key: the subset size, then each index in passive order (4 bits apiece).
+  // The order matters: the subset matrix is laid out in passive order, and
+  // its factor's rounding depends on that layout.
+  uint64_t key = k;
+  for (size_t i = 0; i < k; ++i) {
+    key |= static_cast<uint64_t>(passive[i]) << (4 * (i + 1));
+  }
+  for (size_t s = 0; s < num_factors_; ++s) {
+    if (factors_[s].key == key) {
+      return factors_[s];
+    }
+  }
+  size_t slot = num_factors_;
+  if (num_factors_ < kMaxFactors) {
+    ++num_factors_;
+  } else {
+    slot = next_evict_;
+    next_evict_ = (next_evict_ + 1) % kMaxFactors;
+  }
+  // The subset system is exactly what SelectColumns + Gram of a dense A would
+  // produce (same sums in the same order), so solutions match the dense path
+  // bit for bit.
+  SubsetFactor& f = factors_[slot];
   double sub[kMaxSolveDims * kMaxSolveDims];
+  for (size_t i = 0; i < k; ++i) {
+    for (size_t j = 0; j < k; ++j) {
+      sub[i * k + j] = ata_[passive[i] * n_ + passive[j]];
+    }
+  }
+  f.key = key;
+  f.ok = CholeskyFactor(sub, k, f.l);
+  return f;
+}
+
+bool NnlsGramSolver::SolveOnSubset(const double* atb, const size_t* passive, size_t k,
+                                   double* full) {
+  const SubsetFactor& f = FactorFor(passive, k);
+  if (!f.ok) {
+    return false;
+  }
   double rhs[kMaxSolveDims];
   double z[kMaxSolveDims];
   for (size_t i = 0; i < k; ++i) {
     rhs[i] = atb[passive[i]];
-    for (size_t j = 0; j < k; ++j) {
-      sub[i * k + j] = ata[passive[i] * n + passive[j]];
-    }
   }
-  if (!SolveSpd(sub, rhs, k, z)) {
+  if (!CholeskySolve(f.l, rhs, k, z)) {
     return false;
   }
-  std::fill(full, full + n, 0.0);
+  std::fill(full, full + n_, 0.0);
   for (size_t i = 0; i < k; ++i) {
     full[passive[i]] = z[i];
   }
   return true;
 }
 
-}  // namespace
+NnlsGramSolver::Solution NnlsGramSolver::Solve(const double* atb, double btb,
+                                               double* x_out) {
+  const size_t n = n_;
+  const double* ata = ata_;
 
-NnlsResult SolveNnlsGram(const GramSystem& gram, const NnlsOptions& options) {
-  return SolveNnlsGram(gram.ata(), gram.atb(), gram.btb(), options);
-}
-
-NnlsResult SolveNnlsGram(const Matrix& ata_m, const Vector& atb_v, double btb,
-                         const NnlsOptions& options) {
-  const size_t n = atb_v.size();
-  OPTIMUS_CHECK_LE(n, kMaxSolveDims)
-      << "NNLS supports at most " << kMaxSolveDims << " unknowns, got " << n;
-  OPTIMUS_CHECK(ata_m.rows() == n && ata_m.cols() == n)
-      << "A^T A is " << ata_m.rows() << "x" << ata_m.cols() << ", A^T b has " << n;
-  const double* ata = ata_m.data();
-  const double* atb = atb_v.data();
-
-  // The whole active-set iteration runs in fixed-capacity stack storage.
   bool in_passive[kMaxSolveDims] = {};
   size_t passive[kMaxSolveDims];
   size_t num_passive = 0;
@@ -83,13 +108,13 @@ NnlsResult SolveNnlsGram(const Matrix& ata_m, const Vector& atb_v, double btb,
   for (size_t i = 0; i < n; ++i) {
     grad_scale = std::max(grad_scale, std::abs(atb[i]));
   }
-  const double tol = options.tolerance * std::max(grad_scale, 1.0);
+  const double tol = options_.tolerance * std::max(grad_scale, 1.0);
 
   double x[kMaxSolveDims] = {};
   double w[kMaxSolveDims];
   double z[kMaxSolveDims];
   int iter = 0;
-  while (iter < options.max_iterations) {
+  while (iter < options_.max_iterations) {
     // Dual vector w = A^T b - A^T A x (== A^T (b - A x)).
     for (size_t i = 0; i < n; ++i) {
       double dot = 0.0;
@@ -118,7 +143,7 @@ NnlsResult SolveNnlsGram(const Matrix& ata_m, const Vector& atb_v, double btb,
     // Inner loop: ensure the passive-set least-squares solution is feasible.
     while (true) {
       ++iter;
-      if (!SolveOnGramSubset(ata, atb, n, passive, num_passive, z)) {
+      if (!SolveOnSubset(atb, passive, num_passive, z)) {
         // Numerically singular subset: drop the most recently added column.
         in_passive[passive[--num_passive]] = false;
         break;
@@ -170,38 +195,57 @@ NnlsResult SolveNnlsGram(const Matrix& ata_m, const Vector& atb_v, double btb,
       if (num_passive == 0) {
         break;
       }
-      if (iter >= options.max_iterations) {
+      if (iter >= options_.max_iterations) {
         break;
       }
     }
-    if (iter >= options.max_iterations) {
+    if (iter >= options_.max_iterations) {
       break;
     }
   }
 
-  NnlsResult result;
-  result.converged = iter < options.max_iterations;
-  result.x.resize(n);
+  Solution solution;
+  solution.converged = iter < options_.max_iterations;
+  solution.iterations = iter;
   for (size_t i = 0; i < n; ++i) {
-    result.x[i] = std::max(x[i], 0.0);
+    x_out[i] = std::max(x[i], 0.0);
   }
-  result.iterations = iter;
   // ||Ax - b||^2 = b^T b - 2 x^T A^T b + x^T A^T A x; the Gram identity can
   // dip below zero by rounding on near-perfect fits, so clamp.
-  const double* xs = result.x.data();
   double quad = 0.0;
   for (size_t i = 0; i < n; ++i) {
     double row = 0.0;
     for (size_t j = 0; j < n; ++j) {
-      row += ata[i * n + j] * xs[j];
+      row += ata[i * n + j] * x_out[j];
     }
-    quad += xs[i] * row;
+    quad += x_out[i] * row;
   }
   double xtb = 0.0;
   for (size_t i = 0; i < n; ++i) {
-    xtb += atb[i] * xs[i];
+    xtb += atb[i] * x_out[i];
   }
-  result.residual_sum_of_squares = std::max(0.0, btb - 2.0 * xtb + quad);
+  solution.residual_sum_of_squares = std::max(0.0, btb - 2.0 * xtb + quad);
+  return solution;
+}
+
+NnlsResult SolveNnlsGram(const GramSystem& gram, const NnlsOptions& options) {
+  return SolveNnlsGram(gram.ata(), gram.atb(), gram.btb(), options);
+}
+
+NnlsResult SolveNnlsGram(const Matrix& ata, const Vector& atb, double btb,
+                         const NnlsOptions& options) {
+  const size_t n = atb.size();
+  OPTIMUS_CHECK_LE(n, kMaxSolveDims)
+      << "NNLS supports at most " << kMaxSolveDims << " unknowns, got " << n;
+  OPTIMUS_CHECK(ata.rows() == n && ata.cols() == n)
+      << "A^T A is " << ata.rows() << "x" << ata.cols() << ", A^T b has " << n;
+  NnlsGramSolver solver(ata.data(), n, options);
+  NnlsResult result;
+  result.x.resize(n);
+  const NnlsGramSolver::Solution s = solver.Solve(atb.data(), btb, result.x.data());
+  result.converged = s.converged;
+  result.iterations = s.iterations;
+  result.residual_sum_of_squares = s.residual_sum_of_squares;
   return result;
 }
 

@@ -13,12 +13,16 @@
 // O(k^2 * iterations) instead of O(n * k^2) in the sample count n.
 //
 // Every caller solves a handful of unknowns (convergence 2, speed 4 or 5,
-// DL2 6), so the active-set loop and its subset Cholesky run in stack arrays
-// of fixed capacity kMaxSolveDims (matrix.h): a solve allocates only its
-// result vector. A system with more unknowns fails an OPTIMUS_CHECK.
+// DL2 6), so the active-set loop and its subset Cholesky run in fixed-capacity
+// storage of kMaxSolveDims (matrix.h). NnlsGramSolver allocates nothing; the
+// NnlsResult wrappers allocate only their result vector. A system with more
+// unknowns fails an OPTIMUS_CHECK.
 
 #ifndef SRC_SOLVER_NNLS_H_
 #define SRC_SOLVER_NNLS_H_
+
+#include <cstddef>
+#include <cstdint>
 
 #include "src/solver/matrix.h"
 
@@ -81,18 +85,60 @@ class GramSystem {
   size_t dims_ = 0;
 };
 
+// Lawson-Hanson active-set NNLS on one fixed A^T A, reusable across many
+// right-hand sides (e.g. the convergence model's beta2 sweep, ~75 solves per
+// fit against one 2x2 Gram). Each passive subset's Cholesky factor is
+// computed on first use and kept, so repeated solves refactor nothing. A
+// cached factor is the same arithmetic on the same subset matrix as a fresh
+// one, so every solve is bit-identical to a solver built for it alone.
+class NnlsGramSolver {
+ public:
+  // `ata` is n x n row-major and is copied; requires n <= kMaxSolveDims.
+  NnlsGramSolver(const double* ata, size_t n, const NnlsOptions& options = {});
+
+  struct Solution {
+    bool converged = false;
+    int iterations = 0;
+    // From the Gram identity b^T b - 2 x^T A^T b + x^T A^T A x, clamped at 0.
+    double residual_sum_of_squares = 0.0;
+  };
+
+  // Solves for the right-hand side A^T b = `atb` (n entries) with
+  // b^T b = `btb`, writing the non-negative solution into `x` (n entries).
+  Solution Solve(const double* atb, double btb, double* x);
+
+ private:
+  // Distinct passive subsets kept at once; a 2-unknown solve visits at most
+  // four ({0}, {1}, {0, 1}, {1, 0}). Beyond that the oldest is replaced.
+  static constexpr size_t kMaxFactors = 16;
+  struct SubsetFactor {
+    uint64_t key;  // subset size and its indices in passive order
+    bool ok;       // false when the subset was too ill-conditioned to factor
+    double l[kMaxSolveDims * kMaxSolveDims];
+  };
+
+  const SubsetFactor& FactorFor(const size_t* passive, size_t k);
+  // Least squares on the passive subset; entries outside it are zero in the
+  // n-entry `full`. False when the subset cannot be solved.
+  bool SolveOnSubset(const double* atb, const size_t* passive, size_t k, double* full);
+
+  size_t n_;
+  NnlsOptions options_;
+  double ata_[kMaxSolveDims * kMaxSolveDims];
+  SubsetFactor factors_[kMaxFactors];
+  size_t num_factors_ = 0;
+  size_t next_evict_ = 0;
+};
+
 // Solves min ||A x - b|| s.t. x >= 0.
 NnlsResult SolveNnls(const Matrix& a, const Vector& b, const NnlsOptions& options = {});
 
-// Same active-set algorithm on pre-accumulated normal equations. Produces the
+// One NnlsGramSolver solve on pre-accumulated normal equations. Produces the
 // same solution as SolveNnls over the samples the GramSystem was built from
 // (see GramSystem); residual_sum_of_squares uses the Gram identity.
 NnlsResult SolveNnlsGram(const GramSystem& gram, const NnlsOptions& options = {});
 
-// Raw-moment variant for callers that share one A^T A across many right-hand
-// sides (e.g. the convergence model's beta2 grid): skips wrapping the moments
-// in a GramSystem per solve. atb.size() gives the dimensionality; solutions
-// are identical to the GramSystem overload.
+// The same on raw moments; atb.size() gives the dimensionality.
 NnlsResult SolveNnlsGram(const Matrix& ata, const Vector& atb, double btb,
                          const NnlsOptions& options = {});
 

@@ -12,6 +12,9 @@
 //     its recorded arrival reproduces its JCT exactly (no
 //     interval-boundary quantization).
 //   - Edge cases: zero jobs, and a cluster with no servers.
+//   - No refit of a finished job: the span a job completes in adds no model
+//     fit on either engine, and on a noise-free one-job run both engines
+//     report the same fit counters round by round.
 
 #include <algorithm>
 #include <cmath>
@@ -25,6 +28,7 @@
 
 #include "src/cluster/server.h"
 #include "src/common/rng.h"
+#include "src/obs/metrics_registry.h"
 #include "src/sim/event_kernel.h"
 #include "src/sim/fault_injector.h"
 #include "src/sim/simulator.h"
@@ -374,6 +378,104 @@ TEST(EventKernelTest, GoldenScenarioParityAgainstIntervalEngine) {
     EXPECT_EQ(events.metrics.audit_violations, 0) << path;
     EXPECT_GT(events.metrics.events_processed, 0) << path;
     EXPECT_EQ(interval.metrics.events_processed, 0) << path;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// No refit of a finished job.
+
+struct FitCounts {
+  double conv = 0.0;
+  double speed = 0.0;
+};
+
+FitCounts ReadFitCounts(const Simulator& sim) {
+  auto counter = [&sim](const char* name) {
+    const Metric* m = sim.registry().Find(name);
+    EXPECT_NE(m, nullptr) << name;
+    return m == nullptr ? 0.0 : static_cast<const Counter*>(m)->value();
+  };
+  return {counter("optimus_conv_fits_total"),
+          counter("optimus_speedmodel_fits_total")};
+}
+
+// Workload whose trajectory is the same on both engines: no runtime noise
+// (set in the config) and noise-free loss curves, so both engines see the
+// same epoch losses and converge at the same epochs despite drawing from the
+// jobs' RNG streams at different cadences.
+std::vector<JobSpec> NoiseFreeJobs(int num_jobs, double arrival_window_s) {
+  static std::vector<ModelSpec> noise_free = [] {
+    std::vector<ModelSpec> zoo = GetModelZoo();
+    for (ModelSpec& m : zoo) {
+      m.loss.noise_sd = 0.0;
+    }
+    return zoo;
+  }();
+  WorkloadConfig workload;
+  workload.num_jobs = num_jobs;
+  workload.arrival_window_s = arrival_window_s;
+  Rng rng(0x5eedULL);
+  std::vector<JobSpec> specs = GenerateWorkload(workload, &rng);
+  for (JobSpec& spec : specs) {
+    for (const ModelSpec& m : noise_free) {
+      if (m.name == spec.model->name) {
+        spec.model = &m;
+      }
+    }
+  }
+  return specs;
+}
+
+// One job stepped a round at a time on each engine. Every round whose span
+// the job trained through and survived refits each of its models once; the
+// round whose span it completed in refits nothing. Both engines walk the same
+// trajectory here, so they report the same fit counters round by round.
+TEST(EventKernelTest, CompletedJobIsNotRefitOnEitherEngine) {
+  std::vector<JobSpec> specs = NoiseFreeJobs(1, 1.0);
+  ASSERT_EQ(specs.size(), 1u);
+  specs.front().arrival_time_s = 0.0;  // both engines' first round
+  const int id = specs.front().id;
+
+  struct Round {
+    FitCounts delta;
+    JobState state;
+  };
+  auto run = [&](SimEngine engine) {
+    SimulatorConfig config;
+    config.seed = 7;
+    config.engine = engine;
+    config.runtime_noise_sd = 0.0;
+    Simulator sim(config, BuildTestbed(), specs);
+    std::vector<Round> rounds;
+    while (rounds.empty() || rounds.back().state != JobState::kCompleted) {
+      const FitCounts before = ReadFitCounts(sim);
+      sim.AdvanceTo(static_cast<double>(rounds.size() + 1) * config.interval_s);
+      const FitCounts after = ReadFitCounts(sim);
+      rounds.push_back({{after.conv - before.conv, after.speed - before.speed},
+                        sim.job(id).state()});
+      if (rounds.size() > 100) {
+        ADD_FAILURE() << "job never completed";
+        break;
+      }
+    }
+    return rounds;
+  };
+  const std::vector<Round> interval = run(SimEngine::kInterval);
+  const std::vector<Round> events = run(SimEngine::kEvents);
+
+  // The job trains through at least two spans before the one it completes in.
+  ASSERT_GE(interval.size(), 3u);
+  for (size_t r = 1; r + 1 < interval.size(); ++r) {
+    EXPECT_EQ(interval[r].delta.conv, 1.0) << "round " << r;
+    EXPECT_EQ(interval[r].delta.speed, 1.0) << "round " << r;
+  }
+  EXPECT_EQ(interval.back().delta.conv, 0.0);
+  EXPECT_EQ(interval.back().delta.speed, 0.0);
+
+  ASSERT_EQ(events.size(), interval.size());
+  for (size_t r = 0; r < events.size(); ++r) {
+    EXPECT_EQ(events[r].delta.conv, interval[r].delta.conv) << "round " << r;
+    EXPECT_EQ(events[r].delta.speed, interval[r].delta.speed) << "round " << r;
   }
 }
 

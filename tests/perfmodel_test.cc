@@ -240,6 +240,112 @@ TEST_F(ConvergenceModelTest, CachedFitsMatchFromScratchBitwise) {
   EXPECT_TRUE(scratch.fitted());
 }
 
+// Feeds `feed` to a cached model and a set_caching(false) reference in
+// lockstep, refitting both every `chunk` samples (and once more with no new
+// samples), and requires bitwise-equal fits after every refit. Both models
+// are Reset() after sample `reset_at` (never when it is past the feed).
+// Returns how many refits produced a fit.
+int ExpectCachedMatchesReference(const std::vector<LossSample>& feed, size_t chunk,
+                                 size_t reset_at, ConvergenceModelOptions options,
+                                 int64_t spe) {
+  ConvergenceModel cached(options);
+  ConvergenceModel reference(options);
+  reference.set_caching(false);
+  int fitted = 0;
+  for (size_t i = 0; i < feed.size(); ++i) {
+    cached.AddSample(feed[i].step, feed[i].loss);
+    reference.AddSample(feed[i].step, feed[i].loss);
+    if (i + 1 == reset_at) {
+      cached.Reset();
+      reference.Reset();
+    }
+    if ((i + 1) % chunk != 0 && i + 1 != feed.size()) {
+      continue;
+    }
+    for (int round = 0; round < 2; ++round) {
+      SCOPED_TRACE("sample " + std::to_string(i) + " round " + std::to_string(round));
+      EXPECT_EQ(cached.Fit(), reference.Fit());
+      EXPECT_EQ(cached.fitted(), reference.fitted());
+      if (!reference.fitted() || !cached.fitted()) {
+        continue;
+      }
+      ++fitted;
+      EXPECT_EQ(cached.beta0(), reference.beta0());
+      EXPECT_EQ(cached.beta1(), reference.beta1());
+      EXPECT_EQ(cached.beta2(), reference.beta2());
+      EXPECT_EQ(cached.residual(), reference.residual());
+      for (const double delta : {0.01, 0.05}) {
+        EXPECT_EQ(cached.PredictTotalEpochs(delta, 3, spe),
+                  reference.PredictTotalEpochs(delta, 3, spe));
+      }
+    }
+    if (::testing::Test::HasFailure()) {
+      break;  // one diverged feed is enough to report
+    }
+  }
+  return fitted;
+}
+
+TEST_F(ConvergenceModelTest, CachedSweepMatchesReferenceOverSeededFeeds) {
+  // 240 seeded feeds: every zoo model at four noise levels (none, half,
+  // nominal, triple), half of them downsampled to 64 fit points, a third
+  // Reset() half way through. The cached path's warm-started, bounded
+  // beta2 sweep must pick the reference sweep's candidate, bit for bit.
+  const std::vector<ModelSpec>& zoo = GetModelZoo();
+  const double noise_scale[] = {0.0, 0.5, 1.0, 3.0};
+  int fitted = 0;
+  for (int seed = 0; seed < 240; ++seed) {
+    const ModelSpec& spec = zoo[seed % zoo.size()];
+    LossCurveParams params = spec.loss;
+    params.noise_sd *= noise_scale[(seed / zoo.size()) % 4];
+    const int64_t spe = spec.StepsPerEpoch(spec.default_sync_batch);
+    LossCurve curve(params, spe);
+    Rng rng(1000 + seed);
+    std::vector<LossSample> feed;
+    const int per_epoch = 20;
+    for (int e = 0; e < 12; ++e) {
+      for (int i = 1; i <= per_epoch; ++i) {
+        const int64_t step = e * spe + i * spe / per_epoch;
+        feed.push_back({static_cast<double>(step), curve.SampleLossAtStep(step, &rng)});
+      }
+    }
+    ConvergenceModelOptions options;
+    options.max_fit_points = seed % 2 == 0 ? 512 : 64;
+    const size_t reset_at = seed % 3 == 0 ? feed.size() / 2 : feed.size() + 1;
+    SCOPED_TRACE("seed " + std::to_string(seed) + " model " + spec.name);
+    fitted += ExpectCachedMatchesReference(feed, per_epoch, reset_at, options, spe);
+    if (HasFailure()) {
+      return;
+    }
+  }
+  EXPECT_GT(fitted, 240 * 10);
+}
+
+TEST_F(ConvergenceModelTest, CachedSweepBreaksExactTiesLikeTheReference) {
+  // Noise-free l(k) = 1/(1 + k^2) from k = 0: 1/(l - beta2) is convex in k
+  // for every beta2, so NNLS clamps beta1 to 0 and the k = 0 sample's
+  // prediction hits the 1e12 guard. Its squared error (~1e24) absorbs every
+  // later term, so all candidates of a pass tie exactly at distinct beta2.
+  // The sweep must keep the lowest grid index among them, as the in-order
+  // reference does, although the cached path evaluates another point first.
+  std::vector<LossSample> convex;
+  for (int k = 0; k <= 40; ++k) {
+    convex.push_back({static_cast<double>(k), 1.0 / (1.0 + k * k)});
+  }
+  EXPECT_GT(ExpectCachedMatchesReference(convex, 8, convex.size() + 1, {}, 1), 0);
+}
+
+TEST_F(ConvergenceModelTest, CachedSweepMatchesReferenceWithInfeasibleCandidates) {
+  // The loss decays to ~1e-9 of its start: beta2 candidates within 1e-9 of
+  // the minimum loss make 1/(l - beta2) infeasible and score infinity, in
+  // both paths.
+  std::vector<LossSample> decay;
+  for (int i = 0; i <= 200; ++i) {
+    decay.push_back({static_cast<double>(i), std::exp(-0.1 * i)});
+  }
+  EXPECT_GT(ExpectCachedMatchesReference(decay, 20, decay.size() + 1, {}, 10), 0);
+}
+
 // ---------------------------------------------------------------------------
 // Speed model
 // ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -279,6 +280,84 @@ TEST(NnlsPinTest, AboveFixedCapacityFailsTheCheck) {
   const Vector b(dims, 0.0);
   Vector x;
   EXPECT_DEATH(SolveSpd(m, b, &x), "SolveSpd supports at most 8 unknowns, got 9");
+}
+
+// One NnlsGramSolver reused across many right-hand sides must return, on
+// every solve, exactly what a fresh dense SolveNnls returns: the cached
+// subset factors change no bit. With `duplicate`, the last column repeats
+// the first, so A^T A is singular and only the Cholesky ridge makes the
+// subsets holding both columns factorable.
+void ExpectReusedSolverMatchesDense(size_t dims, bool duplicate) {
+  SCOPED_TRACE("dims " + std::to_string(dims) + (duplicate ? " duplicate" : ""));
+  Rng rng(300 + dims * 2 + (duplicate ? 1 : 0));
+  Matrix a(30, dims);
+  for (size_t r = 0; r < a.rows(); ++r) {
+    const double base = rng.Uniform(0.1, 2.0);
+    for (size_t c = 0; c < dims; ++c) {
+      a(r, c) = base + rng.Uniform(0.0, 0.3);
+    }
+    if (duplicate) {
+      a(r, dims - 1) = a(r, 0);
+    }
+  }
+  const Matrix ata = a.Gram();
+  NnlsGramSolver solver(ata.data(), dims);
+  for (int rhs = 0; rhs < 60; ++rhs) {
+    Vector truth(dims);
+    for (double& t : truth) {
+      t = rng.Uniform(-1.0, 2.0);  // about a third negative: real active-set work
+    }
+    Vector b = a.Times(truth);
+    for (double& v : b) {
+      v += rng.Normal(0.0, 0.05);
+    }
+    const NnlsResult fresh = SolveNnls(a, b);
+    const Vector atb = a.TransposeTimes(b);
+    Vector x(dims);
+    const NnlsGramSolver::Solution got = solver.Solve(atb.data(), Dot(b, b), x.data());
+    for (size_t i = 0; i < dims; ++i) {
+      EXPECT_EQ(x[i], fresh.x[i]) << "rhs " << rhs << " x[" << i << "]";
+    }
+    EXPECT_EQ(got.iterations, fresh.iterations) << "rhs " << rhs;
+    EXPECT_EQ(got.converged, fresh.converged) << "rhs " << rhs;
+    EXPECT_EQ(got.residual_sum_of_squares,
+              SolveNnlsGram(ata, atb, Dot(b, b)).residual_sum_of_squares)
+        << "rhs " << rhs;
+  }
+}
+
+TEST(NnlsGramSolverTest, ReusedSolverMatchesFreshDenseSolves) {
+  for (size_t dims = 2; dims <= 6; ++dims) {
+    ExpectReusedSolverMatchesDense(dims, false);
+    ExpectReusedSolverMatchesDense(dims, true);
+  }
+}
+
+TEST(NnlsGramSolverTest, ReusedSolverKeepsAFailedSubsetFactor) {
+  // The indefinite 2x2 of NnlsPinTest.NumericallySingularSubsetIsDropped:
+  // the {0, 1} subset never factors. A reused solver answers from its cached
+  // failure exactly as a fresh solver does from a fresh attempt.
+  Matrix ata(2, 2);
+  ata(0, 0) = 1.0;
+  ata(0, 1) = -1.0;
+  ata(1, 0) = -1.0;
+  ata(1, 1) = 1.0 - 1e-9;
+  NnlsGramSolver reused(ata.data(), 2);
+  Rng rng(17);
+  for (int rhs = 0; rhs < 20; ++rhs) {
+    const double atb[2] = {rng.Uniform(0.1, 2.0), rng.Uniform(0.1, 2.0)};
+    double want_x[2];
+    double got_x[2];
+    NnlsGramSolver fresh(ata.data(), 2);
+    const NnlsGramSolver::Solution want = fresh.Solve(atb, 1.0, want_x);
+    const NnlsGramSolver::Solution got = reused.Solve(atb, 1.0, got_x);
+    EXPECT_EQ(got_x[0], want_x[0]) << "rhs " << rhs;
+    EXPECT_EQ(got_x[1], want_x[1]) << "rhs " << rhs;
+    EXPECT_EQ(got.iterations, want.iterations) << "rhs " << rhs;
+    EXPECT_EQ(got.converged, want.converged) << "rhs " << rhs;
+    EXPECT_EQ(got.residual_sum_of_squares, want.residual_sum_of_squares)
+        << "rhs " << rhs;
+  }
 }
 
 TEST(DotTest, Basic) {

@@ -2,7 +2,8 @@
 """Counter gate over the ledger's smoke runs.
 
     python3 tools/ledger_gate.py            # check against the committed file
-    python3 tools/ledger_gate.py --update   # rewrite the committed file
+    python3 tools/ledger_gate.py --update   # rewrite the committed file,
+                                            # printing each changed key
 
 For each ledger workload it runs
 
@@ -99,27 +100,34 @@ def main():
             print(f"ledger_gate: {err}", file=sys.stderr)
             return 1
 
-    if args.update:
-        with open(GOLDEN, "w") as out:
-            json.dump({"seed": SEED, "workloads": got}, out, indent=2,
-                      sort_keys=True)
-            out.write("\n")
-        print(f"ledger_gate: wrote {os.path.relpath(GOLDEN, ROOT)}")
-        return 0
-
-    with open(GOLDEN) as f:
-        want = json.load(f)["workloads"]
-    diffs = []
+    want = {}
+    if os.path.exists(GOLDEN):
+        with open(GOLDEN) as f:
+            want = json.load(f)["workloads"]
+    changes = []  # (workload, key, committed, got)
     for name in WORKLOADS:
         expected = want.get(name, {})
         for key in sorted(set(expected) | set(got[name])):
             a = expected.get(key)
             b = got[name].get(key)
             if a != b:
-                diffs.append(f"{name} {key}: committed {a}, got {b}")
-    for d in diffs:
-        print(f"ledger_gate: {d}", file=sys.stderr)
-    if diffs:
+                changes.append((name, key, a, b))
+
+    if args.update:
+        for name, key, a, b in changes:
+            print(f"ledger_gate: {name} {key}: {a} \u2192 {b}")
+        with open(GOLDEN, "w") as out:
+            json.dump({"seed": SEED, "workloads": got}, out, indent=2,
+                      sort_keys=True)
+            out.write("\n")
+        print(f"ledger_gate: wrote {os.path.relpath(GOLDEN, ROOT)} "
+              f"({len(changes)} changed)")
+        return 0
+
+    for name, key, a, b in changes:
+        print(f"ledger_gate: {name} {key}: committed {a}, got {b}",
+              file=sys.stderr)
+    if changes:
         return 1
     print(f"ledger_gate: OK ({len(WORKLOADS)} workloads match "
           f"{os.path.relpath(GOLDEN, ROOT)})")
