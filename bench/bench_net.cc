@@ -13,7 +13,7 @@
 //       Theorem-1 variant) on scenarios/oversubscribed_fabric.json. Rack-aware
 //       placement must win on average JCT when uplinks are oversubscribed.
 //
-//   determinism — shards x threads x engines over the two network scenarios
+//   determinism — threads x engines over the two network scenarios
 //       (allreduce_mix under topology, oversubscribed_fabric under
 //       contention): every cell must reproduce the reference cell's metrics,
 //       trace digest, and network-solve counters bitwise. Any divergence
@@ -60,7 +60,6 @@ int RunModelCell(const std::string& model_name) {
   config.engine = SimEngine::kEvents;
   config.streaming = true;
   config.trace_hash_only = true;
-  config.shards = 8;
   config.threads = 1;
   config.interval_s = 600.0;
   config.max_sim_time_s = 12 * config.interval_s;
@@ -250,7 +249,7 @@ int main(int argc, char** argv) {
       "rack-aware Theorem-1 placement",
       "network.model=flat reproduces the Eqn-2 constant bitwise; "
       "topology/contention/all-reduce runs are bitwise identical across "
-      "shards x threads per engine; rack-aware placement beats the baseline "
+      "threads per engine; rack-aware placement beats the baseline "
       "on average JCT when rack uplinks are 4:1 oversubscribed");
 
   bool ok = true;
@@ -279,7 +278,6 @@ int main(int argc, char** argv) {
   section.Set("rack", rack_section);
 
   SweepGrid grid;
-  grid.shards = smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};
   grid.threads = smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 8};
   grid.net_counters = true;
   std::vector<JsonObject> determinism_rows;

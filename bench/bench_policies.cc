@@ -11,12 +11,12 @@
 //       the batch-adaptive goodput policy is the expected winner on this
 //       workload.
 //
-//   determinism — every policy x engines {interval, events} x threads x
-//       shards: each cell must reproduce its (policy, engine) reference
-//       bitwise (JCTs, trace digest, counters; the shared harness in
-//       bench/determinism.h). Any divergence exits 3.
+//   determinism — every policy x engines {interval, events} x threads: each
+//       cell must reproduce its (policy, engine) reference bitwise (JCTs,
+//       trace digest, counters; the shared harness in bench/determinism.h).
+//       Any divergence exits 3.
 //       Both sections run under --smoke (tools/check.sh and CI); --smoke
-//       trims the grid to threads {1, 2} x shards {1, 2}.
+//       trims the grid to threads {1, 2}.
 
 #include <iostream>
 #include <string>
@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
       "EXT: policy families",
       "Full SchedulerRegistry catalog (goodput / synergy / dl2 included) on "
       "the batch-adaptive workload, plus per-policy determinism",
-      "every policy is bitwise identical across shards x threads per engine; "
+      "every policy is bitwise identical across threads per engine; "
       "a policy other than optimus / optimus_rack (goodput expected) wins "
       "average JCT on the batch-adaptive scenario");
 
@@ -138,10 +138,8 @@ int main(int argc, char** argv) {
   }
   section.Set("comparison", comparison);
 
-  std::cout << "\nDeterminism sweep (every policy x engine x shards x "
-               "threads):\n";
+  std::cout << "\nDeterminism sweep (every policy x engine x threads):\n";
   SweepGrid grid;
-  grid.shards = smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4};
   grid.threads = smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 8};
   std::vector<JsonObject> determinism_rows;
   bool determinism_ok = true;

@@ -1,28 +1,22 @@
-// Million-job / 100k-server scale sweep for sharded placement and streaming
-// admission (BENCH_scale.json).
+// Million-job / 100k-server scale sweep for streaming admission
+// (BENCH_scale.json).
 //
-// Three sections:
+// Two sections:
 //
-//   determinism — shards x threads x engines over a scenario file (default
+//   determinism — threads x engines over a scenario file (default
 //       scenarios/scale_smoke.json, which carries a fault plan): every cell
 //       must reproduce the reference cell's metrics and event-trace digest
 //       bitwise (the shared harness in bench/determinism.h). Any divergence
-//       exits 3. This section and `shard speedup` run under --smoke
-//       (tools/check.sh and CI).
+//       exits 3. Only this section runs under --smoke (tools/check.sh and
+//       CI).
 //
 //   scale — {10k, 100k, 1M} jobs x {16k, 100k} servers, one child process
 //       per cell (re-exec with --cell): streaming admission + hash-only
-//       trace + the event engine, shards=8. The child process reports its
-//       own VmHWM, so peak-RSS columns are per-cell, not a sweep-wide
-//       high-water mark. Arrivals spread so the active set stays bounded:
-//       peak RSS is O(active jobs) + the flat pending-spec queue, not
-//       O(total jobs materialized).
-//
-//   shard speedup — wall time of the scheduling phase at 100k servers,
-//       shards=8 vs shards=1 on the identical burst workload. The shard count
-//       only partitions the placement heaps, so the two runs must agree
-//       bitwise (same JCTs, same trace digest); the speedup itself is
-//       reported, divergence exits 3.
+//       trace + the event engine. The child process reports its own VmHWM,
+//       so peak-RSS columns are per-cell, not a sweep-wide high-water mark.
+//       Arrivals spread so the active set stays bounded: peak RSS is
+//       O(active jobs) + the flat pending-spec queue, not O(total jobs
+//       materialized).
 
 #include <cstdio>
 #include <chrono>
@@ -55,7 +49,6 @@ SimulatorConfig ScaleCellConfig() {
   config.engine = SimEngine::kEvents;
   config.streaming = true;
   config.trace_hash_only = true;
-  config.shards = 8;
   config.threads = 1;
   config.interval_s = 600.0;
   return config;
@@ -156,7 +149,7 @@ bool RunScaleSweep(const std::string& self_exe, std::vector<JsonObject>* rows,
         if (key == "completed") table_completed = value;
         if (key == "peak_rss_mib") table_rss = value;
       }
-      row.Set("mode", "streaming+events, shards=8, hash-only trace");
+      row.Set("mode", "streaming+events, hash-only trace");
       row.Set("sim_s_per_wall_s", wall_s > 0.0 ? sim_s / wall_s : 0.0);
       rows->push_back(row);
       table.AddRow({std::to_string(jobs), std::to_string(servers),
@@ -169,64 +162,6 @@ bool RunScaleSweep(const std::string& self_exe, std::vector<JsonObject>* rows,
   }
   table.Print(std::cout);
   return true;
-}
-
-// ---------------------------------------------------------------------------
-// Section 3: shard speedup at 100k servers.
-// ---------------------------------------------------------------------------
-
-bool RunShardSpeedup(bool smoke, JsonObject* section, std::string* why) {
-  const int servers = smoke ? 2000 : 100000;
-  const int jobs = smoke ? 400 : 4000;
-  const int rounds = smoke ? 2 : 4;
-
-  SimulatorConfig base;
-  base.seed = 7;
-  base.engine = SimEngine::kInterval;
-  base.interval_s = 600.0;
-  base.max_sim_time_s = rounds * base.interval_s;
-  WorkloadConfig workload;
-  workload.num_jobs = jobs;
-  workload.arrival_window_s = base.interval_s;  // burst: all active early
-
-  auto run = [&](int shards) {
-    SimulatorConfig config = base;
-    config.shards = shards;
-    Rng workload_rng(config.seed ^ 0x5eedULL);
-    return RunSim(config,
-                  BuildUniformCluster(servers, Resources(16, 80, 0, 1)),
-                  GenerateWorkload(workload, &workload_rng));
-  };
-  const CellRun unsharded = run(1);
-  const CellRun sharded = run(8);
-
-  std::string mismatch;
-  const bool identical = sharded.fp.Matches(unsharded.fp, &mismatch);
-  if (!identical) {
-    *why = "shards=8 vs shards=1 diverged on " + mismatch;
-  }
-  const double speedup =
-      sharded.metrics.wall_schedule_s > 0.0
-          ? unsharded.metrics.wall_schedule_s / sharded.metrics.wall_schedule_s
-          : 0.0;
-  std::cout << "\nShard speedup (" << jobs << " jobs, " << servers
-            << " servers, " << rounds << " rounds, interval engine):\n"
-            << "  schedule wall: shards=1 "
-            << TablePrinter::FormatDouble(unsharded.metrics.wall_schedule_s, 3)
-            << " s, shards=8 "
-            << TablePrinter::FormatDouble(sharded.metrics.wall_schedule_s, 3)
-            << " s -> " << TablePrinter::FormatDouble(speedup, 2)
-            << "x; outputs "
-            << (identical ? "bitwise identical" : "DIVERGED") << "\n";
-
-  section->Set("speedup_jobs", jobs);
-  section->Set("speedup_servers", servers);
-  section->Set("speedup_rounds", rounds);
-  section->Set("schedule_s_shards1", unsharded.metrics.wall_schedule_s);
-  section->Set("schedule_s_shards8", sharded.metrics.wall_schedule_s);
-  section->Set("shard_speedup", speedup);
-  section->Set("shard_speedup_identical", identical);
-  return identical;
 }
 
 }  // namespace
@@ -251,11 +186,10 @@ int main(int argc, char** argv) {
   }
 
   PrintExperimentHeader(
-      "EXT: sharded scheduling at scale",
-      "Sharded placement + streaming admission at {10k,100k,1M} jobs "
-      "x {16k,100k} servers",
-      "All (shards, threads) cells bitwise identical; the 1M-job run's peak "
-      "RSS is bounded by the active-job set, not the total job count");
+      "EXT: scheduling at scale",
+      "Streaming admission at {10k,100k,1M} jobs x {16k,100k} servers",
+      "All thread counts bitwise identical; the 1M-job run's peak RSS is "
+      "bounded by the active-job set, not the total job count");
 
   ScenarioSpec scenario;
   std::string error;
@@ -269,7 +203,6 @@ int main(int argc, char** argv) {
 
   std::cout << "\nDeterminism sweep over " << scenario_path << ":\n";
   SweepGrid grid;
-  grid.shards = smoke ? std::vector<int>{1, 2, 4} : std::vector<int>{1, 2, 4, 8};
   grid.threads = smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 8};
   std::vector<JsonObject> determinism_rows;
   const bool determinism_ok = RunDeterminismSweep(
@@ -293,12 +226,6 @@ int main(int argc, char** argv) {
       divergence = scale_why;
     }
     section.Set("scale_cells", scale_rows);
-  }
-
-  std::string speedup_why;
-  if (!RunShardSpeedup(smoke, &section, &speedup_why)) {
-    ok = false;
-    divergence = speedup_why;
   }
 
   if (ok) {

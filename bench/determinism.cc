@@ -73,8 +73,8 @@ CellRun RunSim(const SimulatorConfig& config, std::vector<Server> servers,
 bool RunDeterminismSweep(const ScenarioSpec& scenario, const std::string& policy,
                          const SweepGrid& grid, const JsonObject& row_prefix,
                          std::vector<JsonObject>* rows, std::string* why) {
-  std::vector<std::string> columns = {"policy", "engine", "shards", "threads",
-                                      "wall (s)", "completed", "trace digest"};
+  std::vector<std::string> columns = {"policy", "engine", "threads", "wall (s)",
+                                      "completed", "trace digest"};
   if (grid.net_counters) {
     columns.insert(columns.end(), {"net solves", "contended"});
   }
@@ -84,50 +84,45 @@ bool RunDeterminismSweep(const ScenarioSpec& scenario, const std::string& policy
   for (const SimEngine engine : {SimEngine::kInterval, SimEngine::kEvents}) {
     bool have_reference = false;
     RunFingerprint reference;
-    for (const int shards : grid.shards) {
-      for (const int threads : grid.threads) {
-        SimulatorConfig config = scenario.MakeSimConfig(policy);
-        config.engine = engine;
-        config.shards = shards;
-        config.threads = threads;
-        const CellRun run = RunSim(config, scenario.cluster.Build(),
-                                   scenario.JobsForRepeat());
-        std::string mismatch;
-        bool match = true;
-        if (!have_reference) {
-          reference = run.fp;
-          have_reference = true;
-        } else if (!run.fp.Matches(reference, &mismatch)) {
-          match = false;
-          ok = false;
-          *why = scenario.name + ": " + policy + " " + SimEngineName(engine) +
-                 " shards=" + std::to_string(shards) + " threads=" +
-                 std::to_string(threads) + " diverged on " + mismatch;
-        }
-        std::vector<std::string> cells = {
-            policy, SimEngineName(engine), std::to_string(shards),
-            std::to_string(threads), TablePrinter::FormatDouble(run.wall_s, 3),
-            std::to_string(run.fp.completed), DigestHex(run.fp.trace_digest)};
-        JsonObject row = row_prefix;
-        row.Set("engine", SimEngineName(engine));
-        row.Set("shards", shards);
-        row.Set("threads", threads);
-        row.Set("completed_jobs", run.fp.completed);
-        row.Set("trace_digest", DigestHex(run.fp.trace_digest));
-        row.Set("trace_records", run.fp.trace_records);
-        if (grid.net_counters) {
-          cells.push_back(std::to_string(run.fp.net_solves));
-          cells.push_back(std::to_string(run.fp.net_contended_flows));
-          row.Set("net_solves", run.fp.net_solves);
-          row.Set("net_flows", run.fp.net_flows);
-          row.Set("net_contended_flows", run.fp.net_contended_flows);
-        }
-        cells.push_back(match ? "ok" : "DIVERGED");
-        row.Set("match", match);
-        SetPerfColumns(&row, run.wall_s, run.sim_s);
-        table.AddRow(cells);
-        rows->push_back(row);
+    for (const int threads : grid.threads) {
+      SimulatorConfig config = scenario.MakeSimConfig(policy);
+      config.engine = engine;
+      config.threads = threads;
+      const CellRun run =
+          RunSim(config, scenario.cluster.Build(), scenario.JobsForRepeat());
+      std::string mismatch;
+      bool match = true;
+      if (!have_reference) {
+        reference = run.fp;
+        have_reference = true;
+      } else if (!run.fp.Matches(reference, &mismatch)) {
+        match = false;
+        ok = false;
+        *why = scenario.name + ": " + policy + " " + SimEngineName(engine) +
+               " threads=" + std::to_string(threads) + " diverged on " + mismatch;
       }
+      std::vector<std::string> cells = {
+          policy, SimEngineName(engine), std::to_string(threads),
+          TablePrinter::FormatDouble(run.wall_s, 3), std::to_string(run.fp.completed),
+          DigestHex(run.fp.trace_digest)};
+      JsonObject row = row_prefix;
+      row.Set("engine", SimEngineName(engine));
+      row.Set("threads", threads);
+      row.Set("completed_jobs", run.fp.completed);
+      row.Set("trace_digest", DigestHex(run.fp.trace_digest));
+      row.Set("trace_records", run.fp.trace_records);
+      if (grid.net_counters) {
+        cells.push_back(std::to_string(run.fp.net_solves));
+        cells.push_back(std::to_string(run.fp.net_contended_flows));
+        row.Set("net_solves", run.fp.net_solves);
+        row.Set("net_flows", run.fp.net_flows);
+        row.Set("net_contended_flows", run.fp.net_contended_flows);
+      }
+      cells.push_back(match ? "ok" : "DIVERGED");
+      row.Set("match", match);
+      SetPerfColumns(&row, run.wall_s, run.sim_s);
+      table.AddRow(cells);
+      rows->push_back(row);
     }
   }
   table.Print(std::cout);

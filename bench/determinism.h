@@ -1,6 +1,6 @@
 // Determinism-sweep harness shared by bench_scale, bench_net, bench_policies
 // and bench_events: one fingerprint of everything a run computes, one timed
-// run, and one engines x shards x threads sweep that checks every cell
+// run, and one engines x threads sweep that checks every cell
 // bitwise against the first cell of its engine.
 
 #ifndef BENCH_DETERMINISM_H_
@@ -56,18 +56,17 @@ CellRun RunSim(const SimulatorConfig& config, std::vector<Server> servers,
                std::vector<JobSpec> specs);
 
 struct SweepGrid {
-  std::vector<int> shards;
   std::vector<int> threads;
   // Table and JSON rows carry the network-solve counters.
   bool net_counters = false;
 };
 
 // Runs scenario.MakeSimConfig(policy) over engines {interval, events} x
-// grid.shards x grid.threads. The two engines legitimately differ from each
+// grid.threads. The two engines legitimately differ from each
 // other (different RNG cadences); the bitwise contract is per engine, so every
 // cell is checked against its engine's first cell. Prints one table and
 // appends one JSON row per cell to `rows`: `row_prefix`'s keys, then engine,
-// shards, threads, completed_jobs, trace_digest, trace_records, the net
+// threads, completed_jobs, trace_digest, trace_records, the net
 // counters when asked for, match, and the SetPerfColumns columns. Returns
 // false, with `why` naming the diverged cell, on any divergence.
 bool RunDeterminismSweep(const ScenarioSpec& scenario, const std::string& policy,

@@ -29,7 +29,7 @@
 //
 // The solve is serial and a pure function of (config, placements registered
 // in job order), so simulation outputs stay bitwise identical across thread
-// counts, shard counts, and engines.
+// counts and engines.
 
 #ifndef SRC_NET_NETWORK_MODEL_H_
 #define SRC_NET_NETWORK_MODEL_H_

@@ -24,7 +24,7 @@
 //
 // Inference is a pure function of the round inputs — no RNG, no global
 // state — so the policy inherits the bitwise-determinism contract for any
-// thread count, engine, or shard count.
+// thread count or engine.
 
 #ifndef SRC_SCHED_DL2_ALLOCATOR_H_
 #define SRC_SCHED_DL2_ALLOCATOR_H_
@@ -84,8 +84,7 @@ class Dl2PolicyFactory : public PolicyFactory {
  public:
   explicit Dl2PolicyFactory(Dl2Weights weights) : weights_(weights) {}
 
-  std::unique_ptr<Allocator> Create(OptimusAllocRoundStats* stats,
-                                    ThreadPool* /*pool*/) const override {
+  std::unique_ptr<Allocator> Create(OptimusAllocRoundStats* stats) const override {
     Dl2AllocatorOptions options;
     options.weights = weights_;
     options.stats = stats;

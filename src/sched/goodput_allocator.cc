@@ -32,7 +32,6 @@ GoodputAllocator::GoodputAllocator(GoodputAllocatorOptions options)
   OptimusAllocatorOptions inner;
   inner.min_gain = options_.min_gain;
   inner.stats = options_.stats;
-  inner.pool = options_.pool;
   inner_ = OptimusAllocator(inner);
 }
 

@@ -38,8 +38,6 @@ struct GoodputAllocatorOptions {
   int max_rungs = 8;
   // When non-null, the inner greedy accumulates per-round counters here.
   OptimusAllocRoundStats* stats = nullptr;
-  // Forwarded to the inner Optimus greedy.
-  ThreadPool* pool = nullptr;
 };
 
 class GoodputAllocator : public Allocator {

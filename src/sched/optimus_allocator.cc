@@ -5,7 +5,6 @@
 
 #include "src/common/logging.h"
 #include "src/common/min_heap.h"
-#include "src/common/threadpool.h"
 #include "src/sched/speed_surface.h"
 
 namespace optimus {
@@ -184,60 +183,23 @@ AllocationMap OptimusAllocator::Allocate(const std::vector<SchedJob>& jobs,
     }
   }
 
-  // Seeded jobs that share a speed surface form one walk group. Groups are
-  // keyed by surface creation order and laid out flat: group g's members,
-  // in input order, are members[group_start[g] .. group_start[g + 1]).
-  const size_t num_groups = surfaces->num_surfaces();
-  std::vector<size_t> group_start(num_groups + 1, 0);
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    if (active[i]) {
-      ++group_start[surf[i]->index() + 1];
-    }
-  }
-  for (size_t g = 0; g < num_groups; ++g) {
-    group_start[g + 1] += group_start[g];
-  }
-  std::vector<size_t> members(group_start[num_groups]);
-  {
-    std::vector<size_t> fill(group_start.begin(), group_start.end() - 1);
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      if (active[i]) {
-        members[fill[surf[i]->index()]++] = i;
-      }
-    }
-  }
-  const auto group_surface = [&](size_t g) -> SpeedSurface* {
-    return group_start[g] == group_start[g + 1] ? nullptr
-                                                 : surf[members[group_start[g]]];
-  };
-  for (size_t g = 0; g < num_groups; ++g) {
-    if (SpeedSurface* surface = group_surface(g); surface != nullptr) {
-      surface->BeginSpeculation();
-    }
-  }
-
-  // Walk every seeded job's solo greedy path: grant its better kind until
-  // the caps or a gain <= min_gain stop it. While capacity does not bind,
-  // a job's grants depend only on its own speed surface, so the walks run
-  // one task per surface on the pool, speculatively.
+  // Walk every seeded job's solo greedy path, in input order: grant its
+  // better kind until the caps or a gain <= min_gain stop it. While capacity
+  // does not bind, a job's grants depend only on its own speed surface, so
+  // the walks probe speculatively, each surface opened by its first job.
   std::vector<Allocation> end = alloc;
-  const auto walk_group = [&](int64_t g) {
-    for (size_t m = group_start[static_cast<size_t>(g)];
-         m < group_start[static_cast<size_t>(g) + 1]; ++m) {
-      const size_t i = members[m];
-      Candidate best;
-      Candidate other;
-      while (BestCandidate(jobs[i], i, surf[i], end[i], footprint[i], options_.min_gain,
-                           0, &best, &other) > 0) {
-        Grant(best.kind, &end[i]);
-      }
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    if (!active[i]) {
+      continue;
     }
-  };
-  if (options_.pool != nullptr) {
-    options_.pool->ParallelFor(static_cast<int64_t>(num_groups), walk_group);
-  } else {
-    for (size_t g = 0; g < num_groups; ++g) {
-      walk_group(static_cast<int64_t>(g));
+    if (!surf[i]->speculating()) {
+      surf[i]->BeginSpeculation();
+    }
+    Candidate best;
+    Candidate other;
+    while (BestCandidate(jobs[i], i, surf[i], end[i], footprint[i], options_.min_gain, 0,
+                         &best, &other) > 0) {
+      Grant(best.kind, &end[i]);
     }
   }
 
@@ -252,9 +214,9 @@ AllocationMap OptimusAllocator::Allocate(const std::vector<SchedJob>& jobs,
              jobs[i].ps_demand * (end[i].num_ps - alloc[i].num_ps);
   }
   const bool slack = capacity.Fits(total * (1.0 + 1e-6));
-  for (size_t g = 0; g < num_groups; ++g) {
-    if (SpeedSurface* surface = group_surface(g); surface != nullptr) {
-      surface->EndSpeculation(slack);
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    if (active[i] && surf[i]->speculating()) {
+      surf[i]->EndSpeculation(slack);
     }
   }
   if (slack) {

@@ -9,12 +9,11 @@
 // The estimated completion time of job j is t_j = Q_j / f(p_j, w_j), where
 // Q_j comes from the convergence model and f from the speed model.
 //
-// After the serial seeding, each job's solo greedy path (its own better kind,
-// grant after grant) is walked in parallel, one task per speed surface. When
-// the seeds plus all paths fit the capacity, those path ends ARE the greedy's
-// answer; otherwise the walks are rolled back and an exact serial merge with
-// one heap entry per job decides (docs/ALGORITHMS.md §3). Neither the result
-// nor the speed-surface counters depend on the pool.
+// After the seeding, each job's solo greedy path (its own better kind, grant
+// after grant) is walked, one job after another in input order. When the
+// seeds plus all paths fit the capacity, those path ends ARE the greedy's
+// answer; otherwise the walks are rolled back and an exact merge with one
+// heap entry per job decides (docs/ALGORITHMS.md §3).
 
 #ifndef SRC_SCHED_OPTIMUS_ALLOCATOR_H_
 #define SRC_SCHED_OPTIMUS_ALLOCATOR_H_
@@ -22,8 +21,6 @@
 #include "src/sched/scheduler.h"
 
 namespace optimus {
-
-class ThreadPool;
 
 // Observable counters for one greedy round; useful for tests and for the
 // scalability benches. pops == grants + unfittable_drops always.
@@ -43,8 +40,6 @@ struct OptimusAllocatorOptions {
   double min_gain = 0.0;
   // When non-null, the allocator accumulates per-round counters here.
   OptimusAllocRoundStats* stats = nullptr;
-  // When non-null, the per-job path walks fan out over this pool.
-  ThreadPool* pool = nullptr;
 };
 
 class OptimusAllocator : public Allocator {

@@ -4,8 +4,6 @@
 #include <limits>
 #include <numeric>
 
-#include "src/common/logging.h"
-
 namespace optimus {
 
 const char* PlacementPolicyName(PlacementPolicy policy) {
@@ -25,89 +23,62 @@ const char* PlacementPolicyName(PlacementPolicy policy) {
 namespace {
 
 // Keeps servers ordered by free CPU (descending) across many job placements:
-// one lazily-invalidated max-heap of (free_cpu, server index) per shard, so
-// placing J jobs on N servers costs O((J * k + updates) log N) instead of
-// re-sorting N servers per job. Pops run a tournament over the shard tops.
-// The keys form a strict total order and placement only ever lowers a
-// server's free CPU (so a stale key over-estimates), hence the tournament
-// always pops the globally largest fresh key: the pop sequence is the same
-// for every shard count.
-class ShardedServerPool {
+// one lazily-invalidated max-heap of (free_cpu, server index), so placing J
+// jobs on N servers costs O((J * k + updates) log N) instead of re-sorting N
+// servers per job. An entry goes stale when kRackPack's in-rack attempt
+// places onto its server, and placement only ever lowers free CPU, so a
+// stale key over-estimates: re-keying a stale top until it is fresh pops the
+// largest fresh key, ties going to the higher index.
+class ServerHeap {
  public:
-  ShardedServerPool(std::vector<Server>* servers, const ShardPlan& plan)
-      : servers_(servers), plan_(&plan) {
-    heaps_.resize(static_cast<size_t>(plan.num_shards()));
-    for (int sh = 0; sh < plan.num_shards(); ++sh) {
-      const auto [begin, end] = plan.range(sh);
-      auto& heap = heaps_[static_cast<size_t>(sh)];
-      heap.reserve(static_cast<size_t>(end - begin));
-      for (int s = begin; s < end; ++s) {
-        // Crashed servers never enter the pool; availability does not change
-        // within one PlaceJobs call.
-        if ((*servers_)[static_cast<size_t>(s)].available()) {
-          heap.push_back(
-              {(*servers_)[static_cast<size_t>(s)].Free().cpu(), static_cast<size_t>(s)});
-        }
+  explicit ServerHeap(std::vector<Server>* servers) : servers_(servers) {
+    heap_.reserve(servers_->size());
+    for (size_t s = 0; s < servers_->size(); ++s) {
+      // Crashed servers never enter the heap; availability does not change
+      // within one PlaceJobs call.
+      if ((*servers_)[s].available()) {
+        heap_.push_back({(*servers_)[s].Free().cpu(), s});
       }
-      std::make_heap(heap.begin(), heap.end());
     }
+    std::make_heap(heap_.begin(), heap_.end());
   }
 
-  // Pops up to `count` distinct servers in globally descending
-  // (free_cpu, index) order, appending to *out.
+  // Pops up to `count` distinct servers in descending (free_cpu, index)
+  // order, appending to *out.
   void PopMostFree(size_t count, std::vector<size_t>* out) {
-    while (out->size() < count) {
-      int best = -1;
-      std::pair<double, size_t> best_key{0.0, 0};
-      for (size_t sh = 0; sh < heaps_.size(); ++sh) {
-        if (!EnsureValidTop(sh)) {
-          continue;
-        }
-        const std::pair<double, size_t>& key = heaps_[sh].front();
-        if (best < 0 || best_key < key) {
-          best = static_cast<int>(sh);
-          best_key = key;
-        }
-      }
-      if (best < 0) {
-        return;  // every shard drained
-      }
-      auto& heap = heaps_[static_cast<size_t>(best)];
-      std::pop_heap(heap.begin(), heap.end());
-      heap.pop_back();
-      out->push_back(best_key.second);
+    while (out->size() < count && EnsureValidTop()) {
+      std::pop_heap(heap_.begin(), heap_.end());
+      out->push_back(heap_.back().second);
+      heap_.pop_back();
     }
   }
 
-  // Returns servers to their shards' pools (with their current free values).
+  // Returns servers to the heap (with their current free values).
   void Push(const std::vector<size_t>& servers) {
     for (size_t s : servers) {
-      auto& heap = heaps_[static_cast<size_t>(plan_->ShardOf(static_cast<int>(s)))];
-      heap.push_back({(*servers_)[s].Free().cpu(), s});
-      std::push_heap(heap.begin(), heap.end());
+      heap_.push_back({(*servers_)[s].Free().cpu(), s});
+      std::push_heap(heap_.begin(), heap_.end());
     }
   }
 
  private:
-  // Re-keys stale entries until the shard's top is fresh; false when the
-  // shard is drained.
-  bool EnsureValidTop(size_t sh) {
-    auto& heap = heaps_[sh];
-    while (!heap.empty()) {
-      const auto [free_cpu, s] = heap.front();
+  // Re-keys stale entries until the top is fresh; false when the heap is
+  // drained.
+  bool EnsureValidTop() {
+    while (!heap_.empty()) {
+      const auto [free_cpu, s] = heap_.front();
       if (free_cpu == (*servers_)[s].Free().cpu()) {
         return true;
       }
-      std::pop_heap(heap.begin(), heap.end());
-      heap.back() = {(*servers_)[s].Free().cpu(), s};
-      std::push_heap(heap.begin(), heap.end());
+      std::pop_heap(heap_.begin(), heap_.end());
+      heap_.back() = {(*servers_)[s].Free().cpu(), s};
+      std::push_heap(heap_.begin(), heap_.end());
     }
     return false;
   }
 
   std::vector<Server>* servers_;
-  const ShardPlan* plan_;
-  std::vector<std::vector<std::pair<double, size_t>>> heaps_;
+  std::vector<std::pair<double, size_t>> heap_;
 };
 
 // Reusable per-job working buffers so steady-state placement allocates
@@ -260,14 +231,14 @@ bool PackOntoCandidates(const PlacementJobInput& job, std::vector<Server>* serve
 // descending-availability order (the paper's sort) and the job is packed
 // onto the first k of them for growing k.
 bool PlaceOptimus(const PlacementJobInput& job, std::vector<Server>* servers,
-                  ShardedServerPool* pool, PackScratch* scratch,
+                  ServerHeap* heap, PackScratch* scratch,
                   JobPlacement* placement) {
   const size_t max_k = std::min<size_t>(
       servers->size(), static_cast<size_t>(job.alloc.num_workers + job.alloc.num_ps));
   scratch->candidates.clear();
-  pool->PopMostFree(max_k, &scratch->candidates);
+  heap->PopMostFree(max_k, &scratch->candidates);
   const bool placed = PackOntoCandidates(job, servers, scratch, placement);
-  pool->Push(scratch->candidates);
+  heap->Push(scratch->candidates);
   return placed;
 }
 
@@ -278,10 +249,10 @@ bool PlaceOptimus(const PlacementJobInput& job, std::vector<Server>* servers,
 // first) order, packed onto the smallest k that fits. When no single rack
 // can hold the job, falls back to the global Optimus scheme.
 bool PlaceRackAware(const PlacementJobInput& job, int rack_size,
-                    std::vector<Server>* servers, ShardedServerPool* pool,
+                    std::vector<Server>* servers, ServerHeap* heap,
                     PackScratch* scratch, JobPlacement* placement) {
   if (rack_size <= 0) {
-    return PlaceOptimus(job, servers, pool, scratch, placement);
+    return PlaceOptimus(job, servers, heap, scratch, placement);
   }
   const int n = static_cast<int>(servers->size());
   const int num_racks = (n + rack_size - 1) / rack_size;
@@ -320,7 +291,7 @@ bool PlaceRackAware(const PlacementJobInput& job, int rack_size,
     }
   }
   // No rack can hold the job alone: spill across racks the Theorem-1 way.
-  return PlaceOptimus(job, servers, pool, scratch, placement);
+  return PlaceOptimus(job, servers, heap, scratch, placement);
 }
 
 enum class PickRule { kMostFree, kTightestFit };
@@ -398,15 +369,9 @@ bool PlacePerTask(const PlacementJobInput& job, PickRule rule,
 std::vector<PlacedJob> PlaceJobs(PlacementPolicy policy,
                                  const std::vector<PlacementJobInput>& jobs,
                                  std::vector<Server>* servers_in, bool shrink_to_fit,
-                                 int rack_size, const ShardPlan& plan) {
+                                 int rack_size) {
   std::vector<PlacedJob> result(jobs.size());
   std::vector<Server>& servers = *servers_in;
-  const int n_servers = static_cast<int>(servers.size());
-  OPTIMUS_CHECK(plan.num_shards() == 0 || plan.n_servers() == n_servers)
-      << "shard plan covers " << plan.n_servers() << " servers, placing onto "
-      << n_servers;
-  const ShardPlan one_shard =
-      plan.num_shards() > 0 ? ShardPlan() : ShardPlan::Build(1, n_servers, 0);
 
   // Smallest jobs first (total dominant footprint) to avoid starving them.
   // Each footprint is computed once, before the sort.
@@ -423,7 +388,7 @@ std::vector<PlacedJob> PlaceJobs(PlacementPolicy policy,
   std::stable_sort(job_order.begin(), job_order.end(),
                    [&](size_t a, size_t b) { return footprint[a] < footprint[b]; });
 
-  ShardedServerPool pool(&servers, plan.num_shards() > 0 ? plan : one_shard);
+  ServerHeap heap(&servers);
   PackScratch scratch;
   for (size_t idx : job_order) {
     PlacementJobInput job = jobs[idx];
@@ -439,7 +404,7 @@ std::vector<PlacedJob> PlaceJobs(PlacementPolicy policy,
     while (true) {
       switch (policy) {
         case PlacementPolicy::kOptimusPack:
-          placed = PlaceOptimus(job, &servers, &pool, &scratch, placement);
+          placed = PlaceOptimus(job, &servers, &heap, &scratch, placement);
           break;
         case PlacementPolicy::kLoadBalance:
           placed = PlacePerTask(job, PickRule::kMostFree, &servers, placement);
@@ -448,7 +413,7 @@ std::vector<PlacedJob> PlaceJobs(PlacementPolicy policy,
           placed = PlacePerTask(job, PickRule::kTightestFit, &servers, placement);
           break;
         case PlacementPolicy::kRackPack:
-          placed = PlaceRackAware(job, rack_size, &servers, &pool, &scratch, placement);
+          placed = PlaceRackAware(job, rack_size, &servers, &heap, &scratch, placement);
           break;
       }
       if (placed || !shrink_to_fit ||

@@ -17,11 +17,10 @@
 //    can hold fall back to the global kOptimusPack scheme.
 //
 // There is one packing path. The Theorem-1 packer keeps one lazy max-heap of
-// (free CPU, server id) per shard of a ShardPlan and pops through a
-// tournament over the shard tops, which reproduces the global most-free order
-// exactly, so the shard count never changes a decision (docs/ALGORITHMS.md
-// §18). Every policy emits the compact JobPlacement form: a job's placement
-// costs O(tasks) memory whatever the cluster size.
+// (free CPU, server id) over the available servers, which pops them in the
+// paper's descending-availability order (ties: higher id first) without
+// re-sorting per job. Every policy emits the compact JobPlacement form: a
+// job's placement costs O(tasks) memory whatever the cluster size.
 //
 // Jobs that cannot be placed under a policy are reported back; the simulator
 // pauses them until the next interval (§4.2).
@@ -38,7 +37,6 @@
 #include <vector>
 
 #include "src/cluster/server.h"
-#include "src/cluster/shard_plan.h"
 #include "src/pserver/comm_model.h"
 #include "src/sched/scheduler.h"
 
@@ -87,13 +85,10 @@ struct PlacedJob {
 // deterministic allocator can pause the same job forever.
 // `rack_size` feeds the kRackPack policy's rack layout (0 = no racks: the
 // policy degrades to kOptimusPack); other policies ignore it.
-// `plan` partitions the servers for the packer's heaps; it must cover exactly
-// `servers->size()` servers, or be empty (the default), which means one
-// shard. Decisions are the same for every plan.
 std::vector<PlacedJob> PlaceJobs(PlacementPolicy policy,
                                  const std::vector<PlacementJobInput>& jobs,
                                  std::vector<Server>* servers, bool shrink_to_fit = true,
-                                 int rack_size = 0, const ShardPlan& plan = ShardPlan());
+                                 int rack_size = 0);
 
 }  // namespace optimus
 

@@ -17,6 +17,14 @@ PolicyTraits OptimusTraits() {
   return traits;
 }
 
+// The optimus and optimus_rack allocator: the greedy with its round counters
+// going to the metrics registry.
+std::unique_ptr<Allocator> MakeOptimusAllocator(OptimusAllocRoundStats* stats) {
+  OptimusAllocatorOptions options;
+  options.stats = stats;
+  return std::make_unique<OptimusAllocator>(options);
+}
+
 void RegisterBuiltins(SchedulerRegistry* registry) {
   {
     SchedulerPolicyInfo info;
@@ -27,13 +35,7 @@ void RegisterBuiltins(SchedulerRegistry* registry) {
         "straggler handling, 0.95 young-job damping";
     info.placement = PlacementPolicy::kOptimusPack;
     info.traits = OptimusTraits();
-    info.SetFactory([](OptimusAllocRoundStats* stats,
-                        ThreadPool* pool) -> std::unique_ptr<Allocator> {
-      OptimusAllocatorOptions options;
-      options.stats = stats;  // greedy-round counters for the metrics registry
-      options.pool = pool;
-      return std::make_unique<OptimusAllocator>(options);
-    });
+    info.SetFactory(MakeOptimusAllocator);
     registry->Register(std::move(info));
   }
   {
@@ -46,13 +48,7 @@ void RegisterBuiltins(SchedulerRegistry* registry) {
         "avoids oversubscribed uplinks";
     info.placement = PlacementPolicy::kRackPack;
     info.traits = OptimusTraits();
-    info.SetFactory([](OptimusAllocRoundStats* stats,
-                        ThreadPool* pool) -> std::unique_ptr<Allocator> {
-      OptimusAllocatorOptions options;
-      options.stats = stats;
-      options.pool = pool;
-      return std::make_unique<OptimusAllocator>(options);
-    });
+    info.SetFactory(MakeOptimusAllocator);
     registry->Register(std::move(info));
   }
   {
@@ -65,7 +61,7 @@ void RegisterBuiltins(SchedulerRegistry* registry) {
     info.placement = PlacementPolicy::kLoadBalance;
     // The oblivious work-conserving baseline the paper compares against.
     info.traits.scaling_hysteresis = false;
-    info.SetFactory([](OptimusAllocRoundStats*, ThreadPool*) -> std::unique_ptr<Allocator> {
+    info.SetFactory([](OptimusAllocRoundStats*) -> std::unique_ptr<Allocator> {
       return std::make_unique<DrfAllocator>();
     });
     registry->Register(std::move(info));
@@ -77,7 +73,7 @@ void RegisterBuiltins(SchedulerRegistry* registry) {
     info.description =
         "Tetris-like: SRTF + packing-friendliness score, best-fit placement";
     info.placement = PlacementPolicy::kTetrisPack;
-    info.SetFactory([](OptimusAllocRoundStats*, ThreadPool*) -> std::unique_ptr<Allocator> {
+    info.SetFactory([](OptimusAllocRoundStats*) -> std::unique_ptr<Allocator> {
       return std::make_unique<TetrisAllocator>();
     });
     registry->Register(std::move(info));
@@ -90,7 +86,7 @@ void RegisterBuiltins(SchedulerRegistry* registry) {
         "strict arrival order, each job filled to its speed knee before the "
         "next (Sec 2.3's head-of-line baseline), load-balanced placement";
     info.placement = PlacementPolicy::kLoadBalance;
-    info.SetFactory([](OptimusAllocRoundStats*, ThreadPool*) -> std::unique_ptr<Allocator> {
+    info.SetFactory([](OptimusAllocRoundStats*) -> std::unique_ptr<Allocator> {
       return std::make_unique<FifoAllocator>();
     });
     registry->Register(std::move(info));
@@ -103,7 +99,7 @@ void RegisterBuiltins(SchedulerRegistry* registry) {
         "pure shortest-remaining-time-first (Tetris score with the packing "
         "term zeroed), load-balanced placement";
     info.placement = PlacementPolicy::kLoadBalance;
-    info.SetFactory([](OptimusAllocRoundStats*, ThreadPool*) -> std::unique_ptr<Allocator> {
+    info.SetFactory([](OptimusAllocRoundStats*) -> std::unique_ptr<Allocator> {
       TetrisAllocatorOptions options;
       options.srtf_weight = 1.0;
       return std::make_unique<TetrisAllocator>(options);
@@ -121,11 +117,9 @@ void RegisterBuiltins(SchedulerRegistry* registry) {
     info.placement = PlacementPolicy::kOptimusPack;
     info.traits = OptimusTraits();
     info.traits.adapts_batch = true;
-    info.SetFactory([](OptimusAllocRoundStats* stats,
-                        ThreadPool* pool) -> std::unique_ptr<Allocator> {
+    info.SetFactory([](OptimusAllocRoundStats* stats) -> std::unique_ptr<Allocator> {
       GoodputAllocatorOptions options;
       options.stats = stats;
-      options.pool = pool;
       return std::make_unique<GoodputAllocator>(options);
     });
     registry->Register(std::move(info));
@@ -141,11 +135,9 @@ void RegisterBuiltins(SchedulerRegistry* registry) {
     info.placement = PlacementPolicy::kOptimusPack;
     info.traits = OptimusTraits();
     info.traits.uses_sensitivity = true;
-    info.SetFactory([](OptimusAllocRoundStats* stats,
-                        ThreadPool* pool) -> std::unique_ptr<Allocator> {
+    info.SetFactory([](OptimusAllocRoundStats* stats) -> std::unique_ptr<Allocator> {
       SynergyAllocatorOptions options;
       options.stats = stats;
-      options.pool = pool;
       return std::make_unique<SynergyAllocator>(options);
     });
     registry->Register(std::move(info));
@@ -232,12 +224,12 @@ std::vector<std::string> SchedulerRegistry::Names() const {
 }
 
 std::unique_ptr<Allocator> SchedulerRegistry::Create(
-    const std::string& name, OptimusAllocRoundStats* stats, ThreadPool* pool) const {
+    const std::string& name, OptimusAllocRoundStats* stats) const {
   const SchedulerPolicyInfo* info = Find(name);
   if (info == nullptr) {
     return nullptr;
   }
-  return info->factory->Create(stats, pool);
+  return info->factory->Create(stats);
 }
 
 std::string SchedulerRegistry::UnknownPolicyMessage(const std::string& name) const {

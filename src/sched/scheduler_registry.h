@@ -78,23 +78,19 @@ class PolicyFactory {
  public:
   virtual ~PolicyFactory() = default;
 
-  // `stats` carries the greedy-round counters the metrics registry harvests
-  // and `pool` the simulator's worker pool; factories that do not use them
-  // ignore them (either may be null).
-  virtual std::unique_ptr<Allocator> Create(OptimusAllocRoundStats* stats,
-                                            ThreadPool* pool) const = 0;
+  // `stats` carries the greedy-round counters the metrics registry harvests;
+  // factories that do not use it ignore it (it may be null).
+  virtual std::unique_ptr<Allocator> Create(OptimusAllocRoundStats* stats) const = 0;
 };
 
 // Adapter for stateless policies expressed as a plain callable.
 class FunctionPolicyFactory : public PolicyFactory {
  public:
-  using Fn = std::function<std::unique_ptr<Allocator>(OptimusAllocRoundStats*,
-                                                      ThreadPool*)>;
+  using Fn = std::function<std::unique_ptr<Allocator>(OptimusAllocRoundStats*)>;
   explicit FunctionPolicyFactory(Fn fn) : fn_(std::move(fn)) {}
 
-  std::unique_ptr<Allocator> Create(OptimusAllocRoundStats* stats,
-                                    ThreadPool* pool) const override {
-    return fn_(stats, pool);
+  std::unique_ptr<Allocator> Create(OptimusAllocRoundStats* stats) const override {
+    return fn_(stats);
   }
 
  private:
@@ -146,8 +142,7 @@ class SchedulerRegistry {
 
   // Constructs the named policy's allocator; null on an unknown name.
   std::unique_ptr<Allocator> Create(const std::string& name,
-                                    OptimusAllocRoundStats* stats,
-                                    ThreadPool* pool = nullptr) const;
+                                    OptimusAllocRoundStats* stats) const;
 
   // "unknown policy 'x' (registered: optimus, drf, ...)" — the canonical
   // error message, so every frontend names the available set.

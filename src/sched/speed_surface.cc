@@ -51,9 +51,6 @@ void SpeedSurface::BeginSpeculation() {
   // A surface with no point evaluated yet rolls back by emptying its grid,
   // so only one that already holds points journals the new ones.
   journal_ = !grid_.empty();
-  if (cache_enabled_ && grid_.empty()) {
-    grid_.assign(GridSize(), std::numeric_limits<double>::quiet_NaN());
-  }
 }
 
 void SpeedSurface::EndSpeculation(bool keep) {
@@ -85,10 +82,7 @@ SpeedSurface* SpeedSurfaceSet::Surface(const SchedJob& job) {
     return it->second;
   }
   const auto create = [&] {
-    SpeedSurface& surface = surfaces_.emplace_back(job.speed, job.max_ps,
-                                                   job.max_workers, cache_enabled_);
-    surface.index_ = surfaces_.size() - 1;
-    return &surface;
+    return &surfaces_.emplace_back(job.speed, job.max_ps, job.max_workers, cache_enabled_);
   };
   SpeedSurface* surface = nullptr;
   if (job.speed_signature != 0) {

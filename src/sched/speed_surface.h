@@ -13,12 +13,11 @@
 // one round and can share a single surface between jobs that declare
 // identical speed functions (SchedJob::speed_signature).
 //
-// Thread-safety: a SpeedSurface / SpeedSurfaceSet is NOT thread-safe; each
-// scheduling round (each allocator call chain) must own its own set, and
-// distinct surfaces may be probed concurrently only once Surface() has
-// created them (the Optimus allocator's per-surface path walks). The
-// parallel experiment runner satisfies this by construction: every simulator
-// instance builds its rounds' surfaces privately.
+// Thread-safety: a SpeedSurface / SpeedSurfaceSet is NOT thread-safe, and no
+// surface is ever used concurrently: each scheduling round (each allocator
+// call chain) owns its set and probes it from one thread. The parallel
+// experiment runner satisfies this by construction: every simulator instance
+// builds its rounds' surfaces privately.
 
 #ifndef SRC_SCHED_SPEED_SURFACE_H_
 #define SRC_SCHED_SPEED_SURFACE_H_
@@ -46,9 +45,6 @@ class SpeedSurface {
 
   int max_ps() const { return max_ps_; }
   int max_workers() const { return max_workers_; }
-  // Creation order within the owning SpeedSurfaceSet (0 for a surface built
-  // outside a set).
-  size_t index() const { return index_; }
 
   // Total Speed() calls vs underlying speed-function evaluations.
   int64_t probes() const { return probes_; }
@@ -58,10 +54,10 @@ class SpeedSurface {
   // EndSpeculation() memoize and count as usual; EndSpeculation(false) then
   // forgets the points first evaluated since BeginSpeculation() and restores
   // both counters, as if those probes never happened. EndSpeculation(true)
-  // keeps everything. BeginSpeculation() allocates the grid, so a caller
-  // that probes from pool workers allocates on its own thread.
+  // keeps everything.
   void BeginSpeculation();
   void EndSpeculation(bool keep);
+  bool speculating() const { return speculating_; }
 
  private:
   friend class SpeedSurfaceSet;
@@ -76,7 +72,6 @@ class SpeedSurface {
   int max_ps_;
   int max_workers_;
   bool cache_enabled_;
-  size_t index_ = 0;
   // NaN = not yet evaluated. Allocated lazily on the first in-grid probe so
   // jobs that are never probed (e.g. DRF rounds) cost nothing.
   std::vector<double> grid_;
@@ -97,9 +92,8 @@ class SpeedSurface {
 // caller guarantees their speed functions are identical, so a point evaluated
 // for one job is valid for all of them.
 //
-// The surfaces live in one stable-address container, numbered in creation
-// order (SpeedSurface::index()), so callers can key flat per-surface arrays
-// by that number; the job and signature indexes are hash maps.
+// The surfaces live in one stable-address container; the job and signature
+// indexes are hash maps.
 class SpeedSurfaceSet {
  public:
   explicit SpeedSurfaceSet(bool cache_enabled = true)

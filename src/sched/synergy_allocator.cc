@@ -9,7 +9,6 @@ SynergyAllocator::SynergyAllocator(SynergyAllocatorOptions options)
   OptimusAllocatorOptions inner;
   inner.min_gain = options_.min_gain;
   inner.stats = options_.stats;
-  inner.pool = options_.pool;
   inner_ = OptimusAllocator(inner);
 }
 

@@ -39,8 +39,6 @@ struct SynergyAllocatorOptions {
   double min_gain = 0.0;
   // When non-null, the inner greedy accumulates per-round counters here.
   OptimusAllocRoundStats* stats = nullptr;
-  // Forwarded to the inner Optimus greedy.
-  ThreadPool* pool = nullptr;
 };
 
 class SynergyAllocator : public Allocator {

@@ -27,10 +27,9 @@ uint64_t MixSignature(uint64_t h, uint64_t v) {
 // All policy construction goes through the SchedulerRegistry, keyed by the
 // config's policy name (CheckValid has already rejected unknown names).
 std::unique_ptr<Allocator> MakeAllocator(const SimulatorConfig& config,
-                                         OptimusAllocRoundStats* stats,
-                                         ThreadPool* pool) {
+                                         OptimusAllocRoundStats* stats) {
   std::unique_ptr<Allocator> allocator =
-      SchedulerRegistry::Global().Create(config.policy, stats, pool);
+      SchedulerRegistry::Global().Create(config.policy, stats);
   OPTIMUS_CHECK(allocator != nullptr)
       << SchedulerRegistry::Global().UnknownPolicyMessage(config.policy);
   return allocator;
@@ -231,13 +230,10 @@ Simulator::Simulator(SimulatorConfig config, std::vector<Server> servers,
   if (threads > 1) {
     pool_ = std::make_unique<ThreadPool>(threads);
   }
-  allocator_ = MakeAllocator(config_, &alloc_stats_, pool_.get());
+  allocator_ = MakeAllocator(config_, &alloc_stats_);
   scaling_hysteresis_ = SchedulerRegistry::Global()
                             .Find(config_.policy)
                             ->traits.scaling_hysteresis;
-  shard_plan_ = ShardPlan::Build(config_.shards,
-                                 static_cast<int>(servers_.size()),
-                                 config_.rack_size);
   // Null under the flat model: every comm-model call then falls back to the
   // Eqn-2 constant and the run is bitwise identical to the pre-fabric code.
   net_ = NetworkModel::Create(config_.net, static_cast<int>(servers_.size()),
@@ -416,7 +412,7 @@ void Simulator::SetupObservability() {
     // flat runs keep the historical catalog byte-identical (the committed
     // metrics.prom golden), and the fabric values are deterministic
     // (placement-driven serial solves), so within a fabric config the
-    // catalog remains a stable prefix across threads/shards/engines.
+    // catalog remains a stable prefix across threads and engines.
     if (net_ != nullptr) {
       const NetworkModel* net = net_.get();
       view("optimus_net_solves_total", "Network fair-share solves (one per round).",
@@ -682,7 +678,7 @@ SchedJob Simulator::MakeSchedJob(JobRuntime* jr) const {
       if (allreduce) {
         // The all-reduce speed function differs from the PS one for the same
         // model profile; fold comm in only for non-default modes so PS jobs
-        // keep their historical signatures (and shard partitions) bitwise.
+        // keep their historical signatures bitwise.
         sig = MixSignature(sig, static_cast<uint64_t>(spec.comm) + 1);
       }
       sj.speed_signature = sig != 0 ? sig : 1;
@@ -721,7 +717,7 @@ SchedJob Simulator::MakeSchedJob(JobRuntime* jr) const {
   // statistical-efficiency parameter, and a batch-capable physical speed
   // estimate. batch_speed scales the policy-facing estimate by the analytic
   // step-time ratio T(M0)/T(b) — a pure function of the model profile, so it
-  // adds no RNG draws and is identical across threads/shards. Policies that
+  // adds no RNG draws and is identical across threads. Policies that
   // ignore the batch dimension never call it.
   if (spec.mode == TrainingMode::kSync) {
     sj.batch_ref = spec.GlobalBatch();
@@ -836,7 +832,7 @@ bool Simulator::RefreshNetwork() {
   // Serial by construction: runs after scheduling (and after fault-edge
   // evictions on the event engine), never inside a parallel phase, and the
   // solve itself is a pure function of the job-ordered placements — so the
-  // resolved bandwidths are bitwise identical across threads and shards.
+  // resolved bandwidths are bitwise identical across threads.
   net_->BeginRound();
   for (const auto& jr : jobs_) {
     if (jr == nullptr || !jr->arrived ||
@@ -1247,8 +1243,7 @@ void Simulator::ScheduleActiveJobs() {
                       jr->job.spec().ps_demand, jr->job.spec().comm});
   }
   std::vector<PlacedJob> placed = PlaceJobs(config_.placement, inputs, &servers,
-                                            /*shrink_to_fit=*/true, config_.rack_size,
-                                            shard_plan_);
+                                            /*shrink_to_fit=*/true, config_.rack_size);
 
   // Apply decisions in job order. `frozen` and `schedulable` are each in job
   // order too (CollectRoundInputs walks jobs_), so two cursors find each
@@ -1888,8 +1883,7 @@ WhatIfResult Simulator::WhatIf(const JobSpec& candidate) {
   // A fresh allocator instance so the query does not advance the round-stats
   // counters the live allocator shares with the metrics registry.
   OptimusAllocRoundStats scratch_stats;
-  std::unique_ptr<Allocator> allocator =
-      MakeAllocator(config_, &scratch_stats, pool_.get());
+  std::unique_ptr<Allocator> allocator = MakeAllocator(config_, &scratch_stats);
   return EvaluateAdmission(*allocator, existing, cand, capacity);
 }
 

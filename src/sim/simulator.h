@@ -23,7 +23,6 @@
 #include "src/cluster/data_serving.h"
 #include "src/cluster/job.h"
 #include "src/cluster/server.h"
-#include "src/cluster/shard_plan.h"
 #include "src/cluster/straggler.h"
 #include "src/common/rng.h"
 #include "src/models/loss_curve.h"
@@ -105,7 +104,7 @@ struct SimulatorConfig {
   // bandwidths from a NIC/rack-uplink fabric built over `rack_size`-wide
   // racks. Per-job bandwidths are refreshed serially at scheduling rounds
   // (and fault edges, on the event engine), so outputs stay bitwise
-  // identical across thread counts and shard counts.
+  // identical across thread counts.
   NetworkConfig net;
   CheckpointConfig checkpoint;
   StragglerConfig straggler;
@@ -151,11 +150,11 @@ struct SimulatorConfig {
   ErrorInjection error;
   // Worker threads for the per-job phases: arrival-time speed-model pre-run
   // sampling and interval advancement (interval engine); epoch-event
-  // handling, model refits and segment rebuilds (events engine); and
-  // Algorithm 1's per-surface greedy walks in the policies built on
-  // OptimusAllocator. Scheduler-input construction is serial. Each job owns its RNG streams and all cross-job
-  // effects (trace events, aggregate stats) are buffered per job and merged
-  // in job order, so results are bitwise identical for any thread count.
+  // handling, model refits and segment rebuilds (events engine). The
+  // scheduling round (allocation and placement) is serial. Each job owns its
+  // RNG streams and all cross-job effects (trace events, aggregate stats)
+  // are buffered per job and merged in job order, so results are bitwise
+  // identical for any thread count.
   // 0 defers to the OPTIMUS_THREADS environment variable (1 = serial).
   int threads = 1;
   // Data serving (§5.1): seconds to hand one 128 MB chunk to a new owner
@@ -187,16 +186,12 @@ struct SimulatorConfig {
   int full_audit_period = 16;
   // Observability: metrics registry, flight recorder, series sampling.
   ObservabilityConfig obs;
-  // Placement partition (docs/ALGORITHMS.md §18): servers are split into
-  // `shards` rack-aligned contiguous pools, and the packing placement keeps
-  // one lazy server heap per shard, merged with a tournament pop that
-  // reproduces the global most-free order. Decisions, RunMetrics, event
-  // traces, and the deterministic metric catalog are bitwise identical for
-  // every (shards, threads) combination; 1 = one heap.
+  // Accepted for scenario-v1 compatibility (`knobs.shards`) and validated
+  // (>= 1), but read by nothing else: placement keeps one server heap.
   int shards = 1;
   // Rack width in contiguous server ids (the scenario DSL's
-  // `cluster.rack_size`) used to align shard boundaries; 0 = one rack spans
-  // the cluster, letting shard boundaries fall anywhere.
+  // `cluster.rack_size`), read by rack-aware placement and the network
+  // fabric; 0 = one rack spans the cluster.
   int rack_size = 0;
   // Streaming job admission: arrival specs are held in a pending queue and
   // each Job record is materialized only when the simulation clock reaches
@@ -593,13 +588,11 @@ class Simulator {
   ModelFitStats retired_speed_stats_;
   std::unique_ptr<ThreadPool> pool_;  // per-job parallelism (see threads)
   // Greedy-round counters the Optimus allocator accumulates across rounds;
-  // allocator_ captures pointers to it and to pool_.
+  // allocator_ captures a pointer to it.
   OptimusAllocRoundStats alloc_stats_;
   std::unique_ptr<Allocator> allocator_;
   // The policy's PolicyTraits::scaling_hysteresis, read once at construction.
   bool scaling_hysteresis_ = true;
-  // Rack-aligned server partition for the placement heaps (config_.shards).
-  ShardPlan shard_plan_;
   // Network fabric model; null under the flat (exact-compat) model.
   std::unique_ptr<NetworkModel> net_;
   StragglerModel straggler_;

@@ -248,7 +248,7 @@ SimulatorConfig ScenarioSpec::MakeSimConfig(const std::string& policy,
   std::string error;
   OPTIMUS_CHECK(ApplySchedulerPolicy(policy, &config, &error)) << error;
   config.seed = seed + static_cast<uint64_t>(repeat);
-  // Shard boundaries align to the scenario's rack layout (0 = one rack).
+  // Rack-aware placement and the fabric read the rack layout (0 = one rack).
   config.rack_size = cluster.rack_size;
   return config;
 }

@@ -3,8 +3,8 @@
 // both kinds after every grant and discarding superseded entries on pop. On
 // seeded random instances — slack and binding capacity, min_gain > 0,
 // all-reduce jobs, shared-signature surfaces, kinds that stop fitting — the
-// parallel path walk plus one-entry merge must make the same decisions and
-// probe the same speed points, for every pool size.
+// path walk plus one-entry merge must make the same decisions and probe the
+// same speed points.
 
 #include <cmath>
 #include <limits>
@@ -16,7 +16,6 @@
 
 #include "src/common/min_heap.h"
 #include "src/common/rng.h"
-#include "src/common/threadpool.h"
 #include "src/sched/optimus_allocator.h"
 #include "src/sched/speed_surface.h"
 
@@ -282,12 +281,11 @@ struct Outcome {
   size_t surfaces = 0;
 };
 
-Outcome RunAllocator(const Instance& in, ThreadPool* pool) {
+Outcome RunAllocator(const Instance& in) {
   Outcome out;
   OptimusAllocatorOptions options;
   options.min_gain = in.min_gain;
   options.stats = &out.stats;
-  options.pool = pool;
   SpeedSurfaceSet surfaces;
   out.result = OptimusAllocator(options).Allocate(in.jobs, in.capacity, &surfaces);
   out.probes = surfaces.probes();
@@ -296,39 +294,38 @@ Outcome RunAllocator(const Instance& in, ThreadPool* pool) {
   return out;
 }
 
-// Checks one instance against the reference for an inline pool and for 2 and
-// 8 threads; returns the reference's unfittable-drop count.
-int64_t ExpectEquivalent(const Instance& in, bool slack, const std::string& label) {
+// Checks one instance against the reference; returns the allocator's
+// unfittable-drop count.
+int64_t ExpectEquivalent(const Instance& in, bool slack, const std::string& where) {
   RefStats ref_stats;
   SpeedSurfaceSet ref_surfaces;
   const AllocationMap want =
       ReferenceAllocate(in.jobs, in.capacity, in.min_gain, &ref_surfaces, &ref_stats);
-  for (const int threads : {1, 2, 8}) {
-    ThreadPool pool(threads);
-    const Outcome got = RunAllocator(in, &pool);
-    const std::string where = label + " threads=" + std::to_string(threads);
-    EXPECT_EQ(got.result.size(), want.size()) << where;
-    for (const auto& [id, alloc] : want) {
-      const auto it = got.result.find(id);
-      if (it == got.result.end()) {
-        ADD_FAILURE() << where << " job " << id << " missing";
-        continue;
-      }
-      EXPECT_EQ(it->second.num_ps, alloc.num_ps) << where << " job " << id;
-      EXPECT_EQ(it->second.num_workers, alloc.num_workers) << where << " job " << id;
+  const Outcome got = RunAllocator(in);
+  EXPECT_EQ(got.result.size(), want.size()) << where;
+  for (const auto& [id, alloc] : want) {
+    const auto it = got.result.find(id);
+    if (it == got.result.end()) {
+      ADD_FAILURE() << where << " job " << id << " missing";
+      continue;
     }
-    EXPECT_EQ(got.stats.grants, ref_stats.grants) << where;
-    EXPECT_EQ(got.stats.pops, got.stats.grants + got.stats.unfittable_drops) << where;
-    EXPECT_EQ(got.surfaces, ref_surfaces.num_surfaces()) << where;
-    // A binding round rolls its walks back, so the speed work is the serial
-    // greedy's either way.
-    EXPECT_EQ(got.evals, ref_surfaces.evals()) << where;
-    EXPECT_EQ(got.probes, ref_surfaces.probes()) << where;
-    if (slack) {
-      EXPECT_EQ(got.stats.unfittable_drops, 0) << where;
-    }
+    EXPECT_EQ(it->second.num_ps, alloc.num_ps) << where << " job " << id;
+    EXPECT_EQ(it->second.num_workers, alloc.num_workers) << where << " job " << id;
   }
-  return ref_stats.unfittable_drops;
+  EXPECT_EQ(got.stats.grants, ref_stats.grants) << where;
+  EXPECT_EQ(got.stats.pops, got.stats.grants + got.stats.unfittable_drops) << where;
+  EXPECT_EQ(got.surfaces, ref_surfaces.num_surfaces()) << where;
+  // A binding round rolls its walks back, so the speed work is the serial
+  // greedy's either way.
+  EXPECT_EQ(got.evals, ref_surfaces.evals()) << where;
+  EXPECT_EQ(got.probes, ref_surfaces.probes()) << where;
+  if (slack) {
+    EXPECT_EQ(got.stats.unfittable_drops, 0) << where;
+  }
+  // Each dead kind pops once, where the two-entry heap re-drops it after
+  // every grant of the job's other kind.
+  EXPECT_LE(got.stats.unfittable_drops, ref_stats.unfittable_drops) << where;
+  return got.stats.unfittable_drops;
 }
 
 TEST(AllocEquivalenceTest, SlackRoundsMatchDecisionsAndSpeedWork) {
@@ -350,22 +347,7 @@ TEST(AllocEquivalenceTest, BindingRoundsMatchDecisionsAndSpeedWork) {
 }
 
 TEST(AllocEquivalenceTest, KindThatStopsFittingMatches) {
-  const Instance in = UnfittableWorkerInstance();
-  EXPECT_GT(ExpectEquivalent(in, false, "unfittable worker"), 0);
-  // Without a pool the walk runs inline, with the same answer.
-  RefStats ref_stats;
-  SpeedSurfaceSet ref_surfaces;
-  const AllocationMap want =
-      ReferenceAllocate(in.jobs, in.capacity, in.min_gain, &ref_surfaces, &ref_stats);
-  const Outcome got = RunAllocator(in, nullptr);
-  ASSERT_EQ(got.result.size(), want.size());
-  for (const auto& [id, alloc] : want) {
-    EXPECT_TRUE(got.result.at(id) == alloc) << "job " << id;
-  }
-  // Each dead kind pops once, where the two-entry heap re-drops it after
-  // every grant of the job's other kind.
-  EXPECT_LE(got.stats.unfittable_drops, ref_stats.unfittable_drops);
-  EXPECT_GT(got.stats.unfittable_drops, 0);
+  EXPECT_GT(ExpectEquivalent(UnfittableWorkerInstance(), false, "unfittable worker"), 0);
 }
 
 }  // namespace

@@ -337,11 +337,11 @@ TEST(ScenarioTest, MakeSimConfigCarriesRackLayoutToShards) {
   ScenarioSpec spec;
   std::string error;
   ASSERT_TRUE(ParseScenario(kValidScenario, "t", &spec, &error)) << error;
-  // Shard boundaries align to the scenario's racks: the cluster's rack_size
-  // rides into the per-cell SimulatorConfig.
+  // The cluster's rack_size rides into the per-cell SimulatorConfig; the
+  // no-op shards knob keeps its default.
   const SimulatorConfig config = spec.MakeSimConfig("optimus");
   EXPECT_EQ(config.rack_size, 2);
-  EXPECT_EQ(config.shards, 1);  // default: unsharded
+  EXPECT_EQ(config.shards, 1);
 }
 
 TEST(ScenarioTest, SchemaAndPolicyRequired) {
@@ -550,12 +550,12 @@ TEST(SchedulerRegistryTest, UnknownPolicyNamesTheRegisteredSet) {
 TEST(SchedulerRegistryTest, RegisterRejectsDuplicatesAndIncompleteInfos) {
   SchedulerPolicyInfo dup;
   dup.name = "optimus";
-  dup.SetFactory([](OptimusAllocRoundStats*, ThreadPool*) -> std::unique_ptr<Allocator> {
+  dup.SetFactory([](OptimusAllocRoundStats*) -> std::unique_ptr<Allocator> {
     return nullptr;
   });
   EXPECT_FALSE(SchedulerRegistry::Global().Register(std::move(dup)));
   SchedulerPolicyInfo unnamed;
-  unnamed.SetFactory([](OptimusAllocRoundStats*, ThreadPool*) -> std::unique_ptr<Allocator> {
+  unnamed.SetFactory([](OptimusAllocRoundStats*) -> std::unique_ptr<Allocator> {
     return nullptr;
   });
   EXPECT_FALSE(SchedulerRegistry::Global().Register(std::move(unnamed)));

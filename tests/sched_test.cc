@@ -1,9 +1,17 @@
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <functional>
+#include <numeric>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/cluster/server.h"
+#include "src/common/rng.h"
 #include "src/sched/baseline_allocators.h"
 #include "src/sched/optimus_allocator.h"
 #include "src/sched/placement.h"
@@ -438,6 +446,183 @@ TEST(PlacementTest, InactiveJobsSkipped) {
   EXPECT_FALSE(result[0].placed);
   EXPECT_TRUE(result[0].placement.empty());
   EXPECT_TRUE(result[1].placed);
+}
+
+// ---------------------------------------------------------------------------
+// Packing reference: a fresh sort per attempt instead of the server heap
+// ---------------------------------------------------------------------------
+
+// Theorem 1's even spread over the first k candidates: PS and worker tasks
+// interleave Bresenham-style, each to the fitting server with the fewest
+// tasks of its kind, then the fewest tasks, then the most free CPU, then the
+// earliest candidate. Commits only when every task fits.
+bool RefSpread(const PlacementJobInput& job, const std::vector<size_t>& cand, size_t k,
+               std::vector<Server>* servers, JobPlacement* out) {
+  const int p = job.alloc.num_ps;
+  const int total = p + job.alloc.num_workers;
+  std::vector<Resources> used(k);
+  std::vector<std::array<int, 2>> count(k, {0, 0});  // (workers, ps)
+  for (int t = 0, ps_done = 0; t < total; ++t) {
+    const int is_ps = (t + 1) * p / total > ps_done ? 1 : 0;
+    ps_done += is_ps;
+    const Resources& demand = is_ps ? job.ps_demand : job.worker_demand;
+    const auto left = [&](size_t i) { return (*servers)[cand[i]].Free() - used[i]; };
+    const auto rank = [&](size_t i) {
+      return std::make_tuple(count[i][is_ps], count[i][0] + count[i][1], -left(i).cpu());
+    };
+    size_t best = k;
+    for (size_t i = 0; i < k; ++i) {
+      if (left(i).Fits(demand) && (best == k || rank(i) < rank(best))) {
+        best = i;
+      }
+    }
+    if (best == k) {
+      return false;
+    }
+    used[best] += demand;
+    ++count[best][is_ps];
+  }
+  std::vector<std::array<int, 3>> triples;  // (server, workers, ps)
+  for (size_t i = 0; i < k; ++i) {
+    if (count[i][0] + count[i][1] > 0) {
+      (*servers)[cand[i]].Allocate(used[i]);
+      triples.push_back({static_cast<int>(cand[i]), count[i][0], count[i][1]});
+    }
+  }
+  std::sort(triples.begin(), triples.end());
+  for (const auto& [server, w, ps] : triples) {
+    out->used_servers.push_back(server);
+    out->used_workers.push_back(w);
+    out->used_ps.push_back(ps);
+  }
+  return true;
+}
+
+// Available servers in [begin, end) by free CPU, descending; ties go to the
+// higher index (the global order) or the lower one (the in-rack order).
+std::vector<size_t> RefCandidates(const std::vector<Server>& servers, size_t begin,
+                                  size_t end, bool higher_index_first) {
+  std::vector<size_t> out;
+  for (size_t s = begin; s < end; ++s) {
+    if (servers[s].available()) {
+      out.push_back(s);
+    }
+  }
+  std::sort(out.begin(), out.end(), [&](size_t a, size_t b) {
+    const double fa = servers[a].Free().cpu();
+    const double fb = servers[b].Free().cpu();
+    return fa != fb ? fa > fb : (higher_index_first ? a > b : a < b);
+  });
+  return out;
+}
+
+// PlaceJobs' packing policies with shrink-to-fit, smallest dominant footprint
+// first. Every attempt re-sorts its candidates and packs onto the smallest k
+// of them. With racks, each rack is tried first, by descending free CPU
+// (ties: lower rack); an attempt no rack holds counts in *fallbacks and
+// takes the global order.
+std::vector<PlacedJob> RefPlaceJobs(const std::vector<PlacementJobInput>& jobs,
+                                    size_t rack_size, std::vector<Server>* servers,
+                                    int* fallbacks) {
+  const size_t n = servers->size();
+  const Resources capacity = TotalCapacity(*servers);
+  const auto share = [&](const PlacementJobInput& job) {
+    return (job.worker_demand * job.alloc.num_workers + job.ps_demand * job.alloc.num_ps)
+        .DominantShare(capacity);
+  };
+  std::vector<size_t> order(jobs.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t a, size_t b) { return share(jobs[a]) < share(jobs[b]); });
+  const auto attempt = [&](const PlacementJobInput& job, JobPlacement* out) {
+    const auto pack = [&](const std::vector<size_t>& cand) {
+      const size_t tasks = static_cast<size_t>(job.alloc.num_ps + job.alloc.num_workers);
+      for (size_t k = 1; k <= std::min(cand.size(), tasks); ++k) {
+        if (RefSpread(job, cand, k, servers, out)) {
+          return true;
+        }
+      }
+      return false;
+    };
+    if (rack_size > 0) {
+      std::vector<std::pair<double, size_t>> racks;  // (free CPU, first server)
+      for (size_t begin = 0; begin < n; begin += rack_size) {
+        double free_sum = 0.0;
+        for (size_t s = begin; s < std::min(n, begin + rack_size); ++s) {
+          free_sum += (*servers)[s].available() ? (*servers)[s].Free().cpu() : 0.0;
+        }
+        racks.push_back({free_sum, begin});
+      }
+      std::stable_sort(racks.begin(), racks.end(),
+                       [](const auto& a, const auto& b) { return a.first > b.first; });
+      for (const auto& [free_sum, begin] : racks) {
+        if (pack(RefCandidates(*servers, begin, std::min(n, begin + rack_size), false))) {
+          return true;
+        }
+      }
+      ++*fallbacks;
+    }
+    return pack(RefCandidates(*servers, 0, n, true));
+  };
+  std::vector<PlacedJob> result(jobs.size());
+  for (const size_t i : order) {
+    PlacementJobInput job = jobs[i];
+    while (!(result[i].placed = attempt(job, &result[i].placement)) &&
+           (job.alloc.num_ps > 1 || job.alloc.num_workers > 1)) {
+      job.alloc = {std::max(1, job.alloc.num_ps / 2), std::max(1, job.alloc.num_workers / 2)};
+    }
+    result[i].alloc = result[i].placed ? job.alloc : Allocation{};
+  }
+  return result;
+}
+
+TEST(PlacementTest, OptimusPackMatchesResortReference) {
+  Rng rng(17);
+  const int n_servers = 64;
+  int fallbacks = 0;
+  for (const auto& [policy, rack_size] : {std::pair{PlacementPolicy::kOptimusPack, 0},
+                                          std::pair{PlacementPolicy::kRackPack, 4}}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const std::string label =
+          std::string(PlacementPolicyName(policy)) + " trial " + std::to_string(trial);
+      // Uneven starting load, so free-CPU ties occur, and one dead server,
+      // which no candidate list may hold. In-rack placements leave the
+      // global heap's keys stale for the fallbacks that follow.
+      std::vector<Server> servers = BuildUniformCluster(n_servers, Resources(16, 80, 0, 1));
+      for (Server& server : servers) {
+        server.Allocate(Resources(2.5, 10, 0, 0.15) *
+                        static_cast<double>(rng.UniformInt(0, 3)));
+      }
+      servers[static_cast<size_t>(rng.UniformInt(0, n_servers - 1))].SetAvailable(false);
+      std::vector<PlacementJobInput> jobs;
+      for (int j = 0; j < 48; ++j) {
+        jobs.push_back(PJob(j, static_cast<int>(rng.UniformInt(1, 4)),
+                            static_cast<int>(rng.UniformInt(1, 8)), 2.5));
+        if (j % 3 == 0) {
+          jobs.back().ps_demand = Resources(1.5, 8, 0, 0.1);
+        }
+      }
+
+      std::vector<Server> ref_servers = servers;
+      const std::vector<PlacedJob> want =
+          RefPlaceJobs(jobs, static_cast<size_t>(rack_size), &ref_servers, &fallbacks);
+      const std::vector<PlacedJob> got =
+          PlaceJobs(policy, jobs, &servers, /*shrink_to_fit=*/true, rack_size);
+      ASSERT_EQ(got.size(), want.size()) << label;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].placed, want[i].placed) << label << " job " << i;
+        EXPECT_TRUE(got[i].alloc == want[i].alloc) << label << " job " << i;
+        EXPECT_EQ(got[i].placement.used_servers, want[i].placement.used_servers) << label;
+        EXPECT_EQ(got[i].placement.used_workers, want[i].placement.used_workers) << label;
+        EXPECT_EQ(got[i].placement.used_ps, want[i].placement.used_ps) << label;
+      }
+      for (int s = 0; s < n_servers; ++s) {
+        EXPECT_TRUE(servers[s].Free() == ref_servers[s].Free()) << label << " server " << s;
+      }
+    }
+  }
+  // Some rack-pack attempts must reach the global fallback.
+  EXPECT_GT(fallbacks, 0);
 }
 
 }  // namespace

@@ -1,18 +1,18 @@
-// Shard invariance: the per-shard placement heaps, streaming admission, and
-// the hash-only trace must all be output-invariant — bitwise — against their
-// unsharded / batch / storage counterparts, for every (shards, threads)
-// combination, on the golden scenarios (including the committed fault plans).
+// Output invariance: thread count, streaming admission, and the hash-only
+// trace must all leave a run's outputs bitwise unchanged against the
+// one-thread / batch / storage counterparts, on the golden scenarios
+// (including the committed fault plans). The scenario-v1 `shards` knob is a
+// validated no-op, and stays pinned as one.
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/server.h"
-#include "src/cluster/shard_plan.h"
 #include "src/common/rng.h"
-#include "src/sched/placement.h"
 #include "src/sim/simulator.h"
 #include "src/sim/workload.h"
 #include "src/workload/scenario.h"
@@ -74,121 +74,7 @@ void ExpectBitwiseEqual(const RunOutputs& a, const RunOutputs& b,
 }
 
 // ---------------------------------------------------------------------------
-// ShardPlan
-// ---------------------------------------------------------------------------
-
-TEST(ShardPlanTest, DealsRackAlignedRanges) {
-  // 10 servers, racks of 4 -> 3 rack units; 2 shards -> units split 1/2,
-  // boundaries never inside a rack.
-  const ShardPlan plan = ShardPlan::Build(2, 10, 4);
-  ASSERT_EQ(plan.num_shards(), 2);
-  EXPECT_EQ(plan.range(0).first, 0);
-  EXPECT_EQ(plan.range(0).second, 4);
-  EXPECT_EQ(plan.range(1).first, 4);
-  EXPECT_EQ(plan.range(1).second, 10);
-  EXPECT_EQ(plan.ShardOf(3), 0);
-  EXPECT_EQ(plan.ShardOf(4), 1);
-  EXPECT_EQ(plan.ShardOf(9), 1);
-}
-
-TEST(ShardPlanTest, CoversEveryServerExactlyOnce) {
-  for (const int shards : {1, 2, 3, 7, 8}) {
-    for (const int rack : {0, 1, 5, 16}) {
-      const int n = 37;
-      const ShardPlan plan = ShardPlan::Build(shards, n, rack);
-      std::vector<int> owner(n, -1);
-      for (int s = 0; s < plan.num_shards(); ++s) {
-        for (int i = plan.range(s).first; i < plan.range(s).second; ++i) {
-          EXPECT_EQ(owner[i], -1) << "server " << i << " in two shards";
-          owner[i] = s;
-        }
-      }
-      for (int i = 0; i < n; ++i) {
-        EXPECT_NE(owner[i], -1) << "server " << i << " unassigned (shards="
-                                << shards << " rack=" << rack << ")";
-        EXPECT_EQ(owner[i], plan.ShardOf(i));
-      }
-    }
-  }
-}
-
-TEST(ShardPlanTest, ClampsShardCountToServers) {
-  EXPECT_EQ(ShardPlan::Build(16, 3, 0).num_shards(), 3);
-  EXPECT_EQ(ShardPlan::Build(0, 3, 0).num_shards(), 1);
-  // One rack unit cannot split: every shard beyond the first is empty but
-  // the ranges still cover the cluster.
-  const ShardPlan one_rack = ShardPlan::Build(4, 8, 8);
-  int covered = 0;
-  for (int s = 0; s < one_rack.num_shards(); ++s) {
-    covered += one_rack.range(s).second - one_rack.range(s).first;
-  }
-  EXPECT_EQ(covered, 8);
-}
-
-// ---------------------------------------------------------------------------
-// Packing placement: the shard count never changes a decision
-// ---------------------------------------------------------------------------
-
-TEST(ShardedPlacementTest, DecisionsInvariantAcrossShardCounts) {
-  Rng rng(17);
-  const int n_servers = 64;
-  const int rack_size = 8;
-  for (const PlacementPolicy policy :
-       {PlacementPolicy::kOptimusPack, PlacementPolicy::kRackPack}) {
-    for (int trial = 0; trial < 3; ++trial) {
-      // Uneven starting load and one dead server, so the heaps hold distinct
-      // keys and the pops cross shard boundaries.
-      std::vector<Server> servers =
-          BuildUniformCluster(n_servers, Resources(16, 80, 0, 1));
-      for (Server& server : servers) {
-        server.Allocate(Resources(2.5, 10, 0, 0.15) *
-                        static_cast<double>(rng.UniformInt(0, 3)));
-      }
-      servers[static_cast<size_t>(rng.UniformInt(0, n_servers - 1))].SetAvailable(false);
-
-      std::vector<PlacementJobInput> jobs;
-      for (int j = 0; j < 48; ++j) {
-        PlacementJobInput in;
-        in.job_id = j;
-        in.alloc.num_ps = static_cast<int>(rng.UniformInt(1, 4));
-        in.alloc.num_workers = static_cast<int>(rng.UniformInt(1, 8));
-        in.worker_demand = Resources(2.5, 10, 0, 0.15);
-        in.ps_demand = Resources(2.5, 10, 0, 0.15);
-        jobs.push_back(in);
-      }
-
-      // Reference: the default (empty) plan, i.e. one shard.
-      std::vector<Server> ref_servers = servers;
-      const std::vector<PlacedJob> ref =
-          PlaceJobs(policy, jobs, &ref_servers, /*shrink_to_fit=*/true, rack_size);
-      for (const int shards : {1, 2, 4, 8}) {
-        const std::string label = std::string(PlacementPolicyName(policy)) +
-                                  " trial " + std::to_string(trial) +
-                                  " shards=" + std::to_string(shards);
-        std::vector<Server> got_servers = servers;
-        const std::vector<PlacedJob> got =
-            PlaceJobs(policy, jobs, &got_servers, /*shrink_to_fit=*/true, rack_size,
-                      ShardPlan::Build(shards, n_servers, rack_size));
-        ASSERT_EQ(ref.size(), got.size()) << label;
-        for (size_t i = 0; i < ref.size(); ++i) {
-          EXPECT_EQ(ref[i].placed, got[i].placed) << label << " job " << i;
-          EXPECT_TRUE(ref[i].alloc == got[i].alloc) << label << " job " << i;
-          EXPECT_EQ(ref[i].placement.used_servers, got[i].placement.used_servers) << label;
-          EXPECT_EQ(ref[i].placement.used_workers, got[i].placement.used_workers) << label;
-          EXPECT_EQ(ref[i].placement.used_ps, got[i].placement.used_ps) << label;
-        }
-        // The servers end in the same free state either way.
-        for (int s = 0; s < n_servers; ++s) {
-          EXPECT_TRUE(ref_servers[s].Free() == got_servers[s].Free())
-              << label << " server " << s;
-        }
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// End-to-end shard x thread invariance on the golden scenarios
+// End-to-end thread invariance on the golden scenarios
 // ---------------------------------------------------------------------------
 
 class GoldenScenarioInvariance : public ::testing::TestWithParam<const char*> {};
@@ -199,21 +85,17 @@ TEST_P(GoldenScenarioInvariance, ShardsAndThreadsAreBitwiseInvariant) {
   ASSERT_TRUE(LoadScenarioFile(ScenarioPath(GetParam()), &scenario, &error))
       << error;
 
+  // The last cell sets the no-op shards knob.
   for (const SimEngine engine : {SimEngine::kInterval, SimEngine::kEvents}) {
     const RunOutputs reference = RunScenario(scenario, 1, 1, engine);
     EXPECT_EQ(reference.audit_violations, 0);
-    for (const int shards : {1, 2, 4, 8}) {
-      for (const int threads : {1, 2, 8}) {
-        if (shards == 1 && threads == 1) {
-          continue;
-        }
-        const RunOutputs run = RunScenario(scenario, shards, threads, engine);
-        ExpectBitwiseEqual(
-            run, reference,
-            std::string(GetParam()) + " " + SimEngineName(engine) +
-                " shards=" + std::to_string(shards) +
-                " threads=" + std::to_string(threads));
-      }
+    for (const auto& [shards, threads] :
+         std::vector<std::pair<int, int>>{{1, 2}, {1, 8}, {8, 1}}) {
+      const RunOutputs run = RunScenario(scenario, shards, threads, engine);
+      ExpectBitwiseEqual(run, reference,
+                         std::string(GetParam()) + " " + SimEngineName(engine) +
+                             " shards=" + std::to_string(shards) +
+                             " threads=" + std::to_string(threads));
     }
   }
 }
@@ -243,9 +125,9 @@ TEST(StreamingAdmissionTest, BatchAndStreamingAreBitwiseIdentical) {
       << error;
   for (const SimEngine engine : {SimEngine::kInterval, SimEngine::kEvents}) {
     const RunOutputs batch =
-        RunScenario(scenario, 2, 2, engine, /*streaming=*/false);
+        RunScenario(scenario, 1, 2, engine, /*streaming=*/false);
     const RunOutputs streaming =
-        RunScenario(scenario, 2, 2, engine, /*streaming=*/true);
+        RunScenario(scenario, 1, 2, engine, /*streaming=*/true);
     ExpectBitwiseEqual(streaming, batch,
                        std::string("streaming ") + SimEngineName(engine));
   }
@@ -303,10 +185,10 @@ TEST(TraceHashOnlyTest, DigestMatchesStorageMode) {
   ASSERT_TRUE(LoadScenarioFile(ScenarioPath("rack_outage.json"), &scenario,
                                &error))
       << error;
-  const RunOutputs stored = RunScenario(scenario, 2, 1, SimEngine::kEvents,
+  const RunOutputs stored = RunScenario(scenario, 1, 1, SimEngine::kEvents,
                                         /*streaming=*/false,
                                         /*hash_only=*/false);
-  const RunOutputs hashed = RunScenario(scenario, 2, 1, SimEngine::kEvents,
+  const RunOutputs hashed = RunScenario(scenario, 1, 1, SimEngine::kEvents,
                                         /*streaming=*/false,
                                         /*hash_only=*/true);
   EXPECT_EQ(stored.trace_digest, hashed.trace_digest);

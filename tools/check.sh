@@ -29,18 +29,17 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 # (docs/ALGORITHMS.md section 16) or a row does not reproduce on repeat.
 "${build_dir}/bench/bench_events" --smoke --json=BENCH_events_smoke.json
 
-# Scale smoke: sharded placement + streaming admission. Sweeps
-# (engine, shards, threads) cells on the committed scale_smoke scenario and
-# exits 3 if any cell's metrics or trace digest diverge from the per-engine
-# reference; also measures the shards=8 vs shards=1 round speedup
-# (docs/ALGORITHMS.md section 18).
+# Scale smoke: streaming admission. Sweeps (engine, threads) cells on the
+# committed scale_smoke scenario and exits 3 if any cell's metrics or trace
+# digest diverge from the per-engine reference (docs/ALGORITHMS.md
+# section 18).
 "${build_dir}/bench/bench_scale" --smoke \
   --scenario="${repo_root}/scenarios/scale_smoke.json" \
   --json=BENCH_scale_smoke.json
 
 # Network smoke: fabric models + ring all-reduce (docs/NETWORK.md). Runs the
 # optimus vs optimus_rack comparison on the oversubscribed fabric and sweeps
-# (engine, shards, threads) cells over both committed network scenarios;
+# (engine, threads) cells over both committed network scenarios;
 # exits 3 on any cross-configuration divergence or if rack-aware placement
 # stops beating the baseline.
 "${build_dir}/bench/bench_net" --smoke \
@@ -50,7 +49,7 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 
 # Policy-catalog smoke: every registered policy (goodput / synergy / dl2
 # included) on the batch-adaptive scenario, plus a per-policy determinism
-# sweep over engines x shards x threads. Exits 3 if any cell diverges from
+# sweep over engines x threads. Exits 3 if any cell diverges from
 # its (policy, engine) reference or if no policy other than optimus /
 # optimus_rack beats plain optimus on average JCT (docs/POLICIES.md).
 "${build_dir}/bench/bench_policies" --smoke \
