@@ -88,12 +88,13 @@ RoundResult TimeSchedulingRound(int num_jobs, int num_nodes, bool cached) {
   RoundResult result;
   const auto start = std::chrono::steady_clock::now();
   SpeedSurfaceSet surfaces(cached);
-  AllocationMap alloc = OptimusAllocator().Allocate(jobs, capacity, &surfaces);
+  const std::vector<Allocation> alloc = OptimusAllocator().Allocate(jobs, capacity, &surfaces);
   const auto alloc_done = std::chrono::steady_clock::now();
   std::vector<PlacementJobInput> inputs;
-  inputs.reserve(alloc.size());
-  for (const auto& [id, a] : alloc) {
-    inputs.push_back({id, a, jobs[id].worker_demand, jobs[id].ps_demand});
+  inputs.reserve(jobs.size());
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    const Allocation& a = alloc[i];
+    inputs.push_back({jobs[i].job_id, a, jobs[i].worker_demand, jobs[i].ps_demand});
     result.tasks += a.num_ps + a.num_workers;
   }
   const std::vector<PlacedJob> placed =

@@ -149,7 +149,7 @@ ScheduleDecision OptimusController::Schedule(const std::vector<Server>& servers)
   for (const ManagedJob* job : schedulable) {
     sched_jobs.push_back(MakeSchedJob(*job));
   }
-  AllocationMap alloc = OptimusAllocator().Allocate(sched_jobs, capacity);
+  const std::vector<Allocation> alloc = OptimusAllocator().Allocate(sched_jobs, capacity);
 
   // Placement inputs: frozen jobs first, then schedulable ones; `order`
   // names the job at each input position.
@@ -161,12 +161,10 @@ ScheduleDecision OptimusController::Schedule(const std::vector<Server>& servers)
     inputs.push_back(
         {job->spec.id, job->current, job->spec.worker_demand, job->spec.ps_demand});
   }
-  for (const ManagedJob* job : schedulable) {
-    Allocation a;
-    if (auto it = alloc.find(job->spec.id); it != alloc.end()) {
-      a = it->second;
-    }
-    inputs.push_back({job->spec.id, a, job->spec.worker_demand, job->spec.ps_demand});
+  for (size_t i = 0; i < schedulable.size(); ++i) {
+    const ManagedJob* job = schedulable[i];
+    inputs.push_back(
+        {job->spec.id, alloc[i], job->spec.worker_demand, job->spec.ps_demand});
   }
   std::vector<Server> free_servers = servers;
   std::vector<PlacedJob> placed = PlaceJobs(options_.placement, inputs, &free_servers);

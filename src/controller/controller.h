@@ -58,7 +58,8 @@ struct JobObservation {
 };
 
 struct ScheduleDecision {
-  AllocationMap allocations;
+  // job_id -> allocation, for every job placed this interval.
+  std::map<int, Allocation> allocations;
   std::map<int, JobPlacement> placements;
   // Jobs that received no placeable resources this interval.
   std::vector<int> paused;

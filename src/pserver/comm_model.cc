@@ -29,9 +29,8 @@ double CrossServerTransferTime(const StepTimeInputs& in, const CommConfig& confi
       in.net_bw_bps > 0.0 ? in.net_bw_bps : config.container_bandwidth_bps;
   const int p = in.num_ps;
   const int w = in.num_workers;
-  const JobPlacement& placement = EffectivePlacement(in);
 
-  if (placement.empty()) {
+  if (in.placement == nullptr || in.placement->empty()) {
     // All communication crosses the network. PS side: the busiest PS serves
     // w' concurrent workers, each exchanging its shard. Worker side: each
     // worker exchanges the full model through its NIC.
@@ -43,7 +42,7 @@ double CrossServerTransferTime(const StepTimeInputs& in, const CommConfig& confi
   // Servers without any task of this job contribute nothing to the max, so
   // only the occupied ones need visiting.
   double worst = 0.0;
-  placement.ForEachUsed([&](size_t /*k*/, int w_k, int p_k) {
+  in.placement->ForEachUsed([&](size_t /*k*/, int w_k, int p_k) {
     if (p_k > 0) {
       // The busiest PS (bytes-wise) could sit on any server; being
       // conservative, charge the max shard size to PSes on every server.
@@ -71,10 +70,9 @@ double AllReduceTransferTime(const StepTimeInputs& in, const CommConfig& config)
   if (w <= 1) {
     return 0.0;
   }
-  const JobPlacement& placement = EffectivePlacement(in);
-  if (!placement.empty()) {
+  if (in.placement != nullptr && !in.placement->empty()) {
     int servers_used = 0;
-    placement.ForEachUsed([&](size_t /*k*/, int w_k, int /*p_k*/) {
+    in.placement->ForEachUsed([&](size_t /*k*/, int w_k, int /*p_k*/) {
       if (w_k > 0) {
         ++servers_used;
       }
@@ -104,10 +102,9 @@ StepTimeBreakdown ComputeStepTime(const StepTimeInputs& in, const CommConfig& co
   }
   OPTIMUS_CHECK_GE(in.num_workers, 1);
   OPTIMUS_CHECK_GT(in.slowest_worker_factor, 0.0);
-  const JobPlacement& placement = EffectivePlacement(in);
-  if (!placement.empty()) {
-    OPTIMUS_CHECK_EQ(placement.TotalWorkers(), in.num_workers);
-    OPTIMUS_CHECK_EQ(placement.TotalPs(), in.num_ps);
+  if (in.placement != nullptr && !in.placement->empty()) {
+    OPTIMUS_CHECK_EQ(in.placement->TotalWorkers(), in.num_workers);
+    OPTIMUS_CHECK_EQ(in.placement->TotalPs(), in.num_ps);
   }
 
   const ModelSpec& model = *in.model;

@@ -81,12 +81,9 @@ struct StepTimeInputs {
   // Load shape from the block assignment; defaults to perfectly balanced.
   PsLoadMetrics load;
   bool load_valid = false;
-  // Optional placement (see JobPlacement); empty = all cross-server.
-  JobPlacement placement;
-  // Borrowed alternative to `placement` for hot paths that already own a
-  // JobPlacement: avoids copying its vectors per call. Takes
-  // precedence over `placement` when set; the pointee must outlive the call.
-  const JobPlacement* placement_ref = nullptr;
+  // Borrowed placement (see JobPlacement); null or empty = every transfer
+  // crosses the network. The pointee must outlive the call.
+  const JobPlacement* placement = nullptr;
   // Speed factor of the slowest worker (1.0 = healthy; 0.5 = half speed).
   double slowest_worker_factor = 1.0;
   // Effective per-container network bandwidth (bytes/s) resolved by a
@@ -95,12 +92,6 @@ struct StepTimeInputs {
   // Eqn-2 constant — which keeps the default arithmetic bit-identical.
   double net_bw_bps = 0.0;
 };
-
-// The placement a step-time computation should use: the borrowed reference
-// when present, the owned copy otherwise.
-inline const JobPlacement& EffectivePlacement(const StepTimeInputs& in) {
-  return in.placement_ref != nullptr ? *in.placement_ref : in.placement;
-}
 
 struct StepTimeBreakdown {
   double forward_s = 0.0;

@@ -208,14 +208,13 @@ TaskLayout BuildLayout(const StepTimeInputs& in) {
   TaskLayout layout;
   layout.worker_server.assign(in.num_workers, -1);
   layout.ps_server.assign(in.num_ps, -2);  // distinct from workers by default
-  const JobPlacement& placement = EffectivePlacement(in);
-  if (placement.empty()) {
+  if (in.placement == nullptr || in.placement->empty()) {
     return layout;
   }
   int w = 0;
   int p = 0;
   // Servers in ascending order, workers then PS on each.
-  placement.ForEachUsed([&](size_t s, int w_k, int p_k) {
+  in.placement->ForEachUsed([&](size_t s, int w_k, int p_k) {
     for (int i = 0; i < w_k; ++i) {
       layout.worker_server[w++] = static_cast<int>(s);
     }
@@ -433,10 +432,9 @@ EventSimResult SimulateStep(const StepTimeInputs& in, const CommConfig& config,
   OPTIMUS_CHECK(in.model != nullptr);
   OPTIMUS_CHECK_GE(in.num_workers, 1);
   OPTIMUS_CHECK_GE(in.num_ps, 1);
-  const JobPlacement& placement = EffectivePlacement(in);
-  if (!placement.empty()) {
-    OPTIMUS_CHECK_EQ(placement.TotalWorkers(), in.num_workers);
-    OPTIMUS_CHECK_EQ(placement.TotalPs(), in.num_ps);
+  if (in.placement != nullptr && !in.placement->empty()) {
+    OPTIMUS_CHECK_EQ(in.placement->TotalWorkers(), in.num_workers);
+    OPTIMUS_CHECK_EQ(in.placement->TotalPs(), in.num_ps);
   }
   return in.mode == TrainingMode::kSync ? RunSync(in, config, options)
                                         : RunAsync(in, config, options);

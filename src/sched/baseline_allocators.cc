@@ -29,6 +29,16 @@ Allocation UnitsAllocation(const SchedJob& job, int u) {
   return {job.max_ps > 0 ? u : 0, u};
 }
 
+// One allocation per job, in job order, from its unit count.
+std::vector<Allocation> UnitsAllocations(const std::vector<SchedJob>& jobs,
+                                         const std::vector<int>& units) {
+  std::vector<Allocation> result(jobs.size());
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    result[i] = UnitsAllocation(jobs[i], units[i]);
+  }
+  return result;
+}
+
 // Estimated speed at u units (the p == 0 row for all-reduce jobs).
 double UnitSpeed(SpeedSurface* surface, const SchedJob& job, int u) {
   return surface->Speed(job.max_ps > 0 ? u : 0, u);
@@ -36,10 +46,9 @@ double UnitSpeed(SpeedSurface* surface, const SchedJob& job, int u) {
 
 }  // namespace
 
-AllocationMap DrfAllocator::Allocate(const std::vector<SchedJob>& jobs,
-                                     const Resources& capacity,
-                                     SpeedSurfaceSet* /*surfaces*/) const {
-  AllocationMap result;
+std::vector<Allocation> DrfAllocator::Allocate(const std::vector<SchedJob>& jobs,
+                                               const Resources& capacity,
+                                               SpeedSurfaceSet* /*surfaces*/) const {
   std::vector<int> units(jobs.size(), 0);
   std::vector<bool> saturated(jobs.size(), false);
   Resources used;
@@ -73,21 +82,15 @@ AllocationMap DrfAllocator::Allocate(const std::vector<SchedJob>& jobs,
     heap.push({total.DominantShare(capacity), i});
   }
 
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    if (units[i] > 0) {
-      result[jobs[i].job_id] = UnitsAllocation(jobs[i], units[i]);
-    }
-  }
-  return result;
+  return UnitsAllocations(jobs, units);
 }
 
-AllocationMap TetrisAllocator::Allocate(const std::vector<SchedJob>& jobs,
-                                        const Resources& capacity,
-                                        SpeedSurfaceSet* surfaces) const {
+std::vector<Allocation> TetrisAllocator::Allocate(const std::vector<SchedJob>& jobs,
+                                                  const Resources& capacity,
+                                                  SpeedSurfaceSet* surfaces) const {
   OPTIMUS_CHECK(surfaces != nullptr);
-  AllocationMap result;
   if (jobs.empty()) {
-    return result;
+    return {};
   }
   std::vector<SpeedSurface*> surf;
   surf.reserve(jobs.size());
@@ -174,19 +177,15 @@ AllocationMap TetrisAllocator::Allocate(const std::vector<SchedJob>& jobs,
     }
   }
 
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    if (units[i] > 0) {
-      result[jobs[i].job_id] = UnitsAllocation(jobs[i], units[i]);
-    }
-  }
-  return result;
+  return UnitsAllocations(jobs, units);
 }
 
-AllocationMap FifoAllocator::Allocate(const std::vector<SchedJob>& jobs,
-                                      const Resources& capacity,
-                                      SpeedSurfaceSet* surfaces) const {
+std::vector<Allocation> FifoAllocator::Allocate(const std::vector<SchedJob>& jobs,
+                                                const Resources& capacity,
+                                                SpeedSurfaceSet* surfaces) const {
   OPTIMUS_CHECK(surfaces != nullptr);
-  AllocationMap result;
+  std::vector<Allocation> result;
+  result.reserve(jobs.size());
   Resources used;
   // Input order is arrival order; fill each job to its knee in turn.
   for (const SchedJob& job : jobs) {
@@ -204,9 +203,7 @@ AllocationMap FifoAllocator::Allocate(const std::vector<SchedJob>& jobs,
       used += unit;
       ++units;
     }
-    if (units > 0) {
-      result[job.job_id] = UnitsAllocation(job, units);
-    }
+    result.push_back(UnitsAllocation(job, units));
   }
   return result;
 }

@@ -25,8 +25,9 @@ class DrfAllocator : public Allocator {
   using Allocator::Allocate;
   // DRF never consults job speeds; `surfaces` is accepted for interface
   // uniformity and left untouched.
-  AllocationMap Allocate(const std::vector<SchedJob>& jobs, const Resources& capacity,
-                         SpeedSurfaceSet* surfaces) const override;
+  std::vector<Allocation> Allocate(const std::vector<SchedJob>& jobs,
+                                   const Resources& capacity,
+                                   SpeedSurfaceSet* surfaces) const override;
   const char* name() const override { return "drf"; }
 };
 
@@ -46,8 +47,9 @@ class TetrisAllocator : public Allocator {
  public:
   explicit TetrisAllocator(TetrisAllocatorOptions options = {}) : options_(options) {}
   using Allocator::Allocate;
-  AllocationMap Allocate(const std::vector<SchedJob>& jobs, const Resources& capacity,
-                         SpeedSurfaceSet* surfaces) const override;
+  std::vector<Allocation> Allocate(const std::vector<SchedJob>& jobs,
+                                   const Resources& capacity,
+                                   SpeedSurfaceSet* surfaces) const override;
   const char* name() const override { return "tetris"; }
 
  private:
@@ -63,8 +65,9 @@ class FifoAllocator : public Allocator {
   // `min_speedup` is the same knee criterion Tetris uses.
   explicit FifoAllocator(double min_speedup = 0.04) : min_speedup_(min_speedup) {}
   using Allocator::Allocate;
-  AllocationMap Allocate(const std::vector<SchedJob>& jobs, const Resources& capacity,
-                         SpeedSurfaceSet* surfaces) const override;
+  std::vector<Allocation> Allocate(const std::vector<SchedJob>& jobs,
+                                   const Resources& capacity,
+                                   SpeedSurfaceSet* surfaces) const override;
   const char* name() const override { return "fifo"; }
 
  private:

@@ -45,15 +45,18 @@ std::array<double, kDl2NumFeatures> Dl2Features(double remaining_epochs,
 
 Dl2Allocator::Dl2Allocator(Dl2AllocatorOptions options) : options_(options) {}
 
-AllocationMap Dl2Allocator::Allocate(const std::vector<SchedJob>& jobs,
-                                     const Resources& capacity,
-                                     SpeedSurfaceSet* surfaces) const {
-  AllocationMap result;
+std::vector<Allocation> Dl2Allocator::Allocate(const std::vector<SchedJob>& jobs,
+                                               const Resources& capacity,
+                                               SpeedSurfaceSet* surfaces) const {
+  std::vector<Allocation> result(jobs.size());
   Resources used;
 
   // Anti-starvation seed, in input (arrival) order: one worker, plus one
-  // parameter server for PS-mode jobs.
-  for (const SchedJob& job : jobs) {
+  // parameter server for PS-mode jobs. A seeded PS job with max_ps == 0 holds
+  // (0, 1), which ActiveAllocation rejects, so seeding is tracked apart.
+  std::vector<uint8_t> seeded(jobs.size(), 0);
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    const SchedJob& job = jobs[i];
     Allocation seed;
     seed.num_workers = 1;
     seed.num_ps = (job.comm == CommMode::kAllReduce || job.max_ps <= 0) ? 0 : 1;
@@ -62,7 +65,8 @@ AllocationMap Dl2Allocator::Allocate(const std::vector<SchedJob>& jobs,
       continue;
     }
     used += d;
-    result[job.job_id] = seed;
+    result[i] = seed;
+    seeded[i] = 1;
   }
 
   const Dl2Weights& w = options_.weights;
@@ -72,12 +76,11 @@ AllocationMap Dl2Allocator::Allocate(const std::vector<SchedJob>& jobs,
     bool best_is_worker = true;
     Allocation best_next;
     for (size_t i = 0; i < jobs.size(); ++i) {
-      const SchedJob& job = jobs[i];
-      auto it = result.find(job.job_id);
-      if (it == result.end()) {
+      if (seeded[i] == 0) {
         continue;  // seed never fit; the job sits this round out
       }
-      const Allocation cur = it->second;
+      const SchedJob& job = jobs[i];
+      const Allocation cur = result[i];
       SpeedSurface* surface = surfaces->Surface(job);
       const double f0 = surface->Speed(cur.num_ps, cur.num_workers);
       // Candidate kinds in fixed order: worker first, then parameter server.
@@ -125,7 +128,7 @@ AllocationMap Dl2Allocator::Allocate(const std::vector<SchedJob>& jobs,
     }
     const SchedJob& job = jobs[best_index];
     used += best_is_worker ? job.worker_demand : job.ps_demand;
-    result[job.job_id] = best_next;
+    result[best_index] = best_next;
     if (options_.stats != nullptr) {
       ++options_.stats->grants;
     }

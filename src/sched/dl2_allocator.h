@@ -68,8 +68,9 @@ class Dl2Allocator : public Allocator {
   explicit Dl2Allocator(Dl2AllocatorOptions options);
 
   using Allocator::Allocate;
-  AllocationMap Allocate(const std::vector<SchedJob>& jobs, const Resources& capacity,
-                         SpeedSurfaceSet* surfaces) const override;
+  std::vector<Allocation> Allocate(const std::vector<SchedJob>& jobs,
+                                   const Resources& capacity,
+                                   SpeedSurfaceSet* surfaces) const override;
 
   const char* name() const override { return "dl2"; }
 

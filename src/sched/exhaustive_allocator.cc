@@ -84,22 +84,19 @@ void Search(SearchState* state, size_t index, const Resources& used, double cost
 }  // namespace
 
 double ExhaustiveAllocator::Objective(const std::vector<SchedJob>& jobs,
-                                      const AllocationMap& alloc) {
+                                      const std::vector<Allocation>& alloc) {
+  OPTIMUS_CHECK_EQ(alloc.size(), jobs.size());
   SpeedSurfaceSet surfaces;
   double total = 0.0;
-  for (const SchedJob& job : jobs) {
-    Allocation a;
-    if (auto it = alloc.find(job.job_id); it != alloc.end()) {
-      a = it->second;
-    }
-    total += OptionCost(job, surfaces.Surface(job), a);
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    total += OptionCost(jobs[i], surfaces.Surface(jobs[i]), alloc[i]);
   }
   return total;
 }
 
-AllocationMap ExhaustiveAllocator::Allocate(const std::vector<SchedJob>& jobs,
-                                            const Resources& capacity,
-                                            SpeedSurfaceSet* surfaces) const {
+std::vector<Allocation> ExhaustiveAllocator::Allocate(const std::vector<SchedJob>& jobs,
+                                                      const Resources& capacity,
+                                                      SpeedSurfaceSet* surfaces) const {
   OPTIMUS_CHECK(surfaces != nullptr);
   SearchState state;
   state.jobs = &jobs;
@@ -114,13 +111,12 @@ AllocationMap ExhaustiveAllocator::Allocate(const std::vector<SchedJob>& jobs,
 
   Search(&state, 0, Resources(), 0.0);
 
-  AllocationMap result;
   for (size_t i = 0; i < jobs.size(); ++i) {
-    if (ActiveAllocation(state.best[i], jobs[i].comm)) {
-      result[jobs[i].job_id] = state.best[i];
+    if (!ActiveAllocation(state.best[i], jobs[i].comm)) {
+      state.best[i] = Allocation{};
     }
   }
-  return result;
+  return state.best;
 }
 
 }  // namespace optimus

@@ -29,14 +29,17 @@ class ExhaustiveAllocator : public Allocator {
   // (including giving a job nothing, treated as contributing no term, to keep
   // the objective finite when capacity cannot seat everyone).
   using Allocator::Allocate;
-  AllocationMap Allocate(const std::vector<SchedJob>& jobs, const Resources& capacity,
-                         SpeedSurfaceSet* surfaces) const override;
+  std::vector<Allocation> Allocate(const std::vector<SchedJob>& jobs,
+                                   const Resources& capacity,
+                                   SpeedSurfaceSet* surfaces) const override;
 
   const char* name() const override { return "exhaustive"; }
 
-  // Objective value of an allocation under the jobs' own estimates: total
-  // estimated completion time, counting only active jobs.
-  static double Objective(const std::vector<SchedJob>& jobs, const AllocationMap& alloc);
+  // Objective value of an allocation (one entry per job, in job order) under
+  // the jobs' own estimates: total estimated completion time, counting only
+  // active jobs.
+  static double Objective(const std::vector<SchedJob>& jobs,
+                          const std::vector<Allocation>& alloc);
 
  private:
   ExhaustiveAllocatorOptions options_;

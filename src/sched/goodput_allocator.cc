@@ -30,7 +30,6 @@ bool BatchAdaptive(const SchedJob& job) {
 GoodputAllocator::GoodputAllocator(GoodputAllocatorOptions options)
     : options_(options) {
   OptimusAllocatorOptions inner;
-  inner.min_gain = options_.min_gain;
   inner.stats = options_.stats;
   inner_ = OptimusAllocator(inner);
 }
@@ -54,18 +53,16 @@ std::vector<int> GoodputAllocator::BatchRungs(const SchedJob& job, int max_rungs
   return rungs;
 }
 
-AllocationMap GoodputAllocator::Allocate(const std::vector<SchedJob>& jobs,
-                                         const Resources& capacity,
-                                         SpeedSurfaceSet* surfaces) const {
+std::vector<Allocation> GoodputAllocator::Allocate(const std::vector<SchedJob>& jobs,
+                                                   const Resources& capacity,
+                                                   SpeedSurfaceSet* surfaces) const {
   std::vector<SchedJob> inner_jobs = jobs;
   std::vector<std::vector<int>> rungs_by(jobs.size());
-  bool any_adaptive = false;
   for (size_t i = 0; i < jobs.size(); ++i) {
     std::vector<int> rungs = BatchRungs(jobs[i], options_.max_rungs);
     if (rungs.size() < 2) {
       continue;
     }
-    any_adaptive = true;
     SchedJob& sj = inner_jobs[i];
     // Composite jobs get a *distinct* identity: a derived negative job id and
     // a mixed signature. The derived id keeps the composite surface out of
@@ -98,30 +95,18 @@ AllocationMap GoodputAllocator::Allocate(const std::vector<SchedJob>& jobs,
     rungs_by[i] = std::move(rungs);
   }
 
-  AllocationMap raw = inner_.Allocate(inner_jobs, capacity, surfaces);
-  if (!any_adaptive) {
-    return raw;
-  }
-
-  // Map derived ids back to the real ones.
-  AllocationMap result;
-  for (const auto& [id, alloc] : raw) {
-    result[id < 0 ? -id - 1 : id] = alloc;
-  }
+  std::vector<Allocation> result = inner_.Allocate(inner_jobs, capacity, surfaces);
 
   // Pick each adaptive job's batch: the argmax rung at its final (p, w),
   // ties to the smallest batch. A handful of direct batch_speed evaluations
   // per job — pure functions of (p, w, b), so thread-count independent.
   for (size_t i = 0; i < jobs.size(); ++i) {
-    if (rungs_by[i].empty()) {
+    Allocation& alloc = result[i];
+    if (rungs_by[i].empty() || !ActiveAllocation(alloc, jobs[i].comm)) {
       continue;
     }
-    auto it = result.find(jobs[i].job_id);
-    if (it == result.end() || !ActiveAllocation(it->second, jobs[i].comm)) {
-      continue;
-    }
-    const int p = it->second.num_ps;
-    const int w = it->second.num_workers;
+    const int p = alloc.num_ps;
+    const int w = alloc.num_workers;
     int best_b = jobs[i].batch_ref;
     double best_s = 0.0;
     for (int b : rungs_by[i]) {
@@ -133,7 +118,7 @@ AllocationMap GoodputAllocator::Allocate(const std::vector<SchedJob>& jobs,
         best_b = b;
       }
     }
-    it->second.global_batch = best_b;
+    alloc.global_batch = best_b;
   }
   return result;
 }

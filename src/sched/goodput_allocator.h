@@ -31,8 +31,6 @@
 namespace optimus {
 
 struct GoodputAllocatorOptions {
-  // Forwarded to the inner Optimus greedy.
-  double min_gain = 0.0;
   // Cap on the batch ladder size (geometric doubling from batch_min, always
   // including batch_max and the reference batch).
   int max_rungs = 8;
@@ -45,8 +43,9 @@ class GoodputAllocator : public Allocator {
   explicit GoodputAllocator(GoodputAllocatorOptions options = {});
 
   using Allocator::Allocate;
-  AllocationMap Allocate(const std::vector<SchedJob>& jobs, const Resources& capacity,
-                         SpeedSurfaceSet* surfaces) const override;
+  std::vector<Allocation> Allocate(const std::vector<SchedJob>& jobs,
+                                   const Resources& capacity,
+                                   SpeedSurfaceSet* surfaces) const override;
 
   const char* name() const override { return "goodput"; }
 

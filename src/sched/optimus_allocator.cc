@@ -73,10 +73,9 @@ TaskFootprint FootprintOf(const SchedJob& job, const Resources& capacity) {
 
 // Marginal gain of adding one task of `kind` to the job per Eqn 9, normalized
 // by the dominant-resource footprint of the added task. Returns false when
-// the addition is impossible (cap reached) or the gain is not above min_gain.
+// the addition is impossible (cap reached) or the gain is not positive.
 bool KindCandidate(const SchedJob& job, SpeedSurface* surface, const Allocation& alloc,
-                   const TaskFootprint& footprint, AddKind kind, double min_gain,
-                   Candidate* out) {
+                   const TaskFootprint& footprint, AddKind kind, Candidate* out) {
   if (job.remaining_epochs <= 0.0) {
     return false;
   }
@@ -104,7 +103,7 @@ bool KindCandidate(const SchedJob& job, SpeedSurface* surface, const Allocation&
     return false;
   }
   const double gain = (t_now - t_next) / dom * job.priority_factor;
-  if (gain <= min_gain) {
+  if (gain <= 0.0) {
     return false;
   }
   out->gain = gain;
@@ -119,17 +118,16 @@ bool KindCandidate(const SchedJob& job, SpeedSurface* surface, const Allocation&
 // many candidates qualified (0, 1 or 2).
 int BestCandidate(const SchedJob& job, size_t i, SpeedSurface* surface,
                   const Allocation& alloc, const TaskFootprint& footprint,
-                  double min_gain, uint8_t dead, Candidate* best,
-                  Candidate* other) {
+                  uint8_t dead, Candidate* best, Candidate* other) {
   Candidate w;
   Candidate p;
   w.job_index = p.job_index = static_cast<int>(i);
-  const bool has_w = KindCandidate(job, surface, alloc, footprint, AddKind::kWorker,
-                                   min_gain, &w) &&
-                     (dead & kWorkerDead) == 0;
-  const bool has_p = KindCandidate(job, surface, alloc, footprint, AddKind::kPs,
-                                   min_gain, &p) &&
-                     (dead & kPsDead) == 0;
+  const bool has_w =
+      KindCandidate(job, surface, alloc, footprint, AddKind::kWorker, &w) &&
+      (dead & kWorkerDead) == 0;
+  const bool has_p =
+      KindCandidate(job, surface, alloc, footprint, AddKind::kPs, &p) &&
+      (dead & kPsDead) == 0;
   if (has_w && has_p) {
     *best = w < p ? p : w;
     *other = w < p ? w : p;
@@ -152,9 +150,9 @@ void Grant(AddKind kind, Allocation* alloc) {
 
 }  // namespace
 
-AllocationMap OptimusAllocator::Allocate(const std::vector<SchedJob>& jobs,
-                                         const Resources& capacity,
-                                         SpeedSurfaceSet* surfaces) const {
+std::vector<Allocation> OptimusAllocator::Allocate(const std::vector<SchedJob>& jobs,
+                                                   const Resources& capacity,
+                                                   SpeedSurfaceSet* surfaces) const {
   OPTIMUS_CHECK(surfaces != nullptr);
   std::vector<Allocation> alloc(jobs.size());
   Resources used;
@@ -184,7 +182,7 @@ AllocationMap OptimusAllocator::Allocate(const std::vector<SchedJob>& jobs,
   }
 
   // Walk every seeded job's solo greedy path, in input order: grant its
-  // better kind until the caps or a gain <= min_gain stop it. While capacity
+  // better kind until the caps or a gain <= 0 stop it. While capacity
   // does not bind, a job's grants depend only on its own speed surface, so
   // the walks probe speculatively, each surface opened by its first job.
   std::vector<Allocation> end = alloc;
@@ -197,8 +195,8 @@ AllocationMap OptimusAllocator::Allocate(const std::vector<SchedJob>& jobs,
     }
     Candidate best;
     Candidate other;
-    while (BestCandidate(jobs[i], i, surf[i], end[i], footprint[i], options_.min_gain, 0,
-                         &best, &other) > 0) {
+    while (BestCandidate(jobs[i], i, surf[i], end[i], footprint[i], /*dead=*/0, &best,
+                         &other) > 0) {
       Grant(best.kind, &end[i]);
     }
   }
@@ -220,17 +218,13 @@ AllocationMap OptimusAllocator::Allocate(const std::vector<SchedJob>& jobs,
     }
   }
   if (slack) {
-    AllocationMap result;
     for (size_t i = 0; i < jobs.size(); ++i) {
-      if (active[i]) {
-        const int64_t grants = end[i].num_workers - alloc[i].num_workers +
-                               end[i].num_ps - alloc[i].num_ps;
-        stats->pops += grants;
-        stats->grants += grants;
-        result[jobs[i].job_id] = end[i];
-      }
+      const int64_t grants = end[i].num_workers - alloc[i].num_workers +
+                             end[i].num_ps - alloc[i].num_ps;
+      stats->pops += grants;
+      stats->grants += grants;
     }
-    return result;
+    return end;
   }
 
   // Binding round: the exact serial greedy from the seeds, with one heap
@@ -245,8 +239,8 @@ AllocationMap OptimusAllocator::Allocate(const std::vector<SchedJob>& jobs,
   std::vector<uint8_t> dead(jobs.size(), 0);
   const auto push_best = [&](size_t i) {
     Candidate best;
-    const int found = BestCandidate(jobs[i], i, surf[i], alloc[i], footprint[i],
-                                    options_.min_gain, dead[i], &best, &waiting[i]);
+    const int found = BestCandidate(jobs[i], i, surf[i], alloc[i], footprint[i], dead[i],
+                                    &best, &waiting[i]);
     has_waiting[i] = found == 2;
     if (found > 0) {
       heap.push(best);
@@ -278,14 +272,7 @@ AllocationMap OptimusAllocator::Allocate(const std::vector<SchedJob>& jobs,
     ++stats->grants;
     push_best(i);
   }
-
-  AllocationMap result;
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    if (active[i]) {
-      result[jobs[i].job_id] = alloc[i];
-    }
-  }
-  return result;
+  return alloc;
 }
 
 }  // namespace optimus

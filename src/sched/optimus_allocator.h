@@ -35,9 +35,6 @@ struct OptimusAllocRoundStats {
 };
 
 struct OptimusAllocatorOptions {
-  // Stop adding tasks once marginal gains fall below this (0 reproduces the
-  // paper; a small positive value trades speed for allocation quality).
-  double min_gain = 0.0;
   // When non-null, the allocator accumulates per-round counters here.
   OptimusAllocRoundStats* stats = nullptr;
 };
@@ -47,8 +44,9 @@ class OptimusAllocator : public Allocator {
   explicit OptimusAllocator(OptimusAllocatorOptions options = {}) : options_(options) {}
 
   using Allocator::Allocate;
-  AllocationMap Allocate(const std::vector<SchedJob>& jobs, const Resources& capacity,
-                         SpeedSurfaceSet* surfaces) const override;
+  std::vector<Allocation> Allocate(const std::vector<SchedJob>& jobs,
+                                   const Resources& capacity,
+                                   SpeedSurfaceSet* surfaces) const override;
 
   const char* name() const override { return "optimus"; }
 

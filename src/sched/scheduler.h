@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "src/cluster/resources.h"
@@ -112,16 +111,10 @@ struct Allocation {
   // scaling event (no checkpoint stall, no trace record).
   int global_batch = 0;
 
-  // Prefer ActiveAllocation(alloc, comm) at call sites: this PS-shaped check
-  // mis-classifies all-reduce allocations, which never have parameter servers.
-  bool IsActive() const { return num_ps > 0 && num_workers > 0; }
   bool operator==(const Allocation& other) const {
     return num_ps == other.num_ps && num_workers == other.num_workers;
   }
 };
-
-// job_id -> allocation. Jobs absent from the map received nothing.
-using AllocationMap = std::map<int, Allocation>;
 
 // Whether `alloc` actually runs a job of the given communication mode:
 // parameter-server jobs need at least one PS and one worker; all-reduce jobs
@@ -130,7 +123,7 @@ inline bool ActiveAllocation(const Allocation& alloc, CommMode comm) {
   if (comm == CommMode::kAllReduce) {
     return alloc.num_workers > 0;
   }
-  return alloc.IsActive();
+  return alloc.num_ps > 0 && alloc.num_workers > 0;
 }
 
 // Sum of the resources an allocation consumes for one job.
@@ -142,19 +135,21 @@ class Allocator {
  public:
   virtual ~Allocator() = default;
 
-  // Decides (p_j, w_j) for every job within `capacity`. Implementations must
-  // be deterministic given identical inputs. Builds a fresh set of memoized
-  // speed surfaces for the round (defined in speed_surface.cc).
-  AllocationMap Allocate(const std::vector<SchedJob>& jobs,
-                         const Resources& capacity) const;
+  // Decides (p_j, w_j) for every job within `capacity`. Returns one entry
+  // per input job, in input order (the PlaceJobs contract); a job that gets
+  // nothing gets Allocation{}. Implementations must be deterministic given
+  // identical inputs. Builds a fresh set of memoized speed surfaces for the
+  // round (defined in speed_surface.cc).
+  std::vector<Allocation> Allocate(const std::vector<SchedJob>& jobs,
+                                   const Resources& capacity) const;
 
   // Same decision, but every speed probe goes through `surfaces` (never
   // null). Callers that run several allocations over the same jobs — what-if
   // admission, ablations — pass one set so each (p, w) point is evaluated at
   // most once across all of them.
-  virtual AllocationMap Allocate(const std::vector<SchedJob>& jobs,
-                                 const Resources& capacity,
-                                 SpeedSurfaceSet* surfaces) const = 0;
+  virtual std::vector<Allocation> Allocate(const std::vector<SchedJob>& jobs,
+                                           const Resources& capacity,
+                                           SpeedSurfaceSet* surfaces) const = 0;
 
   virtual const char* name() const = 0;
 };

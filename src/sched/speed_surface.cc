@@ -123,8 +123,8 @@ double SpeedSurfaceSet::hit_rate() const {
   return static_cast<double>(p - evals()) / static_cast<double>(p);
 }
 
-AllocationMap Allocator::Allocate(const std::vector<SchedJob>& jobs,
-                                  const Resources& capacity) const {
+std::vector<Allocation> Allocator::Allocate(const std::vector<SchedJob>& jobs,
+                                            const Resources& capacity) const {
   SpeedSurfaceSet surfaces;
   return Allocate(jobs, capacity, &surfaces);
 }

@@ -7,7 +7,6 @@ namespace optimus {
 SynergyAllocator::SynergyAllocator(SynergyAllocatorOptions options)
     : options_(options) {
   OptimusAllocatorOptions inner;
-  inner.min_gain = options_.min_gain;
   inner.stats = options_.stats;
   inner_ = OptimusAllocator(inner);
 }
@@ -26,9 +25,9 @@ Resources SynergyAllocator::DeflateDemand(const Resources& demand,
   return out;
 }
 
-AllocationMap SynergyAllocator::Allocate(const std::vector<SchedJob>& jobs,
-                                         const Resources& capacity,
-                                         SpeedSurfaceSet* surfaces) const {
+std::vector<Allocation> SynergyAllocator::Allocate(const std::vector<SchedJob>& jobs,
+                                                   const Resources& capacity,
+                                                   SpeedSurfaceSet* surfaces) const {
   std::vector<SchedJob> deflated = jobs;
   for (SchedJob& sj : deflated) {
     if (sj.cpu_sensitivity >= 1.0 && sj.mem_sensitivity >= 1.0) {

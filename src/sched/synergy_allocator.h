@@ -35,8 +35,6 @@ struct SynergyAllocatorOptions {
   // Provisioning floor: even a fully insensitive job keeps this fraction of
   // its CPU/memory demand (it still needs to feed its GPUs eventually).
   double min_provision = 0.25;
-  // Forwarded to the inner Optimus greedy.
-  double min_gain = 0.0;
   // When non-null, the inner greedy accumulates per-round counters here.
   OptimusAllocRoundStats* stats = nullptr;
 };
@@ -46,8 +44,9 @@ class SynergyAllocator : public Allocator {
   explicit SynergyAllocator(SynergyAllocatorOptions options = {});
 
   using Allocator::Allocate;
-  AllocationMap Allocate(const std::vector<SchedJob>& jobs, const Resources& capacity,
-                         SpeedSurfaceSet* surfaces) const override;
+  std::vector<Allocation> Allocate(const std::vector<SchedJob>& jobs,
+                                   const Resources& capacity,
+                                   SpeedSurfaceSet* surfaces) const override;
 
   const char* name() const override { return "synergy"; }
 

@@ -10,18 +10,17 @@ namespace optimus {
 
 namespace {
 
-// Estimated completion times for every job under an allocation, probing
-// through the round's shared speed surfaces.
+// Estimated completion times for every job under an allocation (entry i is
+// job i's), probing through the round's shared speed surfaces.
 std::map<int, double> CompletionTimes(const std::vector<SchedJob>& jobs,
-                                      const AllocationMap& alloc,
+                                      const std::vector<Allocation>& alloc,
                                       SpeedSurfaceSet* surfaces) {
   std::map<int, double> out;
-  for (const SchedJob& job : jobs) {
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    const SchedJob& job = jobs[i];
     double t = std::numeric_limits<double>::infinity();
-    if (auto it = alloc.find(job.job_id);
-        it != alloc.end() && ActiveAllocation(it->second, job.comm)) {
-      const double f =
-          surfaces->Surface(job)->Speed(it->second.num_ps, it->second.num_workers);
+    if (ActiveAllocation(alloc[i], job.comm)) {
+      const double f = surfaces->Surface(job)->Speed(alloc[i].num_ps, alloc[i].num_workers);
       if (f > 0.0) {
         t = job.remaining_epochs / f;
       }
@@ -49,21 +48,21 @@ WhatIfResult EvaluateAdmission(const Allocator& allocator,
   SpeedSurfaceSet surfaces;
 
   // Baseline: the cluster without the candidate.
-  const AllocationMap baseline = allocator.Allocate(existing, capacity, &surfaces);
+  const std::vector<Allocation> baseline = allocator.Allocate(existing, capacity, &surfaces);
   result.baseline_completion_s = CompletionTimes(existing, baseline, &surfaces);
 
   // Scenario: the candidate competes with everyone else.
   std::vector<SchedJob> with_job = existing;
   with_job.push_back(candidate);
-  const AllocationMap admitted = allocator.Allocate(with_job, capacity, &surfaces);
+  // The candidate is the last input, so its allocation is the last entry.
+  const std::vector<Allocation> admitted = allocator.Allocate(with_job, capacity, &surfaces);
   result.with_job_completion_s = CompletionTimes(existing, admitted, &surfaces);
 
-  if (auto it = admitted.find(candidate.job_id);
-      it != admitted.end() && ActiveAllocation(it->second, candidate.comm)) {
+  const Allocation& cand = admitted.back();
+  if (ActiveAllocation(cand, candidate.comm)) {
     result.admitted = true;
-    result.new_job_alloc = it->second;
-    const double f =
-        surfaces.Surface(candidate)->Speed(it->second.num_ps, it->second.num_workers);
+    result.new_job_alloc = cand;
+    const double f = surfaces.Surface(candidate)->Speed(cand.num_ps, cand.num_workers);
     result.new_job_completion_s =
         f > 0.0 ? candidate.remaining_epochs / f
                 : std::numeric_limits<double>::infinity();

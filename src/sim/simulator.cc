@@ -35,6 +35,39 @@ std::unique_ptr<Allocator> MakeAllocator(const SimulatorConfig& config,
   return allocator;
 }
 
+// The spec-only step-time view of a job at (p, w): the configured batch,
+// balanced PS load, no placement, healthy workers and the flat network.
+StepTimeInputs SpecStepInputs(const JobSpec& spec, int num_ps, int num_workers) {
+  StepTimeInputs in;
+  in.model = spec.model;
+  in.mode = spec.mode;
+  in.comm = spec.comm;
+  in.num_ps = num_ps;
+  in.num_workers = num_workers;
+  in.global_batch = spec.GlobalBatch();
+  in.async_minibatch = spec.AsyncMinibatch();
+  return in;
+}
+
+// The scheduler's view of a job's identity, demands and caps. All-reduce
+// jobs run no PS tasks: the scheduler sees a zero PS cap and a zero PS
+// demand, so every allocator works along the p == 0 row.
+SchedJob SchedJobHeader(const JobSpec& spec) {
+  SchedJob sj;
+  sj.job_id = spec.id;
+  sj.mode = spec.mode;
+  sj.comm = spec.comm;
+  sj.worker_demand = spec.worker_demand;
+  sj.ps_demand = spec.ps_demand;
+  sj.max_ps = spec.max_ps;
+  sj.max_workers = spec.max_workers;
+  if (spec.comm == CommMode::kAllReduce) {
+    sj.max_ps = 0;
+    sj.ps_demand = Resources();
+  }
+  return sj;
+}
+
 }  // namespace
 
 const char* SimEngineName(SimEngine engine) {
@@ -523,15 +556,7 @@ void Simulator::InitSpeedModel(JobRuntime* jr) {
   // (its Eqn-3/4 grid starts at one PS). Pre-run samples therefore pin p.
   const bool allreduce = spec.comm == CommMode::kAllReduce;
   SpeedOracle oracle = [this, spec, noise, allreduce](int p, int w) {
-    StepTimeInputs in;
-    in.model = spec.model;
-    in.mode = spec.mode;
-    in.comm = spec.comm;
-    in.num_ps = allreduce ? 0 : p;
-    in.num_workers = w;
-    in.global_batch = spec.GlobalBatch();
-    in.async_minibatch = spec.AsyncMinibatch();
-    return TrainingSpeed(in, config_.comm) *
+    return TrainingSpeed(SpecStepInputs(spec, allreduce ? 0 : p, w), config_.comm) *
            noise->LogNormalFactor(config_.speed_measure_noise_sd);
   };
   Rng sampler_rng = jr->rng.Split(77);
@@ -626,21 +651,8 @@ double Simulator::EstimateRemainingEpochs(const JobRuntime& jr) const {
 
 SchedJob Simulator::MakeSchedJob(JobRuntime* jr) const {
   const JobSpec& spec = jr->job.spec();
-  SchedJob sj;
-  sj.job_id = spec.id;
-  sj.mode = spec.mode;
-  sj.comm = spec.comm;
-  sj.worker_demand = spec.worker_demand;
-  sj.ps_demand = spec.ps_demand;
-  sj.max_ps = spec.max_ps;
-  sj.max_workers = spec.max_workers;
-  // All-reduce jobs run no PS tasks: the scheduler sees a zero PS cap and a
-  // zero PS demand, so every allocator works along the p == 0 row.
+  SchedJob sj = SchedJobHeader(spec);
   const bool allreduce = spec.comm == CommMode::kAllReduce;
-  if (allreduce) {
-    sj.max_ps = 0;
-    sj.ps_demand = Resources();
-  }
   sj.remaining_epochs = EstimateRemainingEpochs(*jr);
 
   const double spe = static_cast<double>(spec.StepsPerEpoch());
@@ -655,16 +667,8 @@ SchedJob Simulator::MakeSchedJob(JobRuntime* jr) const {
     const CommConfig comm = config_.comm;
     const double span = static_cast<double>(sj.max_ps + sj.max_workers);
     sj.speed = [spec, spe, err, comm, span](int p, int w) {
-      StepTimeInputs in;
-      in.model = spec.model;
-      in.mode = spec.mode;
-      in.comm = spec.comm;
-      in.num_ps = p;
-      in.num_workers = w;
-      in.global_batch = spec.GlobalBatch();
-      in.async_minibatch = spec.AsyncMinibatch();
       const double tilt = 2.0 * (p + w) / span - 1.0;  // -1 at (1,1), +1 at caps
-      return TrainingSpeed(in, comm) / spe * (1.0 + err * tilt);
+      return TrainingSpeed(SpecStepInputs(spec, p, w), comm) / spe * (1.0 + err * tilt);
     };
     if (err == 0.0) {
       // Without injected error the estimate depends only on the job's model
@@ -727,16 +731,8 @@ SchedJob Simulator::MakeSchedJob(JobRuntime* jr) const {
     if (sj.batch_min > 0 && sj.batch_max > sj.batch_min) {
       const SpeedEstimate base = sj.speed;
       const CommConfig comm = config_.comm;
-      const int ref_batch = sj.batch_ref;
-      sj.batch_speed = [base, spec, comm, ref_batch](int p, int w, int b) {
-        StepTimeInputs in;
-        in.model = spec.model;
-        in.mode = spec.mode;
-        in.comm = spec.comm;
-        in.num_ps = p;
-        in.num_workers = w;
-        in.async_minibatch = spec.AsyncMinibatch();
-        in.global_batch = ref_batch;
+      sj.batch_speed = [base, spec, comm](int p, int w, int b) {
+        StepTimeInputs in = SpecStepInputs(spec, p, w);  // at the reference batch
         const double ref_speed = TrainingSpeed(in, comm);
         in.global_batch = b;
         const double b_speed = TrainingSpeed(in, comm);
@@ -789,35 +785,36 @@ void Simulator::RecomputeLoad(JobRuntime* jr) {
   jr->load_valid = true;
 }
 
+StepTimeInputs Simulator::LiveStepInputs(const JobRuntime& jr) {
+  const Job& job = jr.job;
+  const JobSpec& spec = job.spec();
+  StepTimeInputs in = SpecStepInputs(spec, job.num_ps(), job.num_workers());
+  const int batch_override =
+      spec.mode == TrainingMode::kSync ? job.batch_override() : 0;
+  if (batch_override > 0) {
+    in.global_batch = batch_override;
+  }
+  in.load = jr.load;
+  in.load_valid = jr.load_valid;
+  in.placement = &job.placement();  // borrowed: no vector copies
+  in.slowest_worker_factor = job.slowest_worker_factor();
+  in.net_bw_bps = jr.net_bw_bps;  // 0 under the flat model (Eqn-2 constant)
+  return in;
+}
+
 double Simulator::TrueSpeed(const JobRuntime& jr) const {
   const JobSpec& spec = jr.job.spec();
   const bool allreduce = spec.comm == CommMode::kAllReduce;
   if (jr.job.num_workers() <= 0 || (!allreduce && jr.job.num_ps() <= 0)) {
     return 0.0;
   }
-  StepTimeInputs in;
-  in.model = spec.model;
-  in.mode = spec.mode;
-  in.comm = spec.comm;
-  in.num_ps = jr.job.num_ps();
-  in.num_workers = jr.job.num_workers();
-  in.global_batch = spec.GlobalBatch();
-  in.async_minibatch = spec.AsyncMinibatch();
   // A scheduler-chosen batch override (batch-adaptive policies, sync jobs)
   // changes the physical step time AND discounts progress by the statistical
   // efficiency of the larger batch. When unset — every pre-existing policy —
   // this path is bitwise identical to the historical one.
+  double speed = TrainingSpeed(LiveStepInputs(jr), config_.comm);
   const int batch_override =
       spec.mode == TrainingMode::kSync ? jr.job.batch_override() : 0;
-  if (batch_override > 0) {
-    in.global_batch = batch_override;
-  }
-  in.load = jr.load;
-  in.load_valid = jr.load_valid;
-  in.placement_ref = &jr.job.placement();  // borrow; avoids 2 vector copies
-  in.slowest_worker_factor = jr.job.slowest_worker_factor();
-  in.net_bw_bps = jr.net_bw_bps;  // 0 under the flat model (Eqn-2 constant)
-  double speed = TrainingSpeed(in, config_.comm);
   if (batch_override > 0) {
     speed *= BatchProgressFactor(spec.GradNoiseScale(), spec.GlobalBatch(),
                                  batch_override);
@@ -1184,7 +1181,7 @@ void Simulator::ScheduleActiveJobs() {
   // Allocate convenience overload building a hidden one) so its probe/eval
   // counters can feed the metrics registry. Decisions are identical.
   SpeedSurfaceSet surfaces;
-  AllocationMap alloc = allocator_->Allocate(sched_jobs, capacity, &surfaces);
+  std::vector<Allocation> alloc = allocator_->Allocate(sched_jobs, capacity, &surfaces);
   surface_probes_ += surfaces.probes();
   surface_evals_ += surfaces.evals();
   surface_count_ += static_cast<int64_t>(surfaces.num_surfaces());
@@ -1197,12 +1194,8 @@ void Simulator::ScheduleActiveJobs() {
   if (scaling_hysteresis_) {
     for (size_t i = 0; i < schedulable.size(); ++i) {
       JobRuntime* jr = schedulable[i];
-      auto it = alloc.find(jr->job.id());
-      if (it == alloc.end()) {
-        continue;
-      }
       const Allocation old_alloc{jr->job.num_ps(), jr->job.num_workers()};
-      Allocation& next = it->second;
+      Allocation& next = alloc[i];
       const SchedJob& sj = sched_jobs[i];
       if (!ActiveAllocation(old_alloc, sj.comm) ||
           !ActiveAllocation(next, sj.comm) || next == old_alloc) {
@@ -1234,13 +1227,10 @@ void Simulator::ScheduleActiveJobs() {
                       jr->job.spec().ps_demand,
                       jr->job.spec().comm});
   }
-  for (JobRuntime* jr : schedulable) {
-    Allocation a;
-    if (auto it = alloc.find(jr->job.id()); it != alloc.end()) {
-      a = it->second;
-    }
-    inputs.push_back({jr->job.id(), a, jr->job.spec().worker_demand,
-                      jr->job.spec().ps_demand, jr->job.spec().comm});
+  for (size_t i = 0; i < schedulable.size(); ++i) {
+    const JobSpec& spec = schedulable[i]->job.spec();
+    inputs.push_back(
+        {spec.id, alloc[i], spec.worker_demand, spec.ps_demand, spec.comm});
   }
   std::vector<PlacedJob> placed = PlaceJobs(config_.placement, inputs, &servers,
                                             /*shrink_to_fit=*/true, config_.rack_size);
@@ -1453,19 +1443,7 @@ void Simulator::AdvanceJob(JobRuntime* jr, AdvanceOutcome* out) {
     const int measure_override =
         spec.mode == TrainingMode::kSync ? job.batch_override() : 0;
     if (measure_override > 0) {
-      StepTimeInputs min;
-      min.model = spec.model;
-      min.mode = spec.mode;
-      min.comm = spec.comm;
-      min.num_ps = job.num_ps();
-      min.num_workers = job.num_workers();
-      min.async_minibatch = spec.AsyncMinibatch();
-      min.load = jr->load;
-      min.load_valid = jr->load_valid;
-      min.placement_ref = &job.placement();
-      min.slowest_worker_factor = job.slowest_worker_factor();
-      min.net_bw_bps = jr->net_bw_bps;
-      min.global_batch = measure_override;
+      StepTimeInputs min = LiveStepInputs(*jr);  // at the override batch
       const double s_b = TrainingSpeed(min, config_.comm);
       min.global_batch = spec.GlobalBatch();
       const double s_ref = TrainingSpeed(min, config_.comm);
@@ -1483,23 +1461,7 @@ void Simulator::AdvanceJob(JobRuntime* jr, AdvanceOutcome* out) {
 
   // Utilization snapshot (Fig 14): compute-busy share of a step on workers;
   // update-busy share on parameter servers.
-  StepTimeInputs in;
-  in.model = spec.model;
-  in.mode = spec.mode;
-  in.comm = spec.comm;
-  in.num_ps = job.num_ps();
-  in.num_workers = job.num_workers();
-  const int util_batch_override =
-      spec.mode == TrainingMode::kSync ? job.batch_override() : 0;
-  in.global_batch =
-      util_batch_override > 0 ? util_batch_override : spec.GlobalBatch();
-  in.async_minibatch = spec.AsyncMinibatch();
-  in.load = jr->load;
-  in.load_valid = jr->load_valid;
-  in.placement_ref = &job.placement();
-  in.slowest_worker_factor = job.slowest_worker_factor();
-  in.net_bw_bps = jr->net_bw_bps;
-  const StepTimeBreakdown b = ComputeStepTime(in, config_.comm);
+  const StepTimeBreakdown b = ComputeStepTime(LiveStepInputs(*jr), config_.comm);
   if (b.total_s > 0.0) {
     jr->last_worker_util = 100.0 * (b.forward_s + b.backward_s) / b.total_s;
     jr->last_ps_util = 100.0 * (b.update_s + b.overhead_s) / b.total_s;
@@ -1852,32 +1814,13 @@ WhatIfResult Simulator::WhatIf(const JobSpec& candidate) {
   // without error injection) and the scheduler's prior for unfitted jobs.
   // No RNG draw, no model fit — the query must leave the session bitwise
   // unchanged.
-  SchedJob cand;
-  cand.job_id = candidate.id;
-  cand.mode = candidate.mode;
-  cand.comm = candidate.comm;
-  cand.worker_demand = candidate.worker_demand;
-  cand.ps_demand = candidate.ps_demand;
-  cand.max_ps = candidate.max_ps;
-  cand.max_workers = candidate.max_workers;
-  if (candidate.comm == CommMode::kAllReduce) {
-    cand.max_ps = 0;
-    cand.ps_demand = Resources();
-  }
+  SchedJob cand = SchedJobHeader(candidate);
   cand.remaining_epochs = config_.default_remaining_epochs;
   const JobSpec spec = candidate;
   const double spe = static_cast<double>(spec.StepsPerEpoch());
   const CommConfig comm = config_.comm;
   cand.speed = [spec, spe, comm](int p, int w) {
-    StepTimeInputs in;
-    in.model = spec.model;
-    in.mode = spec.mode;
-    in.comm = spec.comm;
-    in.num_ps = p;
-    in.num_workers = w;
-    in.global_batch = spec.GlobalBatch();
-    in.async_minibatch = spec.AsyncMinibatch();
-    return TrainingSpeed(in, comm) / spe;
+    return TrainingSpeed(SpecStepInputs(spec, p, w), comm) / spe;
   };
 
   // A fresh allocator instance so the query does not advance the round-stats

@@ -463,6 +463,10 @@ class Simulator {
                           std::vector<JobRuntime*>* frozen, Resources* capacity);
   double EstimateRemainingEpochs(const JobRuntime& jr) const;
   double ErrorFactor(const JobRuntime& jr, double error_magnitude) const;
+  // Ground-truth step-time inputs of a live job: its current (p, w), the
+  // batch it runs (a sync job's scheduler override, else the configured
+  // one), PS load shape, placement, slowest worker and network share.
+  static StepTimeInputs LiveStepInputs(const JobRuntime& jr);
   // Ground-truth job speed at the *current* allocation/placement (steps/s).
   double TrueSpeed(const JobRuntime& jr) const;
   void ScheduleActiveJobs();

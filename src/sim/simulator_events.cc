@@ -328,22 +328,7 @@ void Simulator::RebuildSegments() {
     const JobSpec& spec = job.spec();
     jr->seg_noise = jr->rng.LogNormalFactor(config_.runtime_noise_sd);
     const double speed = TrueSpeed(*jr) * jr->seg_noise * cluster_slow_factor_;
-    StepTimeInputs in;
-    in.model = spec.model;
-    in.mode = spec.mode;
-    in.comm = spec.comm;
-    in.num_ps = job.num_ps();
-    in.num_workers = job.num_workers();
-    const int batch_override =
-        spec.mode == TrainingMode::kSync ? job.batch_override() : 0;
-    in.global_batch = batch_override > 0 ? batch_override : spec.GlobalBatch();
-    in.async_minibatch = spec.AsyncMinibatch();
-    in.load = jr->load;
-    in.load_valid = jr->load_valid;
-    in.placement_ref = &job.placement();
-    in.slowest_worker_factor = job.slowest_worker_factor();
-    in.net_bw_bps = jr->net_bw_bps;
-    const StepTimeBreakdown b = ComputeStepTime(in, config_.comm);
+    const StepTimeBreakdown b = ComputeStepTime(LiveStepInputs(*jr), config_.comm);
     if (b.total_s > 0.0) {
       jr->last_worker_util = 100.0 * (b.forward_s + b.backward_s) / b.total_s;
       jr->last_ps_util = 100.0 * (b.update_s + b.overhead_s) / b.total_s;

@@ -48,8 +48,9 @@ TEST(EventSimTest, SingleWorkerSinglePsHandComputed) {
 
 TEST(EventSimTest, ColocatedPairHasNoNetworkTime) {
   const ModelSpec model = TinyModel();
+  const JobPlacement placement = {.used_servers = {0}, .used_workers = {1}, .used_ps = {1}};
   StepTimeInputs in = Inputs(&model, TrainingMode::kSync, 1, 1);
-  in.placement = {.used_servers = {0}, .used_workers = {1}, .used_ps = {1}};
+  in.placement = &placement;
   EventSimResult r = SimulateStep(in, CommConfig{});
   // Local transfers at 12.5 GB/s: 100 MB in 8 ms each way.
   EXPECT_NEAR(r.step_time_s, 2.0, 0.05);
@@ -148,11 +149,14 @@ TEST(EventSimTest, AgreesWithClosedFormAcrossConfigs) {
 
 TEST(EventSimTest, PackedPlacementFasterThanSpread) {
   const ModelSpec& model = FindModel("ResNet-50");
+  const JobPlacement packed_placement = {
+      .used_servers = {0, 1}, .used_workers = {1, 1}, .used_ps = {1, 1}};
   StepTimeInputs packed = Inputs(&model, TrainingMode::kSync, 2, 2);
-  packed.placement = {.used_servers = {0, 1}, .used_workers = {1, 1}, .used_ps = {1, 1}};
-  StepTimeInputs spread = Inputs(&model, TrainingMode::kSync, 2, 2);
-  spread.placement = {
+  packed.placement = &packed_placement;
+  const JobPlacement spread_placement = {
       .used_servers = {0, 1, 2, 3}, .used_workers = {1, 1, 0, 0}, .used_ps = {0, 0, 1, 1}};
+  StepTimeInputs spread = Inputs(&model, TrainingMode::kSync, 2, 2);
+  spread.placement = &spread_placement;
   EXPECT_LT(SimulateStep(packed, CommConfig{}).step_time_s,
             SimulateStep(spread, CommConfig{}).step_time_s);
 }

@@ -27,8 +27,8 @@ TEST(ExhaustiveAllocatorTest, SingleJobFindsItsOptimum) {
   // With one job and ample capacity, brute force must find the argmax of f.
   SchedJob job = MakeJob(0, 10.0, 6.0, 0.5);
   ExhaustiveAllocator exhaustive;
-  AllocationMap best = exhaustive.Allocate({job}, Resources(200, 2000, 0, 100));
-  ASSERT_TRUE(best.count(0));
+  std::vector<Allocation> best = exhaustive.Allocate({job}, Resources(200, 2000, 0, 100));
+  ASSERT_TRUE(ActiveAllocation(best[0], job.comm));
   const double f_best = job.speed(best[0].num_ps, best[0].num_workers);
   for (int p = 1; p <= 6; ++p) {
     for (int w = 1; w <= 6; ++w) {
@@ -43,20 +43,18 @@ TEST(ExhaustiveAllocatorTest, RespectsCapacity) {
                                 MakeJob(1, 20.0, 8.0, 0.4, 4)};
   const Resources capacity(40, 400, 0, 100);  // 8 tasks
   ExhaustiveAllocator exhaustive;
-  AllocationMap alloc = exhaustive.Allocate(jobs, capacity);
+  std::vector<Allocation> alloc = exhaustive.Allocate(jobs, capacity);
   Resources used;
-  for (const auto& [id, a] : alloc) {
-    used += AllocationDemand(jobs[static_cast<size_t>(id)], a);
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    used += AllocationDemand(jobs[i], alloc[i]);
   }
   EXPECT_TRUE(capacity.Fits(used));
 }
 
 TEST(ExhaustiveAllocatorTest, ObjectiveAccountsForDeferredJobs) {
   SchedJob job = MakeJob(0, 10.0, 4.0, 0.8);
-  const double with_nothing = ExhaustiveAllocator::Objective({job}, {});
-  AllocationMap some;
-  some[0] = {1, 1};
-  const double with_seed = ExhaustiveAllocator::Objective({job}, some);
+  const double with_nothing = ExhaustiveAllocator::Objective({job}, {Allocation{}});
+  const double with_seed = ExhaustiveAllocator::Objective({job}, {Allocation{1, 1}});
   EXPECT_GT(with_nothing, with_seed);  // deferring is penalized
 }
 
@@ -77,8 +75,8 @@ TEST(ExhaustiveAllocatorTest, GreedyWithinTwentyPercentOfOptimal) {
     // Tight capacity so the allocation choice matters.
     const Resources capacity(trial_rng.Uniform(40.0, 80.0), 4000, 0, 100);
 
-    const AllocationMap greedy = OptimusAllocator().Allocate(jobs, capacity);
-    const AllocationMap optimal = ExhaustiveAllocator().Allocate(jobs, capacity);
+    const std::vector<Allocation> greedy = OptimusAllocator().Allocate(jobs, capacity);
+    const std::vector<Allocation> optimal = ExhaustiveAllocator().Allocate(jobs, capacity);
     const double greedy_obj = ExhaustiveAllocator::Objective(jobs, greedy);
     const double optimal_obj = ExhaustiveAllocator::Objective(jobs, optimal);
     ASSERT_GT(optimal_obj, 0.0);
@@ -93,8 +91,8 @@ TEST(ExhaustiveAllocatorTest, DeterministicAndMatchesObjective) {
                                 MakeJob(1, 15.0, 6.0, 1.0, 4)};
   const Resources capacity(60, 600, 0, 100);
   ExhaustiveAllocator exhaustive;
-  const AllocationMap a = exhaustive.Allocate(jobs, capacity);
-  const AllocationMap b = exhaustive.Allocate(jobs, capacity);
+  const std::vector<Allocation> a = exhaustive.Allocate(jobs, capacity);
+  const std::vector<Allocation> b = exhaustive.Allocate(jobs, capacity);
   EXPECT_EQ(ExhaustiveAllocator::Objective(jobs, a),
             ExhaustiveAllocator::Objective(jobs, b));
 }

@@ -60,12 +60,14 @@ TEST(AllocatorFuzzTest, CapacityNeverExceeded) {
                              0, 100);
     for (const Allocator* allocator : allocators) {
       SCOPED_TRACE(std::string(allocator->name()) + " trial " + std::to_string(trial));
-      const AllocationMap result = allocator->Allocate(jobs, capacity);
+      const std::vector<Allocation> result = allocator->Allocate(jobs, capacity);
+      ASSERT_EQ(result.size(), jobs.size());
       Resources used;
-      for (const auto& [id, alloc] : result) {
+      for (size_t i = 0; i < jobs.size(); ++i) {
+        const Allocation& alloc = result[i];
         EXPECT_GE(alloc.num_ps, 0);
         EXPECT_GE(alloc.num_workers, 0);
-        const SchedJob& job = jobs[static_cast<size_t>(id)];
+        const SchedJob& job = jobs[i];
         EXPECT_LE(alloc.num_ps, job.max_ps);
         EXPECT_LE(alloc.num_workers, job.max_workers);
         used += AllocationDemand(job, alloc);

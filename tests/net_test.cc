@@ -240,8 +240,9 @@ TEST_F(AllReduceStepTimeTest, SingleWorkerRingNeverTransfers) {
 }
 
 TEST_F(AllReduceStepTimeTest, SingleServerRingNeverTransfers) {
+  const JobPlacement placement = {.used_servers = {0}, .used_workers = {4}, .used_ps = {0}};
   StepTimeInputs in = Inputs(4);
-  in.placement = {.used_servers = {0}, .used_workers = {4}, .used_ps = {0}};
+  in.placement = &placement;
   EXPECT_DOUBLE_EQ(ComputeStepTime(in, config_).transfer_s, 0.0);
 }
 

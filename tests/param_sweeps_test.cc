@@ -254,12 +254,13 @@ TEST_P(AllocatorSweep, RespectsCapacityAndCaps) {
   auto allocator = Make(GetParam());
   const std::vector<SchedJob> jobs = Jobs(6);
   const Resources capacity(200, 2000, 0, 100);
-  const AllocationMap result = allocator->Allocate(jobs, capacity);
+  const std::vector<Allocation> result = allocator->Allocate(jobs, capacity);
+  ASSERT_EQ(result.size(), jobs.size());
   Resources used;
-  for (const auto& [id, alloc] : result) {
-    EXPECT_LE(alloc.num_ps, 12);
-    EXPECT_LE(alloc.num_workers, 12);
-    used += AllocationDemand(jobs[static_cast<size_t>(id)], alloc);
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_LE(result[i].num_ps, 12);
+    EXPECT_LE(result[i].num_workers, 12);
+    used += AllocationDemand(jobs[i], result[i]);
   }
   EXPECT_TRUE(capacity.Fits(used));
 }
@@ -268,11 +269,11 @@ TEST_P(AllocatorSweep, Deterministic) {
   auto allocator = Make(GetParam());
   const std::vector<SchedJob> jobs = Jobs(5);
   const Resources capacity(150, 1500, 0, 100);
-  const AllocationMap a = allocator->Allocate(jobs, capacity);
-  const AllocationMap b = allocator->Allocate(jobs, capacity);
+  const std::vector<Allocation> a = allocator->Allocate(jobs, capacity);
+  const std::vector<Allocation> b = allocator->Allocate(jobs, capacity);
   ASSERT_EQ(a.size(), b.size());
-  for (const auto& [id, alloc] : a) {
-    EXPECT_TRUE(alloc == b.at(id)) << "job " << id;
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_TRUE(a[i] == b[i]) << "job " << i;
   }
 }
 
@@ -283,10 +284,10 @@ TEST_P(AllocatorSweep, EmptyJobListYieldsEmptyMap) {
 
 TEST_P(AllocatorSweep, ZeroCapacityYieldsNothingActive) {
   auto allocator = Make(GetParam());
-  const AllocationMap result = allocator->Allocate(Jobs(3), Resources());
-  for (const auto& [id, alloc] : result) {
-    EXPECT_FALSE(ActiveAllocation(alloc, CommMode::kParameterServer))
-        << "job " << id;
+  const std::vector<Allocation> result = allocator->Allocate(Jobs(3), Resources());
+  ASSERT_EQ(result.size(), 3u);
+  for (size_t i = 0; i < result.size(); ++i) {
+    EXPECT_FALSE(ActiveAllocation(result[i], CommMode::kParameterServer)) << "job " << i;
   }
 }
 

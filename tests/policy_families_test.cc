@@ -16,6 +16,7 @@
 #include "src/sched/optimus_allocator.h"
 #include "src/sched/scheduler_registry.h"
 #include "src/sched/synergy_allocator.h"
+#include "src/sched/what_if.h"
 #include "src/sim/experiment.h"
 #include "src/sim/simulator.h"
 #include "src/sim/workload.h"
@@ -116,15 +117,13 @@ TEST(GoodputAllocatorTest, MatchesOptimusOnFixedBatchWorkload) {
     jobs.push_back(FixedBatchJob(j));
   }
   const Resources capacity(120, 1200, 0, 60);
-  const AllocationMap want = OptimusAllocator().Allocate(jobs, capacity);
-  const AllocationMap got = GoodputAllocator().Allocate(jobs, capacity);
+  const std::vector<Allocation> want = OptimusAllocator().Allocate(jobs, capacity);
+  const std::vector<Allocation> got = GoodputAllocator().Allocate(jobs, capacity);
   ASSERT_EQ(want.size(), got.size());
-  for (const auto& [id, alloc] : want) {
-    const auto it = got.find(id);
-    ASSERT_NE(it, got.end()) << "job " << id;
-    EXPECT_EQ(alloc.num_ps, it->second.num_ps) << "job " << id;
-    EXPECT_EQ(alloc.num_workers, it->second.num_workers) << "job " << id;
-    EXPECT_EQ(it->second.global_batch, 0) << "job " << id;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].num_ps, got[i].num_ps) << "job " << i;
+    EXPECT_EQ(want[i].num_workers, got[i].num_workers) << "job " << i;
+    EXPECT_EQ(got[i].global_batch, 0) << "job " << i;
   }
 }
 
@@ -142,9 +141,9 @@ TEST(GoodputAllocatorTest, PicksTheArgmaxEffectiveBatch) {
   };
 
   const Resources capacity(120, 1200, 0, 60);
-  const AllocationMap got = GoodputAllocator().Allocate({job}, capacity);
+  const std::vector<Allocation> got = GoodputAllocator().Allocate({job}, capacity);
   ASSERT_EQ(got.size(), 1u);
-  const Allocation alloc = got.at(0);
+  const Allocation alloc = got[0];
   ASSERT_TRUE(ActiveAllocation(alloc, job.comm));
   EXPECT_NE(alloc.global_batch, 0);
 
@@ -192,11 +191,11 @@ TEST(SynergyAllocatorTest, MatchesOptimusOnFullySensitiveJobs) {
     jobs.push_back(FixedBatchJob(j));  // default 1.0 / 1.0 sensitivity
   }
   const Resources capacity(100, 1000, 0, 50);
-  const AllocationMap want = OptimusAllocator().Allocate(jobs, capacity);
-  const AllocationMap got = SynergyAllocator().Allocate(jobs, capacity);
+  const std::vector<Allocation> want = OptimusAllocator().Allocate(jobs, capacity);
+  const std::vector<Allocation> got = SynergyAllocator().Allocate(jobs, capacity);
   ASSERT_EQ(want.size(), got.size());
-  for (const auto& [id, alloc] : want) {
-    EXPECT_TRUE(alloc == got.at(id)) << "job " << id;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(want[i] == got[i]) << "job " << i;
   }
 }
 
@@ -208,16 +207,14 @@ TEST(SynergyAllocatorTest, CpuInsensitiveJobPacksMoreUnderCpuPressure) {
   job.ps_demand = Resources(10, 4, 0, 0.1);
   const Resources capacity(60, 400, 0, 40);
 
-  const AllocationMap sensitive = SynergyAllocator().Allocate({job}, capacity);
+  const std::vector<Allocation> sensitive = SynergyAllocator().Allocate({job}, capacity);
   job.cpu_sensitivity = 0.0;
-  const AllocationMap insensitive =
+  const std::vector<Allocation> insensitive =
       SynergyAllocator().Allocate({job}, capacity);
-  ASSERT_EQ(sensitive.size(), 1u);
-  ASSERT_EQ(insensitive.size(), 1u);
-  const int tasks_sensitive =
-      sensitive.at(0).num_ps + sensitive.at(0).num_workers;
-  const int tasks_insensitive =
-      insensitive.at(0).num_ps + insensitive.at(0).num_workers;
+  ASSERT_TRUE(ActiveAllocation(sensitive[0], job.comm));
+  ASSERT_TRUE(ActiveAllocation(insensitive[0], job.comm));
+  const int tasks_sensitive = sensitive[0].num_ps + sensitive[0].num_workers;
+  const int tasks_insensitive = insensitive[0].num_ps + insensitive[0].num_workers;
   EXPECT_GT(tasks_insensitive, tasks_sensitive);
 }
 
@@ -251,15 +248,70 @@ TEST(Dl2AllocatorTest, DeterministicAndWithinCapacity) {
   Dl2AllocatorOptions options;
   options.weights = DefaultDl2Weights();
   const Dl2Allocator allocator(options);
-  const AllocationMap a = allocator.Allocate(jobs, capacity);
-  const AllocationMap b = allocator.Allocate(jobs, capacity);
+  const std::vector<Allocation> a = allocator.Allocate(jobs, capacity);
+  const std::vector<Allocation> b = allocator.Allocate(jobs, capacity);
   ASSERT_EQ(a.size(), b.size());
   Resources used;
-  for (const auto& [id, alloc] : a) {
-    EXPECT_TRUE(alloc == b.at(id)) << "job " << id;
-    used = used + AllocationDemand(jobs[static_cast<size_t>(id)], alloc);
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_TRUE(a[i] == b[i]) << "job " << i;
+    used = used + AllocationDemand(jobs[i], a[i]);
   }
   EXPECT_TRUE(capacity.Fits(used));
+}
+
+// ---------------------------------------------------------------------------
+// Positional allocation contract, for every registered policy
+// ---------------------------------------------------------------------------
+
+TEST(AllocatorContractTest, OneEntryPerJobInInputOrder) {
+  // Batch-adaptive jobs, one of them all-reduce, on a cluster with room for
+  // two (1 PS, 1 worker) seeds of 5 CPUs: some job must get nothing.
+  std::vector<SchedJob> jobs;
+  for (int j = 0; j < 6; ++j) {
+    SchedJob job = FixedBatchJob(j);
+    job.batch_ref = 256;
+    job.batch_min = 64;
+    job.batch_max = 1024;
+    job.grad_noise_scale = 500.0;
+    const SpeedEstimate base = job.speed;
+    job.batch_speed = [base](int p, int w, int b) {
+      return base(p, w) * 456.0 / (200.0 + b);
+    };
+    jobs.push_back(job);
+  }
+  jobs[3].comm = CommMode::kAllReduce;
+  jobs[3].max_ps = 0;
+  jobs[3].ps_demand = Resources();
+  const Resources capacity(12, 1200, 0, 60);
+
+  for (const std::string& name : SchedulerRegistry::Global().Names()) {
+    SCOPED_TRACE(name);
+    const std::unique_ptr<Allocator> allocator =
+        SchedulerRegistry::Global().Create(name, nullptr);
+    ASSERT_NE(allocator, nullptr);
+    const std::vector<Allocation> result = allocator->Allocate(jobs, capacity);
+    ASSERT_EQ(result.size(), jobs.size());
+    size_t unseeded = 0;
+    for (size_t i = 0; i < jobs.size(); ++i) {
+      if (ActiveAllocation(result[i], jobs[i].comm)) {
+        continue;
+      }
+      ++unseeded;
+      EXPECT_EQ(result[i].num_ps, 0) << "job " << i;
+      EXPECT_EQ(result[i].num_workers, 0) << "job " << i;
+      EXPECT_EQ(result[i].global_batch, 0) << "job " << i;
+    }
+    EXPECT_GT(unseeded, 0u);
+    EXPECT_LT(unseeded, jobs.size());
+
+    // What-if appends the candidate, so its allocation is the last entry.
+    const std::vector<SchedJob> existing(jobs.begin(), jobs.end() - 1);
+    const WhatIfResult what_if =
+        EvaluateAdmission(*allocator, existing, jobs.back(), capacity);
+    EXPECT_EQ(what_if.new_job_alloc.num_ps, result.back().num_ps);
+    EXPECT_EQ(what_if.new_job_alloc.num_workers, result.back().num_workers);
+    EXPECT_EQ(what_if.new_job_alloc.global_batch, result.back().global_batch);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -267,20 +267,24 @@ TEST_F(CommModelTest, SlicingInflatesOverhead) {
 
 TEST_F(CommModelTest, ColocationReducesTransferTime) {
   // Fig 10: packing workers with their PSes on few servers beats spreading.
-  StepTimeInputs spread = BaseInputs(TrainingMode::kSync, 2, 4);
-  spread.placement = {
+  const JobPlacement spread_placement = {
       .used_servers = {0, 1, 2}, .used_workers = {0, 2, 2}, .used_ps = {2, 0, 0}};
+  StepTimeInputs spread = BaseInputs(TrainingMode::kSync, 2, 4);
+  spread.placement = &spread_placement;
 
+  const JobPlacement packed_placement = {
+      .used_servers = {0, 1}, .used_workers = {2, 2}, .used_ps = {1, 1}};
   StepTimeInputs packed = BaseInputs(TrainingMode::kSync, 2, 4);
-  packed.placement = {.used_servers = {0, 1}, .used_workers = {2, 2}, .used_ps = {1, 1}};
+  packed.placement = &packed_placement;
 
   EXPECT_LT(ComputeStepTime(packed, config_).transfer_s,
             ComputeStepTime(spread, config_).transfer_s);
 }
 
 TEST_F(CommModelTest, SingleServerPlacementHasZeroTransfer) {
+  const JobPlacement placement = {.used_servers = {0}, .used_workers = {2}, .used_ps = {2}};
   StepTimeInputs in = BaseInputs(TrainingMode::kSync, 2, 2);
-  in.placement = {.used_servers = {0}, .used_workers = {2}, .used_ps = {2}};
+  in.placement = &placement;
   EXPECT_DOUBLE_EQ(ComputeStepTime(in, config_).transfer_s, 0.0);
 }
 
@@ -300,10 +304,11 @@ TEST_F(CommModelTest, Fig10PlacementExampleOrdering) {
   // onto 2 servers with equal PS/worker counts and must beat (a) and (b).
   auto transfer = [&](std::vector<int> servers, std::vector<int> workers,
                       std::vector<int> ps) {
+    const JobPlacement placement = {.used_servers = std::move(servers),
+                                    .used_workers = std::move(workers),
+                                    .used_ps = std::move(ps)};
     StepTimeInputs in = BaseInputs(TrainingMode::kSync, 2, 4);
-    in.placement = {.used_servers = std::move(servers),
-                    .used_workers = std::move(workers),
-                    .used_ps = std::move(ps)};
+    in.placement = &placement;
     return ComputeStepTime(in, config_).transfer_s;
   };
   const double a = transfer({0, 1, 2}, {1, 2, 1}, {1, 0, 1});  // 3-server spread

@@ -199,10 +199,15 @@ TEST(RoundAllocTest, OptimusAllocatorStaysWithinFourPerJob) {
   SpeedSurfaceSet surfaces;
 
   AllocationCount count;
-  const AllocationMap result = allocator.Allocate(jobs, capacity, &surfaces);
+  const std::vector<Allocation> result = allocator.Allocate(jobs, capacity, &surfaces);
   const int64_t allocations = count.Stop();
 
-  ASSERT_EQ(result.size(), static_cast<size_t>(kJobs));
+  ASSERT_EQ(result.size(), jobs.size());
+  int active = 0;
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    active += ActiveAllocation(result[i], jobs[i].comm) ? 1 : 0;
+  }
+  EXPECT_EQ(active, kJobs);
   EXPECT_EQ(stats.unfittable_drops, 0);
   EXPECT_GT(stats.grants, kJobs);
   EXPECT_LE(allocations, 4 * kJobs + 32)

@@ -44,6 +44,15 @@ SchedJob MakeJob(int id, double remaining_epochs, SpeedEstimate speed,
 
 Resources Capacity(double cpu) { return Resources(cpu, 10000, 0, 1000); }
 
+// How many of `jobs` their positional allocation actually runs.
+int CountActive(const std::vector<SchedJob>& jobs, const std::vector<Allocation>& alloc) {
+  int n = 0;
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    n += ActiveAllocation(alloc[i], jobs[i].comm) ? 1 : 0;
+  }
+  return n;
+}
+
 // ---------------------------------------------------------------------------
 // OptimusAllocator
 // ---------------------------------------------------------------------------
@@ -55,9 +64,10 @@ TEST(OptimusAllocatorTest, SeedsEveryJobWithOneWorkerOnePs) {
     jobs.push_back(MakeJob(i, 10.0, ConcaveSpeed()));
   }
   // Capacity for exactly the seeds (4 jobs x 2 tasks x 5 cpu).
-  AllocationMap result = allocator.Allocate(jobs, Capacity(40));
-  ASSERT_EQ(result.size(), 4u);
-  for (const auto& [id, alloc] : result) {
+  std::vector<Allocation> result = allocator.Allocate(jobs, Capacity(40));
+  ASSERT_EQ(result.size(), jobs.size());
+  ASSERT_EQ(CountActive(jobs, result), 4);
+  for (const Allocation& alloc : result) {
     EXPECT_EQ(alloc.num_ps, 1);
     EXPECT_EQ(alloc.num_workers, 1);
   }
@@ -68,9 +78,9 @@ TEST(OptimusAllocatorTest, RespectsCapacity) {
   std::vector<SchedJob> jobs = {MakeJob(0, 10.0, ConcaveSpeed()),
                                 MakeJob(1, 20.0, ConcaveSpeed())};
   const double cpu = 65.0;  // 13 tasks
-  AllocationMap result = allocator.Allocate(jobs, Capacity(cpu));
+  std::vector<Allocation> result = allocator.Allocate(jobs, Capacity(cpu));
   double used = 0.0;
-  for (const auto& [id, alloc] : result) {
+  for (const Allocation& alloc : result) {
     used += 5.0 * (alloc.num_ps + alloc.num_workers);
   }
   EXPECT_LE(used, cpu + 1e-9);
@@ -84,7 +94,7 @@ TEST(OptimusAllocatorTest, LargerJobGetsMoreResources) {
   OptimusAllocator allocator;
   std::vector<SchedJob> jobs = {MakeJob(0, 2.0, ConcaveSpeed()),
                                 MakeJob(1, 20.0, ConcaveSpeed())};
-  AllocationMap result = allocator.Allocate(jobs, Capacity(100));
+  std::vector<Allocation> result = allocator.Allocate(jobs, Capacity(100));
   const int tasks0 = result[0].num_ps + result[0].num_workers;
   const int tasks1 = result[1].num_ps + result[1].num_workers;
   EXPECT_GT(tasks1, tasks0);
@@ -96,8 +106,8 @@ TEST(OptimusAllocatorTest, StopsAtNonPositiveMarginalGain) {
   OptimusAllocator allocator;
   SpeedEstimate flat = [](int, int) { return 1.0; };
   std::vector<SchedJob> jobs = {MakeJob(0, 10.0, flat), MakeJob(1, 10.0, flat)};
-  AllocationMap result = allocator.Allocate(jobs, Capacity(1000));
-  for (const auto& [id, alloc] : result) {
+  std::vector<Allocation> result = allocator.Allocate(jobs, Capacity(1000));
+  for (const Allocation& alloc : result) {
     EXPECT_EQ(alloc.num_ps, 1);
     EXPECT_EQ(alloc.num_workers, 1);
   }
@@ -110,7 +120,7 @@ TEST(OptimusAllocatorTest, LazyHeapDropsStaleCandidates) {
   // on a binding one (the one-entry-per-job merge).
   for (const double cpu : {1000.0, 100.0}) {
     OptimusAllocRoundStats stats;
-    OptimusAllocator allocator(OptimusAllocatorOptions{0.0, &stats});
+    OptimusAllocator allocator(OptimusAllocatorOptions{&stats});
     std::vector<SchedJob> jobs = {MakeJob(0, 10.0, ConcaveSpeed()),
                                   MakeJob(1, 20.0, ConcaveSpeed())};
     allocator.Allocate(jobs, Capacity(cpu));
@@ -125,7 +135,7 @@ TEST(OptimusAllocatorTest, UnfittableKindIsDroppedWhileOtherKindFills) {
   // longer fits the shrunken capacity: it must be dropped (not wedge the
   // heap) while the PS side keeps filling.
   OptimusAllocRoundStats stats;
-  OptimusAllocator allocator(OptimusAllocatorOptions{0.0, &stats});
+  OptimusAllocator allocator(OptimusAllocatorOptions{&stats});
   SchedJob job;
   job.job_id = 0;
   job.worker_demand = Resources(5, 10, 0, 0.2);
@@ -141,7 +151,7 @@ TEST(OptimusAllocatorTest, UnfittableKindIsDroppedWhileOtherKindFills) {
 
   // Seed (1 PS, 1 worker) costs 8 CPUs; the remaining 6 fit two more PSes
   // (3 each) but never another worker (5).
-  AllocationMap result = allocator.Allocate({job}, Capacity(14.0));
+  std::vector<Allocation> result = allocator.Allocate({job}, Capacity(14.0));
   EXPECT_EQ(result[0].num_workers, 1);
   EXPECT_EQ(result[0].num_ps, 3);
   EXPECT_GE(stats.unfittable_drops, 1);
@@ -154,7 +164,7 @@ TEST(OptimusAllocatorTest, PrefersWorkerOrPsByGain) {
   OptimusAllocator allocator;
   SpeedEstimate worker_only = [](int /*p*/, int w) { return 1.0 - 1.0 / (1.0 + w); };
   std::vector<SchedJob> jobs = {MakeJob(0, 10.0, worker_only)};
-  AllocationMap result = allocator.Allocate(jobs, Capacity(60));
+  std::vector<Allocation> result = allocator.Allocate(jobs, Capacity(60));
   EXPECT_EQ(result[0].num_ps, 1);
   EXPECT_GT(result[0].num_workers, 1);
 }
@@ -164,7 +174,7 @@ TEST(OptimusAllocatorTest, RespectsPerJobCaps) {
   SchedJob job = MakeJob(0, 100.0, ConcaveSpeed());
   job.max_ps = 2;
   job.max_workers = 3;
-  AllocationMap result = allocator.Allocate({job}, Capacity(1000));
+  std::vector<Allocation> result = allocator.Allocate({job}, Capacity(1000));
   EXPECT_LE(result[0].num_ps, 2);
   EXPECT_LE(result[0].num_workers, 3);
 }
@@ -176,7 +186,7 @@ TEST(OptimusAllocatorTest, PriorityFactorDampsYoungJob) {
   SchedJob a = MakeJob(0, 10.0, ConcaveSpeed());
   SchedJob b = MakeJob(1, 10.0, ConcaveSpeed());
   b.priority_factor = 0.5;
-  AllocationMap result = allocator.Allocate({a, b}, Capacity(90));
+  std::vector<Allocation> result = allocator.Allocate({a, b}, Capacity(90));
   const int tasks_a = result[0].num_ps + result[0].num_workers;
   const int tasks_b = result[1].num_ps + result[1].num_workers;
   EXPECT_GE(tasks_a, tasks_b);
@@ -186,7 +196,7 @@ TEST(OptimusAllocatorTest, ZeroRemainingWorkGetsOnlySeed) {
   OptimusAllocator allocator;
   std::vector<SchedJob> jobs = {MakeJob(0, 0.0, ConcaveSpeed()),
                                 MakeJob(1, 10.0, ConcaveSpeed())};
-  AllocationMap result = allocator.Allocate(jobs, Capacity(100));
+  std::vector<Allocation> result = allocator.Allocate(jobs, Capacity(100));
   EXPECT_EQ(result[0].num_ps + result[0].num_workers, 2);
   EXPECT_GT(result[1].num_ps + result[1].num_workers, 2);
 }
@@ -197,11 +207,11 @@ TEST(OptimusAllocatorTest, DeterministicAcrossCalls) {
   for (int i = 0; i < 5; ++i) {
     jobs.push_back(MakeJob(i, 5.0 + i, ConcaveSpeed(1.0 + 0.1 * i)));
   }
-  AllocationMap a = allocator.Allocate(jobs, Capacity(200));
-  AllocationMap b = allocator.Allocate(jobs, Capacity(200));
-  EXPECT_EQ(a.size(), b.size());
-  for (const auto& [id, alloc] : a) {
-    EXPECT_TRUE(alloc == b[id]) << "job " << id;
+  std::vector<Allocation> a = allocator.Allocate(jobs, Capacity(200));
+  std::vector<Allocation> b = allocator.Allocate(jobs, Capacity(200));
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_TRUE(a[i] == b[i]) << "job " << i;
   }
 }
 
@@ -215,11 +225,11 @@ TEST(DrfAllocatorTest, EqualJobsGetEqualShares) {
   for (int i = 0; i < 4; ++i) {
     jobs.push_back(MakeJob(i, 10.0 * (i + 1), ConcaveSpeed()));
   }
-  AllocationMap result = allocator.Allocate(jobs, Capacity(200));  // 40 tasks
+  std::vector<Allocation> result = allocator.Allocate(jobs, Capacity(200));  // 40 tasks
   // Equal demands => equal units regardless of job size (DRF is size-blind).
-  ASSERT_EQ(result.size(), 4u);
+  ASSERT_EQ(CountActive(jobs, result), 4);
   int reference = result[0].num_workers;
-  for (const auto& [id, alloc] : result) {
+  for (const Allocation& alloc : result) {
     EXPECT_EQ(alloc.num_workers, alloc.num_ps);  // 1:1 ratio
     EXPECT_NEAR(alloc.num_workers, reference, 1);
   }
@@ -231,14 +241,14 @@ TEST(DrfAllocatorTest, SmallerDemandJobGetsMoreUnits) {
   DrfAllocator allocator;
   std::vector<SchedJob> jobs = {MakeJob(0, 10.0, ConcaveSpeed(), /*cpu=*/10.0),
                                 MakeJob(1, 10.0, ConcaveSpeed(), /*cpu=*/5.0)};
-  AllocationMap result = allocator.Allocate(jobs, Capacity(120));
+  std::vector<Allocation> result = allocator.Allocate(jobs, Capacity(120));
   EXPECT_GT(result[1].num_workers, result[0].num_workers);
 }
 
 TEST(DrfAllocatorTest, WorkConservingUpToCaps) {
   DrfAllocator allocator;
   std::vector<SchedJob> jobs = {MakeJob(0, 10.0, ConcaveSpeed())};
-  AllocationMap result = allocator.Allocate(jobs, Capacity(1000));
+  std::vector<Allocation> result = allocator.Allocate(jobs, Capacity(1000));
   // One job, plenty of room: fills to its cap even though speed saturates.
   EXPECT_EQ(result[0].num_workers, 16);
   EXPECT_EQ(result[0].num_ps, 16);
@@ -254,17 +264,17 @@ TEST(TetrisAllocatorTest, ShortJobServedFirst) {
   // the larger share.
   std::vector<SchedJob> jobs = {MakeJob(0, 100.0, ConcaveSpeed()),
                                 MakeJob(1, 1.0, ConcaveSpeed())};
-  AllocationMap result = allocator.Allocate(jobs, Capacity(60));  // 12 tasks
-  const int tasks0 = result.count(0) ? result[0].num_ps + result[0].num_workers : 0;
-  const int tasks1 = result.count(1) ? result[1].num_ps + result[1].num_workers : 0;
+  std::vector<Allocation> result = allocator.Allocate(jobs, Capacity(60));  // 12 tasks
+  const int tasks0 = result[0].num_ps + result[0].num_workers;  // 0 when unallocated
+  const int tasks1 = result[1].num_ps + result[1].num_workers;
   EXPECT_GT(tasks1, tasks0);
 }
 
 TEST(TetrisAllocatorTest, OneToOneRatio) {
   TetrisAllocator allocator;
   std::vector<SchedJob> jobs = {MakeJob(0, 5.0, ConcaveSpeed())};
-  AllocationMap result = allocator.Allocate(jobs, Capacity(100));
-  ASSERT_TRUE(result.count(0));
+  std::vector<Allocation> result = allocator.Allocate(jobs, Capacity(100));
+  ASSERT_TRUE(ActiveAllocation(result[0], jobs[0].comm));
   EXPECT_EQ(result[0].num_ps, result[0].num_workers);
 }
 
@@ -277,7 +287,7 @@ TEST(TetrisAllocatorTest, StopsAtSpeedKnee) {
     return u <= 3 ? static_cast<double>(u) : 3.0 + 0.001 * (u - 3);
   };
   std::vector<SchedJob> jobs = {MakeJob(0, 10.0, knee)};
-  AllocationMap result = allocator.Allocate(jobs, Capacity(1000));
+  std::vector<Allocation> result = allocator.Allocate(jobs, Capacity(1000));
   EXPECT_LE(result[0].num_workers, 5);
 }
 
@@ -285,9 +295,9 @@ TEST(TetrisAllocatorTest, LeftoverCapacityIsNotWasted) {
   TetrisAllocator allocator;
   std::vector<SchedJob> jobs = {MakeJob(0, 1.0, ConcaveSpeed()),
                                 MakeJob(1, 50.0, ConcaveSpeed())};
-  AllocationMap result = allocator.Allocate(jobs, Capacity(300));
+  std::vector<Allocation> result = allocator.Allocate(jobs, Capacity(300));
   // Even the long job gets resources once the short one saturates.
-  ASSERT_TRUE(result.count(1));
+  ASSERT_TRUE(ActiveAllocation(result[1], jobs[1].comm));
   EXPECT_GE(result[1].num_workers, 1);
 }
 

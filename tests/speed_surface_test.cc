@@ -192,14 +192,12 @@ TEST(SpeedSurfaceSetTest, CachedAllocationMatchesDirectProbing) {
     for (const Allocator* allocator : allocators) {
       SpeedSurfaceSet cached(true);
       SpeedSurfaceSet direct(false);
-      const AllocationMap with_cache = allocator->Allocate(jobs, capacity, &cached);
-      const AllocationMap without = allocator->Allocate(jobs, capacity, &direct);
+      const std::vector<Allocation> with_cache = allocator->Allocate(jobs, capacity, &cached);
+      const std::vector<Allocation> without = allocator->Allocate(jobs, capacity, &direct);
       ASSERT_EQ(with_cache.size(), without.size()) << allocator->name();
-      for (const auto& [id, alloc] : with_cache) {
-        const auto it = without.find(id);
-        ASSERT_NE(it, without.end()) << allocator->name();
-        EXPECT_EQ(alloc.num_ps, it->second.num_ps) << allocator->name();
-        EXPECT_EQ(alloc.num_workers, it->second.num_workers) << allocator->name();
+      for (size_t i = 0; i < with_cache.size(); ++i) {
+        EXPECT_EQ(with_cache[i].num_ps, without[i].num_ps) << allocator->name();
+        EXPECT_EQ(with_cache[i].num_workers, without[i].num_workers) << allocator->name();
       }
     }
   }
@@ -215,13 +213,13 @@ TEST(SpeedSurfaceSetTest, ExhaustiveAllocatorMatchesDirectProbing) {
   SpeedSurfaceSet cached(true);
   SpeedSurfaceSet direct(false);
   const ExhaustiveAllocator exhaustive;
-  const AllocationMap with_cache = exhaustive.Allocate(jobs, Capacity(25), &cached);
-  const AllocationMap without = exhaustive.Allocate(jobs, Capacity(25), &direct);
+  const std::vector<Allocation> with_cache = exhaustive.Allocate(jobs, Capacity(25), &cached);
+  const std::vector<Allocation> without = exhaustive.Allocate(jobs, Capacity(25), &direct);
   EXPECT_LT(cached.evals(), cached.probes());
   ASSERT_EQ(with_cache.size(), without.size());
-  for (const auto& [id, alloc] : with_cache) {
-    EXPECT_EQ(alloc.num_ps, without.at(id).num_ps);
-    EXPECT_EQ(alloc.num_workers, without.at(id).num_workers);
+  for (size_t i = 0; i < with_cache.size(); ++i) {
+    EXPECT_EQ(with_cache[i].num_ps, without[i].num_ps);
+    EXPECT_EQ(with_cache[i].num_workers, without[i].num_workers);
   }
 }
 

@@ -67,8 +67,8 @@ TEST(WhatIfTest, BaselineMatchesStandaloneAllocation) {
   std::vector<SchedJob> existing = {MakeJob(0, 15.0)};
   const Resources capacity(60, 600, 0, 60);
   WhatIfResult r = EvaluateAdmission(allocator, existing, MakeJob(1, 5.0), capacity);
-  const AllocationMap direct = allocator.Allocate(existing, capacity);
-  const Allocation a = direct.at(0);
+  const std::vector<Allocation> direct = allocator.Allocate(existing, capacity);
+  const Allocation a = direct[0];
   const double f = existing[0].speed(a.num_ps, a.num_workers);
   EXPECT_NEAR(r.baseline_completion_s.at(0), 15.0 / f, 1e-9);
 }

@@ -56,20 +56,6 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
   --scenario="${repo_root}/scenarios/batch_adaptive.json" \
   --json=BENCH_policies_smoke.json
 
-# The raw PS-shaped Allocation::IsActive() check mis-classifies all-reduce
-# allocations; every call site outside its definition must go through
-# ActiveAllocation(alloc, comm) (src/sched/scheduler.h).
-isactive_hits="$(grep -rn '\.IsActive()' \
-  "${repo_root}/src" "${repo_root}/tools" "${repo_root}/bench" \
-  "${repo_root}/tests" "${repo_root}/examples" \
-  --include='*.cc' --include='*.h' --include='*.cpp' \
-  | grep -v 'src/sched/scheduler.h' || true)"
-if [[ -n "${isactive_hits}" ]]; then
-  echo "raw Allocation::IsActive() call sites (use ActiveAllocation):" >&2
-  echo "${isactive_hits}" >&2
-  exit 1
-fi
-
 # Observability smoke: registry/flight recorder on vs off; exits nonzero
 # if observability perturbs the simulation or exports diverge across
 # thread counts.
