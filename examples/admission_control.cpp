@@ -64,10 +64,11 @@ int main() {
   TablePrinter table({"job", "est. completion before (h)", "est. completion after (h)",
                       "delay (h)"});
   const char* names[] = {"ResNext-110", "Seq2Seq", "CNN-rand"};
-  for (int id = 0; id < 3; ++id) {
-    const double before = result.baseline_completion_s.at(id);
-    const double after = result.with_job_completion_s.at(id);
-    table.AddRow({names[id], TablePrinter::FormatDouble(before / 3600.0, 2),
+  // Completion times are positional: entry i is existing[i]'s.
+  for (size_t i = 0; i < existing.size(); ++i) {
+    const double before = result.baseline_completion_s[i];
+    const double after = result.with_job_completion_s[i];
+    table.AddRow({names[i], TablePrinter::FormatDouble(before / 3600.0, 2),
                   TablePrinter::FormatDouble(after / 3600.0, 2),
                   TablePrinter::FormatDouble((after - before) / 3600.0, 2)});
   }

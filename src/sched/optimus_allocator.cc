@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/common/min_heap.h"
@@ -148,11 +149,57 @@ void Grant(AddKind kind, Allocation* alloc) {
   }
 }
 
+// Seeds a job with (1 PS, 1 worker), or a single worker for an all-reduce
+// job, when that fits on top of `used`. Returns false, leaving both outputs
+// untouched, when it does not.
+bool SeedJob(const SchedJob& job, const Resources& capacity, Resources* used,
+             Allocation* seed) {
+  const int seed_ps = job.max_ps > 0 ? 1 : 0;
+  const Resources demand = job.worker_demand + job.ps_demand * seed_ps;
+  if (!capacity.Fits(*used + demand)) {
+    return false;
+  }
+  *used += demand;
+  *seed = {seed_ps, 1};
+  return true;
+}
+
+// Walks job i's solo greedy path from *end: grants its better kind until the
+// caps or a gain <= 0 stop it.
+void WalkSoloPath(const SchedJob& job, size_t i, SpeedSurface* surface,
+                  const TaskFootprint& footprint, Allocation* end) {
+  Candidate best;
+  Candidate other;
+  while (BestCandidate(job, i, surface, *end, footprint, /*dead=*/0, &best, &other) > 0) {
+    Grant(best.kind, end);
+  }
+}
+
+// Adds the demand of a job's path beyond its seed to the slack total.
+void AddPathDemand(const SchedJob& job, const Allocation& seed, const Allocation& end,
+                   Resources* total) {
+  *total += job.worker_demand * (end.num_workers - seed.num_workers) +
+            job.ps_demand * (end.num_ps - seed.num_ps);
+}
+
+// The slack test: the total fits with a 1e-6 relative margin, far above the
+// rounding of any summation order.
+bool FitsWithSlack(const Resources& capacity, const Resources& total) {
+  return capacity.Fits(total * (1.0 + 1e-6));
+}
+
 }  // namespace
 
 std::vector<Allocation> OptimusAllocator::Allocate(const std::vector<SchedJob>& jobs,
                                                    const Resources& capacity,
                                                    SpeedSurfaceSet* surfaces) const {
+  return Allocate(jobs, capacity, surfaces, /*round=*/nullptr);
+}
+
+std::vector<Allocation> OptimusAllocator::Allocate(const std::vector<SchedJob>& jobs,
+                                                   const Resources& capacity,
+                                                   SpeedSurfaceSet* surfaces,
+                                                   OptimusSlackRound* round) const {
   OPTIMUS_CHECK(surfaces != nullptr);
   std::vector<Allocation> alloc(jobs.size());
   Resources used;
@@ -169,12 +216,7 @@ std::vector<Allocation> OptimusAllocator::Allocate(const std::vector<SchedJob>& 
   std::vector<SpeedSurface*> surf(jobs.size(), nullptr);
   std::vector<TaskFootprint> footprint(jobs.size());
   for (size_t i = 0; i < jobs.size(); ++i) {
-    const int seed_ps = jobs[i].max_ps > 0 ? 1 : 0;
-    const Resources seed =
-        jobs[i].worker_demand + jobs[i].ps_demand * seed_ps;
-    if (capacity.Fits(used + seed)) {
-      used += seed;
-      alloc[i] = {seed_ps, 1};
+    if (SeedJob(jobs[i], capacity, &used, &alloc[i])) {
       active[i] = true;
       surf[i] = surfaces->Surface(jobs[i]);
       footprint[i] = FootprintOf(jobs[i], capacity);
@@ -193,25 +235,22 @@ std::vector<Allocation> OptimusAllocator::Allocate(const std::vector<SchedJob>& 
     if (!surf[i]->speculating()) {
       surf[i]->BeginSpeculation();
     }
-    Candidate best;
-    Candidate other;
-    while (BestCandidate(jobs[i], i, surf[i], end[i], footprint[i], /*dead=*/0, &best,
-                         &other) > 0) {
-      Grant(best.kind, &end[i]);
-    }
+    WalkSoloPath(jobs[i], i, surf[i], footprint[i], &end[i]);
   }
 
-  // Slack round: the seeds plus every path fit with a 1e-6 relative margin,
-  // far above the rounding of any summation order. Every grant the serial
-  // greedy makes is then a prefix of some path and fits, so no kind ever
-  // pops unfittable and the greedy ends exactly at the path ends, having
-  // probed exactly the walks' points. Otherwise the walks are rolled back.
+  // Slack round: the seeds plus every path fit with a 1e-6 relative margin.
+  // Every grant the serial greedy makes is then a prefix of some path and
+  // fits, so no kind ever pops unfittable and the greedy ends exactly at the
+  // path ends, having probed exactly the walks' points. Otherwise the walks
+  // are rolled back.
   Resources total = used;
   for (size_t i = 0; i < jobs.size(); ++i) {
-    total += jobs[i].worker_demand * (end[i].num_workers - alloc[i].num_workers) +
-             jobs[i].ps_demand * (end[i].num_ps - alloc[i].num_ps);
+    AddPathDemand(jobs[i], alloc[i], end[i], &total);
   }
-  const bool slack = capacity.Fits(total * (1.0 + 1e-6));
+  const bool slack = FitsWithSlack(capacity, total);
+  if (round != nullptr) {
+    round->slack = slack;
+  }
   for (size_t i = 0; i < jobs.size(); ++i) {
     if (active[i] && surf[i]->speculating()) {
       surf[i]->EndSpeculation(slack);
@@ -223,6 +262,10 @@ std::vector<Allocation> OptimusAllocator::Allocate(const std::vector<SchedJob>& 
                              end[i].num_ps - alloc[i].num_ps;
       stats->pops += grants;
       stats->grants += grants;
+    }
+    if (round != nullptr) {
+      round->seeds = std::move(alloc);
+      round->seed_demand = used;
     }
     return end;
   }
@@ -273,6 +316,38 @@ std::vector<Allocation> OptimusAllocator::Allocate(const std::vector<SchedJob>& 
     push_best(i);
   }
   return alloc;
+}
+
+bool OptimusAllocator::AppendToSlackRound(const std::vector<SchedJob>& jobs,
+                                          const OptimusSlackRound& round,
+                                          const std::vector<Allocation>& ends,
+                                          const SchedJob& candidate, SpeedSurface* surface,
+                                          const Resources& capacity,
+                                          Allocation* out) const {
+  if (!round.slack) {
+    return false;
+  }
+  OPTIMUS_CHECK_EQ(round.seeds.size(), jobs.size());
+  OPTIMUS_CHECK_EQ(ends.size(), jobs.size());
+  // Allocate(jobs + {candidate}) seeds the existing jobs exactly as before and
+  // the candidate last, then walks the candidate's path last.
+  Resources used = round.seed_demand;
+  Allocation seed;
+  Allocation end;
+  if (SeedJob(candidate, capacity, &used, &seed)) {
+    end = seed;
+    WalkSoloPath(candidate, jobs.size(), surface, FootprintOf(candidate, capacity), &end);
+  }
+  Resources total = used;
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    AddPathDemand(jobs[i], round.seeds[i], ends[i], &total);
+  }
+  AddPathDemand(candidate, seed, end, &total);
+  if (!FitsWithSlack(capacity, total)) {
+    return false;
+  }
+  *out = end;
+  return true;
 }
 
 }  // namespace optimus

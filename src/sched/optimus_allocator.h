@@ -14,13 +14,22 @@
 // seeds plus all paths fit the capacity, those path ends ARE the greedy's
 // answer; otherwise the walks are rolled back and an exact merge with one
 // heap entry per job decides (docs/ALGORITHMS.md §3).
+//
+// A slack round can take one more job without being re-run: appending a
+// candidate leaves every earlier seed, walk and path end unchanged, so only
+// the candidate's seed, its walk and the slack total need redoing
+// (AppendToSlackRound; what-if admission uses it, src/sched/what_if.h).
 
 #ifndef SRC_SCHED_OPTIMUS_ALLOCATOR_H_
 #define SRC_SCHED_OPTIMUS_ALLOCATOR_H_
 
+#include <vector>
+
 #include "src/sched/scheduler.h"
 
 namespace optimus {
+
+class SpeedSurface;
 
 // Observable counters for one greedy round; useful for tests and for the
 // scalability benches. pops == grants + unfittable_drops always.
@@ -32,6 +41,19 @@ struct OptimusAllocRoundStats {
   // Candidates whose task kind no longer fits the remaining capacity; that
   // kind is dead for the rest of the round (capacity only shrinks).
   int64_t unfittable_drops = 0;
+};
+
+// The slack verdict of one Allocate call, recorded so one more job can be
+// appended to a slack round without re-running it.
+struct OptimusSlackRound {
+  // Whether the round took its slack branch: its answer is then every job's
+  // solo path end. The fields below are filled only when it did.
+  bool slack = false;
+  // Per input job, in input order: its seed, or Allocation{} when the seed
+  // did not fit.
+  std::vector<Allocation> seeds;
+  // The seeds' summed demand, accumulated in input order.
+  Resources seed_demand;
 };
 
 struct OptimusAllocatorOptions {
@@ -47,6 +69,24 @@ class OptimusAllocator : public Allocator {
   std::vector<Allocation> Allocate(const std::vector<SchedJob>& jobs,
                                    const Resources& capacity,
                                    SpeedSurfaceSet* surfaces) const override;
+
+  // The same decision; also records the round's slack verdict in *round
+  // (when non-null).
+  std::vector<Allocation> Allocate(const std::vector<SchedJob>& jobs,
+                                   const Resources& capacity, SpeedSurfaceSet* surfaces,
+                                   OptimusSlackRound* round) const;
+
+  // Appends `candidate` to the round that Allocate(jobs, capacity) recorded
+  // in `round` and answered with `ends`. Seeds the candidate, walks its solo
+  // path on `surface`, and redoes the seed and slack-total sums in the order
+  // Allocate(jobs + {candidate}) uses. When that round is slack too, its
+  // answer is `ends` plus the candidate's path end: returns true with that
+  // end in *out. Returns false when `round` was not slack or the appended
+  // round binds; only the full Allocate decides then. Counts no stats.
+  bool AppendToSlackRound(const std::vector<SchedJob>& jobs, const OptimusSlackRound& round,
+                          const std::vector<Allocation>& ends, const SchedJob& candidate,
+                          SpeedSurface* surface, const Resources& capacity,
+                          Allocation* out) const;
 
   const char* name() const override { return "optimus"; }
 

@@ -99,6 +99,14 @@ SpeedSurface* SpeedSurfaceSet::Surface(const SchedJob& job) {
   return surface;
 }
 
+void SpeedSurfaceSet::Lend(int job_id, SpeedSurface* surface) {
+  OPTIMUS_CHECK(surface != nullptr);
+  const bool added = by_job_.try_emplace(job_id, surface).second;
+  OPTIMUS_CHECK(added) << "job " << job_id << " already has a surface";
+}
+
+void SpeedSurfaceSet::Unlend(int job_id) { by_job_.erase(job_id); }
+
 int64_t SpeedSurfaceSet::probes() const {
   int64_t total = 0;
   for (const SpeedSurface& s : surfaces_) {

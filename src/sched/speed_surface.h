@@ -4,8 +4,9 @@
 // mode, re-runs the full comm/step-time model. One scheduling round probes
 // the same (p, w) points many times over: the greedy heap re-evaluates the
 // completion time at the current allocation for every candidate, the
-// exhaustive allocator revisits each configuration across branches, and
-// what-if admission runs two full allocations over the same jobs. A
+// exhaustive allocator revisits each configuration across branches, and a
+// cached what-if baseline re-probes its jobs' surfaces for every candidate
+// it evaluates (src/sched/what_if.h). A
 // SpeedSurface lazily caches f(p, w) over the job's feasible
 // [1..max_ps] x [1..max_workers] grid (the single p == 0 row for all-reduce
 // jobs, whose max_ps is 0) in a flat array so each point is
@@ -105,6 +106,15 @@ class SpeedSurfaceSet {
 
   bool cache_enabled() const { return cache_enabled_; }
   size_t num_surfaces() const { return surfaces_.size(); }
+
+  // Lends `surface`, which the caller owns, as the surface of `job_id` until
+  // Unlend(job_id); `job_id` must have no surface in the set yet. Lent
+  // surfaces are left out of the aggregate counters. What-if admission lends
+  // each candidate a private surface, so a set that outlives one query never
+  // keeps a candidate's surface: the next candidate may reuse the id for
+  // another model.
+  void Lend(int job_id, SpeedSurface* surface);
+  void Unlend(int job_id);
 
   // Aggregate counters over all distinct surfaces (shared surfaces counted
   // once).

@@ -1,81 +1,117 @@
 #include "src/sched/what_if.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "src/common/logging.h"
-#include "src/sched/speed_surface.h"
 
 namespace optimus {
 
 namespace {
 
-// Estimated completion times for every job under an allocation (entry i is
-// job i's), probing through the round's shared speed surfaces.
-std::map<int, double> CompletionTimes(const std::vector<SchedJob>& jobs,
-                                      const std::vector<Allocation>& alloc,
-                                      SpeedSurfaceSet* surfaces) {
-  std::map<int, double> out;
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    const SchedJob& job = jobs[i];
-    double t = std::numeric_limits<double>::infinity();
-    if (ActiveAllocation(alloc[i], job.comm)) {
-      const double f = surfaces->Surface(job)->Speed(alloc[i].num_ps, alloc[i].num_workers);
-      if (f > 0.0) {
-        t = job.remaining_epochs / f;
-      }
+// Estimated completion time of a job under `alloc`, probing `surface`.
+double CompletionTime(const SchedJob& job, const Allocation& alloc, SpeedSurface* surface) {
+  if (ActiveAllocation(alloc, job.comm)) {
+    const double f = surface->Speed(alloc.num_ps, alloc.num_workers);
+    if (f > 0.0) {
+      return job.remaining_epochs / f;
     }
-    out[job.job_id] = t;
+  }
+  return std::numeric_limits<double>::infinity();
+}
+
+// Estimated completion times for every job under an allocation (entry i is
+// job i's), probing through the baseline's speed surfaces.
+std::vector<double> CompletionTimes(const std::vector<SchedJob>& jobs,
+                                    const std::vector<Allocation>& alloc,
+                                    SpeedSurfaceSet* surfaces) {
+  std::vector<double> out(jobs.size());
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    out[i] = CompletionTime(jobs[i], alloc[i], surfaces->Surface(jobs[i]));
   }
   return out;
 }
 
 }  // namespace
 
-WhatIfResult EvaluateAdmission(const Allocator& allocator,
-                               const std::vector<SchedJob>& existing,
-                               const SchedJob& candidate, const Resources& capacity) {
-  for (const SchedJob& job : existing) {
-    OPTIMUS_CHECK_NE(job.job_id, candidate.job_id)
-        << "candidate job id collides with an existing job";
+AdmissionBaseline::AdmissionBaseline(const Allocator* allocator,
+                                     std::vector<SchedJob> existing,
+                                     const Resources& capacity)
+    : allocator_(allocator),
+      optimus_(dynamic_cast<const OptimusAllocator*>(allocator)),
+      existing_(std::move(existing)),
+      capacity_(capacity) {
+  OPTIMUS_CHECK(allocator_ != nullptr);
+  existing_.reserve(existing_.size() + 1);  // room for a candidate
+  // One memoized surface per job serves the baseline round, every admitted
+  // round and every completion-time readout, so each (p, w) point is
+  // evaluated at most once for the baseline's lifetime.
+  baseline_ = optimus_ != nullptr
+                  ? optimus_->Allocate(existing_, capacity_, &surfaces_, &round_)
+                  : allocator_->Allocate(existing_, capacity_, &surfaces_);
+  baseline_completion_s_ = CompletionTimes(existing_, baseline_, &surfaces_);
+}
+
+bool AdmissionBaseline::HasJob(int job_id) const {
+  for (const SchedJob& job : existing_) {
+    if (job.job_id == job_id) {
+      return true;
+    }
   }
+  return false;
+}
+
+WhatIfResult AdmissionBaseline::Evaluate(const SchedJob& candidate) {
+  OPTIMUS_CHECK(!HasJob(candidate.job_id))
+      << "candidate job id collides with an existing job";
 
   WhatIfResult result;
+  result.baseline_completion_s = baseline_completion_s_;
 
-  // One memoized surface per job serves the whole analysis: the baseline
-  // round, the admitted round, and the completion-time readouts re-probe the
-  // same (p, w) points, so each is evaluated at most once.
-  SpeedSurfaceSet surfaces;
+  SpeedSurface surface(candidate.speed, candidate.max_ps, candidate.max_workers,
+                       surfaces_.cache_enabled());
+  Allocation cand;
+  if (optimus_ != nullptr &&
+      optimus_->AppendToSlackRound(existing_, round_, baseline_, candidate, &surface,
+                                   capacity_, &cand)) {
+    // The admitted round is the baseline plus the candidate's path: every
+    // existing job keeps its baseline allocation and completion time.
+    result.with_job_completion_s = baseline_completion_s_;
+  } else {
+    // Scenario: the candidate competes with everyone else. It is the last
+    // input, so its allocation is the last entry.
+    existing_.push_back(candidate);
+    surfaces_.Lend(candidate.job_id, &surface);
+    std::vector<Allocation> admitted = allocator_->Allocate(existing_, capacity_, &surfaces_);
+    surfaces_.Unlend(candidate.job_id);
+    existing_.pop_back();
+    cand = admitted.back();
+    admitted.pop_back();
+    result.with_job_completion_s = CompletionTimes(existing_, admitted, &surfaces_);
+  }
 
-  // Baseline: the cluster without the candidate.
-  const std::vector<Allocation> baseline = allocator.Allocate(existing, capacity, &surfaces);
-  result.baseline_completion_s = CompletionTimes(existing, baseline, &surfaces);
-
-  // Scenario: the candidate competes with everyone else.
-  std::vector<SchedJob> with_job = existing;
-  with_job.push_back(candidate);
-  // The candidate is the last input, so its allocation is the last entry.
-  const std::vector<Allocation> admitted = allocator.Allocate(with_job, capacity, &surfaces);
-  result.with_job_completion_s = CompletionTimes(existing, admitted, &surfaces);
-
-  const Allocation& cand = admitted.back();
   if (ActiveAllocation(cand, candidate.comm)) {
     result.admitted = true;
     result.new_job_alloc = cand;
-    const double f = surfaces.Surface(candidate)->Speed(cand.num_ps, cand.num_workers);
-    result.new_job_completion_s =
-        f > 0.0 ? candidate.remaining_epochs / f
-                : std::numeric_limits<double>::infinity();
+    result.new_job_completion_s = CompletionTime(candidate, cand, &surface);
   }
 
-  for (const SchedJob& job : existing) {
-    const double before = result.baseline_completion_s.at(job.job_id);
-    const double after = result.with_job_completion_s.at(job.job_id);
+  for (size_t i = 0; i < existing_.size(); ++i) {
+    const double before = result.baseline_completion_s[i];
+    const double after = result.with_job_completion_s[i];
     if (std::isfinite(before) && std::isfinite(after)) {
       result.total_slowdown_s += std::max(0.0, after - before);
     }
   }
   return result;
+}
+
+WhatIfResult EvaluateAdmission(const Allocator& allocator,
+                               const std::vector<SchedJob>& existing,
+                               const SchedJob& candidate, const Resources& capacity) {
+  return AdmissionBaseline(&allocator, existing, capacity).Evaluate(candidate);
 }
 
 }  // namespace optimus

@@ -264,6 +264,7 @@ Simulator::Simulator(SimulatorConfig config, std::vector<Server> servers,
     pool_ = std::make_unique<ThreadPool>(threads);
   }
   allocator_ = MakeAllocator(config_, &alloc_stats_);
+  whatif_allocator_ = MakeAllocator(config_, &whatif_stats_);
   scaling_hysteresis_ = SchedulerRegistry::Global()
                             .Find(config_.policy)
                             ->traits.scaling_hysteresis;
@@ -1551,6 +1552,7 @@ void Simulator::AdvanceInterval() {
 }
 
 bool Simulator::StepInterval() {
+  ++state_generation_;
   if (metrics_.completed_jobs >= static_cast<int>(jobs_.size()) &&
       pending_remaining() == 0) {
     return false;
@@ -1616,6 +1618,7 @@ bool Simulator::StepInterval() {
 }
 
 RunMetrics Simulator::Run() {
+  ++state_generation_;
   if (config_.engine == SimEngine::kEvents) {
     RunEvents();
   } else {
@@ -1692,6 +1695,7 @@ RunMetrics Simulator::Run() {
 }
 
 void Simulator::AdvanceTo(double t) {
+  ++state_generation_;
   if (config_.engine == SimEngine::kEvents) {
     StepEventsUntil(t);
     return;
@@ -1704,6 +1708,7 @@ void Simulator::AdvanceTo(double t) {
 }
 
 bool Simulator::SubmitJob(const JobSpec& spec, std::string* error) {
+  ++state_generation_;
   auto fail = [error](const std::string& message) {
     if (error != nullptr) {
       *error = message;
@@ -1753,6 +1758,7 @@ bool Simulator::SubmitJob(const JobSpec& spec, std::string* error) {
 }
 
 bool Simulator::KillJob(int job_id, std::string* error) {
+  ++state_generation_;
   auto fail = [error](const std::string& message) {
     if (error != nullptr) {
       *error = message;
@@ -1794,8 +1800,7 @@ bool Simulator::KillJob(int job_id, std::string* error) {
   return true;
 }
 
-WhatIfResult Simulator::WhatIf(const JobSpec& candidate) {
-  OPTIMUS_CHECK(candidate.model != nullptr) << "what-if candidate model is null";
+std::unique_ptr<AdmissionBaseline> Simulator::MakeAdmissionBaseline(const int* without_id) {
   std::vector<JobRuntime*> schedulable;
   std::vector<JobRuntime*> frozen;
   Resources capacity;
@@ -1804,11 +1809,17 @@ WhatIfResult Simulator::WhatIf(const JobSpec& candidate) {
   std::vector<SchedJob> existing;
   existing.reserve(schedulable.size());
   for (JobRuntime* jr : schedulable) {
-    if (jr->job.id() == candidate.id) {
-      continue;  // hypothetical re-submission of a live id: compare without it
+    if (without_id != nullptr && jr->job.id() == *without_id) {
+      continue;
     }
     existing.push_back(MakeSchedJob(jr));
   }
+  return std::make_unique<AdmissionBaseline>(whatif_allocator_.get(), std::move(existing),
+                                             capacity);
+}
+
+WhatIfResult Simulator::WhatIf(const JobSpec& candidate) {
+  OPTIMUS_CHECK(candidate.model != nullptr) << "what-if candidate model is null";
 
   // Candidate view: the analytic ground-truth speed model (the oracle path
   // without error injection) and the scheduler's prior for unfitted jobs.
@@ -1823,11 +1834,15 @@ WhatIfResult Simulator::WhatIf(const JobSpec& candidate) {
     return TrainingSpeed(SpecStepInputs(spec, p, w), comm) / spe;
   };
 
-  // A fresh allocator instance so the query does not advance the round-stats
-  // counters the live allocator shares with the metrics registry.
-  OptimusAllocRoundStats scratch_stats;
-  std::unique_ptr<Allocator> allocator = MakeAllocator(config_, &scratch_stats);
-  return EvaluateAdmission(*allocator, existing, cand, capacity);
+  if (whatif_baseline_ == nullptr || whatif_generation_ != state_generation_) {
+    whatif_baseline_ = MakeAdmissionBaseline(/*without_id=*/nullptr);
+    whatif_generation_ = state_generation_;
+  }
+  if (whatif_baseline_->HasJob(candidate.id)) {
+    // Hypothetical re-submission of a live id: compare without it.
+    return MakeAdmissionBaseline(&candidate.id)->Evaluate(cand);
+  }
+  return whatif_baseline_->Evaluate(cand);
 }
 
 }  // namespace optimus

@@ -267,12 +267,19 @@ class Simulator {
 
   // What-if admission query (§ "what-if analysis"): evaluates admitting
   // `candidate` against the jobs and capacity the *next* scheduling round
-  // would see, using a fresh allocator instance so the query perturbs no
+  // would see, using a second allocator instance so the query perturbs no
   // simulator state — counters, RNG streams, and model fits are untouched,
   // which keeps a session with interleaved queries bitwise identical to one
   // without them. The candidate's speed estimate is the analytic
   // ground-truth model (the oracle path) and its remaining epochs the
   // scheduler's prior for unfitted jobs.
+  //
+  // The baseline (the round without the candidate) is built once and reused
+  // by every query until a mutating call (AdvanceTo, StepInterval, Run,
+  // SubmitJob, KillJob) bumps the state generation. A candidate whose id is
+  // a schedulable job's is compared against an uncached baseline without
+  // that job. Answers are bitwise those of a fresh pair of allocations
+  // (src/sched/what_if.h).
   WhatIfResult WhatIf(const JobSpec& candidate);
 
   double now_s() const { return now_s_; }
@@ -461,6 +468,9 @@ class Simulator {
   // admission queries see exactly what the next round would see.
   void CollectRoundInputs(std::vector<JobRuntime*>* schedulable,
                           std::vector<JobRuntime*>* frozen, Resources* capacity);
+  // A what-if baseline over the next round's inputs, leaving out the job
+  // `without_id` (when non-null).
+  std::unique_ptr<AdmissionBaseline> MakeAdmissionBaseline(const int* without_id);
   double EstimateRemainingEpochs(const JobRuntime& jr) const;
   double ErrorFactor(const JobRuntime& jr, double error_magnitude) const;
   // Ground-truth step-time inputs of a live job: its current (p, w), the
@@ -595,6 +605,17 @@ class Simulator {
   // allocator_ captures a pointer to it.
   OptimusAllocRoundStats alloc_stats_;
   std::unique_ptr<Allocator> allocator_;
+  // Bumped by every mutating public call (AdvanceTo, StepInterval, Run,
+  // SubmitJob, KillJob): the key of the cached what-if baseline.
+  uint64_t state_generation_ = 0;
+  // What-if admission state (WhatIf): a second allocator instance with
+  // scratch round stats, so queries never advance the counters allocator_
+  // shares with the metrics registry, and the baseline of the last query,
+  // valid while whatif_generation_ == state_generation_.
+  OptimusAllocRoundStats whatif_stats_;
+  std::unique_ptr<Allocator> whatif_allocator_;
+  std::unique_ptr<AdmissionBaseline> whatif_baseline_;
+  uint64_t whatif_generation_ = 0;
   // The policy's PolicyTraits::scaling_hysteresis, read once at construction.
   bool scaling_hysteresis_ = true;
   // Network fabric model; null under the flat (exact-compat) model.

@@ -335,5 +335,152 @@ TEST(AllocEquivalenceTest, KindThatStopsFittingMatches) {
   EXPECT_GT(ExpectEquivalent(UnfittableWorkerInstance(), false, "unfittable worker"), 0);
 }
 
+// ---------------------------------------------------------------------------
+// Slack append: one more job on a recorded slack round
+// ---------------------------------------------------------------------------
+
+// Appends `candidate` to the slack record of Allocate(existing) and checks
+// the verdict and the answer against a full Allocate(existing + {candidate})
+// on fresh surfaces. Returns whether the append applied.
+bool ExpectAppendMatchesFull(const std::vector<SchedJob>& existing,
+                             const SchedJob& candidate, const Resources& capacity,
+                             const std::string& where) {
+  const OptimusAllocator allocator;
+  SpeedSurfaceSet surfaces;
+  OptimusSlackRound round;
+  const std::vector<Allocation> ends = allocator.Allocate(existing, capacity, &surfaces, &round);
+  SpeedSurface surface(candidate.speed, candidate.max_ps, candidate.max_workers);
+  Allocation appended;
+  const bool applied = allocator.AppendToSlackRound(existing, round, ends, candidate,
+                                                    &surface, capacity, &appended);
+
+  std::vector<SchedJob> with_job = existing;
+  with_job.push_back(candidate);
+  SpeedSurfaceSet fresh;
+  OptimusSlackRound full_round;
+  const std::vector<Allocation> full =
+      allocator.Allocate(with_job, capacity, &fresh, &full_round);
+  // The append applies exactly when both rounds are slack; a binding
+  // baseline always falls back.
+  EXPECT_EQ(applied, round.slack && full_round.slack) << where;
+  if (applied) {
+    for (size_t i = 0; i < existing.size(); ++i) {
+      EXPECT_EQ(full[i].num_ps, ends[i].num_ps) << where << " job " << i;
+      EXPECT_EQ(full[i].num_workers, ends[i].num_workers) << where << " job " << i;
+    }
+    EXPECT_EQ(full.back().num_ps, appended.num_ps) << where;
+    EXPECT_EQ(full.back().num_workers, appended.num_workers) << where;
+  }
+  return applied;
+}
+
+// The summed demand of `jobs` at a slack round's answer: the quantity the
+// slack test compares against the capacity.
+Resources SlackTotal(const std::vector<SchedJob>& jobs) {
+  const std::vector<Allocation> ends =
+      OptimusAllocator().Allocate(jobs, Resources(1e7, 1e8, 0.0, 1e6));
+  Resources total;
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    total += AllocationDemand(jobs[i], ends[i]);
+  }
+  return total;
+}
+
+// A candidate split off a random instance: its last job, renumbered so its id
+// collides with no existing job's.
+struct AppendCase {
+  std::vector<SchedJob> existing;
+  SchedJob candidate;
+};
+
+AppendCase SplitInstance(const Instance& in) {
+  AppendCase c;
+  c.existing.assign(in.jobs.begin(), in.jobs.end() - 1);
+  c.candidate = in.jobs.back();
+  c.candidate.job_id = 2;
+  return c;
+}
+
+TEST(SlackAppendTest, MatchesFullAllocateOnRandomInstances) {
+  int applied = 0;
+  int fell_back = 0;
+  for (uint64_t seed = 1; seed <= 80; ++seed) {
+    for (const Capacity kind : {Capacity::kSlack, Capacity::kBinding}) {
+      const Instance in = MakeInstance(5000 + seed, kind);
+      if (in.jobs.size() < 2) {
+        continue;
+      }
+      const AppendCase c = SplitInstance(in);
+      const bool ok = ExpectAppendMatchesFull(c.existing, c.candidate, in.capacity,
+                                              "seed " + std::to_string(seed));
+      ++(ok ? applied : fell_back);
+    }
+  }
+  EXPECT_GT(applied, 0);
+  EXPECT_GT(fell_back, 0);
+}
+
+TEST(SlackAppendTest, CapacityAtTheSlackMargin) {
+  // Capacities a hair either side of the appended round's own slack test:
+  // the verdict must track the full round's at every one of them.
+  int applied = 0;
+  int fell_back = 0;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    const Instance in = MakeInstance(7000 + seed, Capacity::kSlack);
+    if (in.jobs.size() < 2) {
+      continue;
+    }
+    const AppendCase c = SplitInstance(in);
+    const Resources total = SlackTotal(in.jobs);
+    for (const double scale : {1.0 + 2e-6, 1.0 + 1e-6, 1.0, 1.0 - 1e-6}) {
+      const bool ok = ExpectAppendMatchesFull(
+          c.existing, c.candidate, total * scale,
+          "seed " + std::to_string(seed) + " scale " + std::to_string(scale));
+      ++(ok ? applied : fell_back);
+    }
+  }
+  EXPECT_GT(applied, 0);
+  EXPECT_GT(fell_back, 0);
+}
+
+TEST(SlackAppendTest, CandidateKinds) {
+  const Instance in = MakeInstance(42, Capacity::kSlack);
+  ASSERT_GE(in.jobs.size(), 2u);
+  const AppendCase base = SplitInstance(in);
+  const Resources capacity = in.capacity;
+
+  // An all-reduce candidate walks the p == 0 row.
+  SchedJob allreduce = base.candidate;
+  allreduce.comm = CommMode::kAllReduce;
+  allreduce.max_ps = 0;
+  allreduce.ps_demand = Resources();
+  allreduce.speed = [](int /*p*/, int w) { return 1.0 / (4.0 / w + 0.5 + 0.05 * w); };
+  allreduce.remaining_epochs = 20.0;
+  EXPECT_TRUE(ExpectAppendMatchesFull(base.existing, allreduce, capacity, "all-reduce"));
+
+  // A parameter-server job with max_ps 0 seeds a worker only and never runs.
+  SchedJob no_ps = allreduce;
+  no_ps.comm = CommMode::kParameterServer;
+  no_ps.ps_demand = Resources(1, 2, 0, 0.1);
+  EXPECT_TRUE(ExpectAppendMatchesFull(base.existing, no_ps, capacity, "ps job, max_ps 0"));
+
+  // A candidate whose seed does not fit gets nothing; the round stays slack.
+  SchedJob huge = base.candidate;
+  huge.worker_demand = capacity * 2.0;
+  EXPECT_TRUE(ExpectAppendMatchesFull(base.existing, huge, capacity, "seed does not fit"));
+
+  // A binding baseline falls back whatever the candidate: room for every
+  // seed and nothing more.
+  Resources seeds;
+  for (const SchedJob& job : base.existing) {
+    seeds += job.worker_demand + job.ps_demand * (job.max_ps > 0 ? 1 : 0);
+  }
+  SpeedSurfaceSet surfaces;
+  OptimusSlackRound round;
+  OptimusAllocator().Allocate(base.existing, seeds, &surfaces, &round);
+  ASSERT_FALSE(round.slack);
+  EXPECT_FALSE(ExpectAppendMatchesFull(base.existing, base.candidate, seeds, "binding"));
+}
+
 }  // namespace
 }  // namespace optimus

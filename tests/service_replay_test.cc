@@ -52,6 +52,12 @@ std::string ScenarioPath() { return std::string(kGoldenDir) + "/scenario.json"; 
 std::string RequestsPath() { return std::string(kGoldenDir) + "/basic.requests.ndjson"; }
 std::string ResponsesPath() { return std::string(kGoldenDir) + "/basic.responses.ndjson"; }
 std::string SmokePath() { return std::string(kGoldenDir) + "/smoke.requests.ndjson"; }
+std::string BurstRequestsPath() {
+  return std::string(kGoldenDir) + "/whatif_burst.requests.ndjson";
+}
+std::string BurstResponsesPath() {
+  return std::string(kGoldenDir) + "/whatif_burst.responses.ndjson";
+}
 
 // The committed basic session: every op, both metric formats, a snapshot
 // mid-stream, and three deliberately bad lines so the golden also pins the
@@ -159,6 +165,33 @@ TEST(ServiceReplayTest, GoldenSessionByteForByteAcrossThreads) {
     EXPECT_EQ(out.responses, base.responses) << "threads=" << threads;
     EXPECT_EQ(SimReport(&t_session->simulator()), base_report)
         << "threads=" << threads;
+  }
+}
+
+TEST(ServiceReplayTest, WhatIfBurstGoldenByteForByteAcrossThreads) {
+  // The committed what-if burst session: runs of back-to-back what_if
+  // queries between submits, kills and advances; candidates that reuse a
+  // live id, a killed id, and one next id across different models; and a
+  // wave of wide jobs that makes admitted rounds bind. Every answer must
+  // match the committed golden whether the query reused a cached baseline
+  // or followed a mutation.
+  const std::string requests = ReadFileOrDie(BurstRequestsPath());
+  for (const int threads : {1, 8}) {
+    SessionOverrides overrides;
+    overrides.threads = threads;
+    std::unique_ptr<ServiceSession> session = MakeSession(overrides);
+    ASSERT_NE(session, nullptr);
+    const ReplayOutput out = Replay(session.get(), requests);
+    EXPECT_TRUE(out.result.shutdown);
+    EXPECT_EQ(out.result.errors, 0);
+    if (std::getenv("OPTIMUS_REGEN_GOLDEN") != nullptr) {
+      WriteFileOrDie(BurstResponsesPath(), out.responses);
+      GTEST_SKIP() << "regenerated " << BurstResponsesPath();
+    }
+    EXPECT_EQ(out.responses, ReadFileOrDie(BurstResponsesPath()))
+        << "threads=" << threads
+        << ": responses drifted from the committed golden; if intended, "
+           "regenerate with OPTIMUS_REGEN_GOLDEN=1 and commit";
   }
 }
 

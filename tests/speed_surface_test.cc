@@ -3,6 +3,7 @@
 // surface-backed allocation is bit-identical to direct-probe allocation for
 // every allocator.
 
+#include <cmath>
 #include <functional>
 #include <memory>
 
@@ -223,8 +224,9 @@ TEST(SpeedSurfaceSetTest, ExhaustiveAllocatorMatchesDirectProbing) {
   }
 }
 
-// What-if admission runs two allocations plus completion-time passes over
-// one shared surface set; sharing must not change the verdict.
+// What-if admission runs its allocations plus completion-time passes over
+// one shared surface set, the candidate on a private surface lent to it;
+// sharing must not change the verdict.
 TEST(WhatIfSurfaceTest, AdmissionUnchangedBySurfaceSharing) {
   std::vector<SchedJob> existing = {MakeJob(0, 10.0, ConcaveSpeed()),
                                     MakeJob(1, 25.0, ConcaveSpeed(2.0))};
@@ -240,6 +242,12 @@ TEST(WhatIfSurfaceTest, AdmissionUnchangedBySurfaceSharing) {
   const double speed = candidate.speed(result.new_job_alloc.num_ps,
                                        result.new_job_alloc.num_workers);
   EXPECT_NEAR(result.new_job_completion_s, candidate.remaining_epochs / speed, 1e-9);
+  // Existing jobs' estimates are positional: one finite entry per job.
+  ASSERT_EQ(result.baseline_completion_s.size(), existing.size());
+  ASSERT_EQ(result.with_job_completion_s.size(), existing.size());
+  for (size_t i = 0; i < existing.size(); ++i) {
+    EXPECT_TRUE(std::isfinite(result.baseline_completion_s[i])) << "job " << i;
+  }
 }
 
 }  // namespace
