@@ -5,10 +5,6 @@
 
 namespace optimus {
 
-namespace {
-constexpr double kEps = 1e-9;
-}  // namespace
-
 const char* ResourceTypeName(ResourceType type) {
   switch (type) {
     case ResourceType::kCpu:
@@ -28,37 +24,6 @@ Resources::Resources(double cpu, double memory_gb, double gpu, double bandwidth_
   values_[static_cast<size_t>(ResourceType::kMemoryGb)] = memory_gb;
   values_[static_cast<size_t>(ResourceType::kGpu)] = gpu;
   values_[static_cast<size_t>(ResourceType::kBandwidthGbps)] = bandwidth_gbps;
-}
-
-Resources& Resources::operator+=(const Resources& other) {
-  for (size_t i = 0; i < kNumResourceTypes; ++i) {
-    values_[i] += other.values_[i];
-  }
-  return *this;
-}
-
-Resources& Resources::operator-=(const Resources& other) {
-  for (size_t i = 0; i < kNumResourceTypes; ++i) {
-    values_[i] -= other.values_[i];
-  }
-  return *this;
-}
-
-Resources Resources::operator*(double scalar) const {
-  Resources out = *this;
-  for (size_t i = 0; i < kNumResourceTypes; ++i) {
-    out.values_[i] *= scalar;
-  }
-  return out;
-}
-
-bool Resources::Fits(const Resources& demand) const {
-  for (size_t i = 0; i < kNumResourceTypes; ++i) {
-    if (demand.values_[i] > values_[i] + kEps) {
-      return false;
-    }
-  }
-  return true;
 }
 
 bool Resources::IsNonNegative() const {

@@ -37,16 +37,41 @@ class Resources {
   double gpu() const { return Get(ResourceType::kGpu); }
   double bandwidth_gbps() const { return Get(ResourceType::kBandwidthGbps); }
 
-  Resources& operator+=(const Resources& other);
-  Resources& operator-=(const Resources& other);
+  // The arithmetic and Fits are inline: placement calls them per candidate
+  // server per task.
+  Resources& operator+=(const Resources& other) {
+    for (size_t i = 0; i < kNumResourceTypes; ++i) {
+      values_[i] += other.values_[i];
+    }
+    return *this;
+  }
+  Resources& operator-=(const Resources& other) {
+    for (size_t i = 0; i < kNumResourceTypes; ++i) {
+      values_[i] -= other.values_[i];
+    }
+    return *this;
+  }
   friend Resources operator+(Resources a, const Resources& b) { return a += b; }
   friend Resources operator-(Resources a, const Resources& b) { return a -= b; }
-  Resources operator*(double scalar) const;
+  Resources operator*(double scalar) const {
+    Resources out = *this;
+    for (double& v : out.values_) {
+      v *= scalar;
+    }
+    return out;
+  }
   bool operator==(const Resources& other) const { return values_ == other.values_; }
 
   // True when every component of `demand` fits within this vector (with a
   // small epsilon for floating-point accumulation).
-  bool Fits(const Resources& demand) const;
+  bool Fits(const Resources& demand) const {
+    for (size_t i = 0; i < kNumResourceTypes; ++i) {
+      if (demand.values_[i] > values_[i] + kEps) {
+        return false;
+      }
+    }
+    return true;
+  }
 
   // True when all components are >= 0 (within epsilon).
   bool IsNonNegative() const;
@@ -61,6 +86,9 @@ class Resources {
   std::string ToString() const;
 
  private:
+  // Tolerance of Fits, IsNonNegative and the dominant-share denominators.
+  static constexpr double kEps = 1e-9;
+
   std::array<double, kNumResourceTypes> values_;
 };
 

@@ -1,8 +1,11 @@
 #include "src/sched/placement.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <numeric>
+
+#include "src/common/logging.h"
 
 namespace optimus {
 
@@ -22,71 +25,71 @@ const char* PlacementPolicyName(PlacementPolicy policy) {
 
 namespace {
 
-// Keeps servers ordered by free CPU (descending) across many job placements:
-// one lazily-invalidated max-heap of (free_cpu, server index), so placing J
-// jobs on N servers costs O((J * k + updates) log N) instead of re-sorting N
-// servers per job. An entry goes stale when kRackPack's in-rack attempt
-// places onto its server, and placement only ever lowers free CPU, so a
-// stale key over-estimates: re-keying a stale top until it is fresh pops the
-// largest fresh key, ties going to the higher index.
+// Pops servers in descending (free CPU, index) order (ties: higher index
+// first) by merging the state's round-start order with a small lazy max-heap
+// of the servers popped from it, so a round pays for the servers it reaches,
+// not for the cluster. An entry goes stale when kRackPack's in-rack attempt
+// places onto its server; placement only ever lowers free CPU, so a stale key
+// over-estimates, and re-keying a stale top (into the heap) until the larger
+// of the two tops is fresh pops the largest fresh key.
 class ServerHeap {
  public:
-  explicit ServerHeap(std::vector<Server>* servers) : servers_(servers) {
-    heap_.reserve(servers_->size());
-    for (size_t s = 0; s < servers_->size(); ++s) {
-      // Crashed servers never enter the heap; availability does not change
-      // within one PlaceJobs call.
-      if ((*servers_)[s].available()) {
-        heap_.push_back({(*servers_)[s].Free().cpu(), s});
+  ServerHeap(const std::vector<Server>& servers,
+             const std::vector<std::pair<double, size_t>>& order,
+             std::vector<std::pair<double, size_t>>* heap)
+      : servers_(servers), order_(order), heap_(*heap) {
+    heap_.clear();
+  }
+
+  // Pops the most-free server into *out; false when none is left.
+  bool Pop(size_t* out) {
+    while (next_ < order_.size() || !heap_.empty()) {
+      std::pair<double, size_t> top;
+      if (next_ < order_.size() && (heap_.empty() || order_[next_] > heap_.front())) {
+        top = order_[next_++];
+      } else {
+        std::pop_heap(heap_.begin(), heap_.end());
+        top = heap_.back();
+        heap_.pop_back();
       }
-    }
-    std::make_heap(heap_.begin(), heap_.end());
-  }
-
-  // Pops up to `count` distinct servers in descending (free_cpu, index)
-  // order, appending to *out.
-  void PopMostFree(size_t count, std::vector<size_t>* out) {
-    while (out->size() < count && EnsureValidTop()) {
-      std::pop_heap(heap_.begin(), heap_.end());
-      out->push_back(heap_.back().second);
-      heap_.pop_back();
-    }
-  }
-
-  // Returns servers to the heap (with their current free values).
-  void Push(const std::vector<size_t>& servers) {
-    for (size_t s : servers) {
-      heap_.push_back({(*servers_)[s].Free().cpu(), s});
-      std::push_heap(heap_.begin(), heap_.end());
-    }
-  }
-
- private:
-  // Re-keys stale entries until the top is fresh; false when the heap is
-  // drained.
-  bool EnsureValidTop() {
-    while (!heap_.empty()) {
-      const auto [free_cpu, s] = heap_.front();
-      if (free_cpu == (*servers_)[s].Free().cpu()) {
+      if (top.first == FreeCpu(top.second)) {
+        *out = top.second;
         return true;
       }
-      std::pop_heap(heap_.begin(), heap_.end());
-      heap_.back() = {(*servers_)[s].Free().cpu(), s};
-      std::push_heap(heap_.begin(), heap_.end());
+      Push(top.second);  // stale: re-key
     }
     return false;
   }
 
-  std::vector<Server>* servers_;
-  std::vector<std::pair<double, size_t>> heap_;
+  // Returns a popped server (with its current free CPU).
+  void Push(size_t s) {
+    heap_.push_back({FreeCpu(s), s});
+    std::push_heap(heap_.begin(), heap_.end());
+  }
+
+ private:
+  double FreeCpu(size_t s) const { return servers_[s].Free().cpu(); }
+
+  const std::vector<Server>& servers_;
+  const std::vector<std::pair<double, size_t>>& order_;
+  std::vector<std::pair<double, size_t>>& heap_;
+  size_t next_ = 0;  // order_ entries before it have been popped
 };
 
 // Reusable per-job working buffers so steady-state placement allocates
-// nothing per job.
+// nothing per job. Reserve sizes every buffer for the call's largest job.
 struct PackScratch {
+  void Reserve(size_t max_tasks) {
+    candidates.reserve(max_tasks);
+    free.reserve(max_tasks);
+    tentative_used.reserve(max_tasks);
+    tentative_w.reserve(max_tasks);
+    tentative_p.reserve(max_tasks);
+    used.reserve(max_tasks);
+  }
+
   std::vector<size_t> candidates;         // servers to pack onto, in order
   std::vector<Resources> free;            // cached Free() per candidate
-  std::vector<Resources> prefix_free;     // prefix sums of `free`
   std::vector<Resources> tentative_used;  // per-candidate committed demand
   std::vector<int> tentative_w;
   std::vector<int> tentative_p;
@@ -106,7 +109,7 @@ struct PackScratch {
 // fits). PS and worker assignments are interleaved proportionally so both
 // types end up spread. Commits resources and appends the compact triples
 // (ascending server id) on success; servers are untouched on failure.
-bool TryEvenPlacement(const PlacementJobInput& job, int k, std::vector<Server>* servers,
+bool TryEvenPlacement(const PlacementJobInput& job, int k, PlacementState* state,
                       PackScratch* scratch, JobPlacement* placement) {
   const int w = job.alloc.num_workers;
   const int p = job.alloc.num_ps;
@@ -177,7 +180,7 @@ bool TryEvenPlacement(const PlacementJobInput& job, int k, std::vector<Server>* 
     if (tentative_w[i] == 0 && tentative_p[i] == 0) {
       continue;
     }
-    (*servers)[order[i]].Allocate(tentative_used[i]);
+    state->Allocate(order[i], tentative_used[i]);
     used.push_back({static_cast<int>(order[i]), tentative_w[i], tentative_p[i]});
   }
   std::sort(used.begin(), used.end(),
@@ -193,20 +196,16 @@ bool TryEvenPlacement(const PlacementJobInput& job, int k, std::vector<Server>* 
   return true;
 }
 
-// Packs the job onto the smallest k for which the first k of
-// scratch->candidates can host it; returns false when no k works.
-bool PackOntoCandidates(const PlacementJobInput& job, std::vector<Server>* servers,
+// Packs the job onto the smallest k for which the first k candidates can
+// host it; returns false when no k works. Candidates are scratch->candidates
+// and, when `heap` is given, the servers popped from it one at a time as k
+// outgrows them.
+bool PackOntoCandidates(const PlacementJobInput& job, PlacementState* state, ServerHeap* heap,
                         PackScratch* scratch, JobPlacement* placement) {
-  const int tasks = job.alloc.num_workers + job.alloc.num_ps;
-  const int max_k = std::min<int>(static_cast<int>(scratch->candidates.size()), tasks);
-  scratch->free.resize(static_cast<size_t>(max_k));
-  scratch->prefix_free.resize(static_cast<size_t>(max_k));
-  Resources running;
-  for (size_t i = 0; i < static_cast<size_t>(max_k); ++i) {
-    scratch->free[i] = (*servers)[scratch->candidates[i]].Free();
-    running += scratch->free[i];
-    scratch->prefix_free[i] = running;
-  }
+  std::vector<size_t>& candidates = scratch->candidates;
+  const size_t tasks = static_cast<size_t>(job.alloc.num_workers + job.alloc.num_ps);
+  const size_t max_k = heap != nullptr ? tasks : std::min(candidates.size(), tasks);
+  scratch->free.clear();
 
   // Sound lower bound: if the total free capacity of the first k candidates
   // cannot hold the job's whole demand (with a generous slack for the
@@ -218,9 +217,19 @@ bool PackOntoCandidates(const PlacementJobInput& job, std::vector<Server>* serve
   const Resources total_demand =
       job.worker_demand * job.alloc.num_workers + job.ps_demand * job.alloc.num_ps;
   const Resources demand_floor = total_demand * (1.0 - 1e-6);
-  for (int k = 1; k <= max_k; ++k) {
-    if (scratch->prefix_free[static_cast<size_t>(k - 1)].Fits(demand_floor) &&
-        TryEvenPlacement(job, k, servers, scratch, placement)) {
+  Resources prefix_free;
+  for (size_t k = 1; k <= max_k; ++k) {
+    if (candidates.size() < k) {
+      size_t s;
+      if (!heap->Pop(&s)) {
+        return false;
+      }
+      candidates.push_back(s);
+    }
+    scratch->free.push_back(state->servers()[candidates[k - 1]].Free());
+    prefix_free += scratch->free.back();
+    if (prefix_free.Fits(demand_floor) &&
+        TryEvenPlacement(job, static_cast<int>(k), state, scratch, placement)) {
       return true;
     }
   }
@@ -228,17 +237,15 @@ bool PackOntoCandidates(const PlacementJobInput& job, std::vector<Server>* serve
 }
 
 // Places one job under the Optimus scheme: candidates are drawn in
-// descending-availability order (the paper's sort) and the job is packed
-// onto the first k of them for growing k.
-bool PlaceOptimus(const PlacementJobInput& job, std::vector<Server>* servers,
-                  ServerHeap* heap, PackScratch* scratch,
-                  JobPlacement* placement) {
-  const size_t max_k = std::min<size_t>(
-      servers->size(), static_cast<size_t>(job.alloc.num_workers + job.alloc.num_ps));
+// descending-availability order (the paper's sort) as the job is packed onto
+// the first k of them for growing k, then returned to the heap.
+bool PlaceOptimus(const PlacementJobInput& job, PlacementState* state, ServerHeap* heap,
+                  PackScratch* scratch, JobPlacement* placement) {
   scratch->candidates.clear();
-  heap->PopMostFree(max_k, &scratch->candidates);
-  const bool placed = PackOntoCandidates(job, servers, scratch, placement);
-  heap->Push(scratch->candidates);
+  const bool placed = PackOntoCandidates(job, state, heap, scratch, placement);
+  for (size_t s : scratch->candidates) {
+    heap->Push(s);
+  }
   return placed;
 }
 
@@ -248,13 +255,13 @@ bool PlaceOptimus(const PlacementJobInput& job, std::vector<Server>* servers,
 // candidates are its available servers in descending (free_cpu, lower index
 // first) order, packed onto the smallest k that fits. When no single rack
 // can hold the job, falls back to the global Optimus scheme.
-bool PlaceRackAware(const PlacementJobInput& job, int rack_size,
-                    std::vector<Server>* servers, ServerHeap* heap,
-                    PackScratch* scratch, JobPlacement* placement) {
+bool PlaceRackAware(const PlacementJobInput& job, int rack_size, PlacementState* state,
+                    ServerHeap* heap, PackScratch* scratch, JobPlacement* placement) {
   if (rack_size <= 0) {
-    return PlaceOptimus(job, servers, heap, scratch, placement);
+    return PlaceOptimus(job, state, heap, scratch, placement);
   }
-  const int n = static_cast<int>(servers->size());
+  const std::vector<Server>& servers = state->servers();
+  const int n = static_cast<int>(servers.size());
   const int num_racks = (n + rack_size - 1) / rack_size;
 
   std::vector<std::pair<double, int>> rack_order;  // (free cpu sum, rack)
@@ -264,8 +271,8 @@ bool PlaceRackAware(const PlacementJobInput& job, int rack_size,
     const int begin = r * rack_size;
     const int end = std::min(n, begin + rack_size);
     for (int s = begin; s < end; ++s) {
-      if ((*servers)[static_cast<size_t>(s)].available()) {
-        free_sum += (*servers)[static_cast<size_t>(s)].Free().cpu();
+      if (servers[static_cast<size_t>(s)].available()) {
+        free_sum += servers[static_cast<size_t>(s)].Free().cpu();
       }
     }
     rack_order.push_back({free_sum, r});
@@ -279,27 +286,28 @@ bool PlaceRackAware(const PlacementJobInput& job, int rack_size,
     const int begin = r * rack_size;
     const int end = std::min(n, begin + rack_size);
     for (int s = begin; s < end; ++s) {
-      if ((*servers)[static_cast<size_t>(s)].available()) {
+      if (servers[static_cast<size_t>(s)].available()) {
         candidates.push_back(static_cast<size_t>(s));
       }
     }
     std::stable_sort(candidates.begin(), candidates.end(), [&](size_t a, size_t b) {
-      return (*servers)[a].Free().cpu() > (*servers)[b].Free().cpu();
+      return servers[a].Free().cpu() > servers[b].Free().cpu();
     });
-    if (PackOntoCandidates(job, servers, scratch, placement)) {
+    if (PackOntoCandidates(job, state, /*heap=*/nullptr, scratch, placement)) {
       return true;
     }
   }
   // No rack can hold the job alone: spill across racks the Theorem-1 way.
-  return PlaceOptimus(job, servers, heap, scratch, placement);
+  return PlaceOptimus(job, state, heap, scratch, placement);
 }
 
 enum class PickRule { kMostFree, kTightestFit };
 
 // Places a job one task at a time using a server-picking rule; rolls back on
 // failure so the servers are unchanged when false is returned.
-bool PlacePerTask(const PlacementJobInput& job, PickRule rule,
-                  std::vector<Server>* servers, JobPlacement* placement) {
+bool PlacePerTask(const PlacementJobInput& job, PickRule rule, PlacementState* state,
+                  JobPlacement* placement) {
+  const std::vector<Server>& servers = state->servers();
   struct Step {
     size_t server;
     Resources demand;
@@ -312,8 +320,8 @@ bool PlacePerTask(const PlacementJobInput& job, PickRule rule,
     double best_key = rule == PickRule::kMostFree
                           ? -std::numeric_limits<double>::infinity()
                           : std::numeric_limits<double>::infinity();
-    for (size_t s = 0; s < servers->size(); ++s) {
-      const Server& server = (*servers)[s];
+    for (size_t s = 0; s < servers.size(); ++s) {
+      const Server& server = servers[s];
       if (!server.CanFit(demand)) {
         continue;
       }
@@ -336,7 +344,7 @@ bool PlacePerTask(const PlacementJobInput& job, PickRule rule,
       if (s < 0) {
         return false;
       }
-      (*servers)[static_cast<size_t>(s)].Allocate(demand);
+      state->Allocate(static_cast<size_t>(s), demand);
       committed.push_back({static_cast<size_t>(s), demand, is_ps});
     }
     return true;
@@ -359,37 +367,112 @@ bool PlacePerTask(const PlacementJobInput& job, PickRule rule,
     return true;
   }
   for (const Step& step : committed) {
-    (*servers)[step.server].Release(step.demand);
+    state->Release(step.server, step.demand);
   }
   return false;
 }
 
 }  // namespace
 
+void PlacementState::BeginRound(const std::vector<Server>& base, double background_share) {
+  const auto preoccupy = [background_share](Server* server) {
+    if (background_share > 0.0 && server->available()) {
+      server->Allocate(server->capacity() * background_share);
+    }
+  };
+  if (!built_ || background_share != background_share_) {
+    servers_ = base;
+    for (Server& server : servers_) {
+      preoccupy(&server);
+    }
+    background_share_ = background_share;
+    built_ = true;
+    Build();
+    return;
+  }
+  for (size_t s : touched_) {
+    servers_[s] = base[s];
+    preoccupy(&servers_[s]);
+    is_touched_[s] = false;
+  }
+  touched_.clear();
+  round_open_ = true;
+}
+
+void PlacementState::Build() {
+  total_capacity_ = TotalCapacity(servers_);
+  order_.clear();
+  order_.reserve(servers_.size());
+  for (size_t s = 0; s < servers_.size(); ++s) {
+    if (servers_[s].available()) {
+      order_.push_back({servers_[s].Free().cpu(), s});
+    }
+  }
+  std::sort(order_.begin(), order_.end(), std::greater<>());
+  heap_.reserve(order_.size());
+  touched_.clear();
+  touched_.reserve(servers_.size());
+  is_touched_.assign(servers_.size(), false);
+  round_open_ = true;
+}
+
+void PlacementState::Allocate(size_t s, const Resources& demand) {
+  servers_[s].Allocate(demand);
+  Touch(s);
+}
+
+void PlacementState::Release(size_t s, const Resources& demand) {
+  servers_[s].Release(demand);
+  Touch(s);
+}
+
+void PlacementState::Touch(size_t s) {
+  if (!is_touched_[s]) {
+    is_touched_[s] = true;
+    touched_.push_back(s);
+  }
+}
+
 std::vector<PlacedJob> PlaceJobs(PlacementPolicy policy,
                                  const std::vector<PlacementJobInput>& jobs,
-                                 std::vector<Server>* servers_in, bool shrink_to_fit,
+                                 std::vector<Server>* servers, bool shrink_to_fit,
                                  int rack_size) {
+  PlacementState state;
+  state.servers_ = std::move(*servers);
+  state.Build();
+  std::vector<PlacedJob> result = PlaceJobs(policy, jobs, &state, shrink_to_fit, rack_size);
+  *servers = std::move(state.servers_);
+  return result;
+}
+
+std::vector<PlacedJob> PlaceJobs(PlacementPolicy policy,
+                                 const std::vector<PlacementJobInput>& jobs,
+                                 PlacementState* state, bool shrink_to_fit, int rack_size) {
+  OPTIMUS_CHECK(state->round_open_) << "PlaceJobs needs a BeginRound since its last call";
+  state->round_open_ = false;
   std::vector<PlacedJob> result(jobs.size());
-  std::vector<Server>& servers = *servers_in;
 
   // Smallest jobs first (total dominant footprint) to avoid starving them.
   // Each footprint is computed once, before the sort.
-  const Resources capacity = TotalCapacity(servers);
+  const Resources& capacity = state->total_capacity_;
   std::vector<double> footprint(jobs.size());
+  size_t max_tasks = 0;
   for (size_t i = 0; i < jobs.size(); ++i) {
     const PlacementJobInput& job = jobs[i];
     const Resources total = job.worker_demand * job.alloc.num_workers +
                             job.ps_demand * job.alloc.num_ps;
     footprint[i] = total.DominantShare(capacity);
+    max_tasks =
+        std::max(max_tasks, static_cast<size_t>(job.alloc.num_workers + job.alloc.num_ps));
   }
   std::vector<size_t> job_order(jobs.size());
   std::iota(job_order.begin(), job_order.end(), 0);
   std::stable_sort(job_order.begin(), job_order.end(),
                    [&](size_t a, size_t b) { return footprint[a] < footprint[b]; });
 
-  ServerHeap heap(&servers);
+  ServerHeap heap(state->servers_, state->order_, &state->heap_);
   PackScratch scratch;
+  scratch.Reserve(max_tasks);
   for (size_t idx : job_order) {
     PlacementJobInput job = jobs[idx];
     if (!ActiveAllocation(job.alloc, job.comm)) {
@@ -404,16 +487,16 @@ std::vector<PlacedJob> PlaceJobs(PlacementPolicy policy,
     while (true) {
       switch (policy) {
         case PlacementPolicy::kOptimusPack:
-          placed = PlaceOptimus(job, &servers, &heap, &scratch, placement);
+          placed = PlaceOptimus(job, state, &heap, &scratch, placement);
           break;
         case PlacementPolicy::kLoadBalance:
-          placed = PlacePerTask(job, PickRule::kMostFree, &servers, placement);
+          placed = PlacePerTask(job, PickRule::kMostFree, state, placement);
           break;
         case PlacementPolicy::kTetrisPack:
-          placed = PlacePerTask(job, PickRule::kTightestFit, &servers, placement);
+          placed = PlacePerTask(job, PickRule::kTightestFit, state, placement);
           break;
         case PlacementPolicy::kRackPack:
-          placed = PlaceRackAware(job, rack_size, &servers, &heap, &scratch, placement);
+          placed = PlaceRackAware(job, rack_size, state, &heap, &scratch, placement);
           break;
       }
       if (placed || !shrink_to_fit ||

@@ -948,6 +948,7 @@ bool Simulator::ApplyServerEdges(bool* slow_changed) {
   const FaultInjector::IntervalFaults faults = faults_->Advance(now_s_);
   if (!faults.recovered.empty() || !faults.crashed.empty()) {
     placeable_cap_valid_ = false;  // availability changed
+    placement_state_.Invalidate();
   }
   *slow_changed = faults.slow_factor != cluster_slow_factor_;
   if (*slow_changed) {
@@ -1158,18 +1159,10 @@ void Simulator::ScheduleActiveJobs() {
   Resources capacity;
   CollectRoundInputs(&schedulable, &frozen, &capacity);
 
-  // Pre-occupy the background-workload reservation on every server (the
-  // capacity shrink already happened in CollectRoundInputs).
-  const double bg_share = BackgroundShare(now_s_);
-  servers_scratch_ = servers_;
-  std::vector<Server>& servers = servers_scratch_;
-  if (bg_share > 0.0) {
-    for (Server& s : servers) {
-      if (s.available()) {
-        s.Allocate(s.capacity() * bg_share);
-      }
-    }
-  }
+  // Start the placement round: restore the servers the last round touched,
+  // with the background-workload reservation pre-occupied on every server
+  // (the capacity shrink already happened in CollectRoundInputs).
+  placement_state_.BeginRound(servers_, BackgroundShare(now_s_));
 
   // Serial: a scheduler view is a few closures and a memoized estimate, too
   // little work per job for a pool fan-out to pay for its dispatch.
@@ -1233,7 +1226,7 @@ void Simulator::ScheduleActiveJobs() {
     inputs.push_back(
         {spec.id, alloc[i], spec.worker_demand, spec.ps_demand, spec.comm});
   }
-  std::vector<PlacedJob> placed = PlaceJobs(config_.placement, inputs, &servers,
+  std::vector<PlacedJob> placed = PlaceJobs(config_.placement, inputs, &placement_state_,
                                             /*shrink_to_fit=*/true, config_.rack_size);
 
   // Apply decisions in job order. `frozen` and `schedulable` are each in job

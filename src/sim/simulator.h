@@ -545,9 +545,12 @@ class Simulator {
 
   SimulatorConfig config_;
   std::vector<Server> servers_;
-  // Scratch copy of servers_ for each scheduling round's placement pass;
-  // element-wise refreshed so its heap allocation is made once.
-  std::vector<Server> servers_scratch_;
+  // Placement's working copy of servers_ under the round's background share,
+  // kept across rounds: a round restores only the servers the last one
+  // touched. Built at the first round and rebuilt after an availability edge
+  // (ApplyServerEdges invalidates it) or a background-share change; a cache,
+  // never serialized.
+  PlacementState placement_state_;
   // PlaceableCapacity(servers_, demand) memo: servers_ only changes
   // placement-relevant state (availability) on fault edges, which invalidate
   // the memo; a different reference demand recomputes it.

@@ -1,14 +1,16 @@
-// Golden-trace regression: one small fixed workload, run under a fixed fault
-// plan, must reproduce a committed metrics snapshot bit for bit. Any change
+// Golden-trace regression: small fixed workloads, run under fixed fault
+// plans, must reproduce committed metrics snapshots bit for bit. Any change
 // to scheduling, fault handling, RNG consumption order, or metrics
 // accounting shows up here as a readable diff instead of a silent drift.
+// The second golden runs a time-varying background share under rack-aware
+// placement on both engines, at 1 and 4 threads.
 //
-// Regenerating the golden after an INTENDED behavior change:
+// Regenerating the goldens after an INTENDED behavior change:
 //
 //   OPTIMUS_REGEN_GOLDEN=1 ./build/tests/golden_trace_test
 //
-// then commit tests/golden/fault_trace.json together with the change that
-// moved it. The snapshot prints doubles with 17 significant digits, so it
+// then commit tests/golden/fault_trace.json and background_trace.json
+// together with the change that moved them. The snapshot prints doubles with 17 significant digits, so it
 // round-trips exactly; the RNG is std::mt19937_64 with libstdc++'s
 // distributions, which is stable across runs and thread counts on the
 // toolchain CI uses (a different standard library may legitimately produce a
@@ -25,6 +27,7 @@
 
 #include "src/cluster/server.h"
 #include "src/common/rng.h"
+#include "src/sim/experiment.h"
 #include "src/sim/fault_injector.h"
 #include "src/sim/simulator.h"
 #include "src/sim/trace.h"
@@ -38,6 +41,8 @@ namespace optimus {
 namespace {
 
 constexpr char kGoldenPath[] = OPTIMUS_SOURCE_DIR "/tests/golden/fault_trace.json";
+constexpr char kBackgroundGoldenPath[] =
+    OPTIMUS_SOURCE_DIR "/tests/golden/background_trace.json";
 
 // The pinned scenario: 6 jobs on the paper's testbed with a crash, a rack
 // outage, a slowdown burst, task failures, and periodic checkpoints.
@@ -102,6 +107,58 @@ std::string Snapshot(const RunMetrics& m, const EventTrace& trace) {
   return os.str();
 }
 
+// A time-varying background reservation under rack-aware placement: every
+// round pre-occupies a different share of each server, two servers crash and
+// recover, and jobs too large for one 8-server rack spill across racks. The
+// cluster mixes two server sizes so free-CPU ties and rack totals vary.
+std::unique_ptr<Simulator> MakeBackgroundScenario(SimEngine engine, int threads) {
+  SimulatorConfig config;
+  config.seed = 11;
+  config.engine = engine;
+  config.threads = threads;
+  config.max_sim_time_s = 2e5;
+  std::string error;
+  EXPECT_TRUE(ApplySchedulerPolicy("optimus_rack", &config, &error)) << error;
+  config.rack_size = 8;
+  config.background_share = 0.5;
+  config.background_period_s = 5400.0;
+  EXPECT_TRUE(ParseFaultPlan("crash@1800:server=3,recover=6000;"
+                             "crash@4800:server=17,recover=9600",
+                             &config.fault.plan, &error))
+      << error;
+  config.audit = true;
+
+  std::vector<Server> servers;
+  for (int s = 0; s < 32; ++s) {
+    servers.emplace_back(s, s % 3 == 0 ? Resources(12, 64, 0, 1) : Resources(16, 80, 0, 1));
+  }
+  WorkloadConfig workload;
+  workload.num_jobs = 48;
+  workload.arrival_window_s = 9000.0;
+  workload.target_steps_per_epoch = 50;
+  Rng rng(config.seed ^ 0x5eedULL);
+  return std::make_unique<Simulator>(config, std::move(servers),
+                                     GenerateWorkload(workload, &rng));
+}
+
+// Both engines' snapshots plus each run's full-trace digest, in one object.
+std::string BackgroundSnapshot(int threads) {
+  std::ostringstream os;
+  os << "{\n";
+  for (const SimEngine engine : {SimEngine::kInterval, SimEngine::kEvents}) {
+    std::unique_ptr<Simulator> sim = MakeBackgroundScenario(engine, threads);
+    const RunMetrics metrics = sim->Run();
+    std::string snapshot = Snapshot(metrics, sim->trace());
+    snapshot.pop_back();
+    os << (engine == SimEngine::kInterval ? "" : ",\n") << "\"" << SimEngineName(engine)
+       << "\": " << snapshot << ",\n\"" << SimEngineName(engine)
+       << "_trace\": {\"records\": " << sim->trace().size() << ", \"digest\": \"" << std::hex
+       << sim->trace().digest() << std::dec << "\"}";
+  }
+  os << "\n}\n";
+  return os.str();
+}
+
 TEST(GoldenTraceTest, FaultedRunMatchesCommittedSnapshot) {
   std::unique_ptr<Simulator> sim = MakePinnedScenario();
   const RunMetrics metrics = sim->Run();
@@ -137,6 +194,26 @@ TEST(GoldenTraceTest, PinnedScenarioExercisesTheFaultPath) {
   EXPECT_GT(metrics.checkpoints_taken, 0);
   EXPECT_GT(metrics.audit_checks, 0);
   EXPECT_EQ(metrics.audit_violations, 0) << sim->auditor().Summary();
+}
+
+TEST(GoldenTraceTest, BackgroundShareRunMatchesCommittedSnapshot) {
+  if (std::getenv("OPTIMUS_REGEN_GOLDEN") != nullptr) {
+    std::ofstream os(kBackgroundGoldenPath);
+    ASSERT_TRUE(os.good()) << "cannot write " << kBackgroundGoldenPath;
+    os << BackgroundSnapshot(/*threads=*/1);
+    GTEST_SKIP() << "regenerated " << kBackgroundGoldenPath;
+  }
+  std::ifstream in(kBackgroundGoldenPath);
+  ASSERT_TRUE(in.good()) << "missing golden " << kBackgroundGoldenPath
+                         << " — run with OPTIMUS_REGEN_GOLDEN=1 to create it";
+  std::stringstream contents;
+  contents << in.rdbuf();
+  const std::string golden = contents.str();
+  for (const int threads : {1, 4}) {
+    EXPECT_EQ(BackgroundSnapshot(threads), golden)
+        << "threads=" << threads << ": the background-share run drifted from "
+        << kBackgroundGoldenPath;
+  }
 }
 
 }  // namespace

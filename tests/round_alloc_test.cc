@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,10 +28,12 @@ namespace {
 
 std::atomic<bool> g_counting{false};
 std::atomic<int64_t> g_allocations{0};
+std::atomic<int64_t> g_bytes{0};
 
 void* CountedAlloc(size_t size) noexcept {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(static_cast<int64_t>(size), std::memory_order_relaxed);
   }
   return std::malloc(size == 0 ? 1 : size);
 }
@@ -38,6 +41,7 @@ void* CountedAlloc(size_t size) noexcept {
 void* CountedAlignedAlloc(size_t size, std::align_val_t align) noexcept {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(static_cast<int64_t>(size), std::memory_order_relaxed);
   }
   const size_t a = static_cast<size_t>(align);
   return std::aligned_alloc(a, (size + a - 1) / a * a);
@@ -84,11 +88,13 @@ void operator delete[](void* p, size_t, std::align_val_t) noexcept { CountedFree
 namespace optimus {
 namespace {
 
-// Counts the heap allocations made between construction and Stop().
+// Counts the heap allocations (and their bytes) made between construction
+// and Stop().
 class AllocationCount {
  public:
   AllocationCount() {
     g_allocations.store(0);
+    g_bytes.store(0);
     g_counting.store(true);
   }
   ~AllocationCount() { g_counting.store(false); }
@@ -96,6 +102,7 @@ class AllocationCount {
     g_counting.store(false);
     return g_allocations.load();
   }
+  int64_t bytes() const { return g_bytes.load(); }
 };
 
 JobPlacement Spread(int first_server, int num_servers) {
@@ -146,7 +153,8 @@ TEST(RoundAllocTest, AuditorReplacementAllocatesNothing) {
   EXPECT_TRUE(auditor.ok()) << auditor.Summary();
 }
 
-TEST(RoundAllocTest, OptimusPackAllocatesOnlyThePlacements) {
+// 500 jobs of 2 to 8 tasks, every one placeable on the clusters below.
+std::vector<PlacementJobInput> PackJobs() {
   std::vector<PlacementJobInput> jobs;
   for (int j = 0; j < 500; ++j) {
     PlacementJobInput job;
@@ -156,6 +164,19 @@ TEST(RoundAllocTest, OptimusPackAllocatesOnlyThePlacements) {
     job.ps_demand = Resources(2.5, 10, 0, 0.15);
     jobs.push_back(job);
   }
+  return jobs;
+}
+
+int64_t NumPlaced(const std::vector<PlacedJob>& placed) {
+  int64_t num_placed = 0;
+  for (const PlacedJob& p : placed) {
+    num_placed += p.placed ? 1 : 0;
+  }
+  return num_placed;
+}
+
+TEST(RoundAllocTest, OptimusPackAllocatesOnlyThePlacements) {
+  const std::vector<PlacementJobInput> jobs = PackJobs();
   std::vector<Server> servers = BuildUniformCluster(2000, Resources(16, 80, 0, 1));
 
   AllocationCount count;
@@ -163,13 +184,36 @@ TEST(RoundAllocTest, OptimusPackAllocatesOnlyThePlacements) {
       PlaceJobs(PlacementPolicy::kOptimusPack, jobs, &servers);
   const int64_t allocations = count.Stop();
 
-  int64_t num_placed = 0;
-  for (const PlacedJob& p : placed) {
-    num_placed += p.placed ? 1 : 0;
-  }
+  const int64_t num_placed = NumPlaced(placed);
   ASSERT_EQ(num_placed, 500);
   EXPECT_LE(allocations, 3 * num_placed + 32)
       << allocations << " allocations for " << num_placed << " placed jobs";
+}
+
+// A round on a state kept from the previous round neither copies the cluster
+// nor allocates any buffer sized by it: its allocations are those of the
+// placements, and its bytes stay below one server-indexed order.
+TEST(RoundAllocTest, PersistentStateRoundAllocatesOnlyThePlacements) {
+  constexpr size_t kServers = 20000;
+  const std::vector<PlacementJobInput> jobs = PackJobs();
+  const std::vector<Server> base =
+      BuildUniformCluster(static_cast<int>(kServers), Resources(16, 80, 0, 1));
+  PlacementState state;
+  state.BeginRound(base, 0.0);
+  ASSERT_EQ(NumPlaced(PlaceJobs(PlacementPolicy::kOptimusPack, jobs, &state)), 500);
+
+  AllocationCount count;
+  state.BeginRound(base, 0.0);
+  const std::vector<PlacedJob> placed = PlaceJobs(PlacementPolicy::kOptimusPack, jobs, &state);
+  const int64_t allocations = count.Stop();
+
+  const int64_t num_placed = NumPlaced(placed);
+  ASSERT_EQ(num_placed, 500);
+  EXPECT_LE(allocations, 3 * num_placed + 32)
+      << allocations << " allocations for " << num_placed << " placed jobs";
+  EXPECT_LT(count.bytes(),
+            static_cast<int64_t>(kServers * sizeof(std::pair<double, size_t>)))
+      << count.bytes() << " bytes allocated by the second round";
 }
 
 TEST(RoundAllocTest, OptimusAllocatorStaysWithinFourPerJob) {

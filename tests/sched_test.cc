@@ -635,5 +635,90 @@ TEST(PlacementTest, OptimusPackMatchesResortReference) {
   EXPECT_GT(fallbacks, 0);
 }
 
+// A state kept across rounds must reproduce, round for round, PlaceJobs on a
+// fresh copy of the round-start servers. It restores only the servers the
+// last round touched, including the per-task policies' rolled-back attempts
+// (with these demands (u + d) - d need not equal u bitwise), and rebuilds
+// when a server goes down or up or the background share moves.
+TEST(PlacementTest, PersistentStateMatchesFreshCopyAcrossRounds) {
+  constexpr int kServers = 48;
+  constexpr int kRounds = 24;
+  const std::array<double, 4> shares = {0.0, 0.23, 0.29, 0.31};
+  int rack_rounds_mixed = 0;  // rack-pack rounds with in-rack jobs and spills
+  for (const auto& [policy, rack_size] : {std::pair{PlacementPolicy::kOptimusPack, 0},
+                                          std::pair{PlacementPolicy::kLoadBalance, 0},
+                                          std::pair{PlacementPolicy::kTetrisPack, 0},
+                                          std::pair{PlacementPolicy::kRackPack, 4}}) {
+    Rng rng(31 + static_cast<uint64_t>(policy));
+    std::vector<Server> base;
+    for (int s = 0; s < kServers; ++s) {
+      base.emplace_back(s, s % 3 == 0 ? Resources(12, 64, 0, 1) : Resources(16, 80, 0, 1));
+    }
+    PlacementState state;
+    double share = 0.0;
+    for (int round = 0; round < kRounds; ++round) {
+      const std::string label =
+          std::string(PlacementPolicyName(policy)) + " round " + std::to_string(round);
+      if (round > 0 && rng.Bernoulli(0.4)) {
+        Server& flipped = base[static_cast<size_t>(rng.UniformInt(0, kServers - 1))];
+        flipped.SetAvailable(!flipped.available());
+        state.Invalidate();
+      }
+      if (rng.Bernoulli(0.3)) {
+        share = shares[static_cast<size_t>(rng.UniformInt(0, 3))];
+      }
+      std::vector<PlacementJobInput> jobs;
+      const int num_jobs = static_cast<int>(rng.UniformInt(8, 24));
+      for (int j = 0; j < num_jobs; ++j) {
+        jobs.push_back(PJob(j, static_cast<int>(rng.UniformInt(1, 6)),
+                            static_cast<int>(rng.UniformInt(1, 16)),
+                            1.3 + 0.1 * static_cast<double>(rng.UniformInt(0, 12))));
+        jobs.back().ps_demand = Resources(1.9, 6.1, 0, 0.03);
+      }
+      // Its workers need a GPU no server has, so each per-task attempt
+      // commits PS tasks and rolls them back.
+      jobs.push_back(PJob(num_jobs, 6, 1, 2.5));
+      jobs.back().worker_demand = Resources(2.5, 10, 1, 0.1);
+      jobs.back().ps_demand = Resources(1.9, 6.1, 0, 0.03);
+
+      std::vector<Server> fresh = base;
+      for (Server& server : fresh) {
+        if (share > 0.0 && server.available()) {
+          server.Allocate(server.capacity() * share);
+        }
+      }
+      const std::vector<PlacedJob> want =
+          PlaceJobs(policy, jobs, &fresh, /*shrink_to_fit=*/true, rack_size);
+      state.BeginRound(base, share);
+      const std::vector<PlacedJob> got =
+          PlaceJobs(policy, jobs, &state, /*shrink_to_fit=*/true, rack_size);
+
+      ASSERT_EQ(got.size(), want.size()) << label;
+      bool in_rack = false;
+      bool spilled = false;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].placed, want[i].placed) << label << " job " << i;
+        EXPECT_TRUE(got[i].alloc == want[i].alloc) << label << " job " << i;
+        EXPECT_EQ(got[i].placement.used_servers, want[i].placement.used_servers) << label;
+        EXPECT_EQ(got[i].placement.used_workers, want[i].placement.used_workers) << label;
+        EXPECT_EQ(got[i].placement.used_ps, want[i].placement.used_ps) << label;
+        const std::vector<int>& used = got[i].placement.used_servers;
+        if (rack_size > 0 && !used.empty()) {
+          const bool one_rack = used.front() / rack_size == used.back() / rack_size;
+          in_rack |= one_rack;
+          spilled |= !one_rack;
+        }
+      }
+      for (size_t s = 0; s < fresh.size(); ++s) {
+        EXPECT_EQ(state.servers()[s].available(), fresh[s].available()) << label << " " << s;
+        EXPECT_TRUE(state.servers()[s].Free() == fresh[s].Free()) << label << " server " << s;
+      }
+      // A spill after in-rack placements pops servers whose keys went stale.
+      rack_rounds_mixed += in_rack && spilled ? 1 : 0;
+    }
+  }
+  EXPECT_GT(rack_rounds_mixed, 0);
+}
+
 }  // namespace
 }  // namespace optimus
