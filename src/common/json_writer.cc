@@ -1,9 +1,11 @@
 #include "src/common/json_writer.h"
 
+#include <array>
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -11,33 +13,95 @@
 
 namespace optimus {
 
-std::string EncodeJsonString(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
+namespace {
+
+// Encoded width of each byte inside a JSON string: 1 for bytes copied as-is,
+// 2 for the short escapes (\", \\, \n, \t), 6 for \u00XX (every other
+// byte below 0x20).
+constexpr std::array<uint8_t, 256> kEscapedWidth = [] {
+  std::array<uint8_t, 256> width{};
+  for (int c = 0; c < 256; ++c) {
+    width[c] = c < 0x20 ? 6 : 1;
+  }
+  width['"'] = width['\\'] = width['\n'] = width['\t'] = 2;
+  return width;
+}();
+
+// EncodeJsonString appended to `out`: one pass sizes the encoding, a second
+// copies each run of unescaped bytes in bulk.
+void AppendJsonString(const std::string& s, std::string* out) {
+  size_t encoded = 2;
+  for (const char c : s) {
+    encoded += kEscapedWidth[static_cast<unsigned char>(c)];
+  }
+  const size_t start = out->size();
+  out->resize(start + encoded);
+  char* w = out->data() + start;
+  *w++ = '"';
+  const char* run = s.data();  // first byte not yet copied
+  const char* const end = s.data() + s.size();
+  for (const char* p = run; p != end; ++p) {
+    const unsigned char c = static_cast<unsigned char>(*p);
+    if (kEscapedWidth[c] == 1) {
+      continue;
+    }
+    std::memcpy(w, run, static_cast<size_t>(p - run));
+    w += p - run;
+    run = p + 1;
+    *w++ = '\\';
     switch (c) {
       case '"':
-        out += "\\\"";
-        break;
       case '\\':
-        out += "\\\\";
+        *w++ = static_cast<char>(c);
         break;
       case '\n':
-        out += "\\n";
+        *w++ = 'n';
         break;
       case '\t':
-        out += "\\t";
+        *w++ = 't';
         break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+        *w++ = 'u';
+        *w++ = '0';
+        *w++ = '0';
+        *w++ = "0123456789abcdef"[c >> 4];
+        *w++ = "0123456789abcdef"[c & 0xf];
     }
   }
-  out += '"';
+  std::memcpy(w, run, static_cast<size_t>(end - run));
+  w += end - run;
+  *w = '"';
+}
+
+// CompactJson appended to `out`.
+void AppendCompactJson(const std::string& encoded, std::string* out) {
+  bool in_string = false;
+  for (size_t i = 0; i < encoded.size(); ++i) {
+    const char c = encoded[i];
+    if (in_string) {
+      *out += c;
+      if (c == '\\' && i + 1 < encoded.size()) {
+        *out += encoded[++i];
+      } else if (c == '"') {
+        in_string = false;
+      }
+      continue;
+    }
+    if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
+      continue;
+    }
+    *out += c;
+    if (c == '"') {
+      in_string = true;
+    }
+  }
+}
+
+}  // namespace
+
+std::string EncodeJsonString(const std::string& s) {
+  std::string out;
+  AppendJsonString(s, &out);
   return out;
 }
 
@@ -61,26 +125,7 @@ std::string EncodeJsonDouble(double value) {
 std::string CompactJson(const std::string& encoded) {
   std::string out;
   out.reserve(encoded.size());
-  bool in_string = false;
-  for (size_t i = 0; i < encoded.size(); ++i) {
-    const char c = encoded[i];
-    if (in_string) {
-      out += c;
-      if (c == '\\' && i + 1 < encoded.size()) {
-        out += encoded[++i];
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-      continue;
-    }
-    out += c;
-    if (c == '"') {
-      in_string = true;
-    }
-  }
+  AppendCompactJson(encoded, &out);
   return out;
 }
 
@@ -179,14 +224,32 @@ void JsonObject::Set(const std::string& key, const std::vector<std::string>& val
 }
 
 std::string JsonObject::ToCompactString() const {
-  std::string out = "{";
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    if (i > 0) {
-      out += ",";
-    }
-    out += EncodeJsonString(entries_[i].first) + ":" + CompactJson(entries_[i].second);
+  // Compaction never grows a value and escaping at most sextuples a key, so
+  // this bound sizes the output once.
+  size_t bound = 2;  // braces
+  for (const auto& [key, value] : entries_) {
+    bound += 2 + (2 + 6 * key.size()) + value.size();  // comma, colon, key, value
   }
-  out += "}";
+  std::string out;
+  out.reserve(bound);
+  out += '{';
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    const std::string& value = entries_[i].second;
+    if (i > 0) {
+      out += ',';
+    }
+    AppendJsonString(entries_[i].first, &out);
+    out += ':';
+    // A value that starts and ends with '"' is one encoded string token
+    // (only Set(string) and Set(const char*) make one), on which compaction
+    // is the identity: copy it verbatim.
+    if (value.size() >= 2 && value.front() == '"' && value.back() == '"') {
+      out += value;
+    } else {
+      AppendCompactJson(value, &out);
+    }
+  }
+  out += '}';
   return out;
 }
 

@@ -16,7 +16,10 @@
 
 namespace optimus {
 
-// JSON-escapes `s` and wraps it in double quotes.
+// JSON-escapes `s` and wraps it in double quotes. '"', '\\', '\n' and '\t' take
+// their short escapes, every other byte below 0x20 takes \u00XX, and all other
+// bytes (0x80 and above included) are copied. One pass sizes the output, a
+// second copies each run of unescaped bytes in bulk.
 std::string EncodeJsonString(const std::string& s);
 
 // Appends `value` exactly as printf("%.17g") prints it in the C locale, via
@@ -55,7 +58,12 @@ class JsonObject {
   std::string ToString(int indent = 0) const;
 
   // Single-line serialization with no whitespace, for NDJSON streams: one
-  // response per line means a reader can frame on '\n' alone.
+  // response per line means a reader can frame on '\n' alone. The output is
+  // sized once and each entry written in place. A value that starts and ends
+  // with '"' is one string token (only the string Sets make one, and
+  // CompactJson is the identity on it), so it is copied verbatim: a large
+  // string payload costs its one escape pass in Set and a copy here. Objects
+  // and arrays still go through CompactJson.
   std::string ToCompactString() const;
 
  private:

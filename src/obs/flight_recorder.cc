@@ -73,31 +73,48 @@ void FlightRecorder::Dump(std::ostream& os) const {
   }
 }
 
+namespace {
+
+// One event as a JSON object, the array's element text without its indent.
+void EncodeEvent(const FlightEvent& e, std::string* out) {
+  *out += "{\"seq\": ";
+  AppendInt(e.seq, out);
+  *out += ", \"time_s\": ";
+  AppendDouble17(e.time_s, out);
+  *out += ", \"kind\": \"";
+  *out += SimEventTypeName(e.kind);
+  *out += "\", \"job\": ";
+  AppendInt(e.job_id, out);
+  *out += ", \"ps\": ";
+  AppendInt(e.num_ps, out);
+  *out += ", \"workers\": ";
+  AppendInt(e.num_workers, out);
+  *out += ", \"value\": ";
+  AppendDouble17(e.value, out);
+  *out += ", \"detail\": \"";
+  obs_internal::AppendEscapedJson(e.detail, out);
+  *out += "\"}";
+}
+
+}  // namespace
+
 void FlightRecorder::AppendJson(std::string* out, int indent) const {
   const std::string pad(static_cast<size_t>(indent) * 2, ' ');
-  *out += '[';
   const uint64_t first = next_seq_ - size();  // oldest retained sequence number
+  encoded_.resize(ring_.size());
+  *out += '[';
   for (uint64_t s = first; s < next_seq_; ++s) {
-    const FlightEvent& e = ring_[static_cast<size_t>(s % capacity_)];
+    const size_t index = static_cast<size_t>(s % capacity_);
+    EncodedEvent& slot = encoded_[index];
+    if (slot.seq != s) {
+      slot.seq = s;
+      slot.json.clear();
+      EncodeEvent(ring_[index], &slot.json);
+    }
     *out += s == first ? "\n" : ",\n";
     *out += pad;
-    *out += "  {\"seq\": ";
-    AppendInt(e.seq, out);
-    *out += ", \"time_s\": ";
-    AppendDouble17(e.time_s, out);
-    *out += ", \"kind\": \"";
-    *out += SimEventTypeName(e.kind);
-    *out += "\", \"job\": ";
-    AppendInt(e.job_id, out);
-    *out += ", \"ps\": ";
-    AppendInt(e.num_ps, out);
-    *out += ", \"workers\": ";
-    AppendInt(e.num_workers, out);
-    *out += ", \"value\": ";
-    AppendDouble17(e.value, out);
-    *out += ", \"detail\": \"";
-    obs_internal::AppendEscapedJson(e.detail, out);
-    *out += "\"}";
+    *out += "  ";
+    *out += slot.json;
   }
   if (first < next_seq_) {
     *out += '\n';

@@ -63,12 +63,25 @@ class FlightRecorder {
   // are locale-independent (see src/obs/text_format.h).
   void WriteJson(std::ostream& os, int indent = 0) const;
   // The same array appended to `out`, for exporters that build one string.
+  // Each event is encoded at the first export that sees it and its text kept
+  // per ring slot, so an export re-encodes only the events recorded since the
+  // previous one. That cache is written by const exports: one recorder must
+  // not be exported from two threads at once (every export site is serial).
   void AppendJson(std::string* out, int indent = 0) const;
 
  private:
+  // The JSON text of the event in one ring slot, without indent; `seq` is
+  // the event it encodes (kNoEvent until the first export).
+  struct EncodedEvent {
+    static constexpr uint64_t kNoEvent = ~uint64_t{0};
+    uint64_t seq = kNoEvent;
+    std::string json;
+  };
+
   size_t capacity_;
   uint64_t next_seq_ = 0;
   std::vector<FlightEvent> ring_;  // slot = seq % capacity
+  mutable std::vector<EncodedEvent> encoded_;  // parallel to ring_
 };
 
 }  // namespace optimus

@@ -78,12 +78,13 @@ BlockAssignment PaaAssigner::Assign(const ParamBlockSizes& blocks, int num_ps,
   const double avg_size = static_cast<double>(total) / num_ps;
   const double tiny_cutoff = tiny_fraction_ * avg_size;
 
-  // Process blocks in decreasing order of size (stable on block id so the
-  // assignment is deterministic).
+  // Process blocks in decreasing order of size, ties by ascending block id:
+  // the permutation a stable sort by size gives, without its buffer.
   std::vector<int> order(blocks.size());
   std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](int a, int b) { return blocks[a] > blocks[b]; });
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    return blocks[a] != blocks[b] ? blocks[a] > blocks[b] : a < b;
+  });
 
   std::vector<int64_t> assigned(num_ps, 0);
   std::vector<int64_t> requests(num_ps, 0);

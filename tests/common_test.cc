@@ -4,6 +4,8 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -196,6 +198,176 @@ TEST(JsonWriterTest, AppendDouble17MatchesPrintfG17) {
     EXPECT_EQ(got, std::string("prefix:") + buf);
     EXPECT_EQ(EncodeJsonDouble(v), std::isfinite(v) ? std::string(buf) : "null")
         << buf;
+  }
+}
+
+// EncodeJsonString as it was before the bulk-run encoder, one char at a time:
+// the reference the fast path must match byte for byte.
+std::string PerCharEncodeJsonString(const std::string& s) {
+  std::string out = "\"";
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+  return out;
+}
+
+// Seeded strings in four flavours: long unescaped runs, dense quote/newline
+// text, arbitrary bytes (>= 0x80 and every control byte), and a mix.
+std::string RandomJsonText(Rng* rng) {
+  const int flavour = static_cast<int>(rng->UniformInt(0, 3));
+  const size_t length = static_cast<size_t>(rng->UniformInt(0, flavour == 0 ? 4000 : 300));
+  const std::string dense = "\"\"\n\\\t\r a";
+  std::string s;
+  for (size_t i = 0; i < length; ++i) {
+    switch (flavour) {
+      case 0:
+        s += rng->Bernoulli(0.002) ? '"' : static_cast<char>(rng->UniformInt(0x20, 0x7e));
+        break;
+      case 1:
+        s += dense[static_cast<size_t>(rng->UniformInt(0, static_cast<int64_t>(dense.size()) - 1))];
+        break;
+      case 2:
+        s += static_cast<char>(rng->UniformInt(0, 255));
+        break;
+      default:
+        s += rng->Bernoulli(0.3) ? dense[static_cast<size_t>(rng->UniformInt(0, 7))]
+                                 : static_cast<char>(rng->UniformInt(0x20, 0xff));
+    }
+  }
+  return s;
+}
+
+TEST(JsonWriterTest, EncodeJsonStringMatchesPerCharEncoder) {
+  for (int b = 0; b < 256; ++b) {
+    const std::string one(1, static_cast<char>(b));
+    EXPECT_EQ(EncodeJsonString(one), PerCharEncodeJsonString(one)) << "byte " << b;
+  }
+  EXPECT_EQ(EncodeJsonString(""), "\"\"");
+  Rng rng(17);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::string s = RandomJsonText(&rng);
+    ASSERT_EQ(EncodeJsonString(s), PerCharEncodeJsonString(s)) << "trial " << trial;
+  }
+}
+
+// ToCompactString copies string tokens verbatim and compacts composites; the
+// reference is the per-entry form it replaced,
+// "{" + EncodeJsonString(k) + ":" + CompactJson(v) joined by ",", over the
+// encoded values each Set makes.
+TEST(JsonWriterTest, ToCompactStringMatchesPerEntryCompaction) {
+  const auto indent_under_key = [](const std::string& encoded) {
+    std::string out;
+    for (char c : encoded) {
+      out += c;
+      if (c == '\n') {
+        out += "  ";
+      }
+    }
+    return out;
+  };
+  const auto join = [](const std::vector<std::string>& parts) {
+    std::string out = "[";
+    for (size_t i = 0; i < parts.size(); ++i) {
+      out += (i > 0 ? ", " : "") + parts[i];
+    }
+    return out + "]";
+  };
+  const std::vector<std::string> fixed = {
+      "with spaces  inside", "esc \"quoted\" text", "back\\slash \\\" mix",
+      "{\"looks\": [\"like\", json]}", "", " ", "\"", "lines\n\tand\r\x01"};
+
+  Rng rng(23);
+  for (int trial = 0; trial < 60; ++trial) {
+    JsonObject obj;
+    std::vector<std::pair<std::string, std::string>> encoded;  // key -> Set's encoding
+    const int n = static_cast<int>(rng.UniformInt(0, 12));
+    for (int i = 0; i < n; ++i) {
+      const std::string key = i % 4 == 3 ? "k \"" + std::to_string(i) + "\"\n" : "k" + std::to_string(i);
+      const std::string text = rng.Bernoulli(0.5)
+                                   ? fixed[static_cast<size_t>(rng.UniformInt(0, 7))]
+                                   : RandomJsonText(&rng);
+      const double x = rng.Uniform(-1e6, 1e6);
+      JsonObject nested;
+      nested.Set("name", text);
+      nested.Set("x", x);
+      nested.Set("tags", std::vector<std::string>{text, "t"});
+      switch (rng.UniformInt(0, 8)) {
+        case 0:
+          obj.Set(key, text);
+          encoded.emplace_back(key, PerCharEncodeJsonString(text));
+          break;
+        case 1:
+          obj.Set(key, text.c_str());
+          encoded.emplace_back(key, PerCharEncodeJsonString(text.c_str()));
+          break;
+        case 2:
+          obj.Set(key, x);
+          encoded.emplace_back(key, EncodeJsonDouble(x));
+          break;
+        case 3:
+          obj.Set(key, static_cast<int64_t>(x));
+          encoded.emplace_back(key, std::to_string(static_cast<int64_t>(x)));
+          break;
+        case 4:
+          obj.Set(key, x > 0);
+          encoded.emplace_back(key, x > 0 ? "true" : "false");
+          break;
+        case 5: {
+          JsonObject outer;
+          outer.Set("inner", nested);
+          outer.Set("note", text);
+          obj.Set(key, outer);
+          encoded.emplace_back(key, outer.ToString(0));
+          break;
+        }
+        case 6:
+          obj.Set(key, std::vector<std::string>{text, "b c", "\"d\""});
+          encoded.emplace_back(key, join({PerCharEncodeJsonString(text),
+                                          PerCharEncodeJsonString("b c"),
+                                          PerCharEncodeJsonString("\"d\"")}));
+          break;
+        case 7:
+          obj.Set(key, std::vector<double>{x, 0.1, -2.0});
+          encoded.emplace_back(key, join({EncodeJsonDouble(x), EncodeJsonDouble(0.1),
+                                          EncodeJsonDouble(-2.0)}));
+          break;
+        default: {
+          obj.Set(key, std::vector<JsonObject>{nested, JsonObject{}, nested});
+          const std::string item = "  " + indent_under_key(nested.ToString(0));
+          encoded.emplace_back(key, "[\n" + item + ",\n  {},\n" + item + "\n]");
+          break;
+        }
+      }
+    }
+    std::string expected = "{";
+    for (size_t i = 0; i < encoded.size(); ++i) {
+      expected += (i > 0 ? "," : "") + PerCharEncodeJsonString(encoded[i].first) + ":" +
+                  CompactJson(encoded[i].second);
+    }
+    expected += "}";
+    ASSERT_EQ(obj.ToCompactString(), expected) << "trial " << trial;
   }
 }
 

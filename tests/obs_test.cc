@@ -33,6 +33,7 @@
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/phase_profiler.h"
+#include "src/obs/text_format.h"
 #include "src/sim/experiment.h"
 #include "src/sim/fault_injector.h"
 #include "src/sim/invariant_auditor.h"
@@ -225,6 +226,83 @@ TEST(FlightRecorderTest, DumpAndJsonCarryTheEventFields) {
   recorder.WriteJson(json);
   EXPECT_NE(json.str().find("\"kind\": \"scaled\""), std::string::npos);
   EXPECT_NE(json.str().find("\"job\": 4"), std::string::npos);
+}
+
+// The flight-recorder JSON array as it was encoded before the per-slot cache:
+// every retained event re-encoded on each export.
+std::string FreshFlightJson(const std::vector<FlightEvent>& events, int indent) {
+  const std::string pad(static_cast<size_t>(indent) * 2, ' ');
+  std::string out = "[";
+  for (size_t i = 0; i < events.size(); ++i) {
+    const FlightEvent& e = events[i];
+    out += i == 0 ? "\n" : ",\n";
+    out += pad + "  {\"seq\": " + std::to_string(e.seq) + ", \"time_s\": ";
+    AppendDouble17(e.time_s, &out);
+    out += ", \"kind\": \"" + std::string(SimEventTypeName(e.kind)) +
+           "\", \"job\": " + std::to_string(e.job_id) +
+           ", \"ps\": " + std::to_string(e.num_ps) +
+           ", \"workers\": " + std::to_string(e.num_workers) + ", \"value\": ";
+    AppendDouble17(e.value, &out);
+    out += ", \"detail\": \"";
+    obs_internal::AppendEscapedJson(e.detail, &out);
+    out += "\"}";
+  }
+  if (!events.empty()) {
+    out += "\n" + pad;
+  }
+  return out + "]";
+}
+
+TEST(FlightRecorderTest, CachedJsonMatchesFreshEncoding) {
+  const std::vector<std::string> details = {
+      "", "plain", "say \"hi\"", "back\\slash", "two\nlines", "cr\rhere",
+      "tab\there", std::string("ctl\x01") + "byte", "all \"\\\n\r\t\x01 of them"};
+  const SimEventType kinds[] = {SimEventType::kScheduled, SimEventType::kScaled,
+                                SimEventType::kSlowdown, SimEventType::kCheckpoint,
+                                SimEventType::kCompleted};
+  int recorded = 0;
+  const auto record = [&](FlightRecorder* r) {
+    r->Record(0.1 * recorded, kinds[recorded % 5], recorded % 7 - 1, recorded % 3,
+              recorded % 11, 1.0 / (recorded + 3),
+              details[static_cast<size_t>(recorded) % details.size()]);
+    ++recorded;
+  };
+  const auto expect_fresh = [](const FlightRecorder& r, const std::string& label) {
+    for (const int indent : {0, 2}) {
+      std::string cached = "prefix";
+      r.AppendJson(&cached, indent);
+      EXPECT_EQ(cached, "prefix" + FreshFlightJson(r.Events(), indent))
+          << label << " indent=" << indent;
+    }
+  };
+
+  // Exports after 0, 1, 3, 8 and 9 new records at depth 8: repeated exports
+  // with nothing new, partial overwrites, a full-ring overwrite and a wrap
+  // past the whole ring.
+  FlightRecorder recorder(8);
+  expect_fresh(recorder, "empty");
+  int exports = 0;
+  while (recorded < 40) {
+    for (const int k : {0, 1, 3, 8, 9}) {
+      for (int i = 0; i < k && recorded < 40; ++i) {
+        record(&recorder);
+      }
+      expect_fresh(recorder, "export " + std::to_string(++exports) + " after " +
+                                 std::to_string(recorded) + " records");
+    }
+  }
+  EXPECT_EQ(recorder.total_recorded(), 40u);
+
+  // A copy carries the cache; recording into either side keeps both exact.
+  FlightRecorder copy(recorder);
+  expect_fresh(copy, "copy");
+  record(&copy);
+  record(&copy);
+  expect_fresh(copy, "copy after 2 records");
+  expect_fresh(recorder, "original after the copy recorded");
+  record(&recorder);
+  expect_fresh(recorder, "original after 1 record");
+  expect_fresh(copy, "copy after the original recorded");
 }
 
 // The auditor's violation reports land in the flight recorder, so the

@@ -121,6 +121,44 @@ TEST(PaaAssignerTest, PreservesTotalParamsProperty) {
   }
 }
 
+TEST(PaaAssignerTest, TieOrderMatchesStableSort) {
+  // PAA processes blocks by size descending, ties by block id: a block's
+  // slices are consecutive, so the block ids in the slices, with repeats
+  // collapsed, are exactly a stable sort of the ids by size. Few distinct
+  // sizes make long runs of ties in every size class (tiny, mid, sliced).
+  Rng rng(29);
+  const std::vector<int64_t> sizes = {1, 2, 3, 50, 400, 5000, 90000};
+  for (int trial = 0; trial < 40; ++trial) {
+    ParamBlockSizes blocks(static_cast<size_t>(rng.UniformInt(1, 160)));
+    for (int64_t& b : blocks) {
+      b = sizes[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(sizes.size()) - 1))];
+    }
+    std::vector<int> expected(blocks.size());
+    std::iota(expected.begin(), expected.end(), 0);
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&](int a, int b) { return blocks[a] > blocks[b]; });
+    for (int p : {1, 3, 10, 32}) {
+      std::vector<double> weights(static_cast<size_t>(p));
+      for (double& w : weights) {
+        w = rng.Uniform(0.5, 2.0);
+      }
+      for (const std::vector<double>* w : {static_cast<const std::vector<double>*>(nullptr),
+                                           static_cast<const std::vector<double>*>(&weights)}) {
+        SCOPED_TRACE("trial=" + std::to_string(trial) + " p=" + std::to_string(p) +
+                     (w != nullptr ? " weighted" : ""));
+        const BlockAssignment a = PaaAssigner().Assign(blocks, p, w);
+        std::vector<int> seen;
+        for (const BlockSlice& s : a.slices) {
+          if (seen.empty() || seen.back() != s.block_id) {
+            seen.push_back(s.block_id);
+          }
+        }
+        EXPECT_EQ(seen, expected);
+      }
+    }
+  }
+}
+
 TEST(PaaAssignerTest, BalanceImprovesOrMatchesMxnetAcrossZoo) {
   // MXNet's random small-block placement is noisy, so compare PAA against the
   // MXNet average over several seeds: PAA's worst-PS share must not exceed

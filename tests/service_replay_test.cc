@@ -58,6 +58,9 @@ std::string BurstRequestsPath() {
 std::string BurstResponsesPath() {
   return std::string(kGoldenDir) + "/whatif_burst.responses.ndjson";
 }
+std::string GoldenPath(const std::string& name) {
+  return std::string(kGoldenDir) + "/" + name;
+}
 
 // The committed basic session: every op, both metric formats, a snapshot
 // mid-stream, and three deliberately bad lines so the golden also pins the
@@ -97,10 +100,11 @@ void WriteFileOrDie(const std::string& path, const std::string& content) {
   os << content;
 }
 
-std::unique_ptr<ServiceSession> MakeSession(const SessionOverrides& overrides) {
+std::unique_ptr<ServiceSession> MakeSession(const SessionOverrides& overrides,
+                                            const std::string& scenario = "scenario.json") {
   std::string error;
   std::unique_ptr<ServiceSession> session = ServiceSession::Create(
-      ReadFileOrDie(ScenarioPath()), "scenario.json", overrides, &error);
+      ReadFileOrDie(GoldenPath(scenario)), scenario, overrides, &error);
   EXPECT_NE(session, nullptr) << error;
   return session;
 }
@@ -192,6 +196,31 @@ TEST(ServiceReplayTest, WhatIfBurstGoldenByteForByteAcrossThreads) {
         << "threads=" << threads
         << ": responses drifted from the committed golden; if intended, "
            "regenerate with OPTIMUS_REGEN_GOLDEN=1 and commit";
+  }
+}
+
+TEST(ServiceReplayTest, FlightWrapGoldenByteForByteAcrossThreads) {
+  // The committed flight-ring session, on its own genesis (120 jobs on 72
+  // servers): report snapshots with an empty ring, with nothing new since the
+  // previous export, with a few new events, and after one advance that
+  // records more events than the 256-slot ring holds; plus a prom and a
+  // service-scope snapshot. Its responses came from the exporter that
+  // re-encoded every retained event on each export, so a change that moves
+  // them is a flight-cache bug, not a golden to regen.
+  const std::string requests = ReadFileOrDie(GoldenPath("flight_wrap.requests.ndjson"));
+  const std::string golden = ReadFileOrDie(GoldenPath("flight_wrap.responses.ndjson"));
+  for (const int threads : {1, 8}) {
+    SessionOverrides overrides;
+    overrides.threads = threads;
+    std::unique_ptr<ServiceSession> session =
+        MakeSession(overrides, "flight_wrap.scenario.json");
+    ASSERT_NE(session, nullptr);
+    const ReplayOutput out = Replay(session.get(), requests);
+    EXPECT_TRUE(out.result.shutdown);
+    EXPECT_EQ(out.result.errors, 0);
+    EXPECT_GT(session->simulator().flight_recorder().total_recorded(),
+              session->simulator().flight_recorder().capacity());
+    EXPECT_EQ(out.responses, golden) << "threads=" << threads;
   }
 }
 
