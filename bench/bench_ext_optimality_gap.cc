@@ -6,7 +6,9 @@
 // measure the gap — for the greedy and for the baselines' allocation rules.
 
 #include <cmath>
+#include <deque>
 #include <iostream>
+#include <utility>
 
 #include "bench/bench_util.h"
 #include "src/common/rng.h"
@@ -19,6 +21,18 @@ namespace {
 
 using namespace optimus;
 
+// A concave speed of shape {a, b}: the worker knee and the PS pressure.
+double ConcaveSpeed(const void* ctx, int p, int w) {
+  const auto& [a, b] = *static_cast<const std::pair<double, double>*>(ctx);
+  return 1.0 / (a / w + 1.0 + b * w / p + 0.1 * w + 0.1 * p);
+}
+
+// Storage for the speed contexts, alive for the whole run.
+const std::pair<double, double>& KeepShape(std::pair<double, double> shape) {
+  static std::deque<std::pair<double, double>> kept;
+  return kept.emplace_back(shape);
+}
+
 SchedJob RandomJob(int id, Rng* rng) {
   SchedJob job;
   job.job_id = id;
@@ -29,9 +43,7 @@ SchedJob RandomJob(int id, Rng* rng) {
   job.remaining_epochs = rng->Uniform(2.0, 40.0);
   const double a = rng->Uniform(2.0, 12.0);
   const double b = rng->Uniform(0.2, 1.5);
-  job.speed = [a, b](int p, int w) {
-    return 1.0 / (a / w + 1.0 + b * w / p + 0.1 * w + 0.1 * p);
-  };
+  job.speed = SpeedEstimate::Custom(&ConcaveSpeed, &KeepShape({a, b}));
   return job;
 }
 

@@ -17,9 +17,6 @@
 #include "src/cluster/server.h"
 #include "src/common/flags.h"
 #include "src/models/model_zoo.h"
-#include "src/models/param_blocks.h"
-#include "src/pserver/block_assignment.h"
-#include "src/pserver/comm_model.h"
 #include "src/sched/optimus_allocator.h"
 #include "src/sched/placement.h"
 #include "src/sched/speed_surface.h"
@@ -29,12 +26,10 @@ namespace {
 using namespace optimus;
 
 std::vector<SchedJob> MakeJobs(int num_jobs) {
-  const std::vector<ModelSpec>& zoo = GetModelZoo();
-  const CommConfig comm;
+  const size_t zoo_size = GetModelZoo().size();
   std::vector<SchedJob> jobs;
   jobs.reserve(num_jobs);
   for (int i = 0; i < num_jobs; ++i) {
-    const ModelSpec& model = zoo[i % zoo.size()];
     SchedJob job;
     job.job_id = i;
     job.worker_demand = Resources(5, 10, 0, 0.2);
@@ -42,27 +37,10 @@ std::vector<SchedJob> MakeJobs(int num_jobs) {
     job.max_ps = 16;
     job.max_workers = 16;
     job.remaining_epochs = 10.0 + (i % 50);
-    // Oracle-style estimate: ground-truth synchronous training speed in
-    // epochs/s from the full step-time model, with the PS load shape
-    // recomputed for the probed parameter-server count.
-    const double steps_per_epoch =
-        static_cast<double>(model.StepsPerEpoch(model.default_sync_batch));
-    const ParamBlockSizes blocks = GenerateParamBlocks(model);
-    job.speed = [&model, comm, steps_per_epoch, blocks](int p, int w) {
-      StepTimeInputs in;
-      in.model = &model;
-      in.mode = TrainingMode::kSync;
-      in.num_ps = p;
-      in.num_workers = w;
-      in.global_batch = model.default_sync_batch;
-      in.load = ComputeLoadMetrics(PaaAssigner().Assign(blocks, p));
-      in.load_valid = true;
-      return TrainingSpeed(in, comm) / steps_per_epoch;
-    };
-    // Jobs built from the same zoo profile have pointwise-identical speed
-    // estimates, so they can share one memoized surface.
-    job.speed_signature = static_cast<uint64_t>(i % zoo.size()) + 1;
-    jobs.push_back(std::move(job));
+    // Jobs built from the same zoo profile carry equal estimates, so they
+    // share one memoized surface.
+    job.speed = ZooOracleSpeed(static_cast<size_t>(i) % zoo_size);
+    jobs.push_back(job);
   }
   return jobs;
 }

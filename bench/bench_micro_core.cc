@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <deque>
 #include <iostream>
 
 #include "bench/bench_util.h"
@@ -78,6 +79,18 @@ void BM_SpeedModelFit(benchmark::State& state) {
 }
 BENCHMARK(BM_SpeedModelFit);
 
+// A concave speed whose knee sits at `*ctx` workers.
+double ConcaveSpeed(const void* ctx, int p, int w) {
+  const double a = *static_cast<const double*>(ctx);
+  return 1.0 / (a / w + 1.0 + 0.8 * w / p + 0.05 * w + 0.05 * p);
+}
+
+// Storage for the speed contexts, alive for the whole run.
+const double& KeepDouble(double v) {
+  static std::deque<double> kept;
+  return kept.emplace_back(v);
+}
+
 std::vector<SchedJob> MakeJobs(int n) {
   std::vector<SchedJob> jobs;
   for (int i = 0; i < n; ++i) {
@@ -86,11 +99,9 @@ std::vector<SchedJob> MakeJobs(int n) {
     job.worker_demand = Resources(5, 10, 0, 0.2);
     job.ps_demand = Resources(5, 10, 0, 0.2);
     job.remaining_epochs = 10.0 + (i % 40);
-    const double a = 4.0 + (i % 7);
-    job.speed = [a](int p, int w) {
-      return 1.0 / (a / w + 1.0 + 0.8 * w / p + 0.05 * w + 0.05 * p);
-    };
-    jobs.push_back(std::move(job));
+    // One context per job: no two jobs share a surface.
+    job.speed = SpeedEstimate::Custom(&ConcaveSpeed, &KeepDouble(4.0 + (i % 7)));
+    jobs.push_back(job);
   }
   return jobs;
 }
@@ -108,29 +119,13 @@ BENCHMARK(BM_OptimusAllocation)->Arg(10)->Arg(100)->Arg(1000);
 
 // Jobs whose estimates run the full Eqn-2 step-time model with the §5.3
 // block-assignment load recomputed at the probed PS count (what a
-// full-fidelity oracle probe costs), cycling the Table-1 zoo so surfaces are
-// shared by signature.
+// full-fidelity oracle probe costs), cycling the Table-1 zoo so jobs of one
+// profile share a surface.
 std::vector<SchedJob> MakeOracleJobs(int n) {
-  const std::vector<ModelSpec>& zoo = GetModelZoo();
-  const CommConfig comm;
+  const size_t zoo_size = GetModelZoo().size();
   std::vector<SchedJob> jobs = MakeJobs(n);
   for (int i = 0; i < n; ++i) {
-    const ModelSpec& model = zoo[i % zoo.size()];
-    const double steps_per_epoch =
-        static_cast<double>(model.StepsPerEpoch(model.default_sync_batch));
-    const ParamBlockSizes blocks = GenerateParamBlocks(model);
-    jobs[i].speed = [&model, comm, steps_per_epoch, blocks](int p, int w) {
-      StepTimeInputs in;
-      in.model = &model;
-      in.mode = TrainingMode::kSync;
-      in.num_ps = p;
-      in.num_workers = w;
-      in.global_batch = model.default_sync_batch;
-      in.load = ComputeLoadMetrics(PaaAssigner().Assign(blocks, p));
-      in.load_valid = true;
-      return TrainingSpeed(in, comm) / steps_per_epoch;
-    };
-    jobs[i].speed_signature = static_cast<uint64_t>(i % zoo.size()) + 1;
+    jobs[i].speed = ZooOracleSpeed(static_cast<size_t>(i) % zoo_size);
   }
   return jobs;
 }

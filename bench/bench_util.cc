@@ -5,6 +5,9 @@
 
 #include "src/cluster/server.h"
 #include "src/common/logging.h"
+#include "src/models/param_blocks.h"
+#include "src/pserver/block_assignment.h"
+#include "src/pserver/comm_model.h"
 #include "src/sched/scheduler_registry.h"
 
 namespace optimus {
@@ -80,6 +83,43 @@ std::vector<ExperimentResult> RunPolicyComparison(
 std::vector<ExperimentResult> RunSchedulerComparison(const ExperimentConfig& base,
                                                      const std::string& caption) {
   return RunPolicyComparison(base, {"optimus", "drf", "tetris"}, caption);
+}
+
+namespace {
+
+// The context of one zoo profile's oracle estimate.
+struct ZooOracle {
+  const ModelSpec* model = nullptr;
+  double steps_per_epoch = 1.0;
+  ParamBlockSizes blocks;
+
+  static double Speed(const void* ctx, int p, int w) {
+    const ZooOracle& oracle = *static_cast<const ZooOracle*>(ctx);
+    StepTimeInputs in;
+    in.model = oracle.model;
+    in.mode = TrainingMode::kSync;
+    in.num_ps = p;
+    in.num_workers = w;
+    in.global_batch = oracle.model->default_sync_batch;
+    in.load = ComputeLoadMetrics(PaaAssigner().Assign(oracle.blocks, p));
+    in.load_valid = true;
+    return TrainingSpeed(in, CommConfig{}) / oracle.steps_per_epoch;
+  }
+};
+
+}  // namespace
+
+SpeedEstimate ZooOracleSpeed(size_t zoo_index) {
+  static const std::vector<ZooOracle> oracles = [] {
+    std::vector<ZooOracle> out;
+    for (const ModelSpec& model : GetModelZoo()) {
+      out.push_back({&model,
+                     static_cast<double>(model.StepsPerEpoch(model.default_sync_batch)),
+                     GenerateParamBlocks(model)});
+    }
+    return out;
+  }();
+  return SpeedEstimate::Custom(&ZooOracle::Speed, &oracles.at(zoo_index));
 }
 
 }  // namespace optimus

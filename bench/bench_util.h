@@ -17,6 +17,7 @@
 // live there and are re-exported here for the bench binaries.
 #include "src/common/json_writer.h"
 #include "src/common/table.h"
+#include "src/sched/speed_estimate.h"
 #include "src/sim/experiment.h"
 
 namespace optimus {
@@ -51,6 +52,14 @@ std::vector<ExperimentResult> RunSchedulerComparison(const ExperimentConfig& bas
 std::vector<ExperimentResult> RunPolicyComparison(
     const ExperimentConfig& base, const std::vector<std::string>& policies,
     const std::string& caption);
+
+// A full-fidelity oracle estimate for zoo profile `zoo_index`: ground-truth
+// synchronous training speed in epochs/s from the Eqn-2 step-time model, with
+// the §5.3 PS load shape recomputed for the probed parameter-server count
+// (what an expensive-per-point probe costs). Every call for one profile
+// returns an equal estimate, so jobs built from it share one memoized
+// surface.
+SpeedEstimate ZooOracleSpeed(size_t zoo_index);
 
 }  // namespace optimus
 

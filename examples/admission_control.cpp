@@ -30,14 +30,13 @@ SchedJob MakeJob(int id, const std::string& model_name, TrainingMode mode,
   job.max_ps = 16;
   job.max_workers = 16;
   job.remaining_epochs = remaining_epochs;
-  job.speed = [&model, mode, steps_per_epoch](int p, int w) {
-    StepTimeInputs in;
-    in.model = &model;
-    in.mode = mode;
-    in.num_ps = p;
-    in.num_workers = w;
-    return TrainingSpeed(in, CommConfig{}) / static_cast<double>(steps_per_epoch);
-  };
+  // The ground-truth step-time model at the model's default batch, exact.
+  StepProfile profile;
+  profile.model = &model;
+  profile.mode = mode;
+  job.speed = SpeedEstimate::Oracle(profile, CommConfig{},
+                                    static_cast<double>(steps_per_epoch), /*error=*/0.0,
+                                    static_cast<double>(job.max_ps + job.max_workers));
   return job;
 }
 

@@ -34,8 +34,10 @@ void OptimusController::ReportObservation(const JobObservation& observation) {
   job.convergence.Fit();
   if (observation.measured_speed > 0.0 &&
       ActiveAllocation(job.current, job.spec.comm)) {
-    job.speed.AddSample(job.current.num_ps, job.current.num_workers,
-                        observation.measured_speed);
+    // All-reduce jobs run no PS: their samples go on the p = 1 row.
+    const int sample_ps =
+        job.spec.comm == CommMode::kAllReduce ? 1 : job.current.num_ps;
+    job.speed.AddSample(sample_ps, job.current.num_workers, observation.measured_speed);
     job.speed.Fit();
   }
 }
@@ -86,24 +88,13 @@ Allocation OptimusController::CurrentAllocation(int job_id) const {
 }
 
 SchedJob OptimusController::MakeSchedJob(const ManagedJob& job) const {
-  SchedJob sj;
-  sj.job_id = job.spec.id;
-  sj.mode = job.spec.mode;
-  sj.comm = job.spec.comm;
-  sj.worker_demand = job.spec.worker_demand;
-  sj.ps_demand = job.spec.ps_demand;
-  sj.max_ps = job.spec.max_ps;
-  sj.max_workers = job.spec.max_workers;
+  SchedJob sj = SchedJobHeader(job.spec);
   sj.remaining_epochs = EstimateRemainingEpochs(job.spec.id);
-
-  const SpeedModel* model = &job.speed;
+  // All-reduce jobs' samples lie on the p = 1 row (ReportObservation pins
+  // them there), and so does their estimate.
   const double spe = static_cast<double>(job.spec.StepsPerEpoch());
-  sj.speed = [model, spe](int p, int w) {
-    if (!model->fitted()) {
-      return 0.0;
-    }
-    return model->Estimate(p, w) / spe;
-  };
+  sj.speed = SpeedEstimate::Fitted(job.speed, spe,
+                                   /*pin_ps=*/job.spec.comm == CommMode::kAllReduce);
 
   // Young jobs (progress below the cutoff, per the convergence model's own
   // total-epoch estimate) get damped marginal gains (§4.1).
@@ -158,13 +149,13 @@ ScheduleDecision OptimusController::Schedule(const std::vector<Server>& servers)
   std::vector<PlacementJobInput> inputs;
   inputs.reserve(order.size());
   for (const ManagedJob* job : frozen) {
-    inputs.push_back(
-        {job->spec.id, job->current, job->spec.worker_demand, job->spec.ps_demand});
+    inputs.push_back({job->spec.id, job->current, job->spec.worker_demand,
+                      job->spec.ps_demand, job->spec.comm});
   }
   for (size_t i = 0; i < schedulable.size(); ++i) {
     const ManagedJob* job = schedulable[i];
-    inputs.push_back(
-        {job->spec.id, alloc[i], job->spec.worker_demand, job->spec.ps_demand});
+    inputs.push_back({job->spec.id, alloc[i], job->spec.worker_demand,
+                      job->spec.ps_demand, job->spec.comm});
   }
   std::vector<Server> free_servers = servers;
   std::vector<PlacedJob> placed = PlaceJobs(options_.placement, inputs, &free_servers);

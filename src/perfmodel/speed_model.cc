@@ -45,17 +45,6 @@ void SpeedModel::Reset() {
   residual_ = 0.0;
 }
 
-std::array<double, 5> SpeedModel::Features(int num_ps, int num_workers) const {
-  const double p = static_cast<double>(num_ps);
-  const double w = static_cast<double>(num_workers);
-  if (mode_ == TrainingMode::kAsync) {
-    // T = theta0 + theta1*(w/p) + theta2*w + theta3*p.
-    return {1.0, w / p, w, p, 0.0};
-  }
-  // T = theta0*(M/w) + theta1 + theta2*(w/p) + theta3*w + theta4*p.
-  return {global_batch_ / w, 1.0, w / p, w, p};
-}
-
 bool SpeedModel::Fit() {
   if (samples_.size() < 3) {
     return fitted_;
@@ -115,15 +104,7 @@ double SpeedModel::Estimate(int num_ps, int num_workers) const {
   OPTIMUS_CHECK(fitted_);
   OPTIMUS_CHECK_GE(num_ps, 1);
   OPTIMUS_CHECK_GE(num_workers, 1);
-  const std::array<double, 5> feat = Features(num_ps, num_workers);
-  double t = 0.0;
-  for (size_t c = 0; c < dims(); ++c) {
-    t += theta_[c] * feat[c];
-  }
-  if (t <= 1e-12) {
-    return 0.0;
-  }
-  return mode_ == TrainingMode::kAsync ? static_cast<double>(num_workers) / t : 1.0 / t;
+  return SpeedFromTheta(mode_, global_batch_, theta_.data(), num_ps, num_workers);
 }
 
 }  // namespace optimus

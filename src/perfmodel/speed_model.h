@@ -29,6 +29,38 @@
 
 namespace optimus {
 
+// The Eqn-3/4 features at (p, w) for a model of `mode` at global batch M:
+// the first 4 (async) or 5 (sync) entries; the rest are 0.
+inline std::array<double, 5> SpeedFeatures(TrainingMode mode, double global_batch,
+                                           int num_ps, int num_workers) {
+  const double p = static_cast<double>(num_ps);
+  const double w = static_cast<double>(num_workers);
+  if (mode == TrainingMode::kAsync) {
+    // T = theta0 + theta1*(w/p) + theta2*w + theta3*p.
+    return {1.0, w / p, w, p, 0.0};
+  }
+  // T = theta0*(M/w) + theta1 + theta2*(w/p) + theta3*w + theta4*p.
+  return {global_batch / w, 1.0, w / p, w, p};
+}
+
+// Eqn 3/4 at (p, w) for coefficients `theta` (4 async, 5 sync): job-level
+// steps/s, 0 when the predicted step time is at most 1e-12. SpeedModel's
+// Estimate and the scheduler's fitted SpeedEstimate both evaluate here, so
+// the two agree bit for bit.
+inline double SpeedFromTheta(TrainingMode mode, double global_batch, const double* theta,
+                             int num_ps, int num_workers) {
+  const std::array<double, 5> feat = SpeedFeatures(mode, global_batch, num_ps, num_workers);
+  const size_t dims = mode == TrainingMode::kAsync ? 4 : 5;
+  double t = 0.0;
+  for (size_t c = 0; c < dims; ++c) {
+    t += theta[c] * feat[c];
+  }
+  if (t <= 1e-12) {
+    return 0.0;
+  }
+  return mode == TrainingMode::kAsync ? static_cast<double>(num_workers) / t : 1.0 / t;
+}
+
 struct SpeedSample {
   int num_ps = 0;
   int num_workers = 0;
@@ -42,6 +74,8 @@ class SpeedModel {
   SpeedModel(TrainingMode mode, int global_batch);
 
   TrainingMode mode() const { return mode_; }
+  // The global batch M of the synchronous model's M/w term.
+  double global_batch() const { return global_batch_; }
 
   void AddSample(int num_ps, int num_workers, double speed);
   void AddSample(const SpeedSample& sample) {
@@ -74,8 +108,9 @@ class SpeedModel {
   double Estimate(int num_ps, int num_workers) const;
 
  private:
-  // The first dims() entries are the model's features; the rest are unused.
-  std::array<double, 5> Features(int num_ps, int num_workers) const;
+  std::array<double, 5> Features(int num_ps, int num_workers) const {
+    return SpeedFeatures(mode_, global_batch_, num_ps, num_workers);
+  }
   double InverseSpeedTarget(const SpeedSample& s) const;
   size_t dims() const { return mode_ == TrainingMode::kAsync ? 4 : 5; }
 

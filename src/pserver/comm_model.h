@@ -37,6 +37,8 @@ struct CommConfig {
   // Fraction of workers that, in asynchronous training, contend at a
   // parameter server at the same instant (the paper assumes w' linear in w).
   double async_concurrency = 0.7;
+
+  bool operator==(const CommConfig&) const = default;
 };
 
 // Where one job's tasks run, as three parallel arrays over the servers

@@ -2,22 +2,24 @@
 //
 // Goodput (Pollux, OSDI '20) is system throughput times statistical
 // efficiency. Each batch-adaptive job exposes a physical speed estimate
-// f(p, w, b) (SchedJob::batch_speed) over an admissible batch range
+// f(p, w, b) (SpeedEstimate::BatchSpeed) over an admissible batch range
 // [batch_min, batch_max] plus a gradient-noise-scale parameter; the
 // allocator ranks (p, w) points by the *best* effective progress over a
 // small geometric ladder of candidate batches ("rungs"):
 //
 //   g(p, w) = max_b  f(p, w, b) * BatchProgressFactor(phi, M0, b)
 //
-// and then runs Optimus's marginal-gain greedy (§4.1) over g. The composite
-// surfaces memoize like any other speed surface (one shared grid per
-// signature group), so the round cost matches plain Optimus times the rung
-// count. After the greedy settles, each adaptive job's batch is the argmax
-// rung at its final (p, w) (ties break to the smallest batch), returned as
-// the advisory Allocation::global_batch.
+// and then runs Optimus's marginal-gain greedy (§4.1) over g. Each composite
+// g is a kCustom estimate over a context this allocator owns for the call,
+// one context per distinct (estimate, batch range), so the composite
+// surfaces memoize like any other speed surface (one shared grid per group of
+// equal jobs) and the round cost matches plain Optimus times the rung count.
+// After the greedy settles, each adaptive job's batch is the argmax rung at
+// its final (p, w) (ties break to the smallest batch), returned as the
+// advisory Allocation::global_batch.
 //
-// Jobs without batch adaptivity (async jobs, batch_min >= batch_max, or no
-// batch_speed estimate) pass through untouched, so on a workload with fixed
+// Jobs without batch adaptivity (async jobs, batch_min >= batch_max, or an
+// estimate that is not batch_scalable()) pass through untouched, so on a workload with fixed
 // batches this allocator's decisions are identical to OptimusAllocator's.
 
 #ifndef SRC_SCHED_GOODPUT_ALLOCATOR_H_

@@ -16,18 +16,45 @@ Resources AllocationDemand(const SchedJob& job, const Allocation& alloc) {
 
 namespace {
 
+// How the greedy reads one job's f: through the job's round surface for the
+// memoized kinds, inline from the estimate for the closed-form ones. Each
+// inline evaluation is one probe and one eval, tallied in *inline_evals.
+struct SpeedProbe {
+  const SchedJob* job;
+  SpeedSurface* surface;  // null: evaluate inline
+  int64_t* inline_evals;
+
+  double operator()(int p, int w) const {
+    if (surface != nullptr) {
+      return surface->Speed(p, w);
+    }
+    ++*inline_evals;
+    return job->speed(p, w);
+  }
+};
+
 // Estimated completion time at an allocation; infinity when speed is zero.
 // All-reduce jobs (max_ps == 0) live on the p == 0 row.
-double CompletionTime(const SchedJob& job, SpeedSurface* surface, int p, int w) {
+double CompletionTime(const SpeedProbe& speed, int p, int w) {
+  const SchedJob& job = *speed.job;
   const int min_ps = job.max_ps > 0 ? 1 : 0;
   if (p < min_ps || w < 1) {
     return std::numeric_limits<double>::infinity();
   }
-  const double f = surface->Speed(p, w);
+  const double f = speed(p, w);
   if (f <= 0.0) {
     return std::numeric_limits<double>::infinity();
   }
   return job.remaining_epochs / f;
+}
+
+// Completion time at a job's seed, where its walk or heap entry starts. A
+// job with no work left never competes: infinity, without a probe.
+double SeedTime(const SpeedProbe& speed, const Allocation& seed) {
+  if (speed.job->remaining_epochs <= 0.0) {
+    return std::numeric_limits<double>::infinity();
+  }
+  return CompletionTime(speed, seed.num_ps, seed.num_workers);
 }
 
 enum class AddKind { kWorker, kPs };
@@ -38,6 +65,8 @@ constexpr uint8_t kPsDead = 2;
 
 struct Candidate {
   double gain = 0.0;
+  // Completion time once the task is granted: the job's next t_now.
+  double t_next = 0.0;
   int job_index = 0;
   AddKind kind = AddKind::kWorker;
 
@@ -73,31 +102,25 @@ TaskFootprint FootprintOf(const SchedJob& job, const Resources& capacity) {
 }
 
 // Marginal gain of adding one task of `kind` to the job per Eqn 9, normalized
-// by the dominant-resource footprint of the added task. Returns false when
-// the addition is impossible (cap reached) or the gain is not positive.
-bool KindCandidate(const SchedJob& job, SpeedSurface* surface, const Allocation& alloc,
+// by the dominant-resource footprint of the added task; t_now is the
+// completion time at `alloc`, carried by the caller. Returns false when the
+// addition is impossible (cap reached) or the gain is not positive.
+bool KindCandidate(const SpeedProbe& speed, const Allocation& alloc, double t_now,
                    const TaskFootprint& footprint, AddKind kind, Candidate* out) {
-  if (job.remaining_epochs <= 0.0) {
-    return false;
-  }
-  const double t_now = CompletionTime(job, surface, alloc.num_ps, alloc.num_workers);
-  if (!std::isfinite(t_now)) {
-    return false;
-  }
-
+  const SchedJob& job = *speed.job;
   double t_next = std::numeric_limits<double>::infinity();
   double dom = 0.0;
   if (kind == AddKind::kWorker) {
     if (alloc.num_workers >= job.max_workers) {
       return false;
     }
-    t_next = CompletionTime(job, surface, alloc.num_ps, alloc.num_workers + 1);
+    t_next = CompletionTime(speed, alloc.num_ps, alloc.num_workers + 1);
     dom = footprint.worker;
   } else {
     if (alloc.num_ps >= job.max_ps) {
       return false;
     }
-    t_next = CompletionTime(job, surface, alloc.num_ps + 1, alloc.num_workers);
+    t_next = CompletionTime(speed, alloc.num_ps + 1, alloc.num_workers);
     dom = footprint.ps;
   }
   if (dom <= 0.0 || !std::isfinite(t_next)) {
@@ -108,27 +131,30 @@ bool KindCandidate(const SchedJob& job, SpeedSurface* surface, const Allocation&
     return false;
   }
   out->gain = gain;
+  out->t_next = t_next;
   out->kind = kind;
   return true;
 }
 
-// Job i's better live candidate at `alloc` under the Candidate order; `other`
-// receives the losing kind when both qualify. Kinds whose bit is set in
-// `dead` never qualify, but are still evaluated: every grant then probes
-// both kinds, exactly as a lazy heap re-pushing both kinds does. Returns how
-// many candidates qualified (0, 1 or 2).
-int BestCandidate(const SchedJob& job, size_t i, SpeedSurface* surface,
-                  const Allocation& alloc, const TaskFootprint& footprint,
-                  uint8_t dead, Candidate* best, Candidate* other) {
+// Job i's better live candidate at `alloc`, whose completion time is t_now,
+// under the Candidate order; `other` receives the losing kind when both
+// qualify. Kinds whose bit is set in `dead` never qualify, but are still
+// evaluated: every grant then probes both kinds, exactly as a lazy heap
+// re-pushing both kinds does. Returns how many candidates qualified (0, 1 or
+// 2).
+int BestCandidate(const SpeedProbe& speed, size_t i, const Allocation& alloc, double t_now,
+                  const TaskFootprint& footprint, uint8_t dead, Candidate* best,
+                  Candidate* other) {
+  if (!std::isfinite(t_now)) {
+    return 0;
+  }
   Candidate w;
   Candidate p;
   w.job_index = p.job_index = static_cast<int>(i);
-  const bool has_w =
-      KindCandidate(job, surface, alloc, footprint, AddKind::kWorker, &w) &&
-      (dead & kWorkerDead) == 0;
-  const bool has_p =
-      KindCandidate(job, surface, alloc, footprint, AddKind::kPs, &p) &&
-      (dead & kPsDead) == 0;
+  const bool has_w = KindCandidate(speed, alloc, t_now, footprint, AddKind::kWorker, &w) &&
+                     (dead & kWorkerDead) == 0;
+  const bool has_p = KindCandidate(speed, alloc, t_now, footprint, AddKind::kPs, &p) &&
+                     (dead & kPsDead) == 0;
   if (has_w && has_p) {
     *best = w < p ? p : w;
     *other = w < p ? w : p;
@@ -165,13 +191,16 @@ bool SeedJob(const SchedJob& job, const Resources& capacity, Resources* used,
 }
 
 // Walks job i's solo greedy path from *end: grants its better kind until the
-// caps or a gain <= 0 stop it.
-void WalkSoloPath(const SchedJob& job, size_t i, SpeedSurface* surface,
-                  const TaskFootprint& footprint, Allocation* end) {
+// caps or a gain <= 0 stop it, carrying the completion time forward so each
+// point on and beside the path is probed once.
+void WalkSoloPath(const SpeedProbe& speed, size_t i, const TaskFootprint& footprint,
+                  Allocation* end) {
   Candidate best;
   Candidate other;
-  while (BestCandidate(job, i, surface, *end, footprint, /*dead=*/0, &best, &other) > 0) {
+  double t = SeedTime(speed, *end);
+  while (BestCandidate(speed, i, *end, t, footprint, /*dead=*/0, &best, &other) > 0) {
     Grant(best.kind, end);
+    t = best.t_next;
   }
 }
 
@@ -212,37 +241,43 @@ std::vector<Allocation> OptimusAllocator::Allocate(const std::vector<SchedJob>& 
   // jobs, which run no PS tasks — while capacity lasts, in input (arrival)
   // order; jobs that do not fit stay pending this interval. A seeded job's
   // per-task footprints are computed once here, not once per greedy step.
+  // Only the memoized estimate kinds get a surface; the closed-form kinds
+  // are evaluated inline.
   std::vector<bool> active(jobs.size(), false);
   std::vector<SpeedSurface*> surf(jobs.size(), nullptr);
   std::vector<TaskFootprint> footprint(jobs.size());
   for (size_t i = 0; i < jobs.size(); ++i) {
     if (SeedJob(jobs[i], capacity, &used, &alloc[i])) {
       active[i] = true;
-      surf[i] = surfaces->Surface(jobs[i]);
+      if (jobs[i].speed.memoized()) {
+        surf[i] = surfaces->Surface(jobs[i]);
+      }
       footprint[i] = FootprintOf(jobs[i], capacity);
     }
   }
 
   // Walk every seeded job's solo greedy path, in input order: grant its
   // better kind until the caps or a gain <= 0 stop it. While capacity
-  // does not bind, a job's grants depend only on its own speed surface, so
-  // the walks probe speculatively, each surface opened by its first job.
+  // does not bind, a job's grants depend only on its own speed estimate, so
+  // the walks probe speculatively: each surface is opened by its first job,
+  // and inline evaluations are tallied apart.
+  int64_t walk_evals = 0;
   std::vector<Allocation> end = alloc;
   for (size_t i = 0; i < jobs.size(); ++i) {
     if (!active[i]) {
       continue;
     }
-    if (!surf[i]->speculating()) {
+    if (surf[i] != nullptr && !surf[i]->speculating()) {
       surf[i]->BeginSpeculation();
     }
-    WalkSoloPath(jobs[i], i, surf[i], footprint[i], &end[i]);
+    WalkSoloPath(SpeedProbe{&jobs[i], surf[i], &walk_evals}, i, footprint[i], &end[i]);
   }
 
   // Slack round: the seeds plus every path fit with a 1e-6 relative margin.
   // Every grant the serial greedy makes is then a prefix of some path and
   // fits, so no kind ever pops unfittable and the greedy ends exactly at the
-  // path ends, having probed exactly the walks' points. Otherwise the walks
-  // are rolled back.
+  // path ends, having evaluated exactly the walks' points. Otherwise the
+  // walks are rolled back and their inline evaluations go uncounted.
   Resources total = used;
   for (size_t i = 0; i < jobs.size(); ++i) {
     AddPathDemand(jobs[i], alloc[i], end[i], &total);
@@ -252,11 +287,12 @@ std::vector<Allocation> OptimusAllocator::Allocate(const std::vector<SchedJob>& 
     round->slack = slack;
   }
   for (size_t i = 0; i < jobs.size(); ++i) {
-    if (active[i] && surf[i]->speculating()) {
+    if (surf[i] != nullptr && surf[i]->speculating()) {
       surf[i]->EndSpeculation(slack);
     }
   }
   if (slack) {
+    surfaces->CountInline(walk_evals);
     for (size_t i = 0; i < jobs.size(); ++i) {
       const int64_t grants = end[i].num_workers - alloc[i].num_workers +
                              end[i].num_ps - alloc[i].num_ps;
@@ -275,15 +311,19 @@ std::vector<Allocation> OptimusAllocator::Allocate(const std::vector<SchedJob>& 
   // and enters the heap only if the better one pops unfittable. A kind that
   // pops unfittable is dead for the round: capacity only shrinks and the
   // per-task demand is fixed. Every entry is current when it pops, so the
-  // grant sequence is that of a lazy heap holding both kinds.
+  // grant sequence is that of a lazy heap holding both kinds. Each job's
+  // completion time at its current allocation is carried in t: a grant
+  // takes the popped candidate's t_next.
+  int64_t heap_evals = 0;
   MinHeap<Candidate, CandidateBefore> heap;
   std::vector<Candidate> waiting(jobs.size());
   std::vector<uint8_t> has_waiting(jobs.size(), 0);
   std::vector<uint8_t> dead(jobs.size(), 0);
+  std::vector<double> t(jobs.size(), 0.0);
   const auto push_best = [&](size_t i) {
     Candidate best;
-    const int found = BestCandidate(jobs[i], i, surf[i], alloc[i], footprint[i], dead[i],
-                                    &best, &waiting[i]);
+    const int found = BestCandidate(SpeedProbe{&jobs[i], surf[i], &heap_evals}, i, alloc[i],
+                                    t[i], footprint[i], dead[i], &best, &waiting[i]);
     has_waiting[i] = found == 2;
     if (found > 0) {
       heap.push(best);
@@ -291,6 +331,7 @@ std::vector<Allocation> OptimusAllocator::Allocate(const std::vector<SchedJob>& 
   };
   for (size_t i = 0; i < jobs.size(); ++i) {
     if (active[i]) {
+      t[i] = SeedTime(SpeedProbe{&jobs[i], surf[i], &heap_evals}, alloc[i]);
       push_best(i);
     }
   }
@@ -312,9 +353,11 @@ std::vector<Allocation> OptimusAllocator::Allocate(const std::vector<SchedJob>& 
     }
     used += demand;
     Grant(c.kind, &alloc[i]);
+    t[i] = c.t_next;
     ++stats->grants;
     push_best(i);
   }
+  surfaces->CountInline(heap_evals);
   return alloc;
 }
 
@@ -336,7 +379,9 @@ bool OptimusAllocator::AppendToSlackRound(const std::vector<SchedJob>& jobs,
   Allocation end;
   if (SeedJob(candidate, capacity, &used, &seed)) {
     end = seed;
-    WalkSoloPath(candidate, jobs.size(), surface, FootprintOf(candidate, capacity), &end);
+    int64_t uncounted = 0;
+    WalkSoloPath(SpeedProbe{&candidate, surface, &uncounted}, jobs.size(),
+                 FootprintOf(candidate, capacity), &end);
   }
   Resources total = used;
   for (size_t i = 0; i < jobs.size(); ++i) {

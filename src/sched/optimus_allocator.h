@@ -7,7 +7,11 @@
 // until the cluster is full or every job's marginal gain is non-positive.
 //
 // The estimated completion time of job j is t_j = Q_j / f(p_j, w_j), where
-// Q_j comes from the convergence model and f from the speed model.
+// Q_j comes from the convergence model and f from the speed model. Allocations
+// only grow within a round, so the walk and the heap carry each job's t at
+// its current point and evaluate f at most once per job and (p, w): inline
+// for the closed-form estimate kinds, through the round's memoized surfaces
+// for the others (src/sched/speed_surface.h).
 //
 // After the seeding, each job's solo greedy path (its own better kind, grant
 // after grant) is walked, one job after another in input order. When the
@@ -78,7 +82,8 @@ class OptimusAllocator : public Allocator {
 
   // Appends `candidate` to the round that Allocate(jobs, capacity) recorded
   // in `round` and answered with `ends`. Seeds the candidate, walks its solo
-  // path on `surface`, and redoes the seed and slack-total sums in the order
+  // path on `surface` (inline from candidate.speed when it is null), and
+  // redoes the seed and slack-total sums in the order
   // Allocate(jobs + {candidate}) uses. When that round is slack too, its
   // answer is `ends` plus the candidate's path end: returns true with that
   // end in *out. Returns false when `round` was not slack or the appended

@@ -10,23 +10,15 @@
 #define SRC_SCHED_SCHEDULER_H_
 
 #include <cstdint>
-#include <functional>
+#include <type_traits>
 #include <vector>
 
+#include "src/cluster/job.h"
 #include "src/cluster/resources.h"
 #include "src/models/model_zoo.h"
+#include "src/sched/speed_estimate.h"
 
 namespace optimus {
-
-// Estimated job-level training speed in epochs per second at (p, w).
-using SpeedEstimate = std::function<double(int num_ps, int num_workers)>;
-
-// Estimated *physical* training speed in epochs per second at (p, w) when the
-// job runs with the given global batch size, before any statistical-efficiency
-// discount. Batch-adaptive policies combine this with BatchProgressFactor to
-// rank (batch, p, w) points by effective progress.
-using BatchSpeedEstimate =
-    std::function<double(int num_ps, int num_workers, int global_batch)>;
 
 struct SchedJob {
   int job_id = 0;
@@ -41,13 +33,10 @@ struct SchedJob {
   int max_workers = 32;
   // Q_j: estimated epochs still needed to converge.
   double remaining_epochs = 0.0;
-  // f(p, w) in epochs/s; must be callable for p, w >= 1.
+  // f(p, w) in epochs/s, a value (src/sched/speed_estimate.h). Jobs with
+  // equal estimates and equal caps share one memoized speed surface in a
+  // scheduling round (src/sched/speed_surface.h).
   SpeedEstimate speed;
-  // Memoization hint: jobs carrying the same nonzero signature (and the same
-  // caps) promise that their `speed` functions are pointwise identical, so a
-  // scheduling round may evaluate one shared speed surface for all of them.
-  // 0 (the default) disables sharing. See src/sched/speed_surface.h.
-  uint64_t speed_signature = 0;
   // Multiplier on the job's marginal gain (§4.1 suggests 0.95 for jobs whose
   // predictions are still unreliable).
   double priority_factor = 1.0;
@@ -57,17 +46,15 @@ struct SchedJob {
   // job's configured batch). 0 when not applicable (async jobs).
   int batch_ref = 0;
   // Admissible global-batch range for batch-adaptive policies. A job is
-  // batch-adaptive only when batch_min < batch_max and batch_speed is set;
-  // otherwise the batch dimension is fixed at batch_ref.
+  // batch-adaptive only when batch_min < batch_max and speed is
+  // batch_scalable() (its BatchSpeed gives f(p, w, b)); otherwise the batch
+  // dimension is fixed at batch_ref.
   int batch_min = 0;
   int batch_max = 0;
   // Gradient-noise-scale parameter phi of the statistical-efficiency model
   // E(b) = (phi + M0) / (phi + b), derived from the convergence model. Larger
   // phi means the job tolerates larger batches before efficiency decays.
   double grad_noise_scale = 0.0;
-  // Physical steps-per-second estimate as a function of (p, w, batch); null
-  // when the speed model cannot vary the batch dimension.
-  BatchSpeedEstimate batch_speed;
 
   // --- Per-resource sensitivity profile (Synergy-style policies) ---------
   // How strongly the job's speed depends on its CPU / memory grant, in
@@ -77,6 +64,14 @@ struct SchedJob {
   double cpu_sensitivity = 1.0;
   double mem_sensitivity = 1.0;
 };
+
+// A round copies its jobs freely: no closure, no heap state.
+static_assert(std::is_trivially_copyable_v<SchedJob>);
+
+// The scheduler's view of a spec's identity, demands and caps, with no speed
+// estimate yet. All-reduce jobs run no PS tasks: the scheduler sees a zero PS
+// cap and a zero PS demand, so every allocator works along the p == 0 row.
+SchedJob SchedJobHeader(const JobSpec& spec);
 
 // Statistical efficiency E(b) of training at global batch b relative to the
 // reference batch ref_b, under the gradient-noise-scale model

@@ -17,7 +17,6 @@ SpeedSurface::SpeedSurface(SpeedEstimate speed, int max_ps, int max_workers,
   // max_ps == 0 is the all-reduce grid: the single p == 0 row.
   OPTIMUS_CHECK_GE(max_ps_, 0);
   OPTIMUS_CHECK_GE(max_workers_, 1);
-  OPTIMUS_CHECK(speed_ != nullptr);
 }
 
 double SpeedSurface::Speed(int p, int w) {
@@ -69,8 +68,8 @@ void SpeedSurface::EndSpeculation(bool keep) {
   speculated_.clear();
 }
 
-size_t SpeedSurfaceSet::SignatureHash::operator()(const SignatureKey& key) const {
-  uint64_t h = key.signature * 0x9e3779b97f4a7c15ULL;
+size_t SpeedSurfaceSet::EstimateHash::operator()(const EstimateKey& key) const {
+  uint64_t h = key.speed.Hash() * 0x9e3779b97f4a7c15ULL;
   h ^= (static_cast<uint64_t>(static_cast<uint32_t>(key.max_ps)) << 32) |
        static_cast<uint32_t>(key.max_workers);
   return static_cast<size_t>(h ^ (h >> 29));
@@ -81,22 +80,34 @@ SpeedSurface* SpeedSurfaceSet::Surface(const SchedJob& job) {
   if (!added) {
     return it->second;
   }
-  const auto create = [&] {
-    return &surfaces_.emplace_back(job.speed, job.max_ps, job.max_workers, cache_enabled_);
-  };
-  SpeedSurface* surface = nullptr;
-  if (job.speed_signature != 0) {
-    SpeedSurface*& shared =
-        by_signature_[SignatureKey{job.speed_signature, job.max_ps, job.max_workers}];
-    if (shared == nullptr) {
-      shared = create();
-    }
-    surface = shared;
-  } else {
-    surface = create();
+  SpeedSurface*& shared = by_estimate_[EstimateKey{job.speed, job.max_ps, job.max_workers}];
+  if (shared == nullptr) {
+    shared = &surfaces_.emplace_back(job.speed, job.max_ps, job.max_workers, cache_enabled_);
   }
-  it->second = surface;
-  return surface;
+  it->second = shared;
+  return shared;
+}
+
+double SpeedSurfaceSet::Speed(const SchedJob& job, int p, int w) {
+  if (!job.speed.memoized()) {
+    ++inline_evals_;
+    return job.speed(p, w);
+  }
+  return Surface(job)->Speed(p, w);
+}
+
+void SpeedSurfaceSet::Retire(const SchedJob& job) {
+  const auto it = by_job_.find(job.job_id);
+  if (it == by_job_.end()) {
+    return;
+  }
+  SpeedSurface* surface = it->second;
+  by_job_.erase(it);
+  const auto shared = by_estimate_.find(EstimateKey{job.speed, job.max_ps, job.max_workers});
+  if (shared != by_estimate_.end() && shared->second == surface) {
+    by_estimate_.erase(shared);
+  }
+  surface->grid_ = std::vector<double>();
 }
 
 void SpeedSurfaceSet::Lend(int job_id, SpeedSurface* surface) {
@@ -108,7 +119,7 @@ void SpeedSurfaceSet::Lend(int job_id, SpeedSurface* surface) {
 void SpeedSurfaceSet::Unlend(int job_id) { by_job_.erase(job_id); }
 
 int64_t SpeedSurfaceSet::probes() const {
-  int64_t total = 0;
+  int64_t total = inline_evals_;
   for (const SpeedSurface& s : surfaces_) {
     total += s.probes();
   }
@@ -116,7 +127,7 @@ int64_t SpeedSurfaceSet::probes() const {
 }
 
 int64_t SpeedSurfaceSet::evals() const {
-  int64_t total = 0;
+  int64_t total = inline_evals_;
   for (const SpeedSurface& s : surfaces_) {
     total += s.evals();
   }

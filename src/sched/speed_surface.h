@@ -1,18 +1,17 @@
-// Memoized speed surfaces: the scheduling-round fast path.
+// Memoized speed surfaces: one scheduling round's cache of the costly speed
+// estimates.
 //
-// Every probe of `SchedJob::speed` is a std::function call that, in oracle
-// mode, re-runs the full comm/step-time model. One scheduling round probes
-// the same (p, w) points many times over: the greedy heap re-evaluates the
-// completion time at the current allocation for every candidate, the
-// exhaustive allocator revisits each configuration across branches, and a
-// cached what-if baseline re-probes its jobs' surfaces for every candidate
-// it evaluates (src/sched/what_if.h). A
-// SpeedSurface lazily caches f(p, w) over the job's feasible
+// The closed-form estimate kinds (zero, fitted, naive-linear; see
+// src/sched/speed_estimate.h) cost a few flops, so the Optimus greedy and
+// what-if admission evaluate them inline and build no surface for them. The
+// memoized kinds (the oracle's step-time model, custom functions) are worth a
+// cache: a SpeedSurface lazily caches f(p, w) over the job's feasible
 // [1..max_ps] x [1..max_workers] grid (the single p == 0 row for all-reduce
-// jobs, whose max_ps is 0) in a flat array so each point is
-// evaluated at most once per round; a SpeedSurfaceSet owns the surfaces of
-// one round and can share a single surface between jobs that declare
-// identical speed functions (SchedJob::speed_signature).
+// jobs, whose max_ps is 0) in a flat array, so each point is evaluated at
+// most once per round even when the exhaustive allocator revisits it across
+// branches or a cached what-if baseline re-probes it for every candidate
+// (src/sched/what_if.h). A SpeedSurfaceSet owns the surfaces of one round and
+// shares one surface between jobs whose estimates and caps are equal.
 //
 // Thread-safety: a SpeedSurface / SpeedSurfaceSet is NOT thread-safe, and no
 // surface is ever used concurrently: each scheduling round (each allocator
@@ -23,6 +22,7 @@
 #ifndef SRC_SCHED_SPEED_SURFACE_H_
 #define SRC_SCHED_SPEED_SURFACE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
@@ -32,8 +32,8 @@
 
 namespace optimus {
 
-// Lazy memo table over one speed function. Probes inside the grid are cached;
-// probes outside fall through to the underlying function every time.
+// Lazy memo table over one speed estimate. Probes inside the grid are cached;
+// probes outside fall through to the estimate every time.
 class SpeedSurface {
  public:
   // `cache_enabled = false` turns the surface into a counting pass-through
@@ -47,7 +47,7 @@ class SpeedSurface {
   int max_ps() const { return max_ps_; }
   int max_workers() const { return max_workers_; }
 
-  // Total Speed() calls vs underlying speed-function evaluations.
+  // Total Speed() calls vs underlying estimate evaluations.
   int64_t probes() const { return probes_; }
   int64_t evals() const { return evals_; }
 
@@ -88,21 +88,27 @@ class SpeedSurface {
   int64_t evals_before_ = 0;
 };
 
-// The surfaces of one scheduling round, keyed by job id. Jobs carrying the
-// same nonzero `speed_signature` (and identical caps) share one surface: the
-// caller guarantees their speed functions are identical, so a point evaluated
-// for one job is valid for all of them.
+// The surfaces of one scheduling round, keyed by job id. Jobs whose estimates
+// and caps are equal share one surface: equal estimates are pointwise
+// identical, so a point evaluated for one job is valid for all of them.
 //
-// The surfaces live in one stable-address container; the job and signature
+// The surfaces live in one stable-address container; the job and estimate
 // indexes are hash maps.
 class SpeedSurfaceSet {
  public:
   explicit SpeedSurfaceSet(bool cache_enabled = true)
       : cache_enabled_(cache_enabled) {}
 
-  // Returns the surface for `job`, creating (or signature-sharing) it on
-  // first use. The returned pointer stays valid for the set's lifetime.
+  // Returns the surface for `job`, creating (or sharing) it on first use. The
+  // returned pointer stays valid for the set's lifetime.
   SpeedSurface* Surface(const SchedJob& job);
+
+  // job.speed(p, w) as a round reads it: inline for the closed-form kinds,
+  // counted as one probe and one eval; through the job's surface otherwise.
+  double Speed(const SchedJob& job, int p, int w);
+  // Counts `evals` inline evaluations made on the set's behalf, each one
+  // probe and one eval.
+  void CountInline(int64_t evals) { inline_evals_ += evals; }
 
   bool cache_enabled() const { return cache_enabled_; }
   size_t num_surfaces() const { return surfaces_.size(); }
@@ -116,31 +122,35 @@ class SpeedSurfaceSet {
   void Lend(int job_id, SpeedSurface* surface);
   void Unlend(int job_id);
 
+  // Unindexes `job`'s surface, whose estimate points at storage about to die
+  // (the goodput composite's context): later lookups never find it, so a new
+  // context at the same address cannot alias it. The surface keeps counting
+  // in the aggregates; its memo is freed.
+  void Retire(const SchedJob& job);
+
   // Aggregate counters over all distinct surfaces (shared surfaces counted
-  // once).
+  // once) plus the inline evaluations.
   int64_t probes() const;
   int64_t evals() const;
   // Fraction of probes served from the memo table; 0 when nothing was probed.
   double hit_rate() const;
 
  private:
-  struct SignatureKey {
-    uint64_t signature;
+  struct EstimateKey {
+    SpeedEstimate speed;
     int max_ps;
     int max_workers;
-    bool operator==(const SignatureKey& other) const {
-      return signature == other.signature && max_ps == other.max_ps &&
-             max_workers == other.max_workers;
-    }
+    bool operator==(const EstimateKey&) const = default;
   };
-  struct SignatureHash {
-    size_t operator()(const SignatureKey& key) const;
+  struct EstimateHash {
+    size_t operator()(const EstimateKey& key) const;
   };
 
   bool cache_enabled_;
   std::deque<SpeedSurface> surfaces_;
   std::unordered_map<int, SpeedSurface*> by_job_;
-  std::unordered_map<SignatureKey, SpeedSurface*, SignatureHash> by_signature_;
+  std::unordered_map<EstimateKey, SpeedSurface*, EstimateHash> by_estimate_;
+  int64_t inline_evals_ = 0;
 };
 
 }  // namespace optimus

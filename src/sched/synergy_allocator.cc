@@ -38,7 +38,7 @@ std::vector<Allocation> SynergyAllocator::Allocate(const std::vector<SchedJob>& 
     sj.ps_demand = DeflateDemand(sj.ps_demand, sj.cpu_sensitivity,
                                  sj.mem_sensitivity, options_.min_provision);
   }
-  // Speed functions, signatures, and job ids are untouched, so the surfaces
+  // Speed estimates, caps and job ids are untouched, so the surfaces
   // memoize exactly as in a plain Optimus round.
   return inner_.Allocate(deflated, capacity, surfaces);
 }

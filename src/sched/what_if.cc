@@ -11,10 +11,12 @@ namespace optimus {
 
 namespace {
 
-// Estimated completion time of a job under `alloc`, probing `surface`.
-double CompletionTime(const SchedJob& job, const Allocation& alloc, SpeedSurface* surface) {
+// Estimated completion time of a job under `alloc`, reading f through
+// `speed`; infinity when the job holds no resources or f is not positive.
+template <typename SpeedAt>
+double CompletionTime(const SchedJob& job, const Allocation& alloc, const SpeedAt& speed) {
   if (ActiveAllocation(alloc, job.comm)) {
-    const double f = surface->Speed(alloc.num_ps, alloc.num_workers);
+    const double f = speed(alloc.num_ps, alloc.num_workers);
     if (f > 0.0) {
       return job.remaining_epochs / f;
     }
@@ -23,13 +25,14 @@ double CompletionTime(const SchedJob& job, const Allocation& alloc, SpeedSurface
 }
 
 // Estimated completion times for every job under an allocation (entry i is
-// job i's), probing through the baseline's speed surfaces.
+// job i's), read as the baseline's rounds read them.
 std::vector<double> CompletionTimes(const std::vector<SchedJob>& jobs,
                                     const std::vector<Allocation>& alloc,
                                     SpeedSurfaceSet* surfaces) {
   std::vector<double> out(jobs.size());
   for (size_t i = 0; i < jobs.size(); ++i) {
-    out[i] = CompletionTime(jobs[i], alloc[i], surfaces->Surface(jobs[i]));
+    out[i] = CompletionTime(jobs[i], alloc[i],
+                            [&](int p, int w) { return surfaces->Speed(jobs[i], p, w); });
   }
   return out;
 }
@@ -45,9 +48,10 @@ AdmissionBaseline::AdmissionBaseline(const Allocator* allocator,
       capacity_(capacity) {
   OPTIMUS_CHECK(allocator_ != nullptr);
   existing_.reserve(existing_.size() + 1);  // room for a candidate
-  // One memoized surface per job serves the baseline round, every admitted
-  // round and every completion-time readout, so each (p, w) point is
-  // evaluated at most once for the baseline's lifetime.
+  // One memoized surface per job of a memoized estimate kind serves the
+  // baseline round, every admitted round and every completion-time readout,
+  // so each of its (p, w) points is evaluated at most once for the
+  // baseline's lifetime. The closed-form kinds are evaluated inline.
   baseline_ = optimus_ != nullptr
                   ? optimus_->Allocate(existing_, capacity_, &surfaces_, &round_)
                   : allocator_->Allocate(existing_, capacity_, &surfaces_);
@@ -70,11 +74,14 @@ WhatIfResult AdmissionBaseline::Evaluate(const SchedJob& candidate) {
   WhatIfResult result;
   result.baseline_completion_s = baseline_completion_s_;
 
+  // A memoized candidate probes its private surface; a closed-form one is
+  // evaluated inline.
   SpeedSurface surface(candidate.speed, candidate.max_ps, candidate.max_workers,
                        surfaces_.cache_enabled());
+  SpeedSurface* cand_surface = candidate.speed.memoized() ? &surface : nullptr;
   Allocation cand;
   if (optimus_ != nullptr &&
-      optimus_->AppendToSlackRound(existing_, round_, baseline_, candidate, &surface,
+      optimus_->AppendToSlackRound(existing_, round_, baseline_, candidate, cand_surface,
                                    capacity_, &cand)) {
     // The admitted round is the baseline plus the candidate's path: every
     // existing job keeps its baseline allocation and completion time.
@@ -95,7 +102,9 @@ WhatIfResult AdmissionBaseline::Evaluate(const SchedJob& candidate) {
   if (ActiveAllocation(cand, candidate.comm)) {
     result.admitted = true;
     result.new_job_alloc = cand;
-    result.new_job_completion_s = CompletionTime(candidate, cand, &surface);
+    result.new_job_completion_s = CompletionTime(candidate, cand, [&](int p, int w) {
+      return cand_surface != nullptr ? cand_surface->Speed(p, w) : candidate.speed(p, w);
+    });
   }
 
   for (size_t i = 0; i < existing_.size(); ++i) {

@@ -11,9 +11,10 @@
 // an AdmissionBaseline computes it once and then evaluates any number of
 // candidates against it. Each evaluation answers exactly what a fresh pair
 // of allocations would:
-//   - The candidate probes a private speed surface, never the baseline's
-//     set. Surfaces are keyed by job id, and consecutive candidates may share
-//     an id while describing different models.
+//   - The candidate probes a private speed surface (or, for a closed-form
+//     estimate, evaluates inline), never the baseline's set. Surfaces are
+//     keyed by job id, and consecutive candidates may share an id while
+//     describing different models.
 //   - Under OptimusAllocator, when the baseline round was slack and the
 //     candidate's seed plus solo path still fit with the allocator's slack
 //     margin, the admitted round is the baseline plus that path

@@ -16,14 +16,6 @@ namespace optimus {
 
 namespace {
 
-// SplitMix64-style combiner for speed-surface signatures.
-uint64_t MixSignature(uint64_t h, uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  h += 0x9e3779b97f4a7c15ULL;
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  return h ^ (h >> 27);
-}
-
 // All policy construction goes through the SchedulerRegistry, keyed by the
 // config's policy name (CheckValid has already rejected unknown names).
 std::unique_ptr<Allocator> MakeAllocator(const SimulatorConfig& config,
@@ -38,34 +30,7 @@ std::unique_ptr<Allocator> MakeAllocator(const SimulatorConfig& config,
 // The spec-only step-time view of a job at (p, w): the configured batch,
 // balanced PS load, no placement, healthy workers and the flat network.
 StepTimeInputs SpecStepInputs(const JobSpec& spec, int num_ps, int num_workers) {
-  StepTimeInputs in;
-  in.model = spec.model;
-  in.mode = spec.mode;
-  in.comm = spec.comm;
-  in.num_ps = num_ps;
-  in.num_workers = num_workers;
-  in.global_batch = spec.GlobalBatch();
-  in.async_minibatch = spec.AsyncMinibatch();
-  return in;
-}
-
-// The scheduler's view of a job's identity, demands and caps. All-reduce
-// jobs run no PS tasks: the scheduler sees a zero PS cap and a zero PS
-// demand, so every allocator works along the p == 0 row.
-SchedJob SchedJobHeader(const JobSpec& spec) {
-  SchedJob sj;
-  sj.job_id = spec.id;
-  sj.mode = spec.mode;
-  sj.comm = spec.comm;
-  sj.worker_demand = spec.worker_demand;
-  sj.ps_demand = spec.ps_demand;
-  sj.max_ps = spec.max_ps;
-  sj.max_workers = spec.max_workers;
-  if (spec.comm == CommMode::kAllReduce) {
-    sj.max_ps = 0;
-    sj.ps_demand = Resources();
-  }
-  return sj;
+  return StepProfile::Of(spec).Inputs(num_ps, num_workers);
 }
 
 }  // namespace
@@ -657,89 +622,40 @@ SchedJob Simulator::MakeSchedJob(JobRuntime* jr) const {
   sj.remaining_epochs = EstimateRemainingEpochs(*jr);
 
   const double spe = static_cast<double>(spec.StepsPerEpoch());
+  const StepProfile profile = StepProfile::Of(spec);
   if (config_.oracle_estimates) {
     // Speed-estimation error distorts the *slope* of the estimated speed
     // function: the estimate is exact in the middle of the configuration
     // range and off by up to +/-e at the extremes. A uniform scale factor
     // would cancel out of every allocation decision; a slope error misplaces
     // the speed knee and causes genuine over-/under-allocation, which is what
-    // Fig 15 measures.
+    // Fig 15 measures. Without injected error, jobs sharing one profile have
+    // equal estimates and share one memoized surface within a round.
     const double err = ErrorFactor(*jr, config_.error.speed_error) - 1.0;
-    const CommConfig comm = config_.comm;
     const double span = static_cast<double>(sj.max_ps + sj.max_workers);
-    sj.speed = [spec, spe, err, comm, span](int p, int w) {
-      const double tilt = 2.0 * (p + w) / span - 1.0;  // -1 at (1,1), +1 at caps
-      return TrainingSpeed(SpecStepInputs(spec, p, w), comm) / spe * (1.0 + err * tilt);
-    };
-    if (err == 0.0) {
-      // Without injected error the estimate depends only on the job's model
-      // profile, so jobs sharing one profile can share one memoized speed
-      // surface within a scheduling round.
-      uint64_t sig = std::hash<std::string>{}(spec.model->name);
-      sig = MixSignature(sig, static_cast<uint64_t>(spec.mode));
-      sig = MixSignature(sig, static_cast<uint64_t>(spec.GlobalBatch()));
-      sig = MixSignature(sig, static_cast<uint64_t>(spec.AsyncMinibatch()));
-      sig = MixSignature(sig, static_cast<uint64_t>(spec.StepsPerEpoch()));
-      if (allreduce) {
-        // The all-reduce speed function differs from the PS one for the same
-        // model profile; fold comm in only for non-default modes so PS jobs
-        // keep their historical signatures bitwise.
-        sig = MixSignature(sig, static_cast<uint64_t>(spec.comm) + 1);
-      }
-      sj.speed_signature = sig != 0 ? sig : 1;
-    }
-  } else if (config_.naive_linear_speed) {
+    sj.speed = SpeedEstimate::Oracle(profile, config_.comm, spe, err, span);
+  } else if (jr->speed != nullptr && config_.naive_linear_speed) {
     // Naive assumption: perfect linear scaling in workers from the single
     // (1, 1) measurement, parameter servers free.
-    SpeedModel* model = jr->speed.get();
-    sj.speed = [model, spe](int /*p*/, int w) {
-      if (model == nullptr || !model->fitted()) {
-        return 0.0;
-      }
-      return model->Estimate(1, 1) * static_cast<double>(w) / spe;
-    };
-  } else if (allreduce) {
+    sj.speed = SpeedEstimate::NaiveLinear(*jr->speed, spe);
+  } else if (jr->speed != nullptr) {
     // Fitted all-reduce estimates live on the model's p = 1 row (the grid the
     // pre-run samples and interval measurements were pinned to).
-    SpeedModel* model = jr->speed.get();
-    sj.speed = [model, spe](int /*p*/, int w) {
-      if (model == nullptr || !model->fitted()) {
-        return 0.0;
-      }
-      return model->Estimate(1, w) / spe;
-    };
-  } else {
-    SpeedModel* model = jr->speed.get();
-    sj.speed = [model, spe](int p, int w) {
-      if (model == nullptr || !model->fitted()) {
-        return 0.0;
-      }
-      return model->Estimate(p, w) / spe;
-    };
+    sj.speed = SpeedEstimate::Fitted(*jr->speed, spe, /*pin_ps=*/allreduce);
   }
 
   // Batch-adaptivity surface (sync jobs only): the admissible range, the
-  // statistical-efficiency parameter, and a batch-capable physical speed
-  // estimate. batch_speed scales the policy-facing estimate by the analytic
-  // step-time ratio T(M0)/T(b) — a pure function of the model profile, so it
-  // adds no RNG draws and is identical across threads. Policies that
-  // ignore the batch dimension never call it.
+  // statistical-efficiency parameter, and batch scaling of the estimate by
+  // the analytic step-time ratio T(M0)/T(b) — a pure function of the model
+  // profile, so it adds no RNG draws and is identical across threads.
+  // Policies that ignore the batch dimension never call it.
   if (spec.mode == TrainingMode::kSync) {
     sj.batch_ref = spec.GlobalBatch();
     sj.batch_min = spec.BatchMin();
     sj.batch_max = spec.BatchMax();
     sj.grad_noise_scale = spec.GradNoiseScale();
     if (sj.batch_min > 0 && sj.batch_max > sj.batch_min) {
-      const SpeedEstimate base = sj.speed;
-      const CommConfig comm = config_.comm;
-      sj.batch_speed = [base, spec, comm](int p, int w, int b) {
-        StepTimeInputs in = SpecStepInputs(spec, p, w);  // at the reference batch
-        const double ref_speed = TrainingSpeed(in, comm);
-        in.global_batch = b;
-        const double b_speed = TrainingSpeed(in, comm);
-        const double ratio = ref_speed > 0.0 ? b_speed / ref_speed : 1.0;
-        return base(p, w) * ratio;
-      };
+      sj.speed = sj.speed.WithBatchScaling(profile, config_.comm);
     }
   }
   // Sensitivity profile for resource-sensitive policies.
@@ -1164,8 +1080,9 @@ void Simulator::ScheduleActiveJobs() {
   // (the capacity shrink already happened in CollectRoundInputs).
   placement_state_.BeginRound(servers_, BackgroundShare(now_s_));
 
-  // Serial: a scheduler view is a few closures and a memoized estimate, too
-  // little work per job for a pool fan-out to pay for its dispatch.
+  // Serial: a scheduler view is a small value (demands, caps, a speed
+  // estimate), too little work per job for a pool fan-out to pay for its
+  // dispatch.
   std::vector<SchedJob> sched_jobs;
   sched_jobs.reserve(schedulable.size());
   for (JobRuntime* jr : schedulable) {
@@ -1820,12 +1737,10 @@ WhatIfResult Simulator::WhatIf(const JobSpec& candidate) {
   // unchanged.
   SchedJob cand = SchedJobHeader(candidate);
   cand.remaining_epochs = config_.default_remaining_epochs;
-  const JobSpec spec = candidate;
-  const double spe = static_cast<double>(spec.StepsPerEpoch());
-  const CommConfig comm = config_.comm;
-  cand.speed = [spec, spe, comm](int p, int w) {
-    return TrainingSpeed(SpecStepInputs(spec, p, w), comm) / spe;
-  };
+  cand.speed = SpeedEstimate::Oracle(StepProfile::Of(candidate), config_.comm,
+                                     static_cast<double>(candidate.StepsPerEpoch()),
+                                     /*error=*/0.0,
+                                     static_cast<double>(cand.max_ps + cand.max_workers));
 
   if (whatif_baseline_ == nullptr || whatif_generation_ != state_generation_) {
     whatif_baseline_ = MakeAdmissionBaseline(/*without_id=*/nullptr);

@@ -91,6 +91,34 @@ TEST(ControllerTest, SpeedEstimateFromPreRun) {
   EXPECT_NEAR(controller.EstimateSpeed(0, 6, 6), truth, 0.2 * truth);
 }
 
+TEST(ControllerTest, AllReduceJobGetsNoParameterServers) {
+  OptimusController controller;
+  JobSpec spec = MakeSpec(0, "ResNext-110", TrainingMode::kSync);
+  spec.comm = CommMode::kAllReduce;
+  // All-reduce pre-runs vary only the worker count; their samples sit on the
+  // model's p = 1 row.
+  std::vector<SpeedSample> samples;
+  for (const int w : {1, 2, 4, 8, 16}) {
+    StepTimeInputs in;
+    in.model = spec.model;
+    in.mode = spec.mode;
+    in.comm = spec.comm;
+    in.num_ps = 0;
+    in.num_workers = w;
+    samples.push_back({1, w, TrainingSpeed(in, CommConfig{})});
+  }
+  controller.RegisterJob(spec, samples);
+
+  ScheduleDecision decision = controller.Schedule(BuildTestbed());
+  ASSERT_TRUE(decision.allocations.count(0));
+  const Allocation alloc = decision.allocations[0];
+  EXPECT_EQ(alloc.num_ps, 0);
+  EXPECT_GT(alloc.num_workers, 1);
+  ASSERT_TRUE(decision.placements.count(0));
+  EXPECT_EQ(decision.placements[0].TotalPs(), 0);
+  EXPECT_EQ(decision.placements[0].TotalWorkers(), alloc.num_workers);
+}
+
 TEST(ControllerTest, RemainingEpochsSharpensWithObservations) {
   OptimusController controller;
   const JobSpec spec = MakeSpec(0, "Seq2Seq", TrainingMode::kSync);

@@ -5,6 +5,7 @@
 #include "src/common/rng.h"
 #include "src/sched/exhaustive_allocator.h"
 #include "src/sched/optimus_allocator.h"
+#include "tests/test_speeds.h"
 
 namespace optimus {
 namespace {
@@ -17,9 +18,9 @@ SchedJob MakeJob(int id, double remaining, double a, double b, int caps = 6) {
   job.max_ps = caps;
   job.max_workers = caps;
   job.remaining_epochs = remaining;
-  job.speed = [a, b](int p, int w) {
+  job.speed = KeepSpeed([a, b](int p, int w) {
     return 1.0 / (a / w + 1.0 + b * w / p + 0.1 * w + 0.1 * p);
-  };
+  });
   return job;
 }
 

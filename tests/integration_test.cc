@@ -16,6 +16,7 @@
 #include "src/sim/experiment.h"
 #include "src/sim/simulator.h"
 #include "src/sim/workload.h"
+#include "tests/test_speeds.h"
 
 namespace optimus {
 namespace {
@@ -37,9 +38,9 @@ std::vector<SchedJob> RandomJobs(int n, Rng* rng) {
     job.remaining_epochs = rng->Uniform(1.0, 80.0);
     const double a = rng->Uniform(1.0, 20.0);
     const double b = rng->Uniform(0.1, 2.0);
-    job.speed = [a, b](int p, int w) {
+    job.speed = KeepSpeed([a, b](int p, int w) {
       return 1.0 / (a / w + 1.0 + b * w / p + 0.05 * w + 0.05 * p);
-    };
+    });
     jobs.push_back(std::move(job));
   }
   return jobs;

@@ -16,6 +16,7 @@
 #include "src/sched/baseline_allocators.h"
 #include "src/sched/optimus_allocator.h"
 #include "src/sched/placement.h"
+#include "tests/test_speeds.h"
 
 namespace optimus {
 namespace {
@@ -241,9 +242,9 @@ class AllocatorSweep : public ::testing::TestWithParam<AllocKind> {
       job.max_workers = 12;
       job.remaining_epochs = 5.0 + 7.0 * i;
       const double a = 3.0 + i;
-      job.speed = [a](int p, int w) {
+      job.speed = KeepSpeed([a](int p, int w) {
         return 1.0 / (a / w + 1.0 + 0.8 * w / p + 0.05 * w + 0.05 * p);
-      };
+      });
       jobs.push_back(std::move(job));
     }
     return jobs;

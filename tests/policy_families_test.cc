@@ -21,6 +21,7 @@
 #include "src/sim/simulator.h"
 #include "src/sim/workload.h"
 #include "src/workload/scenario.h"
+#include "tests/test_speeds.h"
 
 namespace optimus {
 namespace {
@@ -76,9 +77,20 @@ TEST(BatchMathTest, BatchProgressFactorSaturatesAtNoiseScaleBound) {
 // ---------------------------------------------------------------------------
 
 SpeedEstimate ConcaveSpeed(double scale) {
-  return [scale](int p, int w) {
+  return KeepSpeed([scale](int p, int w) {
     return scale * (1.0 - 1.0 / (1.0 + p)) * (1.0 - 1.0 / (1.0 + w));
-  };
+  });
+}
+
+// Batch scaling by the CNN-rand step-time profile: its steps are
+// communication-bound, so physical steps/s decays mildly with b and larger
+// batches win on effective progress until the statistical-efficiency decay
+// overtakes.
+SpeedEstimate BatchScaled(const SpeedEstimate& base) {
+  StepProfile profile;
+  profile.model = &FindModel("CNN-rand");
+  profile.global_batch = 256;
+  return base.WithBatchScaling(profile, CommConfig{});
 }
 
 SchedJob FixedBatchJob(int id) {
@@ -101,7 +113,8 @@ TEST(GoodputAllocatorTest, BatchRungsLadderIsSortedAndBounded) {
   job.batch_min = 64;
   job.batch_max = 1024;
   job.grad_noise_scale = 500.0;
-  job.batch_speed = [](int, int, int) { return 1.0; };
+  EXPECT_TRUE(GoodputAllocator::BatchRungs(job).empty());  // not batch_scalable()
+  job.speed = BatchScaled(job.speed);
   const std::vector<int> rungs = GoodputAllocator::BatchRungs(job);
   EXPECT_EQ(rungs, (std::vector<int>{64, 128, 256, 512, 1024}));
 
@@ -133,12 +146,7 @@ TEST(GoodputAllocatorTest, PicksTheArgmaxEffectiveBatch) {
   job.batch_min = 64;
   job.batch_max = 1024;
   job.grad_noise_scale = 1000.0;
-  // Physical steps/s decays mildly with b, so larger batches win on effective
-  // progress until the statistical-efficiency decay overtakes.
-  const SpeedEstimate base = job.speed;
-  job.batch_speed = [base](int p, int w, int b) {
-    return base(p, w) * 456.0 / (200.0 + b);
-  };
+  job.speed = BatchScaled(job.speed);
 
   const Resources capacity(120, 1200, 0, 60);
   const std::vector<Allocation> got = GoodputAllocator().Allocate({job}, capacity);
@@ -151,7 +159,7 @@ TEST(GoodputAllocatorTest, PicksTheArgmaxEffectiveBatch) {
   int want_b = job.batch_ref;
   double want_s = 0.0;
   for (const int b : GoodputAllocator::BatchRungs(job)) {
-    const double s = job.batch_speed(alloc.num_ps, alloc.num_workers, b) *
+    const double s = job.speed.BatchSpeed(alloc.num_ps, alloc.num_workers, b) *
                      BatchProgressFactor(job.grad_noise_scale, job.batch_ref, b);
     if (s > want_s) {
       want_s = s;
@@ -273,10 +281,7 @@ TEST(AllocatorContractTest, OneEntryPerJobInInputOrder) {
     job.batch_min = 64;
     job.batch_max = 1024;
     job.grad_noise_scale = 500.0;
-    const SpeedEstimate base = job.speed;
-    job.batch_speed = [base](int p, int w, int b) {
-      return base(p, w) * 456.0 / (200.0 + b);
-    };
+    job.speed = BatchScaled(job.speed);
     jobs.push_back(job);
   }
   jobs[3].comm = CommMode::kAllReduce;

@@ -7,22 +7,26 @@
 // The bounds pin the flat, reused round state: the auditor tracker re-places
 // a job without allocating, placement allocates only each placed job's three
 // placement vectors plus a fixed per-call amount, and the Optimus allocator
-// stays within a few allocations per job.
+// stays within a few allocations per job for the memoized estimate kinds and
+// within a fixed per-round amount for the closed-form ones.
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/cluster/server.h"
+#include "src/perfmodel/speed_model.h"
 #include "src/sched/optimus_allocator.h"
 #include "src/sched/placement.h"
 #include "src/sched/speed_surface.h"
 #include "src/sim/invariant_auditor.h"
+#include "tests/test_speeds.h"
 
 namespace {
 
@@ -229,9 +233,9 @@ TEST(RoundAllocTest, OptimusAllocatorStaysWithinFourPerJob) {
     job.remaining_epochs = 50.0 + j;
     const double scale = 1.0 + 0.01 * j;
     // Saturating speed: workers help until the PS side becomes the bottleneck.
-    job.speed = [scale](int p, int w) {
+    job.speed = KeepSpeed([scale](int p, int w) {
       return scale * w / (1.0 + 0.15 * w + 0.4 * w / p);
-    };
+    });
     jobs.push_back(job);
   }
   // Far more capacity than any path needs: a slack round.
@@ -256,6 +260,49 @@ TEST(RoundAllocTest, OptimusAllocatorStaysWithinFourPerJob) {
   EXPECT_GT(stats.grants, kJobs);
   EXPECT_LE(allocations, 4 * kJobs + 32)
       << allocations << " allocations for " << kJobs << " jobs";
+}
+
+TEST(RoundAllocTest, FittedRoundAllocatesPerRoundNotPerJob) {
+  // Fitted estimates are evaluated inline: no surface, grid or closure per
+  // job, only the round's own vectors.
+  SpeedModel model(TrainingMode::kSync, 256);
+  for (const auto& [p, w, speed] :
+       {std::tuple{1, 1, 2.0}, {2, 4, 5.5}, {4, 4, 6.0}, {4, 8, 8.5}, {8, 8, 9.0}}) {
+    model.AddSample(p, w, speed);
+  }
+  ASSERT_TRUE(model.Fit());
+  constexpr int kJobs = 500;
+  std::vector<SchedJob> jobs;
+  for (int j = 0; j < kJobs; ++j) {
+    SchedJob job;
+    job.job_id = j;
+    job.worker_demand = Resources(2, 8, 0, 0.1);
+    job.ps_demand = Resources(2, 8, 0, 0.1);
+    job.max_ps = 8;
+    job.max_workers = 8;
+    job.remaining_epochs = 50.0 + j;
+    job.speed = SpeedEstimate::Fitted(model, 100.0 + j, /*pin_ps=*/false);
+    jobs.push_back(job);
+  }
+  // Far more capacity than any path needs: a slack round.
+  const Resources capacity(1e6, 1e7, 0, 1e5);
+  OptimusAllocRoundStats stats;
+  OptimusAllocatorOptions options;
+  options.stats = &stats;
+  const OptimusAllocator allocator(options);
+  SpeedSurfaceSet surfaces;
+
+  AllocationCount count;
+  const std::vector<Allocation> result = allocator.Allocate(jobs, capacity, &surfaces);
+  const int64_t allocations = count.Stop();
+
+  ASSERT_EQ(result.size(), jobs.size());
+  EXPECT_EQ(surfaces.num_surfaces(), 0u);
+  EXPECT_EQ(stats.unfittable_drops, 0);
+  EXPECT_GT(stats.grants, kJobs);
+  EXPECT_GT(surfaces.evals(), 0);
+  EXPECT_EQ(surfaces.probes(), surfaces.evals());
+  EXPECT_LE(allocations, 32) << allocations << " allocations for " << kJobs << " jobs";
 }
 
 }  // namespace

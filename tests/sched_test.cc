@@ -16,6 +16,7 @@
 #include "src/sched/optimus_allocator.h"
 #include "src/sched/placement.h"
 #include "src/sched/scheduler.h"
+#include "tests/test_speeds.h"
 
 namespace optimus {
 namespace {
@@ -23,10 +24,10 @@ namespace {
 // A simple concave speed function: f improves with both p and w but with
 // diminishing returns, peaking inside the grid.
 SpeedEstimate ConcaveSpeed(double scale = 1.0) {
-  return [scale](int p, int w) {
+  return KeepSpeed([scale](int p, int w) {
     const double t = 4.0 / w + 1.0 + 0.8 * w / p + 0.05 * w + 0.05 * p;
     return scale / t;
-  };
+  });
 }
 
 SchedJob MakeJob(int id, double remaining_epochs, SpeedEstimate speed,
@@ -104,7 +105,7 @@ TEST(OptimusAllocatorTest, StopsAtNonPositiveMarginalGain) {
   // Speed independent of resources: no gain from extra tasks, so every job
   // stays at its (1, 1) seed even with abundant capacity.
   OptimusAllocator allocator;
-  SpeedEstimate flat = [](int, int) { return 1.0; };
+  const SpeedEstimate flat = KeepSpeed([](int, int) { return 1.0; });
   std::vector<SchedJob> jobs = {MakeJob(0, 10.0, flat), MakeJob(1, 10.0, flat)};
   std::vector<Allocation> result = allocator.Allocate(jobs, Capacity(1000));
   for (const Allocation& alloc : result) {
@@ -143,9 +144,9 @@ TEST(OptimusAllocatorTest, UnfittableKindIsDroppedWhileOtherKindFills) {
   job.remaining_epochs = 10.0;
   // Improves strongly with p, only faintly with w: PS gains dominate but the
   // worker candidate stays positive (so it gets pushed, then popped).
-  job.speed = [](int p, int w) {
+  job.speed = KeepSpeed([](int p, int w) {
     return 1.0 / (4.0 / p + 0.2 / w + 0.05 * p + 0.05 * w);
-  };
+  });
   job.max_ps = 16;
   job.max_workers = 16;
 
@@ -162,7 +163,8 @@ TEST(OptimusAllocatorTest, PrefersWorkerOrPsByGain) {
   // Speed that only improves with workers: all additional tasks should be
   // workers.
   OptimusAllocator allocator;
-  SpeedEstimate worker_only = [](int /*p*/, int w) { return 1.0 - 1.0 / (1.0 + w); };
+  const SpeedEstimate worker_only =
+      KeepSpeed([](int /*p*/, int w) { return 1.0 - 1.0 / (1.0 + w); });
   std::vector<SchedJob> jobs = {MakeJob(0, 10.0, worker_only)};
   std::vector<Allocation> result = allocator.Allocate(jobs, Capacity(60));
   EXPECT_EQ(result[0].num_ps, 1);
@@ -282,10 +284,10 @@ TEST(TetrisAllocatorTest, StopsAtSpeedKnee) {
   // A speed function that is flat beyond 3 units: Tetris should not allocate
   // far past the knee even with huge capacity.
   TetrisAllocator allocator;
-  SpeedEstimate knee = [](int p, int w) {
+  const SpeedEstimate knee = KeepSpeed([](int p, int w) {
     const int u = std::min(p, w);
     return u <= 3 ? static_cast<double>(u) : 3.0 + 0.001 * (u - 3);
-  };
+  });
   std::vector<SchedJob> jobs = {MakeJob(0, 10.0, knee)};
   std::vector<Allocation> result = allocator.Allocate(jobs, Capacity(1000));
   EXPECT_LE(result[0].num_workers, 5);

@@ -1,5 +1,6 @@
 // Memoized speed surfaces (src/sched/speed_surface.h): memoization
-// correctness, pass-through mode, signature sharing, and the guarantee that
+// correctness, pass-through mode, sharing between equal estimates, inline
+// evaluation of the closed-form kinds, and the guarantee that
 // surface-backed allocation is bit-identical to direct-probe allocation for
 // every allocator.
 
@@ -16,24 +17,25 @@
 #include "src/sched/scheduler.h"
 #include "src/sched/speed_surface.h"
 #include "src/sched/what_if.h"
+#include "tests/test_speeds.h"
 
 namespace optimus {
 namespace {
 
 // Concave speed improving in both p and w with diminishing returns.
 SpeedEstimate ConcaveSpeed(double scale = 1.0) {
-  return [scale](int p, int w) {
+  return KeepSpeed([scale](int p, int w) {
     const double t = 4.0 / w + 1.0 + 0.8 * w / p + 0.05 * w + 0.05 * p;
     return scale / t;
-  };
+  });
 }
 
 // Wraps `fn` so every underlying evaluation bumps *counter.
 SpeedEstimate Counted(SpeedEstimate fn, std::shared_ptr<int> counter) {
-  return [fn = std::move(fn), counter](int p, int w) {
+  return KeepSpeed([fn = std::move(fn), counter](int p, int w) {
     ++*counter;
     return fn(p, w);
-  };
+  });
 }
 
 SchedJob MakeJob(int id, double remaining_epochs, SpeedEstimate speed,
@@ -99,56 +101,94 @@ TEST(SpeedSurfaceTest, DisabledCacheReEvaluatesEveryProbe) {
 // SpeedSurfaceSet
 // ---------------------------------------------------------------------------
 
-TEST(SpeedSurfaceSetTest, SharesSurfacesBySignature) {
+TEST(SpeedSurfaceSetTest, SharesSurfacesBetweenEqualEstimates) {
   SpeedSurfaceSet set;
-  SchedJob a = MakeJob(0, 10.0, ConcaveSpeed());
-  SchedJob b = MakeJob(1, 20.0, ConcaveSpeed());
-  SchedJob c = MakeJob(2, 30.0, ConcaveSpeed());
-  a.speed_signature = 7;
-  b.speed_signature = 7;
-  c.speed_signature = 8;
+  const SpeedEstimate shared = ConcaveSpeed();
+  const SchedJob a = MakeJob(0, 10.0, shared);
+  const SchedJob b = MakeJob(1, 20.0, shared);
+  const SchedJob c = MakeJob(2, 30.0, ConcaveSpeed());
 
   SpeedSurface* sa = set.Surface(a);
-  EXPECT_EQ(set.Surface(b), sa);      // same signature, same caps
-  EXPECT_NE(set.Surface(c), sa);      // different signature
+  EXPECT_EQ(set.Surface(b), sa);      // equal estimate, same caps
+  EXPECT_NE(set.Surface(c), sa);      // another context: not equal
   EXPECT_EQ(set.Surface(a), sa);      // stable per job
   EXPECT_EQ(set.num_surfaces(), 2u);
 }
 
-TEST(SpeedSurfaceSetTest, SignatureZeroMeansNoSharing) {
+TEST(SpeedSurfaceSetTest, UnequalEstimatesAreNotShared) {
   SpeedSurfaceSet set;
   const SchedJob a = MakeJob(0, 10.0, ConcaveSpeed());
   const SchedJob b = MakeJob(1, 20.0, ConcaveSpeed());
-  ASSERT_EQ(a.speed_signature, 0u);
+  ASSERT_FALSE(a.speed == b.speed);
   EXPECT_NE(set.Surface(a), set.Surface(b));
   EXPECT_EQ(set.num_surfaces(), 2u);
 }
 
-TEST(SpeedSurfaceSetTest, SameSignatureDifferentCapsNotShared) {
+TEST(SpeedSurfaceSetTest, EqualEstimateDifferentCapsNotShared) {
   SpeedSurfaceSet set;
-  SchedJob a = MakeJob(0, 10.0, ConcaveSpeed());
-  SchedJob b = MakeJob(1, 20.0, ConcaveSpeed());
-  a.speed_signature = 7;
-  b.speed_signature = 7;
+  const SpeedEstimate shared = ConcaveSpeed();
+  SchedJob a = MakeJob(0, 10.0, shared);
+  SchedJob b = MakeJob(1, 20.0, shared);
   b.max_workers = 8;
   EXPECT_NE(set.Surface(a), set.Surface(b));
+}
+
+TEST(SpeedSurfaceSetTest, RetiredSurfaceIsNeverFoundAgain) {
+  SpeedSurfaceSet set;
+  const SchedJob a = MakeJob(0, 10.0, ConcaveSpeed());
+  SpeedSurface* old = set.Surface(a);
+  old->Speed(1, 1);
+  set.Retire(a);
+  EXPECT_NE(set.Surface(a), old);
+  EXPECT_EQ(set.num_surfaces(), 2u);
+  EXPECT_EQ(set.probes(), 1);  // the retired surface still counts
+}
+
+TEST(SpeedSurfaceSetTest, ClosedFormKindsAreEvaluatedInline) {
+  SpeedSurfaceSet set;
+  SchedJob job = MakeJob(0, 10.0, SpeedEstimate());
+  EXPECT_EQ(set.Speed(job, 2, 3), 0.0);
+  EXPECT_EQ(set.num_surfaces(), 0u);
+  EXPECT_EQ(set.probes(), 1);
+  EXPECT_EQ(set.evals(), 1);
+  job.speed = ConcaveSpeed();
+  EXPECT_EQ(set.Speed(job, 2, 3), job.speed(2, 3));
+  EXPECT_EQ(set.Speed(job, 2, 3), job.speed(2, 3));
+  EXPECT_EQ(set.num_surfaces(), 1u);
+  EXPECT_EQ(set.probes(), 3);
+  EXPECT_EQ(set.evals(), 2);
 }
 
 // ---------------------------------------------------------------------------
 // Allocators through surfaces
 // ---------------------------------------------------------------------------
 
-// The headline guarantee: a full greedy round through a surface performs
-// strictly fewer underlying speed-model evaluations than probe calls.
+// The greedy carries each job's completion time at its current point, so a
+// round probes every (job, point) once: without shared surfaces it evaluates
+// exactly what it probes. Jobs sharing one surface evaluate each point once
+// between them, so a shared round evaluates fewer points than it probes.
 TEST(SpeedSurfaceSetTest, OptimusRoundEvaluatesFewerPointsThanItProbes) {
-  std::vector<SchedJob> jobs = {MakeJob(0, 10.0, ConcaveSpeed()),
-                                MakeJob(1, 25.0, ConcaveSpeed(2.0)),
-                                MakeJob(2, 40.0, ConcaveSpeed(0.5))};
-  SpeedSurfaceSet surfaces;
-  OptimusAllocator().Allocate(jobs, Capacity(200), &surfaces);
-  EXPECT_GT(surfaces.probes(), 0);
-  EXPECT_LT(surfaces.evals(), surfaces.probes());
-  EXPECT_GT(surfaces.hit_rate(), 0.0);
+  {
+    std::vector<SchedJob> jobs = {MakeJob(0, 10.0, ConcaveSpeed()),
+                                  MakeJob(1, 25.0, ConcaveSpeed(2.0)),
+                                  MakeJob(2, 40.0, ConcaveSpeed(0.5))};
+    SpeedSurfaceSet surfaces;
+    OptimusAllocator().Allocate(jobs, Capacity(200), &surfaces);
+    EXPECT_GT(surfaces.probes(), 0);
+    EXPECT_EQ(surfaces.evals(), surfaces.probes());
+    EXPECT_EQ(surfaces.hit_rate(), 0.0);
+  }
+  {
+    const SpeedEstimate shared = ConcaveSpeed();
+    std::vector<SchedJob> jobs = {MakeJob(0, 10.0, shared), MakeJob(1, 25.0, shared),
+                                  MakeJob(2, 40.0, shared)};
+    SpeedSurfaceSet surfaces;
+    OptimusAllocator().Allocate(jobs, Capacity(200), &surfaces);
+    EXPECT_EQ(surfaces.num_surfaces(), 1u);
+    EXPECT_GT(surfaces.probes(), 0);
+    EXPECT_LT(surfaces.evals(), surfaces.probes());
+    EXPECT_GT(surfaces.hit_rate(), 0.0);
+  }
 }
 
 TEST(SpeedSurfaceSetTest, DisabledSetCountsButNeverCaches) {
@@ -180,12 +220,12 @@ TEST(SpeedSurfaceSetTest, CachedAllocationMatchesDirectProbing) {
       jobs.push_back(MakeJob(i, trial_rng.Uniform(1.0, 50.0), ConcaveSpeed(scale),
                              trial_rng.Uniform(1.0, 6.0)));
     }
-    // Half the trials exercise signature sharing; a signature may only be
-    // shared between pointwise-identical speed functions.
+    // Half the trials exercise surface sharing: every job carries one
+    // estimate.
     if (trial % 2 == 0) {
+      const SpeedEstimate shared = ConcaveSpeed(1.5);
       for (SchedJob& job : jobs) {
-        job.speed = ConcaveSpeed(1.5);
-        job.speed_signature = 1;
+        job.speed = shared;
       }
     }
     const Resources capacity(trial_rng.Uniform(20, 200), 10000, 0, 1000);

@@ -22,14 +22,15 @@
 #include "src/sim/experiment.h"
 #include "src/sim/simulator.h"
 #include "src/sim/workload.h"
+#include "tests/test_speeds.h"
 
 namespace optimus {
 namespace {
 
 SpeedEstimate ConcaveSpeed() {
-  return [](int p, int w) {
+  return KeepSpeed([](int p, int w) {
     return 1.0 / (4.0 / w + 1.0 + 0.8 * w / p + 0.05 * w + 0.05 * p);
-  };
+  });
 }
 
 SchedJob MakeJob(int id, double remaining_epochs) {

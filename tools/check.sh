@@ -21,8 +21,8 @@ cmake --build "${build_dir}" -j "$(nproc)"
 ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 
 # Perf smoke: a seconds-scale scheduling round with and without the speed
-# surface; writes/updates BENCH_sched.json in the working directory.
-"${build_dir}/bench/bench_fig12_scalability" --smoke
+# surface. Routed away from the committed full-scale BENCH_sched.json.
+"${build_dir}/bench/bench_fig12_scalability" --smoke --json=BENCH_sched_smoke.json
 
 # Event-kernel smoke: discrete-event engine vs interval engine on small
 # regimes; exits 3 if the engines diverge beyond the documented tolerance
