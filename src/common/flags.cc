@@ -1,5 +1,6 @@
 #include "src/common/flags.h"
 
+#include <climits>
 #include <cstdlib>
 
 #include "src/common/logging.h"
@@ -88,6 +89,14 @@ int64_t FlagParser::GetInt(const std::string& key, int64_t def) const {
   OPTIMUS_CHECK(end != nullptr && *end == '\0' && !it->second.empty())
       << "flag --" << key << " expects an integer, got '" << it->second << "'";
   return value;
+}
+
+int FlagParser::GetInt32(const std::string& key, int def) const {
+  const int64_t value = GetInt(key, def);
+  OPTIMUS_CHECK(value >= INT_MIN && value <= INT_MAX)
+      << "flag --" << key << " expects an integer in [" << INT_MIN << ", "
+      << INT_MAX << "], got '" << values_.at(key) << "'";
+  return static_cast<int>(value);
 }
 
 double FlagParser::GetDouble(const std::string& key, double def) const {

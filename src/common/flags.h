@@ -24,6 +24,9 @@ class FlagParser {
   // Typed getters with defaults. A present-but-malformed value is fatal.
   std::string GetString(const std::string& key, const std::string& def) const;
   int64_t GetInt(const std::string& key, int64_t def) const;
+  // GetInt for an `int` value: one outside int's range is fatal too, rather
+  // than wrapping in a narrowing cast.
+  int GetInt32(const std::string& key, int def) const;
   double GetDouble(const std::string& key, double def) const;
   bool GetBool(const std::string& key, bool def) const;
 

@@ -1,21 +1,12 @@
 #include "src/common/threadpool.h"
 
 #include <algorithm>
-#include <atomic>
+#include <climits>
 #include <cstdlib>
-#include <memory>
-#include <string>
 
 #include "src/common/logging.h"
 
 namespace optimus {
-
-namespace {
-
-// The pool whose worker is running on this thread; null off-pool.
-thread_local const ThreadPool* current_pool = nullptr;
-
-}  // namespace
 
 int DefaultThreadCount() {
   const char* env = std::getenv("OPTIMUS_THREADS");
@@ -24,7 +15,8 @@ int DefaultThreadCount() {
   }
   char* end = nullptr;
   const long value = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || value < 1) {
+  // strtol saturates an out-of-range value at LONG_MAX, which is > INT_MAX too.
+  if (end == env || *end != '\0' || value < 1 || value > INT_MAX) {
     OPTIMUS_LOG(Warning) << "ignoring malformed OPTIMUS_THREADS='" << env << "'";
     return 1;
   }
@@ -35,8 +27,8 @@ ThreadPool::ThreadPool(int num_threads) {
   if (num_threads <= 1) {
     return;  // inline pool
   }
-  workers_.reserve(num_threads);
-  for (int i = 0; i < num_threads; ++i) {
+  workers_.reserve(num_threads - 1);
+  for (int i = 1; i < num_threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
@@ -45,89 +37,99 @@ ThreadPool::~ThreadPool() {
   if (workers_.empty()) {
     return;
   }
-  Wait();
   {
     std::lock_guard<std::mutex> lock(mu_);
     shutting_down_ = true;
   }
-  task_ready_.notify_all();
+  work_ready_.notify_all();
   for (std::thread& t : workers_) {
     t.join();
   }
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  OPTIMUS_CHECK(task != nullptr);
-  if (workers_.empty()) {
-    task();
-    return;
+bool ThreadPool::Claim(bool from_back, int64_t* begin, int64_t* end) {
+  if (front_ >= back_) {
+    return false;
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    OPTIMUS_CHECK(!shutting_down_);
-    queue_.push_back(std::move(task));
-    ++in_flight_;
+  if (from_back) {
+    *end = back_;
+    *begin = std::max(front_, back_ - chunk_);
+    back_ = *begin;
+  } else {
+    *begin = front_;
+    *end = std::min(back_, front_ + chunk_);
+    front_ = *end;
   }
-  task_ready_.notify_one();
+  return true;
 }
 
-void ThreadPool::Wait() {
-  if (workers_.empty()) {
-    return;
+void ThreadPool::RunChunks(bool from_back, std::unique_lock<std::mutex>& lock) {
+  // While this runner holds a claimed chunk, unfinished_ > 0 and the call
+  // cannot return, so every claim below belongs to the call it joined.
+  int64_t begin = 0;
+  int64_t end = 0;
+  while (Claim(from_back, &begin, &end)) {
+    const std::function<void(int64_t)>& fn = *fn_;
+    lock.unlock();
+    for (int64_t i = begin; i < end; ++i) {
+      fn(i);
+    }
+    lock.lock();
+    unfinished_ -= end - begin;
+    if (unfinished_ == 0) {
+      call_done_.notify_one();
+    }
   }
-  std::unique_lock<std::mutex> lock(mu_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::ParallelFor(int64_t n, const std::function<void(int64_t)>& fn) {
   if (n <= 0) {
     return;
   }
-  // A call from one of this pool's own workers runs inline: waiting for the
-  // pool to drain would count the caller's own task and never return.
-  if (workers_.empty() || n == 1 || current_pool == this) {
+  auto serial = [n, &fn] {
     for (int64_t i = 0; i < n; ++i) {
       fn(i);
     }
+  };
+  if (workers_.empty() || n == 1) {
+    serial();
     return;
   }
-  // One puller task per worker; each pulls the next unclaimed index. Which
-  // thread runs which index is nondeterministic, but per-index work is
-  // independent and results land in index-owned slots, so the outcome is not.
-  auto next = std::make_shared<std::atomic<int64_t>>(0);
-  const int pullers =
-      static_cast<int>(std::min<int64_t>(n, static_cast<int64_t>(workers_.size())));
-  for (int t = 0; t < pullers; ++t) {
-    Submit([next, n, &fn] {
-      for (int64_t i = (*next)++; i < n; i = (*next)++) {
-        fn(i);
-      }
-    });
+  std::unique_lock<std::mutex> lock(mu_);
+  if (fn_ != nullptr) {
+    // Another call is in flight: this is a nested call from one of its items
+    // (waiting for the pool would wait on the caller itself) or a second
+    // thread's call. Either way the caller runs its items alone.
+    lock.unlock();
+    serial();
+    return;
   }
-  Wait();
+  // Publish the call, then run chunks from the back while the workers wake
+  // and claim from the front. Which runner runs which index is
+  // nondeterministic, but per-index work is independent and results land in
+  // index-owned slots, so the outcome is not.
+  fn_ = &fn;
+  front_ = 0;
+  back_ = n;
+  chunk_ = std::max<int64_t>(1, n / (4 * num_threads()));
+  unfinished_ = n;
+  lock.unlock();
+  work_ready_.notify_all();
+  lock.lock();
+  RunChunks(/*from_back=*/true, lock);
+  // Everything is claimed; wait only for chunks still running on workers.
+  call_done_.wait(lock, [this] { return unfinished_ == 0; });
+  fn_ = nullptr;
 }
 
 void ThreadPool::WorkerLoop() {
-  current_pool = this;
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      task_ready_.wait(lock, [this] { return shutting_down_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        return;  // shutting down
-      }
-      task = std::move(queue_.front());
-      queue_.pop_front();
+    work_ready_.wait(lock, [this] { return shutting_down_ || front_ < back_; });
+    if (shutting_down_) {
+      return;
     }
-    task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-      if (in_flight_ == 0) {
-        all_done_.notify_all();
-      }
-    }
+    RunChunks(/*from_back=*/false, lock);
   }
 }
 

@@ -14,9 +14,10 @@
 // Determinism: the queue is ordered by the total key (time, kind, job_id) —
 // no two distinct events compare equal — so pop order is independent of push
 // order and of the heap's internals (src/common/min_heap.h). Same-timestamp
-// batches are defined as runs of equal (time, kind) and fan out over the
-// thread pool with index-owned outcome slots merged serially in key order,
-// which keeps every simulation output bitwise identical for any --threads.
+// batches are defined as runs of equal (time, kind); their handlers buffer
+// effects in index-owned outcome slots merged in key order. The simulator's
+// fan-outs (model refits, segment rebuilds) keep that contract too, so every
+// simulation output stays bitwise identical for any --threads.
 //
 // Lazy invalidation: rescheduling a job's pending epoch event on every
 // allocation / fault / noise-redraw change would need a decrease-key
@@ -94,8 +95,8 @@ class EventQueue {
   const SimKernelEvent& Top() const { return heap_.top(); }
 
   // Pops the full run of events sharing the top's (time, kind) into *batch
-  // (cleared first), in ascending job_id — the serial-merge order for the
-  // parallel fan-out. Cluster-level kinds yield singleton batches.
+  // (cleared first), in ascending job_id — the merge order of the batch's
+  // outcomes. Cluster-level kinds yield singleton batches.
   void PopBatch(std::vector<SimKernelEvent>* batch);
 
   // Counters for metrics/flight-recorder export. `pushed` includes events

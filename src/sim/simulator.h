@@ -148,10 +148,12 @@ struct SimulatorConfig {
   // estimates with `error` injected instead of online fitting.
   bool oracle_estimates = false;
   ErrorInjection error;
-  // Worker threads for the per-job phases: arrival-time speed-model pre-run
-  // sampling and interval advancement (interval engine); epoch-event
-  // handling, model refits and segment rebuilds (events engine). The
-  // scheduling round (allocation and placement) is serial. Each job owns its
+  // Threads for the per-job phases: arrival-time speed-model pre-run
+  // sampling and interval advancement (interval engine); model refits and
+  // segment rebuilds (events engine). threads = N means N runners, the
+  // simulator's own thread included (N - 1 spawned workers), so 4 never
+  // oversubscribes a 4-core host. The scheduling round (allocation and
+  // placement) and epoch-event handling are serial. Each job owns its
   // RNG streams and all cross-job effects (trace events, aggregate stats)
   // are buffered per job and merged in job order, so results are bitwise
   // identical for any thread count.
@@ -410,11 +412,11 @@ class Simulator {
   // Advances a segment-active job's training to `t` (no epoch boundary in
   // (anchor, t): boundaries get their own events). Serves stall first.
   void SettleJob(JobRuntime* jr, double t);
-  // Parallel per-job part of an epoch event: settle to the boundary, record
-  // the epoch loss, feed conv samples, detect convergence / lr-drop.
+  // Per-job part of an epoch event: settle to the boundary, record the epoch
+  // loss, feed conv samples, detect convergence / lr-drop.
   void HandleEpochEvent(JobRuntime* jr, double t, EpochOutcome* out);
-  // Same-timestamp epoch batch: fan out HandleEpochEvent over the pool,
-  // merge outcomes serially in event (job id) order.
+  // Same-timestamp epoch batch: run HandleEpochEvent per job, then merge the
+  // outcomes in event (job id) order.
   void ProcessEpochBatch(const std::vector<SimKernelEvent>& batch);
   // A scripted fault-plan edge between rounds: apply server/slowdown
   // transitions at their exact time and re-anchor affected segments.

@@ -184,19 +184,15 @@ void Simulator::ProcessEpochBatch(const std::vector<SimKernelEvent>& batch) {
     return;
   }
 
-  // Fan the per-job handlers out over the pool: each touches only job-owned
-  // state and buffers shared-state effects in its index-owned slot; the merge
-  // below applies them serially in event (ascending job id) order.
+  // The per-job handlers touch only job-owned state and buffer shared-state
+  // effects in their index-owned slots; the merge below applies them in event
+  // (ascending job id) order. Epoch times are continuous, so batches of more
+  // than one event are rare, and the handlers run serially.
   std::vector<EpochOutcome> outcomes(live.size());
   {
     ScopedTimer timer(&profiler_, phase_events_);
-    if (pool_ != nullptr && live.size() > 1) {
-      pool_->ParallelFor(static_cast<int64_t>(live.size()),
-                         [&](int64_t i) { HandleEpochEvent(live[i], t, &outcomes[i]); });
-    } else {
-      for (size_t i = 0; i < live.size(); ++i) {
-        HandleEpochEvent(live[i], t, &outcomes[i]);
-      }
+    for (size_t i = 0; i < live.size(); ++i) {
+      HandleEpochEvent(live[i], t, &outcomes[i]);
     }
 
     for (size_t i = 0; i < live.size(); ++i) {

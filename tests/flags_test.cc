@@ -64,6 +64,23 @@ TEST(FlagParserTest, BooleanLiteralForms) {
   EXPECT_FALSE(Parse({"--x=0"}).GetBool("x", true));
 }
 
+TEST(FlagParserTest, Int32AcceptsTheWholeIntRange) {
+  EXPECT_EQ(Parse({"--threads=4"}).GetInt32("threads", 0), 4);
+  EXPECT_EQ(Parse({}).GetInt32("threads", 7), 7);
+  EXPECT_EQ(Parse({"--n=2147483647"}).GetInt32("n", 0), 2147483647);
+  EXPECT_EQ(Parse({"--n=-2147483648"}).GetInt32("n", 0), -2147483647 - 1);
+}
+
+TEST(FlagParserDeathTest, Int32RejectsValuesThatWouldWrap) {
+  // 2^32 + 2 would narrow to 2, and 2^31 to a negative count.
+  EXPECT_DEATH(Parse({"--threads=4294967298"}).GetInt32("threads", 0),
+               "flag --threads expects an integer in .*got '4294967298'");
+  EXPECT_DEATH(Parse({"--threads=2147483648"}).GetInt32("threads", 0),
+               "flag --threads");
+  EXPECT_DEATH(Parse({"--threads=-2147483649"}).GetInt32("threads", 0),
+               "flag --threads");
+}
+
 TEST(FlagParserTest, LastValueWins) {
   FlagParser flags = Parse({"--jobs=1", "--jobs=2"});
   EXPECT_EQ(flags.GetInt("jobs", 0), 2);

@@ -1,6 +1,7 @@
 // Determinism regression tests for the parallel fast paths: the experiment
-// runner, per-arrival speed-model sampling, and the parallel interval engine
-// (per-job stepping, scheduler-input construction) must produce
+// runner, per-arrival speed-model sampling, the parallel interval engine
+// (per-job stepping, scheduler-input construction) and the events engine's
+// fan-outs (model refits, segment rebuilds) must produce
 // bitwise-identical metrics AND event traces for any thread count (each
 // repeat / job owns an independent split RNG, results commit into index-owned
 // slots, and shared-state effects merge serially in job order).
@@ -166,6 +167,10 @@ enum class LossFeed {
   // 512-point downsampling cap), on 60 jobs over 200 nodes for 8 intervals:
   // every running job's Gram-cached refit fans out across the pool.
   kDense,
+  // kDense on the events engine over a contention fabric (racks of 32, 4:1
+  // rack uplinks): model refits and segment rebuilds fan out in uneven
+  // chunks, and the calling thread runs some of them.
+  kDenseEventsFabric,
 };
 
 SimRunOutput RunFaultedAuditedSimulator(LossFeed feed, int threads) {
@@ -175,7 +180,7 @@ SimRunOutput RunFaultedAuditedSimulator(LossFeed feed, int threads) {
   WorkloadConfig workload;
   std::vector<Server> servers;
   std::string plan;
-  if (feed == LossFeed::kDense) {
+  if (feed == LossFeed::kDense || feed == LossFeed::kDenseEventsFabric) {
     sim.seed = 7;
     sim.max_sim_time_s = 8 * sim.interval_s;
     plan = "crash@1800:server=2,recover=9000;slow@2400:factor=0.8,duration=1800";
@@ -186,6 +191,12 @@ SimRunOutput RunFaultedAuditedSimulator(LossFeed feed, int threads) {
     workload.num_jobs = 60;
     workload.arrival_window_s = 5 * sim.interval_s;
     servers = BuildUniformCluster(200, Resources(16, 80, 0, 1));
+    if (feed == LossFeed::kDenseEventsFabric) {
+      sim.engine = SimEngine::kEvents;
+      sim.rack_size = 32;
+      sim.net.model = NetworkConfig::Model::kContention;
+      sim.net.oversubscription = 4.0;
+    }
   } else {
     sim.seed = 11;
     sim.max_sim_time_s = 2e5;
@@ -211,30 +222,48 @@ SimRunOutput RunFaultedAuditedSimulator(LossFeed feed, int threads) {
   return out;
 }
 
+// The run must actually exercise faults and auditing, or it pins nothing.
+void ExpectFaultedAndAudited(const SimRunOutput& run) {
+  EXPECT_GT(run.metrics.server_crashes + run.metrics.task_failures, 0);
+  EXPECT_GT(run.metrics.audit_checks, 0);
+  EXPECT_EQ(run.metrics.audit_violations, 0);
+  ASSERT_FALSE(run.events.empty());
+}
+
+void ExpectIdenticalRuns(const SimRunOutput& base, const SimRunOutput& other) {
+  ExpectIdenticalMetrics(base.metrics, other.metrics);
+  ASSERT_EQ(base.events.size(), other.events.size());
+  for (size_t i = 0; i < base.events.size(); ++i) {
+    EXPECT_EQ(base.events[i].time_s, other.events[i].time_s) << "event " << i;
+    EXPECT_EQ(base.events[i].type, other.events[i].type) << "event " << i;
+    EXPECT_EQ(base.events[i].job_id, other.events[i].job_id) << "event " << i;
+    EXPECT_EQ(base.events[i].num_ps, other.events[i].num_ps) << "event " << i;
+    EXPECT_EQ(base.events[i].num_workers, other.events[i].num_workers)
+        << "event " << i;
+    EXPECT_EQ(base.events[i].detail, other.events[i].detail) << "event " << i;
+  }
+}
+
 TEST(ParallelDeterminismTest, FaultedAuditedIntervalEngineMatchesAcrossThreads) {
   for (const LossFeed feed : {LossFeed::kDefault, LossFeed::kDense}) {
     SCOPED_TRACE(feed == LossFeed::kDense ? "dense loss feed" : "default loss feed");
     const SimRunOutput base = RunFaultedAuditedSimulator(feed, 1);
-    // The run must actually exercise faults and auditing, or this pins nothing.
-    EXPECT_GT(base.metrics.server_crashes + base.metrics.task_failures, 0);
-    EXPECT_GT(base.metrics.audit_checks, 0);
-    EXPECT_EQ(base.metrics.audit_violations, 0);
-    ASSERT_FALSE(base.events.empty());
-
+    ExpectFaultedAndAudited(base);
     for (const int threads : {2, 4, 8}) {
-      const SimRunOutput other = RunFaultedAuditedSimulator(feed, threads);
-      ExpectIdenticalMetrics(base.metrics, other.metrics);
-      ASSERT_EQ(base.events.size(), other.events.size()) << threads << " threads";
-      for (size_t i = 0; i < base.events.size(); ++i) {
-        EXPECT_EQ(base.events[i].time_s, other.events[i].time_s) << "event " << i;
-        EXPECT_EQ(base.events[i].type, other.events[i].type) << "event " << i;
-        EXPECT_EQ(base.events[i].job_id, other.events[i].job_id) << "event " << i;
-        EXPECT_EQ(base.events[i].num_ps, other.events[i].num_ps) << "event " << i;
-        EXPECT_EQ(base.events[i].num_workers, other.events[i].num_workers)
-            << "event " << i;
-        EXPECT_EQ(base.events[i].detail, other.events[i].detail) << "event " << i;
-      }
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      ExpectIdenticalRuns(base, RunFaultedAuditedSimulator(feed, threads));
     }
+  }
+}
+
+TEST(ParallelDeterminismTest, FaultedAuditedEventsEngineMatchesAcrossThreads) {
+  const SimRunOutput base = RunFaultedAuditedSimulator(LossFeed::kDenseEventsFabric, 1);
+  ExpectFaultedAndAudited(base);
+  // An odd runner count splits the fan-outs unevenly.
+  for (const int threads : {3, 4, 8}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    ExpectIdenticalRuns(
+        base, RunFaultedAuditedSimulator(LossFeed::kDenseEventsFabric, threads));
   }
 }
 

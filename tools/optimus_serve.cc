@@ -43,8 +43,8 @@ std::string Usage() {
          "  --policy=NAME               override the scenario's policy\n"
          "  --engine=interval|events    override the scenario's engine\n"
          "  --seed=N                    override the scenario's seed\n"
-         "  --threads=N                 simulator worker threads (responses are\n"
-         "                              bitwise identical for any value)\n"
+         "  --threads=N                 simulator threads, the caller included\n"
+         "                              (responses are bitwise identical for any value)\n"
          "  --socket=PATH               serve a Unix-domain socket instead of stdio\n"
          "  --replay=FILE               replay a request log and exit\n"
          "  --replay-out=FILE           write replay responses here (default stdout)\n"
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   const std::string engine_name = flags.GetString("engine", "interval");
   const bool seed_given = flags.Has("seed");
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  const int threads = static_cast<int>(flags.GetInt("threads", 0));
+  const int threads = flags.GetInt32("threads", 0);
   const std::string socket_path = flags.GetString("socket", "");
   const std::string replay_path = flags.GetString("replay", "");
   const std::string replay_out = flags.GetString("replay-out", "");

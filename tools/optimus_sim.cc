@@ -79,12 +79,12 @@ std::string Usage() {
       "                                        violation makes the run exit 3\n"
       "  --background-share=F                  mixed-workload reservation (default 0)\n"
       "  --oracle                              ground-truth estimates, no online fitting\n"
-      "  --threads=N                           worker threads for experiment repeats,\n"
-      "                                        per-arrival pre-run sampling, and\n"
-      "                                        scenario grids; all metrics are bitwise\n"
-      "                                        identical for any value. 0 =\n"
-      "                                        OPTIMUS_THREADS env var, then 1\n"
-      "                                        (default 0)\n"
+      "  --threads=N                           threads, the caller included, for\n"
+      "                                        experiment repeats, per-arrival\n"
+      "                                        pre-run sampling, and scenario grids;\n"
+      "                                        all metrics are bitwise identical for\n"
+      "                                        any value. 0 = OPTIMUS_THREADS env\n"
+      "                                        var, then 1 (default 0)\n"
       "  --trace-csv=PATH                      write the event trace (repeats=1 only)\n"
       "  --timeline-csv=PATH                   write the interval timeline (repeats=1)\n"
       "  --metrics-out=PATH                    export the metrics registry after the\n"
@@ -327,8 +327,8 @@ int main(int argc, char** argv) {
     return PrintPolicyList(flags.GetString("format", "table"));
   }
   const std::string scenario_path = flags.GetString("scenario", "");
-  const int num_jobs = static_cast<int>(flags.GetInt("jobs", 9));
-  const int num_servers = static_cast<int>(flags.GetInt("servers", 0));
+  const int num_jobs = flags.GetInt32("jobs", 9);
+  const int num_servers = flags.GetInt32("servers", 0);
   const std::string arrivals = flags.GetString("arrivals", "uniform");
   const int64_t steps_per_epoch = flags.GetInt("steps-per-epoch", 80);
   const double interval_s = flags.GetDouble("interval", 600.0);
@@ -337,7 +337,7 @@ int main(int argc, char** argv) {
   const bool seed_given = flags.Has("seed");
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   const bool repeats_given = flags.Has("repeats");
-  const int repeats = static_cast<int>(flags.GetInt("repeats", 1));
+  const int repeats = flags.GetInt32("repeats", 1);
   const double stragglers = flags.GetDouble("stragglers", 0.12);
   // Both spellings accepted; ISSUE-2 documents the underscore forms.
   const std::string fault_plan_spec =
@@ -349,15 +349,14 @@ int main(int argc, char** argv) {
   const bool audit = flags.GetBool("audit", true);
   const double background_share = flags.GetDouble("background-share", 0.0);
   const bool oracle = flags.GetBool("oracle", false);
-  const int threads = static_cast<int>(flags.GetInt("threads", 0));
+  const int threads = flags.GetInt32("threads", 0);
   OutputFiles out;
   out.trace_csv = flags.GetString("trace-csv", "");
   out.timeline_csv = flags.GetString("timeline-csv", "");
   out.metrics_out = flags.GetString("metrics-out", "");
   out.metrics_format = flags.GetString("metrics-format", "prom");
   out.dump_workload_csv = flags.GetString("dump-workload-csv", "");
-  const int flight_recorder_depth =
-      static_cast<int>(flags.GetInt("flight-recorder-depth", 256));
+  const int flight_recorder_depth = flags.GetInt32("flight-recorder-depth", 256);
   const std::string workload_csv = flags.GetString("workload-csv", "");
 
   const std::vector<std::string> unknown = flags.UnconsumedKeys();

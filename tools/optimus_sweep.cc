@@ -37,9 +37,9 @@ Flags:
                       (default BENCH_scenarios.json)
   --report-dir=DIR    write one optimus-run-report-v1 per (scenario, policy)
                       cell as DIR/<scenario>__<policy>.json (default: off)
-  --threads=N         worker threads for the grid; the merged report is
-                      bitwise identical for any value. 0 = OPTIMUS_THREADS
-                      env var, then 1 (default 0)
+  --threads=N         threads for the grid, the caller included; the merged
+                      report is bitwise identical for any value. 0 =
+                      OPTIMUS_THREADS env var, then 1 (default 0)
   --engine=NAME       override every scenario's simulation engine
                       (interval|events; default: what each file says)
   --list-policies     print the SchedulerRegistry catalog and exit
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
 
   const std::string out_path = flags.GetString("out", "BENCH_scenarios.json");
   const std::string report_dir = flags.GetString("report-dir", "");
-  const int threads = static_cast<int>(flags.GetInt("threads", 0));
+  const int threads = flags.GetInt32("threads", 0);
   const std::string engine_name = flags.GetString("engine", "");
 
   const std::vector<std::string> unknown = flags.UnconsumedKeys();

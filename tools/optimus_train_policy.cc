@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  const int states = static_cast<int>(flags.GetInt("states", 4000));
+  const int states = flags.GetInt32("states", 4000);
   const std::string out_path = flags.GetString("out", "");
   const std::vector<std::string> unknown = flags.UnconsumedKeys();
   if (!unknown.empty()) {
