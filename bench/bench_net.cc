@@ -58,7 +58,6 @@ int RunModelCell(const std::string& model_name) {
   SimulatorConfig config;
   config.seed = 7;
   config.engine = SimEngine::kEvents;
-  config.streaming = true;
   config.trace_hash_only = true;
   config.threads = 1;
   config.interval_s = 600.0;

@@ -1,4 +1,5 @@
-// Million-job / 100k-server scale sweep for streaming admission
+// Million-job / 100k-server scale sweep (admission on arrival, retirement on
+// completion)
 // (BENCH_scale.json).
 //
 // Two sections:
@@ -11,8 +12,8 @@
 //       CI).
 //
 //   scale — {10k, 100k, 1M} jobs x {16k, 100k} servers, one child process
-//       per cell (re-exec with --cell): streaming admission + hash-only
-//       trace + the event engine. The child process reports its own VmHWM,
+//       per cell (re-exec with --cell): hash-only trace + the event
+//       engine. The child process reports its own VmHWM,
 //       so peak-RSS columns are per-cell, not a sweep-wide high-water mark.
 //       Arrivals spread so the active set stays bounded: peak RSS is
 //       O(active jobs) + the flat pending-spec queue, not O(total jobs
@@ -47,7 +48,6 @@ SimulatorConfig ScaleCellConfig() {
   SimulatorConfig config;
   config.seed = 7;
   config.engine = SimEngine::kEvents;
-  config.streaming = true;
   config.trace_hash_only = true;
   config.threads = 1;
   config.interval_s = 600.0;

@@ -65,26 +65,27 @@ int main() {
 
   TablePrinter table({"t (s)", "state", "p", "w", "epochs", "loss", "scalings",
                       "stall (s)"});
-  const Job& job = sim.job(0);
+  JobSnapshot job;
   while (true) {
     const bool more = sim.StepInterval();
-    const double loss = job.epoch_losses().empty() ? 0.0 : job.epoch_losses().back();
-    table.AddRow({TablePrinter::FormatDouble(sim.now_s(), 0), JobStateName(job.state()),
-                  std::to_string(job.num_ps()), std::to_string(job.num_workers()),
-                  TablePrinter::FormatDouble(job.EpochsDone(), 1),
-                  TablePrinter::FormatDouble(loss, 4), std::to_string(job.num_scalings()),
-                  TablePrinter::FormatDouble(job.total_stall_s(), 0)});
+    job = sim.job(0);
+    table.AddRow({TablePrinter::FormatDouble(sim.now_s(), 0), JobStateName(job.state),
+                  std::to_string(job.num_ps), std::to_string(job.num_workers),
+                  TablePrinter::FormatDouble(job.epochs_done, 1),
+                  TablePrinter::FormatDouble(job.last_epoch_loss, 4),
+                  std::to_string(job.num_scalings),
+                  TablePrinter::FormatDouble(job.total_stall_s, 0)});
     if (!more) {
       break;
     }
   }
   table.Print(std::cout);
 
-  std::cout << "\nJob " << (job.state() == JobState::kCompleted ? "completed" : "did not complete")
-            << "; JCT = " << TablePrinter::FormatDouble(job.Jct(), 0) << " s after "
-            << TablePrinter::FormatDouble(job.EpochsDone(), 1) << " epochs, "
-            << job.num_scalings() << " elastic rescalings ("
-            << TablePrinter::FormatDouble(job.total_stall_s(), 0)
+  std::cout << "\nJob " << (job.state == JobState::kCompleted ? "completed" : "did not complete")
+            << "; JCT = " << TablePrinter::FormatDouble(job.jct_s, 0) << " s after "
+            << TablePrinter::FormatDouble(job.epochs_done, 1) << " epochs, "
+            << job.num_scalings << " elastic rescalings ("
+            << TablePrinter::FormatDouble(job.total_stall_s, 0)
             << " s of checkpoint/restart stall).\n";
-  return job.state() == JobState::kCompleted ? 0 : 1;
+  return job.state == JobState::kCompleted ? 0 : 1;
 }

@@ -50,15 +50,15 @@ int main(int argc, char** argv) {
   TablePrinter results({"job", "model", "state", "epochs", "p", "w", "JCT(s)",
                         "scalings", "stall(s)"});
   for (const JobSpec& j : jobs) {
-    const Job& job = sim.job(j.id);
-    results.AddRow({std::to_string(j.id), j.model->name, JobStateName(job.state()),
-                    TablePrinter::FormatDouble(job.EpochsDone(), 1),
-                    std::to_string(job.num_ps()), std::to_string(job.num_workers()),
-                    job.state() == JobState::kCompleted
-                        ? TablePrinter::FormatDouble(job.Jct(), 0)
+    const JobSnapshot job = sim.job(j.id);
+    results.AddRow({std::to_string(j.id), j.model->name, JobStateName(job.state),
+                    TablePrinter::FormatDouble(job.epochs_done, 1),
+                    std::to_string(job.num_ps), std::to_string(job.num_workers),
+                    job.state == JobState::kCompleted
+                        ? TablePrinter::FormatDouble(job.jct_s, 0)
                         : "-",
-                    std::to_string(job.num_scalings()),
-                    TablePrinter::FormatDouble(job.total_stall_s(), 0)});
+                    std::to_string(job.num_scalings),
+                    TablePrinter::FormatDouble(job.total_stall_s, 0)});
   }
   results.Print(std::cout);
 

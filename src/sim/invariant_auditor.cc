@@ -100,9 +100,8 @@ InvariantAuditor::Census InvariantAuditor::CheckJobScalars(
 
 void InvariantAuditor::CheckAccounting(double now_s, const Census& census,
                                        const Counts& counts) {
-  // Accounting identity over submitted jobs. Retired jobs (streaming
-  // admission freed their runtime records after completion) are absent from
-  // the views, so they enter both identities through the counts.
+  // Accounting identity over submitted jobs. Retired jobs (their runtime
+  // records were freed after completion) are absent from the views, so they enter both identities through the counts.
   if (census.running + census.paused + census.pending + census.completed +
           counts.retired !=
       counts.submitted) {

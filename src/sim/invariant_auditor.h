@@ -82,8 +82,8 @@ class InvariantAuditor {
   struct Counts {
     int submitted = 0;  // jobs that have arrived so far
     int completed_metric = 0;  // RunMetrics::completed_jobs
-    // Completed jobs whose runtime records were retired (freed) by streaming
-    // admission; they no longer appear in the job views, so the accounting
+    // Completed jobs whose runtime records were retired (freed) after
+    // completion; they no longer appear in the job views, so the accounting
     // identities count them explicitly: census.completed + retired must equal
     // completed_metric, and the submitted identity includes them.
     int retired = 0;
@@ -94,8 +94,8 @@ class InvariantAuditor {
   // next Check allows a progress decrease for it, once.
   void NoteRollback(int job_id);
 
-  // Announces that `job_id`'s runtime record was retired after completion
-  // (streaming admission): its progress history is dropped so the per-job
+  // Announces that `job_id`'s runtime record was retired after completion:
+  // its progress history is dropped so the per-job
   // maps track only live jobs. The job must already have left the placement
   // tracker (completion cleared it).
   void NoteRetired(int job_id);

@@ -33,6 +33,25 @@ StepTimeInputs SpecStepInputs(const JobSpec& spec, int num_ps, int num_workers) 
   return StepProfile::Of(spec).Inputs(num_ps, num_workers);
 }
 
+JobSnapshot SnapshotOf(const Job& job, bool killed) {
+  JobSnapshot s;
+  s.id = job.id();
+  s.state = job.state();
+  s.killed = killed;
+  s.num_ps = job.num_ps();
+  s.num_workers = job.num_workers();
+  s.num_scalings = job.num_scalings();
+  s.arrival_time_s = job.spec().arrival_time_s;
+  s.completion_time_s = job.completion_time_s();
+  s.jct_s = job.state() == JobState::kCompleted ? job.Jct() : 0.0;
+  s.steps_done = job.steps_done();
+  s.epochs_done = job.EpochsDone();
+  s.checkpoint_steps = job.checkpoint_steps();
+  s.last_epoch_loss = job.epoch_losses().empty() ? 0.0 : job.epoch_losses().back();
+  s.total_stall_s = job.total_stall_s();
+  return s;
+}
+
 }  // namespace
 
 const char* SimEngineName(SimEngine engine) {
@@ -205,24 +224,18 @@ Simulator::Simulator(SimulatorConfig config, std::vector<Server> servers,
       flight_(config.obs.enabled ? config.obs.flight_recorder_depth : 0) {
   OPTIMUS_CHECK(!servers_.empty());
   metrics_.total_jobs = static_cast<int>(specs.size());
-  if (config_.streaming) {
-    // Materialization order must equal spec order for the run to be bitwise
-    // identical to the batch-materialized one, so the queue (consumed in
-    // arrival order) requires time-ordered specs — the order workload
-    // generators emit anyway.
-    for (size_t i = 1; i < specs.size(); ++i) {
-      OPTIMUS_CHECK_GE(specs[i].arrival_time_s, specs[i - 1].arrival_time_s)
-          << "streaming admission requires specs sorted by arrival time "
-             "(spec "
-          << i << " arrives before its predecessor)";
-    }
-    pending_specs_ = std::move(specs);
-  } else {
-    jobs_.reserve(specs.size());
-    arrival_queue_.reserve(specs.size());
-    for (const JobSpec& spec : specs) {
-      MaterializeSpec(spec);
-    }
+  pending_specs_ = std::move(specs);
+  pending_count_ = pending_specs_.size();
+  // The cursor serves the input's arrival-sorted prefix (all of a generated
+  // trace); every spec from the first one out of order on waits in the heap.
+  while (pending_sorted_end_ < pending_specs_.size() &&
+         (pending_sorted_end_ == 0 ||
+          pending_specs_[pending_sorted_end_].arrival_time_s >=
+              pending_specs_[pending_sorted_end_ - 1].arrival_time_s)) {
+    ++pending_sorted_end_;
+  }
+  for (size_t key = pending_sorted_end_; key < pending_specs_.size(); ++key) {
+    pending_heap_.push({pending_specs_[key].arrival_time_s, key});
   }
   const int threads = config_.threads > 0 ? config_.threads : DefaultThreadCount();
   if (threads > 1) {
@@ -244,69 +257,106 @@ Simulator::Simulator(SimulatorConfig config, std::vector<Server> servers,
     trace_.set_hash_only(true);
   }
   // Rough per-run event budget: a handful of lifecycle events per job.
-  trace_.Reserve((jobs_.size() + pending_remaining()) * 8 + 64);
+  trace_.Reserve(pending_count_ * 8 + 64);
   SetupObservability();
 }
 
-void Simulator::MaterializeSpec(const JobSpec& spec) {
-  auto jr = std::make_unique<JobRuntime>(spec);
+Simulator::JobRuntime* Simulator::MaterializeSpec(JobSpec pending, size_t key) {
+  auto jr = std::make_unique<JobRuntime>(std::move(pending), key);
+  const JobSpec& spec = jr->job.spec();
   jr->rng = rng_.Split(static_cast<uint64_t>(spec.id) + 1000);
   jr->fault_rng = rng_.Split(static_cast<uint64_t>(spec.id) + 500000);
   jr->error_sign = jr->rng.Bernoulli(0.5) ? 1 : -1;
-  jr->blocks = GenerateParamBlocks(*spec.model);
+  auto blocks = param_blocks_.find(spec.model);
+  if (blocks == param_blocks_.end()) {
+    blocks = param_blocks_.emplace(spec.model, GenerateParamBlocks(*spec.model)).first;
+  }
+  jr->blocks = &blocks->second;
   jr->data = std::make_unique<DataServing>(
       EstimateDatasetBytes(*spec.model, spec.dataset_scale));
   jr->true_total_epochs = static_cast<double>(
       jr->curve.EpochsToConverge(spec.convergence_delta, spec.patience));
-  const bool inserted = job_index_.emplace(spec.id, jobs_.size()).second;
-  OPTIMUS_CHECK(inserted) << "duplicate job id " << spec.id;
-  arrival_queue_.push({spec.arrival_time_s, jobs_.size()});
-  jobs_.push_back(std::move(jr));
+  const auto [ref, inserted] = job_refs_.try_emplace(spec.id, JobRef{key, nullptr});
+  OPTIMUS_CHECK(inserted || ref->second.key == key) << "duplicate job id " << spec.id;
+  ref->second.live = jr.get();
+  ++materialized_count_;
+  // Arrivals come in order-key order unless the input was unsorted or a
+  // submission arrives before a later input spec.
+  auto at = jobs_.end();
+  if (!jobs_.empty() && jobs_.back()->key > key) {
+    at = std::upper_bound(jobs_.begin(), jobs_.end(), key,
+                          [](size_t k, const auto& other) { return k < other->key; });
+  }
+  return jobs_.insert(at, std::move(jr))->get();
 }
 
-void Simulator::MaterializeArrivals(double t) {
-  while (pending_next_ < pending_specs_.size() &&
-         pending_specs_[pending_next_].arrival_time_s <= t) {
-    MaterializeSpec(pending_specs_[pending_next_]);
-    pending_specs_[pending_next_] = JobSpec{};  // release the consumed slot
+std::optional<size_t> Simulator::PendingHead() {
+  while (pending_next_ < pending_sorted_end_ &&
+         pending_specs_[pending_next_].model == nullptr) {
     ++pending_next_;
   }
+  while (!pending_heap_.empty() &&
+         pending_specs_[pending_heap_.top().key].model == nullptr) {
+    pending_heap_.pop();
+  }
+  std::optional<size_t> head;
+  if (pending_next_ < pending_sorted_end_) {
+    head = pending_next_;
+  }
+  if (!pending_heap_.empty() &&
+      (!head || QueuedArrivalBefore{}(pending_heap_.top(),
+                                      {pending_specs_[*head].arrival_time_s, *head}))) {
+    head = pending_heap_.top().key;
+  }
+  return head;
 }
 
-void Simulator::RetireJob(size_t idx) {
-  JobRuntime* jr = jobs_[idx].get();
-  OPTIMUS_CHECK(jr != nullptr && jr->job.state() == JobState::kCompleted);
-  if (retired_.size() < jobs_.size()) {
-    retired_.resize(jobs_.size());
+JobSpec Simulator::TakePending(size_t key) {
+  JobSpec spec = std::move(pending_specs_[key]);
+  pending_specs_[key] = JobSpec{};  // consumed: releases the slot's heap state
+  --pending_count_;
+  return spec;
+}
+
+void Simulator::IndexPendingSpecs() const {
+  if (pending_indexed_) {
+    return;
   }
-  RetiredJob& r = retired_[idx];
-  r.valid = true;
-  r.killed = jr->killed;
-  r.arrival_time_s = jr->job.spec().arrival_time_s;
-  r.completion_time_s = jr->job.completion_time_s();
-  r.jct_s = jr->job.Jct();
-  r.total_stall_s = jr->job.total_stall_s();
-  if (jr->conv != nullptr) {
-    retired_conv_stats_ += jr->conv->fit_stats();
+  pending_indexed_ = true;
+  for (size_t key = 0; key < pending_specs_.size(); ++key) {
+    const JobSpec& spec = pending_specs_[key];
+    if (spec.model == nullptr) {
+      continue;
+    }
+    const auto [ref, inserted] = job_refs_.try_emplace(spec.id, JobRef{key, nullptr});
+    OPTIMUS_CHECK(inserted || ref->second.key == key) << "duplicate job id " << spec.id;
   }
-  if (jr->speed != nullptr) {
-    retired_speed_stats_ += jr->speed->fit_stats();
-  }
-  ++retired_count_;
-  auditor_.NoteRetired(jr->job.id());
-  jobs_[idx].reset();
 }
 
 void Simulator::RetireCompleted() {
-  if (!config_.streaming) {
-    return;
-  }
+  runtime_visits_ += static_cast<int64_t>(jobs_.size());
+  size_t kept = 0;
   for (size_t i = 0; i < jobs_.size(); ++i) {
-    if (jobs_[i] != nullptr && jobs_[i]->arrived &&
-        jobs_[i]->job.state() == JobState::kCompleted) {
-      RetireJob(i);
+    JobRuntime* jr = jobs_[i].get();
+    if (jr->job.state() != JobState::kCompleted) {
+      if (kept != i) {
+        jobs_[kept] = std::move(jobs_[i]);
+      }
+      ++kept;
+      continue;
     }
+    retired_.push_back({jr->key, SnapshotOf(jr->job, jr->killed)});
+    if (jr->conv != nullptr) {
+      retired_conv_stats_ += jr->conv->fit_stats();
+    }
+    if (jr->speed != nullptr) {
+      retired_speed_stats_ += jr->speed->fit_stats();
+    }
+    auditor_.NoteRetired(jr->job.id());
+    job_refs_.at(jr->job.id()).live = nullptr;
+    jobs_[i].reset();
   }
+  jobs_.resize(kept);
 }
 
 void Simulator::SetupObservability() {
@@ -466,14 +516,10 @@ const Simulator::JobTotals& Simulator::job_totals() const {
   }
   // Integer sums, so the order matters only for consistency, not value.
   JobTotals t;
-  t.submitted = retired_count_;
+  t.submitted = static_cast<int64_t>(retired_.size() + jobs_.size());
   t.conv = retired_conv_stats_;
   t.speed = retired_speed_stats_;
-  for (const auto& jr : jobs_) {
-    if (jr == nullptr || !jr->arrived) {
-      continue;
-    }
-    ++t.submitted;
+  for (const auto& jr : Live()) {
     if (jr->conv != nullptr) {
       t.conv += jr->conv->fit_stats();
     }
@@ -486,16 +532,27 @@ const Simulator::JobTotals& Simulator::job_totals() const {
   return job_totals_;
 }
 
-const Job& Simulator::job(int id) const {
-  const auto it = job_index_.find(id);
-  if (it == job_index_.end()) {
+JobSnapshot Simulator::job(int id) const {
+  IndexPendingSpecs();
+  const auto it = job_refs_.find(id);
+  if (it == job_refs_.end()) {
     OPTIMUS_LOG(Fatal) << "unknown job id " << id;
   }
-  if (jobs_[it->second] == nullptr) {
-    OPTIMUS_LOG(Fatal) << "job " << id
-                       << " completed and was retired (streaming admission)";
+  const JobRef& ref = it->second;
+  if (ref.live != nullptr) {
+    return SnapshotOf(ref.live->job, ref.live->killed);
   }
-  return jobs_[it->second]->job;
+  const JobSpec& pending = pending_specs_[ref.key];
+  if (pending.model != nullptr) {
+    JobSnapshot s;
+    s.id = pending.id;
+    s.arrival_time_s = pending.arrival_time_s;
+    return s;
+  }
+  const auto retired = std::find_if(retired_.begin(), retired_.end(),
+                                    [&](const RetiredJob& r) { return r.key == ref.key; });
+  OPTIMUS_CHECK(retired != retired_.end()) << "job " << id << " has no record";
+  return retired->snapshot;
 }
 
 void Simulator::InitSpeedModel(JobRuntime* jr) {
@@ -532,35 +589,30 @@ void Simulator::InitSpeedModel(JobRuntime* jr) {
 }
 
 void Simulator::ActivateArrivals() {
-  // Collect this interval's arrivals first, then initialize their speed
-  // models — possibly in parallel. Initialization only touches per-job state
-  // (the job's own RNG streams included), so the parallel path is bitwise
+  // Build this instant's arrivals first, then initialize their speed models
+  // — possibly in parallel. Initialization only touches per-job state (the
+  // job's own RNG streams included), so the parallel path is bitwise
   // identical to the serial one; trace events are recorded afterwards, in
-  // jobs_ index order, to keep the event log deterministic too.
-  MaterializeArrivals(now_s_);
-  std::vector<size_t> arriving;
-  while (!arrival_queue_.empty() && arrival_queue_.top().time_s <= now_s_) {
-    const size_t idx = arrival_queue_.top().index;
-    arrival_queue_.pop();
-    JobRuntime* jr = jobs_[idx].get();
-    if (jr == nullptr || jr->arrived) {
-      continue;  // stale: killed before its arrival
-    }
-    jr->arrived = true;
-    arriving.push_back(idx);
+  // order-key order, to keep the event log deterministic too.
+  std::vector<JobRuntime*> arriving;
+  for (std::optional<size_t> key = PendingHead();
+       key && pending_specs_[*key].arrival_time_s <= now_s_; key = PendingHead()) {
+    arriving.push_back(MaterializeSpec(TakePending(*key), *key));
   }
-  std::sort(arriving.begin(), arriving.end());
+  if (arriving.empty()) {
+    return;
+  }
+  std::sort(arriving.begin(), arriving.end(),
+            [](const JobRuntime* a, const JobRuntime* b) { return a->key < b->key; });
   if (pool_ != nullptr && arriving.size() > 1) {
-    pool_->ParallelFor(static_cast<int64_t>(arriving.size()), [&](int64_t i) {
-      InitSpeedModel(jobs_[arriving[i]].get());
-    });
+    pool_->ParallelFor(static_cast<int64_t>(arriving.size()),
+                       [&](int64_t i) { InitSpeedModel(arriving[i]); });
   } else {
-    for (size_t idx : arriving) {
-      InitSpeedModel(jobs_[idx].get());
+    for (JobRuntime* jr : arriving) {
+      InitSpeedModel(jr);
     }
   }
-  for (size_t idx : arriving) {
-    const JobRuntime* jr = jobs_[idx].get();
+  for (const JobRuntime* jr : arriving) {
     Emit(now_s_, SimEventType::kArrival, jr->job.id(), 0, 0, 0.0,
          jr->job.spec().model->name);
   }
@@ -568,21 +620,9 @@ void Simulator::ActivateArrivals() {
 }
 
 double Simulator::NextArrival() {
-  double next = std::numeric_limits<double>::infinity();
-  while (!arrival_queue_.empty()) {
-    const JobRuntime* jr = jobs_[arrival_queue_.top().index].get();
-    if (jr != nullptr && !jr->arrived) {
-      next = arrival_queue_.top().time_s;
-      break;
-    }
-    arrival_queue_.pop();
-  }
-  if (pending_remaining() > 0) {
-    // Streaming: the head of the pending queue is the earliest
-    // unmaterialized arrival (specs are arrival-sorted).
-    next = std::min(next, pending_specs_[pending_next_].arrival_time_s);
-  }
-  return next;
+  const std::optional<size_t> key = PendingHead();
+  return key ? pending_specs_[*key].arrival_time_s
+             : std::numeric_limits<double>::infinity();
 }
 
 double Simulator::ErrorFactor(const JobRuntime& jr, double error_magnitude) const {
@@ -694,10 +734,10 @@ void Simulator::RecomputeLoad(JobRuntime* jr) {
     }
     const std::vector<double>* w =
         static_cast<int>(weights.size()) == p ? &weights : nullptr;
-    jr->load = ComputeLoadMetrics(PaaAssigner().Assign(jr->blocks, p, w));
+    jr->load = ComputeLoadMetrics(PaaAssigner().Assign(*jr->blocks, p, w));
   } else {
     Rng assign_rng = jr->rng.Split(static_cast<uint64_t>(p) + 7);
-    jr->load = ComputeLoadMetrics(MxnetAssigner().Assign(jr->blocks, p, &assign_rng));
+    jr->load = ComputeLoadMetrics(MxnetAssigner().Assign(*jr->blocks, p, &assign_rng));
   }
   jr->load_valid = true;
 }
@@ -748,19 +788,15 @@ bool Simulator::RefreshNetwork() {
   // solve itself is a pure function of the job-ordered placements — so the
   // resolved bandwidths are bitwise identical across threads.
   net_->BeginRound();
-  for (const auto& jr : jobs_) {
-    if (jr == nullptr || !jr->arrived ||
-        jr->job.state() != JobState::kRunning || jr->job.placement().empty()) {
+  for (const auto& jr : Live()) {
+    if (jr->job.state() != JobState::kRunning || jr->job.placement().empty()) {
       continue;
     }
     net_->AddJob(jr->job.id(), jr->job.placement());
   }
   net_->Solve();
   bool changed = false;
-  for (auto& jr : jobs_) {
-    if (jr == nullptr || !jr->arrived) {
-      continue;
-    }
+  for (const auto& jr : Live()) {
     double bw = 0.0;
     if (jr->job.state() == JobState::kRunning && !jr->job.placement().empty()) {
       bw = net_->BandwidthFor(jr->job.id());
@@ -825,7 +861,7 @@ void Simulator::Emit(double time_s, SimEventType type, int job_id, int num_ps,
     case SimEventType::kCompleted:
       ++metrics_.completed_jobs;
       if (jct_hist_ != nullptr) {
-        jct_hist_->Record(jobs_[job_index_.at(job_id)]->job.Jct());
+        jct_hist_->Record(job_refs_.at(job_id).live->job.Jct());
         epochs_hist_->Record(value);
       }
       break;
@@ -887,10 +923,8 @@ bool Simulator::ApplyServerEdges(bool* slow_changed) {
   // remaining capacity.
   bool evicted_any = false;
   if (faults_->servers_down() > 0) {
-    for (auto& jr : jobs_) {
-      if (jr == nullptr || !jr->arrived ||
-          jr->job.state() == JobState::kCompleted ||
-          jr->job.placement().empty()) {
+    for (const auto& jr : Live()) {
+      if (jr->job.state() == JobState::kCompleted || jr->job.placement().empty()) {
         continue;
       }
       bool hit = false;
@@ -924,8 +958,8 @@ void Simulator::ApplyFaults() {
   // Periodic durable checkpoints happen first, so a crash in this same call
   // rolls back to a checkpoint at most checkpoint_period_s old.
   if (fc.checkpoint_period_s > 0.0) {
-    for (auto& jr : jobs_) {
-      if (jr == nullptr || !jr->arrived || jr->job.state() != JobState::kRunning) {
+    for (const auto& jr : Live()) {
+      if (jr->job.state() != JobState::kRunning) {
         continue;
       }
       if (now_s_ - jr->last_checkpoint_time_s >= fc.checkpoint_period_s) {
@@ -947,8 +981,8 @@ void Simulator::ApplyFaults() {
   // Unscripted container deaths: the job restores from its last checkpoint
   // in place (placement survives; only un-checkpointed progress is lost).
   if (fc.task_failure_prob > 0.0) {
-    for (auto& jr : jobs_) {
-      if (jr == nullptr || !jr->arrived || jr->job.state() != JobState::kRunning) {
+    for (const auto& jr : Live()) {
+      if (jr->job.state() != JobState::kRunning) {
         continue;
       }
       const int tasks = jr->job.num_workers() + jr->job.num_ps();
@@ -970,25 +1004,18 @@ void Simulator::RunAudit() {
   std::vector<InvariantAuditor::JobView> views;
   InvariantAuditor::Counts counts;
   views.reserve(jobs_.size());
-  for (const auto& jr : jobs_) {
-    if (jr == nullptr) {
-      // Retired runtime: it arrived and completed; it enters the accounting
-      // identities through counts.retired instead of a view.
-      ++counts.submitted;
-      continue;
-    }
-    if (!jr->arrived) {
-      continue;
-    }
-    ++counts.submitted;
+  for (const auto& jr : Live()) {
     const Job& job = jr->job;
     views.push_back({job.id(), job.state(), job.steps_done(), job.num_ps(),
                      job.num_workers(), job.spec().ps_demand,
                      job.spec().worker_demand, &job.placement(),
                      job.spec().comm});
   }
+  // Retired jobs arrived and completed; they enter the accounting identities
+  // through counts.retired instead of a view.
+  counts.submitted = static_cast<int>(retired_.size() + jobs_.size());
   counts.completed_metric = metrics_.completed_jobs;
-  counts.retired = retired_count_;
+  counts.retired = static_cast<int>(retired_.size());
   const double check_time = now_s_ + config_.interval_s;
   // Most intervals run the O(changed) incremental check; every
   // full_audit_period-th check re-derives everything from the views and
@@ -1023,8 +1050,8 @@ void Simulator::CollectRoundInputs(std::vector<JobRuntime*>* schedulable,
   // Allocate against slot-quantized capacity so the allocators do not hand
   // out allocations that per-server fragmentation makes unplaceable.
   Resources reference_demand;
-  for (const auto& jr : jobs_) {
-    if (jr != nullptr && jr->arrived && jr->job.state() != JobState::kCompleted) {
+  for (const auto& jr : Live()) {
+    if (jr->job.state() != JobState::kCompleted) {
       reference_demand = jr->job.spec().worker_demand;
       break;
     }
@@ -1044,9 +1071,8 @@ void Simulator::CollectRoundInputs(std::vector<JobRuntime*>* schedulable,
     capacity = capacity * (1.0 - bg_share);
   }
 
-  for (auto& jr : jobs_) {
-    if (jr == nullptr || !jr->arrived ||
-        jr->job.state() == JobState::kCompleted) {
+  for (const auto& jr : Live()) {
+    if (jr->job.state() == JobState::kCompleted) {
       continue;
     }
     if (jr->backoff_until_s > now_s_) {
@@ -1152,10 +1178,8 @@ void Simulator::ScheduleActiveJobs() {
   // rest.
   size_t next_frozen = 0;
   size_t next_schedulable = 0;
-  for (size_t job_idx = 0; job_idx < jobs_.size(); ++job_idx) {
-    auto& jr = jobs_[job_idx];
-    if (jr == nullptr || !jr->arrived ||
-        jr->job.state() == JobState::kCompleted) {
+  for (const auto& jr : Live()) {
+    if (jr->job.state() == JobState::kCompleted) {
       continue;
     }
     // Batch decisions ride on the allocator's own output, which the inputs
@@ -1393,8 +1417,8 @@ void Simulator::AdvanceInterval() {
   // single-threaded one for any thread count.
   std::vector<JobRuntime*> running;
   running.reserve(jobs_.size());
-  for (auto& jr : jobs_) {
-    if (jr != nullptr && jr->arrived && jr->job.state() == JobState::kRunning) {
+  for (const auto& jr : Live()) {
+    if (jr->job.state() == JobState::kRunning) {
       running.push_back(jr.get());
     }
   }
@@ -1463,8 +1487,7 @@ void Simulator::AdvanceInterval() {
 
 bool Simulator::StepInterval() {
   ++state_generation_;
-  if (metrics_.completed_jobs >= static_cast<int>(jobs_.size()) &&
-      pending_remaining() == 0) {
+  if (metrics_.completed_jobs >= metrics_.total_jobs) {
     return false;
   }
   if (now_s_ >= config_.max_sim_time_s) {
@@ -1476,8 +1499,8 @@ bool Simulator::StepInterval() {
 
   // Fast-forward to the next arrival when the cluster is idle.
   bool any_active = false;
-  for (const auto& jr : jobs_) {
-    if (jr != nullptr && jr->arrived && jr->job.state() != JobState::kCompleted) {
+  for (const auto& jr : Live()) {
+    if (jr->job.state() != JobState::kCompleted) {
       any_active = true;
       break;
     }
@@ -1522,8 +1545,7 @@ bool Simulator::StepInterval() {
   now_s_ += config_.interval_s;
   SampleObservability();
   RetireCompleted();
-  return (metrics_.completed_jobs < static_cast<int>(jobs_.size()) ||
-          pending_remaining() > 0) &&
+  return metrics_.completed_jobs < metrics_.total_jobs &&
          now_s_ < config_.max_sim_time_s;
 }
 
@@ -1543,47 +1565,37 @@ RunMetrics Simulator::Run() {
   double last_completion = 0.0;
   double overhead_sum = 0.0;
   int overhead_count = 0;
-  for (size_t i = 0; i < jobs_.size(); ++i) {
-    const auto& jr = jobs_[i];
-    if (jr == nullptr) {
-      // Retired under streaming admission: the compact record preserves the
-      // slot's contribution so aggregation stays bitwise batch-identical
-      // (same per-slot visit order, same floating-point accumulation).
-      OPTIMUS_CHECK(i < retired_.size() && retired_[i].valid)
-          << "job slot " << i << " is null but has no retired record";
-      const RetiredJob& r = retired_[i];
-      first_arrival = std::min(first_arrival, r.arrival_time_s);
-      if (r.killed) {
-        continue;
-      }
-      metrics_.jcts.push_back(r.jct_s);
-      last_completion = std::max(last_completion, r.completion_time_s);
-      if (r.jct_s > 0.0) {
-        overhead_sum += r.total_stall_s / r.jct_s;
-        ++overhead_count;
-      }
-      continue;
+  // Every job in order-key order, retired records merged with live runtimes,
+  // so the floating-point accumulation is one fixed sequence however the
+  // jobs were admitted and retired.
+  auto fold = [&](const JobSnapshot& s) {
+    first_arrival = std::min(first_arrival, s.arrival_time_s);
+    if (s.killed || s.state != JobState::kCompleted) {
+      return;  // a killed job did not converge: no JCT, no makespan
     }
-    first_arrival = std::min(first_arrival, jr->job.spec().arrival_time_s);
-    if (jr->killed) {
-      continue;  // cancelled, not converged: no JCT, no makespan contribution
+    metrics_.jcts.push_back(s.jct_s);
+    last_completion = std::max(last_completion, s.completion_time_s);
+    if (s.jct_s > 0.0) {
+      overhead_sum += s.total_stall_s / s.jct_s;
+      ++overhead_count;
     }
-    if (jr->job.state() == JobState::kCompleted) {
-      metrics_.jcts.push_back(jr->job.Jct());
-      last_completion = std::max(last_completion, jr->job.completion_time_s());
-      if (jr->job.Jct() > 0.0) {
-        overhead_sum += jr->job.total_stall_s() / jr->job.Jct();
-        ++overhead_count;
-      }
+  };
+  std::sort(retired_.begin(), retired_.end(),
+            [](const RetiredJob& a, const RetiredJob& b) { return a.key < b.key; });
+  auto retired = retired_.begin();
+  for (const auto& jr : Live()) {
+    for (; retired != retired_.end() && retired->key < jr->key; ++retired) {
+      fold(retired->snapshot);
     }
+    fold(SnapshotOf(jr->job, jr->killed));
   }
-  // Pending specs that never materialized (simulation-time cap) still mark
-  // the workload's start, exactly as unarrived constructor jobs do in batch.
-  // The queue is arrival-sorted (checked at construction), so its head is
-  // the earliest.
-  if (pending_remaining() > 0) {
-    first_arrival = std::min(first_arrival,
-                             pending_specs_[pending_next_].arrival_time_s);
+  for (; retired != retired_.end(); ++retired) {
+    fold(retired->snapshot);
+  }
+  // Specs that never arrived (simulation-time cap) still mark the
+  // workload's start.
+  if (const std::optional<size_t> key = PendingHead()) {
+    first_arrival = std::min(first_arrival, pending_specs_[*key].arrival_time_s);
   }
   metrics_.avg_jct_s = Mean(metrics_.jcts);
   // Guard the empty-jobs case too: with no jobs, first_arrival stays +inf and
@@ -1628,13 +1640,8 @@ bool Simulator::SubmitJob(const JobSpec& spec, std::string* error) {
   if (spec.model == nullptr) {
     return fail("job model is null");
   }
-  if (config_.streaming) {
-    // Online submission splices into jobs_ out of arrival order; streaming
-    // admission's batch-identity argument requires materialization in spec
-    // order, so the two modes are mutually exclusive.
-    return fail("online SubmitJob is not supported with streaming admission");
-  }
-  if (job_index_.count(spec.id) > 0) {
+  IndexPendingSpecs();
+  if (job_refs_.count(spec.id) > 0) {
     return fail("job id " + std::to_string(spec.id) + " already exists");
   }
   if (spec.arrival_time_s < now_s_) {
@@ -1644,10 +1651,15 @@ bool Simulator::SubmitJob(const JobSpec& spec, std::string* error) {
     return fail(os.str());
   }
 
-  // The constructor's per-job initialization: the RNG streams are split from
-  // the run seed by job id, so a job submitted online draws the same streams
-  // it would have drawn as a constructor spec.
-  MaterializeSpec(spec);
+  // Queued like a constructor spec, with the next order key. Its RNG streams
+  // are split from the run seed by job id when it arrives, so a job
+  // submitted online draws the same streams it would have as a constructor
+  // spec.
+  const size_t key = pending_specs_.size();
+  pending_specs_.push_back(spec);
+  pending_heap_.push({spec.arrival_time_s, key});
+  ++pending_count_;
+  job_refs_.emplace(spec.id, JobRef{key, nullptr});
   ++metrics_.total_jobs;
 
   if (config_.engine == SimEngine::kEvents && events_seeded_) {
@@ -1656,7 +1668,7 @@ bool Simulator::SubmitJob(const JobSpec& spec, std::string* error) {
       // The round chain drained after a round observed nothing left
       // anywhere. Re-seed it at the boundary that round would have chosen
       // had it known this arrival — the same snap HandleRoundEvent applies —
-      // so the session stays batch-identical.
+      // so the session stays identical to an up-front run.
       const double intervals = std::ceil(
           (spec.arrival_time_s - last_round_s_) / config_.interval_s);
       events_.Push({last_round_s_ + std::max(1.0, intervals) * config_.interval_s,
@@ -1675,14 +1687,21 @@ bool Simulator::KillJob(int job_id, std::string* error) {
     }
     return false;
   };
-  auto it = job_index_.find(job_id);
-  if (it == job_index_.end()) {
+  IndexPendingSpecs();
+  const auto it = job_refs_.find(job_id);
+  if (it == job_refs_.end()) {
     return fail("unknown job id " + std::to_string(job_id));
   }
-  if (jobs_[it->second] == nullptr) {
-    return fail("job " + std::to_string(job_id) + " already completed");
+  JobRuntime* jr = it->second.live;
+  if (jr == nullptr) {
+    const size_t key = it->second.key;
+    if (pending_specs_[key].model == nullptr) {
+      return fail("job " + std::to_string(job_id) + " already completed");
+    }
+    // Killed before its arrival: the runtime is built only to be killed, and
+    // never arrives.
+    jr = MaterializeSpec(TakePending(key), key);
   }
-  JobRuntime* jr = jobs_[it->second].get();
   Job& job = jr->job;
   if (job.state() == JobState::kCompleted) {
     return fail("job " + std::to_string(job_id) + " already completed");
@@ -1699,10 +1718,7 @@ bool Simulator::KillJob(int job_id, std::string* error) {
   jr->seg_active = false;
   ++jr->gen;
   // Kills count as completions in the accounting invariants (the auditor
-  // checks completed states against the completion metric). A job killed
-  // before its arrival is marked arrived so it never activates later (its
-  // arrival-queue entry goes stale and is dropped when popped).
-  jr->arrived = true;
+  // checks completed states against the completion metric).
   jr->killed = true;
   job.MarkCompleted(now_s_);
   job_totals_stale_ = true;

@@ -11,9 +11,10 @@
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
-#include <unordered_map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/min_heap.h"
@@ -195,13 +196,10 @@ struct SimulatorConfig {
   // `cluster.rack_size`), read by rack-aware placement and the network
   // fabric; 0 = one rack spans the cluster.
   int rack_size = 0;
-  // Streaming job admission: arrival specs are held in a pending queue and
-  // each Job record is materialized only when the simulation clock reaches
-  // its arrival, then retired (heavy state freed, a compact RetiredJob record
-  // kept for the final aggregation) once it completes — peak memory tracks the ACTIVE job set
-  // instead of the full trace length. Requires the spec list to be sorted by
-  // arrival time (workload generators emit time-ordered traces); outputs are
-  // bitwise identical to the batch-materialized run.
+  // Accepted for scenario-v1 compatibility (`knobs.streaming`) but read by
+  // nothing: every run holds specs in a pending queue, builds each job's
+  // runtime when its arrival comes due and retires it once it completes, so
+  // peak memory always tracks the live job set.
   bool streaming = false;
   // Hash-only event trace: records update the trace's running FNV digest and
   // count but are not stored, so the trace costs O(1) memory at million-job
@@ -222,8 +220,29 @@ struct SimulatorConfig {
   const SimulatorConfig& CheckValid() const;
 };
 
+// One job's state at an instant, copied out of its pending spec, live runtime
+// or retired record: a value, safe to hold across stepping calls.
+struct JobSnapshot {
+  int id = 0;
+  JobState state = JobState::kPending;
+  bool killed = false;  // cancelled via KillJob
+  int num_ps = 0;
+  int num_workers = 0;
+  int num_scalings = 0;
+  double arrival_time_s = 0.0;
+  double completion_time_s = -1.0;  // -1 until completed
+  double jct_s = 0.0;               // completion - arrival; 0 until completed
+  double steps_done = 0.0;
+  double epochs_done = 0.0;
+  double checkpoint_steps = 0.0;
+  double last_epoch_loss = 0.0;  // 0 before the first completed epoch
+  double total_stall_s = 0.0;
+};
+
 class Simulator {
  public:
+  // `specs` may come in any arrival order; each spec's position is its order
+  // key, and jobs are admitted in (arrival, order key) order.
   Simulator(SimulatorConfig config, std::vector<Server> servers,
             std::vector<JobSpec> specs);
 
@@ -240,8 +259,8 @@ class Simulator {
   // are registered and cancelled between advances. The contract is the
   // repo-wide one: for a fixed call sequence every output is bitwise
   // identical for any thread count, and a session whose submissions all land
-  // before their jobs' arrival times is bitwise identical to a batch run
-  // constructed with the full spec list up front.
+  // before their jobs' arrival times is bitwise identical to a run
+  // constructed with the full spec list up front (submissions appended).
 
   // Advances simulated time through `t` on either engine: the interval
   // engine steps whole intervals while now_s() < t; the event engine drains
@@ -254,7 +273,8 @@ class Simulator {
   // Registers a job while the simulator is live. The spec's arrival time
   // must be at or after now_s() (the past has already been simulated) and
   // its id must be unused. On success the job behaves exactly as if it had
-  // been part of the constructor's spec list. Returns false (with a
+  // been appended to the constructor's spec list (its order key is N + k for
+  // the k-th submission). Returns false (with a
   // diagnostic in *error, when non-null) on a duplicate id, a null model, or
   // an arrival in the past.
   bool SubmitJob(const JobSpec& spec, std::string* error = nullptr);
@@ -263,8 +283,9 @@ class Simulator {
   // without convergence, and records a kKilled trace event. Killed jobs
   // count as completed in the accounting invariants (the auditor's census
   // checks completed states against the completion metric) but are excluded
-  // from the JCT histogram — they did not converge. Returns false when the
-  // id is unknown or the job already completed.
+  // from the JCT histogram — they did not converge. A job killed before its
+  // arrival gets its runtime built only to be killed, and never arrives.
+  // Returns false when the id is unknown or the job already completed.
   bool KillJob(int job_id, std::string* error = nullptr);
 
   // What-if admission query (§ "what-if analysis"): evaluates admitting
@@ -285,7 +306,9 @@ class Simulator {
   WhatIfResult WhatIf(const JobSpec& candidate);
 
   double now_s() const { return now_s_; }
-  const Job& job(int id) const;
+  // The job's state now, whether it is pending, live or retired. Fatal on an
+  // unknown id.
+  JobSnapshot job(int id) const;
   // Metrics accumulated so far (Run() returns the final aggregate; this view
   // lets interval-stepping callers read counters without running to the end).
   const RunMetrics& metrics() const { return metrics_; }
@@ -294,9 +317,14 @@ class Simulator {
   // Network fabric model driving per-job bandwidths; null under the flat
   // (exact-compat) model. Stats are cumulative over the run's solves.
   const NetworkModel* network() const { return net_.get(); }
-  // Jobs materialized so far: the full workload in batch mode, only the
-  // admitted prefix under streaming admission (retired slots still count).
-  int materialized_jobs() const { return static_cast<int>(jobs_.size()); }
+  // Job runtimes built so far: one per arrival, plus one per job killed
+  // before its arrival. Retired runtimes still count.
+  int materialized_jobs() const { return materialized_count_; }
+  // Runtimes alive now: built and not yet retired.
+  int live_jobs() const { return static_cast<int>(jobs_.size()); }
+  // Runtimes visited by the walks over the live table so far (each walk adds
+  // the table's size); shows that a round's cost tracks the live set.
+  int64_t runtime_visits() const { return runtime_visits_; }
   // Invariant-audit results of the run so far (empty when audit is off).
   const InvariantAuditor& auditor() const { return auditor_; }
   // Observability views. The registry holds the named metric catalog (empty
@@ -313,19 +341,21 @@ class Simulator {
 
  private:
   struct JobRuntime {
-    explicit JobRuntime(JobSpec spec)
-        : job(spec),
+    JobRuntime(JobSpec spec, size_t order_key)
+        : key(order_key),
+          job(spec),
           curve(spec.lr_drop.has_value()
                     ? LossCurve(spec.model->loss, spec.StepsPerEpoch(), *spec.lr_drop)
                     : LossCurve(spec.model->loss, spec.StepsPerEpoch())) {}
 
+    size_t key;  // order key: the spec's slot in pending_specs_
     Job job;
     LossCurve curve;
     std::unique_ptr<ConvergenceModel> conv;
     std::unique_ptr<MultiFamilyConvergenceModel> multi_conv;
     std::unique_ptr<SpeedModel> speed;
     std::unique_ptr<DataServing> data;
-    ParamBlockSizes blocks;
+    const ParamBlockSizes* blocks = nullptr;  // shared per model (param_blocks_)
     PsLoadMetrics load;
     bool load_valid = false;
     Rng rng{0};
@@ -336,7 +366,6 @@ class Simulator {
     // Per-container bandwidth (bytes/s) the network model resolved for this
     // job at the last RefreshNetwork; 0 = use the flat CommConfig bandwidth.
     double net_bw_bps = 0.0;
-    bool arrived = false;
     bool killed = false;  // cancelled via KillJob; excluded from JCT stats
     bool lr_drop_handled = false;   // convergence model restarted at the drop
     int frozen_scalings = 0;  // set once the checkpoint budget is exhausted
@@ -431,36 +460,37 @@ class Simulator {
   // and enqueues its next epoch event.
   void RebuildSegments();
 
-  // Activates every materialized job whose arrival time is <= now_s_, in
-  // ascending jobs_ index, by popping the arrival queue.
+  // Admits every pending spec whose arrival time is <= now_s_: builds its
+  // runtime (MaterializeSpec), initializes its speed model and records its
+  // kArrival, in order-key order.
   void ActivateArrivals();
-  // Earliest arrival time of a job that has not arrived yet, materialized or
-  // still a pending spec (+inf if none). Drops stale arrival-queue entries
-  // from the head first.
+  // Earliest arrival time of a pending spec (+inf if none).
   double NextArrival();
-  // Constructor-identical per-job initialization (RNG streams split from the
-  // run seed by job id, param blocks, data serving, ground-truth epoch
-  // count); appends the runtime to jobs_ and its arrival to arrival_queue_.
-  // Shared by the constructor, SubmitJob, and streaming materialization, so
-  // a job is bitwise the same object no matter which path created it.
-  void MaterializeSpec(const JobSpec& spec);
-  // Streaming admission: materializes every pending spec whose arrival time
-  // is <= t, in queue (spec) order. No-op when the queue head is later.
-  void MaterializeArrivals(double t);
-  size_t pending_remaining() const {
-    return pending_specs_.size() - pending_next_;
-  }
-  // Retires the completed runtime in jobs_[idx]: folds the state the final
-  // aggregation and the metrics walks need into the retired records, hands
-  // the auditor its NoteRetired, and frees the runtime (jobs_[idx] becomes
-  // null; every loop over jobs_ skips null slots).
-  void RetireJob(size_t idx);
-  // Retires every completed, not-yet-retired runtime. No-op unless
-  // config_.streaming. The interval engine sweeps at the end of each step;
-  // the event engine sweeps at rounds after RefreshModels, so a completed
-  // job's final trained span still records its speed sample exactly as in
-  // the batch run before the runtime is freed.
+  // Order key of the earliest pending spec by (arrival, order key), or
+  // nullopt. Drops consumed entries from the heads of the queue first.
+  std::optional<size_t> PendingHead();
+  // Moves pending spec `key` out of the queue; its slot becomes consumed.
+  JobSpec TakePending(size_t key);
+  // Indexes every pending input spec's id in job_refs_, once: the online
+  // calls (SubmitJob, KillJob, job) look pending jobs up by id, and a run
+  // that never makes one never pays for the index.
+  void IndexPendingSpecs() const;
+  // Per-job initialization (RNG streams split from the run seed by job id,
+  // shared param blocks, data serving, ground-truth epoch count); inserts the
+  // runtime into jobs_ at its order key's place and returns it.
+  JobRuntime* MaterializeSpec(JobSpec pending, size_t key);
+  // Retires every completed runtime: folds what Run()'s aggregation, job()
+  // and the metric totals need into a RetiredJob record, hands the auditor
+  // its NoteRetired, and frees the runtime. The interval engine sweeps at the
+  // end of each step; the event engine sweeps at rounds after RefreshModels,
+  // so a completed job's final trained span still records its speed sample
+  // before the runtime is freed.
   void RetireCompleted();
+  // The live table, for one walk: adds its size to runtime_visits_.
+  const std::vector<std::unique_ptr<JobRuntime>>& Live() const {
+    runtime_visits_ += static_cast<int64_t>(jobs_.size());
+    return jobs_;
+  }
   // Scheduler view of a job (estimates only).
   SchedJob MakeSchedJob(JobRuntime* jr) const;
   // Scheduler inputs of a round at the current instant: partitions active
@@ -534,10 +564,10 @@ class Simulator {
   void SyncRunMetrics();
 
   // Totals over every arrived job, retired runtimes included through their
-  // folded aggregates: arrivals and per-job model-fit stats, summed in job
-  // order. Walked at most once per change, however many views read it:
-  // ActivateArrivals, AdvanceInterval, RefreshModels and KillJob (the only
-  // code that arrives jobs or fits models) mark it stale.
+  // folded aggregates: arrivals and per-job model-fit stats. Walked at most
+  // once per change, however many views read it: ActivateArrivals,
+  // AdvanceInterval, RefreshModels and KillJob (the only code that arrives
+  // jobs or fits models) mark it stale.
   struct JobTotals {
     int64_t submitted = 0;
     ModelFitStats conv;
@@ -559,50 +589,60 @@ class Simulator {
   Resources placeable_cap_cache_;
   Resources placeable_cap_demand_;
   bool placeable_cap_valid_ = false;
+  // Live runtimes (arrived, not yet retired) in ascending order key: every
+  // per-round and per-event walk visits exactly these.
   std::vector<std::unique_ptr<JobRuntime>> jobs_;
-  // job id -> index in jobs_; looked up (once per epoch event on the events
-  // engine), never iterated.
-  std::unordered_map<int, size_t> job_index_;
-  // One (arrival_time_s, jobs_ index) entry per materialized job that has
-  // not been activated yet, earliest first (ties by index). An entry goes
-  // stale when its job is marked arrived some other way (KillJob before the
-  // arrival); readers drop stale entries when they reach the head.
+  mutable int64_t runtime_visits_ = 0;
+  int materialized_count_ = 0;
+  // Param blocks depend only on the model, so each model's are generated
+  // once and shared by its jobs.
+  std::unordered_map<const ModelSpec*, ParamBlockSizes> param_blocks_;
+
+  // --- Pending queue -----------------------------------------------------
+  // Every spec not yet admitted, indexed by order key: the constructor's
+  // specs at their input positions, then online submissions (N + k for the
+  // k-th). A consumed slot (admitted, or killed before arrival) is reset to
+  // JobSpec{} (null model). Specs leave in (arrival, order key) order: the
+  // cursor walks the input's arrival-sorted prefix; the heap holds the rest
+  // of the input and every submission.
+  std::vector<JobSpec> pending_specs_;
+  size_t pending_next_ = 0;
+  size_t pending_sorted_end_ = 0;
+  size_t pending_count_ = 0;  // unconsumed slots
   struct QueuedArrival {
     double time_s;
-    size_t index;
+    size_t key;
   };
   struct QueuedArrivalBefore {
     bool operator()(const QueuedArrival& a, const QueuedArrival& b) const {
       if (a.time_s != b.time_s) {
         return a.time_s < b.time_s;
       }
-      return a.index < b.index;
+      return a.key < b.key;
     }
   };
-  MinHeap<QueuedArrival, QueuedArrivalBefore> arrival_queue_;
+  MinHeap<QueuedArrival, QueuedArrivalBefore> pending_heap_;
 
-  // --- Streaming admission (config_.streaming) ------------------------------
-  // Specs not yet materialized, in non-decreasing arrival order;
-  // pending_next_ is the queue head (consumed slots release their heap
-  // state). Empty unless streaming is on.
-  std::vector<JobSpec> pending_specs_;
-  size_t pending_next_ = 0;
-  // Compact stand-in for a retired runtime: everything Run()'s final
-  // aggregation reads from a completed job. retired_[i] pairs with jobs_[i]
-  // (null once retired); sized lazily on first retirement.
+  // Where a known job id lives: its order key, and its runtime while live.
+  // Holds every materialized or submitted job, and every pending input spec
+  // once IndexPendingSpecs ran. Looked up, never iterated.
+  struct JobRef {
+    size_t key;
+    JobRuntime* live;
+  };
+  mutable std::unordered_map<int, JobRef> job_refs_;
+  mutable bool pending_indexed_ = false;
+
+  // A retired runtime's final state, everything Run()'s aggregation and
+  // job() read from a completed job. Appended at retirement; Run() sorts
+  // them into order-key order before aggregating.
   struct RetiredJob {
-    bool valid = false;
-    bool killed = false;
-    double arrival_time_s = 0.0;
-    double completion_time_s = 0.0;
-    double jct_s = 0.0;
-    double total_stall_s = 0.0;
+    size_t key;
+    JobSnapshot snapshot;
   };
   std::vector<RetiredJob> retired_;
-  int retired_count_ = 0;
   // Fit-stat totals of retired runtimes, folded into job_totals()'s live-job
-  // walk so the exported counters match the batch run (integer sums, so
-  // folding an aggregate preserves the totals bitwise).
+  // walk (integer sums, so folding an aggregate keeps the totals bitwise).
   ModelFitStats retired_conv_stats_;
   ModelFitStats retired_speed_stats_;
   std::unique_ptr<ThreadPool> pool_;  // per-job parallelism (see threads)
@@ -640,8 +680,8 @@ class Simulator {
   int64_t events_stale_dropped_ = 0;
   // Re-entrancy state: the static events are enqueued exactly once, on the
   // first StepEventsUntil call. pending_rounds_ / last_round_s_ track the
-  // kRound chain so SubmitJob can re-seed it with the batch-identical
-  // boundary after a round observed "nothing left anywhere" and stopped
+  // kRound chain so SubmitJob can re-seed it with the boundary an up-front
+  // run would have used after a round observed "nothing left anywhere" and stopped
   // pushing successors.
   bool events_seeded_ = false;
   int pending_rounds_ = 0;

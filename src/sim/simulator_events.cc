@@ -22,20 +22,18 @@
 namespace optimus {
 
 void Simulator::EnqueueStaticEvents() {
-  events_.reserve((jobs_.size() + pending_remaining()) * 2 + 64);
-  for (const auto& jr : jobs_) {
-    if (jr == nullptr) {
-      continue;
-    }
+  events_.reserve((jobs_.size() + pending_count_) * 2 + 64);
+  // Every job known so far gets its arrival event up front: the pending
+  // specs (the times are known; building the runtime waits for the event,
+  // via ActivateArrivals), and any runtime a kill built before seeding.
+  for (const auto& jr : Live()) {
     events_.Push({jr->job.spec().arrival_time_s, SimEventKind::kArrival,
                   jr->job.id(), 0});
   }
-  // Streaming admission: unmaterialized specs get their arrival events up
-  // front (the times are known; only the JobRuntime construction is deferred
-  // to the event itself, via ActivateArrivals -> MaterializeArrivals).
-  for (size_t i = pending_next_; i < pending_specs_.size(); ++i) {
-    events_.Push({pending_specs_[i].arrival_time_s, SimEventKind::kArrival,
-                  pending_specs_[i].id, 0});
+  for (const JobSpec& spec : pending_specs_) {
+    if (spec.model != nullptr) {
+      events_.Push({spec.arrival_time_s, SimEventKind::kArrival, spec.id, 0});
+    }
   }
   // One kFaultPlan event per distinct scripted edge time; the handler applies
   // every transition due at that instant, so duplicates would be redundant.
@@ -168,10 +166,10 @@ void Simulator::ProcessEpochBatch(const std::vector<SimKernelEvent>& batch) {
   {
     ScopedTimer timer(&profiler_, phase_events_);
     for (const SimKernelEvent& event : batch) {
-      const auto it = job_index_.find(static_cast<int>(event.job_id));
-      OPTIMUS_CHECK(it != job_index_.end());
-      JobRuntime* jr = jobs_[it->second].get();
-      // A retired job's slot is null; any epoch event it left behind is stale
+      const auto it = job_refs_.find(static_cast<int>(event.job_id));
+      OPTIMUS_CHECK(it != job_refs_.end());
+      JobRuntime* jr = it->second.live;
+      // A retired job has no runtime; any epoch event it left behind is stale
       // by definition (retirement requires completion, which bumped the gen).
       if (jr == nullptr || !jr->seg_active || jr->gen != event.gen) {
         ++events_stale_dropped_;
@@ -229,8 +227,8 @@ void Simulator::HandleFaultPlanEvent(double t) {
   // A slowdown edge changes every active segment's speed: settle each at the
   // old speed up to t, recompute with the same round noise draw, reschedule.
   if (slow_changed || bw_changed) {
-    for (auto& jr : jobs_) {
-      if (jr == nullptr || !jr->seg_active) {
+    for (const auto& jr : Live()) {
+      if (!jr->seg_active) {
         continue;
       }
       SettleJob(jr.get(), t);
@@ -253,16 +251,14 @@ void Simulator::HandleFaultPlanEvent(double t) {
 void Simulator::RefreshModels() {
   job_totals_stale_ = true;
   if (config_.oracle_estimates) {
-    for (auto& jr : jobs_) {
-      if (jr != nullptr) {
-        jr->ran_since_round = false;
-      }
+    for (const auto& jr : Live()) {
+      jr->ran_since_round = false;
     }
     return;
   }
   std::vector<JobRuntime*> dirty;
-  for (auto& jr : jobs_) {
-    if (jr != nullptr && jr->ran_since_round) {
+  for (const auto& jr : Live()) {
+    if (jr->ran_since_round) {
       dirty.push_back(jr.get());
       jr->ran_since_round = false;
     }
@@ -299,9 +295,8 @@ void Simulator::RebuildSegments() {
   // fresh segment — new noise draw, current allocation/placement/slowdown —
   // and exactly one new epoch event each.
   std::vector<JobRuntime*> running;
-  for (auto& jr : jobs_) {
-    if (jr == nullptr || !jr->arrived ||
-        jr->job.state() == JobState::kCompleted) {
+  for (const auto& jr : Live()) {
+    if (jr->job.state() == JobState::kCompleted) {
       continue;
     }
     ++jr->gen;
@@ -387,14 +382,13 @@ void Simulator::RebuildSegments() {
 
 void Simulator::HandleRoundEvent(double t) {
   last_round_s_ = t;
-  // Idle fast-forward, mirroring the interval engine: with no arrived,
+  // Idle fast-forward, mirroring the interval engine: with no live,
   // incomplete job, skip — without fault/schedule/audit work — to the round
   // boundary at or after the next arrival. (Arrivals activate through their
   // own events before that round fires.)
   bool any_active = false;
-  for (const auto& jr : jobs_) {
-    if (jr != nullptr && jr->arrived &&
-        jr->job.state() != JobState::kCompleted) {
+  for (const auto& jr : Live()) {
+    if (jr->job.state() != JobState::kCompleted) {
       any_active = true;
       break;
     }
@@ -417,8 +411,8 @@ void Simulator::HandleRoundEvent(double t) {
   // models at the end of its advance phase, before the next round's faults).
   {
     ScopedTimer timer(&profiler_, phase_events_);
-    for (auto& jr : jobs_) {
-      if (jr != nullptr && jr->seg_active) {
+    for (const auto& jr : Live()) {
+      if (jr->seg_active) {
         SettleJob(jr.get(), t);
       }
     }
@@ -475,9 +469,8 @@ void Simulator::StepEventsUntil(double horizon) {
   }
 
   std::vector<SimKernelEvent> batch;
-  while ((metrics_.completed_jobs < static_cast<int>(jobs_.size()) ||
-          pending_remaining() > 0) &&
-         !events_.empty() && events_.Top().time_s <= horizon &&
+  while (metrics_.completed_jobs < metrics_.total_jobs && !events_.empty() &&
+         events_.Top().time_s <= horizon &&
          events_.Top().time_s < config_.max_sim_time_s) {
     {
       ScopedTimer timer(&profiler_, phase_events_);

@@ -452,7 +452,7 @@ TEST(EventKernelTest, CompletedJobIsNotRefitOnEitherEngine) {
       sim.AdvanceTo(static_cast<double>(rounds.size() + 1) * config.interval_s);
       const FitCounts after = ReadFitCounts(sim);
       rounds.push_back({{after.conv - before.conv, after.speed - before.speed},
-                        sim.job(id).state()});
+                        sim.job(id).state});
       if (rounds.size() > 100) {
         ADD_FAILURE() << "job never completed";
         break;

@@ -262,9 +262,9 @@ TEST(SimulatorFaultTest, CrashEvictsAndRollsProgressBackToCheckpoint) {
   EXPECT_EQ(metrics.completed_jobs, 0);
   EXPECT_FALSE(sim.server_available(0));
   // Progress rolled back to the last checkpoint exactly.
-  const Job& job = sim.job(0);
-  EXPECT_EQ(job.steps_done(), job.checkpoint_steps());
-  EXPECT_NE(job.state(), JobState::kRunning);
+  const JobSnapshot job = sim.job(0);
+  EXPECT_EQ(job.steps_done, job.checkpoint_steps);
+  EXPECT_NE(job.state, JobState::kRunning);
   // Crash and eviction are in the event trace; the auditor saw nothing wrong.
   std::map<SimEventType, int64_t> counts = sim.trace().CountByType();
   EXPECT_EQ(counts[SimEventType::kServerCrash], 1);

@@ -289,7 +289,7 @@ TEST(SimIntegrationTest, ChunkRebalancingChargesBoundedStalls) {
     EXPECT_EQ(m.completed_jobs, 6);
     double stall = 0.0;
     for (const JobSpec& spec : jobs) {
-      stall += sim.job(spec.id).total_stall_s();
+      stall += sim.job(spec.id).total_stall_s;
     }
     return stall;
   };

@@ -1,8 +1,8 @@
-// Output invariance: thread count, streaming admission, and the hash-only
-// trace must all leave a run's outputs bitwise unchanged against the
-// one-thread / batch / storage counterparts, on the golden scenarios
-// (including the committed fault plans). The scenario-v1 `shards` knob is a
-// validated no-op, and stays pinned as one.
+// Output invariance: thread count and the hash-only trace must leave a run's
+// outputs bitwise unchanged against the one-thread / storage counterparts,
+// on the golden scenarios (including the committed fault plans). The
+// scenario-v1 `shards` and `streaming` knobs are validated no-ops, and stay
+// pinned as ones.
 
 #include <gtest/gtest.h>
 
@@ -133,28 +133,50 @@ TEST(StreamingAdmissionTest, BatchAndStreamingAreBitwiseIdentical) {
   }
 }
 
-TEST(StreamingAdmissionTest, RejectsUnsortedSpecsAndOnlineSubmit) {
-  SimulatorConfig config;
-  config.streaming = true;
+// `streaming` is a validated no-op: every run admits jobs through one pending
+// queue in (arrival, order key) order. Unsorted specs, an online submission
+// that arrives between queued input specs, and a kill before arrival take
+// every order-key path; the knob must not move a bit on either engine.
+TEST(StreamingAdmissionTest, KnobIsANoOpForUnsortedSpecsSubmitsAndKills) {
   std::vector<Server> servers = BuildUniformCluster(4, Resources(16, 80, 0, 1));
-
   WorkloadConfig workload;
-  workload.num_jobs = 4;
+  workload.num_jobs = 6;
   Rng rng(3);
   std::vector<JobSpec> specs = GenerateWorkload(workload, &rng);
-  ASSERT_EQ(specs.size(), 4u);
-  std::swap(specs[0], specs[3]);  // break the arrival order
-  EXPECT_DEATH(Simulator(config, servers, specs),
-               "sorted by arrival");
-
-  std::swap(specs[0], specs[3]);
-  Simulator sim(config, servers, specs);
-  std::string why;
-  JobSpec late = specs[0];
+  ASSERT_EQ(specs.size(), 6u);
+  std::swap(specs[0], specs[5]);  // the last arrival now comes first
+  ASSERT_GT(specs[0].arrival_time_s, specs[1].arrival_time_s);
+  const int killed = specs[0].id;
+  JobSpec late = specs[1];
   late.id = 99;
-  late.arrival_time_s = 1e9;
-  EXPECT_FALSE(sim.SubmitJob(late, &why));
-  EXPECT_NE(why.find("streaming"), std::string::npos) << why;
+  late.arrival_time_s = 0.5 * (specs[1].arrival_time_s + specs[0].arrival_time_s);
+
+  for (const SimEngine engine : {SimEngine::kInterval, SimEngine::kEvents}) {
+    auto run = [&](bool streaming) {
+      SimulatorConfig config;
+      config.engine = engine;
+      config.threads = 2;
+      config.streaming = streaming;
+      config.audit = true;
+      Simulator sim(config, servers, specs);
+      std::string why;
+      EXPECT_TRUE(sim.SubmitJob(late, &why)) << why;
+      EXPECT_TRUE(sim.KillJob(killed, &why)) << why;
+      RunOutputs out;
+      out.metrics = sim.Run();
+      out.trace_digest = sim.trace().digest();
+      out.trace_records = sim.trace().size();
+      out.audit_violations = out.metrics.audit_violations;
+      EXPECT_TRUE(sim.job(killed).killed);
+      EXPECT_EQ(sim.job(late.id).state, JobState::kCompleted);
+      return out;
+    };
+    const RunOutputs off = run(false);
+    EXPECT_EQ(off.metrics.total_jobs, 7);
+    EXPECT_EQ(off.metrics.jobs_killed, 1);
+    EXPECT_EQ(off.audit_violations, 0);
+    ExpectBitwiseEqual(run(true), off, std::string("streaming ") + SimEngineName(engine));
+  }
 }
 
 TEST(StreamingAdmissionTest, RetiresCompletedJobsAndKeepsAccounting) {
