@@ -1,6 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the scheduler's hot paths: NNLS
 // solving, convergence-curve fitting, speed-model fitting, a marginal-gain
-// allocation round, and a placement round.
+// allocation round, and a placement round. Afterwards it writes the
+// `micro_core` section (allocation round, cached vs uncached) into
+// --json=PATH (default BENCH_sched.json).
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +12,7 @@
 
 #include "bench/bench_util.h"
 #include "src/cluster/server.h"
+#include "src/common/flags.h"
 #include "src/common/rng.h"
 #include "src/models/loss_curve.h"
 #include "src/models/model_zoo.h"
@@ -43,22 +46,39 @@ void BM_NnlsSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_NnlsSolve)->Arg(32)->Arg(256)->Arg(2048);
 
+// Times one refit: each iteration restores a model that was fitted on
+// `points` samples and has one new sample since, so Fit() re-runs the whole
+// warm-started beta2 sweep instead of hitting the dirty-flag cache. Args are
+// (points, max_fit_points).
 void BM_ConvergenceFit(benchmark::State& state) {
   const ModelSpec& spec = FindModel("Seq2Seq");
   const int64_t spe = spec.StepsPerEpoch(spec.default_sync_batch);
   LossCurve curve(spec.loss, spe);
   Rng rng(2);
-  ConvergenceModel model;
+  ConvergenceModelOptions options;
+  options.max_fit_points = static_cast<int>(state.range(1));
+  ConvergenceModel fitted(options);
   const int64_t points = state.range(0);
   for (int64_t i = 1; i <= points; ++i) {
     const int64_t step = i * spe / 10;
-    model.AddSample(static_cast<double>(step), curve.SampleLossAtStep(step, &rng));
+    fitted.AddSample(static_cast<double>(step), curve.SampleLossAtStep(step, &rng));
   }
+  fitted.Fit();
+  const int64_t next = (points + 1) * spe / 10;
+  fitted.AddSample(static_cast<double>(next), curve.SampleLossAtStep(next, &rng));
+  ConvergenceModel model = fitted;
   for (auto _ : state) {
+    state.PauseTiming();
+    model = fitted;
+    state.ResumeTiming();
     benchmark::DoNotOptimize(model.Fit());
   }
 }
-BENCHMARK(BM_ConvergenceFit)->Arg(100)->Arg(1000);
+BENCHMARK(BM_ConvergenceFit)
+    ->Args({100, 512})
+    ->Args({1000, 512})
+    ->Args({2200, 16384})
+    ->Args({16384, 16384});
 
 void BM_SpeedModelFit(benchmark::State& state) {
   const ModelSpec& spec = FindModel("ResNet-50");
@@ -247,11 +267,19 @@ void WriteMicroJson(const std::string& path) {
 
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+  // google-benchmark strips its own --benchmark_* flags; the rest are ours.
+  optimus::FlagParser flags(argc, argv);
+  const std::string json_path = flags.GetString("json", "BENCH_sched.json");
+  if (!flags.positional().empty()) {
+    std::cerr << "unexpected argument " << flags.positional().front() << "\n";
+    return 1;
+  }
+  for (const std::string& key : flags.UnconsumedKeys()) {
+    std::cerr << "unknown flag --" << key << "\n";
     return 1;
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  optimus::WriteMicroJson("BENCH_sched.json");
+  optimus::WriteMicroJson(json_path);
   return 0;
 }

@@ -88,8 +88,8 @@ double FitForBeta2(const std::vector<LossSample>& samples, double beta2, double*
 // Same fit from a shared A^T A: A = [step, 1] does not depend on beta2, so
 // only the right-hand side is rebuilt per candidate. The moment sums below
 // accumulate over samples in order, exactly like Matrix::Gram() /
-// Matrix::TransposeTimes() over the dense build, so the solve is bit-identical
-// to FitForBeta2.
+// Matrix::TransposeTimes() over the dense build, so every solve is
+// bit-identical to FitForBeta2.
 struct ConvGram {
   double step_step = 0.0;  // sum step_i^2
   double step_one = 0.0;   // sum step_i
@@ -110,31 +110,40 @@ ConvGram AccumulateConvGram(const std::vector<LossSample>& samples) {
   return g;
 }
 
-// `solver` holds the shared A^T A (built once per Fit; it does not depend on
-// beta2), so each candidate only rebuilds the right-hand side. The residual
-// stops early once it exceeds `bound` (see LossSpaceRss).
-double FitForBeta2Gram(const std::vector<LossSample>& samples, NnlsGramSolver* solver,
-                       double beta2, double bound, double* beta0, double* beta1,
-                       int64_t* nnls_iterations) {
-  double atb0 = 0.0;
-  double atb1 = 0.0;
-  double btb = 0.0;
-  for (const LossSample& s : samples) {
-    const double gap = s.loss - beta2;
-    if (gap <= 1e-9) {
-      return std::numeric_limits<double>::infinity();
+// Right-hand sides of one refinement pass, one lane per feasible beta2
+// candidate. The lanes live in one buffer per thread that every refit on the
+// thread rewrites, like the fit points.
+struct Beta2Lanes {
+  std::vector<double> beta2;
+  std::vector<double> atb0;  // sum step_i * y_i
+  std::vector<double> atb1;  // sum y_i
+  std::vector<double> btb;   // sum y_i^2
+  std::vector<int> lane_of;  // grid index -> lane, or -1 when infeasible
+};
+
+// Builds the first `lanes` lanes' A^T b and b^T b, y_i = 1 / (loss_i - beta2),
+// in one pass over the points. Each lane adds in point order, exactly like
+// one pass per candidate (or Matrix::TransposeTimes over the dense build), so
+// every sum keeps its bits. The lane loop has no branch, so the divides
+// vectorize across candidates.
+void SweepAtb(const std::vector<LossSample>& pts, size_t lanes, Beta2Lanes* out) {
+  const double* beta2 = out->beta2.data();
+  double* atb0 = out->atb0.data();
+  double* atb1 = out->atb1.data();
+  double* btb = out->btb.data();
+  std::fill_n(atb0, lanes, 0.0);
+  std::fill_n(atb1, lanes, 0.0);
+  std::fill_n(btb, lanes, 0.0);
+  for (const LossSample& s : pts) {
+    const double step = s.step;
+    const double loss = s.loss;
+    for (size_t k = 0; k < lanes; ++k) {
+      const double y = 1.0 / (loss - beta2[k]);
+      atb0[k] += step * y;
+      atb1[k] += y;  // the dense A's column of ones: 1.0 * y == y
+      btb[k] += y * y;
     }
-    const double y = 1.0 / gap;
-    atb0 += s.step * y;
-    atb1 += 1.0 * y;
-    btb += y * y;
   }
-  const double atb[2] = {atb0, atb1};
-  double x[2];
-  *nnls_iterations += solver->Solve(atb, btb, x).iterations;
-  *beta0 = x[0];
-  *beta1 = x[1];
-  return LossSpaceRss(samples, *beta0, *beta1, beta2, bound);
 }
 
 }  // namespace
@@ -175,8 +184,9 @@ bool ConvergenceModel::Fit() {
   // that beat the best of the earlier passes; NaN and infinity never win.
   // The reference path (caching off) sweeps g = 0..grid in order, which
   // yields that minimum with a plain `rss < best_rss`. The cached path
-  // evaluates a guess first (the grid point nearest the previous fit's beta2
-  // in pass 0, the centre of the narrowed window after that), then the other
+  // builds every candidate's A^T b in one sweep per pass, then solves and
+  // scores a guess first (the grid point nearest the previous fit's beta2 in
+  // pass 0, the centre of the narrowed window after that), then the other
   // points, and stops summing a candidate's residual once it exceeds the
   // best so far: such a candidate cannot win, and a winner is always summed
   // in full, so both paths pick the same candidate with the same residual.
@@ -188,6 +198,15 @@ bool ConvergenceModel::Fit() {
   double best_b0 = 0.0;
   double best_b1 = 0.0;
   double best_b2 = 0.0;
+  static thread_local Beta2Lanes lanes;
+  if (caching_) {
+    const size_t size = static_cast<size_t>(grid) + 1;
+    lanes.beta2.resize(size);
+    lanes.atb0.resize(size);
+    lanes.atb1.resize(size);
+    lanes.btb.resize(size);
+    lanes.lane_of.resize(size);
+  }
   for (int pass = 0; pass < options_.refine_passes; ++pass) {
     int first = 0;
     if (caching_) {
@@ -195,6 +214,21 @@ bool ConvergenceModel::Fit() {
       if (pass == 0 && fitted_ && hi > 0.0) {
         first = static_cast<int>(std::lround(std::clamp(beta2_ / hi, 0.0, 1.0) * grid));
       }
+      // The pass's grid is fixed, so every candidate's right-hand side comes
+      // from one sweep. fl(l - beta2) never decreases as l grows, so some
+      // point has a gap <= 1e-9 exactly when the minimum loss does: such a
+      // candidate is infeasible and gets no lane and no solve.
+      size_t num_lanes = 0;
+      for (int g = 0; g <= grid; ++g) {
+        const double beta2 = lo + (hi - lo) * g / grid;
+        if (min_loss - beta2 <= 1e-9) {
+          lanes.lane_of[g] = -1;
+          continue;
+        }
+        lanes.lane_of[g] = static_cast<int>(num_lanes);
+        lanes.beta2[num_lanes++] = beta2;
+      }
+      SweepAtb(pts, num_lanes, &lanes);
     }
     double pass_best = best_b2;
     int pass_best_g = -1;  // no candidate of this pass has won yet
@@ -204,11 +238,17 @@ bool ConvergenceModel::Fit() {
       const double beta2 = lo + (hi - lo) * g / grid;
       double b0 = 0.0;
       double b1 = 0.0;
-      const double rss =
-          caching_
-              ? FitForBeta2Gram(pts, &solver, beta2, best_rss, &b0, &b1,
-                                &fit_stats_.nnls_iterations)
-              : FitForBeta2(pts, beta2, &b0, &b1, &fit_stats_.nnls_iterations);
+      double rss = std::numeric_limits<double>::infinity();
+      if (!caching_) {
+        rss = FitForBeta2(pts, beta2, &b0, &b1, &fit_stats_.nnls_iterations);
+      } else if (const int k = lanes.lane_of[g]; k >= 0) {
+        const double atb[2] = {lanes.atb0[k], lanes.atb1[k]};
+        double x[2];
+        fit_stats_.nnls_iterations += solver.Solve(atb, lanes.btb[k], x).iterations;
+        b0 = x[0];
+        b1 = x[1];
+        rss = LossSpaceRss(pts, b0, b1, beta2, best_rss);
+      }
       if (rss < best_rss || (rss == best_rss && g < pass_best_g)) {
         best_rss = rss;
         best_b0 = b0;

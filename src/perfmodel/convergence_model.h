@@ -9,15 +9,18 @@
 //
 // The design matrix A = [step, 1] is the same for every beta2 candidate, so
 // one Fit() accumulates A^T A once and factors each of its passive subsets
-// once for all candidates. Each candidate still makes two O(n) passes with
-// one divide per point (A^T b and the loss-space residual), so the cached
-// sweep evaluates a warm-start guess first and stops summing a candidate's
-// residual once it exceeds the best so far. A dirty flag skips the refit
-// entirely when no samples arrived since the last Fit(), and the epoch-walk
-// prediction (PredictTotalEpochs) is memoized per fit. Every shortcut
-// reproduces the from-scratch fit bit for bit (docs/ALGORITHMS.md §13 gives
-// the argument); set_caching(false) forces the from-scratch, in-order path,
-// the test-side reference (tests/perfmodel_test.cc).
+// once for all candidates. Each refinement pass builds every feasible
+// candidate's A^T b in one sweep over the points, one accumulator lane per
+// candidate; a candidate whose beta2 is within 1e-9 of the minimum loss is
+// infeasible and never solved. The loss-space residual is still one O(n) pass
+// per candidate, so the cached sweep scores a warm-start guess first and
+// stops summing a candidate's residual once it exceeds the best so far. A
+// dirty flag skips the refit entirely when no samples arrived since the last
+// Fit(), and the epoch-walk prediction (PredictTotalEpochs) is memoized per
+// fit. Every shortcut reproduces the from-scratch fit bit for bit
+// (docs/ALGORITHMS.md §13 gives the argument); set_caching(false) forces the
+// from-scratch, in-order path, the test-side reference
+// (tests/perfmodel_test.cc).
 //
 // The fitted curve answers the scheduler's question: how many more epochs
 // until the per-epoch loss decrease stays below the job's threshold?

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -264,7 +265,13 @@ int ExpectCachedMatchesReference(const std::vector<LossSample>& feed, size_t chu
     }
     for (int round = 0; round < 2; ++round) {
       SCOPED_TRACE("sample " + std::to_string(i) + " round " + std::to_string(round));
+      const int64_t cached_iters = cached.fit_stats().nnls_iterations;
+      const int64_t reference_iters = reference.fit_stats().nnls_iterations;
       EXPECT_EQ(cached.Fit(), reference.Fit());
+      // The cached sweep solves exactly the candidates the reference solves
+      // (none of the infeasible ones), and the no-new-samples round none.
+      EXPECT_EQ(cached.fit_stats().nnls_iterations - cached_iters,
+                round == 0 ? reference.fit_stats().nnls_iterations - reference_iters : 0);
       EXPECT_EQ(cached.fitted(), reference.fitted());
       if (!reference.fitted() || !cached.fitted()) {
         continue;
@@ -286,34 +293,72 @@ int ExpectCachedMatchesReference(const std::vector<LossSample>& feed, size_t chu
   return fitted;
 }
 
+// 12 epochs of 20 samples each from zoo model `seed % zoo size`, its noise
+// scaled by none, half, nominal or triple as the seed advances; writes the
+// model's steps per epoch into `*spe`.
+constexpr size_t kZooFeedPerEpoch = 20;
+
+std::vector<LossSample> ZooFeed(int seed, int64_t* spe) {
+  const std::vector<ModelSpec>& zoo = GetModelZoo();
+  const double noise_scale[] = {0.0, 0.5, 1.0, 3.0};
+  const ModelSpec& spec = zoo[seed % zoo.size()];
+  LossCurveParams params = spec.loss;
+  params.noise_sd *= noise_scale[(seed / zoo.size()) % 4];
+  *spe = spec.StepsPerEpoch(spec.default_sync_batch);
+  LossCurve curve(params, *spe);
+  Rng rng(1000 + seed);
+  std::vector<LossSample> feed;
+  for (int e = 0; e < 12; ++e) {
+    for (size_t i = 1; i <= kZooFeedPerEpoch; ++i) {
+      const int64_t step = e * *spe + static_cast<int64_t>(i) * *spe / kZooFeedPerEpoch;
+      feed.push_back({static_cast<double>(step), curve.SampleLossAtStep(step, &rng)});
+    }
+  }
+  return feed;
+}
+
+// The loss decays to ~2e-9 of its start, so the beta2 candidates within 1e-9
+// of the minimum loss make 1/(l - beta2) infeasible and score infinity.
+std::vector<LossSample> DecayFeed() {
+  std::vector<LossSample> decay;
+  for (int i = 0; i <= 200; ++i) {
+    decay.push_back({static_cast<double>(i), std::exp(-0.1 * i)});
+  }
+  return decay;
+}
+
+// How many of the first refinement pass's grid + 1 candidates are infeasible
+// when `feed` is fitted whole (the model's preprocessing, its grid).
+int InfeasibleInFirstPass(const std::vector<LossSample>& feed, int grid) {
+  std::vector<LossSample> pts = RemoveOutliers(feed);
+  NormalizeLosses(&pts);
+  double min_loss = pts.front().loss;
+  for (const LossSample& s : pts) {
+    min_loss = std::min(min_loss, s.loss);
+  }
+  const double top = std::max(min_loss * 0.999, 0.0);
+  int infeasible = 0;
+  for (int g = 0; g <= grid; ++g) {
+    infeasible += min_loss - top * g / grid <= 1e-9 ? 1 : 0;
+  }
+  return infeasible;
+}
+
 TEST_F(ConvergenceModelTest, CachedSweepMatchesReferenceOverSeededFeeds) {
   // 240 seeded feeds: every zoo model at four noise levels (none, half,
   // nominal, triple), half of them downsampled to 64 fit points, a third
   // Reset() half way through. The cached path's warm-started, bounded
   // beta2 sweep must pick the reference sweep's candidate, bit for bit.
-  const std::vector<ModelSpec>& zoo = GetModelZoo();
-  const double noise_scale[] = {0.0, 0.5, 1.0, 3.0};
   int fitted = 0;
   for (int seed = 0; seed < 240; ++seed) {
-    const ModelSpec& spec = zoo[seed % zoo.size()];
-    LossCurveParams params = spec.loss;
-    params.noise_sd *= noise_scale[(seed / zoo.size()) % 4];
-    const int64_t spe = spec.StepsPerEpoch(spec.default_sync_batch);
-    LossCurve curve(params, spe);
-    Rng rng(1000 + seed);
-    std::vector<LossSample> feed;
-    const int per_epoch = 20;
-    for (int e = 0; e < 12; ++e) {
-      for (int i = 1; i <= per_epoch; ++i) {
-        const int64_t step = e * spe + i * spe / per_epoch;
-        feed.push_back({static_cast<double>(step), curve.SampleLossAtStep(step, &rng)});
-      }
-    }
+    int64_t spe = 0;
+    const std::vector<LossSample> feed = ZooFeed(seed, &spe);
     ConvergenceModelOptions options;
     options.max_fit_points = seed % 2 == 0 ? 512 : 64;
     const size_t reset_at = seed % 3 == 0 ? feed.size() / 2 : feed.size() + 1;
-    SCOPED_TRACE("seed " + std::to_string(seed) + " model " + spec.name);
-    fitted += ExpectCachedMatchesReference(feed, per_epoch, reset_at, options, spe);
+    SCOPED_TRACE("seed " + std::to_string(seed) + " model " +
+                 GetModelZoo()[seed % GetModelZoo().size()].name);
+    fitted += ExpectCachedMatchesReference(feed, kZooFeedPerEpoch, reset_at, options, spe);
     if (HasFailure()) {
       return;
     }
@@ -336,14 +381,41 @@ TEST_F(ConvergenceModelTest, CachedSweepBreaksExactTiesLikeTheReference) {
 }
 
 TEST_F(ConvergenceModelTest, CachedSweepMatchesReferenceWithInfeasibleCandidates) {
-  // The loss decays to ~1e-9 of its start: beta2 candidates within 1e-9 of
-  // the minimum loss make 1/(l - beta2) infeasible and score infinity, in
-  // both paths.
-  std::vector<LossSample> decay;
-  for (int i = 0; i <= 200; ++i) {
-    decay.push_back({static_cast<double>(i), std::exp(-0.1 * i)});
-  }
+  // Infeasible candidates score infinity in both paths; the cached path
+  // gives them no lane and no solve.
+  const std::vector<LossSample> decay = DecayFeed();
   EXPECT_GT(ExpectCachedMatchesReference(decay, 20, decay.size() + 1, {}, 10), 0);
+}
+
+TEST_F(ConvergenceModelTest, CachedSweepMatchesReferenceAcrossGridShapes) {
+  // The cached sweep keeps one accumulator lane per feasible candidate of a
+  // pass, sized from the grid. Every grid width and pass count must match the
+  // reference bit for bit, on noisy zoo feeds and on the decay feed, whose
+  // first pass mixes feasible and infeasible candidates at every width.
+  const std::vector<LossSample> decay = DecayFeed();
+  for (const int grid : {2, 3, 7, 24, 100}) {
+    for (const int passes : {1, 5}) {
+      SCOPED_TRACE("grid " + std::to_string(grid) + " passes " + std::to_string(passes));
+      ConvergenceModelOptions options;
+      options.beta2_grid = grid;
+      options.refine_passes = passes;
+      const int infeasible = InfeasibleInFirstPass(decay, grid);
+      EXPECT_GT(infeasible, 0);
+      EXPECT_LT(infeasible, grid + 1);
+      EXPECT_GT(ExpectCachedMatchesReference(decay, 20, decay.size() + 1, options, 10), 0);
+      for (int seed = 0; seed < 8; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        int64_t spe = 0;
+        const std::vector<LossSample> feed = ZooFeed(seed, &spe);
+        EXPECT_GT(ExpectCachedMatchesReference(feed, kZooFeedPerEpoch, feed.size() + 1,
+                                               options, spe),
+                  0);
+      }
+      if (HasFailure()) {
+        return;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

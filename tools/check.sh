@@ -24,6 +24,12 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 # surface. Routed away from the committed full-scale BENCH_sched.json.
 "${build_dir}/bench/bench_fig12_scalability" --smoke --json=BENCH_sched_smoke.json
 
+# Refit micro smoke: every BM_ConvergenceFit size (each iteration a real
+# refit) at a token time budget, plus the micro_core section, into the same
+# smoke JSON.
+"${build_dir}/bench/bench_micro_core" --benchmark_filter=ConvergenceFit \
+  --benchmark_min_time=0.01 --json=BENCH_sched_smoke.json
+
 # Event-kernel smoke: discrete-event engine vs interval engine on small
 # regimes; exits 3 if the engines diverge beyond the documented tolerance
 # (docs/ALGORITHMS.md section 16) or a row does not reproduce on repeat.
