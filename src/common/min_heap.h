@@ -8,7 +8,7 @@
 // and cache-friendly to pop from. A 4-ary heap halves the tree depth of the
 // binary std::priority_queue layout, which measurably helps the pop-heavy
 // allocator loop at cluster scale, and `top()` + `pop()` are split so callers
-// can batch same-key entries without copying.
+// can read the top in place before popping it.
 //
 // Determinism contract: the comparator must define a strict weak ordering;
 // when it is a total order over the pushed elements (as the event queue's

@@ -16,18 +16,4 @@ const char* SimEventKindName(SimEventKind kind) {
   return "unknown";
 }
 
-void EventQueue::PopBatch(std::vector<SimKernelEvent>* batch) {
-  batch->clear();
-  if (heap_.empty()) {
-    return;
-  }
-  const double time_s = heap_.top().time_s;
-  const SimEventKind kind = heap_.top().kind;
-  while (!heap_.empty() && heap_.top().time_s == time_s &&
-         heap_.top().kind == kind) {
-    batch->push_back(heap_.top());
-    heap_.pop();
-  }
-}
-
 }  // namespace optimus

@@ -13,11 +13,12 @@
 //
 // Determinism: the queue is ordered by the total key (time, kind, job_id) —
 // no two distinct events compare equal — so pop order is independent of push
-// order and of the heap's internals (src/common/min_heap.h). Same-timestamp
-// batches are defined as runs of equal (time, kind); their handlers buffer
-// effects in index-owned outcome slots merged in key order. The simulator's
-// fan-outs (model refits, segment rebuilds) keep that contract too, so every
-// simulation output stays bitwise identical for any --threads.
+// order and of the heap's internals (src/common/min_heap.h). The loop pops
+// one event at a time and handles it serially, so every shared-state effect
+// lands in key order. The simulator's fan-outs (model refits, segment
+// rebuilds) touch only job-owned state and push their results serially in
+// job order, so every simulation output stays bitwise identical for any
+// --threads.
 //
 // Lazy invalidation: rescheduling a job's pending epoch event on every
 // allocation / fault / noise-redraw change would need a decrease-key
@@ -31,7 +32,6 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "src/common/min_heap.h"
 
@@ -79,35 +79,10 @@ struct SimKernelEventBefore {
   }
 };
 
-// The simulator's event queue: a deterministic min-heap plus the batch pop
-// and the push/processed accounting the observability layer exports.
-class EventQueue {
- public:
-  bool empty() const { return heap_.empty(); }
-  size_t size() const { return heap_.size(); }
-  void reserve(size_t n) { heap_.reserve(n); }
-
-  void Push(const SimKernelEvent& event) {
-    heap_.push(event);
-    ++pushed_;
-  }
-
-  const SimKernelEvent& Top() const { return heap_.top(); }
-
-  // Pops the full run of events sharing the top's (time, kind) into *batch
-  // (cleared first), in ascending job_id — the merge order of the batch's
-  // outcomes. Cluster-level kinds yield singleton batches.
-  void PopBatch(std::vector<SimKernelEvent>* batch);
-
-  // Counters for metrics/flight-recorder export. `pushed` includes events
-  // that later die as stale; the simulator counts processed events itself
-  // (it is the only place that can tell stale from live).
-  int64_t pushed() const { return pushed_; }
-
- private:
-  MinHeap<SimKernelEvent, SimKernelEventBefore> heap_;
-  int64_t pushed_ = 0;
-};
+// The simulator's event queue. Pop order is fully determined by the
+// (time, kind, job_id) key, so draining it with top()/pop() visits events in
+// the same order however they were pushed.
+using EventQueue = MinHeap<SimKernelEvent, SimKernelEventBefore>;
 
 // Per-kind processed-event tally, merged into metrics/observability by the
 // simulator's event loop.

@@ -848,11 +848,11 @@ void Simulator::EvictJob(JobRuntime* jr, const std::string& reason) {
   Emit(now_s_, SimEventType::kEvicted, job.id(), 0, 0, 0.0, reason);
 }
 
-void Simulator::CompleteJob(JobRuntime* jr, int num_ps, int num_workers,
-                            int64_t epochs) {
-  auditor_.ClearPlacement(jr->job.id());
-  Emit(jr->job.completion_time_s(), SimEventType::kCompleted, jr->job.id(), num_ps,
-       num_workers, static_cast<double>(epochs));
+void Simulator::CompleteJob(JobRuntime* jr, int64_t epochs) {
+  const Job& job = jr->job;
+  auditor_.ClearPlacement(job.id());
+  Emit(job.completion_time_s(), SimEventType::kCompleted, job.id(), job.num_ps(),
+       job.num_workers(), static_cast<double>(epochs));
 }
 
 void Simulator::Emit(double time_s, SimEventType type, int job_id, int num_ps,
@@ -1287,11 +1287,7 @@ void Simulator::AdvanceJob(JobRuntime* jr, AdvanceOutcome* out) {
   if (speed <= 0.0) {
     return;
   }
-
-  // The job made it through a full interval with live tasks: clear the
-  // eviction streak so the relaunch backoff starts fresh next time.
-  jr->consecutive_evictions = 0;
-  jr->backoff_until_s = -1.0;
+  ResetEvictionStreak(jr);
 
   const double steps_before = job.steps_done();
   const double steps_after = steps_before + speed * train_time;
@@ -1301,110 +1297,153 @@ void Simulator::AdvanceJob(JobRuntime* jr, AdvanceOutcome* out) {
   // yields one observed epoch-mean loss for convergence detection.
   const int64_t first_epoch = static_cast<int64_t>(steps_before / spe) + 1;
   const int64_t last_epoch = static_cast<int64_t>(steps_after / spe);
-  bool completed = false;
-  for (int64_t e = first_epoch; e <= last_epoch && !completed; ++e) {
-    const double epoch_loss =
-        jr->curve.TrueLossAtEpoch(static_cast<double>(e)) *
-        jr->rng.LogNormalFactor(spec.model->loss.noise_sd * 0.3);
-    if (job.RecordEpochLoss(epoch_loss)) {
+  for (int64_t e = first_epoch; e <= last_epoch && !out->completed; ++e) {
+    if (ObserveEpochLoss(jr, e)) {
       // Converged at this epoch boundary: interpolate the wall time.
       const double boundary_steps = static_cast<double>(e) * spe;
       const double t_done = stalled + (boundary_steps - steps_before) / speed;
       job.AdvanceSteps(boundary_steps - steps_before);
       job.MarkCompleted(now_s_ + std::min(t_done, dt));
-      completed = true;
       out->completed = true;
       out->completed_epoch = e;
     }
   }
-  if (!completed) {
+  if (!out->completed) {
     job.AdvanceSteps(steps_after - steps_before);
   }
-
-  // Learning-rate decay (§7): once the job crosses its drop epoch, restart
-  // the convergence fitting — the old curve segment no longer predicts the
-  // new one.
-  if (spec.lr_drop.has_value() && !jr->lr_drop_handled &&
-      job.EpochsDone() >= spec.lr_drop->epoch) {
-    jr->lr_drop_handled = true;
-    if (jr->conv != nullptr) {
-      jr->conv->Reset();
-    }
-    if (jr->multi_conv != nullptr) {
-      jr->multi_conv->Reset();
-    }
-    out->lr_drop = true;
-  }
-  out->event_ps = job.num_ps();
-  out->event_workers = job.num_workers();
+  out->lr_drop = ApplyLrDrop(jr);
 
   if (!config_.oracle_estimates) {
     // Feed the convergence model with per-step loss observations spread
-    // over the interval, and the speed model with the measured speed.
-    const double observed_until = job.steps_done();
-    const int n = config_.conv_samples_per_interval;
-    for (int i = 1; i <= n; ++i) {
-      const double step =
-          steps_before + (observed_until - steps_before) * i / n;
-      if (step <= steps_before) {
-        continue;
-      }
-      const double sample =
-          jr->curve.SampleLossAtStep(static_cast<int64_t>(step), &jr->rng);
-      jr->conv->AddSample(step, sample);
-      if (jr->multi_conv != nullptr) {
-        jr->multi_conv->AddSample(step, sample);
-      }
-    }
-    // A job that completed this interval keeps its samples (the draws above
-    // advance its RNG either way) but is not refit: nothing reads a finished
-    // job's estimates.
-    if (!completed) {
-      jr->conv->Fit();
-      if (jr->multi_conv != nullptr) {
-        jr->multi_conv->Fit();
-      }
-    }
-    // All-reduce measurements land on the model's p = 1 row (the grid its
-    // estimates are read from; the job itself runs zero PS tasks).
-    const int sample_ps =
-        spec.comm == CommMode::kAllReduce ? 1 : job.num_ps();
-    // The fitted surface stays denominated at the configured (reference)
-    // batch: under a scheduler batch override the measured speed is converted
-    // back through the same analytic step-time ratio and efficiency factor
-    // TrueSpeed applied, so batch-adaptive rounds never contaminate the
-    // reference surface that batch_speed() scales from.
-    double sample_speed = speed;
-    const int measure_override =
-        spec.mode == TrainingMode::kSync ? job.batch_override() : 0;
-    if (measure_override > 0) {
-      StepTimeInputs min = LiveStepInputs(*jr);  // at the override batch
-      const double s_b = TrainingSpeed(min, config_.comm);
-      min.global_batch = spec.GlobalBatch();
-      const double s_ref = TrainingSpeed(min, config_.comm);
-      if (s_b > 0.0 && s_ref > 0.0) {
-        sample_speed = speed * (s_ref / s_b) /
-                       BatchProgressFactor(spec.GradNoiseScale(),
-                                           spec.GlobalBatch(), measure_override);
-      }
-    }
-    jr->speed->AddSample(sample_ps, job.num_workers(), sample_speed);
-    if (!completed) {
-      jr->speed->Fit();
+    // over the interval, and the speed model with the measured speed. A job
+    // that completed this interval keeps its samples (the draws advance its
+    // RNG either way) but is not refit: nothing reads a finished job's
+    // estimates.
+    FeedLossSamples(jr, steps_before, job.steps_done(),
+                    config_.conv_samples_per_interval);
+    const SpeedSample sample = SpeedSampleAt(*jr, speed);
+    jr->speed->AddSample(sample.num_ps, sample.num_workers, sample.speed);
+    if (!out->completed) {
+      FitModels(jr);
     }
   }
+  SnapshotUtilization(jr);
+  out->ran = true;
+}
 
-  // Utilization snapshot (Fig 14): compute-busy share of a step on workers;
-  // update-busy share on parameter servers.
+bool Simulator::ObserveEpochLoss(JobRuntime* jr, int64_t epoch) {
+  const double epoch_loss =
+      jr->curve.TrueLossAtEpoch(static_cast<double>(epoch)) *
+      jr->rng.LogNormalFactor(jr->job.spec().model->loss.noise_sd * 0.3);
+  return jr->job.RecordEpochLoss(epoch_loss);
+}
+
+bool Simulator::ApplyLrDrop(JobRuntime* jr) {
+  const JobSpec& spec = jr->job.spec();
+  if (!spec.lr_drop.has_value() || jr->lr_drop_handled ||
+      jr->job.EpochsDone() < spec.lr_drop->epoch) {
+    return false;
+  }
+  jr->lr_drop_handled = true;
+  if (jr->conv != nullptr) {
+    jr->conv->Reset();
+  }
+  if (jr->multi_conv != nullptr) {
+    jr->multi_conv->Reset();
+  }
+  return true;
+}
+
+void Simulator::FeedLossSamples(JobRuntime* jr, double from_step,
+                                double to_step, int n) {
+  for (int i = 1; i <= n; ++i) {
+    const double step = from_step + (to_step - from_step) * i / n;
+    if (step <= from_step) {
+      continue;
+    }
+    const double sample =
+        jr->curve.SampleLossAtStep(static_cast<int64_t>(step), &jr->rng);
+    jr->conv->AddSample(step, sample);
+    if (jr->multi_conv != nullptr) {
+      jr->multi_conv->AddSample(step, sample);
+    }
+  }
+}
+
+Simulator::SpeedSample Simulator::SpeedSampleAt(const JobRuntime& jr,
+                                                double speed) const {
+  const Job& job = jr.job;
+  const JobSpec& spec = job.spec();
+  SpeedSample sample;
+  sample.num_ps = spec.comm == CommMode::kAllReduce ? 1 : job.num_ps();
+  sample.num_workers = job.num_workers();
+  sample.speed = speed;
+  // Undo what TrueSpeed applied for the override: the analytic step-time
+  // ratio and the larger batch's efficiency factor.
+  const int batch_override =
+      spec.mode == TrainingMode::kSync ? job.batch_override() : 0;
+  if (batch_override > 0) {
+    StepTimeInputs in = LiveStepInputs(jr);  // at the override batch
+    const double s_b = TrainingSpeed(in, config_.comm);
+    in.global_batch = spec.GlobalBatch();
+    const double s_ref = TrainingSpeed(in, config_.comm);
+    if (s_b > 0.0 && s_ref > 0.0) {
+      sample.speed = speed * (s_ref / s_b) /
+                     BatchProgressFactor(spec.GradNoiseScale(), spec.GlobalBatch(),
+                                         batch_override);
+    }
+  }
+  return sample;
+}
+
+void Simulator::FitModels(JobRuntime* jr) {
+  jr->speed->Fit();
+  jr->conv->Fit();
+  if (jr->multi_conv != nullptr) {
+    jr->multi_conv->Fit();
+  }
+}
+
+void Simulator::SnapshotUtilization(JobRuntime* jr) const {
   const StepTimeBreakdown b = ComputeStepTime(LiveStepInputs(*jr), config_.comm);
   if (b.total_s > 0.0) {
     jr->last_worker_util = 100.0 * (b.forward_s + b.backward_s) / b.total_s;
     jr->last_ps_util = 100.0 * (b.update_s + b.overhead_s) / b.total_s;
   }
-  out->tasks = job.num_workers() + job.num_ps();
-  out->worker_util = jr->last_worker_util;
-  out->ps_util = jr->last_ps_util;
-  out->ran = true;
+}
+
+void Simulator::ResetEvictionStreak(JobRuntime* jr) {
+  jr->consecutive_evictions = 0;
+  jr->backoff_until_s = -1.0;
+}
+
+double Simulator::NextEpochTime(const JobRuntime& jr, double t) {
+  const double spe = static_cast<double>(jr.job.spec().StepsPerEpoch());
+  return t + jr.job.stall_remaining_s() +
+         (static_cast<double>(jr.seg_next_epoch) * spe - jr.job.steps_done()) /
+             jr.seg_speed;
+}
+
+void Simulator::RecordTimeline(double t, const std::vector<JobRuntime*>& trained) {
+  int running_tasks = 0;
+  RunningStat worker_util;
+  RunningStat ps_util;
+  for (const JobRuntime* jr : trained) {
+    running_tasks += jr->job.num_workers() + jr->job.num_ps();
+    worker_util.Add(jr->last_worker_util);
+    ps_util.Add(jr->last_ps_util);
+  }
+  if (config_.record_timeline) {
+    metrics_.timeline.push_back({t, running_tasks,
+                                 worker_util.count() > 0 ? worker_util.mean() : 0.0,
+                                 ps_util.count() > 0 ? ps_util.mean() : 0.0});
+  }
+  running_tasks_ = running_tasks;
+}
+
+double Simulator::NextRoundAtOrAfter(double from, double t) const {
+  const double intervals = std::ceil((t - from) / config_.interval_s);
+  return from + std::max(1.0, intervals) * config_.interval_s;
 }
 
 void Simulator::AdvanceInterval() {
@@ -1432,21 +1471,15 @@ void Simulator::AdvanceInterval() {
     }
   }
 
-  int running_tasks = 0;
-  RunningStat worker_util;
-  RunningStat ps_util;
+  std::vector<JobRuntime*> trained;
   std::vector<size_t> done;
   for (size_t i = 0; i < running.size(); ++i) {
-    const AdvanceOutcome& out = outcomes[i];
-    if (out.completed) {
+    if (outcomes[i].completed) {
       done.push_back(i);
     }
-    if (!out.ran) {
-      continue;
+    if (outcomes[i].ran) {
+      trained.push_back(running[i]);
     }
-    running_tasks += out.tasks;
-    worker_util.Add(out.worker_util);
-    ps_util.Add(out.ps_util);
   }
 
   // Record completions at their analytic times (interpolated to the epoch
@@ -1466,22 +1499,17 @@ void Simulator::AdvanceInterval() {
     return running[a]->job.id() < running[b]->job.id();
   });
   for (size_t i : done) {
-    const AdvanceOutcome& out = outcomes[i];
-    CompleteJob(running[i], out.event_ps, out.event_workers, out.completed_epoch);
+    CompleteJob(running[i], outcomes[i].completed_epoch);
   }
   for (size_t i = 0; i < running.size(); ++i) {
     if (outcomes[i].lr_drop) {
-      Emit(now_s_ + dt, SimEventType::kLearningRateDrop, running[i]->job.id(),
-           outcomes[i].event_ps, outcomes[i].event_workers);
+      const Job& job = running[i]->job;
+      Emit(now_s_ + dt, SimEventType::kLearningRateDrop, job.id(), job.num_ps(),
+           job.num_workers());
     }
   }
 
-  if (config_.record_timeline) {
-    metrics_.timeline.push_back({now_s_ + dt, running_tasks,
-                                 worker_util.count() > 0 ? worker_util.mean() : 0.0,
-                                 ps_util.count() > 0 ? ps_util.mean() : 0.0});
-  }
-  running_tasks_ = running_tasks;
+  RecordTimeline(now_s_ + dt, trained);
   job_totals_stale_ = true;  // AdvanceJob fits the models
 }
 
@@ -1510,10 +1538,7 @@ bool Simulator::StepInterval() {
     if (!std::isfinite(next_arrival)) {
       return false;  // nothing left anywhere
     }
-    // Snap to the next interval boundary at or after the arrival.
-    const double intervals =
-        std::ceil((next_arrival - now_s_) / config_.interval_s);
-    now_s_ += std::max(1.0, intervals) * config_.interval_s;
+    now_s_ = NextRoundAtOrAfter(now_s_, next_arrival);
     ActivateArrivals();
   }
 
@@ -1663,15 +1688,13 @@ bool Simulator::SubmitJob(const JobSpec& spec, std::string* error) {
   ++metrics_.total_jobs;
 
   if (config_.engine == SimEngine::kEvents && events_seeded_) {
-    events_.Push({spec.arrival_time_s, SimEventKind::kArrival, spec.id, 0});
+    events_.push({spec.arrival_time_s, SimEventKind::kArrival, spec.id, 0});
     if (pending_rounds_ == 0) {
       // The round chain drained after a round observed nothing left
       // anywhere. Re-seed it at the boundary that round would have chosen
       // had it known this arrival — the same snap HandleRoundEvent applies —
       // so the session stays identical to an up-front run.
-      const double intervals = std::ceil(
-          (spec.arrival_time_s - last_round_s_) / config_.interval_s);
-      events_.Push({last_round_s_ + std::max(1.0, intervals) * config_.interval_s,
+      events_.push({NextRoundAtOrAfter(last_round_s_, spec.arrival_time_s),
                     SimEventKind::kRound, -1, 0});
       ++pending_rounds_;
     }

@@ -340,6 +340,14 @@ class Simulator {
   }
 
  private:
+  // One speed-model measurement: the row (p, w) it lands on and the speed at
+  // the configured batch (see SpeedSampleAt).
+  struct SpeedSample {
+    int num_ps = 0;
+    int num_workers = 0;
+    double speed = 0.0;
+  };
+
   struct JobRuntime {
     JobRuntime(JobSpec spec, size_t order_key)
         : key(order_key),
@@ -392,39 +400,21 @@ class Simulator {
     int64_t seg_next_epoch = 0;
     // Speed-model measurement snapshotted at segment rebuild and fed at the
     // next round's model refresh (the (p, w) the measured span ran at).
-    int seg_sample_ps = 0;
-    int seg_sample_workers = 0;
-    double seg_sample_speed = 0.0;
+    SpeedSample seg_sample;
     bool ran_since_round = false;  // trained since the last model refresh
   };
 
-  // Buffered side effects of advancing one job through one interval; the
-  // mutations of shared state they describe (trace events, running stats,
-  // counters, auditor updates) are applied serially, in job order, after the
-  // parallel per-job phase — the source of thread-count-independent output.
+  // What one job's interval advance left for the serial merge, which applies
+  // the shared-state effects (trace events, auditor updates, the timeline) in
+  // job order after the parallel per-job phase — the source of
+  // thread-count-independent output. Everything else the merge records, the
+  // (p, w) and utilization included, it reads from the runtime: completion
+  // leaves the allocation in place.
   struct AdvanceOutcome {
     bool ran = false;        // job trained this interval
     bool completed = false;  // converged at an epoch boundary
     int64_t completed_epoch = 0;
     bool lr_drop = false;  // learning-rate drop crossed this interval
-    // Allocation at event-record time (completion / lr-drop).
-    int event_ps = 0;
-    int event_workers = 0;
-    double worker_util = 0.0;
-    double ps_util = 0.0;
-    int tasks = 0;
-  };
-
-  // Buffered side effects of one job's epoch-boundary event (event engine);
-  // merged serially in event order, like AdvanceOutcome for intervals.
-  struct EpochOutcome {
-    bool completed = false;
-    int64_t completed_epoch = 0;
-    bool lr_drop = false;
-    int event_ps = 0;
-    int event_workers = 0;
-    bool push_next = false;  // job keeps training: next epoch event to enqueue
-    double next_time_s = 0.0;
   };
 
   // --- Event-engine run loop (simulator_events.cc) --------------------------
@@ -441,12 +431,10 @@ class Simulator {
   // Advances a segment-active job's training to `t` (no epoch boundary in
   // (anchor, t): boundaries get their own events). Serves stall first.
   void SettleJob(JobRuntime* jr, double t);
-  // Per-job part of an epoch event: settle to the boundary, record the epoch
-  // loss, feed conv samples, detect convergence / lr-drop.
-  void HandleEpochEvent(JobRuntime* jr, double t, EpochOutcome* out);
-  // Same-timestamp epoch batch: run HandleEpochEvent per job, then merge the
-  // outcomes in event (job id) order.
-  void ProcessEpochBatch(const std::vector<SimKernelEvent>& batch);
+  // One popped epoch event: drops it if stale, else settles the job to the
+  // boundary, records the epoch loss, feeds conv samples, and records a
+  // completion / lr-drop or pushes the next epoch event.
+  void HandleEpochEvent(const SimKernelEvent& event);
   // A scripted fault-plan edge between rounds: apply server/slowdown
   // transitions at their exact time and re-anchor affected segments.
   void HandleFaultPlanEvent(double t);
@@ -517,6 +505,50 @@ class Simulator {
   // shared-state effects into `out`. Touches only jr-owned state, so calls
   // for distinct jobs are safe to run concurrently.
   void AdvanceJob(JobRuntime* jr, AdvanceOutcome* out);
+
+  // --- Per-job observation steps, shared by both engines -------------------
+  // Everything a job emits for Optimus's online models goes through these,
+  // so the interval engine (AdvanceJob) and the event engine (epoch events,
+  // segment rebuilds, round refreshes) observe a job the same way. All touch
+  // only jr-owned state unless noted.
+  //
+  // Draws the observed mean loss of epoch `epoch` (ground truth times a noise
+  // factor from the job's stream) and records it; true when the job
+  // converged at this epoch.
+  bool ObserveEpochLoss(JobRuntime* jr, int64_t epoch);
+  // Learning-rate decay (§7): the first time the job's epochs reach its drop
+  // epoch, restarts the convergence fitting, since the old curve segment no
+  // longer predicts the new one. True when the drop fired now.
+  bool ApplyLrDrop(JobRuntime* jr);
+  // Feeds the convergence models `n` per-step loss samples spread evenly over
+  // (from_step, to_step]: the i-th at from + (to - from) * i / n.
+  void FeedLossSamples(JobRuntime* jr, double from_step, double to_step, int n);
+  // The speed-model row for a span the job trained at `speed` under its
+  // current allocation: all-reduce jobs land on p = 1 (the grid their
+  // estimates are read from; the job runs zero PS tasks), and under a
+  // scheduler batch override the speed is converted back to the configured
+  // batch, so the fitted surface stays denominated at the reference batch
+  // that batch_speed() scales from.
+  SpeedSample SpeedSampleAt(const JobRuntime& jr, double speed) const;
+  // Refits the speed and convergence models.
+  static void FitModels(JobRuntime* jr);
+  // Utilization snapshot (Fig 14) at the current allocation: compute-busy
+  // share of a step on workers, update-busy share on parameter servers.
+  void SnapshotUtilization(JobRuntime* jr) const;
+  // Live tasks made progress: clears the eviction streak so the relaunch
+  // backoff starts fresh next time.
+  static void ResetEvictionStreak(JobRuntime* jr);
+  // Simulated time at which a segment-active job reaches seg_next_epoch,
+  // training at seg_speed from `t` after serving its stall.
+  static double NextEpochTime(const JobRuntime& jr, double t);
+  // Serial: records the span ending at `t` in the timeline (tasks and mean
+  // utilizations over `trained`, the jobs that trained in it) and sets
+  // running_tasks_.
+  void RecordTimeline(double t, const std::vector<JobRuntime*>& trained);
+  // The round boundary an idle cluster resumes at for an arrival at `t`: the
+  // first from + k * interval_s at or after `t`, with k >= 1.
+  double NextRoundAtOrAfter(double from, double t) const;
+
   // Fault pipeline, run before each scheduling round: periodic checkpoints,
   // scripted server crashes/recoveries (evicting affected jobs), task
   // failures, and the cluster-wide slowdown factor for this interval.
@@ -532,8 +564,9 @@ class Simulator {
   // applies the relaunch backoff policy.
   void EvictJob(JobRuntime* jr, const std::string& reason);
   // Serial merge of one converged job, shared by both engines: releases its
-  // audited placement and emits kCompleted at the analytic completion time.
-  void CompleteJob(JobRuntime* jr, int num_ps, int num_workers, int64_t epochs);
+  // audited placement and emits kCompleted, with the allocation it finished
+  // at, at the analytic completion time.
+  void CompleteJob(JobRuntime* jr, int64_t epochs);
   // The one record of a lifecycle edge (src/obs/event_types.h): appends it to
   // the trace (in-trace kinds) and the flight ring (in-flight kinds), keeps
   // the RunMetrics tallies the edge implies, and on kCompleted feeds the JCT
@@ -677,7 +710,6 @@ class Simulator {
   // --- Event engine ---------------------------------------------------------
   EventQueue events_;
   EventKindCounts event_counts_;  // processed (non-stale) events by kind
-  int64_t events_stale_dropped_ = 0;
   // Re-entrancy state: the static events are enqueued exactly once, on the
   // first StepEventsUntil call. pending_rounds_ / last_round_s_ track the
   // kRound chain so SubmitJob can re-seed it with the boundary an up-front

@@ -6,17 +6,18 @@
 // rounds stay periodic (one kRound per interval, Algorithm-1 cadence) and
 // reuse the interval engine's fault pipeline, scheduler round, and auditor
 // verbatim; between rounds each job advances only at its own analytically
-// computed epoch-completion events, so untouched jobs cost zero work. Every
-// RNG draw flows through job-owned streams in event order and every
-// shared-state effect is buffered per event and merged serially in key
-// order, keeping outputs bitwise identical for any --threads.
+// computed epoch-completion events, so untouched jobs cost zero work. Events
+// pop one at a time in key order and their handlers run serially; every RNG
+// draw flows through job-owned streams, keeping outputs bitwise identical for
+// any --threads. The per-job observation steps (epoch loss, loss and speed
+// samples, fits, utilization) are the interval engine's, shared through the
+// Simulator helpers AdvanceJob calls.
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
 
 #include "src/common/logging.h"
-#include "src/common/stats.h"
 #include "src/sim/simulator.h"
 
 namespace optimus {
@@ -27,12 +28,12 @@ void Simulator::EnqueueStaticEvents() {
   // specs (the times are known; building the runtime waits for the event,
   // via ActivateArrivals), and any runtime a kill built before seeding.
   for (const auto& jr : Live()) {
-    events_.Push({jr->job.spec().arrival_time_s, SimEventKind::kArrival,
+    events_.push({jr->job.spec().arrival_time_s, SimEventKind::kArrival,
                   jr->job.id(), 0});
   }
   for (const JobSpec& spec : pending_specs_) {
     if (spec.model != nullptr) {
-      events_.Push({spec.arrival_time_s, SimEventKind::kArrival, spec.id, 0});
+      events_.push({spec.arrival_time_s, SimEventKind::kArrival, spec.id, 0});
     }
   }
   // One kFaultPlan event per distinct scripted edge time; the handler applies
@@ -51,9 +52,9 @@ void Simulator::EnqueueStaticEvents() {
   std::sort(edges.begin(), edges.end());
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
   for (double t : edges) {
-    events_.Push({t, SimEventKind::kFaultPlan, -1, 0});
+    events_.push({t, SimEventKind::kFaultPlan, -1, 0});
   }
-  events_.Push({0.0, SimEventKind::kRound, -1, 0});
+  events_.push({0.0, SimEventKind::kRound, -1, 0});
 }
 
 void Simulator::SettleJob(JobRuntime* jr, double t) {
@@ -74,19 +75,28 @@ void Simulator::SettleJob(JobRuntime* jr, double t) {
     const double cap = std::max(
         0.0, static_cast<double>(jr->seg_next_epoch) * spe - jr->job.steps_done());
     jr->job.AdvanceSteps(std::min(train * jr->seg_speed, cap));
-    // Live tasks made progress: reset the relaunch-backoff streak, as the
-    // interval engine does for any interval with training time.
-    jr->consecutive_evictions = 0;
-    jr->backoff_until_s = -1.0;
+    ResetEvictionStreak(jr);
     jr->ran_since_round = true;
   }
   jr->seg_anchor_s = t;
 }
 
-void Simulator::HandleEpochEvent(JobRuntime* jr, double t, EpochOutcome* out) {
+void Simulator::HandleEpochEvent(const SimKernelEvent& event) {
+  // Stale filter: an event whose generation no longer matches was superseded
+  // by a reschedule, an eviction, or completion. A retired job has no
+  // runtime; any epoch event it left behind is stale by definition
+  // (retirement requires completion, which bumped the gen).
+  const auto it = job_refs_.find(static_cast<int>(event.job_id));
+  OPTIMUS_CHECK(it != job_refs_.end());
+  JobRuntime* jr = it->second.live;
+  if (jr == nullptr || !jr->seg_active || jr->gen != event.gen) {
+    return;
+  }
+  event_counts_.Note(SimEventKind::kEpoch);
+
+  const double t = event.time_s;
   Job& job = jr->job;
-  const JobSpec& spec = job.spec();
-  const double spe = static_cast<double>(spec.StepsPerEpoch());
+  const double spe = static_cast<double>(job.spec().StepsPerEpoch());
   const int64_t e = jr->seg_next_epoch;
 
   // Settle to the boundary. The event time was computed as
@@ -95,120 +105,39 @@ void Simulator::HandleEpochEvent(JobRuntime* jr, double t, EpochOutcome* out) {
   // boundary arithmetic free of accumulated rounding).
   const double dt = t - jr->seg_anchor_s;
   if (dt > 0.0) {
-    jr->job.ConsumeStall(dt);
+    job.ConsumeStall(dt);
   }
   job.AdvanceSteps(std::max(0.0, static_cast<double>(e) * spe - job.steps_done()));
   jr->seg_anchor_s = t;
-  jr->consecutive_evictions = 0;
-  jr->backoff_until_s = -1.0;
+  ResetEvictionStreak(jr);
   jr->ran_since_round = true;
 
-  const double epoch_loss =
-      jr->curve.TrueLossAtEpoch(static_cast<double>(e)) *
-      jr->rng.LogNormalFactor(spec.model->loss.noise_sd * 0.3);
-  const bool completed = job.RecordEpochLoss(epoch_loss);
-
+  const bool completed = ObserveEpochLoss(jr, e);
   if (!config_.oracle_estimates) {
     // Observe per-step losses across the completed epoch. Feeding is the hot
     // path of the interval engine's advance; here it is a handful of samples
     // per epoch and the fits are deferred to the round's model refresh.
-    const int n = config_.conv_samples_per_epoch;
-    const double epoch_start = static_cast<double>(e - 1) * spe;
-    for (int i = 1; i <= n; ++i) {
-      const double step = epoch_start + spe * i / n;
-      if (step <= 0.0) {
-        continue;
-      }
-      const double sample =
-          jr->curve.SampleLossAtStep(static_cast<int64_t>(step), &jr->rng);
-      jr->conv->AddSample(step, sample);
-      if (jr->multi_conv != nullptr) {
-        jr->multi_conv->AddSample(step, sample);
-      }
-    }
+    FeedLossSamples(jr, static_cast<double>(e - 1) * spe,
+                    static_cast<double>(e) * spe, config_.conv_samples_per_epoch);
   }
-
-  if (spec.lr_drop.has_value() && !jr->lr_drop_handled &&
-      job.EpochsDone() >= spec.lr_drop->epoch) {
-    jr->lr_drop_handled = true;
-    if (jr->conv != nullptr) {
-      jr->conv->Reset();
-    }
-    if (jr->multi_conv != nullptr) {
-      jr->multi_conv->Reset();
-    }
-    out->lr_drop = true;
-  }
-  out->event_ps = job.num_ps();
-  out->event_workers = job.num_workers();
+  const bool lr_drop = ApplyLrDrop(jr);
 
   if (completed) {
     // Exact analytic completion time — no interval-boundary quantization.
     job.MarkCompleted(t);
     jr->seg_active = false;
     ++jr->gen;
-    out->completed = true;
-    out->completed_epoch = e;
-  } else {
+    CompleteJob(jr, e);
+  }
+  if (lr_drop) {
+    Emit(t, SimEventType::kLearningRateDrop, job.id(), job.num_ps(),
+         job.num_workers());
+  }
+  if (!completed) {
     jr->seg_next_epoch = e + 1;
-    out->push_next = true;
-    out->next_time_s = t + job.stall_remaining_s() + spe / jr->seg_speed;
-  }
-}
-
-void Simulator::ProcessEpochBatch(const std::vector<SimKernelEvent>& batch) {
-  const double t = batch.front().time_s;
-
-  // Stale filter (serial, cheap): events whose generation no longer matches
-  // were superseded by a reschedule, an eviction, or completion.
-  std::vector<JobRuntime*> live;
-  live.reserve(batch.size());
-  {
-    ScopedTimer timer(&profiler_, phase_events_);
-    for (const SimKernelEvent& event : batch) {
-      const auto it = job_refs_.find(static_cast<int>(event.job_id));
-      OPTIMUS_CHECK(it != job_refs_.end());
-      JobRuntime* jr = it->second.live;
-      // A retired job has no runtime; any epoch event it left behind is stale
-      // by definition (retirement requires completion, which bumped the gen).
-      if (jr == nullptr || !jr->seg_active || jr->gen != event.gen) {
-        ++events_stale_dropped_;
-        continue;
-      }
-      live.push_back(jr);
-    }
-  }
-  if (live.empty()) {
-    return;
-  }
-
-  // The per-job handlers touch only job-owned state and buffer shared-state
-  // effects in their index-owned slots; the merge below applies them in event
-  // (ascending job id) order. Epoch times are continuous, so batches of more
-  // than one event are rare, and the handlers run serially.
-  std::vector<EpochOutcome> outcomes(live.size());
-  {
-    ScopedTimer timer(&profiler_, phase_events_);
-    for (size_t i = 0; i < live.size(); ++i) {
-      HandleEpochEvent(live[i], t, &outcomes[i]);
-    }
-
-    for (size_t i = 0; i < live.size(); ++i) {
-      JobRuntime* jr = live[i];
-      const EpochOutcome& out = outcomes[i];
-      event_counts_.Note(SimEventKind::kEpoch);
-      if (out.completed) {
-        CompleteJob(jr, out.event_ps, out.event_workers, out.completed_epoch);
-      }
-      if (out.lr_drop) {
-        Emit(t, SimEventType::kLearningRateDrop, jr->job.id(), out.event_ps,
-             out.event_workers);
-      }
-      if (out.push_next) {
-        events_.Push({out.next_time_s, SimEventKind::kEpoch, jr->job.id(),
-                      jr->gen});
-      }
-    }
+    // The boundary was landed on exactly, so a whole epoch lies ahead.
+    events_.push({t + job.stall_remaining_s() + spe / jr->seg_speed,
+                  SimEventKind::kEpoch, job.id(), jr->gen});
   }
 }
 
@@ -235,12 +164,8 @@ void Simulator::HandleFaultPlanEvent(double t) {
       jr->seg_speed = TrueSpeed(*jr) * jr->seg_noise * cluster_slow_factor_;
       ++jr->gen;
       if (jr->seg_speed > 0.0) {
-        const double spe = static_cast<double>(jr->job.spec().StepsPerEpoch());
-        const double next_time =
-            t + jr->job.stall_remaining_s() +
-            (static_cast<double>(jr->seg_next_epoch) * spe - jr->job.steps_done()) /
-                jr->seg_speed;
-        events_.Push({next_time, SimEventKind::kEpoch, jr->job.id(), jr->gen});
+        events_.push({NextEpochTime(*jr, t), SimEventKind::kEpoch, jr->job.id(),
+                      jr->gen});
       } else {
         jr->seg_active = false;
       }
@@ -268,15 +193,10 @@ void Simulator::RefreshModels() {
   // completed during the span is not refit, as on the interval engine:
   // nothing reads a finished job's estimates.
   auto refresh = [&](JobRuntime* jr) {
-    jr->speed->AddSample(jr->seg_sample_ps, jr->seg_sample_workers,
-                         jr->seg_sample_speed);
-    if (jr->job.state() == JobState::kCompleted) {
-      return;
-    }
-    jr->speed->Fit();
-    jr->conv->Fit();
-    if (jr->multi_conv != nullptr) {
-      jr->multi_conv->Fit();
+    const SpeedSample& sample = jr->seg_sample;
+    jr->speed->AddSample(sample.num_ps, sample.num_workers, sample.speed);
+    if (jr->job.state() != JobState::kCompleted) {
+      FitModels(jr);
     }
   };
   if (pool_ != nullptr && dirty.size() > 1) {
@@ -311,37 +231,24 @@ void Simulator::RebuildSegments() {
 
   // Parallel per-job segment math: one noise draw from the job's own stream
   // (the interval engine's per-interval cadence), ground-truth speed at the
-  // fresh placement, and the utilization snapshot the timeline records.
-  std::vector<double> next_time(running.size(), 0.0);
+  // fresh placement, the speed sample the span will feed, and the
+  // utilization snapshot the timeline records.
   auto build = [&](size_t i) {
     JobRuntime* jr = running[i];
-    Job& job = jr->job;
-    const JobSpec& spec = job.spec();
     jr->seg_noise = jr->rng.LogNormalFactor(config_.runtime_noise_sd);
     const double speed = TrueSpeed(*jr) * jr->seg_noise * cluster_slow_factor_;
-    const StepTimeBreakdown b = ComputeStepTime(LiveStepInputs(*jr), config_.comm);
-    if (b.total_s > 0.0) {
-      jr->last_worker_util = 100.0 * (b.forward_s + b.backward_s) / b.total_s;
-      jr->last_ps_util = 100.0 * (b.update_s + b.overhead_s) / b.total_s;
-    }
+    SnapshotUtilization(jr);
     if (speed <= 0.0) {
       return;
     }
-    const double spe = static_cast<double>(spec.StepsPerEpoch());
     jr->seg_active = true;
     jr->seg_anchor_s = t;
     jr->seg_speed = speed;
-    jr->seg_next_epoch =
-        static_cast<int64_t>(job.steps_done() / spe) + 1;
-    // All-reduce measurements land on the fitted model's p = 1 row (the job
-    // itself runs zero PS tasks), matching the interval engine's feeding.
-    jr->seg_sample_ps =
-        spec.comm == CommMode::kAllReduce ? 1 : job.num_ps();
-    jr->seg_sample_workers = job.num_workers();
-    jr->seg_sample_speed = speed;
-    next_time[i] = t + job.stall_remaining_s() +
-                   (static_cast<double>(jr->seg_next_epoch) * spe -
-                    job.steps_done()) / speed;
+    const double spe = static_cast<double>(jr->job.spec().StepsPerEpoch());
+    jr->seg_next_epoch = static_cast<int64_t>(jr->job.steps_done() / spe) + 1;
+    if (!config_.oracle_estimates) {
+      jr->seg_sample = SpeedSampleAt(*jr, speed);
+    }
   };
   if (pool_ != nullptr && running.size() > 1) {
     pool_->ParallelFor(static_cast<int64_t>(running.size()),
@@ -352,32 +259,14 @@ void Simulator::RebuildSegments() {
     }
   }
   // Serial pushes in job order keep the heap contents deterministic.
-  for (size_t i = 0; i < running.size(); ++i) {
-    if (running[i]->seg_active) {
-      events_.Push({next_time[i], SimEventKind::kEpoch, running[i]->job.id(),
-                    running[i]->gen});
-    }
+  std::erase_if(running, [](const JobRuntime* jr) { return !jr->seg_active; });
+  for (JobRuntime* jr : running) {
+    events_.push({NextEpochTime(*jr, t), SimEventKind::kEpoch, jr->job.id(),
+                  jr->gen});
   }
-
   // Timeline sample for the upcoming span (the interval engine records the
   // same tuple at each boundary).
-  int running_tasks = 0;
-  RunningStat worker_util;
-  RunningStat ps_util;
-  for (JobRuntime* jr : running) {
-    if (!jr->seg_active) {
-      continue;
-    }
-    running_tasks += jr->job.num_workers() + jr->job.num_ps();
-    worker_util.Add(jr->last_worker_util);
-    ps_util.Add(jr->last_ps_util);
-  }
-  if (config_.record_timeline) {
-    metrics_.timeline.push_back({t + config_.interval_s, running_tasks,
-                                 worker_util.count() > 0 ? worker_util.mean() : 0.0,
-                                 ps_util.count() > 0 ? ps_util.mean() : 0.0});
-  }
-  running_tasks_ = running_tasks;
+  RecordTimeline(t + config_.interval_s, running);
 }
 
 void Simulator::HandleRoundEvent(double t) {
@@ -398,9 +287,7 @@ void Simulator::HandleRoundEvent(double t) {
     if (!std::isfinite(next_arrival)) {
       return;  // nothing left anywhere: no further rounds
     }
-    const double intervals = std::ceil((next_arrival - t) / config_.interval_s);
-    events_.Push({t + std::max(1.0, intervals) * config_.interval_s,
-                  SimEventKind::kRound, -1, 0});
+    events_.push({NextRoundAtOrAfter(t, next_arrival), SimEventKind::kRound, -1, 0});
     ++pending_rounds_;
     return;
   }
@@ -452,7 +339,7 @@ void Simulator::HandleRoundEvent(double t) {
 
   SampleObservability();
 
-  events_.Push({t + config_.interval_s, SimEventKind::kRound, -1, 0});
+  events_.push({t + config_.interval_s, SimEventKind::kRound, -1, 0});
   ++pending_rounds_;
 }
 
@@ -468,27 +355,24 @@ void Simulator::StepEventsUntil(double horizon) {
     ++pending_rounds_;  // EnqueueStaticEvents pushes the first kRound
   }
 
-  std::vector<SimKernelEvent> batch;
   while (metrics_.completed_jobs < metrics_.total_jobs && !events_.empty() &&
-         events_.Top().time_s <= horizon &&
-         events_.Top().time_s < config_.max_sim_time_s) {
-    {
-      ScopedTimer timer(&profiler_, phase_events_);
-      events_.PopBatch(&batch);
-    }
-    now_s_ = batch.front().time_s;
-    switch (batch.front().kind) {
+         events_.top().time_s <= horizon &&
+         events_.top().time_s < config_.max_sim_time_s) {
+    const SimKernelEvent event = events_.top();
+    events_.pop();
+    now_s_ = event.time_s;
+    switch (event.kind) {
       case SimEventKind::kArrival: {
         ScopedTimer timer(&profiler_, phase_events_);
         ActivateArrivals();
-        for (size_t i = 0; i < batch.size(); ++i) {
-          event_counts_.Note(SimEventKind::kArrival);
-        }
+        event_counts_.Note(SimEventKind::kArrival);
         break;
       }
-      case SimEventKind::kEpoch:
-        ProcessEpochBatch(batch);
+      case SimEventKind::kEpoch: {
+        ScopedTimer timer(&profiler_, phase_events_);
+        HandleEpochEvent(event);
         break;
+      }
       case SimEventKind::kFaultPlan: {
         ScopedTimer timer(&profiler_, phase_faults_);
         HandleFaultPlanEvent(now_s_);

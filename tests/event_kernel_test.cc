@@ -1,7 +1,7 @@
 // Discrete-event kernel (src/sim/event_kernel.h, simulator_events.cc):
 //
-//   - EventQueue ordering: strict (time, kind, job_id) total order, batch
-//     pops as runs of equal (time, kind) in ascending job id.
+//   - EventQueue ordering: top()/pop() drains in the strict (time, kind,
+//     job_id) total order, whatever the push order.
 //   - Thread determinism: metrics and the full event trace are bitwise
 //     identical for --threads {1, 2, 8}, with and without a fault plan.
 //   - Engine parity: on every golden scenario the event engine completes the
@@ -12,6 +12,8 @@
 //     its recorded arrival reproduces its JCT exactly (no
 //     interval-boundary quantization).
 //   - Edge cases: zero jobs, and a cluster with no servers.
+//   - Reference-batch speed samples: under a batch-adaptive policy with
+//     fitted estimates, the engines' average JCTs agree within 2%.
 //   - No refit of a finished job: the span a job completes in adds no model
 //     fit on either engine, and on a noise-free one-job run both engines
 //     report the same fit counters round by round.
@@ -46,46 +48,37 @@ namespace {
 // ---------------------------------------------------------------------------
 // EventQueue ordering.
 
+// Drains the queue with top()/pop(), one "time/kind/job_id" entry per event.
+std::vector<std::string> Drain(EventQueue* q) {
+  std::vector<std::string> order;
+  while (!q->empty()) {
+    const SimKernelEvent& e = q->top();
+    std::ostringstream os;
+    os << e.time_s << "/" << SimEventKindName(e.kind) << "/" << e.job_id;
+    order.push_back(os.str());
+    q->pop();
+  }
+  return order;
+}
+
 TEST(EventQueueTest, PopsInTimeKindJobOrder) {
   EventQueue q;
-  q.Push({300.0, SimEventKind::kRound, -1, 0});
-  q.Push({100.0, SimEventKind::kEpoch, 7, 0});
-  q.Push({100.0, SimEventKind::kEpoch, 3, 0});
-  q.Push({100.0, SimEventKind::kArrival, 9, 0});
-  q.Push({100.0, SimEventKind::kRound, -1, 0});
-  q.Push({100.0, SimEventKind::kFaultPlan, -1, 0});
-  q.Push({50.0, SimEventKind::kRound, -1, 0});
+  q.push({300.0, SimEventKind::kRound, -1, 0});
+  q.push({100.0, SimEventKind::kEpoch, 7, 0});
+  q.push({100.0, SimEventKind::kEpoch, 3, 0});
+  q.push({100.0, SimEventKind::kArrival, 9, 0});
+  q.push({100.0, SimEventKind::kRound, -1, 0});
+  q.push({100.0, SimEventKind::kFaultPlan, -1, 0});
+  q.push({50.0, SimEventKind::kRound, -1, 0});
   EXPECT_EQ(q.size(), 7u);
-  EXPECT_EQ(q.pushed(), 7);
 
-  std::vector<SimKernelEvent> batch;
-  // t=50 round first.
-  q.PopBatch(&batch);
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].time_s, 50.0);
-  EXPECT_EQ(batch[0].kind, SimEventKind::kRound);
-  // t=100: arrivals before epochs before fault edges before the round.
-  q.PopBatch(&batch);
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].kind, SimEventKind::kArrival);
-  EXPECT_EQ(batch[0].job_id, 9);
-  // Same-timestamp epochs form one batch, ascending job id.
-  q.PopBatch(&batch);
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].kind, SimEventKind::kEpoch);
-  EXPECT_EQ(batch[0].job_id, 3);
-  EXPECT_EQ(batch[1].job_id, 7);
-  q.PopBatch(&batch);
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].kind, SimEventKind::kFaultPlan);
-  q.PopBatch(&batch);
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].kind, SimEventKind::kRound);
-  EXPECT_EQ(batch[0].time_s, 100.0);
-  // t=300 round last; queue drains.
-  q.PopBatch(&batch);
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].time_s, 300.0);
+  // t=50 round first; at t=100 arrivals before epochs (ascending job id)
+  // before fault edges before the round; the t=300 round last.
+  const std::vector<std::string> expected = {
+      "50/round/-1",      "100/arrival/9", "100/epoch/3",  "100/epoch/7",
+      "100/fault_plan/-1", "100/round/-1",  "300/round/-1",
+  };
+  EXPECT_EQ(Drain(&q), expected);
   EXPECT_TRUE(q.empty());
 }
 
@@ -98,24 +91,15 @@ TEST(EventQueueTest, PopOrderIndependentOfPushOrder) {
   events.push_back({600.0, SimEventKind::kRound, -1, 0});
   events.push_back({1200.0, SimEventKind::kRound, -1, 0});
 
-  auto drain = [](EventQueue* q) {
-    std::string order;
-    std::vector<SimKernelEvent> batch;
-    while (!q->empty()) {
-      q->PopBatch(&batch);
-      for (const SimKernelEvent& e : batch) {
-        order += std::to_string(e.time_s) + "/" +
-                 SimEventKindName(e.kind) + "/" + std::to_string(e.job_id) + ";";
-      }
-    }
-    return order;
-  };
-
   EventQueue forward;
   for (const auto& e : events) {
-    forward.Push(e);
+    forward.push(e);
   }
-  const std::string reference = drain(&forward);
+  const std::vector<std::string> reference = Drain(&forward);
+  ASSERT_EQ(reference.size(), events.size());
+  EXPECT_EQ(reference.front(), "600/epoch/0");
+  EXPECT_EQ(reference[5], "600/round/-1");
+  EXPECT_EQ(reference.back(), "1200/round/-1");
 
   Rng rng(123);
   for (int trial = 0; trial < 10; ++trial) {
@@ -126,9 +110,9 @@ TEST(EventQueueTest, PopOrderIndependentOfPushOrder) {
     }
     EventQueue shuffled;
     for (const auto& e : events) {
-      shuffled.Push(e);
+      shuffled.push(e);
     }
-    EXPECT_EQ(drain(&shuffled), reference) << "trial " << trial;
+    EXPECT_EQ(Drain(&shuffled), reference) << "trial " << trial;
   }
 }
 
@@ -214,8 +198,8 @@ TEST(EventKernelTest, BitwiseIdenticalAcrossThreadsFaulted) {
 }
 
 // With runtime noise off, equal jobs train at equal speeds, so epoch events
-// for distinct jobs land on identical timestamps and must batch; the batch
-// fan-out must stay deterministic across thread counts.
+// for distinct jobs land on identical timestamps and pop in job-id order;
+// the run must stay deterministic across thread counts.
 TEST(EventKernelTest, SameTimestampBatchesAreDeterministic) {
   std::string reference;
   for (const int threads : {1, 8}) {
@@ -379,6 +363,36 @@ TEST(EventKernelTest, GoldenScenarioParityAgainstIntervalEngine) {
     EXPECT_GT(events.metrics.events_processed, 0) << path;
     EXPECT_EQ(interval.metrics.events_processed, 0) << path;
   }
+}
+
+// Both engines feed the speed model samples at the configured batch: under a
+// batch-adaptive policy with fitted estimates, a span trained at a scheduler
+// batch override is converted back before it reaches the model. An engine
+// that fed the raw override-batch speed would fit a surface the policy's
+// batch scaling then distorts: here its average JCT lands 7.9% off the
+// other engine's, against 0.8% when both convert.
+TEST(EventKernelTest, BatchOverrideSamplesMatchAcrossEngines) {
+  ScenarioSpec scenario;
+  std::string error;
+  ASSERT_TRUE(LoadScenarioFile(OPTIMUS_SOURCE_DIR "/scenarios/batch_adaptive.json",
+                               &scenario, &error))
+      << error;
+  auto run = [&](SimEngine engine) {
+    SimulatorConfig config = scenario.MakeSimConfig("goodput", 0);
+    config.engine = engine;
+    config.oracle_estimates = false;
+    Simulator sim(config, scenario.cluster.Build(), scenario.JobsForRepeat(0));
+    return sim.Run();
+  };
+  const RunMetrics interval = run(SimEngine::kInterval);
+  const RunMetrics events = run(SimEngine::kEvents);
+  ASSERT_EQ(interval.completed_jobs, interval.total_jobs);
+  ASSERT_EQ(events.completed_jobs, events.total_jobs);
+  ASSERT_GT(interval.avg_jct_s, 0.0);
+  const double rel =
+      std::abs(events.avg_jct_s - interval.avg_jct_s) / interval.avg_jct_s;
+  EXPECT_LE(rel, 0.02) << "interval avg_jct=" << interval.avg_jct_s
+                       << " events avg_jct=" << events.avg_jct_s;
 }
 
 // ---------------------------------------------------------------------------

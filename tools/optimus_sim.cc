@@ -19,6 +19,7 @@
 
 #include "src/cluster/server.h"
 #include "src/common/flags.h"
+#include "src/common/json_writer.h"
 #include "src/common/logging.h"
 #include "src/common/table.h"
 #include "src/obs/exporters.h"
@@ -80,11 +81,16 @@ std::string Usage() {
       "  --background-share=F                  mixed-workload reservation (default 0)\n"
       "  --oracle                              ground-truth estimates, no online fitting\n"
       "  --threads=N                           threads, the caller included, for\n"
-      "                                        experiment repeats, per-arrival\n"
-      "                                        pre-run sampling, and scenario grids;\n"
-      "                                        all metrics are bitwise identical for\n"
-      "                                        any value. 0 = OPTIMUS_THREADS env\n"
-      "                                        var, then 1 (default 0)\n"
+      "                                        experiment repeats, scenario grids,\n"
+      "                                        and the simulator's per-job fan-outs:\n"
+      "                                        the interval advance (AdvanceJob),\n"
+      "                                        events-engine model refits\n"
+      "                                        (RefreshModels) and segment rebuilds\n"
+      "                                        (RebuildSegments), and per-arrival\n"
+      "                                        pre-run sampling; all metrics are\n"
+      "                                        bitwise identical for any value.\n"
+      "                                        0 = OPTIMUS_THREADS env var, then 1\n"
+      "                                        (default 0)\n"
       "  --trace-csv=PATH                      write the event trace (repeats=1 only)\n"
       "  --timeline-csv=PATH                   write the interval timeline (repeats=1)\n"
       "  --metrics-out=PATH                    export the metrics registry after the\n"
@@ -100,22 +106,6 @@ std::string Usage() {
   return usage;
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 // Machine-readable policy catalog (`--policy list --format=json`): one object
 // per registered policy with its placement and trait set, so harnesses can
 // discover capabilities without parsing the human table.
@@ -128,9 +118,9 @@ int PrintPolicyListJson() {
     }
     first = false;
     const PolicyTraits& t = info.traits;
-    std::cout << "  {\"name\": \"" << JsonEscape(info.name) << "\", "
-              << "\"display_name\": \"" << JsonEscape(info.display_name) << "\", "
-              << "\"description\": \"" << JsonEscape(info.description) << "\", "
+    std::cout << "  {\"name\": " << EncodeJsonString(info.name) << ", "
+              << "\"display_name\": " << EncodeJsonString(info.display_name) << ", "
+              << "\"description\": " << EncodeJsonString(info.description) << ", "
               << "\"placement\": \"" << PlacementPolicyName(info.placement)
               << "\", "
               << "\"traits\": {"
