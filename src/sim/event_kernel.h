@@ -12,8 +12,8 @@
 // between rounds.
 //
 // Determinism: the queue is ordered by the total key (time, kind, job_id) —
-// no two distinct events compare equal — so pop order is independent of push
-// order and of the heap's internals (src/common/min_heap.h). The loop pops
+// events that compare equal are equal values — so pop order is independent of
+// push order and of the heap's internals (src/common/min_heap.h). The loop pops
 // one event at a time and handles it serially, so every shared-state effect
 // lands in key order. The simulator's fan-outs (model refits, segment
 // rebuilds) touch only job-owned state and push their results serially in
@@ -57,16 +57,20 @@ const char* SimEventKindName(SimEventKind kind);
 struct SimKernelEvent {
   double time_s = 0.0;
   SimEventKind kind = SimEventKind::kRound;
-  // Tie-break id; the owning job for kEpoch/kArrival, -1 for cluster-level
-  // events (kFaultPlan, kRound).
+  // Tie-break id; the owning job for kEpoch, -1 for cluster-level events
+  // (kArrival, kFaultPlan, kRound).
   int64_t job_id = -1;
   // Owning job's generation at push time (kEpoch only); see header comment.
   uint64_t gen = 0;
 };
 
-// Strict total order on (time, kind, job_id). Two pushed events never
-// compare equal: per-job kinds carry distinct job ids at one timestamp, and
-// cluster-level kinds are pushed at most once per timestamp.
+// Strict total order on (time, kind, job_id). Two pushed events compare
+// equal only when they are equal values: kEpoch events at one timestamp carry
+// distinct job ids, kFaultPlan and kRound are pushed at most once per
+// timestamp, and kArrival is cluster-level (one live arrival, at the pending
+// head's time). A submission that supersedes the queued arrival can leave a
+// second kArrival at a timestamp that already holds one; the two are equal,
+// and the one that pops second is stale.
 struct SimKernelEventBefore {
   bool operator()(const SimKernelEvent& a, const SimKernelEvent& b) const {
     if (a.time_s != b.time_s) {

@@ -237,10 +237,8 @@ Simulator::Simulator(SimulatorConfig config, std::vector<Server> servers,
   for (size_t key = pending_sorted_end_; key < pending_specs_.size(); ++key) {
     pending_heap_.push({pending_specs_[key].arrival_time_s, key});
   }
-  const int threads = config_.threads > 0 ? config_.threads : DefaultThreadCount();
-  if (threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(threads);
-  }
+  pool_ = std::make_unique<ThreadPool>(config_.threads > 0 ? config_.threads
+                                                          : DefaultThreadCount());
   allocator_ = MakeAllocator(config_, &alloc_stats_);
   whatif_allocator_ = MakeAllocator(config_, &whatif_stats_);
   scaling_hysteresis_ = SchedulerRegistry::Global()
@@ -259,6 +257,9 @@ Simulator::Simulator(SimulatorConfig config, std::vector<Server> servers,
   // Rough per-run event budget: a handful of lifecycle events per job.
   trace_.Reserve(pending_count_ * 8 + 64);
   SetupObservability();
+  if (config_.engine == SimEngine::kEvents) {
+    SeedEvents();
+  }
 }
 
 Simulator::JobRuntime* Simulator::MaterializeSpec(JobSpec pending, size_t key) {
@@ -438,6 +439,8 @@ void Simulator::SetupObservability() {
          "Discrete events handled by the event kernel "
          "(stale-dropped entries excluded).",
          [this] { return event_counts_.total(); });
+    // One arrival event is handled per arrival instant, however many jobs
+    // arrive at it, so optimus_events_arrival_total counts arrival instants.
     for (int k = 0; k < kNumSimEventKinds; ++k) {
       const std::string kind = SimEventKindName(static_cast<SimEventKind>(k));
       registry_.AddCounterView(
@@ -604,19 +607,22 @@ void Simulator::ActivateArrivals() {
   }
   std::sort(arriving.begin(), arriving.end(),
             [](const JobRuntime* a, const JobRuntime* b) { return a->key < b->key; });
-  if (pool_ != nullptr && arriving.size() > 1) {
-    pool_->ParallelFor(static_cast<int64_t>(arriving.size()),
-                       [&](int64_t i) { InitSpeedModel(arriving[i]); });
-  } else {
-    for (JobRuntime* jr : arriving) {
-      InitSpeedModel(jr);
-    }
-  }
+  pool_->ParallelFor(static_cast<int64_t>(arriving.size()),
+                     [&](int64_t i) { InitSpeedModel(arriving[i]); });
   for (const JobRuntime* jr : arriving) {
     Emit(now_s_, SimEventType::kArrival, jr->job.id(), 0, 0, 0.0,
          jr->job.spec().model->name);
   }
   job_totals_stale_ = true;
+}
+
+bool Simulator::AnyIncompleteLive() const {
+  for (const auto& jr : Live()) {
+    if (jr->job.state() != JobState::kCompleted) {
+      return true;
+    }
+  }
+  return false;
 }
 
 double Simulator::NextArrival() {
@@ -1462,14 +1468,8 @@ void Simulator::AdvanceInterval() {
     }
   }
   std::vector<AdvanceOutcome> outcomes(running.size());
-  if (pool_ != nullptr && running.size() > 1) {
-    pool_->ParallelFor(static_cast<int64_t>(running.size()),
-                       [&](int64_t i) { AdvanceJob(running[i], &outcomes[i]); });
-  } else {
-    for (size_t i = 0; i < running.size(); ++i) {
-      AdvanceJob(running[i], &outcomes[i]);
-    }
-  }
+  pool_->ParallelFor(static_cast<int64_t>(running.size()),
+                     [&](int64_t i) { AdvanceJob(running[i], &outcomes[i]); });
 
   std::vector<JobRuntime*> trained;
   std::vector<size_t> done;
@@ -1526,14 +1526,7 @@ bool Simulator::StepInterval() {
   ActivateArrivals();
 
   // Fast-forward to the next arrival when the cluster is idle.
-  bool any_active = false;
-  for (const auto& jr : Live()) {
-    if (jr->job.state() != JobState::kCompleted) {
-      any_active = true;
-      break;
-    }
-  }
-  if (!any_active) {
+  if (!AnyIncompleteLive()) {
     const double next_arrival = NextArrival();
     if (!std::isfinite(next_arrival)) {
       return false;  // nothing left anywhere
@@ -1577,7 +1570,7 @@ bool Simulator::StepInterval() {
 RunMetrics Simulator::Run() {
   ++state_generation_;
   if (config_.engine == SimEngine::kEvents) {
-    RunEvents();
+    StepEventsUntil(std::numeric_limits<double>::infinity());
   } else {
     while (StepInterval()) {
     }
@@ -1687,17 +1680,8 @@ bool Simulator::SubmitJob(const JobSpec& spec, std::string* error) {
   job_refs_.emplace(spec.id, JobRef{key, nullptr});
   ++metrics_.total_jobs;
 
-  if (config_.engine == SimEngine::kEvents && events_seeded_) {
-    events_.push({spec.arrival_time_s, SimEventKind::kArrival, spec.id, 0});
-    if (pending_rounds_ == 0) {
-      // The round chain drained after a round observed nothing left
-      // anywhere. Re-seed it at the boundary that round would have chosen
-      // had it known this arrival — the same snap HandleRoundEvent applies —
-      // so the session stays identical to an up-front run.
-      events_.push({NextRoundAtOrAfter(last_round_s_, spec.arrival_time_s),
-                    SimEventKind::kRound, -1, 0});
-      ++pending_rounds_;
-    }
+  if (config_.engine == SimEngine::kEvents) {
+    QueueNextArrival();
   }
   return true;
 }

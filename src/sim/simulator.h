@@ -11,6 +11,7 @@
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -418,16 +419,20 @@ class Simulator {
   };
 
   // --- Event-engine run loop (simulator_events.cc) --------------------------
-  // Drains the event queue until every job completed or the time cap; the
-  // shared aggregation tail in Run() finishes the metrics either way.
-  void RunEvents();
-  // Re-entrant core of RunEvents: seeds the queue once (events_seeded_),
-  // then processes every event with time <= horizon (still subject to the
-  // max_sim_time_s cap). RunEvents() is StepEventsUntil(+inf).
+  // Processes every event with time <= horizon (still subject to the
+  // max_sim_time_s cap); Run() drains with horizon +inf and the shared
+  // aggregation tail finishes the metrics either way.
   void StepEventsUntil(double horizon);
-  // Seeds the queue: one kArrival per job at its spec arrival time, one
-  // kFaultPlan per distinct scripted fault-plan edge, the first kRound.
-  void EnqueueStaticEvents();
+  // Seeds the queue at construction: one kFaultPlan per distinct scripted
+  // fault-plan edge, the first kRound, and the first arrival.
+  void SeedEvents();
+  // Keeps the one live kArrival at the pending head's time: pushes it when
+  // NextArrival() is earlier than the one already queued.
+  void QueueNextArrival();
+  // One popped arrival: drops it unless it is the live one, else admits this
+  // instant's arrivals, restarts a stopped round chain at the first boundary
+  // at or after t, and queues the next arrival.
+  void HandleArrivalEvent(double t);
   // Advances a segment-active job's training to `t` (no epoch boundary in
   // (anchor, t): boundaries get their own events). Serves stall first.
   void SettleJob(JobRuntime* jr, double t);
@@ -439,7 +444,9 @@ class Simulator {
   // transitions at their exact time and re-anchor affected segments.
   void HandleFaultPlanEvent(double t);
   // The periodic Algorithm-1 round: settle everyone, refresh models, run the
-  // shared fault pipeline + scheduling + audit, rebuild segments, sample.
+  // shared fault pipeline + scheduling + audit, rebuild segments, sample, and
+  // queue the next round. An idle round (no incomplete live job) only stops
+  // the chain.
   void HandleRoundEvent(double t);
   // Per-dirty-job model refresh at a round: speed sample, then the lazy fits
   // unless the job completed in the span.
@@ -452,6 +459,9 @@ class Simulator {
   // runtime (MaterializeSpec), initializes its speed model and records its
   // kArrival, in order-key order.
   void ActivateArrivals();
+  // Whether any live runtime has not completed: false means the cluster is
+  // idle until the next arrival.
+  bool AnyIncompleteLive() const;
   // Earliest arrival time of a pending spec (+inf if none).
   double NextArrival();
   // Order key of the earliest pending spec by (arrival, order key), or
@@ -710,14 +720,12 @@ class Simulator {
   // --- Event engine ---------------------------------------------------------
   EventQueue events_;
   EventKindCounts event_counts_;  // processed (non-stale) events by kind
-  // Re-entrancy state: the static events are enqueued exactly once, on the
-  // first StepEventsUntil call. pending_rounds_ / last_round_s_ track the
-  // kRound chain so SubmitJob can re-seed it with the boundary an up-front
-  // run would have used after a round observed "nothing left anywhere" and stopped
-  // pushing successors.
-  bool events_seeded_ = false;
-  int pending_rounds_ = 0;
+  // The round chain: whether a kRound is queued (an idle round queues none)
+  // and the time of the last one, which an arrival restarting the chain
+  // snaps to. The one live kArrival's time (+inf when none is queued).
+  bool round_queued_ = false;
   double last_round_s_ = 0.0;
+  double queued_arrival_s_ = std::numeric_limits<double>::infinity();
 
   // --- Observability -------------------------------------------------------
   MetricsRegistry registry_;  // empty when config_.obs.enabled is false

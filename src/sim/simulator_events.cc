@@ -22,20 +22,7 @@
 
 namespace optimus {
 
-void Simulator::EnqueueStaticEvents() {
-  events_.reserve((jobs_.size() + pending_count_) * 2 + 64);
-  // Every job known so far gets its arrival event up front: the pending
-  // specs (the times are known; building the runtime waits for the event,
-  // via ActivateArrivals), and any runtime a kill built before seeding.
-  for (const auto& jr : Live()) {
-    events_.push({jr->job.spec().arrival_time_s, SimEventKind::kArrival,
-                  jr->job.id(), 0});
-  }
-  for (const JobSpec& spec : pending_specs_) {
-    if (spec.model != nullptr) {
-      events_.push({spec.arrival_time_s, SimEventKind::kArrival, spec.id, 0});
-    }
-  }
+void Simulator::SeedEvents() {
   // One kFaultPlan event per distinct scripted edge time; the handler applies
   // every transition due at that instant, so duplicates would be redundant.
   std::vector<double> edges;
@@ -55,6 +42,35 @@ void Simulator::EnqueueStaticEvents() {
     events_.push({t, SimEventKind::kFaultPlan, -1, 0});
   }
   events_.push({0.0, SimEventKind::kRound, -1, 0});
+  round_queued_ = true;
+  QueueNextArrival();
+}
+
+void Simulator::QueueNextArrival() {
+  const double t = NextArrival();
+  if (t < queued_arrival_s_) {
+    events_.push({t, SimEventKind::kArrival, -1, 0});
+    queued_arrival_s_ = t;
+  }
+}
+
+void Simulator::HandleArrivalEvent(double t) {
+  // One arrival event is live at a time. A submission arriving earlier than
+  // the queued one supersedes it; the superseded event pops at a time other
+  // than the live one's and is dropped.
+  if (t != queued_arrival_s_) {
+    return;
+  }
+  queued_arrival_s_ = std::numeric_limits<double>::infinity();
+  ActivateArrivals();
+  event_counts_.Note(SimEventKind::kArrival);
+  if (!round_queued_) {
+    // The chain stopped at an idle round: resume at the first boundary at or
+    // after this arrival.
+    events_.push({NextRoundAtOrAfter(last_round_s_, t), SimEventKind::kRound, -1, 0});
+    round_queued_ = true;
+  }
+  QueueNextArrival();
 }
 
 void Simulator::SettleJob(JobRuntime* jr, double t) {
@@ -199,14 +215,8 @@ void Simulator::RefreshModels() {
       FitModels(jr);
     }
   };
-  if (pool_ != nullptr && dirty.size() > 1) {
-    pool_->ParallelFor(static_cast<int64_t>(dirty.size()),
-                       [&](int64_t i) { refresh(dirty[i]); });
-  } else {
-    for (JobRuntime* jr : dirty) {
-      refresh(jr);
-    }
-  }
+  pool_->ParallelFor(static_cast<int64_t>(dirty.size()),
+                     [&](int64_t i) { refresh(dirty[i]); });
 }
 
 void Simulator::RebuildSegments() {
@@ -233,7 +243,7 @@ void Simulator::RebuildSegments() {
   // (the interval engine's per-interval cadence), ground-truth speed at the
   // fresh placement, the speed sample the span will feed, and the
   // utilization snapshot the timeline records.
-  auto build = [&](size_t i) {
+  auto build = [&](int64_t i) {
     JobRuntime* jr = running[i];
     jr->seg_noise = jr->rng.LogNormalFactor(config_.runtime_noise_sd);
     const double speed = TrueSpeed(*jr) * jr->seg_noise * cluster_slow_factor_;
@@ -250,14 +260,7 @@ void Simulator::RebuildSegments() {
       jr->seg_sample = SpeedSampleAt(*jr, speed);
     }
   };
-  if (pool_ != nullptr && running.size() > 1) {
-    pool_->ParallelFor(static_cast<int64_t>(running.size()),
-                       [&](int64_t i) { build(static_cast<size_t>(i)); });
-  } else {
-    for (size_t i = 0; i < running.size(); ++i) {
-      build(i);
-    }
-  }
+  pool_->ParallelFor(static_cast<int64_t>(running.size()), build);
   // Serial pushes in job order keep the heap contents deterministic.
   std::erase_if(running, [](const JobRuntime* jr) { return !jr->seg_active; });
   for (JobRuntime* jr : running) {
@@ -271,24 +274,11 @@ void Simulator::RebuildSegments() {
 
 void Simulator::HandleRoundEvent(double t) {
   last_round_s_ = t;
-  // Idle fast-forward, mirroring the interval engine: with no live,
-  // incomplete job, skip — without fault/schedule/audit work — to the round
-  // boundary at or after the next arrival. (Arrivals activate through their
-  // own events before that round fires.)
-  bool any_active = false;
-  for (const auto& jr : Live()) {
-    if (jr->job.state() != JobState::kCompleted) {
-      any_active = true;
-      break;
-    }
-  }
-  if (!any_active) {
-    const double next_arrival = NextArrival();
-    if (!std::isfinite(next_arrival)) {
-      return;  // nothing left anywhere: no further rounds
-    }
-    events_.push({NextRoundAtOrAfter(t, next_arrival), SimEventKind::kRound, -1, 0});
-    ++pending_rounds_;
+  round_queued_ = false;
+  // Idle, mirroring the interval engine's fast-forward: with no live,
+  // incomplete job the chain stops here, without fault/schedule/audit work,
+  // and the next arrival restarts it (HandleArrivalEvent).
+  if (!AnyIncompleteLive()) {
     return;
   }
 
@@ -340,21 +330,11 @@ void Simulator::HandleRoundEvent(double t) {
   SampleObservability();
 
   events_.push({t + config_.interval_s, SimEventKind::kRound, -1, 0});
-  ++pending_rounds_;
-}
-
-void Simulator::RunEvents() {
-  StepEventsUntil(std::numeric_limits<double>::infinity());
+  round_queued_ = true;
 }
 
 void Simulator::StepEventsUntil(double horizon) {
   OPTIMUS_CHECK(config_.engine == SimEngine::kEvents);
-  if (!events_seeded_) {
-    EnqueueStaticEvents();
-    events_seeded_ = true;
-    ++pending_rounds_;  // EnqueueStaticEvents pushes the first kRound
-  }
-
   while (metrics_.completed_jobs < metrics_.total_jobs && !events_.empty() &&
          events_.top().time_s <= horizon &&
          events_.top().time_s < config_.max_sim_time_s) {
@@ -364,8 +344,7 @@ void Simulator::StepEventsUntil(double horizon) {
     switch (event.kind) {
       case SimEventKind::kArrival: {
         ScopedTimer timer(&profiler_, phase_events_);
-        ActivateArrivals();
-        event_counts_.Note(SimEventKind::kArrival);
+        HandleArrivalEvent(now_s_);
         break;
       }
       case SimEventKind::kEpoch: {
@@ -381,7 +360,6 @@ void Simulator::StepEventsUntil(double horizon) {
       }
       case SimEventKind::kRound:
         event_counts_.Note(SimEventKind::kRound);
-        --pending_rounds_;
         HandleRoundEvent(now_s_);
         break;
     }

@@ -230,6 +230,35 @@ TEST_F(SimulatorTest, ArrivalOrderPinnedOnBothEngines) {
   }
 }
 
+// A cluster idle until 5000 s has already settled on its resume round when a
+// job arriving at 1000 s is submitted. The submission must pull the resume
+// forward, so the session runs exactly like the same two specs given up front
+// (the submission appended).
+TEST_F(SimulatorTest, SubmissionAheadOfIdleResumeMatchesUpFrontRun) {
+  for (const SimEngine engine : {SimEngine::kInterval, SimEngine::kEvents}) {
+    SCOPED_TRACE(SimEngineName(engine));
+    std::vector<JobSpec> specs = SmallWorkload(2, 31);
+    specs[0].arrival_time_s = 5000.0;
+    specs[1].arrival_time_s = 1000.0;
+    SimulatorConfig config;
+    ApplySchedulerPolicy("optimus", &config);
+    config.seed = 31;
+    config.engine = engine;
+    Simulator up_front(config, BuildTestbed(), specs);
+    const RunMetrics want = up_front.Run();
+    ASSERT_EQ(want.completed_jobs, 2);
+
+    Simulator session(config, BuildTestbed(), {specs[0]});
+    session.AdvanceTo(0.0);
+    std::string why;
+    ASSERT_TRUE(session.SubmitJob(specs[1], &why)) << why;
+    const RunMetrics got = session.Run();
+    EXPECT_EQ(session.trace().digest(), up_front.trace().digest());
+    EXPECT_EQ(session.trace().size(), up_front.trace().size());
+    EXPECT_EQ(got.avg_jct_s, want.avg_jct_s);
+  }
+}
+
 // Completed jobs are retired, so a round walks only the live set. A long,
 // sparse trace builds up ten times more finished jobs than live ones. Each
 // round must touch at most kWalks runtimes per job it could see (the live
