@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the scheduler's hot paths: NNLS
-// solving, convergence-curve fitting, speed-model fitting, a marginal-gain
-// allocation round, and a placement round. Afterwards it writes the
-// `micro_core` section (allocation round, cached vs uncached) into
-// --json=PATH (default BENCH_sched.json).
+// solving, convergence-curve fitting and its outlier pass, speed-model
+// fitting, a marginal-gain allocation round, and a placement round.
+// Afterwards it writes the `micro_core` section (allocation round, cached vs
+// uncached) into --json=PATH (default BENCH_sched.json).
 
 #include <benchmark/benchmark.h>
 
@@ -17,6 +17,7 @@
 #include "src/models/loss_curve.h"
 #include "src/models/model_zoo.h"
 #include "src/perfmodel/convergence_model.h"
+#include "src/perfmodel/preprocess.h"
 #include "src/perfmodel/speed_model.h"
 #include "src/pserver/block_assignment.h"
 #include "src/pserver/comm_model.h"
@@ -79,6 +80,28 @@ BENCHMARK(BM_ConvergenceFit)
     ->Args({1000, 512})
     ->Args({2200, 16384})
     ->Args({16384, 16384});
+
+// Times the refit's outlier pass alone on `points` noisy loss samples, the
+// band found with the model's default window, into a reused buffer.
+void BM_RemoveOutliers(benchmark::State& state) {
+  const ModelSpec& spec = FindModel("Seq2Seq");
+  const int64_t spe = spec.StepsPerEpoch(spec.default_sync_batch);
+  LossCurve curve(spec.loss, spe);
+  Rng rng(3);
+  std::vector<LossSample> samples;
+  for (int64_t i = 1; i <= state.range(0); ++i) {
+    const int64_t step = i * spe / 10;
+    samples.push_back({static_cast<double>(step), curve.SampleLossAtStep(step, &rng)});
+  }
+  const int window = ConvergenceModelOptions{}.outlier_window;
+  std::vector<LossSample> out;
+  for (auto _ : state) {
+    RemoveOutliers(samples, window, &out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_RemoveOutliers)->Arg(2200)->Arg(16384);
 
 void BM_SpeedModelFit(benchmark::State& state) {
   const ModelSpec& spec = FindModel("ResNet-50");

@@ -100,40 +100,56 @@ ConvGram AccumulateConvGram(const std::vector<LossSample>& samples) {
   ConvGram g;
   for (const LossSample& s : samples) {
     g.step_step += s.step * s.step;
-  }
-  for (const LossSample& s : samples) {
     g.step_one += s.step * 1.0;
-  }
-  for (size_t i = 0; i < samples.size(); ++i) {
     g.one_one += 1.0 * 1.0;
   }
   return g;
 }
 
-// Right-hand sides of one refinement pass, one lane per feasible beta2
-// candidate. The lanes live in one buffer per thread that every refit on the
-// thread rewrites, like the fit points.
+// Lanes still being summed by ScoreLockstep, compacted as they retire.
+struct LiveLanes {
+  std::vector<double> b0;
+  std::vector<double> b1;
+  std::vector<double> beta2;
+  std::vector<double> rss;  // partial sum so far
+  std::vector<int> lane;    // lane in Beta2Lanes
+};
+
+// One refinement pass, one lane per feasible beta2 candidate: its right-hand
+// side, its NNLS solution and its loss-space residual. The lanes live in one
+// buffer per thread that every refit on the thread rewrites, like the fit
+// points, sized from the grid.
 struct Beta2Lanes {
   std::vector<double> beta2;
   std::vector<double> atb0;  // sum step_i * y_i
   std::vector<double> atb1;  // sum y_i
-  std::vector<double> btb;   // sum y_i^2
+  std::vector<double> b0;
+  std::vector<double> b1;
+  std::vector<double> rss;   // the full sum, or a partial one above the bound
   std::vector<int> lane_of;  // grid index -> lane, or -1 when infeasible
+  LiveLanes live;
+
+  void Resize(size_t size) {
+    for (std::vector<double>* v : {&beta2, &atb0, &atb1, &b0, &b1, &rss, &live.b0,
+                                   &live.b1, &live.beta2, &live.rss}) {
+      v->resize(size);
+    }
+    lane_of.resize(size);
+    live.lane.resize(size);
+  }
 };
 
-// Builds the first `lanes` lanes' A^T b and b^T b, y_i = 1 / (loss_i - beta2),
-// in one pass over the points. Each lane adds in point order, exactly like
-// one pass per candidate (or Matrix::TransposeTimes over the dense build), so
-// every sum keeps its bits. The lane loop has no branch, so the divides
-// vectorize across candidates.
+// Builds the first `lanes` lanes' A^T b, y_i = 1 / (loss_i - beta2), in one
+// pass over the points. Each lane adds in point order, exactly like one pass
+// per candidate (or Matrix::TransposeTimes over the dense build), so every
+// sum keeps its bits. The lane loop has no branch, so the divides vectorize
+// across candidates.
 void SweepAtb(const std::vector<LossSample>& pts, size_t lanes, Beta2Lanes* out) {
   const double* beta2 = out->beta2.data();
   double* atb0 = out->atb0.data();
   double* atb1 = out->atb1.data();
-  double* btb = out->btb.data();
   std::fill_n(atb0, lanes, 0.0);
   std::fill_n(atb1, lanes, 0.0);
-  std::fill_n(btb, lanes, 0.0);
   for (const LossSample& s : pts) {
     const double step = s.step;
     const double loss = s.loss;
@@ -141,9 +157,89 @@ void SweepAtb(const std::vector<LossSample>& pts, size_t lanes, Beta2Lanes* out)
       const double y = 1.0 / (loss - beta2[k]);
       atb0[k] += step * y;
       atb1[k] += y;  // the dense A's column of ones: 1.0 * y == y
-      btb[k] += y * y;
     }
   }
+}
+
+// Sums the first `m` live lanes' loss-space residuals in one pass over the
+// points, one accumulator per lane, writing each into `rss` at its lane.
+// Each lane adds its terms in point order, as LossSpaceRss does. The caller
+// admits only lanes with beta0 finite and >= 0 and beta1 > 1e-12 on finite
+// steps >= 0, so beta0 * step + beta1 >= beta1 > 1e-12 under monotone
+// rounding: LossSpaceRss's guard always holds and the unguarded term gives
+// the same bits. Without the select the lane loop vectorizes. At the end of
+// every kScoreBlock points a lane whose partial sum exceeds `bound` retires
+// with that sum; a lane that never does is summed in full, bit for bit.
+void ScoreLockstep(const std::vector<LossSample>& pts, double bound, size_t m,
+                   LiveLanes* live, double* rss) {
+  double* b0 = live->b0.data();
+  double* b1 = live->b1.data();
+  double* beta2 = live->beta2.data();
+  double* sum = live->rss.data();
+  int* lane = live->lane.data();
+  std::fill_n(sum, m, 0.0);
+  const size_t n = pts.size();
+  for (size_t begin = 0; begin < n && m > 0; begin += ConvergenceModel::kScoreBlock) {
+    const size_t end = std::min(n, begin + ConvergenceModel::kScoreBlock);
+    for (size_t p = begin; p < end; ++p) {
+      const double step = pts[p].step;
+      const double loss = pts[p].loss;
+      for (size_t k = 0; k < m; ++k) {
+        const double e = 1.0 / (b0[k] * step + b1[k]) + beta2[k] - loss;
+        sum[k] += e * e;
+      }
+    }
+    size_t kept = 0;
+    for (size_t k = 0; k < m; ++k) {
+      if (sum[k] > bound) {
+        rss[lane[k]] = sum[k];
+        continue;
+      }
+      b0[kept] = b0[k];
+      b1[kept] = b1[k];
+      beta2[kept] = beta2[k];
+      sum[kept] = sum[k];
+      lane[kept] = lane[k];
+      ++kept;
+    }
+    m = kept;
+  }
+  for (size_t k = 0; k < m; ++k) {
+    rss[lane[k]] = sum[k];
+  }
+}
+
+// Scores the first `num_lanes` solved lanes. The `guess` lane (-1: none)
+// goes first, bounded by `best_rss`; the lower of the two bounds every other
+// lane. The lanes ScoreLockstep admits are summed together, the rest one at
+// a time by LossSpaceRss. A lane stopped above the bound sums to more than
+// the final best, so it can neither win nor tie.
+void ScoreLanes(const std::vector<LossSample>& pts, int guess, double best_rss,
+                bool finite_steps, size_t num_lanes, Beta2Lanes* lanes) {
+  double bound = best_rss;
+  if (guess >= 0) {
+    lanes->rss[guess] = LossSpaceRss(pts, lanes->b0[guess], lanes->b1[guess],
+                                     lanes->beta2[guess], best_rss);
+    bound = std::min(bound, lanes->rss[guess]);  // a NaN guess leaves best_rss
+  }
+  LiveLanes& live = lanes->live;
+  size_t m = 0;
+  for (size_t k = 0; k < num_lanes; ++k) {
+    if (static_cast<int>(k) == guess) {
+      continue;
+    }
+    const double b0 = lanes->b0[k];
+    const double b1 = lanes->b1[k];
+    if (finite_steps && std::isfinite(b0) && b0 >= 0.0 && b1 > 1e-12) {
+      live.b0[m] = b0;
+      live.b1[m] = b1;
+      live.beta2[m] = lanes->beta2[k];
+      live.lane[m++] = static_cast<int>(k);
+    } else {
+      lanes->rss[k] = LossSpaceRss(pts, b0, b1, lanes->beta2[k], bound);
+    }
+  }
+  ScoreLockstep(pts, bound, m, &live, lanes->rss.data());
 }
 
 }  // namespace
@@ -184,14 +280,16 @@ bool ConvergenceModel::Fit() {
   // that beat the best of the earlier passes; NaN and infinity never win.
   // The reference path (caching off) sweeps g = 0..grid in order, which
   // yields that minimum with a plain `rss < best_rss`. The cached path
-  // builds every candidate's A^T b in one sweep per pass, then solves and
+  // builds every candidate's A^T b in one sweep per pass, solves them all,
   // scores a guess first (the grid point nearest the previous fit's beta2 in
-  // pass 0, the centre of the narrowed window after that), then the other
-  // points, and stops summing a candidate's residual once it exceeds the
-  // best so far: such a candidate cannot win, and a winner is always summed
-  // in full, so both paths pick the same candidate with the same residual.
+  // pass 0, the centre of the narrowed window after that) and then the rest
+  // in one lockstep pass bounded by the best so far (ScoreLanes). A
+  // candidate stopped early cannot win, and a winner is always summed in
+  // full, so visiting the guess and then the other points picks the
+  // reference's candidate with the same residual.
   const int grid = options_.beta2_grid;
   const double top = std::max(min_loss * 0.999, 0.0);
+  const bool finite_steps = std::isfinite(gram.step_one);
   double lo = 0.0;
   double hi = top;
   double best_rss = std::numeric_limits<double>::infinity();
@@ -200,12 +298,7 @@ bool ConvergenceModel::Fit() {
   double best_b2 = 0.0;
   static thread_local Beta2Lanes lanes;
   if (caching_) {
-    const size_t size = static_cast<size_t>(grid) + 1;
-    lanes.beta2.resize(size);
-    lanes.atb0.resize(size);
-    lanes.atb1.resize(size);
-    lanes.btb.resize(size);
-    lanes.lane_of.resize(size);
+    lanes.Resize(static_cast<size_t>(grid) + 1);
   }
   for (int pass = 0; pass < options_.refine_passes; ++pass) {
     int first = 0;
@@ -229,6 +322,14 @@ bool ConvergenceModel::Fit() {
         lanes.beta2[num_lanes++] = beta2;
       }
       SweepAtb(pts, num_lanes, &lanes);
+      for (size_t k = 0; k < num_lanes; ++k) {
+        const double atb[2] = {lanes.atb0[k], lanes.atb1[k]};
+        double x[2];
+        fit_stats_.nnls_iterations += solver.Solve(atb, x).iterations;
+        lanes.b0[k] = x[0];
+        lanes.b1[k] = x[1];
+      }
+      ScoreLanes(pts, lanes.lane_of[first], best_rss, finite_steps, num_lanes, &lanes);
     }
     double pass_best = best_b2;
     int pass_best_g = -1;  // no candidate of this pass has won yet
@@ -242,12 +343,9 @@ bool ConvergenceModel::Fit() {
       if (!caching_) {
         rss = FitForBeta2(pts, beta2, &b0, &b1, &fit_stats_.nnls_iterations);
       } else if (const int k = lanes.lane_of[g]; k >= 0) {
-        const double atb[2] = {lanes.atb0[k], lanes.atb1[k]};
-        double x[2];
-        fit_stats_.nnls_iterations += solver.Solve(atb, lanes.btb[k], x).iterations;
-        b0 = x[0];
-        b1 = x[1];
-        rss = LossSpaceRss(pts, b0, b1, beta2, best_rss);
+        b0 = lanes.b0[k];
+        b1 = lanes.b1[k];
+        rss = lanes.rss[k];
       }
       if (rss < best_rss || (rss == best_rss && g < pass_best_g)) {
         best_rss = rss;

@@ -12,15 +12,16 @@
 // once for all candidates. Each refinement pass builds every feasible
 // candidate's A^T b in one sweep over the points, one accumulator lane per
 // candidate; a candidate whose beta2 is within 1e-9 of the minimum loss is
-// infeasible and never solved. The loss-space residual is still one O(n) pass
-// per candidate, so the cached sweep scores a warm-start guess first and
-// stops summing a candidate's residual once it exceeds the best so far. A
-// dirty flag skips the refit entirely when no samples arrived since the last
-// Fit(), and the epoch-walk prediction (PredictTotalEpochs) is memoized per
-// fit. Every shortcut reproduces the from-scratch fit bit for bit
-// (docs/ALGORITHMS.md §13 gives the argument); set_caching(false) forces the
-// from-scratch, in-order path, the test-side reference
-// (tests/perfmodel_test.cc).
+// infeasible and never solved. The pass then solves every feasible
+// candidate, scores a warm-start guess, and scores the rest in one lockstep
+// sweep over the points, one residual accumulator per candidate, retiring
+// every kScoreBlock points the candidates whose partial residual already
+// exceeds the best so far. A dirty flag skips the refit entirely when no
+// samples arrived since the last Fit(), and the epoch-walk prediction
+// (PredictTotalEpochs) is memoized per fit. Every shortcut reproduces the
+// from-scratch fit bit for bit (docs/ALGORITHMS.md §13 gives the argument);
+// set_caching(false) forces the from-scratch, in-order path, the test-side
+// reference (tests/perfmodel_test.cc).
 //
 // The fitted curve answers the scheduler's question: how many more epochs
 // until the per-epoch loss decrease stays below the job's threshold?
@@ -51,6 +52,10 @@ struct ConvergenceModelOptions {
 
 class ConvergenceModel {
  public:
+  // Points the cached sweep's lockstep residual pass sums between two checks
+  // of its candidates against the bound.
+  static constexpr size_t kScoreBlock = 64;
+
   explicit ConvergenceModel(ConvergenceModelOptions options = {});
 
   // Adds one raw (step, loss) observation.

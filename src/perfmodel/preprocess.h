@@ -20,8 +20,13 @@ struct LossSample {
 
 // Writes `samples` into `*out` with out-of-band samples replaced by their
 // neighbour average. `window` is the number of neighbours considered on each
-// side (the paper uses 5 epochs). `*out` keeps its capacity, so a caller that
-// refits repeatedly reuses one buffer; it must not alias `samples`.
+// side (the paper uses 5 epochs). The band takes O(1) per sample: windows up
+// to 64 are cut into tiles of `window` on the stack, and a window's extremum
+// combines a suffix of one tile with a prefix of the next. The `window`
+// samples at each end, and every sample of a wider window, scan both windows
+// directly; either way the result is bit for bit the scan's. `*out` keeps its
+// capacity, so a caller that refits repeatedly reuses one buffer; it must not
+// alias `samples`.
 void RemoveOutliers(const std::vector<LossSample>& samples, int window,
                     std::vector<LossSample>* out);
 

@@ -93,8 +93,7 @@ bool NnlsGramSolver::SolveOnSubset(const double* atb, const size_t* passive, siz
   return true;
 }
 
-NnlsGramSolver::Solution NnlsGramSolver::Solve(const double* atb, double btb,
-                                               double* x_out) {
+NnlsGramSolver::Solution NnlsGramSolver::Solve(const double* atb, double* x_out) {
   const size_t n = n_;
   const double* ata = ata_;
 
@@ -210,21 +209,6 @@ NnlsGramSolver::Solution NnlsGramSolver::Solve(const double* atb, double btb,
   for (size_t i = 0; i < n; ++i) {
     x_out[i] = std::max(x[i], 0.0);
   }
-  // ||Ax - b||^2 = b^T b - 2 x^T A^T b + x^T A^T A x; the Gram identity can
-  // dip below zero by rounding on near-perfect fits, so clamp.
-  double quad = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    double row = 0.0;
-    for (size_t j = 0; j < n; ++j) {
-      row += ata[i * n + j] * x_out[j];
-    }
-    quad += x_out[i] * row;
-  }
-  double xtb = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    xtb += atb[i] * x_out[i];
-  }
-  solution.residual_sum_of_squares = std::max(0.0, btb - 2.0 * xtb + quad);
   return solution;
 }
 
@@ -242,10 +226,25 @@ NnlsResult SolveNnlsGram(const Matrix& ata, const Vector& atb, double btb,
   NnlsGramSolver solver(ata.data(), n, options);
   NnlsResult result;
   result.x.resize(n);
-  const NnlsGramSolver::Solution s = solver.Solve(atb.data(), btb, result.x.data());
+  const NnlsGramSolver::Solution s = solver.Solve(atb.data(), result.x.data());
   result.converged = s.converged;
   result.iterations = s.iterations;
-  result.residual_sum_of_squares = s.residual_sum_of_squares;
+  // ||Ax - b||^2 = b^T b - 2 x^T A^T b + x^T A^T A x; the Gram identity can
+  // dip below zero by rounding on near-perfect fits, so clamp.
+  const Vector& x = result.x;
+  double quad = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    double row = 0.0;
+    for (size_t j = 0; j < n; ++j) {
+      row += ata(i, j) * x[j];
+    }
+    quad += x[i] * row;
+  }
+  double xtb = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    xtb += atb[i] * x[i];
+  }
+  result.residual_sum_of_squares = std::max(0.0, btb - 2.0 * xtb + quad);
   return result;
 }
 

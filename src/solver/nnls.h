@@ -99,13 +99,13 @@ class NnlsGramSolver {
   struct Solution {
     bool converged = false;
     int iterations = 0;
-    // From the Gram identity b^T b - 2 x^T A^T b + x^T A^T A x, clamped at 0.
-    double residual_sum_of_squares = 0.0;
   };
 
-  // Solves for the right-hand side A^T b = `atb` (n entries) with
-  // b^T b = `btb`, writing the non-negative solution into `x` (n entries).
-  Solution Solve(const double* atb, double btb, double* x);
+  // Solves for the right-hand side A^T b = `atb` (n entries), writing the
+  // non-negative solution into `x` (n entries). The residual needs b^T b and
+  // is left to the caller (SolveNnlsGram computes it; the convergence model
+  // never reads it).
+  Solution Solve(const double* atb, double* x);
 
  private:
   // Distinct passive subsets kept at once; a 2-unknown solve visits at most
@@ -135,7 +135,8 @@ NnlsResult SolveNnls(const Matrix& a, const Vector& b, const NnlsOptions& option
 
 // One NnlsGramSolver solve on pre-accumulated normal equations. Produces the
 // same solution as SolveNnls over the samples the GramSystem was built from
-// (see GramSystem); residual_sum_of_squares uses the Gram identity.
+// (see GramSystem); residual_sum_of_squares uses the Gram identity
+// b^T b - 2 x^T A^T b + x^T A^T A x, clamped at 0.
 NnlsResult SolveNnlsGram(const GramSystem& gram, const NnlsOptions& options = {});
 
 // The same on raw moments; atb.size() gives the dimensionality.

@@ -1,5 +1,8 @@
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -37,6 +40,104 @@ TEST(PreprocessTest, SmoothCurveUntouched) {
   for (size_t i = 0; i < samples.size(); ++i) {
     EXPECT_DOUBLE_EQ(cleaned[i].loss, samples[i].loss) << i;
   }
+}
+
+// The outlier pass as RemoveOutliers first wrote it: both windows scanned
+// for every sample, O(n * window). The differential reference for its tiled
+// form.
+std::vector<LossSample> RemoveOutliersByScan(const std::vector<LossSample>& samples,
+                                             int window) {
+  std::vector<LossSample> out = samples;
+  const int n = static_cast<int>(samples.size());
+  if (n < 3) {
+    return out;
+  }
+  for (int i = 0; i < n; ++i) {
+    double next_min = std::numeric_limits<double>::infinity();
+    for (int j = i + 1; j <= std::min(n - 1, i + window); ++j) {
+      next_min = std::min(next_min, samples[j].loss);
+    }
+    double prev_max = -std::numeric_limits<double>::infinity();
+    for (int j = std::max(0, i - window); j < i; ++j) {
+      prev_max = std::max(prev_max, samples[j].loss);
+    }
+    if (!std::isfinite(next_min) || !std::isfinite(prev_max)) {
+      continue;
+    }
+    const double lo = std::min(next_min, prev_max);
+    const double hi = std::max(next_min, prev_max);
+    const double slack = 0.05 * std::max(std::abs(hi), 1e-12);
+    if (samples[i].loss < lo - slack || samples[i].loss > hi + slack) {
+      double sum = 0.0;
+      int count = 0;
+      for (int j = std::max(0, i - window); j <= std::min(n - 1, i + window); ++j) {
+        if (j == i) {
+          continue;
+        }
+        sum += samples[j].loss;
+        ++count;
+      }
+      if (count > 0) {
+        out[i].loss = sum / count;
+      }
+    }
+  }
+  return out;
+}
+
+// A noisy decaying loss feed of `n` samples with about one spike (up or
+// down) in twelve, some runs of equal losses, and one sample in fifty a
+// plateau at the previous value.
+std::vector<LossSample> SpikyFeed(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<LossSample> feed;
+  for (size_t i = 0; i < n; ++i) {
+    double loss = 2.0 / (1.0 + 0.01 * static_cast<double>(i)) + 0.1;
+    loss *= rng.LogNormalFactor(0.03);
+    const double u = rng.Uniform(0.0, 1.0);
+    if (u < 0.04) {
+      loss *= rng.Uniform(3.0, 50.0);
+    } else if (u < 0.08) {
+      loss *= rng.Uniform(0.01, 0.3);
+    } else if (u < 0.1 && !feed.empty()) {
+      loss = feed.back().loss;
+    }
+    feed.push_back({static_cast<double>(i), loss});
+  }
+  return feed;
+}
+
+TEST(PreprocessTest, TiledOutlierBandMatchesTheScanBitwise) {
+  // The linear-time band must replace exactly the samples the scan replaces,
+  // with the same bits, at every window and at every length around the tile
+  // edges: 0 through 3 * window + 2 samples (no whole window, one interior
+  // sample, partial last tiles) and 16,384. Windows 64 and 65 straddle the
+  // widest tiled window.
+  int replaced = 0;
+  for (const int window : {1, 2, 3, 4, 5, 6, 7, 8, 64, 65}) {
+    std::vector<size_t> lengths;
+    for (size_t n = 0; n <= static_cast<size_t>(3 * window + 2); ++n) {
+      lengths.push_back(n);
+    }
+    lengths.push_back(16384);
+    for (const size_t n : lengths) {
+      for (uint64_t seed = 0; seed < 3; ++seed) {
+        SCOPED_TRACE("window " + std::to_string(window) + " n " + std::to_string(n) +
+                     " seed " + std::to_string(seed));
+        const std::vector<LossSample> feed = SpikyFeed(n, 7000 + 31 * n + seed);
+        const std::vector<LossSample> want = RemoveOutliersByScan(feed, window);
+        const std::vector<LossSample> got = RemoveOutliers(feed, window);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(std::bit_cast<uint64_t>(got[i].loss), std::bit_cast<uint64_t>(want[i].loss))
+              << "sample " << i;
+          ASSERT_EQ(got[i].step, want[i].step) << "sample " << i;
+          replaced += want[i].loss != feed[i].loss ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(replaced, 1000);  // the spikes really are replaced
 }
 
 TEST(PreprocessTest, NormalizeScalesToUnitMax) {
@@ -414,6 +515,70 @@ TEST_F(ConvergenceModelTest, CachedSweepMatchesReferenceAcrossGridShapes) {
       if (HasFailure()) {
         return;
       }
+    }
+  }
+}
+
+TEST_F(ConvergenceModelTest, CachedSweepMatchesReferenceWhenBeta1SolvesToZero) {
+  // l(k) = 1/(0.1 k - 0.5) + 1 from k = 10: near the true beta2,
+  // 1/(l - beta2) has a negative intercept, so NNLS clamps beta1 to 0. Those
+  // candidates skip the lockstep residual pass (its unguarded term needs
+  // beta1 > 1e-12) and are scored by the guarded scalar sum; candidates far
+  // below it keep beta1 > 0 and are scored in lockstep in the same pass.
+  std::vector<LossSample> feed;
+  Rng rng(41);
+  for (int k = 10; k <= 140; ++k) {
+    feed.push_back({static_cast<double>(k), rng.LogNormalFactor(0.002) / (0.1 * k - 0.5) + 1.0});
+  }
+  ConvergenceModel model;
+  for (const LossSample& s : feed) {
+    model.AddSample(s.step, s.loss);
+  }
+  ASSERT_TRUE(model.Fit());
+  EXPECT_LE(model.beta1(), 1e-12);  // the winner itself took the scalar path
+  EXPECT_GT(ExpectCachedMatchesReference(feed, 10, feed.size() + 1, {}, 10), 0);
+}
+
+TEST_F(ConvergenceModelTest, CachedSweepMatchesReferenceAroundTheScoreBlock) {
+  // The lockstep residual pass retires candidates only at the end of each
+  // kScoreBlock points. Fits of one point fewer than a block, exactly one
+  // block, one more, and the same around two blocks, warm-started every 20
+  // samples so the bound is tight and candidates do retire.
+  const size_t block = ConvergenceModel::kScoreBlock;
+  for (const size_t n : {block - 1, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 1}) {
+    for (int seed = 0; seed < 24; ++seed) {
+      SCOPED_TRACE("points " + std::to_string(n) + " seed " + std::to_string(seed));
+      int64_t spe = 0;
+      std::vector<LossSample> feed = ZooFeed(seed, &spe);
+      ASSERT_GE(feed.size(), n);
+      feed.resize(n);
+      EXPECT_GT(ExpectCachedMatchesReference(feed, kZooFeedPerEpoch, feed.size() + 1, {}, spe),
+                0);
+      if (HasFailure()) {
+        return;
+      }
+    }
+  }
+}
+
+TEST_F(ConvergenceModelTest, CachedSweepMatchesReferenceWhenALaneTiesTheBound) {
+  // Twenty refinement passes shrink the beta2 window twelvefold each, far
+  // below one ulp of beta2: the late passes' grid points round to a few
+  // distinct values, so lanes other than the guess share its beta2, its
+  // solve and its residual bits, and tie the lockstep bound exactly. A tie
+  // is not above the bound, so those lanes are summed in full and the
+  // winner rule breaks the tie by grid index, as in the reference.
+  ConvergenceModelOptions options;
+  options.refine_passes = 20;
+  for (int seed = 0; seed < 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    int64_t spe = 0;
+    const std::vector<LossSample> feed = ZooFeed(seed, &spe);
+    EXPECT_GT(ExpectCachedMatchesReference(feed, kZooFeedPerEpoch, feed.size() + 1, options,
+                                           spe),
+              0);
+    if (HasFailure()) {
+      return;
     }
   }
 }

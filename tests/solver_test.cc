@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -282,11 +283,33 @@ TEST(NnlsPinTest, AboveFixedCapacityFailsTheCheck) {
   EXPECT_DEATH(SolveSpd(m, b, &x), "SolveSpd supports at most 8 unknowns, got 9");
 }
 
+// ||Ax - b||^2 from the Gram identity, in the order SolveNnlsGram documents:
+// x^T (A^T A) x row by row, then x^T A^T b, then b^T b - 2 x^T A^T b + quad,
+// clamped at 0.
+double GramIdentityRss(const Matrix& ata, const double* atb, double btb,
+                       const double* x) {
+  const size_t n = ata.rows();
+  double quad = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    double row = 0.0;
+    for (size_t j = 0; j < n; ++j) {
+      row += ata(i, j) * x[j];
+    }
+    quad += x[i] * row;
+  }
+  double xtb = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    xtb += atb[i] * x[i];
+  }
+  return std::max(0.0, btb - 2.0 * xtb + quad);
+}
+
 // One NnlsGramSolver reused across many right-hand sides must return, on
 // every solve, exactly what a fresh dense SolveNnls returns: the cached
 // subset factors change no bit. With `duplicate`, the last column repeats
 // the first, so A^T A is singular and only the Cholesky ridge makes the
-// subsets holding both columns factorable.
+// subsets holding both columns factorable. The one-solve wrapper's residual
+// is the Gram identity at that same solution, bit for bit.
 void ExpectReusedSolverMatchesDense(size_t dims, bool duplicate) {
   SCOPED_TRACE("dims " + std::to_string(dims) + (duplicate ? " duplicate" : ""));
   Rng rng(300 + dims * 2 + (duplicate ? 1 : 0));
@@ -314,14 +337,14 @@ void ExpectReusedSolverMatchesDense(size_t dims, bool duplicate) {
     const NnlsResult fresh = SolveNnls(a, b);
     const Vector atb = a.TransposeTimes(b);
     Vector x(dims);
-    const NnlsGramSolver::Solution got = solver.Solve(atb.data(), Dot(b, b), x.data());
+    const NnlsGramSolver::Solution got = solver.Solve(atb.data(), x.data());
     for (size_t i = 0; i < dims; ++i) {
       EXPECT_EQ(x[i], fresh.x[i]) << "rhs " << rhs << " x[" << i << "]";
     }
     EXPECT_EQ(got.iterations, fresh.iterations) << "rhs " << rhs;
     EXPECT_EQ(got.converged, fresh.converged) << "rhs " << rhs;
-    EXPECT_EQ(got.residual_sum_of_squares,
-              SolveNnlsGram(ata, atb, Dot(b, b)).residual_sum_of_squares)
+    EXPECT_EQ(SolveNnlsGram(ata, atb, Dot(b, b)).residual_sum_of_squares,
+              GramIdentityRss(ata, atb.data(), Dot(b, b), x.data()))
         << "rhs " << rhs;
   }
 }
@@ -349,13 +372,14 @@ TEST(NnlsGramSolverTest, ReusedSolverKeepsAFailedSubsetFactor) {
     double want_x[2];
     double got_x[2];
     NnlsGramSolver fresh(ata.data(), 2);
-    const NnlsGramSolver::Solution want = fresh.Solve(atb, 1.0, want_x);
-    const NnlsGramSolver::Solution got = reused.Solve(atb, 1.0, got_x);
+    const NnlsGramSolver::Solution want = fresh.Solve(atb, want_x);
+    const NnlsGramSolver::Solution got = reused.Solve(atb, got_x);
     EXPECT_EQ(got_x[0], want_x[0]) << "rhs " << rhs;
     EXPECT_EQ(got_x[1], want_x[1]) << "rhs " << rhs;
     EXPECT_EQ(got.iterations, want.iterations) << "rhs " << rhs;
     EXPECT_EQ(got.converged, want.converged) << "rhs " << rhs;
-    EXPECT_EQ(got.residual_sum_of_squares, want.residual_sum_of_squares)
+    EXPECT_EQ(SolveNnlsGram(ata, {atb[0], atb[1]}, 1.0).residual_sum_of_squares,
+              GramIdentityRss(ata, atb, 1.0, got_x))
         << "rhs " << rhs;
   }
 }

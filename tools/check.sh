@@ -25,9 +25,9 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 "${build_dir}/bench/bench_fig12_scalability" --smoke --json=BENCH_sched_smoke.json
 
 # Refit micro smoke: every BM_ConvergenceFit size (each iteration a real
-# refit) at a token time budget, plus the micro_core section, into the same
-# smoke JSON.
-"${build_dir}/bench/bench_micro_core" --benchmark_filter=ConvergenceFit \
+# refit) and BM_RemoveOutliers size (its outlier pass) at a token time
+# budget, plus the micro_core section, into the same smoke JSON.
+"${build_dir}/bench/bench_micro_core" --benchmark_filter='ConvergenceFit|RemoveOutliers' \
   --benchmark_min_time=0.01 --json=BENCH_sched_smoke.json
 
 # Event-kernel smoke: discrete-event engine vs interval engine on small
