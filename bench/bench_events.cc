@@ -21,8 +21,9 @@
 //
 // Both engines run the identical workload from the identical seed, one
 // thread each; every row runs twice and the repeat must reproduce its
-// fingerprint bitwise (bench/determinism.h; the per-engine thread contract is
-// tier-1's EventKernelTest and ParallelDeterminismTest). Interval vs events
+// fingerprint bitwise (RunFingerprint, src/sim/run_fingerprint.h; the thread
+// contract is tier-1's determinism sweep, EventKernelTest and
+// ParallelDeterminismTest). Interval vs events
 // is compared under the documented tolerance
 // (docs/ALGORITHMS.md section 16): completed-job counts within
 // max(3, 1% of submissions), average JCT within 15% — the engines consume
@@ -39,7 +40,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/determinism.h"
 #include "src/cluster/server.h"
 #include "src/common/flags.h"
 #include "src/common/logging.h"
@@ -208,25 +208,25 @@ int main(int argc, char** argv) {
       table.AddRow({regime.name, label, TablePrinter::FormatDouble(r.wall_s, 3),
                     TablePrinter::FormatDouble(
                         r.wall_s > 0.0 ? r.sim_s / r.wall_s : 0.0, 0),
-                    std::to_string(r.metrics.events_processed)});
+                    std::to_string(r.fp.metrics.events_processed)});
       JsonObject jr;
       jr.Set("regime", regime.name);
       jr.Set("label", label);
       jr.Set("engine", SimEngineName(engine));
       jr.Set("threads", 1);
       SetPerfColumns(&jr, r.wall_s, r.sim_s);
-      jr.Set("events_processed", r.metrics.events_processed);
-      jr.Set("completed_jobs", r.metrics.completed_jobs);
-      jr.Set("avg_jct_s", r.metrics.avg_jct_s);
-      jr.Set("audit_checks", r.metrics.audit_checks);
-      jr.Set("audit_violations", r.metrics.audit_violations);
+      jr.Set("events_processed", r.fp.metrics.events_processed);
+      jr.Set("completed_jobs", r.fp.metrics.completed_jobs);
+      jr.Set("avg_jct_s", r.fp.metrics.avg_jct_s);
+      jr.Set("audit_checks", r.fp.metrics.audit_checks);
+      jr.Set("audit_violations", r.fp.metrics.audit_violations);
       json_rows.push_back(jr);
       results.push_back(std::move(r));
     }
 
     // Cross-engine parity under the documented tolerance.
     std::string why;
-    if (!EnginesAgree(results[0].metrics, results[1].metrics, regime.jobs,
+    if (!EnginesAgree(results[0].fp.metrics, results[1].fp.metrics, regime.jobs,
                       &why)) {
       ok = false;
       divergence = regime.name + " interval vs events: " + why;

@@ -1,7 +1,7 @@
-// Network fidelity bench: fabric models, rack-aware placement, determinism
+// Network fidelity bench: fabric models and rack-aware placement
 // (BENCH_net.json).
 //
-// Three sections:
+// Two sections:
 //
 //   models — flat vs topology vs contention at 1k jobs x 16k servers, one
 //       child process per cell (re-exec with --cell=<model>) so peak-RSS
@@ -12,13 +12,12 @@
 //   rack — the acceptance point: optimus vs optimus_rack (the rack-aware
 //       Theorem-1 variant) on scenarios/oversubscribed_fabric.json. Rack-aware
 //       placement must win on average JCT when uplinks are oversubscribed.
+//       Only this section runs under --smoke (tools/check.sh and CI).
 //
-//   determinism — threads x engines over the two network scenarios
-//       (allreduce_mix under topology, oversubscribed_fabric under
-//       contention): every cell must reproduce the reference cell's metrics,
-//       trace digest, and network-solve counters bitwise. Any divergence
-//       exits 3. This section and `rack` run under --smoke (tools/check.sh
-//       and CI).
+// Bitwise determinism of the network solve (its counters included) across
+// threads and engines is tier-1's determinism sweep
+// (tests/determinism_sweep_test.cc) over both network scenarios,
+// allreduce_mix (topology) and oversubscribed_fabric (contention).
 
 #include <cstdio>
 #include <chrono>
@@ -28,7 +27,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/determinism.h"
 #include "src/cluster/server.h"
 #include "src/common/flags.h"
 #include "src/common/logging.h"
@@ -181,19 +179,19 @@ bool RunRackComparison(const std::string& scenario_path, JsonObject* section,
     const SimulatorConfig config = scenario.MakeSimConfig(policy);
     const CellRun run =
         RunSim(config, scenario.cluster.Build(), scenario.JobsForRepeat());
-    const double avg_jct = run.metrics.avg_jct_s;
+    const double avg_jct = run.fp.metrics.avg_jct_s;
     if (policy == "optimus") {
       baseline_jct = avg_jct;
     } else {
       rack_jct = avg_jct;
     }
-    table.AddRow({policy, std::to_string(run.fp.completed),
+    table.AddRow({policy, std::to_string(run.fp.metrics.completed_jobs),
                   TablePrinter::FormatDouble(avg_jct, 1),
                   TablePrinter::FormatDouble(run.sim_s, 1),
                   std::to_string(run.net.contended_flows)});
     JsonObject row;
     row.Set("policy", policy);
-    row.Set("completed_jobs", run.fp.completed);
+    row.Set("completed_jobs", run.fp.metrics.completed_jobs);
     row.Set("avg_jct_s", avg_jct);
     row.Set("makespan_s", run.sim_s);
     row.Set("net_solves", run.net.solves);
@@ -230,8 +228,6 @@ int main(int argc, char** argv) {
   const std::string json_path = flags.GetString("json", "BENCH_net.json");
   const std::string fabric_scenario = flags.GetString(
       "fabric_scenario", "scenarios/oversubscribed_fabric.json");
-  const std::string allreduce_scenario =
-      flags.GetString("allreduce_scenario", "scenarios/allreduce_mix.json");
   // Internal: run one fabric-model cell in this process, print its CELL line.
   const std::string cell = flags.GetString("cell", "");
   for (const std::string& key : flags.UnconsumedKeys()) {
@@ -247,12 +243,11 @@ int main(int argc, char** argv) {
       "Fabric models (flat/topology/contention), ring all-reduce, and "
       "rack-aware Theorem-1 placement",
       "network.model=flat reproduces the Eqn-2 constant bitwise; "
-      "topology/contention/all-reduce runs are bitwise identical across "
-      "threads per engine; rack-aware placement beats the baseline "
+      "rack-aware placement beats the baseline "
       "on average JCT when rack uplinks are 4:1 oversubscribed");
 
   bool ok = true;
-  std::string divergence;
+  std::string failure;
   JsonObject section;
   section.Set("smoke", smoke);
 
@@ -262,7 +257,7 @@ int main(int argc, char** argv) {
     std::string model_why;
     if (!RunModelSweep(argv[0], &model_rows, &model_why)) {
       ok = false;
-      divergence = model_why;
+      failure = model_why;
     }
     section.Set("models", model_rows);
   }
@@ -272,49 +267,12 @@ int main(int argc, char** argv) {
   std::string rack_why;
   if (!RunRackComparison(fabric_scenario, &rack_section, &rack_why)) {
     ok = false;
-    divergence = rack_why;
+    failure = rack_why;
   }
   section.Set("rack", rack_section);
 
-  SweepGrid grid;
-  grid.threads = smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 8};
-  grid.net_counters = true;
-  std::vector<JsonObject> determinism_rows;
-  bool determinism_ok = true;
-  const struct {
-    const std::string& path;
-    const char* policy;
-    const char* what;
-  } sweeps[] = {
-      {allreduce_scenario, "optimus", "topology + all-reduce mix"},
-      {fabric_scenario, "optimus_rack", "contention + rack-aware placement"},
-  };
-  for (const auto& sweep : sweeps) {
-    std::cout << "\nDeterminism sweep over " << sweep.path << " (" << sweep.what
-              << "):\n";
-    ScenarioSpec scenario;
-    std::string error;
-    if (!LoadScenarioFile(sweep.path, &scenario, &error)) {
-      determinism_ok = false;
-      divergence = "scenario load failed: " + error;
-      continue;
-    }
-    JsonObject prefix;
-    prefix.Set("scenario", sweep.path);
-    prefix.Set("policy", sweep.policy);
-    if (!RunDeterminismSweep(scenario, sweep.policy, grid, prefix,
-                             &determinism_rows, &divergence)) {
-      determinism_ok = false;
-    }
-  }
-  ok = ok && determinism_ok;
-  section.Set("determinism", determinism_rows);
-  section.Set("determinism_ok", determinism_ok);
-
-  if (ok) {
-    std::cout << "\nall configurations bitwise identical\n";
-  } else {
-    std::cerr << "\nDIVERGENCE: " << divergence << "\n";
+  if (!ok) {
+    std::cerr << "\nFAILURE: " << failure << "\n";
   }
   section.Set("ok", ok);
   if (WriteBenchJsonSection(json_path, "net", section)) {

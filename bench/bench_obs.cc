@@ -3,9 +3,10 @@
 // vs off, at 1 and 8 threads.
 //
 // Two gates, both exit 3 on failure:
-//   - every row (off/on, any thread count) must produce bitwise identical
-//     RunMetrics (wall_* profiling fields excluded): observability must never
-//     perturb the simulation;
+//   - every row (off/on, any thread count) must produce a bitwise identical
+//     RunFingerprint (src/sim/run_fingerprint.h: metrics without the wall_*
+//     profiling fields, trace, event list): observability must never perturb
+//     the simulation;
 //   - the observability-on rows must stay within 3% of the matching
 //     observability-off wall time — telemetry is only free if it stays off
 //     the hot paths.
@@ -48,7 +49,7 @@ struct RowSpec {
 };
 
 struct RowResult {
-  RunMetrics metrics;
+  RunFingerprint fp;
   double wall_s = 0.0;
   // Deterministic observability fingerprint (empty for obs-off rows).
   std::string export_fp;
@@ -91,7 +92,7 @@ RowResult RunRowOnce(const BenchParams& params, const RowSpec& row) {
   }
   const auto end = std::chrono::steady_clock::now();
   result.wall_s = std::chrono::duration<double>(end - start).count();
-  result.metrics = simulator.metrics();
+  result.fp = RunFingerprint::Of(simulator);
   if (row.obs) {
     ExportOptions options;
     options.include_profiling = false;
@@ -102,50 +103,12 @@ RowResult RunRowOnce(const BenchParams& params, const RowSpec& row) {
   return result;
 }
 
-// Bitwise equality of everything the simulation computes; the wall_* phase
-// timers are host measurements and intentionally excluded.
-bool MetricsIdentical(const RunMetrics& a, const RunMetrics& b,
-                      std::string* why) {
-  auto fail = [&](const std::string& what) {
-    *why = what;
-    return false;
-  };
-  if (a.completed_jobs != b.completed_jobs) return fail("completed_jobs");
-  if (a.jcts != b.jcts) return fail("jcts");
-  if (a.scaling_overhead_fraction != b.scaling_overhead_fraction) {
-    return fail("scaling_overhead_fraction");
-  }
-  if (a.straggler_replacements != b.straggler_replacements) {
-    return fail("straggler_replacements");
-  }
-  if (a.total_scalings != b.total_scalings) return fail("total_scalings");
-  if (a.server_crashes != b.server_crashes) return fail("server_crashes");
-  if (a.server_recoveries != b.server_recoveries) return fail("server_recoveries");
-  if (a.task_failures != b.task_failures) return fail("task_failures");
-  if (a.job_evictions != b.job_evictions) return fail("job_evictions");
-  if (a.backoff_deferrals != b.backoff_deferrals) return fail("backoff_deferrals");
-  if (a.checkpoints_taken != b.checkpoints_taken) return fail("checkpoints_taken");
-  if (a.rolled_back_steps != b.rolled_back_steps) return fail("rolled_back_steps");
-  if (a.audit_checks != b.audit_checks) return fail("audit_checks");
-  if (a.audit_violations != b.audit_violations) return fail("audit_violations");
-  if (a.timeline.size() != b.timeline.size()) return fail("timeline size");
-  for (size_t i = 0; i < a.timeline.size(); ++i) {
-    if (a.timeline[i].time_s != b.timeline[i].time_s ||
-        a.timeline[i].running_tasks != b.timeline[i].running_tasks ||
-        a.timeline[i].worker_cpu_util_pct != b.timeline[i].worker_cpu_util_pct ||
-        a.timeline[i].ps_cpu_util_pct != b.timeline[i].ps_cpu_util_pct) {
-      return fail("timeline point " + std::to_string(i));
-    }
-  }
-  return true;
-}
-
 // Best-of-N timing, with the repeats interleaved round-robin across the rows
 // (off@1t, on@1t, off@8t, on@8t, off@1t, ...) so slow host-level drift — CPU
 // warmup, frequency scaling — hits every row equally instead of only the
 // later ones. The 3% gate is tight and wall clock on a shared host is noisy;
-// the simulation is not — repeats must reproduce the metrics (and the export
-// fingerprint) bitwise.
+// the simulation is not — repeats must reproduce the run fingerprint (and the
+// export fingerprint) bitwise.
 std::vector<RowResult> RunRows(const BenchParams& params,
                                const std::vector<RowSpec>& rows, int repeats) {
   std::vector<RowResult> best;
@@ -156,7 +119,7 @@ std::vector<RowResult> RunRows(const BenchParams& params,
     for (size_t i = 0; i < rows.size(); ++i) {
       RowResult again = RunRowOnce(params, rows[i]);
       std::string why;
-      OPTIMUS_CHECK(MetricsIdentical(best[i].metrics, again.metrics, &why))
+      OPTIMUS_CHECK(again.fp.Matches(best[i].fp, &why))
           << rows[i].label << " not deterministic across repeats: " << why;
       OPTIMUS_CHECK(best[i].export_fp == again.export_fp)
           << rows[i].label
@@ -214,7 +177,7 @@ int main(int argc, char** argv) {
     const RowResult& r = results[i];
     if (i > 0) {
       std::string why;
-      if (!MetricsIdentical(results.front().metrics, r.metrics, &why)) {
+      if (!r.fp.Matches(results.front().fp, &why)) {
         identical = false;
         divergence = row.label + ": " + why;
       }

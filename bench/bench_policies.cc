@@ -1,29 +1,22 @@
-// Policy-registry bench: the full policy catalog compared on one scenario,
-// plus a bitwise-determinism sweep over every registered policy
+// Policy-registry bench: the full policy catalog compared on one scenario
 // (BENCH_policies.json).
-//
-// Two sections:
 //
 //   comparison — every registered policy on scenarios/batch_adaptive.json
 //       (synchronous communication-heavy jobs with wide admissible batch
 //       ranges). The acceptance point: at least one policy other than
 //       `optimus` / `optimus_rack` must beat plain `optimus` on average JCT —
 //       the batch-adaptive goodput policy is the expected winner on this
-//       workload.
+//       workload. --smoke (tools/check.sh and CI) runs the same comparison.
 //
-//   determinism — every policy x engines {interval, events} x threads: each
-//       cell must reproduce its (policy, engine) reference bitwise (JCTs,
-//       trace digest, counters; the shared harness in bench/determinism.h).
-//       Any divergence exits 3.
-//       Both sections run under --smoke (tools/check.sh and CI); --smoke
-//       trims the grid to threads {1, 2}.
+// Bitwise determinism of every policy across threads and engines is tier-1's
+// determinism sweep (tests/determinism_sweep_test.cc), which runs every
+// policy in every committed scenario's grid.
 
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/determinism.h"
 #include "src/common/flags.h"
 #include "src/common/logging.h"
 #include "src/sched/scheduler_registry.h"
@@ -50,7 +43,7 @@ bool RunComparison(const ScenarioSpec& scenario, JsonObject* section,
     const CellRun run = RunSim(scenario.MakeSimConfig(policy),
                                scenario.cluster.Build(),
                                scenario.JobsForRepeat());
-    const double avg_jct = run.metrics.avg_jct_s;
+    const double avg_jct = run.fp.metrics.avg_jct_s;
     if (policy == "optimus") {
       optimus_jct = avg_jct;
     } else if (policy != "optimus_rack" &&
@@ -58,17 +51,17 @@ bool RunComparison(const ScenarioSpec& scenario, JsonObject* section,
       best_other = policy;
       best_other_jct = avg_jct;
     }
-    table.AddRow({policy, std::to_string(run.fp.completed),
+    table.AddRow({policy, std::to_string(run.fp.metrics.completed_jobs),
                   TablePrinter::FormatDouble(avg_jct, 1),
                   optimus_jct > 0.0
                       ? TablePrinter::FormatDouble(avg_jct / optimus_jct, 2) + "x"
                       : "-"});
     JsonObject row;
     row.Set("policy", policy);
-    row.Set("completed_jobs", run.fp.completed);
+    row.Set("completed_jobs", run.fp.metrics.completed_jobs);
     row.Set("avg_jct_s", avg_jct);
     row.Set("makespan_s", run.sim_s);
-    row.Set("total_scalings", run.fp.total_scalings);
+    row.Set("total_scalings", run.fp.metrics.total_scalings);
     row.Set("trace_digest", DigestHex(run.fp.trace_digest));
     SetPerfColumns(&row, run.wall_s, run.sim_s);
     rows.push_back(row);
@@ -111,8 +104,7 @@ int main(int argc, char** argv) {
   PrintExperimentHeader(
       "EXT: policy families",
       "Full SchedulerRegistry catalog (goodput / synergy / dl2 included) on "
-      "the batch-adaptive workload, plus per-policy determinism",
-      "every policy is bitwise identical across threads per engine; "
+      "the batch-adaptive workload",
       "a policy other than optimus / optimus_rack (goodput expected) wins "
       "average JCT on the batch-adaptive scenario");
 
@@ -123,42 +115,18 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  bool ok = true;
-  std::string divergence;
   JsonObject section;
   section.Set("smoke", smoke);
   section.Set("scenario", scenario_path);
 
   std::cout << "\nPolicy catalog on " << scenario_path << ":\n";
   JsonObject comparison;
-  std::string comparison_why;
-  if (!RunComparison(scenario, &comparison, &comparison_why)) {
-    ok = false;
-    divergence = comparison_why;
-  }
+  std::string failure;
+  const bool ok = RunComparison(scenario, &comparison, &failure);
   section.Set("comparison", comparison);
 
-  std::cout << "\nDeterminism sweep (every policy x engine x threads):\n";
-  SweepGrid grid;
-  grid.threads = smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 8};
-  std::vector<JsonObject> determinism_rows;
-  bool determinism_ok = true;
-  for (const std::string& policy : SchedulerRegistry::Global().Names()) {
-    JsonObject prefix;
-    prefix.Set("policy", policy);
-    if (!RunDeterminismSweep(scenario, policy, grid, prefix, &determinism_rows,
-                             &divergence)) {
-      determinism_ok = false;
-    }
-  }
-  ok = ok && determinism_ok;
-  section.Set("determinism", determinism_rows);
-  section.Set("determinism_ok", determinism_ok);
-
-  if (ok) {
-    std::cout << "\nall policies deterministic; catalog comparison passed\n";
-  } else {
-    std::cerr << "\nFAILURE: " << divergence << "\n";
+  if (!ok) {
+    std::cerr << "\nFAILURE: " << failure << "\n";
   }
   section.Set("ok", ok);
   if (WriteBenchJsonSection(json_path, "policies", section)) {

@@ -1,15 +1,5 @@
 // Million-job / 100k-server scale sweep (admission on arrival, retirement on
-// completion)
-// (BENCH_scale.json).
-//
-// Two sections:
-//
-//   determinism — threads x engines over a scenario file (default
-//       scenarios/scale_smoke.json, which carries a fault plan): every cell
-//       must reproduce the reference cell's metrics and event-trace digest
-//       bitwise (the shared harness in bench/determinism.h). Any divergence
-//       exits 3. Only this section runs under --smoke (tools/check.sh and
-//       CI).
+// completion) (BENCH_scale.json).
 //
 //   scale — {10k, 100k, 1M} jobs x {16k, 100k} servers, one child process
 //       per cell (re-exec with --cell): hash-only trace + the event
@@ -17,7 +7,13 @@
 //       so peak-RSS columns are per-cell, not a sweep-wide high-water mark.
 //       Arrivals spread so the active set stays bounded: peak RSS is
 //       O(active jobs) + the flat pending-spec queue, not O(total jobs
-//       materialized).
+//       materialized). --smoke (tools/check.sh and CI) runs the 10k x 16k
+//       cell alone, through the same child-process path.
+//
+// Bitwise determinism across threads, engines and the no-op knobs is not
+// measured here: tier-1's determinism sweep (tests/determinism_sweep_test.cc)
+// runs every committed scenario, scenarios/scale_smoke.json included, on the
+// shared RunFingerprint (src/sim/run_fingerprint.h).
 
 #include <cstdio>
 #include <chrono>
@@ -27,22 +23,16 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/determinism.h"
 #include "src/cluster/server.h"
 #include "src/common/flags.h"
 #include "src/common/logging.h"
 #include "src/common/rng.h"
 #include "src/sim/simulator.h"
 #include "src/sim/workload.h"
-#include "src/workload/scenario.h"
 
 namespace {
 
 using namespace optimus;
-
-// ---------------------------------------------------------------------------
-// Section 2: scale cells (child process per cell).
-// ---------------------------------------------------------------------------
 
 SimulatorConfig ScaleCellConfig() {
   SimulatorConfig config;
@@ -91,10 +81,9 @@ int RunScaleCell(int num_jobs, int num_servers) {
   return 0;
 }
 
-bool RunScaleSweep(const std::string& self_exe, std::vector<JsonObject>* rows,
+bool RunScaleSweep(const std::string& self_exe, const std::vector<int>& job_counts,
+                   const std::vector<int>& server_counts, std::vector<JsonObject>* rows,
                    std::string* why) {
-  const std::vector<int> job_counts = {10000, 100000, 1000000};
-  const std::vector<int> server_counts = {16000, 100000};
   TablePrinter table({"jobs", "servers", "materialized", "completed",
                       "wall (s)", "sim s / wall s", "peak RSS (MiB)"});
   for (const int servers : server_counts) {
@@ -170,8 +159,6 @@ int main(int argc, char** argv) {
   FlagParser flags(argc, argv);
   const bool smoke = flags.GetBool("smoke", false);
   const std::string json_path = flags.GetString("json", "BENCH_scale.json");
-  const std::string scenario_path =
-      flags.GetString("scenario", "scenarios/scale_smoke.json");
   // Internal: run one scale cell in this process and print its CELL line.
   const std::string cell = flags.GetString("cell", "");
   for (const std::string& key : flags.UnconsumedKeys()) {
@@ -188,50 +175,23 @@ int main(int argc, char** argv) {
   PrintExperimentHeader(
       "EXT: scheduling at scale",
       "Streaming admission at {10k,100k,1M} jobs x {16k,100k} servers",
-      "All thread counts bitwise identical; the 1M-job run's peak RSS is "
-      "bounded by the active-job set, not the total job count");
-
-  ScenarioSpec scenario;
-  std::string error;
-  if (!LoadScenarioFile(scenario_path, &scenario, &error)) {
-    std::cerr << "bad scenario: " << error << "\n";
-    return 1;
-  }
-
-  bool ok = true;
-  std::string divergence;
-
-  std::cout << "\nDeterminism sweep over " << scenario_path << ":\n";
-  SweepGrid grid;
-  grid.threads = smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 8};
-  std::vector<JsonObject> determinism_rows;
-  const bool determinism_ok = RunDeterminismSweep(
-      scenario, "optimus", grid, JsonObject(), &determinism_rows, &divergence);
-  if (!determinism_ok) {
-    ok = false;
-  }
+      "The 1M-job run's peak RSS is bounded by the active-job set, not the "
+      "total job count");
 
   JsonObject section;
   section.Set("smoke", smoke);
-  section.Set("scenario", scenario_path);
-  section.Set("determinism_ok", determinism_ok);
-  section.Set("determinism", determinism_rows);
 
-  if (!smoke) {
-    std::cout << "\nScale sweep (one child process per cell):\n";
-    std::vector<JsonObject> scale_rows;
-    std::string scale_why;
-    if (!RunScaleSweep(argv[0], &scale_rows, &scale_why)) {
-      ok = false;
-      divergence = scale_why;
-    }
-    section.Set("scale_cells", scale_rows);
-  }
+  std::cout << "\nScale sweep (one child process per cell):\n";
+  std::vector<JsonObject> scale_rows;
+  std::string why;
+  const bool ok =
+      smoke ? RunScaleSweep(argv[0], {10000}, {16000}, &scale_rows, &why)
+            : RunScaleSweep(argv[0], {10000, 100000, 1000000}, {16000, 100000},
+                            &scale_rows, &why);
+  section.Set("scale_cells", scale_rows);
 
-  if (ok) {
-    std::cout << "\nall configurations bitwise identical\n";
-  } else {
-    std::cerr << "\nDIVERGENCE: " << divergence << "\n";
+  if (!ok) {
+    std::cerr << "\nFAILURE: " << why << "\n";
   }
   section.Set("ok", ok);
   if (WriteBenchJsonSection(json_path, "scale", section)) {

@@ -1,5 +1,7 @@
 #include "bench/bench_util.h"
 
+#include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -42,6 +44,28 @@ void SetPerfColumns(JsonObject* row, double wall_s, double sim_s) {
   row->Set("wall_s", wall_s);
   row->Set("sim_s", sim_s);
   row->Set("sim_s_per_wall_s", wall_s > 0.0 ? sim_s / wall_s : 0.0);
+}
+
+std::string DigestHex(uint64_t digest) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(digest));
+  return std::string(buf);
+}
+
+CellRun RunSim(const SimulatorConfig& config, std::vector<Server> servers,
+               std::vector<JobSpec> specs) {
+  Simulator sim(config, std::move(servers), std::move(specs));
+  CellRun run;
+  const auto start = std::chrono::steady_clock::now();
+  sim.Run();
+  const auto end = std::chrono::steady_clock::now();
+  run.wall_s = std::chrono::duration<double>(end - start).count();
+  run.sim_s = sim.now_s();
+  if (sim.network() != nullptr) {
+    run.net = sim.network()->stats();
+  }
+  run.fp = RunFingerprint::Of(sim);
+  return run;
 }
 
 std::vector<ExperimentResult> RunPolicyComparison(

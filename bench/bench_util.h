@@ -17,8 +17,11 @@
 // live there and are re-exported here for the bench binaries.
 #include "src/common/json_writer.h"
 #include "src/common/table.h"
+#include "src/net/network_model.h"
 #include "src/sched/speed_estimate.h"
 #include "src/sim/experiment.h"
+#include "src/sim/run_fingerprint.h"
+#include "src/sim/simulator.h"
 
 namespace optimus {
 
@@ -38,6 +41,23 @@ double PeakRssMib();
 // among them: an in-process row would report the high-water mark of every
 // run before it, so only re-exec'd per-cell rows carry PeakRssMib().
 void SetPerfColumns(JsonObject* row, double wall_s, double sim_s);
+
+// 16 lowercase hex digits, the trace-digest spelling every BENCH file uses.
+std::string DigestHex(uint64_t digest);
+
+// One timed simulation: its fingerprint (src/sim/run_fingerprint.h), the
+// network solve's stats (zero under the flat model), and the wall time of
+// Run() alone.
+struct CellRun {
+  RunFingerprint fp;
+  NetworkStats net;
+  double wall_s = 0.0;
+  double sim_s = 0.0;
+};
+
+// Runs one simulation to completion, timing Run() alone.
+CellRun RunSim(const SimulatorConfig& config, std::vector<Server> servers,
+               std::vector<JobSpec> specs);
 
 // Runs the canonical three-scheduler comparison (Optimus, DRF, Tetris) under
 // the given base config and prints absolute + normalized JCT / makespan.

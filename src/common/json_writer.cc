@@ -27,8 +27,8 @@ constexpr std::array<uint8_t, 256> kEscapedWidth = [] {
   return width;
 }();
 
-// EncodeJsonString appended to `out`: one pass sizes the encoding, a second
-// copies each run of unescaped bytes in bulk.
+}  // namespace
+
 void AppendJsonString(const std::string& s, std::string* out) {
   size_t encoded = 2;
   for (const char c : s) {
@@ -72,6 +72,8 @@ void AppendJsonString(const std::string& s, std::string* out) {
   w += end - run;
   *w = '"';
 }
+
+namespace {
 
 // CompactJson appended to `out`.
 void AppendCompactJson(const std::string& encoded, std::string* out) {

@@ -22,6 +22,9 @@ namespace optimus {
 // second copies each run of unescaped bytes in bulk.
 std::string EncodeJsonString(const std::string& s);
 
+// EncodeJsonString appended to `out`, quotes included.
+void AppendJsonString(const std::string& s, std::string* out);
+
 // Appends `value` exactly as printf("%.17g") prints it in the C locale, via
 // std::to_chars, so the bytes never depend on the process's global locale.
 // 17 significant digits round-trip every double; integral values print

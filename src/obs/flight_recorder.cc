@@ -91,9 +91,9 @@ void EncodeEvent(const FlightEvent& e, std::string* out) {
   AppendInt(e.num_workers, out);
   *out += ", \"value\": ";
   AppendDouble17(e.value, out);
-  *out += ", \"detail\": \"";
-  obs_internal::AppendEscapedJson(e.detail, out);
-  *out += "\"}";
+  *out += ", \"detail\": ";
+  AppendJsonString(e.detail, out);
+  *out += '}';
 }
 
 }  // namespace

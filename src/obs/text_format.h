@@ -13,7 +13,6 @@
 #define SRC_OBS_TEXT_FORMAT_H_
 
 #include <charconv>
-#include <cstdio>
 #include <string>
 
 #include "src/common/json_writer.h"
@@ -35,38 +34,6 @@ void AppendInt(Int v, std::string* out) {
   char buf[24];
   const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
   out->append(buf, r.ptr);
-}
-
-// Appends `s` with minimal JSON string escaping (quotes, backslashes, control
-// characters); the caller writes the surrounding quotes.
-inline void AppendEscapedJson(const std::string& s, std::string* out) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
 }
 
 }  // namespace obs_internal

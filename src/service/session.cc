@@ -11,6 +11,7 @@
 #include "src/models/model_zoo.h"
 #include "src/obs/exporters.h"
 #include "src/sched/scheduler_registry.h"
+#include "src/sim/workload.h"
 
 namespace optimus {
 
@@ -25,24 +26,6 @@ const ModelSpec* TryFindModel(const std::string& name) {
     }
   }
   return nullptr;
-}
-
-// The generator's base dataset-downscale rule (BaseDatasetScale in
-// src/workload/generators.cc): cap steps/epoch at the workload's target so
-// service-submitted jobs are sized like generated ones.
-double SubmitDatasetScale(const ModelSpec& model, TrainingMode mode,
-                          int64_t target_steps_per_epoch) {
-  if (target_steps_per_epoch <= 0) {
-    return 1.0;
-  }
-  const int batch = mode == TrainingMode::kSync ? model.default_sync_batch
-                                                : model.default_async_minibatch;
-  const double full_steps =
-      static_cast<double>(model.dataset_examples) / static_cast<double>(batch);
-  if (full_steps <= static_cast<double>(target_steps_per_epoch)) {
-    return 1.0;
-  }
-  return static_cast<double>(target_steps_per_epoch) / full_steps;
 }
 
 // Latency-histogram bounds: 1 µs to 1 s in a 1-2-5 ladder; service requests
@@ -312,8 +295,9 @@ bool ServiceSession::BuildJobSpec(const ServiceRequest& req,
     }
   }
 
-  spec->dataset_scale = SubmitDatasetScale(
-      *spec->model, spec->mode, workload.sizes.target_steps_per_epoch);
+  // Sized like a generated job: the generators' base dataset downscale.
+  spec->dataset_scale =
+      DatasetScaleFor(*spec->model, spec->mode, workload.sizes.target_steps_per_epoch);
   return true;
 }
 

@@ -225,7 +225,6 @@ Simulator::Simulator(SimulatorConfig config, std::vector<Server> servers,
   OPTIMUS_CHECK(!servers_.empty());
   metrics_.total_jobs = static_cast<int>(specs.size());
   pending_specs_ = std::move(specs);
-  pending_count_ = pending_specs_.size();
   // The cursor serves the input's arrival-sorted prefix (all of a generated
   // trace); every spec from the first one out of order on waits in the heap.
   while (pending_sorted_end_ < pending_specs_.size() &&
@@ -255,7 +254,7 @@ Simulator::Simulator(SimulatorConfig config, std::vector<Server> servers,
     trace_.set_hash_only(true);
   }
   // Rough per-run event budget: a handful of lifecycle events per job.
-  trace_.Reserve(pending_count_ * 8 + 64);
+  trace_.Reserve(pending_specs_.size() * 8 + 64);
   SetupObservability();
   if (config_.engine == SimEngine::kEvents) {
     SeedEvents();
@@ -315,7 +314,6 @@ std::optional<size_t> Simulator::PendingHead() {
 JobSpec Simulator::TakePending(size_t key) {
   JobSpec spec = std::move(pending_specs_[key]);
   pending_specs_[key] = JobSpec{};  // consumed: releases the slot's heap state
-  --pending_count_;
   return spec;
 }
 
@@ -1676,7 +1674,6 @@ bool Simulator::SubmitJob(const JobSpec& spec, std::string* error) {
   const size_t key = pending_specs_.size();
   pending_specs_.push_back(spec);
   pending_heap_.push({spec.arrival_time_s, key});
-  ++pending_count_;
   job_refs_.emplace(spec.id, JobRef{key, nullptr});
   ++metrics_.total_jobs;
 

@@ -651,7 +651,6 @@ class Simulator {
   std::vector<JobSpec> pending_specs_;
   size_t pending_next_ = 0;
   size_t pending_sorted_end_ = 0;
-  size_t pending_count_ = 0;  // unconsumed slots
   struct QueuedArrival {
     double time_s;
     size_t key;

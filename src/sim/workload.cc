@@ -20,19 +20,19 @@ const char* ArrivalProcessName(ArrivalProcess process) {
   return "unknown";
 }
 
-double DatasetScaleFor(const ModelSpec& model, const WorkloadConfig& config,
-                       TrainingMode mode) {
-  if (config.target_steps_per_epoch <= 0) {
+double DatasetScaleFor(const ModelSpec& model, TrainingMode mode,
+                       int64_t target_steps_per_epoch) {
+  if (target_steps_per_epoch <= 0) {
     return 1.0;
   }
   const int batch = mode == TrainingMode::kSync ? model.default_sync_batch
                                                 : model.default_async_minibatch;
   const double full_steps =
       static_cast<double>(model.dataset_examples) / static_cast<double>(batch);
-  if (full_steps <= static_cast<double>(config.target_steps_per_epoch)) {
+  if (full_steps <= static_cast<double>(target_steps_per_epoch)) {
     return 1.0;
   }
-  return static_cast<double>(config.target_steps_per_epoch) / full_steps;
+  return static_cast<double>(target_steps_per_epoch) / full_steps;
 }
 
 namespace {
@@ -107,7 +107,8 @@ std::vector<JobSpec> GenerateWorkload(const WorkloadConfig& config, Rng* rng) {
     spec.worker_demand = config.worker_demand;
     spec.ps_demand = config.ps_demand;
     spec.arrival_time_s = arrivals[i];
-    spec.dataset_scale = DatasetScaleFor(*spec.model, config, spec.mode);
+    spec.dataset_scale =
+        DatasetScaleFor(*spec.model, spec.mode, config.target_steps_per_epoch);
     spec.max_ps = config.max_ps;
     spec.max_workers = config.max_workers;
     jobs.push_back(spec);

@@ -63,9 +63,12 @@ struct WorkloadConfig {
 // Generates `config.num_jobs` job specs with ids 0..n-1 sorted by arrival.
 std::vector<JobSpec> GenerateWorkload(const WorkloadConfig& config, Rng* rng);
 
-// Downscaling factor applied to a model under the config (1.0 = untouched).
-double DatasetScaleFor(const ModelSpec& model, const WorkloadConfig& config,
-                       TrainingMode mode);
+// Dataset downscaling factor that caps a model's steps per epoch (at its
+// default batch for `mode`) at `target_steps_per_epoch`; 1.0 = untouched, as
+// for a target <= 0. The one rule behind GenerateWorkload, the scenario
+// generators and the service's submitted jobs.
+double DatasetScaleFor(const ModelSpec& model, TrainingMode mode,
+                       int64_t target_steps_per_epoch);
 
 }  // namespace optimus
 

@@ -5,6 +5,7 @@
 
 #include "src/common/logging.h"
 #include "src/models/model_zoo.h"
+#include "src/sim/workload.h"
 
 namespace optimus {
 
@@ -162,23 +163,6 @@ bool WorkloadSpec::Validate(std::vector<std::string>* errors) const {
 
 namespace {
 
-// Dataset downscale for the base (pre-multiplier) job size; same rule as
-// DatasetScaleFor in src/sim/workload.cc.
-double BaseDatasetScale(const ModelSpec& model, const JobSizeSpec& sizes,
-                        TrainingMode mode) {
-  if (sizes.target_steps_per_epoch <= 0) {
-    return 1.0;
-  }
-  const int batch = mode == TrainingMode::kSync ? model.default_sync_batch
-                                                : model.default_async_minibatch;
-  const double full_steps =
-      static_cast<double>(model.dataset_examples) / static_cast<double>(batch);
-  if (full_steps <= static_cast<double>(sizes.target_steps_per_epoch)) {
-    return 1.0;
-  }
-  return static_cast<double>(sizes.target_steps_per_epoch) / full_steps;
-}
-
 // Heavy-tail size multiplier (>= some fraction of 1, capped for Pareto).
 double SizeMultiplier(const JobSizeSpec& sizes, Rng* rng) {
   switch (sizes.kind) {
@@ -324,8 +308,9 @@ std::vector<JobSpec> GenerateJobs(const WorkloadSpec& spec, Rng* rng) {
     job.worker_demand = spec.worker_demand;
     job.ps_demand = spec.ps_demand;
     job.arrival_time_s = arrivals[static_cast<size_t>(i)];
-    job.dataset_scale = BaseDatasetScale(*job.model, spec.sizes, job.mode) *
-                        SizeMultiplier(spec.sizes, &job_rng);
+    job.dataset_scale =
+        DatasetScaleFor(*job.model, job.mode, spec.sizes.target_steps_per_epoch) *
+        SizeMultiplier(spec.sizes, &job_rng);
     job.max_ps = spec.max_ps;
     job.max_workers = spec.max_workers;
     // Communication architecture. The all-reduce flip draws after every

@@ -22,6 +22,7 @@
 #include <cmath>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -33,6 +34,7 @@
 #include "src/obs/metrics_registry.h"
 #include "src/sim/event_kernel.h"
 #include "src/sim/fault_injector.h"
+#include "src/sim/run_fingerprint.h"
 #include "src/sim/simulator.h"
 #include "src/sim/trace.h"
 #include "src/sim/workload.h"
@@ -148,52 +150,37 @@ std::unique_ptr<Simulator> MakeEventSim(int threads, bool faulted,
                                      GenerateWorkload(workload, &rng));
 }
 
-std::string Fingerprint(const Simulator& sim, const RunMetrics& m) {
-  std::ostringstream os;
-  os.precision(17);
-  os << "completed=" << m.completed_jobs << " events=" << m.events_processed
-     << " scalings=" << m.total_scalings << " evictions=" << m.job_evictions
-     << " task_failures=" << m.task_failures
-     << " checkpoints=" << m.checkpoints_taken
-     << " rolled_back=" << m.rolled_back_steps
-     << " audit_checks=" << m.audit_checks
-     << " audit_violations=" << m.audit_violations << " jcts=[";
-  for (double jct : m.jcts) {
-    os << jct << ",";
+// Runs `sim` to completion and checks its RunFingerprint against
+// `*reference`, or makes it the reference when there is none yet.
+RunMetrics RunAndMatch(Simulator* sim, std::optional<RunFingerprint>* reference,
+                       int threads) {
+  const RunMetrics m = sim->Run();
+  const RunFingerprint fp = RunFingerprint::Of(*sim);
+  std::string why;
+  if (!reference->has_value()) {
+    *reference = fp;
+  } else {
+    EXPECT_TRUE(fp.Matches(**reference, &why)) << "threads=" << threads << " diverged on " << why;
   }
-  os << "]\n";
-  sim.trace().WriteCsv(os);
-  return os.str();
+  return m;
 }
 
 TEST(EventKernelTest, BitwiseIdenticalAcrossThreadsUnfaulted) {
-  std::string reference;
+  std::optional<RunFingerprint> reference;
   for (const int threads : {1, 2, 8}) {
     auto sim = MakeEventSim(threads, /*faulted=*/false);
-    const RunMetrics m = sim->Run();
+    const RunMetrics m = RunAndMatch(sim.get(), &reference, threads);
     EXPECT_EQ(m.completed_jobs, m.total_jobs);
-    const std::string fp = Fingerprint(*sim, m);
-    if (reference.empty()) {
-      reference = fp;
-    } else {
-      EXPECT_EQ(fp, reference) << "threads=" << threads;
-    }
   }
 }
 
 TEST(EventKernelTest, BitwiseIdenticalAcrossThreadsFaulted) {
-  std::string reference;
+  std::optional<RunFingerprint> reference;
   for (const int threads : {1, 2, 8}) {
     auto sim = MakeEventSim(threads, /*faulted=*/true);
-    const RunMetrics m = sim->Run();
+    const RunMetrics m = RunAndMatch(sim.get(), &reference, threads);
     EXPECT_GT(m.job_evictions + m.task_failures, 0)
         << "fault plan did not bite; the faulted determinism case is vacuous";
-    const std::string fp = Fingerprint(*sim, m);
-    if (reference.empty()) {
-      reference = fp;
-    } else {
-      EXPECT_EQ(fp, reference) << "threads=" << threads;
-    }
   }
 }
 
@@ -201,17 +188,11 @@ TEST(EventKernelTest, BitwiseIdenticalAcrossThreadsFaulted) {
 // for distinct jobs land on identical timestamps and pop in job-id order;
 // the run must stay deterministic across thread counts.
 TEST(EventKernelTest, SameTimestampBatchesAreDeterministic) {
-  std::string reference;
+  std::optional<RunFingerprint> reference;
   for (const int threads : {1, 8}) {
     auto sim = MakeEventSim(threads, /*faulted=*/false, /*noise_sd=*/0.0);
-    const RunMetrics m = sim->Run();
+    const RunMetrics m = RunAndMatch(sim.get(), &reference, threads);
     EXPECT_EQ(m.completed_jobs, m.total_jobs);
-    const std::string fp = Fingerprint(*sim, m);
-    if (reference.empty()) {
-      reference = fp;
-    } else {
-      EXPECT_EQ(fp, reference) << "threads=" << threads;
-    }
   }
 }
 

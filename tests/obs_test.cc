@@ -243,14 +243,24 @@ std::string FreshFlightJson(const std::vector<FlightEvent>& events, int indent) 
            ", \"ps\": " + std::to_string(e.num_ps) +
            ", \"workers\": " + std::to_string(e.num_workers) + ", \"value\": ";
     AppendDouble17(e.value, &out);
-    out += ", \"detail\": \"";
-    obs_internal::AppendEscapedJson(e.detail, &out);
-    out += "\"}";
+    out += ", \"detail\": " + EncodeJsonString(e.detail) + "}";
   }
   if (!events.empty()) {
     out += "\n" + pad;
   }
   return out + "]";
+}
+
+// Details go through the one JSON string escaper (EncodeJsonString), which
+// spells a carriage return \u000d, never \r.
+TEST(FlightRecorderTest, DetailEscapesCarriageReturnAsUnicode) {
+  FlightRecorder recorder(4);
+  recorder.Record(1.0, SimEventType::kScheduled, 3, 1, 2, 0.5, "cr\rhere");
+  std::string json;
+  recorder.AppendJson(&json, 0);
+  EXPECT_NE(json.find("\"detail\": \"cr\\u000dhere\""), std::string::npos) << json;
+  EXPECT_EQ(json.find("\\r"), std::string::npos) << json;
+  EXPECT_EQ(EncodeJsonString("cr\rhere"), "\"cr\\u000dhere\"");
 }
 
 TEST(FlightRecorderTest, CachedJsonMatchesFreshEncoding) {

@@ -6,8 +6,9 @@
 // repeat / job owns an independent split RNG, results commit into index-owned
 // slots, and shared-state effects merge serially in job order).
 //
-// Wall-time profiling fields (RunMetrics::wall_*) are intentionally excluded
-// from the comparisons — they are host measurements, not simulation outputs.
+// Runs compare through RunFingerprint (src/sim/run_fingerprint.h), which
+// leaves out the wall_* profiling fields: they are host measurements, not
+// simulation outputs.
 
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "src/common/rng.h"
 #include "src/sim/experiment.h"
 #include "src/sim/fault_injector.h"
+#include "src/sim/run_fingerprint.h"
 #include "src/sim/simulator.h"
 #include "src/sim/trace.h"
 #include "src/sim/workload.h"
@@ -25,34 +27,9 @@
 namespace optimus {
 namespace {
 
-void ExpectIdenticalMetrics(const RunMetrics& a, const RunMetrics& b) {
-  EXPECT_EQ(a.total_jobs, b.total_jobs);
-  EXPECT_EQ(a.completed_jobs, b.completed_jobs);
-  ASSERT_EQ(a.jcts.size(), b.jcts.size());
-  for (size_t i = 0; i < a.jcts.size(); ++i) {
-    EXPECT_EQ(a.jcts[i], b.jcts[i]) << "jct " << i;  // bitwise
-  }
-  EXPECT_EQ(a.avg_jct_s, b.avg_jct_s);
-  EXPECT_EQ(a.makespan_s, b.makespan_s);
-  EXPECT_EQ(a.scaling_overhead_fraction, b.scaling_overhead_fraction);
-  EXPECT_EQ(a.straggler_replacements, b.straggler_replacements);
-  EXPECT_EQ(a.total_scalings, b.total_scalings);
-  EXPECT_EQ(a.server_crashes, b.server_crashes);
-  EXPECT_EQ(a.server_recoveries, b.server_recoveries);
-  EXPECT_EQ(a.task_failures, b.task_failures);
-  EXPECT_EQ(a.job_evictions, b.job_evictions);
-  EXPECT_EQ(a.backoff_deferrals, b.backoff_deferrals);
-  EXPECT_EQ(a.checkpoints_taken, b.checkpoints_taken);
-  EXPECT_EQ(a.rolled_back_steps, b.rolled_back_steps);  // bitwise
-  EXPECT_EQ(a.audit_checks, b.audit_checks);
-  EXPECT_EQ(a.audit_violations, b.audit_violations);
-  ASSERT_EQ(a.timeline.size(), b.timeline.size());
-  for (size_t i = 0; i < a.timeline.size(); ++i) {
-    EXPECT_EQ(a.timeline[i].time_s, b.timeline[i].time_s);
-    EXPECT_EQ(a.timeline[i].running_tasks, b.timeline[i].running_tasks);
-    EXPECT_EQ(a.timeline[i].worker_cpu_util_pct, b.timeline[i].worker_cpu_util_pct);
-    EXPECT_EQ(a.timeline[i].ps_cpu_util_pct, b.timeline[i].ps_cpu_util_pct);
-  }
+void ExpectSameRun(const RunFingerprint& a, const RunFingerprint& b) {
+  std::string why;
+  EXPECT_TRUE(a.Matches(b, &why)) << "diverged on " << why;
 }
 
 ExperimentConfig SmallExperiment(int threads) {
@@ -80,7 +57,7 @@ TEST(ParallelDeterminismTest, ExperimentRunnerMatchesSerialBitForBit) {
   EXPECT_EQ(serial.completed_fraction, parallel.completed_fraction);
   ASSERT_EQ(serial.runs.size(), parallel.runs.size());
   for (size_t r = 0; r < serial.runs.size(); ++r) {
-    ExpectIdenticalMetrics(serial.runs[r], parallel.runs[r]);
+    ExpectSameRun(RunFingerprint::Of(serial.runs[r]), RunFingerprint::Of(parallel.runs[r]));
   }
 }
 
@@ -117,7 +94,7 @@ TEST(ParallelDeterminismTest, FaultedExperimentMatchesSerialBitForBit) {
   ASSERT_EQ(serial.runs.size(), parallel.runs.size());
   int64_t total_faults = 0;
   for (size_t r = 0; r < serial.runs.size(); ++r) {
-    ExpectIdenticalMetrics(serial.runs[r], parallel.runs[r]);
+    ExpectSameRun(RunFingerprint::Of(serial.runs[r]), RunFingerprint::Of(parallel.runs[r]));
     total_faults += serial.runs[r].server_crashes + serial.runs[r].task_failures;
     EXPECT_EQ(serial.runs[r].audit_violations, 0);
   }
@@ -125,7 +102,7 @@ TEST(ParallelDeterminismTest, FaultedExperimentMatchesSerialBitForBit) {
   EXPECT_GT(total_faults, 0);
 }
 
-RunMetrics RunSimulatorWithThreads(int threads) {
+RunFingerprint RunSimulatorWithThreads(int threads) {
   SimulatorConfig sim;
   sim.seed = 11;
   sim.max_sim_time_s = 2e5;
@@ -140,13 +117,12 @@ RunMetrics RunSimulatorWithThreads(int threads) {
   Rng workload_rng(sim.seed ^ 0x5eedULL);
   std::vector<JobSpec> specs = GenerateWorkload(workload, &workload_rng);
   Simulator simulator(sim, BuildTestbed(), std::move(specs));
-  return simulator.Run();
+  simulator.Run();
+  return RunFingerprint::Of(simulator);
 }
 
 TEST(ParallelDeterminismTest, ParallelPreRunSamplingMatchesSerialBitForBit) {
-  const RunMetrics serial = RunSimulatorWithThreads(1);
-  const RunMetrics parallel = RunSimulatorWithThreads(4);
-  ExpectIdenticalMetrics(serial, parallel);
+  ExpectSameRun(RunSimulatorWithThreads(1), RunSimulatorWithThreads(4));
 }
 
 // ---------------------------------------------------------------------------
@@ -154,11 +130,6 @@ TEST(ParallelDeterminismTest, ParallelPreRunSamplingMatchesSerialBitForBit) {
 // — metrics and the full event trace — across thread counts, both on the
 // testbed with the default loss feed and under a dense loss feed.
 // ---------------------------------------------------------------------------
-
-struct SimRunOutput {
-  RunMetrics metrics;
-  std::vector<SimEvent> events;
-};
 
 enum class LossFeed {
   // The testbed run to completion with the default loss feed.
@@ -173,7 +144,7 @@ enum class LossFeed {
   kDenseEventsFabric,
 };
 
-SimRunOutput RunFaultedAuditedSimulator(LossFeed feed, int threads) {
+RunFingerprint RunFaultedAuditedSimulator(LossFeed feed, int threads) {
   SimulatorConfig sim;
   sim.threads = threads;
   sim.audit = true;
@@ -216,53 +187,37 @@ SimRunOutput RunFaultedAuditedSimulator(LossFeed feed, int threads) {
   Rng workload_rng(sim.seed ^ 0x5eedULL);
   std::vector<JobSpec> specs = GenerateWorkload(workload, &workload_rng);
   Simulator simulator(sim, std::move(servers), std::move(specs));
-  SimRunOutput out;
-  out.metrics = simulator.Run();
-  out.events = simulator.trace().events();
-  return out;
+  simulator.Run();
+  return RunFingerprint::Of(simulator);
 }
 
 // The run must actually exercise faults and auditing, or it pins nothing.
-void ExpectFaultedAndAudited(const SimRunOutput& run) {
+void ExpectFaultedAndAudited(const RunFingerprint& run) {
   EXPECT_GT(run.metrics.server_crashes + run.metrics.task_failures, 0);
   EXPECT_GT(run.metrics.audit_checks, 0);
   EXPECT_EQ(run.metrics.audit_violations, 0);
   ASSERT_FALSE(run.events.empty());
 }
 
-void ExpectIdenticalRuns(const SimRunOutput& base, const SimRunOutput& other) {
-  ExpectIdenticalMetrics(base.metrics, other.metrics);
-  ASSERT_EQ(base.events.size(), other.events.size());
-  for (size_t i = 0; i < base.events.size(); ++i) {
-    EXPECT_EQ(base.events[i].time_s, other.events[i].time_s) << "event " << i;
-    EXPECT_EQ(base.events[i].type, other.events[i].type) << "event " << i;
-    EXPECT_EQ(base.events[i].job_id, other.events[i].job_id) << "event " << i;
-    EXPECT_EQ(base.events[i].num_ps, other.events[i].num_ps) << "event " << i;
-    EXPECT_EQ(base.events[i].num_workers, other.events[i].num_workers)
-        << "event " << i;
-    EXPECT_EQ(base.events[i].detail, other.events[i].detail) << "event " << i;
-  }
-}
-
 TEST(ParallelDeterminismTest, FaultedAuditedIntervalEngineMatchesAcrossThreads) {
   for (const LossFeed feed : {LossFeed::kDefault, LossFeed::kDense}) {
     SCOPED_TRACE(feed == LossFeed::kDense ? "dense loss feed" : "default loss feed");
-    const SimRunOutput base = RunFaultedAuditedSimulator(feed, 1);
+    const RunFingerprint base = RunFaultedAuditedSimulator(feed, 1);
     ExpectFaultedAndAudited(base);
     for (const int threads : {2, 4, 8}) {
       SCOPED_TRACE(std::to_string(threads) + " threads");
-      ExpectIdenticalRuns(base, RunFaultedAuditedSimulator(feed, threads));
+      ExpectSameRun(base, RunFaultedAuditedSimulator(feed, threads));
     }
   }
 }
 
 TEST(ParallelDeterminismTest, FaultedAuditedEventsEngineMatchesAcrossThreads) {
-  const SimRunOutput base = RunFaultedAuditedSimulator(LossFeed::kDenseEventsFabric, 1);
+  const RunFingerprint base = RunFaultedAuditedSimulator(LossFeed::kDenseEventsFabric, 1);
   ExpectFaultedAndAudited(base);
   // An odd runner count splits the fan-outs unevenly.
   for (const int threads : {3, 4, 8}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
-    ExpectIdenticalRuns(
+    ExpectSameRun(
         base, RunFaultedAuditedSimulator(LossFeed::kDenseEventsFabric, threads));
   }
 }

@@ -18,6 +18,7 @@
 #include "src/sched/synergy_allocator.h"
 #include "src/sched/what_if.h"
 #include "src/sim/experiment.h"
+#include "src/sim/run_fingerprint.h"
 #include "src/sim/simulator.h"
 #include "src/sim/workload.h"
 #include "src/workload/scenario.h"
@@ -544,64 +545,18 @@ TEST(WorkloadDslTest, RejectsInvalidProfiles) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: new-policy determinism and batch-knob bit-compat
+// End-to-end: batch-knob bit-compat (new-policy determinism is the
+// determinism sweep's, tests/determinism_sweep_test.cc)
 // ---------------------------------------------------------------------------
 
-struct RunOutputs {
-  RunMetrics metrics;
-  uint64_t trace_digest = 0;
-  size_t trace_records = 0;
-};
-
-RunOutputs RunPolicy(const ScenarioSpec& scenario, const std::string& policy,
-                     SimEngine engine, int shards, int threads) {
+RunFingerprint RunPolicy(const ScenarioSpec& scenario, const std::string& policy,
+                         SimEngine engine) {
   SimulatorConfig config = scenario.MakeSimConfig(policy);
   config.engine = engine;
-  config.shards = shards;
-  config.threads = threads;
   config.audit = true;
   Simulator sim(config, scenario.cluster.Build(), scenario.JobsForRepeat());
-  RunOutputs out;
-  out.metrics = sim.Run();
-  out.trace_digest = sim.trace().digest();
-  out.trace_records = sim.trace().size();
-  return out;
-}
-
-void ExpectBitwiseEqual(const RunOutputs& a, const RunOutputs& b,
-                        const std::string& label) {
-  EXPECT_EQ(a.metrics.completed_jobs, b.metrics.completed_jobs) << label;
-  EXPECT_EQ(a.metrics.jcts, b.metrics.jcts) << label;
-  EXPECT_EQ(a.metrics.makespan_s, b.metrics.makespan_s) << label;
-  EXPECT_EQ(a.metrics.total_scalings, b.metrics.total_scalings) << label;
-  EXPECT_EQ(a.metrics.events_processed, b.metrics.events_processed) << label;
-  EXPECT_EQ(a.metrics.audit_violations, b.metrics.audit_violations) << label;
-  EXPECT_EQ(a.trace_digest, b.trace_digest) << label;
-  EXPECT_EQ(a.trace_records, b.trace_records) << label;
-}
-
-TEST(PolicyFamiliesEndToEndTest, NewPoliciesAreShardAndThreadInvariant) {
-  ScenarioSpec scenario;
-  std::string error;
-  ASSERT_TRUE(LoadScenarioFile(ScenarioPath("batch_adaptive.json"), &scenario,
-                               &error))
-      << error;
-  for (const char* policy : {"goodput", "synergy", "dl2"}) {
-    for (const SimEngine engine : {SimEngine::kInterval, SimEngine::kEvents}) {
-      const RunOutputs reference = RunPolicy(scenario, policy, engine, 1, 1);
-      EXPECT_EQ(reference.metrics.audit_violations, 0)
-          << policy << " " << SimEngineName(engine);
-      EXPECT_GT(reference.metrics.completed_jobs, 0);
-      // The 8-thread cell also sets the no-op shards knob.
-      for (const auto& [shards, threads] :
-           std::vector<std::pair<int, int>>{{1, 2}, {4, 8}}) {
-        ExpectBitwiseEqual(
-            RunPolicy(scenario, policy, engine, shards, threads), reference,
-            std::string(policy) + " " + SimEngineName(engine) + " shards=" +
-                std::to_string(shards) + " threads=" + std::to_string(threads));
-      }
-    }
-  }
+  sim.Run();
+  return RunFingerprint::Of(sim);
 }
 
 TEST(PolicyFamiliesEndToEndTest, GoodputWithPinnedBatchMatchesOptimus) {
@@ -616,9 +571,10 @@ TEST(PolicyFamiliesEndToEndTest, GoodputWithPinnedBatchMatchesOptimus) {
   scenario.workload.batch_min = 256;
   scenario.workload.batch_max = 256;
   for (const SimEngine engine : {SimEngine::kInterval, SimEngine::kEvents}) {
-    ExpectBitwiseEqual(RunPolicy(scenario, "goodput", engine, 1, 1),
-                       RunPolicy(scenario, "optimus", engine, 1, 1),
-                       std::string("pinned-batch ") + SimEngineName(engine));
+    std::string why;
+    EXPECT_TRUE(RunPolicy(scenario, "goodput", engine)
+                    .Matches(RunPolicy(scenario, "optimus", engine), &why))
+        << "pinned-batch " << SimEngineName(engine) << " diverged on " << why;
   }
 }
 
@@ -630,10 +586,8 @@ TEST(PolicyFamiliesEndToEndTest, GoodputAdaptsBatchesAndBeatsOptimusHere) {
   ASSERT_TRUE(LoadScenarioFile(ScenarioPath("batch_adaptive.json"), &scenario,
                                &error))
       << error;
-  const RunOutputs optimus =
-      RunPolicy(scenario, "optimus", SimEngine::kInterval, 1, 1);
-  const RunOutputs goodput =
-      RunPolicy(scenario, "goodput", SimEngine::kInterval, 1, 1);
+  const RunFingerprint optimus = RunPolicy(scenario, "optimus", SimEngine::kInterval);
+  const RunFingerprint goodput = RunPolicy(scenario, "goodput", SimEngine::kInterval);
   ASSERT_EQ(optimus.metrics.completed_jobs, goodput.metrics.completed_jobs);
   EXPECT_LT(goodput.metrics.avg_jct_s, optimus.metrics.avg_jct_s);
 }

@@ -58,5 +58,23 @@ TEST(EventTraceTest, AllTypeNamesDistinct) {
   EXPECT_EQ(names.size(), static_cast<size_t>(kNumSimEventTypes));
 }
 
+TEST(TraceHashOnlyTest, HashModeStoresNothing) {
+  EventTrace trace;
+  trace.set_hash_only(true);
+  trace.Record(1.0, SimEventType::kArrival, 7);
+  trace.Record(2.0, SimEventType::kCompleted, 7, 1, 2,
+               EventDetail(EventDetailKind::kEpochs, 11));
+  EXPECT_EQ(trace.size(), 2u);
+  EXPECT_TRUE(trace.events().empty());
+  EXPECT_NE(trace.digest(), 14695981039346656037ULL);  // moved off the basis
+
+  EventTrace stored;
+  stored.Record(1.0, SimEventType::kArrival, 7);
+  stored.Record(2.0, SimEventType::kCompleted, 7, 1, 2,
+                EventDetail(EventDetailKind::kEpochs, 11));
+  EXPECT_EQ(stored.digest(), trace.digest());
+  EXPECT_EQ(stored.events().size(), 2u);
+}
+
 }  // namespace
 }  // namespace optimus

@@ -35,32 +35,39 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 # (docs/ALGORITHMS.md section 16) or a row does not reproduce on repeat.
 "${build_dir}/bench/bench_events" --smoke --json=BENCH_events_smoke.json
 
-# Scale smoke: streaming admission. Sweeps (engine, threads) cells on the
-# committed scale_smoke scenario and exits 3 if any cell's metrics or trace
-# digest diverge from the per-engine reference (docs/ALGORITHMS.md
-# section 18).
-"${build_dir}/bench/bench_scale" --smoke \
-  --scenario="${repo_root}/scenarios/scale_smoke.json" \
-  --json=BENCH_scale_smoke.json
+# Scale smoke: one scale cell (10k jobs x 16k servers) through the
+# child-process --cell path; exits 3 if the cell fails. Bitwise determinism
+# across (engine, threads) and the no-op knobs is tier-1's determinism sweep
+# (tests/determinism_sweep_test.cc) over every committed scenario.
+"${build_dir}/bench/bench_scale" --smoke --json=BENCH_scale_smoke.json
+for key in scale_cells trace_digest; do
+  grep -q "\"${key}\"" BENCH_scale_smoke.json || {
+    echo "BENCH_scale_smoke.json is missing ${key}" >&2; exit 1;
+  }
+done
 
-# Network smoke: fabric models + ring all-reduce (docs/NETWORK.md). Runs the
-# optimus vs optimus_rack comparison on the oversubscribed fabric and sweeps
-# (engine, threads) cells over both committed network scenarios;
-# exits 3 on any cross-configuration divergence or if rack-aware placement
-# stops beating the baseline.
+# Network smoke (docs/NETWORK.md): the optimus vs optimus_rack comparison on
+# the oversubscribed fabric; exits 3 if rack-aware placement stops beating
+# the baseline.
 "${build_dir}/bench/bench_net" --smoke \
   --fabric_scenario="${repo_root}/scenarios/oversubscribed_fabric.json" \
-  --allreduce_scenario="${repo_root}/scenarios/allreduce_mix.json" \
   --json=BENCH_net_smoke.json
+for key in rack_aware_wins net_contended_flows; do
+  grep -q "\"${key}\"" BENCH_net_smoke.json || {
+    echo "BENCH_net_smoke.json is missing ${key}" >&2; exit 1;
+  }
+done
 
 # Policy-catalog smoke: every registered policy (goodput / synergy / dl2
-# included) on the batch-adaptive scenario, plus a per-policy determinism
-# sweep over engines x threads. Exits 3 if any cell diverges from
-# its (policy, engine) reference or if no policy other than optimus /
-# optimus_rack beats plain optimus on average JCT (docs/POLICIES.md).
+# included) on the batch-adaptive scenario. Exits 3 if no policy other than
+# optimus / optimus_rack beats plain optimus on average JCT
+# (docs/POLICIES.md).
 "${build_dir}/bench/bench_policies" --smoke \
   --scenario="${repo_root}/scenarios/batch_adaptive.json" \
   --json=BENCH_policies_smoke.json
+grep -q '"adaptive_wins"' BENCH_policies_smoke.json || {
+  echo "BENCH_policies_smoke.json is missing adaptive_wins" >&2; exit 1;
+}
 
 # Observability smoke: registry/flight recorder on vs off; exits nonzero
 # if observability perturbs the simulation or exports diverge across
