@@ -98,7 +98,7 @@ SimulatorConfig RegimeConfig(const RegimeSpec& regime, SimEngine engine) {
   sim.fault.checkpoint_period_s = 3600.0;
   // Dense loss feed for the interval engine (one sample every ~6 simulated
   // seconds, full-fidelity fits); the event engine observes the same curves
-  // at its own cadence (conv_samples_per_epoch, default 2).
+  // at its own cadence (kConvSamplesPerEpoch, 2 per epoch).
   sim.conv_samples_per_interval = 300;
   sim.conv_fit_points = 16384;
   return sim;

@@ -1,14 +1,11 @@
 #include "src/cluster/checkpoint.h"
 
-#include "src/common/logging.h"
-
 namespace optimus {
 
-double CheckpointStallSeconds(const ModelSpec& model, const CheckpointConfig& config) {
-  OPTIMUS_CHECK_GT(config.hdfs_throughput_bps, 0.0);
+double CheckpointStallSeconds(const ModelSpec& model) {
   const double bytes = static_cast<double>(model.ParamBytes());
   // Write the checkpoint, then read it back on restart.
-  return 2.0 * bytes / config.hdfs_throughput_bps + config.relaunch_overhead_s;
+  return 2.0 * bytes / kHdfsThroughputBps + kRelaunchOverheadS;
 }
 
 bool ScalingAllowed(int num_scalings_so_far, const CheckpointConfig& config) {

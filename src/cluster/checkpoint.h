@@ -12,18 +12,19 @@
 
 namespace optimus {
 
+// Effective HDFS write/read throughput seen by one job (bytes/s).
+inline constexpr double kHdfsThroughputBps = 100e6;
+// Fixed cost to tear down and relaunch the job's containers.
+inline constexpr double kRelaunchOverheadS = 15.0;
+
 struct CheckpointConfig {
-  // Effective HDFS write/read throughput seen by one job (bytes/s).
-  double hdfs_throughput_bps = 100e6;
-  // Fixed cost to tear down and relaunch the job's containers.
-  double relaunch_overhead_s = 15.0;
   // Maximum scaling events per job; <= 0 means unlimited (§7 suggests
   // limiting restarts for large jobs).
   int max_scalings_per_job = 0;
 };
 
 // Stall (seconds) for one checkpoint-save + restore + relaunch of `model`.
-double CheckpointStallSeconds(const ModelSpec& model, const CheckpointConfig& config);
+double CheckpointStallSeconds(const ModelSpec& model);
 
 // Whether a job that has already rescaled `num_scalings_so_far` times may
 // rescale again under `config`.

@@ -31,9 +31,9 @@ bool StragglerModel::Step(Job* job, Rng* rng) {
   // threshold. For synchronous jobs the same signal is derived from gradient
   // arrival gaps at the parameter servers (§5.2) — identical factor here.
   if (config_.handling_enabled &&
-      job->slowest_worker_factor() < config_.detect_threshold) {
+      job->slowest_worker_factor() < kStragglerDetectThreshold) {
     job->set_slowest_worker_factor(1.0);
-    job->AddStall(config_.replace_delay_s);
+    job->AddStall(kStragglerReplaceDelayS);
     ++replacements_;
     return true;
   }

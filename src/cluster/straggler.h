@@ -14,26 +14,27 @@
 
 namespace optimus {
 
+// Detection threshold: a worker strictly below this fraction of the median
+// speed is declared a straggler (the paper uses half the median).
+inline constexpr double kStragglerDetectThreshold = 0.5;
+// Stall charged to the job when a straggler is replaced (launch a new worker
+// container and hand over the data shard).
+inline constexpr double kStragglerReplaceDelayS = 30.0;
+
 struct StragglerConfig {
   // Probability, per scheduling interval and per job, that one of its workers
   // becomes a straggler. 0 disables injection.
   double injection_prob_per_interval = 0.0;
   // Injected slow factor range (fraction of normal speed). The range
-  // deliberately straddles detect_threshold: injected factors in
-  // [detect_threshold, slow_factor_hi) — e.g. a worker at 0.6 of the median —
-  // are "mild" stragglers the paper's policy does NOT replace; they ride
-  // until natural recovery. Only factors strictly below the threshold
-  // trigger replacement, and a worker at exactly half the median is left in
-  // place (detection is a strict `<` comparison). Pinned by
+  // deliberately straddles kStragglerDetectThreshold: injected factors in
+  // [kStragglerDetectThreshold, slow_factor_hi) — e.g. a worker at 0.6 of
+  // the median — are "mild" stragglers the paper's policy does NOT replace;
+  // they ride until natural recovery. Only factors strictly below the
+  // threshold trigger replacement, and a worker at exactly half the median is
+  // left in place (detection is a strict `<` comparison). Pinned by
   // StragglerBoundaryTest in tests/fault_test.cc.
   double slow_factor_lo = 0.3;
   double slow_factor_hi = 0.7;
-  // Detection threshold: a worker strictly below this fraction of the median
-  // speed is declared a straggler (the paper uses half the median).
-  double detect_threshold = 0.5;
-  // Stall charged to the job when a straggler is replaced (launch a new
-  // worker container and hand over the data shard).
-  double replace_delay_s = 30.0;
   // Whether the scheduler replaces detected stragglers (Optimus does; a
   // baseline without §5.2 would leave them in place).
   bool handling_enabled = true;

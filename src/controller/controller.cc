@@ -6,8 +6,19 @@
 #include "src/common/logging.h"
 #include "src/models/model_zoo.h"
 #include "src/sched/optimus_allocator.h"
+#include "src/sched/scheduler_registry.h"
 
 namespace optimus {
+
+namespace {
+
+const SchedulerPolicyInfo& OptimusPolicy() {
+  const SchedulerPolicyInfo* info = SchedulerRegistry::Global().Find("optimus");
+  OPTIMUS_CHECK(info != nullptr);
+  return *info;
+}
+
+}  // namespace
 
 OptimusController::OptimusController(ControllerOptions options) : options_(options) {}
 
@@ -72,7 +83,7 @@ double OptimusController::EstimateRemainingEpochs(int job_id) const {
         job.steps_done, job.spec.convergence_delta, job.spec.patience,
         job.spec.StepsPerEpoch());
   }
-  return options_.default_remaining_epochs;
+  return kDefaultRemainingEpochs;
 }
 
 double OptimusController::EstimateSpeed(int job_id, int num_ps, int num_workers) const {
@@ -103,11 +114,11 @@ SchedJob OptimusController::MakeSchedJob(const ManagedJob& job) const {
     const double total = static_cast<double>(job.convergence.PredictTotalEpochs(
         job.spec.convergence_delta, job.spec.patience, job.spec.StepsPerEpoch()));
     if (total > 0.0) {
-      young = job.steps_done / spe / total < options_.young_job_progress_cutoff;
+      young = job.steps_done / spe / total < kYoungJobProgressCutoff;
     }
   }
   if (young) {
-    sj.priority_factor = options_.young_job_priority_factor;
+    sj.priority_factor = OptimusPolicy().traits.young_job_priority_factor;
   }
   return sj;
 }
@@ -158,7 +169,7 @@ ScheduleDecision OptimusController::Schedule(const std::vector<Server>& servers)
                       job->spec.ps_demand, job->spec.comm});
   }
   std::vector<Server> free_servers = servers;
-  std::vector<PlacedJob> placed = PlaceJobs(options_.placement, inputs, &free_servers);
+  std::vector<PlacedJob> placed = PlaceJobs(OptimusPolicy().placement, inputs, &free_servers);
 
   for (size_t i = 0; i < order.size(); ++i) {
     ManagedJob& job = *order[i];

@@ -35,13 +35,9 @@
 
 namespace optimus {
 
+// The controller runs the registry's `optimus` policy: its allocator, its
+// placement and its young-job damping.
 struct ControllerOptions {
-  PlacementPolicy placement = PlacementPolicy::kOptimusPack;
-  // Marginal-gain damping for jobs below the progress cutoff (§4.1).
-  double young_job_priority_factor = 0.95;
-  double young_job_progress_cutoff = 0.15;
-  // Remaining-epochs prior before the convergence model has enough data.
-  double default_remaining_epochs = 30.0;
   CheckpointConfig checkpoint;
 };
 

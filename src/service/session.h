@@ -1,6 +1,6 @@
 // ServiceSession: one live simulator behind the NDJSON protocol.
 //
-// The session owns a Simulator built from a genesis scenario (scenario-v1
+// The session owns a Simulator built from a genesis scenario (scenario-v2
 // JSON, docs/SCENARIOS.md) and dispatches protocol requests against it via
 // the re-entrant stepping API (docs/ALGORITHMS.md §17). Determinism is the
 // design center: for a fixed request stream every response byte is fixed —

@@ -31,33 +31,43 @@ ExperimentResult RunExperiment(const ExperimentConfig& config,
   ThreadPool pool(std::min(threads, config.repeats));
   pool.ParallelFor(config.repeats, run_one);
 
+  std::vector<const RunMetrics*> in_order;
+  for (const RunMetrics& metrics : runs) {
+    in_order.push_back(&metrics);
+  }
+  AggregateRepeats(in_order, &result);
+  result.runs = std::move(runs);
+  return result;
+}
+
+void AggregateRepeats(const std::vector<const RunMetrics*>& runs, RepeatAggregate* out) {
   std::vector<double> jcts;
   std::vector<double> makespans;
   std::vector<double> overheads;
   std::vector<double> task_failures;
   std::vector<double> evictions;
+  int64_t violations = 0;
   double completed = 0.0;
   double total = 0.0;
-  for (RunMetrics& metrics : runs) {
-    jcts.push_back(metrics.avg_jct_s);
-    makespans.push_back(metrics.makespan_s);
-    overheads.push_back(metrics.scaling_overhead_fraction);
-    task_failures.push_back(static_cast<double>(metrics.task_failures));
-    evictions.push_back(static_cast<double>(metrics.job_evictions));
-    result.audit_violations_total += metrics.audit_violations;
-    completed += metrics.completed_jobs;
-    total += metrics.total_jobs;
-    result.runs.push_back(std::move(metrics));
+  for (const RunMetrics* m : runs) {
+    jcts.push_back(m->avg_jct_s);
+    makespans.push_back(m->makespan_s);
+    overheads.push_back(m->scaling_overhead_fraction);
+    task_failures.push_back(static_cast<double>(m->task_failures));
+    evictions.push_back(static_cast<double>(m->job_evictions));
+    violations += m->audit_violations;
+    completed += m->completed_jobs;
+    total += m->total_jobs;
   }
-  result.avg_jct_mean = Mean(jcts);
-  result.avg_jct_stddev = StdDev(jcts);
-  result.makespan_mean = Mean(makespans);
-  result.makespan_stddev = StdDev(makespans);
-  result.scaling_overhead_mean = Mean(overheads);
-  result.task_failures_mean = Mean(task_failures);
-  result.job_evictions_mean = Mean(evictions);
-  result.completed_fraction = total > 0.0 ? completed / total : 0.0;
-  return result;
+  out->avg_jct_mean = Mean(jcts);
+  out->avg_jct_stddev = StdDev(jcts);
+  out->makespan_mean = Mean(makespans);
+  out->makespan_stddev = StdDev(makespans);
+  out->scaling_overhead_mean = Mean(overheads);
+  out->task_failures_mean = Mean(task_failures);
+  out->job_evictions_mean = Mean(evictions);
+  out->audit_violations_total = violations;
+  out->completed_fraction = total > 0.0 ? completed / total : 0.0;
 }
 
 double NormalizedTo(double value, double baseline) {

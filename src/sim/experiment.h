@@ -14,19 +14,28 @@
 
 namespace optimus {
 
-struct ExperimentResult {
-  std::string label;
+// What one cell of repeated runs reports: RunExperiment's result and each
+// optimus_sweep cell (src/workload/sweep.h).
+struct RepeatAggregate {
   double avg_jct_mean = 0.0;
   double avg_jct_stddev = 0.0;
   double makespan_mean = 0.0;
   double makespan_stddev = 0.0;
   double scaling_overhead_mean = 0.0;
+  // Completed jobs over all jobs, summed across the repeats.
   double completed_fraction = 1.0;
   // Fault-injection aggregates (per-run means; 0 without faults) and the
   // total invariant-audit violations across all repeats (must stay 0).
   double task_failures_mean = 0.0;
   double job_evictions_mean = 0.0;
   int64_t audit_violations_total = 0;
+};
+
+// Aggregates `runs`, given in repeat order, into `out`.
+void AggregateRepeats(const std::vector<const RunMetrics*>& runs, RepeatAggregate* out);
+
+struct ExperimentResult : RepeatAggregate {
+  std::string label;
   std::vector<RunMetrics> runs;
 };
 

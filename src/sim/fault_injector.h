@@ -50,14 +50,11 @@ struct FaultConfig {
   // Periodic durable checkpoints (0 = checkpoint only on scaling events,
   // which is when Optimus saves the model anyway).
   double checkpoint_period_s = 0.0;
-  // Cost of a periodic save as a fraction of a full checkpoint-restart stall
-  // (a save is the write half; no restore or relaunch happens).
-  double checkpoint_save_fraction = 0.5;
   // Relaunch-storm cap: after this many consecutive evictions a job backs
-  // off for backoff_base_s, doubling per further eviction up to backoff_max_s.
+  // off for backoff_base_s, doubling per further eviction up to a fixed 2 h
+  // (kBackoffMaxS in src/sim/simulator.cc).
   int evictions_before_backoff = 2;
   double backoff_base_s = 600.0;
-  double backoff_max_s = 7200.0;
 
   bool enabled() const { return !plan.empty() || task_failure_prob > 0.0; }
 };

@@ -34,9 +34,9 @@
 // nothing. Both check modes report violations in ascending (server, job id)
 // order.
 //
-// Violations are collected with timestamps; the simulator reports them
-// loudly at the end of the run (fatally when audit_fatal is set). The checks
-// are pure over the passed-in views, so tests can feed deliberately corrupted
+// Violations are collected with timestamps; the simulator counts them in
+// RunMetrics and logs them at the end of the run, and the tools exit 3 on any
+// of them. The checks are pure over the passed-in views, so tests can feed deliberately corrupted
 // snapshots and assert the auditor rejects them.
 
 #ifndef SRC_SIM_INVARIANT_AUDITOR_H_

@@ -1,7 +1,7 @@
 // One definition of "the same run": everything a simulation computes, for
 // bitwise comparison across configurations that must not move the outcome
-// (thread count, the no-op `shards` and `streaming` knobs, hash-only trace
-// storage, observability on/off) and across repeats of one configuration.
+// (thread count, hash-only trace storage, observability on/off) and across
+// repeats of one configuration.
 //
 // Compared: every RunMetrics field except the wall_* host measurements
 // (doubles by bit pattern, `jcts` and `timeline` element by element), the

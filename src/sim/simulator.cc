@@ -16,6 +16,17 @@ namespace optimus {
 
 namespace {
 
+// Speed-model initialization (§3.2, §6.1): (p, w) pre-run samples per job and
+// the measurement noise of one short run.
+constexpr int kPreRunSamples = 5;
+constexpr double kSpeedMeasureNoiseSd = 0.02;
+// Cost of a periodic save as a fraction of a full checkpoint-restart stall
+// (a save is the write half; no restore or relaunch happens).
+constexpr double kCheckpointSaveFraction = 0.5;
+// Cap on the relaunch backoff, which doubles per eviction past
+// FaultConfig::evictions_before_backoff.
+constexpr double kBackoffMaxS = 7200.0;
+
 // All policy construction goes through the SchedulerRegistry, keyed by the
 // config's policy name (CheckValid has already rejected unknown names).
 std::unique_ptr<Allocator> MakeAllocator(const SimulatorConfig& config,
@@ -99,18 +110,10 @@ bool SimulatorConfig::Validate(std::vector<std::string>* errors) const {
   if (!(std::isfinite(interval_s) && interval_s > 0.0)) {
     bad("interval_s", "must be > 0 (got " + std::to_string(interval_s) + ")");
   }
-  if (pre_run_samples < 0) {
-    bad("pre_run_samples", "must be >= 0 (got " + std::to_string(pre_run_samples) + ")");
-  }
-  require_finite_ge("speed_measure_noise_sd", speed_measure_noise_sd, 0.0);
   require_finite_ge("runtime_noise_sd", runtime_noise_sd, 0.0);
   if (conv_samples_per_interval < 1) {
     bad("conv_samples_per_interval",
         "must be >= 1 (got " + std::to_string(conv_samples_per_interval) + ")");
-  }
-  if (conv_samples_per_epoch < 1) {
-    bad("conv_samples_per_epoch",
-        "must be >= 1 (got " + std::to_string(conv_samples_per_epoch) + ")");
   }
   if (conv_fit_points < 0) {
     bad("conv_fit_points", "must be >= 0 (got " + std::to_string(conv_fit_points) + ")");
@@ -119,11 +122,6 @@ bool SimulatorConfig::Validate(std::vector<std::string>* errors) const {
         young_job_priority_factor <= 1.0)) {
     bad("young_job_priority_factor",
         "must be in (0, 1] (got " + std::to_string(young_job_priority_factor) + ")");
-  }
-  require_prob("young_job_progress_cutoff", young_job_progress_cutoff);
-  if (!(std::isfinite(default_remaining_epochs) && default_remaining_epochs > 0.0)) {
-    bad("default_remaining_epochs",
-        "must be > 0 (got " + std::to_string(default_remaining_epochs) + ")");
   }
   require_prob("error.convergence_error", error.convergence_error);
   require_prob("error.speed_error", error.speed_error);
@@ -145,9 +143,6 @@ bool SimulatorConfig::Validate(std::vector<std::string>* errors) const {
     bad("full_audit_period",
         "must be >= 1 (got " + std::to_string(full_audit_period) + ")");
   }
-  if (shards < 1) {
-    bad("shards", "must be >= 1 (got " + std::to_string(shards) + ")");
-  }
   if (rack_size < 0) {
     bad("rack_size",
         "must be >= 0 (0 = one rack; got " + std::to_string(rack_size) + ")");
@@ -167,15 +162,14 @@ bool SimulatorConfig::Validate(std::vector<std::string>* errors) const {
                straggler.injection_prob_per_interval);
   require_prob("fault.task_failure_prob", fault.task_failure_prob);
   require_finite_ge("fault.checkpoint_period_s", fault.checkpoint_period_s, 0.0);
-  require_prob("fault.checkpoint_save_fraction", fault.checkpoint_save_fraction);
   if (fault.evictions_before_backoff < 1) {
     bad("fault.evictions_before_backoff",
         "must be >= 1 (got " + std::to_string(fault.evictions_before_backoff) + ")");
   }
-  require_finite_ge("fault.backoff_base_s", fault.backoff_base_s, 0.0);
-  if (!(std::isfinite(fault.backoff_max_s) &&
-        fault.backoff_max_s >= fault.backoff_base_s)) {
-    bad("fault.backoff_max_s", "must be >= fault.backoff_base_s");
+  if (!(std::isfinite(fault.backoff_base_s) && fault.backoff_base_s >= 0.0 &&
+        fault.backoff_base_s <= kBackoffMaxS)) {
+    bad("fault.backoff_base_s", "must be in [0, " + std::to_string(kBackoffMaxS) +
+                                    "] (got " + std::to_string(fault.backoff_base_s) + ")");
   }
   for (size_t i = 0; i < fault.plan.outages.size(); ++i) {
     const ServerOutage& outage = fault.plan.outages[i];
@@ -581,10 +575,10 @@ void Simulator::InitSpeedModel(JobRuntime* jr) {
   const bool allreduce = spec.comm == CommMode::kAllReduce;
   SpeedOracle oracle = [this, spec, noise, allreduce](int p, int w) {
     return TrainingSpeed(SpecStepInputs(spec, allreduce ? 0 : p, w), config_.comm) *
-           noise->LogNormalFactor(config_.speed_measure_noise_sd);
+           noise->LogNormalFactor(kSpeedMeasureNoiseSd);
   };
   Rng sampler_rng = jr->rng.Split(77);
-  InitializeSpeedModel(jr->speed.get(), oracle, config_.pre_run_samples,
+  InitializeSpeedModel(jr->speed.get(), oracle, kPreRunSamples,
                        allreduce ? 1 : spec.max_ps, spec.max_workers,
                        &sampler_rng);
 }
@@ -656,7 +650,7 @@ double Simulator::EstimateRemainingEpochs(const JobRuntime& jr) const {
         jr.job.steps_done(), jr.job.spec().convergence_delta, jr.job.spec().patience,
         jr.job.spec().StepsPerEpoch());
   }
-  return config_.default_remaining_epochs;
+  return kDefaultRemainingEpochs;
 }
 
 SchedJob Simulator::MakeSchedJob(JobRuntime* jr) const {
@@ -708,7 +702,7 @@ SchedJob Simulator::MakeSchedJob(JobRuntime* jr) const {
 
   const double progress =
       jr->true_total_epochs > 0.0 ? jr->job.EpochsDone() / jr->true_total_epochs : 0.0;
-  if (progress < config_.young_job_progress_cutoff) {
+  if (progress < kYoungJobProgressCutoff) {
     sj.priority_factor = config_.young_job_priority_factor;
   }
   return sj;
@@ -829,7 +823,7 @@ void Simulator::EvictJob(JobRuntime* jr, const std::string& reason) {
   Job& job = jr->job;
   const double lost = job.RollbackToCheckpoint();
   metrics_.rolled_back_steps += lost;
-  job.AddStall(CheckpointStallSeconds(*job.spec().model, config_.checkpoint));
+  job.AddStall(CheckpointStallSeconds(*job.spec().model));
   job.SetAllocation(0, 0, {});
   job.set_state(job.steps_done() > 0 ? JobState::kPaused : JobState::kPending);
   jr->load_valid = false;
@@ -844,8 +838,8 @@ void Simulator::EvictJob(JobRuntime* jr, const std::string& reason) {
   if (jr->consecutive_evictions >= fc.evictions_before_backoff &&
       fc.backoff_base_s > 0.0) {
     const int extra = jr->consecutive_evictions - fc.evictions_before_backoff;
-    const double backoff = std::min(
-        fc.backoff_max_s, fc.backoff_base_s * std::pow(2.0, extra));
+    const double backoff =
+        std::min(kBackoffMaxS, fc.backoff_base_s * std::pow(2.0, extra));
     jr->backoff_until_s = now_s_ + backoff;
     ++metrics_.backoff_deferrals;
   }
@@ -970,8 +964,7 @@ void Simulator::ApplyFaults() {
         jr->job.TakeCheckpoint();
         jr->last_checkpoint_time_s = now_s_;
         jr->job.AddStall(
-            fc.checkpoint_save_fraction *
-            CheckpointStallSeconds(*jr->job.spec().model, config_.checkpoint));
+            kCheckpointSaveFraction * CheckpointStallSeconds(*jr->job.spec().model));
         ++metrics_.checkpoints_taken;
         Emit(now_s_, SimEventType::kCheckpoint, jr->job.id(), jr->job.num_ps(),
              jr->job.num_workers(), 0.0, "periodic");
@@ -994,8 +987,7 @@ void Simulator::ApplyFaults() {
       if (p > 0.0 && jr->fault_rng.Bernoulli(p)) {
         const double lost = jr->job.RollbackToCheckpoint();
         metrics_.rolled_back_steps += lost;
-        jr->job.AddStall(
-            CheckpointStallSeconds(*jr->job.spec().model, config_.checkpoint));
+        jr->job.AddStall(CheckpointStallSeconds(*jr->job.spec().model));
         auditor_.NoteRollback(jr->job.id());
         Emit(now_s_, SimEventType::kTaskFailed, jr->job.id(), jr->job.num_ps(),
              jr->job.num_workers());
@@ -1149,8 +1141,7 @@ void Simulator::ScheduleActiveJobs() {
       }
       const double t_old = sj.remaining_epochs / f_old;
       const double t_new = sj.remaining_epochs / f_new;
-      const double stall =
-          CheckpointStallSeconds(*jr->job.spec().model, config_.checkpoint);
+      const double stall = CheckpointStallSeconds(*jr->job.spec().model);
       if (t_old - t_new < stall) {
         next = old_alloc;
       }
@@ -1244,7 +1235,7 @@ void Simulator::ScheduleActiveJobs() {
     if (scaled) {
       // Scaling saves the model and restarts from it (§5.4), so the scaled-to
       // point is also the job's latest durable checkpoint.
-      jr->job.AddStall(CheckpointStallSeconds(*jr->job.spec().model, config_.checkpoint));
+      jr->job.AddStall(CheckpointStallSeconds(*jr->job.spec().model));
       jr->job.TakeCheckpoint();
       jr->last_checkpoint_time_s = now_s_;
       ++metrics_.total_scalings;
@@ -1624,9 +1615,6 @@ RunMetrics Simulator::Run() {
   metrics_.straggler_replacements = straggler_.replacements();
 
   if (config_.audit && !auditor_.ok()) {
-    if (config_.audit_fatal) {
-      OPTIMUS_LOG(Fatal) << "invariant audit failed: " << auditor_.Summary();
-    }
     OPTIMUS_LOG(Error) << "invariant audit failed: " << auditor_.Summary();
   }
   return metrics_;
@@ -1756,7 +1744,7 @@ WhatIfResult Simulator::WhatIf(const JobSpec& candidate) {
   // No RNG draw, no model fit — the query must leave the session bitwise
   // unchanged.
   SchedJob cand = SchedJobHeader(candidate);
-  cand.remaining_epochs = config_.default_remaining_epochs;
+  cand.remaining_epochs = kDefaultRemainingEpochs;
   cand.speed = SpeedEstimate::Oracle(StepProfile::Of(candidate), config_.comm,
                                      static_cast<double>(candidate.StepsPerEpoch()),
                                      /*error=*/0.0,

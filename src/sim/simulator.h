@@ -112,32 +112,18 @@ struct SimulatorConfig {
   StragglerConfig straggler;
   // PAA (§5.3) vs MXNet-default parameter-block assignment.
   bool use_paa = true;
-  // Speed-model initialization: number of (p, w) pre-run samples (§6.1 uses
-  // 5) and the measurement noise of a short run.
-  int pre_run_samples = 5;
-  double speed_measure_noise_sd = 0.02;
   // Multiplicative runtime noise on each interval's true speed.
   double runtime_noise_sd = 0.03;
-  // Convergence-model feeding: loss samples per interval.
+  // Convergence-model feeding (interval engine): loss samples per interval.
   int conv_samples_per_interval = 20;
-  // Event-engine convergence feeding: loss samples observed per completed
-  // epoch. The interval engine's per-interval sample count is a polling-rate
-  // artifact; the event engine observes at the natural epoch granularity
-  // (sub-epoch losses are strongly correlated, so a couple per epoch keeps
-  // the fit quality while decoupling feeding cost from the polling rate;
-  // fit cost per refresh is linear in the accumulated sample count).
-  int conv_samples_per_epoch = 2;
   // Convergence-fit fidelity: cap on the points handed to the NNLS solver
   // after downsampling (0 = the model's default, 512). Higher values fit the
   // full loss history — affordable with the Gram-cached refits, linearly
   // costly on the from-scratch path.
   int conv_fit_points = 0;
   // Marginal-gain damping for young jobs (§4.1; 1.0 = off, 0.95 = paper's
-  // suggested factor) applied while progress < young_job_progress_cutoff.
+  // suggested factor) applied while progress < kYoungJobProgressCutoff.
   double young_job_priority_factor = 1.0;
-  double young_job_progress_cutoff = 0.15;
-  // Prior for remaining epochs before the convergence model has a fit.
-  double default_remaining_epochs = 30.0;
   // Use SLAQ-style multi-family curve fitting (inverse-poly / exponential /
   // power-law model selection, §7 extension) instead of the single Eqn-1
   // family for convergence estimation.
@@ -179,10 +165,8 @@ struct SimulatorConfig {
   FaultConfig fault;
   // Invariant auditing: re-derive and check cluster invariants every
   // interval (src/sim/invariant_auditor.h). On by default; violations are
-  // counted in RunMetrics and reported at the end of Run(). With
-  // audit_fatal, any violation aborts the run loudly instead.
+  // counted in RunMetrics and reported at the end of Run().
   bool audit = true;
-  bool audit_fatal = false;
   // Per-server load is maintained by deltas at placement/eviction/completion
   // time and checked in O(changed); every full_audit_period-th check (every
   // check at a period <= 1) re-derives everything from first principles and
@@ -190,17 +174,16 @@ struct SimulatorConfig {
   int full_audit_period = 16;
   // Observability: metrics registry, flight recorder, series sampling.
   ObservabilityConfig obs;
-  // Accepted for scenario-v1 compatibility (`knobs.shards`) and validated
-  // (>= 1), but read by nothing else: placement keeps one server heap.
+  // `shards` and `streaming` are read by nothing: placement keeps one server
+  // heap, and every run admits specs through one pending queue and retires
+  // completed jobs. Only the benchmark ledger (bench/ledger) still writes
+  // them; they go in the change that updates the ledger's key set.
   int shards = 1;
   // Rack width in contiguous server ids (the scenario DSL's
   // `cluster.rack_size`), read by rack-aware placement and the network
   // fabric; 0 = one rack spans the cluster.
   int rack_size = 0;
-  // Accepted for scenario-v1 compatibility (`knobs.streaming`) but read by
-  // nothing: every run holds specs in a pending queue, builds each job's
-  // runtime when its arrival comes due and retires it once it completes, so
-  // peak memory always tracks the live job set.
+  // See `shards`.
   bool streaming = false;
   // Hash-only event trace: records update the trace's running FNV digest and
   // count but are not stored, so the trace costs O(1) memory at million-job

@@ -22,6 +22,17 @@
 
 namespace optimus {
 
+namespace {
+
+// Loss samples observed per completed epoch. The interval engine's
+// per-interval sample count is a polling-rate artifact; this engine observes
+// at the natural epoch granularity. Sub-epoch losses are strongly correlated,
+// so a couple per epoch keeps the fit quality while decoupling feeding cost
+// from the polling rate (fit cost per refresh is linear in the sample count).
+constexpr int kConvSamplesPerEpoch = 2;
+
+}  // namespace
+
 void Simulator::SeedEvents() {
   // One kFaultPlan event per distinct scripted edge time; the handler applies
   // every transition due at that instant, so duplicates would be redundant.
@@ -134,7 +145,7 @@ void Simulator::HandleEpochEvent(const SimKernelEvent& event) {
     // path of the interval engine's advance; here it is a handful of samples
     // per epoch and the fits are deferred to the round's model refresh.
     FeedLossSamples(jr, static_cast<double>(e - 1) * spe,
-                    static_cast<double>(e) * spe, config_.conv_samples_per_epoch);
+                    static_cast<double>(e) * spe, kConvSamplesPerEpoch);
   }
   const bool lr_drop = ApplyLrDrop(jr);
 

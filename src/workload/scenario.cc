@@ -266,6 +266,8 @@ std::vector<JobSpec> ScenarioSpec::JobsForRepeat(int repeat) const {
 
 namespace {
 
+constexpr char kScenarioSchemaV1[] = "scenario-v1";
+
 // Accumulates "<source>:<line>:<col>: <path>: message" diagnostics; parsing
 // continues past errors where safe so one load reports every problem.
 class ScenarioParser {
@@ -677,19 +679,24 @@ class ScenarioParser {
     }
   }
 
-  void ParseKnobs(const JsonValue& obj, SimulatorConfig* out) {
+  void ParseKnobs(const JsonValue& obj, bool v1, SimulatorConfig* out) {
     const std::string path = "knobs";
     if (!obj.is_object()) {
       Error(obj, path,
             std::string("expected an object, got ") + JsonTypeName(obj.type()));
       return;
     }
-    CheckKeys(obj, path,
-              {"interval_s", "stragglers", "oracle", "background_share",
-               "audit", "max_sim_time_s", "engine", "shards", "streaming"});
+    std::vector<std::string> allowed = {"interval_s", "stragglers", "oracle",
+                                        "background_share", "audit",
+                                        "max_sim_time_s", "engine"};
+    if (v1) {
+      // scenario-v1 also had shards and streaming, which set nothing the
+      // simulator reads. A v1 file still loads; its two keys are dropped
+      // here, unread.
+      allowed.insert(allowed.end(), {"shards", "streaming"});
+    }
+    CheckKeys(obj, path, allowed);
     ReadDouble(obj, "interval_s", path, &out->interval_s);
-    ReadIntField(obj, "shards", path, &out->shards);
-    ReadBool(obj, "streaming", path, &out->streaming);
     ReadDouble(obj, "stragglers", path,
                &out->straggler.injection_prob_per_interval);
     ReadBool(obj, "oracle", path, &out->oracle_estimates);
@@ -716,13 +723,16 @@ class ScenarioParser {
                "policies", "workload", "cluster", "network", "faults",
                "knobs"});
     const JsonValue* schema = root.Find("schema");
+    const std::string version =
+        schema != nullptr && schema->is_string() ? schema->AsString() : "";
+    const bool v1 = version == kScenarioSchemaV1;
     if (schema == nullptr) {
       Error(root, "schema", std::string("missing (expected \"") +
                                 kScenarioSchemaVersion + "\")");
-    } else if (!schema->is_string() ||
-               schema->AsString() != kScenarioSchemaVersion) {
+    } else if (version != kScenarioSchemaVersion && !v1) {
       Error(*schema, "schema",
-            std::string("expected \"") + kScenarioSchemaVersion + "\"");
+            std::string("expected \"") + kScenarioSchemaVersion +
+                "\" (or the older \"" + kScenarioSchemaV1 + "\")");
     }
     ReadString(root, "name", "scenario", &spec->name);
     if (root.Find("name") == nullptr) {
@@ -771,30 +781,13 @@ class ScenarioParser {
     // Knobs and cluster come before workload/faults: the workload inherits
     // the scheduling interval and the fault plan expands racks.
     if (const JsonValue* v = root.Find("knobs")) {
-      ParseKnobs(*v, &spec->sim);
+      ParseKnobs(*v, v1, &spec->sim);
     }
     if (const JsonValue* v = root.Find("cluster")) {
       ParseCluster(*v, &spec->cluster);
     }
     if (const JsonValue* v = root.Find("network")) {
       ParseNetwork(*v, &spec->sim.net);
-    }
-    // shards ranges over the cluster, which is only known now (knobs parse
-    // first); diagnose against the actual server count, at the knob's
-    // position.
-    if (const JsonValue* knobs = root.Find("knobs")) {
-      const JsonValue* sh =
-          knobs->is_object() ? knobs->Find("shards") : nullptr;
-      if (sh != nullptr) {
-        const int num_servers = spec->cluster.NumServers();
-        if (spec->sim.shards < 1 || spec->sim.shards > num_servers) {
-          Error(*sh, "knobs.shards",
-                "must be in [1, " + std::to_string(num_servers) +
-                    "] (cluster has " + std::to_string(num_servers) +
-                    " server(s); got " + std::to_string(spec->sim.shards) +
-                    ")");
-        }
-      }
     }
     spec->workload.arrivals.interval_s = spec->sim.interval_s;
     if (const JsonValue* v = root.Find("workload")) {

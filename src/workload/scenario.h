@@ -1,4 +1,4 @@
-// Scenario DSL (`scenario-v1`): one JSON file describing a complete
+// Scenario DSL (`scenario-v2`): one JSON file describing a complete
 // experiment — workload generator, cluster topology, scheduling policies,
 // fault plan, and simulator knobs — loadable by `optimus_sim --scenario` and
 // fanned out over a grid by `optimus_sweep`.
@@ -27,9 +27,10 @@
 
 namespace optimus {
 
-// Schema version accepted by the parser; scenario files must carry it in
-// their top-level "schema" key.
-inline constexpr char kScenarioSchemaVersion[] = "scenario-v1";
+// Schema version of a scenario file's top-level "schema" key. The parser also
+// loads the older "scenario-v1", whose only difference is two knobs v2
+// dropped (knobs.shards and knobs.streaming); it ignores them.
+inline constexpr char kScenarioSchemaVersion[] = "scenario-v2";
 
 // One homogeneous block of servers ("7x cpu-class, 6x gpu-class"); the
 // paper's testbed is heterogeneous in exactly this way.
@@ -91,9 +92,9 @@ struct ScenarioSpec {
   std::vector<JobSpec> JobsForRepeat(int repeat = 0) const;
 };
 
-// Parses scenario-v1 JSON text. On failure returns false and sets `*error`
-// to a "<source>:<line>:<col>: <path>: message" diagnostic (parse errors) or
-// a semicolon-joined validation list.
+// Parses scenario-v2 (or scenario-v1) JSON text. On failure returns false and
+// sets `*error` to a "<source>:<line>:<col>: <path>: message" diagnostic
+// (parse errors) or a semicolon-joined validation list.
 bool ParseScenario(const std::string& text, const std::string& source_name,
                    ScenarioSpec* spec, std::string* error);
 

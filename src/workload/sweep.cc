@@ -4,7 +4,6 @@
 
 #include "src/common/json_writer.h"
 #include "src/common/logging.h"
-#include "src/common/stats.h"
 #include "src/common/threadpool.h"
 #include "src/obs/exporters.h"
 #include "src/sim/experiment.h"
@@ -96,32 +95,8 @@ SweepResult RunSweep(const std::vector<ScenarioSpec>& scenarios,
   }
   for (size_t c = 0; c < cell_count; ++c) {
     SweepCellResult& cell = result.cells[c];
-    std::vector<double> jcts;
-    std::vector<double> makespans;
-    std::vector<double> overheads;
-    std::vector<double> evictions;
-    std::vector<double> failures;
-    double completed = 0.0;
-    double total = 0.0;
-    for (const RunMetrics* m : per_cell[c]) {
-      jcts.push_back(m->avg_jct_s);
-      makespans.push_back(m->makespan_s);
-      overheads.push_back(m->scaling_overhead_fraction);
-      evictions.push_back(static_cast<double>(m->job_evictions));
-      failures.push_back(static_cast<double>(m->task_failures));
-      cell.audit_violations += m->audit_violations;
-      completed += m->completed_jobs;
-      total += m->total_jobs;
-    }
-    cell.avg_jct_mean = Mean(jcts);
-    cell.avg_jct_stddev = StdDev(jcts);
-    cell.makespan_mean = Mean(makespans);
-    cell.makespan_stddev = StdDev(makespans);
-    cell.scaling_overhead_mean = Mean(overheads);
-    cell.job_evictions_mean = Mean(evictions);
-    cell.task_failures_mean = Mean(failures);
-    cell.completed_fraction = total > 0.0 ? completed / total : 0.0;
-    result.audit_violations_total += cell.audit_violations;
+    AggregateRepeats(per_cell[c], &cell);
+    result.audit_violations_total += cell.audit_violations_total;
     result.completed_fraction_min =
         std::min(result.completed_fraction_min, cell.completed_fraction);
   }
@@ -183,7 +158,7 @@ std::string MergedSweepJson(const std::vector<ScenarioSpec>& scenarios,
     row.Set("completed_fraction", cell.completed_fraction);
     row.Set("job_evictions_mean", cell.job_evictions_mean);
     row.Set("task_failures_mean", cell.task_failures_mean);
-    row.Set("audit_violations", cell.audit_violations);
+    row.Set("audit_violations", cell.audit_violations_total);
     row.Set("jct_vs_baseline", cell.jct_vs_baseline);
     row.Set("makespan_vs_baseline", cell.makespan_vs_baseline);
     cell_rows.push_back(std::move(row));

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "src/sim/experiment.h"
 #include "src/workload/scenario.h"
 
 namespace optimus {
@@ -29,21 +30,12 @@ struct SweepOptions {
 };
 
 // One aggregated (scenario, policy) cell.
-struct SweepCellResult {
+struct SweepCellResult : RepeatAggregate {
   std::string scenario;
   std::string policy;
   std::string display_name;
   int repeats = 0;
   int jobs = 0;
-  double avg_jct_mean = 0.0;
-  double avg_jct_stddev = 0.0;
-  double makespan_mean = 0.0;
-  double makespan_stddev = 0.0;
-  double scaling_overhead_mean = 0.0;
-  double completed_fraction = 1.0;
-  double job_evictions_mean = 0.0;
-  double task_failures_mean = 0.0;
-  int64_t audit_violations = 0;
   // Ratios against the scenario's first policy (its baseline row = 1.0).
   double jct_vs_baseline = 1.0;
   double makespan_vs_baseline = 1.0;

@@ -224,9 +224,8 @@ TEST(DataServingTest, ShrinkReassignsOrphanedChunks) {
 }
 
 TEST(CheckpointTest, StallScalesWithModelSize) {
-  CheckpointConfig config;
-  const double small = CheckpointStallSeconds(FindModel("ResNext-110"), config);
-  const double large = CheckpointStallSeconds(FindModel("DeepSpeech2"), config);
+  const double small = CheckpointStallSeconds(FindModel("ResNext-110"));
+  const double large = CheckpointStallSeconds(FindModel("DeepSpeech2"));
   EXPECT_GT(large, small);
   // DeepSpeech2: 38M params * 4B * 2 / 100MB/s + 15s = 3.04 + 15.
   EXPECT_NEAR(large, 2.0 * 38e6 * 4 / 100e6 + 15.0, 1e-9);
@@ -266,7 +265,7 @@ TEST(StragglerTest, InjectionSlowsAndHandlerReplaces) {
   EXPECT_TRUE(replaced);
   // Handler restored full speed and charged the replacement stall.
   EXPECT_DOUBLE_EQ(job.slowest_worker_factor(), 1.0);
-  EXPECT_DOUBLE_EQ(job.stall_remaining_s(), config.replace_delay_s);
+  EXPECT_DOUBLE_EQ(job.stall_remaining_s(), kStragglerReplaceDelayS);
   EXPECT_EQ(model.replacements(), 1);
 }
 

@@ -169,7 +169,6 @@ TEST(ControllerTest, MultipleJobsShareCluster) {
 
 TEST(ControllerTest, CheckpointBudgetFreezesAllocation) {
   ControllerOptions options;
-  options.checkpoint.max_scalings_per_job = 0;  // unlimited
   options.checkpoint.max_scalings_per_job = 1;
   OptimusController controller(options);
   const JobSpec spec = MakeSpec(0, "ResNext-110", TrainingMode::kSync);

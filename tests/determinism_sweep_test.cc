@@ -2,14 +2,14 @@
 // scenarios/smoke/*.json, listed when the test binary starts, so a new file
 // is swept with no edit here) x every policy in its grid x both engines is
 // one test. Each runs the cell at 1 thread as the reference, then at 2
-// threads, at 8 threads, and at 2 threads with the no-op and output-only
-// knobs set together (shards 8, streaming admission, hash-only trace,
-// observability off). Every run must match the reference's RunFingerprint
-// (src/sim/run_fingerprint.h) bitwise; the reference must complete every job with
-// zero audit violations and, on a scenario with a fault plan, record a fault.
+// threads, at 8 threads, and at 2 threads with the output-only knobs set
+// together (hash-only trace, observability off). Every run must match the
+// reference's RunFingerprint (src/sim/run_fingerprint.h) bitwise; the
+// reference must complete every job with zero audit violations and, on a
+// scenario with a fault plan, record a fault.
 //
 // Also here: the fingerprint's own coverage (each field, flipped alone, fails
-// Matches and is named), and the streaming knob on hand-made configurations.
+// Matches and is named), and admission on hand-made configurations.
 
 #include <gtest/gtest.h>
 
@@ -121,11 +121,9 @@ TEST_P(DeterminismSweep, MatchesOneThreadReference) {
   const std::pair<const char*, std::function<void(SimulatorConfig*)>> variants[] = {
       {"threads=2", [](SimulatorConfig* c) { c->threads = 2; }},
       {"threads=8", [](SimulatorConfig* c) { c->threads = 8; }},
-      {"threads=2 shards=8 streaming hash-only obs-off",
+      {"threads=2 hash-only obs-off",
        [](SimulatorConfig* c) {
          c->threads = 2;
-         c->shards = 8;
-         c->streaming = true;
          c->trace_hash_only = true;
          c->obs.enabled = false;
        }},
@@ -279,11 +277,11 @@ TEST(RunFingerprintTest, WallTimesAndAnUnstoredEventListAreNotCompared) {
 // Streaming admission on hand-made configurations
 // ---------------------------------------------------------------------------
 
-// `streaming` is a validated no-op: every run admits jobs through one pending
-// queue in (arrival, order key) order. Unsorted specs, an online submission
-// that arrives between queued input specs, and a kill before arrival take
-// every order-key path; the knob must not move a bit on either engine.
-TEST(StreamingAdmissionTest, KnobIsANoOpForUnsortedSpecsSubmitsAndKills) {
+// Every run admits jobs through one pending queue in (arrival, order key)
+// order. Unsorted specs, an online submission that arrives between queued
+// input specs, and a kill before arrival take every order-key path; a second
+// thread must not move a bit on either engine.
+TEST(StreamingAdmissionTest, UnsortedSpecsSubmitsAndKillsMatchAcrossThreads) {
   std::vector<Server> servers = BuildUniformCluster(4, Resources(16, 80, 0, 1));
   WorkloadConfig workload;
   workload.num_jobs = 6;
@@ -298,11 +296,10 @@ TEST(StreamingAdmissionTest, KnobIsANoOpForUnsortedSpecsSubmitsAndKills) {
   late.arrival_time_s = 0.5 * (specs[1].arrival_time_s + specs[0].arrival_time_s);
 
   for (const SimEngine engine : {SimEngine::kInterval, SimEngine::kEvents}) {
-    auto run = [&](bool streaming) {
+    auto run = [&](int threads) {
       SimulatorConfig config;
       config.engine = engine;
-      config.threads = 2;
-      config.streaming = streaming;
+      config.threads = threads;
       config.audit = true;
       Simulator sim(config, servers, specs);
       std::string why;
@@ -313,13 +310,13 @@ TEST(StreamingAdmissionTest, KnobIsANoOpForUnsortedSpecsSubmitsAndKills) {
       EXPECT_EQ(sim.job(late.id).state, JobState::kCompleted);
       return RunFingerprint::Of(sim);
     };
-    const RunFingerprint off = run(false);
-    EXPECT_EQ(off.metrics.total_jobs, 7);
-    EXPECT_EQ(off.metrics.jobs_killed, 1);
-    EXPECT_EQ(off.metrics.audit_violations, 0);
+    const RunFingerprint serial = run(1);
+    EXPECT_EQ(serial.metrics.total_jobs, 7);
+    EXPECT_EQ(serial.metrics.jobs_killed, 1);
+    EXPECT_EQ(serial.metrics.audit_violations, 0);
     std::string why;
-    EXPECT_TRUE(run(true).Matches(off, &why))
-        << "streaming " << SimEngineName(engine) << " diverged on " << why;
+    EXPECT_TRUE(run(2).Matches(serial, &why))
+        << "threads=2 " << SimEngineName(engine) << " diverged on " << why;
   }
 }
 
@@ -329,7 +326,6 @@ TEST(StreamingAdmissionTest, RetiresCompletedJobsAndKeepsAccounting) {
   ASSERT_TRUE(LoadScenarioFile(ScenarioPath("fig11_testbed.json"), &scenario, &error))
       << error;
   SimulatorConfig config = scenario.MakeSimConfig("optimus");
-  config.streaming = true;
   config.audit = true;
   Simulator sim(config, scenario.cluster.Build(), scenario.JobsForRepeat());
   const RunMetrics metrics = sim.Run();

@@ -367,7 +367,7 @@ TEST(SimulatorFaultTest, RepeatedEvictionsTriggerRelaunchBackoff) {
 }
 
 // ---------------------------------------------------------------------------
-// Straggler-detection boundary (§5.2): detect_threshold vs slow_factor_hi
+// Straggler-detection boundary (§5.2): kStragglerDetectThreshold vs slow_factor_hi
 // ---------------------------------------------------------------------------
 
 TEST(StragglerBoundaryTest, ExactlyHalfMedianIsNotReplaced) {
@@ -391,18 +391,18 @@ TEST(StragglerBoundaryTest, ExactlyHalfMedianIsNotReplaced) {
   below.set_slowest_worker_factor(0.49);
   EXPECT_TRUE(model.Step(&below, &rng));
   EXPECT_EQ(below.slowest_worker_factor(), 1.0);
-  EXPECT_EQ(below.stall_remaining_s(), config.replace_delay_s);
+  EXPECT_EQ(below.stall_remaining_s(), kStragglerReplaceDelayS);
 }
 
 TEST(StragglerBoundaryTest, MildStragglersInTheGapAreNeverReplaced) {
   // The injection range [slow_factor_lo, slow_factor_hi) deliberately
-  // straddles detect_threshold: factors in [0.5, 0.7) are mild stragglers the
-  // paper's policy rides out rather than replacing.
+  // straddles kStragglerDetectThreshold: factors in [0.5, 0.7) are mild
+  // stragglers the paper's policy rides out rather than replacing.
   StragglerConfig config;
   config.injection_prob_per_interval = 0.0;
   config.natural_recovery_prob = 0.0;
   config.handling_enabled = true;
-  ASSERT_LT(config.detect_threshold, config.slow_factor_hi);
+  ASSERT_LT(kStragglerDetectThreshold, config.slow_factor_hi);
   StragglerModel model(config);
   Rng rng(1);
 

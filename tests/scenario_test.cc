@@ -1,5 +1,5 @@
 // Tests for the scenario engine: the JSON reader, the workload generator
-// suite, cluster topology specs, scenario-v1 parsing/validation, the
+// suite, cluster topology specs, scenario parsing/validation, the
 // SchedulerRegistry, and the sweep engine's thread-count determinism.
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 
 #include "src/sched/scheduler_registry.h"
 #include "src/sim/experiment.h"
+#include "src/sim/run_fingerprint.h"
 #include "src/workload/generators.h"
 #include "src/workload/json.h"
 #include "src/workload/scenario.h"
@@ -222,7 +223,7 @@ TEST(ClusterSpecTest, RackReferenceExpansion) {
 // ---------------------------------------------------------------------------
 
 constexpr char kValidScenario[] = R"({
-  "schema": "scenario-v1",
+  "schema": "scenario-v2",
   "name": "unit",
   "description": "unit-test scenario",
   "seed": 9,
@@ -305,43 +306,65 @@ TEST(ScenarioTest, DiagnosticsCarrySourcePositions) {
   EXPECT_NE(error.find("pos.json:5"), std::string::npos) << error;
 }
 
-TEST(ScenarioTest, ShardsKnobRangeCheckedAgainstCluster) {
-  // shards ranges over [1, server count]; violations carry the knob's own
-  // source position and the allowed range.
+TEST(ScenarioTest, SchemaVersionsAndDroppedV1Knobs) {
   const char* kTemplate =
-      "{\n  \"schema\": \"scenario-v1\",\n  \"name\": \"x\",\n"
+      "{\n  \"schema\": \"%s\",\n  \"name\": \"x\",\n"
       "  \"policy\": \"optimus\",\n"
+      "  \"workload\": {\"jobs\": 4},\n"
       "  \"cluster\": {\"classes\": [{\"name\": \"a\", \"count\": 4,"
       " \"cpu\": 16, \"memory_gb\": 80, \"gpu\": 0, \"bandwidth_gbps\": 1}]},\n"
-      "  \"knobs\": {\"shards\": %d}\n}";
+      "  \"knobs\": {\"interval_s\": 300.0%s}\n}";
+  // Out of range (9 shards on 4 servers) and mistyped: v1 checks neither.
+  const char* kDroppedKnobs = ", \"shards\": 9, \"streaming\": \"yes\"";
   char buf[1024];
-  ScenarioSpec spec;
   std::string error;
+  const auto parse = [&](const char* schema, const char* extra, ScenarioSpec* spec) {
+    std::snprintf(buf, sizeof(buf), kTemplate, schema, extra);
+    return ParseScenario(buf, "knobs.json", spec, &error);
+  };
+  const auto run = [](const ScenarioSpec& spec) {
+    Simulator sim(spec.MakeSimConfig("optimus"), spec.cluster.Build(), spec.JobsForRepeat());
+    sim.Run();
+    return RunFingerprint::Of(sim);
+  };
 
-  std::snprintf(buf, sizeof(buf), kTemplate, 9);
-  EXPECT_FALSE(ParseScenario(buf, "shards.json", &spec, &error));
-  EXPECT_NE(error.find("shards.json:6"), std::string::npos) << error;
-  EXPECT_NE(error.find("knobs.shards"), std::string::npos) << error;
-  EXPECT_NE(error.find("[1, 4]"), std::string::npos) << error;
+  // scenario-v1: the keys load and change nothing.
+  ScenarioSpec plain;
+  ScenarioSpec dropped;
+  ASSERT_TRUE(parse("scenario-v1", "", &plain)) << error;
+  ASSERT_TRUE(parse("scenario-v1", kDroppedKnobs, &dropped)) << error;
+  EXPECT_DOUBLE_EQ(dropped.MakeSimConfig("optimus").interval_s, 300.0);
+  const std::vector<JobSpec> jobs = dropped.JobsForRepeat();
+  const std::vector<JobSpec> plain_jobs = plain.JobsForRepeat();
+  ASSERT_EQ(jobs.size(), plain_jobs.size());
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(jobs[i].arrival_time_s, plain_jobs[i].arrival_time_s);
+    EXPECT_EQ(jobs[i].model, plain_jobs[i].model);
+  }
+  std::string why;
+  EXPECT_TRUE(run(dropped).Matches(run(plain), &why)) << why;
 
-  std::snprintf(buf, sizeof(buf), kTemplate, 0);
-  EXPECT_FALSE(ParseScenario(buf, "shards.json", &spec, &error));
-  EXPECT_NE(error.find("[1, 4]"), std::string::npos) << error;
+  // scenario-v2: each key is an unknown key at its own position.
+  ScenarioSpec spec;
+  ASSERT_TRUE(parse(kScenarioSchemaVersion, "", &spec)) << error;
+  EXPECT_FALSE(parse(kScenarioSchemaVersion, kDroppedKnobs, &spec));
+  EXPECT_NE(error.find("knobs.json:7:"), std::string::npos) << error;
+  EXPECT_NE(error.find("knobs: unknown key \"shards\""), std::string::npos) << error;
+  EXPECT_NE(error.find("knobs: unknown key \"streaming\""), std::string::npos) << error;
 
-  std::snprintf(buf, sizeof(buf), kTemplate, 4);
-  EXPECT_TRUE(ParseScenario(buf, "shards.json", &spec, &error)) << error;
-  EXPECT_EQ(spec.sim.shards, 4);
+  // Any other version string names both accepted versions.
+  EXPECT_FALSE(parse("scenario-v3", "", &spec));
+  EXPECT_NE(error.find("knobs.json:2:"), std::string::npos) << error;
+  EXPECT_NE(error.find("\"scenario-v2\""), std::string::npos) << error;
+  EXPECT_NE(error.find("\"scenario-v1\""), std::string::npos) << error;
 }
 
-TEST(ScenarioTest, MakeSimConfigCarriesRackLayoutToShards) {
+TEST(ScenarioTest, MakeSimConfigCarriesRackLayout) {
   ScenarioSpec spec;
   std::string error;
   ASSERT_TRUE(ParseScenario(kValidScenario, "t", &spec, &error)) << error;
-  // The cluster's rack_size rides into the per-cell SimulatorConfig; the
-  // no-op shards knob keeps its default.
-  const SimulatorConfig config = spec.MakeSimConfig("optimus");
-  EXPECT_EQ(config.rack_size, 2);
-  EXPECT_EQ(config.shards, 1);
+  // The cluster's rack_size rides into the per-cell SimulatorConfig.
+  EXPECT_EQ(spec.MakeSimConfig("optimus").rack_size, 2);
 }
 
 TEST(ScenarioTest, SchemaAndPolicyRequired) {
@@ -601,7 +624,7 @@ TEST(SweepTest, MergedReportIsBitwiseIdenticalAcrossThreadCounts) {
     // metrics are excluded from the capture).
     EXPECT_EQ(a.cells[i].run_report, b.cells[i].run_report) << i;
     EXPECT_FALSE(a.cells[i].run_report.empty()) << i;
-    EXPECT_EQ(a.cells[i].audit_violations, 0) << i;
+    EXPECT_EQ(a.cells[i].audit_violations_total, 0) << i;
   }
   // Baseline normalization: the first policy of each scenario is 1.0.
   EXPECT_DOUBLE_EQ(a.cells[0].jct_vs_baseline, 1.0);

@@ -86,10 +86,11 @@ grep -q '"format": "optimus-sweep-report-v1"' BENCH_scenarios_smoke.json || {
   echo "BENCH_scenarios_smoke.json is missing the format tag" >&2; exit 1;
 }
 
-# Every committed scenario golden must carry the scenario-v1 schema version.
+# Every committed scenario must carry the scenario-v2 schema version.
+# (tests/golden/serve/*.scenario.json stay v1: they pin v1 loading.)
 for f in "${repo_root}"/scenarios/*.json "${repo_root}"/scenarios/smoke/*.json; do
-  grep -q '"schema": "scenario-v1"' "${f}" || {
-    echo "${f} is missing \"schema\": \"scenario-v1\"" >&2; exit 1;
+  grep -q '"schema": "scenario-v2"' "${f}" || {
+    echo "${f} is missing \"schema\": \"scenario-v2\"" >&2; exit 1;
   }
 done
 

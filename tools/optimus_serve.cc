@@ -1,6 +1,6 @@
 // optimus_serve — long-running scheduler service over the simulator.
 //
-// Wraps one live Simulator (built from a scenario-v1 file) behind the
+// Wraps one live Simulator (built from a scenario-v2 file) behind the
 // newline-delimited JSON protocol documented in docs/SERVICE.md: submit /
 // kill jobs online, run what-if admission queries, advance simulated time,
 // snapshot and restore sessions, and export the metrics registry — over
@@ -39,7 +39,7 @@ std::string Usage() {
   return "optimus_serve: online scheduling service over the cluster simulator\n"
          "\n"
          "Flags:\n"
-         "  --scenario=FILE             genesis scenario (scenario-v1 JSON; required)\n"
+         "  --scenario=FILE             genesis scenario (scenario-v2 JSON; required)\n"
          "  --policy=NAME               override the scenario's policy\n"
          "  --engine=interval|events    override the scenario's engine\n"
          "  --seed=N                    override the scenario's seed\n"

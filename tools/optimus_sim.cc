@@ -4,7 +4,7 @@
 // the per-interval timeline and the lifecycle event trace as CSV for offline
 // analysis. Policies come from the SchedulerRegistry (`--policy list` shows
 // the catalog), and whole experiments can be described declaratively with a
-// scenario-v1 JSON file (`--scenario`, docs/SCENARIOS.md).
+// scenario-v2 JSON file (`--scenario`, docs/SCENARIOS.md).
 //
 // Examples:
 //   optimus_sim --policy=optimus --jobs=12 --seed=7
@@ -52,7 +52,7 @@ std::string Usage() {
       "                                        `list` prints the catalog\n"
       "  --format=table|json                   output format for `--policy list`\n"
       "                                        (default table)\n"
-      "  --scenario=FILE                       run a scenario-v1 JSON experiment\n"
+      "  --scenario=FILE                       run a scenario-v2 JSON experiment\n"
       "                                        (docs/SCENARIOS.md); --policy, --seed,\n"
       "                                        --repeats, --threads override the file\n"
       "  --jobs=N                              number of jobs (default 9)\n"
@@ -329,13 +329,9 @@ int main(int argc, char** argv) {
   const bool repeats_given = flags.Has("repeats");
   const int repeats = flags.GetInt32("repeats", 1);
   const double stragglers = flags.GetDouble("stragglers", 0.12);
-  // Both spellings accepted; ISSUE-2 documents the underscore forms.
-  const std::string fault_plan_spec =
-      flags.GetString("fault-plan", flags.GetString("fault_plan", ""));
-  const double task_failure_prob =
-      flags.GetDouble("task-failure-prob", flags.GetDouble("task_failure_prob", 0.0));
-  const double checkpoint_period =
-      flags.GetDouble("checkpoint-period", flags.GetDouble("checkpoint_period", 0.0));
+  const std::string fault_plan_spec = flags.GetString("fault-plan", "");
+  const double task_failure_prob = flags.GetDouble("task-failure-prob", 0.0);
+  const double checkpoint_period = flags.GetDouble("checkpoint-period", 0.0);
   const bool audit = flags.GetBool("audit", true);
   const double background_share = flags.GetDouble("background-share", 0.0);
   const bool oracle = flags.GetBool("oracle", false);

@@ -1,6 +1,6 @@
 // optimus_sweep — scenario grid runner.
 //
-// Loads one or more scenario-v1 JSON files (docs/SCENARIOS.md), fans every
+// Loads one or more scenario-v2 JSON files (docs/SCENARIOS.md), fans every
 // (scenario, policy, repeat) cell out over the deterministic ThreadPool, and
 // writes:
 //   - a merged comparison report (optimus-sweep-report-v1 JSON) to --out,
@@ -45,9 +45,9 @@ Flags:
   --list-policies     print the SchedulerRegistry catalog and exit
   --help              this message
 
-Scenario files are scenario-v1 JSON (docs/SCENARIOS.md). Exit codes:
-0 = every job in every cell completed, 1 = some did not, 2 = bad usage or
-scenario, 3 = invariant-audit violation.
+Scenario files are scenario-v2 JSON; scenario-v1 files still load
+(docs/SCENARIOS.md). Exit codes: 0 = every job in every cell completed,
+1 = some did not, 2 = bad usage or scenario, 3 = invariant-audit violation.
 )";
 
 }  // namespace
