@@ -93,7 +93,7 @@ void BM_RemoveOutliers(benchmark::State& state) {
     const int64_t step = i * spe / 10;
     samples.push_back({static_cast<double>(step), curve.SampleLossAtStep(step, &rng)});
   }
-  const int window = ConvergenceModelOptions{}.outlier_window;
+  const int window = ConvergenceModel::kOutlierWindow;
   std::vector<LossSample> out;
   for (auto _ : state) {
     RemoveOutliers(samples, window, &out);

@@ -60,7 +60,7 @@ bool RunComparison(const ScenarioSpec& scenario, JsonObject* section,
     row.Set("policy", policy);
     row.Set("completed_jobs", run.fp.metrics.completed_jobs);
     row.Set("avg_jct_s", avg_jct);
-    row.Set("makespan_s", run.sim_s);
+    row.Set("makespan_s", run.fp.metrics.makespan_s);
     row.Set("total_scalings", run.fp.metrics.total_scalings);
     row.Set("trace_digest", DigestHex(run.fp.trace_digest));
     SetPerfColumns(&row, run.wall_s, run.sim_s);

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/common/logging.h"
+#include "src/models/convergence_rule.h"
 
 namespace optimus {
 
@@ -89,19 +90,11 @@ bool Job::RecordEpochLoss(double loss) {
     return false;
   }
   if (!epoch_losses_.empty()) {
-    const double prev = epoch_losses_.back();
-    const double rel_drop = prev > 0.0 ? (prev - loss) / prev : 0.0;
-    if (rel_drop < spec_.convergence_delta) {
-      ++below_threshold_streak_;
-    } else {
-      below_threshold_streak_ = 0;
-    }
+    converged_ = ConvergenceStep(epoch_losses_.back(), loss, spec_.convergence_delta,
+                                 spec_.patience, &below_threshold_streak_);
   }
   epoch_losses_.push_back(loss);
   ++epochs_recorded_;
-  if (below_threshold_streak_ >= spec_.patience) {
-    converged_ = true;
-  }
   return converged_;
 }
 

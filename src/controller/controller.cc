@@ -78,12 +78,10 @@ OptimusController::ManagedJob& OptimusController::Get(int job_id) {
 
 double OptimusController::EstimateRemainingEpochs(int job_id) const {
   const ManagedJob& job = Get(job_id);
-  if (job.convergence.fitted()) {
-    return job.convergence.PredictRemainingEpochs(
-        job.steps_done, job.spec.convergence_delta, job.spec.patience,
-        job.spec.StepsPerEpoch());
-  }
-  return kDefaultRemainingEpochs;
+  return job.convergence.PredictRemainingEpochs(job.steps_done,
+                                                job.spec.convergence_delta,
+                                                job.spec.patience,
+                                                job.spec.StepsPerEpoch());
 }
 
 double OptimusController::EstimateSpeed(int job_id, int num_ps, int num_workers) const {

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/common/logging.h"
+#include "src/models/convergence_rule.h"
 
 namespace optimus {
 
@@ -77,24 +78,9 @@ double LossCurve::ValidationAccuracyAtEpoch(double epoch) const {
 
 int64_t LossCurve::EpochsToConverge(double delta, int patience,
                                     int64_t max_epochs) const {
-  OPTIMUS_CHECK_GT(delta, 0.0);
-  OPTIMUS_CHECK_GE(patience, 1);
-  int consecutive = 0;
-  double prev = TrueLossAtEpoch(0.0);
-  for (int64_t e = 1; e <= max_epochs; ++e) {
-    const double cur = TrueLossAtEpoch(static_cast<double>(e));
-    const double rel_drop = prev > 0.0 ? (prev - cur) / prev : 0.0;
-    if (rel_drop < delta) {
-      ++consecutive;
-      if (consecutive >= patience) {
-        return e;
-      }
-    } else {
-      consecutive = 0;
-    }
-    prev = cur;
-  }
-  return max_epochs;
+  return EpochsToConvergence(
+      [this](int64_t e) { return TrueLossAtEpoch(static_cast<double>(e)); }, delta,
+      patience, max_epochs);
 }
 
 }  // namespace optimus

@@ -48,9 +48,8 @@ class LossCurve {
   double ValidationLossAtEpoch(double epoch) const;
   double ValidationAccuracyAtEpoch(double epoch) const;
 
-  // Ground-truth convergence epoch: the first epoch E such that the relative
-  // per-epoch loss decrease stays below `delta` for `patience` consecutive
-  // epochs ending at E (§2.1). Capped at `max_epochs`.
+  // Ground-truth convergence epoch: the §2.1 rule (convergence_rule.h)
+  // walked on the true curve. Capped at `max_epochs`.
   int64_t EpochsToConverge(double delta, int patience, int64_t max_epochs = 100000) const;
 
  private:

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "src/common/logging.h"
+#include "src/models/convergence_rule.h"
 #include "src/solver/matrix.h"
 #include "src/solver/nnls.h"
 
@@ -12,7 +13,6 @@ namespace optimus {
 
 ConvergenceModel::ConvergenceModel(ConvergenceModelOptions options)
     : options_(options) {
-  OPTIMUS_CHECK_GE(options_.min_samples, 3);
   OPTIMUS_CHECK_GE(options_.beta2_grid, 2);
   OPTIMUS_CHECK_GE(options_.refine_passes, 1);
 }
@@ -33,10 +33,24 @@ void ConvergenceModel::Reset() {
   beta0_ = beta1_ = beta2_ = 0.0;
   norm_factor_ = 1.0;
   residual_ = 0.0;
+  family_fit_.reset();
   epochs_cache_.valid = false;
 }
 
 namespace {
+
+// Preprocesses `samples` for a fit (outliers -> normalize -> downsample) and
+// sets `*norm_factor`. The points live in one buffer per thread that every
+// refit on the thread rewrites: a buffer per model would keep a second copy
+// of every live job's sample history.
+const std::vector<LossSample>& FitPoints(const std::vector<LossSample>& samples,
+                                         int max_points, double* norm_factor) {
+  static thread_local std::vector<LossSample> pts;
+  RemoveOutliers(samples, ConvergenceModel::kOutlierWindow, &pts);
+  *norm_factor = NormalizeLosses(&pts);
+  DownsampleInPlace(&pts, max_points);
+  return pts;
+}
 
 // Loss-space residual of the (beta0, beta1, beta2) candidate. Predictions
 // with beta1 == 0 at step 0 diverge, so guard the denominator.
@@ -245,7 +259,7 @@ void ScoreLanes(const std::vector<LossSample>& pts, int guess, double best_rss,
 }  // namespace
 
 bool ConvergenceModel::Fit() {
-  if (static_cast<int>(samples_.size()) < options_.min_samples) {
+  if (static_cast<int>(samples_.size()) < kMinSamples) {
     return fitted_;
   }
   if (caching_ && !dirty_) {
@@ -255,16 +269,11 @@ bool ConvergenceModel::Fit() {
   dirty_ = false;
   ++fit_stats_.fits;
 
-  // Preprocess: outliers -> normalize -> downsample. The normalization factor
-  // applies immediately (even if this attempt ends up degenerate and keeps
-  // the previous betas) — PredictLoss always denormalizes with the latest
-  // factor. The points live in one buffer per thread that every refit on the
-  // thread rewrites: a buffer per model would keep a second copy of every
-  // live job's sample history.
-  static thread_local std::vector<LossSample> pts;
-  RemoveOutliers(samples_, options_.outlier_window, &pts);
-  norm_factor_ = NormalizeLosses(&pts);
-  DownsampleInPlace(&pts, options_.max_fit_points);
+  // The normalization factor applies immediately (even if this attempt ends
+  // up degenerate and keeps the previous betas) — PredictLoss always
+  // denormalizes with the latest factor.
+  const std::vector<LossSample>& pts =
+      FitPoints(samples_, options_.max_fit_points, &norm_factor_);
 
   double min_loss = std::numeric_limits<double>::infinity();
   for (const LossSample& s : pts) {
@@ -370,12 +379,39 @@ bool ConvergenceModel::Fit() {
   beta2_ = best_b2;
   residual_ = best_rss;
   fitted_ = true;
+  family_fit_.reset();          // a selection belongs to the fit it was made on
   epochs_cache_.valid = false;  // the curve changed; re-walk on next query
   return true;
 }
 
+std::array<double, kNumCurveFamilies> ConvergenceModel::SelectFamily() {
+  OPTIMUS_CHECK(fitted_ && !dirty_) << "SelectFamily needs the fit of the current samples";
+  double norm_factor = 1.0;
+  const std::vector<LossSample>& pts =
+      FitPoints(samples_, options_.max_fit_points, &norm_factor);
+  std::array<double, kNumCurveFamilies> rss;
+  rss.fill(std::numeric_limits<double>::infinity());
+  CurveFit best{true, CurveFamily::kInversePolynomial, beta0_, beta1_, beta2_, residual_};
+  rss[static_cast<size_t>(best.family)] = residual_;
+  for (CurveFamily family : {CurveFamily::kExponential, CurveFamily::kPowerLaw}) {
+    const CurveFit fit = FitCurveFamily(family, pts);
+    if (fit.valid) {
+      rss[static_cast<size_t>(family)] = fit.rss;
+      if (fit.rss < best.rss) {
+        best = fit;
+      }
+    }
+  }
+  family_fit_ = std::make_shared<const CurveFit>(best);
+  epochs_cache_.valid = false;
+  return rss;
+}
+
 double ConvergenceModel::PredictLoss(double step) const {
   OPTIMUS_CHECK(fitted_);
+  if (family_fit_ != nullptr) {
+    return family_fit_->Predict(step) * norm_factor_;
+  }
   const double denom = beta0_ * step + beta1_;
   const double normalized = denom > 1e-12 ? 1.0 / denom + beta2_ : 1e12;
   return normalized * norm_factor_;
@@ -385,8 +421,6 @@ int64_t ConvergenceModel::PredictTotalEpochs(double delta, int patience,
                                              int64_t steps_per_epoch,
                                              int64_t max_epochs) const {
   OPTIMUS_CHECK(fitted_);
-  OPTIMUS_CHECK_GT(delta, 0.0);
-  OPTIMUS_CHECK_GE(patience, 1);
   OPTIMUS_CHECK_GT(steps_per_epoch, 0);
   if (caching_ && epochs_cache_.valid && epochs_cache_.delta == delta &&
       epochs_cache_.patience == patience &&
@@ -394,33 +428,19 @@ int64_t ConvergenceModel::PredictTotalEpochs(double delta, int patience,
       epochs_cache_.max_epochs == max_epochs) {
     return epochs_cache_.total;
   }
-  // Walk the fitted curve epoch by epoch with the same detector the job
-  // itself uses; relative drops are scale-invariant so the normalized curve
-  // suffices.
-  int streak = 0;
-  double prev = PredictLoss(0.0);
-  int64_t total = max_epochs;
-  for (int64_t e = 1; e <= max_epochs; ++e) {
-    const double cur = PredictLoss(static_cast<double>(e * steps_per_epoch));
-    const double rel_drop = prev > 0.0 ? (prev - cur) / prev : 0.0;
-    if (rel_drop < delta) {
-      ++streak;
-      if (streak >= patience) {
-        total = e;
-        break;
-      }
-    } else {
-      streak = 0;
-    }
-    prev = cur;
-  }
-  epochs_cache_ = {true, delta, patience, steps_per_epoch, max_epochs, total};
+  const int64_t total = EpochsToConvergence(
+      [&](int64_t e) { return PredictLoss(static_cast<double>(e * steps_per_epoch)); },
+      delta, patience, max_epochs);
+  epochs_cache_ = {delta, steps_per_epoch, max_epochs, total, patience, true};
   return total;
 }
 
 double ConvergenceModel::PredictRemainingEpochs(double current_step, double delta,
                                                 int patience, int64_t steps_per_epoch,
                                                 int64_t max_epochs) const {
+  if (!fitted_) {
+    return kDefaultRemainingEpochs;
+  }
   const int64_t total = PredictTotalEpochs(delta, patience, steps_per_epoch, max_epochs);
   const double done = current_step / static_cast<double>(steps_per_epoch);
   return std::max(0.0, static_cast<double>(total) - done);

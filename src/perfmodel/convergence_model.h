@@ -24,30 +24,35 @@
 // reference (tests/perfmodel_test.cc).
 //
 // The fitted curve answers the scheduler's question: how many more epochs
-// until the per-epoch loss decrease stays below the job's threshold?
+// until the per-epoch loss decrease stays below the job's threshold? The
+// answer walks the curve with the job's own stopping rule
+// (src/models/convergence_rule.h). SelectFamily (curve_families.h) can swap
+// in an exponential or power-law curve that explains the losses better.
 
 #ifndef SRC_PERFMODEL_CONVERGENCE_MODEL_H_
 #define SRC_PERFMODEL_CONVERGENCE_MODEL_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "src/perfmodel/curve_families.h"
 #include "src/perfmodel/fit_stats.h"
 #include "src/perfmodel/preprocess.h"
 
 namespace optimus {
 
+// Remaining-epochs prior for a job whose convergence model has no fit yet.
+inline constexpr double kDefaultRemainingEpochs = 30.0;
+
 struct ConvergenceModelOptions {
-  // Outlier-removal window (neighbours per side).
-  int outlier_window = 5;
   // Maximum points handed to the solver; more are averaged down.
   int max_fit_points = 512;
   // beta2 grid resolution per refinement pass and number of passes.
-  int beta2_grid = 24;
-  int refine_passes = 3;
-  // Minimum samples before a fit is attempted.
-  int min_samples = 8;
+  int beta2_grid = kFloorGrid;
+  int refine_passes = kFloorRefinePasses;
 };
 
 class ConvergenceModel {
@@ -55,6 +60,10 @@ class ConvergenceModel {
   // Points the cached sweep's lockstep residual pass sums between two checks
   // of its candidates against the bound.
   static constexpr size_t kScoreBlock = 64;
+  // Outlier-removal window (neighbours per side, §3.1).
+  static constexpr int kOutlierWindow = 5;
+  // Minimum samples before a fit is attempted.
+  static constexpr int kMinSamples = 8;
 
   explicit ConvergenceModel(ConvergenceModelOptions options = {});
 
@@ -79,7 +88,20 @@ class ConvergenceModel {
   bool Fit();
   bool fitted() const { return fitted_; }
 
-  // Fitted coefficients, in normalized-loss space.
+  // Multi-family model selection (§7 extension): fits the exponential and
+  // power-law families on the points of the last Fit() and makes the one of
+  // the three (this fit as the inverse polynomial) with the smallest residual
+  // the curve PredictLoss and PredictTotalEpochs use, until the Eqn-1 fit
+  // changes or the model resets. Call right after a Fit() that returned
+  // true. Returns each family's residual (normalized space), infinity where
+  // a family failed.
+  std::array<double, kNumCurveFamilies> SelectFamily();
+  // Family of the curve predictions use.
+  CurveFamily family() const {
+    return family_fit_ != nullptr ? family_fit_->family : CurveFamily::kInversePolynomial;
+  }
+
+  // Eqn-1 coefficients, in normalized-loss space.
   double beta0() const { return beta0_; }
   double beta1() const { return beta1_; }
   double beta2() const { return beta2_; }
@@ -99,33 +121,37 @@ class ConvergenceModel {
   int64_t PredictTotalEpochs(double delta, int patience, int64_t steps_per_epoch,
                              int64_t max_epochs = 10000) const;
 
-  // Remaining epochs from `current_step` until predicted convergence (>= 0).
+  // Remaining epochs from `current_step` until predicted convergence (>= 0);
+  // kDefaultRemainingEpochs before the first fit.
   double PredictRemainingEpochs(double current_step, double delta, int patience,
                                 int64_t steps_per_epoch,
                                 int64_t max_epochs = 10000) const;
 
  private:
   ConvergenceModelOptions options_;
-  std::vector<LossSample> samples_;
   bool caching_ = true;
   bool dirty_ = true;  // samples added since the last Fit() attempt
   bool fitted_ = false;
+  std::vector<LossSample> samples_;
   double beta0_ = 0.0;
   double beta1_ = 0.0;
   double beta2_ = 0.0;
   double norm_factor_ = 1.0;
   double residual_ = 0.0;
+  // The curve the last SelectFamily chose; null until then (Eqn 1). Shared
+  // and immutable, so a copied model reads the same selection.
+  std::shared_ptr<const CurveFit> family_fit_;
   ModelFitStats fit_stats_;
 
   // Memoized PredictTotalEpochs walk, keyed by its arguments; invalidated
   // whenever the fitted curve changes.
   struct EpochsCache {
-    bool valid = false;
     double delta = 0.0;
-    int patience = 0;
     int64_t steps_per_epoch = 0;
     int64_t max_epochs = 0;
     int64_t total = 0;
+    int patience = 0;
+    bool valid = false;
   };
   mutable EpochsCache epochs_cache_;
 };

@@ -2,34 +2,40 @@
 //
 // Eqn 1's 1/x family fits SGD-style losses, but the paper notes that some
 // models (e.g., A3C) follow curves it cannot describe and points at
-// SLAQ-style fitting of alternative function families. This module provides
-// three families —
+// SLAQ-style fitting of alternative function families. Three families compete:
 //
-//   inverse polynomial:  l = 1/(b0*k + b1) + b2          (Optimus's default)
+//   inverse polynomial:  l = 1/(b0*k + b1) + b2          (Optimus's Eqn 1)
 //   exponential decay:   l = b1 * exp(-b0*k) + b2
 //   power law:           l = b1 * (k + 1)^(-b0) + b2
 //
-// — each fitted by a refining grid over the floor b2 with a linear
-// (NNLS / log-linear) solve for the remaining parameters, plus a
-// model-selection wrapper that keeps whichever family explains the observed
-// losses best.
+// The inverse polynomial is the job's own ConvergenceModel fit.
+// FitCurveFamily fits the other two, each by a refining grid over the floor
+// b2 (the same grid as Eqn 1's beta2) with a log-linear solve for the
+// remaining parameters. ConvergenceModel::SelectFamily runs both on the
+// points of its last fit and keeps whichever of the three has the smallest
+// residual.
 
 #ifndef SRC_PERFMODEL_CURVE_FAMILIES_H_
 #define SRC_PERFMODEL_CURVE_FAMILIES_H_
 
-#include <cstdint>
-#include <string>
+#include <cstddef>
 #include <vector>
 
 #include "src/perfmodel/preprocess.h"
 
 namespace optimus {
 
+// The floor grid every fit refines: kFloorGrid + 1 points over
+// [0, 0.999 * min loss], narrowed around the best kFloorRefinePasses times.
+inline constexpr int kFloorGrid = 24;
+inline constexpr int kFloorRefinePasses = 3;
+
 enum class CurveFamily {
   kInversePolynomial,
   kExponential,
   kPowerLaw,
 };
+inline constexpr size_t kNumCurveFamilies = 3;
 
 const char* CurveFamilyName(CurveFamily family);
 
@@ -47,55 +53,9 @@ struct CurveFit {
   double Predict(double step) const;
 };
 
-struct CurveFitOptions {
-  int floor_grid = 24;
-  int refine_passes = 3;
-};
-
-// Fits one family to preprocessed, normalized samples.
-CurveFit FitCurveFamily(CurveFamily family, const std::vector<LossSample>& samples,
-                        const CurveFitOptions& options = {});
-
-// Drop-in alternative to ConvergenceModel that performs model selection over
-// all families. Samples are preprocessed exactly like ConvergenceModel's
-// (outlier removal, normalization, downsampling).
-class MultiFamilyConvergenceModel {
- public:
-  explicit MultiFamilyConvergenceModel(CurveFitOptions options = {});
-
-  void AddSample(double step, double loss);
-  void Reset();
-  size_t num_samples() const { return samples_.size(); }
-
-  // Fits every family and keeps the best; returns true when a usable fit
-  // exists.
-  bool Fit();
-  bool fitted() const { return best_.valid; }
-  const CurveFit& best_fit() const { return best_; }
-  // RSS of each family at the last Fit (indexed by CurveFamily order);
-  // infinity where a family failed.
-  const std::vector<double>& family_rss() const { return family_rss_; }
-
-  // Raw (denormalized) loss prediction.
-  double PredictLoss(double step) const;
-
-  // Same convergence-walk prediction as ConvergenceModel.
-  int64_t PredictTotalEpochs(double delta, int patience, int64_t steps_per_epoch,
-                             int64_t max_epochs = 10000) const;
-
-  // Remaining epochs from `current_step` until predicted convergence (>= 0).
-  double PredictRemainingEpochs(double current_step, double delta, int patience,
-                                int64_t steps_per_epoch,
-                                int64_t max_epochs = 10000) const;
-
- private:
-  CurveFitOptions options_;
-  std::vector<LossSample> samples_;
-  CurveFit best_;
-  std::vector<double> family_rss_;
-  double norm_factor_ = 1.0;
-  int min_samples_ = 8;
-};
+// Fits the exponential or power-law family to preprocessed, normalized
+// samples. The inverse polynomial is ConvergenceModel's fit.
+CurveFit FitCurveFamily(CurveFamily family, const std::vector<LossSample>& samples);
 
 }  // namespace optimus
 

@@ -20,8 +20,6 @@
 
 namespace optimus {
 
-// Remaining-epochs prior for a job whose convergence model has no fit yet.
-inline constexpr double kDefaultRemainingEpochs = 30.0;
 // Progress below which a job is young: its estimates are still unreliable, so
 // its policy's young-job damping scales its marginal gain (§4.1).
 inline constexpr double kYoungJobProgressCutoff = 0.15;

@@ -10,6 +10,20 @@
 
 namespace optimus {
 
+namespace {
+
+// The synthetic op mix. The fractions are cumulative-checked in this order;
+// the remainder becomes metrics_snapshot requests, the cheapest op.
+constexpr double kWhatIfFraction = 0.30;
+constexpr double kAdvanceFraction = 0.20;
+constexpr double kSubmitKillFraction = 0.01;  // emits a submit AND its kill
+constexpr double kAdvanceDtS = 30.0;
+// Every kPromEvery-th metrics_snapshot asks for Prometheus format instead of
+// the JSON report.
+constexpr int kPromEvery = 4;
+
+}  // namespace
+
 ReplayResult RunReplay(ServiceSession* session, std::istream& in,
                        std::ostream& out, bool flush_each) {
   OPTIMUS_CHECK(session != nullptr);
@@ -45,9 +59,7 @@ ReplayResult RunReplay(ServiceSession* session, std::istream& in,
   return result;
 }
 
-void GenerateSyntheticRequests(int64_t count, uint64_t seed,
-                               const SyntheticMixOptions& options,
-                               std::ostream& out) {
+void GenerateSyntheticRequests(int64_t count, uint64_t seed, std::ostream& out) {
   Rng rng(seed);
   const std::vector<ModelSpec>& zoo = GetModelZoo();
   OPTIMUS_CHECK(!zoo.empty());
@@ -56,19 +68,19 @@ void GenerateSyntheticRequests(int64_t count, uint64_t seed,
   int64_t snapshots = 0;
   for (int64_t i = 0; i < count; ++i) {
     const double u = rng.Uniform(0.0, 1.0);
-    double edge = options.what_if_fraction;
+    double edge = kWhatIfFraction;
     if (u < edge) {
       const ModelSpec& model =
           zoo[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(zoo.size()) - 1))];
       out << "{\"op\":\"what_if\",\"model\":\"" << model.name << "\"}\n";
       continue;
     }
-    edge += options.advance_fraction;
+    edge += kAdvanceFraction;
     if (u < edge) {
-      out << "{\"op\":\"advance\",\"dt_s\":" << options.advance_dt_s << "}\n";
+      out << "{\"op\":\"advance\",\"dt_s\":" << kAdvanceDtS << "}\n";
       continue;
     }
-    edge += options.submit_kill_fraction;
+    edge += kSubmitKillFraction;
     if (u < edge) {
       const ModelSpec& model =
           zoo[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(zoo.size()) - 1))];
@@ -80,7 +92,7 @@ void GenerateSyntheticRequests(int64_t count, uint64_t seed,
       continue;
     }
     ++snapshots;
-    if (options.prom_every > 0 && snapshots % options.prom_every == 0) {
+    if (snapshots % kPromEvery == 0) {
       out << "{\"op\":\"metrics_snapshot\",\"format\":\"prom\"}\n";
     } else {
       out << "{\"op\":\"metrics_snapshot\"}\n";

@@ -40,26 +40,12 @@ struct ReplayResult {
 ReplayResult RunReplay(ServiceSession* session, std::istream& in,
                        std::ostream& out, bool flush_each = false);
 
-// Synthetic-load mix knobs. Fractions are cumulative-checked in declaration
-// order and need not sum to 1; the remainder becomes metrics_snapshot
-// requests (the cheapest op, so the default mix is read-heavy like a real
-// monitoring client).
-struct SyntheticMixOptions {
-  double what_if_fraction = 0.30;
-  double advance_fraction = 0.20;
-  double submit_kill_fraction = 0.01;  // emits a submit AND its kill
-  double advance_dt_s = 30.0;
-  // Every prom_every-th metrics_snapshot asks for Prometheus format instead
-  // of the JSON report.
-  int prom_every = 4;
-};
-
 // Emits `count` deterministic NDJSON request lines (seeded mix; same seed,
-// same bytes) to `out`. The log ends without a shutdown so callers can
-// append their own epilogue (e.g. a final metrics_snapshot + shutdown).
-void GenerateSyntheticRequests(int64_t count, uint64_t seed,
-                               const SyntheticMixOptions& options,
-                               std::ostream& out);
+// same bytes) to `out`: 30% what_if, 20% advance, 1% submit/kill pairs, and
+// metrics_snapshot for the rest, so the mix is read-heavy like a real
+// monitoring client. The log ends without a shutdown so callers can append
+// their own epilogue (e.g. a final metrics_snapshot + shutdown).
+void GenerateSyntheticRequests(int64_t count, uint64_t seed, std::ostream& out);
 
 }  // namespace optimus
 

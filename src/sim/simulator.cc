@@ -557,9 +557,6 @@ void Simulator::InitSpeedModel(JobRuntime* jr) {
     conv_options.max_fit_points = config_.conv_fit_points;
   }
   jr->conv = std::make_unique<ConvergenceModel>(conv_options);
-  if (config_.multi_family_fitting) {
-    jr->multi_conv = std::make_unique<MultiFamilyConvergenceModel>();
-  }
   jr->speed =
       std::make_unique<SpeedModel>(spec.mode, spec.GlobalBatch());
   if (config_.oracle_estimates) {
@@ -639,18 +636,10 @@ double Simulator::EstimateRemainingEpochs(const JobRuntime& jr) const {
     const double remaining = std::max(0.0, jr.true_total_epochs - jr.job.EpochsDone());
     return std::max(0.0, remaining * ErrorFactor(jr, config_.error.convergence_error));
   }
-  if (config_.multi_family_fitting && jr.multi_conv != nullptr &&
-      jr.multi_conv->fitted()) {
-    return jr.multi_conv->PredictRemainingEpochs(
-        jr.job.steps_done(), jr.job.spec().convergence_delta, jr.job.spec().patience,
-        jr.job.spec().StepsPerEpoch());
-  }
-  if (jr.conv != nullptr && jr.conv->fitted()) {
-    return jr.conv->PredictRemainingEpochs(
-        jr.job.steps_done(), jr.job.spec().convergence_delta, jr.job.spec().patience,
-        jr.job.spec().StepsPerEpoch());
-  }
-  return kDefaultRemainingEpochs;
+  return jr.conv->PredictRemainingEpochs(jr.job.steps_done(),
+                                        jr.job.spec().convergence_delta,
+                                        jr.job.spec().patience,
+                                        jr.job.spec().StepsPerEpoch());
 }
 
 SchedJob Simulator::MakeSchedJob(JobRuntime* jr) const {
@@ -1340,12 +1329,7 @@ bool Simulator::ApplyLrDrop(JobRuntime* jr) {
     return false;
   }
   jr->lr_drop_handled = true;
-  if (jr->conv != nullptr) {
-    jr->conv->Reset();
-  }
-  if (jr->multi_conv != nullptr) {
-    jr->multi_conv->Reset();
-  }
+  jr->conv->Reset();
   return true;
 }
 
@@ -1359,9 +1343,6 @@ void Simulator::FeedLossSamples(JobRuntime* jr, double from_step,
     const double sample =
         jr->curve.SampleLossAtStep(static_cast<int64_t>(step), &jr->rng);
     jr->conv->AddSample(step, sample);
-    if (jr->multi_conv != nullptr) {
-      jr->multi_conv->AddSample(step, sample);
-    }
   }
 }
 
@@ -1391,11 +1372,10 @@ Simulator::SpeedSample Simulator::SpeedSampleAt(const JobRuntime& jr,
   return sample;
 }
 
-void Simulator::FitModels(JobRuntime* jr) {
+void Simulator::FitModels(JobRuntime* jr) const {
   jr->speed->Fit();
-  jr->conv->Fit();
-  if (jr->multi_conv != nullptr) {
-    jr->multi_conv->Fit();
+  if (jr->conv->Fit() && config_.multi_family_fitting) {
+    jr->conv->SelectFamily();
   }
 }
 

@@ -33,7 +33,6 @@
 #include "src/obs/exporters.h"
 #include "src/obs/phase_profiler.h"
 #include "src/perfmodel/convergence_model.h"
-#include "src/perfmodel/curve_families.h"
 #include "src/perfmodel/speed_model.h"
 #include "src/pserver/block_assignment.h"
 #include "src/sched/optimus_allocator.h"
@@ -126,7 +125,8 @@ struct SimulatorConfig {
   double young_job_priority_factor = 1.0;
   // Use SLAQ-style multi-family curve fitting (inverse-poly / exponential /
   // power-law model selection, §7 extension) instead of the single Eqn-1
-  // family for convergence estimation.
+  // family for convergence estimation: every successful refit is followed
+  // by ConvergenceModel::SelectFamily.
   bool multi_family_fitting = false;
   // Ablation: replace the fitted Eqn-3/4 speed model with the naive
   // assumption of linear speedup in workers (f(p, w) = w * f(1, 1)). Shows
@@ -344,7 +344,6 @@ class Simulator {
     Job job;
     LossCurve curve;
     std::unique_ptr<ConvergenceModel> conv;
-    std::unique_ptr<MultiFamilyConvergenceModel> multi_conv;
     std::unique_ptr<SpeedModel> speed;
     std::unique_ptr<DataServing> data;
     const ParamBlockSizes* blocks = nullptr;  // shared per model (param_blocks_)
@@ -523,8 +522,9 @@ class Simulator {
   // batch, so the fitted surface stays denominated at the reference batch
   // that batch_speed() scales from.
   SpeedSample SpeedSampleAt(const JobRuntime& jr, double speed) const;
-  // Refits the speed and convergence models.
-  static void FitModels(JobRuntime* jr);
+  // Refits the speed and convergence models; under multi_family_fitting a
+  // convergence fit is followed by its family selection.
+  void FitModels(JobRuntime* jr) const;
   // Utilization snapshot (Fig 14) at the current allocation: compute-busy
   // share of a step on workers, update-busy share on parameter servers.
   void SnapshotUtilization(JobRuntime* jr) const;

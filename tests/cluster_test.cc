@@ -1,3 +1,5 @@
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/cluster/checkpoint.h"
@@ -7,6 +9,7 @@
 #include "src/cluster/server.h"
 #include "src/cluster/straggler.h"
 #include "src/common/rng.h"
+#include "src/models/loss_curve.h"
 #include "src/models/model_zoo.h"
 
 namespace optimus {
@@ -139,6 +142,53 @@ TEST(JobTest, LossIncreaseCountsTowardConvergence) {
   job.RecordEpochLoss(1.0);
   job.RecordEpochLoss(1.01);
   EXPECT_TRUE(job.RecordEpochLoss(1.02));
+}
+
+// Epoch of the first RecordEpochLoss that reports convergence when `job` is
+// fed `curve`'s noiseless losses at epochs 1, 2, ...; 0 if none by `limit`.
+int64_t EpochJobConverges(const LossCurve& curve, int64_t limit, Job* job) {
+  for (int64_t e = 1; e <= limit; ++e) {
+    if (job->RecordEpochLoss(curve.TrueLossAtEpoch(static_cast<double>(e)))) {
+      return e;
+    }
+  }
+  return 0;
+}
+
+// The job's detector and the ground-truth walk are one rule
+// (src/models/convergence_rule.h): on every zoo model's noiseless curve the
+// job converges exactly at LossCurve::EpochsToConverge.
+TEST(JobTest, DetectorMatchesGroundTruthOnNoiselessCurves) {
+  for (const ModelSpec& model : GetModelZoo()) {
+    for (double delta : {0.01, 0.02, 0.03, 0.05}) {
+      for (int patience : {1, 2, 3, 5}) {
+        SCOPED_TRACE(model.name + " delta=" + std::to_string(delta) +
+                     " patience=" + std::to_string(patience));
+        JobSpec spec = MakeJobSpec(model.name, TrainingMode::kSync);
+        spec.convergence_delta = delta;
+        spec.patience = patience;
+        Job job(spec);
+        const LossCurve curve(model.loss, spec.StepsPerEpoch());
+        const int64_t truth = curve.EpochsToConverge(delta, patience);
+        EXPECT_EQ(EpochJobConverges(curve, truth + 1, &job), truth);
+      }
+    }
+  }
+}
+
+// The one known offset: the walk's first comparison is epoch 1 against
+// epoch 0, a job's is epoch 2 against epoch 1. On a curve whose epoch-0 -> 1
+// drop is already below delta the walk counts epoch 1 and the job cannot, so
+// the job converges one epoch later.
+TEST(JobTest, DetectorConvergesOneEpochLaterWhenTheFirstDropIsBelowDelta) {
+  LossCurveParams params;
+  params.c0 = 0.001;  // every per-epoch drop is under 0.07%
+  params.c1 = 1.0;
+  params.c2 = 0.5;
+  const LossCurve curve(params, /*steps_per_epoch=*/1);
+  Job job(MakeJobSpec("CNN-rand", TrainingMode::kSync));  // delta=0.02, patience=2
+  ASSERT_EQ(curve.EpochsToConverge(0.02, 2), 2);
+  EXPECT_EQ(EpochJobConverges(curve, 10, &job), 3);
 }
 
 TEST(JobTest, ScalingEventsCountedOnlyAfterFirstAllocation) {

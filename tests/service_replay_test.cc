@@ -229,7 +229,7 @@ TEST(ServiceReplayTest, SyntheticSmokeLogMatchesCommittedFixture) {
   // requests plus a metrics epilogue and shutdown. Committed so shell-level
   // smoke tests need no generator binary; this test keeps it in sync.
   std::ostringstream log;
-  GenerateSyntheticRequests(198, /*seed=*/21, SyntheticMixOptions{}, log);
+  GenerateSyntheticRequests(198, /*seed=*/21, log);
   log << R"({"op": "metrics_snapshot", "format": "prom", "scope": "service"})"
       << "\n"
       << R"({"op": "shutdown"})" << "\n";
@@ -258,7 +258,7 @@ TEST(ServiceReplayTest, SyntheticLoadBitwiseIdenticalAcrossThreads) {
   // requests: the responses, the deterministic service counters and the
   // run-to-completion report must not depend on --threads.
   std::ostringstream log;
-  GenerateSyntheticRequests(2000, /*seed=*/17, SyntheticMixOptions{}, log);
+  GenerateSyntheticRequests(2000, /*seed=*/17, log);
   ExportOptions options;
   options.include_profiling = false;
   std::string base_responses, base_service, base_report;
