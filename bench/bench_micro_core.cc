@@ -6,9 +6,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <deque>
 #include <iostream>
+#include <limits>
 
 #include "bench/bench_util.h"
 #include "src/cluster/server.h"
@@ -46,6 +48,51 @@ void BM_NnlsSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NnlsSolve)->Arg(32)->Arg(256)->Arg(2048);
+
+// One refinement pass of the Eqn-1 refit's solves: 25 right-hand sides, one
+// per beta2 grid point, on one reused two-unknown solver over the Gram of 25
+// noisy loss samples (A's columns are the step and a column of ones; row i's
+// target is 1 / (loss_i - beta2)).
+void BM_NnlsGramSolveTwoUnknowns(benchmark::State& state) {
+  const ModelSpec& spec = FindModel("Seq2Seq");
+  const int64_t spe = spec.StepsPerEpoch(spec.default_sync_batch);
+  LossCurve curve(spec.loss, spe);
+  Rng rng(4);
+  constexpr int kPoints = 25;
+  constexpr int kLanes = 25;
+  double steps[kPoints];
+  double losses[kPoints];
+  double ata[4] = {};
+  double min_loss = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < kPoints; ++i) {
+    steps[i] = static_cast<double>((i + 1) * spe / 10);
+    losses[i] = curve.SampleLossAtStep((i + 1) * spe / 10, &rng);
+    min_loss = std::min(min_loss, losses[i]);
+    ata[0] += steps[i] * steps[i];
+    ata[1] += steps[i];
+    ata[3] += 1.0;
+  }
+  ata[2] = ata[1];
+  double atb[kLanes][2] = {};
+  for (int k = 0; k < kLanes; ++k) {
+    const double beta2 = min_loss * 0.999 * k / (kLanes - 1);
+    for (int i = 0; i < kPoints; ++i) {
+      const double y = 1.0 / (losses[i] - beta2);
+      atb[k][0] += steps[i] * y;
+      atb[k][1] += y;
+    }
+  }
+  for (auto _ : state) {
+    NnlsGramSolver solver(ata, 2);
+    for (int k = 0; k < kLanes; ++k) {
+      double x[2];
+      benchmark::DoNotOptimize(solver.Solve(atb[k], x));
+      benchmark::DoNotOptimize(x);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kLanes);
+}
+BENCHMARK(BM_NnlsGramSolveTwoUnknowns);
 
 // Times one refit: each iteration restores a model that was fitted on
 // `points` samples and has one new sample since, so Fit() re-runs the whole
@@ -231,10 +278,13 @@ void BM_OptimusPlacement(benchmark::State& state) {
 }
 BENCHMARK(BM_OptimusPlacement)->Arg(10)->Arg(100)->Arg(1000);
 
+// One PAA assignment of ResNet-50's blocks to 10 PSes with the block order
+// sorted once outside the loop, as the simulator's per-model table does.
 void BM_PaaAssignment(benchmark::State& state) {
   const ParamBlockSizes blocks = GenerateParamBlocks(FindModel("ResNet-50"));
+  const std::vector<int> order = PaaBlockOrder(blocks);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(PaaAssigner().Assign(blocks, 10));
+    benchmark::DoNotOptimize(PaaAssigner().Assign(blocks, order, 10));
   }
 }
 BENCHMARK(BM_PaaAssignment);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "src/common/logging.h"
 
@@ -62,9 +63,25 @@ BlockAssignment MxnetAssigner::Assign(const ParamBlockSizes& blocks, int num_ps,
   return assignment;
 }
 
+std::vector<int> PaaBlockOrder(const ParamBlockSizes& blocks) {
+  std::vector<int> order(blocks.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    return blocks[a] != blocks[b] ? blocks[a] > blocks[b] : a < b;
+  });
+  return order;
+}
+
 BlockAssignment PaaAssigner::Assign(const ParamBlockSizes& blocks, int num_ps,
                                     const std::vector<double>* ps_weights) const {
+  return Assign(blocks, PaaBlockOrder(blocks), num_ps, ps_weights);
+}
+
+BlockAssignment PaaAssigner::Assign(const ParamBlockSizes& blocks,
+                                    const std::vector<int>& order, int num_ps,
+                                    const std::vector<double>* ps_weights) const {
   OPTIMUS_CHECK_GT(num_ps, 0);
+  OPTIMUS_CHECK_EQ(order.size(), blocks.size());
   if (ps_weights != nullptr) {
     OPTIMUS_CHECK_EQ(static_cast<int>(ps_weights->size()), num_ps);
     for (double w : *ps_weights) {
@@ -77,14 +94,6 @@ BlockAssignment PaaAssigner::Assign(const ParamBlockSizes& blocks, int num_ps,
   const int64_t total = std::accumulate(blocks.begin(), blocks.end(), int64_t{0});
   const double avg_size = static_cast<double>(total) / num_ps;
   const double tiny_cutoff = tiny_fraction_ * avg_size;
-
-  // Process blocks in decreasing order of size, ties by ascending block id:
-  // the permutation a stable sort by size gives, without its buffer.
-  std::vector<int> order(blocks.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    return blocks[a] != blocks[b] ? blocks[a] > blocks[b] : a < b;
-  });
 
   std::vector<int64_t> assigned(num_ps, 0);
   std::vector<int64_t> requests(num_ps, 0);
@@ -119,6 +128,7 @@ BlockAssignment PaaAssigner::Assign(const ParamBlockSizes& blocks, int num_ps,
     return best;
   };
 
+  // Blocks in decreasing order of size, ties by ascending block id.
   for (int block_id : order) {
     const int64_t size = blocks[block_id];
     const double dsize = static_cast<double>(size);
@@ -160,6 +170,24 @@ BlockAssignment PaaAssigner::Assign(const ParamBlockSizes& blocks, int num_ps,
     }
   }
   return assignment;
+}
+
+PaaLoadTable::PaaLoadTable(ParamBlockSizes blocks)
+    : blocks_(std::move(blocks)), order_(PaaBlockOrder(blocks_)) {}
+
+PsLoadMetrics PaaLoadTable::Load(int num_ps, const std::vector<double>* ps_weights) {
+  if (ps_weights != nullptr) {
+    return ComputeLoadMetrics(PaaAssigner().Assign(blocks_, order_, num_ps, ps_weights));
+  }
+  OPTIMUS_CHECK_GT(num_ps, 0);
+  const size_t slot = static_cast<size_t>(num_ps - 1);
+  if (slot >= unweighted_.size()) {
+    unweighted_.resize(slot + 1);
+  }
+  if (!unweighted_[slot].has_value()) {
+    unweighted_[slot] = ComputeLoadMetrics(PaaAssigner().Assign(blocks_, order_, num_ps));
+  }
+  return *unweighted_[slot];
 }
 
 PsLoadMetrics BalancedLoadMetrics(int64_t total_params, int num_ps, int num_blocks) {

@@ -16,6 +16,7 @@
 #define SRC_PSERVER_BLOCK_ASSIGNMENT_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -82,8 +83,42 @@ class PaaAssigner {
   BlockAssignment Assign(const ParamBlockSizes& blocks, int num_ps,
                          const std::vector<double>* ps_weights = nullptr) const;
 
+  // The same with the visiting order given: `order` must be
+  // PaaBlockOrder(blocks), so a caller that assigns one block set many times
+  // sorts it once.
+  BlockAssignment Assign(const ParamBlockSizes& blocks, const std::vector<int>& order,
+                         int num_ps,
+                         const std::vector<double>* ps_weights = nullptr) const;
+
  private:
   double tiny_fraction_;
+};
+
+// The order PAA visits blocks in: decreasing size, ties by ascending block id
+// (the permutation a stable sort by size gives).
+std::vector<int> PaaBlockOrder(const ParamBlockSizes& blocks);
+
+// One model's parameter blocks with what the default PaaAssigner derives from
+// them alone: the block order, sorted once, and the unweighted load metrics
+// per PS count. Without weights PAA is a pure function of (blocks, num_ps),
+// so each count's metrics are computed on first use and read back after
+// that. A weighted load is recomputed on every call, reusing only the order.
+// Load() fills the table, so one instance is not safe to share across
+// threads.
+class PaaLoadTable {
+ public:
+  explicit PaaLoadTable(ParamBlockSizes blocks);
+
+  const ParamBlockSizes& blocks() const { return blocks_; }
+
+  // ComputeLoadMetrics(PaaAssigner().Assign(blocks(), num_ps, ps_weights)),
+  // bit for bit.
+  PsLoadMetrics Load(int num_ps, const std::vector<double>* ps_weights = nullptr);
+
+ private:
+  ParamBlockSizes blocks_;
+  std::vector<int> order_;
+  std::vector<std::optional<PsLoadMetrics>> unweighted_;  // [num_ps - 1]
 };
 
 // Convenience: load metrics of a hypothetical perfectly balanced assignment

@@ -256,14 +256,13 @@ Simulator::Simulator(SimulatorConfig config, std::vector<Server> servers,
 }
 
 Simulator::JobRuntime* Simulator::MaterializeSpec(JobSpec pending, size_t key) {
-  auto jr = std::make_unique<JobRuntime>(std::move(pending), key);
+  auto jr = std::make_unique<JobRuntime>(std::move(pending), key, rng_);
   const JobSpec& spec = jr->job.spec();
-  jr->rng = rng_.Split(static_cast<uint64_t>(spec.id) + 1000);
-  jr->fault_rng = rng_.Split(static_cast<uint64_t>(spec.id) + 500000);
   jr->error_sign = jr->rng.Bernoulli(0.5) ? 1 : -1;
   auto blocks = param_blocks_.find(spec.model);
   if (blocks == param_blocks_.end()) {
-    blocks = param_blocks_.emplace(spec.model, GenerateParamBlocks(*spec.model)).first;
+    blocks = param_blocks_.emplace(spec.model, PaaLoadTable(GenerateParamBlocks(*spec.model)))
+                 .first;
   }
   jr->blocks = &blocks->second;
   jr->data = std::make_unique<DataServing>(
@@ -721,10 +720,11 @@ void Simulator::RecomputeLoad(JobRuntime* jr) {
     }
     const std::vector<double>* w =
         static_cast<int>(weights.size()) == p ? &weights : nullptr;
-    jr->load = ComputeLoadMetrics(PaaAssigner().Assign(*jr->blocks, p, w));
+    jr->load = jr->blocks->Load(p, w);
   } else {
     Rng assign_rng = jr->rng.Split(static_cast<uint64_t>(p) + 7);
-    jr->load = ComputeLoadMetrics(MxnetAssigner().Assign(*jr->blocks, p, &assign_rng));
+    jr->load =
+        ComputeLoadMetrics(MxnetAssigner().Assign(jr->blocks->blocks(), p, &assign_rng));
   }
   jr->load_valid = true;
 }

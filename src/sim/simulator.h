@@ -333,12 +333,16 @@ class Simulator {
   };
 
   struct JobRuntime {
-    JobRuntime(JobSpec spec, size_t order_key)
+    // The job's two RNG streams are split off `sim_rng` by job id, straight
+    // into their members.
+    JobRuntime(JobSpec spec, size_t order_key, const Rng& sim_rng)
         : key(order_key),
           job(spec),
           curve(spec.lr_drop.has_value()
                     ? LossCurve(spec.model->loss, spec.StepsPerEpoch(), *spec.lr_drop)
-                    : LossCurve(spec.model->loss, spec.StepsPerEpoch())) {}
+                    : LossCurve(spec.model->loss, spec.StepsPerEpoch())),
+          rng(sim_rng.Split(static_cast<uint64_t>(spec.id) + 1000)),
+          fault_rng(sim_rng.Split(static_cast<uint64_t>(spec.id) + 500000)) {}
 
     size_t key;  // order key: the spec's slot in pending_specs_
     Job job;
@@ -346,13 +350,13 @@ class Simulator {
     std::unique_ptr<ConvergenceModel> conv;
     std::unique_ptr<SpeedModel> speed;
     std::unique_ptr<DataServing> data;
-    const ParamBlockSizes* blocks = nullptr;  // shared per model (param_blocks_)
+    PaaLoadTable* blocks = nullptr;  // shared per model (param_blocks_)
     PsLoadMetrics load;
     bool load_valid = false;
-    Rng rng{0};
+    Rng rng;
     // Dedicated stream for fault draws so enabling faults does not perturb
     // the training/noise streams of an un-faulted run.
-    Rng fault_rng{0};
+    Rng fault_rng;
     int error_sign = 1;
     // Per-container bandwidth (bytes/s) the network model resolved for this
     // job at the last RefreshNetwork; 0 = use the flat CommConfig bandwidth.
@@ -621,8 +625,9 @@ class Simulator {
   mutable int64_t runtime_visits_ = 0;
   int materialized_count_ = 0;
   // Param blocks depend only on the model, so each model's are generated
-  // once and shared by its jobs.
-  std::unordered_map<const ModelSpec*, ParamBlockSizes> param_blocks_;
+  // once and shared by its jobs, together with their PAA order and
+  // unweighted load per PS count (PaaLoadTable).
+  std::unordered_map<const ModelSpec*, PaaLoadTable> param_blocks_;
 
   // --- Pending queue -----------------------------------------------------
   // Every spec not yet admitted, indexed by order key: the constructor's

@@ -1,8 +1,5 @@
 #include "src/solver/matrix.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "src/common/logging.h"
 
 namespace optimus {
@@ -60,64 +57,12 @@ Matrix Matrix::SelectColumns(const std::vector<size_t>& columns) const {
 bool CholeskyFactor(const double* m, size_t n, double* l) {
   OPTIMUS_CHECK_LE(n, kMaxSolveDims)
       << "SolveSpd supports at most " << kMaxSolveDims << " unknowns, got " << n;
-
-  // Ridge scaled to the matrix magnitude keeps the Cholesky stable when the
-  // fitting features are nearly collinear (common early in online fitting).
-  double max_diag = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    max_diag = std::max(max_diag, std::abs(m[i * n + i]));
-  }
-  const double ridge = max_diag * 1e-12 + 1e-300;
-
-  // m = L L^T, with L row-major.
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j <= i; ++j) {
-      double sum = m[i * n + j];
-      if (i == j) {
-        sum += ridge;
-      }
-      for (size_t k = 0; k < j; ++k) {
-        sum -= l[i * n + k] * l[j * n + k];
-      }
-      if (i == j) {
-        if (sum <= 0.0 || !std::isfinite(sum)) {
-          return false;
-        }
-        l[i * n + i] = std::sqrt(sum);
-      } else {
-        l[i * n + j] = sum / l[j * n + j];
-      }
-    }
-  }
-  return true;
+  return CholeskyFactorN<0>(m, n, l);
 }
 
 bool CholeskySolve(const double* l, const double* b, size_t n, double* x) {
   OPTIMUS_CHECK_LE(n, kMaxSolveDims);
-  // Forward solve L y = b.
-  double y[kMaxSolveDims];
-  for (size_t i = 0; i < n; ++i) {
-    double sum = b[i];
-    for (size_t k = 0; k < i; ++k) {
-      sum -= l[i * n + k] * y[k];
-    }
-    y[i] = sum / l[i * n + i];
-  }
-
-  // Back solve L^T x = y.
-  for (size_t ii = n; ii-- > 0;) {
-    double sum = y[ii];
-    for (size_t k = ii + 1; k < n; ++k) {
-      sum -= l[k * n + ii] * x[k];
-    }
-    x[ii] = sum / l[ii * n + ii];
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (!std::isfinite(x[i])) {
-      return false;
-    }
-  }
-  return true;
+  return CholeskySolveN<0>(l, b, n, x);
 }
 
 bool SolveSpd(const double* m, const double* b, size_t n, double* x) {

@@ -9,6 +9,8 @@
 #ifndef SRC_SOLVER_MATRIX_H_
 #define SRC_SOLVER_MATRIX_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -63,6 +65,77 @@ bool CholeskyFactor(const double* m, size_t n, double* l);
 // Solves L L^T x = b for a CholeskyFactor output `l`; `b` and `x` have n
 // entries. Returns false if the solution is not finite.
 bool CholeskySolve(const double* l, const double* b, size_t n, double* x);
+
+// The two steps above with bodies written once for either a runtime size
+// (kN = 0, use `n`) or a size fixed at compile time (kN > 0, `n` ignored).
+// A fixed size only turns the loop bounds into constants: the operations and
+// their order are the same, so both forms give the same bits.
+template <size_t kN>
+inline bool CholeskyFactorN(const double* m, size_t n, double* l) {
+  if constexpr (kN > 0) {
+    n = kN;
+  }
+  // Ridge scaled to the matrix magnitude keeps the Cholesky stable when the
+  // fitting features are nearly collinear (common early in online fitting).
+  double max_diag = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    max_diag = std::max(max_diag, std::abs(m[i * n + i]));
+  }
+  const double ridge = max_diag * 1e-12 + 1e-300;
+
+  // m = L L^T, with L row-major.
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j <= i; ++j) {
+      double sum = m[i * n + j];
+      if (i == j) {
+        sum += ridge;
+      }
+      for (size_t k = 0; k < j; ++k) {
+        sum -= l[i * n + k] * l[j * n + k];
+      }
+      if (i == j) {
+        if (sum <= 0.0 || !std::isfinite(sum)) {
+          return false;
+        }
+        l[i * n + i] = std::sqrt(sum);
+      } else {
+        l[i * n + j] = sum / l[j * n + j];
+      }
+    }
+  }
+  return true;
+}
+
+template <size_t kN>
+inline bool CholeskySolveN(const double* l, const double* b, size_t n, double* x) {
+  if constexpr (kN > 0) {
+    n = kN;
+  }
+  // Forward solve L y = b.
+  double y[kN > 0 ? kN : kMaxSolveDims];
+  for (size_t i = 0; i < n; ++i) {
+    double sum = b[i];
+    for (size_t k = 0; k < i; ++k) {
+      sum -= l[i * n + k] * y[k];
+    }
+    y[i] = sum / l[i * n + i];
+  }
+
+  // Back solve L^T x = y.
+  for (size_t ii = n; ii-- > 0;) {
+    double sum = y[ii];
+    for (size_t k = ii + 1; k < n; ++k) {
+      sum -= l[k * n + ii] * x[k];
+    }
+    x[ii] = sum / l[ii * n + ii];
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (!std::isfinite(x[i])) {
+      return false;
+    }
+  }
+  return true;
+}
 
 // CholeskyFactor followed by CholeskySolve: solves M x = b, writing `x` only
 // once the factorization succeeds. Returns false if either step fails.

@@ -36,8 +36,34 @@ NnlsGramSolver::NnlsGramSolver(const double* ata, size_t n, const NnlsOptions& o
   std::copy(ata, ata + n * n, ata_);
 }
 
+namespace {
+
+// Cholesky factor and solve of a k-unknown passive subset. Under a solver of
+// compile-time size kN = 2, k (1 or 2) becomes a compile-time constant too.
+template <size_t kN>
+bool FactorSubset(const double* sub, size_t k, double* l) {
+  if constexpr (kN == 2) {
+    return k == 1 ? CholeskyFactorN<1>(sub, 1, l) : CholeskyFactorN<2>(sub, 2, l);
+  } else {
+    return CholeskyFactorN<0>(sub, k, l);
+  }
+}
+
+template <size_t kN>
+bool SolveSubset(const double* l, const double* rhs, size_t k, double* z) {
+  if constexpr (kN == 2) {
+    return k == 1 ? CholeskySolveN<1>(l, rhs, 1, z) : CholeskySolveN<2>(l, rhs, 2, z);
+  } else {
+    return CholeskySolveN<0>(l, rhs, k, z);
+  }
+}
+
+}  // namespace
+
+template <size_t kN>
 const NnlsGramSolver::SubsetFactor& NnlsGramSolver::FactorFor(const size_t* passive,
                                                              size_t k) {
+  const size_t n = kN > 0 ? kN : n_;
   // Key: the subset size, then each index in passive order (4 bits apiece).
   // The order matters: the subset matrix is laid out in passive order, and
   // its factor's rounding depends on that layout.
@@ -45,17 +71,26 @@ const NnlsGramSolver::SubsetFactor& NnlsGramSolver::FactorFor(const size_t* pass
   for (size_t i = 0; i < k; ++i) {
     key |= static_cast<uint64_t>(passive[i]) << (4 * (i + 1));
   }
-  for (size_t s = 0; s < num_factors_; ++s) {
-    if (factors_[s].key == key) {
-      return factors_[s];
+  size_t slot;
+  if constexpr (kN == 2) {
+    // {0} -> 0, {1} -> 1, {0, 1} -> 2, {1, 0} -> 3.
+    slot = k == 1 ? passive[0] : 2 + passive[0];
+    if (factors_[slot].key == key) {
+      return factors_[slot];
     }
-  }
-  size_t slot = num_factors_;
-  if (num_factors_ < kMaxFactors) {
-    ++num_factors_;
   } else {
-    slot = next_evict_;
-    next_evict_ = (next_evict_ + 1) % kMaxFactors;
+    for (size_t s = 0; s < num_factors_; ++s) {
+      if (factors_[s].key == key) {
+        return factors_[s];
+      }
+    }
+    slot = num_factors_;
+    if (num_factors_ < kMaxFactors) {
+      ++num_factors_;
+    } else {
+      slot = next_evict_;
+      next_evict_ = (next_evict_ + 1) % kMaxFactors;
+    }
   }
   // The subset system is exactly what SelectColumns + Gram of a dense A would
   // produce (same sums in the same order), so solutions match the dense path
@@ -64,17 +99,19 @@ const NnlsGramSolver::SubsetFactor& NnlsGramSolver::FactorFor(const size_t* pass
   double sub[kMaxSolveDims * kMaxSolveDims];
   for (size_t i = 0; i < k; ++i) {
     for (size_t j = 0; j < k; ++j) {
-      sub[i * k + j] = ata_[passive[i] * n_ + passive[j]];
+      sub[i * k + j] = ata_[passive[i] * n + passive[j]];
     }
   }
   f.key = key;
-  f.ok = CholeskyFactor(sub, k, f.l);
+  f.ok = FactorSubset<kN>(sub, k, f.l);
   return f;
 }
 
+template <size_t kN>
 bool NnlsGramSolver::SolveOnSubset(const double* atb, const size_t* passive, size_t k,
                                    double* full) {
-  const SubsetFactor& f = FactorFor(passive, k);
+  const size_t n = kN > 0 ? kN : n_;
+  const SubsetFactor& f = FactorFor<kN>(passive, k);
   if (!f.ok) {
     return false;
   }
@@ -83,22 +120,31 @@ bool NnlsGramSolver::SolveOnSubset(const double* atb, const size_t* passive, siz
   for (size_t i = 0; i < k; ++i) {
     rhs[i] = atb[passive[i]];
   }
-  if (!CholeskySolve(f.l, rhs, k, z)) {
+  if (!SolveSubset<kN>(f.l, rhs, k, z)) {
     return false;
   }
-  std::fill(full, full + n_, 0.0);
+  std::fill(full, full + n, 0.0);
   for (size_t i = 0; i < k; ++i) {
     full[passive[i]] = z[i];
   }
   return true;
 }
 
-NnlsGramSolver::Solution NnlsGramSolver::Solve(const double* atb, double* x_out) {
-  const size_t n = n_;
+// Every caller with two unknowns (the convergence model's lanes, ~75 per
+// refit) gets the loop compiled at n = 2. The instantiations differ only in
+// whether the loop bounds are constants, so they compute the same bits.
+NnlsGramSolver::Solution NnlsGramSolver::Solve(const double* atb, double* x) {
+  return n_ == 2 ? SolveN<2>(atb, x) : SolveN<0>(atb, x);
+}
+
+template <size_t kN>
+NnlsGramSolver::Solution NnlsGramSolver::SolveN(const double* atb, double* x_out) {
+  constexpr size_t kCap = kN > 0 ? kN : kMaxSolveDims;
+  const size_t n = kN > 0 ? kN : n_;
   const double* ata = ata_;
 
-  bool in_passive[kMaxSolveDims] = {};
-  size_t passive[kMaxSolveDims];
+  bool in_passive[kCap] = {};
+  size_t passive[kCap];
   size_t num_passive = 0;
 
   // Gradient scale for the relative dual tolerance (the gradient at x = 0 is
@@ -109,9 +155,9 @@ NnlsGramSolver::Solution NnlsGramSolver::Solve(const double* atb, double* x_out)
   }
   const double tol = options_.tolerance * std::max(grad_scale, 1.0);
 
-  double x[kMaxSolveDims] = {};
-  double w[kMaxSolveDims];
-  double z[kMaxSolveDims];
+  double x[kCap] = {};
+  double w[kCap];
+  double z[kCap];
   int iter = 0;
   while (iter < options_.max_iterations) {
     // Dual vector w = A^T b - A^T A x (== A^T (b - A x)).
@@ -142,7 +188,7 @@ NnlsGramSolver::Solution NnlsGramSolver::Solve(const double* atb, double* x_out)
     // Inner loop: ensure the passive-set least-squares solution is feasible.
     while (true) {
       ++iter;
-      if (!SolveOnSubset(atb, passive, num_passive, z)) {
+      if (!SolveOnSubset<kN>(atb, passive, num_passive, z)) {
         // Numerically singular subset: drop the most recently added column.
         in_passive[passive[--num_passive]] = false;
         break;

@@ -88,9 +88,11 @@ class GramSystem {
 // Lawson-Hanson active-set NNLS on one fixed A^T A, reusable across many
 // right-hand sides (e.g. the convergence model's beta2 sweep, ~75 solves per
 // fit against one 2x2 Gram). Each passive subset's Cholesky factor is
-// computed on first use and kept, so repeated solves refactor nothing. A
-// cached factor is the same arithmetic on the same subset matrix as a fresh
-// one, so every solve is bit-identical to a solver built for it alone.
+// computed on first use and kept in a slot (see kMaxFactors), so repeated
+// solves refactor nothing while the subsets fit the slots. A cached factor
+// is the same arithmetic on the same subset matrix as a fresh one, so every
+// solve is bit-identical to a solver built for it alone. A 2-unknown solver
+// runs the same loop compiled at that size (see Solve).
 class NnlsGramSolver {
  public:
   // `ata` is n x n row-major and is copied; requires n <= kMaxSolveDims.
@@ -108,18 +110,26 @@ class NnlsGramSolver {
   Solution Solve(const double* atb, double* x);
 
  private:
-  // Distinct passive subsets kept at once; a 2-unknown solve visits at most
-  // four ({0}, {1}, {0, 1}, {1, 0}). Beyond that the oldest is replaced.
+  // Slots for cached subset factors. A 2-unknown solver has exactly four
+  // passive subsets, {0}, {1}, {0, 1} and {1, 0}, and keeps them in slots 0-3
+  // (direct-mapped, so no search). A larger one keeps up to kMaxFactors
+  // distinct subsets and then replaces the oldest.
   static constexpr size_t kMaxFactors = 16;
   struct SubsetFactor {
-    uint64_t key;  // subset size and its indices in passive order
-    bool ok;       // false when the subset was too ill-conditioned to factor
+    uint64_t key = 0;  // subset size and its indices in passive order; 0 = empty
+    bool ok;           // false when the subset was too ill-conditioned to factor
     double l[kMaxSolveDims * kMaxSolveDims];
   };
 
+  // The Lawson-Hanson loop and its subset solves, written once: kN = 2 fixes
+  // the size at compile time, kN = 0 reads it from n_.
+  template <size_t kN>
+  Solution SolveN(const double* atb, double* x);
+  template <size_t kN>
   const SubsetFactor& FactorFor(const size_t* passive, size_t k);
   // Least squares on the passive subset; entries outside it are zero in the
   // n-entry `full`. False when the subset cannot be solved.
+  template <size_t kN>
   bool SolveOnSubset(const double* atb, const size_t* passive, size_t k, double* full);
 
   size_t n_;

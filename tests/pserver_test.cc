@@ -137,6 +137,7 @@ TEST(PaaAssignerTest, TieOrderMatchesStableSort) {
     std::iota(expected.begin(), expected.end(), 0);
     std::stable_sort(expected.begin(), expected.end(),
                      [&](int a, int b) { return blocks[a] > blocks[b]; });
+    EXPECT_EQ(PaaBlockOrder(blocks), expected) << "trial " << trial;
     for (int p : {1, 3, 10, 32}) {
       std::vector<double> weights(static_cast<size_t>(p));
       for (double& w : weights) {
@@ -154,6 +155,40 @@ TEST(PaaAssignerTest, TieOrderMatchesStableSort) {
           }
         }
         EXPECT_EQ(seen, expected);
+      }
+    }
+  }
+}
+
+void ExpectSameLoad(const PsLoadMetrics& got, const PsLoadMetrics& want) {
+  EXPECT_EQ(got.param_size_diff, want.param_size_diff);
+  EXPECT_EQ(got.request_count_diff, want.request_count_diff);
+  EXPECT_EQ(got.total_requests, want.total_requests);
+  EXPECT_EQ(got.max_ps_params, want.max_ps_params);
+  EXPECT_EQ(got.max_param_fraction, want.max_param_fraction);
+}
+
+TEST(PaaLoadTableTest, MatchesAFreshAssignmentForEveryZooModel) {
+  // Every unweighted entry equals a fresh PaaAssigner's metrics field for
+  // field, both when it is filled (p = 32 down to 1, so the first fill sizes
+  // the table) and when it is read back. A weighted load between the reads
+  // is recomputed and leaves the table as it was.
+  Rng rng(31);
+  for (const ModelSpec& spec : GetModelZoo()) {
+    const ParamBlockSizes blocks = GenerateParamBlocks(spec);
+    PaaLoadTable table(blocks);
+    EXPECT_EQ(table.blocks(), blocks);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (int i = 0; i < 32; ++i) {
+        const int p = pass == 0 ? 32 - i : i + 1;
+        SCOPED_TRACE(spec.name + " p=" + std::to_string(p) + " pass " + std::to_string(pass));
+        ExpectSameLoad(table.Load(p), ComputeLoadMetrics(PaaAssigner().Assign(blocks, p)));
+        std::vector<double> weights(static_cast<size_t>(p));
+        for (double& w : weights) {
+          w = rng.Uniform(0.25, 1.0);
+        }
+        ExpectSameLoad(table.Load(p, &weights),
+                       ComputeLoadMetrics(PaaAssigner().Assign(blocks, p, &weights)));
       }
     }
   }

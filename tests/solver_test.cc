@@ -232,6 +232,37 @@ TEST(NnlsPinTest, TwoUnknowns) {
                 0x1.186f1e395b4p-3});
 }
 
+// The two-unknown system of one Eqn-1 lane: 25 points at steps
+// k = scale * i (i = 1..25), features (k, 1), target slope * k + intercept.
+GramSystem LaneGram(double scale, double slope, double intercept) {
+  GramSystem gram(2);
+  for (int i = 1; i <= 25; ++i) {
+    const double k = scale * i;
+    gram.Add({k, 1.0}, slope * k + intercept);
+  }
+  return gram;
+}
+
+TEST(NnlsPinTest, TwoUnknownsEntersTheInterceptFirst) {
+  // Small steps make A^T b's intercept entry the larger: the passive set
+  // grows in the order {1, 0}, whose subset matrix is laid out transposed.
+  ExpectPinned(SolveNnlsGram(LaneGram(0.04, 1.0, 2.0)),
+               {{0x1.0000000000875p+0, 0x1.fffffffffd86ap+0}, 2, true, 0.0});
+}
+
+TEST(NnlsPinTest, TwoUnknownsStepsBackToTheActiveSet) {
+  // A falling target: the slope enters first, the unconstrained {0, 1}
+  // solution makes it negative, and the inner step returns it to zero.
+  ExpectPinned(SolveNnlsGram(LaneGram(1.0, -1.0, 30.0)),
+               {{0.0, 0x1.0ffffffffed4ep+4}, 3, true, 0x1.4500000000004p+10});
+}
+
+TEST(NnlsPinTest, TwoUnknownsWithANonPositiveRightHandSide) {
+  // A^T b <= 0: x = 0 satisfies the KKT conditions before any iteration.
+  ExpectPinned(SolveNnlsGram(LaneGram(1.0, -0.5, -1.0)),
+               {{0.0, 0.0}, 0, true, 0x1.b0dp+10});
+}
+
 TEST(NnlsPinTest, FourUnknownsZeroesANegativeCoefficient) {
   ExpectPinned(SolveNnlsGram(SeededGram(4, 12, {1.0, -0.5, 2.0, 0.3})),
                {{0x1.d025a16f3e7a9p-1, 0.0, 0x1.c29cdb3ddff16p+0, 0x1.29494b0f62421p-3},
