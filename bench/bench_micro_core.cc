@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the scheduler's hot paths: NNLS
 // solving, convergence-curve fitting and its outlier pass, speed-model
-// fitting, a marginal-gain allocation round, and a placement round.
+// fitting, a marginal-gain allocation round, a placement round, and a short
+// thread-pool fan-out.
 // Afterwards it writes the `micro_core` section (allocation round, cached vs
 // uncached) into --json=PATH (default BENCH_sched.json).
 
@@ -11,11 +12,14 @@
 #include <deque>
 #include <iostream>
 #include <limits>
+#include <thread>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/cluster/server.h"
 #include "src/common/flags.h"
 #include "src/common/rng.h"
+#include "src/common/threadpool.h"
 #include "src/models/loss_curve.h"
 #include "src/models/model_zoo.h"
 #include "src/perfmodel/convergence_model.h"
@@ -288,6 +292,45 @@ void BM_PaaAssignment(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PaaAssignment);
+
+// Busy-waits for `d` on the calling thread.
+void SpinFor(std::chrono::nanoseconds d) {
+  const auto until = std::chrono::steady_clock::now() + d;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+// A short fan-out after an idle gap, the shape of the events engine's model
+// refits: ThreadPool(4) runs 256 items of about 2 us each after the caller
+// has run 1 ms of serial work (untimed), long enough for the workers to park.
+// Reports the runners that ran items per call and the caller's share of the
+// items.
+void BM_ParallelForShortFanOut(benchmark::State& state) {
+  constexpr int64_t kItems = 256;
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(kItems);
+  double runners = 0.0;
+  double caller_items = 0.0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    SpinFor(std::chrono::milliseconds(1));
+    state.ResumeTiming();
+    pool.ParallelFor(kItems, [&ran_on](int64_t i) {
+      SpinFor(std::chrono::microseconds(2));
+      ran_on[static_cast<size_t>(i)] = std::this_thread::get_id();
+    });
+    std::vector<std::thread::id> distinct = ran_on;
+    std::sort(distinct.begin(), distinct.end());
+    runners += static_cast<double>(
+        std::unique(distinct.begin(), distinct.end()) - distinct.begin());
+    caller_items += static_cast<double>(std::count(ran_on.begin(), ran_on.end(), caller));
+  }
+  const double calls = static_cast<double>(state.iterations());
+  state.counters["runners_per_call"] = runners / calls;
+  state.counters["caller_share"] = caller_items / (calls * kItems);
+}
+BENCHMARK(BM_ParallelForShortFanOut)->UseRealTime();
 
 void BM_StepTimeModel(benchmark::State& state) {
   const ModelSpec& spec = FindModel("ResNet-50");

@@ -21,10 +21,10 @@
 #ifndef SRC_COMMON_THREADPOOL_H_
 #define SRC_COMMON_THREADPOOL_H_
 
-#include <condition_variable>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -37,6 +37,11 @@ int DefaultThreadCount();
 
 class ThreadPool {
  public:
+  // How long an idle runner polls before it blocks in the kernel: a worker
+  // waiting for the next call, and the caller waiting for workers' last
+  // chunks. Waking a blocked thread can take longer than a short call.
+  static constexpr std::chrono::microseconds kSpin{50};
+
   // `num_threads` runners: the caller plus num_threads - 1 spawned workers.
   // Values <= 1 create an inline (threadless) pool.
   explicit ThreadPool(int num_threads);
@@ -49,35 +54,45 @@ class ThreadPool {
   int num_threads() const { return static_cast<int>(workers_.size()) + 1; }
 
   // Runs fn(0) .. fn(n - 1) and returns once every index has finished. The
-  // workers claim contiguous chunks of about n / (4 * num_threads()) indices
-  // from the front, the caller claims them from the back. Result commits must
-  // go to index-owned slots; under that contract the outcome is identical to
-  // the serial loop regardless of thread count. A call made while another call
-  // is in flight on this pool — a nested call from one of its items, or a
-  // second thread's call — runs serially on its caller.
+  // caller and the workers claim contiguous chunks of about
+  // n / (4 * num_threads()) indices through one atomic cursor; the caller
+  // starts on its own chunks as soon as it publishes the call. Result commits
+  // must go to index-owned slots; under that contract the outcome is
+  // identical to the serial loop regardless of thread count. A call made
+  // while another call is in flight on this pool — a nested call from one of
+  // its items, or a second thread's call — runs serially on its caller.
   void ParallelFor(int64_t n, const std::function<void(int64_t)>& fn);
 
  private:
-  // Claims the next chunk of the call in flight, from the front or the back;
-  // false when every index is claimed. Requires mu_.
-  bool Claim(bool from_back, int64_t* begin, int64_t* end);
-  // Runs claimed chunks until none is left; `lock` holds mu_ on entry and
-  // exit and is released while items run.
-  void RunChunks(bool from_back, std::unique_lock<std::mutex>& lock);
+  // Bit of gate_ set while the call in flight accepts workers; the bits
+  // below it count the workers attached to that call.
+  static constexpr uint32_t kOpen = uint32_t{1} << 31;
+
+  // Joins the open call, if any: afterwards fn_, n_ and chunk_ are the
+  // call's and stay fixed until Detach().
+  bool Attach();
+  void Detach();
+  // Runs chunks of the call in flight until the cursor passes the last one.
+  void RunChunks();
   void WorkerLoop();
 
   std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable work_ready_;  // a call was published, or shutdown
-  std::condition_variable call_done_;   // the call's last index finished
-  // The call in flight (fn_ != nullptr), all guarded by mu_. Indices in
-  // [front_, back_) are unclaimed; unfinished_ counts those not yet run.
+  // Set by the caller that owns the pool for the call in flight.
+  std::atomic<bool> busy_{false};
+  // Bumped once per published call and once at shutdown; idle workers wait
+  // for it to change.
+  std::atomic<uint32_t> seq_{0};
+  std::atomic<bool> shutting_down_{false};
+  // kOpen | attached workers. The caller closes the gate once every chunk is
+  // claimed and returns when no worker is attached: each claimed chunk has
+  // then finished, and no late worker can reach the next call's state.
+  std::atomic<uint32_t> gate_{0};
+  // The call in flight. Written by the caller before it opens the gate, read
+  // by attached workers.
   const std::function<void(int64_t)>* fn_ = nullptr;
-  int64_t front_ = 0;
-  int64_t back_ = 0;
+  int64_t n_ = 0;
   int64_t chunk_ = 1;
-  int64_t unfinished_ = 0;
-  bool shutting_down_ = false;
+  std::atomic<int64_t> next_chunk_{0};  // the claim cursor, in chunks
 };
 
 }  // namespace optimus

@@ -172,14 +172,40 @@ BlockAssignment PaaAssigner::Assign(const ParamBlockSizes& blocks,
   return assignment;
 }
 
+namespace {
+
+// True when `ps_weights` cannot change PAA's choices. Weights enter only the
+// least-loaded compare, as assigned / w. Parameter counts are integers below
+// 2^52; one finite divisor w >= 2^-960 keeps every quotient finite and
+// rounds no two distinct counts to one double, so every strict order and
+// every tie among the counts survives the division.
+bool WeightsAreUniform(const std::vector<double>& ps_weights) {
+  const double w = ps_weights.front();
+  return w >= 0x1p-960 && w <= std::numeric_limits<double>::max() &&
+         std::all_of(ps_weights.begin(), ps_weights.end(),
+                     [w](double x) { return x == w; });
+}
+
+}  // namespace
+
 PaaLoadTable::PaaLoadTable(ParamBlockSizes blocks)
-    : blocks_(std::move(blocks)), order_(PaaBlockOrder(blocks_)) {}
+    : blocks_(std::move(blocks)), order_(PaaBlockOrder(blocks_)) {
+  OPTIMUS_CHECK_LT(std::accumulate(blocks_.begin(), blocks_.end(), int64_t{0}),
+                   int64_t{1} << 52);
+}
 
 PsLoadMetrics PaaLoadTable::Load(int num_ps, const std::vector<double>* ps_weights) {
-  if (ps_weights != nullptr) {
-    return ComputeLoadMetrics(PaaAssigner().Assign(blocks_, order_, num_ps, ps_weights));
-  }
   OPTIMUS_CHECK_GT(num_ps, 0);
+  if (ps_weights != nullptr) {
+    OPTIMUS_CHECK_EQ(static_cast<int>(ps_weights->size()), num_ps);
+    for (double w : *ps_weights) {
+      OPTIMUS_CHECK_GT(w, 0.0);
+    }
+    if (!WeightsAreUniform(*ps_weights)) {
+      return ComputeLoadMetrics(
+          PaaAssigner().Assign(blocks_, order_, num_ps, ps_weights));
+    }
+  }
   const size_t slot = static_cast<size_t>(num_ps - 1);
   if (slot >= unweighted_.size()) {
     unweighted_.resize(slot + 1);

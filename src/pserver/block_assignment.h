@@ -102,7 +102,9 @@ std::vector<int> PaaBlockOrder(const ParamBlockSizes& blocks);
 // them alone: the block order, sorted once, and the unweighted load metrics
 // per PS count. Without weights PAA is a pure function of (blocks, num_ps),
 // so each count's metrics are computed on first use and read back after
-// that. A weighted load is recomputed on every call, reusing only the order.
+// that. Weights that are all equal order the PSes as no weights do, so they
+// read the same entry; other weights recompute the load on every call,
+// reusing only the order. The blocks must total fewer than 2^52 parameters.
 // Load() fills the table, so one instance is not safe to share across
 // threads.
 class PaaLoadTable {

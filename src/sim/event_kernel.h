@@ -15,9 +15,8 @@
 // events that compare equal are equal values — so pop order is independent of
 // push order and of the heap's internals (src/common/min_heap.h). The loop pops
 // one event at a time and handles it serially, so every shared-state effect
-// lands in key order. The simulator's fan-outs (model refits, segment
-// rebuilds) touch only job-owned state and push their results serially in
-// job order, so every simulation output stays bitwise identical for any
+// lands in key order. The simulator's one fan-out (model refits) touches only
+// job-owned state, so every simulation output stays bitwise identical for any
 // --threads.
 //
 // Lazy invalidation: rescheduling a job's pending epoch event on every

@@ -137,8 +137,8 @@ struct SimulatorConfig {
   bool oracle_estimates = false;
   ErrorInjection error;
   // Threads for the per-job phases: arrival-time speed-model pre-run
-  // sampling and interval advancement (interval engine); model refits and
-  // segment rebuilds (events engine). threads = N means N runners, the
+  // sampling and interval advancement (interval engine); model refits
+  // (events engine). threads = N means N runners, the
   // simulator's own thread included (N - 1 spawned workers), so 4 never
   // oversubscribes a 4-core host. The scheduling round (allocation and
   // placement) and epoch-event handling are serial. Each job owns its

@@ -250,17 +250,16 @@ void Simulator::RebuildSegments() {
     }
   }
 
-  // Parallel per-job segment math: one noise draw from the job's own stream
-  // (the interval engine's per-interval cadence), ground-truth speed at the
-  // fresh placement, the speed sample the span will feed, and the
-  // utilization snapshot the timeline records.
-  auto build = [&](int64_t i) {
-    JobRuntime* jr = running[i];
+  // Per-job segment math: one noise draw from the job's own stream (the
+  // interval engine's per-interval cadence), ground-truth speed at the fresh
+  // placement, the speed sample the span will feed, and the utilization
+  // snapshot the timeline records.
+  for (JobRuntime* jr : running) {
     jr->seg_noise = jr->rng.LogNormalFactor(config_.runtime_noise_sd);
     const double speed = TrueSpeed(*jr) * jr->seg_noise * cluster_slow_factor_;
     SnapshotUtilization(jr);
     if (speed <= 0.0) {
-      return;
+      continue;
     }
     jr->seg_active = true;
     jr->seg_anchor_s = t;
@@ -270,14 +269,10 @@ void Simulator::RebuildSegments() {
     if (!config_.oracle_estimates) {
       jr->seg_sample = SpeedSampleAt(*jr, speed);
     }
-  };
-  pool_->ParallelFor(static_cast<int64_t>(running.size()), build);
-  // Serial pushes in job order keep the heap contents deterministic.
-  std::erase_if(running, [](const JobRuntime* jr) { return !jr->seg_active; });
-  for (JobRuntime* jr : running) {
     events_.push({NextEpochTime(*jr, t), SimEventKind::kEpoch, jr->job.id(),
                   jr->gen});
   }
+  std::erase_if(running, [](const JobRuntime* jr) { return !jr->seg_active; });
   // Timeline sample for the upcoming span (the interval engine records the
   // same tuple at each boundary).
   RecordTimeline(t + config_.interval_s, running);

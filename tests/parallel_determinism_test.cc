@@ -1,7 +1,7 @@
 // Determinism regression tests for the parallel fast paths: the experiment
 // runner, per-arrival speed-model sampling, the parallel interval engine
 // (per-job stepping, scheduler-input construction) and the events engine's
-// fan-outs (model refits, segment rebuilds) must produce
+// model-refit fan-out must produce
 // bitwise-identical metrics AND event traces for any thread count (each
 // repeat / job owns an independent split RNG, results commit into index-owned
 // slots, and shared-state effects merge serially in job order).
@@ -139,8 +139,8 @@ enum class LossFeed {
   // every running job's Gram-cached refit fans out across the pool.
   kDense,
   // kDense on the events engine over a contention fabric (racks of 32, 4:1
-  // rack uplinks): model refits and segment rebuilds fan out in uneven
-  // chunks, and the calling thread runs some of them.
+  // rack uplinks): model refits fan out in uneven chunks, and the calling
+  // thread runs some of them.
   kDenseEventsFabric,
 };
 
@@ -214,7 +214,7 @@ TEST(ParallelDeterminismTest, FaultedAuditedIntervalEngineMatchesAcrossThreads) 
 TEST(ParallelDeterminismTest, FaultedAuditedEventsEngineMatchesAcrossThreads) {
   const RunFingerprint base = RunFaultedAuditedSimulator(LossFeed::kDenseEventsFabric, 1);
   ExpectFaultedAndAudited(base);
-  // An odd runner count splits the fan-outs unevenly.
+  // An odd runner count splits the refit fan-out unevenly.
   for (const int threads : {3, 4, 8}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
     ExpectSameRun(

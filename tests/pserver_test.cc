@@ -194,6 +194,34 @@ TEST(PaaLoadTableTest, MatchesAFreshAssignmentForEveryZooModel) {
   }
 }
 
+TEST(PaaLoadTableTest, EqualWeightsMatchAFreshWeightedAssignment) {
+  // All-equal weights read the unweighted entry. That is exact only if a
+  // fresh weighted assignment with those weights equals the unweighted one,
+  // so check both, for weights near 1, far below 1 (the network model's
+  // floor) and one ulp-scale step below 1. One differing weight takes the
+  // weighted path, which must still match a fresh assignment.
+  for (const ModelSpec& spec : GetModelZoo()) {
+    const ParamBlockSizes blocks = GenerateParamBlocks(spec);
+    PaaLoadTable table(blocks);
+    for (const double common : {1.0, 0.5, 1e-6, 1.0 - 0x1p-40}) {
+      for (int p = 1; p <= 32; ++p) {
+        SCOPED_TRACE(spec.name + " p=" + std::to_string(p) +
+                     " w=" + std::to_string(common));
+        std::vector<double> weights(static_cast<size_t>(p), common);
+        const PsLoadMetrics weighted =
+            ComputeLoadMetrics(PaaAssigner().Assign(blocks, p, &weights));
+        ExpectSameLoad(table.Load(p, &weights), weighted);
+        ExpectSameLoad(weighted, ComputeLoadMetrics(PaaAssigner().Assign(blocks, p)));
+        if (p > 1) {
+          weights[static_cast<size_t>(p / 2)] = common * 0.75;
+          ExpectSameLoad(table.Load(p, &weights),
+                         ComputeLoadMetrics(PaaAssigner().Assign(blocks, p, &weights)));
+        }
+      }
+    }
+  }
+}
+
 TEST(PaaAssignerTest, BalanceImprovesOrMatchesMxnetAcrossZoo) {
   // MXNet's random small-block placement is noisy, so compare PAA against the
   // MXNet average over several seeds: PAA's worst-PS share must not exceed

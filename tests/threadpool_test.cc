@@ -1,6 +1,6 @@
 // ThreadPool (src/common/threadpool.h): ParallelFor index coverage, the
-// caller as a runner, back-to-back calls, inline mode, and OPTIMUS_THREADS
-// parsing.
+// caller as a runner, back-to-back calls, waking parked workers, inline mode,
+// and OPTIMUS_THREADS parsing.
 
 #include <atomic>
 #include <barrier>
@@ -59,6 +59,30 @@ TEST(ThreadPoolTest, BackToBackCallsRunEachIndexOnce) {
     for (int64_t i = 0; i < 9; ++i) {
       ASSERT_EQ(hits[static_cast<size_t>(i)].exchange(0), i < n ? call : 0)
           << "call " << call << " index " << i;
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ParkedWorkersWakeForEveryCall) {
+  // Each cycle makes a call, idles longer than the spin so the workers block
+  // in the kernel, makes a second call that has to wake them, and destroys
+  // the pool with its workers parked. Every call's four items wait at a
+  // four-party barrier, so a call returns only once all three workers woke
+  // for it: a lost wake-up hangs the call or the destructor's join (the
+  // test's timeout catches that).
+  for (int cycle = 0; cycle < 1000; ++cycle) {
+    ThreadPool pool(4);
+    std::barrier<> rendezvous(4);
+    std::vector<std::atomic<int>> hits(4);
+    auto meet = [&](int64_t i) {
+      ++hits[static_cast<size_t>(i)];
+      rendezvous.arrive_and_wait();
+    };
+    pool.ParallelFor(4, meet);
+    std::this_thread::sleep_for(4 * ThreadPool::kSpin);
+    pool.ParallelFor(4, meet);
+    for (size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i].load(), 2) << "cycle " << cycle << " index " << i;
     }
   }
 }

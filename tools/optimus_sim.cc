@@ -85,8 +85,7 @@ std::string Usage() {
       "                                        and the simulator's per-job fan-outs:\n"
       "                                        the interval advance (AdvanceJob),\n"
       "                                        events-engine model refits\n"
-      "                                        (RefreshModels) and segment rebuilds\n"
-      "                                        (RebuildSegments), and per-arrival\n"
+      "                                        (RefreshModels), and per-arrival\n"
       "                                        pre-run sampling; all metrics are\n"
       "                                        bitwise identical for any value.\n"
       "                                        0 = OPTIMUS_THREADS env var, then 1\n"
