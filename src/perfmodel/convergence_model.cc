@@ -33,7 +33,6 @@ void ConvergenceModel::Reset() {
   beta0_ = beta1_ = beta2_ = 0.0;
   norm_factor_ = 1.0;
   residual_ = 0.0;
-  family_fit_.reset();
   epochs_cache_.valid = false;
 }
 
@@ -379,39 +378,12 @@ bool ConvergenceModel::Fit() {
   beta2_ = best_b2;
   residual_ = best_rss;
   fitted_ = true;
-  family_fit_.reset();          // a selection belongs to the fit it was made on
   epochs_cache_.valid = false;  // the curve changed; re-walk on next query
   return true;
 }
 
-std::array<double, kNumCurveFamilies> ConvergenceModel::SelectFamily() {
-  OPTIMUS_CHECK(fitted_ && !dirty_) << "SelectFamily needs the fit of the current samples";
-  double norm_factor = 1.0;
-  const std::vector<LossSample>& pts =
-      FitPoints(samples_, options_.max_fit_points, &norm_factor);
-  std::array<double, kNumCurveFamilies> rss;
-  rss.fill(std::numeric_limits<double>::infinity());
-  CurveFit best{true, CurveFamily::kInversePolynomial, beta0_, beta1_, beta2_, residual_};
-  rss[static_cast<size_t>(best.family)] = residual_;
-  for (CurveFamily family : {CurveFamily::kExponential, CurveFamily::kPowerLaw}) {
-    const CurveFit fit = FitCurveFamily(family, pts);
-    if (fit.valid) {
-      rss[static_cast<size_t>(family)] = fit.rss;
-      if (fit.rss < best.rss) {
-        best = fit;
-      }
-    }
-  }
-  family_fit_ = std::make_shared<const CurveFit>(best);
-  epochs_cache_.valid = false;
-  return rss;
-}
-
 double ConvergenceModel::PredictLoss(double step) const {
   OPTIMUS_CHECK(fitted_);
-  if (family_fit_ != nullptr) {
-    return family_fit_->Predict(step) * norm_factor_;
-  }
   const double denom = beta0_ * step + beta1_;
   const double normalized = denom > 1e-12 ? 1.0 / denom + beta2_ : 1e12;
   return normalized * norm_factor_;

@@ -26,19 +26,15 @@
 // The fitted curve answers the scheduler's question: how many more epochs
 // until the per-epoch loss decrease stays below the job's threshold? The
 // answer walks the curve with the job's own stopping rule
-// (src/models/convergence_rule.h). SelectFamily (curve_families.h) can swap
-// in an exponential or power-law curve that explains the losses better.
+// (src/models/convergence_rule.h).
 
 #ifndef SRC_PERFMODEL_CONVERGENCE_MODEL_H_
 #define SRC_PERFMODEL_CONVERGENCE_MODEL_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "src/perfmodel/curve_families.h"
 #include "src/perfmodel/fit_stats.h"
 #include "src/perfmodel/preprocess.h"
 
@@ -46,6 +42,11 @@ namespace optimus {
 
 // Remaining-epochs prior for a job whose convergence model has no fit yet.
 inline constexpr double kDefaultRemainingEpochs = 30.0;
+
+// The beta2 grid every fit refines: kFloorGrid + 1 points over
+// [0, 0.999 * min loss], narrowed around the best kFloorRefinePasses times.
+inline constexpr int kFloorGrid = 24;
+inline constexpr int kFloorRefinePasses = 3;
 
 struct ConvergenceModelOptions {
   // Maximum points handed to the solver; more are averaged down.
@@ -88,19 +89,6 @@ class ConvergenceModel {
   bool Fit();
   bool fitted() const { return fitted_; }
 
-  // Multi-family model selection (§7 extension): fits the exponential and
-  // power-law families on the points of the last Fit() and makes the one of
-  // the three (this fit as the inverse polynomial) with the smallest residual
-  // the curve PredictLoss and PredictTotalEpochs use, until the Eqn-1 fit
-  // changes or the model resets. Call right after a Fit() that returned
-  // true. Returns each family's residual (normalized space), infinity where
-  // a family failed.
-  std::array<double, kNumCurveFamilies> SelectFamily();
-  // Family of the curve predictions use.
-  CurveFamily family() const {
-    return family_fit_ != nullptr ? family_fit_->family : CurveFamily::kInversePolynomial;
-  }
-
   // Eqn-1 coefficients, in normalized-loss space.
   double beta0() const { return beta0_; }
   double beta1() const { return beta1_; }
@@ -138,9 +126,6 @@ class ConvergenceModel {
   double beta2_ = 0.0;
   double norm_factor_ = 1.0;
   double residual_ = 0.0;
-  // The curve the last SelectFamily chose; null until then (Eqn 1). Shared
-  // and immutable, so a copied model reads the same selection.
-  std::shared_ptr<const CurveFit> family_fit_;
   ModelFitStats fit_stats_;
 
   // Memoized PredictTotalEpochs walk, keyed by its arguments; invalidated

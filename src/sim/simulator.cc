@@ -1374,9 +1374,7 @@ Simulator::SpeedSample Simulator::SpeedSampleAt(const JobRuntime& jr,
 
 void Simulator::FitModels(JobRuntime* jr) const {
   jr->speed->Fit();
-  if (jr->conv->Fit() && config_.multi_family_fitting) {
-    jr->conv->SelectFamily();
-  }
+  jr->conv->Fit();
 }
 
 void Simulator::SnapshotUtilization(JobRuntime* jr) const {

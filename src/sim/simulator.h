@@ -123,11 +123,6 @@ struct SimulatorConfig {
   // Marginal-gain damping for young jobs (§4.1; 1.0 = off, 0.95 = paper's
   // suggested factor) applied while progress < kYoungJobProgressCutoff.
   double young_job_priority_factor = 1.0;
-  // Use SLAQ-style multi-family curve fitting (inverse-poly / exponential /
-  // power-law model selection, §7 extension) instead of the single Eqn-1
-  // family for convergence estimation: every successful refit is followed
-  // by ConvergenceModel::SelectFamily.
-  bool multi_family_fitting = false;
   // Ablation: replace the fitted Eqn-3/4 speed model with the naive
   // assumption of linear speedup in workers (f(p, w) = w * f(1, 1)). Shows
   // how much of Optimus's gain comes from the performance model itself.
@@ -526,8 +521,7 @@ class Simulator {
   // batch, so the fitted surface stays denominated at the reference batch
   // that batch_speed() scales from.
   SpeedSample SpeedSampleAt(const JobRuntime& jr, double speed) const;
-  // Refits the speed and convergence models; under multi_family_fitting a
-  // convergence fit is followed by its family selection.
+  // Refits the speed and convergence models.
   void FitModels(JobRuntime* jr) const;
   // Utilization snapshot (Fig 14) at the current allocation: compute-busy
   // share of a step on workers, update-busy share on parameter servers.

@@ -2,8 +2,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -173,18 +175,31 @@ TEST(PreprocessTest, DownsamplePreservesShapeAndBounds) {
 class ConvergenceModelTest : public ::testing::Test {
  protected:
   // Feeds `num_epochs` epochs of noisy loss samples from a model's
-  // ground-truth curve into a convergence model. The paper collects a loss
-  // point after every step; we sample a representative 20 points per epoch.
+  // ground-truth curve into a convergence model, starting at `first_epoch`.
+  // The paper collects a loss point after every step; we sample a
+  // representative 20 points per epoch.
   static void FeedEpochs(const LossCurve& curve, int num_epochs, ConvergenceModel* model,
-                         Rng* rng) {
+                         Rng* rng, int64_t first_epoch = 0) {
     const int64_t spe = curve.steps_per_epoch();
     const int per_epoch = 20;
-    for (int e = 0; e < num_epochs; ++e) {
+    for (int64_t e = first_epoch; e < first_epoch + num_epochs; ++e) {
       for (int i = 1; i <= per_epoch; ++i) {
         const int64_t step = e * spe + i * spe / per_epoch;
         model->AddSample(static_cast<double>(step), curve.SampleLossAtStep(step, rng));
       }
     }
+  }
+
+  // Noisy samples from a given generator over steps 1..n.
+  static std::vector<LossSample> Sample(int n, double noise_sd, uint64_t seed,
+                                        const std::function<double(double)>& truth) {
+    Rng rng(seed);
+    std::vector<LossSample> out;
+    for (int i = 1; i <= n; ++i) {
+      const double k = static_cast<double>(i);
+      out.push_back({k, truth(k) * rng.LogNormalFactor(noise_sd)});
+    }
+    return out;
   }
 };
 
@@ -230,32 +245,68 @@ TEST_F(ConvergenceModelTest, PredictsConvergenceEpochNearGroundTruth) {
 
 TEST_F(ConvergenceModelTest, PredictionImprovesWithProgress) {
   // Fig 6: the error of the estimated total epoch count shrinks as training
-  // progresses.
-  const ModelSpec& spec = FindModel("ResNext-110");
-  const int64_t spe = spec.StepsPerEpoch(spec.default_sync_batch);
-  LossCurve curve(spec.loss, spe);
+  // progresses. bench_fig06's measurement (every zoo model, 20 loss samples
+  // per epoch, a refit at every 10% of progress, Rng(1000 * seed + model
+  // index)) runs over 20 disjoint five-seed sets. The mean |error| at
+  // completion must be below the one at 10% in at least 16 of the 20 sets
+  // (a one-sided sign test at p < 0.01), and below 15% in every set.
   const double delta = 0.02;
   const int patience = 3;
-  const int64_t truth = curve.EpochsToConverge(delta, patience);
-
-  ConvergenceModel model;
-  Rng rng(41);
-  double early_err = 0.0;
-  double late_err = 0.0;
-  const int early_epochs = std::max<int>(4, static_cast<int>(truth / 10));
-  FeedEpochs(curve, early_epochs, &model, &rng);
-  if (model.Fit()) {
-    early_err = std::abs(static_cast<double>(
-                    model.PredictTotalEpochs(delta, patience, spe) - truth)) /
-                static_cast<double>(truth);
+  const std::vector<ModelSpec>& zoo = GetModelZoo();
+  int improved_sets = 0;
+  std::string per_set;
+  for (int first_seed = 1; first_seed <= 96; first_seed += 5) {
+    double early_abs_sum = 0.0;
+    double late_abs_sum = 0.0;
+    for (int seed = first_seed; seed < first_seed + 5; ++seed) {
+      for (size_t m = 0; m < zoo.size(); ++m) {
+        const int64_t spe = zoo[m].StepsPerEpoch(zoo[m].default_sync_batch);
+        LossCurve curve(zoo[m].loss, spe);
+        const int64_t truth = curve.EpochsToConverge(delta, patience);
+        ConvergenceModel model;
+        Rng rng(1000 * seed + m);
+        int64_t fed_epochs = 0;
+        for (int pct = 10; pct <= 100; pct += 10) {
+          const int64_t target_epochs = std::max<int64_t>(2, truth * pct / 100);
+          FeedEpochs(curve, static_cast<int>(target_epochs - fed_epochs), &model, &rng,
+                     fed_epochs);
+          fed_epochs = target_epochs;
+          ASSERT_TRUE(model.Fit()) << zoo[m].name << " seed " << seed << " at " << pct << "%";
+          const double abs_err =
+              std::abs(static_cast<double>(model.PredictTotalEpochs(delta, patience, spe) -
+                                           truth)) /
+              static_cast<double>(truth);
+          if (pct == 10) {
+            early_abs_sum += abs_err;
+          } else if (pct == 100) {
+            late_abs_sum += abs_err;
+          }
+        }
+      }
+    }
+    EXPECT_LT(late_abs_sum / (5.0 * zoo.size()), 0.15) << "seeds from " << first_seed;
+    improved_sets += late_abs_sum < early_abs_sum ? 1 : 0;
+    per_set += " " + std::to_string(first_seed) + ":" +
+               std::to_string(100.0 * early_abs_sum / (5.0 * zoo.size())) + "%->" +
+               std::to_string(100.0 * late_abs_sum / (5.0 * zoo.size())) + "%";
   }
-  FeedEpochs(curve, static_cast<int>(truth), &model, &rng);  // up to ~2x truth total
+  EXPECT_GE(improved_sets, 16) << "mean |error| at 10% -> 100% per set:" << per_set;
+}
+
+// The convergence model fits Eqn 1 itself; its coefficients live in
+// normalized space, so check the raw curve instead: at three sampled steps,
+// and at the floor far past the samples.
+TEST_F(ConvergenceModelTest, InversePolynomialRecoversTruth) {
+  auto truth = [](double k) { return 1.0 / (0.02 * k + 0.5) + 0.1; };
+  ConvergenceModel model;
+  for (const LossSample& s : Sample(200, 0.0, 1, truth)) {
+    model.AddSample(s.step, s.loss);
+  }
   ASSERT_TRUE(model.Fit());
-  late_err = std::abs(static_cast<double>(
-                 model.PredictTotalEpochs(delta, patience, spe) - truth)) /
-             static_cast<double>(truth);
-  EXPECT_LE(late_err, early_err + 0.05);
-  EXPECT_LT(late_err, 0.15);
+  for (double k : {1.0, 50.0, 200.0}) {
+    EXPECT_NEAR(model.PredictLoss(k), truth(k), 0.01 * truth(k)) << "k=" << k;
+  }
+  EXPECT_NEAR(model.PredictLoss(1e9), 0.1, 0.02);
 }
 
 TEST_F(ConvergenceModelTest, RemainingEpochsDecreasesAndHitsZero) {

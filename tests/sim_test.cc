@@ -9,7 +9,6 @@
 #include "src/cluster/server.h"
 #include "src/common/rng.h"
 #include "src/sim/experiment.h"
-#include "src/sim/run_fingerprint.h"
 #include "src/sim/simulator.h"
 #include "src/sim/workload.h"
 
@@ -458,47 +457,6 @@ TEST(ExperimentTest, OptimusBeatsBaselinesOnTestbedWorkload) {
   EXPECT_LT(optimus.avg_jct_mean, tetris.avg_jct_mean);
   EXPECT_LT(optimus.makespan_mean, drf.makespan_mean);
   EXPECT_LT(optimus.makespan_mean, tetris.makespan_mean);
-}
-
-TEST_F(SimulatorTest, MultiFamilyFittingCompletesComparably) {
-  auto run = [this](bool multi) {
-    SimulatorConfig config;
-    ApplySchedulerPolicy("optimus", &config);
-    config.multi_family_fitting = multi;
-    config.seed = 67;
-    Simulator sim(config, BuildTestbed(), SmallWorkload(6, 67));
-    return sim.Run();
-  };
-  RunMetrics single = run(false);
-  RunMetrics multi = run(true);
-  EXPECT_EQ(single.completed_jobs, 6);
-  EXPECT_EQ(multi.completed_jobs, 6);
-  // Ground-truth curves are in the Eqn-1 family, so model selection should
-  // land on comparable estimates and comparable outcomes.
-  EXPECT_LT(multi.avg_jct_s, single.avg_jct_s * 1.5);
-  EXPECT_LT(single.avg_jct_s, multi.avg_jct_s * 1.5);
-}
-
-// Family selection runs inside the parallel refit fan-outs (AdvanceInterval
-// on the interval engine, RefreshModels on the events engine), so it must
-// leave the run as blind to the thread count as the Eqn-1 fit does.
-TEST_F(SimulatorTest, MultiFamilyFittingIsDeterministicAcrossThreads) {
-  for (SimEngine engine : {SimEngine::kInterval, SimEngine::kEvents}) {
-    SCOPED_TRACE(SimEngineName(engine));
-    auto run = [&](int threads) {
-      SimulatorConfig config;
-      ApplySchedulerPolicy("optimus", &config);
-      config.multi_family_fitting = true;
-      config.engine = engine;
-      config.threads = threads;
-      config.seed = 67;
-      Simulator sim(config, BuildTestbed(), SmallWorkload(12, 67));
-      sim.Run();
-      return RunFingerprint::Of(sim);
-    };
-    std::string why;
-    EXPECT_TRUE(run(1).Matches(run(4), &why)) << why;
-  }
 }
 
 TEST(ExperimentTest, NormalizedTo) {

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification plus a perf smoke bench.
+# Tier-1 verification plus the bench, CLI and golden-replay smoke checks.
+# CI's build-test job and its ASan job both run this script.
 #
 # Usage:
 #   tools/check.sh [build-dir]
@@ -20,6 +21,11 @@ cmake --build "${build_dir}" -j "$(nproc)"
 
 ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 
+# Scratch outputs of the checks below; the BENCH_*_smoke.json files stay in
+# the working directory.
+tmp_dir="$(mktemp -d)"
+trap 'rm -rf "${tmp_dir}"' EXIT
+
 # Perf smoke: a seconds-scale scheduling round with and without the speed
 # surface. Routed away from the committed full-scale BENCH_sched.json.
 "${build_dir}/bench/bench_fig12_scalability" --smoke --json=BENCH_sched_smoke.json
@@ -38,6 +44,11 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 # regimes; exits 3 if the engines diverge beyond the documented tolerance
 # (docs/ALGORITHMS.md section 16) or a row does not reproduce on repeat.
 "${build_dir}/bench/bench_events" --smoke --json=BENCH_events_smoke.json
+for key in headline_speedup metrics_ok events_processed; do
+  grep -q "\"${key}\"" BENCH_events_smoke.json || {
+    echo "BENCH_events_smoke.json is missing ${key}" >&2; exit 1;
+  }
+done
 
 # Scale smoke: one scale cell (10k jobs x 16k servers) through the
 # child-process --cell path; exits 3 if the cell fails. Bitwise determinism
@@ -69,8 +80,28 @@ done
 "${build_dir}/bench/bench_policies" --smoke \
   --scenario="${repo_root}/scenarios/batch_adaptive.json" \
   --json=BENCH_policies_smoke.json
-grep -q '"adaptive_wins"' BENCH_policies_smoke.json || {
-  echo "BENCH_policies_smoke.json is missing adaptive_wins" >&2; exit 1;
+for key in adaptive_wins policies_compared best_other_policy; do
+  grep -q "\"${key}\"" BENCH_policies_smoke.json || {
+    echo "BENCH_policies_smoke.json is missing ${key}" >&2; exit 1;
+  }
+done
+
+# --scheduler and the underscore flag aliases are gone: each must exit 2
+# through the unknown-flag path, naming the flag.
+for flag in --scheduler=drf --fault_plan=crash@0:server=0; do
+  name="${flag%%=*}"
+  rc=0
+  "${build_dir}/tools/optimus_sim" --jobs=5 --seed=3 "${flag}" \
+    2> "${tmp_dir}/removed_flag.err" > /dev/null || rc=$?
+  [[ "${rc}" == 2 ]] && grep -q -- "${name}" "${tmp_dir}/removed_flag.err" || {
+    echo "${name} did not exit 2 naming the flag (exit ${rc})" >&2; exit 1;
+  }
+done
+
+# Machine-readable policy catalog.
+"${build_dir}/tools/optimus_sim" --policy list --format=json \
+  | grep -q '"name": "goodput"' || {
+  echo "--policy list --format=json is missing goodput" >&2; exit 1;
 }
 
 # Observability smoke: registry/flight recorder on vs off; exits nonzero
@@ -111,9 +142,10 @@ for f in oversubscribed_fabric allreduce_mix; do
 done
 
 # Metrics-export smoke: a short instrumented run must produce the core
-# metric keys in Prometheus text format.
-metrics_tmp="$(mktemp)"
-trap 'rm -f "${metrics_tmp}"' EXIT
+# metric keys in Prometheus text format (the catalog is part of the
+# observability contract, docs/OBSERVABILITY.md), and its JSON report must
+# carry the format tag.
+metrics_tmp="${tmp_dir}/metrics"
 "${build_dir}/tools/optimus_sim" --jobs=10 --seed=7 \
   --metrics-out="${metrics_tmp}" --metrics-format=prom > /dev/null
 for key in optimus_intervals_total optimus_jobs_completed_total \
@@ -125,6 +157,11 @@ for key in optimus_intervals_total optimus_jobs_completed_total \
     echo "metrics export is missing ${key}" >&2; exit 1;
   }
 done
+"${build_dir}/tools/optimus_sim" --jobs=10 --seed=7 \
+  --metrics-out="${metrics_tmp}" --metrics-format=json > /dev/null
+grep -q '"optimus-run-report-v1"' "${metrics_tmp}" || {
+  echo "JSON run report is missing the format tag" >&2; exit 1;
+}
 
 # Service daemon smoke: replay the committed 200-request log through
 # optimus_serve (docs/SERVICE.md). Exit 0 required — exit 3 would mean an
@@ -142,18 +179,24 @@ grep -q '"p99"' "${metrics_tmp}" || {
   echo "service export is missing the p99 latency quantile" >&2; exit 1;
 }
 
-# The committed golden session must replay byte for byte through the real
-# binary, errors included (its ok=false lines are part of the golden).
-serve_out="$(mktemp)"
-trap 'rm -f "${metrics_tmp}" "${serve_out}"' EXIT
-"${build_dir}/tools/optimus_serve" \
-  --scenario="${repo_root}/tests/golden/serve/scenario.json" \
-  --replay="${repo_root}/tests/golden/serve/basic.requests.ndjson" \
-  --replay-out="${serve_out}" 2> /dev/null
-cmp -s "${serve_out}" "${repo_root}/tests/golden/serve/basic.responses.ndjson" || {
-  echo "optimus_serve replay diverged from tests/golden/serve/basic.responses.ndjson" >&2
-  exit 1
+# The committed golden sessions must replay byte for byte through the real
+# binary, errors included (their ok=false lines are part of the golden):
+# basic, the what-if burst (back-to-back queries against cached baselines,
+# id collisions, a binding cluster) and the flight ring (report snapshots
+# with 0, a few and more than 256 new flight events since the previous one,
+# on its own genesis).
+replay_golden() {  # <genesis scenario file> <session name>
+  local dir="${repo_root}/tests/golden/serve"
+  "${build_dir}/tools/optimus_serve" --scenario="${dir}/$1" \
+    --replay="${dir}/$2.requests.ndjson" --replay-out="${tmp_dir}/$2.ndjson" 2> /dev/null
+  cmp -s "${tmp_dir}/$2.ndjson" "${dir}/$2.responses.ndjson" || {
+    echo "optimus_serve replay diverged from tests/golden/serve/$2.responses.ndjson" >&2
+    exit 1
+  }
 }
+replay_golden scenario.json basic
+replay_golden scenario.json whatif_burst
+replay_golden flight_wrap.scenario.json flight_wrap
 
 # Exit-code contract: a config error must exit 2, not 0 or a crash.
 set +e
@@ -165,12 +208,21 @@ set -e
   exit 1
 }
 
-# Event-engine CLI smoke: the same short run through --engine=events must
-# report its event count in the metrics export.
-"${build_dir}/tools/optimus_sim" --jobs=10 --seed=7 --engine=events \
-  --metrics-out="${metrics_tmp}" --metrics-format=prom > /dev/null
+# Event-engine CLI smoke: a short run through --engine=events must report
+# its event count in the metrics export. Counters are views of the live run:
+# the events engine's last completions land after its last scheduling round,
+# and the export must still count every completion the run reports.
+"${build_dir}/tools/optimus_sim" --engine=events --jobs=30 --seed=7 \
+  --metrics-out="${metrics_tmp}" --metrics-format=prom > "${tmp_dir}/events.out"
 grep -q '^optimus_events_processed_total' "${metrics_tmp}" || {
   echo "events engine did not export optimus_events_processed_total" >&2
+  exit 1
+}
+reported=$(sed -nE 's/.*completed ([0-9]+)\/30.*/\1/p' "${tmp_dir}/events.out")
+exported=$(awk '$1 == "optimus_jobs_completed_total" {print $2}' "${metrics_tmp}")
+[[ -n "${reported}" && "${reported}" == "${exported}" ]] || {
+  echo "exported optimus_jobs_completed_total=${exported}," \
+       "run reported completed ${reported}/30" >&2
   exit 1
 }
 
