@@ -1,9 +1,14 @@
 #include "src/sim/trace_replay.h"
 
 #include <algorithm>
+#include <climits>
+#include <cmath>
+#include <cstdlib>
 #include <istream>
+#include <map>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/models/model_zoo.h"
@@ -23,6 +28,24 @@ std::vector<std::string> SplitCsvLine(const std::string& line) {
     out.push_back(field);
   }
   return out;
+}
+
+// Each numeric field must parse whole: "5x" is rejected, not read as 5.
+bool ParseIntField(const std::string& text, int* value) {
+  char* end = nullptr;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || v < INT_MIN || v > INT_MAX) {
+    return false;
+  }
+  *value = static_cast<int>(v);
+  return true;
+}
+
+// As ParseIntField, and the value must be finite (no nan, inf or overflow).
+bool ParseDoubleField(const std::string& text, double* value) {
+  char* end = nullptr;
+  *value = std::strtod(text.c_str(), &end);
+  return !text.empty() && *end == '\0' && std::isfinite(*value);
 }
 
 const ModelSpec* FindModelOrNull(const std::string& name) {
@@ -63,6 +86,8 @@ bool ReadWorkloadCsv(std::istream& is, const TraceReplayOptions& options,
 
   int line_no = 1;
   std::vector<JobSpec> parsed;
+  std::map<int, int> first_line;  // job id -> the line that defined it
+  const std::vector<std::string> columns = SplitCsvLine(kHeader);
   while (std::getline(is, line)) {
     ++line_no;
     if (line.empty()) {
@@ -75,16 +100,28 @@ bool ReadWorkloadCsv(std::istream& is, const TraceReplayOptions& options,
       return false;
     }
     JobSpec spec;
-    try {
-      spec.id = std::stoi(fields[0]);
-      spec.arrival_time_s = std::stod(fields[3]);
-      spec.convergence_delta = std::stod(fields[4]);
-      spec.patience = std::stoi(fields[5]);
-      spec.dataset_scale = std::stod(fields[6]);
-      spec.max_ps = std::stoi(fields[7]);
-      spec.max_workers = std::stoi(fields[8]);
-    } catch (const std::exception& e) {
-      *error = "line " + std::to_string(line_no) + ": " + e.what();
+    const std::pair<int, int*> ints[] = {
+        {0, &spec.id}, {5, &spec.patience}, {7, &spec.max_ps}, {8, &spec.max_workers}};
+    const std::pair<int, double*> doubles[] = {
+        {3, &spec.arrival_time_s}, {4, &spec.convergence_delta}, {6, &spec.dataset_scale}};
+    for (const auto& [col, out] : ints) {
+      if (!ParseIntField(fields[col], out)) {
+        *error = "line " + std::to_string(line_no) + ": " + columns[col] +
+                 " expects an integer, got '" + fields[col] + "'";
+        return false;
+      }
+    }
+    for (const auto& [col, out] : doubles) {
+      if (!ParseDoubleField(fields[col], out)) {
+        *error = "line " + std::to_string(line_no) + ": " + columns[col] +
+                 " expects a finite number, got '" + fields[col] + "'";
+        return false;
+      }
+    }
+    if (const auto [it, fresh] = first_line.emplace(spec.id, line_no); !fresh) {
+      *error = "line " + std::to_string(line_no) + ": duplicate job_id " +
+               std::to_string(spec.id) + " (first on line " +
+               std::to_string(it->second) + ")";
       return false;
     }
     spec.model = FindModelOrNull(fields[1]);

@@ -31,7 +31,9 @@ struct TraceReplayOptions {
 };
 
 // Parses a workload CSV. Returns false (and leaves `jobs` empty) on any
-// malformed row; `error` receives a description.
+// malformed row: a numeric field that does not parse whole, a non-finite or
+// out-of-range value, or a repeated job id. `error` receives a description
+// that names the line.
 bool ReadWorkloadCsv(std::istream& is, const TraceReplayOptions& options,
                      std::vector<JobSpec>* jobs, std::string* error);
 

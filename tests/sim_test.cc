@@ -8,6 +8,7 @@
 
 #include "src/cluster/server.h"
 #include "src/common/rng.h"
+#include "src/models/model_zoo.h"
 #include "src/sim/experiment.h"
 #include "src/sim/simulator.h"
 #include "src/sim/workload.h"
@@ -360,6 +361,38 @@ TEST_F(SimulatorTest, CheckpointBudgetFreezesAllocation) {
   EXPECT_EQ(metrics.completed_jobs, 6);
   for (double jct : metrics.jcts) {
     EXPECT_GT(jct, 0.0);
+  }
+}
+
+// A full Optimus round gives a sync all-reduce job workers and no parameter
+// servers. The auditor only exempts all-reduce jobs from the PS > 0 rule, so
+// the zero is asserted here.
+TEST_F(SimulatorTest, AllReduceJobRunsWithoutParameterServers) {
+  for (const SimEngine engine : {SimEngine::kInterval, SimEngine::kEvents}) {
+    SCOPED_TRACE(SimEngineName(engine));
+    JobSpec spec;
+    spec.model = &FindModel("ResNext-110");
+    spec.mode = TrainingMode::kSync;
+    spec.comm = CommMode::kAllReduce;
+    spec.worker_demand = Resources(2.5, 10, 0, 0.15);
+    spec.ps_demand = Resources(2.5, 10, 0, 0.15);
+    spec.dataset_scale = 0.1;  // long enough to outlast its first interval
+    spec.max_ps = 16;
+    spec.max_workers = 16;
+    SimulatorConfig config;
+    ApplySchedulerPolicy("optimus", &config);
+    config.seed = 41;
+    config.engine = engine;
+    Simulator sim(config, BuildTestbed(), {spec});
+    for (int round = 1; sim.job(0).state != JobState::kRunning; ++round) {
+      ASSERT_LT(round, 10) << "the job never started";
+      sim.AdvanceTo(round * config.interval_s);
+    }
+    const JobSnapshot job = sim.job(0);
+    EXPECT_EQ(job.num_ps, 0);
+    EXPECT_GT(job.num_workers, 1);
+    EXPECT_GT(sim.auditor().checks_run(), 0);
+    EXPECT_TRUE(sim.auditor().violations().empty()) << sim.auditor().Summary(5);
   }
 }
 

@@ -1,4 +1,6 @@
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -101,14 +103,33 @@ TEST(TraceReplayTest, RejectsWrongFieldCount) {
   EXPECT_NE(error.find("9 fields"), std::string::npos);
 }
 
+// Each bad row fails with an error naming its line and the reason.
 TEST(TraceReplayTest, RejectsOutOfRangeValues) {
-  std::istringstream is(
+  const std::string header =
       "job_id,model,mode,arrival_s,delta,patience,dataset_scale,max_ps,max_workers\n"
-      "0,DSSM,sync,0,-0.02,3,0.01,16,16\n");
-  std::vector<JobSpec> jobs;
-  std::string error;
-  EXPECT_FALSE(ReadWorkloadCsv(is, TraceReplayOptions{}, &jobs, &error));
-  EXPECT_NE(error.find("out-of-range"), std::string::npos);
+      "0,DSSM,sync,0,0.02,3,0.01,16,16\n";
+  const struct {
+    const char* row;
+    const char* want;
+  } cases[] = {
+      {"1,DSSM,sync,0,-0.02,3,0.01,16,16", "line 3: out-of-range"},
+      {"1,DSSM,sync,nan,0.02,3,0.01,16,16", "line 3: arrival_s expects a finite number"},
+      {"1,DSSM,sync,0,0.02,3,inf,16,16", "line 3: dataset_scale expects a finite number"},
+      {"1,DSSM,sync,0,0.02,3,1e999,16,16", "line 3: dataset_scale expects a finite number"},
+      {"1,DSSM,sync,5x,0.02,3,0.01,16,16", "line 3: arrival_s expects a finite number, got '5x'"},
+      {"1,DSSM,sync,0,0.02,3,0.01,16,16x", "line 3: max_workers expects an integer, got '16x'"},
+      {"1,DSSM,sync,0,0.02,3,0.01,4294967312,16", "line 3: max_ps expects an integer"},
+      {"0,DSSM,sync,0,0.02,3,0.01,16,16", "line 3: duplicate job_id 0 (first on line 2)"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.row);
+    std::istringstream is(header + c.row + "\n");
+    std::vector<JobSpec> jobs;
+    std::string error;
+    EXPECT_FALSE(ReadWorkloadCsv(is, TraceReplayOptions{}, &jobs, &error));
+    EXPECT_NE(error.find(c.want), std::string::npos) << error;
+    EXPECT_TRUE(jobs.empty());
+  }
 }
 
 TEST(TraceReplayTest, SkipsEmptyLines) {

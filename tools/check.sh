@@ -98,6 +98,23 @@ for flag in --scheduler=drf --fault_plan=crash@0:server=0; do
   }
 done
 
+# A malformed --workload-csv exits 2 with a message naming the bad line: a
+# repeated job id (line 3) and a nan arrival time (line 2).
+header="job_id,model,mode,arrival_s,delta,patience,dataset_scale,max_ps,max_workers"
+row="DSSM,sync,0,0.02,3,0.01,16,16"
+printf '%s\n0,%s\n0,%s\n' "${header}" "${row}" "${row}" > "${tmp_dir}/dup_id.csv"
+printf '%s\n0,DSSM,sync,nan,0.02,3,0.01,16,16\n1,%s\n' "${header}" "${row}" \
+  > "${tmp_dir}/nan_arrival.csv"
+for case in dup_id:3 nan_arrival:2; do
+  csv="${tmp_dir}/${case%%:*}.csv"
+  rc=0
+  "${build_dir}/tools/optimus_sim" --workload-csv="${csv}" \
+    2> "${tmp_dir}/bad_csv.err" > /dev/null || rc=$?
+  [[ "${rc}" == 2 ]] && grep -q "line ${case##*:}:" "${tmp_dir}/bad_csv.err" || {
+    echo "${csv} did not exit 2 naming line ${case##*:} (exit ${rc})" >&2; exit 1;
+  }
+done
+
 # Machine-readable policy catalog.
 "${build_dir}/tools/optimus_sim" --policy list --format=json \
   | grep -q '"name": "goodput"' || {

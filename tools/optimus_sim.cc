@@ -446,10 +446,13 @@ int main(int argc, char** argv) {
     std::vector<JobSpec> specs;
     if (!workload_csv.empty()) {
       std::ifstream in(workload_csv);
-      OPTIMUS_CHECK(in.good()) << "cannot read " << workload_csv;
+      if (!in.good()) {
+        std::cerr << "cannot read workload trace " << workload_csv << "\n";
+        return 2;
+      }
       std::string parse_error;
       if (!ReadWorkloadCsv(in, TraceReplayOptions{}, &specs, &parse_error)) {
-        std::cerr << "bad workload trace: " << parse_error << "\n";
+        std::cerr << "bad workload trace " << workload_csv << ": " << parse_error << "\n";
         return 2;
       }
     } else {
