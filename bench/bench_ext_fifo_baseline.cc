@@ -39,7 +39,7 @@ int main() {
     for (const RunMetrics& m : r.runs) {
       all_jcts.insert(all_jcts.end(), m.jcts.begin(), m.jcts.end());
     }
-    const std::string name = SchedulerRegistry::Global().Find(policy)->display_name;
+    const std::string name = FindPolicy(policy)->display_name;
     table.AddRow({name, TablePrinter::FormatDouble(r.avg_jct_mean, 0),
                   TablePrinter::FormatDouble(r.avg_jct_mean / base_jct, 2),
                   TablePrinter::FormatDouble(Percentile(all_jcts, 90.0), 0),

@@ -40,7 +40,7 @@ int main() {
   double base_jct = 0.0;
   int64_t total_violations = 0;
   for (const char* policy : {"optimus", "drf", "tetris", "fifo"}) {
-    const std::string name = SchedulerRegistry::Global().Find(policy)->display_name;
+    const std::string name = FindPolicy(policy)->display_name;
     ExperimentConfig config;
     ApplyTestbedConditions(&config.sim);
     ApplySchedulerPolicy(policy, &config.sim);

@@ -34,7 +34,7 @@ int main() {
     config.seed = 5;
     Rng rng(config.seed ^ 0x5eedULL);
     Simulator sim(config, BuildTestbed(), GenerateWorkload(workload, &rng));
-    runs.push_back({SchedulerRegistry::Global().Find(policy)->display_name, sim.Run()});
+    runs.push_back({FindPolicy(policy)->display_name, sim.Run()});
   }
 
   PrintBanner(std::cout, "(a) running tasks per scheduling interval");

@@ -1,7 +1,7 @@
-// Policy-registry bench: the full policy catalog compared on one scenario
+// Policy-table bench: the full policy catalog compared on one scenario
 // (BENCH_policies.json).
 //
-//   comparison — every registered policy on scenarios/batch_adaptive.json
+//   comparison — every policy in the table on scenarios/batch_adaptive.json
 //       (synchronous communication-heavy jobs with wide admissible batch
 //       ranges). The acceptance point: at least one policy other than
 //       `optimus` / `optimus_rack` must beat plain `optimus` on average JCT —
@@ -33,13 +33,14 @@ using namespace optimus;
 
 bool RunComparison(const ScenarioSpec& scenario, JsonObject* section,
                    std::string* why) {
-  const std::vector<std::string> policies = SchedulerRegistry::Global().Names();
+  const std::span<const SchedulerPolicyInfo> policies = Policies();
   TablePrinter table({"policy", "completed", "avg JCT (s)", "vs optimus"});
   double optimus_jct = 0.0;
   std::string best_other;
   double best_other_jct = 0.0;
   std::vector<JsonObject> rows;
-  for (const std::string& policy : policies) {
+  for (const SchedulerPolicyInfo& info : policies) {
+    const std::string policy = info.name;
     const CellRun run = RunSim(scenario.MakeSimConfig(policy),
                                scenario.cluster.Build(),
                                scenario.JobsForRepeat());
@@ -103,7 +104,7 @@ int main(int argc, char** argv) {
 
   PrintExperimentHeader(
       "EXT: policy families",
-      "Full SchedulerRegistry catalog (goodput / synergy / dl2 included) on "
+      "Full policy table (goodput / synergy / dl2 included) on "
       "the batch-adaptive workload",
       "a policy other than optimus / optimus_rack (goodput expected) wins "
       "average JCT on the batch-adaptive scenario");

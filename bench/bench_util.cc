@@ -74,13 +74,10 @@ std::vector<ExperimentResult> RunPolicyComparison(
   OPTIMUS_CHECK(!policies.empty());
   std::vector<ExperimentResult> results;
   for (const std::string& policy : policies) {
-    const SchedulerPolicyInfo* info = SchedulerRegistry::Global().Find(policy);
-    OPTIMUS_CHECK(info != nullptr)
-        << SchedulerRegistry::Global().UnknownPolicyMessage(policy);
     ExperimentConfig config = base;
     std::string error;
     OPTIMUS_CHECK(ApplySchedulerPolicy(policy, &config.sim, &error)) << error;
-    config.label = info->display_name;
+    config.label = FindPolicy(policy)->display_name;
     results.push_back(RunExperiment(config, [] { return BuildTestbed(); }));
   }
 

@@ -61,8 +61,8 @@ CellRun RunSim(const SimulatorConfig& config, std::vector<Server> servers,
 
 // Runs the canonical three-scheduler comparison (Optimus, DRF, Tetris) under
 // the given base config and prints absolute + normalized JCT / makespan.
-// Returns the three results in that order: the registry policies "optimus",
-// "drf" and "tetris" (src/sched/scheduler_registry.h).
+// Returns the three results in that order: the policies "optimus", "drf" and
+// "tetris" (src/sched/scheduler_registry.h).
 std::vector<ExperimentResult> RunSchedulerComparison(const ExperimentConfig& base,
                                                      const std::string& caption);
 

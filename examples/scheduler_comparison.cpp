@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
       base_jct = r.avg_jct_mean;
       base_mk = r.makespan_mean;
     }
-    table.AddRow({SchedulerRegistry::Global().Find(policy)->display_name,
+    table.AddRow({FindPolicy(policy)->display_name,
                   TablePrinter::FormatDouble(r.avg_jct_mean, 0),
                   TablePrinter::FormatDouble(r.makespan_mean, 0),
                   TablePrinter::FormatDouble(r.avg_jct_mean / base_jct, 2),

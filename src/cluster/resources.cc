@@ -5,20 +5,6 @@
 
 namespace optimus {
 
-const char* ResourceTypeName(ResourceType type) {
-  switch (type) {
-    case ResourceType::kCpu:
-      return "cpu";
-    case ResourceType::kMemoryGb:
-      return "memory_gb";
-    case ResourceType::kGpu:
-      return "gpu";
-    case ResourceType::kBandwidthGbps:
-      return "bandwidth_gbps";
-  }
-  return "unknown";
-}
-
 Resources::Resources(double cpu, double memory_gb, double gpu, double bandwidth_gbps) {
   values_[static_cast<size_t>(ResourceType::kCpu)] = cpu;
   values_[static_cast<size_t>(ResourceType::kMemoryGb)] = memory_gb;

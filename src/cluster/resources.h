@@ -22,8 +22,6 @@ enum class ResourceType {
 
 inline constexpr size_t kNumResourceTypes = 4;
 
-const char* ResourceTypeName(ResourceType type);
-
 class Resources {
  public:
   Resources() { values_.fill(0.0); }

@@ -6,32 +6,12 @@
 
 namespace optimus {
 
-const char* NetworkTypeName(NetworkType type) {
-  switch (type) {
-    case NetworkType::kCnn:
-      return "CNN";
-    case NetworkType::kRnn:
-      return "RNN";
-  }
-  return "UNKNOWN";
-}
-
 const char* TrainingModeName(TrainingMode mode) {
   switch (mode) {
     case TrainingMode::kAsync:
       return "async";
     case TrainingMode::kSync:
       return "sync";
-  }
-  return "UNKNOWN";
-}
-
-const char* CommModeName(CommMode comm) {
-  switch (comm) {
-    case CommMode::kParameterServer:
-      return "ps";
-    case CommMode::kAllReduce:
-      return "allreduce";
   }
   return "UNKNOWN";
 }

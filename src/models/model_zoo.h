@@ -23,8 +23,6 @@ enum class NetworkType {
   kRnn,
 };
 
-const char* NetworkTypeName(NetworkType type);
-
 // Distributed-training synchronization mode (§2.2).
 enum class TrainingMode {
   kAsync,
@@ -40,8 +38,6 @@ enum class CommMode {
   kParameterServer,
   kAllReduce,
 };
-
-const char* CommModeName(CommMode comm);
 
 // Ground-truth per-step compute costs on one worker / parameter-server
 // container (the paper's testbed uses 5-CPU-core, 10-GB containers).

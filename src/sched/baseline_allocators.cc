@@ -13,6 +13,12 @@ namespace optimus {
 
 namespace {
 
+// Tetris and FIFO stop giving a job units once an extra unit improves its
+// estimated speed by less than this fraction (the speed-efficiency knee);
+// keeps the SRTF winner (or the head of the FIFO queue) from hogging the whole
+// cluster for negligible gain.
+constexpr double kSpeedupKnee = 0.04;
+
 // One DRF/Tetris allocation unit for a job: 1 PS + 1 worker for
 // parameter-server jobs, a single worker for all-reduce jobs (max_ps == 0:
 // no PS tasks exist, so a unit is just a worker).
@@ -144,7 +150,7 @@ std::vector<Allocation> TetrisAllocator::Allocate(const std::vector<SchedJob>& j
       if (u >= 1) {
         const double f_now = UnitSpeed(surf[i], job, u);
         const double f_next = UnitSpeed(surf[i], job, u + 1);
-        if (f_next <= f_now * (1.0 + options_.min_speedup)) {
+        if (f_next <= f_now * (1.0 + kSpeedupKnee)) {
           break;  // past the speed-efficiency knee
         }
       }
@@ -166,7 +172,7 @@ std::vector<Allocation> TetrisAllocator::Allocate(const std::vector<SchedJob>& j
         if (units[i] >= 1) {
           const double f_now = UnitSpeed(surf[i], job, units[i]);
           const double f_next = UnitSpeed(surf[i], job, units[i] + 1);
-          if (f_next <= f_now * (1.0 + options_.min_speedup)) {
+          if (f_next <= f_now * (1.0 + kSpeedupKnee)) {
             continue;
           }
         }
@@ -196,7 +202,7 @@ std::vector<Allocation> FifoAllocator::Allocate(const std::vector<SchedJob>& job
       if (units >= 1) {
         const double f_now = UnitSpeed(surface, job, units);
         const double f_next = UnitSpeed(surface, job, units + 1);
-        if (f_next <= f_now * (1.0 + min_speedup_)) {
+        if (f_next <= f_now * (1.0 + kSpeedupKnee)) {
           break;
         }
       }

@@ -33,14 +33,8 @@ class DrfAllocator : public Allocator {
 
 struct TetrisAllocatorOptions {
   // Weight of the SRTF term vs the packing term in the job score (both are
-  // normalized to [0, 1] before mixing).
+  // normalized to [0, 1] before mixing). 1.0 is pure SRTF.
   double srtf_weight = 0.5;
-  // Units given to the selected job per round.
-  int units_per_round = 1;
-  // A job stops receiving units once an extra unit improves its estimated
-  // speed by less than this fraction (the speed-efficiency knee); keeps the
-  // SRTF winner from hogging the whole cluster for negligible gain.
-  double min_speedup = 0.04;
 };
 
 class TetrisAllocator : public Allocator {
@@ -62,16 +56,11 @@ class TetrisAllocator : public Allocator {
 // job at the head of the queue blocks every short job behind it.
 class FifoAllocator : public Allocator {
  public:
-  // `min_speedup` is the same knee criterion Tetris uses.
-  explicit FifoAllocator(double min_speedup = 0.04) : min_speedup_(min_speedup) {}
   using Allocator::Allocate;
   std::vector<Allocation> Allocate(const std::vector<SchedJob>& jobs,
                                    const Resources& capacity,
                                    SpeedSurfaceSet* surfaces) const override;
   const char* name() const override { return "fifo"; }
-
- private:
-  double min_speedup_;
 };
 
 }  // namespace optimus

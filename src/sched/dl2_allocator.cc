@@ -43,8 +43,6 @@ std::array<double, kDl2NumFeatures> Dl2Features(double remaining_epochs,
   return x;
 }
 
-Dl2Allocator::Dl2Allocator(Dl2AllocatorOptions options) : options_(options) {}
-
 std::vector<Allocation> Dl2Allocator::Allocate(const std::vector<SchedJob>& jobs,
                                                const Resources& capacity,
                                                SpeedSurfaceSet* surfaces) const {
@@ -69,7 +67,7 @@ std::vector<Allocation> Dl2Allocator::Allocate(const std::vector<SchedJob>& jobs
     seeded[i] = 1;
   }
 
-  const Dl2Weights& w = options_.weights;
+  const Dl2Weights w = DefaultDl2Weights();
   while (true) {
     double best_score = 0.0;
     size_t best_index = jobs.size();
@@ -110,8 +108,8 @@ std::vector<Allocation> Dl2Allocator::Allocate(const std::vector<SchedJob>& jobs
         for (size_t k = 0; k < kDl2NumFeatures; ++k) {
           score += w[k] * x[k];
         }
-        if (options_.stats != nullptr) {
-          ++options_.stats->pops;
+        if (stats_ != nullptr) {
+          ++stats_->pops;
         }
         // Strict > makes ties deterministic: earliest job wins, and within a
         // job the worker candidate beats the PS candidate.
@@ -129,8 +127,8 @@ std::vector<Allocation> Dl2Allocator::Allocate(const std::vector<SchedJob>& jobs
     const SchedJob& job = jobs[best_index];
     used += best_is_worker ? job.worker_demand : job.ps_demand;
     result[best_index] = best_next;
-    if (options_.stats != nullptr) {
-      ++options_.stats->grants;
+    if (stats_ != nullptr) {
+      ++stats_->grants;
     }
   }
   return result;

@@ -30,12 +30,10 @@
 #define SRC_SCHED_DL2_ALLOCATOR_H_
 
 #include <array>
-#include <memory>
 #include <vector>
 
 #include "src/sched/optimus_allocator.h"
 #include "src/sched/scheduler.h"
-#include "src/sched/scheduler_registry.h"
 
 namespace optimus {
 
@@ -56,16 +54,12 @@ std::array<double, kDl2NumFeatures> Dl2Features(double remaining_epochs,
                                                 const Resources& capacity,
                                                 int num_ps, int num_workers);
 
-struct Dl2AllocatorOptions {
-  Dl2Weights weights = {};
-  // When non-null, accumulates per-round counters (pops = candidates scored,
-  // grants = tasks granted).
-  OptimusAllocRoundStats* stats = nullptr;
-};
-
+// Scores every candidate with DefaultDl2Weights().
 class Dl2Allocator : public Allocator {
  public:
-  explicit Dl2Allocator(Dl2AllocatorOptions options);
+  // When `stats` is non-null, accumulates per-round counters there (pops =
+  // candidates scored, grants = tasks granted).
+  explicit Dl2Allocator(OptimusAllocRoundStats* stats = nullptr) : stats_(stats) {}
 
   using Allocator::Allocate;
   std::vector<Allocation> Allocate(const std::vector<SchedJob>& jobs,
@@ -75,27 +69,7 @@ class Dl2Allocator : public Allocator {
   const char* name() const override { return "dl2"; }
 
  private:
-  Dl2AllocatorOptions options_;
-};
-
-// The stateful factory the registry holds for the "dl2" policy: it carries
-// the trained weights, so swapping in a retrained policy means registering a
-// new factory instance — no globals involved.
-class Dl2PolicyFactory : public PolicyFactory {
- public:
-  explicit Dl2PolicyFactory(Dl2Weights weights) : weights_(weights) {}
-
-  std::unique_ptr<Allocator> Create(OptimusAllocRoundStats* stats) const override {
-    Dl2AllocatorOptions options;
-    options.weights = weights_;
-    options.stats = stats;
-    return std::make_unique<Dl2Allocator>(options);
-  }
-
-  const Dl2Weights& weights() const { return weights_; }
-
- private:
-  Dl2Weights weights_;
+  OptimusAllocRoundStats* stats_;
 };
 
 }  // namespace optimus

@@ -62,13 +62,6 @@ struct Composite {
 
 }  // namespace
 
-GoodputAllocator::GoodputAllocator(GoodputAllocatorOptions options)
-    : options_(options) {
-  OptimusAllocatorOptions inner;
-  inner.stats = options_.stats;
-  inner_ = OptimusAllocator(inner);
-}
-
 std::vector<int> GoodputAllocator::BatchRungs(const SchedJob& job, int max_rungs) {
   if (!BatchAdaptive(job) || max_rungs < 2) {
     return {};
@@ -98,7 +91,7 @@ std::vector<Allocation> GoodputAllocator::Allocate(const std::vector<SchedJob>& 
   std::vector<SchedJob> inner_jobs = jobs;
   std::vector<const Composite*> composite_of(jobs.size(), nullptr);
   for (size_t i = 0; i < jobs.size(); ++i) {
-    std::vector<int> rungs = BatchRungs(jobs[i], options_.max_rungs);
+    std::vector<int> rungs = BatchRungs(jobs[i]);
     if (rungs.size() < 2) {
       continue;
     }

@@ -32,17 +32,16 @@
 
 namespace optimus {
 
-struct GoodputAllocatorOptions {
-  // Cap on the batch ladder size (geometric doubling from batch_min, always
-  // including batch_max and the reference batch).
-  int max_rungs = 8;
-  // When non-null, the inner greedy accumulates per-round counters here.
-  OptimusAllocRoundStats* stats = nullptr;
-};
+// Cap on the batch ladder size (geometric doubling from batch_min, always
+// including batch_max and the reference batch).
+inline constexpr int kMaxBatchRungs = 8;
 
 class GoodputAllocator : public Allocator {
  public:
-  explicit GoodputAllocator(GoodputAllocatorOptions options = {});
+  // When `stats` is non-null, the inner greedy accumulates per-round counters
+  // there.
+  explicit GoodputAllocator(OptimusAllocRoundStats* stats = nullptr)
+      : inner_(stats) {}
 
   using Allocator::Allocate;
   std::vector<Allocation> Allocate(const std::vector<SchedJob>& jobs,
@@ -55,10 +54,10 @@ class GoodputAllocator : public Allocator {
   // always including batch_max and the in-range reference batch, ascending
   // and deduplicated. Empty when the job is not batch-adaptive. Exposed for
   // tests.
-  static std::vector<int> BatchRungs(const SchedJob& job, int max_rungs = 8);
+  static std::vector<int> BatchRungs(const SchedJob& job,
+                                     int max_rungs = kMaxBatchRungs);
 
  private:
-  GoodputAllocatorOptions options_;
   OptimusAllocator inner_;
 };
 

@@ -235,7 +235,7 @@ std::vector<Allocation> OptimusAllocator::Allocate(const std::vector<SchedJob>& 
 
   OptimusAllocRoundStats local_stats;
   OptimusAllocRoundStats* stats =
-      options_.stats != nullptr ? options_.stats : &local_stats;
+      stats_ != nullptr ? stats_ : &local_stats;
 
   // Seed every job with (1 PS, 1 worker) — or a single worker for all-reduce
   // jobs, which run no PS tasks — while capacity lasts, in input (arrival)

@@ -60,14 +60,11 @@ struct OptimusSlackRound {
   Resources seed_demand;
 };
 
-struct OptimusAllocatorOptions {
-  // When non-null, the allocator accumulates per-round counters here.
-  OptimusAllocRoundStats* stats = nullptr;
-};
-
 class OptimusAllocator : public Allocator {
  public:
-  explicit OptimusAllocator(OptimusAllocatorOptions options = {}) : options_(options) {}
+  // When `stats` is non-null, the allocator accumulates per-round counters
+  // there.
+  explicit OptimusAllocator(OptimusAllocRoundStats* stats = nullptr) : stats_(stats) {}
 
   using Allocator::Allocate;
   std::vector<Allocation> Allocate(const std::vector<SchedJob>& jobs,
@@ -96,7 +93,7 @@ class OptimusAllocator : public Allocator {
   const char* name() const override { return "optimus"; }
 
  private:
-  OptimusAllocatorOptions options_;
+  OptimusAllocRoundStats* stats_;
 };
 
 }  // namespace optimus

@@ -18,4 +18,20 @@ SchedJob SchedJobHeader(const JobSpec& spec) {
   return sj;
 }
 
+bool WorthRescaling(const SchedJob& job, const Allocation& current,
+                    const Allocation& next, double stall_s) {
+  if (!ActiveAllocation(current, job.comm) || !ActiveAllocation(next, job.comm) ||
+      next == current) {
+    return true;
+  }
+  const double f_old = job.speed(current.num_ps, current.num_workers);
+  const double f_new = job.speed(next.num_ps, next.num_workers);
+  if (f_old <= 0.0 || f_new <= 0.0) {
+    return true;
+  }
+  const double t_old = job.remaining_epochs / f_old;
+  const double t_new = job.remaining_epochs / f_new;
+  return !(t_old - t_new < stall_s);
+}
+
 }  // namespace optimus

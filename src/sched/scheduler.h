@@ -128,6 +128,14 @@ inline bool ActiveAllocation(const Allocation& alloc, CommMode comm) {
 // Sum of the resources an allocation consumes for one job.
 Resources AllocationDemand(const SchedJob& job, const Allocation& alloc);
 
+// Scaling hysteresis (§7 "Scaling overhead"): whether moving `job` from
+// `current` to `next` is worth a checkpoint-restart stall of `stall_s`
+// seconds. False only when both allocations are active and differ, both
+// speeds are positive, and the estimated completion-time saving
+// Q/f(current) - Q/f(next) is below the stall; a NaN saving moves.
+bool WorthRescaling(const SchedJob& job, const Allocation& current,
+                    const Allocation& next, double stall_s);
+
 class SpeedSurfaceSet;
 
 class Allocator {

@@ -4,20 +4,20 @@
 
 namespace optimus {
 
-SynergyAllocator::SynergyAllocator(SynergyAllocatorOptions options)
-    : options_(options) {
-  OptimusAllocatorOptions inner;
-  inner.stats = options_.stats;
-  inner_ = OptimusAllocator(inner);
-}
+namespace {
+
+// Provisioning floor: even a fully insensitive job keeps this fraction of its
+// CPU/memory demand (it still needs to feed its GPUs eventually).
+constexpr double kMinProvision = 0.25;
+
+}  // namespace
 
 Resources SynergyAllocator::DeflateDemand(const Resources& demand,
                                           double cpu_sensitivity,
-                                          double mem_sensitivity,
-                                          double min_provision) {
-  const auto scale = [min_provision](double sensitivity) {
+                                          double mem_sensitivity) {
+  const auto scale = [](double sensitivity) {
     sensitivity = std::clamp(sensitivity, 0.0, 1.0);
-    return min_provision + (1.0 - min_provision) * sensitivity;
+    return kMinProvision + (1.0 - kMinProvision) * sensitivity;
   };
   Resources out = demand;
   out.Set(ResourceType::kCpu, demand.cpu() * scale(cpu_sensitivity));
@@ -33,10 +33,9 @@ std::vector<Allocation> SynergyAllocator::Allocate(const std::vector<SchedJob>& 
     if (sj.cpu_sensitivity >= 1.0 && sj.mem_sensitivity >= 1.0) {
       continue;  // fully sensitive: demands unchanged
     }
-    sj.worker_demand = DeflateDemand(sj.worker_demand, sj.cpu_sensitivity,
-                                     sj.mem_sensitivity, options_.min_provision);
-    sj.ps_demand = DeflateDemand(sj.ps_demand, sj.cpu_sensitivity,
-                                 sj.mem_sensitivity, options_.min_provision);
+    sj.worker_demand =
+        DeflateDemand(sj.worker_demand, sj.cpu_sensitivity, sj.mem_sensitivity);
+    sj.ps_demand = DeflateDemand(sj.ps_demand, sj.cpu_sensitivity, sj.mem_sensitivity);
   }
   // Speed estimates, caps and job ids are untouched, so the surfaces
   // memoize exactly as in a plain Optimus round.

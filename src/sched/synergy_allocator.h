@@ -31,17 +31,12 @@
 
 namespace optimus {
 
-struct SynergyAllocatorOptions {
-  // Provisioning floor: even a fully insensitive job keeps this fraction of
-  // its CPU/memory demand (it still needs to feed its GPUs eventually).
-  double min_provision = 0.25;
-  // When non-null, the inner greedy accumulates per-round counters here.
-  OptimusAllocRoundStats* stats = nullptr;
-};
-
 class SynergyAllocator : public Allocator {
  public:
-  explicit SynergyAllocator(SynergyAllocatorOptions options = {});
+  // When `stats` is non-null, the inner greedy accumulates per-round counters
+  // there.
+  explicit SynergyAllocator(OptimusAllocRoundStats* stats = nullptr)
+      : inner_(stats) {}
 
   using Allocator::Allocate;
   std::vector<Allocation> Allocate(const std::vector<SchedJob>& jobs,
@@ -50,12 +45,12 @@ class SynergyAllocator : public Allocator {
 
   const char* name() const override { return "synergy"; }
 
-  // The deflated demand vector for one task. Exposed for tests.
+  // The deflated demand vector for one task, with a provisioning floor of
+  // 0.25 of the CPU/memory demand. Exposed for tests.
   static Resources DeflateDemand(const Resources& demand, double cpu_sensitivity,
-                                 double mem_sensitivity, double min_provision);
+                                 double mem_sensitivity);
 
  private:
-  SynergyAllocatorOptions options_;
   OptimusAllocator inner_;
 };
 

@@ -60,8 +60,6 @@ const std::vector<std::string>& ServiceOps() {
   return *names;
 }
 
-bool IsKnownServiceOp(const std::string& op) { return FindOp(op) != nullptr; }
-
 bool IsMutatingServiceOp(const std::string& op) {
   const OpSpec* spec = FindOp(op);
   return spec != nullptr && spec->mutating;

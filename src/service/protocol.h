@@ -36,7 +36,6 @@ struct ServiceRequest {
 
 // The closed op catalog, in documentation order.
 const std::vector<std::string>& ServiceOps();
-bool IsKnownServiceOp(const std::string& op);
 
 // Whether `op` mutates simulator state. Mutating ops are journaled by the
 // session so a snapshot can be restored by deterministic replay.

@@ -42,9 +42,7 @@ std::unique_ptr<ServiceSession> ServiceSession::Create(std::string genesis_text,
                                                        SessionOverrides overrides,
                                                        std::string* error) {
   OPTIMUS_CHECK(error != nullptr);
-  if (!overrides.policy.empty() &&
-      !SchedulerRegistry::Global().Has(overrides.policy)) {
-    *error = SchedulerRegistry::Global().UnknownPolicyMessage(overrides.policy);
+  if (!overrides.policy.empty() && FindPolicy(overrides.policy, error) == nullptr) {
     return nullptr;
   }
   std::unique_ptr<ServiceSession> session(new ServiceSession());
@@ -93,6 +91,16 @@ bool ServiceSession::Rebuild(const std::string& text, const std::string& source,
   // final report matches `optimus_sim --metrics-format=json` on the same
   // scenario (batch-equivalence acceptance).
   scenario.sim.obs.per_interval_series = true;
+  // The overrides bypassed the parser's validation; an invalid one is a
+  // rejected input, not a failed check in the Simulator constructor.
+  if (std::vector<std::string> errors; !scenario.Validate(&errors)) {
+    std::string joined;
+    for (const std::string& e : errors) {
+      joined += (joined.empty() ? "" : "; ") + e;
+    }
+    *error = source + ": " + joined;
+    return false;
+  }
 
   const std::string policy = scenario.policies.empty() ? std::string("optimus")
                                                        : scenario.policies[0];

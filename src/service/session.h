@@ -80,7 +80,8 @@ class ServiceSession {
   ServiceSession() = default;
 
   // Rebuilds sim_ from scenario text under overrides_ (shared by Create,
-  // restore, and scenario_swap). False + diagnostic on a bad scenario.
+  // restore, and scenario_swap). False + diagnostic on a bad scenario or an
+  // override that makes it invalid.
   bool Rebuild(const std::string& text, const std::string& source,
                std::string* error);
   // Re-applies one journaled request line during restore; bypasses the

@@ -80,11 +80,8 @@ double NormalizedTo(double value, double baseline) {
 bool ApplySchedulerPolicy(const std::string& policy, SimulatorConfig* config,
                           std::string* error) {
   OPTIMUS_CHECK(config != nullptr);
-  const SchedulerPolicyInfo* info = SchedulerRegistry::Global().Find(policy);
+  const SchedulerPolicyInfo* info = FindPolicy(policy, error);
   if (info == nullptr) {
-    if (error != nullptr) {
-      *error = SchedulerRegistry::Global().UnknownPolicyMessage(policy);
-    }
     return false;
   }
   // The ONE place a policy's traits land on a SimulatorConfig; nothing else

@@ -62,7 +62,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config,
 // Convenience: normalizes a metric against a baseline result (baseline = 1.0).
 double NormalizedTo(double value, double baseline);
 
-// Applies a SchedulerRegistry policy onto `config`: sets the policy name,
+// Applies a policy-table row onto `config`: sets the policy name,
 // placement scheme, PAA / straggler-handling toggles, and the young-job
 // damping factor; leaves unrelated fields untouched. Returns false (and, when
 // `error` is non-null, the canonical unknown-policy message naming the

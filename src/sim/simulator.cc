@@ -27,17 +27,6 @@ constexpr double kCheckpointSaveFraction = 0.5;
 // FaultConfig::evictions_before_backoff.
 constexpr double kBackoffMaxS = 7200.0;
 
-// All policy construction goes through the SchedulerRegistry, keyed by the
-// config's policy name (CheckValid has already rejected unknown names).
-std::unique_ptr<Allocator> MakeAllocator(const SimulatorConfig& config,
-                                         OptimusAllocRoundStats* stats) {
-  std::unique_ptr<Allocator> allocator =
-      SchedulerRegistry::Global().Create(config.policy, stats);
-  OPTIMUS_CHECK(allocator != nullptr)
-      << SchedulerRegistry::Global().UnknownPolicyMessage(config.policy);
-  return allocator;
-}
-
 // The spec-only step-time view of a job at (p, w): the configured batch,
 // balanced PS load, no placement, healthy workers and the flat network.
 StepTimeInputs SpecStepInputs(const JobSpec& spec, int num_ps, int num_workers) {
@@ -104,8 +93,8 @@ bool SimulatorConfig::Validate(std::vector<std::string>* errors) const {
     }
   };
 
-  if (!SchedulerRegistry::Global().Has(policy)) {
-    bad("policy", SchedulerRegistry::Global().UnknownPolicyMessage(policy));
+  if (std::string unknown; FindPolicy(policy, &unknown) == nullptr) {
+    bad("policy", unknown);
   }
   if (!(std::isfinite(interval_s) && interval_s > 0.0)) {
     bad("interval_s", "must be > 0 (got " + std::to_string(interval_s) + ")");
@@ -232,11 +221,11 @@ Simulator::Simulator(SimulatorConfig config, std::vector<Server> servers,
   }
   pool_ = std::make_unique<ThreadPool>(config_.threads > 0 ? config_.threads
                                                           : DefaultThreadCount());
-  allocator_ = MakeAllocator(config_, &alloc_stats_);
-  whatif_allocator_ = MakeAllocator(config_, &whatif_stats_);
-  scaling_hysteresis_ = SchedulerRegistry::Global()
-                            .Find(config_.policy)
-                            ->traits.scaling_hysteresis;
+  // CheckValid has already rejected an unknown policy name.
+  const SchedulerPolicyInfo& policy = *FindPolicy(config_.policy);
+  allocator_ = policy.create(&alloc_stats_);
+  whatif_allocator_ = policy.create(&whatif_stats_);
+  scaling_hysteresis_ = policy.traits.scaling_hysteresis;
   // Null under the flat model: every comm-model call then falls back to the
   // Eqn-2 constant and the run is bitwise identical to the pre-fabric code.
   net_ = NetworkModel::Create(config_.net, static_cast<int>(servers_.size()),
@@ -1115,24 +1104,11 @@ void Simulator::ScheduleActiveJobs() {
   // paper compares against) take the allocator's output as is.
   if (scaling_hysteresis_) {
     for (size_t i = 0; i < schedulable.size(); ++i) {
-      JobRuntime* jr = schedulable[i];
-      const Allocation old_alloc{jr->job.num_ps(), jr->job.num_workers()};
-      Allocation& next = alloc[i];
-      const SchedJob& sj = sched_jobs[i];
-      if (!ActiveAllocation(old_alloc, sj.comm) ||
-          !ActiveAllocation(next, sj.comm) || next == old_alloc) {
-        continue;
-      }
-      const double f_old = sj.speed(old_alloc.num_ps, old_alloc.num_workers);
-      const double f_new = sj.speed(next.num_ps, next.num_workers);
-      if (f_old <= 0.0 || f_new <= 0.0) {
-        continue;
-      }
-      const double t_old = sj.remaining_epochs / f_old;
-      const double t_new = sj.remaining_epochs / f_new;
-      const double stall = CheckpointStallSeconds(*jr->job.spec().model);
-      if (t_old - t_new < stall) {
-        next = old_alloc;
+      const Job& job = schedulable[i]->job;
+      const Allocation old_alloc{job.num_ps(), job.num_workers()};
+      if (!WorthRescaling(sched_jobs[i], old_alloc, alloc[i],
+                          CheckpointStallSeconds(*job.spec().model))) {
+        alloc[i] = old_alloc;
       }
     }
   }

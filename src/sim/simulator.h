@@ -89,12 +89,12 @@ bool ParseSimEngine(const std::string& name, SimEngine* out);
 
 struct SimulatorConfig {
   SimEngine engine = SimEngine::kInterval;
-  // SchedulerRegistry policy name: the policy's only identity. It constructs
-  // the allocator and supplies the scaling_hysteresis trait; the per-run
-  // toggles below (placement, use_paa, straggler handling, young-job damping)
-  // are copied from its traits by ApplySchedulerPolicy (experiment.h), so an
-  // ablation can set `policy` alone to swap only the allocator. Must name a
-  // registered policy.
+  // Policy-table name (scheduler_registry.h): the policy's only identity. It
+  // constructs the allocator and supplies the scaling_hysteresis trait; the
+  // per-run toggles below (placement, use_paa, straggler handling, young-job
+  // damping) are copied from its traits by ApplySchedulerPolicy
+  // (experiment.h), so an ablation can set `policy` alone to swap only the
+  // allocator. Must name a row of the table.
   std::string policy = "optimus";
   PlacementPolicy placement = PlacementPolicy::kOptimusPack;
   double interval_s = 600.0;

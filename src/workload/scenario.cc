@@ -192,9 +192,8 @@ bool ScenarioSpec::Validate(std::vector<std::string>* errors) const {
     local.push_back("policies: need at least one policy");
   }
   for (size_t i = 0; i < policies.size(); ++i) {
-    if (!SchedulerRegistry::Global().Has(policies[i])) {
-      local.push_back("policies[" + std::to_string(i) + "]: " +
-                      SchedulerRegistry::Global().UnknownPolicyMessage(policies[i]));
+    if (std::string unknown; FindPolicy(policies[i], &unknown) == nullptr) {
+      local.push_back("policies[" + std::to_string(i) + "]: " + unknown);
     }
     for (size_t j = 0; j < i; ++j) {
       if (policies[j] == policies[i]) {

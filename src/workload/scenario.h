@@ -9,7 +9,7 @@
 // C++ edit.
 //
 // Validation is strict: unknown keys are rejected with their line/column and
-// the allowed-key set, policy names are checked against the SchedulerRegistry,
+// the allowed-key set, policy names are checked against the policy table,
 // and the assembled SimulatorConfig goes through the same Validate() the
 // simulator constructor enforces. A scenario that loads is a scenario that
 // runs. See docs/SCENARIOS.md for the schema reference.
@@ -69,7 +69,7 @@ struct ScenarioSpec {
   std::string description;
   uint64_t seed = 42;
   int repeats = 3;
-  // Policy grid (SchedulerRegistry names); the first entry is the
+  // Policy grid (policy-table names); the first entry is the
   // normalization baseline in comparison tables.
   std::vector<std::string> policies;
   WorkloadSpec workload;
@@ -84,7 +84,7 @@ struct ScenarioSpec {
   bool Validate(std::vector<std::string>* errors) const;
 
   // SimulatorConfig for one grid cell: `sim` with the policy applied and
-  // seed = this->seed + repeat. Fatal on an unregistered policy.
+  // seed = this->seed + repeat. Fatal on an unknown policy.
   SimulatorConfig MakeSimConfig(const std::string& policy, int repeat = 0) const;
 
   // The jobs for one repeat: GenerateJobs seeded with seed + repeat, so every

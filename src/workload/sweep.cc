@@ -85,9 +85,8 @@ SweepResult RunSweep(const std::vector<ScenarioSpec>& scenarios,
     if (unit.repeat == 0) {
       cell.scenario = unit.scenario->name;
       cell.policy = *unit.policy;
-      const SchedulerPolicyInfo* info =
-          SchedulerRegistry::Global().Find(*unit.policy);
-      cell.display_name = info != nullptr ? info->display_name : *unit.policy;
+      // RunSweep takes validated scenarios: every policy has a row.
+      cell.display_name = FindPolicy(*unit.policy)->display_name;
       cell.repeats = unit.scenario->repeats;
       cell.jobs = unit.scenario->workload.num_jobs;
       cell.run_report = std::move(slots[i].run_report);

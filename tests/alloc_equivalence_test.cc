@@ -296,10 +296,8 @@ struct Outcome {
 
 Outcome RunAllocator(const Instance& in) {
   Outcome out;
-  OptimusAllocatorOptions options;
-  options.stats = &out.stats;
   SpeedSurfaceSet surfaces;
-  out.result = OptimusAllocator(options).Allocate(in.jobs, in.capacity, &surfaces);
+  out.result = OptimusAllocator(&out.stats).Allocate(in.jobs, in.capacity, &surfaces);
   out.probes = surfaces.probes();
   out.evals = surfaces.evals();
   out.surfaces = surfaces.num_surfaces();

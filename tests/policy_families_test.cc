@@ -1,9 +1,10 @@
 // Policy-family tests: the batch decision surface, the sensitivity
 // observation surface, the three non-Optimus policy families (goodput /
-// synergy / dl2), and the registry's trait validation.
+// synergy / dl2), the policy table's traits and the scaling-hysteresis veto.
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -119,7 +120,7 @@ TEST(GoodputAllocatorTest, BatchRungsLadderIsSortedAndBounded) {
   const std::vector<int> rungs = GoodputAllocator::BatchRungs(job);
   EXPECT_EQ(rungs, (std::vector<int>{64, 128, 256, 512, 1024}));
 
-  // max_rungs caps the doubling ladder but batch_max and the reference batch
+  // The cap bounds the doubling ladder but batch_max and the reference batch
   // always survive.
   const std::vector<int> capped = GoodputAllocator::BatchRungs(job, 3);
   EXPECT_EQ(capped, (std::vector<int>{64, 128, 256, 1024}));
@@ -177,19 +178,16 @@ TEST(GoodputAllocatorTest, PicksTheArgmaxEffectiveBatch) {
 
 TEST(SynergyAllocatorTest, DeflateDemandRespectsFloorAndLeavesGpusAlone) {
   const Resources demand(8, 40, 2, 0.5);
-  const Resources same =
-      SynergyAllocator::DeflateDemand(demand, 1.0, 1.0, 0.25);
+  const Resources same = SynergyAllocator::DeflateDemand(demand, 1.0, 1.0);
   EXPECT_TRUE(same == demand);
 
-  const Resources flat =
-      SynergyAllocator::DeflateDemand(demand, 0.0, 0.0, 0.25);
+  const Resources flat = SynergyAllocator::DeflateDemand(demand, 0.0, 0.0);
   EXPECT_DOUBLE_EQ(flat.cpu(), 2.0);        // 8 * 0.25
   EXPECT_DOUBLE_EQ(flat.memory_gb(), 10.0);  // 40 * 0.25
   EXPECT_DOUBLE_EQ(flat.gpu(), 2.0);        // untouched
   EXPECT_DOUBLE_EQ(flat.bandwidth_gbps(), 0.5);
 
-  const Resources half =
-      SynergyAllocator::DeflateDemand(demand, 0.5, 1.0, 0.25);
+  const Resources half = SynergyAllocator::DeflateDemand(demand, 0.5, 1.0);
   EXPECT_DOUBLE_EQ(half.cpu(), 8.0 * (0.25 + 0.75 * 0.5));
   EXPECT_DOUBLE_EQ(half.memory_gb(), 40.0);
 }
@@ -232,12 +230,6 @@ TEST(SynergyAllocatorTest, CpuInsensitiveJobPacksMoreUnderCpuPressure) {
 // ---------------------------------------------------------------------------
 
 TEST(Dl2AllocatorTest, RegistryFactoryCarriesTheTrainedWeights) {
-  const SchedulerPolicyInfo* info = SchedulerRegistry::Global().Find("dl2");
-  ASSERT_NE(info, nullptr);
-  const auto* factory =
-      dynamic_cast<const Dl2PolicyFactory*>(info->factory.get());
-  ASSERT_NE(factory, nullptr);
-  EXPECT_EQ(factory->weights(), DefaultDl2Weights());
   // The trained policy is non-trivial: at least one non-bias weight.
   const Dl2Weights w = DefaultDl2Weights();
   double sum = 0.0;
@@ -254,9 +246,7 @@ TEST(Dl2AllocatorTest, DeterministicAndWithinCapacity) {
     jobs.push_back(FixedBatchJob(j));
   }
   const Resources capacity(50, 500, 0, 25);
-  Dl2AllocatorOptions options;
-  options.weights = DefaultDl2Weights();
-  const Dl2Allocator allocator(options);
+  const Dl2Allocator allocator;
   const std::vector<Allocation> a = allocator.Allocate(jobs, capacity);
   const std::vector<Allocation> b = allocator.Allocate(jobs, capacity);
   ASSERT_EQ(a.size(), b.size());
@@ -269,7 +259,7 @@ TEST(Dl2AllocatorTest, DeterministicAndWithinCapacity) {
 }
 
 // ---------------------------------------------------------------------------
-// Positional allocation contract, for every registered policy
+// Positional allocation contract, for every policy
 // ---------------------------------------------------------------------------
 
 TEST(AllocatorContractTest, OneEntryPerJobInInputOrder) {
@@ -290,10 +280,9 @@ TEST(AllocatorContractTest, OneEntryPerJobInInputOrder) {
   jobs[3].ps_demand = Resources();
   const Resources capacity(12, 1200, 0, 60);
 
-  for (const std::string& name : SchedulerRegistry::Global().Names()) {
-    SCOPED_TRACE(name);
-    const std::unique_ptr<Allocator> allocator =
-        SchedulerRegistry::Global().Create(name, nullptr);
+  for (const SchedulerPolicyInfo& info : Policies()) {
+    SCOPED_TRACE(info.name);
+    const std::unique_ptr<Allocator> allocator = info.create(nullptr);
     ASSERT_NE(allocator, nullptr);
     const std::vector<Allocation> result = allocator->Allocate(jobs, capacity);
     ASSERT_EQ(result.size(), jobs.size());
@@ -321,65 +310,16 @@ TEST(AllocatorContractTest, OneEntryPerJobInInputOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Registry trait validation
+// Policy-table traits and the scaling-hysteresis veto
 // ---------------------------------------------------------------------------
 
-SchedulerPolicyInfo ValidInfo(const std::string& name) {
-  SchedulerPolicyInfo info;
-  info.name = name;
-  info.SetFactory([](OptimusAllocRoundStats*) -> std::unique_ptr<Allocator> {
-    return std::make_unique<OptimusAllocator>();
-  });
-  return info;
-}
-
-TEST(RegistryTraitsTest, RejectsPaaWithoutPackedPlacement) {
-  SchedulerPolicyInfo info = ValidInfo("paa-loadbalance");
-  info.placement = PlacementPolicy::kLoadBalance;
-  info.traits.use_paa = true;
-  std::string error;
-  EXPECT_FALSE(SchedulerRegistry::Global().Register(std::move(info), &error));
-  EXPECT_NE(error.find("policy 'paa-loadbalance'"), std::string::npos) << error;
-  EXPECT_NE(error.find("use_paa"), std::string::npos) << error;
-  EXPECT_FALSE(SchedulerRegistry::Global().Has("paa-loadbalance"));
-}
-
-TEST(RegistryTraitsTest, RejectsYoungJobFactorOutsideUnitInterval) {
-  for (const double bad : {0.0, -0.5, 1.5}) {
-    SchedulerPolicyInfo info = ValidInfo("bad-young-factor");
-    info.traits.young_job_priority_factor = bad;
-    std::string error;
-    EXPECT_FALSE(SchedulerRegistry::Global().Register(std::move(info), &error))
-        << bad;
-    EXPECT_NE(error.find("young_job_priority_factor"), std::string::npos)
-        << error;
-  }
-  EXPECT_FALSE(SchedulerRegistry::Global().Has("bad-young-factor"));
-}
-
-TEST(RegistryTraitsTest, DuplicateAndNullFactoryErrorsNameThePolicy) {
-  std::string error;
-  EXPECT_FALSE(
-      SchedulerRegistry::Global().Register(ValidInfo("optimus"), &error));
-  EXPECT_NE(error.find("policy 'optimus'"), std::string::npos) << error;
-  EXPECT_NE(error.find("already registered"), std::string::npos) << error;
-
-  SchedulerPolicyInfo no_factory;
-  no_factory.name = "null-factory";
-  EXPECT_FALSE(
-      SchedulerRegistry::Global().Register(std::move(no_factory), &error));
-  EXPECT_NE(error.find("factory"), std::string::npos) << error;
-}
-
 TEST(RegistryTraitsTest, NewPolicyTraitsMatchTheirFamilies) {
-  const SchedulerPolicyInfo* goodput =
-      SchedulerRegistry::Global().Find("goodput");
+  const SchedulerPolicyInfo* goodput = FindPolicy("goodput");
   ASSERT_NE(goodput, nullptr);
   EXPECT_TRUE(goodput->traits.adapts_batch);
   EXPECT_FALSE(goodput->traits.uses_sensitivity);
 
-  const SchedulerPolicyInfo* synergy =
-      SchedulerRegistry::Global().Find("synergy");
+  const SchedulerPolicyInfo* synergy = FindPolicy("synergy");
   ASSERT_NE(synergy, nullptr);
   EXPECT_TRUE(synergy->traits.uses_sensitivity);
   EXPECT_FALSE(synergy->traits.adapts_batch);
@@ -387,7 +327,7 @@ TEST(RegistryTraitsTest, NewPolicyTraitsMatchTheirFamilies) {
   // No fixed-batch builtin claims the batch knob.
   for (const char* name : {"optimus", "optimus_rack", "drf", "tetris", "fifo",
                            "srtf", "dl2"}) {
-    const SchedulerPolicyInfo* info = SchedulerRegistry::Global().Find(name);
+    const SchedulerPolicyInfo* info = FindPolicy(name);
     ASSERT_NE(info, nullptr) << name;
     EXPECT_FALSE(info->traits.adapts_batch) << name;
   }
@@ -396,53 +336,33 @@ TEST(RegistryTraitsTest, NewPolicyTraitsMatchTheirFamilies) {
 TEST(RegistryTraitsTest, OnlyDrfSkipsScalingHysteresis) {
   for (const char* name : {"optimus", "optimus_rack", "drf", "tetris", "fifo",
                            "srtf", "goodput", "synergy", "dl2"}) {
-    const SchedulerPolicyInfo* info = SchedulerRegistry::Global().Find(name);
+    const SchedulerPolicyInfo* info = FindPolicy(name);
     ASSERT_NE(info, nullptr) << name;
     EXPECT_EQ(info->traits.scaling_hysteresis, std::string(name) != "drf")
         << name;
   }
 }
 
-// Registers (once per process) a copy of `base` that differs only in the
-// scaling_hysteresis trait: same allocator, placement and toggles, so any
-// difference in the run comes from the hysteresis.
-std::string HysteresisVariant(const std::string& base, bool hysteresis) {
-  const std::string name =
-      base + (hysteresis ? "_with_hysteresis" : "_without_hysteresis");
-  if (!SchedulerRegistry::Global().Has(name)) {
-    SchedulerPolicyInfo copy = *SchedulerRegistry::Global().Find(base);
-    copy.name = name;
-    copy.traits.scaling_hysteresis = hysteresis;
-    std::string error;
-    EXPECT_TRUE(SchedulerRegistry::Global().Register(std::move(copy), &error))
-        << error;
-  }
-  return name;
-}
+TEST(ScalingHysteresisTest, WorthRescalingWhenTheSavingCoversTheStall) {
+  // f(p, w) = w epochs/s and 12 epochs left: (1, 2) finishes in 6 s and
+  // (1, 4) in 3 s, a saving of exactly 3 s.
+  SchedJob job;
+  job.speed = KeepSpeed([](int, int w) { return static_cast<double>(w); });
+  job.remaining_epochs = 12.0;
+  const Allocation current{1, 2};
+  const Allocation next{1, 4};
+  EXPECT_TRUE(WorthRescaling(job, current, next, 3.0));
+  EXPECT_FALSE(WorthRescaling(job, current, next, 3.5));
+  EXPECT_TRUE(WorthRescaling(job, current, current, 3.5));
 
-// Seed 7, 8 jobs on the testbed.
-int TotalScalings(const std::string& policy) {
-  SimulatorConfig config;
-  EXPECT_TRUE(ApplySchedulerPolicy(policy, &config));
-  config.seed = 7;
-  WorkloadConfig workload;
-  workload.num_jobs = 8;
-  workload.arrival_window_s = 3000.0;
-  Rng rng(config.seed);
-  Simulator sim(config, BuildTestbed(), GenerateWorkload(workload, &rng));
-  const RunMetrics metrics = sim.Run();
-  EXPECT_EQ(metrics.completed_jobs, 8) << policy;
-  return metrics.total_scalings;
-}
+  // A move from or to an inactive allocation is never held.
+  EXPECT_TRUE(WorthRescaling(job, Allocation{}, next, 1e9));
+  EXPECT_TRUE(WorthRescaling(job, current, Allocation{}, 1e9));
+  EXPECT_TRUE(WorthRescaling(job, current, Allocation{0, 4}, 1e9));
 
-TEST(RegistryTraitsTest, TraitNotNameGatesScalingHysteresis) {
-  // Built-in drf records 6 scalings at seed 7 and its hysteresis copy 3: the
-  // hysteresis keeps jobs on their old (p, w).
-  EXPECT_LT(TotalScalings(HysteresisVariant("drf", true)), TotalScalings("drf"));
-  // The converse, so a gate keyed on the name "drf" fails too: optimus
-  // records 2 scalings and its copy without hysteresis 11.
-  EXPECT_GT(TotalScalings(HysteresisVariant("optimus", false)),
-            TotalScalings("optimus"));
+  // A NaN saving (infinite work left) is not vetoed.
+  job.remaining_epochs = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(WorthRescaling(job, current, next, 3.5));
 }
 
 TEST(RegistryTraitsTest, SimulatorConfigPolicyMustBeRegistered) {
@@ -457,8 +377,9 @@ TEST(RegistryTraitsTest, SimulatorConfigPolicyMustBeRegistered) {
     errors.clear();
     EXPECT_FALSE(config.Validate(&errors)) << "'" << bad << "'";
     ASSERT_EQ(errors.size(), 1u) << "'" << bad << "'";
-    EXPECT_EQ(errors[0],
-              "policy: " + SchedulerRegistry::Global().UnknownPolicyMessage(bad));
+    std::string unknown;
+    EXPECT_EQ(FindPolicy(bad, &unknown), nullptr);
+    EXPECT_EQ(errors[0], "policy: " + unknown);
   }
 }
 

@@ -241,9 +241,7 @@ TEST(RoundAllocTest, OptimusAllocatorStaysWithinFourPerJob) {
   // Far more capacity than any path needs: a slack round.
   const Resources capacity(1e6, 1e7, 0, 1e5);
   OptimusAllocRoundStats stats;
-  OptimusAllocatorOptions options;
-  options.stats = &stats;
-  const OptimusAllocator allocator(options);
+  const OptimusAllocator allocator(&stats);
   SpeedSurfaceSet surfaces;
 
   AllocationCount count;
@@ -287,9 +285,7 @@ TEST(RoundAllocTest, FittedRoundAllocatesPerRoundNotPerJob) {
   // Far more capacity than any path needs: a slack round.
   const Resources capacity(1e6, 1e7, 0, 1e5);
   OptimusAllocRoundStats stats;
-  OptimusAllocatorOptions options;
-  options.stats = &stats;
-  const OptimusAllocator allocator(options);
+  const OptimusAllocator allocator(&stats);
   SpeedSurfaceSet surfaces;
 
   AllocationCount count;

@@ -1,6 +1,6 @@
 // Tests for the scenario engine: the JSON reader, the workload generator
 // suite, cluster topology specs, scenario parsing/validation, the
-// SchedulerRegistry, and the sweep engine's thread-count determinism.
+// policy table, and the sweep engine's thread-count determinism.
 
 #include <gtest/gtest.h>
 
@@ -381,7 +381,7 @@ TEST(ScenarioTest, SchemaAndPolicyRequired) {
           "policies": ["drf"]})",
       "t", &spec, &error));
   EXPECT_NE(error.find("not both"), std::string::npos);
-  // Unregistered policies are named along with the registered set.
+  // Unknown policies are named along with the full set.
   EXPECT_FALSE(ParseScenario(
       R"({"schema": "scenario-v1", "name": "x", "policy": "nope"})", "t", &spec,
       &error));
@@ -525,66 +525,46 @@ TEST(ScenarioTest, MakeSimConfigAppliesPolicyPerCell) {
 }
 
 // ---------------------------------------------------------------------------
-// SchedulerRegistry
+// Policy table
 // ---------------------------------------------------------------------------
 
 TEST(SchedulerRegistryTest, EveryRegisteredPolicyConstructs) {
-  const std::vector<std::string> names = SchedulerRegistry::Global().Names();
-  ASSERT_GE(names.size(), 6u);
-  // Canonical built-ins, in registration order (the rack-aware Theorem-1
-  // variant registers right after the policy it refines).
-  EXPECT_EQ(names[0], "optimus");
-  EXPECT_EQ(names[1], "optimus_rack");
-  EXPECT_EQ(names[2], "drf");
-  EXPECT_EQ(names[3], "tetris");
-  EXPECT_EQ(names[4], "fifo");
-  EXPECT_EQ(names[5], "srtf");
-  for (const std::string& name : names) {
-    const SchedulerPolicyInfo* info = SchedulerRegistry::Global().Find(name);
-    ASSERT_NE(info, nullptr) << name;
-    EXPECT_FALSE(info->display_name.empty()) << name;
-    EXPECT_FALSE(info->description.empty()) << name;
+  const std::span<const SchedulerPolicyInfo> policies = Policies();
+  ASSERT_GE(policies.size(), 6u);
+  // Canonical rows, in table order (the rack-aware Theorem-1 variant comes
+  // right after the policy it refines).
+  EXPECT_STREQ(policies[0].name, "optimus");
+  EXPECT_STREQ(policies[1].name, "optimus_rack");
+  EXPECT_STREQ(policies[2].name, "drf");
+  EXPECT_STREQ(policies[3].name, "tetris");
+  EXPECT_STREQ(policies[4].name, "fifo");
+  EXPECT_STREQ(policies[5].name, "srtf");
+  for (const SchedulerPolicyInfo& info : policies) {
+    const std::string name = info.name;
+    EXPECT_EQ(FindPolicy(name), &info) << name;
+    EXPECT_NE(std::string(info.display_name), "") << name;
+    EXPECT_NE(std::string(info.description), "") << name;
     OptimusAllocRoundStats stats;
-    EXPECT_NE(SchedulerRegistry::Global().Create(name, &stats), nullptr) << name;
+    EXPECT_NE(info.create(&stats), nullptr) << name;
     SimulatorConfig config;
     std::string error;
     ASSERT_TRUE(ApplySchedulerPolicy(name, &config, &error)) << error;
     EXPECT_EQ(config.policy, name);
-    EXPECT_EQ(config.placement, info->placement);
+    EXPECT_EQ(config.placement, info.placement);
   }
 }
 
 TEST(SchedulerRegistryTest, UnknownPolicyNamesTheRegisteredSet) {
-  EXPECT_EQ(SchedulerRegistry::Global().Find("nope"), nullptr);
-  OptimusAllocRoundStats stats;
-  EXPECT_EQ(SchedulerRegistry::Global().Create("nope", &stats), nullptr);
-  const std::string message =
-      SchedulerRegistry::Global().UnknownPolicyMessage("nope");
+  std::string message;
+  EXPECT_EQ(FindPolicy("nope", &message), nullptr);
   EXPECT_NE(message.find("'nope'"), std::string::npos);
-  for (const std::string& name : SchedulerRegistry::Global().Names()) {
-    EXPECT_NE(message.find(name), std::string::npos) << message;
+  for (const SchedulerPolicyInfo& info : Policies()) {
+    EXPECT_NE(message.find(info.name), std::string::npos) << message;
   }
   SimulatorConfig config;
   std::string error;
   EXPECT_FALSE(ApplySchedulerPolicy("nope", &config, &error));
   EXPECT_EQ(error, message);
-}
-
-TEST(SchedulerRegistryTest, RegisterRejectsDuplicatesAndIncompleteInfos) {
-  SchedulerPolicyInfo dup;
-  dup.name = "optimus";
-  dup.SetFactory([](OptimusAllocRoundStats*) -> std::unique_ptr<Allocator> {
-    return nullptr;
-  });
-  EXPECT_FALSE(SchedulerRegistry::Global().Register(std::move(dup)));
-  SchedulerPolicyInfo unnamed;
-  unnamed.SetFactory([](OptimusAllocRoundStats*) -> std::unique_ptr<Allocator> {
-    return nullptr;
-  });
-  EXPECT_FALSE(SchedulerRegistry::Global().Register(std::move(unnamed)));
-  SchedulerPolicyInfo no_factory;
-  no_factory.name = "no-factory";
-  EXPECT_FALSE(SchedulerRegistry::Global().Register(std::move(no_factory)));
 }
 
 // ---------------------------------------------------------------------------

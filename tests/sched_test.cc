@@ -121,7 +121,7 @@ TEST(OptimusAllocatorTest, LazyHeapDropsStaleCandidates) {
   // on a binding one (the one-entry-per-job merge).
   for (const double cpu : {1000.0, 100.0}) {
     OptimusAllocRoundStats stats;
-    OptimusAllocator allocator(OptimusAllocatorOptions{&stats});
+    OptimusAllocator allocator(&stats);
     std::vector<SchedJob> jobs = {MakeJob(0, 10.0, ConcaveSpeed()),
                                   MakeJob(1, 20.0, ConcaveSpeed())};
     allocator.Allocate(jobs, Capacity(cpu));
@@ -136,7 +136,7 @@ TEST(OptimusAllocatorTest, UnfittableKindIsDroppedWhileOtherKindFills) {
   // longer fits the shrunken capacity: it must be dropped (not wedge the
   // heap) while the PS side keeps filling.
   OptimusAllocRoundStats stats;
-  OptimusAllocator allocator(OptimusAllocatorOptions{&stats});
+  OptimusAllocator allocator(&stats);
   SchedJob job;
   job.job_id = 0;
   job.worker_demand = Resources(5, 10, 0, 0.2);

@@ -450,5 +450,15 @@ TEST(ServiceReplayTest, ReplayedRunMatchesBatchSimulatorRun) {
       << "service-mode chunked run drifted from the batch simulator";
 }
 
+TEST(ServiceReplayTest, InvalidOverrideIsRejectedNotFatal) {
+  SessionOverrides overrides;
+  overrides.threads = -2;
+  std::string error;
+  const std::unique_ptr<ServiceSession> session = ServiceSession::Create(
+      ReadFileOrDie(ScenarioPath()), "scenario.json", overrides, &error);
+  EXPECT_EQ(session, nullptr);
+  EXPECT_NE(error.find("threads:"), std::string::npos) << error;
+}
+
 }  // namespace
 }  // namespace optimus

@@ -98,6 +98,35 @@ for flag in --scheduler=drf --fault_plan=crash@0:server=0; do
   }
 done
 
+# A bad flag value is a config error: it must exit 2 with stderr naming the
+# flag or the config field, not abort. Checked on optimus_sim's generated and
+# scenario paths and on optimus_serve.
+smoke_scenario="${repo_root}/scenarios/smoke/grid_a.json"
+serve_scenario="${repo_root}/tests/golden/serve/scenario.json"
+for entry in \
+    "sim|--jobs=0|--jobs" \
+    "sim|--repeats=0|--repeats" \
+    "sim|--interval=-5|interval_s" \
+    "sim|--threads=-2|threads" \
+    "sim|--background-share=1.5|background_share" \
+    "sim|--task-failure-prob=nan|task_failure_prob" \
+    "sim|--arrivals=bogus|--arrivals" \
+    "scenario|--repeats=0|repeats" \
+    "scenario|--flight-recorder-depth=-1|flight_recorder_depth" \
+    "serve|--threads=-2|threads"; do
+  IFS='|' read -r surface flag name <<< "${entry}"
+  rc=0
+  case "${surface}" in
+    sim) "${build_dir}/tools/optimus_sim" "${flag}" ;;
+    scenario) "${build_dir}/tools/optimus_sim" --scenario="${smoke_scenario}" "${flag}" ;;
+    serve) "${build_dir}/tools/optimus_serve" --scenario="${serve_scenario}" "${flag}" \
+             < /dev/null ;;
+  esac 2> "${tmp_dir}/bad_value.err" > /dev/null || rc=$?
+  [[ "${rc}" == 2 ]] && grep -q -- "${name}" "${tmp_dir}/bad_value.err" || {
+    echo "${surface} ${flag} did not exit 2 naming ${name} (exit ${rc})" >&2; exit 1;
+  }
+done
+
 # A malformed --workload-csv exits 2 with a message naming the bad line: a
 # repeated job id (line 3) and a nan arrival time (line 2).
 header="job_id,model,mode,arrival_s,delta,patience,dataset_scale,max_ps,max_workers"

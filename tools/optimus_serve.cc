@@ -25,7 +25,6 @@
 
 #include "src/common/flags.h"
 #include "src/obs/exporters.h"
-#include "src/sched/scheduler_registry.h"
 #include "src/service/replay.h"
 #include "src/service/server.h"
 #include "src/service/session.h"

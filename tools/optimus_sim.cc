@@ -2,8 +2,8 @@
 //
 // Runs one workload under one scheduling policy and prints metrics; can dump
 // the per-interval timeline and the lifecycle event trace as CSV for offline
-// analysis. Policies come from the SchedulerRegistry (`--policy list` shows
-// the catalog), and whole experiments can be described declaratively with a
+// analysis. Policies come from the policy table (`--policy list` shows the
+// catalog), and whole experiments can be described declaratively with a
 // scenario-v2 JSON file (`--scenario`, docs/SCENARIOS.md).
 //
 // Examples:
@@ -35,12 +35,12 @@ namespace {
 
 using namespace optimus;
 
-// The policy list in --help is generated from the registry, so a newly
-// registered policy shows up with no CLI edit.
+// The policy list in --help is generated from the policy table, so a new row
+// shows up with no CLI edit.
 std::string Usage() {
   std::string policies;
-  for (const std::string& name : SchedulerRegistry::Global().Names()) {
-    policies += policies.empty() ? name : "|" + name;
+  for (const SchedulerPolicyInfo& info : Policies()) {
+    policies += (policies.empty() ? "" : "|") + std::string(info.name);
   }
   std::string usage =
       "optimus_sim: deep-learning cluster scheduling simulator\n"
@@ -48,7 +48,7 @@ std::string Usage() {
       "Flags:\n"
       "  --policy=" + policies + "|list\n"
       "                                        scheduling policy from the\n"
-      "                                        SchedulerRegistry (default optimus);\n"
+      "                                        policy table (default optimus);\n"
       "                                        `list` prints the catalog\n"
       "  --format=table|json                   output format for `--policy list`\n"
       "                                        (default table)\n"
@@ -106,12 +106,12 @@ std::string Usage() {
 }
 
 // Machine-readable policy catalog (`--policy list --format=json`): one object
-// per registered policy with its placement and trait set, so harnesses can
+// per policy with its placement and trait set, so harnesses can
 // discover capabilities without parsing the human table.
 int PrintPolicyListJson() {
   std::cout << "[\n";
   bool first = true;
-  for (const SchedulerPolicyInfo& info : SchedulerRegistry::Global().Policies()) {
+  for (const SchedulerPolicyInfo& info : Policies()) {
     if (!first) {
       std::cout << ",\n";
     }
@@ -148,7 +148,7 @@ int PrintPolicyList(const std::string& format) {
     return 2;
   }
   TablePrinter table({"policy", "display", "hysteresis", "description"});
-  for (const SchedulerPolicyInfo& info : SchedulerRegistry::Global().Policies()) {
+  for (const SchedulerPolicyInfo& info : Policies()) {
     table.AddRow({info.name, info.display_name,
                   info.traits.scaling_hysteresis ? "on" : "off",
                   info.description});
@@ -157,19 +157,29 @@ int PrintPolicyList(const std::string& format) {
   return 0;
 }
 
-ArrivalProcess ParseArrivals(const std::string& name) {
+bool ParseArrivals(const std::string& name, ArrivalProcess* out) {
   if (name == "uniform") {
-    return ArrivalProcess::kUniformRandom;
+    *out = ArrivalProcess::kUniformRandom;
+    return true;
   }
   if (name == "poisson") {
-    return ArrivalProcess::kPoisson;
+    *out = ArrivalProcess::kPoisson;
+    return true;
   }
   if (name == "trace") {
-    return ArrivalProcess::kGoogleTrace;
+    *out = ArrivalProcess::kGoogleTrace;
+    return true;
   }
-  OPTIMUS_LOG(Fatal) << "unknown arrival process '" << name
-                     << "' (expected uniform|poisson|trace)";
-  return ArrivalProcess::kUniformRandom;
+  return false;
+}
+
+// Prints the `field: problem` lines of a failed Validate; returns the
+// bad-usage exit code.
+int ReportInvalid(const std::vector<std::string>& errors) {
+  for (const std::string& e : errors) {
+    std::cerr << "invalid configuration: " << e << "\n";
+  }
+  return 2;
 }
 
 // Outputs of the single instrumented run path (all optional).
@@ -364,9 +374,23 @@ int main(int argc, char** argv) {
               << "' (expected interval|events)\n";
     return 2;
   }
-  if (!policy_flag.empty() && !SchedulerRegistry::Global().Has(policy_flag)) {
-    std::cerr << SchedulerRegistry::Global().UnknownPolicyMessage(policy_flag)
-              << "\n";
+  if (std::string error;
+      !policy_flag.empty() && FindPolicy(policy_flag, &error) == nullptr) {
+    std::cerr << error << "\n";
+    return 2;
+  }
+  ArrivalProcess arrival_process = ArrivalProcess::kUniformRandom;
+  if (!ParseArrivals(arrivals, &arrival_process)) {
+    std::cerr << "unknown --arrivals '" << arrivals
+              << "' (expected uniform|poisson|trace)\n";
+    return 2;
+  }
+  if (num_jobs < 1) {
+    std::cerr << "--jobs must be >= 1 (got " << num_jobs << ")\n";
+    return 2;
+  }
+  if (repeats < 1) {
+    std::cerr << "--repeats must be >= 1 (got " << repeats << ")\n";
     return 2;
   }
 
@@ -396,6 +420,9 @@ int main(int argc, char** argv) {
     }
     scenario.sim.obs.flight_recorder_depth = flight_recorder_depth;
     scenario.sim.obs.per_interval_series = out.metrics_format == "json";
+    if (std::vector<std::string> errors; !scenario.Validate(&errors)) {
+      return ReportInvalid(errors);
+    }
     return RunScenario(std::move(scenario), threads, out);
   }
 
@@ -423,7 +450,7 @@ int main(int argc, char** argv) {
   config.sim.threads = threads;
   config.threads = threads;
   config.workload.num_jobs = num_jobs;
-  config.workload.arrivals = ParseArrivals(arrivals);
+  config.workload.arrivals = arrival_process;
   config.workload.interval_s = interval_s;
   config.workload.target_steps_per_epoch = steps_per_epoch;
   config.repeats = repeats;
@@ -432,6 +459,9 @@ int main(int argc, char** argv) {
   config.sim.obs.flight_recorder_depth = flight_recorder_depth;
   // The JSON run report carries a per-interval time series; sample it.
   config.sim.obs.per_interval_series = out.metrics_format == "json";
+  if (std::vector<std::string> errors; !config.sim.Validate(&errors)) {
+    return ReportInvalid(errors);
+  }
 
   auto cluster = [num_servers]() {
     return num_servers > 0

@@ -42,7 +42,7 @@ Flags:
                       OPTIMUS_THREADS env var, then 1 (default 0)
   --engine=NAME       override every scenario's simulation engine
                       (interval|events; default: what each file says)
-  --list-policies     print the SchedulerRegistry catalog and exit
+  --list-policies     print the policy table and exit
   --help              this message
 
 Scenario files are scenario-v2 JSON; scenario-v1 files still load
@@ -60,9 +60,8 @@ int main(int argc, char** argv) {
   }
   if (flags.GetBool("list-policies", false)) {
     TablePrinter table({"policy", "display", "description"});
-    for (const std::string& name : SchedulerRegistry::Global().Names()) {
-      const SchedulerPolicyInfo* info = SchedulerRegistry::Global().Find(name);
-      table.AddRow({info->name, info->display_name, info->description});
+    for (const SchedulerPolicyInfo& info : Policies()) {
+      table.AddRow({info.name, info.display_name, info.description});
     }
     table.Print(std::cout);
     return 0;
