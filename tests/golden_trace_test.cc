@@ -3,15 +3,16 @@
 // to scheduling, fault handling, RNG consumption order, or metrics
 // accounting shows up here as a readable diff instead of a silent drift.
 // The second golden runs a time-varying background share under rack-aware
-// placement on both engines, at 1 and 4 threads.
+// placement on both engines, at 1 and 4 threads. The third runs the events
+// engine with fault-plan edges inside scheduling spans, at 1 and 4 threads.
 //
 // Regenerating the goldens after an INTENDED behavior change:
 //
 //   OPTIMUS_REGEN_GOLDEN=1 ./build/tests/golden_trace_test
 //
-// then commit tests/golden/fault_trace.json and background_trace.json
-// together with the change that moved them. The snapshot prints doubles with 17 significant digits, so it
-// round-trips exactly; the RNG is std::mt19937_64 with libstdc++'s
+// then commit tests/golden/fault_trace.json, background_trace.json and
+// midspan_trace.json together with the change that moved them. The snapshot
+// prints doubles with 17 significant digits, so it round-trips exactly; the RNG is std::mt19937_64 with libstdc++'s
 // distributions, which is stable across runs and thread counts on the
 // toolchain CI uses (a different standard library may legitimately produce a
 // different golden).
@@ -43,6 +44,8 @@ namespace {
 constexpr char kGoldenPath[] = OPTIMUS_SOURCE_DIR "/tests/golden/fault_trace.json";
 constexpr char kBackgroundGoldenPath[] =
     OPTIMUS_SOURCE_DIR "/tests/golden/background_trace.json";
+constexpr char kMidSpanGoldenPath[] =
+    OPTIMUS_SOURCE_DIR "/tests/golden/midspan_trace.json";
 
 // The pinned scenario: 6 jobs on the paper's testbed with a crash, a rack
 // outage, a slowdown burst, task failures, and periodic checkpoints.
@@ -159,6 +162,50 @@ std::string BackgroundSnapshot(int threads) {
   return os.str();
 }
 
+// An events-engine run whose fault-plan edges fall inside scheduling spans
+// (rounds are every 600 s): a slowdown starts at 2100 and ends at 3400, and a
+// crash at 2950 recovers at 7777, so the kernel settles, evicts and re-anchors
+// jobs between rounds. Task failures and checkpoints are on, as in the pinned
+// scenario above.
+std::unique_ptr<Simulator> MakeMidSpanScenario(int threads) {
+  SimulatorConfig config;
+  config.seed = 7;
+  config.engine = SimEngine::kEvents;
+  config.threads = threads;
+  config.max_sim_time_s = 2e5;
+  std::string error;
+  EXPECT_TRUE(ParseFaultPlan("slow@2100:factor=0.7,duration=1300;"
+                             "crash@2950:server=3,recover=7777",
+                             &config.fault.plan, &error))
+      << error;
+  config.fault.task_failure_prob = 0.02;
+  config.fault.checkpoint_period_s = 3600.0;
+  config.audit = true;
+
+  WorkloadConfig workload;
+  workload.num_jobs = 8;
+  workload.arrival_window_s = 2400.0;
+  Rng rng(config.seed ^ 0x5eedULL);
+  return std::make_unique<Simulator>(config, BuildTestbed(),
+                                     GenerateWorkload(workload, &rng));
+}
+
+// The run's snapshot plus what the event loop itself decides: the processed
+// event count, the final clock and the full-trace digest.
+std::string MidSpanSnapshot(int threads) {
+  std::unique_ptr<Simulator> sim = MakeMidSpanScenario(threads);
+  const RunMetrics metrics = sim->Run();
+  std::string snapshot = Snapshot(metrics, sim->trace());
+  snapshot.pop_back();
+  std::ostringstream os;
+  os << std::setprecision(17) << "{\n\"events\": " << snapshot
+     << ",\n\"events_processed\": " << metrics.events_processed
+     << ",\n\"now_s\": " << sim->now_s() << ",\n\"trace\": {\"records\": "
+     << sim->trace().size() << ", \"digest\": \"" << std::hex << sim->trace().digest()
+     << std::dec << "\"}\n}\n";
+  return os.str();
+}
+
 TEST(GoldenTraceTest, FaultedRunMatchesCommittedSnapshot) {
   std::unique_ptr<Simulator> sim = MakePinnedScenario();
   const RunMetrics metrics = sim->Run();
@@ -214,6 +261,38 @@ TEST(GoldenTraceTest, BackgroundShareRunMatchesCommittedSnapshot) {
         << "threads=" << threads << ": the background-share run drifted from "
         << kBackgroundGoldenPath;
   }
+}
+
+TEST(GoldenTraceTest, EventsMidSpanEdgesMatchCommittedSnapshot) {
+  if (std::getenv("OPTIMUS_REGEN_GOLDEN") != nullptr) {
+    std::ofstream os(kMidSpanGoldenPath);
+    ASSERT_TRUE(os.good()) << "cannot write " << kMidSpanGoldenPath;
+    os << MidSpanSnapshot(/*threads=*/1);
+    GTEST_SKIP() << "regenerated " << kMidSpanGoldenPath;
+  }
+  std::ifstream in(kMidSpanGoldenPath);
+  ASSERT_TRUE(in.good()) << "missing golden " << kMidSpanGoldenPath
+                         << " — run with OPTIMUS_REGEN_GOLDEN=1 to create it";
+  std::stringstream contents;
+  contents << in.rdbuf();
+  const std::string golden = contents.str();
+  for (const int threads : {1, 4}) {
+    EXPECT_EQ(MidSpanSnapshot(threads), golden)
+        << "threads=" << threads << ": the mid-span fault run drifted from "
+        << kMidSpanGoldenPath;
+  }
+}
+
+// The mid-span scenario must keep biting: the crash evicts a job between
+// rounds and the slowdown re-anchors running ones.
+TEST(GoldenTraceTest, MidSpanScenarioExercisesTheFaultPath) {
+  std::unique_ptr<Simulator> sim = MakeMidSpanScenario(1);
+  const RunMetrics metrics = sim->Run();
+  EXPECT_EQ(metrics.server_crashes, 1);
+  EXPECT_EQ(metrics.server_recoveries, 1);
+  EXPECT_GT(metrics.job_evictions, 0);
+  EXPECT_EQ(metrics.completed_jobs, metrics.total_jobs);
+  EXPECT_EQ(metrics.audit_violations, 0) << sim->auditor().Summary();
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 // ordering leaks. These tests pin that contract four ways:
 //
 //   1. A committed golden session (tests/golden/serve/) replays byte for
-//      byte across --threads {1, 2, 8}, including its error responses.
+//      byte across --threads {1, 2, 8}, including its error responses; the
+//      same requests on the events engine replay to their own golden.
 //   2. The events engine is exact across thread counts; interval vs events
 //      agree on average JCT within the ALGORITHMS.md §16 tolerance; a
 //      2,000-request synthetic load replays bitwise across threads.
@@ -169,6 +170,28 @@ TEST(ServiceReplayTest, GoldenSessionByteForByteAcrossThreads) {
     EXPECT_EQ(out.responses, base.responses) << "threads=" << threads;
     EXPECT_EQ(SimReport(&t_session->simulator()), base_report)
         << "threads=" << threads;
+  }
+}
+
+// The basic session on the events engine. Its advances end inside
+// scheduling spans (900 s, then 1500 s), so every response's now_s pins where
+// the event loop leaves the clock between rounds.
+TEST(ServiceReplayTest, EventsEngineGoldenSessionByteForByteAcrossThreads) {
+  const std::string golden_path = GoldenPath("basic_events.responses.ndjson");
+  for (const int threads : {1, 4}) {
+    SessionOverrides overrides;
+    overrides.threads = threads;
+    overrides.engine = SimEngine::kEvents;
+    std::unique_ptr<ServiceSession> session = MakeSession(overrides);
+    ASSERT_NE(session, nullptr);
+    const ReplayOutput out = Replay(session.get(), kBasicRequests);
+    EXPECT_TRUE(out.result.shutdown);
+    EXPECT_EQ(out.result.errors, 3);  // the three deliberately bad lines
+    if (std::getenv("OPTIMUS_REGEN_GOLDEN") != nullptr) {
+      WriteFileOrDie(golden_path, out.responses);
+      GTEST_SKIP() << "regenerated " << golden_path;
+    }
+    EXPECT_EQ(out.responses, ReadFileOrDie(golden_path)) << "threads=" << threads;
   }
 }
 
