@@ -1,7 +1,8 @@
 // A small fork-join thread pool for deterministic parallelism.
 //
 // The library's parallel call sites (experiment repeats, per-arrival speed
-// pre-run sampling, per-job stepping and model refits) are embarrassingly
+// pre-run sampling, per-job stepping, the events engine's per-job epoch walk,
+// and model refits) are embarrassingly
 // parallel: each unit of work owns its state — in particular its own split
 // RNG — and writes its result to an index-owned slot. Under that contract,
 // running the units on N threads and committing results in index order is

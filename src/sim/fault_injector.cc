@@ -1,6 +1,7 @@
 #include "src/sim/fault_injector.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <limits>
@@ -62,24 +63,36 @@ bool ParseParams(const std::string& text,
   return true;
 }
 
-// Parses "S" or "A-B" into a server list.
-bool ParseServerList(const std::string& text, std::vector<int>* servers) {
-  const size_t dash = text.find('-');
-  double lo = 0.0;
-  double hi = 0.0;
-  if (dash == std::string::npos) {
-    if (!ParseDouble(text, &lo) || lo < 0.0) {
-      return false;
-    }
-    hi = lo;
-  } else if (!ParseDouble(text.substr(0, dash), &lo) ||
-             !ParseDouble(text.substr(dash + 1), &hi) || lo < 0.0 || hi < lo) {
+// Parses a whole server id in [0, INT_MAX]: digits only.
+bool ParseServerId(const std::string& text, int* id) {
+  const char* end = text.data() + text.size();
+  if (text.empty() || text[0] < '0' || text[0] > '9') {
     return false;
   }
-  for (int s = static_cast<int>(lo); s <= static_cast<int>(hi); ++s) {
-    servers->push_back(s);
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *id);
+  return ec == std::errc() && ptr == end;
+}
+
+// Parses "S" or "A-B" into a server range; on failure returns the problem,
+// naming the bad value (the whole text when a side is empty).
+std::string ParseServerRange(const std::string& text, ServerRange* range) {
+  const size_t dash = text.find('-', 1);
+  const std::string first = dash == std::string::npos ? text : text.substr(0, dash);
+  const std::string last = dash == std::string::npos ? text : text.substr(dash + 1);
+  auto bad_id = [&text](const std::string& id) {
+    return "server id '" + (id.empty() ? text : id) + "' is not a whole number in [0, " +
+           std::to_string(std::numeric_limits<int>::max()) + "]";
+  };
+  if (!ParseServerId(first, &range->first)) {
+    return bad_id(first);
   }
-  return true;
+  if (!ParseServerId(last, &range->last)) {
+    return bad_id(last);
+  }
+  if (range->last < range->first) {
+    return "server range '" + text + "' is empty";
+  }
+  return "";
 }
 
 bool ParseEvent(const std::string& event, FaultPlan* plan, std::string* error) {
@@ -112,10 +125,12 @@ bool ParseEvent(const std::string& event, FaultPlan* plan, std::string* error) {
     outage.recover_s = kInf;
     for (const auto& [k, v] : params) {
       if (k == "server" || k == "servers") {
-        if (!ParseServerList(v, &outage.servers)) {
-          *error = "event '" + event + "': bad server list '" + v + "'";
+        ServerRange range;
+        if (const std::string problem = ParseServerRange(v, &range); !problem.empty()) {
+          *error = "event '" + event + "': " + problem;
           return false;
         }
+        outage.servers.push_back(range);
       } else if (k == "recover") {
         if (!ParseDouble(v, &outage.recover_s) || outage.recover_s <= time_s) {
           *error = "event '" + event + "': recover must be a time after the crash";
@@ -153,6 +168,10 @@ bool ParseEvent(const std::string& event, FaultPlan* plan, std::string* error) {
           return false;
         }
         burst.end_s = time_s + d;
+        if (!(burst.end_s > time_s)) {
+          *error = "event '" + event + "': duration '" + v + "' is lost in the start time";
+          return false;
+        }
         have_duration = true;
       } else {
         *error = "event '" + event + "': unknown param '" + k + "'";
@@ -166,7 +185,7 @@ bool ParseEvent(const std::string& event, FaultPlan* plan, std::string* error) {
     plan->slowdowns.push_back(burst);
     return true;
   }
-  *error = "unknown event kind '" + kind + "' (expected crash|rack|slow)";
+  *error = "event '" + event + "': unknown kind '" + kind + "' (expected crash|rack|slow)";
   return false;
 }
 
@@ -206,13 +225,15 @@ bool ParseFaultPlan(const std::string& spec, FaultPlan* plan, std::string* error
 FaultInjector::FaultInjector(const FaultConfig& config, int num_servers)
     : config_(config), down_count_(static_cast<size_t>(num_servers), 0) {
   for (const ServerOutage& outage : config_.plan.outages) {
-    for (int s : outage.servers) {
-      if (s < 0 || s >= num_servers) {
-        continue;  // plan written for a larger cluster; skip
-      }
-      transitions_.push_back({outage.start_s, s, +1});
-      if (std::isfinite(outage.recover_s)) {
-        transitions_.push_back({outage.recover_s, s, -1});
+    for (const ServerRange& range : outage.servers) {
+      // Ids past the cluster are skipped: the plan was written for a larger
+      // one.
+      for (int s = std::max(range.first, 0); s <= std::min(range.last, num_servers - 1);
+           ++s) {
+        transitions_.push_back({outage.start_s, s, +1});
+        if (std::isfinite(outage.recover_s)) {
+          transitions_.push_back({outage.recover_s, s, -1});
+        }
       }
     }
   }

@@ -17,13 +17,22 @@
 
 namespace optimus {
 
+// The server ids first..last, inclusive; a plan writes "S" as S-S.
+struct ServerRange {
+  int first = 0;
+  int last = 0;
+
+  bool operator==(const ServerRange&) const = default;
+};
+
 // One scripted outage: the listed servers go down at start_s and come back at
 // recover_s (infinity = never). Overlapping outages compose: a server is up
-// only when no active outage covers it.
+// only when no active outage covers it. Ranges stay ranges, so a wide one
+// costs what the cluster holds of it, not its width.
 struct ServerOutage {
   double start_s = 0.0;
   double recover_s = 0.0;  // > start_s, or infinity for a permanent crash
-  std::vector<int> servers;
+  std::vector<ServerRange> servers;
 };
 
 // A transient cluster-wide slowdown: while active, every running job trains
@@ -63,8 +72,9 @@ struct FaultConfig {
 //   crash@T:server=S[,recover=T2]
 //   rack@T:servers=A-B[,recover=T2]
 //   slow@T:factor=F,duration=D
-// A spec starting with '@' names a file with one event per line ('#' starts a
-// comment). Returns false and sets *error on malformed input.
+// Server ids are whole numbers in [0, INT_MAX]. A spec starting with '@'
+// names a file with one event per line ('#' starts a comment). Returns false
+// and sets *error on malformed input; the message quotes the event.
 bool ParseFaultPlan(const std::string& spec, FaultPlan* plan, std::string* error);
 
 // Replays a FaultPlan against simulated time. The injector is advanced once

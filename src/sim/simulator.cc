@@ -805,10 +805,9 @@ void Simulator::EvictJob(JobRuntime* jr, const std::string& reason) {
   job.SetAllocation(0, 0, {});
   job.set_state(job.steps_done() > 0 ? JobState::kPaused : JobState::kPending);
   jr->load_valid = false;
-  // Event engine: the job stops training immediately; any pending epoch
-  // event is now stale. No-op under the interval engine.
-  jr->seg_active = false;
-  ++jr->gen;
+  // Event engine: the job stops training immediately. No-op under the
+  // interval engine.
+  EndSegment(jr);
   auditor_.NoteRollback(job.id());
   auditor_.ClearPlacement(job.id());
   ++jr->consecutive_evictions;
@@ -1658,11 +1657,10 @@ bool Simulator::KillJob(int job_id, std::string* error) {
     job.SetAllocation(0, 0, {});
   }
   auditor_.ClearPlacement(job.id());
-  // Event engine: stop the segment and invalidate pending epoch events.
-  // Progress since the job's last event is discarded — the job is being
-  // cancelled — and the kill is deterministic either way.
-  jr->seg_active = false;
-  ++jr->gen;
+  // Event engine: stop the segment. Progress since the job's last boundary
+  // or settle is discarded — the job is being cancelled — and the kill is
+  // deterministic either way.
+  EndSegment(jr);
   // Kills count as completions in the accounting invariants (the auditor
   // checks completed states against the completion metric).
   jr->killed = true;

@@ -2,14 +2,17 @@
 // the kernel design and docs/ALGORITHMS.md §16 for the determinism argument
 // and the parity contract against the interval engine.
 //
-// Structure: simulated activity is a deterministic event queue. Scheduling
-// rounds stay periodic (one kRound per interval, Algorithm-1 cadence) and
-// reuse the interval engine's fault pipeline, scheduler round, and auditor
-// verbatim; between rounds each job advances only at its own analytically
-// computed epoch-completion events, so untouched jobs cost zero work. Events
-// pop one at a time in key order and their handlers run serially; every RNG
-// draw flows through job-owned streams, keeping outputs bitwise identical for
-// any --threads. The per-job observation steps (epoch loss, loss and speed
+// Structure: simulated activity is a deterministic event queue of arrivals,
+// fault-plan edges and rounds. Scheduling rounds stay periodic (one kRound per
+// interval, Algorithm-1 cadence) and reuse the interval engine's fault
+// pipeline, scheduler round, and auditor verbatim. Between two barriers (the
+// queued round, the next fault-plan edge, the horizon) each running job walks
+// its own analytically computed epoch boundaries (WalkEpochs), fanned out
+// over the pool, touching only its own state; the caller then applies the
+// walks' shared effects (completions, lr-drop records) merged with the
+// queue's arrivals in the queue's (time, kind, job_id) order. Every RNG draw
+// flows through job-owned streams, keeping outputs bitwise identical for any
+// --threads. The per-job observation steps (epoch loss, loss and speed
 // samples, fits, utilization) are the interval engine's, shared through the
 // Simulator helpers AdvanceJob calls.
 
@@ -50,17 +53,18 @@ void Simulator::SeedEvents() {
   std::sort(edges.begin(), edges.end());
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
   for (double t : edges) {
-    events_.push({t, SimEventKind::kFaultPlan, -1, 0});
+    events_.push({t, SimEventKind::kFaultPlan, -1});
   }
-  events_.push({0.0, SimEventKind::kRound, -1, 0});
-  round_queued_ = true;
+  fault_edges_s_ = std::move(edges);
+  events_.push({0.0, SimEventKind::kRound, -1});
+  queued_round_s_ = 0.0;
   QueueNextArrival();
 }
 
 void Simulator::QueueNextArrival() {
   const double t = NextArrival();
   if (t < queued_arrival_s_) {
-    events_.push({t, SimEventKind::kArrival, -1, 0});
+    events_.push({t, SimEventKind::kArrival, -1});
     queued_arrival_s_ = t;
   }
 }
@@ -75,11 +79,11 @@ void Simulator::HandleArrivalEvent(double t) {
   queued_arrival_s_ = std::numeric_limits<double>::infinity();
   ActivateArrivals();
   event_counts_.Note(SimEventKind::kArrival);
-  if (!round_queued_) {
+  if (std::isinf(queued_round_s_)) {
     // The chain stopped at an idle round: resume at the first boundary at or
     // after this arrival.
-    events_.push({NextRoundAtOrAfter(last_round_s_, t), SimEventKind::kRound, -1, 0});
-    round_queued_ = true;
+    queued_round_s_ = NextRoundAtOrAfter(last_round_s_, t);
+    events_.push({queued_round_s_, SimEventKind::kRound, -1});
   }
   QueueNextArrival();
 }
@@ -95,9 +99,9 @@ void Simulator::SettleJob(JobRuntime* jr, double t) {
   const double stalled = jr->job.ConsumeStall(dt);
   const double train = dt - stalled;
   if (train > 0.0 && jr->seg_speed > 0.0) {
-    // No epoch boundary lies inside (anchor, t) — boundaries get their own
-    // events — so cap the advance at the next boundary to keep floating-point
-    // drift from overshooting an unobserved epoch.
+    // No epoch boundary lies inside (anchor, t) — the walk stops at every
+    // boundary — so cap the advance at the next boundary to keep
+    // floating-point drift from overshooting an unobserved epoch.
     const double spe = static_cast<double>(jr->job.spec().StepsPerEpoch());
     const double cap = std::max(
         0.0, static_cast<double>(jr->seg_next_epoch) * spe - jr->job.steps_done());
@@ -108,70 +112,104 @@ void Simulator::SettleJob(JobRuntime* jr, double t) {
   jr->seg_anchor_s = t;
 }
 
-void Simulator::HandleEpochEvent(const SimKernelEvent& event) {
-  // Stale filter: an event whose generation no longer matches was superseded
-  // by a reschedule, an eviction, or completion. A retired job has no
-  // runtime; any epoch event it left behind is stale by definition
-  // (retirement requires completion, which bumped the gen).
-  const auto it = job_refs_.find(static_cast<int>(event.job_id));
-  OPTIMUS_CHECK(it != job_refs_.end());
-  JobRuntime* jr = it->second.live;
-  if (jr == nullptr || !jr->seg_active || jr->gen != event.gen) {
-    return;
-  }
-  event_counts_.Note(SimEventKind::kEpoch);
-
-  const double t = event.time_s;
+void Simulator::WalkEpochs(JobRuntime* jr, double barrier) {
+  JobRuntime::EpochWalk& walk = jr->walk;
+  walk = {};
   Job& job = jr->job;
   const double spe = static_cast<double>(job.spec().StepsPerEpoch());
-  const int64_t e = jr->seg_next_epoch;
+  while (jr->seg_active && jr->seg_next_s <= barrier &&
+         jr->seg_next_s < config_.max_sim_time_s) {
+    const double t = jr->seg_next_s;
+    const int64_t e = jr->seg_next_epoch;
 
-  // Settle to the boundary. The event time was computed as
-  // anchor + stall + (boundary - steps) / speed, so the stall is consumed en
-  // route and the advance lands exactly on the boundary (forced, to keep the
-  // boundary arithmetic free of accumulated rounding).
-  const double dt = t - jr->seg_anchor_s;
-  if (dt > 0.0) {
-    job.ConsumeStall(dt);
+    // Settle to the boundary. Its time was computed as
+    // anchor + stall + (boundary - steps) / speed, so the stall is consumed
+    // en route and the advance lands exactly on the boundary (forced, to keep
+    // the boundary arithmetic free of accumulated rounding).
+    const double dt = t - jr->seg_anchor_s;
+    if (dt > 0.0) {
+      job.ConsumeStall(dt);
+    }
+    job.AdvanceSteps(std::max(0.0, static_cast<double>(e) * spe - job.steps_done()));
+    jr->seg_anchor_s = t;
+    ResetEvictionStreak(jr);
+    jr->ran_since_round = true;
+
+    const bool completed = ObserveEpochLoss(jr, e);
+    if (!config_.oracle_estimates) {
+      // Observe per-step losses across the completed epoch. Feeding is the
+      // hot path of the interval engine's advance; here it is a handful of
+      // samples per epoch and the fits are deferred to the round's model
+      // refresh.
+      FeedLossSamples(jr, static_cast<double>(e - 1) * spe,
+                      static_cast<double>(e) * spe, kConvSamplesPerEpoch);
+    }
+    if (ApplyLrDrop(jr)) {
+      walk.lr_drop = true;
+      walk.lr_drop_s = t;
+    }
+    ++walk.epochs;
+    walk.last_s = t;
+    if (completed) {
+      // Exact analytic completion time — no interval-boundary quantization.
+      job.MarkCompleted(t);
+      jr->seg_active = false;
+      walk.completed_epoch = e;
+    } else {
+      jr->seg_next_epoch = e + 1;
+      // The boundary was landed on exactly, so a whole epoch lies ahead.
+      jr->seg_next_s = t + job.stall_remaining_s() + spe / jr->seg_speed;
+    }
   }
-  job.AdvanceSteps(std::max(0.0, static_cast<double>(e) * spe - job.steps_done()));
-  jr->seg_anchor_s = t;
-  ResetEvictionStreak(jr);
-  jr->ran_since_round = true;
+}
 
-  const bool completed = ObserveEpochLoss(jr, e);
-  if (!config_.oracle_estimates) {
-    // Observe per-step losses across the completed epoch. Feeding is the hot
-    // path of the interval engine's advance; here it is a handful of samples
-    // per epoch and the fits are deferred to the round's model refresh.
-    FeedLossSamples(jr, static_cast<double>(e - 1) * spe,
-                    static_cast<double>(e) * spe, kConvSamplesPerEpoch);
+double Simulator::WalkSegments(double barrier) {
+  pool_->ParallelFor(static_cast<int64_t>(segments_.size()),
+                     [&](int64_t i) { WalkEpochs(segments_[i], barrier); });
+  walk_effects_.clear();
+  int64_t epochs = 0;
+  double last_s = -std::numeric_limits<double>::infinity();
+  for (JobRuntime* jr : segments_) {
+    const JobRuntime::EpochWalk& walk = jr->walk;
+    if (walk.epochs == 0) {
+      continue;
+    }
+    epochs += walk.epochs;
+    last_s = std::max(last_s, walk.last_s);
+    if (walk.completed_epoch > 0) {
+      walk_effects_.push_back({jr->job.completion_time_s(), jr, true});
+    }
+    if (walk.lr_drop) {
+      walk_effects_.push_back({walk.lr_drop_s, jr, false});
+    }
   }
-  const bool lr_drop = ApplyLrDrop(jr);
+  event_counts_.Note(SimEventKind::kEpoch, epochs);
+  // Merge order: the queue's key, and a completion before the lr-drop record
+  // of the same boundary.
+  std::sort(walk_effects_.begin(), walk_effects_.end(),
+            [](const WalkEffect& a, const WalkEffect& b) {
+              if (a.time_s != b.time_s) {
+                return a.time_s < b.time_s;
+              }
+              if (a.jr->job.id() != b.jr->job.id()) {
+                return a.jr->job.id() < b.jr->job.id();
+              }
+              return a.completion > b.completion;
+            });
+  return last_s;
+}
 
-  if (completed) {
-    // Exact analytic completion time — no interval-boundary quantization.
-    job.MarkCompleted(t);
+void Simulator::EndSegment(JobRuntime* jr) {
+  if (jr->seg_active) {
+    events_.push({jr->seg_next_s, SimEventKind::kEpoch, jr->job.id()});
     jr->seg_active = false;
-    ++jr->gen;
-    CompleteJob(jr, e);
-  }
-  if (lr_drop) {
-    Emit(t, SimEventType::kLearningRateDrop, job.id(), job.num_ps(),
-         job.num_workers());
-  }
-  if (!completed) {
-    jr->seg_next_epoch = e + 1;
-    // The boundary was landed on exactly, so a whole epoch lies ahead.
-    events_.push({t + job.stall_remaining_s() + spe / jr->seg_speed,
-                  SimEventKind::kEpoch, job.id(), jr->gen});
   }
 }
 
 void Simulator::HandleFaultPlanEvent(double t) {
   // Evictions happen at the exact crash instant: a job that loses tasks
   // mid-round stops training then, not at the next boundary (EvictJob
-  // deactivates the job's segment, invalidating its pending epoch event).
+  // ends the job's segment).
   bool slow_changed = false;
   const bool evicted_any = ApplyServerEdges(&slow_changed);
 
@@ -181,20 +219,19 @@ void Simulator::HandleFaultPlanEvent(double t) {
   const bool bw_changed = evicted_any && RefreshNetwork();
 
   // A slowdown edge changes every active segment's speed: settle each at the
-  // old speed up to t, recompute with the same round noise draw, reschedule.
+  // old speed up to t, recompute with the same round noise draw, and move its
+  // next boundary (the old one leaves a clock marker).
   if (slow_changed || bw_changed) {
-    for (const auto& jr : Live()) {
+    for (JobRuntime* jr : segments_) {
       if (!jr->seg_active) {
         continue;
       }
-      SettleJob(jr.get(), t);
+      SettleJob(jr, t);
+      EndSegment(jr);
       jr->seg_speed = TrueSpeed(*jr) * jr->seg_noise * cluster_slow_factor_;
-      ++jr->gen;
-      if (jr->seg_speed > 0.0) {
-        events_.push({NextEpochTime(*jr, t), SimEventKind::kEpoch, jr->job.id(),
-                      jr->gen});
-      } else {
-        jr->seg_active = false;
+      jr->seg_active = jr->seg_speed > 0.0;
+      if (jr->seg_active) {
+        jr->seg_next_s = NextEpochTime(*jr, t);
       }
     }
   }
@@ -232,16 +269,16 @@ void Simulator::RefreshModels() {
 
 void Simulator::RebuildSegments() {
   const double t = now_s_;
-  // Every pending epoch event dies here (generation bump); running jobs get a
-  // fresh segment — new noise draw, current allocation/placement/slowdown —
-  // and exactly one new epoch event each.
-  std::vector<JobRuntime*> running;
+  // Every pending boundary is superseded here (a clock marker each); running
+  // jobs get a fresh segment — new noise draw, current
+  // allocation/placement/slowdown — and one next boundary each.
+  std::vector<JobRuntime*>& running = segments_;
+  running.clear();
   for (const auto& jr : Live()) {
     if (jr->job.state() == JobState::kCompleted) {
       continue;
     }
-    ++jr->gen;
-    jr->seg_active = false;
+    EndSegment(jr.get());
     // All-reduce jobs run with zero PS tasks; workers alone make them live.
     const bool needs_ps = jr->job.spec().comm != CommMode::kAllReduce;
     if (jr->job.state() == JobState::kRunning && jr->job.num_workers() > 0 &&
@@ -269,8 +306,7 @@ void Simulator::RebuildSegments() {
     if (!config_.oracle_estimates) {
       jr->seg_sample = SpeedSampleAt(*jr, speed);
     }
-    events_.push({NextEpochTime(*jr, t), SimEventKind::kEpoch, jr->job.id(),
-                  jr->gen});
+    jr->seg_next_s = NextEpochTime(*jr, t);
   }
   std::erase_if(running, [](const JobRuntime* jr) { return !jr->seg_active; });
   // Timeline sample for the upcoming span (the interval engine records the
@@ -280,7 +316,7 @@ void Simulator::RebuildSegments() {
 
 void Simulator::HandleRoundEvent(double t) {
   last_round_s_ = t;
-  round_queued_ = false;
+  queued_round_s_ = std::numeric_limits<double>::infinity();
   // Idle, mirroring the interval engine's fast-forward: with no live,
   // incomplete job the chain stops here, without fault/schedule/audit work,
   // and the next arrival restarts it (HandleArrivalEvent).
@@ -294,9 +330,9 @@ void Simulator::HandleRoundEvent(double t) {
   // models at the end of its advance phase, before the next round's faults).
   {
     ScopedTimer timer(&profiler_, phase_events_);
-    for (const auto& jr : Live()) {
+    for (JobRuntime* jr : segments_) {
       if (jr->seg_active) {
-        SettleJob(jr.get(), t);
+        SettleJob(jr, t);
       }
     }
   }
@@ -307,7 +343,9 @@ void Simulator::HandleRoundEvent(double t) {
   // Retire only after the refresh: a job that completed since the last round
   // still carries its final trained span, whose speed sample the refresh
   // above records exactly as the interval engine does (neither engine refits
-  // a completed job).
+  // a completed job). Retiring frees runtimes the segment list may name; it
+  // is rebuilt below.
+  segments_.clear();
   RetireCompleted();
 
   // The shared policy path, verbatim: fault pipeline (periodic checkpoints,
@@ -335,40 +373,82 @@ void Simulator::HandleRoundEvent(double t) {
 
   SampleObservability();
 
-  events_.push({t + config_.interval_s, SimEventKind::kRound, -1, 0});
-  round_queued_ = true;
+  queued_round_s_ = t + config_.interval_s;
+  events_.push({queued_round_s_, SimEventKind::kRound, -1});
 }
 
 void Simulator::StepEventsUntil(double horizon) {
   OPTIMUS_CHECK(config_.engine == SimEngine::kEvents);
-  while (metrics_.completed_jobs < metrics_.total_jobs && !events_.empty() &&
-         events_.top().time_s <= horizon &&
-         events_.top().time_s < config_.max_sim_time_s) {
-    const SimKernelEvent event = events_.top();
-    events_.pop();
-    now_s_ = event.time_s;
-    switch (event.kind) {
-      case SimEventKind::kArrival: {
+  auto due = [&](double t) { return t <= horizon && t < config_.max_sim_time_s; };
+  bool more = true;
+  while (more && metrics_.completed_jobs < metrics_.total_jobs) {
+    // The span ends at the first barrier: the queued round, the next
+    // fault-plan edge, or the horizon. Only those change another job's
+    // segment, so every job walks its boundaries up to it on its own.
+    double barrier = std::min(horizon, queued_round_s_);
+    if (next_edge_ < fault_edges_s_.size()) {
+      barrier = std::min(barrier, fault_edges_s_[next_edge_]);
+    }
+    double walked_s = 0.0;
+    {
+      ScopedTimer timer(&profiler_, phase_events_);
+      walked_s = WalkSegments(barrier);
+    }
+    // Merge the walks' effects with the queue up to the barrier, in key
+    // order. A boundary sorts as (time, kEpoch, job id), after an arrival at
+    // its instant and before an edge or round. Once every job completed no
+    // queued event pops, but the last boundary's lr-drop record still lands.
+    more = false;
+    size_t effect = 0;
+    while (true) {
+      const bool event_due = metrics_.completed_jobs < metrics_.total_jobs &&
+                             !events_.empty() && due(events_.top().time_s);
+      if (effect < walk_effects_.size()) {
+        const WalkEffect& w = walk_effects_[effect];
+        if (!event_due || !SimKernelEventBefore()(events_.top(),
+                                                  {w.time_s, SimEventKind::kEpoch,
+                                                   w.jr->job.id()})) {
+          ScopedTimer timer(&profiler_, phase_events_);
+          Job& job = w.jr->job;
+          if (w.completion) {
+            CompleteJob(w.jr, w.jr->walk.completed_epoch);
+          } else {
+            Emit(w.time_s, SimEventType::kLearningRateDrop, job.id(), job.num_ps(),
+                 job.num_workers());
+          }
+          ++effect;
+          continue;
+        }
+      }
+      if (!event_due) {
+        break;
+      }
+      const SimKernelEvent event = events_.top();
+      events_.pop();
+      now_s_ = event.time_s;
+      if (event.kind == SimEventKind::kArrival) {
         ScopedTimer timer(&profiler_, phase_events_);
         HandleArrivalEvent(now_s_);
-        break;
+        continue;
       }
-      case SimEventKind::kEpoch: {
-        ScopedTimer timer(&profiler_, phase_events_);
-        HandleEpochEvent(event);
-        break;
+      if (event.kind == SimEventKind::kEpoch) {
+        continue;  // a clock marker: it only moves now_s_
       }
-      case SimEventKind::kFaultPlan: {
+      if (event.kind == SimEventKind::kFaultPlan) {
         ScopedTimer timer(&profiler_, phase_faults_);
+        ++next_edge_;
         HandleFaultPlanEvent(now_s_);
         event_counts_.Note(SimEventKind::kFaultPlan);
-        break;
-      }
-      case SimEventKind::kRound:
+      } else {
         event_counts_.Note(SimEventKind::kRound);
         HandleRoundEvent(now_s_);
-        break;
+      }
+      more = true;  // past a barrier: walk the next span
+      break;
     }
+    // Every walked boundary lies before the barrier, so all were merged.
+    OPTIMUS_CHECK_EQ(effect, walk_effects_.size());
+    now_s_ = std::max(now_s_, walked_s);
   }
   SyncRunMetrics();
 }

@@ -1,5 +1,6 @@
 #include "src/workload/scenario.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -223,14 +224,17 @@ bool ScenarioSpec::Validate(std::vector<std::string>* errors) const {
   // Fault plans name concrete servers; make sure they exist in *this*
   // cluster (the injector would silently ignore them, which in a declarative
   // scenario is a typo, not a feature).
+  // One error per outage, naming its first id outside the cluster.
   const int num_servers = cluster.NumServers();
   for (size_t i = 0; i < sim.fault.plan.outages.size(); ++i) {
-    for (int s : sim.fault.plan.outages[i].servers) {
-      if (s < 0 || s >= num_servers) {
+    for (const ServerRange& range : sim.fault.plan.outages[i].servers) {
+      if (range.first < 0 || range.last >= num_servers) {
+        const int s = range.first < 0 ? range.first : std::max(range.first, num_servers);
         local.push_back("faults.plan: outage " + std::to_string(i) +
                         " names server " + std::to_string(s) +
                         " outside the cluster (0-" +
                         std::to_string(num_servers - 1) + ")");
+        break;
       }
     }
   }

@@ -3,6 +3,8 @@
 // relaunch backoff, the straggler-detection boundary, and negative tests that
 // prove the auditor rejects corrupted cluster snapshots.
 
+#include <algorithm>
+#include <cctype>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -41,8 +43,8 @@ TEST(FaultPlanParseTest, ParsesAllEventKinds) {
   ASSERT_EQ(plan.outages.size(), 3u);
   EXPECT_EQ(plan.outages[0].start_s, 2400.0);
   EXPECT_EQ(plan.outages[0].recover_s, 30000.0);
-  EXPECT_EQ(plan.outages[0].servers, std::vector<int>({3}));
-  EXPECT_EQ(plan.outages[1].servers, std::vector<int>({7, 8, 9}));
+  EXPECT_EQ(plan.outages[0].servers, std::vector<ServerRange>({{3, 3}}));
+  EXPECT_EQ(plan.outages[1].servers, std::vector<ServerRange>({{7, 9}}));
   // No recover clause = permanent.
   EXPECT_TRUE(std::isinf(plan.outages[2].recover_s));
   ASSERT_EQ(plan.slowdowns.size(), 1u);
@@ -52,23 +54,56 @@ TEST(FaultPlanParseTest, ParsesAllEventKinds) {
 }
 
 TEST(FaultPlanParseTest, RejectsMalformedEvents) {
-  const char* bad[] = {
-      "bogus@100:server=1",          // unknown kind
-      "crash@x:server=1",            // bad time
-      "crash@100",                   // missing params
-      "crash@100:server=1,recover=50",   // recover before start
-      "rack@100:servers=5-3",        // empty range
-      "slow@100:factor=0,duration=600",  // factor out of (0, 1]
-      "slow@100:factor=1.5,duration=600",
-      "slow@100:factor=0.5,duration=0",  // non-positive duration
-      "slow@100:factor=0.5",         // missing duration
+  // Each message quotes the event, and a bad server id is named too.
+  const struct {
+    const char* spec;
+    const char* names;
+  } bad[] = {
+      {"bogus@100:server=1", "'bogus'"},              // unknown kind
+      {"crash@x:server=1", "bad time"},               // bad time
+      {"crash@100", "names no servers"},              // missing params
+      {"crash@100:server=1,recover=50", "recover"},   // recover before start
+      {"rack@100:servers=5-3", "'5-3' is empty"},     // empty range
+      {"slow@100:factor=0,duration=600", "factor"},   // factor out of (0, 1]
+      {"slow@100:factor=1.5,duration=600", "factor"},
+      {"slow@100:factor=0.5,duration=0", "duration"},  // non-positive duration
+      {"slow@100:factor=0.5", "duration"},             // missing duration
+      // Server ids are whole numbers in [0, INT_MAX].
+      {"crash@100:server=1.5", "'1.5'"},
+      {"crash@100:server=1e3", "'1e3'"},
+      {"crash@100:server=-1", "'-1'"},
+      {"crash@100:server=+1", "'+1'"},
+      {"crash@100:recover=200,server=", "server id ''"},
+      {"slow@1e308:factor=0.5,duration=600", "'600' is lost"},  // end == start
+      {"rack@100:servers=0-3000000000", "'3000000000'"},
+      {"rack@100:servers=0-2147483648", "'2147483648'"},
+      {"rack@100:servers=2.5-4", "'2.5'"},
+      {"rack@100:servers=4-", "'4-'"},
   };
-  for (const char* spec : bad) {
+  for (const auto& [spec, names] : bad) {
     FaultPlan plan;
     std::string error;
     EXPECT_FALSE(ParseFaultPlan(spec, &plan, &error)) << spec;
-    EXPECT_FALSE(error.empty()) << spec;
+    EXPECT_NE(error.find("event '" + std::string(spec) + "'"), std::string::npos)
+        << spec << ": " << error;
+    EXPECT_NE(error.find(names), std::string::npos) << spec << ": " << error;
   }
+}
+
+// A range is kept as written and costs what the cluster holds of it: the
+// widest legal one takes a four-server cluster down in four transitions.
+TEST(FaultPlanParseTest, WideRangeCostsTheCluster) {
+  FaultPlan plan;
+  std::string error;
+  ASSERT_TRUE(ParseFaultPlan("rack@100:servers=0-2147483647,recover=200", &plan, &error))
+      << error;
+  ASSERT_EQ(plan.outages.size(), 1u);
+  EXPECT_EQ(plan.outages[0].servers, std::vector<ServerRange>({{0, 2147483647}}));
+  FaultConfig config;
+  config.plan = plan;
+  FaultInjector injector(config, 4);
+  EXPECT_EQ(injector.Advance(100).crashed, std::vector<int>({0, 1, 2, 3}));
+  EXPECT_EQ(injector.Advance(200).recovered, std::vector<int>({0, 1, 2, 3}));
 }
 
 TEST(FaultPlanParseTest, EmptySpecYieldsEmptyPlan) {
@@ -92,6 +127,202 @@ TEST(FaultPlanParseTest, LoadsPlanFromFileWithComments) {
   ASSERT_TRUE(ParseFaultPlan("@" + path, &plan, &error)) << error;
   EXPECT_EQ(plan.outages.size(), 1u);
   EXPECT_EQ(plan.slowdowns.size(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Fault-plan DSL fuzzing
+// ---------------------------------------------------------------------------
+
+std::string TrimSpaces(const std::string& s) {
+  const size_t b = s.find_first_not_of(" \t\r");
+  return b == std::string::npos ? "" : s.substr(b, s.find_last_not_of(" \t\r") - b + 1);
+}
+
+// A spec's events as the parser splits them: ';'/newline pieces, '#'
+// comments dropped, trimmed, empty pieces skipped.
+std::vector<std::string> PlanEvents(const std::string& spec) {
+  std::vector<std::string> events;
+  std::string piece;
+  for (size_t i = 0; i <= spec.size(); ++i) {
+    if (i == spec.size() || spec[i] == ';' || spec[i] == '\n') {
+      piece = TrimSpaces(piece.substr(0, piece.find('#')));
+      if (!piece.empty()) {
+        events.push_back(piece);
+      }
+      piece.clear();
+    } else {
+      piece.push_back(spec[i]);
+    }
+  }
+  return events;
+}
+
+// Whether every server id a crash/rack event names is written as a whole
+// number: "S" or "A-B", digits only.
+bool ServerIdsAreWhole(const std::string& event) {
+  const size_t colon = event.find(':', event.find('@'));
+  if (colon == std::string::npos) {
+    return true;
+  }
+  std::string param;
+  const std::string params = event.substr(colon + 1) + ",";
+  for (const char c : params) {
+    if (c != ',') {
+      param.push_back(c);
+      continue;
+    }
+    const size_t eq = param.find('=');
+    const std::string key = TrimSpaces(param.substr(0, eq));
+    if (eq != std::string::npos && (key == "server" || key == "servers")) {
+      const std::string value = TrimSpaces(param.substr(eq + 1));
+      const size_t dash = value.find('-');
+      for (size_t i = 0; i < value.size(); ++i) {
+        const bool digit = value[i] >= '0' && value[i] <= '9';
+        if (!digit && !(i == dash && i > 0 && i + 1 < value.size())) {
+          return false;
+        }
+      }
+    }
+    param.clear();
+  }
+  return true;
+}
+
+// One random edit: a splice from another plan, a truncation, a swapped
+// separator, a huge or odd number in place of a digit run, a fractional
+// tail, or a dropped/doubled character.
+std::string Mutate(std::string s, const std::vector<std::string>& seeds, Rng* rng) {
+  static const std::string kSeparators = ";:,=@-\n#";
+  static const char* const kNumbers[] = {
+      "99999999999999999999", "2147483648", "2147483647", "4294967296", "1e308",
+      "1e400", "-0", "0x10", "inf", "nan", "1.5", "3.0", "1e3", "-1", "", " 7 ",
+      "200000000", "0-2147483647"};
+  auto pos = [&](size_t n) { return static_cast<size_t>(rng->UniformInt(0, n)); };
+  auto digit_run = [&](size_t* b, size_t* e) {
+    std::vector<size_t> starts;
+    for (size_t i = 0; i < s.size(); ++i) {
+      if (std::isdigit(static_cast<unsigned char>(s[i])) &&
+          (i == 0 || !std::isdigit(static_cast<unsigned char>(s[i - 1])))) {
+        starts.push_back(i);
+      }
+    }
+    if (starts.empty()) {
+      return false;
+    }
+    *b = starts[pos(starts.size() - 1)];
+    for (*e = *b; *e < s.size() && std::isdigit(static_cast<unsigned char>(s[*e])); ++*e) {
+    }
+    return true;
+  };
+  size_t b = 0;
+  size_t e = 0;
+  switch (rng->UniformInt(0, 5)) {
+    case 0: {
+      const std::string& other = seeds[pos(seeds.size() - 1)];
+      const size_t from = pos(other.size());
+      s.insert(pos(s.size()), other.substr(from, pos(other.size() - from)));
+      break;
+    }
+    case 1:
+      s.resize(pos(s.size()));
+      break;
+    case 2: {
+      std::vector<size_t> at;
+      for (size_t i = 0; i < s.size(); ++i) {
+        if (kSeparators.find(s[i]) != std::string::npos) {
+          at.push_back(i);
+        }
+      }
+      if (!at.empty()) {
+        s[at[pos(at.size() - 1)]] = kSeparators[pos(kSeparators.size() - 1)];
+      }
+      break;
+    }
+    case 3:
+      if (digit_run(&b, &e)) {
+        s.replace(b, e - b, kNumbers[pos(std::size(kNumbers) - 1)]);
+      }
+      break;
+    case 4:
+      if (digit_run(&b, &e)) {
+        s.insert(e, rng->Bernoulli(0.5) ? ".5" : ".0");
+      }
+      break;
+    default:
+      if (!s.empty()) {
+        const size_t i = pos(s.size() - 1);
+        s.insert(i, rng->Bernoulli(0.5) ? 0 : 1, s[i]);
+        if (rng->Bernoulli(0.5)) {
+          s.erase(i, 1);
+        }
+      }
+      break;
+  }
+  return s;
+}
+
+// Mutated valid plans: the parser never crashes, every rejection quotes one
+// of the spec's events, and every accepted plan has one entry per event,
+// whole server ids as written, recover_s > start_s, and bursts that end
+// after they start.
+TEST(FaultPlanFuzzTest, MutatedPlansParseOrNameTheirEvent) {
+  const std::vector<std::string> seeds = {
+      "crash@2400:server=3,recover=30000",
+      "rack@12000:servers=7-9,recover=21600",
+      "slow@6000:factor=0.6,duration=3600",
+      "crash@5000:server=1",
+      "crash@1800:server=2,recover=5400;rack@4200:servers=6-8,recover=6600;"
+      "slow@2400:factor=0.7,duration=1800",
+      "slow@2100:factor=0.7,duration=1300\ncrash@2950:server=3,recover=7777 # edge\n",
+  };
+  Rng rng(0xfa017);
+  int accepted = 0;
+  int rejected = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    std::string spec = seeds[static_cast<size_t>(rng.UniformInt(0, seeds.size() - 1))];
+    for (int64_t m = rng.UniformInt(1, 4); m > 0; --m) {
+      spec = Mutate(spec, seeds, &rng);
+    }
+    if (!TrimSpaces(spec).empty() && TrimSpaces(spec)[0] == '@') {
+      continue;  // the file form reads a path
+    }
+    FaultPlan plan;
+    std::string error;
+    const std::vector<std::string> events = PlanEvents(spec);
+    if (!ParseFaultPlan(spec, &plan, &error)) {
+      ++rejected;
+      const bool named = std::any_of(events.begin(), events.end(), [&](const std::string& ev) {
+        return error.find("event '" + ev + "'") != std::string::npos;
+      });
+      EXPECT_TRUE(named) << "spec: " << spec << "\nerror: " << error;
+      continue;
+    }
+    ++accepted;
+    EXPECT_EQ(plan.outages.size() + plan.slowdowns.size(), events.size()) << spec;
+    for (const std::string& ev : events) {
+      EXPECT_TRUE(ServerIdsAreWhole(ev)) << "accepted a server id that is not whole: " << ev;
+    }
+    for (const ServerOutage& outage : plan.outages) {
+      EXPECT_GE(outage.start_s, 0.0) << spec;
+      EXPECT_GT(outage.recover_s, outage.start_s) << spec;
+      EXPECT_FALSE(outage.servers.empty()) << spec;
+      for (const ServerRange& range : outage.servers) {
+        EXPECT_LE(0, range.first) << spec;
+        EXPECT_LE(range.first, range.last) << spec;
+      }
+    }
+    for (const SlowdownBurst& burst : plan.slowdowns) {
+      EXPECT_GT(burst.end_s, burst.start_s) << spec;
+      EXPECT_GT(burst.factor, 0.0) << spec;
+      EXPECT_LE(burst.factor, 1.0) << spec;
+    }
+    if (HasFailure()) {
+      break;  // one failing spec is enough to read
+    }
+  }
+  // Both sides of the parser were exercised.
+  EXPECT_GT(accepted, 1000);
+  EXPECT_GT(rejected, 1000);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 
 #include "src/sched/scheduler_registry.h"
 #include "src/sim/experiment.h"
+#include "src/sim/fault_injector.h"
 #include "src/sim/run_fingerprint.h"
 #include "src/workload/generators.h"
 #include "src/workload/json.h"
@@ -267,7 +268,25 @@ TEST(ScenarioTest, ParsesValidScenario) {
   EXPECT_TRUE(spec.sim.oracle_estimates);
   // The rack reference expanded against the 2-per-rack layout.
   ASSERT_EQ(spec.sim.fault.plan.outages.size(), 1u);
-  EXPECT_EQ(spec.sim.fault.plan.outages[0].servers, (std::vector<int>{2, 3}));
+  EXPECT_EQ(spec.sim.fault.plan.outages[0].servers, (std::vector<ServerRange>{{2, 3}}));
+}
+
+// A fault plan naming servers past the cluster: one error per outage, naming
+// its first id outside, however wide the range.
+TEST(ScenarioTest, FaultPlanServersOutsideTheClusterOneErrorPerOutage) {
+  ScenarioSpec spec;
+  std::string error;
+  ASSERT_TRUE(ParseScenario(kValidScenario, "unit.json", &spec, &error)) << error;
+  spec.sim.fault.plan = {};
+  ASSERT_TRUE(ParseFaultPlan("rack@100:servers=0-200000000;crash@200:server=3;"
+                             "crash@300:server=9,recover=400",
+                             &spec.sim.fault.plan, &error))
+      << error;
+  std::vector<std::string> errors;
+  EXPECT_FALSE(spec.Validate(&errors));
+  EXPECT_EQ(errors, (std::vector<std::string>{
+                        "faults.plan: outage 0 names server 6 outside the cluster (0-5)",
+                        "faults.plan: outage 2 names server 9 outside the cluster (0-5)"}));
 }
 
 TEST(ScenarioTest, UnknownKeysAreRejectedEverywhere) {
