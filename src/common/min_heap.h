@@ -4,7 +4,7 @@
 // marginal-gain heap and the discrete-event kernel's event queue — need the
 // same thing: a deterministic priority queue whose tie-breaking is explicit
 // in the comparator (no reliance on container internals), cheap to push into
-// at bulk (the event queue holds one pending epoch event per running job),
+// at bulk (each round, the event queue takes a clock marker per running job),
 // and cache-friendly to pop from. A 4-ary heap halves the tree depth of the
 // binary std::priority_queue layout, which measurably helps the pop-heavy
 // allocator loop at cluster scale, and `top()` + `pop()` are split so callers

@@ -57,9 +57,10 @@ struct RunMetrics {
   double wall_advance_s = 0.0;
   double wall_audit_s = 0.0;
   // Event-kernel accounting (engine = events only; 0 under the interval
-  // engine). events_processed counts handled events — stale entries the lazy
-  // invalidation discards on pop are excluded. wall_events_s is the
-  // event-kernel dispatch/advance phase (profiling only, like wall_* above).
+  // engine). events_processed counts handled events and walked epoch
+  // boundaries — clock markers and superseded arrivals are excluded.
+  // wall_events_s is the event-kernel dispatch/advance phase (profiling only,
+  // like wall_* above).
   int64_t events_processed = 0;
   double wall_events_s = 0.0;
   std::vector<TimelinePoint> timeline;
