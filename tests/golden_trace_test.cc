@@ -5,13 +5,15 @@
 // The second golden runs a time-varying background share under rack-aware
 // placement on both engines, at 1 and 4 threads. The third runs the events
 // engine with fault-plan edges inside scheduling spans, at 1 and 4 threads.
+// The fourth runs one contended workload under every policy-table row.
 //
 // Regenerating the goldens after an INTENDED behavior change:
 //
 //   OPTIMUS_REGEN_GOLDEN=1 ./build/tests/golden_trace_test
 //
-// then commit tests/golden/fault_trace.json, background_trace.json and
-// midspan_trace.json together with the change that moved them. The snapshot
+// then commit tests/golden/fault_trace.json, background_trace.json,
+// midspan_trace.json and policy_rows.json together with the change that
+// moved them. The snapshot
 // prints doubles with 17 significant digits, so it round-trips exactly; the RNG is std::mt19937_64 with libstdc++'s
 // distributions, which is stable across runs and thread counts on the
 // toolchain CI uses (a different standard library may legitimately produce a
@@ -46,6 +48,8 @@ constexpr char kBackgroundGoldenPath[] =
     OPTIMUS_SOURCE_DIR "/tests/golden/background_trace.json";
 constexpr char kMidSpanGoldenPath[] =
     OPTIMUS_SOURCE_DIR "/tests/golden/midspan_trace.json";
+constexpr char kPolicyRowsGoldenPath[] =
+    OPTIMUS_SOURCE_DIR "/tests/golden/policy_rows.json";
 
 // The pinned scenario: 6 jobs on the paper's testbed with a crash, a rack
 // outage, a slowdown burst, task failures, and periodic checkpoints.
@@ -206,6 +210,56 @@ std::string MidSpanSnapshot(int threads) {
   return os.str();
 }
 
+// One contended run per policy row: 20 jobs reach the 13-server testbed
+// within half an hour under the testbed's straggler injection, so the greedy
+// allocator pops more candidates than it grants and each of a row's traits
+// (placement, PAA, straggler handling, young-job damping) reaches the
+// trajectory. Racks of 4 servers set optimus_rack apart from optimus.
+SimulatorConfig PolicyRowConfig(const std::string& policy) {
+  SimulatorConfig config;
+  config.seed = 5;
+  config.max_sim_time_s = 2e5;
+  config.rack_size = 4;
+  std::string error;
+  EXPECT_TRUE(ApplySchedulerPolicy(policy, &config, &error)) << error;
+  ApplyTestbedConditions(&config);
+  return config;
+}
+
+std::unique_ptr<Simulator> MakePolicyRowRun(const SimulatorConfig& config) {
+  WorkloadConfig workload;
+  workload.num_jobs = 20;
+  workload.arrival_window_s = 1800.0;
+  workload.target_steps_per_epoch = 50;
+  Rng rng(config.seed ^ 0x5eedULL);
+  return std::make_unique<Simulator>(config, BuildTestbed(),
+                                     GenerateWorkload(workload, &rng));
+}
+
+std::string PolicyRowSnapshot(const SimulatorConfig& config) {
+  std::unique_ptr<Simulator> sim = MakePolicyRowRun(config);
+  const RunMetrics metrics = sim->Run();
+  std::ostringstream os;
+  os << std::setprecision(17) << "{\"avg_jct_s\": " << metrics.avg_jct_s
+     << ", \"makespan_s\": " << metrics.makespan_s << ", \"trace\": {\"records\": "
+     << sim->trace().size() << ", \"digest\": \"" << std::hex << sim->trace().digest()
+     << "\"}}";
+  return os.str();
+}
+
+std::string PolicyRowsSnapshot() {
+  std::ostringstream os;
+  os << "{\n";
+  bool first = true;
+  for (const SchedulerPolicyInfo& row : Policies()) {
+    os << (first ? "" : ",\n") << "\"" << row.name
+       << "\": " << PolicyRowSnapshot(PolicyRowConfig(row.name));
+    first = false;
+  }
+  os << "\n}\n";
+  return os.str();
+}
+
 TEST(GoldenTraceTest, FaultedRunMatchesCommittedSnapshot) {
   std::unique_ptr<Simulator> sim = MakePinnedScenario();
   const RunMetrics metrics = sim->Run();
@@ -293,6 +347,49 @@ TEST(GoldenTraceTest, MidSpanScenarioExercisesTheFaultPath) {
   EXPECT_GT(metrics.job_evictions, 0);
   EXPECT_EQ(metrics.completed_jobs, metrics.total_jobs);
   EXPECT_EQ(metrics.audit_violations, 0) << sim->auditor().Summary();
+}
+
+TEST(GoldenTraceTest, PolicyRowsMatchCommittedSnapshot) {
+  const std::string actual = PolicyRowsSnapshot();
+  if (std::getenv("OPTIMUS_REGEN_GOLDEN") != nullptr) {
+    std::ofstream os(kPolicyRowsGoldenPath);
+    ASSERT_TRUE(os.good()) << "cannot write " << kPolicyRowsGoldenPath;
+    os << actual;
+    GTEST_SKIP() << "regenerated " << kPolicyRowsGoldenPath;
+  }
+  std::ifstream in(kPolicyRowsGoldenPath);
+  ASSERT_TRUE(in.good()) << "missing golden " << kPolicyRowsGoldenPath
+                         << " — run with OPTIMUS_REGEN_GOLDEN=1 to create it";
+  std::stringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(actual, golden.str())
+      << "a policy row's run drifted from " << kPolicyRowsGoldenPath;
+}
+
+// The policy-row run must keep biting on the row's traits: the greedy pops
+// more than it grants, and turning off optimus's young-job damping, its packed
+// placement or its straggler handling each moves the run.
+TEST(GoldenTraceTest, PolicyRowRunExercisesTheTraits) {
+  const SimulatorConfig optimus = PolicyRowConfig("optimus");
+  std::unique_ptr<Simulator> sim = MakePolicyRowRun(optimus);
+  sim->Run();
+  const auto counter = [&sim](const char* name) {
+    const Metric* m = sim->registry().Find(name);
+    EXPECT_NE(m, nullptr) << name;
+    return m == nullptr ? 0.0 : static_cast<const Counter*>(m)->value();
+  };
+  EXPECT_GT(counter("optimus_alloc_pops_total"), counter("optimus_alloc_grants_total"));
+
+  const std::string row = PolicyRowSnapshot(optimus);
+  SimulatorConfig undamped = optimus;
+  undamped.young_job_priority_factor = 1.0;
+  EXPECT_NE(PolicyRowSnapshot(undamped), row);
+  SimulatorConfig spread = optimus;
+  spread.placement = PlacementPolicy::kLoadBalance;
+  EXPECT_NE(PolicyRowSnapshot(spread), row);
+  SimulatorConfig unhandled = optimus;
+  unhandled.straggler.handling_enabled = false;
+  EXPECT_NE(PolicyRowSnapshot(unhandled), row);
 }
 
 }  // namespace
