@@ -22,7 +22,6 @@ int main() {
   double base_jct = 0.0;
   for (int budget : {0, 1, 2, 4, 8}) {  // 0 = unlimited
     ExperimentConfig config;
-    ApplySchedulerPolicy("optimus", &config.sim);
     ApplyTestbedConditions(&config.sim);
     config.sim.checkpoint.max_scalings_per_job = budget;
     config.workload.num_jobs = 12;

@@ -22,7 +22,7 @@ int main() {
     std::vector<double> jcts;
     for (const char* policy : {"optimus", "drf"}) {
       ExperimentConfig config;
-      ApplySchedulerPolicy(policy, &config.sim);
+      config.sim.policy = policy;
       ApplyTestbedConditions(&config.sim);
       config.workload.num_jobs = 12;
       config.workload.arrival_window_s = 6000.0;

@@ -26,7 +26,7 @@ int main() {
   for (const char* policy : {"optimus", "drf", "tetris", "fifo"}) {
     ExperimentConfig config;
     ApplyTestbedConditions(&config.sim);
-    ApplySchedulerPolicy(policy, &config.sim);
+    config.sim.policy = policy;
     config.workload.num_jobs = 9;
     config.workload.target_steps_per_epoch = 80;
     config.repeats = 5;

@@ -43,7 +43,7 @@ int main() {
     const std::string name = FindPolicy(policy)->display_name;
     ExperimentConfig config;
     ApplyTestbedConditions(&config.sim);
-    ApplySchedulerPolicy(policy, &config.sim);
+    config.sim.policy = policy;
     std::string parse_error;
     OPTIMUS_CHECK(ParseFaultPlan(kPlan, &config.sim.fault.plan, &parse_error))
         << parse_error;

@@ -29,7 +29,7 @@ int main() {
   std::vector<SchedulerRun> runs;
   for (const char* policy : {"optimus", "drf", "tetris"}) {
     SimulatorConfig config;
-    ApplySchedulerPolicy(policy, &config);
+    config.policy = policy;
     ApplyTestbedConditions(&config);
     config.seed = 5;
     Rng rng(config.seed ^ 0x5eedULL);

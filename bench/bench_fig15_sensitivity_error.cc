@@ -19,11 +19,10 @@ struct Point {
 
 Point RunWithError(double conv_err, double speed_err, double priority, int repeats) {
   ExperimentConfig config;
-  ApplySchedulerPolicy("optimus", &config.sim);
   config.sim.oracle_estimates = true;
   config.sim.error.convergence_error = conv_err;
   config.sim.error.speed_error = speed_err;
-  config.sim.young_job_priority_factor = priority;
+  config.sim.ablation.young_job_priority_factor = priority;
   // A contended workload: mis-estimates only cost performance when jobs
   // genuinely compete for the slots.
   config.workload.num_jobs = 15;

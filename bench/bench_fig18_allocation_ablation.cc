@@ -20,9 +20,8 @@ int main() {
   double base_mk = 0.0;
   for (const char* allocation : {"optimus", "drf", "tetris"}) {
     ExperimentConfig config;
-    ApplySchedulerPolicy("optimus", &config.sim);
     ApplyTestbedConditions(&config.sim);
-    config.sim.policy = allocation;  // the only knob that changes
+    config.sim.ablation.allocator = allocation;  // the only knob that changes
     config.workload.num_jobs = 9;
     config.workload.target_steps_per_epoch = 80;
     config.repeats = 5;

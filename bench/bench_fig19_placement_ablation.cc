@@ -22,9 +22,8 @@ int main() {
        {PlacementPolicy::kOptimusPack, PlacementPolicy::kLoadBalance,
         PlacementPolicy::kTetrisPack}) {
     ExperimentConfig config;
-    ApplySchedulerPolicy("optimus", &config.sim);
     ApplyTestbedConditions(&config.sim);
-    config.sim.placement = place;  // the only knob that changes
+    config.sim.ablation.placement = place;  // the only knob that changes
     config.workload.num_jobs = 9;
     config.workload.target_steps_per_epoch = 80;
     config.repeats = 5;

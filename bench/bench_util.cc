@@ -75,8 +75,7 @@ std::vector<ExperimentResult> RunPolicyComparison(
   std::vector<ExperimentResult> results;
   for (const std::string& policy : policies) {
     ExperimentConfig config = base;
-    std::string error;
-    OPTIMUS_CHECK(ApplySchedulerPolicy(policy, &config.sim, &error)) << error;
+    config.sim.policy = policy;
     config.label = FindPolicy(policy)->display_name;
     results.push_back(RunExperiment(config, [] { return BuildTestbed(); }));
   }

@@ -53,8 +53,6 @@ int main() {
   }
 
   SimulatorConfig config;
-  config.placement = PlacementPolicy::kOptimusPack;
-  config.use_paa = true;
   config.seed = 3;
 
   Simulator sim(config, BuildTestbed(), jobs);

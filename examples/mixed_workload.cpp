@@ -24,8 +24,6 @@ int main() {
   std::vector<JobSpec> jobs = GenerateWorkload(workload, &rng);
 
   SimulatorConfig config;
-  config.placement = PlacementPolicy::kOptimusPack;
-  config.use_paa = true;
   // Background workload takes up to 50% of every server, oscillating with a
   // 2-hour period (a fast "day/night" cycle for demonstration).
   config.background_share = 0.5;

@@ -35,11 +35,9 @@ int main(int argc, char** argv) {
   }
   submit.Print(std::cout);
 
-  // 2. The Optimus scheduler on the paper's testbed.
+  // 2. The Optimus scheduler on the paper's testbed (the default policy row:
+  // packed placement, PAA, straggler handling, 0.95 young-job damping).
   SimulatorConfig config;
-  config.placement = PlacementPolicy::kOptimusPack;
-  config.use_paa = true;
-  config.young_job_priority_factor = 0.95;
   config.seed = seed;
 
   Simulator sim(config, BuildTestbed(), jobs);

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   double base_mk = 0.0;
   for (const char* policy : {"optimus", "drf", "tetris"}) {
     ExperimentConfig config = base;
-    ApplySchedulerPolicy(policy, &config.sim);
+    config.sim.policy = policy;
     ExperimentResult r = RunExperiment(config, [num_servers] {
       return BuildUniformCluster(num_servers, Resources(16, 80, 0, 1));
     });

@@ -30,7 +30,7 @@ bool StragglerModel::Step(Job* job, Rng* rng) {
   // job-level condition reduces to comparing the slowest factor with the
   // threshold. For synchronous jobs the same signal is derived from gradient
   // arrival gaps at the parameter servers (§5.2) — identical factor here.
-  if (config_.handling_enabled &&
+  if (handling_ &&
       job->slowest_worker_factor() < kStragglerDetectThreshold) {
     job->set_slowest_worker_factor(1.0);
     job->AddStall(kStragglerReplaceDelayS);

@@ -35,9 +35,6 @@ struct StragglerConfig {
   // StragglerBoundaryTest in tests/fault_test.cc.
   double slow_factor_lo = 0.3;
   double slow_factor_hi = 0.7;
-  // Whether the scheduler replaces detected stragglers (Optimus does; a
-  // baseline without §5.2 would leave them in place).
-  bool handling_enabled = true;
   // Probability per interval that an unhandled straggler recovers on its own
   // (the underlying contention is transient).
   double natural_recovery_prob = 0.35;
@@ -45,9 +42,11 @@ struct StragglerConfig {
 
 class StragglerModel {
  public:
-  explicit StragglerModel(StragglerConfig config) : config_(config) {}
-
-  const StragglerConfig& config() const { return config_; }
+  // `handling`: whether the scheduler replaces detected stragglers (Optimus
+  // does; a baseline without §5.2 leaves them in place). The policy row
+  // decides it (PolicyTraits::straggler_handling).
+  StragglerModel(StragglerConfig config, bool handling)
+      : config_(config), handling_(handling) {}
 
   // Called once per scheduling interval per running job: possibly injects a
   // straggler (slowing the job's slowest worker), then applies detection /
@@ -59,6 +58,7 @@ class StragglerModel {
 
  private:
   StragglerConfig config_;
+  bool handling_;
   int64_t injections_ = 0;
   int64_t replacements_ = 0;
 };

@@ -1,7 +1,9 @@
 #include "src/sched/scheduler_registry.h"
 
+#include <sstream>
 #include <string_view>
 
+#include "src/common/json_writer.h"
 #include "src/sched/baseline_allocators.h"
 #include "src/sched/dl2_allocator.h"
 #include "src/sched/goodput_allocator.h"
@@ -179,6 +181,33 @@ const SchedulerPolicyInfo* FindPolicy(const std::string& name, std::string* erro
     *error += ")";
   }
   return nullptr;
+}
+
+std::string PolicyCatalogJson() {
+  const auto flag = [](bool b) { return b ? "true" : "false"; };
+  std::ostringstream os;
+  os << "[\n";
+  bool first = true;
+  for (const SchedulerPolicyInfo& info : kPolicies) {
+    if (!first) {
+      os << ",\n";
+    }
+    first = false;
+    const PolicyTraits& t = info.traits;
+    os << "  {\"name\": " << EncodeJsonString(info.name) << ", "
+       << "\"display_name\": " << EncodeJsonString(info.display_name) << ", "
+       << "\"description\": " << EncodeJsonString(info.description) << ", "
+       << "\"placement\": \"" << PlacementPolicyName(info.placement) << "\", "
+       << "\"traits\": {"
+       << "\"use_paa\": " << flag(t.use_paa) << ", "
+       << "\"straggler_handling\": " << flag(t.straggler_handling) << ", "
+       << "\"young_job_priority_factor\": " << t.young_job_priority_factor << ", "
+       << "\"adapts_batch\": " << flag(t.adapts_batch) << ", "
+       << "\"uses_sensitivity\": " << flag(t.uses_sensitivity) << ", "
+       << "\"scaling_hysteresis\": " << flag(t.scaling_hysteresis) << "}}";
+  }
+  os << "\n]\n";
+  return os.str();
 }
 
 }  // namespace optimus

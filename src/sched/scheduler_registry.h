@@ -93,6 +93,11 @@ std::span<const SchedulerPolicyInfo> Policies();
 const SchedulerPolicyInfo* FindPolicy(const std::string& name,
                                       std::string* error = nullptr);
 
+// The table as a JSON array (`optimus_sim --policy list --format=json`): one
+// object per row with its placement and traits, so harnesses can discover
+// capabilities without parsing the human table.
+std::string PolicyCatalogJson();
+
 }  // namespace optimus
 
 #endif  // SRC_SCHED_SCHEDULER_REGISTRY_H_

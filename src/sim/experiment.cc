@@ -77,23 +77,6 @@ double NormalizedTo(double value, double baseline) {
   return value / baseline;
 }
 
-bool ApplySchedulerPolicy(const std::string& policy, SimulatorConfig* config,
-                          std::string* error) {
-  OPTIMUS_CHECK(config != nullptr);
-  const SchedulerPolicyInfo* info = FindPolicy(policy, error);
-  if (info == nullptr) {
-    return false;
-  }
-  // The ONE place a policy's traits land on a SimulatorConfig; nothing else
-  // copies the toggles field by field.
-  config->policy = info->name;
-  config->placement = info->placement;
-  config->use_paa = info->traits.use_paa;
-  config->straggler.handling_enabled = info->traits.straggler_handling;
-  config->young_job_priority_factor = info->traits.young_job_priority_factor;
-  return true;
-}
-
 void ApplyTestbedConditions(SimulatorConfig* config) {
   OPTIMUS_CHECK(config != nullptr);
   config->straggler.injection_prob_per_interval = 0.12;

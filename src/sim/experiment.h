@@ -62,14 +62,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config,
 // Convenience: normalizes a metric against a baseline result (baseline = 1.0).
 double NormalizedTo(double value, double baseline);
 
-// Applies a policy-table row onto `config`: sets the policy name,
-// placement scheme, PAA / straggler-handling toggles, and the young-job
-// damping factor; leaves unrelated fields untouched. Returns false (and, when
-// `error` is non-null, the canonical unknown-policy message naming the
-// registered set) for an unregistered name.
-bool ApplySchedulerPolicy(const std::string& policy, SimulatorConfig* config,
-                          std::string* error = nullptr);
-
 // The §6.1 testbed environment knobs shared by the comparison benches:
 // straggler injection that Optimus handles and the baselines ride out.
 void ApplyTestbedConditions(SimulatorConfig* config);

@@ -96,6 +96,15 @@ bool SimulatorConfig::Validate(std::vector<std::string>* errors) const {
   if (std::string unknown; FindPolicy(policy, &unknown) == nullptr) {
     bad("policy", unknown);
   }
+  if (std::string unknown;
+      ablation.allocator && FindPolicy(*ablation.allocator, &unknown) == nullptr) {
+    bad("ablation.allocator", unknown);
+  }
+  if (const std::optional<double> young = ablation.young_job_priority_factor;
+      young && !(std::isfinite(*young) && *young > 0.0 && *young <= 1.0)) {
+    bad("ablation.young_job_priority_factor",
+        "must be in (0, 1] (got " + std::to_string(*young) + ")");
+  }
   if (!(std::isfinite(interval_s) && interval_s > 0.0)) {
     bad("interval_s", "must be > 0 (got " + std::to_string(interval_s) + ")");
   }
@@ -106,11 +115,6 @@ bool SimulatorConfig::Validate(std::vector<std::string>* errors) const {
   }
   if (conv_fit_points < 0) {
     bad("conv_fit_points", "must be >= 0 (got " + std::to_string(conv_fit_points) + ")");
-  }
-  if (!(std::isfinite(young_job_priority_factor) && young_job_priority_factor > 0.0 &&
-        young_job_priority_factor <= 1.0)) {
-    bad("young_job_priority_factor",
-        "must be in (0, 1] (got " + std::to_string(young_job_priority_factor) + ")");
   }
   require_prob("error.convergence_error", error.convergence_error);
   require_prob("error.speed_error", error.speed_error);
@@ -198,11 +202,25 @@ const SimulatorConfig& SimulatorConfig::CheckValid() const {
   return *this;
 }
 
+Simulator::EffectivePolicy Simulator::ResolvePolicy(const SimulatorConfig& config) {
+  // Validate has already rejected unknown policy and allocator names.
+  const SchedulerPolicyInfo& row = *FindPolicy(config.policy);
+  const PolicyAblation& ablation = config.ablation;
+  return {.allocator = ablation.allocator ? FindPolicy(*ablation.allocator) : &row,
+          .placement = ablation.placement.value_or(row.placement),
+          .use_paa = row.traits.use_paa,
+          .young_job_priority_factor = ablation.young_job_priority_factor.value_or(
+              row.traits.young_job_priority_factor),
+          .straggler_handling =
+              ablation.straggler_handling.value_or(row.traits.straggler_handling)};
+}
+
 Simulator::Simulator(SimulatorConfig config, std::vector<Server> servers,
                      std::vector<JobSpec> specs)
     : config_(config.CheckValid()),
       servers_(std::move(servers)),
-      straggler_(config.straggler),
+      policy_(ResolvePolicy(config_)),
+      straggler_(config_.straggler, policy_.straggler_handling),
       rng_(config.seed),
       flight_(config.obs.enabled ? config.obs.flight_recorder_depth : 0) {
   OPTIMUS_CHECK(!servers_.empty());
@@ -221,11 +239,8 @@ Simulator::Simulator(SimulatorConfig config, std::vector<Server> servers,
   }
   pool_ = std::make_unique<ThreadPool>(config_.threads > 0 ? config_.threads
                                                           : DefaultThreadCount());
-  // CheckValid has already rejected an unknown policy name.
-  const SchedulerPolicyInfo& policy = *FindPolicy(config_.policy);
-  allocator_ = policy.create(&alloc_stats_);
-  whatif_allocator_ = policy.create(&whatif_stats_);
-  scaling_hysteresis_ = policy.traits.scaling_hysteresis;
+  allocator_ = policy_.allocator->create(&alloc_stats_);
+  whatif_allocator_ = policy_.allocator->create(&whatif_stats_);
   // Null under the flat model: every comm-model call then falls back to the
   // Eqn-2 constant and the run is bitwise identical to the pre-fabric code.
   net_ = NetworkModel::Create(config_.net, static_cast<int>(servers_.size()),
@@ -680,7 +695,7 @@ SchedJob Simulator::MakeSchedJob(JobRuntime* jr) const {
   const double progress =
       jr->true_total_epochs > 0.0 ? jr->job.EpochsDone() / jr->true_total_epochs : 0.0;
   if (progress < kYoungJobProgressCutoff) {
-    sj.priority_factor = config_.young_job_priority_factor;
+    sj.priority_factor = policy_.young_job_priority_factor;
   }
   return sj;
 }
@@ -691,7 +706,7 @@ void Simulator::RecomputeLoad(JobRuntime* jr) {
     jr->load_valid = false;
     return;
   }
-  if (config_.use_paa) {
+  if (policy_.use_paa) {
     // Contention-aware tie-break: with a live network model, PS indices are
     // weighted by their server's link headroom (last solve) so PAA's
     // least-loaded choice drifts off congested links. PS index k maps to a
@@ -1101,7 +1116,7 @@ void Simulator::ScheduleActiveJobs() {
   // cover that stall (§7 "Scaling overhead"). Policies whose traits turn
   // scaling_hysteresis off (DRF, the oblivious work-conserving baseline the
   // paper compares against) take the allocator's output as is.
-  if (scaling_hysteresis_) {
+  if (policy_.allocator->traits.scaling_hysteresis) {
     for (size_t i = 0; i < schedulable.size(); ++i) {
       const Job& job = schedulable[i]->job;
       const Allocation old_alloc{job.num_ps(), job.num_workers()};
@@ -1128,7 +1143,7 @@ void Simulator::ScheduleActiveJobs() {
     inputs.push_back(
         {spec.id, alloc[i], spec.worker_demand, spec.ps_demand, spec.comm});
   }
-  std::vector<PlacedJob> placed = PlaceJobs(config_.placement, inputs, &placement_state_,
+  std::vector<PlacedJob> placed = PlaceJobs(policy_.placement, inputs, &placement_state_,
                                             /*shrink_to_fit=*/true, config_.rack_size);
 
   // Apply decisions in job order. `frozen` and `schedulable` are each in job

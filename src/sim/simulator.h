@@ -87,16 +87,32 @@ const char* SimEngineName(SimEngine engine);
 // Parses "interval" / "events"; returns false on anything else.
 bool ParseSimEngine(const std::string& name, SimEngine* out);
 
+// The paper's ablations of one policy row: each set field replaces one of the
+// row's choices and leaves the rest of the row in place. Empty by default, so
+// a run executes its row exactly.
+struct PolicyAblation {
+  // Another row's allocator, with its scaling_hysteresis trait; placement,
+  // PAA, damping and straggler handling stay this row's (Fig 18). The what-if
+  // allocator follows it too. Must name a row of the table.
+  std::optional<std::string> allocator;
+  // Placement scheme. PAA stays as the row sets it, under any scheme: Fig 19
+  // runs PAA under load-balanced and Tetris placement.
+  std::optional<PlacementPolicy> placement;
+  // Marginal-gain damping for young jobs (§4.1; 1.0 = off), applied while
+  // progress < kYoungJobProgressCutoff (Fig 15). Must lie in (0, 1].
+  std::optional<double> young_job_priority_factor;
+  // Straggler replacement (§5.2) on or off.
+  std::optional<bool> straggler_handling;
+};
+
 struct SimulatorConfig {
   SimEngine engine = SimEngine::kInterval;
-  // Policy-table name (scheduler_registry.h): the policy's only identity. It
-  // constructs the allocator and supplies the scaling_hysteresis trait; the
-  // per-run toggles below (placement, use_paa, straggler handling, young-job
-  // damping) are copied from its traits by ApplySchedulerPolicy
-  // (experiment.h), so an ablation can set `policy` alone to swap only the
-  // allocator. Must name a row of the table.
+  // Policy-table name (scheduler_registry.h): the policy's only identity. Its
+  // row supplies the allocator, placement, PAA, straggler handling, young-job
+  // damping and scaling hysteresis; `ablation` replaces single choices. Must
+  // name a row of the table.
   std::string policy = "optimus";
-  PlacementPolicy placement = PlacementPolicy::kOptimusPack;
+  PolicyAblation ablation;
   double interval_s = 600.0;
   CommConfig comm;
   // Network fidelity model (src/net): `flat` (the default) keeps the
@@ -109,8 +125,6 @@ struct SimulatorConfig {
   NetworkConfig net;
   CheckpointConfig checkpoint;
   StragglerConfig straggler;
-  // PAA (§5.3) vs MXNet-default parameter-block assignment.
-  bool use_paa = true;
   // Multiplicative runtime noise on each interval's true speed.
   double runtime_noise_sd = 0.03;
   // Convergence-model feeding (interval engine): loss samples per interval.
@@ -120,9 +134,6 @@ struct SimulatorConfig {
   // full loss history — affordable with the Gram-cached refits, linearly
   // costly on the from-scratch path.
   int conv_fit_points = 0;
-  // Marginal-gain damping for young jobs (§4.1; 1.0 = off, 0.95 = paper's
-  // suggested factor) applied while progress < kYoungJobProgressCutoff.
-  double young_job_priority_factor = 1.0;
   // Ablation: replace the fitted Eqn-3/4 speed model with the naive
   // assumption of linear speedup in workers (f(p, w) = w * f(1, 1)). Shows
   // how much of Optimus's gain comes from the performance model itself.
@@ -714,8 +725,17 @@ class Simulator {
   std::unique_ptr<Allocator> whatif_allocator_;
   std::unique_ptr<AdmissionBaseline> whatif_baseline_;
   uint64_t whatif_generation_ = 0;
-  // The policy's PolicyTraits::scaling_hysteresis, read once at construction.
-  bool scaling_hysteresis_ = true;
+  // The policy the run executes: config_.policy's row with each set
+  // config_.ablation field in its place, resolved once at construction.
+  struct EffectivePolicy {
+    const SchedulerPolicyInfo* allocator = nullptr;  // create + hysteresis
+    PlacementPolicy placement = PlacementPolicy::kOptimusPack;
+    bool use_paa = false;
+    double young_job_priority_factor = 1.0;
+    bool straggler_handling = false;
+  };
+  static EffectivePolicy ResolvePolicy(const SimulatorConfig& config);
+  const EffectivePolicy policy_;
   // Network fabric model; null under the flat (exact-compat) model.
   std::unique_ptr<NetworkModel> net_;
   StragglerModel straggler_;

@@ -248,8 +248,7 @@ bool ScenarioSpec::Validate(std::vector<std::string>* errors) const {
 SimulatorConfig ScenarioSpec::MakeSimConfig(const std::string& policy,
                                             int repeat) const {
   SimulatorConfig config = sim;
-  std::string error;
-  OPTIMUS_CHECK(ApplySchedulerPolicy(policy, &config, &error)) << error;
+  config.policy = policy;
   config.seed = seed + static_cast<uint64_t>(repeat);
   // Rack-aware placement and the fabric read the rack layout (0 = one rack).
   config.rack_size = cluster.rack_size;

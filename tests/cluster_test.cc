@@ -291,7 +291,7 @@ TEST(CheckpointTest, ScalingBudget) {
 }
 
 TEST(StragglerTest, DisabledInjectionNeverSlows) {
-  StragglerModel model(StragglerConfig{});  // prob 0
+  StragglerModel model(StragglerConfig{}, /*handling=*/true);  // prob 0
   Job job(MakeJobSpec("DSSM", TrainingMode::kAsync));
   job.SetAllocation(2, 4, {});
   Rng rng(1);
@@ -307,7 +307,7 @@ TEST(StragglerTest, InjectionSlowsAndHandlerReplaces) {
   config.injection_prob_per_interval = 1.0;  // always inject
   config.slow_factor_lo = 0.2;
   config.slow_factor_hi = 0.4;  // always below detect threshold 0.5
-  StragglerModel model(config);
+  StragglerModel model(config, /*handling=*/true);
   Job job(MakeJobSpec("DSSM", TrainingMode::kAsync));
   job.SetAllocation(2, 4, {});
   Rng rng(2);
@@ -324,7 +324,7 @@ TEST(StragglerTest, MildStragglerToleratedWhenAboveThreshold) {
   config.injection_prob_per_interval = 1.0;
   config.slow_factor_lo = 0.8;
   config.slow_factor_hi = 0.9;  // above detect threshold
-  StragglerModel model(config);
+  StragglerModel model(config, /*handling=*/true);
   Job job(MakeJobSpec("DSSM", TrainingMode::kAsync));
   job.SetAllocation(2, 4, {});
   Rng rng(3);
@@ -339,8 +339,7 @@ TEST(StragglerTest, HandlingDisabledLeavesStragglerInPlace) {
   config.injection_prob_per_interval = 1.0;
   config.slow_factor_lo = 0.2;
   config.slow_factor_hi = 0.3;
-  config.handling_enabled = false;
-  StragglerModel model(config);
+  StragglerModel model(config, /*handling=*/false);
   Job job(MakeJobSpec("DSSM", TrainingMode::kAsync));
   job.SetAllocation(2, 4, {});
   Rng rng(4);

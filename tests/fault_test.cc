@@ -529,7 +529,6 @@ TEST(SimulatorFaultTest, StragglerHandlingDoesNotResurrectDeadServers) {
   config.seed = 3;
   config.max_sim_time_s = 2e5;
   config.straggler.injection_prob_per_interval = 0.4;
-  config.straggler.handling_enabled = true;
   std::string error;
   ASSERT_TRUE(ParseFaultPlan("crash@3000:server=0;crash@3000:server=1",
                              &config.fault.plan, &error))
@@ -553,7 +552,7 @@ TEST(SimulatorFaultTest, StragglerHandlingDoesNotResurrectDeadServers) {
 TEST(SimulatorFaultTest, AllAllocatorPoliciesAuditCleanUnderFaults) {
   for (const char* policy : {"optimus", "drf", "tetris", "fifo"}) {
     SimulatorConfig config;
-    ApplySchedulerPolicy(policy, &config);
+    config.policy = policy;
     config.seed = 11;
     config.max_sim_time_s = 2e5;
     std::string error;
@@ -605,8 +604,7 @@ TEST(StragglerBoundaryTest, ExactlyHalfMedianIsNotReplaced) {
   StragglerConfig config;
   config.injection_prob_per_interval = 0.0;
   config.natural_recovery_prob = 0.0;
-  config.handling_enabled = true;
-  StragglerModel model(config);
+  StragglerModel model(config, /*handling=*/true);
   Rng rng(1);
 
   // Detection is a strict `<`: a worker at exactly half the median speed is
@@ -632,9 +630,8 @@ TEST(StragglerBoundaryTest, MildStragglersInTheGapAreNeverReplaced) {
   StragglerConfig config;
   config.injection_prob_per_interval = 0.0;
   config.natural_recovery_prob = 0.0;
-  config.handling_enabled = true;
   ASSERT_LT(kStragglerDetectThreshold, config.slow_factor_hi);
-  StragglerModel model(config);
+  StragglerModel model(config, /*handling=*/true);
   Rng rng(1);
 
   Job mild(MakeJobSpec());

@@ -125,7 +125,7 @@ std::unique_ptr<Simulator> MakeBackgroundScenario(SimEngine engine, int threads)
   config.threads = threads;
   config.max_sim_time_s = 2e5;
   std::string error;
-  EXPECT_TRUE(ApplySchedulerPolicy("optimus_rack", &config, &error)) << error;
+  config.policy = "optimus_rack";
   config.rack_size = 8;
   config.background_share = 0.5;
   config.background_period_s = 5400.0;
@@ -220,8 +220,7 @@ SimulatorConfig PolicyRowConfig(const std::string& policy) {
   config.seed = 5;
   config.max_sim_time_s = 2e5;
   config.rack_size = 4;
-  std::string error;
-  EXPECT_TRUE(ApplySchedulerPolicy(policy, &config, &error)) << error;
+  config.policy = policy;
   ApplyTestbedConditions(&config);
   return config;
 }
@@ -382,13 +381,13 @@ TEST(GoldenTraceTest, PolicyRowRunExercisesTheTraits) {
 
   const std::string row = PolicyRowSnapshot(optimus);
   SimulatorConfig undamped = optimus;
-  undamped.young_job_priority_factor = 1.0;
+  undamped.ablation.young_job_priority_factor = 1.0;
   EXPECT_NE(PolicyRowSnapshot(undamped), row);
   SimulatorConfig spread = optimus;
-  spread.placement = PlacementPolicy::kLoadBalance;
+  spread.ablation.placement = PlacementPolicy::kLoadBalance;
   EXPECT_NE(PolicyRowSnapshot(spread), row);
   SimulatorConfig unhandled = optimus;
-  unhandled.straggler.handling_enabled = false;
+  unhandled.ablation.straggler_handling = false;
   EXPECT_NE(PolicyRowSnapshot(unhandled), row);
 }
 

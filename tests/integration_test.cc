@@ -191,7 +191,6 @@ std::vector<JobSpec> SmallWorkload(int n, uint64_t seed) {
 
 TEST(SimIntegrationTest, TraceCoversEveryJobLifecycle) {
   SimulatorConfig config;
-  ApplySchedulerPolicy("optimus", &config);
   config.seed = 41;
   Simulator sim(config, BuildTestbed(), SmallWorkload(6, 41));
   RunMetrics metrics = sim.Run();
@@ -220,7 +219,6 @@ TEST(SimIntegrationTest, LearningRateDropEventRecorded) {
   spec.lr_drop = LearningRateDrop{.epoch = 3.0, .c0 = 1.0,
                                   .c2 = spec.model->loss.c2 * 0.5};
   SimulatorConfig config;
-  ApplySchedulerPolicy("optimus", &config);
   config.seed = 43;
   Simulator sim(config, BuildTestbed(), {spec});
   sim.Run();
@@ -239,7 +237,7 @@ TEST(SimIntegrationTest, LearningRateDropEventRecorded) {
 TEST(SimIntegrationTest, BackgroundShareReducesRunningTasks) {
   auto peak_tasks = [](double share) {
     SimulatorConfig config;
-    ApplySchedulerPolicy("drf", &config);  // work-conserving
+    config.policy = "drf";  // work-conserving
     config.background_share = share;
     config.seed = 47;
     Simulator sim(config, BuildTestbed(), SmallWorkload(8, 47));
@@ -258,8 +256,7 @@ TEST(SimIntegrationTest, FifoCompletesButUnderperformsOptimus) {
     double sum = 0.0;
     for (uint64_t seed = 1; seed <= 4; ++seed) {
       SimulatorConfig config;
-      ApplySchedulerPolicy("optimus", &config);
-      config.policy = allocation;  // swap only the allocator
+      config.ablation.allocator = allocation;  // swap only the allocator
       config.seed = seed;
       WorkloadConfig workload;
       workload.num_jobs = 9;
@@ -280,7 +277,6 @@ TEST(SimIntegrationTest, ChunkRebalancingChargesBoundedStalls) {
   // finish; with zero cost, data rebalancing is free.
   auto total_stall = [](double chunk_move_s) {
     SimulatorConfig config;
-    ApplySchedulerPolicy("optimus", &config);
     config.chunk_move_s = chunk_move_s;
     config.seed = 53;
     std::vector<JobSpec> jobs = SmallWorkload(6, 53);
@@ -300,7 +296,6 @@ TEST(SimIntegrationTest, IntervalLengthAffectsGranularityNotCorrectness) {
   for (double interval : {300.0, 600.0, 1200.0}) {
     SCOPED_TRACE(interval);
     SimulatorConfig config;
-    ApplySchedulerPolicy("optimus", &config);
     config.interval_s = interval;
     config.seed = 59;
     Simulator sim(config, BuildTestbed(), SmallWorkload(5, 59));
@@ -311,7 +306,6 @@ TEST(SimIntegrationTest, IntervalLengthAffectsGranularityNotCorrectness) {
 
 TEST(SimIntegrationTest, UniformClusterSupportedEndToEnd) {
   SimulatorConfig config;
-  ApplySchedulerPolicy("optimus", &config);
   config.seed = 61;
   Simulator sim(config, BuildUniformCluster(20, Resources(16, 80, 0, 1)),
                 SmallWorkload(10, 61));

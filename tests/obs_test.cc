@@ -731,8 +731,6 @@ TEST(SimObservabilityTest, RegistryMirrorsRunMetricsAndWallPhases) {
 // run.
 std::unique_ptr<Simulator> MakeCliRun(SimEngine engine) {
   SimulatorConfig config;
-  std::string error;
-  EXPECT_TRUE(ApplySchedulerPolicy("optimus", &config, &error)) << error;
   config.engine = engine;
   config.seed = 7;
   config.straggler.injection_prob_per_interval = 0.12;

@@ -383,6 +383,37 @@ TEST(RegistryTraitsTest, SimulatorConfigPolicyMustBeRegistered) {
   }
 }
 
+TEST(RegistryTraitsTest, AblationChecksNameTheField) {
+  SimulatorConfig config;
+  config.ablation.allocator = "nope";
+  std::vector<std::string> errors;
+  EXPECT_FALSE(config.Validate(&errors));
+  ASSERT_EQ(errors.size(), 1u);
+  std::string unknown;
+  EXPECT_EQ(FindPolicy("nope", &unknown), nullptr);
+  EXPECT_EQ(errors[0], "ablation.allocator: " + unknown);
+
+  for (const double bad : {0.0, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    SimulatorConfig damped;
+    damped.ablation.young_job_priority_factor = bad;
+    errors.clear();
+    EXPECT_FALSE(damped.Validate(&errors)) << bad;
+    ASSERT_EQ(errors.size(), 1u) << bad;
+    EXPECT_EQ(errors[0].rfind("ablation.young_job_priority_factor: must be in (0, 1]", 0),
+              0u)
+        << errors[0];
+  }
+
+  // Every row name is a valid allocator, and (0, 1] is closed at 1.
+  for (const SchedulerPolicyInfo& row : Policies()) {
+    SimulatorConfig swapped;
+    swapped.ablation.allocator = row.name;
+    swapped.ablation.young_job_priority_factor = 1.0;
+    errors.clear();
+    EXPECT_TRUE(swapped.Validate(&errors)) << row.name;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Workload DSL: batch bounds and sensitivity profiles
 // ---------------------------------------------------------------------------

@@ -532,15 +532,18 @@ TEST(ScenarioTest, MakeSimConfigAppliesPolicyPerCell) {
   ASSERT_TRUE(ParseScenario(kValidScenario, "t", &spec, &error)) << error;
   const SimulatorConfig optimus = spec.MakeSimConfig("optimus", 0);
   EXPECT_EQ(optimus.policy, "optimus");
-  EXPECT_TRUE(optimus.use_paa);
+  EXPECT_TRUE(FindPolicy(optimus.policy)->traits.use_paa);
   EXPECT_EQ(optimus.seed, 9u);
   const SimulatorConfig drf = spec.MakeSimConfig("drf", 1);
   EXPECT_EQ(drf.policy, "drf");
-  EXPECT_FALSE(drf.use_paa);
+  EXPECT_FALSE(FindPolicy(drf.policy)->traits.use_paa);
   EXPECT_EQ(drf.seed, 10u);
-  // Shared knobs survive the policy application.
+  // Shared knobs survive the policy application, and a cell ablates nothing.
   EXPECT_DOUBLE_EQ(drf.interval_s, 300.0);
   EXPECT_TRUE(drf.oracle_estimates);
+  EXPECT_FALSE(drf.ablation.allocator || drf.ablation.placement ||
+               drf.ablation.young_job_priority_factor ||
+               drf.ablation.straggler_handling);
 }
 
 // ---------------------------------------------------------------------------
@@ -565,11 +568,15 @@ TEST(SchedulerRegistryTest, EveryRegisteredPolicyConstructs) {
     EXPECT_NE(std::string(info.description), "") << name;
     OptimusAllocRoundStats stats;
     EXPECT_NE(info.create(&stats), nullptr) << name;
+    // Setting the name alone selects the row: placement, PAA, damping and
+    // straggler handling come from it unless an ablation field is set.
     SimulatorConfig config;
-    std::string error;
-    ASSERT_TRUE(ApplySchedulerPolicy(name, &config, &error)) << error;
+    config.policy = name;
+    std::vector<std::string> errors;
+    ASSERT_TRUE(config.Validate(&errors)) << errors.front();
     EXPECT_EQ(config.policy, name);
-    EXPECT_EQ(config.placement, info.placement);
+    EXPECT_EQ(FindPolicy(config.policy)->placement, info.placement);
+    EXPECT_FALSE(config.ablation.placement.has_value());
   }
 }
 
@@ -581,9 +588,11 @@ TEST(SchedulerRegistryTest, UnknownPolicyNamesTheRegisteredSet) {
     EXPECT_NE(message.find(info.name), std::string::npos) << message;
   }
   SimulatorConfig config;
-  std::string error;
-  EXPECT_FALSE(ApplySchedulerPolicy("nope", &config, &error));
-  EXPECT_EQ(error, message);
+  config.policy = "nope";
+  std::vector<std::string> errors;
+  EXPECT_FALSE(config.Validate(&errors));
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0], "policy: " + message);
 }
 
 // ---------------------------------------------------------------------------

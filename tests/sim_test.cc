@@ -142,7 +142,7 @@ TEST_F(SimulatorTest, AllJobsCompleteUnderEveryScheduler) {
   for (const char* policy : {"optimus", "drf", "tetris"}) {
     SCOPED_TRACE(policy);
     SimulatorConfig config;
-    ApplySchedulerPolicy(policy, &config);
+    config.policy = policy;
     config.seed = 11;
     Simulator sim(config, BuildTestbed(), SmallWorkload(6, 11));
     RunMetrics metrics = sim.Run();
@@ -156,7 +156,6 @@ TEST_F(SimulatorTest, AllJobsCompleteUnderEveryScheduler) {
 TEST_F(SimulatorTest, DeterministicForSameSeed) {
   auto run = [this] {
     SimulatorConfig config;
-    ApplySchedulerPolicy("optimus", &config);
     config.seed = 13;
     Simulator sim(config, BuildTestbed(), SmallWorkload(5, 13));
     return sim.Run();
@@ -202,7 +201,6 @@ TEST_F(SimulatorTest, ArrivalOrderPinnedOnBothEngines) {
     late.id = kSubmitted;
     late.arrival_time_s = 1300.0;
     SimulatorConfig config;
-    ApplySchedulerPolicy("optimus", &config);
     config.seed = 23;
     config.engine = engine;
     Simulator sim(config, BuildTestbed(), specs);
@@ -242,7 +240,6 @@ TEST_F(SimulatorTest, SubmissionAheadOfIdleResumeMatchesUpFrontRun) {
     specs[0].arrival_time_s = 5000.0;
     specs[1].arrival_time_s = 1000.0;
     SimulatorConfig config;
-    ApplySchedulerPolicy("optimus", &config);
     config.seed = 31;
     config.engine = engine;
     Simulator up_front(config, BuildTestbed(), specs);
@@ -276,7 +273,6 @@ TEST_F(SimulatorTest, RoundsWalkOnlyTheLiveSet) {
     workload.arrival_window_s = 60 * 7200.0;
     Rng rng(29);
     SimulatorConfig config;
-    ApplySchedulerPolicy("optimus", &config);
     config.seed = 29;
     config.engine = engine;
     Simulator sim(config, BuildTestbed(), GenerateWorkload(workload, &rng));
@@ -304,7 +300,6 @@ TEST_F(SimulatorTest, RoundsWalkOnlyTheLiveSet) {
 
 TEST_F(SimulatorTest, JctsArePositiveAndBoundedByMakespan) {
   SimulatorConfig config;
-  ApplySchedulerPolicy("optimus", &config);
   config.seed = 17;
   Simulator sim(config, BuildTestbed(), SmallWorkload(5, 17));
   RunMetrics metrics = sim.Run();
@@ -316,7 +311,6 @@ TEST_F(SimulatorTest, JctsArePositiveAndBoundedByMakespan) {
 
 TEST_F(SimulatorTest, TimelineRecordsRunningTasks) {
   SimulatorConfig config;
-  ApplySchedulerPolicy("optimus", &config);
   config.seed = 19;
   Simulator sim(config, BuildTestbed(), SmallWorkload(5, 19));
   RunMetrics metrics = sim.Run();
@@ -332,7 +326,6 @@ TEST_F(SimulatorTest, TimelineRecordsRunningTasks) {
 
 TEST_F(SimulatorTest, StepIntervalAdvancesTime) {
   SimulatorConfig config;
-  ApplySchedulerPolicy("optimus", &config);
   config.seed = 23;
   Simulator sim(config, BuildTestbed(), SmallWorkload(3, 23));
   const double t0 = sim.now_s();
@@ -342,7 +335,6 @@ TEST_F(SimulatorTest, StepIntervalAdvancesTime) {
 
 TEST_F(SimulatorTest, ScalingEventsChargeStalls) {
   SimulatorConfig config;
-  ApplySchedulerPolicy("optimus", &config);
   config.seed = 29;
   Simulator sim(config, BuildTestbed(), SmallWorkload(6, 29));
   RunMetrics metrics = sim.Run();
@@ -353,7 +345,6 @@ TEST_F(SimulatorTest, ScalingEventsChargeStalls) {
 
 TEST_F(SimulatorTest, CheckpointBudgetFreezesAllocation) {
   SimulatorConfig config;
-  ApplySchedulerPolicy("optimus", &config);
   config.checkpoint.max_scalings_per_job = 1;
   config.seed = 31;
   Simulator sim(config, BuildTestbed(), SmallWorkload(6, 31));
@@ -380,7 +371,6 @@ TEST_F(SimulatorTest, AllReduceJobRunsWithoutParameterServers) {
     spec.max_ps = 16;
     spec.max_workers = 16;
     SimulatorConfig config;
-    ApplySchedulerPolicy("optimus", &config);
     config.seed = 41;
     config.engine = engine;
     Simulator sim(config, BuildTestbed(), {spec});
@@ -400,7 +390,6 @@ TEST_F(SimulatorTest, OracleModeCompletesFaster) {
   // Perfect estimates should not be materially worse than fitted ones.
   auto run = [this](bool oracle) {
     SimulatorConfig config;
-    ApplySchedulerPolicy("optimus", &config);
     config.oracle_estimates = oracle;
     config.seed = 37;
     Simulator sim(config, BuildTestbed(), SmallWorkload(6, 37));
@@ -418,7 +407,6 @@ TEST_F(SimulatorTest, InjectedErrorDegradesPerformance) {
     double sum = 0.0;
     for (uint64_t seed = 1; seed <= 6; ++seed) {
       SimulatorConfig config;
-      ApplySchedulerPolicy("optimus", &config);
       config.oracle_estimates = true;
       config.error.convergence_error = err;
       config.error.speed_error = err;
@@ -436,9 +424,8 @@ TEST_F(SimulatorTest, StragglersSlowDownUnhandledJobs) {
     double sum = 0.0;
     for (uint64_t seed = 1; seed <= 5; ++seed) {
       SimulatorConfig config;
-      ApplySchedulerPolicy("optimus", &config);
       config.straggler.injection_prob_per_interval = inject;
-      config.straggler.handling_enabled = handle;
+      config.ablation.straggler_handling = handle;
       config.seed = seed;
       Simulator sim(config, BuildTestbed(), SmallWorkload(6, seed));
       sum += sim.Run().avg_jct_s;
@@ -458,7 +445,6 @@ TEST_F(SimulatorTest, StragglersSlowDownUnhandledJobs) {
 
 TEST(ExperimentTest, AggregatesRepeats) {
   ExperimentConfig config;
-  ApplySchedulerPolicy("optimus", &config.sim);
   config.workload.num_jobs = 5;
   config.workload.arrival_window_s = 3000.0;
   config.repeats = 3;
@@ -476,7 +462,7 @@ TEST(ExperimentTest, OptimusBeatsBaselinesOnTestbedWorkload) {
   // makespan than both DRF and Tetris under the paper's testbed conditions.
   auto run = [](const char* policy) {
     ExperimentConfig config;
-    ApplySchedulerPolicy(policy, &config.sim);
+    config.sim.policy = policy;
     ApplyTestbedConditions(&config.sim);
     config.workload.num_jobs = 9;
     config.workload.target_steps_per_epoch = 60;

@@ -206,7 +206,7 @@ std::vector<SessionOp> RandomSession(uint64_t seed) {
 
 std::unique_ptr<Simulator> MakeSimulator(SimEngine engine, const std::string& policy) {
   SimulatorConfig config;
-  ApplySchedulerPolicy(policy, &config);
+  config.policy = policy;
   config.seed = 11;
   config.engine = engine;
   return std::make_unique<Simulator>(config, BuildTestbed(), InitialJobs());

@@ -15,6 +15,23 @@ set -euo pipefail
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-${repo_root}/build}"
 
+# One policy identity: a policy's placement, PAA, young-job damping and
+# straggler handling live in its kPolicies row (src/sched/scheduler_registry.*),
+# change only through PolicyAblation and are read once, by the Simulator
+# (src/sim/simulator.{h,cc}). These names anywhere else mean a second, mutable
+# copy of the row has come back.
+policy_copies=$(grep -rnwE \
+    'ApplySchedulerPolicy|use_paa|young_job_priority_factor|handling_enabled' \
+    "${repo_root}/src" "${repo_root}/bench" "${repo_root}/tools" \
+    "${repo_root}/examples" --exclude='scheduler_registry.*' \
+    --exclude=simulator.h --exclude=simulator.cc --exclude=check.sh |
+  grep -v 'ablation\.young_job_priority_factor' || true)
+if [[ -n "${policy_copies}" ]]; then
+  echo "policy traits outside the policy table and PolicyAblation:" >&2
+  echo "${policy_copies}" >&2
+  exit 1
+fi
+
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DOPTIMUS_SANITIZE="${OPTIMUS_SANITIZE:-}"
 cmake --build "${build_dir}" -j "$(nproc)"

@@ -19,7 +19,6 @@
 
 #include "src/cluster/server.h"
 #include "src/common/flags.h"
-#include "src/common/json_writer.h"
 #include "src/common/logging.h"
 #include "src/common/table.h"
 #include "src/obs/exporters.h"
@@ -105,43 +104,10 @@ std::string Usage() {
   return usage;
 }
 
-// Machine-readable policy catalog (`--policy list --format=json`): one object
-// per policy with its placement and trait set, so harnesses can
-// discover capabilities without parsing the human table.
-int PrintPolicyListJson() {
-  std::cout << "[\n";
-  bool first = true;
-  for (const SchedulerPolicyInfo& info : Policies()) {
-    if (!first) {
-      std::cout << ",\n";
-    }
-    first = false;
-    const PolicyTraits& t = info.traits;
-    std::cout << "  {\"name\": " << EncodeJsonString(info.name) << ", "
-              << "\"display_name\": " << EncodeJsonString(info.display_name) << ", "
-              << "\"description\": " << EncodeJsonString(info.description) << ", "
-              << "\"placement\": \"" << PlacementPolicyName(info.placement)
-              << "\", "
-              << "\"traits\": {"
-              << "\"use_paa\": " << (t.use_paa ? "true" : "false") << ", "
-              << "\"straggler_handling\": "
-              << (t.straggler_handling ? "true" : "false") << ", "
-              << "\"young_job_priority_factor\": " << t.young_job_priority_factor
-              << ", "
-              << "\"adapts_batch\": " << (t.adapts_batch ? "true" : "false")
-              << ", "
-              << "\"uses_sensitivity\": "
-              << (t.uses_sensitivity ? "true" : "false") << ", "
-              << "\"scaling_hysteresis\": "
-              << (t.scaling_hysteresis ? "true" : "false") << "}}";
-  }
-  std::cout << "\n]\n";
-  return 0;
-}
-
 int PrintPolicyList(const std::string& format) {
   if (format == "json") {
-    return PrintPolicyListJson();
+    std::cout << PolicyCatalogJson();
+    return 0;
   }
   if (format != "table") {
     std::cerr << "unknown --format '" << format << "' (expected table|json)\n";
@@ -428,10 +394,7 @@ int main(int argc, char** argv) {
 
   const std::string policy_name = policy_flag.empty() ? "optimus" : policy_flag;
   ExperimentConfig config;
-  {
-    std::string error;
-    OPTIMUS_CHECK(ApplySchedulerPolicy(policy_name, &config.sim, &error)) << error;
-  }
+  config.sim.policy = policy_name;
   config.sim.interval_s = interval_s;
   config.sim.straggler.injection_prob_per_interval = stragglers;
   if (!fault_plan_spec.empty()) {
