@@ -21,6 +21,17 @@
 
 namespace optimus {
 
+// Cap on a job's (p, w) grid of max(max_ps, 1) * max_workers cells. The
+// scheduler's lazy speed surface holds one double per cell, so 2^20 cells
+// bound it at 8 MiB per job. The workload CSV, the scenario DSL and the
+// service's submit / what_if reject a job past the cap.
+inline constexpr int64_t kMaxJobGridCells = int64_t{1} << 20;
+
+// max(max_ps, 1) * max_workers, in 64 bits.
+constexpr int64_t JobGridCells(int max_ps, int max_workers) {
+  return static_cast<int64_t>(max_ps < 1 ? 1 : max_ps) * max_workers;
+}
+
 struct JobSpec {
   int id = 0;
   const ModelSpec* model = nullptr;

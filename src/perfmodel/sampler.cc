@@ -1,6 +1,7 @@
 #include "src/perfmodel/sampler.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 
 #include "src/common/logging.h"
@@ -14,8 +15,8 @@ std::vector<std::pair<int, int>> SelectSamplePairs(int count, int max_ps,
   OPTIMUS_CHECK_GE(max_workers, 1);
   OPTIMUS_CHECK(rng != nullptr);
 
-  const int grid = max_ps * max_workers;
-  count = std::min(count, grid);
+  const int64_t grid = static_cast<int64_t>(max_ps) * max_workers;
+  count = static_cast<int>(std::min<int64_t>(count, grid));
 
   std::set<std::pair<int, int>> chosen;
   auto add = [&](int p, int w) {

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "src/common/json_writer.h"
@@ -26,6 +27,26 @@ const ModelSpec* TryFindModel(const std::string& name) {
     }
   }
   return nullptr;
+}
+
+// Reads `key` of `body` into *out when present: an integral JSON number in
+// [lo, INT_MAX]. Anything else is a positioned error naming the key.
+bool ReadIntKey(const std::string& source, const JsonValue& body, const char* key, int lo,
+                int* out, std::string* error) {
+  const JsonValue* v = body.Find(key);
+  if (v == nullptr) {
+    return true;
+  }
+  if (!v->is_number() || std::floor(v->AsDouble()) != v->AsDouble() ||
+      v->AsDouble() < lo || v->AsDouble() > std::numeric_limits<int>::max()) {
+    *error = PositionedError(source, *v,
+                             "\"" + std::string(key) + "\" must be an integer in [" +
+                                 std::to_string(lo) + ", " +
+                                 std::to_string(std::numeric_limits<int>::max()) + "]");
+    return false;
+  }
+  *out = static_cast<int>(v->AsDouble());
+  return true;
 }
 
 // Latency-histogram bounds: 1 µs to 1 s in a 1-2-5 ladder; service requests
@@ -224,14 +245,8 @@ bool ServiceSession::BuildJobSpec(const ServiceRequest& req,
   }
 
   spec->id = next_job_id_;
-  if (const JsonValue* id = b.Find("job_id")) {
-    if (!id->is_number() || std::floor(id->AsDouble()) != id->AsDouble() ||
-        id->AsDouble() < 0) {
-      *error = PositionedError(source_, *id,
-                               "\"job_id\" must be a non-negative integer");
-      return false;
-    }
-    spec->id = static_cast<int>(id->AsInt());
+  if (!ReadIntKey(source_, b, "job_id", 0, &spec->id, error)) {
+    return false;
   }
 
   spec->mode = TrainingMode::kSync;
@@ -259,32 +274,27 @@ bool ServiceSession::BuildJobSpec(const ServiceRequest& req,
 
   const WorkloadSpec& workload = scenario_.workload;
   spec->patience = workload.patience;
-  if (const JsonValue* patience = b.Find("patience")) {
-    if (!patience->is_number() ||
-        std::floor(patience->AsDouble()) != patience->AsDouble() ||
-        patience->AsDouble() < 1) {
-      *error = PositionedError(source_, *patience,
-                               "\"patience\" must be an integer >= 1");
-      return false;
-    }
-    spec->patience = static_cast<int>(patience->AsInt());
+  if (!ReadIntKey(source_, b, "patience", 1, &spec->patience, error)) {
+    return false;
   }
 
   spec->worker_demand = workload.worker_demand;
   spec->ps_demand = workload.ps_demand;
   spec->max_workers = workload.max_workers;
   spec->max_ps = workload.max_ps;
-  for (const char* key : {"max_workers", "max_ps"}) {
-    if (const JsonValue* v = b.Find(key)) {
-      if (!v->is_number() || std::floor(v->AsDouble()) != v->AsDouble() ||
-          v->AsDouble() < 1) {
-        *error = PositionedError(
-            source_, *v, std::string("\"") + key + "\" must be an integer >= 1");
-        return false;
-      }
-      (std::string(key) == "max_workers" ? spec->max_workers : spec->max_ps) =
-          static_cast<int>(v->AsInt());
+  if (!ReadIntKey(source_, b, "max_workers", 1, &spec->max_workers, error) ||
+      !ReadIntKey(source_, b, "max_ps", 1, &spec->max_ps, error)) {
+    return false;
+  }
+  if (JobGridCells(spec->max_ps, spec->max_workers) > kMaxJobGridCells) {
+    const JsonValue* at = b.Find("max_workers");
+    if (at == nullptr) {
+      at = b.Find("max_ps");
     }
+    *error = PositionedError(source_, at != nullptr ? *at : b,
+                             "\"max_workers\": max(max_ps, 1) * max_workers must be <= " +
+                                 std::to_string(kMaxJobGridCells));
+    return false;
   }
 
   spec->arrival_time_s = sim_->now_s();
@@ -335,12 +345,13 @@ bool ServiceSession::HandleKill(const ServiceRequest& req, JsonObject* resp,
     *error = PositionedError(source_, req.body, "missing required key \"job_id\"");
     return false;
   }
-  if (!id->is_number() || std::floor(id->AsDouble()) != id->AsDouble()) {
-    *error = PositionedError(source_, *id, "\"job_id\" must be an integer");
+  int job_id = 0;
+  if (!ReadIntKey(source_, req.body, "job_id", std::numeric_limits<int>::min(), &job_id,
+                  error)) {
     return false;
   }
   std::string sim_error;
-  if (!sim_->KillJob(static_cast<int>(id->AsInt()), &sim_error)) {
+  if (!sim_->KillJob(job_id, &sim_error)) {
     *error = PositionedError(source_, *id, sim_error);
     return false;
   }

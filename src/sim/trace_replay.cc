@@ -142,6 +142,12 @@ bool ReadWorkloadCsv(std::istream& is, const TraceReplayOptions& options,
       *error = "line " + std::to_string(line_no) + ": out-of-range value";
       return false;
     }
+    if (JobGridCells(spec.max_ps, spec.max_workers) > kMaxJobGridCells) {
+      *error = "line " + std::to_string(line_no) +
+               ": max_workers: max(max_ps, 1) * max_workers must be <= " +
+               std::to_string(kMaxJobGridCells);
+      return false;
+    }
     spec.worker_demand = options.worker_demand;
     spec.ps_demand = options.ps_demand;
     parsed.push_back(spec);

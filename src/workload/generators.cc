@@ -121,6 +121,10 @@ bool WorkloadSpec::Validate(std::vector<std::string>* errors) const {
   Check(patience >= 1, "patience: must be >= 1", errors, &valid);
   Check(max_ps >= 1, "max_ps: must be >= 1", errors, &valid);
   Check(max_workers >= 1, "max_workers: must be >= 1", errors, &valid);
+  Check(JobGridCells(max_ps, max_workers) <= kMaxJobGridCells,
+        "max_workers: max(max_ps, 1) * max_workers must be <= " +
+            std::to_string(kMaxJobGridCells),
+        errors, &valid);
   Check(batch_min >= 0, "batch_min: must be >= 0", errors, &valid);
   Check(batch_max >= 0, "batch_max: must be >= 0", errors, &valid);
   Check(batch_min == 0 || batch_max == 0 || batch_min <= batch_max,

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "src/common/logging.h"
@@ -351,6 +352,11 @@ class ScenarioParser {
                     const std::string& path, int* out) {
     int64_t wide = *out;
     ReadInt(obj, key, path, &wide);
+    if (wide < std::numeric_limits<int>::min() || wide > std::numeric_limits<int>::max()) {
+      Error(*obj.Find(key), path + "." + key,
+            "expected an integer in int range, got " + std::to_string(wide));
+      return;
+    }
     *out = static_cast<int>(wide);
   }
 

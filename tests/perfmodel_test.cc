@@ -818,5 +818,12 @@ TEST(SamplerTest, CountClampedToGridSize) {
   EXPECT_EQ(pairs.size(), 9u);
 }
 
+// A grid past 2^31 cells must not wrap to zero (or a negative count) in int.
+TEST(SamplerTest, GridLargerThanIntKeepsTheRequestedCount) {
+  Rng rng(8);
+  EXPECT_EQ(SelectSamplePairs(10, 65536, 65536, &rng).size(), 10u);
+  EXPECT_EQ(SelectSamplePairs(10, 50000, 50000, &rng).size(), 10u);
+}
+
 }  // namespace
 }  // namespace optimus

@@ -423,6 +423,28 @@ TEST(ScenarioTest, TypeMismatchesAreDiagnosed) {
   EXPECT_NE(error.find("non-integral"), std::string::npos) << error;
 }
 
+// Int fields outside int are positioned errors, not wrapped values, and the
+// per-job grid max(max_ps, 1) * max_workers is capped.
+TEST(ScenarioTest, OutsideIntAndGridCapsAreRejected) {
+  const struct {
+    const char* max_workers;
+    const char* needle;
+  } cases[] = {
+      {"3000000000", "t:2:41: workload.max_workers: expected an integer in int range"},
+      {"4294967297", "t:2:41: workload.max_workers: expected an integer in int range"},
+      {"100000000", "workload.max_workers: max(max_ps, 1) * max_workers must be <= 1048576"},
+  };
+  for (const auto& c : cases) {
+    ScenarioSpec spec;
+    std::string error;
+    const std::string json =
+        std::string(R"({"schema": "scenario-v2", "name": "x", "policy": "optimus",)") +
+        "\n \"workload\": {\"jobs\": 2, \"max_workers\": " + c.max_workers + "}}";
+    EXPECT_FALSE(ParseScenario(json, "t", &spec, &error)) << c.max_workers;
+    EXPECT_NE(error.find(c.needle), std::string::npos) << error;
+  }
+}
+
 TEST(ScenarioTest, NetworkBlockParsesAndDefaultsToFlat) {
   ScenarioSpec spec;
   std::string error;

@@ -473,6 +473,34 @@ TEST(ServiceReplayTest, ReplayedRunMatchesBatchSimulatorRun) {
       << "service-mode chunked run drifted from the batch simulator";
 }
 
+// Per-job caps outside int, or past the speed-surface grid cap, are answered
+// ok=false naming the field: no crash, no wrapped value, no giant grid.
+TEST(ServiceReplayTest, OutsideIntAndGridCapsAreRejectedNotFatal) {
+  std::unique_ptr<ServiceSession> session = MakeSession(SessionOverrides{});
+  ASSERT_NE(session, nullptr);
+  const ReplayOutput out = Replay(
+      session.get(),
+      "{\"op\": \"what_if\", \"model\": \"CNN-rand\", \"max_workers\": 3000000000}\n"
+      "{\"op\": \"what_if\", \"model\": \"CNN-rand\", \"max_workers\": 4294967297}\n"
+      "{\"op\": \"what_if\", \"model\": \"CNN-rand\", \"max_workers\": 100000000}\n"
+      "{\"op\": \"submit\", \"model\": \"CNN-rand\", \"job_id\": 4294967297}\n"
+      "{\"op\": \"kill\", \"job_id\": 4294967297}\n");
+  EXPECT_EQ(out.result.requests, 5);
+  EXPECT_EQ(out.result.errors, 5);
+  EXPECT_EQ(out.result.exit_code, 0);
+  std::istringstream lines(out.responses);
+  const char* fields[] = {"max_workers", "max_workers", "max_workers", "job_id", "job_id"};
+  std::string line;
+  for (const char* field : fields) {
+    ASSERT_TRUE(std::getline(lines, line));
+    EXPECT_NE(line.find("\"ok\":false"), std::string::npos) << line;
+    EXPECT_NE(line.find(std::string("\\\"") + field + "\\\""), std::string::npos) << line;
+  }
+  EXPECT_NE(out.responses.find("max(max_ps, 1) * max_workers must be <= 1048576"),
+            std::string::npos)
+      << out.responses;
+}
+
 TEST(ServiceReplayTest, InvalidOverrideIsRejectedNotFatal) {
   SessionOverrides overrides;
   overrides.threads = -2;

@@ -119,6 +119,9 @@ TEST(TraceReplayTest, RejectsOutOfRangeValues) {
       {"1,DSSM,sync,5x,0.02,3,0.01,16,16", "line 3: arrival_s expects a finite number, got '5x'"},
       {"1,DSSM,sync,0,0.02,3,0.01,16,16x", "line 3: max_workers expects an integer, got '16x'"},
       {"1,DSSM,sync,0,0.02,3,0.01,4294967312,16", "line 3: max_ps expects an integer"},
+      {"1,DSSM,sync,0,0.02,3,0.01,16,1000000000",
+       "line 3: max_workers: max(max_ps, 1) * max_workers must be <= 1048576"},
+      {"1,DSSM,sync,0,0.02,3,0.01,16,65537", "line 3: max_workers: max(max_ps, 1)"},
       {"0,DSSM,sync,0,0.02,3,0.01,16,16", "line 3: duplicate job_id 0 (first on line 2)"},
   };
   for (const auto& c : cases) {
@@ -130,6 +133,18 @@ TEST(TraceReplayTest, RejectsOutOfRangeValues) {
     EXPECT_NE(error.find(c.want), std::string::npos) << error;
     EXPECT_TRUE(jobs.empty());
   }
+}
+
+// The grid cap is inclusive: 16 x 65536 = 2^20 cells loads.
+TEST(TraceReplayTest, AcceptsAGridAtTheCap) {
+  std::istringstream is(
+      "job_id,model,mode,arrival_s,delta,patience,dataset_scale,max_ps,max_workers\n"
+      "0,DSSM,sync,0,0.02,3,0.01,16,65536\n");
+  std::vector<JobSpec> jobs;
+  std::string error;
+  ASSERT_TRUE(ReadWorkloadCsv(is, TraceReplayOptions{}, &jobs, &error)) << error;
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(JobGridCells(jobs[0].max_ps, jobs[0].max_workers), kMaxJobGridCells);
 }
 
 TEST(TraceReplayTest, SkipsEmptyLines) {
