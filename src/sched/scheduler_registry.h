@@ -2,14 +2,15 @@
 //
 // A policy's name (SimulatorConfig::policy) is its only identity: the
 // optimus_sim CLI, the scenario DSL and the comparison benches all resolve a
-// policy *name* here. A row bundles everything a SimulatorConfig needs to run
-// it: the allocator constructor (over the common Allocator interface in
-// scheduler.h), the placement scheme, and a PolicyTraits block with the
-// behavioral toggles (PAA block assignment, straggler handling, young-job
-// damping, batch adaptivity, sensitivity awareness, scaling hysteresis) that
-// the paper's §6.1 comparisons switch off for the baselines. One path —
-// ApplySchedulerPolicy in src/sim/experiment.h — copies the traits onto a
-// SimulatorConfig; nothing else reads the toggles field by field.
+// policy *name* here. A row bundles everything a run of the policy needs: the
+// allocator constructor (over the common Allocator interface in scheduler.h),
+// the placement scheme, and a PolicyTraits block with the behavioral toggles
+// (PAA block assignment, straggler handling, young-job damping, batch
+// adaptivity, sensitivity awareness, scaling hysteresis) that the paper's
+// §6.1 comparisons switch off for the baselines. The Simulator resolves the
+// row of SimulatorConfig::policy once, at construction; the paper's ablations
+// replace single choices through SimulatorConfig::ablation (PolicyAblation in
+// src/sim/simulator.h). No config field copies a trait.
 //
 // The rows (kPolicies in scheduler_registry.cc), in order:
 //   optimus       marginal-gain allocation (§4.1), packed placement, PAA,
@@ -44,10 +45,8 @@
 
 namespace optimus {
 
-// The behavioral toggles a policy carries beyond its allocator + placement.
-// ApplySchedulerPolicy copies the per-run toggles onto the SimulatorConfig in
-// one place; scaling_hysteresis is read by the Simulator from the row of
-// SimulatorConfig::policy.
+// The behavioral toggles a policy carries beyond its allocator + placement,
+// read by the Simulator from the row of SimulatorConfig::policy.
 struct PolicyTraits {
   // Parameter-assignment-aware block placement (§5.2). Only meaningful — and
   // only valid — with a packed placement (kOptimusPack / kRackPack).

@@ -107,8 +107,10 @@ bool ParseServiceRequest(const std::string& line, const std::string& source,
     return false;
   }
   if (const JsonValue* id = body.Find("id")) {
-    if (!id->is_number() || std::floor(id->AsDouble()) != id->AsDouble()) {
-      *error = PositionedError(source, *id, "\"id\" must be an integer");
+    // JsonValue::AsInt is fatal past int64; 2^63 itself is out of range.
+    if (!id->is_number() || std::floor(id->AsDouble()) != id->AsDouble() ||
+        std::abs(id->AsDouble()) >= 0x1p63) {
+      *error = PositionedError(source, *id, "\"id\" must be an int64 integer");
       return false;
     }
     request->id = id->AsInt();

@@ -355,7 +355,7 @@ bool ServiceSession::HandleKill(const ServiceRequest& req, JsonObject* resp,
     *error = PositionedError(source_, *id, sim_error);
     return false;
   }
-  resp->Set("job_id", id->AsInt());
+  resp->Set("job_id", job_id);
   resp->Set("completed_jobs", sim_->metrics().completed_jobs);
   resp->Set("now_s", sim_->now_s());
   return true;

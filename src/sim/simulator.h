@@ -88,18 +88,15 @@ const char* SimEngineName(SimEngine engine);
 bool ParseSimEngine(const std::string& name, SimEngine* out);
 
 // The paper's ablations of one policy row: each set field replaces one of the
-// row's choices and leaves the rest of the row in place. Empty by default, so
-// a run executes its row exactly.
+// row's choices and keeps the rest. Empty by default: a run executes its row.
 struct PolicyAblation {
-  // Another row's allocator, with its scaling_hysteresis trait; placement,
-  // PAA, damping and straggler handling stay this row's (Fig 18). The what-if
-  // allocator follows it too. Must name a row of the table.
+  // Another row's allocator and its scaling_hysteresis, for the run and the
+  // what-if queries (Fig 18). Must name a row of the table.
   std::optional<std::string> allocator;
-  // Placement scheme. PAA stays as the row sets it, under any scheme: Fig 19
-  // runs PAA under load-balanced and Tetris placement.
+  // Placement scheme; PAA stays as the row sets it (Fig 19 runs PAA under
+  // load-balanced and Tetris placement).
   std::optional<PlacementPolicy> placement;
-  // Marginal-gain damping for young jobs (§4.1; 1.0 = off), applied while
-  // progress < kYoungJobProgressCutoff (Fig 15). Must lie in (0, 1].
+  // Young-job marginal-gain damping (§4.1, Fig 15; 1.0 = off), in (0, 1].
   std::optional<double> young_job_priority_factor;
   // Straggler replacement (§5.2) on or off.
   std::optional<bool> straggler_handling;

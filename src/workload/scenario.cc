@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "src/common/logging.h"
-#include "src/sim/experiment.h"
 #include "src/sim/fault_injector.h"
 #include "src/workload/json.h"
 

@@ -16,7 +16,6 @@
 #include "src/cluster/straggler.h"
 #include "src/common/rng.h"
 #include "src/models/model_zoo.h"
-#include "src/sim/experiment.h"
 #include "src/sim/fault_injector.h"
 #include "src/sim/invariant_auditor.h"
 #include "src/sim/simulator.h"

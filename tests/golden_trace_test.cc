@@ -259,25 +259,27 @@ std::string PolicyRowsSnapshot() {
   return os.str();
 }
 
+// The committed golden at `path`. With OPTIMUS_REGEN_GOLDEN set it first
+// rewrites the file with `actual`, so the caller's comparison passes.
+std::string Golden(const char* path, const std::string& actual) {
+  if (std::getenv("OPTIMUS_REGEN_GOLDEN") != nullptr) {
+    std::ofstream os(path);
+    EXPECT_TRUE(os.good()) << "cannot write " << path;
+    os << actual;
+  }
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "missing golden " << path
+                         << " — run with OPTIMUS_REGEN_GOLDEN=1 to create it";
+  std::stringstream contents;
+  contents << in.rdbuf();
+  return contents.str();
+}
+
 TEST(GoldenTraceTest, FaultedRunMatchesCommittedSnapshot) {
   std::unique_ptr<Simulator> sim = MakePinnedScenario();
   const RunMetrics metrics = sim->Run();
   const std::string actual = Snapshot(metrics, sim->trace());
-
-  if (std::getenv("OPTIMUS_REGEN_GOLDEN") != nullptr) {
-    std::ofstream os(kGoldenPath);
-    ASSERT_TRUE(os.good()) << "cannot write " << kGoldenPath;
-    os << actual;
-    GTEST_SKIP() << "regenerated " << kGoldenPath;
-  }
-
-  std::ifstream in(kGoldenPath);
-  ASSERT_TRUE(in.good())
-      << "missing golden " << kGoldenPath
-      << " — run with OPTIMUS_REGEN_GOLDEN=1 to create it";
-  std::stringstream golden;
-  golden << in.rdbuf();
-  EXPECT_EQ(actual, golden.str())
+  EXPECT_EQ(actual, Golden(kGoldenPath, actual))
       << "metrics drifted from the committed golden; if the change is "
          "intended, regenerate with OPTIMUS_REGEN_GOLDEN=1 and commit the "
          "new tests/golden/fault_trace.json";
@@ -297,18 +299,7 @@ TEST(GoldenTraceTest, PinnedScenarioExercisesTheFaultPath) {
 }
 
 TEST(GoldenTraceTest, BackgroundShareRunMatchesCommittedSnapshot) {
-  if (std::getenv("OPTIMUS_REGEN_GOLDEN") != nullptr) {
-    std::ofstream os(kBackgroundGoldenPath);
-    ASSERT_TRUE(os.good()) << "cannot write " << kBackgroundGoldenPath;
-    os << BackgroundSnapshot(/*threads=*/1);
-    GTEST_SKIP() << "regenerated " << kBackgroundGoldenPath;
-  }
-  std::ifstream in(kBackgroundGoldenPath);
-  ASSERT_TRUE(in.good()) << "missing golden " << kBackgroundGoldenPath
-                         << " — run with OPTIMUS_REGEN_GOLDEN=1 to create it";
-  std::stringstream contents;
-  contents << in.rdbuf();
-  const std::string golden = contents.str();
+  const std::string golden = Golden(kBackgroundGoldenPath, BackgroundSnapshot(1));
   for (const int threads : {1, 4}) {
     EXPECT_EQ(BackgroundSnapshot(threads), golden)
         << "threads=" << threads << ": the background-share run drifted from "
@@ -317,18 +308,7 @@ TEST(GoldenTraceTest, BackgroundShareRunMatchesCommittedSnapshot) {
 }
 
 TEST(GoldenTraceTest, EventsMidSpanEdgesMatchCommittedSnapshot) {
-  if (std::getenv("OPTIMUS_REGEN_GOLDEN") != nullptr) {
-    std::ofstream os(kMidSpanGoldenPath);
-    ASSERT_TRUE(os.good()) << "cannot write " << kMidSpanGoldenPath;
-    os << MidSpanSnapshot(/*threads=*/1);
-    GTEST_SKIP() << "regenerated " << kMidSpanGoldenPath;
-  }
-  std::ifstream in(kMidSpanGoldenPath);
-  ASSERT_TRUE(in.good()) << "missing golden " << kMidSpanGoldenPath
-                         << " — run with OPTIMUS_REGEN_GOLDEN=1 to create it";
-  std::stringstream contents;
-  contents << in.rdbuf();
-  const std::string golden = contents.str();
+  const std::string golden = Golden(kMidSpanGoldenPath, MidSpanSnapshot(1));
   for (const int threads : {1, 4}) {
     EXPECT_EQ(MidSpanSnapshot(threads), golden)
         << "threads=" << threads << ": the mid-span fault run drifted from "
@@ -350,18 +330,7 @@ TEST(GoldenTraceTest, MidSpanScenarioExercisesTheFaultPath) {
 
 TEST(GoldenTraceTest, PolicyRowsMatchCommittedSnapshot) {
   const std::string actual = PolicyRowsSnapshot();
-  if (std::getenv("OPTIMUS_REGEN_GOLDEN") != nullptr) {
-    std::ofstream os(kPolicyRowsGoldenPath);
-    ASSERT_TRUE(os.good()) << "cannot write " << kPolicyRowsGoldenPath;
-    os << actual;
-    GTEST_SKIP() << "regenerated " << kPolicyRowsGoldenPath;
-  }
-  std::ifstream in(kPolicyRowsGoldenPath);
-  ASSERT_TRUE(in.good()) << "missing golden " << kPolicyRowsGoldenPath
-                         << " — run with OPTIMUS_REGEN_GOLDEN=1 to create it";
-  std::stringstream golden;
-  golden << in.rdbuf();
-  EXPECT_EQ(actual, golden.str())
+  EXPECT_EQ(actual, Golden(kPolicyRowsGoldenPath, actual))
       << "a policy row's run drifted from " << kPolicyRowsGoldenPath;
 }
 

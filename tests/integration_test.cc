@@ -13,7 +13,6 @@
 #include "src/sched/baseline_allocators.h"
 #include "src/sched/optimus_allocator.h"
 #include "src/sched/placement.h"
-#include "src/sim/experiment.h"
 #include "src/sim/simulator.h"
 #include "src/sim/workload.h"
 #include "tests/test_speeds.h"

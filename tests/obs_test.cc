@@ -34,7 +34,6 @@
 #include "src/obs/metrics_registry.h"
 #include "src/obs/phase_profiler.h"
 #include "src/obs/text_format.h"
-#include "src/sim/experiment.h"
 #include "src/sim/fault_injector.h"
 #include "src/sim/invariant_auditor.h"
 #include "src/sim/simulator.h"

@@ -9,9 +9,9 @@
 #include <set>
 
 #include "src/sched/scheduler_registry.h"
-#include "src/sim/experiment.h"
 #include "src/sim/fault_injector.h"
 #include "src/sim/run_fingerprint.h"
+#include "src/sim/simulator.h"
 #include "src/workload/generators.h"
 #include "src/workload/json.h"
 #include "src/workload/scenario.h"

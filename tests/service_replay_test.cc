@@ -473,8 +473,9 @@ TEST(ServiceReplayTest, ReplayedRunMatchesBatchSimulatorRun) {
       << "service-mode chunked run drifted from the batch simulator";
 }
 
-// Per-job caps outside int, or past the speed-surface grid cap, are answered
-// ok=false naming the field: no crash, no wrapped value, no giant grid.
+// Integers outside their type, and per-job caps past the speed-surface grid
+// cap, are answered ok=false naming the field: no crash, no wrapped value, no
+// giant grid.
 TEST(ServiceReplayTest, OutsideIntAndGridCapsAreRejectedNotFatal) {
   std::unique_ptr<ServiceSession> session = MakeSession(SessionOverrides{});
   ASSERT_NE(session, nullptr);
@@ -484,12 +485,14 @@ TEST(ServiceReplayTest, OutsideIntAndGridCapsAreRejectedNotFatal) {
       "{\"op\": \"what_if\", \"model\": \"CNN-rand\", \"max_workers\": 4294967297}\n"
       "{\"op\": \"what_if\", \"model\": \"CNN-rand\", \"max_workers\": 100000000}\n"
       "{\"op\": \"submit\", \"model\": \"CNN-rand\", \"job_id\": 4294967297}\n"
-      "{\"op\": \"kill\", \"job_id\": 4294967297}\n");
-  EXPECT_EQ(out.result.requests, 5);
-  EXPECT_EQ(out.result.errors, 5);
+      "{\"op\": \"kill\", \"job_id\": 4294967297}\n"
+      "{\"op\": \"metrics_snapshot\", \"id\": 1e300}\n");
+  EXPECT_EQ(out.result.requests, 6);
+  EXPECT_EQ(out.result.errors, 6);
   EXPECT_EQ(out.result.exit_code, 0);
   std::istringstream lines(out.responses);
-  const char* fields[] = {"max_workers", "max_workers", "max_workers", "job_id", "job_id"};
+  const char* fields[] = {"max_workers", "max_workers", "max_workers",
+                          "job_id",      "job_id",      "id"};
   std::string line;
   for (const char* field : fields) {
     ASSERT_TRUE(std::getline(lines, line));

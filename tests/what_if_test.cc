@@ -19,7 +19,6 @@
 #include "src/sched/optimus_allocator.h"
 #include "src/sched/what_if.h"
 #include "src/service/session.h"
-#include "src/sim/experiment.h"
 #include "src/sim/simulator.h"
 #include "src/sim/workload.h"
 #include "tests/test_speeds.h"
