@@ -3,6 +3,7 @@
 // process.
 
 #include <iostream>
+#include <utility>
 
 #include "bench/bench_util.h"
 
@@ -13,15 +14,17 @@ int main() {
       "Optimus wins under both; its edge grows under the bursty Google-trace "
       "arrivals because it absorbs arrival spikes by reallocating");
 
-  for (ArrivalProcess process :
-       {ArrivalProcess::kPoisson, ArrivalProcess::kGoogleTrace}) {
+  const std::pair<ArrivalSpec::Kind, const char*> processes[] = {
+      {ArrivalSpec::Kind::kPoisson, "poisson"},
+      {ArrivalSpec::Kind::kBursty, "google-trace"}};
+  for (const auto& [kind, label] : processes) {
     ExperimentConfig base;
     ApplyTestbedConditions(&base.sim);
     base.workload.num_jobs = 12;
-    base.workload.arrivals = process;
+    base.workload.arrivals = kind;
     base.workload.target_steps_per_epoch = 80;
     base.repeats = 5;
-    RunSchedulerComparison(base, ArrivalProcessName(process));
+    RunSchedulerComparison(base, label);
   }
   return 0;
 }

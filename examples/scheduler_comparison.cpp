@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   ExperimentConfig base;
   ApplyTestbedConditions(&base.sim);
   base.workload.num_jobs = num_jobs;
-  base.workload.arrivals = ArrivalProcess::kPoisson;
+  base.workload.arrivals = ArrivalSpec::Kind::kPoisson;
   base.workload.arrivals_per_interval = 2.0;
   base.workload.target_steps_per_epoch = 60;
   base.repeats = 3;

@@ -45,8 +45,6 @@ class Rng {
   // True with probability p.
   bool Bernoulli(double p);
 
-  std::mt19937_64& engine() { return engine_; }
-
  private:
   std::mt19937_64 engine_;
   uint64_t seed_;

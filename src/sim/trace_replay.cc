@@ -12,6 +12,7 @@
 
 #include "src/common/logging.h"
 #include "src/models/model_zoo.h"
+#include "src/sim/workload.h"
 
 namespace optimus {
 
@@ -71,8 +72,8 @@ void WriteWorkloadCsv(const std::vector<JobSpec>& jobs, std::ostream& os) {
   }
 }
 
-bool ReadWorkloadCsv(std::istream& is, const TraceReplayOptions& options,
-                     std::vector<JobSpec>* jobs, std::string* error) {
+bool ReadWorkloadCsv(std::istream& is, std::vector<JobSpec>* jobs,
+                     std::string* error) {
   OPTIMUS_CHECK(jobs != nullptr);
   OPTIMUS_CHECK(error != nullptr);
   jobs->clear();
@@ -88,6 +89,7 @@ bool ReadWorkloadCsv(std::istream& is, const TraceReplayOptions& options,
   std::vector<JobSpec> parsed;
   std::map<int, int> first_line;  // job id -> the line that defined it
   const std::vector<std::string> columns = SplitCsvLine(kHeader);
+  const WorkloadSpec defaults;  // container demands of every imported job
   while (std::getline(is, line)) {
     ++line_no;
     if (line.empty()) {
@@ -148,8 +150,8 @@ bool ReadWorkloadCsv(std::istream& is, const TraceReplayOptions& options,
                std::to_string(kMaxJobGridCells);
       return false;
     }
-    spec.worker_demand = options.worker_demand;
-    spec.ps_demand = options.ps_demand;
+    spec.worker_demand = defaults.worker_demand;
+    spec.ps_demand = defaults.ps_demand;
     parsed.push_back(spec);
   }
 

@@ -21,21 +21,16 @@
 
 namespace optimus {
 
-// Writes the workload as CSV (container demands are uniform per workload and
-// not serialized; pass them again on load).
+// Writes the workload as CSV. Container demands are not serialized: every
+// imported job takes WorkloadSpec's default demands, as generated jobs do.
 void WriteWorkloadCsv(const std::vector<JobSpec>& jobs, std::ostream& os);
-
-struct TraceReplayOptions {
-  Resources worker_demand{2.5, 10, 0, 0.15};
-  Resources ps_demand{2.5, 10, 0, 0.15};
-};
 
 // Parses a workload CSV. Returns false (and leaves `jobs` empty) on any
 // malformed row: a numeric field that does not parse whole, a non-finite or
 // out-of-range value, or a repeated job id. `error` receives a description
 // that names the line.
-bool ReadWorkloadCsv(std::istream& is, const TraceReplayOptions& options,
-                     std::vector<JobSpec>* jobs, std::string* error);
+bool ReadWorkloadCsv(std::istream& is, std::vector<JobSpec>* jobs,
+                     std::string* error);
 
 }  // namespace optimus
 

@@ -8,16 +8,60 @@
 
 namespace optimus {
 
-const char* ArrivalProcessName(ArrivalProcess process) {
-  switch (process) {
-    case ArrivalProcess::kUniformRandom:
-      return "uniform-random";
-    case ArrivalProcess::kPoisson:
+const char* ArrivalKindName(ArrivalSpec::Kind kind) {
+  switch (kind) {
+    case ArrivalSpec::Kind::kUniform:
+      return "uniform";
+    case ArrivalSpec::Kind::kPoisson:
       return "poisson";
-    case ArrivalProcess::kGoogleTrace:
-      return "google-trace";
+    case ArrivalSpec::Kind::kBursty:
+      return "bursty";
+    case ArrivalSpec::Kind::kDiurnal:
+      return "diurnal";
   }
   return "unknown";
+}
+
+bool ParseArrivalKind(const std::string& name, ArrivalSpec::Kind* kind) {
+  OPTIMUS_CHECK(kind != nullptr);
+  if (name == "uniform") {
+    *kind = ArrivalSpec::Kind::kUniform;
+  } else if (name == "poisson") {
+    *kind = ArrivalSpec::Kind::kPoisson;
+  } else if (name == "bursty") {
+    *kind = ArrivalSpec::Kind::kBursty;
+  } else if (name == "diurnal") {
+    *kind = ArrivalSpec::Kind::kDiurnal;
+  } else {
+    return false;
+  }
+  return true;
+}
+
+const char* JobSizeKindName(JobSizeSpec::Kind kind) {
+  switch (kind) {
+    case JobSizeSpec::Kind::kZoo:
+      return "zoo";
+    case JobSizeSpec::Kind::kPareto:
+      return "pareto";
+    case JobSizeSpec::Kind::kLognormal:
+      return "lognormal";
+  }
+  return "unknown";
+}
+
+bool ParseJobSizeKind(const std::string& name, JobSizeSpec::Kind* kind) {
+  OPTIMUS_CHECK(kind != nullptr);
+  if (name == "zoo") {
+    *kind = JobSizeSpec::Kind::kZoo;
+  } else if (name == "pareto") {
+    *kind = JobSizeSpec::Kind::kPareto;
+  } else if (name == "lognormal") {
+    *kind = JobSizeSpec::Kind::kLognormal;
+  } else {
+    return false;
+  }
+  return true;
 }
 
 double DatasetScaleFor(const ModelSpec& model, TrainingMode mode,
@@ -37,40 +81,175 @@ double DatasetScaleFor(const ModelSpec& model, TrainingMode mode,
 
 namespace {
 
-std::vector<double> GenerateArrivalTimes(const WorkloadConfig& config, Rng* rng) {
+void Check(bool ok, const std::string& message, std::vector<std::string>* errors,
+           bool* valid) {
+  if (!ok) {
+    if (errors != nullptr) {
+      errors->push_back(message);
+    }
+    *valid = false;
+  }
+}
+
+bool IsProbRange(double lo, double hi) {
+  return std::isfinite(lo) && std::isfinite(hi) && lo > 0.0 && hi >= lo &&
+         hi <= 1.0;
+}
+
+}  // namespace
+
+bool WorkloadSpec::Validate(std::vector<std::string>* errors) const {
+  bool valid = true;
+  Check(num_jobs >= 1, "num_jobs: must be >= 1", errors, &valid);
+  Check(arrivals.window_s > 0.0, "arrivals.window_s: must be > 0", errors,
+        &valid);
+  Check(arrivals.rate_per_interval > 0.0,
+        "arrivals.rate_per_interval: must be > 0", errors, &valid);
+  Check(arrivals.interval_s > 0.0, "arrivals.interval_s: must be > 0", errors,
+        &valid);
+  Check(arrivals.spike_fraction >= 0.0 && arrivals.spike_fraction <= 1.0,
+        "arrivals.spike_fraction: must be in [0, 1]", errors, &valid);
+  Check(arrivals.spike_multiplier >= 1.0,
+        "arrivals.spike_multiplier: must be >= 1", errors, &valid);
+  Check(arrivals.period_s > 0.0, "arrivals.period_s: must be > 0", errors,
+        &valid);
+  Check(arrivals.peak_to_trough >= 1.0,
+        "arrivals.peak_to_trough: must be >= 1", errors, &valid);
+  Check(sizes.pareto_alpha > 0.0, "sizes.pareto_alpha: must be > 0", errors,
+        &valid);
+  Check(sizes.pareto_cap >= 1.0, "sizes.pareto_cap: must be >= 1", errors,
+        &valid);
+  Check(sizes.lognormal_sigma >= 0.0, "sizes.lognormal_sigma: must be >= 0",
+        errors, &valid);
+  Check(sizes.target_steps_per_epoch >= 0,
+        "sizes.target_steps_per_epoch: must be >= 0", errors, &valid);
+  Check(std::isfinite(allreduce_fraction) && allreduce_fraction >= 0.0 &&
+            allreduce_fraction <= 1.0,
+        "allreduce_fraction: must be in [0, 1]", errors, &valid);
+  Check(comm == CommMode::kParameterServer || !forced_mode.has_value() ||
+            *forced_mode == TrainingMode::kSync,
+        "comm: allreduce jobs are always synchronous (mode must be sync)",
+        errors, &valid);
+  Check(IsProbRange(delta_lo, delta_hi),
+        "delta: need 0 < delta_lo <= delta_hi <= 1", errors, &valid);
+  Check(patience >= 1, "patience: must be >= 1", errors, &valid);
+  Check(max_ps >= 1, "max_ps: must be >= 1", errors, &valid);
+  Check(max_workers >= 1, "max_workers: must be >= 1", errors, &valid);
+  Check(JobGridCells(max_ps, max_workers) <= kMaxJobGridCells,
+        "max_workers: max(max_ps, 1) * max_workers must be <= " +
+            std::to_string(kMaxJobGridCells),
+        errors, &valid);
+  Check(batch_min >= 0, "batch_min: must be >= 0", errors, &valid);
+  Check(batch_max >= 0, "batch_max: must be >= 0", errors, &valid);
+  Check(batch_min == 0 || batch_max == 0 || batch_min <= batch_max,
+        "batch_min: must be <= batch_max when both are set", errors, &valid);
+  Check(cpu_sensitivity < 0.0 ||
+            (std::isfinite(cpu_sensitivity) && cpu_sensitivity <= 1.0),
+        "cpu_sensitivity: must be in [0, 1] (or negative for model default)",
+        errors, &valid);
+  Check(mem_sensitivity < 0.0 ||
+            (std::isfinite(mem_sensitivity) && mem_sensitivity <= 1.0),
+        "mem_sensitivity: must be in [0, 1] (or negative for model default)",
+        errors, &valid);
+  for (const std::string& name : models.names) {
+    bool found = false;
+    for (const ModelSpec& m : GetModelZoo()) {
+      if (m.name == name) {
+        found = true;
+        break;
+      }
+    }
+    Check(found, "models.names: unknown model \"" + name + "\"", errors,
+          &valid);
+  }
+  const size_t mix_size =
+      models.names.empty() ? GetModelZoo().size() : models.names.size();
+  Check(models.weights.empty() || models.weights.size() == mix_size,
+        "models.weights: length must match the model mix (" +
+            std::to_string(mix_size) + ")",
+        errors, &valid);
+  double weight_sum = 0.0;
+  for (double w : models.weights) {
+    Check(std::isfinite(w) && w >= 0.0, "models.weights: must be >= 0", errors,
+          &valid);
+    weight_sum += w;
+  }
+  Check(models.weights.empty() || weight_sum > 0.0,
+        "models.weights: must not all be zero", errors, &valid);
+  return valid;
+}
+
+namespace {
+
+// Heavy-tail size multiplier (>= some fraction of 1, capped for Pareto).
+double SizeMultiplier(const JobSizeSpec& sizes, Rng* rng) {
+  switch (sizes.kind) {
+    case JobSizeSpec::Kind::kZoo:
+      return 1.0;
+    case JobSizeSpec::Kind::kPareto: {
+      // Standard Pareto with x_m = 1: x = (1 - u)^(-1/alpha).
+      const double u = rng->Uniform(0.0, 1.0);
+      const double x = std::pow(1.0 - u, -1.0 / sizes.pareto_alpha);
+      return std::min(x, sizes.pareto_cap);
+    }
+    case JobSizeSpec::Kind::kLognormal:
+      return rng->LogNormalFactor(sizes.lognormal_sigma);
+  }
+  return 1.0;
+}
+
+std::vector<double> GenerateArrivals(const ArrivalSpec& spec, int num_jobs,
+                                     Rng* rng) {
   std::vector<double> times;
-  times.reserve(config.num_jobs);
-  switch (config.arrivals) {
-    case ArrivalProcess::kUniformRandom: {
-      for (int i = 0; i < config.num_jobs; ++i) {
-        times.push_back(rng->Uniform(0.0, config.arrival_window_s));
+  times.reserve(num_jobs);
+  switch (spec.kind) {
+    case ArrivalSpec::Kind::kUniform: {
+      for (int i = 0; i < num_jobs; ++i) {
+        times.push_back(rng->Uniform(0.0, spec.window_s));
       }
       break;
     }
-    case ArrivalProcess::kPoisson: {
-      // Exponential inter-arrival gaps with the configured per-interval rate.
-      const double rate_per_s = config.arrivals_per_interval / config.interval_s;
+    case ArrivalSpec::Kind::kPoisson: {
+      const double rate_per_s = spec.rate_per_interval / spec.interval_s;
       double t = 0.0;
-      for (int i = 0; i < config.num_jobs; ++i) {
+      for (int i = 0; i < num_jobs; ++i) {
         t += rng->Exponential(rate_per_s);
         times.push_back(t);
       }
       break;
     }
-    case ArrivalProcess::kGoogleTrace: {
-      // Bursty: walk intervals; spike intervals carry `spike_multiplier`
-      // times the base rate, and the jobs inside an interval land uniformly.
+    case ArrivalSpec::Kind::kBursty: {
+      // Quiet background plus spike intervals carrying a rate multiple; jobs
+      // inside an interval land uniformly (the Google-trace shape).
       double interval_start = 0.0;
-      while (static_cast<int>(times.size()) < config.num_jobs) {
-        const bool spike = rng->Bernoulli(config.spike_interval_fraction);
+      while (static_cast<int>(times.size()) < num_jobs) {
+        const bool spike = rng->Bernoulli(spec.spike_fraction);
         const double mean =
-            config.arrivals_per_interval * (spike ? config.spike_multiplier : 0.4);
+            spec.rate_per_interval * (spike ? spec.spike_multiplier : 0.4);
         const int64_t count = rng->Poisson(mean);
-        for (int64_t i = 0; i < count && static_cast<int>(times.size()) < config.num_jobs;
-             ++i) {
-          times.push_back(interval_start + rng->Uniform(0.0, config.interval_s));
+        for (int64_t i = 0;
+             i < count && static_cast<int>(times.size()) < num_jobs; ++i) {
+          times.push_back(interval_start + rng->Uniform(0.0, spec.interval_s));
         }
-        interval_start += config.interval_s;
+        interval_start += spec.interval_s;
+      }
+      break;
+    }
+    case ArrivalSpec::Kind::kDiurnal: {
+      // Inhomogeneous Poisson via thinning: candidates at the peak rate,
+      // accepted with probability rate(t) / rate_peak. rate(t) swings
+      // sinusoidally so that peak / trough = peak_to_trough.
+      const double base = spec.rate_per_interval / spec.interval_s;
+      const double a = (spec.peak_to_trough - 1.0) / (spec.peak_to_trough + 1.0);
+      const double peak = base * (1.0 + a);
+      double t = 0.0;
+      while (static_cast<int>(times.size()) < num_jobs) {
+        t += rng->Exponential(peak);
+        const double rate =
+            base * (1.0 + a * std::sin(2.0 * M_PI * t / spec.period_s));
+        if (rng->Bernoulli(rate / peak)) {
+          times.push_back(t);
+        }
       }
       break;
     }
@@ -79,41 +258,132 @@ std::vector<double> GenerateArrivalTimes(const WorkloadConfig& config, Rng* rng)
   return times;
 }
 
-}  // namespace
+// A model mix resolved once per workload: the candidate models and, for a
+// weighted mix, the running weight sums (empty = uniform pick).
+struct ModelMix {
+  std::vector<const ModelSpec*> models;
+  std::vector<double> cumulative;
+};
 
-std::vector<JobSpec> GenerateWorkload(const WorkloadConfig& config, Rng* rng) {
-  OPTIMUS_CHECK(rng != nullptr);
-  OPTIMUS_CHECK_GE(config.num_jobs, 1);
-  const std::vector<ModelSpec>& zoo = GetModelZoo();
-
-  const std::vector<double> arrivals = GenerateArrivalTimes(config, rng);
-  std::vector<JobSpec> jobs;
-  jobs.reserve(config.num_jobs);
-  for (int i = 0; i < config.num_jobs; ++i) {
-    JobSpec spec;
-    spec.id = i;
-    // First 9 jobs cycle through the whole zoo (the paper's testbed runs one
-    // of each); later jobs are uniform random draws.
-    if (i < static_cast<int>(zoo.size())) {
-      spec.model = &zoo[static_cast<size_t>(i) % zoo.size()];
-    } else {
-      spec.model = &zoo[static_cast<size_t>(rng->UniformInt(0, zoo.size() - 1))];
+ModelMix ResolveModelMix(const ModelMixSpec& spec) {
+  ModelMix mix;
+  if (spec.names.empty()) {
+    for (const ModelSpec& m : GetModelZoo()) {
+      mix.models.push_back(&m);
     }
-    spec.mode = config.forced_mode.has_value()
-                    ? *config.forced_mode
-                    : (rng->Bernoulli(0.5) ? TrainingMode::kSync : TrainingMode::kAsync);
-    spec.convergence_delta = rng->Uniform(config.delta_lo, config.delta_hi);
-    spec.patience = config.patience;
-    spec.worker_demand = config.worker_demand;
-    spec.ps_demand = config.ps_demand;
-    spec.arrival_time_s = arrivals[i];
-    spec.dataset_scale =
-        DatasetScaleFor(*spec.model, spec.mode, config.target_steps_per_epoch);
-    spec.max_ps = config.max_ps;
-    spec.max_workers = config.max_workers;
-    jobs.push_back(spec);
+  } else {
+    for (const std::string& name : spec.names) {
+      mix.models.push_back(&FindModel(name));
+    }
+  }
+  double sum = 0.0;
+  for (double w : spec.weights) {
+    sum += w;
+    mix.cumulative.push_back(sum);
+  }
+  return mix;
+}
+
+// Job i's attributes: model, mode and threshold, then the size multiplier and
+// the all-reduce flip, each drawn from `rng` only when the spec asks for it.
+JobSpec DrawJob(const WorkloadSpec& spec, const ModelMix& mix, int i,
+                double arrival_time_s, Rng* rng) {
+  const std::vector<const ModelSpec*>& models = mix.models;
+  JobSpec job;
+  job.id = i;
+  if (spec.models.cycle_first && i < static_cast<int>(models.size())) {
+    job.model = models[static_cast<size_t>(i)];
+  } else if (mix.cumulative.empty()) {
+    job.model = models[static_cast<size_t>(rng->UniformInt(0, models.size() - 1))];
+  } else {
+    const double pick = rng->Uniform(0.0, mix.cumulative.back());
+    const auto it =
+        std::upper_bound(mix.cumulative.begin(), mix.cumulative.end(), pick);
+    const size_t idx = std::min(
+        static_cast<size_t>(it - mix.cumulative.begin()), models.size() - 1);
+    job.model = models[idx];
+  }
+  job.mode = spec.forced_mode.has_value()
+                 ? *spec.forced_mode
+                 : (rng->Bernoulli(0.5) ? TrainingMode::kSync
+                                        : TrainingMode::kAsync);
+  job.convergence_delta = rng->Uniform(spec.delta_lo, spec.delta_hi);
+  job.patience = spec.patience;
+  job.worker_demand = spec.worker_demand;
+  job.ps_demand = spec.ps_demand;
+  job.arrival_time_s = arrival_time_s;
+  job.dataset_scale =
+      DatasetScaleFor(*job.model, job.mode, spec.sizes.target_steps_per_epoch) *
+      SizeMultiplier(spec.sizes, rng);
+  job.max_ps = spec.max_ps;
+  job.max_workers = spec.max_workers;
+  job.comm = spec.comm;
+  if (job.comm == CommMode::kParameterServer &&
+      spec.allreduce_fraction > 0.0 && rng->Bernoulli(spec.allreduce_fraction)) {
+    job.comm = CommMode::kAllReduce;
+  }
+  if (job.comm == CommMode::kAllReduce) {
+    job.mode = TrainingMode::kSync;
+  }
+  job.batch_min = spec.batch_min;
+  job.batch_max = spec.batch_max;
+  job.cpu_sensitivity = spec.cpu_sensitivity;
+  job.mem_sensitivity = spec.mem_sensitivity;
+  return job;
+}
+
+// The one draw path. With `split`, the arrivals read rng->Split(kArrivalStream)
+// and job i reads rng->Split(kJobAttributeStreamBase + i); without, every
+// draw reads `rng` in order.
+std::vector<JobSpec> Generate(const WorkloadSpec& spec, bool split, Rng* rng) {
+  OPTIMUS_CHECK(rng != nullptr);
+  OPTIMUS_CHECK_GE(spec.num_jobs, 1);
+  const ModelMix mix = ResolveModelMix(spec.models);
+
+  std::vector<double> arrivals;
+  if (split) {
+    Rng arrival_rng = rng->Split(kArrivalStream);
+    arrivals = GenerateArrivals(spec.arrivals, spec.num_jobs, &arrival_rng);
+  } else {
+    arrivals = GenerateArrivals(spec.arrivals, spec.num_jobs, rng);
+  }
+  std::vector<JobSpec> jobs;
+  jobs.reserve(spec.num_jobs);
+  for (int i = 0; i < spec.num_jobs; ++i) {
+    const double arrival = arrivals[static_cast<size_t>(i)];
+    if (split) {
+      Rng job_rng = rng->Split(kJobAttributeStreamBase + static_cast<uint64_t>(i));
+      jobs.push_back(DrawJob(spec, mix, i, arrival, &job_rng));
+    } else {
+      jobs.push_back(DrawJob(spec, mix, i, arrival, rng));
+    }
   }
   return jobs;
+}
+
+}  // namespace
+
+std::vector<JobSpec> GenerateJobs(const WorkloadSpec& spec, Rng* rng) {
+  if (std::vector<std::string> errors; !spec.Validate(&errors)) {
+    std::string joined;
+    for (const std::string& e : errors) {
+      joined += (joined.empty() ? "" : "; ") + e;
+    }
+    OPTIMUS_LOG(Fatal) << "invalid WorkloadSpec: " << joined;
+  }
+  return Generate(spec, /*split=*/true, rng);
+}
+
+std::vector<JobSpec> GenerateWorkload(const WorkloadConfig& config, Rng* rng) {
+  WorkloadSpec spec;
+  spec.num_jobs = config.num_jobs;
+  spec.arrivals.kind = config.arrivals;
+  spec.arrivals.window_s = config.arrival_window_s;
+  spec.arrivals.rate_per_interval = config.arrivals_per_interval;
+  spec.arrivals.interval_s = config.interval_s;
+  spec.forced_mode = config.forced_mode;
+  spec.sizes.target_steps_per_epoch = config.target_steps_per_epoch;
+  return Generate(spec, /*split=*/false, rng);
 }
 
 }  // namespace optimus

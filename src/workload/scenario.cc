@@ -256,8 +256,11 @@ SimulatorConfig ScenarioSpec::MakeSimConfig(const std::string& policy,
 }
 
 std::vector<JobSpec> ScenarioSpec::JobsForRepeat(int repeat) const {
-  // Same salt as optimus_sim's workload stream, so a scenario with the
-  // paper's defaults replays the CLI's workload exactly.
+  // Same salt as optimus_sim's workload stream, but not the same jobs: a
+  // scenario draws job i from its own split (GenerateJobs), while
+  // optimus_sim's GenerateWorkload reads that stream in order. A scenario
+  // with the paper's defaults replays the CLI's workload only once
+  // GenerateWorkload's callers move to the split streams (ROADMAP item 8).
   Rng rng((seed + static_cast<uint64_t>(repeat)) ^ 0x5eedULL);
   return GenerateJobs(workload, &rng);
 }

@@ -23,7 +23,7 @@
 
 #include "src/cluster/server.h"
 #include "src/sim/simulator.h"
-#include "src/workload/generators.h"
+#include "src/sim/workload.h"
 
 namespace optimus {
 

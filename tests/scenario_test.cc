@@ -12,7 +12,6 @@
 #include "src/sim/fault_injector.h"
 #include "src/sim/run_fingerprint.h"
 #include "src/sim/simulator.h"
-#include "src/workload/generators.h"
 #include "src/workload/json.h"
 #include "src/workload/scenario.h"
 #include "src/workload/sweep.h"

@@ -30,8 +30,8 @@ TEST(WorkloadTest, GeneratesRequestedJobsSortedByArrival) {
     EXPECT_GE(jobs[i].arrival_time_s, jobs[i - 1].arrival_time_s);
   }
   for (const JobSpec& j : jobs) {
-    EXPECT_GE(j.convergence_delta, config.delta_lo);
-    EXPECT_LE(j.convergence_delta, config.delta_hi);
+    EXPECT_GE(j.convergence_delta, WorkloadSpec{}.delta_lo);
+    EXPECT_LE(j.convergence_delta, WorkloadSpec{}.delta_hi);
     EXPECT_NE(j.model, nullptr);
   }
 }
@@ -62,7 +62,7 @@ TEST(WorkloadTest, UniformArrivalsWithinWindow) {
 TEST(WorkloadTest, PoissonInterArrivalsMatchRate) {
   WorkloadConfig config;
   config.num_jobs = 300;
-  config.arrivals = ArrivalProcess::kPoisson;
+  config.arrivals = ArrivalSpec::Kind::kPoisson;
   config.arrivals_per_interval = 3.0;
   config.interval_s = 600.0;
   Rng rng(4);
@@ -75,10 +75,10 @@ TEST(WorkloadTest, PoissonInterArrivalsMatchRate) {
 TEST(WorkloadTest, GoogleTraceIsBurstier) {
   // The bursty process should have a higher coefficient of variation of
   // per-interval arrival counts than the Poisson process.
-  auto arrival_cv = [](ArrivalProcess process) {
+  auto arrival_cv = [](ArrivalSpec::Kind kind) {
     WorkloadConfig config;
     config.num_jobs = 400;
-    config.arrivals = process;
+    config.arrivals = kind;
     Rng rng(5);
     std::vector<JobSpec> jobs = GenerateWorkload(config, &rng);
     std::vector<double> counts;
@@ -100,8 +100,8 @@ TEST(WorkloadTest, GoogleTraceIsBurstier) {
     var /= counts.size();
     return std::sqrt(var) / mean;
   };
-  EXPECT_GT(arrival_cv(ArrivalProcess::kGoogleTrace),
-            arrival_cv(ArrivalProcess::kPoisson) * 1.3);
+  EXPECT_GT(arrival_cv(ArrivalSpec::Kind::kBursty),
+            arrival_cv(ArrivalSpec::Kind::kPoisson) * 1.3);
 }
 
 TEST(WorkloadTest, ForcedModeApplies) {

@@ -23,7 +23,7 @@ TEST(TraceReplayTest, RoundTripPreservesWorkload) {
   std::istringstream is(os.str());
   std::vector<JobSpec> restored;
   std::string error;
-  ASSERT_TRUE(ReadWorkloadCsv(is, TraceReplayOptions{}, &restored, &error)) << error;
+  ASSERT_TRUE(ReadWorkloadCsv(is, &restored, &error)) << error;
   ASSERT_EQ(restored.size(), original.size());
   for (size_t i = 0; i < original.size(); ++i) {
     EXPECT_EQ(restored[i].id, original[i].id);
@@ -35,6 +35,8 @@ TEST(TraceReplayTest, RoundTripPreservesWorkload) {
     EXPECT_EQ(restored[i].patience, original[i].patience);
     EXPECT_EQ(restored[i].max_ps, original[i].max_ps);
     EXPECT_EQ(restored[i].max_workers, original[i].max_workers);
+    EXPECT_TRUE(restored[i].worker_demand == original[i].worker_demand);
+    EXPECT_TRUE(restored[i].ps_demand == original[i].ps_demand);
   }
 }
 
@@ -45,30 +47,17 @@ TEST(TraceReplayTest, SortsByArrival) {
       "1,CNN-rand,async,100,0.03,3,0.1,16,16\n");
   std::vector<JobSpec> jobs;
   std::string error;
-  ASSERT_TRUE(ReadWorkloadCsv(is, TraceReplayOptions{}, &jobs, &error)) << error;
+  ASSERT_TRUE(ReadWorkloadCsv(is, &jobs, &error)) << error;
   ASSERT_EQ(jobs.size(), 2u);
   EXPECT_EQ(jobs[0].id, 1);  // earlier arrival first
   EXPECT_EQ(jobs[1].id, 0);
-}
-
-TEST(TraceReplayTest, AppliesDemandOptions) {
-  std::istringstream is(
-      "job_id,model,mode,arrival_s,delta,patience,dataset_scale,max_ps,max_workers\n"
-      "0,DSSM,sync,0,0.02,3,0.01,8,8\n");
-  TraceReplayOptions options;
-  options.worker_demand = Resources(4, 20, 1, 0.5);
-  std::vector<JobSpec> jobs;
-  std::string error;
-  ASSERT_TRUE(ReadWorkloadCsv(is, options, &jobs, &error)) << error;
-  EXPECT_DOUBLE_EQ(jobs[0].worker_demand.cpu(), 4);
-  EXPECT_DOUBLE_EQ(jobs[0].worker_demand.gpu(), 1);
 }
 
 TEST(TraceReplayTest, RejectsMissingHeader) {
   std::istringstream is("0,ResNet-50,sync,0,0.02,3,0.01,16,16\n");
   std::vector<JobSpec> jobs;
   std::string error;
-  EXPECT_FALSE(ReadWorkloadCsv(is, TraceReplayOptions{}, &jobs, &error));
+  EXPECT_FALSE(ReadWorkloadCsv(is, &jobs, &error));
   EXPECT_NE(error.find("header"), std::string::npos);
   EXPECT_TRUE(jobs.empty());
 }
@@ -79,7 +68,7 @@ TEST(TraceReplayTest, RejectsUnknownModel) {
       "0,GPT-7,sync,0,0.02,3,0.01,16,16\n");
   std::vector<JobSpec> jobs;
   std::string error;
-  EXPECT_FALSE(ReadWorkloadCsv(is, TraceReplayOptions{}, &jobs, &error));
+  EXPECT_FALSE(ReadWorkloadCsv(is, &jobs, &error));
   EXPECT_NE(error.find("unknown model"), std::string::npos);
 }
 
@@ -89,7 +78,7 @@ TEST(TraceReplayTest, RejectsBadMode) {
       "0,DSSM,halfsync,0,0.02,3,0.01,16,16\n");
   std::vector<JobSpec> jobs;
   std::string error;
-  EXPECT_FALSE(ReadWorkloadCsv(is, TraceReplayOptions{}, &jobs, &error));
+  EXPECT_FALSE(ReadWorkloadCsv(is, &jobs, &error));
   EXPECT_NE(error.find("unknown mode"), std::string::npos);
 }
 
@@ -99,7 +88,7 @@ TEST(TraceReplayTest, RejectsWrongFieldCount) {
       "0,DSSM,sync,0,0.02\n");
   std::vector<JobSpec> jobs;
   std::string error;
-  EXPECT_FALSE(ReadWorkloadCsv(is, TraceReplayOptions{}, &jobs, &error));
+  EXPECT_FALSE(ReadWorkloadCsv(is, &jobs, &error));
   EXPECT_NE(error.find("9 fields"), std::string::npos);
 }
 
@@ -129,7 +118,7 @@ TEST(TraceReplayTest, RejectsOutOfRangeValues) {
     std::istringstream is(header + c.row + "\n");
     std::vector<JobSpec> jobs;
     std::string error;
-    EXPECT_FALSE(ReadWorkloadCsv(is, TraceReplayOptions{}, &jobs, &error));
+    EXPECT_FALSE(ReadWorkloadCsv(is, &jobs, &error));
     EXPECT_NE(error.find(c.want), std::string::npos) << error;
     EXPECT_TRUE(jobs.empty());
   }
@@ -142,7 +131,7 @@ TEST(TraceReplayTest, AcceptsAGridAtTheCap) {
       "0,DSSM,sync,0,0.02,3,0.01,16,65536\n");
   std::vector<JobSpec> jobs;
   std::string error;
-  ASSERT_TRUE(ReadWorkloadCsv(is, TraceReplayOptions{}, &jobs, &error)) << error;
+  ASSERT_TRUE(ReadWorkloadCsv(is, &jobs, &error)) << error;
   ASSERT_EQ(jobs.size(), 1u);
   EXPECT_EQ(JobGridCells(jobs[0].max_ps, jobs[0].max_workers), kMaxJobGridCells);
 }
@@ -155,7 +144,7 @@ TEST(TraceReplayTest, SkipsEmptyLines) {
       "\n");
   std::vector<JobSpec> jobs;
   std::string error;
-  ASSERT_TRUE(ReadWorkloadCsv(is, TraceReplayOptions{}, &jobs, &error)) << error;
+  ASSERT_TRUE(ReadWorkloadCsv(is, &jobs, &error)) << error;
   EXPECT_EQ(jobs.size(), 1u);
 }
 

@@ -139,5 +139,28 @@ TEST(JobGeneratorTest, MatrixHashIsPinned) {
   EXPECT_EQ(h, 0x45f32b27d3c02f56ULL) << std::hex << "0x" << h;
 }
 
+// GenerateJobs' per-index contract: job i's attributes come from its own
+// split, so they do not depend on how many jobs the workload has. Arrival
+// times are sorted over the whole workload and are not part of it.
+TEST(JobGeneratorTest, JobAttributesDependOnlyOnTheirIndex) {
+  WorkloadSpec spec;
+  spec.sizes.kind = JobSizeSpec::Kind::kLognormal;
+  spec.allreduce_fraction = 0.3;
+  Rng rng(11);
+  spec.num_jobs = 40;
+  const std::vector<JobSpec> fewer = GenerateJobs(spec, &rng);
+  spec.num_jobs = 45;
+  const std::vector<JobSpec> more = GenerateJobs(spec, &rng);
+  ASSERT_EQ(more.size(), 45u);
+  for (size_t i = 0; i < fewer.size(); ++i) {
+    EXPECT_EQ(fewer[i].id, more[i].id);
+    EXPECT_EQ(fewer[i].model, more[i].model) << "job " << i;
+    EXPECT_EQ(fewer[i].mode, more[i].mode) << "job " << i;
+    EXPECT_EQ(fewer[i].comm, more[i].comm) << "job " << i;
+    EXPECT_EQ(fewer[i].convergence_delta, more[i].convergence_delta) << "job " << i;
+    EXPECT_EQ(fewer[i].dataset_scale, more[i].dataset_scale) << "job " << i;
+  }
+}
+
 }  // namespace
 }  // namespace optimus

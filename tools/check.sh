@@ -32,6 +32,20 @@ if [[ -n "${policy_copies}" ]]; then
   exit 1
 fi
 
+# One job generator: GenerateJobs and GenerateWorkload share one draw path in
+# src/sim/workload.{h,cc}, with one arrival enum (ArrivalSpec::Kind) and one
+# set of container-demand defaults (WorkloadSpec). These names mean a second
+# generator, arrival enum or demand default has come back.
+generator_copies=$(grep -rnwE \
+    'GenerateArrivalTimes|ArrivalProcess|ArrivalProcessName|TraceReplayOptions|src/workload/generators' \
+    "${repo_root}/src" "${repo_root}/bench" "${repo_root}/tools" \
+    "${repo_root}/examples" "${repo_root}/tests" --exclude=check.sh || true)
+if [[ -n "${generator_copies}" ]]; then
+  echo "a second job generator outside src/sim/workload.{h,cc}:" >&2
+  echo "${generator_copies}" >&2
+  exit 1
+fi
+
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DOPTIMUS_SANITIZE="${OPTIMUS_SANITIZE:-}"
 cmake --build "${build_dir}" -j "$(nproc)"

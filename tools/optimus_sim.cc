@@ -123,17 +123,18 @@ int PrintPolicyList(const std::string& format) {
   return 0;
 }
 
-bool ParseArrivals(const std::string& name, ArrivalProcess* out) {
+// --arrivals names: the bursty kind is spelled "trace" here.
+bool ParseArrivals(const std::string& name, ArrivalSpec::Kind* out) {
   if (name == "uniform") {
-    *out = ArrivalProcess::kUniformRandom;
+    *out = ArrivalSpec::Kind::kUniform;
     return true;
   }
   if (name == "poisson") {
-    *out = ArrivalProcess::kPoisson;
+    *out = ArrivalSpec::Kind::kPoisson;
     return true;
   }
   if (name == "trace") {
-    *out = ArrivalProcess::kGoogleTrace;
+    *out = ArrivalSpec::Kind::kBursty;
     return true;
   }
   return false;
@@ -345,7 +346,7 @@ int main(int argc, char** argv) {
     std::cerr << error << "\n";
     return 2;
   }
-  ArrivalProcess arrival_process = ArrivalProcess::kUniformRandom;
+  ArrivalSpec::Kind arrival_process = ArrivalSpec::Kind::kUniform;
   if (!ParseArrivals(arrivals, &arrival_process)) {
     std::cerr << "unknown --arrivals '" << arrivals
               << "' (expected uniform|poisson|trace)\n";
@@ -444,7 +445,7 @@ int main(int argc, char** argv) {
         return 2;
       }
       std::string parse_error;
-      if (!ReadWorkloadCsv(in, TraceReplayOptions{}, &specs, &parse_error)) {
+      if (!ReadWorkloadCsv(in, &specs, &parse_error)) {
         std::cerr << "bad workload trace " << workload_csv << ": " << parse_error << "\n";
         return 2;
       }
