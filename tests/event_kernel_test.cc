@@ -12,6 +12,9 @@
 //   - Exact completion times: a job's recorded kCompleted timestamp minus
 //     its recorded arrival reproduces its JCT exactly (no
 //     interval-boundary quantization).
+//   - A pinned session: one AdvanceTo/SubmitJob/KillJob sequence whose
+//     clock, trace and event counters after every call hash to one pinned
+//     value at threads 1 and 4.
 //   - Edge cases: zero jobs, and a cluster with no servers.
 //   - Reference-batch speed samples: under a batch-adaptive policy with
 //     fitted estimates, the engines' average JCTs agree within 2%.
@@ -211,6 +214,140 @@ TEST(EventKernelTest, SameTimestampBatchesAreDeterministic) {
     const RunMetrics m = RunAndMatch(sim.get(), &reference, threads);
     EXPECT_EQ(m.completed_jobs, m.total_jobs);
   }
+}
+
+// ---------------------------------------------------------------------------
+// One pinned events-engine session.
+
+// The session's time cap; the job submitted after every other job completed
+// is still running when the cap stops it.
+constexpr double kSessionCapS = 16000.0;
+constexpr uint64_t kPinnedSessionHash = 0xf1d6cecdacbd168aULL;
+
+uint64_t Fnv1a(const std::string& text) {
+  uint64_t h = 14695981039346656037ULL;
+  for (const char c : text) {
+    h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
+  }
+  return h;
+}
+
+// The registry's five event counters, in a fixed order.
+constexpr const char* kEventCounters[] = {
+    "optimus_events_processed_total", "optimus_events_arrival_total",
+    "optimus_events_epoch_total",     "optimus_events_fault_plan_total",
+    "optimus_events_round_total",
+};
+
+// A service-style session on the events engine, one log line per call:
+// what the call was and returned, then now_s(), the trace's digest and size,
+// and the five event counters. It covers a submission earlier than the queued
+// arrival, a kill of the job whose arrival is queued, partial advances that
+// stop between a round and the boundaries it superseded, an advance that
+// stops on the time of a superseded arrival whose job was killed, fault-plan
+// edges inside spans, a kill of a running job mid-span, a submission after
+// every job completed, and the max_sim_time_s cap.
+std::string RunPinnedSession(int threads) {
+  SimulatorConfig config;
+  config.seed = 7;
+  config.engine = SimEngine::kEvents;
+  config.threads = threads;
+  config.audit = true;
+  config.max_sim_time_s = kSessionCapS;
+  std::string error;
+  EXPECT_TRUE(ParseFaultPlan(kMidSpanPlan, &config.fault.plan, &error)) << error;
+  config.fault.task_failure_prob = 0.02;
+  config.fault.checkpoint_period_s = 3600.0;
+  WorkloadConfig workload;
+  workload.num_jobs = 6;
+  workload.arrival_window_s = 2400.0;
+  Rng rng(config.seed ^ 0x5eedULL);
+  std::vector<JobSpec> specs = GenerateWorkload(workload, &rng);
+  for (JobSpec& spec : specs) {
+    spec.arrival_time_s += 900.0;  // the queued arrival starts at or after 900 s
+  }
+  const JobSpec base = specs.front();
+  const JobSpec first = *std::min_element(
+      specs.begin(), specs.end(),
+      [](const JobSpec& a, const JobSpec& b) { return a.arrival_time_s < b.arrival_time_s; });
+  Simulator sim(config, BuildTestbed(), specs);
+
+  std::ostringstream log;
+  log.precision(17);
+  auto record = [&](const std::string& call) {
+    log << call << " now=" << sim.now_s() << " digest=" << sim.trace().digest()
+        << " size=" << sim.trace().size();
+    for (const char* name : kEventCounters) {
+      const Metric* m = sim.registry().Find(name);
+      EXPECT_NE(m, nullptr) << name;
+      log << " " << (m == nullptr ? -1.0 : static_cast<const Counter*>(m)->value());
+    }
+    log << "\n";
+  };
+  auto advance = [&](double t) {
+    sim.AdvanceTo(t);
+    std::ostringstream call;
+    call.precision(17);
+    call << "advance " << t;
+    record(call.str());
+  };
+  auto submit = [&](int id, double arrival_s, double scale) {
+    JobSpec spec = base;
+    spec.id = id;
+    spec.arrival_time_s = arrival_s;
+    spec.dataset_scale *= scale;
+    const bool ok = sim.SubmitJob(spec);
+    record("submit " + std::to_string(id) + " " + (ok ? "ok" : "refused"));
+  };
+  auto kill = [&](int id) {
+    const bool ok = sim.KillJob(id);
+    record("kill " + std::to_string(id) + " " + (ok ? "ok" : "refused"));
+  };
+
+  record("start");
+  advance(100.0);   // round 0 finds no live job and stops the chain
+  submit(1000, 300.0, 1.0);  // earlier than the queued arrival: supersedes it
+  submit(1001, 450.0, 1.0);
+  advance(250.0);
+  kill(1000);  // its arrival is the queued one
+  kill(first.id);  // the superseded arrival's job: only a clock marker is left at its time
+  advance(first.arrival_time_s);  // the clock stops on that marker
+  for (const double t : {1234.5, 1800.0, 1801.0, 2000.0, 2222.0}) {
+    advance(t);  // the slowdown edge at 2100 s lies inside a span
+  }
+  for (const JobSpec& spec : specs) {
+    if (sim.job(spec.id).state == JobState::kRunning) {
+      kill(spec.id);  // a running job, mid-span
+      break;
+    }
+  }
+  for (const double t : {2400.0, 2401.0, 2950.5, 3100.0, 3401.0, 4200.0}) {
+    advance(t);
+  }
+  for (int i = 0; i < 200 && sim.metrics().completed_jobs < sim.metrics().total_jobs;
+       ++i) {
+    advance(sim.now_s() + 1777.0);
+  }
+  EXPECT_EQ(sim.metrics().completed_jobs, sim.metrics().total_jobs);
+  submit(2000, sim.now_s() + 100.0, 20.0);  // after every job completed
+  for (int i = 0; i < 200; ++i) {
+    const double before = sim.now_s();
+    advance(before + 2500.0);
+    if (sim.now_s() == before) {
+      break;  // the cap stopped the clock
+    }
+  }
+  EXPECT_LT(sim.metrics().completed_jobs, sim.metrics().total_jobs);
+  advance(kSessionCapS + 1e5);  // past the cap: nothing moves
+  return log.str();
+}
+
+TEST(EventKernelTest, PinnedSessionHash) {
+  const std::string reference = RunPinnedSession(1);
+  const uint64_t hash = Fnv1a(reference);
+  EXPECT_EQ(hash, kPinnedSessionHash) << std::hex << "0x" << hash << std::dec << "\n"
+                                      << reference;
+  EXPECT_EQ(RunPinnedSession(4), reference);
 }
 
 // ---------------------------------------------------------------------------
