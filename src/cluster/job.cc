@@ -18,7 +18,7 @@ int JobSpec::AsyncMinibatch() const {
   return async_minibatch > 0 ? async_minibatch : model->default_async_minibatch;
 }
 
-int64_t JobSpec::StepsPerEpoch() const {
+double JobSpec::ExactStepsPerEpoch() const {
   OPTIMUS_CHECK(model != nullptr);
   OPTIMUS_CHECK_GT(dataset_scale, 0.0);
   const double examples = static_cast<double>(model->dataset_examples) * dataset_scale;
@@ -26,7 +26,13 @@ int64_t JobSpec::StepsPerEpoch() const {
   // the global batch for sync and the per-worker batch for async, matching
   // how frameworks count steps.
   const int batch = mode == TrainingMode::kSync ? GlobalBatch() : AsyncMinibatch();
-  return std::max<int64_t>(1, static_cast<int64_t>(examples / batch));
+  return examples / batch;
+}
+
+int64_t JobSpec::StepsPerEpoch() const {
+  const double steps = ExactStepsPerEpoch();
+  OPTIMUS_CHECK_LE(steps, static_cast<double>(kMaxStepsPerEpoch)) << "job " << id;
+  return std::max<int64_t>(1, static_cast<int64_t>(steps));
 }
 
 int JobSpec::BatchMin() const {

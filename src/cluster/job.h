@@ -27,6 +27,10 @@ namespace optimus {
 // service's submit / what_if reject a job past the cap.
 inline constexpr int64_t kMaxJobGridCells = int64_t{1} << 20;
 
+// Cap on a job's steps per epoch: 2^53, the largest count a double holds
+// exactly. The workload CSV rejects a row past it; StepsPerEpoch CHECKs it.
+inline constexpr int64_t kMaxStepsPerEpoch = int64_t{1} << 53;
+
 // max(max_ps, 1) * max_workers, in 64 bits.
 constexpr int64_t JobGridCells(int max_ps, int max_workers) {
   return static_cast<int64_t>(max_ps < 1 ? 1 : max_ps) * max_workers;
@@ -75,7 +79,9 @@ struct JobSpec {
 
   int GlobalBatch() const;
   int AsyncMinibatch() const;
-  // Steps per epoch after dataset downscaling (>= 1).
+  // Steps per epoch after dataset downscaling, before rounding down.
+  double ExactStepsPerEpoch() const;
+  // ExactStepsPerEpoch() rounded down, at least 1; at most kMaxStepsPerEpoch.
   int64_t StepsPerEpoch() const;
 
   // Resolved batch-adaptivity range / sensitivity profile (job override, else

@@ -150,6 +150,11 @@ bool ReadWorkloadCsv(std::istream& is, std::vector<JobSpec>* jobs,
                std::to_string(kMaxJobGridCells);
       return false;
     }
+    if (spec.ExactStepsPerEpoch() > static_cast<double>(kMaxStepsPerEpoch)) {
+      *error = "line " + std::to_string(line_no) +
+               ": dataset_scale: steps per epoch must be <= " + std::to_string(kMaxStepsPerEpoch);
+      return false;
+    }
     spec.worker_demand = defaults.worker_demand;
     spec.ps_demand = defaults.ps_demand;
     parsed.push_back(spec);

@@ -161,13 +161,15 @@ for entry in \
 done
 
 # A malformed --workload-csv exits 2 with a message naming the bad line: a
-# repeated job id (line 3) and a nan arrival time (line 2).
+# repeated job id (line 3), a nan arrival time (line 2) and a dataset_scale
+# past 2^53 steps per epoch (line 2).
 header="job_id,model,mode,arrival_s,delta,patience,dataset_scale,max_ps,max_workers"
 row="DSSM,sync,0,0.02,3,0.01,16,16"
 printf '%s\n0,%s\n0,%s\n' "${header}" "${row}" "${row}" > "${tmp_dir}/dup_id.csv"
 printf '%s\n0,DSSM,sync,nan,0.02,3,0.01,16,16\n1,%s\n' "${header}" "${row}" \
   > "${tmp_dir}/nan_arrival.csv"
-for case in dup_id:3 nan_arrival:2; do
+printf '%s\n0,DSSM,sync,0,0.02,3,1e300,16,16\n' "${header}" > "${tmp_dir}/huge_scale.csv"
+for case in dup_id:3 nan_arrival:2 huge_scale:2; do
   csv="${tmp_dir}/${case%%:*}.csv"
   rc=0
   "${build_dir}/tools/optimus_sim" --workload-csv="${csv}" \
