@@ -86,9 +86,7 @@ RowResult RunRowOnce(const BenchParams& params, const RowSpec& row) {
   RowResult result;
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < params.intervals; ++i) {
-    if (!simulator.StepInterval()) {
-      break;
-    }
+    simulator.AdvanceTo(simulator.now_s() + sim.interval_s);
   }
   const auto end = std::chrono::steady_clock::now();
   result.wall_s = std::chrono::duration<double>(end - start).count();

@@ -65,7 +65,9 @@ int main() {
                       "stall (s)"});
   JobSnapshot job;
   while (true) {
-    const bool more = sim.StepInterval();
+    sim.AdvanceTo(sim.now_s() + config.interval_s);
+    const bool more = sim.metrics().completed_jobs < sim.metrics().total_jobs &&
+                      sim.now_s() < config.max_sim_time_s;
     job = sim.job(0);
     table.AddRow({TablePrinter::FormatDouble(sim.now_s(), 0), JobStateName(job.state),
                   std::to_string(job.num_ps), std::to_string(job.num_workers),

@@ -1,18 +1,18 @@
 // Typed d-ary min-heap with a caller-supplied strict-weak "before" order.
 //
-// Both priority consumers in the codebase — the Optimus allocator's greedy
-// marginal-gain heap and the discrete-event kernel's event queue — need the
-// same thing: a deterministic priority queue whose tie-breaking is explicit
-// in the comparator (no reliance on container internals), cheap to push into
-// at bulk (each round, the event queue takes a clock marker per running job),
+// Its consumers — the Optimus allocator's greedy marginal-gain heap, the
+// simulator's pending-spec queue and the events engine's clock markers — need
+// the same thing: a deterministic priority queue whose tie-breaking is
+// explicit in the comparator (no reliance on container internals), cheap to
+// push into at bulk (each round, every running job leaves a clock marker),
 // and cache-friendly to pop from. A 4-ary heap halves the tree depth of the
 // binary std::priority_queue layout, which measurably helps the pop-heavy
 // allocator loop at cluster scale, and `top()` + `pop()` are split so callers
 // can read the top in place before popping it.
 //
 // Determinism contract: the comparator must define a strict weak ordering;
-// when it is a total order over the pushed elements (as the event queue's
-// (time, kind, job_id) key is), pop order is fully determined by the element
+// when it is a total order over the pushed elements (as the pending queue's
+// (arrival, order key) is), pop order is fully determined by the element
 // values — independent of push order, arity, or standard-library internals.
 
 #ifndef SRC_COMMON_MIN_HEAP_H_

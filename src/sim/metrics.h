@@ -57,8 +57,8 @@ struct RunMetrics {
   double wall_advance_s = 0.0;
   double wall_audit_s = 0.0;
   // Event-kernel accounting (engine = events only; 0 under the interval
-  // engine). events_processed counts handled events and walked epoch
-  // boundaries — clock markers and superseded arrivals are excluded.
+  // engine). events_processed counts handled arrivals, fault-plan edges and
+  // rounds plus walked epoch boundaries; clock markers are not counted.
   // wall_events_s is the event-kernel dispatch/advance phase (profiling only,
   // like wall_* above).
   int64_t events_processed = 0;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <iostream>
 #include <limits>
+#include <numeric>
 
 #include "src/common/logging.h"
 #include "src/common/stats.h"
@@ -26,6 +27,9 @@ constexpr double kCheckpointSaveFraction = 0.5;
 // Cap on the relaunch backoff, which doubles per eviction past
 // FaultConfig::evictions_before_backoff.
 constexpr double kBackoffMaxS = 7200.0;
+
+// The events engine's counter names, indexed by Simulator::EventKind.
+constexpr const char* kEventKindNames[] = {"arrival", "epoch", "fault_plan", "round"};
 
 // The spec-only step-time view of a job at (p, w): the configured batch,
 // balanced PS load, no placement, healthy workers and the flat network.
@@ -255,7 +259,25 @@ Simulator::Simulator(SimulatorConfig config, std::vector<Server> servers,
   trace_.Reserve(pending_specs_.size() * 8 + 64);
   SetupObservability();
   if (config_.engine == SimEngine::kEvents) {
-    SeedEvents();
+    // The distinct scripted edge times: one stop at each applies every
+    // transition due at that instant.
+    for (const ServerOutage& outage : config_.fault.plan.outages) {
+      fault_edges_s_.push_back(outage.start_s);
+      if (std::isfinite(outage.recover_s)) {
+        fault_edges_s_.push_back(outage.recover_s);
+      }
+    }
+    for (const SlowdownBurst& burst : config_.fault.plan.slowdowns) {
+      fault_edges_s_.push_back(burst.start_s);
+      fault_edges_s_.push_back(burst.end_s);
+    }
+    std::sort(fault_edges_s_.begin(), fault_edges_s_.end());
+    fault_edges_s_.erase(std::unique(fault_edges_s_.begin(), fault_edges_s_.end()),
+                         fault_edges_s_.end());
+    fault_edges_s_.push_back(std::numeric_limits<double>::infinity());
+    markers_.push(std::numeric_limits<double>::infinity());
+    queued_round_s_ = 0.0;
+    QueueNextArrival();
   }
 }
 
@@ -433,15 +455,18 @@ void Simulator::SetupObservability() {
     view("optimus_events_processed_total",
          "Discrete events handled by the event kernel "
          "(stale-dropped entries excluded).",
-         [this] { return event_counts_.total(); });
+         [this] {
+           return std::accumulate(event_counts_.begin(), event_counts_.end(), int64_t{0});
+         });
     // One arrival event is handled per arrival instant, however many jobs
     // arrive at it, so optimus_events_arrival_total counts arrival instants.
-    for (int k = 0; k < kNumSimEventKinds; ++k) {
-      const std::string kind = SimEventKindName(static_cast<SimEventKind>(k));
+    static_assert(std::size(kEventKindNames) == kNumEventKinds);
+    for (int k = 0; k < kNumEventKinds; ++k) {
+      const std::string kind = kEventKindNames[k];
       registry_.AddCounterView(
           "optimus_events_" + kind + "_total",
           "Event-kernel events of kind " + kind + " handled.", [this, k] {
-            return static_cast<double>(event_counts_.counts[static_cast<size_t>(k)]);
+            return static_cast<double>(event_counts_[static_cast<size_t>(k)]);
           });
     }
     registry_.AddGaugeView("optimus_sim_time_seconds", "Simulated time.",
@@ -505,7 +530,8 @@ void Simulator::SyncRunMetrics() {
   metrics_.wall_advance_s = profiler_.seconds(phase_advance_);
   metrics_.wall_audit_s = profiler_.seconds(phase_audit_);
   metrics_.wall_events_s = profiler_.seconds(phase_events_);
-  metrics_.events_processed = event_counts_.total();
+  metrics_.events_processed =
+      std::accumulate(event_counts_.begin(), event_counts_.end(), int64_t{0});
 }
 
 const Simulator::JobTotals& Simulator::job_totals() const {

@@ -11,11 +11,14 @@
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
+#include <array>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/min_heap.h"
@@ -40,7 +43,6 @@
 #include "src/sched/scheduler.h"
 #include "src/sched/scheduler_registry.h"
 #include "src/sched/what_if.h"
-#include "src/sim/event_kernel.h"
 #include "src/sim/fault_injector.h"
 #include "src/sim/invariant_auditor.h"
 #include "src/sim/metrics.h"
@@ -75,9 +77,10 @@ struct ObservabilityConfig {
 // Run-loop engine. Both engines share the policy path (fault pipeline,
 // scheduling rounds, auditing) and the determinism contract; they differ in
 // how simulated time advances between rounds. kInterval polls every job once
-// per interval; kEvents (src/sim/event_kernel.h) advances jobs lazily between
-// their own analytically-computed events. The interval engine is the parity
-// baseline; see docs/ALGORITHMS.md §16 for the documented tolerance.
+// per interval; kEvents (src/sim/simulator_events.cc) advances each job
+// lazily to its own analytically computed epoch boundaries. The interval
+// engine is the parity baseline; see docs/ALGORITHMS.md §16 for the
+// documented tolerance.
 enum class SimEngine {
   kInterval,
   kEvents,
@@ -236,10 +239,6 @@ class Simulator {
   // Runs to completion (or the time cap) and returns the metrics.
   RunMetrics Run();
 
-  // Single-interval stepping (exposed for tests). Returns false once all
-  // jobs have completed.
-  bool StepInterval();
-
   // --- Re-entrant stepping / online mutation API (docs/ALGORITHMS.md §17) --
   // The online service mode (src/service) drives the simulator as a
   // long-lived object: time advances in caller-chosen increments and jobs
@@ -285,8 +284,8 @@ class Simulator {
   // scheduler's prior for unfitted jobs.
   //
   // The baseline (the round without the candidate) is built once and reused
-  // by every query until a mutating call (AdvanceTo, StepInterval, Run,
-  // SubmitJob, KillJob) bumps the state generation. A candidate whose id is
+  // by every query until a mutating call (AdvanceTo, Run, SubmitJob,
+  // KillJob) bumps the state generation. A candidate whose id is
   // a schedulable job's is compared against an uncached baseline without
   // that job. Answers are bitwise those of a fresh pair of allocations
   // (src/sched/what_if.h).
@@ -378,8 +377,8 @@ class Simulator {
     // --- Event-engine segment state (simulator_events.cc) ------------------
     // While seg_active, the job trains at seg_speed steps/s from seg_anchor_s
     // onward (any stall_remaining_s is served first); seg_next_epoch is the
-    // next unobserved epoch boundary, reached at seg_next_s. Nothing in the
-    // event queue stands for it: the job's walk (WalkEpochs) reaches it.
+    // next unobserved epoch boundary, reached at seg_next_s by the job's own
+    // walk (WalkEpochs).
     bool seg_active = false;
     double seg_next_s = 0.0;
     double seg_anchor_s = 0.0;
@@ -417,8 +416,8 @@ class Simulator {
     bool lr_drop = false;  // learning-rate drop crossed this interval
   };
 
-  // One shared effect of an epoch walk, applied by the serial merge in the
-  // queue's (time, kind, job_id) order: a completion, or an lr-drop record.
+  // One shared effect of an epoch walk, applied by the serial merge in
+  // (time, job_id) order: a completion, or an lr-drop record.
   struct WalkEffect {
     double time_s = 0.0;
     JobRuntime* jr = nullptr;
@@ -426,20 +425,25 @@ class Simulator {
   };
 
   // --- Event-engine run loop (simulator_events.cc) --------------------------
-  // Processes every event and epoch boundary with time <= horizon (still
-  // subject to the max_sim_time_s cap); Run() drains with horizon +inf and
-  // the shared aggregation tail finishes the metrics either way.
+  // The events engine's queued items, in their processing order at equal
+  // times; also the index of its per-kind counters. A kEpochEvent counter
+  // counts walked boundaries; a queued kEpochEvent is a clock marker.
+  enum EventKind : int { kArrivalEvent, kEpochEvent, kFaultPlanEvent, kRoundEvent, kNumEventKinds };
+  // The (time, kind) of the earliest queued item: the live arrival, the
+  // earliest clock marker, the next fault-plan edge or the queued round (the
+  // lower kind at equal times). The time is +inf when none is queued.
+  std::pair<double, EventKind> NextQueued() const;
+  // Processes every queued item and epoch boundary with time <= horizon
+  // (still subject to the max_sim_time_s cap); Run() drains with horizon
+  // +inf and the shared aggregation tail finishes the metrics either way.
   void StepEventsUntil(double horizon);
-  // Seeds the queue at construction: one kFaultPlan per distinct scripted
-  // fault-plan edge (also kept in fault_edges_s_), the first kRound, and the
-  // first arrival.
-  void SeedEvents();
-  // Keeps the one live kArrival at the pending head's time: pushes it when
-  // NextArrival() is earlier than the one already queued.
+  // Keeps the live arrival at the pending head's time: moves it when
+  // NextArrival() is earlier than the queued one, which leaves a clock
+  // marker at the superseded time.
   void QueueNextArrival();
-  // One popped arrival: drops it unless it is the live one, else admits this
-  // instant's arrivals, restarts a stopped round chain at the first boundary
-  // at or after t, and queues the next arrival.
+  // The live arrival is due: admits this instant's arrivals, restarts a
+  // stopped round chain at the first boundary at or after t, and queues the
+  // next arrival.
   void HandleArrivalEvent(double t);
   // Advances a segment-active job's training to `t` (no epoch boundary in
   // (anchor, t): the walk stops at every boundary). Serves stall first.
@@ -455,8 +459,8 @@ class Simulator {
   // time (-inf if none).
   double WalkSegments(double barrier);
   // The job's pending boundary is superseded (re-anchored, evicted, killed
-  // or rebuilt): deactivates the segment and queues a clock marker, a kEpoch
-  // entry at the boundary's time that only moves now_s_ when it pops.
+  // or rebuilt): deactivates the segment and pushes a clock marker at the
+  // boundary's time, which only moves now_s_ when it comes due.
   void EndSegment(JobRuntime* jr);
   // A scripted fault-plan edge between rounds: apply server/slowdown
   // transitions at their exact time and re-anchor affected segments.
@@ -528,6 +532,11 @@ class Simulator {
   // Ground-truth job speed at the *current* allocation/placement (steps/s).
   double TrueSpeed(const JobRuntime& jr) const;
   void ScheduleActiveJobs();
+  // One interval-engine round: faults, scheduling, the advance and the
+  // audit, then now_s() moves one interval (fast-forwarding an idle cluster
+  // to its next arrival first). Returns false once all jobs have completed
+  // or the cap is reached; AdvanceTo and Run are its callers.
+  bool StepInterval();
   void AdvanceInterval();
   // Per-job interval step: trains the job, feeds its models, and records the
   // shared-state effects into `out`. Touches only jr-owned state, so calls
@@ -711,8 +720,8 @@ class Simulator {
   // allocator_ captures a pointer to it.
   OptimusAllocRoundStats alloc_stats_;
   std::unique_ptr<Allocator> allocator_;
-  // Bumped by every mutating public call (AdvanceTo, StepInterval, Run,
-  // SubmitJob, KillJob): the key of the cached what-if baseline.
+  // Bumped by every mutating public call (AdvanceTo, Run, SubmitJob,
+  // KillJob): the key of the cached what-if baseline.
   uint64_t state_generation_ = 0;
   // What-if admission state (WhatIf): a second allocator instance with
   // scratch round stats, so queries never advance the counters allocator_
@@ -744,18 +753,22 @@ class Simulator {
   RunMetrics metrics_;
   EventTrace trace_;
 
-  // --- Event engine ---------------------------------------------------------
-  EventQueue events_;
-  EventKindCounts event_counts_;  // processed events and walked boundaries
-  // The round chain: the queued kRound's time (+inf when none is queued: an
+  // --- Event engine: each queued item lives here once ----------------------
+  std::array<int64_t, kNumEventKinds> event_counts_ = {};  // handled items, walked boundaries
+  // The round chain: the queued round's time (+inf when none is queued: an
   // idle round queues none) and the time of the last one, which an arrival
-  // restarting the chain snaps to. The one live kArrival's time (+inf when
-  // none is queued).
+  // restarting the chain snaps to. The live arrival's time (+inf when none
+  // is queued).
   double queued_round_s_ = std::numeric_limits<double>::infinity();
   double last_round_s_ = 0.0;
   double queued_arrival_s_ = std::numeric_limits<double>::infinity();
-  // The distinct fault-plan edge times, ascending; the first next_edge_ have
-  // popped. With the queued round they bound each walk.
+  // Clock markers: the times of superseded boundaries and arrivals. Each
+  // only moves now_s_ when it comes due, so a partial advance stops its clock
+  // at the last thing processed. Like fault_edges_s_, it holds a +inf that
+  // never comes due, so neither is ever empty.
+  MinHeap<double, std::less<double>> markers_;
+  // The distinct fault-plan edge times, ascending, then +inf; the first
+  // next_edge_ have been applied. With the queued round they bound each walk.
   std::vector<double> fault_edges_s_;
   size_t next_edge_ = 0;
   // The jobs whose segment the last RebuildSegments activated, in order-key

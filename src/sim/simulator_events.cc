@@ -1,24 +1,25 @@
-// Event-engine run loop (SimEngine::kEvents); see src/sim/event_kernel.h for
-// the kernel design and docs/ALGORITHMS.md §16 for the determinism argument
-// and the parity contract against the interval engine.
+// Event-engine run loop (SimEngine::kEvents); docs/ALGORITHMS.md §16 has the
+// design, the determinism argument and the parity contract against the
+// interval engine.
 //
-// Structure: simulated activity is a deterministic event queue of arrivals,
-// fault-plan edges and rounds. Scheduling rounds stay periodic (one kRound per
-// interval, Algorithm-1 cadence) and reuse the interval engine's fault
-// pipeline, scheduler round, and auditor verbatim. Between two barriers (the
-// queued round, the next fault-plan edge, the horizon) each running job walks
-// its own analytically computed epoch boundaries (WalkEpochs), fanned out
-// over the pool, touching only its own state; the caller then applies the
-// walks' shared effects (completions, lr-drop records) merged with the
-// queue's arrivals in the queue's (time, kind, job_id) order. Every RNG draw
-// flows through job-owned streams, keeping outputs bitwise identical for any
-// --threads. The per-job observation steps (epoch loss, loss and speed
-// samples, fits, utilization) are the interval engine's, shared through the
-// Simulator helpers AdvanceJob calls.
+// Scheduling rounds stay periodic (one per interval, Algorithm-1 cadence) and
+// reuse the interval engine's fault pipeline, scheduler round, and auditor
+// verbatim. Between two barriers (the queued round, the next fault-plan edge,
+// the horizon) each running job walks its own analytically computed epoch
+// boundaries (WalkEpochs), fanned out over the pool, touching only its own
+// state; the caller then applies the walks' shared effects (completions,
+// lr-drop records) serially, in time order with the queued items. There is
+// no event queue: each queued item lives once, in the state that owns it, and
+// NextQueued() picks the earliest. Every RNG draw flows through job-owned
+// streams, keeping outputs bitwise identical for any --threads. The per-job
+// observation steps (epoch loss, loss and speed samples, fits, utilization)
+// are the interval engine's, shared through the Simulator helpers AdvanceJob
+// calls.
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <tuple>
 
 #include "src/common/logging.h"
 #include "src/sim/simulator.h"
@@ -36,54 +37,37 @@ constexpr int kConvSamplesPerEpoch = 2;
 
 }  // namespace
 
-void Simulator::SeedEvents() {
-  // One kFaultPlan event per distinct scripted edge time; the handler applies
-  // every transition due at that instant, so duplicates would be redundant.
-  std::vector<double> edges;
-  for (const ServerOutage& outage : config_.fault.plan.outages) {
-    edges.push_back(outage.start_s);
-    if (std::isfinite(outage.recover_s)) {
-      edges.push_back(outage.recover_s);
+std::pair<double, Simulator::EventKind> Simulator::NextQueued() const {
+  std::pair<double, EventKind> next{queued_arrival_s_, kArrivalEvent};
+  // Strictly earlier only: at equal times the lower kind, checked first, wins.
+  auto consider = [&next](double t, EventKind kind) {
+    if (t < next.first) {
+      next = {t, kind};
     }
-  }
-  for (const SlowdownBurst& burst : config_.fault.plan.slowdowns) {
-    edges.push_back(burst.start_s);
-    edges.push_back(burst.end_s);
-  }
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  for (double t : edges) {
-    events_.push({t, SimEventKind::kFaultPlan, -1});
-  }
-  fault_edges_s_ = std::move(edges);
-  events_.push({0.0, SimEventKind::kRound, -1});
-  queued_round_s_ = 0.0;
-  QueueNextArrival();
+  };
+  consider(markers_.top(), kEpochEvent);
+  consider(fault_edges_s_[next_edge_], kFaultPlanEvent);
+  consider(queued_round_s_, kRoundEvent);
+  return next;
 }
 
 void Simulator::QueueNextArrival() {
   const double t = NextArrival();
   if (t < queued_arrival_s_) {
-    events_.push({t, SimEventKind::kArrival, -1});
+    if (std::isfinite(queued_arrival_s_)) {
+      markers_.push(queued_arrival_s_);
+    }
     queued_arrival_s_ = t;
   }
 }
 
 void Simulator::HandleArrivalEvent(double t) {
-  // One arrival event is live at a time. A submission arriving earlier than
-  // the queued one supersedes it; the superseded event pops at a time other
-  // than the live one's and is dropped.
-  if (t != queued_arrival_s_) {
-    return;
-  }
   queued_arrival_s_ = std::numeric_limits<double>::infinity();
   ActivateArrivals();
-  event_counts_.Note(SimEventKind::kArrival);
   if (std::isinf(queued_round_s_)) {
     // The chain stopped at an idle round: resume at the first boundary at or
     // after this arrival.
     queued_round_s_ = NextRoundAtOrAfter(last_round_s_, t);
-    events_.push({queued_round_s_, SimEventKind::kRound, -1});
   }
   QueueNextArrival();
 }
@@ -183,25 +167,20 @@ double Simulator::WalkSegments(double barrier) {
       walk_effects_.push_back({walk.lr_drop_s, jr, false});
     }
   }
-  event_counts_.Note(SimEventKind::kEpoch, epochs);
-  // Merge order: the queue's key, and a completion before the lr-drop record
-  // of the same boundary.
+  event_counts_[kEpochEvent] += epochs;
+  // Merge order: time, then job id, and a completion before the lr-drop
+  // record of the same boundary.
+  auto key = [](const WalkEffect& w) {
+    return std::tuple(w.time_s, w.jr->job.id(), !w.completion);
+  };
   std::sort(walk_effects_.begin(), walk_effects_.end(),
-            [](const WalkEffect& a, const WalkEffect& b) {
-              if (a.time_s != b.time_s) {
-                return a.time_s < b.time_s;
-              }
-              if (a.jr->job.id() != b.jr->job.id()) {
-                return a.jr->job.id() < b.jr->job.id();
-              }
-              return a.completion > b.completion;
-            });
+            [&key](const WalkEffect& a, const WalkEffect& b) { return key(a) < key(b); });
   return last_s;
 }
 
 void Simulator::EndSegment(JobRuntime* jr) {
   if (jr->seg_active) {
-    events_.push({jr->seg_next_s, SimEventKind::kEpoch, jr->job.id()});
+    markers_.push(jr->seg_next_s);
     jr->seg_active = false;
   }
 }
@@ -349,8 +328,8 @@ void Simulator::HandleRoundEvent(double t) {
   RetireCompleted();
 
   // The shared policy path, verbatim: fault pipeline (periodic checkpoints,
-  // stochastic task failures, eviction scan — scripted edges already fired as
-  // kFaultPlan events), scheduling round, invariant audit.
+  // stochastic task failures, eviction scan — scripted edges were already
+  // applied at their exact times), scheduling round, invariant audit.
   {
     ScopedTimer timer(&profiler_, phase_faults_);
     ApplyFaults();
@@ -374,7 +353,6 @@ void Simulator::HandleRoundEvent(double t) {
   SampleObservability();
 
   queued_round_s_ = t + config_.interval_s;
-  events_.push({queued_round_s_, SimEventKind::kRound, -1});
 }
 
 void Simulator::StepEventsUntil(double horizon) {
@@ -385,29 +363,26 @@ void Simulator::StepEventsUntil(double horizon) {
     // The span ends at the first barrier: the queued round, the next
     // fault-plan edge, or the horizon. Only those change another job's
     // segment, so every job walks its boundaries up to it on its own.
-    double barrier = std::min(horizon, queued_round_s_);
-    if (next_edge_ < fault_edges_s_.size()) {
-      barrier = std::min(barrier, fault_edges_s_[next_edge_]);
-    }
+    const double barrier = std::min({horizon, queued_round_s_, fault_edges_s_[next_edge_]});
     double walked_s = 0.0;
     {
       ScopedTimer timer(&profiler_, phase_events_);
       walked_s = WalkSegments(barrier);
     }
-    // Merge the walks' effects with the queue up to the barrier, in key
-    // order. A boundary sorts as (time, kEpoch, job id), after an arrival at
-    // its instant and before an edge or round. Once every job completed no
-    // queued event pops, but the last boundary's lr-drop record still lands.
+    // Merge the walks' effects with the queued items up to the barrier, in
+    // time order. A boundary goes after an arrival at its instant and before
+    // an edge or round; a clock marker at its instant may go either side, as
+    // it only moves now_s_ to a time the merge reaches anyway. Once every job
+    // completed no queued item comes due, but the last boundary's lr-drop
+    // record still lands.
     more = false;
     size_t effect = 0;
     while (true) {
-      const bool event_due = metrics_.completed_jobs < metrics_.total_jobs &&
-                             !events_.empty() && due(events_.top().time_s);
+      const auto [next_s, kind] = NextQueued();
+      const bool next_due = metrics_.completed_jobs < metrics_.total_jobs && due(next_s);
       if (effect < walk_effects_.size()) {
         const WalkEffect& w = walk_effects_[effect];
-        if (!event_due || !SimKernelEventBefore()(events_.top(),
-                                                  {w.time_s, SimEventKind::kEpoch,
-                                                   w.jr->job.id()})) {
+        if (!next_due || w.time_s < next_s || (w.time_s == next_s && kind != kArrivalEvent)) {
           ScopedTimer timer(&profiler_, phase_events_);
           Job& job = w.jr->job;
           if (w.completion) {
@@ -420,27 +395,25 @@ void Simulator::StepEventsUntil(double horizon) {
           continue;
         }
       }
-      if (!event_due) {
+      if (!next_due) {
         break;
       }
-      const SimKernelEvent event = events_.top();
-      events_.pop();
-      now_s_ = event.time_s;
-      if (event.kind == SimEventKind::kArrival) {
+      now_s_ = next_s;
+      if (kind == kEpochEvent) {
+        markers_.pop();  // a clock marker: it only moves now_s_
+        continue;
+      }
+      ++event_counts_[kind];
+      if (kind == kArrivalEvent) {
         ScopedTimer timer(&profiler_, phase_events_);
         HandleArrivalEvent(now_s_);
         continue;
       }
-      if (event.kind == SimEventKind::kEpoch) {
-        continue;  // a clock marker: it only moves now_s_
-      }
-      if (event.kind == SimEventKind::kFaultPlan) {
+      if (kind == kFaultPlanEvent) {
         ScopedTimer timer(&profiler_, phase_faults_);
         ++next_edge_;
         HandleFaultPlanEvent(now_s_);
-        event_counts_.Note(SimEventKind::kFaultPlan);
       } else {
-        event_counts_.Note(SimEventKind::kRound);
         HandleRoundEvent(now_s_);
       }
       more = true;  // past a barrier: walk the next span

@@ -1,7 +1,5 @@
-// Discrete-event kernel (src/sim/event_kernel.h, simulator_events.cc):
+// The events engine (src/sim/simulator_events.cc):
 //
-//   - EventQueue ordering: top()/pop() drains in the strict (time, kind,
-//     job_id) total order, whatever the push order.
 //   - Thread determinism: metrics and the full event trace are bitwise
 //     identical for --threads {1, 2, 8}, with and without a fault plan, and
 //     with fault-plan edges inside scheduling spans.
@@ -36,7 +34,6 @@
 #include "src/cluster/server.h"
 #include "src/common/rng.h"
 #include "src/obs/metrics_registry.h"
-#include "src/sim/event_kernel.h"
 #include "src/sim/fault_injector.h"
 #include "src/sim/run_fingerprint.h"
 #include "src/sim/simulator.h"
@@ -50,77 +47,6 @@
 
 namespace optimus {
 namespace {
-
-// ---------------------------------------------------------------------------
-// EventQueue ordering.
-
-// Drains the queue with top()/pop(), one "time/kind/job_id" entry per event.
-std::vector<std::string> Drain(EventQueue* q) {
-  std::vector<std::string> order;
-  while (!q->empty()) {
-    const SimKernelEvent& e = q->top();
-    std::ostringstream os;
-    os << e.time_s << "/" << SimEventKindName(e.kind) << "/" << e.job_id;
-    order.push_back(os.str());
-    q->pop();
-  }
-  return order;
-}
-
-TEST(EventQueueTest, PopsInTimeKindJobOrder) {
-  EventQueue q;
-  q.push({300.0, SimEventKind::kRound, -1});
-  q.push({100.0, SimEventKind::kEpoch, 7});
-  q.push({100.0, SimEventKind::kEpoch, 3});
-  q.push({100.0, SimEventKind::kArrival, 9});
-  q.push({100.0, SimEventKind::kRound, -1});
-  q.push({100.0, SimEventKind::kFaultPlan, -1});
-  q.push({50.0, SimEventKind::kRound, -1});
-  EXPECT_EQ(q.size(), 7u);
-
-  // t=50 round first; at t=100 arrivals before epochs (ascending job id)
-  // before fault edges before the round; the t=300 round last.
-  const std::vector<std::string> expected = {
-      "50/round/-1",      "100/arrival/9", "100/epoch/3",  "100/epoch/7",
-      "100/fault_plan/-1", "100/round/-1",  "300/round/-1",
-  };
-  EXPECT_EQ(Drain(&q), expected);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueueTest, PopOrderIndependentOfPushOrder) {
-  std::vector<SimKernelEvent> events;
-  for (int j = 0; j < 5; ++j) {
-    events.push_back({600.0, SimEventKind::kEpoch, j});
-    events.push_back({1200.0, SimEventKind::kEpoch, j});
-  }
-  events.push_back({600.0, SimEventKind::kRound, -1});
-  events.push_back({1200.0, SimEventKind::kRound, -1});
-
-  EventQueue forward;
-  for (const auto& e : events) {
-    forward.push(e);
-  }
-  const std::vector<std::string> reference = Drain(&forward);
-  ASSERT_EQ(reference.size(), events.size());
-  EXPECT_EQ(reference.front(), "600/epoch/0");
-  EXPECT_EQ(reference[5], "600/round/-1");
-  EXPECT_EQ(reference.back(), "1200/round/-1");
-
-  Rng rng(123);
-  for (int trial = 0; trial < 10; ++trial) {
-    for (size_t i = events.size(); i > 1; --i) {
-      std::swap(events[i - 1],
-                events[static_cast<size_t>(rng.UniformInt(
-                    0, static_cast<int>(i) - 1))]);
-    }
-    EventQueue shuffled;
-    for (const auto& e : events) {
-      shuffled.push(e);
-    }
-    EXPECT_EQ(Drain(&shuffled), reference) << "trial " << trial;
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Simulation-level determinism.

@@ -329,7 +329,7 @@ TEST_F(SimulatorTest, StepIntervalAdvancesTime) {
   config.seed = 23;
   Simulator sim(config, BuildTestbed(), SmallWorkload(3, 23));
   const double t0 = sim.now_s();
-  sim.StepInterval();
+  sim.AdvanceTo(t0 + config.interval_s);
   EXPECT_GT(sim.now_s(), t0);
 }
 

@@ -46,6 +46,19 @@ if [[ -n "${generator_copies}" ]]; then
   exit 1
 fi
 
+# No event queue: the events engine keeps each queued item once, in the
+# Simulator state that owns it (src/sim/simulator_events.cc). These names mean
+# a second copy of the queued items has come back.
+event_queue_copies=$(grep -rnE \
+    'EventQueue|SimKernelEvent|SimEventKind|src/sim/event_kernel' \
+    "${repo_root}/src" "${repo_root}/bench" "${repo_root}/tools" \
+    "${repo_root}/examples" "${repo_root}/tests" --exclude=check.sh || true)
+if [[ -n "${event_queue_copies}" ]]; then
+  echo "an event queue next to the Simulator's queued items:" >&2
+  echo "${event_queue_copies}" >&2
+  exit 1
+fi
+
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DOPTIMUS_SANITIZE="${OPTIMUS_SANITIZE:-}"
 cmake --build "${build_dir}" -j "$(nproc)"
