@@ -5,7 +5,6 @@
 #include <iostream>
 
 #include "bench/bench_util.h"
-#include "src/cluster/server.h"
 
 int main() {
   using namespace optimus;
@@ -17,24 +16,26 @@ int main() {
       "early noisy estimates. An unlimited budget maximizes elasticity at a "
       "small checkpoint-overhead cost.");
 
+  const int budgets[] = {0, 1, 2, 4, 8};  // 0 = unlimited
+  std::vector<ScenarioSpec> scenarios;
+  for (int budget : budgets) {
+    ScenarioSpec scenario = TestbedScenario();
+    scenario.policies = {"optimus"};
+    scenario.repeats = 10;
+    scenario.workload.num_jobs = 12;
+    scenario.workload.arrivals.window_s = 6000.0;
+    scenario.sim.checkpoint.max_scalings_per_job = budget;
+    scenarios.push_back(scenario);
+  }
+  const std::vector<SweepCellResult> cells = RunSweep(scenarios).cells;
+
   TablePrinter table({"max rescalings/job", "avg JCT (s)", "JCT (norm)",
                       "makespan (s)", "scaling overhead %"});
-  double base_jct = 0.0;
-  for (int budget : {0, 1, 2, 4, 8}) {  // 0 = unlimited
-    ExperimentConfig config;
-    ApplyTestbedConditions(&config.sim);
-    config.sim.checkpoint.max_scalings_per_job = budget;
-    config.workload.num_jobs = 12;
-    config.workload.arrival_window_s = 6000.0;
-    config.workload.target_steps_per_epoch = 80;
-    config.repeats = 10;
-    ExperimentResult r = RunExperiment(config, [] { return BuildTestbed(); });
-    if (budget == 0) {
-      base_jct = r.avg_jct_mean;
-    }
-    table.AddRow({budget == 0 ? "unlimited" : std::to_string(budget),
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const SweepCellResult& r = cells[i];
+    table.AddRow({budgets[i] == 0 ? "unlimited" : std::to_string(budgets[i]),
                   TablePrinter::FormatDouble(r.avg_jct_mean, 0),
-                  TablePrinter::FormatDouble(r.avg_jct_mean / base_jct, 3),
+                  TablePrinter::FormatDouble(r.avg_jct_mean / cells[0].avg_jct_mean, 3),
                   TablePrinter::FormatDouble(r.makespan_mean, 0),
                   TablePrinter::FormatDouble(r.scaling_overhead_mean * 100.0, 2)});
   }

@@ -5,7 +5,6 @@
 #include <iostream>
 
 #include "bench/bench_util.h"
-#include "src/cluster/server.h"
 
 int main() {
   using namespace optimus;
@@ -17,25 +16,27 @@ int main() {
       "DRF's disadvantage grows with abundance (work-conserving "
       "over-allocation past the knee wastes more when more is available)");
 
-  TablePrinter table({"# servers", "Optimus JCT (s)", "DRF JCT (s)", "DRF/Optimus"});
+  std::vector<ScenarioSpec> scenarios;
   for (int servers : {6, 10, 16, 24, 36}) {
-    std::vector<double> jcts;
-    for (const char* policy : {"optimus", "drf"}) {
-      ExperimentConfig config;
-      config.sim.policy = policy;
-      ApplyTestbedConditions(&config.sim);
-      config.workload.num_jobs = 12;
-      config.workload.arrival_window_s = 6000.0;
-      config.workload.target_steps_per_epoch = 60;
-      config.repeats = 5;
-      ExperimentResult r = RunExperiment(config, [servers] {
-        return BuildUniformCluster(servers, Resources(16, 80, 0, 1));
-      });
-      jcts.push_back(r.avg_jct_mean);
-    }
-    table.AddRow({std::to_string(servers), TablePrinter::FormatDouble(jcts[0], 0),
-                  TablePrinter::FormatDouble(jcts[1], 0),
-                  TablePrinter::FormatDouble(jcts[1] / jcts[0], 2)});
+    ScenarioSpec scenario = TestbedScenario();
+    scenario.policies = {"optimus", "drf"};
+    scenario.workload.num_jobs = 12;
+    scenario.workload.arrivals.window_s = 6000.0;
+    scenario.workload.sizes.target_steps_per_epoch = 60;
+    scenario.cluster.testbed = false;
+    scenario.cluster.classes = {{"uniform", servers, Resources(16, 80, 0, 1)}};
+    scenarios.push_back(scenario);
+  }
+  const std::vector<SweepCellResult> cells = RunSweep(scenarios).cells;
+
+  TablePrinter table({"# servers", "Optimus JCT (s)", "DRF JCT (s)", "DRF/Optimus"});
+  for (size_t i = 0; i < scenarios.size(); ++i) {
+    const SweepCellResult& optimus = cells[2 * i];
+    const SweepCellResult& drf = cells[2 * i + 1];
+    table.AddRow({std::to_string(scenarios[i].cluster.NumServers()),
+                  TablePrinter::FormatDouble(optimus.avg_jct_mean, 0),
+                  TablePrinter::FormatDouble(drf.avg_jct_mean, 0),
+                  TablePrinter::FormatDouble(drf.jct_vs_baseline, 2)});
   }
   table.Print(std::cout);
   std::cout << "\nBoth schedulers saturate as jobs hit their speed knees; DRF "

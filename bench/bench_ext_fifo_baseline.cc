@@ -7,8 +7,6 @@
 
 #include "bench/bench_util.h"
 #include "src/common/stats.h"
-#include "src/cluster/server.h"
-#include "src/sched/scheduler_registry.h"
 
 int main() {
   using namespace optimus;
@@ -19,32 +17,21 @@ int main() {
       "(\u00a72.3) shows up in the JCT tail: short jobs occasionally queue "
       "behind a long head job, inflating the p90 JCT relative to its mean");
 
+  ScenarioSpec scenario = TestbedScenario();
+  scenario.policies.push_back("fifo");
   TablePrinter table({"scheduler", "avg JCT (s)", "JCT (norm)", "p90 JCT (s)",
                       "makespan (s)", "makespan (norm)"});
-  double base_jct = 0.0;
-  double base_mk = 0.0;
-  for (const char* policy : {"optimus", "drf", "tetris", "fifo"}) {
-    ExperimentConfig config;
-    ApplyTestbedConditions(&config.sim);
-    config.sim.policy = policy;
-    config.workload.num_jobs = 9;
-    config.workload.target_steps_per_epoch = 80;
-    config.repeats = 5;
-    ExperimentResult r = RunExperiment(config, [] { return BuildTestbed(); });
-    if (base_jct == 0.0) {
-      base_jct = r.avg_jct_mean;
-      base_mk = r.makespan_mean;
-    }
+  const SweepResult result = RunSweep({scenario});
+  for (const SweepCellResult& r : result.cells) {
     std::vector<double> all_jcts;
     for (const RunMetrics& m : r.runs) {
       all_jcts.insert(all_jcts.end(), m.jcts.begin(), m.jcts.end());
     }
-    const std::string name = FindPolicy(policy)->display_name;
-    table.AddRow({name, TablePrinter::FormatDouble(r.avg_jct_mean, 0),
-                  TablePrinter::FormatDouble(r.avg_jct_mean / base_jct, 2),
+    table.AddRow({r.display_name, TablePrinter::FormatDouble(r.avg_jct_mean, 0),
+                  TablePrinter::FormatDouble(r.jct_vs_baseline, 2),
                   TablePrinter::FormatDouble(Percentile(all_jcts, 90.0), 0),
                   TablePrinter::FormatDouble(r.makespan_mean, 0),
-                  TablePrinter::FormatDouble(r.makespan_mean / base_mk, 2)});
+                  TablePrinter::FormatDouble(r.makespan_vs_baseline, 2)});
   }
   table.Print(std::cout);
   return 0;

@@ -7,7 +7,6 @@
 #include <iostream>
 
 #include "bench/bench_util.h"
-#include "src/cluster/server.h"
 
 int main() {
   using namespace optimus;
@@ -18,28 +17,27 @@ int main() {
       "(linear extrapolation never sees diminishing returns), wasting slots "
       "and slowing every job: higher JCT and makespan");
 
+  std::vector<ScenarioSpec> scenarios;
+  for (bool naive : {false, true}) {
+    ScenarioSpec scenario = TestbedScenario();
+    scenario.policies = {"optimus"};
+    scenario.repeats = 8;
+    scenario.workload.num_jobs = 12;
+    scenario.workload.arrivals.window_s = 6000.0;
+    scenario.sim.naive_linear_speed = naive;
+    scenarios.push_back(scenario);
+  }
+  const std::vector<SweepCellResult> cells = RunSweep(scenarios).cells;
+
   TablePrinter table({"speed model", "avg JCT (s)", "JCT (norm)", "makespan (s)",
                       "makespan (norm)"});
-  double base_jct = 0.0;
-  double base_mk = 0.0;
-  for (bool naive : {false, true}) {
-    ExperimentConfig config;
-    ApplyTestbedConditions(&config.sim);
-    config.sim.naive_linear_speed = naive;
-    config.workload.num_jobs = 12;
-    config.workload.arrival_window_s = 6000.0;
-    config.workload.target_steps_per_epoch = 80;
-    config.repeats = 8;
-    ExperimentResult r = RunExperiment(config, [] { return BuildTestbed(); });
-    if (!naive) {
-      base_jct = r.avg_jct_mean;
-      base_mk = r.makespan_mean;
-    }
-    table.AddRow({naive ? "naive linear" : "fitted Eqn-3/4",
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const SweepCellResult& r = cells[i];
+    table.AddRow({i == 0 ? "fitted Eqn-3/4" : "naive linear",
                   TablePrinter::FormatDouble(r.avg_jct_mean, 0),
-                  TablePrinter::FormatDouble(r.avg_jct_mean / base_jct, 2),
+                  TablePrinter::FormatDouble(r.avg_jct_mean / cells[0].avg_jct_mean, 2),
                   TablePrinter::FormatDouble(r.makespan_mean, 0),
-                  TablePrinter::FormatDouble(r.makespan_mean / base_mk, 2)});
+                  TablePrinter::FormatDouble(r.makespan_mean / cells[0].makespan_mean, 2)});
   }
   table.Print(std::cout);
   return 0;

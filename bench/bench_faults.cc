@@ -11,9 +11,7 @@
 #include <iostream>
 
 #include "bench/bench_util.h"
-#include "src/cluster/server.h"
 #include "src/common/logging.h"
-#include "src/sched/scheduler_registry.h"
 #include "src/sim/fault_injector.h"
 
 int main() {
@@ -34,33 +32,26 @@ int main() {
       "rack@12000:servers=7-9,recover=21600;"
       "slow@6000:factor=0.6,duration=3600";
 
+  ScenarioSpec scenario = TestbedScenario();
+  scenario.policies.push_back("fifo");
+  scenario.repeats = 3;
+  std::string parse_error;
+  OPTIMUS_CHECK(ParseFaultPlan(kPlan, &scenario.sim.fault.plan, &parse_error))
+      << parse_error;
+  scenario.sim.fault.task_failure_prob = 0.02;
+  scenario.sim.fault.checkpoint_period_s = 3600.0;
+  scenario.sim.audit = true;
+
   TablePrinter table({"scheduler", "avg JCT (s)", "JCT (norm)", "makespan (s)",
                       "evictions/run", "task fails/run", "audit violations"});
   std::vector<JsonObject> json_rows;
-  double base_jct = 0.0;
   int64_t total_violations = 0;
-  for (const char* policy : {"optimus", "drf", "tetris", "fifo"}) {
-    const std::string name = FindPolicy(policy)->display_name;
-    ExperimentConfig config;
-    ApplyTestbedConditions(&config.sim);
-    config.sim.policy = policy;
-    std::string parse_error;
-    OPTIMUS_CHECK(ParseFaultPlan(kPlan, &config.sim.fault.plan, &parse_error))
-        << parse_error;
-    config.sim.fault.task_failure_prob = 0.02;
-    config.sim.fault.checkpoint_period_s = 3600.0;
-    config.sim.audit = true;
-    config.workload.num_jobs = 9;
-    config.workload.target_steps_per_epoch = 80;
-    config.repeats = 3;
-    config.label = name;
-    ExperimentResult r = RunExperiment(config, [] { return BuildTestbed(); });
-    if (base_jct == 0.0) {
-      base_jct = r.avg_jct_mean;
-    }
+  const SweepResult result = RunSweep({scenario});
+  for (const SweepCellResult& r : result.cells) {
+    const std::string& name = r.display_name;
     total_violations += r.audit_violations_total;
     table.AddRow({name, TablePrinter::FormatDouble(r.avg_jct_mean, 0),
-                  TablePrinter::FormatDouble(r.avg_jct_mean / base_jct, 2),
+                  TablePrinter::FormatDouble(r.jct_vs_baseline, 2),
                   TablePrinter::FormatDouble(r.makespan_mean, 0),
                   TablePrinter::FormatDouble(r.job_evictions_mean, 1),
                   TablePrinter::FormatDouble(r.task_failures_mean, 1),

@@ -13,14 +13,8 @@ int main() {
       "Optimus wins on both metrics; paper: DRF 2.39x JCT / 1.63x makespan, "
       "Tetris in between (~1.7x JCT); scaling overhead ~2.5% of runtime");
 
-  ExperimentConfig base;
-  ApplyTestbedConditions(&base.sim);
-  base.workload.num_jobs = 9;
-  base.workload.target_steps_per_epoch = 80;
-  base.repeats = 5;
-
-  std::vector<ExperimentResult> results =
-      RunSchedulerComparison(base, "average over 5 workload seeds");
+  const std::vector<SweepCellResult> results =
+      RunPolicyComparison(TestbedScenario(), "average over 5 workload seeds");
 
   std::cout << "\nResource-adjustment overhead (Optimus): "
             << TablePrinter::FormatDouble(results[0].scaling_overhead_mean * 100.0, 2)

@@ -30,7 +30,7 @@ int main() {
   for (const char* policy : {"optimus", "drf", "tetris"}) {
     SimulatorConfig config;
     config.policy = policy;
-    ApplyTestbedConditions(&config);
+    config.straggler.injection_prob_per_interval = 0.12;  // testbed conditions
     config.seed = 5;
     Rng rng(config.seed ^ 0x5eedULL);
     Simulator sim(config, BuildTestbed(), GenerateWorkload(workload, &rng));

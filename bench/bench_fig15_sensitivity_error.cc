@@ -6,7 +6,6 @@
 #include <iostream>
 
 #include "bench/bench_util.h"
-#include "src/cluster/server.h"
 
 namespace {
 
@@ -18,18 +17,20 @@ struct Point {
 };
 
 Point RunWithError(double conv_err, double speed_err, double priority, int repeats) {
-  ExperimentConfig config;
-  config.sim.oracle_estimates = true;
-  config.sim.error.convergence_error = conv_err;
-  config.sim.error.speed_error = speed_err;
-  config.sim.ablation.young_job_priority_factor = priority;
+  ScenarioSpec scenario = TestbedScenario();
+  scenario.policies = {"optimus"};
+  scenario.repeats = repeats;
   // A contended workload: mis-estimates only cost performance when jobs
   // genuinely compete for the slots.
-  config.workload.num_jobs = 15;
-  config.workload.arrival_window_s = 6000.0;
-  config.workload.target_steps_per_epoch = 80;
-  config.repeats = repeats;
-  ExperimentResult r = RunExperiment(config, [] { return BuildTestbed(); });
+  scenario.workload.num_jobs = 15;
+  scenario.workload.arrivals.window_s = 6000.0;
+  // Oracle estimates with injected error and no stragglers.
+  scenario.sim.straggler.injection_prob_per_interval = 0.0;
+  scenario.sim.oracle_estimates = true;
+  scenario.sim.error.convergence_error = conv_err;
+  scenario.sim.error.speed_error = speed_err;
+  scenario.sim.ablation.young_job_priority_factor = priority;
+  const SweepCellResult r = RunSweep({scenario}).cells[0];
   return {r.avg_jct_mean, r.makespan_mean};
 }
 

@@ -13,13 +13,9 @@ int main() {
       "when all jobs train synchronously (estimates are more reliable)");
 
   for (TrainingMode mode : {TrainingMode::kAsync, TrainingMode::kSync}) {
-    ExperimentConfig base;
-    ApplyTestbedConditions(&base.sim);
-    base.workload.num_jobs = 9;
-    base.workload.target_steps_per_epoch = 80;
-    base.workload.forced_mode = mode;
-    base.repeats = 5;
-    RunSchedulerComparison(base, std::string("all jobs ") + TrainingModeName(mode));
+    ScenarioSpec scenario = TestbedScenario();
+    scenario.workload.forced_mode = mode;
+    RunPolicyComparison(scenario, std::string("all jobs ") + TrainingModeName(mode));
   }
   return 0;
 }

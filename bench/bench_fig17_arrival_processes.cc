@@ -18,13 +18,10 @@ int main() {
       {ArrivalSpec::Kind::kPoisson, "poisson"},
       {ArrivalSpec::Kind::kBursty, "google-trace"}};
   for (const auto& [kind, label] : processes) {
-    ExperimentConfig base;
-    ApplyTestbedConditions(&base.sim);
-    base.workload.num_jobs = 12;
-    base.workload.arrivals = kind;
-    base.workload.target_steps_per_epoch = 80;
-    base.repeats = 5;
-    RunSchedulerComparison(base, label);
+    ScenarioSpec scenario = TestbedScenario();
+    scenario.workload.num_jobs = 12;
+    scenario.workload.arrivals.kind = kind;
+    RunPolicyComparison(scenario, label);
   }
   return 0;
 }

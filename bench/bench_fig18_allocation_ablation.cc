@@ -5,7 +5,6 @@
 #include <iostream>
 
 #include "bench/bench_util.h"
-#include "src/cluster/server.h"
 
 int main() {
   using namespace optimus;
@@ -14,27 +13,25 @@ int main() {
       "Optimus's marginal-gain allocation beats DRF-style and Tetris-style "
       "allocation on both JCT and makespan (paper: DRF-alloc 1.62x JCT)");
 
+  const char* const allocations[] = {"optimus", "drf", "tetris"};
+  std::vector<ScenarioSpec> scenarios;
+  for (const char* allocation : allocations) {
+    ScenarioSpec scenario = TestbedScenario();
+    scenario.policies = {"optimus"};
+    scenario.sim.ablation.allocator = allocation;  // the only knob that changes
+    scenarios.push_back(scenario);
+  }
+  const std::vector<SweepCellResult> cells = RunSweep(scenarios).cells;
+
   TablePrinter table({"allocation", "avg JCT (s)", "JCT (norm)", "makespan (s)",
                       "makespan (norm)"});
-  double base_jct = 0.0;
-  double base_mk = 0.0;
-  for (const char* allocation : {"optimus", "drf", "tetris"}) {
-    ExperimentConfig config;
-    ApplyTestbedConditions(&config.sim);
-    config.sim.ablation.allocator = allocation;  // the only knob that changes
-    config.workload.num_jobs = 9;
-    config.workload.target_steps_per_epoch = 80;
-    config.repeats = 5;
-    ExperimentResult r = RunExperiment(config, [] { return BuildTestbed(); });
-    if (base_jct == 0.0) {
-      base_jct = r.avg_jct_mean;
-      base_mk = r.makespan_mean;
-    }
-    table.AddRow({allocation,
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const SweepCellResult& r = cells[i];
+    table.AddRow({allocations[i],
                   TablePrinter::FormatDouble(r.avg_jct_mean, 0),
-                  TablePrinter::FormatDouble(r.avg_jct_mean / base_jct, 2),
+                  TablePrinter::FormatDouble(r.avg_jct_mean / cells[0].avg_jct_mean, 2),
                   TablePrinter::FormatDouble(r.makespan_mean, 0),
-                  TablePrinter::FormatDouble(r.makespan_mean / base_mk, 2)});
+                  TablePrinter::FormatDouble(r.makespan_mean / cells[0].makespan_mean, 2)});
   }
   table.Print(std::cout);
   return 0;

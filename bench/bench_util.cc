@@ -6,11 +6,9 @@
 #include <sstream>
 
 #include "src/cluster/server.h"
-#include "src/common/logging.h"
 #include "src/models/param_blocks.h"
 #include "src/pserver/block_assignment.h"
 #include "src/pserver/comm_model.h"
-#include "src/sched/scheduler_registry.h"
 
 namespace optimus {
 
@@ -68,41 +66,34 @@ CellRun RunSim(const SimulatorConfig& config, std::vector<Server> servers,
   return run;
 }
 
-std::vector<ExperimentResult> RunPolicyComparison(
-    const ExperimentConfig& base, const std::vector<std::string>& policies,
-    const std::string& caption) {
-  OPTIMUS_CHECK(!policies.empty());
-  std::vector<ExperimentResult> results;
-  for (const std::string& policy : policies) {
-    ExperimentConfig config = base;
-    config.sim.policy = policy;
-    config.label = FindPolicy(policy)->display_name;
-    results.push_back(RunExperiment(config, [] { return BuildTestbed(); }));
-  }
+ScenarioSpec TestbedScenario() {
+  ScenarioSpec scenario;
+  scenario.name = "testbed";
+  scenario.repeats = 5;
+  scenario.policies = {"optimus", "drf", "tetris"};
+  scenario.workload.sizes.target_steps_per_epoch = 80;
+  scenario.sim.straggler.injection_prob_per_interval = 0.12;
+  return scenario;
+}
 
-  const ExperimentResult& baseline = results[0];
+std::vector<SweepCellResult> RunPolicyComparison(const ScenarioSpec& scenario,
+                                                 const std::string& caption) {
+  std::vector<SweepCellResult> cells = RunSweep({scenario}).cells;
   PrintBanner(std::cout, caption);
   TablePrinter table({"scheduler", "avg JCT (s)", "JCT stddev", "JCT (norm)",
                       "makespan (s)", "makespan stddev", "makespan (norm)",
                       "scaling overhead %"});
-  for (const ExperimentResult& r : results) {
-    table.AddRow({r.label, TablePrinter::FormatDouble(r.avg_jct_mean, 0),
-                  TablePrinter::FormatDouble(r.avg_jct_stddev, 0),
-                  TablePrinter::FormatDouble(
-                      NormalizedTo(r.avg_jct_mean, baseline.avg_jct_mean), 2),
-                  TablePrinter::FormatDouble(r.makespan_mean, 0),
-                  TablePrinter::FormatDouble(r.makespan_stddev, 0),
-                  TablePrinter::FormatDouble(
-                      NormalizedTo(r.makespan_mean, baseline.makespan_mean), 2),
-                  TablePrinter::FormatDouble(r.scaling_overhead_mean * 100.0, 2)});
+  for (const SweepCellResult& c : cells) {
+    table.AddRow({c.display_name, TablePrinter::FormatDouble(c.avg_jct_mean, 0),
+                  TablePrinter::FormatDouble(c.avg_jct_stddev, 0),
+                  TablePrinter::FormatDouble(c.jct_vs_baseline, 2),
+                  TablePrinter::FormatDouble(c.makespan_mean, 0),
+                  TablePrinter::FormatDouble(c.makespan_stddev, 0),
+                  TablePrinter::FormatDouble(c.makespan_vs_baseline, 2),
+                  TablePrinter::FormatDouble(c.scaling_overhead_mean * 100.0, 2)});
   }
   table.Print(std::cout);
-  return results;
-}
-
-std::vector<ExperimentResult> RunSchedulerComparison(const ExperimentConfig& base,
-                                                     const std::string& caption) {
-  return RunPolicyComparison(base, {"optimus", "drf", "tetris"}, caption);
+  return cells;
 }
 
 namespace {

@@ -3,7 +3,9 @@
 // Every bench binary regenerates one table or figure from the paper's
 // evaluation: it prints an experiment header, the rows/series the paper
 // reports, and (where the paper gives numbers) the paper's values alongside
-// the measured ones for EXPERIMENTS.md.
+// the measured ones for EXPERIMENTS.md. The §6 experiments are scenarios run
+// through RunSweep (src/workload/sweep.h), the one repeat runner: each bench
+// starts from TestbedScenario() and sets the fields its figure varies.
 
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
@@ -19,9 +21,10 @@
 #include "src/common/table.h"
 #include "src/net/network_model.h"
 #include "src/sched/speed_estimate.h"
-#include "src/sim/experiment.h"
 #include "src/sim/run_fingerprint.h"
 #include "src/sim/simulator.h"
+#include "src/workload/scenario.h"
+#include "src/workload/sweep.h"
 
 namespace optimus {
 
@@ -59,19 +62,17 @@ struct CellRun {
 CellRun RunSim(const SimulatorConfig& config, std::vector<Server> servers,
                std::vector<JobSpec> specs);
 
-// Runs the canonical three-scheduler comparison (Optimus, DRF, Tetris) under
-// the given base config and prints absolute + normalized JCT / makespan.
-// Returns the three results in that order: the policies "optimus", "drf" and
-// "tetris" (src/sched/scheduler_registry.h).
-std::vector<ExperimentResult> RunSchedulerComparison(const ExperimentConfig& base,
-                                                     const std::string& caption);
+// scenarios/fig11_testbed.json's setup, built in code: 9 Table-1 jobs with
+// uniform arrivals over [0, 12000] s at 80 steps per epoch on the 13-server
+// testbed, 12% straggler injection, seed 42, 5 repeats. Its policies are the
+// canonical trio: "optimus", "drf" and "tetris".
+ScenarioSpec TestbedScenario();
 
-// Same comparison over an explicit list of registry policy names (e.g. adding
-// "fifo" or "srtf" to the canonical trio). Rows are labeled with each
-// policy's display name; normalization is against the first entry.
-std::vector<ExperimentResult> RunPolicyComparison(
-    const ExperimentConfig& base, const std::vector<std::string>& policies,
-    const std::string& caption);
+// Runs `scenario`'s policies and prints absolute + normalized JCT / makespan,
+// one row per policy display name, normalized against the first policy.
+// Returns the cells in policy order.
+std::vector<SweepCellResult> RunPolicyComparison(const ScenarioSpec& scenario,
+                                                 const std::string& caption);
 
 // A full-fidelity oracle estimate for zoo profile `zoo_index`: ground-truth
 // synchronous training speed in epochs/s from the Eqn-2 step-time model, with

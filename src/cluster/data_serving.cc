@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "src/cluster/job.h"
 #include "src/common/logging.h"
 
 namespace optimus {
@@ -28,10 +29,15 @@ int64_t EstimateExampleBytes(const ModelSpec& spec) {
   return 1024;
 }
 
-int64_t EstimateDatasetBytes(const ModelSpec& spec, double dataset_scale) {
+double ExactDatasetBytes(const ModelSpec& spec, double dataset_scale) {
   OPTIMUS_CHECK_GT(dataset_scale, 0.0);
-  const double bytes = static_cast<double>(spec.dataset_examples) * dataset_scale *
-                       static_cast<double>(EstimateExampleBytes(spec));
+  return static_cast<double>(spec.dataset_examples) * dataset_scale *
+         static_cast<double>(EstimateExampleBytes(spec));
+}
+
+int64_t EstimateDatasetBytes(const ModelSpec& spec, double dataset_scale) {
+  const double bytes = ExactDatasetBytes(spec, dataset_scale);
+  OPTIMUS_CHECK_LE(bytes, static_cast<double>(kMaxDatasetBytes)) << spec.name;
   return std::max<int64_t>(1, static_cast<int64_t>(bytes));
 }
 

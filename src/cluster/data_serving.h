@@ -21,7 +21,11 @@ inline constexpr int64_t kDefaultChunkBytes = 128LL * 1024 * 1024;
 // (raw images are large, text examples are small, audio is the largest).
 int64_t EstimateExampleBytes(const ModelSpec& spec);
 
-// Total dataset bytes after optional downscaling.
+// Total dataset bytes after optional downscaling, unrounded.
+double ExactDatasetBytes(const ModelSpec& spec, double dataset_scale = 1.0);
+
+// ExactDatasetBytes() rounded down, at least 1; at most kMaxDatasetBytes
+// (src/cluster/job.h).
 int64_t EstimateDatasetBytes(const ModelSpec& spec, double dataset_scale = 1.0);
 
 class DataServing {

@@ -31,6 +31,12 @@ inline constexpr int64_t kMaxJobGridCells = int64_t{1} << 20;
 // exactly. The workload CSV rejects a row past it; StepsPerEpoch CHECKs it.
 inline constexpr int64_t kMaxStepsPerEpoch = int64_t{1} << 53;
 
+// Cap on a job's dataset bytes: 2^47 (128 TiB), ~950x the largest zoo
+// dataset. DataServing holds one int per 128 MiB chunk, so the cap bounds it
+// at 4 MiB per job. The workload CSV rejects a row past it, the scenario DSL a
+// size multiplier that could pass it; EstimateDatasetBytes CHECKs it.
+inline constexpr int64_t kMaxDatasetBytes = int64_t{1} << 47;
+
 // max(max_ps, 1) * max_workers, in 64 bits.
 constexpr int64_t JobGridCells(int max_ps, int max_workers) {
   return static_cast<int64_t>(max_ps < 1 ? 1 : max_ps) * max_workers;

@@ -1,6 +1,6 @@
 // A small fork-join thread pool for deterministic parallelism.
 //
-// The library's parallel call sites (experiment repeats, per-arrival speed
+// The library's parallel call sites (sweep cells and repeats, per-arrival speed
 // pre-run sampling, per-job stepping, the events engine's per-job epoch walk,
 // and model refits) are embarrassingly
 // parallel: each unit of work owns its state — in particular its own split

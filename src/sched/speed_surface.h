@@ -16,7 +16,7 @@
 // Thread-safety: a SpeedSurface / SpeedSurfaceSet is NOT thread-safe, and no
 // surface is ever used concurrently: each scheduling round (each allocator
 // call chain) owns its set and probes it from one thread. The parallel
-// experiment runner satisfies this by construction: every simulator instance
+// sweep runner (RunSweep) satisfies this by construction: every simulator instance
 // builds its rounds' surfaces privately.
 
 #ifndef SRC_SCHED_SPEED_SURFACE_H_

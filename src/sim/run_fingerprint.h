@@ -38,7 +38,7 @@ struct RunFingerprint {
   std::vector<SimEvent> events;
 
   // Metrics alone (trace and network fields stay zero), for callers that
-  // only kept the RunMetrics of a run (the experiment runner's repeats).
+  // only kept the RunMetrics of a run (a sweep cell's repeats).
   static RunFingerprint Of(const RunMetrics& metrics);
   // Everything `sim` has computed so far: its metrics, trace and network.
   static RunFingerprint Of(const Simulator& sim);

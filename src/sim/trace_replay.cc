@@ -10,6 +10,7 @@
 #include <sstream>
 #include <utility>
 
+#include "src/cluster/data_serving.h"
 #include "src/common/logging.h"
 #include "src/models/model_zoo.h"
 #include "src/sim/workload.h"
@@ -153,6 +154,12 @@ bool ReadWorkloadCsv(std::istream& is, std::vector<JobSpec>* jobs,
     if (spec.ExactStepsPerEpoch() > static_cast<double>(kMaxStepsPerEpoch)) {
       *error = "line " + std::to_string(line_no) +
                ": dataset_scale: steps per epoch must be <= " + std::to_string(kMaxStepsPerEpoch);
+      return false;
+    }
+    if (ExactDatasetBytes(*spec.model, spec.dataset_scale) >
+        static_cast<double>(kMaxDatasetBytes)) {
+      *error = "line " + std::to_string(line_no) +
+               ": dataset_scale: dataset bytes must be <= " + std::to_string(kMaxDatasetBytes);
       return false;
     }
     spec.worker_demand = defaults.worker_demand;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/cluster/data_serving.h"
 #include "src/common/logging.h"
 #include "src/models/model_zoo.h"
 
@@ -96,6 +97,19 @@ bool IsProbRange(double lo, double hi) {
          hi <= 1.0;
 }
 
+// The largest job-size multiplier: the whole number that keeps every zoo
+// model's full dataset within kMaxDatasetBytes (downscaling only shrinks it).
+double MaxSizeMultiplier() {
+  static const double max_multiplier = [] {
+    double largest = 0.0;
+    for (const ModelSpec& m : GetModelZoo()) {
+      largest = std::max(largest, ExactDatasetBytes(m));
+    }
+    return std::floor(static_cast<double>(kMaxDatasetBytes) / largest);
+  }();
+  return max_multiplier;
+}
+
 }  // namespace
 
 bool WorkloadSpec::Validate(std::vector<std::string>* errors) const {
@@ -119,6 +133,12 @@ bool WorkloadSpec::Validate(std::vector<std::string>* errors) const {
         &valid);
   Check(sizes.pareto_cap >= 1.0, "sizes.pareto_cap: must be >= 1", errors,
         &valid);
+  Check(sizes.pareto_cap <= MaxSizeMultiplier(),
+        "sizes.pareto_cap: must be <= " +
+            std::to_string(static_cast<int64_t>(MaxSizeMultiplier())) +
+            " (past it a job's dataset could exceed " +
+            std::to_string(kMaxDatasetBytes) + " bytes)",
+        errors, &valid);
   Check(sizes.lognormal_sigma >= 0.0, "sizes.lognormal_sigma: must be >= 0",
         errors, &valid);
   Check(sizes.target_steps_per_epoch >= 0,
@@ -193,7 +213,10 @@ double SizeMultiplier(const JobSizeSpec& sizes, Rng* rng) {
       return std::min(x, sizes.pareto_cap);
     }
     case JobSizeSpec::Kind::kLognormal:
-      return rng->LogNormalFactor(sizes.lognormal_sigma);
+      // Clamped both ways: past the cap a dataset could exceed
+      // kMaxDatasetBytes, and a huge sigma can underflow a draw to 0.
+      return std::clamp(rng->LogNormalFactor(sizes.lognormal_sigma),
+                        1.0 / MaxSizeMultiplier(), MaxSizeMultiplier());
   }
   return 1.0;
 }

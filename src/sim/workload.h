@@ -14,12 +14,12 @@
 // One draw path serves both entry points: the arrival times come first, then
 // one DrawJob per job, in the same order and with the same draws. The entry
 // points differ only in the stream each draw reads:
-//   - GenerateJobs (scenarios, the service): arrivals read
-//     rng->Split(kArrivalStream) and job i reads
-//     rng->Split(kJobAttributeStreamBase + i), so adding a job or reordering
-//     attribute reads never perturbs another job's draws;
-//   - GenerateWorkload (optimus_sim, RunExperiment, the paper benches and the
-//     ledger): every draw reads `rng` itself, in order.
+//   - GenerateJobs (scenarios and so RunSweep, optimus_sim and the paper
+//     benches; the service): arrivals read rng->Split(kArrivalStream) and
+//     job i reads rng->Split(kJobAttributeStreamBase + i), so adding a job
+//     or reordering attribute reads never perturbs another job's draws;
+//   - GenerateWorkload (the ledger, the perf benches, examples and tests):
+//     every draw reads `rng` itself, in order.
 // The same (seed, spec) pair yields the same jobs on any platform and thread
 // count.
 

@@ -256,11 +256,9 @@ SimulatorConfig ScenarioSpec::MakeSimConfig(const std::string& policy,
 }
 
 std::vector<JobSpec> ScenarioSpec::JobsForRepeat(int repeat) const {
-  // Same salt as optimus_sim's workload stream, but not the same jobs: a
-  // scenario draws job i from its own split (GenerateJobs), while
-  // optimus_sim's GenerateWorkload reads that stream in order. A scenario
-  // with the paper's defaults replays the CLI's workload only once
-  // GenerateWorkload's callers move to the split streams (ROADMAP item 8).
+  // optimus_sim's generated path builds a scenario from its flags and draws
+  // here too, so a scenario with its defaults (scenarios/fig11_testbed.json)
+  // replays the CLI's jobs exactly.
   Rng rng((seed + static_cast<uint64_t>(repeat)) ^ 0x5eedULL);
   return GenerateJobs(workload, &rng);
 }

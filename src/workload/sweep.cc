@@ -4,9 +4,9 @@
 
 #include "src/common/json_writer.h"
 #include "src/common/logging.h"
+#include "src/common/stats.h"
 #include "src/common/threadpool.h"
 #include "src/obs/exporters.h"
-#include "src/sim/experiment.h"
 
 namespace optimus {
 
@@ -24,6 +24,42 @@ struct UnitResult {
   RunMetrics metrics;
   std::string run_report;  // repeat 0 only
 };
+
+// `value` over `baseline` (0 for a non-positive baseline).
+double Ratio(double value, double baseline) {
+  return baseline > 0.0 ? value / baseline : 0.0;
+}
+
+// Aggregates `runs`, given in repeat order, into `out`.
+void AggregateRepeats(const std::vector<RunMetrics>& runs, RepeatAggregate* out) {
+  std::vector<double> jcts;
+  std::vector<double> makespans;
+  std::vector<double> overheads;
+  std::vector<double> task_failures;
+  std::vector<double> evictions;
+  int64_t violations = 0;
+  double completed = 0.0;
+  double total = 0.0;
+  for (const RunMetrics& m : runs) {
+    jcts.push_back(m.avg_jct_s);
+    makespans.push_back(m.makespan_s);
+    overheads.push_back(m.scaling_overhead_fraction);
+    task_failures.push_back(static_cast<double>(m.task_failures));
+    evictions.push_back(static_cast<double>(m.job_evictions));
+    violations += m.audit_violations;
+    completed += m.completed_jobs;
+    total += m.total_jobs;
+  }
+  out->avg_jct_mean = Mean(jcts);
+  out->avg_jct_stddev = StdDev(jcts);
+  out->makespan_mean = Mean(makespans);
+  out->makespan_stddev = StdDev(makespans);
+  out->scaling_overhead_mean = Mean(overheads);
+  out->task_failures_mean = Mean(task_failures);
+  out->job_evictions_mean = Mean(evictions);
+  out->audit_violations_total = violations;
+  out->completed_fraction = total > 0.0 ? completed / total : 0.0;
+}
 
 }  // namespace
 
@@ -77,11 +113,10 @@ SweepResult RunSweep(const std::vector<ScenarioSpec>& scenarios,
   // Aggregate in grid order.
   SweepResult result;
   result.cells.resize(cell_count);
-  std::vector<std::vector<const RunMetrics*>> per_cell(cell_count);
   for (size_t i = 0; i < units.size(); ++i) {
     const Unit& unit = units[i];
-    per_cell[unit.cell].push_back(&slots[i].metrics);
     SweepCellResult& cell = result.cells[unit.cell];
+    cell.runs.push_back(std::move(slots[i].metrics));
     if (unit.repeat == 0) {
       cell.scenario = unit.scenario->name;
       cell.policy = *unit.policy;
@@ -92,9 +127,8 @@ SweepResult RunSweep(const std::vector<ScenarioSpec>& scenarios,
       cell.run_report = std::move(slots[i].run_report);
     }
   }
-  for (size_t c = 0; c < cell_count; ++c) {
-    SweepCellResult& cell = result.cells[c];
-    AggregateRepeats(per_cell[c], &cell);
+  for (SweepCellResult& cell : result.cells) {
+    AggregateRepeats(cell.runs, &cell);
     result.audit_violations_total += cell.audit_violations_total;
     result.completed_fraction_min =
         std::min(result.completed_fraction_min, cell.completed_fraction);
@@ -106,9 +140,8 @@ SweepResult RunSweep(const std::vector<ScenarioSpec>& scenarios,
     const SweepCellResult& baseline = result.cells[cursor];
     for (size_t p = 0; p < scenario.policies.size(); ++p) {
       SweepCellResult& cell = result.cells[cursor + p];
-      cell.jct_vs_baseline = NormalizedTo(cell.avg_jct_mean, baseline.avg_jct_mean);
-      cell.makespan_vs_baseline =
-          NormalizedTo(cell.makespan_mean, baseline.makespan_mean);
+      cell.jct_vs_baseline = Ratio(cell.avg_jct_mean, baseline.avg_jct_mean);
+      cell.makespan_vs_baseline = Ratio(cell.makespan_mean, baseline.makespan_mean);
     }
     cursor += scenario.policies.size();
   }

@@ -30,7 +30,6 @@
 
 #include "src/cluster/server.h"
 #include "src/common/rng.h"
-#include "src/sim/experiment.h"
 #include "src/sim/fault_injector.h"
 #include "src/sim/simulator.h"
 #include "src/sim/trace.h"
@@ -221,7 +220,7 @@ SimulatorConfig PolicyRowConfig(const std::string& policy) {
   config.max_sim_time_s = 2e5;
   config.rack_size = 4;
   config.policy = policy;
-  ApplyTestbedConditions(&config);
+  config.straggler.injection_prob_per_interval = 0.12;
   return config;
 }
 

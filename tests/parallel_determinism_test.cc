@@ -1,4 +1,4 @@
-// Determinism regression tests for the parallel fast paths: the experiment
+// Determinism regression tests for the parallel fast paths: the sweep
 // runner, per-arrival speed-model sampling, the parallel interval engine
 // (per-job stepping, scheduler-input construction) and the events engine's
 // model-refit fan-out must produce
@@ -10,6 +10,7 @@
 // leaves out the wall_* profiling fields: they are host measurements, not
 // simulation outputs.
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -17,12 +18,12 @@
 
 #include "src/cluster/server.h"
 #include "src/common/rng.h"
-#include "src/sim/experiment.h"
 #include "src/sim/fault_injector.h"
 #include "src/sim/run_fingerprint.h"
 #include "src/sim/simulator.h"
 #include "src/sim/trace.h"
 #include "src/sim/workload.h"
+#include "src/workload/sweep.h"
 
 namespace optimus {
 namespace {
@@ -32,74 +33,88 @@ void ExpectSameRun(const RunFingerprint& a, const RunFingerprint& b) {
   EXPECT_TRUE(a.Matches(b, &why)) << "diverged on " << why;
 }
 
-ExperimentConfig SmallExperiment(int threads) {
-  ExperimentConfig config;
-  config.workload.num_jobs = 6;
-  config.workload.arrival_window_s = 2400.0;
-  config.sim.max_sim_time_s = 2e5;
-  config.repeats = 3;
-  config.base_seed = 7;
-  config.threads = threads;
-  return config;
-}
-
-TEST(ParallelDeterminismTest, ExperimentRunnerMatchesSerialBitForBit) {
-  const ExperimentResult serial =
-      RunExperiment(SmallExperiment(1), [] { return BuildTestbed(); });
-  const ExperimentResult parallel =
-      RunExperiment(SmallExperiment(4), [] { return BuildTestbed(); });
-
-  EXPECT_EQ(serial.avg_jct_mean, parallel.avg_jct_mean);
-  EXPECT_EQ(serial.avg_jct_stddev, parallel.avg_jct_stddev);
-  EXPECT_EQ(serial.makespan_mean, parallel.makespan_mean);
-  EXPECT_EQ(serial.makespan_stddev, parallel.makespan_stddev);
-  EXPECT_EQ(serial.scaling_overhead_mean, parallel.scaling_overhead_mean);
-  EXPECT_EQ(serial.completed_fraction, parallel.completed_fraction);
-  ASSERT_EQ(serial.runs.size(), parallel.runs.size());
-  for (size_t r = 0; r < serial.runs.size(); ++r) {
-    ExpectSameRun(RunFingerprint::Of(serial.runs[r]), RunFingerprint::Of(parallel.runs[r]));
-  }
-}
-
-// Same small experiment with the fault subsystem fully lit up: scripted
+// A small testbed scenario with the fault subsystem fully lit up: scripted
 // crashes (single-server and rack-style), a slowdown burst, task failures,
-// periodic checkpoints, and the auditor. All fault draws come from per-job
-// split streams and the injector advances serially, so metrics must stay
-// bitwise identical for any thread count.
-ExperimentConfig SmallFaultedExperiment(int threads) {
-  ExperimentConfig config = SmallExperiment(threads);
+// periodic checkpoints, and the auditor, under two policies. All fault draws
+// come from per-job split streams and the injector advances serially.
+ScenarioSpec SmallFaultedScenario() {
+  ScenarioSpec scenario;
+  scenario.name = "small_faulted";
+  scenario.seed = 7;
+  scenario.repeats = 3;
+  scenario.policies = {"optimus", "drf"};
+  scenario.workload.num_jobs = 6;
+  scenario.workload.arrivals.window_s = 2400.0;
+  scenario.sim.max_sim_time_s = 2e5;
   std::string error;
   EXPECT_TRUE(ParseFaultPlan(
       "crash@1800:server=2,recover=9000;"
       "rack@4200:servers=6-8,recover=12000;"
       "slow@2400:factor=0.7,duration=1800",
-      &config.sim.fault.plan, &error))
+      &scenario.sim.fault.plan, &error))
       << error;
-  config.sim.fault.task_failure_prob = 0.03;
-  config.sim.fault.checkpoint_period_s = 1800.0;
-  config.sim.audit = true;
-  return config;
+  scenario.sim.fault.task_failure_prob = 0.03;
+  scenario.sim.fault.checkpoint_period_s = 1800.0;
+  scenario.sim.audit = true;
+  return scenario;
 }
 
-TEST(ParallelDeterminismTest, FaultedExperimentMatchesSerialBitForBit) {
-  const ExperimentResult serial =
-      RunExperiment(SmallFaultedExperiment(1), [] { return BuildTestbed(); });
-  const ExperimentResult parallel =
-      RunExperiment(SmallFaultedExperiment(4), [] { return BuildTestbed(); });
+// Runs `scenario` through RunSweep at 1 and 4 threads: every cell's
+// aggregates and every repeat's fingerprint must match bit for bit. Returns
+// the serial cells.
+std::vector<SweepCellResult> ExpectSweepMatchesSerial(const ScenarioSpec& scenario) {
+  SweepOptions serial;
+  serial.threads = 1;
+  SweepOptions parallel;
+  parallel.threads = 4;
+  const SweepResult a = RunSweep({scenario}, serial);
+  const SweepResult b = RunSweep({scenario}, parallel);
+  EXPECT_EQ(a.audit_violations_total, 0);
+  EXPECT_EQ(a.completed_fraction_min, b.completed_fraction_min);
+  EXPECT_EQ(a.cells.size(), scenario.policies.size());
+  EXPECT_EQ(a.cells.size(), b.cells.size());
+  for (size_t c = 0; c < std::min(a.cells.size(), b.cells.size()); ++c) {
+    const SweepCellResult& x = a.cells[c];
+    const SweepCellResult& y = b.cells[c];
+    SCOPED_TRACE(x.policy);
+    EXPECT_EQ(x.avg_jct_mean, y.avg_jct_mean);
+    EXPECT_EQ(x.avg_jct_stddev, y.avg_jct_stddev);
+    EXPECT_EQ(x.makespan_mean, y.makespan_mean);
+    EXPECT_EQ(x.makespan_stddev, y.makespan_stddev);
+    EXPECT_EQ(x.scaling_overhead_mean, y.scaling_overhead_mean);
+    EXPECT_EQ(x.task_failures_mean, y.task_failures_mean);
+    EXPECT_EQ(x.job_evictions_mean, y.job_evictions_mean);
+    EXPECT_EQ(x.run_report, y.run_report);
+    EXPECT_EQ(x.runs.size(), static_cast<size_t>(scenario.repeats));
+    EXPECT_EQ(x.runs.size(), y.runs.size());
+    for (size_t r = 0; r < std::min(x.runs.size(), y.runs.size()); ++r) {
+      SCOPED_TRACE("repeat " + std::to_string(r));
+      ExpectSameRun(RunFingerprint::Of(x.runs[r]), RunFingerprint::Of(y.runs[r]));
+    }
+  }
+  return a.cells;
+}
 
-  EXPECT_EQ(serial.avg_jct_mean, parallel.avg_jct_mean);
-  EXPECT_EQ(serial.makespan_mean, parallel.makespan_mean);
-  EXPECT_EQ(serial.task_failures_mean, parallel.task_failures_mean);
-  EXPECT_EQ(serial.job_evictions_mean, parallel.job_evictions_mean);
-  ASSERT_EQ(serial.runs.size(), parallel.runs.size());
+TEST(ParallelDeterminismTest, FaultedSweepMatchesSerialBitForBit) {
   int64_t total_faults = 0;
-  for (size_t r = 0; r < serial.runs.size(); ++r) {
-    ExpectSameRun(RunFingerprint::Of(serial.runs[r]), RunFingerprint::Of(parallel.runs[r]));
-    total_faults += serial.runs[r].server_crashes + serial.runs[r].task_failures;
-    EXPECT_EQ(serial.runs[r].audit_violations, 0);
+  for (const SweepCellResult& cell : ExpectSweepMatchesSerial(SmallFaultedScenario())) {
+    for (const RunMetrics& run : cell.runs) {
+      total_faults += run.server_crashes + run.task_failures;
+    }
   }
   // The fault plan genuinely fired — otherwise this test pins nothing.
   EXPECT_GT(total_faults, 0);
+}
+
+// The same scenario with every PolicyAblation choice replaced (Figs 15, 18
+// and 19 run through these).
+TEST(ParallelDeterminismTest, AblatedSweepMatchesSerialBitForBit) {
+  ScenarioSpec ablated = SmallFaultedScenario();
+  ablated.sim.ablation.allocator = "tetris";
+  ablated.sim.ablation.placement = PlacementPolicy::kLoadBalance;
+  ablated.sim.ablation.young_job_priority_factor = 1.0;
+  ablated.sim.ablation.straggler_handling = false;
+  ExpectSweepMatchesSerial(ablated);
 }
 
 RunFingerprint RunSimulatorWithThreads(int threads) {

@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <set>
 
+#include "src/cluster/data_serving.h"
 #include "src/sched/scheduler_registry.h"
 #include "src/sim/fault_injector.h"
 #include "src/sim/run_fingerprint.h"
@@ -441,6 +443,43 @@ TEST(ScenarioTest, OutsideIntAndGridCapsAreRejected) {
         "\n \"workload\": {\"jobs\": 2, \"max_workers\": " + c.max_workers + "}}";
     EXPECT_FALSE(ParseScenario(json, "t", &spec, &error)) << c.max_workers;
     EXPECT_NE(error.find(c.needle), std::string::npos) << error;
+  }
+}
+
+// No job's dataset may pass kMaxDatasetBytes: a Pareto cap that could take
+// one past it is rejected, the largest allowed cap loads, and a lognormal
+// draw is clamped to the same bound. Downscaling is off, so each job carries
+// its model's full dataset times its multiplier.
+TEST(ScenarioTest, SizeMultipliersKeepDatasetsUnderTheCap) {
+  const auto parse = [](const std::string& sizes, ScenarioSpec* spec,
+                        std::string* error) {
+    return ParseScenario(
+        R"({"schema": "scenario-v2", "name": "x", "policy": "optimus",
+            "workload": {"jobs": 40, "sizes": )" + sizes + "}}",
+        "t", spec, error);
+  };
+  ScenarioSpec spec;
+  std::string error;
+  EXPECT_FALSE(parse(R"({"kind": "pareto", "pareto_alpha": 0.05, "pareto_cap": 1e12})",
+                     &spec, &error));
+  EXPECT_NE(error.find("workload.sizes.pareto_cap: must be <= 951"), std::string::npos)
+      << error;
+  for (const char* sizes :
+       {R"({"kind": "pareto", "pareto_alpha": 0.05, "pareto_cap": 951,
+            "target_steps_per_epoch": 0})",
+        R"({"kind": "lognormal", "lognormal_sigma": 1000, "target_steps_per_epoch": 0})"}) {
+    SCOPED_TRACE(sizes);
+    ASSERT_TRUE(parse(sizes, &spec, &error)) << error;
+    double largest = 0.0;
+    for (const JobSpec& job : spec.JobsForRepeat(0)) {
+      EXPECT_GT(job.dataset_scale, 0.0);
+      EXPECT_EQ(EstimateDatasetBytes(*job.model, job.dataset_scale),
+                static_cast<int64_t>(ExactDatasetBytes(*job.model, job.dataset_scale)));
+      largest = std::max(largest, ExactDatasetBytes(*job.model, job.dataset_scale));
+    }
+    // Some job reaches within 1% of the cap, so the bound is what held it.
+    EXPECT_LE(largest, static_cast<double>(kMaxDatasetBytes));
+    EXPECT_GT(largest, 0.99 * static_cast<double>(kMaxDatasetBytes));
   }
 }
 

@@ -8,10 +8,11 @@
 
 #include "src/cluster/server.h"
 #include "src/common/rng.h"
+#include "src/common/stats.h"
 #include "src/models/model_zoo.h"
-#include "src/sim/experiment.h"
 #include "src/sim/simulator.h"
 #include "src/sim/workload.h"
+#include "src/workload/sweep.h"
 
 namespace optimus {
 namespace {
@@ -440,47 +441,49 @@ TEST_F(SimulatorTest, StragglersSlowDownUnhandledJobs) {
 }
 
 // ---------------------------------------------------------------------------
-// Experiment harness
+// Experiments: repeated runs through RunSweep
 // ---------------------------------------------------------------------------
 
 TEST(ExperimentTest, AggregatesRepeats) {
-  ExperimentConfig config;
-  config.workload.num_jobs = 5;
-  config.workload.arrival_window_s = 3000.0;
-  config.repeats = 3;
-  config.label = "unit";
-  ExperimentResult result = RunExperiment(config, [] { return BuildTestbed(); });
-  EXPECT_EQ(result.runs.size(), 3u);
-  EXPECT_GT(result.avg_jct_mean, 0.0);
-  EXPECT_GT(result.makespan_mean, 0.0);
-  EXPECT_DOUBLE_EQ(result.completed_fraction, 1.0);
-  EXPECT_EQ(result.label, "unit");
+  ScenarioSpec scenario;
+  scenario.name = "unit";
+  scenario.repeats = 3;
+  scenario.policies = {"optimus"};
+  scenario.workload.num_jobs = 5;
+  scenario.workload.arrivals.window_s = 3000.0;
+  const SweepResult result = RunSweep({scenario});
+  ASSERT_EQ(result.cells.size(), 1u);
+  const SweepCellResult& cell = result.cells[0];
+  ASSERT_EQ(cell.runs.size(), 3u);
+  std::vector<double> jcts;
+  for (const RunMetrics& run : cell.runs) {
+    jcts.push_back(run.avg_jct_s);
+  }
+  EXPECT_EQ(cell.avg_jct_mean, Mean(jcts));
+  EXPECT_GT(cell.avg_jct_mean, 0.0);
+  EXPECT_GT(cell.makespan_mean, 0.0);
+  EXPECT_DOUBLE_EQ(cell.completed_fraction, 1.0);
+  EXPECT_EQ(cell.scenario, "unit");
+  EXPECT_EQ(cell.jct_vs_baseline, 1.0);
 }
 
 TEST(ExperimentTest, OptimusBeatsBaselinesOnTestbedWorkload) {
   // The headline Fig-11 property: Optimus achieves lower average JCT and
   // makespan than both DRF and Tetris under the paper's testbed conditions.
-  auto run = [](const char* policy) {
-    ExperimentConfig config;
-    config.sim.policy = policy;
-    ApplyTestbedConditions(&config.sim);
-    config.workload.num_jobs = 9;
-    config.workload.target_steps_per_epoch = 60;
-    config.repeats = 4;
-    return RunExperiment(config, [] { return BuildTestbed(); });
-  };
-  ExperimentResult optimus = run("optimus");
-  ExperimentResult drf = run("drf");
-  ExperimentResult tetris = run("tetris");
-  EXPECT_LT(optimus.avg_jct_mean, drf.avg_jct_mean);
-  EXPECT_LT(optimus.avg_jct_mean, tetris.avg_jct_mean);
-  EXPECT_LT(optimus.makespan_mean, drf.makespan_mean);
-  EXPECT_LT(optimus.makespan_mean, tetris.makespan_mean);
-}
-
-TEST(ExperimentTest, NormalizedTo) {
-  EXPECT_DOUBLE_EQ(NormalizedTo(10.0, 5.0), 2.0);
-  EXPECT_DOUBLE_EQ(NormalizedTo(10.0, 0.0), 0.0);
+  ScenarioSpec scenario;
+  scenario.name = "testbed";
+  scenario.repeats = 4;
+  scenario.policies = {"optimus", "drf", "tetris"};
+  scenario.workload.sizes.target_steps_per_epoch = 60;
+  scenario.sim.straggler.injection_prob_per_interval = 0.12;
+  const SweepResult result = RunSweep({scenario});
+  ASSERT_EQ(result.cells.size(), 3u);
+  const SweepCellResult& optimus = result.cells[0];
+  for (const SweepCellResult& baseline : {result.cells[1], result.cells[2]}) {
+    SCOPED_TRACE(baseline.policy);
+    EXPECT_LT(optimus.avg_jct_mean, baseline.avg_jct_mean);
+    EXPECT_LT(optimus.makespan_mean, baseline.makespan_mean);
+  }
 }
 
 }  // namespace

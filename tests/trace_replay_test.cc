@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/cluster/data_serving.h"
 #include "src/common/rng.h"
 #include "src/sim/trace_replay.h"
 #include "src/sim/workload.h"
@@ -115,6 +116,8 @@ TEST(TraceReplayTest, RejectsOutOfRangeValues) {
       {"1,DSSM,sync,0,0.02,3,0.01,16,65537", "line 3: max_workers: max(max_ps, 1)"},
       {"1,DSSM,sync,0,0.02,3,1e300,16,16",
        "line 3: dataset_scale: steps per epoch must be <= 9007199254740992"},
+      {"1,DSSM,sync,0,0.02,3,1e9,16,16",
+       "line 3: dataset_scale: dataset bytes must be <= 140737488355328"},
       {"0,DSSM,sync,0,0.02,3,0.01,16,16", "line 3: duplicate job_id 0 (first on line 2)"},
   };
   for (const auto& c : cases) {
@@ -284,6 +287,9 @@ TEST(WorkloadCsvFuzzTest, MutatedCsvsParseOrNameTheirLine) {
       for (const JobSpec& job : jobs) {
         EXPECT_LE(JobGridCells(job.max_ps, job.max_workers), kMaxJobGridCells) << text;
         EXPECT_LE(job.ExactStepsPerEpoch(), static_cast<double>(kMaxStepsPerEpoch)) << text;
+        EXPECT_LE(ExactDatasetBytes(*job.model, job.dataset_scale),
+                  static_cast<double>(kMaxDatasetBytes))
+            << text;
         EXPECT_GT(job.convergence_delta, 0.0) << text;
         EXPECT_GE(job.patience, 1) << text;
         EXPECT_GE(job.arrival_time_s, 0.0) << text;

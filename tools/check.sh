@@ -8,8 +8,10 @@
 # Environment:
 #   OPTIMUS_SANITIZE=address|thread   configure a sanitizer build (passed
 #                                     through to CMake; default off)
-#   OPTIMUS_THREADS=N                 thread count for the parallel runner
-#                                     (results are identical for any N)
+#   OPTIMUS_THREADS=N                 default thread count for RunSweep's
+#                                     (scenario, policy, repeat) grid and the
+#                                     simulator's per-job fan-outs (results
+#                                     are identical for any N)
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -56,6 +58,19 @@ event_queue_copies=$(grep -rnE \
 if [[ -n "${event_queue_copies}" ]]; then
   echo "an event queue next to the Simulator's queued items:" >&2
   echo "${event_queue_copies}" >&2
+  exit 1
+fi
+
+# One experiment runner: a repeated experiment is a ScenarioSpec run through
+# RunSweep (src/workload/sweep.{h,cc}). These names mean a second repeat
+# runner has come back.
+runner_copies=$(grep -rnE \
+    'RunExperiment|ExperimentConfig|ExperimentResult|NormalizedTo|ApplyTestbedConditions|src/sim/experiment' \
+    "${repo_root}/src" "${repo_root}/bench" "${repo_root}/tools" \
+    "${repo_root}/examples" "${repo_root}/tests" --exclude=check.sh || true)
+if [[ -n "${runner_copies}" ]]; then
+  echo "a second experiment runner next to RunSweep:" >&2
+  echo "${runner_copies}" >&2
   exit 1
 fi
 
@@ -174,15 +189,17 @@ for entry in \
 done
 
 # A malformed --workload-csv exits 2 with a message naming the bad line: a
-# repeated job id (line 3), a nan arrival time (line 2) and a dataset_scale
-# past 2^53 steps per epoch (line 2).
+# repeated job id (line 3), a nan arrival time (line 2), a dataset_scale
+# past 2^53 steps per epoch (line 2) and one past 2^47 dataset bytes within
+# that step cap (line 2).
 header="job_id,model,mode,arrival_s,delta,patience,dataset_scale,max_ps,max_workers"
 row="DSSM,sync,0,0.02,3,0.01,16,16"
 printf '%s\n0,%s\n0,%s\n' "${header}" "${row}" "${row}" > "${tmp_dir}/dup_id.csv"
 printf '%s\n0,DSSM,sync,nan,0.02,3,0.01,16,16\n1,%s\n' "${header}" "${row}" \
   > "${tmp_dir}/nan_arrival.csv"
 printf '%s\n0,DSSM,sync,0,0.02,3,1e300,16,16\n' "${header}" > "${tmp_dir}/huge_scale.csv"
-for case in dup_id:3 nan_arrival:2 huge_scale:2; do
+printf '%s\n0,DSSM,sync,0,0.02,3,1e9,16,16\n' "${header}" > "${tmp_dir}/huge_dataset.csv"
+for case in dup_id:3 nan_arrival:2 huge_scale:2 huge_dataset:2; do
   csv="${tmp_dir}/${case%%:*}.csv"
   rc=0
   "${build_dir}/tools/optimus_sim" --workload-csv="${csv}" \
@@ -191,6 +208,24 @@ for case in dup_id:3 nan_arrival:2 huge_scale:2; do
     echo "${csv} did not exit 2 naming line ${case##*:} (exit ${rc})" >&2; exit 1;
   }
 done
+
+# A default scenario replays optimus_sim's jobs: the flag defaults (9 jobs,
+# testbed, seed 42, 80 steps per epoch, stragglers 0.12) build
+# scenarios/fig11_testbed.json's setup, so one policy at one repeat dumps the
+# same jobs and prints the same run.
+"${build_dir}/tools/optimus_sim" --dump-workload-csv="${tmp_dir}/cli.csv" \
+  > "${tmp_dir}/cli.out"
+"${build_dir}/tools/optimus_sim" \
+  --scenario="${repo_root}/scenarios/fig11_testbed.json" --policy=optimus \
+  --repeats=1 --dump-workload-csv="${tmp_dir}/scenario.csv" > "${tmp_dir}/scenario.out"
+cli_run=$(grep '^policy optimus: completed' "${tmp_dir}/cli.out" || true)
+scenario_run=$(grep '^policy optimus: completed' "${tmp_dir}/scenario.out" || true)
+cmp -s "${tmp_dir}/cli.csv" "${tmp_dir}/scenario.csv" &&
+  [[ -n "${cli_run}" && "${cli_run}" == "${scenario_run}" ]] || {
+  echo "optimus_sim's defaults did not replay scenarios/fig11_testbed.json:" \
+       "'${cli_run}' vs '${scenario_run}'" >&2
+  exit 1
+}
 
 # Machine-readable policy catalog.
 "${build_dir}/tools/optimus_sim" --policy list --format=json \

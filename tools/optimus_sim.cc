@@ -1,10 +1,12 @@
 // optimus_sim — command-line driver for the cluster simulator.
 //
-// Runs one workload under one scheduling policy and prints metrics; can dump
-// the per-interval timeline and the lifecycle event trace as CSV for offline
-// analysis. Policies come from the policy table (`--policy list` shows the
-// catalog), and whole experiments can be described declaratively with a
-// scenario-v2 JSON file (`--scenario`, docs/SCENARIOS.md).
+// Every run is a scenario: a scenario-v2 JSON file (`--scenario`,
+// docs/SCENARIOS.md) or one built from the flags. One policy at one repeat
+// runs instrumented and can dump the per-interval timeline and the lifecycle
+// event trace as CSV for offline analysis; a larger grid runs through
+// RunSweep and prints a comparison table. Policies come from the policy
+// table (`--policy list` shows the catalog). `--workload-csv` replays a trace
+// of explicit job specs instead.
 //
 // Examples:
 //   optimus_sim --policy=optimus --jobs=12 --seed=7
@@ -22,11 +24,9 @@
 #include "src/common/logging.h"
 #include "src/common/table.h"
 #include "src/obs/exporters.h"
-#include "src/sim/experiment.h"
 #include "src/sim/fault_injector.h"
 #include "src/sim/simulator.h"
 #include "src/sim/trace_replay.h"
-#include "src/sim/workload.h"
 #include "src/workload/scenario.h"
 #include "src/workload/sweep.h"
 
@@ -80,7 +80,7 @@ std::string Usage() {
       "  --background-share=F                  mixed-workload reservation (default 0)\n"
       "  --oracle                              ground-truth estimates, no online fitting\n"
       "  --threads=N                           threads, the caller included, for\n"
-      "                                        experiment repeats, scenario grids,\n"
+      "                                        the repeats x policies grid,\n"
       "                                        and the simulator's per-job fan-outs:\n"
       "                                        the interval advance (AdvanceJob),\n"
       "                                        events-engine model refits\n"
@@ -361,8 +361,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  ScenarioSpec scenario;
   if (!scenario_path.empty()) {
-    ScenarioSpec scenario;
     std::string error;
     if (!LoadScenarioFile(scenario_path, &scenario, &error)) {
       std::cerr << "bad scenario: " << error << "\n";
@@ -385,98 +385,66 @@ int main(int argc, char** argv) {
     if (engine_given) {
       scenario.sim.engine = engine;
     }
-    scenario.sim.obs.flight_recorder_depth = flight_recorder_depth;
-    scenario.sim.obs.per_interval_series = out.metrics_format == "json";
-    if (std::vector<std::string> errors; !scenario.Validate(&errors)) {
-      return ReportInvalid(errors);
+  } else {
+    // The generated path is a scenario built from the flags; with every
+    // default it is scenarios/fig11_testbed.json on one policy and repeat.
+    scenario.name = "optimus_sim";
+    scenario.seed = seed;
+    scenario.repeats = repeats;
+    scenario.policies = {policy_flag.empty() ? "optimus" : policy_flag};
+    scenario.workload.num_jobs = num_jobs;
+    scenario.workload.arrivals.kind = arrival_process;
+    scenario.workload.arrivals.interval_s = interval_s;
+    scenario.workload.sizes.target_steps_per_epoch = steps_per_epoch;
+    if (num_servers > 0) {
+      scenario.cluster.testbed = false;
+      scenario.cluster.classes = {{"uniform", num_servers, Resources(16, 80, 0, 1)}};
     }
+    SimulatorConfig& sim = scenario.sim;
+    sim.interval_s = interval_s;
+    sim.straggler.injection_prob_per_interval = stragglers;
+    if (!fault_plan_spec.empty()) {
+      std::string parse_error;
+      if (!ParseFaultPlan(fault_plan_spec, &sim.fault.plan, &parse_error)) {
+        std::cerr << "bad fault plan: " << parse_error << "\n";
+        return 2;
+      }
+    }
+    sim.fault.task_failure_prob = task_failure_prob;
+    sim.fault.checkpoint_period_s = checkpoint_period;
+    sim.audit = audit;
+    sim.engine = engine;
+    sim.background_share = background_share;
+    sim.oracle_estimates = oracle;
+  }
+  scenario.sim.threads = threads;
+  scenario.sim.obs.flight_recorder_depth = flight_recorder_depth;
+  // The JSON run report carries a per-interval time series; sample it.
+  scenario.sim.obs.per_interval_series = out.metrics_format == "json";
+  if (std::vector<std::string> errors; !scenario.Validate(&errors)) {
+    return ReportInvalid(errors);
+  }
+  if (workload_csv.empty()) {
     return RunScenario(std::move(scenario), threads, out);
   }
 
-  const std::string policy_name = policy_flag.empty() ? "optimus" : policy_flag;
-  ExperimentConfig config;
-  config.sim.policy = policy_name;
-  config.sim.interval_s = interval_s;
-  config.sim.straggler.injection_prob_per_interval = stragglers;
-  if (!fault_plan_spec.empty()) {
-    std::string parse_error;
-    if (!ParseFaultPlan(fault_plan_spec, &config.sim.fault.plan, &parse_error)) {
-      std::cerr << "bad fault plan: " << parse_error << "\n";
-      return 2;
-    }
+  // A replayed trace: the one path that runs explicit specs.
+  if (scenario.repeats != 1) {
+    std::cerr << "--workload-csv replays one trace once (got --repeats="
+              << scenario.repeats << ")\n";
+    return 2;
   }
-  config.sim.fault.task_failure_prob = task_failure_prob;
-  config.sim.fault.checkpoint_period_s = checkpoint_period;
-  config.sim.audit = audit;
-  config.sim.engine = engine;
-  config.sim.background_share = background_share;
-  config.sim.oracle_estimates = oracle;
-  config.sim.threads = threads;
-  config.threads = threads;
-  config.workload.num_jobs = num_jobs;
-  config.workload.arrivals = arrival_process;
-  config.workload.interval_s = interval_s;
-  config.workload.target_steps_per_epoch = steps_per_epoch;
-  config.repeats = repeats;
-  config.base_seed = seed;
-  config.label = policy_name;
-  config.sim.obs.flight_recorder_depth = flight_recorder_depth;
-  // The JSON run report carries a per-interval time series; sample it.
-  config.sim.obs.per_interval_series = out.metrics_format == "json";
-  if (std::vector<std::string> errors; !config.sim.Validate(&errors)) {
-    return ReportInvalid(errors);
+  std::ifstream in(workload_csv);
+  if (!in.good()) {
+    std::cerr << "cannot read workload trace " << workload_csv << "\n";
+    return 2;
   }
-
-  auto cluster = [num_servers]() {
-    return num_servers > 0
-               ? BuildUniformCluster(num_servers, Resources(16, 80, 0, 1))
-               : BuildTestbed();
-  };
-
-  if (repeats == 1 && (out.any() || !workload_csv.empty())) {
-    // Single instrumented run.
-    SimulatorConfig sim_config = config.sim;
-    sim_config.seed = seed;
-    std::vector<JobSpec> specs;
-    if (!workload_csv.empty()) {
-      std::ifstream in(workload_csv);
-      if (!in.good()) {
-        std::cerr << "cannot read workload trace " << workload_csv << "\n";
-        return 2;
-      }
-      std::string parse_error;
-      if (!ReadWorkloadCsv(in, &specs, &parse_error)) {
-        std::cerr << "bad workload trace " << workload_csv << ": " << parse_error << "\n";
-        return 2;
-      }
-    } else {
-      Rng rng(seed ^ 0x5eedULL);
-      specs = GenerateWorkload(config.workload, &rng);
-    }
-    return RunSingle(sim_config, cluster(), std::move(specs), policy_name, out);
+  std::vector<JobSpec> specs;
+  if (std::string parse_error; !ReadWorkloadCsv(in, &specs, &parse_error)) {
+    std::cerr << "bad workload trace " << workload_csv << ": " << parse_error << "\n";
+    return 2;
   }
-
-  ExperimentResult result = RunExperiment(config, cluster);
-  TablePrinter table({"policy", "jobs", "avg JCT (s)", "JCT stddev", "makespan (s)",
-                      "makespan stddev", "completed", "scaling overhead %"});
-  table.AddRow({policy_name, std::to_string(num_jobs),
-                TablePrinter::FormatDouble(result.avg_jct_mean, 0),
-                TablePrinter::FormatDouble(result.avg_jct_stddev, 0),
-                TablePrinter::FormatDouble(result.makespan_mean, 0),
-                TablePrinter::FormatDouble(result.makespan_stddev, 0),
-                TablePrinter::FormatDouble(result.completed_fraction * 100.0, 0) + "%",
-                TablePrinter::FormatDouble(result.scaling_overhead_mean * 100.0, 2)});
-  table.Print(std::cout);
-  if (config.sim.fault.enabled()) {
-    std::cout << "faults: " << TablePrinter::FormatDouble(result.job_evictions_mean, 1)
-              << " eviction(s)/run, "
-              << TablePrinter::FormatDouble(result.task_failures_mean, 1)
-              << " task failure(s)/run\n";
-  }
-  if (result.audit_violations_total > 0) {
-    std::cerr << "invariant audit FAILED in " << result.audit_violations_total
-              << " check(s) across repeats\n";
-    return 3;
-  }
-  return result.completed_fraction == 1.0 ? 0 : 1;
+  const std::string& policy = scenario.policies[0];
+  return RunSingle(scenario.MakeSimConfig(policy), scenario.cluster.Build(),
+                   std::move(specs), policy, out);
 }
