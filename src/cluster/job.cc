@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
+#include "src/cluster/data_serving.h"
 #include "src/common/logging.h"
 #include "src/models/convergence_rule.h"
 
@@ -60,6 +62,92 @@ double JobSpec::GradNoiseScale() const {
   return model->grad_noise_scale;
 }
 
+namespace {
+
+bool FiniteNonNegative(const Resources& demand) {
+  for (size_t i = 0; i < kNumResourceTypes; ++i) {
+    const double v = demand.Get(static_cast<ResourceType>(i));
+    if (!(std::isfinite(v) && v >= 0.0)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool IsSensitivity(double s) { return s < 0.0 || (std::isfinite(s) && s <= 1.0); }
+
+// The cap messages below spell the caps out, so a valid spec builds no string.
+static_assert(kMaxJobGridCells == 1048576 && kMaxStepsPerEpoch == 9007199254740992 &&
+              kMaxDatasetBytes == 140737488355328 && kMaxJobs == 16777216);
+
+}  // namespace
+
+bool JobSpec::Validate(std::vector<std::string>* errors) const {
+  bool valid = true;
+  auto check = [&](bool ok, const char* message) {
+    if (!ok) {
+      valid = false;
+      if (errors != nullptr) {
+        errors->emplace_back(message);
+      }
+    }
+  };
+  // Below INT_MAX, so the next free id (the largest plus one) is an int too.
+  check(id >= 0 && id < std::numeric_limits<int>::max(), "id: must be in [0, 2147483646]");
+  check(model != nullptr, "model: must name a model of the zoo");
+  check(comm == CommMode::kParameterServer || mode == TrainingMode::kSync,
+        "comm: allreduce jobs are always synchronous (mode must be sync)");
+  check(std::isfinite(arrival_time_s) && arrival_time_s >= 0.0,
+        "arrival_s: must be finite and >= 0");
+  check(convergence_delta > 0.0 && convergence_delta <= 1.0,
+        "convergence_delta: must be in (0, 1]");
+  check(patience >= 1, "patience: must be >= 1");
+  check(global_batch >= 0, "global_batch: must be >= 0 (0 = model default)");
+  check(async_minibatch >= 0, "async_minibatch: must be >= 0 (0 = model default)");
+  check(FiniteNonNegative(worker_demand),
+        "worker_demand: every resource must be finite and >= 0");
+  check(FiniteNonNegative(ps_demand), "ps_demand: every resource must be finite and >= 0");
+  const bool scale_ok = std::isfinite(dataset_scale) && dataset_scale > 0.0;
+  check(scale_ok, "dataset_scale: must be finite and > 0");
+  if (scale_ok && model != nullptr) {
+    check(ExactStepsPerEpoch() <= static_cast<double>(kMaxStepsPerEpoch),
+          "dataset_scale: steps per epoch must be <= 9007199254740992");
+    check(ExactDatasetBytes(*model, dataset_scale) <= static_cast<double>(kMaxDatasetBytes),
+          "dataset_scale: dataset bytes must be <= 140737488355328");
+  }
+  check(max_ps >= 1, "max_ps: must be >= 1");
+  check(max_workers >= 1, "max_workers: must be >= 1");
+  check(JobGridCells(max_ps, max_workers) <= kMaxJobGridCells,
+        "max_workers: max(max_ps, 1) * max_workers must be <= 1048576");
+  if (lr_drop.has_value()) {
+    // The post-drop curve must start below the loss it continues from.
+    const LearningRateDrop& drop = *lr_drop;
+    const bool positive = std::isfinite(drop.epoch) && drop.epoch > 0.0 &&
+                          std::isfinite(drop.c0) && drop.c0 > 0.0;
+    check(positive && std::isfinite(drop.c2) && drop.c2 >= 0.0 &&
+              (model == nullptr ||
+               drop.c2 < LossCurve(model->loss, 1).TrueLossAtEpoch(drop.epoch)),
+          "lr_drop: need epoch > 0, c0 > 0 and 0 <= c2 < the model's loss at epoch");
+  }
+  check(batch_min >= 0, "batch_min: must be >= 0");
+  check(batch_max >= 0, "batch_max: must be >= 0");
+  check(batch_min == 0 || batch_max == 0 || batch_min <= batch_max,
+        "batch_min: must be <= batch_max when both are set");
+  check(IsSensitivity(cpu_sensitivity),
+        "cpu_sensitivity: must be in [0, 1] (or negative for model default)");
+  check(IsSensitivity(mem_sensitivity),
+        "mem_sensitivity: must be in [0, 1] (or negative for model default)");
+  return valid;
+}
+
+bool ValidateJobCount(int64_t count, std::vector<std::string>* errors) {
+  const bool valid = count >= 1 && count <= kMaxJobs;
+  if (!valid && errors != nullptr) {
+    errors->emplace_back(count < 1 ? "jobs: must be >= 1" : "jobs: must be <= 16777216");
+  }
+  return valid;
+}
+
 const char* JobStateName(JobState state) {
   switch (state) {
     case JobState::kPending:
@@ -72,14 +160,6 @@ const char* JobStateName(JobState state) {
       return "completed";
   }
   return "unknown";
-}
-
-Job::Job(JobSpec spec) : spec_(spec) {
-  OPTIMUS_CHECK(spec_.model != nullptr);
-  OPTIMUS_CHECK_GT(spec_.convergence_delta, 0.0);
-  OPTIMUS_CHECK_GE(spec_.patience, 1);
-  OPTIMUS_CHECK_GE(spec_.max_workers, 1);
-  OPTIMUS_CHECK_GE(spec_.max_ps, 1);
 }
 
 double Job::EpochsDone() const {

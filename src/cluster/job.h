@@ -12,6 +12,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/resources.h"
@@ -21,21 +23,26 @@
 
 namespace optimus {
 
-// Cap on a job's (p, w) grid of max(max_ps, 1) * max_workers cells. The
-// scheduler's lazy speed surface holds one double per cell, so 2^20 cells
-// bound it at 8 MiB per job. The workload CSV, the scenario DSL and the
-// service's submit / what_if reject a job past the cap.
+// Caps on one job, compared in JobSpec::Validate alone.
+//
+// The (p, w) grid of max(max_ps, 1) * max_workers cells: the scheduler's lazy
+// speed surface holds one double per cell, so 2^20 cells bound it at 8 MiB
+// per job.
 inline constexpr int64_t kMaxJobGridCells = int64_t{1} << 20;
 
-// Cap on a job's steps per epoch: 2^53, the largest count a double holds
-// exactly. The workload CSV rejects a row past it; StepsPerEpoch CHECKs it.
+// Steps per epoch: 2^53, the largest count a double holds exactly.
+// StepsPerEpoch CHECKs it.
 inline constexpr int64_t kMaxStepsPerEpoch = int64_t{1} << 53;
 
-// Cap on a job's dataset bytes: 2^47 (128 TiB), ~950x the largest zoo
-// dataset. DataServing holds one int per 128 MiB chunk, so the cap bounds it
-// at 4 MiB per job. The workload CSV rejects a row past it, the scenario DSL a
-// size multiplier that could pass it; EstimateDatasetBytes CHECKs it.
+// Dataset bytes: 2^47 (128 TiB), ~950x the largest zoo dataset. DataServing
+// holds one int per 128 MiB chunk, so the cap bounds it at 4 MiB per job.
+// EstimateDatasetBytes CHECKs it, and the scenario DSL rejects a size
+// multiplier that could pass it.
 inline constexpr int64_t kMaxDatasetBytes = int64_t{1} << 47;
+
+// Cap on the jobs of one run: 2^24 specs (~16.8M, room for a 10M-job run).
+// ValidateJobCount checks it.
+inline constexpr int64_t kMaxJobs = int64_t{1} << 24;
 
 // max(max_ps, 1) * max_workers, in 64 bits.
 constexpr int64_t JobGridCells(int max_ps, int max_workers) {
@@ -98,7 +105,17 @@ struct JobSpec {
   double MemSensitivity() const;
   // Gradient noise scale phi of the model's statistical-efficiency curve.
   double GradNoiseScale() const;
+
+  // Every per-job rule and cap. Appends one "field: problem" message per
+  // broken rule to `errors` (when non-null), with fields named by the job
+  // record's keys (docs/SCENARIOS.md). A valid spec builds no string.
+  bool Validate(std::vector<std::string>* errors) const;
 };
+
+// The job-count rule of one run, 1 to kMaxJobs jobs, for a generated
+// workload's count and an explicit jobs array's length. Appends a "jobs:
+// problem" message to `errors` (when non-null) on a bad count.
+bool ValidateJobCount(int64_t count, std::vector<std::string>* errors);
 
 enum class JobState {
   kPending,    // arrived, not yet given resources
@@ -111,7 +128,8 @@ const char* JobStateName(JobState state);
 
 class Job {
  public:
-  explicit Job(JobSpec spec);
+  // `spec` must pass JobSpec::Validate (the Simulator checks it on arrival).
+  explicit Job(JobSpec spec) : spec_(std::move(spec)) {}
 
   const JobSpec& spec() const { return spec_; }
   int id() const { return spec_.id; }

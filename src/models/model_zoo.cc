@@ -226,14 +226,18 @@ const std::vector<ModelSpec>& GetModelZoo() {
 }
 
 const ModelSpec& FindModel(const std::string& name) {
+  const ModelSpec* spec = TryFindModel(name);
+  OPTIMUS_CHECK(spec != nullptr) << "Unknown model: " << name;
+  return *spec;
+}
+
+const ModelSpec* TryFindModel(const std::string& name) {
   for (const ModelSpec& spec : GetModelZoo()) {
     if (spec.name == name) {
-      return spec;
+      return &spec;
     }
   }
-  OPTIMUS_LOG(Fatal) << "Unknown model: " << name;
-  // Unreachable; Fatal aborts.
-  return GetModelZoo().front();
+  return nullptr;
 }
 
 }  // namespace optimus

@@ -134,6 +134,8 @@ const std::vector<ModelSpec>& GetModelZoo();
 
 // Looks up a model by name; fatal if absent.
 const ModelSpec& FindModel(const std::string& name);
+// Looks up a model by name; null if absent (for untrusted input).
+const ModelSpec* TryFindModel(const std::string& name);
 
 }  // namespace optimus
 

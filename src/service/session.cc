@@ -18,30 +18,20 @@ namespace optimus {
 
 namespace {
 
-// Non-fatal zoo lookup (FindModel is fatal on a miss; service input is
-// untrusted, so a bad name must become an ok=false response, not a crash).
-const ModelSpec* TryFindModel(const std::string& name) {
-  for (const ModelSpec& model : GetModelZoo()) {
-    if (model.name == name) {
-      return &model;
-    }
-  }
-  return nullptr;
-}
-
 // Reads `key` of `body` into *out when present: an integral JSON number in
-// [lo, INT_MAX]. Anything else is a positioned error naming the key.
-bool ReadIntKey(const std::string& source, const JsonValue& body, const char* key, int lo,
-                int* out, std::string* error) {
+// int range. Anything else is a positioned error naming the key.
+bool ReadIntKey(const std::string& source, const JsonValue& body, const char* key, int* out,
+                std::string* error) {
   const JsonValue* v = body.Find(key);
   if (v == nullptr) {
     return true;
   }
   if (!v->is_number() || std::floor(v->AsDouble()) != v->AsDouble() ||
-      v->AsDouble() < lo || v->AsDouble() > std::numeric_limits<int>::max()) {
+      v->AsDouble() < std::numeric_limits<int>::min() ||
+      v->AsDouble() > std::numeric_limits<int>::max()) {
     *error = PositionedError(source, *v,
                              "\"" + std::string(key) + "\" must be an integer in [" +
-                                 std::to_string(lo) + ", " +
+                                 std::to_string(std::numeric_limits<int>::min()) + ", " +
                                  std::to_string(std::numeric_limits<int>::max()) + "]");
     return false;
   }
@@ -244,8 +234,9 @@ bool ServiceSession::BuildJobSpec(const ServiceRequest& req,
     return false;
   }
 
+  // Range rules are JobSpec::Validate's, below; these reads check types.
   spec->id = next_job_id_;
-  if (!ReadIntKey(source_, b, "job_id", 0, &spec->id, error)) {
+  if (!ReadIntKey(source_, b, "job_id", &spec->id, error)) {
     return false;
   }
 
@@ -263,10 +254,8 @@ bool ServiceSession::BuildJobSpec(const ServiceRequest& req,
 
   spec->convergence_delta = 0.02;
   if (const JsonValue* delta = b.Find("convergence_delta")) {
-    if (!delta->is_number() || delta->AsDouble() <= 0.0 ||
-        delta->AsDouble() > 1.0) {
-      *error = PositionedError(source_, *delta,
-                               "\"convergence_delta\" must be in (0, 1]");
+    if (!delta->is_number()) {
+      *error = PositionedError(source_, *delta, "\"convergence_delta\" must be a number");
       return false;
     }
     spec->convergence_delta = delta->AsDouble();
@@ -274,7 +263,7 @@ bool ServiceSession::BuildJobSpec(const ServiceRequest& req,
 
   const WorkloadSpec& workload = scenario_.workload;
   spec->patience = workload.patience;
-  if (!ReadIntKey(source_, b, "patience", 1, &spec->patience, error)) {
+  if (!ReadIntKey(source_, b, "patience", &spec->patience, error)) {
     return false;
   }
 
@@ -282,18 +271,8 @@ bool ServiceSession::BuildJobSpec(const ServiceRequest& req,
   spec->ps_demand = workload.ps_demand;
   spec->max_workers = workload.max_workers;
   spec->max_ps = workload.max_ps;
-  if (!ReadIntKey(source_, b, "max_workers", 1, &spec->max_workers, error) ||
-      !ReadIntKey(source_, b, "max_ps", 1, &spec->max_ps, error)) {
-    return false;
-  }
-  if (JobGridCells(spec->max_ps, spec->max_workers) > kMaxJobGridCells) {
-    const JsonValue* at = b.Find("max_workers");
-    if (at == nullptr) {
-      at = b.Find("max_ps");
-    }
-    *error = PositionedError(source_, at != nullptr ? *at : b,
-                             "\"max_workers\": max(max_ps, 1) * max_workers must be <= " +
-                                 std::to_string(kMaxJobGridCells));
+  if (!ReadIntKey(source_, b, "max_workers", &spec->max_workers, error) ||
+      !ReadIntKey(source_, b, "max_ps", &spec->max_ps, error)) {
     return false;
   }
 
@@ -316,6 +295,18 @@ bool ServiceSession::BuildJobSpec(const ServiceRequest& req,
   // Sized like a generated job: the generators' base dataset downscale.
   spec->dataset_scale =
       DatasetScaleFor(*spec->model, spec->mode, workload.sizes.target_steps_per_epoch);
+  // The job rules live in JobSpec::Validate; its first message is positioned
+  // at the request key it names (the record's "id" is the request's
+  // "job_id"), or at the request for a field it cannot set.
+  if (std::vector<std::string> errors; !spec->Validate(&errors)) {
+    const std::string& message = errors.front();
+    const std::string field = message.substr(0, message.find(':'));
+    const std::string key = field == "id" ? "job_id" : field;
+    const JsonValue* at = b.Find(key);
+    *error = PositionedError(source_, at != nullptr ? *at : b,
+                             "\"" + key + "\"" + message.substr(field.size()));
+    return false;
+  }
   return true;
 }
 
@@ -346,8 +337,7 @@ bool ServiceSession::HandleKill(const ServiceRequest& req, JsonObject* resp,
     return false;
   }
   int job_id = 0;
-  if (!ReadIntKey(source_, req.body, "job_id", std::numeric_limits<int>::min(), &job_id,
-                  error)) {
+  if (!ReadIntKey(source_, req.body, "job_id", &job_id, error)) {
     return false;
   }
   std::string sim_error;

@@ -111,6 +111,9 @@ bool SimulatorConfig::Validate(std::vector<std::string>* errors) const {
   }
   if (!(std::isfinite(interval_s) && interval_s > 0.0)) {
     bad("interval_s", "must be > 0 (got " + std::to_string(interval_s) + ")");
+  } else if (std::isfinite(max_sim_time_s) && max_sim_time_s / interval_s > kMaxRounds) {
+    bad("interval_s", "max_sim_time_s / interval_s must be <= " +
+                          std::to_string(static_cast<int64_t>(kMaxRounds)) + " rounds");
   }
   require_finite_ge("runtime_noise_sd", runtime_noise_sd, 0.0);
   if (conv_samples_per_interval < 1) {
@@ -282,6 +285,8 @@ Simulator::Simulator(SimulatorConfig config, std::vector<Server> servers,
 }
 
 Simulator::JobRuntime* Simulator::MaterializeSpec(JobSpec pending, size_t key) {
+  std::vector<std::string> errors;
+  OPTIMUS_CHECK(pending.Validate(&errors)) << "job " << pending.id << ": " << errors.front();
   auto jr = std::make_unique<JobRuntime>(std::move(pending), key, rng_);
   const JobSpec& spec = jr->job.spec();
   jr->error_sign = jr->rng.Bernoulli(0.5) ? 1 : -1;
@@ -1635,8 +1640,8 @@ bool Simulator::SubmitJob(const JobSpec& spec, std::string* error) {
     }
     return false;
   };
-  if (spec.model == nullptr) {
-    return fail("job model is null");
+  if (std::vector<std::string> errors; !spec.Validate(&errors)) {
+    return fail(errors.front());
   }
   IndexPendingSpecs();
   if (job_refs_.count(spec.id) > 0) {

@@ -105,6 +105,11 @@ struct PolicyAblation {
   std::optional<bool> straggler_handling;
 };
 
+// Cap on a run's scheduling rounds, max_sim_time_s / interval_s: 10^7, 1000x
+// the most any committed scenario, bench or test runs (a 300 s interval to
+// the default 3e6 s horizon), so a tiny interval_s cannot run for ever.
+inline constexpr double kMaxRounds = 1e7;
+
 struct SimulatorConfig {
   SimEngine engine = SimEngine::kInterval;
   // Policy-table name (scheduler_registry.h): the policy's only identity. Its
@@ -260,9 +265,9 @@ class Simulator {
   // must be at or after now_s() (the past has already been simulated) and
   // its id must be unused. On success the job behaves exactly as if it had
   // been appended to the constructor's spec list (its order key is N + k for
-  // the k-th submission). Returns false (with a
-  // diagnostic in *error, when non-null) on a duplicate id, a null model, or
-  // an arrival in the past.
+  // the k-th submission). Returns false (with a diagnostic in *error, when
+  // non-null) on a spec that fails JobSpec::Validate, a duplicate id, or an
+  // arrival in the past.
   bool SubmitJob(const JobSpec& spec, std::string* error = nullptr);
 
   // Cancels a job: releases its allocation, marks it completed at now_s()
@@ -497,7 +502,8 @@ class Simulator {
   void IndexPendingSpecs() const;
   // Per-job initialization (RNG streams split from the run seed by job id,
   // shared param blocks, data serving, ground-truth epoch count); inserts the
-  // runtime into jobs_ at its order key's place and returns it.
+  // runtime into jobs_ at its order key's place and returns it. Fatal on a
+  // spec that fails JobSpec::Validate: constructor specs are checked here.
   JobRuntime* MaterializeSpec(JobSpec pending, size_t key);
   // Retires every completed runtime: folds what Run()'s aggregation, job()
   // and the metric totals need into a RetiredJob record, hands the auditor

@@ -97,6 +97,29 @@ bool IsProbRange(double lo, double hi) {
          hi <= 1.0;
 }
 
+// Bound on a rate-driven arrival process: at most 10^7 intervals of at most
+// 10^7 s each (the committed scenarios span at most 10^3 intervals of 600 s).
+constexpr double kMaxArrivalIntervals = 1e7;
+
+// The fields a workload gives every job verbatim, on the first zoo model in
+// the forced mode (or sync): DrawJob starts from it, and WorkloadSpec::Validate
+// checks it.
+JobSpec Prototype(const WorkloadSpec& spec) {
+  return {.model = &GetModelZoo().front(),
+          .mode = spec.forced_mode.value_or(TrainingMode::kSync),
+          .comm = spec.comm,
+          .patience = spec.patience,
+          .worker_demand = spec.worker_demand,
+          .ps_demand = spec.ps_demand,
+          .max_workers = spec.max_workers,
+          .max_ps = spec.max_ps,
+          .lr_drop = std::nullopt,
+          .batch_min = spec.batch_min,
+          .batch_max = spec.batch_max,
+          .cpu_sensitivity = spec.cpu_sensitivity,
+          .mem_sensitivity = spec.mem_sensitivity};
+}
+
 // The largest job-size multiplier: the whole number that keeps every zoo
 // model's full dataset within kMaxDatasetBytes (downscaling only shrinks it).
 double MaxSizeMultiplier() {
@@ -114,7 +137,7 @@ double MaxSizeMultiplier() {
 
 bool WorkloadSpec::Validate(std::vector<std::string>* errors) const {
   bool valid = true;
-  Check(num_jobs >= 1, "num_jobs: must be >= 1", errors, &valid);
+  valid = ValidateJobCount(num_jobs, errors) && valid;
   Check(arrivals.window_s > 0.0, "arrivals.window_s: must be > 0", errors,
         &valid);
   Check(arrivals.rate_per_interval > 0.0,
@@ -125,10 +148,24 @@ bool WorkloadSpec::Validate(std::vector<std::string>* errors) const {
         "arrivals.spike_fraction: must be in [0, 1]", errors, &valid);
   Check(arrivals.spike_multiplier >= 1.0,
         "arrivals.spike_multiplier: must be >= 1", errors, &valid);
-  Check(arrivals.period_s > 0.0, "arrivals.period_s: must be > 0", errors,
+  // A diurnal rate reads the phase t / period_s, which must stay finite.
+  Check(arrivals.period_s >= 1.0, "arrivals.period_s: must be >= 1", errors,
         &valid);
   Check(arrivals.peak_to_trough >= 1.0,
         "arrivals.peak_to_trough: must be >= 1", errors, &valid);
+  // A rate-driven process must place every arrival at a finite time: its
+  // expected span, jobs / rate_per_interval intervals of interval_s, is
+  // bounded.
+  if (arrivals.kind != ArrivalSpec::Kind::kUniform) {
+    Check(num_jobs / arrivals.rate_per_interval <= kMaxArrivalIntervals,
+          "arrivals.rate_per_interval: jobs / rate_per_interval must be <= " +
+              std::to_string(static_cast<int64_t>(kMaxArrivalIntervals)) + " intervals",
+          errors, &valid);
+    Check(arrivals.interval_s <= kMaxArrivalIntervals,
+          "arrivals.interval_s: must be <= " +
+              std::to_string(static_cast<int64_t>(kMaxArrivalIntervals)),
+          errors, &valid);
+  }
   Check(sizes.pareto_alpha > 0.0, "sizes.pareto_alpha: must be > 0", errors,
         &valid);
   Check(sizes.pareto_cap >= 1.0, "sizes.pareto_cap: must be >= 1", errors,
@@ -146,41 +183,14 @@ bool WorkloadSpec::Validate(std::vector<std::string>* errors) const {
   Check(std::isfinite(allreduce_fraction) && allreduce_fraction >= 0.0 &&
             allreduce_fraction <= 1.0,
         "allreduce_fraction: must be in [0, 1]", errors, &valid);
-  Check(comm == CommMode::kParameterServer || !forced_mode.has_value() ||
-            *forced_mode == TrainingMode::kSync,
-        "comm: allreduce jobs are always synchronous (mode must be sync)",
-        errors, &valid);
   Check(IsProbRange(delta_lo, delta_hi),
         "delta: need 0 < delta_lo <= delta_hi <= 1", errors, &valid);
-  Check(patience >= 1, "patience: must be >= 1", errors, &valid);
-  Check(max_ps >= 1, "max_ps: must be >= 1", errors, &valid);
-  Check(max_workers >= 1, "max_workers: must be >= 1", errors, &valid);
-  Check(JobGridCells(max_ps, max_workers) <= kMaxJobGridCells,
-        "max_workers: max(max_ps, 1) * max_workers must be <= " +
-            std::to_string(kMaxJobGridCells),
-        errors, &valid);
-  Check(batch_min >= 0, "batch_min: must be >= 0", errors, &valid);
-  Check(batch_max >= 0, "batch_max: must be >= 0", errors, &valid);
-  Check(batch_min == 0 || batch_max == 0 || batch_min <= batch_max,
-        "batch_min: must be <= batch_max when both are set", errors, &valid);
-  Check(cpu_sensitivity < 0.0 ||
-            (std::isfinite(cpu_sensitivity) && cpu_sensitivity <= 1.0),
-        "cpu_sensitivity: must be in [0, 1] (or negative for model default)",
-        errors, &valid);
-  Check(mem_sensitivity < 0.0 ||
-            (std::isfinite(mem_sensitivity) && mem_sensitivity <= 1.0),
-        "mem_sensitivity: must be in [0, 1] (or negative for model default)",
-        errors, &valid);
+  // The per-job fields, on the prototype job: JobSpec::Validate holds the
+  // rules and caps every job meets, however it was made.
+  valid = Prototype(*this).Validate(errors) && valid;
   for (const std::string& name : models.names) {
-    bool found = false;
-    for (const ModelSpec& m : GetModelZoo()) {
-      if (m.name == name) {
-        found = true;
-        break;
-      }
-    }
-    Check(found, "models.names: unknown model \"" + name + "\"", errors,
-          &valid);
+    Check(TryFindModel(name) != nullptr, "models.names: unknown model \"" + name + "\"",
+          errors, &valid);
   }
   const size_t mix_size =
       models.names.empty() ? GetModelZoo().size() : models.names.size();
@@ -312,7 +322,7 @@ ModelMix ResolveModelMix(const ModelMixSpec& spec) {
 JobSpec DrawJob(const WorkloadSpec& spec, const ModelMix& mix, int i,
                 double arrival_time_s, Rng* rng) {
   const std::vector<const ModelSpec*>& models = mix.models;
-  JobSpec job;
+  JobSpec job = Prototype(spec);
   job.id = i;
   if (spec.models.cycle_first && i < static_cast<int>(models.size())) {
     job.model = models[static_cast<size_t>(i)];
@@ -331,16 +341,10 @@ JobSpec DrawJob(const WorkloadSpec& spec, const ModelMix& mix, int i,
                  : (rng->Bernoulli(0.5) ? TrainingMode::kSync
                                         : TrainingMode::kAsync);
   job.convergence_delta = rng->Uniform(spec.delta_lo, spec.delta_hi);
-  job.patience = spec.patience;
-  job.worker_demand = spec.worker_demand;
-  job.ps_demand = spec.ps_demand;
   job.arrival_time_s = arrival_time_s;
   job.dataset_scale =
       DatasetScaleFor(*job.model, job.mode, spec.sizes.target_steps_per_epoch) *
       SizeMultiplier(spec.sizes, rng);
-  job.max_ps = spec.max_ps;
-  job.max_workers = spec.max_workers;
-  job.comm = spec.comm;
   if (job.comm == CommMode::kParameterServer &&
       spec.allreduce_fraction > 0.0 && rng->Bernoulli(spec.allreduce_fraction)) {
     job.comm = CommMode::kAllReduce;
@@ -348,10 +352,6 @@ JobSpec DrawJob(const WorkloadSpec& spec, const ModelMix& mix, int i,
   if (job.comm == CommMode::kAllReduce) {
     job.mode = TrainingMode::kSync;
   }
-  job.batch_min = spec.batch_min;
-  job.batch_max = spec.batch_max;
-  job.cpu_sensitivity = spec.cpu_sensitivity;
-  job.mem_sensitivity = spec.mem_sensitivity;
   return job;
 }
 

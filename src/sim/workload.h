@@ -115,8 +115,8 @@ struct WorkloadSpec {
   // Container requests per worker / PS. 2.5 CPUs + 10 GB yields ~60 container
   // slots on the 13-server testbed, matching the 55-60 concurrently running
   // tasks of the paper's Fig 14 (Fig 4's microbenchmark uses larger 5-CPU
-  // containers; the cluster experiment clearly oversubscribes CPU). Imported
-  // workload CSVs take the same demands.
+  // containers; the cluster experiment clearly oversubscribes CPU). A job
+  // record that omits its demands takes these.
   Resources worker_demand{2.5, 10, 0, 0.15};
   Resources ps_demand{2.5, 10, 0, 0.15};
   int max_ps = 16;
@@ -134,7 +134,8 @@ struct WorkloadSpec {
   double mem_sensitivity = -1.0;
 
   // Structural validation ("field: problem" messages, workload.-prefixed by
-  // the scenario loader). Checks ranges and that every model name exists.
+  // the scenario loader). Checks ranges, that every model name exists, and
+  // the per-job fields through JobSpec::Validate on one prototype job.
   bool Validate(std::vector<std::string>* errors) const;
 };
 

@@ -1,12 +1,15 @@
 #include "src/workload/scenario.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <unordered_map>
 
+#include "src/common/json_writer.h"
 #include "src/common/logging.h"
 #include "src/sim/fault_injector.h"
 #include "src/workload/json.h"
@@ -21,11 +24,12 @@ int ClusterSpec::NumServers() const {
   if (testbed) {
     return static_cast<int>(BuildTestbed().size());
   }
-  int n = 0;
+  int64_t n = 0;
   for (const ServerClassSpec& c : classes) {
     n += c.count;
   }
-  return n;
+  // Clamped: the parser counts racks before Validate rejects a bad count.
+  return static_cast<int>(std::clamp<int64_t>(n, 0, std::numeric_limits<int>::max()));
 }
 
 int ClusterSpec::NumRacks() const {
@@ -33,7 +37,7 @@ int ClusterSpec::NumRacks() const {
   if (rack_size <= 0 || n == 0) {
     return 1;
   }
-  return (n + rack_size - 1) / rack_size;
+  return 1 + (n - 1) / rack_size;
 }
 
 std::pair<int, int> ClusterSpec::RackRange(int rack) const {
@@ -45,7 +49,7 @@ std::pair<int, int> ClusterSpec::RackRange(int rack) const {
     return {0, n - 1};
   }
   const int first = rack * rack_size;
-  const int last = std::min(n - 1, first + rack_size - 1);
+  const int last = static_cast<int>(std::min<int64_t>(n - 1, int64_t{first} + rack_size - 1));
   return {first, last};
 }
 
@@ -256,11 +260,107 @@ SimulatorConfig ScenarioSpec::MakeSimConfig(const std::string& policy,
 }
 
 std::vector<JobSpec> ScenarioSpec::JobsForRepeat(int repeat) const {
+  if (!jobs.empty()) {
+    return jobs;
+  }
   // optimus_sim's generated path builds a scenario from its flags and draws
   // here too, so a scenario with its defaults (scenarios/fig11_testbed.json)
   // replays the CLI's jobs exactly.
   Rng rng((seed + static_cast<uint64_t>(repeat)) ^ 0x5eedULL);
   return GenerateJobs(workload, &rng);
+}
+
+// ---------------------------------------------------------------------------
+// The job record
+// ---------------------------------------------------------------------------
+
+namespace {
+
+const char* CommName(CommMode comm) {
+  return comm == CommMode::kAllReduce ? "allreduce" : "ps";
+}
+
+bool ParseCommName(const std::string& name, CommMode* comm) {
+  const bool known = name == "ps" || name == "allreduce";
+  if (known) {
+    *comm = name == "ps" ? CommMode::kParameterServer : CommMode::kAllReduce;
+  }
+  return known;
+}
+
+// sync or async; the workload's "mode" key also takes "mixed".
+bool ParseModeName(const std::string& name, TrainingMode* mode) {
+  const bool known = name == "sync" || name == "async";
+  if (known) {
+    *mode = name == "sync" ? TrainingMode::kSync : TrainingMode::kAsync;
+  }
+  return known;
+}
+
+// The record's number keys past id, in dump order.
+constexpr std::pair<const char*, double JobSpec::*> kDoubleFields[] = {
+    {"arrival_s", &JobSpec::arrival_time_s},
+    {"convergence_delta", &JobSpec::convergence_delta},
+    {"dataset_scale", &JobSpec::dataset_scale},
+    {"cpu_sensitivity", &JobSpec::cpu_sensitivity},
+    {"mem_sensitivity", &JobSpec::mem_sensitivity}};
+constexpr std::pair<const char*, int JobSpec::*> kIntFields[] = {
+    {"patience", &JobSpec::patience}, {"global_batch", &JobSpec::global_batch},
+    {"async_minibatch", &JobSpec::async_minibatch}, {"max_ps", &JobSpec::max_ps},
+    {"max_workers", &JobSpec::max_workers}, {"batch_min", &JobSpec::batch_min},
+    {"batch_max", &JobSpec::batch_max}};
+
+}  // namespace
+
+std::string EncodeJobRecords(const std::vector<JobSpec>& jobs) {
+  std::string out = "[\n";
+  // One `"key": value` member; every member but an object's first is led by ", ".
+  auto key = [&out](const char* name) {
+    out.append(out.back() == '{' ? "\"" : ", \"").append(name).append("\": ");
+  };
+  auto number = [&](const char* name, double value) {
+    key(name);
+    char buf[32];  // the shortest round-trip form ("0.1"); ints too, exactly
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+  };
+  auto text = [&](const char* name, const std::string& value) {
+    key(name);
+    AppendJsonString(value, &out);
+  };
+  auto object = [&](const char* name,
+                    std::initializer_list<std::pair<const char*, double>> members) {
+    key(name);
+    out.append("{");
+    for (const auto& [member, value] : members) {
+      number(member, value);
+    }
+    out.append("}");
+  };
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    const JobSpec& job = jobs[i];
+    OPTIMUS_CHECK(job.model != nullptr) << "job " << job.id;
+    out.append("  {");
+    number("id", job.id);
+    text("model", job.model->name);
+    text("mode", TrainingModeName(job.mode));
+    text("comm", CommName(job.comm));
+    for (const auto& [name, field] : kDoubleFields) {
+      number(name, job.*field);
+    }
+    for (const auto& [name, field] : kIntFields) {
+      number(name, job.*field);
+    }
+    for (const auto& [name, r] : {std::pair{"worker_demand", job.worker_demand},
+                                  std::pair{"ps_demand", job.ps_demand}}) {
+      object(name, {{"cpu", r.cpu()}, {"memory_gb", r.memory_gb()}, {"gpu", r.gpu()},
+                    {"bandwidth_gbps", r.bandwidth_gbps()}});
+    }
+    if (const std::optional<LearningRateDrop>& drop = job.lr_drop) {
+      object("lr_drop", {{"epoch", drop->epoch}, {"c0", drop->c0}, {"c2", drop->c2}});
+    }
+    out.append(i + 1 < jobs.size() ? "},\n" : "}\n");
+  }
+  return out.append("]\n");
 }
 
 // ---------------------------------------------------------------------------
@@ -290,6 +390,14 @@ class ScenarioParser {
              const std::string& message) {
     errors_.push_back(source_ + ":" + std::to_string(at.line()) + ":" +
                       std::to_string(at.column()) + ": " + path + ": " + message);
+  }
+
+  // Whether `v` is an object; diagnoses it at `path` when it is not.
+  bool CheckObject(const JsonValue& v, const std::string& path) {
+    if (!v.is_object()) {
+      Error(v, path, std::string("expected an object, got ") + JsonTypeName(v.type()));
+    }
+    return v.is_object();
   }
 
   // Rejects keys outside `allowed` (strict mode: a typo'd knob must not
@@ -388,11 +496,24 @@ class ScenarioParser {
     *out = v->AsString();
   }
 
+  // Reads string `key` into `*out` through the enum's one parser, `parse`
+  // (an absent key keeps `*out`); another name is an error listing `expected`.
+  template <typename Enum>
+  void ReadName(const JsonValue& obj, const std::string& key, const std::string& path,
+                const std::string& what, const std::string& expected,
+                const char* (*name_of)(Enum), bool (*parse)(const std::string&, Enum*),
+                Enum* out) {
+    std::string name = name_of(*out);
+    ReadString(obj, key, path, &name);
+    if (!parse(name, out)) {
+      Error(*obj.Find(key), path + "." + key,
+            "unknown " + what + " \"" + name + "\" (expected " + expected + ")");
+    }
+  }
+
   void ParseResources(const JsonValue& obj, const std::string& path,
                       Resources* out) {
-    if (!obj.is_object()) {
-      Error(obj, path,
-            std::string("expected an object, got ") + JsonTypeName(obj.type()));
+    if (!CheckObject(obj, path)) {
       return;
     }
     CheckKeys(obj, path, {"cpu", "memory_gb", "gpu", "bandwidth_gbps"});
@@ -409,22 +530,15 @@ class ScenarioParser {
 
   void ParseArrivals(const JsonValue& obj, ArrivalSpec* out) {
     const std::string path = "workload.arrivals";
-    if (!obj.is_object()) {
-      Error(obj, path,
-            std::string("expected an object, got ") + JsonTypeName(obj.type()));
+    if (!CheckObject(obj, path)) {
       return;
     }
     CheckKeys(obj, path,
               {"kind", "window_s", "rate_per_interval", "interval_s",
                "spike_fraction", "spike_multiplier", "period_s",
                "peak_to_trough"});
-    std::string kind = ArrivalKindName(out->kind);
-    ReadString(obj, "kind", path, &kind);
-    if (!ParseArrivalKind(kind, &out->kind)) {
-      Error(*obj.Find("kind"), path + ".kind",
-            "unknown arrival kind \"" + kind +
-                "\" (expected uniform, poisson, bursty, diurnal)");
-    }
+    ReadName(obj, "kind", path, "arrival kind", "uniform, poisson, bursty, diurnal",
+             ArrivalKindName, ParseArrivalKind, &out->kind);
     ReadDouble(obj, "window_s", path, &out->window_s);
     ReadDouble(obj, "rate_per_interval", path, &out->rate_per_interval);
     ReadDouble(obj, "interval_s", path, &out->interval_s);
@@ -436,21 +550,14 @@ class ScenarioParser {
 
   void ParseSizes(const JsonValue& obj, JobSizeSpec* out) {
     const std::string path = "workload.sizes";
-    if (!obj.is_object()) {
-      Error(obj, path,
-            std::string("expected an object, got ") + JsonTypeName(obj.type()));
+    if (!CheckObject(obj, path)) {
       return;
     }
     CheckKeys(obj, path,
               {"kind", "pareto_alpha", "pareto_cap", "lognormal_sigma",
                "target_steps_per_epoch"});
-    std::string kind = JobSizeKindName(out->kind);
-    ReadString(obj, "kind", path, &kind);
-    if (!ParseJobSizeKind(kind, &out->kind)) {
-      Error(*obj.Find("kind"), path + ".kind",
-            "unknown size kind \"" + kind +
-                "\" (expected zoo, pareto, lognormal)");
-    }
+    ReadName(obj, "kind", path, "size kind", "zoo, pareto, lognormal", JobSizeKindName,
+             ParseJobSizeKind, &out->kind);
     ReadDouble(obj, "pareto_alpha", path, &out->pareto_alpha);
     ReadDouble(obj, "pareto_cap", path, &out->pareto_cap);
     ReadDouble(obj, "lognormal_sigma", path, &out->lognormal_sigma);
@@ -461,9 +568,7 @@ class ScenarioParser {
 
   void ParseModels(const JsonValue& obj, ModelMixSpec* out) {
     const std::string path = "workload.models";
-    if (!obj.is_object()) {
-      Error(obj, path,
-            std::string("expected an object, got ") + JsonTypeName(obj.type()));
+    if (!CheckObject(obj, path)) {
       return;
     }
     CheckKeys(obj, path, {"names", "weights", "cycle_first"});
@@ -502,9 +607,7 @@ class ScenarioParser {
 
   void ParseWorkload(const JsonValue& obj, WorkloadSpec* out) {
     const std::string path = "workload";
-    if (!obj.is_object()) {
-      Error(obj, path,
-            std::string("expected an object, got ") + JsonTypeName(obj.type()));
+    if (!CheckObject(obj, path)) {
       return;
     }
     CheckKeys(obj, path,
@@ -526,10 +629,8 @@ class ScenarioParser {
     if (const JsonValue* v = obj.Find("mode")) {
       std::string mode;
       ReadString(obj, "mode", path, &mode);
-      if (mode == "sync") {
-        out->forced_mode = TrainingMode::kSync;
-      } else if (mode == "async") {
-        out->forced_mode = TrainingMode::kAsync;
+      if (TrainingMode forced; ParseModeName(mode, &forced)) {
+        out->forced_mode = forced;
       } else if (mode == "mixed") {
         out->forced_mode.reset();
       } else if (v->is_string()) {
@@ -537,26 +638,8 @@ class ScenarioParser {
               "unknown mode \"" + mode + "\" (expected sync, async, mixed)");
       }
     }
-    if (const JsonValue* v = obj.Find("comm")) {
-      std::string comm;
-      ReadString(obj, "comm", path, &comm);
-      if (comm == "ps") {
-        out->comm = CommMode::kParameterServer;
-      } else if (comm == "allreduce") {
-        out->comm = CommMode::kAllReduce;
-      } else if (v->is_string()) {
-        Error(*v, path + ".comm",
-              "unknown comm architecture \"" + comm +
-                  "\" (expected ps, allreduce)");
-      }
-      // Ring all-reduce has no staleness notion: an async mode request
-      // contradicts it, and silently overriding would hide the typo.
-      if (out->comm == CommMode::kAllReduce && out->forced_mode.has_value() &&
-          *out->forced_mode == TrainingMode::kAsync) {
-        Error(*v, path + ".comm",
-              "allreduce jobs are always synchronous; remove mode: \"async\"");
-      }
-    }
+    ReadName(obj, "comm", path, "comm architecture", "ps, allreduce", CommName, ParseCommName,
+             &out->comm);
     ReadDouble(obj, "allreduce_fraction", path, &out->allreduce_fraction);
     ReadDouble(obj, "delta_lo", path, &out->delta_lo);
     ReadDouble(obj, "delta_hi", path, &out->delta_hi);
@@ -568,6 +651,9 @@ class ScenarioParser {
       ParseResources(*v, path + ".ps_demand", &out->ps_demand);
       // All-reduce jobs run no PS tasks; a hand-written PS demand would be
       // silently discarded by the scheduler, so reject the contradiction.
+      // A workload-level rule on the written key, not a per-job one: the
+      // jobs it draws (and so a job record) keep a nonzero ps_demand, which
+      // the scheduler ignores for all-reduce.
       if (out->comm == CommMode::kAllReduce &&
           !(out->ps_demand == Resources())) {
         Error(*v, path + ".ps_demand",
@@ -585,11 +671,112 @@ class ScenarioParser {
     ReadDouble(obj, "mem_sensitivity", path, &out->mem_sensitivity);
   }
 
+  // One job record: every JobSpec field under its record key; `id` and
+  // `model` are required. Omitted keys keep JobSpec's defaults, except the
+  // container demands, which take WorkloadSpec's (as a generated job's).
+  // A record that reads cleanly is then held to JobSpec::Validate, each
+  // message positioned at the key it names. Returns whether it passed.
+  bool ParseJob(const JsonValue& obj, const std::string& path, JobSpec* out) {
+    if (!CheckObject(obj, path)) {
+      return false;
+    }
+    CheckKeys(obj, path,
+              {"id", "model", "mode", "comm", "arrival_s", "convergence_delta",
+               "patience", "global_batch", "async_minibatch", "worker_demand",
+               "ps_demand", "dataset_scale", "max_ps", "max_workers", "lr_drop",
+               "batch_min", "batch_max", "cpu_sensitivity", "mem_sensitivity"});
+    const size_t errors_before = errors_.size();
+    for (const char* key : {"id", "model"}) {
+      if (obj.Find(key) == nullptr) {
+        Error(obj, path + "." + key, "missing (every job needs an id and a model)");
+      }
+    }
+    ReadIntField(obj, "id", path, &out->id);
+    std::string model;
+    ReadString(obj, "model", path, &model);
+    out->model = TryFindModel(model);
+    if (out->model == nullptr && !model.empty()) {
+      Error(*obj.Find("model"), path + ".model", "unknown model \"" + model + "\"");
+    }
+    ReadName(obj, "mode", path, "mode", "async, sync", TrainingModeName, ParseModeName,
+             &out->mode);
+    ReadName(obj, "comm", path, "comm architecture", "ps, allreduce", CommName, ParseCommName,
+             &out->comm);
+    for (const auto& [key, field] : kDoubleFields) {
+      ReadDouble(obj, key, path, &(out->*field));
+    }
+    for (const auto& [key, field] : kIntFields) {
+      ReadIntField(obj, key, path, &(out->*field));
+    }
+    const WorkloadSpec defaults;
+    out->worker_demand = defaults.worker_demand;
+    out->ps_demand = defaults.ps_demand;
+    if (const JsonValue* v = obj.Find("worker_demand")) {
+      ParseResources(*v, path + ".worker_demand", &out->worker_demand);
+    }
+    if (const JsonValue* v = obj.Find("ps_demand")) {
+      ParseResources(*v, path + ".ps_demand", &out->ps_demand);
+    }
+    if (const JsonValue* v = obj.Find("lr_drop");
+        v != nullptr && CheckObject(*v, path + ".lr_drop")) {
+      CheckKeys(*v, path + ".lr_drop", {"epoch", "c0", "c2"});
+      LearningRateDrop& drop = out->lr_drop.emplace();
+      ReadDouble(*v, "epoch", path + ".lr_drop", &drop.epoch);
+      ReadDouble(*v, "c0", path + ".lr_drop", &drop.c0);
+      ReadDouble(*v, "c2", path + ".lr_drop", &drop.c2);
+    }
+    if (errors_.size() != errors_before) {
+      return false;  // Validate would only restate a field that did not read
+    }
+    std::vector<std::string> problems;
+    out->Validate(&problems);
+    for (const std::string& problem : problems) {
+      const size_t colon = problem.find(':');
+      const std::string field = problem.substr(0, colon);
+      const JsonValue* at = obj.Find(field);
+      Error(at != nullptr ? *at : obj, path + "." + field, problem.substr(colon + 2));
+    }
+    return problems.empty();
+  }
+
+  // The top-level "jobs" array: 1 to kMaxJobs records with distinct ids,
+  // stored stably sorted by arrival (a dump is already in that order).
+  void ParseJobs(const JsonValue& arr, std::vector<JobSpec>* out) {
+    if (!arr.is_array()) {
+      Error(arr, "jobs",
+            std::string("expected an array of job records, got ") + JsonTypeName(arr.type()));
+      return;
+    }
+    const std::vector<JsonValue>& entries = arr.AsArray();
+    if (std::vector<std::string> problems;
+        !ValidateJobCount(static_cast<int64_t>(entries.size()), &problems)) {
+      Error(arr, "jobs", problems.front().substr(std::string("jobs: ").size()));
+      return;
+    }
+    std::unordered_map<int, size_t> first_entry;  // job id -> its first entry
+    out->reserve(entries.size());
+    for (size_t i = 0; i < entries.size(); ++i) {
+      const std::string path = "jobs[" + std::to_string(i) + "]";
+      JobSpec job;
+      if (!ParseJob(entries[i], path, &job)) {
+        continue;
+      }
+      if (const auto [it, fresh] = first_entry.emplace(job.id, i); fresh) {
+        out->push_back(job);
+      } else {
+        Error(*entries[i].Find("id"), path + ".id",
+              "duplicate id " + std::to_string(job.id) + " (first at jobs[" +
+                  std::to_string(it->second) + "])");
+      }
+    }
+    std::stable_sort(out->begin(), out->end(), [](const JobSpec& a, const JobSpec& b) {
+      return a.arrival_time_s < b.arrival_time_s;
+    });
+  }
+
   void ParseCluster(const JsonValue& obj, ClusterSpec* out) {
     const std::string path = "cluster";
-    if (!obj.is_object()) {
-      Error(obj, path,
-            std::string("expected an object, got ") + JsonTypeName(obj.type()));
+    if (!CheckObject(obj, path)) {
       return;
     }
     CheckKeys(obj, path, {"testbed", "classes", "rack_size"});
@@ -603,10 +790,7 @@ class ScenarioParser {
         for (size_t i = 0; i < classes->AsArray().size(); ++i) {
           const JsonValue& entry = classes->AsArray()[i];
           const std::string cpath = path + ".classes[" + std::to_string(i) + "]";
-          if (!entry.is_object()) {
-            Error(entry, cpath,
-                  std::string("expected an object, got ") +
-                      JsonTypeName(entry.type()));
+          if (!CheckObject(entry, cpath)) {
             continue;
           }
           CheckKeys(entry, cpath,
@@ -634,9 +818,7 @@ class ScenarioParser {
   void ParseFaults(const JsonValue& obj, const ClusterSpec& cluster,
                    FaultConfig* out) {
     const std::string path = "faults";
-    if (!obj.is_object()) {
-      Error(obj, path,
-            std::string("expected an object, got ") + JsonTypeName(obj.type()));
+    if (!CheckObject(obj, path)) {
       return;
     }
     CheckKeys(obj, path,
@@ -658,19 +840,12 @@ class ScenarioParser {
 
   void ParseNetwork(const JsonValue& obj, NetworkConfig* out) {
     const std::string path = "network";
-    if (!obj.is_object()) {
-      Error(obj, path,
-            std::string("expected an object, got ") + JsonTypeName(obj.type()));
+    if (!CheckObject(obj, path)) {
       return;
     }
     CheckKeys(obj, path, {"model", "nic_bps", "oversubscription"});
-    std::string model = NetworkModelName(out->model);
-    ReadString(obj, "model", path, &model);
-    if (!ParseNetworkModelName(model, &out->model)) {
-      Error(*obj.Find("model"), path + ".model",
-            "unknown network model \"" + model +
-                "\" (expected flat, topology, contention)");
-    }
+    ReadName(obj, "model", path, "network model", "flat, topology, contention",
+             NetworkModelName, ParseNetworkModelName, &out->model);
     ReadDouble(obj, "nic_bps", path, &out->nic_bps);
     if (const JsonValue* v = obj.Find("nic_bps")) {
       if (!(std::isfinite(out->nic_bps) && out->nic_bps > 0.0)) {
@@ -689,9 +864,7 @@ class ScenarioParser {
 
   void ParseKnobs(const JsonValue& obj, bool v1, SimulatorConfig* out) {
     const std::string path = "knobs";
-    if (!obj.is_object()) {
-      Error(obj, path,
-            std::string("expected an object, got ") + JsonTypeName(obj.type()));
+    if (!CheckObject(obj, path)) {
       return;
     }
     std::vector<std::string> allowed = {"interval_s", "stragglers", "oracle",
@@ -728,7 +901,7 @@ class ScenarioParser {
     }
     CheckKeys(root, "scenario",
               {"schema", "name", "description", "seed", "repeats", "policy",
-               "policies", "workload", "cluster", "network", "faults",
+               "policies", "workload", "jobs", "cluster", "network", "faults",
                "knobs"});
     const JsonValue* schema = root.Find("schema");
     const std::string version =
@@ -798,8 +971,14 @@ class ScenarioParser {
       ParseNetwork(*v, &spec->sim.net);
     }
     spec->workload.arrivals.interval_s = spec->sim.interval_s;
-    if (const JsonValue* v = root.Find("workload")) {
-      ParseWorkload(*v, &spec->workload);
+    const JsonValue* workload = root.Find("workload");
+    if (const JsonValue* jobs = root.Find("jobs"); jobs != nullptr && workload != nullptr) {
+      Error(*jobs, "scenario.jobs", "give either jobs or workload, not both");
+    } else if (jobs != nullptr) {
+      ParseJobs(*jobs, &spec->jobs);
+      spec->workload.num_jobs = static_cast<int>(spec->jobs.size());
+    } else if (workload != nullptr) {
+      ParseWorkload(*workload, &spec->workload);
     }
     if (const JsonValue* v = root.Find("faults")) {
       ParseFaults(*v, spec->cluster, &spec->sim.fault);

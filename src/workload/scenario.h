@@ -72,7 +72,12 @@ struct ScenarioSpec {
   // Policy grid (policy-table names); the first entry is the
   // normalization baseline in comparison tables.
   std::vector<std::string> policies;
+  // The generator of every repeat's jobs, unless `jobs` lists them. With
+  // explicit jobs, num_jobs is their count and nothing else is read.
   WorkloadSpec workload;
+  // Explicit jobs (the top-level "jobs" array): every repeat runs these,
+  // in arrival order. Empty = generate from `workload`.
+  std::vector<JobSpec> jobs;
   ClusterSpec cluster;
   // Knobs + fault plan folded in; `policy` is applied per grid cell by
   // MakeSimConfig. The embedded fault plan has rack references already
@@ -80,17 +85,24 @@ struct ScenarioSpec {
   SimulatorConfig sim;
 
   // Cross-field validation (policies registered, workload/cluster/sim each
-  // valid); messages are scenario-relative ("workload.num_jobs: ...").
+  // valid); messages are scenario-relative ("workload.jobs: ..."). Explicit
+  // jobs were checked, one by one, when they were read.
   bool Validate(std::vector<std::string>* errors) const;
 
   // SimulatorConfig for one grid cell: `sim` with the policy applied and
   // seed = this->seed + repeat. Fatal on an unknown policy.
   SimulatorConfig MakeSimConfig(const std::string& policy, int repeat = 0) const;
 
-  // The jobs for one repeat: GenerateJobs seeded with seed + repeat, so every
-  // policy in the grid replays the identical workload per repeat.
+  // The jobs for one repeat: the explicit `jobs`, or GenerateJobs seeded
+  // with seed + repeat, so every policy in the grid replays the identical
+  // workload per repeat.
   std::vector<JobSpec> JobsForRepeat(int repeat = 0) const;
 };
+
+// Encodes jobs as a scenario's "jobs" value (the job record, one per line, in
+// docs/SCENARIOS.md): every JobSpec field, with shortest round-trip doubles,
+// so ParseScenario reads back exactly `jobs`.
+std::string EncodeJobRecords(const std::vector<JobSpec>& jobs);
 
 // Parses scenario-v2 (or scenario-v1) JSON text. On failure returns false and
 // sets `*error` to a "<source>:<line>:<col>: <path>: message" diagnostic

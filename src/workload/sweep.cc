@@ -164,8 +164,11 @@ std::string MergedSweepJson(const std::vector<ScenarioSpec>& scenarios,
     row.Set("seed", static_cast<int64_t>(scenario.seed));
     row.Set("repeats", scenario.repeats);
     row.Set("jobs", scenario.workload.num_jobs);
-    row.Set("arrivals", ArrivalKindName(scenario.workload.arrivals.kind));
-    row.Set("sizes", JobSizeKindName(scenario.workload.sizes.kind));
+    // Explicit jobs were drawn by no generator.
+    const bool explicit_jobs = !scenario.jobs.empty();
+    row.Set("arrivals",
+            explicit_jobs ? "explicit" : ArrivalKindName(scenario.workload.arrivals.kind));
+    row.Set("sizes", explicit_jobs ? "explicit" : JobSizeKindName(scenario.workload.sizes.kind));
     row.Set("servers", scenario.cluster.NumServers());
     row.Set("racks", scenario.cluster.NumRacks());
     row.Set("faulted", scenario.sim.fault.enabled());

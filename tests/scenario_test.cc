@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <set>
 
 #include "src/cluster/data_serving.h"
@@ -150,7 +151,7 @@ TEST(GeneratorsTest, ValidateNamesTheField) {
   std::vector<std::string> errors;
   EXPECT_FALSE(spec.Validate(&errors));
   ASSERT_GE(errors.size(), 2u);
-  EXPECT_NE(errors[0].find("num_jobs"), std::string::npos);
+  EXPECT_NE(errors[0].find("jobs: must be >= 1"), std::string::npos);
   bool found_model_error = false;
   for (const std::string& e : errors) {
     found_model_error |= e.find("no-such-model") != std::string::npos;
@@ -191,6 +192,22 @@ TEST(ClusterSpecTest, TestbedIgnoresRackSizeZero) {
   EXPECT_EQ(cluster.NumServers(), 13);
   EXPECT_EQ(cluster.NumRacks(), 1);
   EXPECT_EQ(cluster.RackRange(0), (std::pair<int, int>{0, 12}));
+}
+
+// Class counts and rack sizes anywhere in int range count without overflow:
+// the parser expands rack references before Validate sees the counts.
+TEST(ClusterSpecTest, CountsAndRacksDoNotOverflow) {
+  const int max = std::numeric_limits<int>::max();
+  ClusterSpec cluster;
+  cluster.testbed = false;
+  cluster.classes = {{"a", max, Resources(16, 80, 0, 1)}, {"b", 64, Resources(16, 80, 0, 1)}};
+  cluster.rack_size = max;
+  EXPECT_EQ(cluster.NumServers(), max);
+  EXPECT_EQ(cluster.NumRacks(), 1);
+  EXPECT_EQ(cluster.RackRange(0), (std::pair<int, int>{0, max - 1}));
+  cluster.classes = {{"a", 5, Resources(16, 80, 0, 1)}};
+  EXPECT_EQ(cluster.NumRacks(), 1);
+  EXPECT_EQ(cluster.RackRange(0), (std::pair<int, int>{0, 4}));
 }
 
 TEST(ClusterSpecTest, ValidateCatchesBadClasses) {
@@ -444,6 +461,39 @@ TEST(ScenarioTest, OutsideIntAndGridCapsAreRejected) {
     EXPECT_FALSE(ParseScenario(json, "t", &spec, &error)) << c.max_workers;
     EXPECT_NE(error.find(c.needle), std::string::npos) << error;
   }
+}
+
+// A job count past kMaxJobs and an interval that makes more than kMaxRounds
+// rounds are rejected naming their keys, before anything is allocated or run.
+TEST(ScenarioTest, JobCountAndRoundCountAreCapped) {
+  const struct {
+    const char* members;
+    const char* needle;
+  } cases[] = {
+      {R"("workload": {"jobs": 2000000000})", "t: workload.jobs: must be <= 16777216"},
+      {R"("workload": {"jobs": 16777217})", "t: workload.jobs: must be <= 16777216"},
+      {R"("knobs": {"interval_s": 1e-300})",
+       "t: knobs: interval_s: max_sim_time_s / interval_s must be <= 10000000 rounds"},
+      {R"("knobs": {"interval_s": 0.29, "max_sim_time_s": 3e6})", "interval_s"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.members);
+    ScenarioSpec spec;
+    std::string error;
+    EXPECT_FALSE(ParseScenario(
+        std::string(R"({"schema": "scenario-v2", "name": "x", "policy": "optimus", )") +
+            c.members + "}",
+        "t", &spec, &error));
+    EXPECT_NE(error.find(c.needle), std::string::npos) << error;
+  }
+  // Both caps are inclusive (parsed, not run).
+  ScenarioSpec spec;
+  std::string error;
+  EXPECT_TRUE(ParseScenario(
+      R"({"schema": "scenario-v2", "name": "x", "policy": "optimus",
+          "workload": {"jobs": 16777216}, "knobs": {"interval_s": 0.3}})",
+      "t", &spec, &error))
+      << error;
 }
 
 // No job's dataset may pass kMaxDatasetBytes: a Pareto cap that could take
@@ -720,6 +770,25 @@ TEST(SweepTest, CellGridIsScenarioMajor) {
     EXPECT_EQ(cell.repeats, 2);
     EXPECT_GT(cell.avg_jct_mean, 0.0);
   }
+}
+
+TEST(SweepTest, ExplicitJobsRowNamesNoGenerator) {
+  ScenarioSpec generated = SmallScenario("drawn", 3, ArrivalSpec::Kind::kPoisson);
+  ScenarioSpec listed = generated;
+  listed.name = "listed";
+  listed.jobs = generated.JobsForRepeat(0);
+  JsonValue report;
+  std::string error;
+  ASSERT_TRUE(ParseJson(MergedSweepJson({generated, listed}, SweepResult{}), "report", &report,
+                        &error))
+      << error;
+  const std::vector<JsonValue>& rows = report.Find("scenarios")->AsArray();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].Find("arrivals")->AsString(), "poisson");
+  EXPECT_EQ(rows[0].Find("sizes")->AsString(), "zoo");
+  EXPECT_EQ(rows[1].Find("jobs")->AsDouble(), 5.0);
+  EXPECT_EQ(rows[1].Find("arrivals")->AsString(), "explicit");
+  EXPECT_EQ(rows[1].Find("sizes")->AsString(), "explicit");
 }
 
 }  // namespace

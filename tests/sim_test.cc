@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <string>
 #include <utility>
@@ -483,6 +484,23 @@ TEST(ExperimentTest, OptimusBeatsBaselinesOnTestbedWorkload) {
     SCOPED_TRACE(baseline.policy);
     EXPECT_LT(optimus.avg_jct_mean, baseline.avg_jct_mean);
     EXPECT_LT(optimus.makespan_mean, baseline.makespan_mean);
+  }
+}
+
+// max_sim_time_s / interval_s is capped at kMaxRounds, inclusively: past it
+// a tiny interval_s is an error naming it, not a run that never ends.
+TEST(SimulatorConfigTest, RoundCountIsBounded) {
+  SimulatorConfig config;
+  config.max_sim_time_s = 3e6;
+  config.interval_s = 3e6 / kMaxRounds;
+  EXPECT_TRUE(config.Validate(nullptr));
+  for (const double interval : {std::nextafter(3e6 / kMaxRounds, 0.0), 1e-300}) {
+    SCOPED_TRACE(interval);
+    config.interval_s = interval;
+    std::vector<std::string> errors;
+    EXPECT_FALSE(config.Validate(&errors));
+    ASSERT_EQ(errors.size(), 1u);
+    EXPECT_EQ(errors[0], "interval_s: max_sim_time_s / interval_s must be <= 10000000 rounds");
   }
 }
 

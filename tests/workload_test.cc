@@ -7,6 +7,7 @@
 // draw path (order, count or arithmetic of the draws) moves it.
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <string>
@@ -77,7 +78,12 @@ uint64_t HashJobs(uint64_t h, const std::vector<JobSpec>& jobs, Rng* rng) {
       h, rng->UniformInt(0, std::numeric_limits<int64_t>::max()));
 }
 
-TEST(JobGeneratorTest, MatrixHashIsPinned) {
+// Calls `visit` with each workload of the matrix and the Rng that drew it,
+// in a fixed order: 405 GenerateWorkload configs and 540 GenerateJobs
+// configs, then 2 of GenerateJobs' scenario-only draws (size tails, a
+// weighted named mix drawn from the first job on, and the all-reduce flip).
+// Returns the number of workloads.
+int ForEachMatrixWorkload(const std::function<void(const std::vector<JobSpec>&, Rng*)>& visit) {
   const std::optional<TrainingMode> modes[] = {
       std::nullopt, TrainingMode::kSync, TrainingMode::kAsync};
   const int job_counts[] = {1, 9, 10, 40, 500};
@@ -90,7 +96,6 @@ TEST(JobGeneratorTest, MatrixHashIsPinned) {
       ArrivalSpec::Kind::kUniform, ArrivalSpec::Kind::kPoisson,
       ArrivalSpec::Kind::kBursty, ArrivalSpec::Kind::kDiurnal};
 
-  uint64_t h = 14695981039346656037ULL;
   int configs = 0;
   for (const std::optional<TrainingMode>& mode : modes) {
     for (int n : job_counts) {
@@ -103,7 +108,7 @@ TEST(JobGeneratorTest, MatrixHashIsPinned) {
             config.forced_mode = mode;
             config.target_steps_per_epoch = target;
             Rng rng(seed);
-            h = HashJobs(h, GenerateWorkload(config, &rng), &rng);
+            visit(GenerateWorkload(config, &rng), &rng);
             ++configs;
           }
           for (ArrivalSpec::Kind kind : kinds) {
@@ -113,15 +118,13 @@ TEST(JobGeneratorTest, MatrixHashIsPinned) {
             spec.forced_mode = mode;
             spec.sizes.target_steps_per_epoch = target;
             Rng rng(seed);
-            h = HashJobs(h, GenerateJobs(spec, &rng), &rng);
+            visit(GenerateJobs(spec, &rng), &rng);
             ++configs;
           }
         }
       }
     }
   }
-  // GenerateJobs' scenario-only draws: size tails, a weighted named mix drawn
-  // from the first job on, and the all-reduce flip.
   for (JobSizeSpec::Kind size : {JobSizeSpec::Kind::kPareto,
                                  JobSizeSpec::Kind::kLognormal}) {
     WorkloadSpec spec;
@@ -132,11 +135,33 @@ TEST(JobGeneratorTest, MatrixHashIsPinned) {
     spec.models.cycle_first = false;
     spec.allreduce_fraction = 0.3;
     Rng rng(42);
-    h = HashJobs(h, GenerateJobs(spec, &rng), &rng);
+    visit(GenerateJobs(spec, &rng), &rng);
     ++configs;
   }
+  return configs;
+}
+
+TEST(JobGeneratorTest, MatrixHashIsPinned) {
+  uint64_t h = 14695981039346656037ULL;
+  const int configs = ForEachMatrixWorkload(
+      [&h](const std::vector<JobSpec>& jobs, Rng* rng) { h = HashJobs(h, jobs, rng); });
   EXPECT_EQ(configs, 405 + 540 + 2);
   EXPECT_EQ(h, 0x45f32b27d3c02f56ULL) << std::hex << "0x" << h;
+}
+
+// The generators and the validator agree: every job the matrix draws,
+// all-reduce jobs (nonzero ps_demand, max_ps >= 1) included, passes
+// JobSpec::Validate.
+TEST(JobGeneratorTest, EveryDrawnJobPassesValidate) {
+  int allreduce = 0;
+  ForEachMatrixWorkload([&allreduce](const std::vector<JobSpec>& jobs, Rng*) {
+    for (const JobSpec& job : jobs) {
+      std::vector<std::string> errors;
+      EXPECT_TRUE(job.Validate(&errors)) << "job " << job.id << ": " << errors.front();
+      allreduce += job.comm == CommMode::kAllReduce;
+    }
+  });
+  EXPECT_GT(allreduce, 0);
 }
 
 // GenerateJobs' per-index contract: job i's attributes come from its own

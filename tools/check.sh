@@ -74,6 +74,19 @@ if [[ -n "${runner_copies}" ]]; then
   exit 1
 fi
 
+# One job record: explicit jobs are a scenario's "jobs" array, read by the
+# scenario parser and checked by JobSpec::Validate (src/cluster/job.{h,cc}).
+# These names mean the lossy workload CSV has come back.
+csv_copies=$(grep -rnE \
+    'WriteWorkloadCsv|ReadWorkloadCsv|src/sim/trace_replay|workload-csv' \
+    "${repo_root}/src" "${repo_root}/bench" "${repo_root}/tools" \
+    "${repo_root}/examples" "${repo_root}/tests" --exclude=check.sh || true)
+if [[ -n "${csv_copies}" ]]; then
+  echo "a second job file format next to the job record:" >&2
+  echo "${csv_copies}" >&2
+  exit 1
+fi
+
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DOPTIMUS_SANITIZE="${OPTIMUS_SANITIZE:-}"
 cmake --build "${build_dir}" -j "$(nproc)"
@@ -159,13 +172,20 @@ done
 
 # A bad flag value is a config error: it must exit 2 with stderr naming the
 # flag or the config field (for a fault plan, the bad server id), not abort.
-# Checked on optimus_sim's generated and scenario paths and on optimus_serve.
+# Checked on optimus_sim's generated and scenario paths (a flag, or a file
+# with one bad value) and on optimus_serve. A 1e-300 s interval would run
+# for ever and 2e9 jobs would exhaust memory.
 smoke_scenario="${repo_root}/scenarios/smoke/grid_a.json"
 serve_scenario="${repo_root}/tests/golden/serve/scenario.json"
+sed 's/"knobs": {/"knobs": {"interval_s": 1e-300, /' "${smoke_scenario}" \
+  > "${tmp_dir}/tiny_interval.json"
+sed 's/"jobs": 6,/"jobs": 2000000000,/' "${smoke_scenario}" > "${tmp_dir}/many_jobs.json"
 for entry in \
     "sim|--jobs=0|--jobs" \
     "sim|--repeats=0|--repeats" \
     "sim|--interval=-5|interval_s" \
+    "sim|--interval=1e-300|interval_s" \
+    "sim|--jobs=2000000000|workload.jobs" \
     "sim|--threads=-2|threads" \
     "sim|--background-share=1.5|background_share" \
     "sim|--task-failure-prob=nan|task_failure_prob" \
@@ -174,12 +194,15 @@ for entry in \
     "sim|--fault-plan=rack@100:servers=0-3000000000|'3000000000'" \
     "scenario|--repeats=0|repeats" \
     "scenario|--flight-recorder-depth=-1|flight_recorder_depth" \
+    "file|${tmp_dir}/tiny_interval.json|interval_s" \
+    "file|${tmp_dir}/many_jobs.json|workload.jobs" \
     "serve|--threads=-2|threads"; do
   IFS='|' read -r surface flag name <<< "${entry}"
   rc=0
   case "${surface}" in
     sim) "${build_dir}/tools/optimus_sim" "${flag}" ;;
     scenario) "${build_dir}/tools/optimus_sim" --scenario="${smoke_scenario}" "${flag}" ;;
+    file) "${build_dir}/tools/optimus_sim" --scenario="${flag}" ;;
     serve) "${build_dir}/tools/optimus_serve" --scenario="${serve_scenario}" "${flag}" \
              < /dev/null ;;
   esac 2> "${tmp_dir}/bad_value.err" > /dev/null || rc=$?
@@ -187,43 +210,66 @@ for entry in \
     echo "${surface} ${flag} did not exit 2 naming ${name} (exit ${rc})" >&2; exit 1;
   }
 done
+# The service answers the same job count in a scenario_swap with ok=false
+# naming it, and keeps serving.
+printf '{"op": "scenario_swap", "path": "%s"}\n' "${tmp_dir}/many_jobs.json" |
+  "${build_dir}/tools/optimus_serve" --scenario="${serve_scenario}" > "${tmp_dir}/swap.out"
+grep -q '"ok":false.*workload\.jobs' "${tmp_dir}/swap.out" || {
+  echo "scenario_swap to 2e9 jobs did not answer ok=false naming workload.jobs:" \
+       "$(cat "${tmp_dir}/swap.out")" >&2
+  exit 1
+}
 
-# A malformed --workload-csv exits 2 with a message naming the bad line: a
-# repeated job id (line 3), a nan arrival time (line 2), a dataset_scale
-# past 2^53 steps per epoch (line 2) and one past 2^47 dataset bytes within
-# that step cap (line 2).
-header="job_id,model,mode,arrival_s,delta,patience,dataset_scale,max_ps,max_workers"
-row="DSSM,sync,0,0.02,3,0.01,16,16"
-printf '%s\n0,%s\n0,%s\n' "${header}" "${row}" "${row}" > "${tmp_dir}/dup_id.csv"
-printf '%s\n0,DSSM,sync,nan,0.02,3,0.01,16,16\n1,%s\n' "${header}" "${row}" \
-  > "${tmp_dir}/nan_arrival.csv"
-printf '%s\n0,DSSM,sync,0,0.02,3,1e300,16,16\n' "${header}" > "${tmp_dir}/huge_scale.csv"
-printf '%s\n0,DSSM,sync,0,0.02,3,1e9,16,16\n' "${header}" > "${tmp_dir}/huge_dataset.csv"
-for case in dup_id:3 nan_arrival:2 huge_scale:2 huge_dataset:2; do
-  csv="${tmp_dir}/${case%%:*}.csv"
+# A bad job record exits 2 with a message naming its jobs[i] entry: a
+# repeated id (jobs[1]), a non-finite arrival_s (jobs[0]; JSON has no NaN,
+# so null stands in), a dataset_scale past 2^53 steps per epoch and one past 2^47 dataset
+# bytes within that step cap, a grid past 2^20 cells and an unknown model.
+good_job='{"id": 0, "model": "DSSM", "dataset_scale": 0.01}'
+for case in \
+    'dup_id|jobs[1].id|{"id": 0, "model": "DSSM"}' \
+    'nan_arrival|jobs[0].arrival_s|{"id": 1, "model": "DSSM", "arrival_s": null}' \
+    'huge_scale|jobs[0].dataset_scale|{"id": 1, "model": "DSSM", "dataset_scale": 1e300}' \
+    'huge_dataset|jobs[0].dataset_scale|{"id": 1, "model": "DSSM", "dataset_scale": 1e9}' \
+    'huge_grid|jobs[0].max_workers|{"id": 1, "model": "DSSM", "max_ps": 2, "max_workers": 524289}' \
+    'unknown_model|jobs[0].model|{"id": 1, "model": "GPT-7"}'; do
+  IFS='|' read -r name entry job <<< "${case}"
+  jobs="[${job}, ${good_job}]"
+  [[ "${name}" == dup_id ]] && jobs="[${good_job}, ${job}]"
+  printf '{"schema": "scenario-v2", "name": "%s", "policy": "optimus",\n "jobs": %s}\n' \
+    "${name}" "${jobs}" > "${tmp_dir}/${name}.json"
   rc=0
-  "${build_dir}/tools/optimus_sim" --workload-csv="${csv}" \
-    2> "${tmp_dir}/bad_csv.err" > /dev/null || rc=$?
-  [[ "${rc}" == 2 ]] && grep -q "line ${case##*:}:" "${tmp_dir}/bad_csv.err" || {
-    echo "${csv} did not exit 2 naming line ${case##*:} (exit ${rc})" >&2; exit 1;
+  "${build_dir}/tools/optimus_sim" --scenario="${tmp_dir}/${name}.json" \
+    2> "${tmp_dir}/bad_jobs.err" > /dev/null || rc=$?
+  [[ "${rc}" == 2 ]] && grep -qF "${entry}:" "${tmp_dir}/bad_jobs.err" || {
+    echo "${name}.json did not exit 2 naming ${entry} (exit ${rc})" >&2; exit 1;
   }
 done
 
 # A default scenario replays optimus_sim's jobs: the flag defaults (9 jobs,
 # testbed, seed 42, 80 steps per epoch, stragglers 0.12) build
 # scenarios/fig11_testbed.json's setup, so one policy at one repeat dumps the
-# same jobs and prints the same run.
-"${build_dir}/tools/optimus_sim" --dump-workload-csv="${tmp_dir}/cli.csv" \
+# same jobs and prints the same run. Spliced into the scenario in place of its
+# workload, the dump replays that run too.
+"${build_dir}/tools/optimus_sim" --dump-jobs="${tmp_dir}/cli.jobs.json" \
   > "${tmp_dir}/cli.out"
 "${build_dir}/tools/optimus_sim" \
   --scenario="${repo_root}/scenarios/fig11_testbed.json" --policy=optimus \
-  --repeats=1 --dump-workload-csv="${tmp_dir}/scenario.csv" > "${tmp_dir}/scenario.out"
+  --repeats=1 --dump-jobs="${tmp_dir}/scenario.jobs.json" > "${tmp_dir}/scenario.out"
+sed -n '1,/"workload"/p' "${repo_root}/scenarios/fig11_testbed.json" |
+  sed '$s/"workload".*/"jobs":/' > "${tmp_dir}/fig11_jobs.json"
+cat "${tmp_dir}/scenario.jobs.json" >> "${tmp_dir}/fig11_jobs.json"
+sed -n '/"cluster"/,$p' "${repo_root}/scenarios/fig11_testbed.json" |
+  sed '1s/^/,/' >> "${tmp_dir}/fig11_jobs.json"
+"${build_dir}/tools/optimus_sim" --scenario="${tmp_dir}/fig11_jobs.json" \
+  --policy=optimus --repeats=1 > "${tmp_dir}/replay.out"
 cli_run=$(grep '^policy optimus: completed' "${tmp_dir}/cli.out" || true)
 scenario_run=$(grep '^policy optimus: completed' "${tmp_dir}/scenario.out" || true)
-cmp -s "${tmp_dir}/cli.csv" "${tmp_dir}/scenario.csv" &&
-  [[ -n "${cli_run}" && "${cli_run}" == "${scenario_run}" ]] || {
+replay_run=$(grep '^policy optimus: completed' "${tmp_dir}/replay.out" || true)
+cmp -s "${tmp_dir}/cli.jobs.json" "${tmp_dir}/scenario.jobs.json" &&
+  [[ -n "${cli_run}" && "${cli_run}" == "${scenario_run}" &&
+     "${cli_run}" == "${replay_run}" ]] || {
   echo "optimus_sim's defaults did not replay scenarios/fig11_testbed.json:" \
-       "'${cli_run}' vs '${scenario_run}'" >&2
+       "'${cli_run}' vs '${scenario_run}' vs its dump '${replay_run}'" >&2
   exit 1
 }
 

@@ -5,8 +5,8 @@
 // runs instrumented and can dump the per-interval timeline and the lifecycle
 // event trace as CSV for offline analysis; a larger grid runs through
 // RunSweep and prints a comparison table. Policies come from the policy
-// table (`--policy list` shows the catalog). `--workload-csv` replays a trace
-// of explicit job specs instead.
+// table (`--policy list` shows the catalog). `--dump-jobs` writes repeat 0's
+// jobs as job records, which a scenario's "jobs" key replays.
 //
 // Examples:
 //   optimus_sim --policy=optimus --jobs=12 --seed=7
@@ -15,6 +15,7 @@
 //   optimus_sim --scenario=scenarios/fig11_testbed.json
 //   optimus_sim --scenario=scenarios/fig11_testbed.json --policy=tetris
 //               --trace-csv=/tmp/events.csv
+//   optimus_sim --scenario=scenarios/allreduce_mix.json --dump-jobs=jobs.json
 
 #include <fstream>
 #include <iostream>
@@ -26,7 +27,6 @@
 #include "src/obs/exporters.h"
 #include "src/sim/fault_injector.h"
 #include "src/sim/simulator.h"
-#include "src/sim/trace_replay.h"
 #include "src/workload/scenario.h"
 #include "src/workload/sweep.h"
 
@@ -97,9 +97,8 @@ std::string Usage() {
       "                                        samples the per-interval series\n"
       "  --flight-recorder-depth=N             recent-event ring depth, dumped on\n"
       "                                        invariant violations (default 256; 0 off)\n"
-      "  --workload-csv=PATH                   replay a workload trace instead of\n"
-      "                                        generating one (repeats=1 only)\n"
-      "  --dump-workload-csv=PATH              write the generated workload as CSV\n"
+      "  --dump-jobs=PATH                      write repeat 0's jobs as a scenario\n"
+      "                                        \"jobs\" array (docs/SCENARIOS.md)\n"
       "  --help                                this message\n";
   return usage;
 }
@@ -155,27 +154,18 @@ struct OutputFiles {
   std::string timeline_csv;
   std::string metrics_out;
   std::string metrics_format = "prom";
-  std::string dump_workload_csv;
 
   bool any() const {
-    return !trace_csv.empty() || !timeline_csv.empty() || !metrics_out.empty() ||
-           !dump_workload_csv.empty();
+    return !trace_csv.empty() || !timeline_csv.empty() || !metrics_out.empty();
   }
 };
 
-// Runs one fully instrumented simulation and writes the requested artifacts.
-// Returns the process exit code.
-int RunSingle(const SimulatorConfig& sim_config, std::vector<Server> servers,
-              std::vector<JobSpec> specs, const std::string& policy_name,
-              const OutputFiles& out) {
-  if (!out.dump_workload_csv.empty()) {
-    std::ofstream os(out.dump_workload_csv);
-    OPTIMUS_CHECK(os.good()) << "cannot write " << out.dump_workload_csv;
-    WriteWorkloadCsv(specs, os);
-    std::cout << "wrote " << specs.size() << " jobs to " << out.dump_workload_csv
-              << "\n";
-  }
-  Simulator sim(sim_config, std::move(servers), std::move(specs));
+// Runs a one-cell scenario fully instrumented and writes the requested
+// artifacts. Returns the process exit code.
+int RunSingle(const ScenarioSpec& scenario, const OutputFiles& out) {
+  const std::string& policy_name = scenario.policies[0];
+  const SimulatorConfig sim_config = scenario.MakeSimConfig(policy_name);
+  Simulator sim(sim_config, scenario.cluster.Build(), scenario.JobsForRepeat(0));
   RunMetrics metrics = sim.Run();
   if (!out.trace_csv.empty()) {
     std::ofstream os(out.trace_csv);
@@ -231,16 +221,23 @@ int RunSingle(const SimulatorConfig& sim_config, std::vector<Server> servers,
 }
 
 // Runs a scenario's policy grid (possibly restricted by --policy) and prints
-// the comparison table. Returns the process exit code.
-int RunScenario(ScenarioSpec scenario, int threads, const OutputFiles& out) {
+// the comparison table, after writing repeat 0's jobs to `dump_jobs` (when
+// set). Returns the process exit code.
+int RunScenario(ScenarioSpec scenario, int threads, const OutputFiles& out,
+                const std::string& dump_jobs) {
+  if (!dump_jobs.empty()) {
+    const std::vector<JobSpec> jobs = scenario.JobsForRepeat(0);
+    std::ofstream os(dump_jobs);
+    OPTIMUS_CHECK(os.good()) << "cannot write " << dump_jobs;
+    os << EncodeJobRecords(jobs);
+    std::cout << "wrote " << jobs.size() << " jobs to " << dump_jobs << "\n";
+  }
   if (scenario.policies.size() == 1 && scenario.repeats == 1) {
     // One cell: run it fully instrumented so --trace-csv and friends work.
-    return RunSingle(scenario.MakeSimConfig(scenario.policies[0]),
-                     scenario.cluster.Build(), scenario.JobsForRepeat(0),
-                     scenario.policies[0], out);
+    return RunSingle(scenario, out);
   }
   if (out.any()) {
-    std::cerr << "--trace-csv/--timeline-csv/--metrics-out/--dump-workload-csv "
+    std::cerr << "--trace-csv/--timeline-csv/--metrics-out "
                  "need a single-cell scenario (one policy, repeats=1); this "
                  "one has "
               << scenario.policies.size() << " policy(ies) x "
@@ -317,9 +314,8 @@ int main(int argc, char** argv) {
   out.timeline_csv = flags.GetString("timeline-csv", "");
   out.metrics_out = flags.GetString("metrics-out", "");
   out.metrics_format = flags.GetString("metrics-format", "prom");
-  out.dump_workload_csv = flags.GetString("dump-workload-csv", "");
   const int flight_recorder_depth = flags.GetInt32("flight-recorder-depth", 256);
-  const std::string workload_csv = flags.GetString("workload-csv", "");
+  const std::string dump_jobs = flags.GetString("dump-jobs", "");
 
   const std::vector<std::string> unknown = flags.UnconsumedKeys();
   if (!unknown.empty()) {
@@ -377,11 +373,6 @@ int main(int argc, char** argv) {
     if (repeats_given) {
       scenario.repeats = repeats;
     }
-    if (!workload_csv.empty()) {
-      std::cerr << "--workload-csv cannot be combined with --scenario (the "
-                   "scenario defines the workload)\n";
-      return 2;
-    }
     if (engine_given) {
       scenario.sim.engine = engine;
     }
@@ -424,27 +415,5 @@ int main(int argc, char** argv) {
   if (std::vector<std::string> errors; !scenario.Validate(&errors)) {
     return ReportInvalid(errors);
   }
-  if (workload_csv.empty()) {
-    return RunScenario(std::move(scenario), threads, out);
-  }
-
-  // A replayed trace: the one path that runs explicit specs.
-  if (scenario.repeats != 1) {
-    std::cerr << "--workload-csv replays one trace once (got --repeats="
-              << scenario.repeats << ")\n";
-    return 2;
-  }
-  std::ifstream in(workload_csv);
-  if (!in.good()) {
-    std::cerr << "cannot read workload trace " << workload_csv << "\n";
-    return 2;
-  }
-  std::vector<JobSpec> specs;
-  if (std::string parse_error; !ReadWorkloadCsv(in, &specs, &parse_error)) {
-    std::cerr << "bad workload trace " << workload_csv << ": " << parse_error << "\n";
-    return 2;
-  }
-  const std::string& policy = scenario.policies[0];
-  return RunSingle(scenario.MakeSimConfig(policy), scenario.cluster.Build(),
-                   std::move(specs), policy, out);
+  return RunScenario(std::move(scenario), threads, out, dump_jobs);
 }
