@@ -2,19 +2,30 @@
 
 namespace optimus {
 
-SchedJob SchedJobHeader(const JobSpec& spec) {
+SchedJob MakeSchedJob(const JobSpec& spec, double remaining_epochs, SpeedEstimate speed,
+                      double priority_factor, const CommConfig& comm) {
   SchedJob sj;
   sj.job_id = spec.id;
   sj.mode = spec.mode;
   sj.comm = spec.comm;
   sj.worker_demand = spec.worker_demand;
-  sj.ps_demand = spec.ps_demand;
-  sj.max_ps = spec.max_ps;
+  sj.ps_demand = spec.comm == CommMode::kAllReduce ? Resources() : spec.ps_demand;
+  sj.max_ps = spec.comm == CommMode::kAllReduce ? 0 : spec.max_ps;
   sj.max_workers = spec.max_workers;
-  if (spec.comm == CommMode::kAllReduce) {
-    sj.max_ps = 0;
-    sj.ps_demand = Resources();
+  sj.remaining_epochs = remaining_epochs;
+  sj.speed = speed;
+  sj.priority_factor = priority_factor;
+  if (spec.mode == TrainingMode::kSync) {
+    sj.batch_ref = spec.GlobalBatch();
+    sj.batch_min = spec.BatchMin();
+    sj.batch_max = spec.BatchMax();
+    sj.grad_noise_scale = spec.GradNoiseScale();
+    if (sj.batch_min > 0 && sj.batch_max > sj.batch_min) {
+      sj.speed = speed.WithBatchScaling(StepProfile::Of(spec), comm);
+    }
   }
+  sj.cpu_sensitivity = spec.CpuSensitivity();
+  sj.mem_sensitivity = spec.MemSensitivity();
   return sj;
 }
 

@@ -72,10 +72,16 @@ struct SchedJob {
 // A round copies its jobs freely: no closure, no heap state.
 static_assert(std::is_trivially_copyable_v<SchedJob>);
 
-// The scheduler's view of a spec's identity, demands and caps, with no speed
-// estimate yet. All-reduce jobs run no PS tasks: the scheduler sees a zero PS
-// cap and a zero PS demand, so every allocator works along the p == 0 row.
-SchedJob SchedJobHeader(const JobSpec& spec);
+// The one scheduler view of a job: the spec's identity, demands and caps, the
+// estimates the caller chose (observed or truth-derived) and the policy's
+// priority factor, a sync job's batch surface, and the sensitivity profile.
+// All-reduce jobs run no PS tasks: the scheduler sees a zero PS cap and a zero
+// PS demand, so every allocator works along the p == 0 row. A sync job with a
+// batch range gets `speed` scaled over the batch by the analytic step-time
+// ratio of its profile under `comm` (a pure function: no RNG draw); policies
+// that ignore the batch dimension never call it.
+SchedJob MakeSchedJob(const JobSpec& spec, double remaining_epochs, SpeedEstimate speed,
+                      double priority_factor, const CommConfig& comm);
 
 // Statistical efficiency E(b) of training at global batch b relative to the
 // reference batch ref_b, under the gradient-noise-scale model

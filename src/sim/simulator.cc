@@ -31,29 +31,22 @@ constexpr double kBackoffMaxS = 7200.0;
 // The events engine's counter names, indexed by Simulator::EventKind.
 constexpr const char* kEventKindNames[] = {"arrival", "epoch", "fault_plan", "round"};
 
-// The spec-only step-time view of a job at (p, w): the configured batch,
-// balanced PS load, no placement, healthy workers and the flat network.
-StepTimeInputs SpecStepInputs(const JobSpec& spec, int num_ps, int num_workers) {
-  return StepProfile::Of(spec).Inputs(num_ps, num_workers);
+// The analytic ground-truth estimate of `spec` (the oracle path), its slope
+// tilted by `error`. Without error, jobs sharing one profile have equal
+// estimates and share one memoized surface within a round.
+SpeedEstimate TruthSpeed(const JobSpec& spec, const CommConfig& comm, double error) {
+  const int max_ps = spec.comm == CommMode::kAllReduce ? 0 : spec.max_ps;
+  return SpeedEstimate::Oracle(StepProfile::Of(spec), comm,
+                               static_cast<double>(spec.StepsPerEpoch()), error,
+                               static_cast<double>(max_ps + spec.max_workers));
 }
 
-JobSnapshot SnapshotOf(const Job& job, bool killed) {
-  JobSnapshot s;
-  s.id = job.id();
-  s.state = job.state();
-  s.killed = killed;
-  s.num_ps = job.num_ps();
-  s.num_workers = job.num_workers();
-  s.num_scalings = job.num_scalings();
-  s.arrival_time_s = job.spec().arrival_time_s;
-  s.completion_time_s = job.completion_time_s();
-  s.jct_s = job.state() == JobState::kCompleted ? job.Jct() : 0.0;
-  s.steps_done = job.steps_done();
-  s.epochs_done = job.EpochsDone();
-  s.checkpoint_steps = job.checkpoint_steps();
-  s.last_epoch_loss = job.epoch_losses().empty() ? 0.0 : job.epoch_losses().back();
-  s.total_stall_s = job.total_stall_s();
-  return s;
+// A rejected online call: sets *error (when non-null) and returns false.
+bool Fail(std::string* error, const std::string& message) {
+  if (error != nullptr) {
+    *error = message;
+  }
+  return false;
 }
 
 }  // namespace
@@ -226,24 +219,13 @@ Simulator::Simulator(SimulatorConfig config, std::vector<Server> servers,
                      std::vector<JobSpec> specs)
     : config_(config.CheckValid()),
       servers_(std::move(servers)),
+      jobs_(std::move(specs)),
       policy_(ResolvePolicy(config_)),
       straggler_(config_.straggler, policy_.straggler_handling),
       rng_(config.seed),
       flight_(config.obs.enabled ? config.obs.flight_recorder_depth : 0) {
   OPTIMUS_CHECK(!servers_.empty());
-  metrics_.total_jobs = static_cast<int>(specs.size());
-  pending_specs_ = std::move(specs);
-  // The cursor serves the input's arrival-sorted prefix (all of a generated
-  // trace); every spec from the first one out of order on waits in the heap.
-  while (pending_sorted_end_ < pending_specs_.size() &&
-         (pending_sorted_end_ == 0 ||
-          pending_specs_[pending_sorted_end_].arrival_time_s >=
-              pending_specs_[pending_sorted_end_ - 1].arrival_time_s)) {
-    ++pending_sorted_end_;
-  }
-  for (size_t key = pending_sorted_end_; key < pending_specs_.size(); ++key) {
-    pending_heap_.push({pending_specs_[key].arrival_time_s, key});
-  }
+  metrics_.total_jobs = static_cast<int>(jobs_.keys());
   pool_ = std::make_unique<ThreadPool>(config_.threads > 0 ? config_.threads
                                                           : DefaultThreadCount());
   allocator_ = policy_.allocator->create(&alloc_stats_);
@@ -259,7 +241,7 @@ Simulator::Simulator(SimulatorConfig config, std::vector<Server> servers,
     trace_.set_hash_only(true);
   }
   // Rough per-run event budget: a handful of lifecycle events per job.
-  trace_.Reserve(pending_specs_.size() * 8 + 64);
+  trace_.Reserve(jobs_.keys() * 8 + 64);
   SetupObservability();
   if (config_.engine == SimEngine::kEvents) {
     // The distinct scripted edge times: one stop at each applies every
@@ -284,7 +266,7 @@ Simulator::Simulator(SimulatorConfig config, std::vector<Server> servers,
   }
 }
 
-Simulator::JobRuntime* Simulator::MaterializeSpec(JobSpec pending, size_t key) {
+JobRuntime* Simulator::MaterializeSpec(JobSpec pending, size_t key) {
   std::vector<std::string> errors;
   OPTIMUS_CHECK(pending.Validate(&errors)) << "job " << pending.id << ": " << errors.front();
   auto jr = std::make_unique<JobRuntime>(std::move(pending), key, rng_);
@@ -300,86 +282,7 @@ Simulator::JobRuntime* Simulator::MaterializeSpec(JobSpec pending, size_t key) {
       EstimateDatasetBytes(*spec.model, spec.dataset_scale));
   jr->true_total_epochs = static_cast<double>(
       jr->curve.EpochsToConverge(spec.convergence_delta, spec.patience));
-  const auto [ref, inserted] = job_refs_.try_emplace(spec.id, JobRef{key, nullptr});
-  OPTIMUS_CHECK(inserted || ref->second.key == key) << "duplicate job id " << spec.id;
-  ref->second.live = jr.get();
-  ++materialized_count_;
-  // Arrivals come in order-key order unless the input was unsorted or a
-  // submission arrives before a later input spec.
-  auto at = jobs_.end();
-  if (!jobs_.empty() && jobs_.back()->key > key) {
-    at = std::upper_bound(jobs_.begin(), jobs_.end(), key,
-                          [](size_t k, const auto& other) { return k < other->key; });
-  }
-  return jobs_.insert(at, std::move(jr))->get();
-}
-
-std::optional<size_t> Simulator::PendingHead() {
-  while (pending_next_ < pending_sorted_end_ &&
-         pending_specs_[pending_next_].model == nullptr) {
-    ++pending_next_;
-  }
-  while (!pending_heap_.empty() &&
-         pending_specs_[pending_heap_.top().key].model == nullptr) {
-    pending_heap_.pop();
-  }
-  std::optional<size_t> head;
-  if (pending_next_ < pending_sorted_end_) {
-    head = pending_next_;
-  }
-  if (!pending_heap_.empty() &&
-      (!head || QueuedArrivalBefore{}(pending_heap_.top(),
-                                      {pending_specs_[*head].arrival_time_s, *head}))) {
-    head = pending_heap_.top().key;
-  }
-  return head;
-}
-
-JobSpec Simulator::TakePending(size_t key) {
-  JobSpec spec = std::move(pending_specs_[key]);
-  pending_specs_[key] = JobSpec{};  // consumed: releases the slot's heap state
-  return spec;
-}
-
-void Simulator::IndexPendingSpecs() const {
-  if (pending_indexed_) {
-    return;
-  }
-  pending_indexed_ = true;
-  for (size_t key = 0; key < pending_specs_.size(); ++key) {
-    const JobSpec& spec = pending_specs_[key];
-    if (spec.model == nullptr) {
-      continue;
-    }
-    const auto [ref, inserted] = job_refs_.try_emplace(spec.id, JobRef{key, nullptr});
-    OPTIMUS_CHECK(inserted || ref->second.key == key) << "duplicate job id " << spec.id;
-  }
-}
-
-void Simulator::RetireCompleted() {
-  runtime_visits_ += static_cast<int64_t>(jobs_.size());
-  size_t kept = 0;
-  for (size_t i = 0; i < jobs_.size(); ++i) {
-    JobRuntime* jr = jobs_[i].get();
-    if (jr->job.state() != JobState::kCompleted) {
-      if (kept != i) {
-        jobs_[kept] = std::move(jobs_[i]);
-      }
-      ++kept;
-      continue;
-    }
-    retired_.push_back({jr->key, SnapshotOf(jr->job, jr->killed)});
-    if (jr->conv != nullptr) {
-      retired_conv_stats_ += jr->conv->fit_stats();
-    }
-    if (jr->speed != nullptr) {
-      retired_speed_stats_ += jr->speed->fit_stats();
-    }
-    auditor_.NoteRetired(jr->job.id());
-    job_refs_.at(jr->job.id()).live = nullptr;
-    jobs_[i].reset();
-  }
-  jobs_.resize(kept);
+  return jobs_.Insert(std::move(jr));
 }
 
 void Simulator::SetupObservability() {
@@ -394,7 +297,7 @@ void Simulator::SetupObservability() {
     intervals_ = registry_.AddCounter("optimus_intervals_total",
                                       "Scheduling intervals simulated.");
     view("optimus_jobs_submitted_total", "Jobs that have arrived.",
-         [this] { return job_totals().submitted; });
+         [this] { return jobs_.materialized(); });
     view("optimus_jobs_completed_total", "Jobs converged and completed.",
          [this] { return metrics_.completed_jobs; });
     view("optimus_jobs_killed_total", "Jobs cancelled by an online kill request.",
@@ -442,21 +345,21 @@ void Simulator::SetupObservability() {
          "Heap candidates dropped because their task kind no longer fits.",
          [this] { return alloc_stats_.unfittable_drops; });
     view("optimus_conv_fits_total", "Convergence-model solve attempts.",
-         [this] { return job_totals().conv.fits; });
+         [this] { return jobs_.totals().conv.fits; });
     view("optimus_conv_fit_cache_hits_total",
          "Convergence fits answered by the dirty-flag cache.",
-         [this] { return job_totals().conv.fit_cache_hits; });
+         [this] { return jobs_.totals().conv.fit_cache_hits; });
     view("optimus_conv_nnls_iterations_total",
          "NNLS iterations spent in convergence fits.",
-         [this] { return job_totals().conv.nnls_iterations; });
+         [this] { return jobs_.totals().conv.nnls_iterations; });
     view("optimus_speedmodel_fits_total", "Speed-model solve attempts.",
-         [this] { return job_totals().speed.fits; });
+         [this] { return jobs_.totals().speed.fits; });
     view("optimus_speedmodel_fit_cache_hits_total",
          "Speed-model fits answered by the dirty-flag cache.",
-         [this] { return job_totals().speed.fit_cache_hits; });
+         [this] { return jobs_.totals().speed.fit_cache_hits; });
     view("optimus_speedmodel_nnls_iterations_total",
          "NNLS iterations spent in speed-model fits.",
-         [this] { return job_totals().speed.nnls_iterations; });
+         [this] { return jobs_.totals().speed.nnls_iterations; });
     view("optimus_events_processed_total",
          "Discrete events handled by the event kernel "
          "(stale-dropped entries excluded).",
@@ -539,51 +442,6 @@ void Simulator::SyncRunMetrics() {
       std::accumulate(event_counts_.begin(), event_counts_.end(), int64_t{0});
 }
 
-const Simulator::JobTotals& Simulator::job_totals() const {
-  if (!job_totals_stale_) {
-    return job_totals_;
-  }
-  // Integer sums, so the order matters only for consistency, not value.
-  JobTotals t;
-  t.submitted = static_cast<int64_t>(retired_.size() + jobs_.size());
-  t.conv = retired_conv_stats_;
-  t.speed = retired_speed_stats_;
-  for (const auto& jr : Live()) {
-    if (jr->conv != nullptr) {
-      t.conv += jr->conv->fit_stats();
-    }
-    if (jr->speed != nullptr) {
-      t.speed += jr->speed->fit_stats();
-    }
-  }
-  job_totals_ = t;
-  job_totals_stale_ = false;
-  return job_totals_;
-}
-
-JobSnapshot Simulator::job(int id) const {
-  IndexPendingSpecs();
-  const auto it = job_refs_.find(id);
-  if (it == job_refs_.end()) {
-    OPTIMUS_LOG(Fatal) << "unknown job id " << id;
-  }
-  const JobRef& ref = it->second;
-  if (ref.live != nullptr) {
-    return SnapshotOf(ref.live->job, ref.live->killed);
-  }
-  const JobSpec& pending = pending_specs_[ref.key];
-  if (pending.model != nullptr) {
-    JobSnapshot s;
-    s.id = pending.id;
-    s.arrival_time_s = pending.arrival_time_s;
-    return s;
-  }
-  const auto retired = std::find_if(retired_.begin(), retired_.end(),
-                                    [&](const RetiredJob& r) { return r.key == ref.key; });
-  OPTIMUS_CHECK(retired != retired_.end()) << "job " << id << " has no record";
-  return retired->snapshot;
-}
-
 void Simulator::InitSpeedModel(JobRuntime* jr) {
   const JobSpec& spec = jr->job.spec();
   ConvergenceModelOptions conv_options;
@@ -604,8 +462,8 @@ void Simulator::InitSpeedModel(JobRuntime* jr) {
   // row of the comm model, which the fitted SpeedModel stores under p = 1
   // (its Eqn-3/4 grid starts at one PS). Pre-run samples therefore pin p.
   const bool allreduce = spec.comm == CommMode::kAllReduce;
-  SpeedOracle oracle = [this, spec, noise, allreduce](int p, int w) {
-    return TrainingSpeed(SpecStepInputs(spec, allreduce ? 0 : p, w), config_.comm) *
+  SpeedOracle oracle = [this, profile = StepProfile::Of(spec), noise, allreduce](int p, int w) {
+    return TrainingSpeed(profile.Inputs(allreduce ? 0 : p, w), config_.comm) *
            noise->LogNormalFactor(kSpeedMeasureNoiseSd);
   };
   Rng sampler_rng = jr->rng.Split(77);
@@ -621,9 +479,9 @@ void Simulator::ActivateArrivals() {
   // identical to the serial one; trace events are recorded afterwards, in
   // order-key order, to keep the event log deterministic too.
   std::vector<JobRuntime*> arriving;
-  for (std::optional<size_t> key = PendingHead();
-       key && pending_specs_[*key].arrival_time_s <= now_s_; key = PendingHead()) {
-    arriving.push_back(MaterializeSpec(TakePending(*key), *key));
+  for (std::optional<size_t> key = jobs_.PendingHead();
+       key && jobs_.pending(*key).arrival_time_s <= now_s_; key = jobs_.PendingHead()) {
+    arriving.push_back(MaterializeSpec(jobs_.Take(*key), *key));
   }
   if (arriving.empty()) {
     return;
@@ -636,22 +494,16 @@ void Simulator::ActivateArrivals() {
     Emit(now_s_, SimEventType::kArrival, jr->job.id(), 0, 0, 0.0,
          jr->job.spec().model->name);
   }
-  job_totals_stale_ = true;
+  jobs_.MarkTotalsStale();
 }
 
 bool Simulator::AnyIncompleteLive() const {
-  for (const auto& jr : Live()) {
+  for (const auto& jr : jobs_.Live()) {
     if (jr->job.state() != JobState::kCompleted) {
       return true;
     }
   }
   return false;
-}
-
-double Simulator::NextArrival() {
-  const std::optional<size_t> key = PendingHead();
-  return key ? pending_specs_[*key].arrival_time_s
-             : std::numeric_limits<double>::infinity();
 }
 
 double Simulator::ErrorFactor(const JobRuntime& jr, double error_magnitude) const {
@@ -676,59 +528,29 @@ double Simulator::EstimateRemainingEpochs(const JobRuntime& jr) const {
                                         jr.job.spec().StepsPerEpoch());
 }
 
-SchedJob Simulator::MakeSchedJob(JobRuntime* jr) const {
-  const JobSpec& spec = jr->job.spec();
-  SchedJob sj = SchedJobHeader(spec);
-  const bool allreduce = spec.comm == CommMode::kAllReduce;
-  sj.remaining_epochs = EstimateRemainingEpochs(*jr);
-
+SpeedEstimate Simulator::EstimateSpeed(const JobRuntime& jr) const {
+  const JobSpec& spec = jr.job.spec();
   const double spe = static_cast<double>(spec.StepsPerEpoch());
-  const StepProfile profile = StepProfile::Of(spec);
   if (config_.oracle_estimates) {
     // Speed-estimation error distorts the *slope* of the estimated speed
     // function: the estimate is exact in the middle of the configuration
     // range and off by up to +/-e at the extremes. A uniform scale factor
     // would cancel out of every allocation decision; a slope error misplaces
     // the speed knee and causes genuine over-/under-allocation, which is what
-    // Fig 15 measures. Without injected error, jobs sharing one profile have
-    // equal estimates and share one memoized surface within a round.
-    const double err = ErrorFactor(*jr, config_.error.speed_error) - 1.0;
-    const double span = static_cast<double>(sj.max_ps + sj.max_workers);
-    sj.speed = SpeedEstimate::Oracle(profile, config_.comm, spe, err, span);
-  } else if (jr->speed != nullptr && config_.naive_linear_speed) {
+    // Fig 15 measures.
+    return TruthSpeed(spec, config_.comm, ErrorFactor(jr, config_.error.speed_error) - 1.0);
+  }
+  if (jr.speed == nullptr) {
+    return SpeedEstimate();
+  }
+  if (config_.naive_linear_speed) {
     // Naive assumption: perfect linear scaling in workers from the single
     // (1, 1) measurement, parameter servers free.
-    sj.speed = SpeedEstimate::NaiveLinear(*jr->speed, spe);
-  } else if (jr->speed != nullptr) {
-    // Fitted all-reduce estimates live on the model's p = 1 row (the grid the
-    // pre-run samples and interval measurements were pinned to).
-    sj.speed = SpeedEstimate::Fitted(*jr->speed, spe, /*pin_ps=*/allreduce);
+    return SpeedEstimate::NaiveLinear(*jr.speed, spe);
   }
-
-  // Batch-adaptivity surface (sync jobs only): the admissible range, the
-  // statistical-efficiency parameter, and batch scaling of the estimate by
-  // the analytic step-time ratio T(M0)/T(b) — a pure function of the model
-  // profile, so it adds no RNG draws and is identical across threads.
-  // Policies that ignore the batch dimension never call it.
-  if (spec.mode == TrainingMode::kSync) {
-    sj.batch_ref = spec.GlobalBatch();
-    sj.batch_min = spec.BatchMin();
-    sj.batch_max = spec.BatchMax();
-    sj.grad_noise_scale = spec.GradNoiseScale();
-    if (sj.batch_min > 0 && sj.batch_max > sj.batch_min) {
-      sj.speed = sj.speed.WithBatchScaling(profile, config_.comm);
-    }
-  }
-  // Sensitivity profile for resource-sensitive policies.
-  sj.cpu_sensitivity = spec.CpuSensitivity();
-  sj.mem_sensitivity = spec.MemSensitivity();
-
-  const double progress =
-      jr->true_total_epochs > 0.0 ? jr->job.EpochsDone() / jr->true_total_epochs : 0.0;
-  if (progress < kYoungJobProgressCutoff) {
-    sj.priority_factor = policy_.young_job_priority_factor;
-  }
-  return sj;
+  // Fitted all-reduce estimates live on the model's p = 1 row (the grid the
+  // pre-run samples and interval measurements were pinned to).
+  return SpeedEstimate::Fitted(*jr.speed, spe, /*pin_ps=*/spec.comm == CommMode::kAllReduce);
 }
 
 void Simulator::RecomputeLoad(JobRuntime* jr) {
@@ -767,7 +589,7 @@ void Simulator::RecomputeLoad(JobRuntime* jr) {
 StepTimeInputs Simulator::LiveStepInputs(const JobRuntime& jr) {
   const Job& job = jr.job;
   const JobSpec& spec = job.spec();
-  StepTimeInputs in = SpecStepInputs(spec, job.num_ps(), job.num_workers());
+  StepTimeInputs in = StepProfile::Of(spec).Inputs(job.num_ps(), job.num_workers());
   const int batch_override =
       spec.mode == TrainingMode::kSync ? job.batch_override() : 0;
   if (batch_override > 0) {
@@ -810,7 +632,7 @@ bool Simulator::RefreshNetwork() {
   // solve itself is a pure function of the job-ordered placements — so the
   // resolved bandwidths are bitwise identical across threads.
   net_->BeginRound();
-  for (const auto& jr : Live()) {
+  for (const auto& jr : jobs_.Live()) {
     if (jr->job.state() != JobState::kRunning || jr->job.placement().empty()) {
       continue;
     }
@@ -818,7 +640,7 @@ bool Simulator::RefreshNetwork() {
   }
   net_->Solve();
   bool changed = false;
-  for (const auto& jr : Live()) {
+  for (const auto& jr : jobs_.Live()) {
     double bw = 0.0;
     if (jr->job.state() == JobState::kRunning && !jr->job.placement().empty()) {
       bw = net_->BandwidthFor(jr->job.id());
@@ -872,6 +694,10 @@ void Simulator::EvictJob(JobRuntime* jr, const std::string& reason) {
 void Simulator::CompleteJob(JobRuntime* jr, int64_t epochs) {
   const Job& job = jr->job;
   auditor_.ClearPlacement(job.id());
+  if (jct_hist_ != nullptr) {
+    jct_hist_->Record(job.Jct());
+    epochs_hist_->Record(static_cast<double>(epochs));
+  }
   Emit(job.completion_time_s(), SimEventType::kCompleted, job.id(), job.num_ps(),
        job.num_workers(), static_cast<double>(epochs));
 }
@@ -881,10 +707,6 @@ void Simulator::Emit(double time_s, SimEventType type, int job_id, int num_ps,
   switch (type) {
     case SimEventType::kCompleted:
       ++metrics_.completed_jobs;
-      if (jct_hist_ != nullptr) {
-        jct_hist_->Record(job_refs_.at(job_id).live->job.Jct());
-        epochs_hist_->Record(value);
-      }
       break;
     case SimEventType::kKilled:
       // A completion for the accounting invariants (see KillJob), but the
@@ -944,7 +766,7 @@ bool Simulator::ApplyServerEdges(bool* slow_changed) {
   // remaining capacity.
   bool evicted_any = false;
   if (faults_->servers_down() > 0) {
-    for (const auto& jr : Live()) {
+    for (const auto& jr : jobs_.Live()) {
       if (jr->job.state() == JobState::kCompleted || jr->job.placement().empty()) {
         continue;
       }
@@ -979,7 +801,7 @@ void Simulator::ApplyFaults() {
   // Periodic durable checkpoints happen first, so a crash in this same call
   // rolls back to a checkpoint at most checkpoint_period_s old.
   if (fc.checkpoint_period_s > 0.0) {
-    for (const auto& jr : Live()) {
+    for (const auto& jr : jobs_.Live()) {
       if (jr->job.state() != JobState::kRunning) {
         continue;
       }
@@ -1001,7 +823,7 @@ void Simulator::ApplyFaults() {
   // Unscripted container deaths: the job restores from its last checkpoint
   // in place (placement survives; only un-checkpointed progress is lost).
   if (fc.task_failure_prob > 0.0) {
-    for (const auto& jr : Live()) {
+    for (const auto& jr : jobs_.Live()) {
       if (jr->job.state() != JobState::kRunning) {
         continue;
       }
@@ -1022,8 +844,7 @@ void Simulator::ApplyFaults() {
 void Simulator::RunAudit() {
   std::vector<InvariantAuditor::JobView> views;
   InvariantAuditor::Counts counts;
-  views.reserve(jobs_.size());
-  for (const auto& jr : Live()) {
+  for (const auto& jr : jobs_.Live()) {
     const Job& job = jr->job;
     views.push_back({job.id(), job.state(), job.steps_done(), job.num_ps(),
                      job.num_workers(), job.spec().ps_demand,
@@ -1032,9 +853,9 @@ void Simulator::RunAudit() {
   }
   // Retired jobs arrived and completed; they enter the accounting identities
   // through counts.retired instead of a view.
-  counts.submitted = static_cast<int>(retired_.size() + jobs_.size());
+  counts.submitted = jobs_.materialized();
   counts.completed_metric = metrics_.completed_jobs;
-  counts.retired = static_cast<int>(retired_.size());
+  counts.retired = jobs_.retired();
   const double check_time = now_s_ + config_.interval_s;
   // Most intervals run the O(changed) incremental check; every
   // full_audit_period-th check re-derives everything from the views and
@@ -1065,11 +886,11 @@ void Simulator::RunAudit() {
 
 void Simulator::CollectRoundInputs(std::vector<JobRuntime*>* schedulable,
                                    std::vector<JobRuntime*>* frozen,
-                                   Resources* out_capacity) {
+                                   std::vector<SchedJob>* views, Resources* out_capacity) {
   // Allocate against slot-quantized capacity so the allocators do not hand
   // out allocations that per-server fragmentation makes unplaceable.
   Resources reference_demand;
-  for (const auto& jr : Live()) {
+  for (const auto& jr : jobs_.Live()) {
     if (jr->job.state() != JobState::kCompleted) {
       reference_demand = jr->job.spec().worker_demand;
       break;
@@ -1090,7 +911,7 @@ void Simulator::CollectRoundInputs(std::vector<JobRuntime*>* schedulable,
     capacity = capacity * (1.0 - bg_share);
   }
 
-  for (const auto& jr : Live()) {
+  for (const auto& jr : jobs_.Live()) {
     if (jr->job.state() == JobState::kCompleted) {
       continue;
     }
@@ -1107,6 +928,14 @@ void Simulator::CollectRoundInputs(std::vector<JobRuntime*>* schedulable,
                   jr->job.spec().ps_demand * jr->job.num_ps();
     } else {
       schedulable->push_back(jr.get());
+      // The young flag reads the job's true epoch count: the one truth read
+      // left in an observed view.
+      const double progress =
+          jr->true_total_epochs > 0.0 ? jr->job.EpochsDone() / jr->true_total_epochs : 0.0;
+      views->push_back(MakeSchedJob(
+          jr->job.spec(), EstimateRemainingEpochs(*jr), EstimateSpeed(*jr),
+          progress < kYoungJobProgressCutoff ? policy_.young_job_priority_factor : 1.0,
+          config_.comm));
     }
   }
   *out_capacity = capacity;
@@ -1117,22 +946,15 @@ void Simulator::ScheduleActiveJobs() {
   // they keep their allocation and are only re-placed).
   std::vector<JobRuntime*> schedulable;
   std::vector<JobRuntime*> frozen;
+  std::vector<SchedJob> sched_jobs;
   Resources capacity;
-  CollectRoundInputs(&schedulable, &frozen, &capacity);
+  CollectRoundInputs(&schedulable, &frozen, &sched_jobs, &capacity);
 
   // Start the placement round: restore the servers the last round touched,
   // with the background-workload reservation pre-occupied on every server
   // (the capacity shrink already happened in CollectRoundInputs).
   placement_state_.BeginRound(servers_, BackgroundShare(now_s_));
 
-  // Serial: a scheduler view is a small value (demands, caps, a speed
-  // estimate), too little work per job for a pool fan-out to pay for its
-  // dispatch.
-  std::vector<SchedJob> sched_jobs;
-  sched_jobs.reserve(schedulable.size());
-  for (JobRuntime* jr : schedulable) {
-    sched_jobs.push_back(MakeSchedJob(jr));
-  }
   // One memoized-surface set per round, owned here (instead of the 2-arg
   // Allocate convenience overload building a hidden one) so its probe/eval
   // counters can feed the metrics registry. Decisions are identical.
@@ -1183,7 +1005,7 @@ void Simulator::ScheduleActiveJobs() {
   // rest.
   size_t next_frozen = 0;
   size_t next_schedulable = 0;
-  for (const auto& jr : Live()) {
+  for (const auto& jr : jobs_.Live()) {
     if (jr->job.state() == JobState::kCompleted) {
       continue;
     }
@@ -1326,8 +1148,7 @@ void Simulator::AdvanceJob(JobRuntime* jr, AdvanceOutcome* out) {
     // estimates.
     FeedLossSamples(jr, steps_before, job.steps_done(),
                     config_.conv_samples_per_interval);
-    const SpeedSample sample = SpeedSampleAt(*jr, speed);
-    jr->speed->AddSample(sample.num_ps, sample.num_workers, sample.speed);
+    jr->speed->AddSample(SpeedSampleAt(*jr, speed));
     if (!out->completed) {
       FitModels(jr);
     }
@@ -1367,8 +1188,7 @@ void Simulator::FeedLossSamples(JobRuntime* jr, double from_step,
   }
 }
 
-Simulator::SpeedSample Simulator::SpeedSampleAt(const JobRuntime& jr,
-                                                double speed) const {
+SpeedSample Simulator::SpeedSampleAt(const JobRuntime& jr, double speed) const {
   const Job& job = jr.job;
   const JobSpec& spec = job.spec();
   SpeedSample sample;
@@ -1449,8 +1269,7 @@ void Simulator::AdvanceInterval() {
   // those effects in job order, so the run is bitwise identical to the
   // single-threaded one for any thread count.
   std::vector<JobRuntime*> running;
-  running.reserve(jobs_.size());
-  for (const auto& jr : Live()) {
+  for (const auto& jr : jobs_.Live()) {
     if (jr->job.state() == JobState::kRunning) {
       running.push_back(jr.get());
     }
@@ -1498,7 +1317,7 @@ void Simulator::AdvanceInterval() {
   }
 
   RecordTimeline(now_s_ + dt, trained);
-  job_totals_stale_ = true;  // AdvanceJob fits the models
+  jobs_.MarkTotalsStale();  // AdvanceJob fits the models
 }
 
 bool Simulator::StepInterval() {
@@ -1515,7 +1334,7 @@ bool Simulator::StepInterval() {
 
   // Fast-forward to the next arrival when the cluster is idle.
   if (!AnyIncompleteLive()) {
-    const double next_arrival = NextArrival();
+    const double next_arrival = jobs_.NextArrival();
     if (!std::isfinite(next_arrival)) {
       return false;  // nothing left anywhere
     }
@@ -1550,7 +1369,7 @@ bool Simulator::StepInterval() {
   SyncRunMetrics();
   now_s_ += config_.interval_s;
   SampleObservability();
-  RetireCompleted();
+  jobs_.RetireCompleted(&auditor_);
   return metrics_.completed_jobs < metrics_.total_jobs &&
          now_s_ < config_.max_sim_time_s;
 }
@@ -1571,10 +1390,9 @@ RunMetrics Simulator::Run() {
   double last_completion = 0.0;
   double overhead_sum = 0.0;
   int overhead_count = 0;
-  // Every job in order-key order, retired records merged with live runtimes,
-  // so the floating-point accumulation is one fixed sequence however the
-  // jobs were admitted and retired.
-  auto fold = [&](const JobSnapshot& s) {
+  // Every job in order-key order, so the floating-point accumulation is one
+  // fixed sequence however the jobs were admitted and retired.
+  jobs_.ForEachSnapshot([&](const JobSnapshot& s) {
     first_arrival = std::min(first_arrival, s.arrival_time_s);
     if (s.killed || s.state != JobState::kCompleted) {
       return;  // a killed job did not converge: no JCT, no makespan
@@ -1585,24 +1403,10 @@ RunMetrics Simulator::Run() {
       overhead_sum += s.total_stall_s / s.jct_s;
       ++overhead_count;
     }
-  };
-  std::sort(retired_.begin(), retired_.end(),
-            [](const RetiredJob& a, const RetiredJob& b) { return a.key < b.key; });
-  auto retired = retired_.begin();
-  for (const auto& jr : Live()) {
-    for (; retired != retired_.end() && retired->key < jr->key; ++retired) {
-      fold(retired->snapshot);
-    }
-    fold(SnapshotOf(jr->job, jr->killed));
-  }
-  for (; retired != retired_.end(); ++retired) {
-    fold(retired->snapshot);
-  }
+  });
   // Specs that never arrived (simulation-time cap) still mark the
   // workload's start.
-  if (const std::optional<size_t> key = PendingHead()) {
-    first_arrival = std::min(first_arrival, pending_specs_[*key].arrival_time_s);
-  }
+  first_arrival = std::min(first_arrival, jobs_.NextArrival());
   metrics_.avg_jct_s = Mean(metrics_.jcts);
   // Guard the empty-jobs case too: with no jobs, first_arrival stays +inf and
   // the subtraction would poison the makespan with -inf.
@@ -1634,34 +1438,24 @@ void Simulator::AdvanceTo(double t) {
 
 bool Simulator::SubmitJob(const JobSpec& spec, std::string* error) {
   ++state_generation_;
-  auto fail = [error](const std::string& message) {
-    if (error != nullptr) {
-      *error = message;
-    }
-    return false;
-  };
   if (std::vector<std::string> errors; !spec.Validate(&errors)) {
-    return fail(errors.front());
+    return Fail(error, errors.front());
   }
-  IndexPendingSpecs();
-  if (job_refs_.count(spec.id) > 0) {
-    return fail("job id " + std::to_string(spec.id) + " already exists");
+  if (jobs_.Find(spec.id) != nullptr) {
+    return Fail(error, "job id " + std::to_string(spec.id) + " already exists");
   }
   if (spec.arrival_time_s < now_s_) {
     std::ostringstream os;
     os << "arrival_time_s " << spec.arrival_time_s << " is in the past (now "
        << now_s_ << ")";
-    return fail(os.str());
+    return Fail(error, os.str());
   }
 
   // Queued like a constructor spec, with the next order key. Its RNG streams
   // are split from the run seed by job id when it arrives, so a job
   // submitted online draws the same streams it would have as a constructor
   // spec.
-  const size_t key = pending_specs_.size();
-  pending_specs_.push_back(spec);
-  pending_heap_.push({spec.arrival_time_s, key});
-  job_refs_.emplace(spec.id, JobRef{key, nullptr});
+  OPTIMUS_CHECK(jobs_.Submit(spec));
   ++metrics_.total_jobs;
 
   if (config_.engine == SimEngine::kEvents) {
@@ -1672,31 +1466,18 @@ bool Simulator::SubmitJob(const JobSpec& spec, std::string* error) {
 
 bool Simulator::KillJob(int job_id, std::string* error) {
   ++state_generation_;
-  auto fail = [error](const std::string& message) {
-    if (error != nullptr) {
-      *error = message;
-    }
-    return false;
-  };
-  IndexPendingSpecs();
-  const auto it = job_refs_.find(job_id);
-  if (it == job_refs_.end()) {
-    return fail("unknown job id " + std::to_string(job_id));
+  const JobTable::JobRef* ref = jobs_.Find(job_id);
+  if (ref == nullptr) {
+    return Fail(error, "unknown job id " + std::to_string(job_id));
   }
-  JobRuntime* jr = it->second.live;
-  if (jr == nullptr) {
-    const size_t key = it->second.key;
-    if (pending_specs_[key].model == nullptr) {
-      return fail("job " + std::to_string(job_id) + " already completed");
-    }
-    // Killed before its arrival: the runtime is built only to be killed, and
-    // never arrives.
-    jr = MaterializeSpec(TakePending(key), key);
+  if (ref->retired || (ref->live != nullptr && ref->live->job.state() == JobState::kCompleted)) {
+    return Fail(error, "job " + std::to_string(job_id) + " already completed");
   }
+  // A job killed before its arrival gets its runtime built only to be
+  // killed, and never arrives.
+  JobRuntime* jr =
+      ref->live != nullptr ? ref->live : MaterializeSpec(jobs_.Take(ref->key), ref->key);
   Job& job = jr->job;
-  if (job.state() == JobState::kCompleted) {
-    return fail("job " + std::to_string(job_id) + " already completed");
-  }
   const int event_ps = job.num_ps();
   const int event_workers = job.num_workers();
   if (job.num_workers() > 0 || job.num_ps() > 0) {
@@ -1711,7 +1492,6 @@ bool Simulator::KillJob(int job_id, std::string* error) {
   // checks completed states against the completion metric).
   jr->killed = true;
   job.MarkCompleted(now_s_);
-  job_totals_stale_ = true;
   Emit(now_s_, SimEventType::kKilled, job.id(), event_ps, event_workers);
   return true;
 }
@@ -1719,16 +1499,11 @@ bool Simulator::KillJob(int job_id, std::string* error) {
 std::unique_ptr<AdmissionBaseline> Simulator::MakeAdmissionBaseline(const int* without_id) {
   std::vector<JobRuntime*> schedulable;
   std::vector<JobRuntime*> frozen;
-  Resources capacity;
-  CollectRoundInputs(&schedulable, &frozen, &capacity);
-
   std::vector<SchedJob> existing;
-  existing.reserve(schedulable.size());
-  for (JobRuntime* jr : schedulable) {
-    if (without_id != nullptr && jr->job.id() == *without_id) {
-      continue;
-    }
-    existing.push_back(MakeSchedJob(jr));
+  Resources capacity;
+  CollectRoundInputs(&schedulable, &frozen, &existing, &capacity);
+  if (without_id != nullptr) {
+    std::erase_if(existing, [&](const SchedJob& sj) { return sj.job_id == *without_id; });
   }
   return std::make_unique<AdmissionBaseline>(whatif_allocator_.get(), std::move(existing),
                                              capacity);
@@ -1741,12 +1516,9 @@ WhatIfResult Simulator::WhatIf(const JobSpec& candidate) {
   // without error injection) and the scheduler's prior for unfitted jobs.
   // No RNG draw, no model fit — the query must leave the session bitwise
   // unchanged.
-  SchedJob cand = SchedJobHeader(candidate);
-  cand.remaining_epochs = kDefaultRemainingEpochs;
-  cand.speed = SpeedEstimate::Oracle(StepProfile::Of(candidate), config_.comm,
-                                     static_cast<double>(candidate.StepsPerEpoch()),
-                                     /*error=*/0.0,
-                                     static_cast<double>(cand.max_ps + cand.max_workers));
+  const SchedJob cand = MakeSchedJob(candidate, kDefaultRemainingEpochs,
+                                     TruthSpeed(candidate, config_.comm, /*error=*/0.0),
+                                     /*priority_factor=*/1.0, config_.comm);
 
   if (whatif_baseline_ == nullptr || whatif_generation_ != state_generation_) {
     whatif_baseline_ = MakeAdmissionBaseline(/*without_id=*/nullptr);

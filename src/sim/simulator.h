@@ -25,19 +25,12 @@
 #include "src/common/threadpool.h"
 
 #include "src/cluster/checkpoint.h"
-#include "src/cluster/data_serving.h"
-#include "src/cluster/job.h"
 #include "src/cluster/server.h"
 #include "src/cluster/straggler.h"
-#include "src/common/rng.h"
-#include "src/models/loss_curve.h"
 #include "src/models/param_blocks.h"
 #include "src/net/network_model.h"
 #include "src/obs/exporters.h"
 #include "src/obs/phase_profiler.h"
-#include "src/perfmodel/convergence_model.h"
-#include "src/perfmodel/speed_model.h"
-#include "src/pserver/block_assignment.h"
 #include "src/sched/optimus_allocator.h"
 #include "src/sched/placement.h"
 #include "src/sched/scheduler.h"
@@ -45,6 +38,7 @@
 #include "src/sched/what_if.h"
 #include "src/sim/fault_injector.h"
 #include "src/sim/invariant_auditor.h"
+#include "src/sim/job_table.h"
 #include "src/sim/metrics.h"
 #include "src/sim/trace.h"
 
@@ -215,25 +209,6 @@ struct SimulatorConfig {
   const SimulatorConfig& CheckValid() const;
 };
 
-// One job's state at an instant, copied out of its pending spec, live runtime
-// or retired record: a value, safe to hold across stepping calls.
-struct JobSnapshot {
-  int id = 0;
-  JobState state = JobState::kPending;
-  bool killed = false;  // cancelled via KillJob
-  int num_ps = 0;
-  int num_workers = 0;
-  int num_scalings = 0;
-  double arrival_time_s = 0.0;
-  double completion_time_s = -1.0;  // -1 until completed
-  double jct_s = 0.0;               // completion - arrival; 0 until completed
-  double steps_done = 0.0;
-  double epochs_done = 0.0;
-  double checkpoint_steps = 0.0;
-  double last_epoch_loss = 0.0;  // 0 before the first completed epoch
-  double total_stall_s = 0.0;
-};
-
 class Simulator {
  public:
   // `specs` may come in any arrival order; each spec's position is its order
@@ -299,7 +274,7 @@ class Simulator {
   double now_s() const { return now_s_; }
   // The job's state now, whether it is pending, live or retired. Fatal on an
   // unknown id.
-  JobSnapshot job(int id) const;
+  JobSnapshot job(int id) const { return jobs_.Snapshot(id); }
   // Metrics accumulated so far (Run() returns the final aggregate; this view
   // lets interval-stepping callers read counters without running to the end).
   const RunMetrics& metrics() const { return metrics_; }
@@ -310,12 +285,12 @@ class Simulator {
   const NetworkModel* network() const { return net_.get(); }
   // Job runtimes built so far: one per arrival, plus one per job killed
   // before its arrival. Retired runtimes still count.
-  int materialized_jobs() const { return materialized_count_; }
+  int materialized_jobs() const { return jobs_.materialized(); }
   // Runtimes alive now: built and not yet retired.
-  int live_jobs() const { return static_cast<int>(jobs_.size()); }
+  int live_jobs() const { return jobs_.materialized() - jobs_.retired(); }
   // Runtimes visited by the walks over the live table so far (each walk adds
   // the table's size); shows that a round's cost tracks the live set.
-  int64_t runtime_visits() const { return runtime_visits_; }
+  int64_t runtime_visits() const { return jobs_.visits(); }
   // Invariant-audit results of the run so far (empty when audit is off).
   const InvariantAuditor& auditor() const { return auditor_; }
   // Observability views. The registry holds the named metric catalog (empty
@@ -331,83 +306,6 @@ class Simulator {
   }
 
  private:
-  // One speed-model measurement: the row (p, w) it lands on and the speed at
-  // the configured batch (see SpeedSampleAt).
-  struct SpeedSample {
-    int num_ps = 0;
-    int num_workers = 0;
-    double speed = 0.0;
-  };
-
-  struct JobRuntime {
-    // The job's two RNG streams are split off `sim_rng` by job id, straight
-    // into their members.
-    JobRuntime(JobSpec spec, size_t order_key, const Rng& sim_rng)
-        : key(order_key),
-          job(spec),
-          curve(spec.lr_drop.has_value()
-                    ? LossCurve(spec.model->loss, spec.StepsPerEpoch(), *spec.lr_drop)
-                    : LossCurve(spec.model->loss, spec.StepsPerEpoch())),
-          rng(sim_rng.Split(static_cast<uint64_t>(spec.id) + 1000)),
-          fault_rng(sim_rng.Split(static_cast<uint64_t>(spec.id) + 500000)) {}
-
-    size_t key;  // order key: the spec's slot in pending_specs_
-    Job job;
-    LossCurve curve;
-    std::unique_ptr<ConvergenceModel> conv;
-    std::unique_ptr<SpeedModel> speed;
-    std::unique_ptr<DataServing> data;
-    PaaLoadTable* blocks = nullptr;  // shared per model (param_blocks_)
-    PsLoadMetrics load;
-    bool load_valid = false;
-    Rng rng;
-    // Dedicated stream for fault draws so enabling faults does not perturb
-    // the training/noise streams of an un-faulted run.
-    Rng fault_rng;
-    int error_sign = 1;
-    // Per-container bandwidth (bytes/s) the network model resolved for this
-    // job at the last RefreshNetwork; 0 = use the flat CommConfig bandwidth.
-    double net_bw_bps = 0.0;
-    bool killed = false;  // cancelled via KillJob; excluded from JCT stats
-    bool lr_drop_handled = false;   // convergence model restarted at the drop
-    int frozen_scalings = 0;  // set once the checkpoint budget is exhausted
-    double true_total_epochs = 0.0;  // ground-truth convergence epoch count
-    double last_worker_util = 0.0;
-    double last_ps_util = 0.0;
-    // Fault-tolerance state: relaunch backoff after repeated evictions.
-    int consecutive_evictions = 0;
-    double backoff_until_s = -1.0;
-    double last_checkpoint_time_s = 0.0;
-
-    // --- Event-engine segment state (simulator_events.cc) ------------------
-    // While seg_active, the job trains at seg_speed steps/s from seg_anchor_s
-    // onward (any stall_remaining_s is served first); seg_next_epoch is the
-    // next unobserved epoch boundary, reached at seg_next_s by the job's own
-    // walk (WalkEpochs).
-    bool seg_active = false;
-    double seg_next_s = 0.0;
-    double seg_anchor_s = 0.0;
-    double seg_speed = 0.0;        // post-noise, post-slowdown steps/s
-    double seg_noise = 1.0;        // the round's noise draw, kept so a
-                                   // mid-round slowdown edge can recompute
-                                   // seg_speed without a fresh draw
-    int64_t seg_next_epoch = 0;
-    // Speed-model measurement snapshotted at segment rebuild and fed at the
-    // next round's model refresh (the (p, w) the measured span ran at).
-    SpeedSample seg_sample;
-    bool ran_since_round = false;  // trained since the last model refresh
-    // What the job's last walk left for the serial merge: the boundaries it
-    // walked, the last one's time, and its shared effects (a completion at
-    // completed_epoch, an lr drop at lr_drop_s).
-    struct EpochWalk {
-      int64_t epochs = 0;
-      double last_s = 0.0;
-      int64_t completed_epoch = 0;  // 0 = did not complete
-      bool lr_drop = false;
-      double lr_drop_s = 0.0;
-    } walk;
-  };
-
   // What one job's interval advance left for the serial merge, which applies
   // the shared-state effects (trace events, auditor updates, the timeline) in
   // job order after the parallel per-job phase — the source of
@@ -489,47 +387,27 @@ class Simulator {
   // Whether any live runtime has not completed: false means the cluster is
   // idle until the next arrival.
   bool AnyIncompleteLive() const;
-  // Earliest arrival time of a pending spec (+inf if none).
-  double NextArrival();
-  // Order key of the earliest pending spec by (arrival, order key), or
-  // nullopt. Drops consumed entries from the heads of the queue first.
-  std::optional<size_t> PendingHead();
-  // Moves pending spec `key` out of the queue; its slot becomes consumed.
-  JobSpec TakePending(size_t key);
-  // Indexes every pending input spec's id in job_refs_, once: the online
-  // calls (SubmitJob, KillJob, job) look pending jobs up by id, and a run
-  // that never makes one never pays for the index.
-  void IndexPendingSpecs() const;
   // Per-job initialization (RNG streams split from the run seed by job id,
   // shared param blocks, data serving, ground-truth epoch count); inserts the
-  // runtime into jobs_ at its order key's place and returns it. Fatal on a
-  // spec that fails JobSpec::Validate: constructor specs are checked here.
+  // runtime into the job table and returns it. Fatal on a spec that fails
+  // JobSpec::Validate: constructor specs are checked here.
   JobRuntime* MaterializeSpec(JobSpec pending, size_t key);
-  // Retires every completed runtime: folds what Run()'s aggregation, job()
-  // and the metric totals need into a RetiredJob record, hands the auditor
-  // its NoteRetired, and frees the runtime. The interval engine sweeps at the
-  // end of each step; the event engine sweeps at rounds after RefreshModels,
-  // so a completed job's final trained span still records its speed sample
-  // before the runtime is freed.
-  void RetireCompleted();
-  // The live table, for one walk: adds its size to runtime_visits_.
-  const std::vector<std::unique_ptr<JobRuntime>>& Live() const {
-    runtime_visits_ += static_cast<int64_t>(jobs_.size());
-    return jobs_;
-  }
-  // Scheduler view of a job (estimates only).
-  SchedJob MakeSchedJob(JobRuntime* jr) const;
   // Scheduler inputs of a round at the current instant: partitions active
-  // jobs into schedulable and frozen (checkpoint budget spent) and derives
+  // jobs into schedulable and frozen (checkpoint budget spent), builds each
+  // schedulable job's scheduler view (MakeSchedJob, in `views`), and derives
   // the slot-quantized capacity after the background reservation and the
   // frozen jobs' holdings. Shared by ScheduleActiveJobs and WhatIf so
   // admission queries see exactly what the next round would see.
   void CollectRoundInputs(std::vector<JobRuntime*>* schedulable,
-                          std::vector<JobRuntime*>* frozen, Resources* capacity);
+                          std::vector<JobRuntime*>* frozen, std::vector<SchedJob>* views,
+                          Resources* capacity);
   // A what-if baseline over the next round's inputs, leaving out the job
   // `without_id` (when non-null).
   std::unique_ptr<AdmissionBaseline> MakeAdmissionBaseline(const int* without_id);
+  // The estimates a live job's scheduler view carries: observed (the fitted
+  // models) or, in oracle mode, truth-derived with injected error.
   double EstimateRemainingEpochs(const JobRuntime& jr) const;
+  SpeedEstimate EstimateSpeed(const JobRuntime& jr) const;
   double ErrorFactor(const JobRuntime& jr, double error_magnitude) const;
   // Ground-truth step-time inputs of a live job: its current (p, w), the
   // batch it runs (a sync job's scheduler override, else the configured
@@ -607,13 +485,13 @@ class Simulator {
   // applies the relaunch backoff policy.
   void EvictJob(JobRuntime* jr, const std::string& reason);
   // Serial merge of one converged job, shared by both engines: releases its
-  // audited placement and emits kCompleted, with the allocation it finished
-  // at, at the analytic completion time.
+  // audited placement, feeds the JCT and epoch histograms, and emits
+  // kCompleted, with the allocation it finished at, at the analytic
+  // completion time.
   void CompleteJob(JobRuntime* jr, int64_t epochs);
   // The one record of a lifecycle edge (src/obs/event_types.h): appends it to
-  // the trace (in-trace kinds) and the flight ring (in-flight kinds), keeps
-  // the RunMetrics tallies the edge implies, and on kCompleted feeds the JCT
-  // and epoch histograms. `value` is the kind's numeric argument (epochs,
+  // the trace (in-trace kinds) and the flight ring (in-flight kinds) and keeps
+  // the RunMetrics tallies the edge implies. `value` is the kind's numeric argument (epochs,
   // server id, factor, violation count) and `text` its string argument.
   // Serial contexts only.
   void Emit(double time_s, SimEventType type, int job_id, int num_ps = 0,
@@ -639,18 +517,6 @@ class Simulator {
   // RunMetrics fields that mirror them; runs at the end of every stepping call.
   void SyncRunMetrics();
 
-  // Totals over every arrived job, retired runtimes included through their
-  // folded aggregates: arrivals and per-job model-fit stats. Walked at most
-  // once per change, however many views read it: ActivateArrivals,
-  // AdvanceInterval, RefreshModels and KillJob (the only code that arrives
-  // jobs or fits models) mark it stale.
-  struct JobTotals {
-    int64_t submitted = 0;
-    ModelFitStats conv;
-    ModelFitStats speed;
-  };
-  const JobTotals& job_totals() const;
-
   SimulatorConfig config_;
   std::vector<Server> servers_;
   // Placement's working copy of servers_ under the round's background share,
@@ -665,62 +531,14 @@ class Simulator {
   Resources placeable_cap_cache_;
   Resources placeable_cap_demand_;
   bool placeable_cap_valid_ = false;
-  // Live runtimes (arrived, not yet retired) in ascending order key: every
-  // per-round and per-event walk visits exactly these.
-  std::vector<std::unique_ptr<JobRuntime>> jobs_;
-  mutable int64_t runtime_visits_ = 0;
-  int materialized_count_ = 0;
+  // Every job record: the pending queue, the by-id index, the live runtimes
+  // every per-round and per-event walk visits, and the retired records.
+  JobTable jobs_;
   // Param blocks depend only on the model, so each model's are generated
   // once and shared by its jobs, together with their PAA order and
   // unweighted load per PS count (PaaLoadTable).
   std::unordered_map<const ModelSpec*, PaaLoadTable> param_blocks_;
 
-  // --- Pending queue -----------------------------------------------------
-  // Every spec not yet admitted, indexed by order key: the constructor's
-  // specs at their input positions, then online submissions (N + k for the
-  // k-th). A consumed slot (admitted, or killed before arrival) is reset to
-  // JobSpec{} (null model). Specs leave in (arrival, order key) order: the
-  // cursor walks the input's arrival-sorted prefix; the heap holds the rest
-  // of the input and every submission.
-  std::vector<JobSpec> pending_specs_;
-  size_t pending_next_ = 0;
-  size_t pending_sorted_end_ = 0;
-  struct QueuedArrival {
-    double time_s;
-    size_t key;
-  };
-  struct QueuedArrivalBefore {
-    bool operator()(const QueuedArrival& a, const QueuedArrival& b) const {
-      if (a.time_s != b.time_s) {
-        return a.time_s < b.time_s;
-      }
-      return a.key < b.key;
-    }
-  };
-  MinHeap<QueuedArrival, QueuedArrivalBefore> pending_heap_;
-
-  // Where a known job id lives: its order key, and its runtime while live.
-  // Holds every materialized or submitted job, and every pending input spec
-  // once IndexPendingSpecs ran. Looked up, never iterated.
-  struct JobRef {
-    size_t key;
-    JobRuntime* live;
-  };
-  mutable std::unordered_map<int, JobRef> job_refs_;
-  mutable bool pending_indexed_ = false;
-
-  // A retired runtime's final state, everything Run()'s aggregation and
-  // job() read from a completed job. Appended at retirement; Run() sorts
-  // them into order-key order before aggregating.
-  struct RetiredJob {
-    size_t key;
-    JobSnapshot snapshot;
-  };
-  std::vector<RetiredJob> retired_;
-  // Fit-stat totals of retired runtimes, folded into job_totals()'s live-job
-  // walk (integer sums, so folding an aggregate keeps the totals bitwise).
-  ModelFitStats retired_conv_stats_;
-  ModelFitStats retired_speed_stats_;
   std::unique_ptr<ThreadPool> pool_;  // per-job parallelism (see threads)
   // Greedy-round counters the Optimus allocator accumulates across rounds;
   // allocator_ captures a pointer to it.
@@ -799,8 +617,6 @@ class Simulator {
   int64_t surface_count_ = 0;
   bool flight_dumped_ = false;  // post-mortem dump emitted once per run
   int running_tasks_ = 0;       // tasks running over the last interval
-  mutable JobTotals job_totals_;
-  mutable bool job_totals_stale_ = true;
   // The registry metrics the simulator writes itself (null when observability
   // is off); every other metric is a view.
   Counter* intervals_ = nullptr;

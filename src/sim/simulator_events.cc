@@ -52,7 +52,7 @@ std::pair<double, Simulator::EventKind> Simulator::NextQueued() const {
 }
 
 void Simulator::QueueNextArrival() {
-  const double t = NextArrival();
+  const double t = jobs_.NextArrival();
   if (t < queued_arrival_s_) {
     if (std::isfinite(queued_arrival_s_)) {
       markers_.push(queued_arrival_s_);
@@ -217,15 +217,15 @@ void Simulator::HandleFaultPlanEvent(double t) {
 }
 
 void Simulator::RefreshModels() {
-  job_totals_stale_ = true;
+  jobs_.MarkTotalsStale();
   if (config_.oracle_estimates) {
-    for (const auto& jr : Live()) {
+    for (const auto& jr : jobs_.Live()) {
       jr->ran_since_round = false;
     }
     return;
   }
   std::vector<JobRuntime*> dirty;
-  for (const auto& jr : Live()) {
+  for (const auto& jr : jobs_.Live()) {
     if (jr->ran_since_round) {
       dirty.push_back(jr.get());
       jr->ran_since_round = false;
@@ -236,8 +236,7 @@ void Simulator::RefreshModels() {
   // completed during the span is not refit, as on the interval engine:
   // nothing reads a finished job's estimates.
   auto refresh = [&](JobRuntime* jr) {
-    const SpeedSample& sample = jr->seg_sample;
-    jr->speed->AddSample(sample.num_ps, sample.num_workers, sample.speed);
+    jr->speed->AddSample(jr->seg_sample);
     if (jr->job.state() != JobState::kCompleted) {
       FitModels(jr);
     }
@@ -253,7 +252,7 @@ void Simulator::RebuildSegments() {
   // allocation/placement/slowdown — and one next boundary each.
   std::vector<JobRuntime*>& running = segments_;
   running.clear();
-  for (const auto& jr : Live()) {
+  for (const auto& jr : jobs_.Live()) {
     if (jr->job.state() == JobState::kCompleted) {
       continue;
     }
@@ -325,7 +324,7 @@ void Simulator::HandleRoundEvent(double t) {
   // a completed job). Retiring frees runtimes the segment list may name; it
   // is rebuilt below.
   segments_.clear();
-  RetireCompleted();
+  jobs_.RetireCompleted(&auditor_);
 
   // The shared policy path, verbatim: fault pipeline (periodic checkpoints,
   // stochastic task failures, eviction scan — scripted edges were already

@@ -221,7 +221,7 @@ TEST(SpeedEstimateTest, OracleMatchesBitForBit) {
   const CommConfig comm{40e6, 0.6};
   for (const CommMode mode : {CommMode::kParameterServer, CommMode::kAllReduce}) {
     const JobSpec spec = Spec("Inception-BN", TrainingMode::kSync, mode);
-    const SchedJob header = SchedJobHeader(spec);
+    const SchedJob header = MakeSchedJob(spec, 0.0, SpeedEstimate(), 1.0, comm);
     const double spe = static_cast<double>(spec.StepsPerEpoch());
     const double span = static_cast<double>(header.max_ps + header.max_workers);
     // All-reduce jobs live on the p == 0 row; the comm model rejects any PS.
@@ -255,12 +255,8 @@ TEST(SpeedEstimateTest, BatchSpeedMatchesAtEveryRung) {
   EXPECT_FALSE(fitted.batch_scalable());
 
   for (const SpeedEstimate& base : {fitted, oracle}) {
-    SchedJob job = SchedJobHeader(spec);
+    SchedJob job = MakeSchedJob(spec, 0.0, SpeedEstimate(), 1.0, comm);
     job.speed = base.WithBatchScaling(profile, comm);
-    job.batch_ref = spec.GlobalBatch();
-    job.batch_min = spec.BatchMin();
-    job.batch_max = spec.BatchMax();
-    job.grad_noise_scale = spec.GradNoiseScale();
     ASSERT_TRUE(job.speed.batch_scalable());
     const std::vector<int> rungs = GoodputAllocator::BatchRungs(job);
     ASSERT_GE(rungs.size(), 2u);
