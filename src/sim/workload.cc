@@ -100,6 +100,10 @@ bool IsProbRange(double lo, double hi) {
 // Bound on a rate-driven arrival process: at most 10^7 intervals of at most
 // 10^7 s each (the committed scenarios span at most 10^3 intervals of 600 s).
 constexpr double kMaxArrivalIntervals = 1e7;
+// Bound on a bursty interval's Poisson mean, rate_per_interval times the spike
+// multiplier: 10^12 arrivals, 10^5 times kMaxJobs and far inside the int64
+// range past which the draw never returns (committed bursty workloads: 15).
+constexpr double kMaxBurstyMean = 1e12;
 
 // The fields a workload gives every job verbatim, on the first zoo model in
 // the forced mode (or sync): DrawJob starts from it, and WorkloadSpec::Validate
@@ -164,6 +168,11 @@ bool WorkloadSpec::Validate(std::vector<std::string>* errors) const {
     Check(arrivals.interval_s <= kMaxArrivalIntervals,
           "arrivals.interval_s: must be <= " +
               std::to_string(static_cast<int64_t>(kMaxArrivalIntervals)),
+          errors, &valid);
+  }
+  if (arrivals.kind == ArrivalSpec::Kind::kBursty) {
+    Check(arrivals.rate_per_interval * arrivals.spike_multiplier <= kMaxBurstyMean,
+          "arrivals.rate_per_interval: rate_per_interval * spike_multiplier must be <= 1e12",
           errors, &valid);
   }
   Check(sizes.pareto_alpha > 0.0, "sizes.pareto_alpha: must be > 0", errors,

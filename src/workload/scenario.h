@@ -40,6 +40,10 @@ struct ServerClassSpec {
   Resources capacity;
 };
 
+// Cap on a cluster's servers: 2^20, 10x the largest committed cluster (100,000
+// servers), so a bad count fails validation instead of exhausting memory.
+inline constexpr int64_t kMaxServers = int64_t{1} << 20;
+
 // Cluster topology: either the paper's 13-server testbed or an explicit list
 // of server classes, laid out in contiguous id blocks (class order), plus an
 // optional rack partition. Racks exist so fault plans can say "rack 2 loses

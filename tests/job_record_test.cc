@@ -542,7 +542,8 @@ std::string Mutate(const std::string& text, Rng* rng) {
       "1e300",      "-1e308",     "1e-320",     "2147483647", "2147483648", "-2147483649",
       "9007199254740993",         "0",          "-0",         "1e999",      "null",
       "\"x\"",      "65537",      "1000000000", "-1",         "0.5",        "16777216",
-      "16777217",   "2000000000", "true",       "[]",         "{}",         "1e-300"};
+      "16777217",   "2000000000", "true",       "[]",         "{}",         "1e-300",
+      "1e19",       "1e30"};
   auto pick = [rng](size_t n) { return static_cast<size_t>(rng->UniformInt(0, n - 1)); };
   std::string s = text;
   const std::vector<std::pair<size_t, size_t>> values = ValueTokens(s);
@@ -619,8 +620,13 @@ TEST(ScenarioFuzzTest, MutatedScenariosParseOrNameTheirError) {
   six[2].lr_drop = LearningRateDrop{3.0, 0.5, 0.01};
   six[4].batch_min = 32;
   six[4].batch_max = 256;
+  // A bursty workload, whose Poisson mean the extremes 1e19, 1e30 and 1e300
+  // take past the validated bound.
+  seeds.push_back(R"({"schema": "scenario-v2", "name": "bursty", "policy": "optimus",
+"workload": {"jobs": 6, "arrivals": {"kind": "bursty", "rate_per_interval": 3,
+"spike_fraction": 0.5, "spike_multiplier": 5}}})");
   seeds.push_back(JobsScenario(EncodeJobRecords(six)));
-  ASSERT_GE(seeds.size(), 11u);
+  ASSERT_GE(seeds.size(), 12u);
 
   const std::regex positioned(R"(^fuzz\.json:\d+:\d+: )");
   const std::regex validation(R"(^fuzz\.json: [a-z_]+[a-z_0-9.\[\]]*: )");

@@ -496,6 +496,59 @@ TEST(ScenarioTest, JobCountAndRoundCountAreCapped) {
       << error;
 }
 
+// A bursty interval's Poisson mean past 1e12 (the draw never returns once it
+// passes int64) and a cluster past kMaxServers (Build reserves every server)
+// are rejected naming their keys; both caps are inclusive.
+TEST(ScenarioTest, BurstyMeanAndServerCountAreCapped) {
+  const std::string bursty_cap =
+      "t: workload.arrivals.rate_per_interval: rate_per_interval * spike_multiplier must be "
+      "<= 1e12";
+  const std::string server_cap = "t: cluster.classes: must hold at most 1048576 servers";
+  const struct {
+    std::string members;
+    std::string needle;
+  } cases[] = {
+      {R"("workload": {"jobs": 4, "arrivals": {"kind": "bursty", "spike_multiplier": 1e19}})",
+       bursty_cap},
+      {R"("workload": {"jobs": 4, "arrivals": {"kind": "bursty", "spike_multiplier": 1e300}})",
+       bursty_cap},
+      {R"("workload": {"jobs": 4, "arrivals": {"kind": "bursty", "rate_per_interval": 1e30,
+          "spike_fraction": 0}})",
+       bursty_cap},
+      {R"("cluster": {"testbed": false, "classes": [{"name": "a", "count": 2000000000,
+          "cpu": 16, "memory_gb": 80}]})",
+       server_cap + " (got 2000000000)"},
+      {R"("cluster": {"testbed": false, "classes": [
+          {"name": "a", "count": 1048576, "cpu": 16, "memory_gb": 80},
+          {"name": "b", "count": 1, "cpu": 16, "memory_gb": 80}]})",
+       server_cap + " (got 1048577)"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.members);
+    ScenarioSpec spec;
+    std::string error;
+    EXPECT_FALSE(ParseScenario(
+        R"({"schema": "scenario-v2", "name": "x", "policy": "optimus", )" + c.members + "}",
+        "t", &spec, &error));
+    EXPECT_NE(error.find(c.needle), std::string::npos) << error;
+  }
+  ScenarioSpec spec;
+  std::string error;
+  EXPECT_TRUE(ParseScenario(
+      R"({"schema": "scenario-v2", "name": "x", "policy": "optimus",
+          "workload": {"jobs": 4, "arrivals": {"kind": "bursty", "rate_per_interval": 2,
+                                               "spike_multiplier": 5e11}},
+          "cluster": {"testbed": false, "classes": [
+              {"name": "a", "count": 1048576, "cpu": 16, "memory_gb": 80}]}})",
+      "t", &spec, &error))
+      << error;
+  EXPECT_EQ(spec.cluster.NumServers(), kMaxServers);
+  // The capped mean still draws: every job lands in the first interval.
+  for (const JobSpec& job : spec.JobsForRepeat(0)) {
+    EXPECT_LT(job.arrival_time_s, spec.workload.arrivals.interval_s);
+  }
+}
+
 // No job's dataset may pass kMaxDatasetBytes: a Pareto cap that could take
 // one past it is rejected, the largest allowed cap loads, and a lognormal
 // draw is clamped to the same bound. Downscaling is off, so each job carries

@@ -87,6 +87,23 @@ if [[ -n "${csv_copies}" ]]; then
   exit 1
 fi
 
+# One job table and one scheduler view: the Simulator's job records live in
+# src/sim/job_table.{h,cc}, and src/sched builds every SchedJob (MakeSchedJob)
+# without seeing the simulator. These names outside the table, a src/sched
+# include of src/sim, or the deleted header builder and dead runtime field
+# mean a second copy of the bookkeeping or the view has come back.
+table_copies=$(grep -rnwE 'pending_specs_|pending_heap_|job_refs_|retired_' \
+    "${repo_root}/src" --exclude=job_table.h --exclude=job_table.cc || true)
+sched_sim_includes=$(grep -rn '#include "src/sim/' "${repo_root}/src/sched" || true)
+view_copies=$(grep -rnE 'frozen_scalings|SchedJobHeader' \
+    "${repo_root}/src" "${repo_root}/bench" "${repo_root}/tools" \
+    "${repo_root}/examples" "${repo_root}/tests" --exclude=check.sh || true)
+if [[ -n "${table_copies}${sched_sim_includes}${view_copies}" ]]; then
+  echo "job bookkeeping outside JobTable, or a second scheduler view:" >&2
+  printf '%s\n' "${table_copies}" "${sched_sim_includes}" "${view_copies}" | grep . >&2
+  exit 1
+fi
+
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DOPTIMUS_SANITIZE="${OPTIMUS_SANITIZE:-}"
 cmake --build "${build_dir}" -j "$(nproc)"
@@ -174,18 +191,22 @@ done
 # flag or the config field (for a fault plan, the bad server id), not abort.
 # Checked on optimus_sim's generated and scenario paths (a flag, or a file
 # with one bad value) and on optimus_serve. A 1e-300 s interval would run
-# for ever and 2e9 jobs would exhaust memory.
+# for ever, 2e9 jobs or servers would exhaust memory, and a bursty spike mean
+# of 3e19 arrivals would hang the generator's Poisson draw.
 smoke_scenario="${repo_root}/scenarios/smoke/grid_a.json"
 serve_scenario="${repo_root}/tests/golden/serve/scenario.json"
 sed 's/"knobs": {/"knobs": {"interval_s": 1e-300, /' "${smoke_scenario}" \
   > "${tmp_dir}/tiny_interval.json"
 sed 's/"jobs": 6,/"jobs": 2000000000,/' "${smoke_scenario}" > "${tmp_dir}/many_jobs.json"
+sed 's/"kind": "uniform", "window_s": 6000.0/"kind": "bursty", "spike_multiplier": 1e19/' \
+  "${smoke_scenario}" > "${tmp_dir}/bursty_mean.json"
 for entry in \
     "sim|--jobs=0|--jobs" \
     "sim|--repeats=0|--repeats" \
     "sim|--interval=-5|interval_s" \
     "sim|--interval=1e-300|interval_s" \
     "sim|--jobs=2000000000|workload.jobs" \
+    "sim|--servers=2000000000|cluster.classes" \
     "sim|--threads=-2|threads" \
     "sim|--background-share=1.5|background_share" \
     "sim|--task-failure-prob=nan|task_failure_prob" \
@@ -196,6 +217,7 @@ for entry in \
     "scenario|--flight-recorder-depth=-1|flight_recorder_depth" \
     "file|${tmp_dir}/tiny_interval.json|interval_s" \
     "file|${tmp_dir}/many_jobs.json|workload.jobs" \
+    "file|${tmp_dir}/bursty_mean.json|workload.arrivals.rate_per_interval" \
     "serve|--threads=-2|threads"; do
   IFS='|' read -r surface flag name <<< "${entry}"
   rc=0
