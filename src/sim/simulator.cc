@@ -1512,13 +1512,15 @@ std::unique_ptr<AdmissionBaseline> Simulator::MakeAdmissionBaseline(const int* w
 WhatIfResult Simulator::WhatIf(const JobSpec& candidate) {
   OPTIMUS_CHECK(candidate.model != nullptr) << "what-if candidate model is null";
 
-  // Candidate view: the analytic ground-truth speed model (the oracle path
-  // without error injection) and the scheduler's prior for unfitted jobs.
-  // No RNG draw, no model fit — the query must leave the session bitwise
+  // Candidate view: the one its first round would build (MakeSchedJob, so
+  // the batch surface and sensitivities too), with the analytic ground-truth
+  // speed model (the oracle path without error injection), the scheduler's
+  // prior for unfitted jobs, and the young-job damping of a job at progress
+  // 0. No RNG draw, no model fit — the query must leave the session bitwise
   // unchanged.
   const SchedJob cand = MakeSchedJob(candidate, kDefaultRemainingEpochs,
                                      TruthSpeed(candidate, config_.comm, /*error=*/0.0),
-                                     /*priority_factor=*/1.0, config_.comm);
+                                     policy_.young_job_priority_factor, config_.comm);
 
   if (whatif_baseline_ == nullptr || whatif_generation_ != state_generation_) {
     whatif_baseline_ = MakeAdmissionBaseline(/*without_id=*/nullptr);

@@ -259,9 +259,10 @@ class Simulator {
   // would see, using a second allocator instance so the query perturbs no
   // simulator state — counters, RNG streams, and model fits are untouched,
   // which keeps a session with interleaved queries bitwise identical to one
-  // without them. The candidate's speed estimate is the analytic
-  // ground-truth model (the oracle path) and its remaining epochs the
-  // scheduler's prior for unfitted jobs.
+  // without them. The candidate gets the view its first round would give a
+  // just-arrived job (MakeSchedJob, with the young-job damping), except that
+  // its speed estimate is the analytic ground-truth model (the oracle path)
+  // and its remaining epochs the scheduler's prior for unfitted jobs.
   //
   // The baseline (the round without the candidate) is built once and reused
   // by every query until a mutating call (AdvanceTo, Run, SubmitJob,

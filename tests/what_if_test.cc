@@ -15,6 +15,7 @@
 
 #include "src/cluster/server.h"
 #include "src/common/rng.h"
+#include "src/models/model_zoo.h"
 #include "src/obs/exporters.h"
 #include "src/sched/optimus_allocator.h"
 #include "src/sched/what_if.h"
@@ -264,6 +265,50 @@ void ExpectBitwiseEqual(const WhatIfResult& got, const WhatIfResult& want,
     EXPECT_EQ(Bits(got.with_job_completion_s[i]), Bits(want.with_job_completion_s[i]))
         << where << " job " << i;
   }
+}
+
+// The candidate gets the view its first round would give it: under goodput
+// its batch range (the answer names a batch), under synergy its
+// sensitivities (an insensitive candidate's deflated CPU demand fits more
+// tasks on a CPU-bound cluster).
+TEST(SimulatorWhatIfTest, CandidateCarriesBatchRangeAndSensitivities) {
+  JobSpec spec;
+  spec.id = 100;
+  spec.model = &FindModel("ResNet-50");
+  spec.dataset_scale = 0.01;
+  spec.max_ps = 8;
+  spec.max_workers = 8;
+  spec.worker_demand = Resources(5, 10, 0, 0.2);
+  spec.ps_demand = Resources(5, 10, 0, 0.2);
+  const std::vector<Server> servers = {Server(0, Resources(16, 1000, 0, 10)),
+                                       Server(1, Resources(16, 1000, 0, 10))};
+  auto what_if = [&](const std::string& policy, const JobSpec& candidate) {
+    SimulatorConfig config;
+    config.policy = policy;
+    return Simulator(config, servers, {}).WhatIf(candidate);
+  };
+
+  JobSpec adaptive = spec;
+  adaptive.batch_min = 32;
+  adaptive.batch_max = 1024;
+  JobSpec pinned = spec;
+  pinned.batch_min = pinned.batch_max = 256;
+  const WhatIfResult with_range = what_if("goodput", adaptive);
+  ASSERT_TRUE(with_range.admitted);
+  EXPECT_GE(with_range.new_job_alloc.global_batch, 32);
+  EXPECT_LE(with_range.new_job_alloc.global_batch, 1024);
+  EXPECT_EQ(what_if("goodput", pinned).new_job_alloc.global_batch, 0);
+
+  JobSpec insensitive = spec;
+  insensitive.cpu_sensitivity = 0.0;
+  insensitive.mem_sensitivity = 0.0;
+  JobSpec sensitive = spec;
+  sensitive.cpu_sensitivity = 1.0;
+  sensitive.mem_sensitivity = 1.0;
+  const Allocation deflated = what_if("synergy", insensitive).new_job_alloc;
+  const Allocation full = what_if("synergy", sensitive).new_job_alloc;
+  EXPECT_LE(5 * (full.num_ps + full.num_workers), 32);
+  EXPECT_GT(deflated.num_ps + deflated.num_workers, full.num_ps + full.num_workers);
 }
 
 TEST(CachedWhatIfTest, MatchesColdSimulatorBitwise) {
