@@ -1,13 +1,10 @@
-// Job bookkeeping of one simulation (src/sim/simulator.h): every job record
-// from input spec to retired snapshot, in one place.
-//
-// A job is pending (a spec waiting for its arrival), live (a JobRuntime the
-// simulator steps) or retired (a completed runtime folded into a snapshot).
-// Each job's order key is its input position, or N + k for the k-th online
-// submission; specs leave the pending queue in (arrival, order key) order and
-// the live set is kept in order-key order, so every walk is one fixed
-// sequence. The table never simulates: building a runtime, stepping it and
-// completing it are the Simulator's.
+// Job bookkeeping of one simulation (src/sim/simulator.h): a job is pending (a
+// spec waiting for its arrival), live (a JobRuntime the simulator steps) or
+// retired (a completed runtime folded into a snapshot). Order keys are input
+// positions, then N + k for the k-th submission; specs leave in (arrival, order
+// key) order and the live set stays in order-key order, so every walk is one
+// fixed sequence. Building, stepping and completing a runtime are the
+// Simulator's.
 
 #ifndef SRC_SIM_JOB_TABLE_H_
 #define SRC_SIM_JOB_TABLE_H_
@@ -141,8 +138,7 @@ class JobTable {
     ModelFitStats speed;
   };
 
-  // `specs` may come in any arrival order; each spec's position is its order
-  // key.
+  // `specs` in any arrival order; each spec's position is its order key.
   explicit JobTable(std::vector<JobSpec> specs);
 
   // Order keys handed out so far: the input specs plus every submission.
@@ -155,8 +151,6 @@ class JobTable {
   std::optional<size_t> PendingHead();
   // Earliest arrival time of a pending spec (+inf if none).
   double NextArrival();
-  // The pending spec at `key`, valid until Take(key).
-  const JobSpec& pending(size_t key) const { return pending_specs_[key]; }
   // Moves pending spec `key` out of the queue; its slot becomes consumed.
   JobSpec Take(size_t key);
   // Adds a runtime built from a taken spec to the live set at its order

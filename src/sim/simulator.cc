@@ -9,8 +9,6 @@
 #include "src/common/logging.h"
 #include "src/common/stats.h"
 #include "src/perfmodel/sampler.h"
-#include "src/sched/baseline_allocators.h"
-#include "src/sched/optimus_allocator.h"
 #include "src/sched/speed_surface.h"
 
 namespace optimus {
@@ -31,9 +29,8 @@ constexpr double kBackoffMaxS = 7200.0;
 // The events engine's counter names, indexed by Simulator::EventKind.
 constexpr const char* kEventKindNames[] = {"arrival", "epoch", "fault_plan", "round"};
 
-// The analytic ground-truth estimate of `spec` (the oracle path), its slope
-// tilted by `error`. Without error, jobs sharing one profile have equal
-// estimates and share one memoized surface within a round.
+// The analytic ground-truth estimate of `spec` (the oracle path), its slope tilted
+// by `error`; error-free, jobs of one profile share one memoized surface.
 SpeedEstimate TruthSpeed(const JobSpec& spec, const CommConfig& comm, double error) {
   const int max_ps = spec.comm == CommMode::kAllReduce ? 0 : spec.max_ps;
   return SpeedEstimate::Oracle(StepProfile::Of(spec), comm,
@@ -479,9 +476,9 @@ void Simulator::ActivateArrivals() {
   // identical to the serial one; trace events are recorded afterwards, in
   // order-key order, to keep the event log deterministic too.
   std::vector<JobRuntime*> arriving;
-  for (std::optional<size_t> key = jobs_.PendingHead();
-       key && jobs_.pending(*key).arrival_time_s <= now_s_; key = jobs_.PendingHead()) {
-    arriving.push_back(MaterializeSpec(jobs_.Take(*key), *key));
+  while (jobs_.NextArrival() <= now_s_) {
+    const size_t key = *jobs_.PendingHead();
+    arriving.push_back(MaterializeSpec(jobs_.Take(key), key));
   }
   if (arriving.empty()) {
     return;
@@ -498,12 +495,9 @@ void Simulator::ActivateArrivals() {
 }
 
 bool Simulator::AnyIncompleteLive() const {
-  for (const auto& jr : jobs_.Live()) {
-    if (jr->job.state() != JobState::kCompleted) {
-      return true;
-    }
-  }
-  return false;
+  const auto& live = jobs_.Live();
+  return std::any_of(live.begin(), live.end(),
+                     [](const auto& jr) { return jr->job.state() != JobState::kCompleted; });
 }
 
 double Simulator::ErrorFactor(const JobRuntime& jr, double error_magnitude) const {

@@ -100,9 +100,8 @@ bool IsProbRange(double lo, double hi) {
 // Bound on a rate-driven arrival process: at most 10^7 intervals of at most
 // 10^7 s each (the committed scenarios span at most 10^3 intervals of 600 s).
 constexpr double kMaxArrivalIntervals = 1e7;
-// Bound on a bursty interval's Poisson mean, rate_per_interval times the spike
-// multiplier: 10^12 arrivals, 10^5 times kMaxJobs and far inside the int64
-// range past which the draw never returns (committed bursty workloads: 15).
+// Bound on a bursty interval's Poisson mean (rate_per_interval * spike_multiplier,
+// 15 in every committed workload): the draw never returns past int64's range.
 constexpr double kMaxBurstyMean = 1e12;
 
 // The fields a workload gives every job verbatim, on the first zoo model in

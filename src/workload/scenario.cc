@@ -88,10 +88,8 @@ bool ClusterSpec::Validate(std::vector<std::string>* errors) const {
     if (classes.empty()) {
       local.push_back("cluster.classes: need at least one server class");
     }
-    int64_t servers = 0;
     for (size_t i = 0; i < classes.size(); ++i) {
       const ServerClassSpec& c = classes[i];
-      servers += c.count;
       const std::string field = "cluster.classes[" + std::to_string(i) + "]";
       if (c.name.empty()) {
         local.push_back(field + ".name: must not be empty");
@@ -112,9 +110,9 @@ bool ClusterSpec::Validate(std::vector<std::string>* errors) const {
         local.push_back(field + ".bandwidth_gbps: must be >= 0");
       }
     }
-    if (servers > kMaxServers) {
+    if (NumServers() > kMaxServers) {
       local.push_back("cluster.classes: must hold at most " + std::to_string(kMaxServers) +
-                      " servers (got " + std::to_string(servers) + ")");
+                      " servers");
     }
   }
   if (rack_size < 0) {

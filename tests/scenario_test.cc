@@ -517,11 +517,11 @@ TEST(ScenarioTest, BurstyMeanAndServerCountAreCapped) {
        bursty_cap},
       {R"("cluster": {"testbed": false, "classes": [{"name": "a", "count": 2000000000,
           "cpu": 16, "memory_gb": 80}]})",
-       server_cap + " (got 2000000000)"},
+       server_cap},
       {R"("cluster": {"testbed": false, "classes": [
           {"name": "a", "count": 1048576, "cpu": 16, "memory_gb": 80},
           {"name": "b", "count": 1, "cpu": 16, "memory_gb": 80}]})",
-       server_cap + " (got 1048577)"},
+       server_cap},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.members);
