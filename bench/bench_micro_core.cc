@@ -54,54 +54,85 @@ void BM_NnlsSolve(benchmark::State& state) {
 BENCHMARK(BM_NnlsSolve)->Arg(32)->Arg(256)->Arg(2048);
 
 // One refinement pass of the Eqn-1 refit's solves: 25 right-hand sides, one
-// per beta2 grid point, on one reused two-unknown solver over the Gram of 25
-// noisy loss samples (A's columns are the step and a column of ones; row i's
-// target is 1 / (loss_i - beta2)).
-void BM_NnlsGramSolveTwoUnknowns(benchmark::State& state) {
+// per beta2 grid point, against the Gram of 25 noisy loss samples (A's
+// columns are the step and a column of ones; row i's target is
+// 1 / (loss_i - beta2)). Lane k's A^T b is (u[k], v[k]).
+struct RefitPassLanes {
+  static constexpr int kLanes = 25;
+  double ata[4] = {};
+  double u[kLanes] = {};
+  double v[kLanes] = {};
+};
+
+RefitPassLanes MakeRefitPassLanes() {
   const ModelSpec& spec = FindModel("Seq2Seq");
   const int64_t spe = spec.StepsPerEpoch(spec.default_sync_batch);
   LossCurve curve(spec.loss, spe);
   Rng rng(4);
   constexpr int kPoints = 25;
-  constexpr int kLanes = 25;
   double steps[kPoints];
   double losses[kPoints];
-  double ata[4] = {};
+  RefitPassLanes lanes;
   double min_loss = std::numeric_limits<double>::infinity();
   for (int i = 0; i < kPoints; ++i) {
     steps[i] = static_cast<double>((i + 1) * spe / 10);
     losses[i] = curve.SampleLossAtStep((i + 1) * spe / 10, &rng);
     min_loss = std::min(min_loss, losses[i]);
-    ata[0] += steps[i] * steps[i];
-    ata[1] += steps[i];
-    ata[3] += 1.0;
+    lanes.ata[0] += steps[i] * steps[i];
+    lanes.ata[1] += steps[i];
+    lanes.ata[3] += 1.0;
   }
-  ata[2] = ata[1];
-  double atb[kLanes][2] = {};
-  for (int k = 0; k < kLanes; ++k) {
-    const double beta2 = min_loss * 0.999 * k / (kLanes - 1);
+  lanes.ata[2] = lanes.ata[1];
+  for (int k = 0; k < RefitPassLanes::kLanes; ++k) {
+    const double beta2 = min_loss * 0.999 * k / (RefitPassLanes::kLanes - 1);
     for (int i = 0; i < kPoints; ++i) {
       const double y = 1.0 / (losses[i] - beta2);
-      atb[k][0] += steps[i] * y;
-      atb[k][1] += y;
+      lanes.u[k] += steps[i] * y;
+      lanes.v[k] += y;
     }
   }
+  return lanes;
+}
+
+// The pass's lanes one Solve at a time on one reused solver.
+void BM_NnlsGramSolveTwoUnknowns(benchmark::State& state) {
+  const RefitPassLanes lanes = MakeRefitPassLanes();
   for (auto _ : state) {
-    NnlsGramSolver solver(ata, 2);
-    for (int k = 0; k < kLanes; ++k) {
+    NnlsGramSolver solver(lanes.ata, 2);
+    for (int k = 0; k < RefitPassLanes::kLanes; ++k) {
+      const double atb[2] = {lanes.u[k], lanes.v[k]};
       double x[2];
-      benchmark::DoNotOptimize(solver.Solve(atb[k], x));
+      benchmark::DoNotOptimize(solver.Solve(atb, x));
       benchmark::DoNotOptimize(x);
     }
   }
-  state.SetItemsProcessed(state.iterations() * kLanes);
+  state.SetItemsProcessed(state.iterations() * RefitPassLanes::kLanes);
 }
 BENCHMARK(BM_NnlsGramSolveTwoUnknowns);
+
+// The same lanes in one SolveLanes call, as ConvergenceModel::Fit solves a
+// pass.
+void BM_NnlsGramSolveLanes(benchmark::State& state) {
+  const RefitPassLanes lanes = MakeRefitPassLanes();
+  double x0[RefitPassLanes::kLanes];
+  double x1[RefitPassLanes::kLanes];
+  for (auto _ : state) {
+    NnlsGramSolver solver(lanes.ata, 2);
+    benchmark::DoNotOptimize(
+        solver.SolveLanes(lanes.u, lanes.v, RefitPassLanes::kLanes, x0, x1));
+    benchmark::DoNotOptimize(x0);
+    benchmark::DoNotOptimize(x1);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * RefitPassLanes::kLanes);
+}
+BENCHMARK(BM_NnlsGramSolveLanes);
 
 // Times one refit: each iteration restores a model that was fitted on
 // `points` samples and has one new sample since, so Fit() re-runs the whole
 // warm-started beta2 sweep instead of hitting the dirty-flag cache. Args are
-// (points, max_fit_points).
+// (points, max_fit_points); at 25 points, an events-engine refit's size,
+// the lane solves cost more than the point sweeps.
 void BM_ConvergenceFit(benchmark::State& state) {
   const ModelSpec& spec = FindModel("Seq2Seq");
   const int64_t spe = spec.StepsPerEpoch(spec.default_sync_batch);
@@ -127,6 +158,7 @@ void BM_ConvergenceFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConvergenceFit)
+    ->Args({25, 512})
     ->Args({100, 512})
     ->Args({1000, 512})
     ->Args({2200, 16384})

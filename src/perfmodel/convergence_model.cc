@@ -133,6 +133,7 @@ struct LiveLanes {
 // buffer per thread that every refit on the thread rewrites, like the fit
 // points, sized from the grid.
 struct Beta2Lanes {
+  std::vector<double> grid;  // the pass's beta2 at each grid index
   std::vector<double> beta2;
   std::vector<double> atb0;  // sum step_i * y_i
   std::vector<double> atb1;  // sum y_i
@@ -143,8 +144,8 @@ struct Beta2Lanes {
   LiveLanes live;
 
   void Resize(size_t size) {
-    for (std::vector<double>* v : {&beta2, &atb0, &atb1, &b0, &b1, &rss, &live.b0,
-                                   &live.b1, &live.beta2, &live.rss}) {
+    for (std::vector<double>* v : {&grid, &beta2, &atb0, &atb1, &b0, &b1, &rss,
+                                   &live.b0, &live.b1, &live.beta2, &live.rss}) {
       v->resize(size);
     }
     lane_of.resize(size);
@@ -287,11 +288,13 @@ bool ConvergenceModel::Fit() {
   // with the smallest residual, the lowest grid index among equals, of those
   // that beat the best of the earlier passes; NaN and infinity never win.
   // The reference path (caching off) sweeps g = 0..grid in order, which
-  // yields that minimum with a plain `rss < best_rss`. The cached path
-  // builds every candidate's A^T b in one sweep per pass, solves them all,
-  // scores a guess first (the grid point nearest the previous fit's beta2 in
-  // pass 0, the centre of the narrowed window after that) and then the rest
-  // in one lockstep pass bounded by the best so far (ScoreLanes). A
+  // yields that minimum with a plain `rss < best_rss`. Both paths compute a
+  // pass's grid once, into lanes.grid. The cached path builds every
+  // candidate's A^T b in one sweep per pass, solves them all in one
+  // NnlsGramSolver::SolveLanes call (each lane with Solve's bits), scores a
+  // guess first (the grid point nearest the previous fit's beta2 in pass 0,
+  // the centre of the narrowed window after that) and then the rest in one
+  // lockstep pass bounded by the best so far (ScoreLanes). A
   // candidate stopped early cannot win, and a winner is always summed in
   // full, so visiting the guess and then the other points picks the
   // reference's candidate with the same residual.
@@ -305,10 +308,11 @@ bool ConvergenceModel::Fit() {
   double best_b1 = 0.0;
   double best_b2 = 0.0;
   static thread_local Beta2Lanes lanes;
-  if (caching_) {
-    lanes.Resize(static_cast<size_t>(grid) + 1);
-  }
+  lanes.Resize(static_cast<size_t>(grid) + 1);
   for (int pass = 0; pass < options_.refine_passes; ++pass) {
+    for (int g = 0; g <= grid; ++g) {
+      lanes.grid[g] = lo + (hi - lo) * g / grid;
+    }
     int first = 0;
     if (caching_) {
       first = grid / 2;
@@ -321,7 +325,7 @@ bool ConvergenceModel::Fit() {
       // candidate is infeasible and gets no lane and no solve.
       size_t num_lanes = 0;
       for (int g = 0; g <= grid; ++g) {
-        const double beta2 = lo + (hi - lo) * g / grid;
+        const double beta2 = lanes.grid[g];
         if (min_loss - beta2 <= 1e-9) {
           lanes.lane_of[g] = -1;
           continue;
@@ -330,13 +334,9 @@ bool ConvergenceModel::Fit() {
         lanes.beta2[num_lanes++] = beta2;
       }
       SweepAtb(pts, num_lanes, &lanes);
-      for (size_t k = 0; k < num_lanes; ++k) {
-        const double atb[2] = {lanes.atb0[k], lanes.atb1[k]};
-        double x[2];
-        fit_stats_.nnls_iterations += solver.Solve(atb, x).iterations;
-        lanes.b0[k] = x[0];
-        lanes.b1[k] = x[1];
-      }
+      fit_stats_.nnls_iterations +=
+          solver.SolveLanes(lanes.atb0.data(), lanes.atb1.data(), num_lanes,
+                            lanes.b0.data(), lanes.b1.data());
       ScoreLanes(pts, lanes.lane_of[first], best_rss, finite_steps, num_lanes, &lanes);
     }
     double pass_best = best_b2;
@@ -344,7 +344,7 @@ bool ConvergenceModel::Fit() {
     for (int i = 0; i <= grid; ++i) {
       // Visit `first`, then 0..grid without it.
       const int g = i == 0 ? first : (i <= first ? i - 1 : i);
-      const double beta2 = lo + (hi - lo) * g / grid;
+      const double beta2 = lanes.grid[g];
       double b0 = 0.0;
       double b1 = 0.0;
       double rss = std::numeric_limits<double>::infinity();

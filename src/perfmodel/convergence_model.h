@@ -13,10 +13,11 @@
 // candidate's A^T b in one sweep over the points, one accumulator lane per
 // candidate; a candidate whose beta2 is within 1e-9 of the minimum loss is
 // infeasible and never solved. The pass then solves every feasible
-// candidate, scores a warm-start guess, and scores the rest in one lockstep
-// sweep over the points, one residual accumulator per candidate, retiring
-// every kScoreBlock points the candidates whose partial residual already
-// exceeds the best so far. A dirty flag skips the refit entirely when no
+// candidate in one batched call (NnlsGramSolver::SolveLanes), scores a
+// warm-start guess, and scores the rest in one lockstep sweep over the
+// points, one residual accumulator per candidate, retiring every kScoreBlock
+// points the candidates whose partial residual already exceeds the best so
+// far. A dirty flag skips the refit entirely when no
 // samples arrived since the last Fit(), and the epoch-walk prediction
 // (PredictTotalEpochs) is memoized per fit. Every shortcut reproduces the
 // from-scratch fit bit for bit (docs/ALGORITHMS.md §13 gives the argument);

@@ -31,8 +31,7 @@ void SpeedModel::AddSample(int num_ps, int num_workers, double speed) {
   }
   samples_.push_back({num_ps, num_workers, speed});
   const std::array<double, 5> feat = Features(num_ps, num_workers);
-  gram_.Add(Vector(feat.begin(), feat.begin() + dims()),
-            InverseSpeedTarget(samples_.back()));
+  gram_.Add(feat.data(), dims(), InverseSpeedTarget(samples_.back()));
   dirty_ = true;
 }
 
@@ -42,7 +41,7 @@ void SpeedModel::Reset() {
   dirty_ = false;
   theta_.clear();
   fitted_ = false;
-  residual_ = 0.0;
+  fit_samples_ = 0;
 }
 
 bool SpeedModel::Fit() {
@@ -83,10 +82,19 @@ bool SpeedModel::Fit() {
     return fitted_;  // degenerate; keep any previous fit
   }
   theta_ = fit.x;
+  fit_samples_ = samples_.size();
+  fitted_ = true;
+  return true;
+}
+
+double SpeedModel::residual() const {
   // Exact residual in inverse-speed space (same accumulation order as the
   // dense ResidualSumOfSquares, so both code paths report identical values).
+  // Samples only append until Reset(), so the first fit_samples_ are the
+  // ones the fit saw.
   double rss = 0.0;
-  for (const SpeedSample& s : samples_) {
+  for (size_t i = 0; i < fit_samples_; ++i) {
+    const SpeedSample& s = samples_[i];
     const std::array<double, 5> feat = Features(s.num_ps, s.num_workers);
     double pred = 0.0;
     for (size_t c = 0; c < dims(); ++c) {
@@ -95,9 +103,7 @@ bool SpeedModel::Fit() {
     const double e = pred - InverseSpeedTarget(s);
     rss += e * e;
   }
-  residual_ = rss;
-  fitted_ = true;
-  return true;
+  return rss;
 }
 
 double SpeedModel::Estimate(int num_ps, int num_workers) const {

@@ -97,8 +97,10 @@ class SpeedModel {
 
   // Fitted coefficients (4 for async, 5 for sync).
   const std::vector<double>& theta() const { return theta_; }
-  // Residual sum of squares in inverse-speed space at the last fit.
-  double residual() const { return residual_; }
+  // Residual sum of squares in inverse-speed space at the last successful
+  // fit, over the samples that fit saw. Summed when read: no refit pays for
+  // it.
+  double residual() const;
 
   // Fit accounting (solve attempts, dirty-flag cache hits, NNLS iterations);
   // fed into the observability registry by the simulator.
@@ -122,7 +124,7 @@ class SpeedModel {
   bool dirty_ = false;  // samples added since the last solve
   std::vector<double> theta_;
   bool fitted_ = false;
-  double residual_ = 0.0;
+  size_t fit_samples_ = 0;  // samples_.size() at the last successful fit
   ModelFitStats fit_stats_;
 };
 

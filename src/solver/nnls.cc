@@ -8,8 +8,8 @@
 
 namespace optimus {
 
-void GramSystem::Add(const Vector& features, double target) {
-  OPTIMUS_CHECK_EQ(features.size(), dims_);
+void GramSystem::Add(const double* features, size_t count, double target) {
+  OPTIMUS_CHECK_EQ(count, dims_);
   for (size_t i = 0; i < dims_; ++i) {
     for (size_t j = i; j < dims_; ++j) {
       const double v = ata_(i, j) + features[i] * features[j];
@@ -130,8 +130,8 @@ bool NnlsGramSolver::SolveOnSubset(const double* atb, const size_t* passive, siz
   return true;
 }
 
-// Every caller with two unknowns (the convergence model's lanes, ~75 per
-// refit) gets the loop compiled at n = 2. The instantiations differ only in
+// Every caller with two unknowns (SolveLanes' fallback lanes included) gets
+// the loop compiled at n = 2. The instantiations differ only in
 // whether the loop bounds are constants, so they compute the same bits.
 NnlsGramSolver::Solution NnlsGramSolver::Solve(const double* atb, double* x) {
   return n_ == 2 ? SolveN<2>(atb, x) : SolveN<0>(atb, x);
@@ -258,6 +258,92 @@ NnlsGramSolver::Solution NnlsGramSolver::SolveN(const double* atb, double* x_out
   return solution;
 }
 
+// The common path of a two-unknown solve, in SolveN<2>'s operations:
+//   1. At x = 0, w = A^T b - A^T A x picks the slope: w0 > tol, w1 <= w0.
+//   2. Iteration 1 solves {0} with the {0} factor: z = (u / l) / l, finite
+//      and > 0, so x = (z, 0).
+//   3. w1 at that x is <= tol: done after 1 iteration. Otherwise iteration 2
+//      solves {0, 1} with its factor; both entries finite and > 0, so x is
+//      that solution after 2 iterations, and no variable is left to enter.
+// The first loop evaluates every step for every lane, with no branch, and
+// marks a lane that leaves the path with x0 = -1 (a common-path x0 is > 0).
+// The second loop hands each marked lane to SolveN<2>. A lane on the path
+// reports its iterations through its x1: 0 after step 3's stop, > 0 after
+// iteration 2.
+int64_t NnlsGramSolver::SolveLanes(const double* u, const double* v, size_t lanes,
+                                   double* x0, double* x1) {
+  OPTIMUS_CHECK_EQ(n_, 2u);
+  // A cap below 2 ends the path early; every lane then runs SolveN<2>.
+  if (options_.max_iterations >= 2) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const size_t slope[1] = {0};
+    const size_t both[2] = {0, 1};
+    const SubsetFactor& f1 = FactorFor<2>(slope, 1);
+    const SubsetFactor& f2 = FactorFor<2>(both, 2);
+    // A failed factor's entries may be unwritten: read 1.0 instead, and
+    // send every lane that needs the factor to SolveN<2>.
+    const bool ok1 = f1.ok;
+    const bool ok2 = f2.ok;
+    const double l = ok1 ? f1.l[0] : 1.0;
+    const double l00 = ok2 ? f2.l[0] : 1.0;
+    const double l10 = ok2 ? f2.l[2] : 1.0;
+    const double l11 = ok2 ? f2.l[3] : 1.0;
+    const double a00 = ata_[0];
+    const double a01 = ata_[1];
+    const double a10 = ata_[2];
+    const double a11 = ata_[3];
+    // A^T A x at x = 0, summed as SolveN sums it.
+    const double dot0 = 0.0 + a00 * 0.0 + a01 * 0.0;
+    const double dot1 = 0.0 + a10 * 0.0 + a11 * 0.0;
+    const double tolerance = options_.tolerance;
+    for (size_t k = 0; k < lanes; ++k) {
+      const double a0 = u[k];
+      const double a1 = v[k];
+      // SolveN's w > tol, with tol = tolerance * std::max(grad_scale, 1.0).
+      // std::max(g, 1.0) is g < 1.0 ? 1.0 : g, and tolerance * 1.0 is
+      // tolerance, so both compares are made and one is kept. (A select
+      // between the two tols lets GCC move the multiply under a branch,
+      // which stops the loop from vectorizing.)
+      const double grad_scale = std::max(std::max(0.0, std::abs(a0)), std::abs(a1));
+      const bool unit_scale = grad_scale < 1.0;
+      const double scaled = tolerance * grad_scale;
+      const auto above_tol = [&](double w) {
+        return (unit_scale & (w > tolerance)) | (!unit_scale & (w > scaled));
+      };
+      const double w0 = a0 - dot0;
+      const bool slope_enters = above_tol(w0) & !(a1 - dot1 > w0);
+      // {0}: CholeskySolveN<1>.
+      const double z = a0 / l / l;
+      const bool z_ok = ok1 & (z > 0.0) & (z < kInf);
+      const bool slope_only = !above_tol(a1 - (0.0 + a10 * z + a11 * 0.0));
+      // {0, 1}: CholeskySolveN<2>'s forward and back substitution.
+      const double y0 = a0 / l00;
+      const double y1 = (a1 - l10 * y0) / l11;
+      const double s1 = y1 / l11;
+      const double s0 = (y0 - l10 * s1) / l00;
+      const bool s_ok = ok2 & (s0 > 0.0) & (s0 < kInf) & (s1 > 0.0) & (s1 < kInf);
+      const bool on_path = slope_enters & z_ok & (slope_only | s_ok);
+      x0[k] = on_path ? (slope_only ? z : s0) : -1.0;
+      x1[k] = slope_only ? 0.0 : s1;
+    }
+  } else {
+    std::fill_n(x0, lanes, -1.0);
+  }
+  int64_t iterations = 0;
+  for (size_t k = 0; k < lanes; ++k) {
+    if (x0[k] > 0.0) {
+      iterations += x1[k] > 0.0 ? 2 : 1;
+      continue;
+    }
+    const double atb[2] = {u[k], v[k]};
+    double x[2];
+    iterations += SolveN<2>(atb, x).iterations;
+    x0[k] = x[0];
+    x1[k] = x[1];
+  }
+  return iterations;
+}
+
 NnlsResult SolveNnlsGram(const GramSystem& gram, const NnlsOptions& options) {
   return SolveNnlsGram(gram.ata(), gram.atb(), gram.btb(), options);
 }
@@ -297,12 +383,8 @@ NnlsResult SolveNnlsGram(const Matrix& ata, const Vector& atb, double btb,
 NnlsResult SolveNnls(const Matrix& a, const Vector& b, const NnlsOptions& options) {
   OPTIMUS_CHECK_EQ(b.size(), a.rows());
   GramSystem gram(a.cols());
-  Vector features(a.cols());
   for (size_t r = 0; r < a.rows(); ++r) {
-    for (size_t c = 0; c < a.cols(); ++c) {
-      features[c] = a(r, c);
-    }
-    gram.Add(features, b[r]);
+    gram.Add(a.data() + r * a.cols(), a.cols(), b[r]);
   }
   NnlsResult result = SolveNnlsGram(gram, options);
   // With the dense A at hand, report the exact residual.

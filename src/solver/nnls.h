@@ -67,8 +67,9 @@ class GramSystem {
       : ata_(std::move(ata)), atb_(std::move(atb)), btb_(btb), rows_(rows),
         dims_(atb_.size()) {}
 
-  // Accumulates one observation row: features f and target y.
-  void Add(const Vector& features, double target);
+  // Accumulates one observation row: `count` features (== dims()) and its
+  // target.
+  void Add(const double* features, size_t count, double target);
   void Reset();
 
   size_t dims() const { return dims_; }
@@ -86,8 +87,8 @@ class GramSystem {
 };
 
 // Lawson-Hanson active-set NNLS on one fixed A^T A, reusable across many
-// right-hand sides (e.g. the convergence model's beta2 sweep, ~75 solves per
-// fit against one 2x2 Gram). Each passive subset's Cholesky factor is
+// right-hand sides (e.g. the convergence model's beta2 sweep: one SolveLanes
+// call per refinement pass, up to 25 lanes, against one 2x2 Gram). Each passive subset's Cholesky factor is
 // computed on first use and kept in a slot (see kMaxFactors), so repeated
 // solves refactor nothing while the subsets fit the slots. A cached factor
 // is the same arithmetic on the same subset matrix as a fresh one, so every
@@ -108,6 +109,15 @@ class NnlsGramSolver {
   // is left to the caller (SolveNnlsGram computes it; the convergence model
   // never reads it).
   Solution Solve(const double* atb, double* x);
+
+  // Solves `lanes` two-unknown right-hand sides A^T b = (u[k], v[k]),
+  // writing each solution to (x0[k], x1[k]) with the bits Solve gives it.
+  // Returns the lanes' summed iteration count. Requires n == 2; the outputs
+  // must not alias the inputs. A first, branch-free loop takes every lane
+  // along the common path (the slope enters, then the intercept, with no
+  // step back); every lane that leaves it is re-solved by Solve's own loop.
+  int64_t SolveLanes(const double* u, const double* v, size_t lanes, double* x0,
+                     double* x1);
 
  private:
   // Slots for cached subset factors. A 2-unknown solver has exactly four

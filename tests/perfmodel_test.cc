@@ -785,6 +785,58 @@ TEST_F(SpeedModelTest, CachedFitsMatchFromScratchBitwise) {
   }
 }
 
+TEST_F(SpeedModelTest, ResidualIsPinned) {
+  // residual() is summed when read, over the samples of the last successful
+  // fit. The constants are what the sum made at every fit gave, after fits
+  // at 3, 5, 8, 13, 21 and 34 samples of a seeded noisy feed.
+  struct Feed {
+    TrainingMode mode;
+    uint64_t seed;
+    double want[6];
+  };
+  const Feed feeds[] = {
+      {TrainingMode::kSync,
+       83,
+       {0x1.a7db31c536d4dp-16, 0x1.9baee2a52144ep-4, 0x1.506a592473147p-2,
+        0x1.deb24ca9e0e24p-1, 0x1.567e21990a13fp+1, 0x1.61c3c3aa6c596p+2}},
+      {TrainingMode::kAsync,
+       89,
+       {0x1.f1e9f5a69aa96p-5, 0x1.a282406613f8bp+0, 0x1.7bc3f0b2fa988p+1,
+        0x1.838f87c7fc949p+2, 0x1.aba7c791fb1bap+2, 0x1.75b4ca3d943d3p+3}},
+  };
+  const ModelSpec& spec = FindModel("Seq2Seq");
+  for (const Feed& feed : feeds) {
+    SCOPED_TRACE(feed.mode == TrainingMode::kSync ? "sync" : "async");
+    Rng noise(feed.seed);
+    const SpeedOracle oracle = MakeOracle(spec, feed.mode, 0.05, &noise);
+    SpeedModel model(feed.mode, spec.default_sync_batch);
+    EXPECT_EQ(model.residual(), 0.0);
+    Rng pick(feed.seed + 1);
+    size_t fit = 0;
+    for (int i = 1; i <= 34; ++i) {
+      const int p = static_cast<int>(pick.UniformInt(1, 16));
+      const int w = static_cast<int>(pick.UniformInt(1, 16));
+      model.AddSample(p, w, oracle(p, w));
+      if (i == 3 || i == 5 || i == 8 || i == 13 || i == 21 || i == 34) {
+        ASSERT_TRUE(model.Fit()) << i << " samples";
+        EXPECT_EQ(model.residual(), feed.want[fit++]) << i << " samples";
+      }
+    }
+    // The slowest positive speed inverts to an infinite target, so every
+    // A^T b entry is infinite, no variable clears the (infinite) tolerance,
+    // and the all-zero solution is degenerate: the refit keeps the previous
+    // theta, and residual() still sums the 34 samples that theta was fitted
+    // on, not the new one.
+    const std::vector<double> theta = model.theta();
+    model.AddSample(1, 1, std::numeric_limits<double>::denorm_min());
+    ASSERT_TRUE(model.Fit());
+    EXPECT_EQ(model.theta(), theta);
+    EXPECT_EQ(model.residual(), feed.want[5]);
+    model.Reset();
+    EXPECT_EQ(model.residual(), 0.0);
+  }
+}
+
 TEST_F(SpeedModelTest, RejectsInvalidSamples) {
   SpeedModel model(TrainingMode::kAsync, 0);
   model.AddSample(1, 1, 0.0);

@@ -1,5 +1,8 @@
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -201,7 +204,7 @@ GramSystem SeededGram(size_t dims, uint64_t seed, const Vector& truth) {
       y += f[c] * truth[c];
     }
     y += rng.Normal(0.0, 0.05);
-    gram.Add(f, y);
+    gram.Add(f.data(), f.size(), y);
   }
   return gram;
 }
@@ -238,7 +241,8 @@ GramSystem LaneGram(double scale, double slope, double intercept) {
   GramSystem gram(2);
   for (int i = 1; i <= 25; ++i) {
     const double k = scale * i;
-    gram.Add({k, 1.0}, slope * k + intercept);
+    const double f[2] = {k, 1.0};
+    gram.Add(f, 2, slope * k + intercept);
   }
   return gram;
 }
@@ -413,6 +417,103 @@ TEST(NnlsGramSolverTest, ReusedSolverKeepsAFailedSubsetFactor) {
               GramIdentityRss(ata, atb, 1.0, got_x))
         << "rhs " << rhs;
   }
+}
+
+// SolveLanes on `ata` must give every lane of (u, v) the bits and
+// iterations a fresh Solve gives it, whether the lane stays on the common
+// path or falls back, and return the summed iterations.
+void ExpectLanesMatchSolve(const double* ata, const Vector& u, const Vector& v,
+                           const NnlsOptions& options = {}) {
+  ASSERT_EQ(u.size(), v.size());
+  const size_t lanes = u.size();
+  Vector x0(lanes);
+  Vector x1(lanes);
+  NnlsGramSolver batched(ata, 2, options);
+  const int64_t total = batched.SolveLanes(u.data(), v.data(), lanes, x0.data(), x1.data());
+  int64_t want_total = 0;
+  for (size_t k = 0; k < lanes; ++k) {
+    const double atb[2] = {u[k], v[k]};
+    double want[2];
+    NnlsGramSolver fresh(ata, 2, options);
+    want_total += fresh.Solve(atb, want).iterations;
+    EXPECT_EQ(std::bit_cast<uint64_t>(x0[k]), std::bit_cast<uint64_t>(want[0]))
+        << "lane " << k << " (" << u[k] << ", " << v[k] << "): " << x0[k] << " vs "
+        << want[0];
+    EXPECT_EQ(std::bit_cast<uint64_t>(x1[k]), std::bit_cast<uint64_t>(want[1]))
+        << "lane " << k << " (" << u[k] << ", " << v[k] << "): " << x1[k] << " vs "
+        << want[1];
+  }
+  EXPECT_EQ(total, want_total);
+}
+
+// Seeded right-hand sides over mixed signs, exact zeros, magnitudes from
+// 1e-300 to 1e300, and a sprinkle of +-inf and NaN entries, plus the lanes
+// of a refit pass: scaled copies of (u0, v0).
+void SeededLanes(uint64_t seed, double u0, double v0, Vector* u, Vector* v) {
+  Rng rng(seed);
+  const auto entry = [&rng]() {
+    const double pick = rng.Uniform(0.0, 1.0);
+    if (pick < 0.05) {
+      return 0.0;
+    }
+    if (pick < 0.07) {
+      return std::numeric_limits<double>::infinity();
+    }
+    if (pick < 0.09) {
+      return -std::numeric_limits<double>::infinity();
+    }
+    if (pick < 0.11) {
+      return std::numeric_limits<double>::quiet_NaN();
+    }
+    const double magnitude = std::pow(10.0, rng.Uniform(-300.0, 300.0));
+    const double mantissa = rng.Uniform(0.5, 2.0) * (pick < 0.7 ? 1.0 : -1.0);
+    return pick < 0.4 ? mantissa : mantissa * magnitude;
+  };
+  for (int i = 0; i < 400; ++i) {
+    u->push_back(entry());
+    v->push_back(entry());
+  }
+  for (int i = 0; i < 100; ++i) {
+    u->push_back(u0 * rng.Uniform(0.5, 2.0));
+    v->push_back(v0 * rng.Uniform(0.5, 2.0));
+  }
+}
+
+TEST(NnlsGramSolverTest, SolveLanesMatchesSolveBitForBit) {
+  // The two-unknown systems of NnlsPinTest: each one's own right-hand side,
+  // then seeded ones on its Gram.
+  const GramSystem systems[] = {SeededGram(2, 11, {0.8, 0.3}), LaneGram(0.04, 1.0, 2.0),
+                                LaneGram(1.0, -1.0, 30.0), LaneGram(1.0, -0.5, -1.0),
+                                LaneGram(1.0, 0.5, 3.0)};
+  uint64_t seed = 40;
+  for (const GramSystem& gram : systems) {
+    SCOPED_TRACE("system " + std::to_string(seed - 40));
+    Vector u = {gram.atb()[0]};
+    Vector v = {gram.atb()[1]};
+    SeededLanes(seed++, gram.atb()[0], gram.atb()[1], &u, &v);
+    ExpectLanesMatchSolve(gram.ata().data(), u, v);
+    // A cap of 1 or 2 iterations cuts the common path short or ends on it.
+    for (const int cap : {0, 1, 2, 3}) {
+      SCOPED_TRACE("max_iterations " + std::to_string(cap));
+      NnlsOptions options;
+      options.max_iterations = cap;
+      ExpectLanesMatchSolve(gram.ata().data(), u, v, options);
+    }
+  }
+  // The indefinite Gram of NnlsPinTest.NumericallySingularSubsetIsDropped:
+  // the {0, 1} subset never factors, so a lane that needs it falls back.
+  const double singular[4] = {1.0, -1.0, -1.0, 1.0 - 1e-9};
+  Vector u;
+  Vector v;
+  Rng rng(17);
+  for (int i = 0; i < 20; ++i) {
+    u.push_back(rng.Uniform(0.1, 2.0));
+    v.push_back(rng.Uniform(0.1, 2.0));
+  }
+  SeededLanes(seed, 1.0, 1.0, &u, &v);
+  ExpectLanesMatchSolve(singular, u, v);
+  // No lanes at all.
+  ExpectLanesMatchSolve(singular, {}, {});
 }
 
 TEST(DotTest, Basic) {

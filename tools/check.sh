@@ -121,12 +121,13 @@ trap 'rm -rf "${tmp_dir}"' EXIT
 
 # Refit micro smoke: every BM_ConvergenceFit size (each iteration a real
 # refit), BM_RemoveOutliers size (its outlier pass), the refit's
-# two-unknown lane solves (BM_NnlsGramSolveTwoUnknowns) and a short pool
-# fan-out after an idle gap (BM_ParallelForShortFanOut: runners per call and
-# the caller's share) at a token time budget, plus the micro_core section,
-# into the same smoke JSON.
+# two-unknown lane solves one at a time (BM_NnlsGramSolveTwoUnknowns) and in
+# one batched call (BM_NnlsGramSolveLanes), and a short pool fan-out after an
+# idle gap (BM_ParallelForShortFanOut: runners per call and the caller's
+# share) at a token time budget, plus the micro_core section, into the same
+# smoke JSON.
 "${build_dir}/bench/bench_micro_core" \
-  --benchmark_filter='ConvergenceFit|RemoveOutliers|NnlsGramSolveTwoUnknowns|ParallelForShortFanOut' \
+  --benchmark_filter='ConvergenceFit|RemoveOutliers|NnlsGramSolveTwoUnknowns|NnlsGramSolveLanes|ParallelForShortFanOut' \
   --benchmark_min_time=0.01 --json=BENCH_sched_smoke.json
 
 # Event-kernel smoke: discrete-event engine vs interval engine on small
