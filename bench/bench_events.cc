@@ -20,17 +20,12 @@
 //            (and the headline speedup row).
 //
 // Both engines run the identical workload from the identical seed, one
-// thread each; every row runs twice and the repeat must reproduce its
-// fingerprint bitwise (RunFingerprint, src/sim/run_fingerprint.h; the thread
-// contract is tier-1's determinism sweep, EventKernelTest and
-// ParallelDeterminismTest). Interval vs events
-// is compared under the documented tolerance
-// (docs/ALGORITHMS.md section 16): completed-job counts within
-// max(3, 1% of submissions), average JCT within 15% — the engines consume
-// per-job RNG streams at different cadences, so trajectories differ in the
-// noise term but not in substance, and at a hard horizon cutoff a small
-// fraction of near-boundary jobs can land on opposite sides of it.
-// Any violation exits 3: speed that changes the answer is a bug.
+// thread each; every row runs twice through RunRepeats (bench/bench_util.h),
+// timed best-of-two, and the repeat must reproduce its fingerprint bitwise
+// (the thread contract is tier-1's determinism sweep, EventKernelTest and
+// ParallelDeterminismTest). Interval vs events is compared under the
+// documented tolerance (docs/ALGORITHMS.md section 16). Any violation exits
+// 3: speed that changes the answer is a bug.
 
 #include <algorithm>
 #include <cmath>
@@ -40,13 +35,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/cluster/server.h"
 #include "src/common/flags.h"
-#include "src/common/logging.h"
-#include "src/common/rng.h"
-#include "src/sim/fault_injector.h"
-#include "src/sim/simulator.h"
-#include "src/sim/workload.h"
+#include "src/common/stats.h"
 
 namespace {
 
@@ -81,54 +71,23 @@ int CompletedTolerance(int total_jobs) {
   return std::max(kCompletedTolerance, total_jobs / 100);
 }
 
-SimulatorConfig RegimeConfig(const RegimeSpec& regime, SimEngine engine) {
+CellRun RunRow(const RegimeSpec& regime, SimEngine engine) {
   SimulatorConfig sim;
   sim.seed = kSeed;
   sim.engine = engine;
   sim.audit = true;
   sim.max_sim_time_s = regime.horizon_intervals * kIntervalS;
-  // A light fault load: scripted crash + slowdown, stochastic container
-  // deaths, periodic checkpoints — both fault paths exercised.
-  std::string error;
-  OPTIMUS_CHECK(ParseFaultPlan(
-      "crash@1800:server=2,recover=9000;slow@2400:factor=0.8,duration=1800",
-      &sim.fault.plan, &error))
-      << error;
-  sim.fault.task_failure_prob = 0.005;
-  sim.fault.checkpoint_period_s = 3600.0;
+  SetLightFaults(&sim);
   // Dense loss feed for the interval engine (one sample every ~6 simulated
   // seconds, full-fidelity fits); the event engine observes the same curves
   // at its own cadence (kConvSamplesPerEpoch, 2 per epoch).
   sim.conv_samples_per_interval = 300;
   sim.conv_fit_points = 16384;
-  return sim;
-}
-
-// Best-of-two timing: wall clock on a shared host is noisy, the simulation
-// is not — the repeat must reproduce the run's fingerprint bitwise, trace
-// digest included. Returns false, naming the field, when it does not.
-bool RunRow(const RegimeSpec& regime, SimEngine engine, CellRun* best,
-            std::string* why) {
-  const SimulatorConfig config = RegimeConfig(regime, engine);
   WorkloadConfig workload;
   workload.num_jobs = regime.jobs;
   workload.arrival_window_s = regime.arrival_intervals * kIntervalS;
   workload.target_steps_per_epoch = regime.target_steps_per_epoch;
-  auto run_once = [&] {
-    Rng workload_rng(config.seed ^ 0x5eedULL);
-    return RunSim(config,
-                  BuildUniformCluster(regime.nodes, Resources(16, 80, 0, 1)),
-                  GenerateWorkload(workload, &workload_rng));
-  };
-  *best = run_once();
-  CellRun again = run_once();
-  if (!again.fp.Matches(best->fp, why)) {
-    return false;
-  }
-  if (again.wall_s < best->wall_s) {
-    *best = std::move(again);
-  }
-  return true;
+  return RunCell(sim, workload, regime.nodes);
 }
 
 // Cross-engine parity under the documented tolerance.
@@ -165,8 +124,7 @@ int main(int argc, char** argv) {
   // --smoke: a seconds-scale subset for tools/check.sh and CI.
   const bool smoke = flags.GetBool("smoke", false);
   const std::string json_path = flags.GetString("json", "BENCH_events.json");
-  for (const std::string& key : flags.UnconsumedKeys()) {
-    std::cerr << "unknown flag --" << key << "\n";
+  if (UnknownFlags(flags)) {
     return 1;
   }
 
@@ -187,55 +145,52 @@ int main(int argc, char** argv) {
     regimes.push_back({"steady-10k", 10000, 16000, 120, 100, 20, false});
   }
 
-  TablePrinter table({"regime", "configuration", "wall (s)", "sim s / wall s",
-                      "events"});
-  std::vector<JsonObject> json_rows;
-  bool ok = true;
+  // Rows 2k and 2k + 1 are regime k on the interval and the events engine.
+  const SimEngine kEngines[] = {SimEngine::kInterval, SimEngine::kEvents};
+  std::vector<std::string> cells;
+  for (const RegimeSpec& regime : regimes) {
+    for (const SimEngine engine : kEngines) {
+      cells.push_back(regime.name + "/" + SimEngineName(engine));
+    }
+  }
+  std::vector<RepeatedRun> runs;
   std::string divergence;
+  bool ok = RunRepeats(cells, 2, [&](size_t i) {
+    return RunRow(regimes[i / 2], kEngines[i % 2]);
+  }, &runs, &divergence);
+
+  TablePrinter table({"cell", "wall (s)", "sim s / wall s", "events"});
+  std::vector<JsonObject> json_rows;
   double headline_speedup = 0.0;
   std::vector<JsonObject> regime_sections;
-  for (const RegimeSpec& regime : regimes) {
-    std::vector<CellRun> results;
-    for (const SimEngine engine : {SimEngine::kInterval, SimEngine::kEvents}) {
-      const std::string label = std::string(SimEngineName(engine)) + " @ 1t";
-      CellRun r;
-      std::string why;
-      if (!RunRow(regime, engine, &r, &why)) {
-        ok = false;
-        divergence = regime.name + "/" + label +
-                     " not deterministic across repeats: " + why;
-      }
-      table.AddRow({regime.name, label, TablePrinter::FormatDouble(r.wall_s, 3),
-                    TablePrinter::FormatDouble(
-                        r.wall_s > 0.0 ? r.sim_s / r.wall_s : 0.0, 0),
-                    std::to_string(r.fp.metrics.events_processed)});
-      JsonObject jr;
-      jr.Set("regime", regime.name);
-      jr.Set("label", label);
-      jr.Set("engine", SimEngineName(engine));
-      jr.Set("threads", 1);
-      SetPerfColumns(&jr, r.wall_s, r.sim_s);
-      jr.Set("events_processed", r.fp.metrics.events_processed);
-      jr.Set("completed_jobs", r.fp.metrics.completed_jobs);
-      jr.Set("avg_jct_s", r.fp.metrics.avg_jct_s);
-      jr.Set("audit_checks", r.fp.metrics.audit_checks);
-      jr.Set("audit_violations", r.fp.metrics.audit_violations);
-      json_rows.push_back(jr);
-      results.push_back(std::move(r));
-    }
-
+  for (size_t i = 0; i < runs.size(); ++i) {
+    CellRun& r = runs[i].run;
+    r.wall_s = Min(runs[i].wall_s);
+    table.AddRow({cells[i], TablePrinter::FormatDouble(r.wall_s, 3),
+                  TablePrinter::FormatDouble(r.sim_s / r.wall_s, 0),
+                  std::to_string(r.fp.metrics.events_processed)});
+    JsonObject jr;
+    SetPerfRow(&jr, cells[i], r);
+    jr.Set("regime", regimes[i / 2].name);
+    jr.Set("engine", SimEngineName(kEngines[i % 2]));
+    jr.Set("events_processed", r.fp.metrics.events_processed);
+    jr.Set("completed_jobs", r.fp.metrics.completed_jobs);
+    jr.Set("avg_jct_s", r.fp.metrics.avg_jct_s);
+    jr.Set("audit_checks", r.fp.metrics.audit_checks);
+    jr.Set("audit_violations", r.fp.metrics.audit_violations);
+    json_rows.push_back(jr);
+  }
+  for (size_t k = 0; k < regimes.size(); ++k) {
+    const RegimeSpec& regime = regimes[k];
+    const CellRun& interval = runs[2 * k].run;
+    const CellRun& events = runs[2 * k + 1].run;
     // Cross-engine parity under the documented tolerance.
     std::string why;
-    if (!EnginesAgree(results[0].fp.metrics, results[1].fp.metrics, regime.jobs,
-                      &why)) {
+    if (!EnginesAgree(interval.fp.metrics, events.fp.metrics, regime.jobs, &why)) {
       ok = false;
       divergence = regime.name + " interval vs events: " + why;
     }
-
-    const double interval_wall = results[0].wall_s;
-    const double events_wall = results[1].wall_s;
-    const double speedup =
-        events_wall > 0.0 ? interval_wall / events_wall : 0.0;
+    const double speedup = interval.wall_s / events.wall_s;
     if (regime.headline) {
       headline_speedup = speedup;
     }
@@ -246,8 +201,8 @@ int main(int argc, char** argv) {
     rs.Set("horizon_intervals", regime.horizon_intervals);
     rs.Set("arrival_intervals", regime.arrival_intervals);
     rs.Set("target_steps_per_epoch", regime.target_steps_per_epoch);
-    rs.Set("interval_wall_s", interval_wall);
-    rs.Set("events_wall_s_1t", events_wall);
+    rs.Set("interval_wall_s", interval.wall_s);
+    rs.Set("events_wall_s_1t", events.wall_s);
     rs.Set("speedup_events_1t", speedup);
     rs.Set("headline", regime.headline);
     regime_sections.push_back(rs);

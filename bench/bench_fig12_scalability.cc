@@ -96,8 +96,7 @@ int main(int argc, char** argv) {
   // --smoke: a seconds-scale subset for tools/check.sh and CI.
   const bool smoke = flags.GetBool("smoke", false);
   const std::string json_path = flags.GetString("json", "BENCH_sched.json");
-  for (const std::string& key : flags.UnconsumedKeys()) {
-    std::cerr << "unknown flag --" << key << "\n";
+  if (UnknownFlags(flags)) {
     return 1;
   }
 

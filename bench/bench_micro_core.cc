@@ -422,8 +422,7 @@ int main(int argc, char** argv) {
     std::cerr << "unexpected argument " << flags.positional().front() << "\n";
     return 1;
   }
-  for (const std::string& key : flags.UnconsumedKeys()) {
-    std::cerr << "unknown flag --" << key << "\n";
+  if (UnknownFlags(flags)) {
     return 1;
   }
   benchmark::RunSpecifiedBenchmarks();

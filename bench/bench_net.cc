@@ -19,21 +19,14 @@
 // (tests/determinism_sweep_test.cc) over both network scenarios,
 // allreduce_mix (topology) and oversubscribed_fabric (contention).
 
-#include <cstdio>
-#include <chrono>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/cluster/server.h"
 #include "src/common/flags.h"
 #include "src/common/logging.h"
-#include "src/common/rng.h"
 #include "src/net/network_model.h"
-#include "src/sim/simulator.h"
-#include "src/sim/workload.h"
 #include "src/workload/scenario.h"
 
 namespace {
@@ -70,92 +63,19 @@ int RunModelCell(const std::string& model_name) {
   workload.num_jobs = kNumJobs;
   workload.arrival_window_s = config.max_sim_time_s;
 
-  Rng workload_rng(config.seed ^ 0x5eedULL);
-  std::vector<JobSpec> specs = GenerateWorkload(workload, &workload_rng);
-  Simulator sim(config,
-                BuildUniformCluster(kNumServers, Resources(16, 80, 0, 1)),
-                std::move(specs));
-  const auto start = std::chrono::steady_clock::now();
-  const RunMetrics metrics = sim.Run();
-  const auto end = std::chrono::steady_clock::now();
-  const double wall_s = std::chrono::duration<double>(end - start).count();
-  const NetworkStats net =
-      sim.network() != nullptr ? sim.network()->stats() : NetworkStats{};
-
-  // Single machine-readable line the parent scrapes into BENCH_net.json.
-  std::cout << "CELL model=" << model_name << " jobs=" << kNumJobs
-            << " servers=" << kNumServers << " completed="
-            << metrics.completed_jobs << " avg_jct_s=" << metrics.avg_jct_s
-            << " wall_s=" << wall_s << " sim_s=" << sim.now_s()
-            << " peak_rss_mib=" << PeakRssMib()
-            << " trace_digest=" << DigestHex(sim.trace().digest())
-            << " net_solves=" << net.solves << " net_flows=" << net.flows
-            << " net_contended_flows=" << net.contended_flows
-            << " net_links=" << net.num_links
-            << " net_max_link_util=" << net.max_link_utilization << "\n";
-  return 0;
-}
-
-bool RunModelSweep(const std::string& self_exe, std::vector<JsonObject>* rows,
-                   std::string* why) {
-  const std::vector<std::string> models = {"flat", "topology", "contention"};
-  TablePrinter table({"model", "completed", "avg JCT (s)", "wall (s)",
-                      "peak RSS (MiB)", "flows", "contended"});
-  for (const std::string& model : models) {
-    const std::string cmd = self_exe + " --cell=" + model;
-    std::cout << "  running cell model=" << model << "...\n" << std::flush;
-    FILE* pipe = popen(cmd.c_str(), "r");
-    if (pipe == nullptr) {
-      *why = "failed to spawn " + cmd;
-      return false;
-    }
-    std::string cell_line;
-    char buf[4096];
-    while (std::fgets(buf, sizeof(buf), pipe) != nullptr) {
-      const std::string line(buf);
-      if (line.compare(0, 5, "CELL ") == 0) {
-        cell_line = line.substr(5);
-      }
-    }
-    const int status = pclose(pipe);
-    if (status != 0 || cell_line.empty()) {
-      *why = "cell model=" + model + " failed (exit " + std::to_string(status) +
-             ")";
-      return false;
-    }
-    // key=value scrape; numeric fields go in as numbers, model/digest as
-    // strings.
-    JsonObject row;
-    std::istringstream fields(cell_line);
-    std::string field;
-    std::string completed, avg_jct, wall, rss, flows, contended;
-    while (fields >> field) {
-      const size_t eq = field.find('=');
-      if (eq == std::string::npos) {
-        continue;
-      }
-      const std::string key = field.substr(0, eq);
-      const std::string value = field.substr(eq + 1);
-      if (key == "model" || key == "trace_digest") {
-        row.Set(key, value);
-      } else {
-        row.Set(key, std::stod(value));
-      }
-      if (key == "completed") completed = value;
-      if (key == "avg_jct_s") avg_jct = value;
-      if (key == "wall_s") wall = value;
-      if (key == "peak_rss_mib") rss = value;
-      if (key == "net_flows") flows = value;
-      if (key == "net_contended_flows") contended = value;
-    }
-    rows->push_back(row);
-    table.AddRow({model, completed,
-                  TablePrinter::FormatDouble(std::stod(avg_jct), 1),
-                  TablePrinter::FormatDouble(std::stod(wall), 2), rss, flows,
-                  contended});
-  }
-  table.Print(std::cout);
-  return true;
+  const CellRun run = RunCell(config, workload, kNumServers);
+  JsonObject row;
+  SetPerfRow(&row, model_name, run);
+  row.Set("jobs", kNumJobs);
+  row.Set("servers", kNumServers);
+  row.Set("completed", run.fp.metrics.completed_jobs);
+  row.Set("avg_jct_s", run.fp.metrics.avg_jct_s);
+  row.Set("net_solves", run.net.solves);
+  row.Set("net_flows", run.net.flows);
+  row.Set("net_contended_flows", run.net.contended_flows);
+  row.Set("net_links", run.net.num_links);
+  row.Set("net_max_link_util", run.net.max_link_utilization);
+  return PrintCellLine(row);
 }
 
 // ---------------------------------------------------------------------------
@@ -190,15 +110,13 @@ bool RunRackComparison(const std::string& scenario_path, JsonObject* section,
                   TablePrinter::FormatDouble(run.sim_s, 1),
                   std::to_string(run.net.contended_flows)});
     JsonObject row;
-    row.Set("policy", policy);
+    SetPerfRow(&row, policy, run);
     row.Set("completed_jobs", run.fp.metrics.completed_jobs);
     row.Set("avg_jct_s", avg_jct);
-    row.Set("makespan_s", run.sim_s);
     row.Set("net_solves", run.net.solves);
     row.Set("net_flows", run.net.flows);
     row.Set("net_contended_flows", run.net.contended_flows);
     row.Set("net_max_link_util", run.net.max_link_utilization);
-    SetPerfColumns(&row, run.wall_s, run.sim_s);
     section->Set(policy, row);
   }
   table.Print(std::cout);
@@ -230,8 +148,7 @@ int main(int argc, char** argv) {
       "fabric_scenario", "scenarios/oversubscribed_fabric.json");
   // Internal: run one fabric-model cell in this process, print its CELL line.
   const std::string cell = flags.GetString("cell", "");
-  for (const std::string& key : flags.UnconsumedKeys()) {
-    std::cerr << "unknown flag --" << key << "\n";
+  if (UnknownFlags(flags)) {
     return 1;
   }
   if (!cell.empty()) {
@@ -255,7 +172,10 @@ int main(int argc, char** argv) {
     std::cout << "\nFabric-model sweep (one child process per cell):\n";
     std::vector<JsonObject> model_rows;
     std::string model_why;
-    if (!RunModelSweep(argv[0], &model_rows, &model_why)) {
+    if (!RunChildCells(argv[0], {"flat", "topology", "contention"},
+                       {"cell", "completed", "avg_jct_s", "wall_s",
+                        "peak_rss_mib", "net_flows", "net_contended_flows"},
+                       &model_rows, &model_why)) {
       ok = false;
       failure = model_why;
     }

@@ -97,8 +97,7 @@ int main(int argc, char** argv) {
   const std::string json_path = flags.GetString("json", "BENCH_policies.json");
   const std::string scenario_path =
       flags.GetString("scenario", "scenarios/batch_adaptive.json");
-  for (const std::string& key : flags.UnconsumedKeys()) {
-    std::cerr << "unknown flag --" << key << "\n";
+  if (UnknownFlags(flags)) {
     return 1;
   }
 

@@ -145,7 +145,7 @@ done
 # across (engine, threads) and the no-op knobs is tier-1's determinism sweep
 # (tests/determinism_sweep_test.cc) over every committed scenario.
 "${build_dir}/bench/bench_scale" --smoke --json=BENCH_scale_smoke.json
-for key in scale_cells trace_digest; do
+for key in scale_cells peak_rss_mib; do
   grep -q "\"${key}\"" BENCH_scale_smoke.json || {
     echo "BENCH_scale_smoke.json is missing ${key}" >&2; exit 1;
   }
@@ -161,6 +161,25 @@ for key in rack_aware_wins net_contended_flows; do
   grep -q "\"${key}\"" BENCH_net_smoke.json || {
     echo "BENCH_net_smoke.json is missing ${key}" >&2; exit 1;
   }
+done
+
+# Observability smoke: registry/flight recorder on vs off; exits 3 if
+# observability perturbs the simulation or exports diverge across repeats or
+# thread counts.
+"${build_dir}/bench/bench_obs" --smoke --json=BENCH_obs_smoke.json
+
+# One perf row schema (SetPerfRow, bench/bench_util.h): every row of the
+# scale, net, obs and events smokes carries the shared columns. A row is an
+# object with a "cell"; JsonObject writes one key per line and never repeats
+# one, so equal counts mean every row has each column.
+for f in BENCH_scale_smoke.json BENCH_net_smoke.json BENCH_obs_smoke.json \
+         BENCH_events_smoke.json; do
+  rows=$(grep -c '"cell":' "${f}" || true)
+  for key in wall_s sim_s sim_s_per_wall_s trace_digest; do
+    [[ "${rows}" -gt 0 && "$(grep -c "\"${key}\":" "${f}")" == "${rows}" ]] || {
+      echo "${f}: not every one of its ${rows} rows carries ${key}" >&2; exit 1;
+    }
+  done
 done
 
 # Policy-catalog smoke: every registered policy (goodput / synergy / dl2
@@ -233,6 +252,26 @@ for entry in \
     echo "${surface} ${flag} did not exit 2 naming ${name} (exit ${rc})" >&2; exit 1;
   }
 done
+# With --scenario, the flags that only build a generated run would be ignored:
+# optimus_sim must exit 2 naming each of them.
+generated_only=(--jobs=3 --servers=4 --arrivals=poisson --steps-per-epoch=10
+  --interval=60 --stragglers=0.9 --fault-plan=crash@0:server=0
+  --task-failure-prob=0.1 --checkpoint-period=60 --no-audit
+  --background-share=0.1 --oracle)
+rc=0
+"${build_dir}/tools/optimus_sim" --scenario="${repo_root}/scenarios/fig11_testbed.json" \
+  "${generated_only[@]}" 2> "${tmp_dir}/generated_only.err" > /dev/null || rc=$?
+[[ "${rc}" == 2 ]] || {
+  echo "--scenario with generated-run flags exited ${rc}, not 2" >&2; exit 1;
+}
+for flag in "${generated_only[@]}"; do
+  name="${flag%%=*}"
+  name="${name/#--no-/--}"
+  grep -qw -- "${name}" "${tmp_dir}/generated_only.err" || {
+    echo "--scenario with ${flag} did not name ${name}" >&2; exit 1;
+  }
+done
+
 # The service answers the same job count in a scenario_swap with ok=false
 # naming it, and keeps serving.
 printf '{"op": "scenario_swap", "path": "%s"}\n' "${tmp_dir}/many_jobs.json" |
@@ -301,11 +340,6 @@ cmp -s "${tmp_dir}/cli.jobs.json" "${tmp_dir}/scenario.jobs.json" &&
   | grep -q '"name": "goodput"' || {
   echo "--policy list --format=json is missing goodput" >&2; exit 1;
 }
-
-# Observability smoke: registry/flight recorder on vs off; exits nonzero
-# if observability perturbs the simulation or exports diverge across
-# thread counts.
-"${build_dir}/bench/bench_obs" --smoke --json=BENCH_obs_smoke.json
 
 # Scenario-sweep smoke: a 2x2 grid (two tiny scenarios x two policies each)
 # through optimus_sweep. Exits nonzero on a scenario-validation error, an

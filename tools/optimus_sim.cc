@@ -53,7 +53,10 @@ std::string Usage() {
       "                                        (default table)\n"
       "  --scenario=FILE                       run a scenario-v2 JSON experiment\n"
       "                                        (docs/SCENARIOS.md); --policy, --seed,\n"
-      "                                        --repeats, --threads override the file\n"
+      "                                        --repeats, --engine, --threads override\n"
+      "                                        the file; the workload, cluster, fault,\n"
+      "                                        audit and estimate flags below build\n"
+      "                                        the generated run and exit 2 with it\n"
       "  --jobs=N                              number of jobs (default 9)\n"
       "  --servers=N                           uniform cluster size; 0 = paper's\n"
       "                                        13-server testbed (default 0)\n"
@@ -325,6 +328,25 @@ int main(int argc, char** argv) {
     }
     std::cerr << "\n\n" << Usage();
     return 2;
+  }
+  if (!scenario_path.empty()) {
+    // A scenario file sets its own workload, cluster and faults: these
+    // flags would be silently ignored.
+    std::string ignored;
+    for (const char* key : {"jobs", "servers", "arrivals", "steps-per-epoch",
+                            "interval", "stragglers", "fault-plan",
+                            "task-failure-prob", "checkpoint-period", "audit",
+                            "background-share", "oracle"}) {
+      if (flags.Has(key)) {
+        ignored += std::string(" --") + key;
+      }
+    }
+    if (!ignored.empty()) {
+      std::cerr << "--scenario sets the workload, cluster and faults itself; "
+                   "drop:"
+                << ignored << "\n";
+      return 2;
+    }
   }
   if (out.metrics_format != "prom" && out.metrics_format != "json") {
     std::cerr << "unknown --metrics-format '" << out.metrics_format
